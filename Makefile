@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint staticcheck bench bench-engine bench-engine-smoke cluster-smoke advisor-smoke crash-smoke faultmix-smoke
+.PHONY: build test race lint staticcheck bench cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke
 
 build:
 	$(GO) build ./...
@@ -40,19 +40,6 @@ staticcheck:
 bench:
 	$(GO) test -run=XXX -bench=BenchmarkRepeatedRuns -benchtime=300x .
 
-# Engine hot-path benchmark record (docs/MODEL.md "Engine internals").
-# Runs BenchmarkRepeatedRuns 8x at fixed iterations, takes the minimum
-# per sub-benchmark (one-sided co-tenant noise) and rewrites
-# BENCH_engine.json including the speedup vs BENCH_repeated.json's
-# pre-rework baseline.
-bench-engine:
-	$(GO) run ./cmd/benchengine -out BENCH_engine.json
-
-# CI variant: one short run into a scratch file, proving the tool and
-# the benchmark still work without committing noisy numbers.
-bench-engine-smoke:
-	$(GO) run ./cmd/benchengine -benchtime 5x -count 1 -out /tmp/BENCH_engine_smoke.json
-
 # In-process multi-node drill (docs/CLUSTER.md): coordinator + workers,
 # bit-identity vs the sequential campaign, shard fault storm, worker
 # kill mid-lease, cancellation mid-sweep — all under the race detector.
@@ -79,6 +66,15 @@ faultmix-smoke:
 	$(GO) test -race -count=1 -run 'TestFaultMixSmokeGolden|TestFaultMixFiguresBitIdentical' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPermutedModesBitIdentical|TestDeterministicReplay|TestProcessSharedAcrossGoroutines|TestAppendGapsMatchesNextGap' ./internal/faultmodel/
 	$(GO) test -race -count=1 -run 'TestClosedLoop' ./internal/advise/
+
+# Engine smoke (docs/MODEL.md "Engine internals"): the figure matrix
+# and raw run results byte-compared against the golden recorded from
+# the pre-rework engine paths before they were deleted, and the calendar
+# queue against the reference heap, under the race detector. Regenerate
+# the golden after an intentional model change:
+#   go test -run TestEngineGolden ./internal/core/ -update-engine-golden
+engine-smoke:
+	$(GO) test -race -count=1 -run 'TestEngineGolden|TestCalendarMatchesHeap' ./internal/core/ ./internal/eventq/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -29,8 +29,9 @@ func benchNoise(b *testing.B, ranks int, seed uint64) noise.Model {
 // against reusing one Simulator's preallocated state across runs (the
 // hot path of core.RunRepeated and the daemon's sweep jobs). Results
 // are bit-identical by construction — see TestSimulatorReuseBitIdentical
-// — so the allocs/op delta is pure overhead removed. A snapshot of the
-// numbers lives in BENCH_repeated.json.
+// — so the allocs/op delta is pure overhead removed. This is a
+// measure-while-you-work benchmark; recorded numbers and performance
+// claims come from `go run ./bench` (BENCHMARK.json, bench/README.md).
 func BenchmarkRepeatedRuns(b *testing.B) {
 	tr, err := tracegen.Generate("minife", 64, 5, 1)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -43,13 +42,14 @@ func main() {
 	// Validate every flag combination before any pipeline work, so a
 	// bad invocation dies with one clear line instead of whatever the
 	// trace generator or noise model reports downstream.
-	mixSpec, err := resolveFaultMix(*faultMix)
-	if err != nil {
-		fatal(fmt.Errorf("cesim: %w", err))
-	}
+	var mixSpec *faultmodel.Spec // nil without -fault-mix
 	mixMTBCE := int64(0)
-	if mixSpec != nil {
-		mixMTBCE = mixSpec.MTBCENanos
+	if *faultMix != "" {
+		spec, err := systems.ResolveFaultMix(*faultMix)
+		if err != nil {
+			fatal(fmt.Errorf("cesim: %w", err))
+		}
+		mixSpec, mixMTBCE = &spec, spec.MTBCENanos
 	}
 	if err := validateFlags(*workload, *nodes, *iters, *mtbce, *perEvent, *system, *mode, *target, *reps, mixMTBCE); err != nil {
 		fatal(fmt.Errorf("cesim: %w", err))
@@ -132,28 +132,6 @@ func main() {
 	if werr != nil {
 		fatal(werr)
 	}
-}
-
-// resolveFaultMix turns the -fault-mix argument into a mixture spec:
-// empty means none, a systems preset name wins over a file, anything
-// else is read as a JSON spec file.
-func resolveFaultMix(arg string) (*faultmodel.Spec, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	if mix, err := systems.FaultMixByName(arg); err == nil {
-		return &mix.Spec, nil
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("-fault-mix %q is neither a preset (%s) nor a readable spec file: %v",
-			arg, strings.Join(systems.FaultMixNames(), ", "), err)
-	}
-	s, err := faultmodel.ParseSpec(data)
-	if err != nil {
-		return nil, fmt.Errorf("-fault-mix %s: %w", arg, err)
-	}
-	return &s, nil
 }
 
 // validateFlags rejects inconsistent flag combinations up front.

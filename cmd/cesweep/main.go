@@ -54,6 +54,10 @@ func main() {
 	if selected != 1 {
 		fatal(fmt.Errorf("cesweep: pass exactly one of -figure, -table or -surface"))
 	}
+	sc, err := core.ParseScale(*scale)
+	if err != nil {
+		fatal(fmt.Errorf("cesweep: %w", err))
+	}
 
 	// Only the sweep figures (3-9) shard into (figure x workload) cells;
 	// Table II, Figure 2 and surfaces are single local computations.
@@ -73,10 +77,7 @@ func main() {
 	}
 
 	if *surface != "" {
-		opts := core.Options{Nodes: *nodes, Iterations: *iters, Reps: *reps, Seed: *seed}
-		if *scale == "paper" {
-			opts.Scale = core.Paper
-		}
+		opts := core.Options{Scale: sc, Nodes: *nodes, Iterations: *iters, Reps: *reps, Seed: *seed}
 		f, hm, err := core.Surface(opts, *surface, nil, nil)
 		if err != nil {
 			fatal(err)
@@ -111,25 +112,17 @@ func main() {
 		fatal(fmt.Errorf("cesweep: unknown figure %q", *figure))
 	}
 	opts := core.Options{
+		Scale:      sc,
 		Nodes:      *nodes,
 		Iterations: *iters,
 		Reps:       *reps,
 		Seed:       *seed,
-	}
-	switch *scale {
-	case "reduced":
-		opts.Scale = core.Reduced
-	case "paper":
-		opts.Scale = core.Paper
-	default:
-		fatal(fmt.Errorf("cesweep: unknown scale %q", *scale))
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}
 	start := time.Now()
 	var f *core.Figure
-	var err error
 	if *clusterAt != "" {
 		client := &cluster.Client{Base: *clusterAt}
 		f, err = client.Figure(context.Background(), *figure, opts)

@@ -32,14 +32,11 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := core.Options{Nodes: *nodes, Iterations: *iters, Reps: *reps, Seed: *seed}
-	switch *scale {
-	case "reduced":
-	case "paper":
-		opts.Scale = core.Paper
-	default:
-		fatal(fmt.Errorf("reproduce: unknown scale %q", *scale))
+	sc, err := core.ParseScale(*scale)
+	if err != nil {
+		fatal(fmt.Errorf("reproduce: %w", err))
 	}
+	opts := core.Options{Scale: sc, Nodes: *nodes, Iterations: *iters, Reps: *reps, Seed: *seed}
 	cfg := campaign.Config{OutDir: *out, Options: opts, Log: os.Stderr}
 	if *only != "" {
 		cfg.Only = strings.Split(*only, ",")

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/faultmodel"
 	"repro/internal/report"
@@ -45,7 +44,7 @@ func main() {
 		CEsPerFaultHour: *ceRate,
 	}
 	if *faultMix != "" {
-		spec, err := resolveFaultMix(*faultMix)
+		spec, err := systems.ResolveFaultMix(*faultMix)
 		if err != nil {
 			fatal(err)
 		}
@@ -105,31 +104,11 @@ func main() {
 	}
 }
 
-// resolveFaultMix interprets the -fault-mix argument the same way cesim
-// does: a catalog preset name wins, anything else is read as a JSON spec
-// file.
-func resolveFaultMix(arg string) (*faultmodel.Spec, error) {
-	if fm, err := systems.FaultMixByName(arg); err == nil {
-		spec := fm.Spec
-		return &spec, nil
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("-fault-mix %q is neither a preset (%s) nor a readable spec file: %v",
-			arg, strings.Join(systems.FaultMixNames(), ", "), err)
-	}
-	spec, err := faultmodel.ParseSpec(data)
-	if err != nil {
-		return nil, err
-	}
-	return &spec, nil
-}
-
 // mixFromSpec folds a faultmodel mixture onto retire's per-kind weights:
 // transient and permanent modes of the same kind sum. The burst shape
 // and skew of the mixture do not map onto retire's fault-population
 // model, so only the composition carries over.
-func mixFromSpec(spec *faultmodel.Spec) (retire.Mix, error) {
+func mixFromSpec(spec faultmodel.Spec) (retire.Mix, error) {
 	var mix retire.Mix
 	if err := spec.Validate(); err != nil {
 		return mix, err

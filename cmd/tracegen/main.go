@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/collectives"
 	"repro/internal/extrapolate"
-	"repro/internal/faultmodel"
 	"repro/internal/report"
 	"repro/internal/systems"
 	"repro/internal/trace"
@@ -210,9 +209,9 @@ func exportFaultMix(arg, output, tenant string, events, nodes int, mtbceNanos in
 	if tenant == "" {
 		return fmt.Errorf("tracegen: -ce-tenant must not be empty")
 	}
-	spec, err := resolveFaultMix(arg)
+	spec, err := systems.ResolveFaultMix(arg)
 	if err != nil {
-		return err
+		return fmt.Errorf("tracegen: %w", err)
 	}
 	s := spec.WithMTBCE(mtbceNanos)
 	var w io.Writer = os.Stdout
@@ -261,24 +260,6 @@ func exportFaultMix(arg, output, tenant string, events, nodes int, mtbceNanos in
 		fmt.Fprintf(os.Stderr, "tracegen: wrote %s (%d CE events, %d nodes, mix %s)\n", output, total, nodes, s)
 	}
 	return nil
-}
-
-// resolveFaultMix mirrors cmd/cesim's convention: a systems preset name
-// wins over a file, anything else is read as a JSON spec file.
-func resolveFaultMix(arg string) (faultmodel.Spec, error) {
-	if mix, err := systems.FaultMixByName(arg); err == nil {
-		return mix.Spec, nil
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return faultmodel.Spec{}, fmt.Errorf("tracegen: -fault-mix %q is neither a preset (%s) nor a readable spec file: %v",
-			arg, strings.Join(systems.FaultMixNames(), ", "), err)
-	}
-	s, err := faultmodel.ParseSpec(data)
-	if err != nil {
-		return faultmodel.Spec{}, fmt.Errorf("tracegen: -fault-mix %s: %w", arg, err)
-	}
-	return s, nil
 }
 
 func fatal(err error) {

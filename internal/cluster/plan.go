@@ -72,8 +72,8 @@ func (s Spec) withDefaults() Spec {
 // Validate rejects specs that could not have come from a well-formed
 // sequential run.
 func (s Spec) Validate() error {
-	if s.Scale != "" && s.Scale != "reduced" && s.Scale != "paper" {
-		return fmt.Errorf("cluster: unknown scale %q", s.Scale)
+	if _, err := core.ParseScale(s.Scale); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	for _, id := range s.Figures {
 		if _, ok := core.Figures()[id]; !ok {
@@ -91,7 +91,9 @@ func (s Spec) Validate() error {
 // Options converts the spec to the core.Options a sequential run of
 // the same sweep would use.
 func (s Spec) Options() core.Options {
+	scale, _ := core.ParseScale(s.Scale) // Validate rejects unknown names
 	opts := core.Options{
+		Scale:      scale,
 		Nodes:      s.Nodes,
 		Iterations: s.Iterations,
 		SpanNanos:  s.SpanNanos,
@@ -99,9 +101,6 @@ func (s Spec) Options() core.Options {
 		Reps:       s.Reps,
 		Seed:       s.Seed,
 		Workloads:  s.Workloads,
-	}
-	if s.Scale == "paper" {
-		opts.Scale = core.Paper
 	}
 	return opts
 }

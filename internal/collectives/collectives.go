@@ -69,11 +69,6 @@ type Config struct {
 	// AllreduceAuto switches from recursive doubling to Rabenseifner.
 	// Zero means the default of 16 KiB.
 	RabenseifnerMin int64
-	// DisableMemo bypasses the process-wide schedule memoization (see
-	// memo.go) and re-runs every expansion algorithm directly. Output
-	// is bit-identical either way; the toggle exists so differential
-	// tests can replay both paths in one process.
-	DisableMemo bool
 }
 
 func (c Config) rabenseifnerMin() int64 {
@@ -151,10 +146,6 @@ func Expand(t *trace.Trace, cfg Config) (*trace.Trace, error) {
 			key, err := schedKeyFor(op, n, r, cfg)
 			if err != nil {
 				return nil, err
-			}
-			if cfg.DisableMemo {
-				e.expandDirect(key)
-				continue
 			}
 			sch := schedCache.getOrBuild(key, func() schedule { return buildCanonical(key) })
 			e.splice(sch)

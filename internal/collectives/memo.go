@@ -12,8 +12,8 @@
 // from 0. Splicing an entry into a trace rebases tags and request ids
 // by addition, which reproduces exactly what direct emission would have
 // produced — the algorithms use e.tag verbatim on every p2p op and
-// allocate request ids sequentially — so memoized and direct expansion
-// are bit-identical (see TestMemoizedExpansionBitIdentical).
+// allocate request ids sequentially (see
+// TestMemoizedExpansionBitIdentical).
 package collectives
 
 import (
@@ -207,8 +207,7 @@ func (c Config) resolveAllreduce(size int64) AllreduceAlgo {
 }
 
 // schedKeyFor derives the memoization key for one collective op on one
-// rank, resolving AllreduceAuto to its concrete algorithm. It reports
-// the same configuration errors direct expansion did.
+// rank, resolving AllreduceAuto to its concrete algorithm.
 func schedKeyFor(op trace.Op, n, rank int32, cfg Config) (schedKey, error) {
 	key := schedKey{kind: op.Kind, n: n, rank: rank, size: op.Size}
 	switch op.Kind {
@@ -231,9 +230,8 @@ func schedKeyFor(op trace.Op, n, rank int32, cfg Config) (schedKey, error) {
 }
 
 // runAlgo dispatches the expansion algorithm for key on this expander,
-// emitting with whatever tag and request bases it carries. The direct
-// (memo-disabled) path runs it on the live expander; buildCanonical
-// runs it on a zero-based one.
+// emitting with whatever tag and request bases it carries.
+// buildCanonical runs it on a zero-based one.
 func (e *expander) runAlgo(key schedKey) {
 	switch key.kind {
 	case trace.OpBarrier:
@@ -261,10 +259,6 @@ func (e *expander) runAlgo(key schedKey) {
 		e.binomialScatter(key.root, key.size)
 	}
 }
-
-// expandDirect is the memo-disabled path: run the algorithm in place
-// with the live tag and request bases.
-func (e *expander) expandDirect(key schedKey) { e.runAlgo(key) }
 
 // buildCanonical runs the expansion algorithm for key with tag 0 and
 // request ids from 0, producing the canonical schedule.

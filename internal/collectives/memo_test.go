@@ -32,27 +32,40 @@ func collectiveMix(n int, size int64) *trace.Trace {
 	return tr
 }
 
-// TestMemoizedExpansionBitIdentical replays the full algorithm zoo
-// through the memoized and the direct expansion paths and requires
-// identical op streams — the bit-identity contract splice() relies on.
+// TestMemoizedExpansionBitIdentical states the property the memo relies
+// on: for every schedule key the algorithm zoo produces — each rank of
+// each collective, at roots 0, n/2 and n-1 — and for several tag and
+// request-id bases, splicing the canonical schedule emits exactly the
+// ops, and consumes exactly the request ids, that running the
+// algorithm on an expander carrying those bases does.
 func TestMemoizedExpansionBitIdentical(t *testing.T) {
+	bases := []struct{ tag, req int32 }{
+		{0, 0}, {TagBase, ReqBase}, {TagBase + 7, ReqBase + 13}, {TagBase + 1000, ReqBase + 99999},
+	}
 	for _, n := range []int{1, 2, 3, 4, 7, 8, 16, 31, 64} {
 		for _, size := range []int64{0, 8, 4096, 64 << 10} {
 			for _, algo := range []AllreduceAlgo{AllreduceAuto, AllreduceRecursiveDoubling, AllreduceRabenseifner, AllreduceRing} {
 				t.Run(fmt.Sprintf("n=%d/size=%d/%v", n, size, algo), func(t *testing.T) {
-					tr := collectiveMix(n, size)
-					memo, err := Expand(tr, Config{Allreduce: algo})
-					if err != nil {
-						t.Fatal(err)
-					}
-					direct, err := Expand(tr, Config{Allreduce: algo, DisableMemo: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for r := range direct.Ops {
-						if !reflect.DeepEqual(memo.Ops[r], direct.Ops[r]) {
-							t.Fatalf("rank %d: memoized expansion diverges from direct\nmemo:   %+v\ndirect: %+v",
-								r, memo.Ops[r], direct.Ops[r])
+					for r, ops := range collectiveMix(n, size).Ops {
+						for _, op := range ops {
+							if !op.Kind.IsCollective() {
+								continue
+							}
+							key, err := schedKeyFor(op, int32(n), int32(r), Config{Allreduce: algo})
+							if err != nil {
+								t.Fatal(err)
+							}
+							sch := buildCanonical(key)
+							for _, b := range bases {
+								direct := &expander{rank: key.rank, n: key.n, tag: b.tag, req: b.req}
+								direct.runAlgo(key)
+								spliced := &expander{rank: key.rank, n: key.n, tag: b.tag, req: b.req}
+								spliced.splice(sch)
+								if !reflect.DeepEqual(spliced.out, direct.out) || spliced.req != direct.req {
+									t.Fatalf("key %+v at tag %d req %d: splice diverges from the algorithm\nsplice (next req %d): %+v\ndirect (next req %d): %+v",
+										key, b.tag, b.req, spliced.req, spliced.out, direct.req, direct.out)
+								}
+							}
 						}
 					}
 				})

@@ -42,32 +42,6 @@ type ExperimentConfig struct {
 	Net netmodel.Params
 	// Collectives selects expansion algorithms.
 	Collectives collectives.Config
-	// Engine selects legacy engine code paths. The zero value (the
-	// current engine) is what every production caller uses; the legacy
-	// paths exist so differential tests can prove the engine rework
-	// changed no result (see TestEngineBitIdentical).
-	Engine EngineCompat
-}
-
-// EngineCompat flips individual engine hot-path optimizations back to
-// their pre-rework implementations. Results are bit-identical under
-// every combination; that equivalence is the contract the differential
-// harness enforces.
-type EngineCompat struct {
-	// ShadowQueue simulates on the legacy heap event queue instead of
-	// the calendar queue.
-	ShadowQueue bool
-	// DirectExpansion bypasses the collective schedule memoization
-	// cache and re-runs every expansion algorithm in place.
-	DirectExpansion bool
-	// UnbatchedNoise draws CE arrival gaps one at a time instead of
-	// prefetching them in batches.
-	UnbatchedNoise bool
-}
-
-// Legacy reports whether any legacy path is selected.
-func (e EngineCompat) Legacy() bool {
-	return e.ShadowQueue || e.DirectExpansion || e.UnbatchedNoise
 }
 
 // Experiment is a prepared workload with its noise-free baseline.
@@ -100,13 +74,11 @@ func NewExperiment(cfg ExperimentConfig) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	ccfg := cfg.Collectives
-	ccfg.DisableMemo = ccfg.DisableMemo || cfg.Engine.DirectExpansion
-	ex, err := collectives.Expand(tr, ccfg)
+	ex, err := collectives.Expand(tr, cfg.Collectives)
 	if err != nil {
 		return nil, err
 	}
-	base, err := loggopsim.Simulate(ex, loggopsim.Config{Net: cfg.Net, ShadowQueue: cfg.Engine.ShadowQueue})
+	base, err := loggopsim.Simulate(ex, loggopsim.Config{Net: cfg.Net})
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline simulation: %w", err)
 	}
@@ -169,9 +141,7 @@ func (e *Experiment) acquireSim() (*loggopsim.Simulator, error) {
 	if s, ok := e.sims.Get().(*loggopsim.Simulator); ok {
 		return s, nil
 	}
-	return loggopsim.NewSimulator(e.expanded, loggopsim.Config{
-		Net: e.cfg.Net, Profile: true, ShadowQueue: e.cfg.Engine.ShadowQueue,
-	})
+	return loggopsim.NewSimulator(e.expanded, loggopsim.Config{Net: e.cfg.Net, Profile: true})
 }
 
 func (e *Experiment) releaseSim(s *loggopsim.Simulator) { e.sims.Put(s) }
@@ -197,7 +167,6 @@ func (e *Experiment) runOn(sim *loggopsim.Simulator, sc Scenario) (*RunResult, e
 		Duration:         sc.PerEvent,
 		Target:           sc.Target,
 		SaturationFactor: 1000,
-		DisableBatch:     e.cfg.Engine.UnbatchedNoise,
 	}
 	if err := ncfg.Validate(); err != nil {
 		return nil, err

@@ -33,6 +33,18 @@ const (
 	Paper
 )
 
+// ParseScale maps the scale name every command-line flag and request
+// body uses to a Scale: "" and "reduced" are Reduced, "paper" is Paper.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "", "reduced":
+		return Reduced, nil
+	case "paper":
+		return Paper, nil
+	}
+	return Reduced, fmt.Errorf("unknown scale %q (want reduced or paper)", s)
+}
+
 // Options control the figure drivers.
 type Options struct {
 	// Scale selects Reduced (default) or Paper fidelity.

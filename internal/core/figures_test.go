@@ -227,6 +227,29 @@ func TestTable2Render(t *testing.T) {
 	}
 }
 
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Scale
+		ok   bool
+	}{
+		{"", Reduced, true},
+		{"reduced", Reduced, true},
+		{"paper", Paper, true},
+		{"Paper", Reduced, false},
+		{"bogus", Reduced, false},
+		{" reduced", Reduced, false},
+	} {
+		got, err := ParseScale(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !(strings.Contains(err.Error(), "reduced") && strings.Contains(err.Error(), "paper")) {
+			t.Errorf("ParseScale(%q) error %q does not name the accepted values", tc.in, err)
+		}
+	}
+}
+
 func TestFiguresRegistry(t *testing.T) {
 	reg := Figures()
 	for _, id := range []string{"3", "4", "5", "6", "7"} {

@@ -5,15 +5,14 @@ import (
 	"testing"
 )
 
-// TestCalendarMatchesShadow drives the calendar queue and the legacy
+// TestCalendarMatchesHeap drives the calendar queue and the reference
 // heap with identical push/pop sequences — including same-time bursts,
 // wide time jumps and mid-stream resets — and requires identical pop
-// streams. The simulator's bit-identity across the queue rewrite rests
-// on this equivalence (plus TestEngineBitIdentical at the engine
-// level).
-func TestCalendarMatchesShadow(t *testing.T) {
+// streams. The simulator's bit-identity with the heap-era engine rests
+// on this equivalence (plus TestEngineGolden at the engine level).
+func TestCalendarMatchesHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		q, s := New(0), NewShadow(0)
+		q, s := New(0), &refHeap{}
 		r := rand.New(rand.NewSource(seed))
 		now := int64(0)
 		for i := 0; i < 20000; i++ {
@@ -36,7 +35,7 @@ func TestCalendarMatchesShadow(t *testing.T) {
 			default:
 				ge, we := q.Pop(), s.Pop()
 				if ge != we {
-					t.Fatalf("seed %d step %d: calendar popped %+v, shadow popped %+v", seed, i, ge, we)
+					t.Fatalf("seed %d step %d: calendar popped %+v, heap popped %+v", seed, i, ge, we)
 				}
 				now = ge.Time
 			}
@@ -47,7 +46,7 @@ func TestCalendarMatchesShadow(t *testing.T) {
 		for q.Len() > 0 {
 			ge, we := q.Pop(), s.Pop()
 			if ge != we {
-				t.Fatalf("seed %d drain: calendar popped %+v, shadow popped %+v", seed, ge, we)
+				t.Fatalf("seed %d drain: calendar popped %+v, heap popped %+v", seed, ge, we)
 			}
 		}
 	}

@@ -23,11 +23,8 @@
 // would otherwise thrash resizes, and a sparse ring only costs the
 // sweep an occasional skipped-ahead cursor jump. Because the pop order
 // is the strict total order (Time, seq), the schedule a simulation
-// observes is bit-identical to the heap's.
-//
-// The previous heap survives as a shadow implementation (NewShadow,
-// or module-wide via the eventq_shadow build tag) so differential
-// tests and benchmarks can replay both engines in one process.
+// observes is bit-identical to a binary heap's; the tests keep a 4-ary
+// heap as the reference and compare pop sequences against it.
 package eventq
 
 // Event is the unit of work scheduled in simulated time. Payload fields
@@ -73,19 +70,10 @@ type Queue struct {
 	ti    int
 
 	scratch []Event // resize spill buffer, zeroed after use
-
-	// Shadow state: the legacy 4-ary implicit heap (shadow.go).
-	shadow bool
-	heap   []Event
 }
 
-// New returns a queue with capacity preallocated for n events. Under
-// the eventq_shadow build tag it returns the legacy heap instead, so a
-// whole build can be flipped to the old engine for differential runs.
+// New returns a queue with capacity preallocated for n events.
 func New(n int) *Queue {
-	if buildShadow {
-		return NewShadow(n)
-	}
 	q := &Queue{}
 	q.init()
 	// Pre-size the ring for the hinted population so steady-state
@@ -109,18 +97,11 @@ func (q *Queue) init() {
 
 // Len reports the number of pending events.
 func (q *Queue) Len() int {
-	if q.shadow {
-		return len(q.heap)
-	}
 	return q.n
 }
 
 // Push schedules an event. The event's seq field is assigned internally.
 func (q *Queue) Push(e Event) {
-	if q.shadow {
-		q.pushShadow(e)
-		return
-	}
 	if q.buckets == nil {
 		q.init()
 	}
@@ -178,9 +159,6 @@ func (q *Queue) insertToday(e Event) {
 // Pop removes and returns the earliest event. It panics on an empty
 // queue; callers check Len first.
 func (q *Queue) Pop() Event {
-	if q.shadow {
-		return q.popShadow()
-	}
 	if q.n == 0 {
 		panic("eventq: Pop on empty queue")
 	}
@@ -202,9 +180,6 @@ func (q *Queue) Pop() Event {
 // Peek returns the earliest event without removing it. Like Pop it
 // panics on an empty queue.
 func (q *Queue) Peek() Event {
-	if q.shadow {
-		return q.heap[0]
-	}
 	if q.n == 0 {
 		panic("eventq: Peek on empty queue")
 	}
@@ -367,10 +342,6 @@ func (q *Queue) resize() {
 // run can never leak into — or remain reachable from — a pooled
 // simulator's next run.
 func (q *Queue) Reset() {
-	if q.shadow {
-		q.resetShadow()
-		return
-	}
 	for i := range q.buckets {
 		b := q.buckets[i]
 		for j := range b {

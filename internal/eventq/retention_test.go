@@ -6,17 +6,12 @@ import (
 )
 
 // slabEvents returns every Event slot resident in the queue's backing
-// arrays beyond the live entries: the truncated tails of calendar
-// bucket slabs or the heap slab. Pooled simulators keep queues alive
-// across runs, so stale payloads here would keep dead run state
-// reachable for the lifetime of the pool.
+// arrays beyond the live entries: the truncated tails of the calendar
+// bucket slabs. Pooled simulators keep queues alive across runs, so
+// stale payloads here would keep dead run state reachable for the
+// lifetime of the pool.
 func slabEvents(q *Queue) []Event {
 	var out []Event
-	if q.shadow {
-		h := q.heap[:cap(q.heap)]
-		out = append(out, h[len(q.heap):]...)
-		return out
-	}
 	for _, b := range q.buckets {
 		full := b[:cap(b)]
 		out = append(out, full[len(b):]...)
@@ -29,9 +24,18 @@ func slabEvents(q *Queue) []Event {
 	return out
 }
 
-func testRetention(t *testing.T, mk func(int) *Queue) {
+// checkNoRetention requires every retained slab slot to be zeroed.
+func checkNoRetention(t *testing.T, q *Queue, when string) {
 	t.Helper()
-	q := mk(0)
+	for i, e := range slabEvents(q) {
+		if e != (Event{}) {
+			t.Fatalf("%s, slab slot %d retains %+v", when, i, e)
+		}
+	}
+}
+
+func TestNoPayloadRetentionCalendar(t *testing.T) {
+	q := New(0)
 	r := rand.New(rand.NewSource(7))
 	push := func(n int) {
 		for i := 0; i < n; i++ {
@@ -44,11 +48,7 @@ func testRetention(t *testing.T, mk func(int) *Queue) {
 	for q.Len() > 0 {
 		q.Pop()
 	}
-	for i, e := range slabEvents(q) {
-		if e != (Event{}) {
-			t.Fatalf("after drain, slab slot %d retains %+v", i, e)
-		}
-	}
+	checkNoRetention(t, q, "after drain")
 
 	// Reset path: truncation must zero the retained capacity too.
 	push(500)
@@ -56,11 +56,7 @@ func testRetention(t *testing.T, mk func(int) *Queue) {
 	if q.Len() != 0 {
 		t.Fatalf("reset left %d events", q.Len())
 	}
-	for i, e := range slabEvents(q) {
-		if e != (Event{}) {
-			t.Fatalf("after reset, slab slot %d retains %+v", i, e)
-		}
-	}
+	checkNoRetention(t, q, "after reset")
 
 	// The queue must stay usable with the same slabs after both.
 	push(100)
@@ -73,6 +69,3 @@ func testRetention(t *testing.T, mk func(int) *Queue) {
 		last = e.Time
 	}
 }
-
-func TestNoPayloadRetentionCalendar(t *testing.T) { testRetention(t, New) }
-func TestNoPayloadRetentionShadow(t *testing.T)   { testRetention(t, NewShadow) }

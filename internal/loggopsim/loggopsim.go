@@ -79,12 +79,6 @@ type Config struct {
 	// blocked time spent waiting for messages. Costs one extra O(ranks)
 	// allocation and a few counters per operation.
 	Profile bool
-	// ShadowQueue runs the simulation on the legacy heap event queue
-	// (eventq.NewShadow) instead of the calendar queue. Pop order — and
-	// therefore every result — is identical; the toggle exists so
-	// differential tests can replay both engines in one process. The
-	// eventq_shadow build tag flips whole builds the same way.
-	ShadowQueue bool
 }
 
 // Profile decomposes where simulated time went. All values are sums
@@ -359,10 +353,6 @@ func NewSimulator(tr *trace.Trace, cfg Config) (*Simulator, error) {
 	if rpn < 0 {
 		return nil, fmt.Errorf("loggopsim: ranks per node must be positive, got %d", rpn)
 	}
-	newQueue := eventq.New
-	if cfg.ShadowQueue {
-		newQueue = eventq.NewShadow
-	}
 	s := &Simulator{
 		cfg:       cfg,
 		net:       cfg.Net,
@@ -371,7 +361,7 @@ func NewSimulator(tr *trace.Trace, cfg Config) (*Simulator, error) {
 		nic:       make([]int64, (n+rpn-1)/rpn),
 		node:      make([]int32, n),
 		ranks:     make([]rankState, n),
-		q:         newQueue(1024),
+		q:         eventq.New(1024),
 		nextNoise: make([]int64, n),
 		extraL:    cfg.ExtraLatency,
 	}

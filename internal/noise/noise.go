@@ -150,11 +150,6 @@ type Config struct {
 	// the node is marked saturated and further charging on that
 	// interval stops. Zero means the default of 10,000.
 	SaturationFactor int64
-	// DisableBatch draws arrival gaps one at a time even when the
-	// arrival process supports prefetching. The gap sequence is
-	// bit-identical either way; the toggle exists so differential
-	// tests can replay both paths in one process.
-	DisableBatch bool
 }
 
 // arrivals returns the effective arrival process.
@@ -277,7 +272,7 @@ func NewCE(n int, cfg Config) (*CE, error) {
 			m.meanGap = g
 		}
 	}
-	if b, ok := m.arr.(GapBatcher); ok && !cfg.DisableBatch {
+	if b, ok := m.arr.(GapBatcher); ok {
 		if _, free := cfg.Duration.(rngFreeDuration); free {
 			m.batcher = b
 		}

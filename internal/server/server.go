@@ -786,15 +786,11 @@ func (s *Server) sweepOptions(req *SweepRequest) (func(core.Options) (*core.Figu
 	if !ok {
 		return nil, opts, fmt.Errorf("unknown figure %q (want 3..9)", req.Figure)
 	}
-	opts = core.Options{Nodes: req.Nodes, Iterations: req.Iters, Reps: req.Reps, Seed: req.Seed}
-	switch req.Scale {
-	case "", "reduced":
-		opts.Scale = core.Reduced
-	case "paper":
-		opts.Scale = core.Paper
-	default:
-		return nil, opts, fmt.Errorf("unknown scale %q", req.Scale)
+	scale, err := core.ParseScale(req.Scale)
+	if err != nil {
+		return nil, opts, err
 	}
+	opts = core.Options{Scale: scale, Nodes: req.Nodes, Iterations: req.Iters, Reps: req.Reps, Seed: req.Seed}
 	if req.Nodes != 0 && (req.Nodes < 2 || req.Nodes > s.cfg.MaxNodes) {
 		return nil, opts, fmt.Errorf("nodes must be in [2, %d]", s.cfg.MaxNodes)
 	}

@@ -11,8 +11,8 @@ import (
 // luleshBaseline is the mid-size serving hot spot: a 64-node LULESH
 // point, the shape a Fig. 4/5 sweep asks for repeatedly. The hit/miss
 // pair below bounds what the daemon saves per request when the
-// baseline is resident; track both in BENCH_*.json alongside the
-// figure benchmarks.
+// baseline is resident; the recorded numbers are bench/'s
+// simcache.* per-layer metrics (bench/README.md).
 func luleshBaseline() core.ExperimentConfig {
 	return core.ExperimentConfig{Workload: "lulesh", Nodes: 64, Iterations: 8, TraceSeed: 1}
 }

@@ -6,6 +6,8 @@ package systems
 import (
 	"fmt"
 	"math"
+	"os"
+	"strings"
 
 	"repro/internal/faultmodel"
 )
@@ -219,6 +221,25 @@ func FaultMixByName(name string) (FaultMix, error) {
 		}
 	}
 	return FaultMix{}, fmt.Errorf("systems: unknown fault mix %q", name)
+}
+
+// ResolveFaultMix turns a -fault-mix command-line argument into a
+// mixture spec: a preset name wins, anything else is read as a JSON
+// spec file.
+func ResolveFaultMix(arg string) (faultmodel.Spec, error) {
+	if mix, err := FaultMixByName(arg); err == nil {
+		return mix.Spec, nil
+	}
+	data, err := os.ReadFile(arg)
+	if err != nil {
+		return faultmodel.Spec{}, fmt.Errorf("-fault-mix %q is neither a preset (%s) nor a readable spec file: %v",
+			arg, strings.Join(FaultMixNames(), ", "), err)
+	}
+	spec, err := faultmodel.ParseSpec(data)
+	if err != nil {
+		return faultmodel.Spec{}, fmt.Errorf("-fault-mix %s: %w", arg, err)
+	}
+	return spec, nil
 }
 
 // FaultMixNames returns the preset names in presentation order, for

@@ -2,6 +2,10 @@ package systems
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mca"
@@ -209,5 +213,44 @@ func TestFaultMixes(t *testing.T) {
 	}
 	if cfg.BurstLen != 64 {
 		t.Fatalf("bursty-row storm burst len = %d, want 64", cfg.BurstLen)
+	}
+}
+
+// TestResolveFaultMix covers the -fault-mix convention shared by cesim,
+// retiresim and tracegen: preset name, else JSON spec file, else an
+// error naming the presets.
+func TestResolveFaultMix(t *testing.T) {
+	preset, err := ResolveFaultMix("bursty-row")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := FaultMixByName("bursty-row"); !reflect.DeepEqual(preset, want.Spec) {
+		t.Fatalf("preset resolved to %+v, want %+v", preset, want.Spec)
+	}
+
+	dir := t.TempDir()
+	file := filepath.Join(dir, "mix.json")
+	if err := os.WriteFile(file, []byte(`{"mtbce_ns": 1000000, "modes": [{"kind": "cell", "weight": 1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ResolveFaultMix(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.MTBCENanos != 1000000 || len(spec.Modes) != 1 || spec.Modes[0].Kind != "cell" {
+		t.Fatalf("file resolved to %+v", spec)
+	}
+
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"modes": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResolveFaultMix(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("malformed spec file: err = %v, want one naming the file", err)
+	}
+
+	_, err = ResolveFaultMix(filepath.Join(dir, "gamma-rays"))
+	if err == nil || !strings.Contains(err.Error(), "neither a preset") || !strings.Contains(err.Error(), "field-ddr4") {
+		t.Fatalf("neither preset nor file: err = %v, want one listing the presets", err)
 	}
 }
