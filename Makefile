@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint staticcheck bench cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke
+.PHONY: build test race lint staticcheck bench bench-smoke cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ staticcheck:
 bench:
 	$(GO) test -run=XXX -bench=BenchmarkRepeatedRuns -benchtime=300x .
 
+# Benchmark smoke (bench/README.md): every workload of the repository's
+# benchmark with its op list cut to a second or two and every output
+# check on — at seed 1 that includes figure_cells against its committed
+# sha256 goldens, at the benchmark's GOMAXPROCS=2. Measures nothing;
+# it gates correctness of what the benchmark would measure.
+bench-smoke:
+	$(GO) run ./bench -all -smoke
+
 # In-process multi-node drill (docs/CLUSTER.md): coordinator + workers,
 # bit-identity vs the sequential campaign, shard fault storm, worker
 # kill mid-lease, cancellation mid-sweep — all under the race detector.
@@ -69,12 +77,14 @@ faultmix-smoke:
 
 # Engine smoke (docs/MODEL.md "Engine internals"): the figure matrix
 # and raw run results byte-compared against the golden recorded from
-# the pre-rework engine paths before they were deleted, and the calendar
-# queue against the reference heap, under the race detector. Regenerate
-# the golden after an intentional model change:
+# the pre-rework engine paths before they were deleted, every figure
+# driver byte-identical at GOMAXPROCS 1, 2 and 8, one compiled program
+# run by many goroutines, and the calendar queue against the reference
+# heap, under the race detector. Regenerate the golden after an
+# intentional model change:
 #   go test -run TestEngineGolden ./internal/core/ -update-engine-golden
 engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineGolden|TestCalendarMatchesHeap' ./internal/core/ ./internal/eventq/
+	$(GO) test -race -count=1 -run 'TestEngineGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap' ./internal/core/ ./internal/loggopsim/ ./internal/eventq/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

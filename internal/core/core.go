@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 
@@ -22,7 +23,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/noise"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -44,23 +44,39 @@ type ExperimentConfig struct {
 	Collectives collectives.Config
 }
 
-// Experiment is a prepared workload with its noise-free baseline.
+// Canonical returns the configuration with defaults resolved the same
+// way NewExperiment resolves them (a zero Net means Cray XC40), so two
+// configs that behave identically compare and hash identically.
+func (c ExperimentConfig) Canonical() ExperimentConfig {
+	if c.Net == (netmodel.Params{}) {
+		c.Net = netmodel.CrayXC40()
+	}
+	return c
+}
+
+// Experiment is a prepared workload with its noise-free baseline: the
+// expanded trace compiled once into a loggopsim.Program that every
+// repetition — sequential loops, fan-out workers, successive daemon
+// jobs hitting the same cached Experiment — runs concurrently.
 type Experiment struct {
 	cfg      ExperimentConfig
-	expanded *trace.Trace
+	prog     *loggopsim.Program
 	baseline *loggopsim.Result
 	ranks    int
 
-	// sims pools reusable perturbed-run simulators (Profile enabled),
-	// so repeated runs — sequential repetition loops, parallel workers,
-	// and successive daemon jobs hitting the same cached Experiment —
-	// stop paying per-repetition state construction. See
-	// loggopsim.Simulator.
-	sims sync.Pool
+	// idle holds run states of prog between repetitions, so a
+	// repetition pays for its event queue and per-rank state only the
+	// first time a goroutine needs one more than are idle. The list is
+	// per Program on purpose: a run state's event queue keeps the ring
+	// geometry it learned, which fits this program's events only.
+	mu   sync.Mutex
+	idle []*loggopsim.Simulator
 }
 
-// NewExperiment generates the trace, expands collectives and simulates
-// the noise-free baseline.
+// NewExperiment generates the trace, expands collectives, compiles the
+// result and simulates the noise-free baseline. The expanded trace is
+// released once compiled; the baseline's run state is the first one on
+// the idle list.
 func NewExperiment(cfg ExperimentConfig) (*Experiment, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("core: need at least 2 nodes, got %d", cfg.Nodes)
@@ -78,11 +94,16 @@ func NewExperiment(cfg ExperimentConfig) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := loggopsim.Simulate(ex, loggopsim.Config{Net: cfg.Net})
+	prog, err := loggopsim.Compile(ex, loggopsim.Config{Net: cfg.Net, Profile: true})
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline simulation: %w", err)
 	}
-	return &Experiment{cfg: cfg, expanded: ex, baseline: base, ranks: ranks}, nil
+	sim := prog.NewSimulator()
+	base, err := sim.Run(nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: baseline simulation: %w", err)
+	}
+	return &Experiment{cfg: cfg, prog: prog, baseline: base, ranks: ranks, idle: []*loggopsim.Simulator{sim}}, nil
 }
 
 // Ranks returns the actual rank count after decomposition adjustment.
@@ -93,6 +114,14 @@ func (e *Experiment) Baseline() *loggopsim.Result { return e.baseline }
 
 // Config returns the experiment configuration.
 func (e *Experiment) Config() ExperimentConfig { return e.cfg }
+
+// SizeBytes is what the experiment keeps resident: the compiled
+// program and the baseline's per-rank results (finish time and the
+// three profile components). Idle run states are bounded (see
+// releaseSim) and not counted.
+func (e *Experiment) SizeBytes() int64 {
+	return e.prog.SizeBytes() + int64(e.ranks)*4*8
+}
 
 // Scenario describes one CE-injection configuration.
 type Scenario struct {
@@ -133,32 +162,44 @@ type RunResult struct {
 // scenarios are reported as saturated without simulating.
 const saturationLoad = 1.0
 
-// acquireSim returns a pooled perturbed-run simulator for the
-// experiment's expanded trace, building one on first use. Callers must
-// return it with releaseSim; a simulator serves one goroutine at a
-// time.
-func (e *Experiment) acquireSim() (*loggopsim.Simulator, error) {
-	if s, ok := e.sims.Get().(*loggopsim.Simulator); ok {
-		return s, nil
+// acquireSim takes an idle run state of the experiment's program,
+// allocating one when none is idle. A run state serves one goroutine
+// at a time; hand it back with releaseSim unless a run panicked on it.
+func (e *Experiment) acquireSim() *loggopsim.Simulator {
+	e.mu.Lock()
+	n := len(e.idle)
+	if n == 0 {
+		e.mu.Unlock()
+		return e.prog.NewSimulator()
 	}
-	return loggopsim.NewSimulator(e.expanded, loggopsim.Config{Net: e.cfg.Net, Profile: true})
+	sim := e.idle[n-1]
+	e.idle[n-1] = nil
+	e.idle = e.idle[:n-1]
+	e.mu.Unlock()
+	return sim
 }
 
-func (e *Experiment) releaseSim(s *loggopsim.Simulator) { e.sims.Put(s) }
+// releaseSim returns a run state to the idle list. No more than
+// GOMAXPROCS can be running at once to any purpose, so no more are
+// kept idle; the rest are left to the collector.
+func (e *Experiment) releaseSim(sim *loggopsim.Simulator) {
+	limit := runtime.GOMAXPROCS(0)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.idle) < limit {
+		e.idle = append(e.idle, sim)
+	}
+}
 
 // Run simulates the experiment under one CE scenario.
 func (e *Experiment) Run(sc Scenario) (*RunResult, error) {
-	sim, err := e.acquireSim()
-	if err != nil {
-		return nil, err
-	}
-	defer e.releaseSim(sim)
-	return e.runOn(sim, sc)
+	sim := e.acquireSim()
+	res, err := e.runOn(sim, sc)
+	e.releaseSim(sim) // not deferred: a run state a panic interrupted is dropped
+	return res, err
 }
 
-// runOn evaluates one scenario on a prepared simulator. The repeated-
-// run loops share one simulator across repetitions so only the noise
-// model is rebuilt per seed.
+// runOn evaluates one scenario on a run state.
 func (e *Experiment) runOn(sim *loggopsim.Simulator, sc Scenario) (*RunResult, error) {
 	ncfg := noise.Config{
 		Seed:             sc.Seed,
@@ -239,43 +280,34 @@ const repAttempts = 4
 
 // runRepOnce attempts one repetition, firing the core.repetition fault
 // site and converting a panic into a *RepetitionError with the stack
-// captured. panicked tells the caller the pooled simulator may hold
-// mid-run state and must not be reused.
-func (e *Experiment) runRepOnce(ctx context.Context, sim *loggopsim.Simulator, sc Scenario) (res *RunResult, panicked bool, err error) {
+// captured. The attempt's run state goes back to the idle list unless
+// it panicked: its event queue and per-rank state may then be mid-run.
+func (e *Experiment) runRepOnce(ctx context.Context, sc Scenario) (res *RunResult, err error) {
+	sim := e.acquireSim()
 	defer func() {
 		if r := recover(); r != nil {
-			res, panicked = nil, true
+			res = nil
 			err = &RepetitionError{Seed: sc.Seed, PanicValue: r, Stack: string(debug.Stack())}
+			return
 		}
+		e.releaseSim(sim)
 	}()
 	if ferr := faultinject.Fire(ctx, faultinject.SiteRepetition); ferr != nil {
-		return nil, false, &RepetitionError{Seed: sc.Seed, Err: ferr}
+		return nil, &RepetitionError{Seed: sc.Seed, Err: ferr}
 	}
-	res, err = e.runOn(sim, sc)
-	return res, false, err
+	return e.runOn(sim, sc)
 }
 
 // runRep executes one repetition with panic recovery and bounded
-// same-seed retry. A panicking attempt discards the simulator (its
-// event queue and per-rank state may be mid-run) and replaces it with
-// a fresh one through *sim. retried reports the extra attempts spent.
-func (e *Experiment) runRep(ctx context.Context, sim **loggopsim.Simulator, sc Scenario) (res *RunResult, retried int, err error) {
+// same-seed retry. retried reports the extra attempts spent.
+func (e *Experiment) runRep(ctx context.Context, sc Scenario) (res *RunResult, retried int, err error) {
 	for attempt := 0; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, retried, cerr
 		}
-		var panicked bool
-		res, panicked, err = e.runRepOnce(ctx, *sim, sc)
+		res, err = e.runRepOnce(ctx, sc)
 		if err == nil {
 			return res, retried, nil
-		}
-		if panicked {
-			*sim = nil
-			ns, aerr := e.acquireSim()
-			if aerr != nil {
-				return nil, retried, aerr
-			}
-			*sim = ns
 		}
 		if !retryableErr(err) || attempt+1 >= repAttempts {
 			return nil, retried, err
@@ -312,50 +344,20 @@ type Repeated struct {
 }
 
 // add folds one repetition into the aggregate.
-func (r *Repeated) add(res *RunResult) {
+func (r *Repeated) add(o repOutcome) {
 	r.Reps++
-	if res.Saturated {
+	r.RetriedReps += o.retried
+	if o.saturated {
 		r.Saturated = true
 		r.SaturatedReps++
 		return
 	}
-	r.Sample.Add(res.SlowdownPct)
+	r.Sample.Add(o.slowdownPct)
 }
 
 // RunRepeated runs the scenario reps times with seeds sc.Seed,
-// sc.Seed+1, ... and collects the slowdown sample. See Repeated for
-// the saturation semantics.
+// sc.Seed+1, ... on the calling goroutine and collects the slowdown
+// sample. See Repeated for the saturation semantics.
 func (e *Experiment) RunRepeated(sc Scenario, reps int) (*Repeated, error) {
-	return e.runRepeatedSeq(context.Background(), sc, reps)
-}
-
-// runRepeatedSeq is the sequential repetition loop, checking ctx
-// between repetitions so long scenario batches can be canceled. One
-// pooled simulator serves every repetition (replaced if an attempt
-// panics mid-run).
-func (e *Experiment) runRepeatedSeq(ctx context.Context, sc Scenario, reps int) (*Repeated, error) {
-	if reps < 1 {
-		return nil, fmt.Errorf("core: reps must be >= 1, got %d", reps)
-	}
-	sim, err := e.acquireSim()
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if sim != nil {
-			e.releaseSim(sim)
-		}
-	}()
-	out := &Repeated{}
-	for i := 0; i < reps; i++ {
-		sci := sc
-		sci.Seed = sc.Seed + uint64(i)
-		res, retried, err := e.runRep(ctx, &sim, sci)
-		if err != nil {
-			return nil, err
-		}
-		out.RetriedReps += retried
-		out.add(res)
-	}
-	return out, nil
+	return e.RunRepeatedParallelContext(context.Background(), sc, reps, 1)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/netmodel"
 	"repro/internal/noise"
 )
 
@@ -211,5 +212,38 @@ func TestLongerDurationHurtsMore(t *testing.T) {
 	long := slow(5 * nsPerMs)
 	if long <= short {
 		t.Fatalf("500x longer per-event cost did not increase slowdown: %v%% vs %v%%", long, short)
+	}
+}
+
+func TestCanonicalResolvesNetDefault(t *testing.T) {
+	zero := ExperimentConfig{Workload: "hpcg", Nodes: 32, Iterations: 2}
+	if zero.Canonical().Net != netmodel.CrayXC40() {
+		t.Fatal("zero Net not canonicalized to Cray XC40")
+	}
+	explicit := zero
+	explicit.Net = netmodel.CrayXC40()
+	if zero.Canonical() != explicit.Canonical() {
+		t.Fatal("equivalent configs canonicalize differently")
+	}
+	custom := zero
+	custom.Net = netmodel.Params{L: 1, O: 1, Gap: 1, GPerByte: 0.1, OPerByte: 0.1, S: 1}
+	if custom.Canonical().Net != custom.Net {
+		t.Fatal("explicit Net overwritten")
+	}
+}
+
+// TestSizeBytesTracksProgram: what simcache charges an entry follows
+// the compiled program, which grows with the iteration count.
+func TestSizeBytesTracksProgram(t *testing.T) {
+	sizes := make([]int64, 0, 2)
+	for _, iters := range []int{3, 6} {
+		e, err := NewExperiment(ExperimentConfig{Workload: "minife", Nodes: 16, Iterations: iters, TraceSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, e.SizeBytes())
+	}
+	if sizes[0] <= 0 || sizes[1] < sizes[0]*3/2 {
+		t.Fatalf("SizeBytes %d at 3 iterations, %d at 6: want roughly double", sizes[0], sizes[1])
 	}
 }

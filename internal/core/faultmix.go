@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/faultmodel"
 	"repro/internal/mca"
@@ -26,6 +29,7 @@ func Figure8(opts Options) (*Figure, error) {
 	f := &Figure{ID: "fig8", Title: "application overhead vs fault-mix composition"}
 	const paperNodes = 16384
 	cache := newExpCache(opts)
+	var tasks []rowTask
 	for _, wl := range opts.Workloads {
 		nodes, comp := opts.nodesFor(paperNodes)
 		e, err := cache.get(wl, nodes)
@@ -50,13 +54,11 @@ func Figure8(opts Options) (*Figure, error) {
 					Seed:     opts.Seed + 1,
 				}
 				row := Row{Workload: wl, System: mix.Name, Mode: mode.Name, PerEventNanos: mode.PerEventNanos}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return nil, err
-				}
+				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
 			}
 		}
 	}
-	return f, nil
+	return f, runRows(f, opts, tasks)
 }
 
 // fig9BurstLens are the mean row-fault train lengths the storm-tail
@@ -86,34 +88,80 @@ func fig9Spec(burstLen float64) faultmodel.Spec {
 type fig9PerEvent struct {
 	burstLen float64
 	label    string
+	mode     mca.Mode
 	nanos    int64
 }
+
+// stormMemo remembers what compute returned for the seeds asked for
+// most recently, up to bound of them, dropping the oldest first.
+// Concurrent callers for one seed share one computation. The slices it
+// hands out are shared: callers do not modify them.
+type stormMemo struct {
+	compute func(seed uint64) ([]fig9PerEvent, error)
+	bound   int
+
+	mu      sync.Mutex
+	seeds   []uint64 // oldest first
+	entries map[uint64]*stormEntry
+}
+
+type stormEntry struct {
+	once sync.Once
+	out  []fig9PerEvent
+	err  error
+}
+
+func (m *stormMemo) get(seed uint64) ([]fig9PerEvent, error) {
+	m.mu.Lock()
+	ent := m.entries[seed]
+	if ent == nil {
+		if len(m.seeds) == m.bound {
+			delete(m.entries, m.seeds[0])
+			m.seeds = append(m.seeds[:0], m.seeds[1:]...)
+		}
+		if m.entries == nil {
+			m.entries = map[uint64]*stormEntry{}
+		}
+		ent = &stormEntry{}
+		m.entries[seed] = ent
+		m.seeds = append(m.seeds, seed)
+	}
+	m.mu.Unlock()
+	ent.once.Do(func() { ent.out, ent.err = m.compute(seed) })
+	return ent.out, ent.err
+}
+
+// fig9Memo is bounded at 16 seeds: a campaign asks for one seed across
+// all its cells, a daemon for the seeds of the sweeps in flight.
+var fig9Memo = stormMemo{compute: stormPerEvents, bound: 16}
 
 // fig9PerEvents derives the per-CE handling cost for every (burst
 // intensity, logging path) cell by running the node-level mca model
 // under the mixture's burst train — the software path with the CMCI
 // storm mitigation armed, the firmware path paying its SMI per event.
-// The costs depend only on (seed, burst length, path), so cluster
-// cells recompute them identically regardless of which workload they
-// shard on.
+// The costs depend only on (seed, burst length, path), so every cell of
+// a figure — one per workload when a cluster shards it — reads them
+// from fig9Memo instead of re-running the eight storms.
 func fig9PerEvents(seed uint64) ([]fig9PerEvent, error) {
-	paths := []struct {
-		name string
-		mode mca.Mode
-	}{
-		{systems.SoftwareCMCI.Name, mca.Software},
-		{systems.FirmwareEMCA.Name, mca.Firmware},
-	}
+	return fig9Memo.get(seed)
+}
+
+// stormPerEvents runs the eight independent storms of one seed.
+func stormPerEvents(seed uint64) ([]fig9PerEvent, error) {
 	var out []fig9PerEvent
 	for _, bl := range fig9BurstLens {
-		spec := fig9Spec(bl)
-		for _, p := range paths {
-			per, err := spec.StormPerEventNanos(seed, p.mode)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, fig9PerEvent{burstLen: bl, label: p.name, nanos: per})
-		}
+		out = append(out,
+			fig9PerEvent{burstLen: bl, label: systems.SoftwareCMCI.Name, mode: mca.Software},
+			fig9PerEvent{burstLen: bl, label: systems.FirmwareEMCA.Name, mode: mca.Firmware})
+	}
+	err := fanOut(context.Background(), len(out), runtime.GOMAXPROCS(0), func(i int) error {
+		pe := &out[i]
+		var err error
+		pe.nanos, err = fig9Spec(pe.burstLen).StormPerEventNanos(seed, pe.mode)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -133,6 +181,7 @@ func Figure9(opts Options) (*Figure, error) {
 		return nil, err
 	}
 	cache := newExpCache(opts)
+	var tasks []rowTask
 	for _, wl := range opts.Workloads {
 		nodes, comp := opts.nodesFor(paperNodes)
 		e, err := cache.get(wl, nodes)
@@ -160,10 +209,8 @@ func Figure9(opts Options) (*Figure, error) {
 				Mode:          pe.label,
 				PerEventNanos: pe.nanos,
 			}
-			if err := runRow(f, e, opts, row, sc); err != nil {
-				return nil, err
-			}
+			tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
 		}
 	}
-	return f, nil
+	return f, runRows(f, opts, tasks)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/mca"
 	"repro/internal/noise"
@@ -263,22 +265,29 @@ func (o Options) iterationsFor(workload string, nodes int) (int, error) {
 	return iters, nil
 }
 
-// runRow executes one repeated scenario and appends a Row.
-func runRow(f *Figure, e *Experiment, opts Options, row Row, sc Scenario) error {
-	rep, err := e.RunRepeated(sc, opts.Reps)
+// runRows runs every task's repetitions as one fan-out over all of
+// GOMAXPROCS and appends the rows to f in task order. The drivers
+// resolve their experiments while they build the task list, on their
+// own goroutine: an Options.Experiments provider is never called
+// concurrently.
+func runRows(f *Figure, opts Options, tasks []rowTask) error {
+	reps, err := runRepetitions(context.Background(), tasks, opts.Reps, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return err
 	}
-	row.Nodes = e.Ranks()
-	row.Reps = rep.Sample.N()
-	row.SaturatedReps = rep.SaturatedReps
-	row.MTBCENanos = sc.MTBCE
-	row.MeanPct = rep.Sample.Mean()
-	row.CI95Pct = rep.Sample.CI95()
-	// A partially saturated point still has a usable mean; only a fully
-	// saturated one is rendered as "no-progress".
-	row.Saturated = rep.Saturated && rep.Sample.N() == 0
-	f.Rows = append(f.Rows, row)
+	for i := range tasks {
+		rep, row := &reps[i], tasks[i].row
+		row.Nodes = tasks[i].e.Ranks()
+		row.Reps = rep.Sample.N()
+		row.SaturatedReps = rep.SaturatedReps
+		row.MTBCENanos = tasks[i].sc.MTBCE
+		row.MeanPct = rep.Sample.Mean()
+		row.CI95Pct = rep.Sample.CI95()
+		// A partially saturated point still has a usable mean; only a fully
+		// saturated one is rendered as "no-progress".
+		row.Saturated = rep.Saturated && rep.Sample.N() == 0
+		f.Rows = append(f.Rows, row)
+	}
 	return nil
 }
 
@@ -323,6 +332,7 @@ func Figure3(opts Options) (*Figure, error) {
 		1 * nsPerS, 10 * nsPerS, 100 * nsPerS, 1000 * nsPerS, 10000 * nsPerS,
 	}
 	cache := newExpCache(opts)
+	var tasks []rowTask
 	for _, wl := range opts.Workloads {
 		e, err := cache.get(wl, opts.Nodes)
 		if err != nil {
@@ -337,13 +347,11 @@ func Figure3(opts Options) (*Figure, error) {
 					Seed:     opts.Seed + uint64(i)*1000 + 1,
 				}
 				row := Row{Workload: wl, Mode: mode.Name, PerEventNanos: mode.PerEventNanos}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return nil, err
-				}
+				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
 			}
 		}
 	}
-	return f, nil
+	return f, runRows(f, opts, tasks)
 }
 
 // Figure4 regenerates the current-system study: Cielo, Trinity and
@@ -374,6 +382,7 @@ func Figure5(opts Options) (*Figure, error) {
 // workloads.
 func runSystems(f *Figure, opts Options, rows []systems.System) error {
 	cache := newExpCache(opts)
+	var tasks []rowTask
 	for _, wl := range opts.Workloads {
 		for _, sys := range rows {
 			nodes, comp := opts.nodesFor(sys.SimNodes)
@@ -390,13 +399,11 @@ func runSystems(f *Figure, opts Options, rows []systems.System) error {
 					Seed:     opts.Seed + 1,
 				}
 				row := Row{Workload: wl, System: sys.Name, Mode: mode.Name, PerEventNanos: mode.PerEventNanos}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return err
-				}
+				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
 			}
 		}
 	}
-	return nil
+	return runRows(f, opts, tasks)
 }
 
 // Figure6 regenerates the software/OS-reporting stress test: extreme
@@ -407,6 +414,7 @@ func Figure6(opts Options) (*Figure, error) {
 	const paperNodes = 16384
 	mtbces := []int64{36 * nsPerS, 3600 * nsPerMs, 1008 * nsPerMs}
 	cache := newExpCache(opts)
+	var tasks []rowTask
 	for _, wl := range opts.Workloads {
 		nodes, comp := opts.nodesFor(paperNodes)
 		e, err := cache.get(wl, nodes)
@@ -426,13 +434,11 @@ func Figure6(opts Options) (*Figure, error) {
 					System:        fmt.Sprintf("exascale@%s", report.Nanos(mtbce)),
 					PerEventNanos: mode.PerEventNanos,
 				}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return nil, err
-				}
+				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
 			}
 		}
 	}
-	return f, nil
+	return f, runRows(f, opts, tasks)
 }
 
 // Figure7 regenerates the reporting-duration sweep: per-event overheads
@@ -447,6 +453,7 @@ func Figure7(opts Options) (*Figure, error) {
 	mtbces := []int64{200 * nsPerMs, 720 * nsPerS}
 	durations := []int64{150, 1 * nsPerUs, 10 * nsPerUs, 100 * nsPerUs, 775 * nsPerUs, 10 * nsPerMs, 133 * nsPerMs}
 	cache := newExpCache(opts)
+	var tasks []rowTask
 	for _, wl := range opts.Workloads {
 		nodes, comp := opts.nodesFor(paperNodes)
 		e, err := cache.get(wl, nodes)
@@ -466,13 +473,11 @@ func Figure7(opts Options) (*Figure, error) {
 					System:   fmt.Sprintf("exascale@%s", report.Nanos(mtbce)),
 					Mode:     report.Nanos(dur), PerEventNanos: dur,
 				}
-				if err := runRow(f, e, opts, row, sc); err != nil {
-					return nil, err
-				}
+				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
 			}
 		}
 	}
-	return f, nil
+	return f, runRows(f, opts, tasks)
 }
 
 // Table2 renders the Table II catalog, including the MTBCE derived from

@@ -125,7 +125,7 @@ func TestPersistentRepetitionFailureSurfaces(t *testing.T) {
 		t.Fatalf("repetition error lacks panic capture: %+v", re)
 	}
 	faultinject.Disarm()
-	// The experiment (and its simulator pool) still works afterwards.
+	// The experiment (and its idle run states) still works afterwards.
 	if _, err := e.RunRepeated(chaosScenario(), 2); err != nil {
 		t.Fatalf("experiment wedged after persistent faults: %v", err)
 	}

@@ -55,9 +55,9 @@ func Surface(opts Options, workload string, mtbces, durations []int64) (*Figure,
 	for _, d := range durations {
 		hm.ColNames = append(hm.ColNames, report.Nanos(d))
 	}
+	var tasks []rowTask
 	for _, mtbce := range mtbces {
 		hm.RowNames = append(hm.RowNames, report.Nanos(mtbce))
-		row := make([]float64, 0, len(durations))
 		for _, d := range durations {
 			sc := Scenario{
 				MTBCE:    compensateMTBCE(mtbce, comp),
@@ -70,14 +70,19 @@ func Surface(opts Options, workload string, mtbces, durations []int64) (*Figure,
 				System:   fmt.Sprintf("surface@%s", report.Nanos(mtbce)),
 				Mode:     report.Nanos(d), PerEventNanos: d,
 			}
-			if err := runRow(f, e, opts, rrow, sc); err != nil {
-				return nil, nil, err
-			}
-			last := f.Rows[len(f.Rows)-1]
-			if last.Saturated {
+			tasks = append(tasks, rowTask{e: e, sc: sc, row: rrow})
+		}
+	}
+	if err := runRows(f, opts, tasks); err != nil {
+		return nil, nil, err
+	}
+	for i := range mtbces {
+		row := make([]float64, 0, len(durations))
+		for _, r := range f.Rows[i*len(durations) : (i+1)*len(durations)] {
+			if r.Saturated {
 				row = append(row, -1)
 			} else {
-				row = append(row, last.MeanPct)
+				row = append(row, r.MeanPct)
 			}
 		}
 		hm.Values = append(hm.Values, row)

@@ -50,6 +50,14 @@ type Event struct {
 const (
 	minBuckets   = 64
 	initLogWidth = 12 // 4.096 us — re-estimated on first resize
+	// slabPerBucket is the bucket capacity resize carves out of the
+	// ring's slab. A resize leaves under one event per bucket on average
+	// and the next fires at two, but collective phases pile same-time
+	// events into one day, so the common bucket peaks higher: at 2, 4, 8
+	// and 16 slots a bench figure_cells op allocates 12.8k, 10.9k, 9.3k
+	// and 8.4k times and 9255, 9153, 9034 and 9244 KiB (docs/MODEL.md
+	// §9) — 8 is where the bytes bottom out.
+	slabPerBucket = 8
 )
 
 // Queue is a min-queue of events ordered by (Time, insertion order).
@@ -322,7 +330,17 @@ func (q *Queue) resize() {
 	for int64(1)<<logW < gap+1 {
 		logW++
 	}
+	// One slab backs the whole ring: each bucket starts as a
+	// slabPerBucket-slot window of it (capacity-limited, so an append
+	// can never run into its neighbour), and only a bucket that outgrows
+	// its window moves to an allocation of its own, leaving the window
+	// unused for the ring's lifetime.
+	slab := make([]Event, nb*slabPerBucket)
 	q.buckets = make([][]Event, nb)
+	for i := range q.buckets {
+		lo := i * slabPerBucket
+		q.buckets[i] = slab[lo : lo : lo+slabPerBucket]
+	}
 	q.mask = int64(nb) - 1
 	q.logW = logW
 	for _, e := range events {
@@ -336,7 +354,7 @@ func (q *Queue) resize() {
 	q.stage(lo >> logW)
 }
 
-// Reset discards all pending events but keeps the allocated bucket and
+// Reset discards all pending events but keeps the allocated ring and
 // agenda slabs, and the learned ring geometry, for the next run.
 // Discarded slots are zeroed so payloads scheduled by one simulation
 // run can never leak into — or remain reachable from — a pooled

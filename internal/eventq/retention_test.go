@@ -69,3 +69,30 @@ func TestNoPayloadRetentionCalendar(t *testing.T) {
 		last = e.Time
 	}
 }
+
+// TestResizeCarvesBucketsFromOneSlab pins the rebuilt ring's shape —
+// every bucket is a window of the slab whose capacity stops at the
+// window's end, so growing one can never write into its neighbour —
+// and that a popped or reset slab slot is zeroed like any other.
+func TestResizeCarvesBucketsFromOneSlab(t *testing.T) {
+	q := New(0)
+	// Sparse timestamps: no bucket outgrows its window, so after the
+	// resizes every bucket still sits in the slab.
+	for i := 0; i < 4*minBuckets; i++ {
+		q.Push(Event{Time: int64(i) << 20, A: 0xdead, B: 0xbeef, C: 0xcafe})
+	}
+	if len(q.buckets) <= minBuckets {
+		t.Fatalf("ring did not grow: %d buckets", len(q.buckets))
+	}
+	for i, b := range q.buckets {
+		if cap(b) != slabPerBucket {
+			t.Fatalf("bucket %d: cap %d, want the %d-slot window", i, cap(b), slabPerBucket)
+		}
+	}
+	for n := q.Len() / 2; n > 0; n-- {
+		q.Pop()
+	}
+	checkNoRetention(t, q, "slab ring, half drained")
+	q.Reset()
+	checkNoRetention(t, q, "slab ring, after reset")
+}

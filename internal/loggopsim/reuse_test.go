@@ -8,6 +8,8 @@ package loggopsim
 // sweep jobs) reuse preallocated state.
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/collectives"
@@ -177,4 +179,57 @@ func TestSimulatorRunErrorStateRecovers(t *testing.T) {
 		t.Fatalf("second run after timeout: err=%v", err)
 	}
 	requireIdentical(t, "timeout-repeat", res, res2)
+}
+
+// TestProgramSharedAcrossGoroutines: one compiled Program run by many
+// goroutines at once, each on its own Simulator, reproduces the
+// sequential fresh-Simulate results field for field — finish times and
+// per-rank profile included. Run under -race this is also the proof
+// that a run writes nothing the Program owns.
+func TestProgramSharedAcrossGoroutines(t *testing.T) {
+	ex := expandWorkload(t, "minife", 16, 3)
+	ranks := ex.NumRanks()
+	cfg := Config{Net: netmodel.CrayXC40(), Profile: true}
+	const goroutines, runsEach = 8, 3
+	want := make([]*Result, goroutines*runsEach)
+	for i := range want {
+		ncfg := cfg
+		ncfg.Noise = ceModel(t, ranks, uint64(i+1))
+		var err error
+		if want[i], err = Simulate(ex, ncfg); err != nil {
+			t.Fatalf("seed %d: %v", i+1, err)
+		}
+	}
+
+	prog, err := Compile(ex, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Result, len(want))
+	models := make([]noise.Model, len(want))
+	for i := range models {
+		models[i] = ceModel(t, ranks, uint64(i+1))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sim := prog.NewSimulator()
+			for k := 0; k < runsEach; k++ {
+				i := g*runsEach + k
+				var err error
+				if got[i], err = sim.Run(models[i]); err != nil {
+					t.Errorf("seed %d: %v", i+1, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i := range want {
+		requireIdentical(t, fmt.Sprintf("seed %d", i+1), want[i], got[i])
+	}
 }

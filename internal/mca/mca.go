@@ -26,8 +26,9 @@
 package mca
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -382,13 +383,15 @@ func Run(cfg Config) (*Signature, error) {
 
 // detect runs the selfish-style detector: per core, coalesce overlapping
 // steals and report every resulting detour whose duration is at least
-// the threshold.
+// the threshold. Both sorts are unstable and their tie order reaches the
+// output (equal-length steals keep the first one's source; sampled
+// starts collide on the grid), so the figure goldens pin it.
 func detect(cfg Config, steals []steal) *Signature {
-	sort.Slice(steals, func(i, j int) bool {
-		if steals[i].core != steals[j].core {
-			return steals[i].core < steals[j].core
+	slices.SortFunc(steals, func(a, b steal) int {
+		if c := cmp.Compare(a.core, b.core); c != 0 {
+			return c
 		}
-		return steals[i].start < steals[j].start
+		return cmp.Compare(a.start, b.start)
 	})
 	sig := &Signature{Mode: cfg.Mode, Cores: cfg.Cores, Window: cfg.Duration}
 	i := 0
@@ -423,11 +426,11 @@ func detect(cfg Config, steals []steal) *Signature {
 		i = j
 	}
 	// Present in time order across cores, as selfish traces are plotted.
-	sort.Slice(sig.Detours, func(i, j int) bool {
-		if sig.Detours[i].Start != sig.Detours[j].Start {
-			return sig.Detours[i].Start < sig.Detours[j].Start
+	slices.SortFunc(sig.Detours, func(a, b Detour) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return sig.Detours[i].Core < sig.Detours[j].Core
+		return cmp.Compare(a.Core, b.Core)
 	})
 	return sig
 }

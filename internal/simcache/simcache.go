@@ -37,23 +37,15 @@ func Key(cfg core.ExperimentConfig) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// entryOverheadBytes accounts for the fixed parts of a cached baseline
-// (result struct, trace headers, list/map bookkeeping).
+// entryOverheadBytes accounts for the fixed parts of a cached
+// experiment (result and config structs, list/map bookkeeping).
 const entryOverheadBytes = 4096
 
-// opBytes approximates the in-memory footprint of one trace operation
-// (29 payload bytes plus padding and slice overhead).
-const opBytes = 40
-
-// Cost estimates the resident size of a baseline in bytes. The
-// expanded trace dominates; per-rank state (finish times, op slices)
-// and a fixed overhead cover the rest.
-func Cost(b core.Baseline) int64 {
-	var ops int64
-	if b.Expanded != nil {
-		ops = int64(b.Expanded.NumOps())
-	}
-	return ops*opBytes + int64(b.Ranks)*64 + entryOverheadBytes
+// Cost is the resident size of a cached experiment in bytes: what the
+// experiment itself reports holding (its compiled program and baseline)
+// plus the fixed overhead.
+func Cost(exp *core.Experiment) int64 {
+	return exp.SizeBytes() + entryOverheadBytes
 }
 
 // DefaultCapBytes bounds the cache when New is given a non-positive
@@ -240,7 +232,7 @@ func (c *Cache) insertLocked(key string, exp *core.Experiment) {
 	if _, ok := c.entries[key]; ok {
 		return // a racing build of the same key already inserted
 	}
-	e := &entry{key: key, exp: exp, cost: Cost(exp.Prepared())}
+	e := &entry{key: key, exp: exp, cost: Cost(exp)}
 	c.entries[key] = c.ll.PushFront(e)
 	c.size += e.cost
 	for c.size > c.capBytes && c.ll.Len() > 1 {

@@ -129,7 +129,7 @@ func TestEvictionRespectsBound(t *testing.T) {
 	}
 	// Bound the cache to just over one entry so the second insert
 	// evicts the first.
-	c := New(Cost(first.Prepared()) + entryOverheadBytes/2)
+	c := New(Cost(first) + entryOverheadBytes/2)
 	ctx := context.Background()
 	if _, _, err := c.GetOrBuild(ctx, tinyCfg(1)); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestLRUOrderSurvivesTouches(t *testing.T) {
 	}
 	// Room for two entries; touching the older one should make the
 	// middle one the eviction victim.
-	c := New(2*Cost(exp.Prepared()) + entryOverheadBytes)
+	c := New(2*Cost(exp) + entryOverheadBytes)
 	ctx := context.Background()
 	for _, seed := range []uint64{1, 2} {
 		if _, _, err := c.GetOrBuild(ctx, tinyCfg(seed)); err != nil {
