@@ -62,7 +62,7 @@ cluster-smoke:
 #   go test -run TestAdvisorSmokeGolden ./internal/server/ -update-advisor-golden
 advisor-smoke:
 	$(GO) test -race -count=1 -run 'TestAdvisorSmokeGolden|TestAdviseIngestChaos' ./internal/server/
-	$(GO) test -race -count=1 -run 'TestRecommendDeterminismPermutedBatches' ./internal/advise/
+	$(GO) test -race -count=1 -run 'TestRecommendDeterminismPermutedBatches|TestRecommendIndependentOfQueryHistory' ./internal/advise/
 
 # Fault-mix smoke (docs/FAULTMODEL.md): a fixed-seed run of the two
 # fault-mix figures byte-compared against the committed golden, the

@@ -32,46 +32,28 @@ import (
 	"repro/internal/report"
 	"repro/internal/retire"
 	"repro/internal/systems"
-	"repro/internal/tracegen"
 )
 
 func main() {
+	var in advise.Inputs
+	flag.StringVar(&in.Workload, "workload", "lulesh", "workload whose synchronization cadence to assume")
+	flag.IntVar(&in.Nodes, "nodes", 16384, "machine size in nodes")
+	flag.Float64Var(&in.GiBPerNode, "gib", 700, "DRAM GiB per node (for the CE/GiB/year conversion)")
+	flag.Float64Var(&in.BudgetPct, "budget", 10, "acceptable slowdown in percent")
+	flag.DurationVar((*time.Duration)(&in.PerEventNanos), "perevent", 0, "explicit per-CE handling time (replaces the catalog modes)")
+	flag.DurationVar((*time.Duration)(&in.ObservedMTBCENanos), "mtbce", 0, "observed per-node MTBCE (enables the recommendation, retirement and checkpoint sections)")
 	var (
-		mode     = flag.String("mode", "firmware-emca", "logging mode the Table II verdicts assume (hardware-only, software-cmci, firmware-emca)")
-		perEvent = flag.Duration("perevent", 0, "explicit per-CE handling time (replaces the catalog modes)")
-		workload = flag.String("workload", "lulesh", "workload whose synchronization cadence to assume")
-		nodes    = flag.Int("nodes", 16384, "machine size in nodes")
-		gib      = flag.Float64("gib", 700, "DRAM GiB per node (for the CE/GiB/year conversion)")
-		budget   = flag.Float64("budget", 10, "acceptable slowdown in percent")
-		mtbce    = flag.Duration("mtbce", 0, "observed per-node MTBCE (enables the recommendation, retirement and checkpoint sections)")
-		fault    = flag.String("fault", "", "classified fault mode for retirement advice (cell, row, column, bank)")
-		jsonOut  = flag.Bool("json", false, "emit the machine-readable recommendation (same struct as GET /v1/advise/recommend)")
+		mode    = flag.String("mode", "firmware-emca", "logging mode the Table II verdicts assume (hardware-only, software-cmci, firmware-emca)")
+		fault   = flag.String("fault", "", "classified fault mode for retirement advice (cell, row, column, bank)")
+		jsonOut = flag.Bool("json", false, "emit the machine-readable recommendation (same struct as GET /v1/advise/recommend)")
 	)
 	flag.Parse()
 
-	if err := validateFlags(*mode, *workload, *fault, *nodes, *gib, *budget, *perEvent, *mtbce); err != nil {
+	if err := checkNames(&in, *mode, *fault); err != nil {
 		fatal(err)
 	}
-
-	in := advise.Inputs{
-		Workload:           *workload,
-		Nodes:              *nodes,
-		BudgetPct:          *budget,
-		GiBPerNode:         *gib,
-		PerEventNanos:      int64(*perEvent),
-		ObservedMTBCENanos: int64(*mtbce),
-	}
-	if *fault != "" {
-		kind, err := retire.ParseKind(*fault)
-		if err != nil {
-			fatal(err) // unreachable: validateFlags vetted it
-		}
-		// Operator-asserted fault mode: full confidence.
-		in.FaultKnown = true
-		in.Fault = kind
-		in.FaultConfidence = 1
-	}
-
+	// Advise validates the scenario itself (advise.Inputs.Validate)
+	// before any policy work, so a typo fails fast with its message.
 	rec, err := advise.Advise(in)
 	if err != nil {
 		fatal(err)
@@ -85,42 +67,27 @@ func main() {
 		}
 		return
 	}
-	if err := render(os.Stdout, rec, *mode, *perEvent != 0); err != nil {
+	if err := render(os.Stdout, rec, *mode, in.PerEventNanos != 0); err != nil {
 		fatal(err)
 	}
 }
 
-// validateFlags rejects bad parameters before any work happens, so a
-// typo fails fast with a targeted message instead of surfacing from
-// deep inside the policy engine.
-func validateFlags(mode, workload, fault string, nodes int, gib, budget float64, perEvent, mtbce time.Duration) error {
-	if nodes <= 0 {
-		return fmt.Errorf("advisor: -nodes must be positive, got %d", nodes)
-	}
-	if gib <= 0 {
-		return fmt.Errorf("advisor: -gib must be positive, got %v", gib)
-	}
-	if budget <= 0 {
-		return fmt.Errorf("advisor: -budget must be positive, got %v", budget)
-	}
-	if perEvent < 0 {
-		return fmt.Errorf("advisor: -perevent must be non-negative, got %v", perEvent)
-	}
-	if mtbce < 0 {
-		return fmt.Errorf("advisor: -mtbce must be non-negative, got %v", mtbce)
-	}
-	if perEvent == 0 {
+// checkNames resolves the two flags that are names rather than
+// scenario values: -mode must be a catalog mode unless -perevent
+// replaces the catalog, and -fault, when given, is an operator-asserted
+// fault mode recorded in the scenario at full confidence.
+func checkNames(in *advise.Inputs, mode, fault string) error {
+	if in.PerEventNanos == 0 {
 		if _, err := systems.LoggingModeByName(mode); err != nil {
-			return fmt.Errorf("advisor: -mode: %v", err)
+			return fmt.Errorf("-mode: %v", err)
 		}
 	}
 	if fault != "" {
-		if _, err := retire.ParseKind(fault); err != nil {
-			return fmt.Errorf("advisor: -fault: %v", err)
+		kind, err := retire.ParseKind(fault)
+		if err != nil {
+			return fmt.Errorf("-fault: %v", err)
 		}
-	}
-	if _, err := tracegen.Lookup(workload); err != nil {
-		return fmt.Errorf("advisor: -workload: %v", err)
+		in.FaultKnown, in.Fault, in.FaultConfidence = true, kind, 1
 	}
 	return nil
 }

@@ -8,35 +8,49 @@ import (
 	"repro/internal/advise"
 )
 
-func TestValidateFlagsRejectsBadInputs(t *testing.T) {
-	ok := func() (string, string, string, int, float64, float64, time.Duration, time.Duration) {
-		return "firmware-emca", "lulesh", "", 16384, 700, 10, 0, 0
+// good is a scenario every check accepts.
+func good() advise.Inputs {
+	return advise.Inputs{Workload: "lulesh", Nodes: 16384, GiBPerNode: 700, BudgetPct: 10}
+}
+
+// check is what main does with the parsed flags: the two name flags at
+// the parse site, then Advise, whose first step is the scenario's own
+// Validate.
+func check(in advise.Inputs, mode, fault string) error {
+	if err := checkNames(&in, mode, fault); err != nil {
+		return err
 	}
+	_, err := advise.Advise(in)
+	return err
+}
+
+func TestValidateFlagsRejectsBadInputs(t *testing.T) {
 	cases := []struct {
-		name     string
-		mutate   func(*string, *string, *string, *int, *float64, *float64, *time.Duration, *time.Duration)
-		wantFrag string
+		name        string
+		mutate      func(*advise.Inputs)
+		mode, fault string
+		wantFrag    string
 	}{
-		{"zero nodes", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *n = 0 }, "-nodes"},
-		{"negative nodes", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *n = -4 }, "-nodes"},
-		{"zero gib", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *g = 0 }, "-gib"},
-		{"negative budget", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *b = -1 }, "-budget"},
-		{"unknown mode", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *m = "telepathy" }, "-mode"},
-		{"unknown workload", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *w = "doom" }, "-workload"},
-		{"unknown fault", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *f = "gremlin" }, "-fault"},
-		{"negative perevent", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *p = -time.Second }, "-perevent"},
-		{"negative mtbce", func(m, w, f *string, n *int, g, b *float64, p, o *time.Duration) { *o = -time.Second }, "-mtbce"},
+		{"zero nodes", func(in *advise.Inputs) { in.Nodes = 0 }, "firmware-emca", "", "nodes"},
+		{"negative nodes", func(in *advise.Inputs) { in.Nodes = -4 }, "firmware-emca", "", "nodes"},
+		{"zero gib", func(in *advise.Inputs) { in.GiBPerNode = 0 }, "firmware-emca", "", "GiB"},
+		{"negative budget", func(in *advise.Inputs) { in.BudgetPct = -1 }, "firmware-emca", "", "budget"},
+		{"unknown mode", func(*advise.Inputs) {}, "telepathy", "", "-mode"},
+		{"unknown workload", func(in *advise.Inputs) { in.Workload = "doom" }, "firmware-emca", "", "workload"},
+		{"unknown fault", func(*advise.Inputs) {}, "firmware-emca", "gremlin", "-fault"},
+		{"negative perevent", func(in *advise.Inputs) { in.PerEventNanos = -int64(time.Second) }, "firmware-emca", "", "time"},
+		{"negative mtbce", func(in *advise.Inputs) { in.ObservedMTBCENanos = -int64(time.Second) }, "firmware-emca", "", "time"},
 	}
 	for _, tc := range cases {
-		mode, workload, fault, nodes, gib, budget, perEvent, mtbce := ok()
-		tc.mutate(&mode, &workload, &fault, &nodes, &gib, &budget, &perEvent, &mtbce)
-		err := validateFlags(mode, workload, fault, nodes, gib, budget, perEvent, mtbce)
+		in := good()
+		tc.mutate(&in)
+		err := check(in, tc.mode, tc.fault)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.wantFrag) {
-			t.Errorf("%s: error %q does not name the flag %q", tc.name, err, tc.wantFrag)
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.wantFrag)
 		}
 	}
 }
@@ -52,7 +66,9 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		{"fault kinds", "software-cmci", "milc", "row", 0},
 	}
 	for _, tc := range cases {
-		if err := validateFlags(tc.mode, tc.wl, tc.f, 1024, 512, 5, tc.perEvent, time.Hour); err != nil {
+		in := advise.Inputs{Workload: tc.wl, Nodes: 1024, GiBPerNode: 512, BudgetPct: 5,
+			PerEventNanos: int64(tc.perEvent), ObservedMTBCENanos: int64(time.Hour)}
+		if err := check(in, tc.mode, tc.f); err != nil {
 			t.Errorf("%s: rejected: %v", tc.name, err)
 		}
 	}

@@ -13,6 +13,10 @@
 // local run with the same options:
 //
 //	cesweep -figure 5 -cluster http://coordinator:8080
+//
+// -scale, -nodes, -iters, -reps, -seed and -workloads fill a
+// core.Options, the same sweep spec POST /v1/sweep takes; its field
+// table is in docs/SERVICE.md.
 package main
 
 import (
@@ -29,21 +33,24 @@ import (
 )
 
 func main() {
+	fs := flag.NewFlagSet("cesweep", flag.ContinueOnError)
+	var opts core.Options
+	opts.BindFlags(fs)
 	var (
-		figure    = flag.String("figure", "", "figure to regenerate: 2, 3, 4, 5, 6, 7, 8 or 9")
-		table     = flag.String("table", "", "table to regenerate: 2")
-		surface   = flag.String("surface", "", "workload for a full (MTBCE x duration) overhead surface (Fig. 7 generalization)")
-		scale     = flag.String("scale", "reduced", "reduced (scale-compensated) or paper (Table II node counts)")
-		nodes     = flag.Int("nodes", 0, "reduced-scale node count override")
-		iters     = flag.Int("iters", 0, "main-loop iterations override")
-		reps      = flag.Int("reps", 0, "repetitions per configuration override")
-		seed      = flag.Uint64("seed", 1, "base random seed")
-		workloads = flag.String("workloads", "", "comma-separated workload subset")
-		csvOut    = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		jsonOut   = flag.Bool("json", false, "emit JSON instead of an aligned table (figures only)")
-		clusterAt = flag.String("cluster", "", "coordinator URL: run the figure sweep on a cesimd cluster (figures 3-9)")
+		figure    = fs.String("figure", "", "figure to regenerate: 2, 3, 4, 5, 6, 7, 8 or 9")
+		table     = fs.String("table", "", "table to regenerate: 2")
+		surface   = fs.String("surface", "", "workload for a full (MTBCE x duration) overhead surface (Fig. 7 generalization)")
+		csvOut    = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		jsonOut   = fs.Bool("json", false, "emit JSON instead of an aligned table (figures only)")
+		clusterAt = fs.String("cluster", "", "coordinator URL: run the figure sweep on a cesimd cluster (figures 3-9)")
 	)
-	flag.Parse()
+	fs.Func("workloads", "comma-separated workload subset", func(list string) error {
+		opts.Workloads = strings.Split(list, ",")
+		return nil
+	})
+	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
+		fatal(err)
+	}
 
 	selected := 0
 	for _, s := range []string{*figure, *table, *surface} {
@@ -52,32 +59,35 @@ func main() {
 		}
 	}
 	if selected != 1 {
-		fatal(fmt.Errorf("cesweep: pass exactly one of -figure, -table or -surface"))
+		fatal(fmt.Errorf("pass exactly one of -figure, -table or -surface"))
 	}
-	sc, err := core.ParseScale(*scale)
-	if err != nil {
-		fatal(fmt.Errorf("cesweep: %w", err))
+	// Figure 2 is a single local run, not a sweep figure; everything
+	// else about the spec is checked before any mode starts.
+	if *figure != "2" {
+		opts.Figure = *figure
+	}
+	if err := opts.Validate(core.Limits{}); err != nil {
+		fatal(err)
 	}
 
 	// Only the sweep figures (3-9) shard into (figure x workload) cells;
 	// Table II, Figure 2 and surfaces are single local computations.
 	if *clusterAt != "" && *figure == "" {
-		fatal(fmt.Errorf("cesweep: -cluster only applies to -figure sweeps"))
+		fatal(fmt.Errorf("-cluster only applies to -figure sweeps"))
 	}
 	if *clusterAt != "" && *figure == "2" {
-		fatal(fmt.Errorf("cesweep: figure 2 is a single local run; -cluster needs figures 3-9"))
+		fatal(fmt.Errorf("figure 2 is a single local run; -cluster needs figures 3-9"))
 	}
 
 	if *table != "" {
 		if *table != "2" {
-			fatal(fmt.Errorf("cesweep: unknown table %q (only Table II is reproducible)", *table))
+			fatal(fmt.Errorf("unknown table %q (only Table II is reproducible)", *table))
 		}
 		write(core.Table2(), *csvOut)
 		return
 	}
 
 	if *surface != "" {
-		opts := core.Options{Scale: sc, Nodes: *nodes, Iterations: *iters, Reps: *reps, Seed: *seed}
 		f, hm, err := core.Surface(opts, *surface, nil, nil)
 		if err != nil {
 			fatal(err)
@@ -99,7 +109,7 @@ func main() {
 	}
 
 	if *figure == "2" {
-		_, t, err := core.Figure2(*seed)
+		_, t, err := core.Figure2(opts.Seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -107,27 +117,14 @@ func main() {
 		return
 	}
 
-	driver, ok := core.Figures()[*figure]
-	if !ok {
-		fatal(fmt.Errorf("cesweep: unknown figure %q", *figure))
-	}
-	opts := core.Options{
-		Scale:      sc,
-		Nodes:      *nodes,
-		Iterations: *iters,
-		Reps:       *reps,
-		Seed:       *seed,
-	}
-	if *workloads != "" {
-		opts.Workloads = strings.Split(*workloads, ",")
-	}
 	start := time.Now()
 	var f *core.Figure
+	var err error
 	if *clusterAt != "" {
 		client := &cluster.Client{Base: *clusterAt}
-		f, err = client.Figure(context.Background(), *figure, opts)
+		f, err = client.Figure(context.Background(), opts.Figure, opts)
 	} else {
-		f, err = driver(opts)
+		f, err = core.Figures()[opts.Figure](opts)
 	}
 	if err != nil {
 		fatal(err)
@@ -140,7 +137,7 @@ func main() {
 	}
 	write(f.Table(), *csvOut)
 	fmt.Fprintf(os.Stderr, "cesweep: figure %s, %d rows in %s\n",
-		*figure, len(f.Rows), time.Since(start).Truncate(time.Millisecond))
+		opts.Figure, len(f.Rows), time.Since(start).Truncate(time.Millisecond))
 }
 
 func write(t *report.Table, csv bool) {
@@ -156,6 +153,6 @@ func write(t *report.Table, csv bool) {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
+	fmt.Fprintln(os.Stderr, "cesweep:", err)
 	os.Exit(1)
 }

@@ -1,11 +1,14 @@
-// reproduce regenerates the paper's entire evaluation — Table II and
-// Figures 2 through 7 — into an output directory, with each result in
+// reproduce regenerates the entire evaluation — Table II and
+// Figures 2 through 9 — into an output directory, with each result in
 // aligned-text, CSV and JSON forms plus a manifest recording scales,
 // seeds and wall times.
 //
 //	reproduce -out results                  # reduced scale, ~minutes
 //	reproduce -out results -scale paper     # Table II node counts, hours
 //	reproduce -out results -only 5,7        # a subset of figures
+//
+// -scale, -nodes, -iters, -reps and -seed fill the core.Options every
+// figure runs under; its field table is in docs/SERVICE.md.
 package main
 
 import (
@@ -20,24 +23,18 @@ import (
 )
 
 func main() {
-	var (
-		out   = flag.String("out", "results", "output directory")
-		scale = flag.String("scale", "reduced", "reduced or paper")
-		nodes = flag.Int("nodes", 0, "reduced-scale node count override")
-		iters = flag.Int("iters", 0, "iterations override")
-		reps  = flag.Int("reps", 0, "repetitions override")
-		seed  = flag.Uint64("seed", 1, "base seed")
-		only  = flag.String("only", "", "comma-separated subset of {2,3,4,5,6,7}")
-		atURL = flag.String("cluster", "", "coordinator URL: run the sweep figures on a cesimd cluster")
-	)
-	flag.Parse()
-
-	sc, err := core.ParseScale(*scale)
-	if err != nil {
-		fatal(fmt.Errorf("reproduce: %w", err))
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	cfg := campaign.Config{Log: os.Stderr}
+	cfg.Options.BindFlags(fs)
+	fs.StringVar(&cfg.OutDir, "out", "results", "output directory")
+	only := fs.String("only", "", "comma-separated subset of {2,3,4,5,6,7,8,9}")
+	atURL := fs.String("cluster", "", "coordinator URL: run the sweep figures on a cesimd cluster")
+	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
+		fatal(err)
 	}
-	opts := core.Options{Scale: sc, Nodes: *nodes, Iterations: *iters, Reps: *reps, Seed: *seed}
-	cfg := campaign.Config{OutDir: *out, Options: opts, Log: os.Stderr}
+	if err := cfg.Options.Validate(core.Limits{}); err != nil {
+		fatal(err)
+	}
 	if *only != "" {
 		cfg.Only = strings.Split(*only, ",")
 	}
@@ -56,6 +53,6 @@ func main() {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
+	fmt.Fprintln(os.Stderr, "reproduce:", err)
 	os.Exit(1)
 }

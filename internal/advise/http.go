@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -209,7 +210,11 @@ func (s *Service) Recommend(tenant, node string, in Inputs) (*Recommendation, st
 	in.ObservedMTBCENanos = quant
 	in.FaultKnown = cls.Known
 	in.Fault = cls.Kind
-	in.FaultConfidence = cls.Confidence
+	// Folded once, to the 3 decimals the key carries, so the entry a
+	// key finds was computed from exactly the inputs the key names and
+	// the body does not depend on which estimator state filled it. The
+	// exact value is reported in estimate.fault_confidence below.
+	in.FaultConfidence = math.Round(cls.Confidence*1000) / 1000
 
 	key := cacheKey(in)
 	outcome := "bypass"
@@ -247,7 +252,8 @@ func (s *Service) Recommend(tenant, node string, in Inputs) (*Recommendation, st
 }
 
 // cacheKey canonicalizes the policy-relevant inputs. Fault confidence
-// is folded to 3 decimals so it cannot fragment the cache.
+// arrives folded to 3 decimals (Recommend), so it cannot fragment the
+// cache.
 func cacheKey(in Inputs) string {
 	return fmt.Sprintf("%s|%d|%g|%g|%d|%d|%t|%d|%.3f|%d|%d",
 		in.Workload, in.Nodes, in.BudgetPct, in.GiBPerNode, in.PerEventNanos,

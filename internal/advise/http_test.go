@@ -277,3 +277,46 @@ func TestRecommendDeterminismPermutedBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestRecommendIndependentOfQueryHistory: two services holding the same
+// estimator state answer with the same bytes whatever they were asked
+// before. The policy cache keys on confidence folded to 3 decimals; it
+// used to evaluate with the exact value, so an entry filled at 200
+// samples (confidence 0.9615…) was served at 201 (0.9617…, same key)
+// with the older state's retirement.confidence in the body.
+func TestRecommendIndependentOfQueryHistory(t *testing.T) {
+	// One stuck cell, one CE a minute: the 201st event moves neither
+	// the quantized MTBCE nor the folded confidence.
+	var first []Event
+	for i := 1; i <= 200; i++ {
+		first = append(first, ev("acme", "n1", int64(i)*60e9, 0x1000))
+	}
+	last := []Event{ev("acme", "n1", 201*60e9, 0x1000)}
+	const query = "tenant=acme&node=n1"
+
+	asked := NewService(Config{})
+	if w := ingest(t, asked, ndjson(t, first)); w.Code != 200 {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body)
+	}
+	early := recommend(t, asked, query) // fills the cache at 200 samples
+	if early.Code != 200 || early.Header().Get("X-Advise-Cache") != "miss" {
+		t.Fatalf("first query: %d cache=%q", early.Code, early.Header().Get("X-Advise-Cache"))
+	}
+	if w := ingest(t, asked, ndjson(t, last)); w.Code != 200 {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body)
+	}
+	got := recommend(t, asked, query)
+	if got.Header().Get("X-Advise-Cache") != "hit" {
+		t.Fatalf("the 201st event moved the cache key (cache=%q); the test needs two states under one key",
+			got.Header().Get("X-Advise-Cache"))
+	}
+
+	fresh := NewService(Config{})
+	if w := ingest(t, fresh, ndjson(t, append(first, last...))); w.Code != 200 {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body)
+	}
+	want := recommend(t, fresh, query)
+	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("same state, different query history, different bodies:\nasked before: %s\nnever asked:  %s", got.Body, want.Body)
+	}
+}

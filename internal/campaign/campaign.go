@@ -18,7 +18,7 @@ import (
 	"repro/internal/report"
 )
 
-// FigureRunner produces one sweep figure (ids "3".."7"). The default
+// FigureRunner produces one sweep figure (ids "3".."9"). The default
 // runs the in-process core driver; `cesweep -cluster` installs a
 // cluster.Client instead, so the sweep executes on a worker fleet
 // while the artifact-writing path below stays exactly the same — which
@@ -42,7 +42,7 @@ type Config struct {
 	// Now supplies timestamps for the manifest; nil uses time.Now
 	// (injectable for deterministic tests).
 	Now func() time.Time
-	// Runner executes the sweep figures ("3".."7"); nil runs the
+	// Runner executes the sweep figures ("3".."9"); nil runs the
 	// in-process drivers. Figure 2 (the MCA noise signatures) is always
 	// produced locally — it is a single cheap run, not a sweep.
 	Runner FigureRunner

@@ -38,27 +38,6 @@ func (c *Client) poll() time.Duration {
 	return 100 * time.Millisecond
 }
 
-// SpecFromOptions converts sequential-run options into the equivalent
-// sweep spec for the given figures. Options.Experiments does not
-// travel: it is a local injection hook, and each worker installs its
-// own cache-backed provider.
-func SpecFromOptions(figures []string, opts core.Options) Spec {
-	spec := Spec{
-		Figures:    append([]string(nil), figures...),
-		Nodes:      opts.Nodes,
-		Iterations: opts.Iterations,
-		SpanNanos:  opts.SpanNanos,
-		OpsBudget:  opts.OpsBudget,
-		Reps:       opts.Reps,
-		Seed:       opts.Seed,
-		Workloads:  append([]string(nil), opts.Workloads...),
-	}
-	if opts.Scale == core.Paper {
-		spec.Scale = "paper"
-	}
-	return spec
-}
-
 // Submit creates a sweep and returns its id.
 func (c *Client) Submit(ctx context.Context, spec Spec) (string, error) {
 	var created sweepCreated
@@ -107,9 +86,12 @@ func (c *Client) RunSweep(ctx context.Context, spec Spec) (map[string]*core.Figu
 }
 
 // Figure runs one figure's sweep on the cluster and returns the merged
-// figure. It satisfies campaign.FigureRunner.
+// figure. It satisfies campaign.FigureRunner. Options.Experiments does
+// not travel: it is a local injection hook, and each worker installs
+// its own cache-backed provider.
 func (c *Client) Figure(ctx context.Context, id string, opts core.Options) (*core.Figure, error) {
-	figures, err := c.RunSweep(ctx, SpecFromOptions([]string{id}, opts))
+	opts.Figure, opts.Figures = "", []string{id}
+	figures, err := c.RunSweep(ctx, Spec(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -379,17 +379,15 @@ func (c *Coordinator) Report(workerID, sweepID, key string, fragment *core.Figur
 	return nil
 }
 
-// CreateSweep plans a sweep from the spec and makes its shards
-// leasable. It returns the sweep id and shard count.
+// CreateSweep admits the spec — within the service's default limits,
+// before anything is planned or journaled — plans a sweep from it and
+// makes its shards leasable. It returns the sweep id and shard count.
 func (c *Coordinator) CreateSweep(spec Spec) (string, int, error) {
-	if err := spec.Validate(); err != nil {
-		return "", 0, err
+	if err := spec.Options().Validate(core.DefaultLimits()); err != nil {
+		return "", 0, fmt.Errorf("cluster: %w", err)
 	}
 	spec = spec.withDefaults()
 	cells := spec.Cells()
-	if len(cells) == 0 {
-		return "", 0, fmt.Errorf("cluster: empty sweep plan")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()

@@ -64,7 +64,7 @@ func TestCoordinatorRecoverResumesSweep(t *testing.T) {
 		t.Fatalf("fresh open: %d records, epoch %d", st.Records, c1.Epoch())
 	}
 	w1, _ := c1.Register("", "")
-	spec := SpecFromOptions([]string{"4"}, tinyOpts())
+	spec := fig4Spec(tinyOpts())
 	id, shards, err := c1.CreateSweep(spec)
 	if err != nil || shards != 2 {
 		t.Fatalf("create: %v (%d shards)", err, shards)
@@ -150,7 +150,7 @@ func TestCoordinatorSurvivesTornTailDoubleRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1, _ := c1.Register("", "")
-	spec := SpecFromOptions([]string{"4"}, tinyOpts())
+	spec := fig4Spec(tinyOpts())
 	id, shards, err := c1.CreateSweep(spec)
 	if err != nil || shards != 2 {
 		t.Fatalf("create: %v (%d shards)", err, shards)
@@ -280,7 +280,7 @@ func TestRecoverSameWALSameState(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1, _ := c1.Register("", "")
-	spec := SpecFromOptions([]string{"4"}, tinyOpts())
+	spec := fig4Spec(tinyOpts())
 	id, _, err := c1.CreateSweep(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +485,7 @@ func TestWorkerRejoinsAfterCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec := SpecFromOptions([]string{"4"}, tinyOpts())
+	spec := fig4Spec(tinyOpts())
 	sweepID, shards, err := coordA.CreateSweep(spec)
 	if err != nil || shards != 2 {
 		t.Fatalf("create sweep: %v (%d shards)", err, shards)

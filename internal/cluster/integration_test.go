@@ -31,6 +31,12 @@ func tinyOpts() core.Options {
 		Workloads: []string{"minife", "hpcg"}}
 }
 
+// fig4Spec is the sweep Client.Figure("4", opts) submits.
+func fig4Spec(opts core.Options) Spec {
+	opts.Figures = []string{"4"}
+	return Spec(opts)
+}
+
 // startCoordinator serves a coordinator through the full server stack
 // (middleware, metrics, request ids), as cesimd -role coordinator does.
 func startCoordinator(t *testing.T, cfg Config) (*Coordinator, *httptest.Server) {
@@ -268,7 +274,7 @@ func TestWorkerKillMidLeaseReassigned(t *testing.T) {
 	}
 
 	victim := startWorker(t, ts.URL)
-	sweepID, shards, err := coord.CreateSweep(SpecFromOptions([]string{"4"}, opts))
+	sweepID, shards, err := coord.CreateSweep(fig4Spec(opts))
 	if err != nil || shards != 2 {
 		t.Fatalf("create sweep: %v (%d shards)", err, shards)
 	}

@@ -20,7 +20,6 @@
 package cluster
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 
@@ -29,34 +28,21 @@ import (
 	"repro/internal/tracegen"
 )
 
-// Spec is a distributed sweep request: which figures to regenerate and
-// the core.Options every cell runs under. It mirrors the fields of
-// core.Options that affect results, so a sequential run with the same
-// options is bit-comparable.
-type Spec struct {
-	// Figures lists the figure ids ("3".."9"); empty selects all seven.
-	Figures []string `json:"figures,omitempty"`
-	// Scale is "reduced" (default) or "paper".
-	Scale string `json:"scale,omitempty"`
-	// Nodes, Iterations, SpanNanos, OpsBudget, Reps and Seed map to the
-	// same-named core.Options fields; zero values select the core
-	// defaults, exactly as a sequential run would.
-	Nodes      int    `json:"nodes,omitempty"`
-	Iterations int    `json:"iters,omitempty"`
-	SpanNanos  int64  `json:"span_ns,omitempty"`
-	OpsBudget  int    `json:"ops_budget,omitempty"`
-	Reps       int    `json:"reps,omitempty"`
-	Seed       uint64 `json:"seed,omitempty"`
-	// Workloads restricts the workload set; empty selects all, in the
-	// catalog order a sequential run uses.
-	Workloads []string `json:"workloads,omitempty"`
-}
+// Spec is a distributed sweep request: the sweep spec itself
+// (core.Options; field table in docs/SERVICE.md), so the /cluster/sweep
+// body, the journaled sweep_created record and the spec a leased cell
+// runs under are the type a sequential run takes and the results are
+// bit-comparable. Admission is core.Options.Validate, in CreateSweep.
+type Spec core.Options
 
 // withDefaults resolves the enumeration-relevant defaults (figure list
 // and workload order). Simulation-relevant defaults are NOT resolved
 // here: they travel as zeros and are filled by core.Options
 // withDefaults on the worker, keeping one source of truth.
 func (s Spec) withDefaults() Spec {
+	if s.Figure != "" {
+		s.Figure, s.Figures = "", []string{s.Figure}
+	}
 	if len(s.Figures) == 0 {
 		for id := range core.Figures() {
 			s.Figures = append(s.Figures, id)
@@ -69,41 +55,8 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Validate rejects specs that could not have come from a well-formed
-// sequential run.
-func (s Spec) Validate() error {
-	if _, err := core.ParseScale(s.Scale); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	for _, id := range s.Figures {
-		if _, ok := core.Figures()[id]; !ok {
-			return fmt.Errorf("cluster: unknown figure %q (want 3..9)", id)
-		}
-	}
-	for _, wl := range s.Workloads {
-		if _, err := tracegen.Lookup(wl); err != nil {
-			return fmt.Errorf("cluster: unknown workload %q", wl)
-		}
-	}
-	return nil
-}
-
-// Options converts the spec to the core.Options a sequential run of
-// the same sweep would use.
-func (s Spec) Options() core.Options {
-	scale, _ := core.ParseScale(s.Scale) // Validate rejects unknown names
-	opts := core.Options{
-		Scale:      scale,
-		Nodes:      s.Nodes,
-		Iterations: s.Iterations,
-		SpanNanos:  s.SpanNanos,
-		OpsBudget:  s.OpsBudget,
-		Reps:       s.Reps,
-		Seed:       s.Seed,
-		Workloads:  s.Workloads,
-	}
-	return opts
-}
+// Options is the spec as the options a figure driver takes.
+func (s Spec) Options() core.Options { return core.Options(s) }
 
 // Cell is the unit of distribution: one figure restricted to one
 // workload.

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/tracegen"
 )
 
@@ -85,6 +87,8 @@ func TestPlaceConsistency(t *testing.T) {
 	}
 }
 
+// TestSpecValidate: the coordinator's admission is the shared sweep
+// spec check under the service's default limits.
 func TestSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -92,26 +96,48 @@ func TestSpecValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"empty", Spec{}, true},
-		{"explicit", Spec{Figures: []string{"3", "7"}, Scale: "paper", Workloads: []string{"minife"}}, true},
+		{"explicit", Spec{Figures: []string{"3", "7"}, Scale: core.Paper, Workloads: []string{"minife"}}, true},
+		{"one figure", Spec{Figure: "4"}, true},
 		{"bad figure", Spec{Figures: []string{"2"}}, false},
-		{"bad scale", Spec{Scale: "huge"}, false},
+		{"bad scale", Spec{Scale: core.Scale(7)}, false},
 		{"bad workload", Spec{Workloads: []string{"doom"}}, false},
+		{"figure and figures", Spec{Figure: "4", Figures: []string{"5"}}, false},
 	}
 	for _, tc := range cases {
-		if err := tc.spec.Validate(); (err == nil) != tc.ok {
+		if err := tc.spec.Options().Validate(core.DefaultLimits()); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }
 
+// TestSpecOptionsRoundTrip: a spec is the options a worker's driver
+// runs under, field for field, and its wire form keeps the keys every
+// journaled sweep_created record and /cluster/sweep body uses.
 func TestSpecOptionsRoundTrip(t *testing.T) {
-	spec := Spec{Scale: "paper", Nodes: 32, Iterations: 3, SpanNanos: 7, OpsBudget: 9, Reps: 2, Seed: 11,
-		Workloads: []string{"minife"}}
-	opts := spec.Options()
-	back := SpecFromOptions([]string{"4"}, opts)
-	back.Figures = nil
-	spec.Figures = nil
-	if !reflect.DeepEqual(spec, back) {
+	spec := Spec{Figures: []string{"4"}, Scale: core.Paper, Nodes: 32, Iterations: 3, SpanNanos: 7, OpsBudget: 9,
+		Reps: 2, Seed: 11, Workloads: []string{"minife"}}
+	if back := Spec(spec.Options()); !reflect.DeepEqual(spec, back) {
 		t.Fatalf("options round-trip drifted:\n spec %+v\n back %+v", spec, back)
+	}
+	wire, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"figures":["4"],"scale":"paper","nodes":32,"iters":3,"span_ns":7,"ops_budget":9,"reps":2,"seed":11,"workloads":["minife"]}`
+	if string(wire) != want {
+		t.Fatalf("wire form\n got %s\nwant %s", wire, want)
+	}
+	var decoded Spec
+	if err := json.Unmarshal(wire, &decoded); err != nil || !reflect.DeepEqual(spec, decoded) {
+		t.Fatalf("decode: %v\n spec %+v\n back %+v", err, spec, decoded)
+	}
+}
+
+// TestSingleFigurePlansAsList: the singular spelling plans (and is
+// journaled) as the one-element list.
+func TestSingleFigurePlansAsList(t *testing.T) {
+	got := Spec{Figure: "6", Workloads: []string{"minife"}}.withDefaults()
+	if got.Figure != "" || !reflect.DeepEqual(got.Figures, []string{"6"}) {
+		t.Fatalf("withDefaults kept figure=%q figures=%v", got.Figure, got.Figures)
 	}
 }

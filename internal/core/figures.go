@@ -47,10 +47,37 @@ func ParseScale(s string) (Scale, error) {
 	return Reduced, fmt.Errorf("unknown scale %q (want reduced or paper)", s)
 }
 
-// Options control the figure drivers.
+// UnmarshalText is ParseScale for flag.TextVar and encoding/json.
+func (s *Scale) UnmarshalText(text []byte) (err error) {
+	*s, err = ParseScale(string(text))
+	return err
+}
+
+// MarshalText renders the name ParseScale reads back.
+func (s Scale) MarshalText() ([]byte, error) {
+	switch s {
+	case Reduced:
+		return []byte("reduced"), nil
+	case Paper:
+		return []byte("paper"), nil
+	}
+	return nil, fmt.Errorf("unknown scale %d", int(s))
+}
+
+// Options is the sweep spec: which figures to regenerate and how the
+// figure drivers run them. It is the POST /v1/sweep and /cluster/sweep
+// body, the journaled payload of both, the spec a cluster cell runs
+// under and what cesweep's and reproduce's flags fill in (flags.go);
+// Validate (spec.go) is its one admission check. The drivers themselves
+// read neither Figure nor Figures: a driver is one figure already.
 type Options struct {
+	// Figure names the one figure a sweep job regenerates ("3".."9").
+	Figure string `json:"figure,omitempty"`
+	// Figures lists the figures a distributed sweep shards into cells;
+	// with Figure also empty, all seven.
+	Figures []string `json:"figures,omitempty"`
 	// Scale selects Reduced (default) or Paper fidelity.
-	Scale Scale
+	Scale Scale `json:"scale,omitempty"`
 	// Nodes overrides the reduced-scale node count (default 512).
 	// Ignored at Paper scale, where Table II's SimNodes are used.
 	// Note that aggressive reduction inflates the per-node CE rate
@@ -58,26 +85,26 @@ type Options struct {
 	// (software-logging) regime from "absorbed" toward "serialized";
 	// keep the reduction factor modest (<= ~32x) when the software
 	// rows matter.
-	Nodes int
+	Nodes int `json:"nodes,omitempty"`
 	// Iterations overrides the main-loop iteration count. When zero,
 	// each workload runs enough iterations to cover SpanNanos of
 	// simulated time (subject to OpsBudget), so short-grained workloads
 	// (lammps-crack's 4 ms steps) see as many CE opportunities as
 	// long-grained ones.
-	Iterations int
+	Iterations int `json:"iters,omitempty"`
 	// SpanNanos is the target simulated run length per workload when
 	// Iterations is zero (default 1.5 s).
-	SpanNanos int64
+	SpanNanos int64 `json:"span_ns,omitempty"`
 	// OpsBudget caps the trace size (ranks x ops/rank) when Iterations
 	// is zero (default 4M reduced, 64M paper).
-	OpsBudget int
+	OpsBudget int `json:"ops_budget,omitempty"`
 	// Reps overrides the repetitions per configuration
 	// (default: 3 reduced, 8 paper — the paper averages >= 8).
-	Reps int
+	Reps int `json:"reps,omitempty"`
 	// Seed is the base seed for trace generation and CE schedules.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Workloads restricts the workload set (default: all nine).
-	Workloads []string
+	Workloads []string `json:"workloads,omitempty"`
 	// Experiments optionally supplies prepared experiments to the
 	// figure drivers — e.g. a simcache-backed provider on cluster
 	// workers, so cells sharing a (workload, nodes) point reuse one

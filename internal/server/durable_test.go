@@ -75,7 +75,7 @@ func postTenant(t *testing.T, url, tenantName string, v any) (int, string, []byt
 }
 
 func sweepReq() SweepRequest {
-	return SweepRequest{Figure: "4", Nodes: 16, Iters: 2, Reps: 1, Seed: 1, Workloads: []string{"minife"}}
+	return SweepRequest{Figure: "4", Nodes: 16, Iterations: 2, Reps: 1, Seed: 1, Workloads: []string{"minife"}}
 }
 
 func TestTenantRateLimit429(t *testing.T) {
@@ -186,6 +186,27 @@ func TestSweepStoreReservesBytes(t *testing.T) {
 	}
 }
 
+// restart boots a daemon over walDir in cesimd's order: replay the WAL
+// while the crashed segment is still the log's last, only then open the
+// new writer, build the journaled queue and server on it, and resubmit
+// — so the acceptances re-journal into the new segments. It returns the
+// new queue and how many jobs Resubmit accepted.
+func restart(t *testing.T, walDir string) (*jobs.Queue, int, journal.ReplayStats) {
+	t.Helper()
+	pending, st, err := jobs.Recover(context.Background(), walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := journal.Open(walDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = w.Close() }) // registered first: runs after the server's drain
+	q := jobs.New(jobs.Config{Workers: 2, Journal: w})
+	s, _, _ := newDurableServer(t, t.TempDir(), nil, q)
+	return q, s.Resubmit(pending), st
+}
+
 // TestServerRecoverReenqueues is the jobs-layer kill-and-restart
 // acceptance at unit scope: a journaled sweep job with no terminal
 // record is re-enqueued by a fresh server under its original id, and
@@ -217,13 +238,7 @@ func TestServerRecoverReenqueues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restarted daemon.
-	q2 := jobs.New(jobs.Config{Workers: 2})
-	s, _, _ := newDurableServer(t, t.TempDir(), nil, q2)
-	n, st, err := s.Recover(context.Background(), walDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2, n, st := restart(t, walDir)
 	if n != 1 || st.Quarantined != 0 {
 		t.Fatalf("recovered %d jobs (stats %+v), want 1", n, st)
 	}
@@ -273,12 +288,7 @@ func TestRecoverSkipsUnknownKind(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, _, _ := newDurableServer(t, t.TempDir(), nil, nil)
-	n, _, err := s.Recover(context.Background(), walDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
+	if _, n, _ := restart(t, walDir); n != 0 {
 		t.Fatalf("recovered %d jobs from an unknown kind", n)
 	}
 }

@@ -28,13 +28,11 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/advise"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/faultmodel"
 	"repro/internal/jobs"
 	"repro/internal/journal"
 	"repro/internal/noise"
@@ -108,14 +106,15 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	def := core.DefaultLimits()
 	if c.MaxNodes <= 0 {
-		c.MaxNodes = 16384
+		c.MaxNodes = def.MaxNodes
 	}
 	if c.MaxIters <= 0 {
-		c.MaxIters = 4096
+		c.MaxIters = def.MaxIters
 	}
 	if c.MaxReps <= 0 {
-		c.MaxReps = 64
+		c.MaxReps = def.MaxReps
 	}
 	switch {
 	case c.JobRetries == 0:
@@ -124,6 +123,11 @@ func (c Config) withDefaults() Config {
 		c.JobRetries = 0
 	}
 	return c
+}
+
+// limits is what every run and sweep spec is admitted against.
+func (c Config) limits() core.Limits {
+	return core.Limits{MaxNodes: c.MaxNodes, MaxIters: c.MaxIters, MaxReps: c.MaxReps}
 }
 
 // ErrShed reports a submission rejected by admission control because
@@ -405,36 +409,10 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"workloads": out})
 }
 
-// SimulateRequest is the POST /v1/simulate body. Exactly one of
-// System/MTBCENanos and exactly one of Mode/PerEventNanos must be set,
-// mirroring cmd/cesim's flags.
-type SimulateRequest struct {
-	Workload string `json:"workload"`
-	Nodes    int    `json:"nodes"`
-	// Iters defaults to 8 (cmd/cesim's default).
-	Iters int `json:"iters,omitempty"`
-	// System names a Table II row supplying the MTBCE.
-	System string `json:"system,omitempty"`
-	// MTBCENanos is the per-node mean time between CEs.
-	MTBCENanos int64 `json:"mtbce_ns,omitempty"`
-	// Mode names a logging scenario supplying the per-event cost.
-	Mode string `json:"mode,omitempty"`
-	// PerEventNanos is the per-CE handling time.
-	PerEventNanos int64 `json:"per_event_ns,omitempty"`
-	// FaultMix is an inline fault-mode mixture spec replacing the
-	// homogeneous Poisson arrival process (docs/FAULTMODEL.md). The
-	// scenario's MTBCE supplies the aggregate rate unless the spec
-	// carries its own mtbce_ns. Mutually exclusive with FaultMixPreset.
-	FaultMix *faultmodel.Spec `json:"fault_mix,omitempty"`
-	// FaultMixPreset names a systems.FaultMixes preset composition.
-	FaultMixPreset string `json:"fault_mix_preset,omitempty"`
-	// Target is the node experiencing CEs; nil or -1 means all nodes.
-	Target *int32 `json:"target,omitempty"`
-	// Seed defaults to 1.
-	Seed uint64 `json:"seed,omitempty"`
-	// Reps defaults to 3.
-	Reps int `json:"reps,omitempty"`
-}
+// SimulateRequest is the POST /v1/simulate body: the run spec itself,
+// so a body, a journaled payload and cmd/cesim's flags resolve through
+// one function (core.RunSpec.Resolve; field table in docs/SERVICE.md).
+type SimulateRequest = core.RunSpec
 
 // SlowdownJSON summarizes the slowdown sample of a simulate job. It is
 // present only when at least one repetition produced a usable slowdown
@@ -476,113 +454,6 @@ type SimulateResult struct {
 	// BaselineNanos and ScenariosNanos decompose the job's wall time.
 	BaselineNanos  int64 `json:"baseline_wall_ns"`
 	ScenariosNanos int64 `json:"scenarios_wall_ns"`
-}
-
-// resolve validates the request and produces the experiment config and
-// scenario it describes.
-func (s *Server) resolve(req *SimulateRequest) (core.ExperimentConfig, core.Scenario, error) {
-	var zc core.ExperimentConfig
-	var zs core.Scenario
-	if req.Workload == "" {
-		return zc, zs, fmt.Errorf("workload is required")
-	}
-	if _, err := tracegen.Lookup(req.Workload); err != nil {
-		return zc, zs, fmt.Errorf("unknown workload %q", req.Workload)
-	}
-	if req.Nodes < 2 || req.Nodes > s.cfg.MaxNodes {
-		return zc, zs, fmt.Errorf("nodes must be in [2, %d], got %d", s.cfg.MaxNodes, req.Nodes)
-	}
-	if req.Iters == 0 {
-		req.Iters = 8
-	}
-	if req.Iters < 1 || req.Iters > s.cfg.MaxIters {
-		return zc, zs, fmt.Errorf("iters must be in [1, %d], got %d", s.cfg.MaxIters, req.Iters)
-	}
-	if req.Reps == 0 {
-		req.Reps = 3
-	}
-	if req.Reps < 1 || req.Reps > s.cfg.MaxReps {
-		return zc, zs, fmt.Errorf("reps must be in [1, %d], got %d", s.cfg.MaxReps, req.Reps)
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-
-	var mixSpec *faultmodel.Spec
-	switch {
-	case req.FaultMix != nil && req.FaultMixPreset != "":
-		return zc, zs, fmt.Errorf("set fault_mix or fault_mix_preset, not both")
-	case req.FaultMixPreset != "":
-		mix, err := systems.FaultMixByName(req.FaultMixPreset)
-		if err != nil {
-			return zc, zs, fmt.Errorf("unknown fault mix %q (want %s)", req.FaultMixPreset, strings.Join(systems.FaultMixNames(), ", "))
-		}
-		mixSpec = &mix.Spec
-	case req.FaultMix != nil:
-		mixSpec = req.FaultMix
-	}
-
-	mtbce := req.MTBCENanos
-	switch {
-	case req.System != "" && req.MTBCENanos != 0:
-		return zc, zs, fmt.Errorf("set system or mtbce_ns, not both")
-	case mixSpec != nil && mixSpec.MTBCENanos != 0 && (req.System != "" || req.MTBCENanos != 0):
-		return zc, zs, fmt.Errorf("the fault mix carries mtbce_ns; don't also set system or mtbce_ns")
-	case req.System != "":
-		sys, err := systems.ByName(req.System)
-		if err != nil {
-			return zc, zs, fmt.Errorf("unknown system %q", req.System)
-		}
-		mtbce = sys.MTBCENanos()
-	case req.MTBCENanos <= 0:
-		if mixSpec == nil || mixSpec.MTBCENanos <= 0 {
-			return zc, zs, fmt.Errorf("provide a positive mtbce_ns, a system name, or a fault mix carrying mtbce_ns")
-		}
-		mtbce = mixSpec.MTBCENanos
-	}
-
-	perEvent := req.PerEventNanos
-	switch {
-	case req.Mode != "" && req.PerEventNanos != 0:
-		return zc, zs, fmt.Errorf("set mode or per_event_ns, not both")
-	case req.Mode != "":
-		m, err := systems.LoggingModeByName(req.Mode)
-		if err != nil {
-			return zc, zs, fmt.Errorf("unknown logging mode %q", req.Mode)
-		}
-		perEvent = m.PerEventNanos
-	case req.PerEventNanos <= 0:
-		return zc, zs, fmt.Errorf("provide a positive per_event_ns or a mode name")
-	}
-
-	target := noise.AllNodes
-	if req.Target != nil {
-		target = *req.Target
-	}
-	if target < noise.AllNodes || (target >= 0 && int(target) >= req.Nodes) {
-		return zc, zs, fmt.Errorf("target %d outside [-1, %d)", target, req.Nodes)
-	}
-
-	cfg := core.ExperimentConfig{
-		Workload: req.Workload, Nodes: req.Nodes, Iterations: req.Iters, TraceSeed: req.Seed,
-	}
-	sc := core.Scenario{
-		MTBCE:    mtbce,
-		PerEvent: noise.Fixed(perEvent),
-		Target:   target,
-		Seed:     req.Seed + 1, // cmd/cesim offsets the CE seed the same way
-	}
-	if mixSpec != nil {
-		// Journal recovery re-resolves the typed request through this
-		// same path, so the rebuilt process is bit-identical to the
-		// original submission's.
-		proc, err := mixSpec.WithMTBCE(mtbce).Process()
-		if err != nil {
-			return zc, zs, fmt.Errorf("fault mix: %v", err)
-		}
-		sc.Arrivals = proc
-	}
-	return cfg, sc, nil
 }
 
 // submitted is the 202 response to a job submission.
@@ -685,7 +556,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	cfg, sc, err := s.resolve(&req)
+	cfg, sc, err := req.Resolve(s.cfg.limits())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -762,45 +633,21 @@ func (s *Server) simulateFunc(cfg core.ExperimentConfig, sc core.Scenario, req S
 	}
 }
 
-// SweepRequest is the POST /v1/sweep body: regenerate one evaluation
-// figure, optionally at reduced scale.
-type SweepRequest struct {
-	// Figure is "3", "4", "5", "6" or "7".
-	Figure string `json:"figure"`
-	// Scale is "reduced" (default) or "paper".
-	Scale string `json:"scale,omitempty"`
-	// Nodes, Iters, Reps and Seed override core.Options fields.
-	Nodes int    `json:"nodes,omitempty"`
-	Iters int    `json:"iters,omitempty"`
-	Reps  int    `json:"reps,omitempty"`
-	Seed  uint64 `json:"seed,omitempty"`
-	// Workloads restricts the workload set.
-	Workloads []string `json:"workloads,omitempty"`
-}
+// SweepRequest is the POST /v1/sweep body: the sweep spec with Figure
+// naming the one figure ("3".."9") the job regenerates. The job runs
+// the figure driver under the request as it stands.
+type SweepRequest = core.Options
 
-// sweepOptions validates a sweep request and resolves its figure
-// driver and options; shared by the HTTP handler and journal recovery.
-func (s *Server) sweepOptions(req *SweepRequest) (func(core.Options) (*core.Figure, error), core.Options, error) {
-	var opts core.Options
-	driver, ok := core.Figures()[req.Figure]
-	if !ok {
-		return nil, opts, fmt.Errorf("unknown figure %q (want 3..9)", req.Figure)
+// sweepDriver admits a sweep request and returns the figure driver it
+// names; shared by the HTTP handler and journal recovery.
+func (s *Server) sweepDriver(req *SweepRequest) (func(core.Options) (*core.Figure, error), error) {
+	if err := req.Validate(s.cfg.limits()); err != nil {
+		return nil, err
 	}
-	scale, err := core.ParseScale(req.Scale)
-	if err != nil {
-		return nil, opts, err
+	if req.Figure == "" {
+		return nil, fmt.Errorf("figure is required (3..9)")
 	}
-	opts = core.Options{Scale: scale, Nodes: req.Nodes, Iterations: req.Iters, Reps: req.Reps, Seed: req.Seed}
-	if req.Nodes != 0 && (req.Nodes < 2 || req.Nodes > s.cfg.MaxNodes) {
-		return nil, opts, fmt.Errorf("nodes must be in [2, %d]", s.cfg.MaxNodes)
-	}
-	for _, wl := range req.Workloads {
-		if _, err := tracegen.Lookup(wl); err != nil {
-			return nil, opts, fmt.Errorf("unknown workload %q", wl)
-		}
-	}
-	opts.Workloads = req.Workloads
-	return driver, opts, nil
+	return core.Figures()[req.Figure], nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -809,7 +656,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	driver, opts, err := s.sweepOptions(&req)
+	driver, err := s.sweepDriver(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -819,7 +666,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.submit(w, r, "sweep", payload, s.sweepFunc(driver, opts, r.Header.Get(TenantHeader), payload))
+	s.submit(w, r, "sweep", payload, s.sweepFunc(driver, req, r.Header.Get(TenantHeader), payload))
 }
 
 // sweepFunc builds the job body for one validated sweep request.
@@ -921,27 +768,15 @@ func (s *Server) baseline(ctx context.Context, cfg core.ExperimentConfig) (exp *
 	return exp, false, true, err
 }
 
-// Recover replays the job WAL at dir and re-enqueues every job that
-// had no terminal record, under its original id — clients polling a
-// pre-crash job id find their job again, and seeds ride along in the
-// journaled payload so re-runs are bit-identical. Jobs whose payloads
-// no longer validate (version skew across a deploy) are skipped with a
-// log line, never an error: recovery must bring the daemon up.
-// Corrupt journal segments are quarantined by the journal layer and
-// reported in the stats.
-func (s *Server) Recover(ctx context.Context, dir string) (int, journal.ReplayStats, error) {
-	pending, st, err := jobs.Recover(ctx, dir)
-	if err != nil {
-		return 0, st, err
-	}
-	return s.Resubmit(pending), st, nil
-}
-
 // Resubmit re-enqueues jobs already recovered from a WAL (jobs.Recover)
-// and returns how many were accepted. It is split from Recover so the
-// daemon can replay the WAL directory BEFORE opening the new writer —
+// under their original ids and returns how many were accepted — clients
+// polling a pre-crash job id find their job again, and seeds ride along
+// in the journaled payload so re-runs are bit-identical. Jobs whose
+// payloads no longer validate (version skew across a deploy) are
+// skipped with a log line: recovery must bring the daemon up. The
+// daemon replays the WAL directory BEFORE opening the new writer —
 // replaying after the writer has minted a fresh segment would make a
-// crash's torn tail look like mid-log damage — and re-submit once the
+// crash's torn tail look like mid-log damage — and calls this once the
 // journaled queue exists, so the acceptances re-journal into the new
 // segments.
 func (s *Server) Resubmit(pending []jobs.PendingJob) int {
@@ -975,7 +810,7 @@ func (s *Server) rebuildFunc(p jobs.PendingJob) (jobs.Func, error) {
 		if err := json.Unmarshal(p.Spec.Payload, &req); err != nil {
 			return nil, err
 		}
-		cfg, sc, err := s.resolve(&req)
+		cfg, sc, err := req.Resolve(s.cfg.limits())
 		if err != nil {
 			return nil, err
 		}
@@ -985,11 +820,11 @@ func (s *Server) rebuildFunc(p jobs.PendingJob) (jobs.Func, error) {
 		if err := json.Unmarshal(p.Spec.Payload, &req); err != nil {
 			return nil, err
 		}
-		driver, opts, err := s.sweepOptions(&req)
+		driver, err := s.sweepDriver(&req)
 		if err != nil {
 			return nil, err
 		}
-		return s.sweepFunc(driver, opts, p.Spec.Tenant, p.Spec.Payload), nil
+		return s.sweepFunc(driver, req, p.Spec.Tenant, p.Spec.Payload), nil
 	default:
 		return nil, fmt.Errorf("no recovery for job kind %q", p.Spec.Kind)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,7 +282,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 
 func TestSweepEndToEnd(t *testing.T) {
 	ts, _, _ := newTestServer(t, jobs.Config{})
-	req := SweepRequest{Figure: "4", Nodes: 16, Iters: 2, Reps: 1, Seed: 1, Workloads: []string{"minife"}}
+	req := SweepRequest{Figure: "4", Nodes: 16, Iterations: 2, Reps: 1, Seed: 1, Workloads: []string{"minife"}}
 	var sub submitted
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &sub); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
@@ -346,17 +347,32 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// TestSweepValidation: a bad sweep body is a 400 at the door, never a
+// 202 whose job fails later. (The full table of bad specs, driven
+// through flags and both HTTP doors, is in internal/cluster.)
 func TestSweepValidation(t *testing.T) {
-	ts, _, _ := newTestServer(t, jobs.Config{})
-	for name, req := range map[string]SweepRequest{
-		"unknown figure":   {Figure: "12"},
-		"unknown scale":    {Figure: "4", Scale: "huge"},
-		"unknown workload": {Figure: "4", Workloads: []string{"nonesuch"}},
-		"bad nodes":        {Figure: "4", Nodes: 1},
+	ts, q, _ := newTestServer(t, jobs.Config{})
+	for name, body := range map[string]string{
+		"no figure":        `{"nodes":16}`,
+		"unknown figure":   `{"figure":"12"}`,
+		"unknown scale":    `{"figure":"4","scale":"huge"}`,
+		"unknown workload": `{"figure":"4","workloads":["nonesuch"]}`,
+		"bad nodes":        `{"figure":"4","nodes":1}`,
+		"negative iters":   `{"figure":"4","iters":-3}`,
+		"negative reps":    `{"figure":"4","reps":-1}`,
+		"figure list too":  `{"figure":"4","figures":["5"]}`,
 	} {
-		if code := postJSON(t, ts.URL+"/v1/sweep", req, nil); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d", name, code)
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d", name, resp.StatusCode)
+		}
+	}
+	if st := q.Stats(); st.Submitted != 0 {
+		t.Fatalf("%d rejected sweeps reached the queue", st.Submitted)
 	}
 }
 
