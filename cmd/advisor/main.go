@@ -29,8 +29,8 @@ import (
 	"time"
 
 	"repro/internal/advise"
+	"repro/internal/faultmodel"
 	"repro/internal/report"
-	"repro/internal/retire"
 	"repro/internal/systems"
 )
 
@@ -83,7 +83,7 @@ func checkNames(in *advise.Inputs, mode, fault string) error {
 		}
 	}
 	if fault != "" {
-		kind, err := retire.ParseKind(fault)
+		kind, err := faultmodel.ParseKind(fault)
 		if err != nil {
 			return fmt.Errorf("-fault: %v", err)
 		}

@@ -1,67 +1,69 @@
-// retiresim simulates DRAM fault populations against a page-retirement
-// policy and reports the effective logged-CE rate — connecting the
-// fault-mode studies the paper builds on (Levy et al., Siddiqua et al.)
-// to the MTBCE(node) numbers its overhead analysis consumes.
+// retiresim replays a node's fault-mode mixture (internal/faultmodel)
+// against a page-retirement policy and reports the effective logged-CE
+// rate — connecting the fault-mode studies the paper builds on (Levy et
+// al., Siddiqua et al.) to the MTBCE(node) numbers its overhead
+// analysis consumes.
 //
 // Examples:
 //
-//	retiresim                                  # default Cielo-like mix, threshold 3
+//	retiresim                                  # field-ddr4 mixture at the firmware knee, threshold 3
 //	retiresim -threshold 1 -maxpages 128
-//	retiresim -faults 60 -cerate 2.5 -years 5  # a very unhealthy node
+//	retiresim -mtbce 432s -years 5             # a very unhealthy node
 //	retiresim -sweep                           # threshold sweep table
-//	retiresim -fault-mix field-ddr4            # weights from a faultmodel preset
+//	retiresim -fault-mix bursty-row            # another preset, or a JSON spec file
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/report"
 	"repro/internal/retire"
 	"repro/internal/systems"
 )
 
-func main() {
-	var (
-		years     = flag.Float64("years", 1, "simulated span in years")
-		faults    = flag.Float64("faults", 6, "fault arrivals per node per year")
-		ceRate    = flag.Float64("cerate", 0.5, "mean CEs per fault per hour")
-		threshold = flag.Int("threshold", 3, "CEs on a page before retirement (0 disables)")
-		maxPages  = flag.Int("maxpages", 64, "page retirement budget")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		sweep     = flag.Bool("sweep", false, "sweep retirement thresholds instead of one run")
-		faultMix  = flag.String("fault-mix", "", "fault-mix preset name or JSON spec file; its mode weights replace the Cielo-like mix")
-	)
-	flag.Parse()
+// defaultSystem supplies the default -mtbce: the 20x-Cielo end of the
+// paper's firmware-logging knee.
+const defaultSystem = "exascale-cielo-x20"
 
-	hours := *years * 365.25 * 24
-	base := retire.Config{
-		Seed:            *seed,
-		Hours:           hours,
-		FaultsPerYear:   *faults,
-		CEsPerFaultHour: *ceRate,
+func main() {
+	knee, err := systems.ByName(defaultSystem)
+	if err != nil {
+		fatal(err)
 	}
-	if *faultMix != "" {
-		spec, err := systems.ResolveFaultMix(*faultMix)
-		if err != nil {
-			fatal(err)
-		}
-		mix, err := mixFromSpec(spec)
-		if err != nil {
-			fatal(err)
-		}
-		base.Mix = mix
+	fs := flag.NewFlagSet("retiresim", flag.ContinueOnError)
+	var (
+		years     = fs.Float64("years", 1, "simulated span in years")
+		mtbce     = fs.Duration("mtbce", time.Duration(knee.MTBCENanos()), "per-node mean time between CEs before retirement (default "+defaultSystem+"); a spec file's own mtbce_ns wins")
+		threshold = fs.Int("threshold", 3, "CEs on a page before retirement (0 disables)")
+		maxPages  = fs.Int("maxpages", 64, "page retirement budget")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		sweep     = fs.Bool("sweep", false, "sweep retirement thresholds instead of one run")
+		faultMix  = fs.String("fault-mix", "field-ddr4", "fault-mix preset name or JSON spec file")
+	)
+	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
+		fatal(err)
+	}
+	spec, err := systems.ResolveFaultMix(*faultMix)
+	if err != nil {
+		fatal(err)
+	}
+	cfg := retire.Config{
+		Seed:   *seed,
+		Hours:  *years * 365.25 * 24,
+		Spec:   spec.WithMTBCE(int64(*mtbce)),
+		Policy: retire.Policy{Threshold: *threshold, MaxPages: *maxPages},
 	}
 
 	if *sweep {
-		t := report.New(fmt.Sprintf("page-retirement threshold sweep (%.1f faults/yr, %.2f CE/fault/hr, %gy)",
-			*faults, *ceRate, *years),
+		t := report.New(fmt.Sprintf("page-retirement threshold sweep (%s, %gy)", cfg.Spec, *years),
 			"threshold", "ces-logged", "suppressed", "pages-retired", "mtbce-logged")
 		for _, thr := range []int{0, 1, 2, 3, 5, 10, 50} {
-			cfg := base
-			cfg.Policy = retire.Policy{Threshold: thr, MaxPages: *maxPages}
+			cfg.Policy.Threshold = thr
 			res, err := retire.Simulate(cfg)
 			if err != nil {
 				fatal(err)
@@ -70,7 +72,7 @@ func main() {
 				fmt.Sprintf("%d", res.CEsLogged),
 				fmt.Sprintf("%.1f%%", res.SuppressionPct()),
 				fmt.Sprintf("%d", res.PagesRetired),
-				report.Nanos(res.LoggedMTBCENanos(hours)))
+				report.Nanos(res.LoggedMTBCENanos(cfg.Hours)))
 		}
 		if err := t.WriteASCII(os.Stdout); err != nil {
 			fatal(err)
@@ -78,8 +80,6 @@ func main() {
 		return
 	}
 
-	cfg := base
-	cfg.Policy = retire.Policy{Threshold: *threshold, MaxPages: *maxPages}
 	res, err := retire.Simulate(cfg)
 	if err != nil {
 		fatal(err)
@@ -87,15 +87,16 @@ func main() {
 	t := report.New(fmt.Sprintf("page retirement over %gy (threshold %d, budget %d pages)",
 		*years, *threshold, *maxPages),
 		"metric", "value")
-	for k := retire.FaultCell; k <= retire.FaultBank; k++ {
-		t.AddRow("faults["+k.String()+"]", fmt.Sprintf("%d", res.Faults[k]))
+	t.AddRow("fault-mix", cfg.Spec.String())
+	for _, k := range faultmodel.Kinds() {
+		t.AddRow("ces["+k.String()+"]", fmt.Sprintf("%d", res.CEsByKind[k]))
 	}
 	t.AddRow("ces-generated", fmt.Sprintf("%d", res.CEsGenerated))
 	t.AddRow("ces-logged", fmt.Sprintf("%d", res.CEsLogged))
 	t.AddRow("suppression", fmt.Sprintf("%.1f%%", res.SuppressionPct()))
 	t.AddRow("pages-retired", fmt.Sprintf("%d", res.PagesRetired))
 	t.AddRow("memory-lost", fmt.Sprintf("%dKiB", res.BytesRetired>>10))
-	t.AddRow("mtbce-logged", report.Nanos(res.LoggedMTBCENanos(hours)))
+	t.AddRow("mtbce-logged", report.Nanos(res.LoggedMTBCENanos(cfg.Hours)))
 	if res.Truncated {
 		t.AddRow("warning", "event stream truncated (MaxCEs)")
 	}
@@ -104,26 +105,7 @@ func main() {
 	}
 }
 
-// mixFromSpec folds a faultmodel mixture onto retire's per-kind weights:
-// transient and permanent modes of the same kind sum. The burst shape
-// and skew of the mixture do not map onto retire's fault-population
-// model, so only the composition carries over.
-func mixFromSpec(spec faultmodel.Spec) (retire.Mix, error) {
-	var mix retire.Mix
-	if err := spec.Validate(); err != nil {
-		return mix, err
-	}
-	for _, m := range spec.Modes {
-		kind, err := retire.ParseKind(m.Kind)
-		if err != nil {
-			return mix, err
-		}
-		mix[kind] += m.Weight
-	}
-	return mix, nil
-}
-
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
+	fmt.Fprintln(os.Stderr, "retiresim:", err)
 	os.Exit(1)
 }

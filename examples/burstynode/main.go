@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/faultmodel"
 	"repro/internal/noise"
 	"repro/internal/report"
 )
@@ -30,16 +31,17 @@ func main() {
 	}
 
 	// Both processes average one CE per second on node 0. The bursty
-	// process delivers them as trains of ~20 CEs spaced 5 ms apart,
-	// roughly every 20 seconds — the signature of a stuck row.
+	// one is a single row-fault mode that delivers them as trains of
+	// ~20 CEs spaced 5 ms apart — the signature of a stuck row;
+	// faultmodel solves for the quiet gap between trains that keeps the
+	// 1 s mean (19.905 s).
 	const meanGap = 1_000_000_000 // 1 s
-	bursty := noise.Bursty{
-		QuietGap: 19_905_000_000, // chosen so MeanGap() == 1 s
-		BurstGap: 5_000_000,      // 5 ms within a burst
-		BurstLen: 20,
-	}
-	if d := bursty.MeanGap() - meanGap; d > 1e6 || d < -1e6 {
-		log.Fatalf("burst parameters drifted: mean gap %.3fms", bursty.MeanGap()/1e6)
+	bursty, err := faultmodel.Spec{
+		MTBCENanos: meanGap,
+		Modes:      []faultmodel.Mode{{Kind: "row", Weight: 1, BurstLen: 20, BurstGapNanos: 5_000_000}},
+	}.Process()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	t := report.New("single failing node on cth (64 nodes): Poisson vs bursty CEs at 1 CE/s",

@@ -1,8 +1,8 @@
 // retirement closes the loop between DRAM fault populations, the OS
 // page-retirement policy, and application-visible CE logging overhead:
-// the same fault population is run through retirement policies of
-// increasing aggressiveness, and the resulting *logged*-CE rate drives
-// the large-scale overhead simulation.
+// the same fault-mode mixture is replayed through retirement policies
+// of increasing aggressiveness, and the resulting *logged*-CE rate
+// drives the large-scale overhead simulation.
 //
 //	go run ./examples/retirement
 package main
@@ -16,16 +16,21 @@ import (
 	"repro/internal/noise"
 	"repro/internal/report"
 	"repro/internal/retire"
+	"repro/internal/systems"
 )
 
 func main() {
-	// An unhealthy node population: frequent faults, active error
-	// generators (roughly the Facebook-median regime).
+	// A failing DIMM population: the DDR4 field-study mixture at one CE
+	// every 30 s per node, a rate at which this short run feels the
+	// firmware logging cost.
+	mix, err := systems.FaultMixByName("field-ddr4")
+	if err != nil {
+		log.Fatal(err)
+	}
 	base := retire.Config{
-		Seed:            1,
-		Hours:           24 * 30, // one month
-		FaultsPerYear:   40,
-		CEsPerFaultHour: 3,
+		Seed:  1,
+		Hours: 24 * 30, // one month
+		Spec:  mix.Spec.WithMTBCE(30e9),
 	}
 
 	exp, err := core.NewExperiment(core.ExperimentConfig{
@@ -80,7 +85,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nReading: page retirement multiplies the effective MTBCE by silencing")
-	fmt.Println("repeat offenders (cell/row faults), directly buying back the firmware")
-	fmt.Println("logging overhead — but column/bank faults evade the page budget, so")
-	fmt.Println("retirement alone cannot rescue a truly failing DIMM.")
+	fmt.Println("repeat offenders (permanent cell/row faults), directly buying back the")
+	fmt.Println("firmware logging overhead — but column/bank faults and transient")
+	fmt.Println("strikes evade any page budget, so retirement alone cannot rescue a")
+	fmt.Println("truly failing DIMM.")
 }

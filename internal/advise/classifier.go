@@ -3,19 +3,7 @@ package advise
 import (
 	"sort"
 
-	"repro/internal/retire"
-)
-
-// DRAM geometry assumed when decomposing a physical address into the
-// coordinates the fault taxonomy cares about. It mirrors package
-// retire's footprints: 4 KiB pages, 8 KiB rows (two pages per row),
-// column identity taken as the 8-byte-aligned offset within the row —
-// a column fault repeats the same intra-row offset across many rows.
-const (
-	pageShift = 12
-	rowShift  = 13
-	colMask   = (1 << rowShift) - 1
-	colShift  = 3
+	"repro/internal/faultmodel"
 )
 
 // setCap bounds every distinct-value set in a footprint. Classification
@@ -66,11 +54,12 @@ type Footprint struct {
 
 // Add ingests one CE address observation.
 func (f *Footprint) Add(addr uint64, bank int) {
+	page, row, col := faultmodel.Decompose(addr)
 	f.samples++
 	f.addrs.add(addr)
-	f.pages.add(addr >> pageShift)
-	f.rows.add(addr >> rowShift)
-	f.cols.add((addr & colMask) >> colShift)
+	f.pages.add(page)
+	f.rows.add(row)
+	f.cols.add(col)
 	f.banks.add(uint64(bank))
 }
 
@@ -79,9 +68,9 @@ func (f *Footprint) Samples() uint64 { return f.samples }
 
 // Classification is the classifier's verdict.
 type Classification struct {
-	// Kind is the inferred retire.FaultKind; only meaningful when
+	// Kind is the inferred faultmodel.FaultKind; only meaningful when
 	// Known is set.
-	Kind retire.FaultKind
+	Kind faultmodel.FaultKind
 	// Known is false while the sample count is below MinSamples — the
 	// policy layer then treats the node's fault mode as unclassified
 	// and recommends conservatively.
@@ -97,7 +86,7 @@ type Classification struct {
 // couple of unlucky cells.
 const DefaultMinSamples = 8
 
-// Classify maps the footprint onto retire's cell/row/column/bank
+// Classify maps the footprint onto faultmodel's cell/row/column/bank
 // taxonomy:
 //
 //	one distinct address            -> cell
@@ -120,16 +109,16 @@ func (f *Footprint) Classify(minSamples int) Classification {
 	c := Classification{Known: true}
 	switch {
 	case f.addrs.size() == 1:
-		c.Kind = retire.FaultCell
+		c.Kind = faultmodel.FaultCell
 		c.Confidence = base
 	case f.rows.size() == 1:
-		c.Kind = retire.FaultRow
+		c.Kind = faultmodel.FaultRow
 		c.Confidence = base * spreadFactor(f.cols.size())
 	case f.cols.size() == 1:
-		c.Kind = retire.FaultColumn
+		c.Kind = faultmodel.FaultColumn
 		c.Confidence = base * spreadFactor(f.rows.size())
 	default:
-		c.Kind = retire.FaultBank
+		c.Kind = faultmodel.FaultBank
 		spread := f.rows.size()
 		if f.cols.size() < spread {
 			spread = f.cols.size()

@@ -4,49 +4,49 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/retire"
+	"repro/internal/faultmodel"
 )
 
 // synthStream generates a CE address stream whose ground truth is one
-// fault of the given kind, mimicking the footprints package retire
+// fault of the given kind, mimicking the footprints package faultmodel
 // assigns to each mode. n >= 2 recommended for the spread kinds.
-func synthStream(rnd *rand.Rand, kind retire.FaultKind, n int) []uint64 {
+func synthStream(rnd *rand.Rand, kind faultmodel.FaultKind, n int) []uint64 {
 	addrs := make([]uint64, n)
 	switch kind {
-	case retire.FaultCell:
+	case faultmodel.FaultCell:
 		// One stuck bit: every CE reports the same address.
 		a := uint64(rnd.Int63n(1 << 40))
 		for i := range addrs {
 			addrs[i] = a
 		}
-	case retire.FaultRow:
+	case faultmodel.FaultRow:
 		// One row (8 KiB), hits spread across its columns.
 		row := uint64(rnd.Int63n(1 << 27))
 		for i := range addrs {
 			// i<<3 in the low bits guarantees >= 2 distinct columns.
-			addrs[i] = row<<rowShift | uint64(i%1024)<<colShift
+			addrs[i] = faultmodel.Compose(row, uint64(i%1024))
 		}
-	case retire.FaultColumn:
+	case faultmodel.FaultColumn:
 		// One column coordinate repeated across many rows.
-		col := uint64(rnd.Int63n(1 << (rowShift - colShift)))
+		col := uint64(rnd.Int63n(1024))
 		for i := range addrs {
-			addrs[i] = uint64(i+1)<<rowShift | col<<colShift
+			addrs[i] = faultmodel.Compose(uint64(i+1), col)
 		}
 	default: // bank: scattered rows and columns
 		for i := range addrs {
-			addrs[i] = uint64(i+1)<<rowShift | uint64(i%1024)<<colShift
+			addrs[i] = faultmodel.Compose(uint64(i+1), uint64(i%1024))
 		}
 	}
 	return addrs
 }
 
 // TestClassifierRoundTrip is the property test: for every fault kind in
-// retire's taxonomy, a synthetic stream generated with that mode as
+// faultmodel's taxonomy, a synthetic stream generated with that mode as
 // ground truth must classify back to the same kind, regardless of the
 // order the events arrive in.
 func TestClassifierRoundTrip(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
-	for _, kind := range retire.Kinds() {
+	for _, kind := range faultmodel.Kinds() {
 		for trial := 0; trial < 25; trial++ {
 			n := DefaultMinSamples + rnd.Intn(100)
 			stream := synthStream(rnd, kind, n)
@@ -72,7 +72,7 @@ func TestClassifierRoundTrip(t *testing.T) {
 
 func TestClassifierLowSampleAmbiguity(t *testing.T) {
 	rnd := rand.New(rand.NewSource(12))
-	for _, kind := range retire.Kinds() {
+	for _, kind := range faultmodel.Kinds() {
 		stream := synthStream(rnd, kind, DefaultMinSamples-1)
 		var fp Footprint
 		for _, a := range stream {
@@ -91,8 +91,8 @@ func TestClassifierLowSampleAmbiguity(t *testing.T) {
 // constituent with high confidence.
 func TestClassifierMixedFaults(t *testing.T) {
 	rnd := rand.New(rand.NewSource(13))
-	rowStream := synthStream(rnd, retire.FaultRow, 40)
-	colStream := synthStream(rnd, retire.FaultColumn, 40)
+	rowStream := synthStream(rnd, faultmodel.FaultRow, 40)
+	colStream := synthStream(rnd, faultmodel.FaultColumn, 40)
 	var fp Footprint
 	for i := range rowStream {
 		fp.Add(rowStream[i], 0)
@@ -102,7 +102,7 @@ func TestClassifierMixedFaults(t *testing.T) {
 	if !c.Known {
 		t.Fatal("80 samples must classify")
 	}
-	if c.Kind != retire.FaultBank {
+	if c.Kind != faultmodel.FaultBank {
 		t.Fatalf("mixed row+column population classified as %v, want conservative bank", c.Kind)
 	}
 }
@@ -118,7 +118,7 @@ func TestClassifierConfidenceGrowsWithSamples(t *testing.T) {
 		many.Add(0xdead000, 0)
 	}
 	cf, cm := few.Classify(0), many.Classify(0)
-	if cf.Kind != retire.FaultCell || cm.Kind != retire.FaultCell {
+	if cf.Kind != faultmodel.FaultCell || cm.Kind != faultmodel.FaultCell {
 		t.Fatalf("cell streams classified %v / %v", cf.Kind, cm.Kind)
 	}
 	if cm.Confidence <= cf.Confidence {

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/faultmodel"
 )
 
 func ndjson(t *testing.T, events []Event) string {
@@ -135,7 +137,7 @@ func seedStream(t *testing.T, s *Service) {
 	t.Helper()
 	var events []Event
 	for i := 0; i < 32; i++ {
-		events = append(events, ev("acme", "n1", int64(i+1)*3600e9, 0xbeef<<rowShift|uint64(i)<<colShift))
+		events = append(events, ev("acme", "n1", int64(i+1)*3600e9, faultmodel.Compose(0xbeef, uint64(i))))
 	}
 	if w := ingest(t, s, ndjson(t, events)); w.Code != 200 {
 		t.Fatalf("seed ingest: %d %s", w.Code, w.Body)

@@ -6,8 +6,8 @@ import (
 	"math"
 
 	"repro/internal/due"
+	"repro/internal/faultmodel"
 	"repro/internal/predict"
-	"repro/internal/retire"
 	"repro/internal/systems"
 	"repro/internal/tracegen"
 )
@@ -62,7 +62,7 @@ type Inputs struct {
 	// FaultKnown marks Fault as a classified verdict.
 	FaultKnown bool
 	// Fault is the classified fault mode.
-	Fault retire.FaultKind
+	Fault faultmodel.FaultKind
 	// FaultConfidence is the classifier's confidence in (0, 1].
 	FaultConfidence float64
 	// CheckpointNanos and RestartNanos parameterize the Daly retune;

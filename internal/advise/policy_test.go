@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/retire"
+	"repro/internal/faultmodel"
 )
 
 func baseInputs() Inputs {
@@ -93,28 +93,28 @@ func TestAdviseRetirementVerdicts(t *testing.T) {
 	in := baseInputs()
 	in.ObservedMTBCENanos = 3600e9
 	in.FaultKnown = true
-	in.Fault = retire.FaultRow
+	in.Fault = faultmodel.FaultRow
 	in.FaultConfidence = 0.9
 	rec, err := Advise(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rec.Retirement
-	if r == nil || !r.Worth || r.FootprintPages != retire.FaultRow.FootprintPages() {
+	if r == nil || !r.Worth || r.FootprintPages != faultmodel.FaultRow.FootprintPages() {
 		t.Fatalf("row fault should be worth retiring: %+v", r)
 	}
 	if r.SuggestedThreshold != DefaultRetireThreshold {
 		t.Fatalf("threshold: %+v", r)
 	}
 
-	in.Fault = retire.FaultBank
+	in.Fault = faultmodel.FaultBank
 	rec, err = Advise(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Retirement.Worth {
 		t.Fatalf("bank fault (%d pages) cannot fit the %d-page budget: %+v",
-			retire.FaultBank.FootprintPages(), DefaultRetirePageBudget, rec.Retirement)
+			faultmodel.FaultBank.FootprintPages(), DefaultRetirePageBudget, rec.Retirement)
 	}
 
 	in.FaultKnown = false
@@ -158,7 +158,7 @@ func TestAdviseIsPure(t *testing.T) {
 	in := baseInputs()
 	in.ObservedMTBCENanos = 7200e9
 	in.FaultKnown = true
-	in.Fault = retire.FaultColumn
+	in.Fault = faultmodel.FaultColumn
 	in.FaultConfidence = 0.75
 	a, err := Advise(in)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/faultmodel"
 )
 
 func ev(tenant, node string, ts int64, addr uint64) Event {
@@ -86,7 +88,7 @@ func TestStoreBatchOrderIndependence(t *testing.T) {
 		var batch []Event
 		for i := 0; i < 20; i++ {
 			n := fmt.Sprintf("n%d", (b+i)%3)
-			batch = append(batch, ev("acme", n, int64(1+b*7919+i*613)*1e9, uint64(b*31+i)<<rowShift))
+			batch = append(batch, ev("acme", n, int64(1+b*7919+i*613)*1e9, faultmodel.Compose(uint64(b*31+i), 0)))
 		}
 		batches = append(batches, batch)
 	}

@@ -128,8 +128,8 @@ type Scenario struct {
 	// MTBCE is the per-node mean time between CEs, in nanoseconds.
 	// Ignored when Arrivals is set.
 	MTBCE int64
-	// Arrivals overrides the Poisson arrival process (e.g. a bursty
-	// process for the paper's conclusion (iii) scenarios).
+	// Arrivals overrides the Poisson arrival process (e.g. a faultmodel
+	// mixture; one bursty mode is the paper's conclusion (iii)).
 	Arrivals noise.Arrivals
 	// PerEvent is the per-CE handling time model.
 	PerEvent noise.Duration

@@ -1,15 +1,15 @@
 package faultmodel
 
-import (
-	"repro/internal/retire"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
-// DRAM geometry for footprint addresses, mirroring the decomposition
-// internal/advise's classifier assumes: 4 KiB pages, 8 KiB rows,
-// column identity as the 8-byte-aligned offset within the row. The
-// row-space and bank counts are per-device modeling choices large
-// enough that independent draws essentially never collide.
+// DRAM geometry, the one definition the Generator synthesises
+// addresses with, the advisor's classifier decomposes them with and
+// the retirement replay maps them to pages with: 4 KiB pages, 8 KiB
+// rows (two pages per row), column identity as the 8-byte-aligned
+// offset within the row — a column fault repeats the same intra-row
+// offset across many rows. The row-space and bank counts are
+// per-device modeling choices large enough that independent draws
+// essentially never collide.
 const (
 	pageShift = 12
 	rowShift  = 13
@@ -17,7 +17,20 @@ const (
 	numCols   = 1 << (rowShift - colShift)
 	numRows   = 1 << 15
 	numBanks  = 16
+
+	// PageBytes is the size of the page the OS retires.
+	PageBytes = 1 << pageShift
 )
+
+// Compose builds the physical address of a column within a row.
+func Compose(row, col uint64) uint64 { return row<<rowShift | col<<colShift }
+
+// Decompose splits a physical address into the coordinates the fault
+// taxonomy cares about: its page, its row and its column within the
+// row.
+func Decompose(addr uint64) (page, row, col uint64) {
+	return addr >> pageShift, addr >> rowShift, (addr & (1<<rowShift - 1)) >> colShift
+}
 
 // Event is one generated CE observation: the arrival time produced by
 // the mixture process plus the fault-footprint address, ready for the
@@ -31,7 +44,7 @@ type Event struct {
 	// Bank is the failing bank.
 	Bank int
 	// Kind is the generating fault mode.
-	Kind retire.FaultKind
+	Kind FaultKind
 	// Transient echoes the generating mode's classification.
 	Transient bool
 }
@@ -62,20 +75,20 @@ func (g *genMode) draw() {
 }
 
 // addr produces one event address inside the footprint.
-func (g *genMode) addr(kind retire.FaultKind) uint64 {
+func (g *genMode) addr(kind FaultKind) uint64 {
 	row, col := g.fp.row, g.fp.col
 	switch kind {
-	case retire.FaultCell:
+	case FaultCell:
 		// fixed row and column: one address
-	case retire.FaultRow:
+	case FaultRow:
 		col = uint64(g.src.Intn(numCols))
-	case retire.FaultColumn:
+	case FaultColumn:
 		row = uint64(g.src.Intn(numRows))
 	default: // bank: scattered
 		row = uint64(g.src.Intn(numRows))
 		col = uint64(g.src.Intn(numCols))
 	}
-	return row<<rowShift | col<<colShift
+	return Compose(row, col)
 }
 
 // Generator produces one node's CE event stream: the identical arrival
@@ -96,11 +109,7 @@ type Generator struct {
 // correspond to noise.Config.Seed and the node id: the event times
 // equal the cumulative gaps Process produces for that node.
 func (s Spec) Generator(seed, node uint64) (*Generator, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	c := s.canonical()
-	modes, err := c.compile()
+	modes, _, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +119,7 @@ func (s Spec) Generator(seed, node uint64) (*Generator, error) {
 	key := rng.NewStream(seed, node).Uint64()
 	g := &Generator{
 		modes: modes,
-		node:  newMixNode(key, modes, c.SkewSigma),
+		node:  newMixNode(key, modes, s.SkewSigma),
 		gens:  make([]genMode, len(modes)),
 	}
 	for i := range modes {

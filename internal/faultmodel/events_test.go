@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/mca"
-	"repro/internal/retire"
 	"repro/internal/rng"
 )
 
@@ -122,7 +121,7 @@ func TestTransientRedrawsPerTrain(t *testing.T) {
 	}
 	// Events carry their generating mode.
 	for _, e := range evs {
-		if e.Kind != retire.FaultCell || !e.Transient {
+		if e.Kind != FaultCell || !e.Transient {
 			t.Fatalf("event misattributed: %+v", e)
 		}
 	}

@@ -1,11 +1,14 @@
 // Package faultmodel generates per-node correctable-error arrival
-// processes from a field-grounded mixture of DRAM fault modes.
+// processes from a field-grounded mixture of DRAM fault modes. It is
+// the repository's one fault model: it owns the fault taxonomy
+// (FaultKind), the DRAM address geometry (Compose, Decompose) and every
+// arrival process that is not the paper's single Poisson stream.
 //
 // The rest of this repository draws CEs from a single homogeneous
 // exponential MTBCE stream — the paper's §III-D model. The field data
 // says real CE processes are a mixture: "A Systematic Study of DDR4
 // DRAM Faults in the Field" reports distinct fault modes (single-cell,
-// row, column, bank — package retire's taxonomy) with very different
+// row, column, bank — the FaultKind taxonomy) with very different
 // address footprints, transient vs permanent behaviour, correlated CE
 // bursts, and heavy per-DIMM rate skew (a small fraction of DIMMs
 // carries most of the errors); "DRAM Errors and Cosmic Rays" shows the
@@ -40,14 +43,12 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"repro/internal/retire"
 )
 
 // Mode is one fault mode of a mixture.
 type Mode struct {
-	// Kind names the retire.FaultKind footprint: "cell", "row",
-	// "column" or "bank".
+	// Kind names the FaultKind footprint: "cell", "row", "column" or
+	// "bank".
 	Kind string `json:"kind"`
 	// Weight is the mode's share of the mixture's aggregate CE rate.
 	// Weights must be positive and sum to 1 across the spec.
@@ -97,6 +98,17 @@ func (s Spec) WithMTBCE(mtbceNanos int64) Spec {
 	return s
 }
 
+// Bounds on spec values that arrive from outside (a spec file, a
+// fault_mix request field). They sit far beyond any field-study
+// population and exist so that every accepted spec runs: drawing a
+// train's length costs time proportional to it, and a node's lognormal
+// multiplier exp(sigma*z), |z| <= 12, must stay a normal float for its
+// gap means to stay positive.
+const (
+	maxBurstLen  = 1 << 20
+	maxSkewSigma = 8
+)
+
 // badNumber reports NaN or infinities, which would otherwise slip
 // through ordering comparisons (NaN compares false against every
 // bound) and poison every downstream rate computation.
@@ -104,48 +116,64 @@ func badNumber(v float64) bool {
 	return math.IsNaN(v) || math.IsInf(v, 0)
 }
 
+// kindedMode is a Mode with its kind parsed.
+type kindedMode struct {
+	Mode
+	kind FaultKind
+}
+
 // Validate reports spec errors. Every error names the offending field
 // and, for mode errors, the mode's index and kind, so a hand-written
 // JSON spec fails with one precise line.
 func (s Spec) Validate() error {
+	_, err := s.validated()
+	return err
+}
+
+// validated checks the spec and returns its modes with their kinds
+// parsed — the one ParseKind call per mode on the way to a Process, a
+// Generator or a storm configuration.
+func (s Spec) validated() ([]kindedMode, error) {
 	if s.MTBCENanos < 0 {
-		return fmt.Errorf("faultmodel: mtbce_ns must be >= 0, got %d", s.MTBCENanos)
+		return nil, fmt.Errorf("faultmodel: mtbce_ns must be >= 0, got %d", s.MTBCENanos)
 	}
 	if len(s.Modes) == 0 {
-		return fmt.Errorf("faultmodel: spec has no modes")
+		return nil, fmt.Errorf("faultmodel: spec has no modes")
 	}
+	modes := make([]kindedMode, len(s.Modes))
 	sum := 0.0
 	for i, m := range s.Modes {
-		kind, err := retire.ParseKind(m.Kind)
+		kind, err := ParseKind(m.Kind)
 		if err != nil {
-			return fmt.Errorf("faultmodel: modes[%d]: unknown fault kind %q (want cell, row, column or bank)", i, m.Kind)
+			return nil, fmt.Errorf("faultmodel: modes[%d]: unknown fault kind %q (want cell, row, column or bank)", i, m.Kind)
 		}
 		if badNumber(m.Weight) || m.Weight <= 0 {
-			return fmt.Errorf("faultmodel: modes[%d] (%s): weight must be a positive finite number, got %v", i, kind, m.Weight)
+			return nil, fmt.Errorf("faultmodel: modes[%d] (%s): weight must be a positive finite number, got %v", i, kind, m.Weight)
 		}
-		if badNumber(m.BurstLen) || (m.BurstLen != 0 && m.BurstLen < 1) {
-			return fmt.Errorf("faultmodel: modes[%d] (%s): burst_len must be >= 1 (or 0 for no bursts), got %v", i, kind, m.BurstLen)
+		if badNumber(m.BurstLen) || (m.BurstLen != 0 && m.BurstLen < 1) || m.BurstLen > maxBurstLen {
+			return nil, fmt.Errorf("faultmodel: modes[%d] (%s): burst_len must be in [1, %d] (or 0 for no bursts), got %v", i, kind, maxBurstLen, m.BurstLen)
 		}
 		if m.BurstGapNanos < 0 {
-			return fmt.Errorf("faultmodel: modes[%d] (%s): burst_gap_ns must be >= 0, got %d", i, kind, m.BurstGapNanos)
+			return nil, fmt.Errorf("faultmodel: modes[%d] (%s): burst_gap_ns must be >= 0, got %d", i, kind, m.BurstGapNanos)
 		}
 		if m.BurstLen > 1 && m.BurstGapNanos == 0 {
-			return fmt.Errorf("faultmodel: modes[%d] (%s): burst_len %v needs a positive burst_gap_ns", i, kind, m.BurstLen)
+			return nil, fmt.Errorf("faultmodel: modes[%d] (%s): burst_len %v needs a positive burst_gap_ns", i, kind, m.BurstLen)
 		}
 		sum += m.Weight
+		modes[i] = kindedMode{m, kind}
 	}
 	// The tolerance absorbs decimal-literal rounding ("0.1+0.2"), not
 	// genuinely unnormalized mixtures.
 	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("faultmodel: mode weights must sum to 1, got %v", sum)
+		return nil, fmt.Errorf("faultmodel: mode weights must sum to 1, got %v", sum)
 	}
-	if badNumber(s.SkewSigma) || s.SkewSigma < 0 {
-		return fmt.Errorf("faultmodel: skew_sigma must be a finite number >= 0, got %v", s.SkewSigma)
+	if badNumber(s.SkewSigma) || s.SkewSigma < 0 || s.SkewSigma > maxSkewSigma {
+		return nil, fmt.Errorf("faultmodel: skew_sigma must be in [0, %d], got %v", maxSkewSigma, s.SkewSigma)
 	}
 	if badNumber(s.Flux) || s.Flux < 0 {
-		return fmt.Errorf("faultmodel: flux must be a finite number >= 0 (0 means 1), got %v", s.Flux)
+		return nil, fmt.Errorf("faultmodel: flux must be a finite number >= 0 (0 means 1), got %v", s.Flux)
 	}
-	return nil
+	return modes, nil
 }
 
 // flux returns the effective transient-rate multiplier.
@@ -156,19 +184,15 @@ func (s Spec) flux() float64 {
 	return s.Flux
 }
 
-// canonical returns the spec with modes sorted by a total order on
-// their parameters. Stream assignment follows canonical position, so a
-// permuted Spec.Modes compiles to the bit-identical process —
-// composition is order-independent by construction.
-func (s Spec) canonical() Spec {
-	modes := make([]Mode, len(s.Modes))
-	copy(modes, s.Modes)
+// canonicalize sorts modes by a total order on their parameters.
+// Stream assignment follows canonical position, so a permuted
+// Spec.Modes compiles to the bit-identical process — composition is
+// order-independent by construction.
+func canonicalize(modes []kindedMode) {
 	sort.SliceStable(modes, func(i, j int) bool {
 		a, b := modes[i], modes[j]
-		if a.Kind != b.Kind {
-			ka, _ := retire.ParseKind(a.Kind)
-			kb, _ := retire.ParseKind(b.Kind)
-			return ka < kb
+		if a.kind != b.kind {
+			return a.kind < b.kind
 		}
 		if a.Transient != b.Transient {
 			return !a.Transient
@@ -181,14 +205,12 @@ func (s Spec) canonical() Spec {
 		}
 		return a.BurstGapNanos < b.BurstGapNanos
 	})
-	s.Modes = modes
-	return s
 }
 
 // compiledMode is one mode with rates resolved against the spec's
 // MTBCE and flux.
 type compiledMode struct {
-	kind      retire.FaultKind
+	kind      FaultKind
 	transient bool
 	// rate is the mode's long-run CE rate in events per nanosecond at
 	// skew multiplier 1.
@@ -203,19 +225,21 @@ type compiledMode struct {
 	burstLen float64
 }
 
-// compile resolves per-mode rates. The spec must already be canonical
-// and validated; MTBCENanos must be positive.
-func (s Spec) compile() ([]compiledMode, error) {
-	if s.MTBCENanos <= 0 {
-		return nil, fmt.Errorf("faultmodel: spec needs a positive mtbce_ns (set it in the spec or via WithMTBCE), got %d", s.MTBCENanos)
+// compile validates the spec and resolves its modes, in canonical
+// order, to rates; it also returns the ordered modes themselves, which
+// label renders. MTBCENanos must be positive.
+func (s Spec) compile() ([]compiledMode, []kindedMode, error) {
+	modes, err := s.validated()
+	if err != nil {
+		return nil, nil, err
 	}
-	out := make([]compiledMode, len(s.Modes))
-	for i, m := range s.Modes {
-		kind, err := retire.ParseKind(m.Kind)
-		if err != nil {
-			return nil, err
-		}
-		c := compiledMode{kind: kind, transient: m.Transient, burstLen: m.BurstLen, burstGap: float64(m.BurstGapNanos)}
+	if s.MTBCENanos <= 0 {
+		return nil, nil, fmt.Errorf("faultmodel: spec needs a positive mtbce_ns (set it in the spec or via WithMTBCE), got %d", s.MTBCENanos)
+	}
+	canonicalize(modes)
+	out := make([]compiledMode, len(modes))
+	for i, m := range modes {
+		c := compiledMode{kind: m.kind, transient: m.Transient, burstLen: m.BurstLen, burstGap: float64(m.BurstGapNanos)}
 		if c.burstLen == 0 {
 			c.burstLen = 1
 		}
@@ -224,16 +248,19 @@ func (s Spec) compile() ([]compiledMode, error) {
 			c.rate *= s.flux()
 		}
 		c.meanGap = 1 / c.rate
+		if c.meanGap < 1 {
+			return nil, nil, fmt.Errorf("faultmodel: modes[%d] (%s): rate %v CEs/ns (weight x flux / mtbce_ns) exceeds one CE per nanosecond", i, m.kind, c.rate)
+		}
 		// The long-run mean gap of the train process is
 		// (quiet + (L-1)*burstGap) / L; solve for the quiet gap that
 		// hits the mode's target rate.
 		c.quietGap = c.burstLen*c.meanGap - (c.burstLen-1)*c.burstGap
 		if c.quietGap <= 0 {
-			return nil, fmt.Errorf("faultmodel: modes[%d] (%s): burst train (len %v, gap %vns) alone exceeds the mode's mean gap %.0fns; lower burst_len or burst_gap_ns", i, kind, c.burstLen, c.burstGap, c.meanGap)
+			return nil, nil, fmt.Errorf("faultmodel: modes[%d] (%s): burst train (len %v, gap %vns) alone exceeds the mode's mean gap %.0fns; lower burst_len or burst_gap_ns", i, m.kind, c.burstLen, c.burstGap, c.meanGap)
 		}
 		out[i] = c
 	}
-	return out, nil
+	return out, modes, nil
 }
 
 // ParseSpec decodes and validates a JSON mixture spec. Unknown fields
@@ -288,12 +315,23 @@ func lineCol(data []byte, off int64) string {
 }
 
 // String renders the canonical composition, used in error messages and
-// result metadata.
+// result metadata. It renders unvalidated specs too: an unknown kind
+// sorts first.
 func (s Spec) String() string {
-	c := s.canonical()
+	modes := make([]kindedMode, len(s.Modes))
+	for i, m := range s.Modes {
+		kind, _ := ParseKind(m.Kind)
+		modes[i] = kindedMode{m, kind}
+	}
+	canonicalize(modes)
+	return s.label(modes)
+}
+
+// label renders the spec over its canonically ordered modes.
+func (s Spec) label(modes []kindedMode) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "faultmix(mtbce=%dns", c.MTBCENanos)
-	for _, m := range c.Modes {
+	fmt.Fprintf(&b, "faultmix(mtbce=%dns", s.MTBCENanos)
+	for _, m := range modes {
 		fmt.Fprintf(&b, ",%s:%.3g", m.Kind, m.Weight)
 		if m.Transient {
 			b.WriteString("t")
@@ -302,11 +340,11 @@ func (s Spec) String() string {
 			fmt.Fprintf(&b, "x%.3g@%dns", m.BurstLen, m.BurstGapNanos)
 		}
 	}
-	if c.SkewSigma > 0 {
-		fmt.Fprintf(&b, ",skew=%.3g", c.SkewSigma)
+	if s.SkewSigma > 0 {
+		fmt.Fprintf(&b, ",skew=%.3g", s.SkewSigma)
 	}
-	if c.flux() != 1 {
-		fmt.Fprintf(&b, ",flux=%.3g", c.flux())
+	if s.flux() != 1 {
+		fmt.Fprintf(&b, ",flux=%.3g", s.flux())
 	}
 	b.WriteString(")")
 	return b.String()

@@ -42,9 +42,11 @@ func TestValidate(t *testing.T) {
 		{"fractional-burst", Spec{Modes: []Mode{{Kind: "cell", Weight: 1, BurstLen: 0.5}}}, "burst_len"},
 		{"nan-burst", Spec{Modes: []Mode{{Kind: "cell", Weight: 1, BurstLen: nan}}}, "burst_len"},
 		{"burst-without-gap", Spec{Modes: []Mode{{Kind: "row", Weight: 1, BurstLen: 4}}}, "needs a positive burst_gap_ns"},
+		{"huge-burst", Spec{Modes: []Mode{{Kind: "row", Weight: 1, BurstLen: 1e18, BurstGapNanos: 1}}}, "burst_len"},
 		{"negative-burst-gap", Spec{Modes: []Mode{{Kind: "row", Weight: 1, BurstGapNanos: -5}}}, "burst_gap_ns"},
 		{"nan-skew", Spec{Modes: []Mode{{Kind: "cell", Weight: 1}}, SkewSigma: nan}, "skew_sigma"},
 		{"inf-skew", Spec{Modes: []Mode{{Kind: "cell", Weight: 1}}, SkewSigma: inf}, "skew_sigma"},
+		{"huge-skew", Spec{Modes: []Mode{{Kind: "cell", Weight: 1}}, SkewSigma: 1000}, "skew_sigma"},
 		{"negative-skew", Spec{Modes: []Mode{{Kind: "cell", Weight: 1}}, SkewSigma: -1}, "skew_sigma"},
 		{"nan-flux", Spec{Modes: []Mode{{Kind: "cell", Weight: 1}}, Flux: nan}, "flux"},
 		{"inf-flux", Spec{Modes: []Mode{{Kind: "cell", Weight: 1}}, Flux: inf}, "flux"},
@@ -73,6 +75,16 @@ func TestProcessErrors(t *testing.T) {
 	if _, err := s.Process(); err == nil || !strings.Contains(err.Error(), "exceeds the mode's mean gap") {
 		t.Fatalf("Process() error = %v, want burst-train error", err)
 	}
+	// Rates no clock resolves: a mode faster than one CE per nanosecond,
+	// and a mixture whose every rate underflows to zero.
+	s = Spec{MTBCENanos: 1, Modes: []Mode{{Kind: "cell", Weight: 1, Transient: true}}, Flux: 1e300}
+	if _, err := s.Process(); err == nil || !strings.Contains(err.Error(), "one CE per nanosecond") {
+		t.Fatalf("Process() error = %v, want rate error", err)
+	}
+	s.Flux = 1e-320
+	if _, err := s.Process(); err == nil || !strings.Contains(err.Error(), "underflows") {
+		t.Fatalf("Process() error = %v, want underflow error", err)
+	}
 	// Composition-only specs (catalog presets) need a rate attached.
 	s = Spec{Modes: []Mode{{Kind: "cell", Weight: 1}}}
 	if _, err := s.Process(); err == nil || !strings.Contains(err.Error(), "mtbce_ns") {
@@ -87,17 +99,21 @@ func TestProcessErrors(t *testing.T) {
 	}
 }
 
+// parseSpecErrorCases are the malformed documents ParseSpec must reject
+// with a located, named error; FuzzParseSpec seeds its corpus with
+// them.
+var parseSpecErrorCases = []struct {
+	name, in, want string
+}{
+	{"unknown-field", `{"modes":[{"kind":"cell","weight":1}],"skew":2}`, `unknown field "skew"`},
+	{"syntax", "{\n  \"modes\": [,]\n}", "line 2:14"},
+	{"type", "{\n\"modes\": [{\"kind\": 3}]\n}", "line 2:21"},
+	{"trailing", `{"modes":[{"kind":"cell","weight":1}]} {}`, "trailing data"},
+	{"invalid", `{"modes":[]}`, "no modes"},
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	cases := []struct {
-		name, in, want string
-	}{
-		{"unknown-field", `{"modes":[{"kind":"cell","weight":1}],"skew":2}`, `unknown field "skew"`},
-		{"syntax", "{\n  \"modes\": [,]\n}", "line 2:14"},
-		{"type", "{\n\"modes\": [{\"kind\": 3}]\n}", "line 2:21"},
-		{"trailing", `{"modes":[{"kind":"cell","weight":1}]} {}`, "trailing data"},
-		{"invalid", `{"modes":[]}`, "no modes"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseSpecErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseSpec([]byte(tc.in))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -35,10 +35,7 @@ func burstiest(modes []compiledMode) compiledMode {
 // CMCI storm mitigation armed in Software mode. This is how a mixture
 // feeds the storm/poll path the paper's Fig. 2 measurements exercise.
 func (s Spec) StormMCAConfig(seed uint64, mode mca.Mode) (mca.Config, error) {
-	if err := s.Validate(); err != nil {
-		return mca.Config{}, err
-	}
-	modes, err := s.canonical().compile()
+	modes, _, err := s.compile()
 	if err != nil {
 		return mca.Config{}, err
 	}

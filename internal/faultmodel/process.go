@@ -1,6 +1,7 @@
 package faultmodel
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -120,8 +121,8 @@ func (n *mixNode) step(modes []compiledMode) (mode int, gap int64, newTrain bool
 // by the caller-provided state word, and the handle table below is the
 // only shared mutable state.
 type Process struct {
-	spec       Spec // canonical
 	modes      []compiledMode
+	skewSigma  float64
 	meanGap    float64
 	maxModeGap float64
 	label      string
@@ -138,11 +139,7 @@ type Process struct {
 // Process compiles the spec into an arrival process. The spec must
 // carry a positive MTBCENanos (see WithMTBCE).
 func (s Spec) Process() (*Process, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	c := s.canonical()
-	modes, err := c.compile()
+	modes, ordered, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
@@ -155,13 +152,16 @@ func (s Spec) Process() (*Process, error) {
 	}
 	// E[lognormal(0, sigma)] = exp(sigma^2/2): skew preserves the
 	// median node but raises the population-mean rate.
-	skewMean := math.Exp(c.SkewSigma * c.SkewSigma / 2)
+	meanGap := 1 / (total * math.Exp(s.SkewSigma*s.SkewSigma/2))
+	if badNumber(meanGap) {
+		return nil, fmt.Errorf("faultmodel: every mode's rate underflows to zero (weight x flux / mtbce_ns); raise flux or lower mtbce_ns")
+	}
 	return &Process{
-		spec:       c,
 		modes:      modes,
-		meanGap:    1 / (total * skewMean),
+		skewSigma:  s.SkewSigma,
+		meanGap:    meanGap,
 		maxModeGap: maxGap,
-		label:      c.String(),
+		label:      s.label(ordered),
 	}, nil
 }
 
@@ -176,7 +176,7 @@ func (p *Process) node(src *rng.Source, state *uint64) *mixNode {
 		p.mu.Unlock()
 		return n
 	}
-	n := newMixNode(src.Uint64(), p.modes, p.spec.SkewSigma)
+	n := newMixNode(src.Uint64(), p.modes, p.skewSigma)
 	p.mu.Lock()
 	p.nodes = append(p.nodes, n)
 	*state = uint64(len(p.nodes))

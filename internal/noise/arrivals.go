@@ -2,7 +2,6 @@ package noise
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/rng"
 )
@@ -23,8 +22,7 @@ type Arrivals interface {
 // of gaps in one call. The draws must consume the rng stream exactly as
 // the same number of successive NextGap calls would, so batched and
 // unbatched generation yield bit-identical arrival schedules. CE uses
-// this to amortize the per-arrival interface call when the duration
-// model draws no randomness of its own.
+// this to amortize the per-arrival interface call.
 type GapBatcher interface {
 	AppendGaps(dst []int64, src *rng.Source, state *uint64, n int) []int64
 }
@@ -62,115 +60,3 @@ func (p Poisson) AppendGaps(dst []int64, src *rng.Source, _ *uint64, n int) []in
 func (p Poisson) MeanGap() float64 { return float64(p) }
 
 func (p Poisson) String() string { return fmt.Sprintf("poisson(mtbce=%dns)", int64(p)) }
-
-// Bursty is a two-state (Markov-modulated) arrival process for the
-// bursty single-node CE behaviour the paper's conclusions call out: a
-// faulty row or column produces trains of closely spaced CEs separated
-// by long quiet periods. Quiet gaps are exponential with mean
-// QuietGap; each quiet gap is followed by a burst of geometrically
-// distributed length (mean BurstLen) whose internal gaps are
-// exponential with mean BurstGap.
-type Bursty struct {
-	// QuietGap is the mean gap between bursts, ns.
-	QuietGap int64
-	// BurstGap is the mean gap between CEs inside a burst, ns.
-	BurstGap int64
-	// BurstLen is the mean number of CEs per burst (>= 1).
-	BurstLen float64
-}
-
-// Validate reports configuration errors.
-func (b Bursty) Validate() error {
-	if b.QuietGap <= 0 || b.BurstGap <= 0 {
-		return fmt.Errorf("noise: bursty gaps must be positive: %+v", b)
-	}
-	if b.BurstLen < 1 {
-		return fmt.Errorf("noise: bursty mean burst length must be >= 1, got %v", b.BurstLen)
-	}
-	return nil
-}
-
-// NextGap draws the next inter-arrival. The state word holds the number
-// of CEs remaining in the current burst.
-func (b Bursty) NextGap(src *rng.Source, state *uint64) int64 {
-	if *state == 0 {
-		// Leaving quiet: draw the size of the next burst. A geometric
-		// with mean BurstLen, shifted so every burst has at least one
-		// event (the one this quiet gap leads to).
-		n := uint64(1)
-		if b.BurstLen > 1 {
-			p := 1 / b.BurstLen
-			for src.Float64() > p {
-				n++
-			}
-		}
-		*state = n - 1 // events remaining after this one
-		return int64(src.Exp(float64(b.QuietGap)))
-	}
-	*state--
-	return int64(src.Exp(float64(b.BurstGap)))
-}
-
-// AppendGaps draws n gaps in one call, consuming the rng stream exactly
-// as n NextGap calls would.
-func (b Bursty) AppendGaps(dst []int64, src *rng.Source, state *uint64, n int) []int64 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, b.NextGap(src, state))
-	}
-	return dst
-}
-
-// MeanGap returns the long-run mean inter-arrival:
-// (quiet + (L-1)*burstGap) / L for mean burst length L.
-func (b Bursty) MeanGap() float64 {
-	return (float64(b.QuietGap) + (b.BurstLen-1)*float64(b.BurstGap)) / b.BurstLen
-}
-
-func (b Bursty) String() string {
-	return fmt.Sprintf("bursty(quiet=%dns,gap=%dns,len=%.1f)", b.QuietGap, b.BurstGap, b.BurstLen)
-}
-
-// Weibull inter-arrivals generalize the Poisson model: field studies of
-// DRAM errors report clustered (shape < 1) inter-arrival distributions.
-// Shape = 1 recovers the exponential; shape < 1 produces heavy-tailed
-// clustering without explicit burst state.
-type Weibull struct {
-	// Scale is the characteristic time lambda, ns.
-	Scale float64
-	// Shape is the Weibull k parameter (> 0).
-	Shape float64
-}
-
-// Validate reports parameter errors.
-func (w Weibull) Validate() error {
-	if w.Scale <= 0 || w.Shape <= 0 {
-		return fmt.Errorf("noise: weibull parameters must be positive: %+v", w)
-	}
-	return nil
-}
-
-// NextGap draws via inverse transform: lambda * (-ln U)^(1/k).
-func (w Weibull) NextGap(src *rng.Source, _ *uint64) int64 {
-	u := src.Float64()
-	for u == 0 {
-		u = src.Float64()
-	}
-	return int64(w.Scale * math.Pow(-math.Log(u), 1/w.Shape))
-}
-
-// AppendGaps draws n Weibull gaps in one call.
-func (w Weibull) AppendGaps(dst []int64, src *rng.Source, state *uint64, n int) []int64 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, w.NextGap(src, state))
-	}
-	return dst
-}
-
-// MeanGap returns lambda * Gamma(1 + 1/k).
-func (w Weibull) MeanGap() float64 {
-	return w.Scale * math.Gamma(1+1/w.Shape)
-}
-
-func (w Weibull) String() string {
-	return fmt.Sprintf("weibull(scale=%.0fns,shape=%.2f)", w.Scale, w.Shape)
-}

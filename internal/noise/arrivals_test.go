@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faultmodel"
 	"repro/internal/rng"
 )
 
@@ -29,43 +30,93 @@ func TestPoissonMeanGap(t *testing.T) {
 	}
 }
 
+// burstTrain compiles the one-mode faultmodel spec that carries this
+// package's former two-state burst process: a row fault emitting
+// trains of geometrically distributed length (mean burstLen) whose CEs
+// are burstGap apart, separated by quiet gaps of mean quietGap. The
+// spec states the long-run mean gap, (quiet + (L-1)*burstGap) / L, and
+// faultmodel solves for the quiet gap.
+func burstTrain(quietGap, burstGap int64, burstLen float64) faultmodel.Spec {
+	mean := (float64(quietGap) + (burstLen-1)*float64(burstGap)) / burstLen
+	return faultmodel.Spec{
+		MTBCENanos: int64(mean + 0.5),
+		Modes:      []faultmodel.Mode{{Kind: "row", Weight: 1, BurstLen: burstLen, BurstGapNanos: burstGap}},
+	}
+}
+
+// burstGaps returns the first n gaps the spec's process yields on a
+// fresh stream.
+func burstGaps(t *testing.T, spec faultmodel.Spec, seed uint64, n int) []int64 {
+	t.Helper()
+	p, err := spec.Process()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(seed)
+	var state uint64
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = p.NextGap(src, &state)
+	}
+	return out
+}
+
+func meanOf(gaps []int64) float64 {
+	sum := 0.0
+	for _, g := range gaps {
+		sum += float64(g)
+	}
+	return sum / float64(len(gaps))
+}
+
 func TestBurstyValidate(t *testing.T) {
-	good := Bursty{QuietGap: 10 * s, BurstGap: 10 * ms, BurstLen: 5}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid bursty rejected: %v", err)
+	if _, err := burstTrain(10*s, 10*ms, 5).Process(); err != nil {
+		t.Fatalf("valid burst train rejected: %v", err)
 	}
-	bad := []Bursty{
-		{QuietGap: 0, BurstGap: 1, BurstLen: 2},
-		{QuietGap: 1, BurstGap: 0, BurstLen: 2},
-		{QuietGap: 1, BurstGap: 1, BurstLen: 0.5},
+	row := func(mtbce int64, burstLen float64, burstGap int64) faultmodel.Spec {
+		return faultmodel.Spec{MTBCENanos: mtbce, Modes: []faultmodel.Mode{{Kind: "row", Weight: 1, BurstLen: burstLen, BurstGapNanos: burstGap}}}
 	}
-	for i, b := range bad {
-		if err := b.Validate(); err == nil {
-			t.Fatalf("bad bursty %d accepted", i)
+	bad := []faultmodel.Spec{
+		row(ms, 10, 2*ms), // the train alone outlasts the mean gap: no positive quiet gap
+		row(ms, 2, 0),     // a train needs a gap between its CEs
+		row(ms, 0.5, 1),   // fractional train length
+	}
+	for i, spec := range bad {
+		if _, err := spec.Process(); err == nil {
+			t.Fatalf("bad burst train %d accepted", i)
 		}
 	}
 }
 
 func TestBurstyMeanGapFormula(t *testing.T) {
-	b := Bursty{QuietGap: 100 * ms, BurstGap: 1 * ms, BurstLen: 10}
-	// (100ms + 9*1ms)/10 = 10.9ms
-	want := (float64(100*ms) + 9*float64(ms)) / 10
-	if math.Abs(b.MeanGap()-want) > 1e-6 {
-		t.Fatalf("MeanGap = %v, want %v", b.MeanGap(), want)
+	// (10s + 9*1ms)/10 = 1.0009s: the process must advertise that mean,
+	// and its quiet gaps must average the 10s the formula solves for.
+	// Quiet gaps are exponential, so those above a cut T average T +
+	// 10s; a cut of 100 burst gaps keeps every train gap out.
+	spec := burstTrain(10*s, 1*ms, 10)
+	p, err := spec.Process()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(10*s+9*ms) / 10; math.Abs(p.MeanGap()-want) > 1 {
+		t.Fatalf("MeanGap = %v, want %v", p.MeanGap(), want)
+	}
+	const cut = 100 * ms
+	var quiet []int64
+	for _, g := range burstGaps(t, spec, 13, 200000) {
+		if g > cut {
+			quiet = append(quiet, g)
+		}
+	}
+	if got, want := meanOf(quiet), float64(cut+10*s); math.Abs(got-want)/want > 0.03 {
+		t.Fatalf("quiet gaps above the cut average %v, want ~%v", got, want)
 	}
 }
 
 func TestBurstyEmpiricalMeanGap(t *testing.T) {
-	b := Bursty{QuietGap: 50 * ms, BurstGap: 500 * us, BurstLen: 8}
-	src := rng.New(7)
-	var state uint64
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(b.NextGap(src, &state))
-	}
-	got := sum / n
-	want := b.MeanGap()
+	spec := burstTrain(50*ms, 500*us, 8)
+	got := meanOf(burstGaps(t, spec, 7, 200000))
+	want := float64(spec.MTBCENanos)
 	if math.Abs(got-want)/want > 0.03 {
 		t.Fatalf("empirical mean gap %v, want ~%v", got, want)
 	}
@@ -75,14 +126,10 @@ func TestBurstyBurstStructure(t *testing.T) {
 	// Gaps within a burst must be drawn from the short distribution:
 	// classify gaps as quiet (> threshold) or burst, and verify mean
 	// burst length.
-	b := Bursty{QuietGap: 10 * s, BurstGap: 1 * ms, BurstLen: 6}
-	src := rng.New(3)
-	var state uint64
-	threshold := int64(500 * ms) // far between the two regimes
+	threshold := 500 * ms // far between the two regimes
 	bursts := 0
 	events := 0
-	for i := 0; i < 100000; i++ {
-		g := b.NextGap(src, &state)
+	for _, g := range burstGaps(t, burstTrain(10*s, 1*ms, 6), 3, 100000) {
 		if g > threshold {
 			bursts++
 		}
@@ -95,31 +142,27 @@ func TestBurstyBurstStructure(t *testing.T) {
 }
 
 func TestBurstyDegeneratesToSingleEvents(t *testing.T) {
-	// BurstLen=1: every gap is a quiet gap; equivalent to Poisson.
-	b := Bursty{QuietGap: 7 * ms, BurstGap: 1, BurstLen: 1}
-	src := rng.New(5)
-	var state uint64
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += float64(b.NextGap(src, &state))
-		if state != 0 {
-			t.Fatal("burst state non-zero with BurstLen=1")
-		}
+	// BurstLen 1 (or unset): every gap is a quiet gap; equivalent to
+	// Poisson at the spec's MTBCE.
+	one := burstGaps(t, burstTrain(7*ms, 1, 1), 5, 100000)
+	if got := meanOf(one); math.Abs(got-float64(7*ms))/float64(7*ms) > 0.02 {
+		t.Fatalf("degenerate burst train mean %v, want ~%v", got, float64(7*ms))
 	}
-	got := sum / n
-	if math.Abs(got-float64(7*ms))/float64(7*ms) > 0.02 {
-		t.Fatalf("degenerate bursty mean %v, want ~%v", got, float64(7*ms))
+	plain := faultmodel.Spec{MTBCENanos: 7 * ms, Modes: []faultmodel.Mode{{Kind: "row", Weight: 1}}}
+	unset := burstGaps(t, plain, 5, 100000)
+	for i := range one {
+		if one[i] != unset[i] {
+			t.Fatalf("gap %d: burst_len 1 drew %d, burst_len 0 drew %d", i, one[i], unset[i])
+		}
 	}
 }
 
 func TestCEWithBurstyArrivals(t *testing.T) {
-	m, err := NewCE(1, Config{
-		Seed:     1,
-		Arrivals: Bursty{QuietGap: 100 * ms, BurstGap: 200 * us, BurstLen: 10},
-		Duration: Fixed(10 * us),
-		Target:   AllNodes,
-	})
+	arr, err := burstTrain(100*ms, 200*us, 10).Process()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewCE(1, Config{Seed: 1, Arrivals: arr, Duration: Fixed(10 * us), Target: AllNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +204,8 @@ func TestConfigBadArrivalsRejected(t *testing.T) {
 }
 
 func TestBurstyDeterministic(t *testing.T) {
-	b := Bursty{QuietGap: 10 * ms, BurstGap: 100 * us, BurstLen: 4}
-	run := func() []int64 {
-		src := rng.New(11)
-		var state uint64
-		out := make([]int64, 1000)
-		for i := range out {
-			out[i] = b.NextGap(src, &state)
-		}
-		return out
-	}
-	a, c := run(), run()
+	spec := burstTrain(10*ms, 100*us, 4)
+	a, c := burstGaps(t, spec, 11, 1000), burstGaps(t, spec, 11, 1000)
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatalf("gap %d differs", i)
@@ -179,18 +213,12 @@ func TestBurstyDeterministic(t *testing.T) {
 	}
 }
 
-// Property: gaps are always positive and bursts always terminate.
+// Property: gaps are never negative and bursts always terminate.
 func TestQuickBurstyGapsPositive(t *testing.T) {
 	f := func(seed uint64, quietRaw, burstRaw uint16, lenRaw uint8) bool {
-		b := Bursty{
-			QuietGap: int64(quietRaw)*ms + 1,
-			BurstGap: int64(burstRaw)*us + 1,
-			BurstLen: 1 + float64(lenRaw%20),
-		}
-		src := rng.New(seed)
-		var state uint64
-		for i := 0; i < 200; i++ {
-			if b.NextGap(src, &state) < 0 {
+		spec := burstTrain(int64(quietRaw)*ms+ms, int64(burstRaw)*us+1, 1+float64(lenRaw%20))
+		for _, g := range burstGaps(t, spec, seed, 200) {
+			if g < 0 {
 				return false
 			}
 		}
@@ -198,79 +226,5 @@ func TestQuickBurstyGapsPositive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWeibullShapeOneIsExponential(t *testing.T) {
-	w := Weibull{Scale: float64(5 * ms), Shape: 1}
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w.MeanGap()-float64(5*ms)) > 1 {
-		t.Fatalf("shape-1 mean %v, want scale %v", w.MeanGap(), float64(5*ms))
-	}
-	src := rng.New(3)
-	var state uint64
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		g := w.NextGap(src, &state)
-		if g < 0 {
-			t.Fatal("negative gap")
-		}
-		sum += float64(g)
-	}
-	got := sum / n
-	if math.Abs(got-float64(5*ms))/float64(5*ms) > 0.02 {
-		t.Fatalf("empirical mean %v, want ~%v", got, float64(5*ms))
-	}
-}
-
-func TestWeibullClusteringShape(t *testing.T) {
-	// Shape < 1: higher variance than exponential at the same mean —
-	// check the coefficient of variation exceeds 1.
-	w := Weibull{Scale: float64(ms), Shape: 0.5}
-	src := rng.New(7)
-	var state uint64
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		g := float64(w.NextGap(src, &state))
-		sum += g
-		sumSq += g * g
-	}
-	mean := sum / n
-	sd := math.Sqrt(sumSq/n - mean*mean)
-	if cv := sd / mean; cv < 1.5 {
-		t.Fatalf("shape 0.5 CV = %v, want heavy-tailed (> 1.5)", cv)
-	}
-	// Mean matches lambda*Gamma(3) = 2*lambda.
-	if math.Abs(mean-w.MeanGap())/w.MeanGap() > 0.05 {
-		t.Fatalf("empirical mean %v vs analytic %v", mean, w.MeanGap())
-	}
-}
-
-func TestWeibullValidate(t *testing.T) {
-	if err := (Weibull{Scale: 0, Shape: 1}).Validate(); err == nil {
-		t.Fatal("zero scale accepted")
-	}
-	if err := (Weibull{Scale: 1, Shape: 0}).Validate(); err == nil {
-		t.Fatal("zero shape accepted")
-	}
-}
-
-func TestCEWithWeibullArrivals(t *testing.T) {
-	m, err := NewCE(1, Config{
-		Seed:     5,
-		Arrivals: Weibull{Scale: float64(10 * ms), Shape: 0.7},
-		Duration: Fixed(10 * us),
-		Target:   AllNodes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := m.Extend(0, 0, 10*s)
-	if end <= 10*s || m.Events() == 0 {
-		t.Fatal("weibull arrivals produced no detours")
 	}
 }

@@ -100,11 +100,11 @@ func TestExactlyOnHorizonArrival(t *testing.T) {
 // event counts and stolen time. This is the bit-identity proof for the
 // amortized block generation.
 func TestBatchedMatchesUnbatched(t *testing.T) {
-	arrs := []Arrivals{
-		Poisson(50_000),
-		Bursty{QuietGap: 200_000, BurstGap: 2_000, BurstLen: 5},
-		Weibull{Scale: 60_000, Shape: 0.7},
+	train, err := burstTrain(200_000, 2_000, 5).Process()
+	if err != nil {
+		t.Fatal(err)
 	}
+	arrs := []Arrivals{Poisson(50_000), train}
 	durs := []Duration{Fixed(1_000), EveryNth{Base: 500, Extra: 20_000, N: 10}}
 	for _, arr := range arrs {
 		for _, dur := range durs {

@@ -50,31 +50,26 @@ type None struct{}
 // Extend returns start+dur: no detours.
 func (None) Extend(_ int32, start, dur int64) int64 { return start + dur }
 
-// Duration models the per-event handling time.
+// Duration models the per-event handling time. Sample takes no rng
+// stream: durations draw no randomness, so a node's stream feeds only
+// its arrival process and CE may prefetch arrival gaps in blocks
+// without reordering a single draw.
 type Duration interface {
-	// Sample returns the handling time of the next CE on a node.
-	// Implementations may keep per-node state (the state argument) for
-	// patterns such as "every 10th event pays the firmware decode".
-	Sample(src *rng.Source, count uint64) int64
+	// Sample returns the handling time of a node's count-th CE (from
+	// zero), for patterns such as "every 10th event pays the firmware
+	// decode".
+	Sample(count uint64) int64
 	// Mean returns the long-run mean handling time in nanoseconds,
 	// used for saturation analysis.
 	Mean() float64
 	fmt.Stringer
 }
 
-// rngFreeDuration marks duration models whose Sample never draws from
-// the rng stream. Only then may CE batch arrival-gap generation: a
-// stream shared between arrivals and durations must be consumed in
-// strict alternation to stay bit-identical with unbatched replay.
-type rngFreeDuration interface{ rngFree() }
-
 // Fixed is a constant per-event handling time.
 type Fixed int64
 
-func (Fixed) rngFree() {}
-
 // Sample returns the fixed duration.
-func (f Fixed) Sample(*rng.Source, uint64) int64 { return int64(f) }
+func (f Fixed) Sample(uint64) int64 { return int64(f) }
 
 // Mean returns the fixed duration.
 func (f Fixed) Mean() float64 { return float64(f) }
@@ -91,10 +86,8 @@ type EveryNth struct {
 	N     uint64
 }
 
-func (EveryNth) rngFree() {}
-
 // Sample returns Base, plus Extra when count is a multiple of N.
-func (e EveryNth) Sample(_ *rng.Source, count uint64) int64 {
+func (e EveryNth) Sample(count uint64) int64 {
 	if e.N > 0 && count%e.N == e.N-1 {
 		return e.Base + e.Extra
 	}
@@ -113,20 +106,6 @@ func (e EveryNth) String() string {
 	return fmt.Sprintf("every%d(base=%dns,extra=%dns)", e.N, e.Base, e.Extra)
 }
 
-// Exponential is an exponentially distributed handling time, for
-// sensitivity studies on duration variance.
-type Exponential int64
-
-// Sample draws from the exponential distribution with the given mean.
-func (e Exponential) Sample(src *rng.Source, _ uint64) int64 {
-	return int64(src.Exp(float64(e)))
-}
-
-// Mean returns the distribution mean.
-func (e Exponential) Mean() float64 { return float64(e) }
-
-func (e Exponential) String() string { return fmt.Sprintf("exp(%dns)", int64(e)) }
-
 // AllNodes targets CE injection at every node.
 const AllNodes int32 = -1
 
@@ -138,8 +117,8 @@ type Config struct {
 	// nanoseconds. Used when Arrivals is nil (Poisson process, the
 	// paper's model).
 	MTBCE int64
-	// Arrivals overrides the arrival process (e.g. Bursty). When set,
-	// MTBCE is ignored.
+	// Arrivals overrides the arrival process (e.g. a faultmodel
+	// mixture). When set, MTBCE is ignored.
 	Arrivals Arrivals
 	// Duration is the per-event handling time model.
 	Duration Duration
@@ -158,6 +137,28 @@ func (c Config) arrivals() Arrivals {
 		return c.Arrivals
 	}
 	return Poisson(c.MTBCE)
+}
+
+// resolve returns the effective arrival process and the gap its
+// saturation guard is calibrated to: MeanGap truncated to ns, raised
+// to the slowest component's mean for composite processes (see
+// ComponentGapper). CE and SharedCE call it once, at construction:
+// converting Config.MTBCE to a Poisson value inside Extend would box
+// it into the Arrivals interface on every call — one heap allocation
+// per CPU-busy interval, dominating the simulator's allocation
+// profile.
+func (c Config) resolve() (arr Arrivals, guardGap int64) {
+	arr = c.arrivals()
+	guardGap = int64(arr.MeanGap())
+	if cg, ok := arr.(ComponentGapper); ok {
+		// A mixture's combined mean gap is dominated by its fastest
+		// mode; guard against the slowest one so a rare mode's burst
+		// train is not misread as saturation.
+		if g := int64(cg.MaxComponentMeanGap()); g > guardGap {
+			guardGap = g
+		}
+	}
+	return arr, guardGap
 }
 
 // Validate reports configuration errors.
@@ -217,7 +218,7 @@ type nodeState struct {
 	started  bool
 	// Prefetched inter-arrival gaps (batching enabled): gaps[gi:gn]
 	// are pending. Prefetching reorders nothing — the stream feeds
-	// only the arrival process when batching is on.
+	// only the arrival process.
 	gi, gn int32
 	gaps   [gapBatch]int64
 }
@@ -225,22 +226,13 @@ type nodeState struct {
 // CE is the correctable-error detour model.
 type CE struct {
 	cfg Config
-	// arr is the effective arrival process, resolved once at
-	// construction: converting Config.MTBCE to a Poisson value inside
-	// Extend would box it into the Arrivals interface on every call —
-	// one heap allocation per CPU-busy interval, dominating the
-	// simulator's allocation profile.
-	arr Arrivals
-	// batcher is non-nil when arrival gaps are drawn gapBatch at a
-	// time: the process implements GapBatcher and the duration model
-	// draws no randomness, so prefetching cannot reorder the stream.
-	batcher GapBatcher
-	// meanGap is the guard gap for saturation analysis, cached so
-	// Extend does not re-derive it (a float call, and for Weibull a
-	// Gamma evaluation) per interval: arr.MeanGap() truncated to ns,
-	// raised to the slowest component's mean for composite processes
-	// (see ComponentGapper).
+	// arr and meanGap are the effective arrival process and its
+	// saturation guard gap (Config.resolve).
+	arr     Arrivals
 	meanGap int64
+	// batcher is non-nil when the process implements GapBatcher:
+	// arrival gaps are then drawn gapBatch at a time.
+	batcher GapBatcher
 	// nodes is indexed by node id; states are created on first use.
 	nodes []nodeState
 
@@ -262,21 +254,9 @@ func NewCE(n int, cfg Config) (*CE, error) {
 	if cfg.SaturationFactor == 0 {
 		cfg.SaturationFactor = 10000
 	}
-	m := &CE{cfg: cfg, arr: cfg.arrivals(), nodes: make([]nodeState, n)}
-	m.meanGap = int64(m.arr.MeanGap())
-	if cg, ok := m.arr.(ComponentGapper); ok {
-		// A mixture's combined mean gap is dominated by its fastest
-		// mode; guard against the slowest one so a rare mode's burst
-		// train is not misread as saturation.
-		if g := int64(cg.MaxComponentMeanGap()); g > m.meanGap {
-			m.meanGap = g
-		}
-	}
-	if b, ok := m.arr.(GapBatcher); ok {
-		if _, free := cfg.Duration.(rngFreeDuration); free {
-			m.batcher = b
-		}
-	}
+	m := &CE{cfg: cfg, nodes: make([]nodeState, n)}
+	m.arr, m.meanGap = cfg.resolve()
+	m.batcher, _ = m.arr.(GapBatcher)
 	return m, nil
 }
 
@@ -350,7 +330,7 @@ func (m *CE) Extend(node int32, start, dur int64) int64 {
 	maxSteal := limit * m.cfg.SaturationFactor
 	var stolenHere int64
 	for st.next < end {
-		d := m.cfg.Duration.Sample(st.src, st.count)
+		d := m.cfg.Duration.Sample(st.count)
 		st.count++
 		end += d
 		stolenHere += d
@@ -374,14 +354,3 @@ func (m *CE) Stolen() int64 { return m.stolen }
 // Saturated reports whether any work interval hit the saturation bound,
 // meaning the simulated application is effectively unable to progress.
 func (m *CE) Saturated() bool { return m.saturated }
-
-// Reset restores the model to its initial state (same seed, same future
-// schedule).
-func (m *CE) Reset() {
-	for i := range m.nodes {
-		m.nodes[i] = nodeState{}
-	}
-	m.events = 0
-	m.stolen = 0
-	m.saturated = false
-}

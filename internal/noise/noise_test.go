@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/rng"
 )
 
 const (
@@ -23,7 +21,7 @@ func TestNoneIsIdentity(t *testing.T) {
 
 func TestFixedDuration(t *testing.T) {
 	d := Fixed(42)
-	if d.Sample(nil, 0) != 42 || d.Sample(nil, 99) != 42 {
+	if d.Sample(0) != 42 || d.Sample(99) != 42 {
 		t.Fatal("Fixed sample wrong")
 	}
 	if d.Mean() != 42 {
@@ -35,7 +33,7 @@ func TestEveryNth(t *testing.T) {
 	d := EveryNth{Base: 7 * ms, Extra: 500 * ms, N: 10}
 	total := int64(0)
 	for c := uint64(0); c < 100; c++ {
-		total += d.Sample(nil, c)
+		total += d.Sample(c)
 	}
 	// 100 events: 100 * 7ms + 10 * 500ms
 	want := 100*7*ms + 10*500*ms
@@ -49,25 +47,11 @@ func TestEveryNth(t *testing.T) {
 
 func TestEveryNthZeroN(t *testing.T) {
 	d := EveryNth{Base: 5, Extra: 100, N: 0}
-	if d.Sample(nil, 0) != 5 {
+	if d.Sample(0) != 5 {
 		t.Fatal("N=0 should never add Extra")
 	}
 	if d.Mean() != 5 {
 		t.Fatal("N=0 mean should be Base")
-	}
-}
-
-func TestExponentialDurationMean(t *testing.T) {
-	d := Exponential(1 * ms)
-	src := rng.New(1)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(d.Sample(src, 0))
-	}
-	got := sum / n
-	if math.Abs(got-float64(ms))/float64(ms) > 0.02 {
-		t.Fatalf("exponential duration mean = %v, want ~%v", got, float64(ms))
 	}
 }
 
@@ -217,23 +201,6 @@ func TestNoSaturationAtModestLoad(t *testing.T) {
 	}
 	if m.Saturated() {
 		t.Fatal("1% load flagged as saturated")
-	}
-}
-
-func TestReset(t *testing.T) {
-	m, err := NewCE(2, Config{Seed: 11, MTBCE: ms, Duration: Fixed(ms), Target: AllNodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := m.Extend(0, 0, s)
-	ev := m.Events()
-	m.Reset()
-	if m.Events() != 0 || m.Stolen() != 0 || m.Saturated() {
-		t.Fatal("reset did not clear counters")
-	}
-	second := m.Extend(0, 0, s)
-	if first != second || m.Events() != ev {
-		t.Fatal("reset did not reproduce the original schedule")
 	}
 }
 

@@ -18,7 +18,11 @@ import (
 // For the one-rank-per-node configuration the streaming CE model is
 // cheaper; use SharedCE when ranks share nodes.
 type SharedCE struct {
-	cfg          Config
+	cfg Config
+	// arr and meanGap are the effective arrival process and its
+	// saturation guard gap (Config.resolve).
+	arr          Arrivals
+	meanGap      int64
 	ranksPerNode int
 	nodes        []sharedNode
 
@@ -56,7 +60,9 @@ func NewSharedCE(nodes, ranksPerNode int, cfg Config) (*SharedCE, error) {
 	if cfg.SaturationFactor == 0 {
 		cfg.SaturationFactor = 10000
 	}
-	return &SharedCE{cfg: cfg, ranksPerNode: ranksPerNode, nodes: make([]sharedNode, nodes)}, nil
+	m := &SharedCE{cfg: cfg, ranksPerNode: ranksPerNode, nodes: make([]sharedNode, nodes)}
+	m.arr, m.meanGap = cfg.resolve()
+	return m, nil
 }
 
 // ensure materializes node n's schedule up to at least time t.
@@ -65,12 +71,11 @@ func (m *SharedCE) ensure(n *sharedNode, node int32, t int64) {
 		n.src = rng.NewStream(m.cfg.Seed, uint64(node))
 		n.started = true
 	}
-	arr := m.cfg.arrivals()
 	for n.horizon <= t {
-		gap := arr.NextGap(n.src, &n.arrState)
+		gap := m.arr.NextGap(n.src, &n.arrState)
 		n.horizon += gap
 		n.times = append(n.times, n.horizon)
-		n.durs = append(n.durs, m.cfg.Duration.Sample(n.src, n.count))
+		n.durs = append(n.durs, m.cfg.Duration.Sample(n.count))
 		n.count++
 		if len(n.times) >= maxScheduleLen {
 			m.saturated = true
@@ -90,8 +95,8 @@ func (m *SharedCE) Extend(rank int32, start, dur int64) int64 {
 	n := &m.nodes[node]
 	end := start + dur
 	limit := dur
-	if mg := int64(m.cfg.arrivals().MeanGap()); mg > limit {
-		limit = mg
+	if m.meanGap > limit {
+		limit = m.meanGap
 	}
 	maxSteal := limit * m.cfg.SaturationFactor
 	m.ensure(n, node, end)

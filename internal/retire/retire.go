@@ -6,116 +6,30 @@
 // Physical DRAM faults come in modes with very different spatial
 // footprints — the Cielo field studies (Levy et al. [24], Siddiqua et
 // al. [39]) report a stable mix of single-cell, row, column and bank
-// faults. A fault is persistent: it produces a stream of correctable
-// errors whose addresses fall inside the fault's footprint. The OS can
-// retire (offline) a 4 KiB page once it has logged enough CEs from it;
+// faults. Package faultmodel owns that taxonomy, the fault population
+// and its CE stream; this package is the policy. The OS can retire
+// (offline) a 4 KiB page once it has logged enough CEs from it;
 // retirement is effective exactly when the fault's footprint is
 // concentrated on few pages:
 //
-//   - single-cell and row faults live on one or two pages — a handful
-//     of retirements silences them;
-//   - column and bank faults scatter across hundreds of pages — the
-//     page budget runs out long before the fault is contained.
+//   - permanent single-cell and row faults live on one or two pages —
+//     a handful of retirements silences them;
+//   - column and bank faults scatter across thousands of pages — the
+//     page budget runs out long before the fault is contained;
+//   - transient strikes never repeat a location, so retiring their
+//     pages spends the budget and silences nothing.
 //
-// Simulate produces the logged-CE stream with and without retirement,
-// yielding the effective MTBCE(node) a deployment would observe — the
-// quantity the rest of this repository consumes.
+// Simulate replays one node's faultmodel CE stream with and without
+// retirement, yielding the effective MTBCE(node) a deployment would
+// observe — the quantity the rest of this repository consumes.
 package retire
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
-	"repro/internal/rng"
+	"repro/internal/faultmodel"
 )
-
-// FaultKind is a DRAM fault mode.
-type FaultKind int
-
-// Fault modes, in decreasing page-locality.
-const (
-	FaultCell FaultKind = iota
-	FaultRow
-	FaultColumn
-	FaultBank
-	numFaultKinds
-)
-
-// String returns the mode name.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultCell:
-		return "cell"
-	case FaultRow:
-		return "row"
-	case FaultColumn:
-		return "column"
-	case FaultBank:
-		return "bank"
-	}
-	return fmt.Sprintf("faultkind(%d)", int(k))
-}
-
-// FootprintPages returns how many distinct 4 KiB pages a fault of this
-// kind can produce CEs on. Cell faults hit one page; a row (8 KiB on
-// typical geometries) spans two; columns and banks scatter widely. The
-// advise policy layer compares this footprint against the OS page
-// budget to decide whether retirement can contain a classified fault.
-func (k FaultKind) FootprintPages() int {
-	switch k {
-	case FaultCell:
-		return 1
-	case FaultRow:
-		return 2
-	case FaultColumn:
-		return 512
-	case FaultBank:
-		return 4096
-	}
-	return 1
-}
-
-// Kinds returns the fault modes in taxonomy order.
-func Kinds() []FaultKind {
-	out := make([]FaultKind, 0, numFaultKinds)
-	for k := FaultKind(0); k < numFaultKinds; k++ {
-		out = append(out, k)
-	}
-	return out
-}
-
-// ParseKind maps a mode name ("cell", "row", "column", "bank") back to
-// its FaultKind.
-func ParseKind(name string) (FaultKind, error) {
-	for k := FaultKind(0); k < numFaultKinds; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("retire: unknown fault kind %q (want cell, row, column or bank)", name)
-}
-
-// Mix is the relative frequency of each fault mode. The default follows
-// the Cielo studies: single-cell faults dominate, bank faults are rare.
-type Mix [numFaultKinds]float64
-
-// DefaultMix returns the Cielo-like fault-mode mix.
-func DefaultMix() Mix {
-	return Mix{
-		FaultCell:   0.55,
-		FaultRow:    0.15,
-		FaultColumn: 0.15,
-		FaultBank:   0.15,
-	}
-}
-
-func (m Mix) total() float64 {
-	t := 0.0
-	for _, v := range m {
-		t += v
-	}
-	return t
-}
 
 // Policy is the OS page-retirement policy.
 type Policy struct {
@@ -130,17 +44,13 @@ type Policy struct {
 
 // Config describes a retirement simulation.
 type Config struct {
+	// Seed selects the node's CE stream (faultmodel.Spec.Generator).
 	Seed uint64
 	// Hours is the simulated wall-clock span.
 	Hours float64
-	// FaultsPerYear is the fault arrival rate per node.
-	FaultsPerYear float64
-	// CEsPerFaultHour is the mean CE rate of an active fault. Each
-	// fault draws its own rate from an exponential around this mean —
-	// field data shows orders-of-magnitude spread between faults.
-	CEsPerFaultHour float64
-	// Mix is the fault-mode mix; zero value means DefaultMix.
-	Mix Mix
+	// Spec is the node's fault population: mode composition, burst
+	// trains and the aggregate CE rate (MTBCENanos must be set).
+	Spec faultmodel.Spec
 	// Policy is the retirement policy.
 	Policy Policy
 	// MaxCEs bounds the generated event count (guards against
@@ -148,13 +58,13 @@ type Config struct {
 	MaxCEs int
 }
 
+// maxHours keeps the span in int64 nanoseconds.
+const maxHours = math.MaxInt64 / 3600e9
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Hours <= 0 {
-		return fmt.Errorf("retire: hours must be positive, got %v", c.Hours)
-	}
-	if c.FaultsPerYear < 0 || c.CEsPerFaultHour < 0 {
-		return fmt.Errorf("retire: negative rates: %+v", c)
+	if !(c.Hours > 0 && c.Hours <= maxHours) {
+		return fmt.Errorf("retire: hours must be in (0, %.0f], got %v", float64(maxHours), c.Hours)
 	}
 	if c.Policy.Threshold < 0 || c.Policy.MaxPages < 0 {
 		return fmt.Errorf("retire: negative policy fields: %+v", c.Policy)
@@ -164,8 +74,9 @@ func (c Config) Validate() error {
 
 // Result summarizes one simulated node-lifetime.
 type Result struct {
-	// Faults is the number of faults that appeared, by kind.
-	Faults [numFaultKinds]int
+	// CEsByKind counts the generated CE events by the fault mode that
+	// produced them.
+	CEsByKind [faultmodel.NumKinds]int
 	// CEsGenerated counts all CE events the fault population produced.
 	CEsGenerated int
 	// CEsLogged counts the events that reached the OS log (i.e. whose
@@ -175,7 +86,7 @@ type Result struct {
 	CEsSuppressed int
 	// PagesRetired is the number of pages taken offline.
 	PagesRetired int
-	// BytesRetired is PagesRetired * 4096.
+	// BytesRetired is PagesRetired * faultmodel.PageBytes.
 	BytesRetired int64
 	// Truncated is set when MaxCEs clipped the event stream.
 	Truncated bool
@@ -200,21 +111,22 @@ func (r Result) LoggedMTBCENanos(hours float64) int64 {
 	return int64(hours * 3600 * 1e9 / float64(r.CEsLogged))
 }
 
-const pageBytes = 4096
-
-// ceEvent is one correctable error occurrence.
-type ceEvent struct {
-	at   float64 // hours since start
-	page int64   // global page id
+// pageID identifies a physical page: banks are separate address spaces
+// in faultmodel's geometry.
+type pageID struct {
+	bank  int
+	index uint64
 }
 
-// Simulate runs the fault population against the retirement policy.
+// Simulate replays the node's CE stream, in time order, against the
+// retirement policy.
 func Simulate(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Mix.total() == 0 {
-		cfg.Mix = DefaultMix()
+	gen, err := cfg.Spec.Generator(cfg.Seed, 0)
+	if err != nil {
+		return nil, fmt.Errorf("retire: %w", err)
 	}
 	if cfg.MaxCEs == 0 {
 		cfg.MaxCEs = 1 << 22
@@ -224,46 +136,20 @@ func Simulate(cfg Config) (*Result, error) {
 		maxPages = 64
 	}
 
-	src := rng.New(cfg.Seed)
 	res := &Result{}
-
-	// Fault arrivals: Poisson over the span.
-	faultMeanGapHours := 365.25 * 24 / cfg.FaultsPerYear
-	var events []ceEvent
-	pageBase := int64(0)
-	total := cfg.Mix.total()
-	for t := src.Exp(faultMeanGapHours); t < cfg.Hours; t += src.Exp(faultMeanGapHours) {
-		kind := pickKind(src, cfg.Mix, total)
-		res.Faults[kind]++
-		// Every fault owns a disjoint page footprint; real faults can
-		// collide on pages, but collisions are vanishingly rare at
-		// node DRAM sizes and would only help retirement.
-		footprint := kind.FootprintPages()
-		rate := src.Exp(cfg.CEsPerFaultHour) // this fault's CE rate
-		if rate <= 0 {
-			rate = cfg.CEsPerFaultHour
-		}
-		for at := t + src.Exp(1/rate); at < cfg.Hours; at += src.Exp(1 / rate) {
-			events = append(events, ceEvent{at: at, page: pageBase + int64(src.Intn(footprint))})
-			if len(events) >= cfg.MaxCEs {
-				res.Truncated = true
-				break
-			}
-		}
-		pageBase += int64(footprint)
-		if res.Truncated {
+	counts := map[pageID]int{}
+	retired := map[pageID]bool{}
+	span := int64(cfg.Hours * 3600e9)
+	for ev := gen.Next(); ev.TimeNanos < span; ev = gen.Next() {
+		if res.CEsGenerated >= cfg.MaxCEs {
+			res.Truncated = true
 			break
 		}
-	}
-
-	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
-
-	// Replay against the policy.
-	counts := map[int64]int{}
-	retired := map[int64]bool{}
-	res.CEsGenerated = len(events)
-	for _, ev := range events {
-		if retired[ev.page] {
+		res.CEsGenerated++
+		res.CEsByKind[ev.Kind]++
+		index, _, _ := faultmodel.Decompose(ev.Addr)
+		pg := pageID{ev.Bank, index}
+		if retired[pg] {
 			res.CEsSuppressed++
 			continue
 		}
@@ -271,24 +157,12 @@ func Simulate(cfg Config) (*Result, error) {
 		if cfg.Policy.Threshold <= 0 {
 			continue
 		}
-		counts[ev.page]++
-		if counts[ev.page] >= cfg.Policy.Threshold && res.PagesRetired < maxPages {
-			retired[ev.page] = true
+		counts[pg]++
+		if counts[pg] >= cfg.Policy.Threshold && res.PagesRetired < maxPages {
+			retired[pg] = true
 			res.PagesRetired++
 		}
 	}
-	res.BytesRetired = int64(res.PagesRetired) * pageBytes
+	res.BytesRetired = int64(res.PagesRetired) * faultmodel.PageBytes
 	return res, nil
-}
-
-func pickKind(src *rng.Source, mix Mix, total float64) FaultKind {
-	u := src.Float64() * total
-	acc := 0.0
-	for k := FaultKind(0); k < numFaultKinds; k++ {
-		acc += mix[k]
-		if u < acc {
-			return k
-		}
-	}
-	return FaultBank
 }

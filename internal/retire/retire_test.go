@@ -1,17 +1,42 @@
 package retire
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/faultmodel"
 )
+
+const year = 24 * 365 // hours
+
+// oneMode is a population of a single permanent fault mode at one CE
+// per hour.
+func oneMode(kind string) faultmodel.Spec {
+	return faultmodel.Spec{MTBCENanos: 3600e9, Modes: []faultmodel.Mode{{Kind: kind, Weight: 1}}}
+}
+
+// mixed is a cell-dominant population with every footprint and a
+// transient component, at one CE per hour.
+func mixed() faultmodel.Spec {
+	return faultmodel.Spec{
+		MTBCENanos: 3600e9,
+		Modes: []faultmodel.Mode{
+			{Kind: "cell", Weight: 0.45},
+			{Kind: "cell", Weight: 0.10, Transient: true},
+			{Kind: "row", Weight: 0.15, BurstLen: 8, BurstGapNanos: 2e6},
+			{Kind: "column", Weight: 0.15},
+			{Kind: "bank", Weight: 0.15},
+		},
+	}
+}
 
 func baseCfg() Config {
 	return Config{
-		Seed:            1,
-		Hours:           24 * 365, // one year
-		FaultsPerYear:   6,
-		CEsPerFaultHour: 0.5,
-		Policy:          Policy{Threshold: 3, MaxPages: 64},
+		Seed:   1,
+		Hours:  year,
+		Spec:   mixed(),
+		Policy: Policy{Threshold: 3, MaxPages: 64},
 	}
 }
 
@@ -26,11 +51,14 @@ func mustSim(t *testing.T, cfg Config) *Result {
 
 func TestValidate(t *testing.T) {
 	bad := []Config{
-		{Hours: 0},
-		{Hours: 1, FaultsPerYear: -1},
-		{Hours: 1, CEsPerFaultHour: -1},
-		{Hours: 1, Policy: Policy{Threshold: -1}},
-		{Hours: 1, Policy: Policy{MaxPages: -1}},
+		{Hours: 0, Spec: mixed()},
+		{Hours: math.NaN(), Spec: mixed()},
+		{Hours: 1e9, Spec: mixed()}, // span overflows int64 nanoseconds
+		{Hours: 1},                  // no fault population
+		{Hours: 1, Spec: faultmodel.Spec{Modes: mixed().Modes}}, // no rate
+		{Hours: 1, Spec: faultmodel.Spec{MTBCENanos: 1, Modes: []faultmodel.Mode{{Kind: "rank", Weight: 1}}}},
+		{Hours: 1, Spec: mixed(), Policy: Policy{Threshold: -1}},
+		{Hours: 1, Spec: mixed(), Policy: Policy{MaxPages: -1}},
 	}
 	for i, cfg := range bad {
 		if _, err := Simulate(cfg); err == nil {
@@ -45,6 +73,11 @@ func TestDeterministic(t *testing.T) {
 	if *a != *b {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
 	}
+	cfg := baseCfg()
+	cfg.Seed = 2
+	if c := mustSim(t, cfg); *a == *c {
+		t.Fatalf("seeds 1 and 2 replayed the same stream: %+v", a)
+	}
 }
 
 func TestAccounting(t *testing.T) {
@@ -55,12 +88,15 @@ func TestAccounting(t *testing.T) {
 	if res.BytesRetired != int64(res.PagesRetired)*4096 {
 		t.Fatal("bytes/pages mismatch")
 	}
-	totalFaults := 0
-	for _, n := range res.Faults {
-		totalFaults += n
+	byKind := 0
+	for _, k := range faultmodel.Kinds() {
+		if res.CEsByKind[k] == 0 {
+			t.Fatalf("no %s CEs in a year of the mixed population: %+v", k, res)
+		}
+		byKind += res.CEsByKind[k]
 	}
-	if totalFaults == 0 || res.CEsGenerated == 0 {
-		t.Fatalf("nothing happened in a year with 6 faults/yr: %+v", res)
+	if byKind != res.CEsGenerated {
+		t.Fatalf("per-kind counts sum to %d, generated %d", byKind, res.CEsGenerated)
 	}
 }
 
@@ -77,40 +113,84 @@ func TestRetirementSuppressesCEs(t *testing.T) {
 	}
 	// Identical seeds generate identical CE streams; logged CEs must
 	// strictly drop with retirement on.
+	if with.CEsGenerated != without.CEsGenerated {
+		t.Fatalf("the policy changed the stream: %d vs %d generated", with.CEsGenerated, without.CEsGenerated)
+	}
 	if with.CEsLogged >= without.CEsLogged {
 		t.Fatalf("retirement did not reduce logged CEs: %d vs %d", with.CEsLogged, without.CEsLogged)
 	}
 }
 
-func TestCellFaultsWellContained(t *testing.T) {
-	// A population of only cell faults: each is silenced after
-	// Threshold logged CEs, so logged <= faults * threshold (plus the
-	// page-budget edge).
+func TestThresholdZeroLogsEverything(t *testing.T) {
+	// Retirement off: every generated CE is logged, so the logged
+	// MTBCE is the spec's own rate (no skew: the node runs at the
+	// population rate).
 	cfg := baseCfg()
-	cfg.Mix = Mix{FaultCell: 1}
-	cfg.Policy = Policy{Threshold: 2, MaxPages: 1 << 20}
+	cfg.Policy.Threshold = 0
 	res := mustSim(t, cfg)
-	maxLogged := res.Faults[FaultCell] * cfg.Policy.Threshold
-	if res.CEsLogged > maxLogged {
-		t.Fatalf("cell faults logged %d CEs, containment bound %d", res.CEsLogged, maxLogged)
+	if res.CEsLogged != res.CEsGenerated || res.CEsGenerated == 0 {
+		t.Fatalf("threshold 0 logged %d of %d generated CEs", res.CEsLogged, res.CEsGenerated)
 	}
-	if res.SuppressionPct() < 50 {
-		t.Fatalf("cell-fault suppression only %.1f%%, expected high", res.SuppressionPct())
+	got, want := float64(res.LoggedMTBCENanos(cfg.Hours)), float64(cfg.Spec.MTBCENanos)
+	if math.Abs(got-want)/want > 0.05 {
+		t.Fatalf("logged MTBCE %v, want within 5%% of the spec's %v", got, want)
+	}
+}
+
+func TestCellFaultsWellContained(t *testing.T) {
+	// One permanent cell or row fault lives on one or two pages: it is
+	// silenced after Threshold logged CEs per page.
+	for kind, pages := range map[string]int{"cell": 1, "row": 2} {
+		cfg := baseCfg()
+		cfg.Spec = oneMode(kind)
+		cfg.Policy = Policy{Threshold: 2, MaxPages: 1 << 20}
+		res := mustSim(t, cfg)
+		if res.PagesRetired != pages {
+			t.Fatalf("%s fault retired %d pages, want %d", kind, res.PagesRetired, pages)
+		}
+		if maxLogged := pages * cfg.Policy.Threshold; res.CEsLogged > maxLogged {
+			t.Fatalf("%s fault logged %d CEs, containment bound %d", kind, res.CEsLogged, maxLogged)
+		}
+		if res.SuppressionPct() < 99 {
+			t.Fatalf("%s-fault suppression only %.1f%%, expected near total", kind, res.SuppressionPct())
+		}
 	}
 }
 
 func TestColumnFaultsEvadeRetirement(t *testing.T) {
-	// Column faults scatter over 512 pages; with the default 64-page
-	// budget and per-page threshold, most CEs keep being logged.
+	// Column and bank faults scatter over thousands of pages; with the
+	// default 64-page budget and per-page threshold, most CEs keep
+	// being logged.
 	cell := baseCfg()
-	cell.Mix = Mix{FaultCell: 1}
-	col := baseCfg()
-	col.Mix = Mix{FaultColumn: 1}
+	cell.Spec = oneMode("cell")
 	cellRes := mustSim(t, cell)
-	colRes := mustSim(t, col)
-	if colRes.SuppressionPct() >= cellRes.SuppressionPct() {
-		t.Fatalf("column suppression %.1f%% >= cell suppression %.1f%%; footprint effect missing",
-			colRes.SuppressionPct(), cellRes.SuppressionPct())
+	for _, kind := range []string{"column", "bank"} {
+		cfg := baseCfg()
+		cfg.Spec = oneMode(kind)
+		res := mustSim(t, cfg)
+		if res.SuppressionPct() >= 10 || res.SuppressionPct() >= cellRes.SuppressionPct() {
+			t.Fatalf("%s suppression %.1f%% (cell %.1f%%); footprint effect missing",
+				kind, res.SuppressionPct(), cellRes.SuppressionPct())
+		}
+	}
+}
+
+func TestTransientStrikesBurnBudget(t *testing.T) {
+	// A transient-heavy mix at threshold 1: every strike is a fresh
+	// location, so each one retires a page that never errs again — the
+	// budget is exhausted and nothing is suppressed.
+	cfg := baseCfg()
+	cfg.Spec = faultmodel.Spec{
+		MTBCENanos: 3600e9,
+		Modes:      []faultmodel.Mode{{Kind: "cell", Weight: 1, Transient: true}},
+	}
+	cfg.Policy = Policy{Threshold: 1, MaxPages: 32}
+	res := mustSim(t, cfg)
+	if res.PagesRetired != 32 {
+		t.Fatalf("retired %d pages, want the whole budget of 32", res.PagesRetired)
+	}
+	if res.CEsSuppressed != 0 {
+		t.Fatalf("suppressed %d CEs of one-off strikes", res.CEsSuppressed)
 	}
 }
 
@@ -118,19 +198,18 @@ func TestPageBudgetRespected(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Policy = Policy{Threshold: 1, MaxPages: 5}
 	res := mustSim(t, cfg)
-	if res.PagesRetired > 5 {
-		t.Fatalf("retired %d pages with a budget of 5", res.PagesRetired)
+	if res.PagesRetired != 5 {
+		t.Fatalf("retired %d pages with a budget of 5 and thousands of candidates", res.PagesRetired)
 	}
 }
 
 func TestDefaultPageBudget(t *testing.T) {
 	cfg := baseCfg()
-	cfg.Mix = Mix{FaultColumn: 1}
-	cfg.FaultsPerYear = 50
+	cfg.Spec = oneMode("column")
 	cfg.Policy = Policy{Threshold: 1, MaxPages: 0} // default 64
 	res := mustSim(t, cfg)
-	if res.PagesRetired > 64 {
-		t.Fatalf("default budget exceeded: %d", res.PagesRetired)
+	if res.PagesRetired != 64 {
+		t.Fatalf("default budget not applied: retired %d pages, want 64", res.PagesRetired)
 	}
 }
 
@@ -165,48 +244,32 @@ func TestLoggedMTBCE(t *testing.T) {
 
 func TestTruncationGuard(t *testing.T) {
 	cfg := baseCfg()
-	cfg.FaultsPerYear = 1000
-	cfg.CEsPerFaultHour = 1000
+	cfg.Spec.MTBCENanos = 1e6 // ~3e10 CEs in the year
 	cfg.MaxCEs = 10000
 	res := mustSim(t, cfg)
 	if !res.Truncated {
 		t.Fatal("pathological config not truncated")
 	}
-	if res.CEsGenerated > 10000 {
-		t.Fatalf("generated %d > MaxCEs", res.CEsGenerated)
+	if res.CEsGenerated != 10000 {
+		t.Fatalf("generated %d, want MaxCEs", res.CEsGenerated)
 	}
-}
-
-func TestFaultKindStrings(t *testing.T) {
-	want := map[FaultKind]string{
-		FaultCell: "cell", FaultRow: "row", FaultColumn: "column", FaultBank: "bank",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Fatalf("%d.String() = %q", k, k.String())
-		}
-	}
-}
-
-func TestFootprintOrdering(t *testing.T) {
-	if !(FaultCell.FootprintPages() < FaultRow.FootprintPages() &&
-		FaultRow.FootprintPages() < FaultColumn.FootprintPages() &&
-		FaultColumn.FootprintPages() < FaultBank.FootprintPages()) {
-		t.Fatal("footprints not ordered cell < row < column < bank")
+	if res := mustSim(t, baseCfg()); res.Truncated {
+		t.Fatalf("a year at one CE per hour truncated: %+v", res)
 	}
 }
 
 // Property: accounting identity and budget hold for arbitrary configs.
 func TestQuickInvariants(t *testing.T) {
-	f := func(seed uint64, faultsRaw, rateRaw, thrRaw, budgetRaw uint8) bool {
+	mixes := []faultmodel.Spec{mixed(), oneMode("cell"), oneMode("bank")}
+	f := func(seed uint64, mixRaw, rateRaw, thrRaw, budgetRaw uint8) bool {
 		cfg := Config{
-			Seed:            seed,
-			Hours:           24 * 30,
-			FaultsPerYear:   float64(faultsRaw%50) + 1,
-			CEsPerFaultHour: float64(rateRaw%40)/10 + 0.05,
-			Policy:          Policy{Threshold: int(thrRaw % 8), MaxPages: int(budgetRaw%100) + 1},
-			MaxCEs:          1 << 16,
+			Seed:   seed,
+			Hours:  24 * 30,
+			Spec:   mixes[int(mixRaw)%len(mixes)],
+			Policy: Policy{Threshold: int(thrRaw % 8), MaxPages: int(budgetRaw%100) + 1},
+			MaxCEs: 1 << 16,
 		}
+		cfg.Spec.MTBCENanos = (int64(rateRaw%40) + 1) * 60e9
 		res, err := Simulate(cfg)
 		if err != nil {
 			return false

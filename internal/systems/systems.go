@@ -157,35 +157,28 @@ type FaultMix struct {
 // "DRAM Errors and Cosmic Rays" (the transient component scales with
 // particle flux).
 func FaultMixes() []FaultMix {
+	fieldDDR4 := faultmodel.Spec{
+		Modes: []faultmodel.Mode{
+			{Kind: "cell", Weight: 0.45},
+			{Kind: "cell", Weight: 0.20, Transient: true},
+			{Kind: "row", Weight: 0.20, BurstLen: 8, BurstGapNanos: 2e6},
+			{Kind: "column", Weight: 0.10, BurstLen: 4, BurstGapNanos: 5e6},
+			{Kind: "bank", Weight: 0.05},
+		},
+		SkewSigma: 1.8,
+	}
+	highAltitude := fieldDDR4
+	highAltitude.Flux = 4
 	return []FaultMix{
 		{
 			Name:        "field-ddr4",
 			Description: "DDR4 field-study mixture: cell-dominant with bursty row/column faults and moderate per-DIMM skew",
-			Spec: faultmodel.Spec{
-				Modes: []faultmodel.Mode{
-					{Kind: "cell", Weight: 0.45},
-					{Kind: "cell", Weight: 0.20, Transient: true},
-					{Kind: "row", Weight: 0.20, BurstLen: 8, BurstGapNanos: 2e6},
-					{Kind: "column", Weight: 0.10, BurstLen: 4, BurstGapNanos: 5e6},
-					{Kind: "bank", Weight: 0.05},
-				},
-				SkewSigma: 1.8,
-			},
+			Spec:        fieldDDR4,
 		},
 		{
 			Name:        "high-altitude",
 			Description: "field-ddr4 composition at 4x particle flux (aircraft-altitude transient rates)",
-			Spec: faultmodel.Spec{
-				Modes: []faultmodel.Mode{
-					{Kind: "cell", Weight: 0.45},
-					{Kind: "cell", Weight: 0.20, Transient: true},
-					{Kind: "row", Weight: 0.20, BurstLen: 8, BurstGapNanos: 2e6},
-					{Kind: "column", Weight: 0.10, BurstLen: 4, BurstGapNanos: 5e6},
-					{Kind: "bank", Weight: 0.05},
-				},
-				SkewSigma: 1.8,
-				Flux:      4,
-			},
+			Spec:        highAltitude,
 		},
 		{
 			Name:        "skewed-dimms",
