@@ -39,6 +39,7 @@ staticcheck:
 
 bench:
 	$(GO) test -run=XXX -bench=BenchmarkRepeatedRuns -benchtime=300x .
+	$(GO) test -run=XXX -bench=BenchmarkColdExperiment -benchtime=5x .
 
 # Benchmark smoke (bench/README.md): every workload of the repository's
 # benchmark with its op list cut to a second or two and every output
@@ -78,13 +79,14 @@ faultmix-smoke:
 # Engine smoke (docs/MODEL.md "Engine internals"): the figure matrix
 # and raw run results byte-compared against the golden recorded from
 # the pre-rework engine paths before they were deleted, every figure
-# driver byte-identical at GOMAXPROCS 1, 2 and 8, one compiled program
-# run by many goroutines, and the calendar queue against the reference
+# driver byte-identical at GOMAXPROCS 1, 2 and 8, the rank-at-a-time
+# lowering against Compile(Expand(Generate)), one compiled program run
+# by many goroutines, and the calendar queue against the reference
 # heap, under the race detector. Regenerate the golden after an
 # intentional model change:
 #   go test -run TestEngineGolden ./internal/core/ -update-engine-golden
 engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap' ./internal/core/ ./internal/loggopsim/ ./internal/eventq/
+	$(GO) test -race -count=1 -run 'TestEngineGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap' ./internal/core/ ./internal/loggopsim/ ./internal/eventq/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -89,3 +89,33 @@ func BenchmarkRepeatedRuns(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkColdExperiment measures what a cache miss costs: per
+// iteration, one NewExperiment and one perturbed Run for each of a
+// handful of the benchmark's simulate_cold configurations (a faces and
+// a full stencil, the cube-constrained workload, a 4D grid, 128-512
+// nodes). Like BenchmarkRepeatedRuns it is for measuring while working;
+// claims come from `go run ./bench`.
+func BenchmarkColdExperiment(b *testing.B) {
+	configs := []core.ExperimentConfig{
+		{Workload: "minife", Nodes: 128, Iterations: 20, TraceSeed: 1},
+		{Workload: "hpcg", Nodes: 256, Iterations: 12, TraceSeed: 1},
+		{Workload: "lulesh", Nodes: 512, Iterations: 28, TraceSeed: 1},
+		{Workload: "milc", Nodes: 512, Iterations: 36, TraceSeed: 1},
+	}
+	sc := core.Scenario{
+		MTBCE: 200 * nsMs, PerEvent: noise.Fixed(775 * 1000), Target: noise.AllNodes, Seed: 1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range configs {
+			exp, err := core.NewExperiment(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := exp.Run(sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -103,68 +103,103 @@ func (e *expander) sendRecv(partner int32, sendSize, recvSize int64) {
 // Expand rewrites every collective in t into point-to-point operations
 // and returns the new trace. The input is not modified. It returns an
 // error if the trace is structurally invalid (mismatched collective
-// sequences across ranks, tags or request ids inside the reserved space).
+// sequences across ranks, tags or request ids inside the reserved
+// space). It is an Expander fed every rank in turn, each result copied
+// into a slice of exactly its length.
 func Expand(t *trace.Trace, cfg Config) (*trace.Trace, error) {
-	n := int32(t.NumRanks())
-	if n == 0 {
+	x, err := NewExpander(t.NumRanks(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := &trace.Trace{Name: t.Name, Ops: make([][]trace.Op, len(t.Ops))}
+	var scratch []trace.Op
+	for r, ops := range t.Ops {
+		if scratch, err = x.AppendRank(scratch[:0], r, ops); err != nil {
+			return nil, err
+		}
+		out.Ops[r] = make([]trace.Op, len(scratch))
+		copy(out.Ops[r], scratch)
+	}
+	return out, nil
+}
+
+// Expander expands the collectives of one trace a rank at a time, so
+// a caller that generates and consumes ranks one by one never holds
+// the whole trace in either form. Ranks must be fed in order from 0:
+// rank 0's collective sequence is kept and every later rank checked
+// against it. An Expander serves one trace and one goroutine.
+type Expander struct {
+	cfg  Config
+	n    int32
+	next int // the rank AppendRank must be given next
+	// first is rank 0's collective ops; seq is the current rank's,
+	// reused from rank to rank.
+	first, seq []trace.Op
+}
+
+// NewExpander returns an Expander for a trace of the given rank count.
+func NewExpander(ranks int, cfg Config) (*Expander, error) {
+	if ranks < 1 {
 		return nil, trace.ErrEmptyTrace
 	}
-	// Verify the reserved spaces are untouched and collective sequences
-	// agree. (Validate checks collective agreement too, but Expand is
-	// often called on generated traces without a separate Validate pass.)
-	for r, ops := range t.Ops {
-		for i, op := range ops {
+	return &Expander{cfg: cfg, n: int32(ranks)}, nil
+}
+
+// AppendRank appends rank r's ops to dst with every collective
+// replaced by its point-to-point schedule, and returns the extended
+// slice. ops is not modified. It fails if r is not the next rank in
+// order, if an op uses a tag or request id inside the reserved space,
+// or if the rank's collectives disagree with rank 0's; after a failure
+// the Expander is spent.
+func (x *Expander) AppendRank(dst []trace.Op, r int, ops []trace.Op) ([]trace.Op, error) {
+	if r != x.next {
+		return dst, fmt.Errorf("collectives: rank %d fed out of order, want rank %d", r, x.next)
+	}
+	if r >= int(x.n) {
+		return dst, fmt.Errorf("collectives: rank %d fed to an expander of %d ranks", r, x.n)
+	}
+	x.next++
+	e := expander{rank: int32(r), n: x.n, out: dst, req: ReqBase}
+	seq := x.seq[:0]
+	for i, op := range ops {
+		if !op.Kind.IsCollective() {
 			switch op.Kind {
 			case trace.OpSend, trace.OpRecv, trace.OpIsend, trace.OpIrecv:
 				if op.Tag >= TagBase {
-					return nil, fmt.Errorf("collectives: rank %d op %d uses reserved tag %d", r, i, op.Tag)
+					return dst, fmt.Errorf("collectives: rank %d op %d uses reserved tag %d", r, i, op.Tag)
 				}
 			}
 			switch op.Kind {
 			case trace.OpIsend, trace.OpIrecv, trace.OpWait:
 				if op.Req >= ReqBase {
-					return nil, fmt.Errorf("collectives: rank %d op %d uses reserved request id %d", r, i, op.Req)
+					return dst, fmt.Errorf("collectives: rank %d op %d uses reserved request id %d", r, i, op.Req)
 				}
+			}
+			e.emit(op)
+			continue
+		}
+		e.tag = TagBase + int32(len(seq))
+		seq = append(seq, op)
+		key, err := schedKeyFor(op, x.n, e.rank, x.cfg)
+		if err != nil {
+			return dst, err
+		}
+		e.splice(schedCache.getOrBuild(key, func() schedule { return buildCanonical(key) }))
+	}
+	if r == 0 {
+		x.first = append(x.first, seq...)
+	} else if len(seq) != len(x.first) {
+		return dst, fmt.Errorf("collectives: rank %d has %d collectives, rank 0 has %d", r, len(seq), len(x.first))
+	} else {
+		for i := range seq {
+			if seq[i].Kind != x.first[i].Kind || seq[i].Size != x.first[i].Size || seq[i].Peer != x.first[i].Peer {
+				return dst, fmt.Errorf("collectives: rank %d collective %d (%s) disagrees with rank 0 (%s)",
+					r, i, seq[i].Kind, x.first[i].Kind)
 			}
 		}
 	}
-
-	out := &trace.Trace{Name: t.Name, Ops: make([][]trace.Op, n)}
-	var firstSeq []trace.Op // collective ops of rank 0, to check agreement
-	for r := int32(0); r < n; r++ {
-		e := &expander{rank: r, n: n, req: ReqBase}
-		var seq []trace.Op
-		instance := int32(0)
-		for _, op := range t.Ops[r] {
-			if !op.Kind.IsCollective() {
-				e.emit(op)
-				continue
-			}
-			seq = append(seq, op)
-			e.tag = TagBase + instance
-			instance++
-			key, err := schedKeyFor(op, n, r, cfg)
-			if err != nil {
-				return nil, err
-			}
-			sch := schedCache.getOrBuild(key, func() schedule { return buildCanonical(key) })
-			e.splice(sch)
-		}
-		if r == 0 {
-			firstSeq = seq
-		} else if len(seq) != len(firstSeq) {
-			return nil, fmt.Errorf("collectives: rank %d has %d collectives, rank 0 has %d", r, len(seq), len(firstSeq))
-		} else {
-			for i := range seq {
-				if seq[i].Kind != firstSeq[i].Kind || seq[i].Size != firstSeq[i].Size || seq[i].Peer != firstSeq[i].Peer {
-					return nil, fmt.Errorf("collectives: rank %d collective %d (%s) disagrees with rank 0 (%s)",
-						r, i, seq[i].Kind, firstSeq[i].Kind)
-				}
-			}
-		}
-		out.Ops[r] = e.out
-	}
-	return out, nil
+	x.seq = seq
+	return e.out, nil
 }
 
 // dissemination emits the dissemination pattern: ceil(log2 n) rounds,

@@ -23,6 +23,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/noise"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -73,10 +74,12 @@ type Experiment struct {
 	idle []*loggopsim.Simulator
 }
 
-// NewExperiment generates the trace, expands collectives, compiles the
-// result and simulates the noise-free baseline. The expanded trace is
-// released once compiled; the baseline's run state is the first one on
-// the idle list.
+// NewExperiment lowers the workload into a compiled program one rank
+// at a time — generate rank r's ops, expand its collectives, compile —
+// through two scratch buffers a rank long, so neither the generated nor
+// the expanded trace ever exists whole and only the program is kept.
+// It then simulates the noise-free baseline, whose run state is the
+// first one on the idle list.
 func NewExperiment(cfg ExperimentConfig) (*Experiment, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("core: need at least 2 nodes, got %d", cfg.Nodes)
@@ -86,15 +89,33 @@ func NewExperiment(cfg ExperimentConfig) (*Experiment, error) {
 	}
 	cfg = cfg.Canonical()
 	ranks := tracegen.PreferredRanks(cfg.Workload, cfg.Nodes)
-	tr, err := tracegen.Generate(cfg.Workload, ranks, cfg.Iterations, cfg.TraceSeed)
+	spec, err := tracegen.Lookup(cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
-	ex, err := collectives.Expand(tr, cfg.Collectives)
+	plan, err := tracegen.NewPlan(spec, ranks, cfg.Iterations, cfg.TraceSeed)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := loggopsim.Compile(ex, loggopsim.Config{Net: cfg.Net, Profile: true})
+	expander, err := collectives.NewExpander(ranks, cfg.Collectives)
+	if err != nil {
+		return nil, err
+	}
+	builder, err := loggopsim.NewBuilder(ranks, loggopsim.Config{Net: cfg.Net, Profile: true})
+	if err != nil {
+		return nil, fmt.Errorf("core: baseline simulation: %w", err)
+	}
+	var generated, expanded []trace.Op
+	for r := 0; r < ranks; r++ {
+		generated = plan.AppendRank(generated[:0], r)
+		if expanded, err = expander.AppendRank(expanded[:0], r, generated); err != nil {
+			return nil, err
+		}
+		if err := builder.AddRank(r, expanded); err != nil {
+			return nil, fmt.Errorf("core: baseline simulation: %w", err)
+		}
+	}
+	prog, err := builder.Program()
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline simulation: %w", err)
 	}
@@ -115,12 +136,20 @@ func (e *Experiment) Baseline() *loggopsim.Result { return e.baseline }
 // Config returns the experiment configuration.
 func (e *Experiment) Config() ExperimentConfig { return e.cfg }
 
-// SizeBytes is what the experiment keeps resident: the compiled
-// program and the baseline's per-rank results (finish time and the
-// three profile components). Idle run states are bounded (see
-// releaseSim) and not counted.
+// SizeBytes is what the experiment keeps resident when it is asked: the
+// compiled program, the baseline's per-rank results (finish time and
+// the three profile components) and the run states on the idle list —
+// for an experiment nothing is running on yet, as when simcache prices
+// it, the baseline's. Run states taken later by concurrent repetitions
+// are bounded (see releaseSim) and not part of that price.
 func (e *Experiment) SizeBytes() int64 {
-	return e.prog.SizeBytes() + int64(e.ranks)*4*8
+	size := e.prog.SizeBytes() + int64(e.ranks)*4*8
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, sim := range e.idle {
+		size += sim.SizeBytes()
+	}
+	return size
 }
 
 // Scenario describes one CE-injection configuration.

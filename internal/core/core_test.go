@@ -232,8 +232,10 @@ func TestCanonicalResolvesNetDefault(t *testing.T) {
 	}
 }
 
-// TestSizeBytesTracksProgram: what simcache charges an entry follows
-// the compiled program, which grows with the iteration count.
+// TestSizeBytesTracksProgram: the size follows the program (twice the
+// iterations, roughly twice the bytes) and includes the idle run state
+// — what a cached experiment really holds; taking the run state off
+// the idle list takes exactly its bytes off the size.
 func TestSizeBytesTracksProgram(t *testing.T) {
 	sizes := make([]int64, 0, 2)
 	for _, iters := range []int{3, 6} {
@@ -241,7 +243,18 @@ func TestSizeBytesTracksProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, e.SizeBytes())
+		size := e.SizeBytes()
+		sizes = append(sizes, size)
+		sim := e.acquireSim()
+		results := int64(e.Ranks()) * 4 * 8
+		if sim.SizeBytes() <= 0 || size != e.prog.SizeBytes()+results+sim.SizeBytes() {
+			t.Fatalf("SizeBytes %d, want program %d + results %d + idle run state %d",
+				size, e.prog.SizeBytes(), results, sim.SizeBytes())
+		}
+		if busy := e.SizeBytes(); busy != size-sim.SizeBytes() {
+			t.Fatalf("SizeBytes %d with the run state taken, want %d", busy, size-sim.SizeBytes())
+		}
+		e.releaseSim(sim)
 	}
 	if sizes[0] <= 0 || sizes[1] < sizes[0]*3/2 {
 		t.Fatalf("SizeBytes %d at 3 iterations, %d at 6: want roughly double", sizes[0], sizes[1])

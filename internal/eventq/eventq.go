@@ -27,6 +27,8 @@
 // heap as the reference and compare pop sequences against it.
 package eventq
 
+import "unsafe"
+
 // Event is the unit of work scheduled in simulated time. Payload fields
 // are deliberately untyped integers so the queue does not allocate per
 // event; the simulator packs whatever it needs into them. The struct is
@@ -78,6 +80,7 @@ type Queue struct {
 	ti    int
 
 	scratch []Event // resize spill buffer, zeroed after use
+	slab    int     // slots in the slab the last resize carved the ring from
 }
 
 // New returns a queue with capacity preallocated for n events.
@@ -336,6 +339,7 @@ func (q *Queue) resize() {
 	// its window moves to an allocation of its own, leaving the window
 	// unused for the ring's lifetime.
 	slab := make([]Event, nb*slabPerBucket)
+	q.slab = len(slab)
 	q.buckets = make([][]Event, nb)
 	for i := range q.buckets {
 		lo := i * slabPerBucket
@@ -352,6 +356,20 @@ func (q *Queue) resize() {
 	}
 	q.scratch = events[:0]
 	q.stage(lo >> logW)
+}
+
+// SizeBytes is the memory the queue holds on to — capacities, not
+// lengths: the ring's bucket headers and slab, every bucket that
+// outgrew its window of the slab (the window stays allocated), the
+// agenda and the resize spill buffer.
+func (q *Queue) SizeBytes() int64 {
+	slots := q.slab + cap(q.today) + cap(q.scratch)
+	for _, b := range q.buckets {
+		if q.slab == 0 || cap(b) > slabPerBucket {
+			slots += cap(b)
+		}
+	}
+	return int64(slots)*int64(unsafe.Sizeof(Event{})) + int64(len(q.buckets))*int64(unsafe.Sizeof([]Event(nil)))
 }
 
 // Reset discards all pending events but keeps the allocated ring and

@@ -96,3 +96,34 @@ func TestResizeCarvesBucketsFromOneSlab(t *testing.T) {
 	q.Reset()
 	checkNoRetention(t, q, "slab ring, after reset")
 }
+
+// TestSizeBytesCountsCapacities: the size is what the queue holds, not
+// what is pending — the slab once per ring, an overflowed bucket's own
+// allocation on top of it — and Reset gives none of it back.
+func TestSizeBytesCountsCapacities(t *testing.T) {
+	const evBytes = 40
+	q := New(0)
+	empty := q.SizeBytes()
+	for i := 0; i < 4*minBuckets; i++ {
+		q.Push(Event{Time: int64(i) << 20})
+	}
+	nb := int64(len(q.buckets))
+	sparse := q.SizeBytes()
+	if min := nb * (slabPerBucket*evBytes + 24); sparse < min || sparse <= empty {
+		t.Fatalf("slab ring of %d buckets: %d bytes, want at least %d (empty %d)", nb, sparse, min, empty)
+	}
+	// Pile one future day past its window: the bucket moves to its own
+	// allocation and the size grows by at least that.
+	far := int64(3*minBuckets) << 20
+	for i := 0; i < 4*slabPerBucket; i++ {
+		q.Push(Event{Time: far})
+	}
+	piled := q.SizeBytes()
+	if piled < sparse+4*slabPerBucket*evBytes {
+		t.Fatalf("after overflowing a bucket: %d bytes, want at least %d", piled, sparse+4*slabPerBucket*evBytes)
+	}
+	q.Reset()
+	if got := q.SizeBytes(); got != piled {
+		t.Fatalf("Reset changed the held size: %d -> %d", piled, got)
+	}
+}

@@ -48,6 +48,7 @@ package loggopsim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/eventq"
 	"repro/internal/netmodel"
@@ -218,22 +219,60 @@ type rankProf struct {
 }
 
 // NewSimulator allocates the state for one run of the program at a
-// time. The event queue is private to this program's runs: the ring
-// geometry it learns fits this program's event population and nothing
-// else's.
+// time, at the sizes the program counted while it was lowered: msgs
+// never grows, and each rank's slot table and posted list are windows
+// of one slab, as long as the rank's high-water mark (a trace whose
+// Waits name no outstanding request can exceed it; the window's
+// capacity stops at its end, so such a rank moves to an allocation of
+// its own). The event queue is private to this program's runs: the
+// ring geometry it learns fits this program's event population and
+// nothing else's.
 func (p *Program) NewSimulator() *Simulator {
 	n := p.Ranks()
 	s := &Simulator{
 		p:         p,
 		nic:       make([]int64, p.nodes),
 		ranks:     make([]rankState, n),
+		msgs:      make([]rdvMsg, 0, p.rdvSends),
 		q:         eventq.New(1024),
 		nextNoise: make([]int64, n),
+	}
+	total := 0
+	for _, k := range p.slots {
+		total += int(k)
+	}
+	slots, posted := make([]slot, total), make([]postedEnt, total)
+	lo := 0
+	for r, k := range p.slots {
+		hi := lo + int(k)
+		s.ranks[r].slots = slots[lo:lo:hi]
+		s.ranks[r].posted = posted[lo:lo:hi]
+		lo = hi
 	}
 	if p.cfg.Profile {
 		s.profRank = make([]rankProf, n)
 	}
 	return s
+}
+
+// SizeBytes is the memory the run state holds on to between runs —
+// capacities, not lengths, since reset keeps every one: the event
+// queue, the per-rank state with each rank's slot, posted and
+// unexpected tables, the rendezvous messages, and the NIC, noise and
+// profile arrays.
+func (s *Simulator) SizeBytes() int64 {
+	size := s.q.SizeBytes() +
+		int64(cap(s.ranks))*int64(unsafe.Sizeof(rankState{})) +
+		int64(cap(s.msgs))*int64(unsafe.Sizeof(rdvMsg{})) +
+		int64(cap(s.nic)+cap(s.nextNoise))*8 +
+		int64(cap(s.profRank))*int64(unsafe.Sizeof(rankProf{}))
+	for r := range s.ranks {
+		st := &s.ranks[r]
+		size += int64(cap(st.slots))*int64(unsafe.Sizeof(slot{})) +
+			int64(cap(st.posted))*int64(unsafe.Sizeof(postedEnt{})) +
+			int64(cap(st.unexpected))*int64(unsafe.Sizeof(unexp{}))
+	}
+	return size
 }
 
 // NewSimulator compiles the trace (see Compile) and returns a

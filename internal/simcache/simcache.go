@@ -42,14 +42,17 @@ func Key(cfg core.ExperimentConfig) string {
 const entryOverheadBytes = 4096
 
 // Cost is the resident size of a cached experiment in bytes: what the
-// experiment itself reports holding (its compiled program and baseline)
-// plus the fixed overhead.
+// experiment itself reports holding (its compiled program, its baseline
+// and the baseline's idle run state) plus the fixed overhead.
 func Cost(exp *core.Experiment) int64 {
 	return exp.SizeBytes() + entryOverheadBytes
 }
 
 // DefaultCapBytes bounds the cache when New is given a non-positive
-// capacity: 256 MiB, roughly 50 mid-size (512-node) baselines.
+// capacity: 256 MiB. Measured over the benchmark's cold configurations
+// (12-44 iterations, docs/MODEL.md §7) that is about five 512-node
+// baselines (36 MiB of program and 13 MiB of run state each, on
+// average) or about twenty-four 128-node ones (10.5 MiB each).
 const DefaultCapBytes = 256 << 20
 
 // Stats is a point-in-time snapshot of cache effectiveness.

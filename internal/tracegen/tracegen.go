@@ -34,7 +34,9 @@
 package tracegen
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -192,64 +194,97 @@ func Generate(name string, ranks, iterations int, seed uint64) (*trace.Trace, er
 }
 
 // FromSpec builds a trace from an explicit skeleton, for ablations and
-// custom workloads.
+// custom workloads: every rank of the skeleton's Plan, each in a slice
+// of exactly its length.
 func FromSpec(spec Spec, ranks, iterations int, seed uint64) (*trace.Trace, error) {
+	p, err := NewPlan(spec, ranks, iterations, seed)
+	if err != nil {
+		return nil, err
+	}
+	tr := &trace.Trace{Name: spec.Name, Ops: make([][]trace.Op, ranks)}
+	var scratch []trace.Op
+	for r := range tr.Ops {
+		scratch = p.AppendRank(scratch[:0], r)
+		tr.Ops[r] = make([]trace.Op, len(scratch))
+		copy(tr.Ops[r], scratch)
+	}
+	return tr, nil
+}
+
+// Plan is a skeleton validated at one scale: the process grid is
+// factored and the arguments checked, so any rank's ops can be
+// generated on their own, in any order, without the rest of the trace
+// existing. A Plan is immutable and safe for concurrent use.
+type Plan struct {
+	spec       Spec
+	ranks      int
+	iterations int
+	seed       uint64
+	grid       grid
+}
+
+// NewPlan validates the skeleton at the given scale.
+func NewPlan(spec Spec, ranks, iterations int, seed uint64) (*Plan, error) {
 	if ranks < 2 {
 		return nil, fmt.Errorf("tracegen: need at least 2 ranks, got %d", ranks)
 	}
 	if iterations < 1 {
 		return nil, fmt.Errorf("tracegen: need at least 1 iteration, got %d", iterations)
 	}
-	if spec.Dims < 1 || spec.Dims > 4 {
-		return nil, fmt.Errorf("tracegen: dims must be 1..4, got %d", spec.Dims)
+	if spec.Dims < 1 || spec.Dims > maxDims {
+		return nil, fmt.Errorf("tracegen: dims must be 1..%d, got %d", maxDims, spec.Dims)
 	}
 	dims, err := gridDims(ranks, spec.Dims, spec.CubeOnly)
 	if err != nil {
 		return nil, fmt.Errorf("tracegen: %s: %w", spec.Name, err)
 	}
-	grid := newGrid(dims)
+	return &Plan{spec: spec, ranks: ranks, iterations: iterations, seed: seed, grid: newGrid(dims)}, nil
+}
 
-	tr := &trace.Trace{Name: spec.Name, Ops: make([][]trace.Op, ranks)}
-	for r := 0; r < ranks; r++ {
-		src := rng.NewStream(seed, uint64(r))
-		neighbors := grid.neighbors(int32(r), spec.Stencil)
-		ops := make([]trace.Op, 0, iterations*(len(neighbors)*2+6))
-		if spec.BcastSetup > 0 {
-			ops = append(ops, trace.Bcast(0, spec.BcastSetup))
-		}
-		for it := 0; it < iterations; it++ {
-			// Split the compute grain across the communication phases:
-			// one leading chunk plus one per dot product.
-			phases := 1 + spec.DotsPerIter
-			grain := jitter(src, spec.ComputeNs, spec.ComputeJitter) / int64(phases)
-			ops = append(ops, trace.Calc(grain))
-			// Halo exchange: post all receives, then all sends, then
-			// wait for everything — the standard nonblocking pattern.
-			req := int32(0)
-			for _, nb := range neighbors {
-				ops = append(ops, trace.Irecv(nb.rank, nb.bytes(spec.HaloBytes), 0, req))
-				req++
-			}
-			for _, nb := range neighbors {
-				ops = append(ops, trace.Isend(nb.rank, nb.bytes(spec.HaloBytes), 0, req))
-				req++
-			}
-			ops = append(ops, trace.WaitAll())
-			// CG-style dot products: compute phase then a small
-			// allreduce, repeated.
-			for d := 0; d < spec.DotsPerIter; d++ {
-				ops = append(ops, trace.Calc(grain))
-				ops = append(ops, trace.Allreduce(spec.AllreduceBytes))
-			}
-			// Control allreduce (dt, thermo, residual) every k-th
-			// iteration.
-			if spec.AllreduceEvery > 0 && (it+1)%spec.AllreduceEvery == 0 {
-				ops = append(ops, trace.Allreduce(spec.AllreduceBytes))
-			}
-		}
-		tr.Ops[r] = ops
+// AppendRank appends the ops of rank r, one of the plan's ranks, to dst
+// and returns the extended slice. The ops depend only on the plan and r.
+func (p *Plan) AppendRank(dst []trace.Op, r int) []trace.Op {
+	if r < 0 || r >= p.ranks {
+		panic(fmt.Sprintf("tracegen: rank %d outside plan of %d ranks", r, p.ranks))
 	}
-	return tr, nil
+	spec := &p.spec
+	src := rng.NewStream(p.seed, uint64(r))
+	var nbuf [maxNeighbors]neighbor
+	neighbors := p.grid.neighbors(nbuf[:], int32(r), spec.Stencil)
+	if spec.BcastSetup > 0 {
+		dst = append(dst, trace.Bcast(0, spec.BcastSetup))
+	}
+	for it := 0; it < p.iterations; it++ {
+		// Split the compute grain across the communication phases:
+		// one leading chunk plus one per dot product.
+		phases := 1 + spec.DotsPerIter
+		grain := jitter(src, spec.ComputeNs, spec.ComputeJitter) / int64(phases)
+		dst = append(dst, trace.Calc(grain))
+		// Halo exchange: post all receives, then all sends, then
+		// wait for everything — the standard nonblocking pattern.
+		req := int32(0)
+		for _, nb := range neighbors {
+			dst = append(dst, trace.Irecv(nb.rank, nb.bytes(spec.HaloBytes), 0, req))
+			req++
+		}
+		for _, nb := range neighbors {
+			dst = append(dst, trace.Isend(nb.rank, nb.bytes(spec.HaloBytes), 0, req))
+			req++
+		}
+		dst = append(dst, trace.WaitAll())
+		// CG-style dot products: compute phase then a small
+		// allreduce, repeated.
+		for d := 0; d < spec.DotsPerIter; d++ {
+			dst = append(dst, trace.Calc(grain))
+			dst = append(dst, trace.Allreduce(spec.AllreduceBytes))
+		}
+		// Control allreduce (dt, thermo, residual) every k-th
+		// iteration.
+		if spec.AllreduceEvery > 0 && (it+1)%spec.AllreduceEvery == 0 {
+			dst = append(dst, trace.Allreduce(spec.AllreduceBytes))
+		}
+	}
+	return dst
 }
 
 // jitter perturbs a base duration by +/- frac, deterministically.
@@ -308,35 +343,49 @@ func primeFactors(n int) []int {
 	return out
 }
 
-// grid is a periodic Cartesian process grid.
+// maxDims bounds the process grid's dimensionality, so coordinates are
+// fixed-size values; maxNeighbors is the full stencil's partner count
+// at that bound.
+const (
+	maxDims      = 4
+	maxNeighbors = 3*3*3*3 - 1
+)
+
+// coord is a grid coordinate or offset; entries past the grid's
+// dimensionality are zero.
+type coord [maxDims]int
+
+// grid is a periodic Cartesian process grid of n dimensions.
 type grid struct {
-	dims    []int
-	strides []int
+	n       int
+	dims    coord
+	strides coord
 }
 
-func newGrid(dims []int) *grid {
-	g := &grid{dims: dims, strides: make([]int, len(dims))}
+func newGrid(dims []int) grid {
+	g := grid{n: len(dims)}
 	s := 1
 	for i := len(dims) - 1; i >= 0; i-- {
+		g.dims[i] = dims[i]
 		g.strides[i] = s
 		s *= dims[i]
 	}
 	return g
 }
 
-func (g *grid) coords(rank int32) []int {
-	c := make([]int, len(g.dims))
+func (g *grid) coords(rank int32) coord {
+	var c coord
 	r := int(rank)
-	for i := range g.dims {
+	for i := 0; i < g.n; i++ {
 		c[i] = r / g.strides[i]
 		r %= g.strides[i]
 	}
 	return c
 }
 
-func (g *grid) rank(c []int) int32 {
+func (g *grid) rank(c coord) int32 {
 	r := 0
-	for i := range g.dims {
+	for i := 0; i < g.n; i++ {
 		r += ((c[i]%g.dims[i] + g.dims[i]) % g.dims[i]) * g.strides[i]
 	}
 	return int32(r)
@@ -359,63 +408,70 @@ func (n neighbor) bytes(faceBytes int64) int64 {
 	return b
 }
 
-// neighbors returns the halo partners of a rank, deduplicated (wrapped
-// dimensions of extent 1 or 2 can alias) and sorted by rank for
-// determinism. Self-aliases are dropped.
-func (g *grid) neighbors(rank int32, st Stencil) []neighbor {
+// neighbors writes the halo partners of a rank into buf's storage and
+// returns them, deduplicated (wrapped dimensions of extent 1 or 2 can
+// alias; the lowest class wins) and sorted by rank for determinism.
+// Self-aliases are dropped.
+func (g *grid) neighbors(buf []neighbor, rank int32, st Stencil) []neighbor {
+	dst := buf[:0]
 	c := g.coords(rank)
-	seen := map[int32]neighbor{}
-	add := func(off []int) {
-		cls := -1
-		for _, o := range off {
-			if o != 0 {
-				cls++
-			}
-		}
-		if cls < 0 {
-			return // zero offset
-		}
-		nc := make([]int, len(c))
-		for i := range c {
-			nc[i] = c[i] + off[i]
-		}
-		nr := g.rank(nc)
-		if nr == rank {
-			return
-		}
-		if old, ok := seen[nr]; !ok || cls < old.class {
-			seen[nr] = neighbor{rank: nr, class: cls}
-		}
-	}
+	var off coord
 	switch st {
 	case Faces:
-		for i := range g.dims {
-			off := make([]int, len(g.dims))
+		for i := 0; i < g.n; i++ {
 			off[i] = 1
-			add(off)
+			dst = g.addNeighbor(dst, rank, c, off)
 			off[i] = -1
-			add(off)
-		}
-	case Full:
-		off := make([]int, len(g.dims))
-		var walk func(i int)
-		walk = func(i int) {
-			if i == len(off) {
-				add(append([]int(nil), off...))
-				return
-			}
-			for _, o := range []int{-1, 0, 1} {
-				off[i] = o
-				walk(i + 1)
-			}
+			dst = g.addNeighbor(dst, rank, c, off)
 			off[i] = 0
 		}
-		walk(0)
+	case Full:
+		// Odometer over {-1,0,1}^n.
+		for i := 0; i < g.n; i++ {
+			off[i] = -1
+		}
+		for more := true; more; {
+			dst = g.addNeighbor(dst, rank, c, off)
+			more = false
+			for i := g.n - 1; i >= 0 && !more; i-- {
+				if off[i] < 1 {
+					off[i]++
+					more = true
+				} else {
+					off[i] = -1
+				}
+			}
+		}
 	}
-	out := make([]neighbor, 0, len(seen))
-	for _, nb := range seen {
-		out = append(out, nb)
+	slices.SortFunc(dst, func(a, b neighbor) int { return cmp.Compare(a.rank, b.rank) })
+	return dst
+}
+
+// addNeighbor adds the rank at offset off from c to dst, unless the
+// offset is zero or wraps onto rank itself; a rank already listed keeps
+// its lower class.
+func (g *grid) addNeighbor(dst []neighbor, rank int32, c, off coord) []neighbor {
+	cls := -1
+	for i := 0; i < g.n; i++ {
+		if off[i] != 0 {
+			cls++
+		}
+		c[i] += off[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].rank < out[j].rank })
-	return out
+	if cls < 0 {
+		return dst
+	}
+	nr := g.rank(c)
+	if nr == rank {
+		return dst
+	}
+	for i := range dst {
+		if dst[i].rank == nr {
+			if cls < dst[i].class {
+				dst[i].class = cls
+			}
+			return dst
+		}
+	}
+	return append(dst, neighbor{rank: nr, class: cls})
 }

@@ -166,15 +166,15 @@ func countKind(ops []trace.Op, k trace.OpKind) int {
 func TestStencilNeighborCounts(t *testing.T) {
 	// On a 4x4x4 grid, faces = 6 neighbours, full = 26.
 	g := newGrid([]int{4, 4, 4})
-	if got := len(g.neighbors(0, Faces)); got != 6 {
+	if got := len(g.neighbors(nil, 0, Faces)); got != 6 {
 		t.Fatalf("3D faces = %d, want 6", got)
 	}
-	if got := len(g.neighbors(0, Full)); got != 26 {
+	if got := len(g.neighbors(nil, 0, Full)); got != 26 {
 		t.Fatalf("3D full = %d, want 26", got)
 	}
 	// 4D faces = 8 (MILC).
 	g4 := newGrid([]int{2, 2, 2, 2})
-	if got := len(g4.neighbors(0, Faces)); got > 8 {
+	if got := len(g4.neighbors(nil, 0, Faces)); got > 8 {
 		t.Fatalf("4D faces = %d, want <= 8", got)
 	}
 }
@@ -182,9 +182,9 @@ func TestStencilNeighborCounts(t *testing.T) {
 func TestNeighborSymmetry(t *testing.T) {
 	g := newGrid([]int{3, 4, 5})
 	for r := int32(0); r < 60; r++ {
-		for _, nb := range g.neighbors(r, Full) {
+		for _, nb := range g.neighbors(nil, r, Full) {
 			found := false
-			for _, back := range g.neighbors(nb.rank, Full) {
+			for _, back := range g.neighbors(nil, nb.rank, Full) {
 				if back.rank == r {
 					found = true
 					break
