@@ -28,10 +28,11 @@
 package advise
 
 import (
-	"container/list"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
+
+	"repro/internal/memo"
 )
 
 // Event is one correctable-error observation on the wire: a single
@@ -138,75 +139,41 @@ type Service struct {
 	cfg   Config
 	store *Store
 
-	mu       sync.Mutex
-	cache    map[string]*list.Element
-	order    *list.List // LRU: front = most recent
-	hits     uint64
-	misses   uint64
-	bypasses uint64
-	rejects  uint64
-}
-
-// cacheEntry is one cached policy evaluation.
-type cacheEntry struct {
-	key string
-	rec *Recommendation
+	// cache holds policy evaluations by cacheKey: an internal/memo LRU
+	// of CacheEntries entries at unit cost, nil when caching is
+	// disabled. Its hit counter is the advisor's.
+	cache    *memo.Cache[string, *Recommendation]
+	misses   atomic.Uint64
+	bypasses atomic.Uint64
+	rejects  atomic.Uint64
 }
 
 // NewService builds the advisor.
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	return &Service{
-		cfg:   cfg,
-		store: NewStore(cfg.Store),
-		cache: map[string]*list.Element{},
-		order: list.New(),
+	s := &Service{cfg: cfg, store: NewStore(cfg.Store)}
+	if cfg.CacheEntries > 0 {
+		s.cache = memo.New[string, *Recommendation](int64(cfg.CacheEntries), nil)
 	}
+	return s
 }
 
 // Store exposes the estimator state (tests and cluster tooling).
 func (s *Service) Store() *Store { return s.store }
 
-// cacheGet returns a cached policy evaluation. ok is only ever true
-// when caching is enabled.
-func (s *Service) cacheGet(key string) (*Recommendation, bool) {
-	if s.cfg.CacheEntries < 0 {
-		s.mu.Lock()
-		s.bypasses++
-		s.mu.Unlock()
-		return nil, false
+// cacheGet looks up a cached policy evaluation and reports the lookup's
+// outcome, counting it: "hit" (the only one with a non-nil result),
+// "miss", or "bypass" when caching is disabled.
+func (s *Service) cacheGet(key string) (*Recommendation, string) {
+	if s.cache == nil {
+		s.bypasses.Add(1)
+		return nil, "bypass"
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.cache[key]
-	if !ok {
-		s.misses++
-		return nil, false
+	if rec, ok := s.cache.Get(key); ok {
+		return rec, "hit"
 	}
-	s.hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).rec, true
-}
-
-// cachePut stores a policy evaluation, evicting the least recently
-// used entry past the bound.
-func (s *Service) cachePut(key string, rec *Recommendation) {
-	if s.cfg.CacheEntries < 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.cache[key]; ok {
-		el.Value.(*cacheEntry).rec = rec
-		s.order.MoveToFront(el)
-		return
-	}
-	s.cache[key] = s.order.PushFront(&cacheEntry{key: key, rec: rec})
-	for len(s.cache) > s.cfg.CacheEntries {
-		el := s.order.Back()
-		s.order.Remove(el)
-		delete(s.cache, el.Value.(*cacheEntry).key)
-	}
+	s.misses.Add(1)
+	return nil, "miss"
 }
 
 // Stats is the advisor's /metrics section.
@@ -226,21 +193,17 @@ type Stats struct {
 
 // Stats snapshots the advisor counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
 	st := Stats{
-		CacheEntries:      len(s.cache),
-		RecommendHits:     s.hits,
-		RecommendMisses:   s.misses,
-		RecommendBypasses: s.bypasses,
-		IngestRejects:     s.rejects,
+		Store:             s.store.Stats(),
+		RecommendMisses:   s.misses.Load(),
+		RecommendBypasses: s.bypasses.Load(),
+		IngestRejects:     s.rejects.Load(),
 	}
-	s.mu.Unlock()
-	st.Store = s.store.Stats()
+	if s.cache != nil {
+		c := s.cache.Stats()
+		st.CacheEntries, st.RecommendHits = c.Entries, c.Hits
+	}
 	return st
 }
 
-func (s *Service) reject() {
-	s.mu.Lock()
-	s.rejects++
-	s.mu.Unlock()
-}
+func (s *Service) reject() { s.rejects.Add(1) }

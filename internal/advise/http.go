@@ -217,19 +217,14 @@ func (s *Service) Recommend(tenant, node string, in Inputs) (*Recommendation, st
 	in.FaultConfidence = math.Round(cls.Confidence*1000) / 1000
 
 	key := cacheKey(in)
-	outcome := "bypass"
-	rec, hit := s.cacheGet(key)
-	if hit {
-		outcome = "hit"
-	} else {
+	rec, outcome := s.cacheGet(key)
+	if rec == nil {
 		var err error
-		rec, err = Advise(in)
-		if err != nil {
+		if rec, err = Advise(in); err != nil {
 			return nil, "", err
 		}
-		if s.cfg.CacheEntries >= 0 {
-			outcome = "miss"
-			s.cachePut(key, rec)
+		if s.cache != nil {
+			s.cache.Add(key, rec)
 		}
 	}
 

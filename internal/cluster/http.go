@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/server"
 )
 
@@ -145,9 +146,20 @@ func errStatus(err error) int {
 	}
 }
 
+// maxBodyBytes bounds a protocol request body. The largest legitimate
+// one is a report carrying a cell fragment, and the coordinator journals
+// that fragment as one WAL record: a report too large for a record is
+// already undurable, so it is refused at the door.
+const maxBodyBytes = journal.MaxRecordBytes
+
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, err)
 		return false
 	}
 	return true

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -411,6 +412,56 @@ func TestRequestIDsFlowThroughCluster(t *testing.T) {
 	// middleware echoed, proving propagation without extra plumbing.
 	if !errorContains(err, "sweep-rid-9") {
 		t.Fatalf("error lost the request id: %v", err)
+	}
+}
+
+// TestOversizedReportRefused: a protocol body larger than a WAL record
+// could hold is refused at the door with a 4xx that carries the request
+// id, and changes nothing — the shard stays leased to its worker, whose
+// normal-sized fragment then round-trips and completes the sweep.
+func TestOversizedReportRefused(t *testing.T) {
+	coord, ts := startCoordinator(t, Config{})
+	ctx := server.WithRequestID(context.Background(), "big-report-7")
+	var reg registerResponse
+	if err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/register", registerRequest{Addr: "host1:0"}, &reg); err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := coord.CreateSweep(oneCellSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lease leaseResponse
+	if err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/lease", leaseRequest{WorkerID: reg.WorkerID, Epoch: reg.Epoch}, &lease); err != nil || lease.Grant == nil {
+		t.Fatalf("lease: %v, %+v", err, lease)
+	}
+	report := func(frag *core.Figure) error {
+		var buf bytes.Buffer
+		if err := frag.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return postJSON(ctx, ts.Client(), ts.URL+"/cluster/report", reportRequest{
+			WorkerID: reg.WorkerID, Epoch: reg.Epoch, SweepID: id, Key: lease.Grant.Key,
+			Figure: buf.Bytes(),
+		}, nil)
+	}
+
+	big := fragment(lease.Grant.Cell)
+	big.Title = strings.Repeat("x", maxBodyBytes)
+	err = report(big)
+	if !errorContains(err, "http 413") || !errorContains(err, "big-report-7") {
+		t.Fatalf("oversized report: %v, want http 413 carrying the request id", err)
+	}
+	st := coord.StatusSnapshot()
+	if len(st.Leases) != 1 || st.Leases[0].Worker != reg.WorkerID || st.Leases[0].Key != lease.Grant.Key {
+		t.Fatalf("shard not left leased after the refused report: %+v", st.Leases)
+	}
+
+	if err := report(fragment(lease.Grant.Cell)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Sweep(id)
+	if err != nil || res.State != "done" || res.Figures["4"] == nil || res.Figures["4"].Rows[0].MeanPct != 1.5 {
+		t.Fatalf("sweep after the normal report: %+v, %v", res, err)
 	}
 }
 

@@ -20,6 +20,7 @@
 package collectives
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/trace"
@@ -184,7 +185,15 @@ func (x *Expander) AppendRank(dst []trace.Op, r int, ops []trace.Op) ([]trace.Op
 		if err != nil {
 			return dst, err
 		}
-		e.splice(schedCache.getOrBuild(key, func() schedule { return buildCanonical(key) }))
+		// The builder cannot fail; the only error is a concurrent build of
+		// the same key that panicked (memo.ErrBuildAborted).
+		sch, _, err := schedCache.GetOrBuild(context.Background(), key, func() (schedule, error) {
+			return buildCanonical(key), nil
+		})
+		if err != nil {
+			return dst, fmt.Errorf("collectives: schedule for rank %d %s: %w", r, op.Kind, err)
+		}
+		e.splice(sch)
 	}
 	if r == 0 {
 		x.first = append(x.first, seq...)

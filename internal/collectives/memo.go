@@ -4,9 +4,8 @@
 // instance being expanded. The expansion drivers — repeated experiments,
 // sweep workers, the serving daemon — expand the same handful of
 // collectives over and over (every iteration of every trace, every
-// fresh Simulate), so the schedules are memoized process-wide in a
-// size-bounded LRU with in-flight coalescing, mirroring the shape of
-// internal/simcache.
+// fresh Simulate), so the schedules are memoized process-wide in an
+// internal/memo cache: byte-bounded LRU, one build per absent key.
 //
 // Entries are stored in canonical form: tag 0 and request ids counted
 // from 0. Splicing an entry into a trace rebases tags and request ids
@@ -17,10 +16,9 @@
 package collectives
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
 
+	"repro/internal/memo"
 	"repro/internal/trace"
 )
 
@@ -44,13 +42,6 @@ type schedule struct {
 	reqs int32
 }
 
-// schedFlight is one in-progress canonical build, shared by every
-// waiter for its key.
-type schedFlight struct {
-	done chan struct{}
-	sch  schedule
-}
-
 // schedOpBytes approximates the resident size of one memoized op.
 const schedOpBytes = 40
 
@@ -63,136 +54,20 @@ const schedEntryOverhead = 160
 const DefaultScheduleCacheBytes = 32 << 20
 
 // ScheduleCacheStats is a point-in-time snapshot of the memoization
-// cache's effectiveness.
-type ScheduleCacheStats struct {
-	// Entries is the number of memoized schedules.
-	Entries int `json:"entries"`
-	// SizeBytes is the estimated resident size of all entries.
-	SizeBytes int64 `json:"size_bytes"`
-	// CapBytes is the configured bound.
-	CapBytes int64 `json:"cap_bytes"`
-	// Hits counts expansions served from a resident schedule.
-	Hits uint64 `json:"hits"`
-	// Coalesced counts expansions that waited on a concurrent build of
-	// the same schedule instead of building their own.
-	Coalesced uint64 `json:"coalesced"`
-	// Misses counts expansions that built the schedule.
-	Misses uint64 `json:"misses"`
-	// Evictions counts schedules discarded to respect CapBytes.
-	Evictions uint64 `json:"evictions"`
-}
+// cache's effectiveness; sizes are bytes as charged by scheduleCost.
+type ScheduleCacheStats = memo.Stats
 
-// scheduleCache is a size-bounded LRU of canonical schedules with
-// in-flight coalescing. All methods are safe for concurrent use.
-type scheduleCache struct {
-	mu       sync.Mutex
-	capBytes int64
-	size     int64
-	ll       *list.List // front = most recently used; values are *schedEntry
-	entries  map[schedKey]*list.Element
-	inflight map[schedKey]*schedFlight
-
-	hits      uint64
-	coalesced uint64
-	misses    uint64
-	evictions uint64
-}
-
-type schedEntry struct {
-	key  schedKey
-	sch  schedule
-	cost int64
-}
-
-func newScheduleCache(capBytes int64) *scheduleCache {
-	if capBytes <= 0 {
-		capBytes = DefaultScheduleCacheBytes
-	}
-	return &scheduleCache{
-		capBytes: capBytes,
-		ll:       list.New(),
-		entries:  map[schedKey]*list.Element{},
-		inflight: map[schedKey]*schedFlight{},
-	}
+// scheduleCost is the estimated resident size of one memoized schedule.
+func scheduleCost(sch schedule) int64 {
+	return int64(len(sch.ops))*schedOpBytes + schedEntryOverhead
 }
 
 // schedCache is the process-wide memoization cache.
-var schedCache = newScheduleCache(DefaultScheduleCacheBytes)
+var schedCache = memo.New[schedKey](DefaultScheduleCacheBytes, scheduleCost)
 
 // ScheduleCache returns a snapshot of the process-wide schedule cache
 // counters.
-func ScheduleCache() ScheduleCacheStats { return schedCache.stats() }
-
-// getOrBuild returns the canonical schedule for key, building it with
-// build on a miss. Concurrent requests for an absent key are coalesced:
-// one goroutine builds, the rest wait for its result.
-func (c *scheduleCache) getOrBuild(key schedKey, build func() schedule) schedule {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		sch := el.Value.(*schedEntry).sch
-		c.mu.Unlock()
-		return sch
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		<-f.done
-		return f.sch
-	}
-	f := &schedFlight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.misses++
-	c.mu.Unlock()
-
-	func() {
-		// close runs even if the builder panics: waiters for this key
-		// must not block forever on a flight that never completes.
-		defer close(f.done)
-		f.sch = build()
-	}()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.insertLocked(key, f.sch)
-	c.mu.Unlock()
-	return f.sch
-}
-
-// insertLocked adds the schedule at the LRU front and evicts from the
-// back until the size bound holds; the most recent entry is always
-// retained. c.mu must be held.
-func (c *scheduleCache) insertLocked(key schedKey, sch schedule) {
-	if _, ok := c.entries[key]; ok {
-		return // a racing build of the same key already inserted
-	}
-	e := &schedEntry{key: key, sch: sch, cost: int64(len(sch.ops))*schedOpBytes + schedEntryOverhead}
-	c.entries[key] = c.ll.PushFront(e)
-	c.size += e.cost
-	for c.size > c.capBytes && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		ev := back.Value.(*schedEntry)
-		c.ll.Remove(back)
-		delete(c.entries, ev.key)
-		c.size -= ev.cost
-		c.evictions++
-	}
-}
-
-func (c *scheduleCache) stats() ScheduleCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ScheduleCacheStats{
-		Entries:   c.ll.Len(),
-		SizeBytes: c.size,
-		CapBytes:  c.capBytes,
-		Hits:      c.hits,
-		Coalesced: c.coalesced,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
-}
+func ScheduleCache() ScheduleCacheStats { return schedCache.Stats() }
 
 // resolveAllreduce maps the configured algorithm choice to the concrete
 // algorithm used for a payload of the given size.

@@ -1,11 +1,15 @@
 package collectives
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/memo"
 	"repro/internal/trace"
 )
 
@@ -74,92 +78,151 @@ func TestMemoizedExpansionBitIdentical(t *testing.T) {
 	}
 }
 
+// swapScheduleCache points the process-wide memo at a fresh instance
+// bounded to capBytes for the duration of the test.
+func swapScheduleCache(t *testing.T, capBytes int64) {
+	t.Helper()
+	prev := schedCache
+	schedCache = memo.New[schedKey](capBytes, scheduleCost)
+	t.Cleanup(func() { schedCache = prev })
+}
+
 // TestScheduleCacheHits: repeated expansion of the same trace must be
 // served from the cache, not rebuilt.
 func TestScheduleCacheHits(t *testing.T) {
-	c := newScheduleCache(0)
-	builds := 0
-	key := schedKey{kind: trace.OpAllreduce, algo: AllreduceRing, n: 8, rank: 3, size: 1024}
-	build := func() schedule { builds++; return buildCanonical(key) }
-	first := c.getOrBuild(key, build)
-	second := c.getOrBuild(key, build)
-	if builds != 1 {
-		t.Fatalf("schedule built %d times, want 1", builds)
+	swapScheduleCache(t, DefaultScheduleCacheBytes)
+	tr := collectiveMix(8, 1024)
+	first, err := Expand(tr, Config{Allreduce: AllreduceRing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := ScheduleCache()
+	// nine collectives per rank, the last a repeat of the second
+	if cold.Misses != 8*8 || cold.Hits != 8 || cold.Entries != 8*8 {
+		t.Fatalf("first expansion: stats = %+v, want 64 misses / 8 hits / 64 entries", cold)
+	}
+	second, err := Expand(tr, Config{Allreduce: AllreduceRing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := ScheduleCache()
+	if warm.Misses != cold.Misses || warm.Hits != cold.Hits+8*9 {
+		t.Fatalf("second expansion rebuilt schedules: stats = %+v after %+v", warm, cold)
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Fatal("cache returned a different schedule on the hit")
-	}
-	st := c.stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+		t.Fatal("expansion from memoized schedules differs from the one that built them")
 	}
 }
 
-// TestScheduleCacheEviction: the cache respects its byte bound, keeps
-// the most recent entry even when it alone exceeds the bound, and
-// counts evictions.
+// TestScheduleCacheEviction: the cache respects its byte bound as
+// charged by scheduleCost, keeps the most recent entry even when it
+// alone exceeds the bound, and counts evictions.
 func TestScheduleCacheEviction(t *testing.T) {
-	c := newScheduleCache(3 * (schedOpBytes*40 + schedEntryOverhead))
-	for i := int32(0); i < 16; i++ {
-		key := schedKey{kind: trace.OpAllreduce, algo: AllreduceRing, n: 16, rank: i, size: 2048}
-		c.getOrBuild(key, func() schedule { return buildCanonical(key) })
+	swapScheduleCache(t, 3*(schedOpBytes*40+schedEntryOverhead))
+	tr := &trace.Trace{Name: "evict", Ops: make([][]trace.Op, 16)}
+	for r := range tr.Ops {
+		tr.Ops[r] = []trace.Op{{Kind: trace.OpAllreduce, Size: 2048}}
 	}
-	st := c.stats()
+	if _, err := Expand(tr, Config{Allreduce: AllreduceRing}); err != nil {
+		t.Fatal(err)
+	}
+	st := ScheduleCache()
 	if st.Entries >= 16 {
 		t.Fatalf("no eviction happened: %d entries resident", st.Entries)
 	}
-	if st.Evictions == 0 {
-		t.Fatal("eviction counter not incremented")
+	if st.Evictions == 0 || uint64(st.Entries)+st.Evictions != 16 {
+		t.Fatalf("eviction counter off: %+v", st)
 	}
 	if st.SizeBytes > st.CapBytes && st.Entries > 1 {
 		t.Fatalf("cache over bound with %d entries: %d > %d", st.Entries, st.SizeBytes, st.CapBytes)
+	}
+
+	swapScheduleCache(t, 1) // smaller than any schedule
+	if _, err := Expand(tr, Config{Allreduce: AllreduceRing}); err != nil {
+		t.Fatal(err)
+	}
+	if st := ScheduleCache(); st.Entries != 1 || st.Evictions != 15 {
+		t.Fatalf("bound below one schedule: %+v, want the newest entry alone", st)
 	}
 }
 
 // TestScheduleCacheCoalescing: concurrent misses on one key run the
 // builder once; everyone gets the same schedule.
 func TestScheduleCacheCoalescing(t *testing.T) {
-	c := newScheduleCache(0)
+	c := memo.New[schedKey](DefaultScheduleCacheBytes, scheduleCost)
 	key := schedKey{kind: trace.OpAlltoall, n: 32, rank: 5, size: 4096}
-	var mu sync.Mutex
-	builds := 0
+	var builds atomic.Int64
 	gate := make(chan struct{})
-	build := func() schedule {
-		mu.Lock()
-		builds++
-		mu.Unlock()
+	build := func() (schedule, error) {
+		builds.Add(1)
 		<-gate // hold the flight open so others must coalesce
-		return buildCanonical(key)
+		return buildCanonical(key), nil
 	}
 
 	const workers = 8
 	var wg sync.WaitGroup
 	results := make([]schedule, workers)
-	started := make(chan struct{}, workers)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
-			results[i] = c.getOrBuild(key, build)
+			var err error
+			if results[i], _, err = c.GetOrBuild(context.Background(), key, build); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
-	for i := 0; i < workers; i++ {
-		<-started
+	// Every worker is either the builder or parked on its flight before
+	// the build is allowed to finish.
+	for {
+		if st := c.Stats(); st.Misses+st.Coalesced == workers {
+			break
+		}
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()
 
-	if builds != 1 {
-		t.Fatalf("builder ran %d times under concurrency, want 1", builds)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("builder ran %d times under concurrency, want 1", n)
 	}
 	for i := 1; i < workers; i++ {
 		if !reflect.DeepEqual(results[0], results[i]) {
 			t.Fatalf("worker %d got a different schedule", i)
 		}
 	}
-	if st := c.stats(); st.Coalesced == 0 {
-		t.Fatalf("no coalesced lookups recorded: %+v", st)
+	if st := c.Stats(); st.Coalesced != workers-1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 miss and %d coalesced", st, workers-1)
+	}
+}
+
+// TestScheduleMemoRebuildsAfterBuilderPanic: a builder panic that the
+// caller recovers (jobs.attempt does, then retries) must not leave a
+// dead flight behind — the retry builds the schedule, it is not
+// answered with the dead flight's empty one.
+func TestScheduleMemoRebuildsAfterBuilderPanic(t *testing.T) {
+	c := memo.New[schedKey](DefaultScheduleCacheBytes, scheduleCost)
+	key := schedKey{kind: trace.OpAllreduce, algo: AllreduceRing, n: 8, rank: 3, size: 1024}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("builder panic did not reach the caller")
+			}
+		}()
+		c.GetOrBuild(context.Background(), key, func() (schedule, error) { panic("injected") })
+	}()
+
+	sch, hit, err := c.GetOrBuild(context.Background(), key, func() (schedule, error) {
+		return buildCanonical(key), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit || !reflect.DeepEqual(sch, buildCanonical(key)) {
+		t.Fatalf("retry after the panic: hit=%v schedule=%+v, want a fresh build of the canonical schedule", hit, sch)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Coalesced != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 misses / 0 coalesced / 1 entry", st)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/loggopsim"
+	"repro/internal/memo"
 )
 
 // withProcs runs fn at the given GOMAXPROCS and restores the setting.
@@ -275,15 +276,17 @@ func TestIdleRunStatesBounded(t *testing.T) {
 
 // TestStormMemoCoalescesAndIsBounded: concurrent callers for one seed
 // share one computation, and the memo holds its bound of seeds,
-// forgetting the oldest.
+// forgetting the least recently used.
 func TestStormMemoCoalescesAndIsBounded(t *testing.T) {
 	var computed atomic.Int64
 	release := make(chan struct{})
-	m := stormMemo{bound: 3, compute: func(seed uint64) ([]fig9PerEvent, error) {
+	const bound = 3
+	m := memo.New[uint64, []fig9PerEvent](bound, nil)
+	compute := func(seed uint64) ([]fig9PerEvent, error) {
 		computed.Add(1)
 		<-release
 		return []fig9PerEvent{{nanos: int64(seed)}}, nil
-	}}
+	}
 	const callers = 8
 	outs := make([][]fig9PerEvent, callers)
 	var wg sync.WaitGroup
@@ -292,7 +295,7 @@ func TestStormMemoCoalescesAndIsBounded(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			var err error
-			if outs[c], err = m.get(7); err != nil {
+			if outs[c], err = stormCosts(m, 7, compute); err != nil {
 				t.Error(err)
 			}
 		}(c)
@@ -309,22 +312,46 @@ func TestStormMemoCoalescesAndIsBounded(t *testing.T) {
 	}
 
 	for seed := uint64(8); seed <= 12; seed++ {
-		if _, err := m.get(seed); err != nil {
+		if _, err := stormCosts(m, seed, compute); err != nil {
 			t.Fatal(err)
 		}
-		if len(m.entries) > m.bound || len(m.seeds) != len(m.entries) {
-			t.Fatalf("memo holds %d entries for %d seeds, bound %d", len(m.entries), len(m.seeds), m.bound)
+		if n := m.Len(); n > bound {
+			t.Fatalf("memo holds %d seeds, bound %d", n, bound)
 		}
 	}
 	before := computed.Load()
-	if _, err := m.get(12); err != nil { // newest: still held
+	if _, err := stormCosts(m, 12, compute); err != nil { // newest: still held
 		t.Fatal(err)
 	}
-	if _, err := m.get(7); err != nil { // oldest: dropped, recomputed
+	if _, err := stormCosts(m, 7, compute); err != nil { // oldest: dropped, recomputed
 		t.Fatal(err)
 	}
 	if got := computed.Load() - before; got != 1 {
 		t.Fatalf("%d computations re-asking a held and a dropped seed, want 1", got)
+	}
+}
+
+// TestStormMemoRebuildsAfterPanic: a storm computation that panics
+// under a job whose worker recovers and retries (jobs.attempt) must be
+// run again by the retry — not answered with no rows and no error.
+func TestStormMemoRebuildsAfterPanic(t *testing.T) {
+	m := memo.New[uint64, []fig9PerEvent](16, nil)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("storm panic did not reach the caller")
+			}
+		}()
+		stormCosts(m, 7, func(uint64) ([]fig9PerEvent, error) { panic("injected") })
+	}()
+	out, err := stormCosts(m, 7, func(seed uint64) ([]fig9PerEvent, error) {
+		return []fig9PerEvent{{nanos: int64(seed)}}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].nanos != 7 {
+		t.Fatalf("retry after the panic returned %+v, want the recomputed costs", out)
 	}
 }
 

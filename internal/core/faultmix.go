@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/faultmodel"
 	"repro/internal/mca"
+	"repro/internal/memo"
 	"repro/internal/noise"
 	"repro/internal/systems"
 )
@@ -92,48 +92,11 @@ type fig9PerEvent struct {
 	nanos    int64
 }
 
-// stormMemo remembers what compute returned for the seeds asked for
-// most recently, up to bound of them, dropping the oldest first.
-// Concurrent callers for one seed share one computation. The slices it
-// hands out are shared: callers do not modify them.
-type stormMemo struct {
-	compute func(seed uint64) ([]fig9PerEvent, error)
-	bound   int
-
-	mu      sync.Mutex
-	seeds   []uint64 // oldest first
-	entries map[uint64]*stormEntry
-}
-
-type stormEntry struct {
-	once sync.Once
-	out  []fig9PerEvent
-	err  error
-}
-
-func (m *stormMemo) get(seed uint64) ([]fig9PerEvent, error) {
-	m.mu.Lock()
-	ent := m.entries[seed]
-	if ent == nil {
-		if len(m.seeds) == m.bound {
-			delete(m.entries, m.seeds[0])
-			m.seeds = append(m.seeds[:0], m.seeds[1:]...)
-		}
-		if m.entries == nil {
-			m.entries = map[uint64]*stormEntry{}
-		}
-		ent = &stormEntry{}
-		m.entries[seed] = ent
-		m.seeds = append(m.seeds, seed)
-	}
-	m.mu.Unlock()
-	ent.once.Do(func() { ent.out, ent.err = m.compute(seed) })
-	return ent.out, ent.err
-}
-
-// fig9Memo is bounded at 16 seeds: a campaign asks for one seed across
-// all its cells, a daemon for the seeds of the sweeps in flight.
-var fig9Memo = stormMemo{compute: stormPerEvents, bound: 16}
+// fig9Memo holds the storm costs of the 16 most recently used seeds (an
+// internal/memo cache at unit cost): a campaign asks for one seed
+// across all its cells, a daemon for the seeds of the sweeps in flight.
+// The slices it hands out are shared: callers do not modify them.
+var fig9Memo = memo.New[uint64, []fig9PerEvent](16, nil)
 
 // fig9PerEvents derives the per-CE handling cost for every (burst
 // intensity, logging path) cell by running the node-level mca model
@@ -143,7 +106,14 @@ var fig9Memo = stormMemo{compute: stormPerEvents, bound: 16}
 // a figure — one per workload when a cluster shards it — reads them
 // from fig9Memo instead of re-running the eight storms.
 func fig9PerEvents(seed uint64) ([]fig9PerEvent, error) {
-	return fig9Memo.get(seed)
+	return stormCosts(fig9Memo, seed, stormPerEvents)
+}
+
+// stormCosts returns what compute yields for seed, from m when it is
+// resident there; concurrent callers for one seed share one computation.
+func stormCosts(m *memo.Cache[uint64, []fig9PerEvent], seed uint64, compute func(uint64) ([]fig9PerEvent, error)) ([]fig9PerEvent, error) {
+	out, _, err := m.GetOrBuild(context.Background(), seed, func() ([]fig9PerEvent, error) { return compute(seed) })
+	return out, err
 }
 
 // stormPerEvents runs the eight independent storms of one seed.

@@ -48,6 +48,7 @@ var Packages = map[string]bool{
 	"repro/internal/faultmodel": true,
 	"repro/internal/journal":    true,
 	"repro/internal/tenant":     true,
+	"repro/internal/memo":       true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

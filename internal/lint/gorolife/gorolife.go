@@ -54,6 +54,7 @@ var Packages = map[string]bool{
 	"repro/internal/collectives": true,
 	"repro/internal/core":        true,
 	"repro/internal/faultinject": true,
+	"repro/internal/memo":        true,
 	"repro/cmd/cesimd":           true,
 }
 

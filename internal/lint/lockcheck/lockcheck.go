@@ -64,6 +64,7 @@ var Packages = map[string]bool{
 	"repro/internal/server":      true,
 	"repro/internal/collectives": true,
 	"repro/internal/faultinject": true,
+	"repro/internal/memo":        true,
 }
 
 // lockKind distinguishes how a mutex is held.

@@ -53,6 +53,7 @@ var Packages = map[string]bool{
 	"repro/internal/faultmodel":  true,
 	"repro/internal/journal":     true,
 	"repro/internal/tenant":      true,
+	"repro/internal/memo":        true,
 }
 
 // emitMethods are method names whose call inside a map-range body means

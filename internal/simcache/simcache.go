@@ -13,16 +13,15 @@
 package simcache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"runtime/debug"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/memo"
 )
 
 // Key returns the canonical content hash of a configuration. Two
@@ -55,23 +54,12 @@ func Cost(exp *core.Experiment) int64 {
 // average) or about twenty-four 128-node ones (10.5 MiB each).
 const DefaultCapBytes = 256 << 20
 
-// Stats is a point-in-time snapshot of cache effectiveness.
+// Stats is a point-in-time snapshot of cache effectiveness: the memo's
+// counters (entries, size_bytes, cap_bytes, hits, coalesced, misses,
+// evictions; a miss is a lookup that built the baseline) and their
+// ratio.
 type Stats struct {
-	// Entries is the number of cached baselines.
-	Entries int `json:"entries"`
-	// SizeBytes is the estimated resident size of all entries.
-	SizeBytes int64 `json:"size_bytes"`
-	// CapBytes is the configured bound.
-	CapBytes int64 `json:"cap_bytes"`
-	// Hits counts lookups served from a resident entry.
-	Hits uint64 `json:"hits"`
-	// Coalesced counts lookups that waited on a concurrent build of
-	// the same key instead of building their own.
-	Coalesced uint64 `json:"coalesced"`
-	// Misses counts lookups that built the baseline.
-	Misses uint64 `json:"misses"`
-	// Evictions counts entries discarded to respect CapBytes.
-	Evictions uint64 `json:"evictions"`
+	memo.Stats
 	// HitRatio is (Hits+Coalesced) / (Hits+Coalesced+Misses), 0 when
 	// no lookups have happened.
 	HitRatio float64 `json:"hit_ratio"`
@@ -81,35 +69,12 @@ type Stats struct {
 // outside the cache lock; the default is core.NewExperiment.
 type Builder func(cfg core.ExperimentConfig) (*core.Experiment, error)
 
-// Cache is a size-bounded LRU of prepared experiments. All methods are
+// Cache is a size-bounded LRU of prepared experiments: an
+// internal/memo cache keyed by Key and charged by Cost. All methods are
 // safe for concurrent use.
 type Cache struct {
 	build Builder
-
-	mu       sync.Mutex
-	capBytes int64
-	size     int64
-	ll       *list.List // front = most recently used; values are *entry
-	entries  map[string]*list.Element
-	inflight map[string]*flight
-
-	hits      uint64
-	coalesced uint64
-	misses    uint64
-	evictions uint64
-}
-
-type entry struct {
-	key  string
-	exp  *core.Experiment
-	cost int64
-}
-
-// flight is one in-progress build, shared by every waiter for its key.
-type flight struct {
-	done chan struct{}
-	exp  *core.Experiment
-	err  error
+	m     *memo.Cache[string, *core.Experiment]
 }
 
 // New returns a cache bounded to capBytes of estimated baseline size
@@ -119,13 +84,7 @@ func New(capBytes int64) *Cache {
 	if capBytes <= 0 {
 		capBytes = DefaultCapBytes
 	}
-	return &Cache{
-		build:    core.NewExperiment,
-		capBytes: capBytes,
-		ll:       list.New(),
-		entries:  map[string]*list.Element{},
-		inflight: map[string]*flight{},
-	}
+	return &Cache{build: core.NewExperiment, m: memo.New[string](capBytes, Cost)}
 }
 
 // SetBuilder replaces the baseline builder (tests use this to count or
@@ -135,16 +94,7 @@ func (c *Cache) SetBuilder(b Builder) { c.build = b }
 // Get returns the cached experiment for cfg without building, and
 // whether it was present.
 func (c *Cache) Get(cfg core.ExperimentConfig) (*core.Experiment, bool) {
-	key := Key(cfg)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*entry).exp, true
+	return c.m.Get(Key(cfg))
 }
 
 // GetOrBuild returns the experiment for cfg, building and inserting
@@ -155,44 +105,9 @@ func (c *Cache) Get(cfg core.ExperimentConfig) (*core.Experiment, bool) {
 // build itself is not interrupted by ctx: the baseline stays useful
 // for every later request, so abandoning it would waste the work.
 func (c *Cache) GetOrBuild(ctx context.Context, cfg core.ExperimentConfig) (exp *core.Experiment, hit bool, err error) {
-	key := Key(cfg)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		c.mu.Unlock()
-		return el.Value.(*entry).exp, true, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.exp, true, f.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.misses++
-	c.mu.Unlock()
-
-	func() {
-		// close runs whatever the builder does — a panicking builder
-		// must not leave every waiter for this key blocked forever on
-		// a flight that never completes.
-		defer close(f.done)
-		f.exp, f.err = c.runBuild(ctx, cfg)
-	}()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil {
-		c.insertLocked(key, f.exp)
-	}
-	c.mu.Unlock()
-	return f.exp, false, f.err
+	return c.m.GetOrBuild(ctx, Key(cfg), func() (*core.Experiment, error) {
+		return c.runBuild(ctx, cfg)
+	})
 }
 
 // BuildError is the typed failure of a fill whose builder panicked,
@@ -215,7 +130,8 @@ func (e *BuildError) Retryable() bool { return true }
 
 // runBuild executes the builder for one flight: it fires the
 // simcache.fill fault site first and converts a panicking builder into
-// a *BuildError so the flight always completes.
+// a *BuildError, which the builder's caller and every waiter of the
+// flight then receive.
 func (c *Cache) runBuild(ctx context.Context, cfg core.ExperimentConfig) (exp *core.Experiment, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -227,25 +143,6 @@ func (c *Cache) runBuild(ctx context.Context, cfg core.ExperimentConfig) (exp *c
 		return nil, fmt.Errorf("simcache: fill: %w", err)
 	}
 	return c.build(cfg)
-}
-
-// insertLocked adds the entry at the LRU front and evicts from the
-// back until the size bound holds. c.mu must be held.
-func (c *Cache) insertLocked(key string, exp *core.Experiment) {
-	if _, ok := c.entries[key]; ok {
-		return // a racing build of the same key already inserted
-	}
-	e := &entry{key: key, exp: exp, cost: Cost(exp)}
-	c.entries[key] = c.ll.PushFront(e)
-	c.size += e.cost
-	for c.size > c.capBytes && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		ev := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.entries, ev.key)
-		c.size -= ev.cost
-		c.evictions++
-	}
 }
 
 // Provider adapts the cache to core.Options.Experiments: a builder
@@ -263,25 +160,11 @@ func (c *Cache) Provider(ctx context.Context) func(core.ExperimentConfig) (*core
 }
 
 // Len returns the number of cached baselines.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *Cache) Len() int { return c.m.Len() }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Stats{
-		Entries:   c.ll.Len(),
-		SizeBytes: c.size,
-		CapBytes:  c.capBytes,
-		Hits:      c.hits,
-		Coalesced: c.coalesced,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
+	s := Stats{Stats: c.m.Stats()}
 	if total := s.Hits + s.Coalesced + s.Misses; total > 0 {
 		s.HitRatio = float64(s.Hits+s.Coalesced) / float64(total)
 	}
