@@ -78,15 +78,18 @@ faultmix-smoke:
 
 # Engine smoke (docs/MODEL.md "Engine internals"): the figure matrix
 # and raw run results byte-compared against the golden recorded from
-# the pre-rework engine paths before they were deleted, every figure
-# driver byte-identical at GOMAXPROCS 1, 2 and 8, the rank-at-a-time
+# the pre-rework engine paths before they were deleted, the overhead
+# surface against the golden recorded from its last hand-written driver,
+# every figure byte-identical at GOMAXPROCS 1, 2 and 8, a figure and a
+# running sweep job cancelled mid-repetition, the rank-at-a-time
 # lowering against Compile(Expand(Generate)), one compiled program run
 # by many goroutines, and the calendar queue against the reference
-# heap, under the race detector. Regenerate the golden after an
+# heap, under the race detector. Regenerate a golden after an
 # intentional model change:
 #   go test -run TestEngineGolden ./internal/core/ -update-engine-golden
+#   go test -run TestSurfaceGolden ./internal/core/ -update-surface-golden
 engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap' ./internal/core/ ./internal/loggopsim/ ./internal/eventq/
+	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -124,7 +124,7 @@ func main() {
 		client := &cluster.Client{Base: *clusterAt}
 		f, err = client.Figure(context.Background(), opts.Figure, opts)
 	} else {
-		f, err = core.Figures()[opts.Figure](opts)
+		f, err = core.RunFigure(context.Background(), opts.Figure, opts)
 	}
 	if err != nil {
 		fatal(err)

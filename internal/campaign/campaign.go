@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -110,10 +109,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	start := now()
-	if err := WriteTable(cfg.OutDir, "table2", core.Table2()); err != nil {
+	table2 := core.Table2()
+	if err := WriteTable(cfg.OutDir, "table2", table2); err != nil {
 		return nil, err
 	}
-	add(Artifact{Name: "table2", Rows: 10, Wall: now().Sub(start),
+	add(Artifact{Name: "table2", Rows: len(table2.Rows), Wall: now().Sub(start),
 		Files: []string{"table2.txt", "table2.csv"}})
 
 	if want("2") {
@@ -128,16 +128,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := WriteTable(cfg.OutDir, "fig2", t); err != nil {
 			return nil, err
 		}
-		add(Artifact{Name: "fig2", Rows: 5, Wall: now().Sub(start),
+		add(Artifact{Name: "fig2", Rows: len(t.Rows), Wall: now().Sub(start),
 			Files: []string{"fig2.txt", "fig2.csv"}})
 	}
 
-	ids := make([]string, 0, 5)
-	for id := range core.Figures() {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range core.FigureIDs() {
 		if !want(id) {
 			continue
 		}
@@ -150,7 +145,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if cfg.Runner != nil {
 			f, err = cfg.Runner.Figure(ctx, id, cfg.Options)
 		} else {
-			f, err = core.Figures()[id](cfg.Options)
+			f, err = core.RunFigure(ctx, id, cfg.Options)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("campaign: figure %s: %w", id, err)

@@ -83,6 +83,9 @@ func TestRunTable2Only(t *testing.T) {
 	if len(res.Artifacts) != 1 || res.Artifacts[0].Name != "table2" {
 		t.Fatalf("artifacts: %+v", res.Artifacts)
 	}
+	if got, want := res.Artifacts[0].Rows, len(core.Table2().Rows); got != want {
+		t.Fatalf("manifest counts %d table2 rows, the table has %d", got, want)
+	}
 }
 
 func TestManifestContents(t *testing.T) {
@@ -182,6 +185,40 @@ func TestCancelSiteMidSweepDiscardsPartials(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRunContextCancelMidFigure: the campaign's context reaches inside
+// a figure. With every repetition of fig4 stalled for a minute, ending
+// the context stops the campaign within seconds and leaves nothing of
+// the figure on disk.
+func TestRunContextCancelMidFigure(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	if err := faultinject.Arm(faultinject.Plan{
+		faultinject.SiteRepetition: {Kind: faultinject.KindDelay, Probability: 1, DelayNanos: int64(time.Minute)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for faultinject.Snapshot().Sites[0].Fired == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	start := time.Now()
+	_, err := RunContext(ctx, Config{OutDir: dir, Options: tinyOptions(), Only: []string{"4"}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("campaign took %s to stop with every repetition stalled for a minute", took)
+	}
+	for _, leftover := range []string{"fig4.txt", "fig4.csv", "fig4.json", "MANIFEST.txt"} {
+		if _, err := os.Stat(filepath.Join(dir, leftover)); err == nil {
+			t.Fatalf("canceled campaign left %s behind", leftover)
+		}
 	}
 }
 

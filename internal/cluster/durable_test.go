@@ -23,13 +23,9 @@ import (
 // does, returning the figure restricted to the cell's workload.
 func computeFragment(t *testing.T, g *Grant) *core.Figure {
 	t.Helper()
-	driver, ok := core.Figures()[g.Cell.Figure]
-	if !ok {
-		t.Fatalf("no driver for figure %q", g.Cell.Figure)
-	}
 	opts := g.Spec.Options()
 	opts.Workloads = []string{g.Cell.Workload}
-	fig, err := driver(opts)
+	fig, err := core.RunFigure(context.Background(), g.Cell.Figure, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -319,6 +319,35 @@ func TestWorkerKillMidLeaseReassigned(t *testing.T) {
 	}
 }
 
+// TestWorkerShutdownMidShardStopsTheJob: a worker told to stop while
+// its shard is mid-figure — every repetition stalled for a minute —
+// cancels the shard job instead of leaving it to run out in the queue,
+// so draining the queue afterwards takes a repetition, not a figure.
+func TestWorkerShutdownMidShardStopsTheJob(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	coord, ts := startCoordinator(t, Config{})
+	if err := faultinject.Arm(faultinject.Plan{
+		faultinject.SiteRepetition: {Kind: faultinject.KindDelay, Probability: 1, DelayNanos: int64(time.Minute)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w := startWorker(t, ts.URL)
+	if _, _, err := coord.CreateSweep(fig4Spec(tinyOpts())); err != nil {
+		t.Fatal(err)
+	}
+	for faultinject.Snapshot().Sites[0].Fired == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	w.stop()
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("stopping a worker mid-shard took %s with every repetition stalled for a minute", took)
+	}
+	if st := w.queue.Stats(); st.Canceled != 1 || st.Succeeded != 0 {
+		t.Fatalf("shard job after shutdown: %+v, want it canceled", st)
+	}
+}
+
 // TestCancelMidDistributedSweep cancels a campaign while its sweep is
 // in flight on the cluster: the run must return context.Canceled, the
 // unfinished figure must leave no partial artifacts, and stopping the

@@ -4,10 +4,10 @@
 // and re-assignment, and merges the reported fragments into figures
 // bit-identical to a sequential campaign.Run of the same plan and seed.
 //
-// Determinism argument, in one paragraph: a sweep cell is one figure
-// driver invocation restricted to a single workload. The drivers
-// (core.Figure3..9) iterate workloads in their outermost loop and
-// derive every scenario seed from Options.Seed alone — never from the
+// Determinism argument, in one paragraph: a sweep cell is one
+// core.RunFigure call restricted to a single workload. The figure loop
+// iterates workloads outermost, gives each the same declared rows and
+// derives every scenario seed from Options.Seed alone — never from the
 // workload's position — so the rows a cell produces are exactly the
 // rows the full sequential run produces for that workload, whatever
 // worker runs it, however often it is retried. The coordinator merges
@@ -44,10 +44,7 @@ func (s Spec) withDefaults() Spec {
 		s.Figure, s.Figures = "", []string{s.Figure}
 	}
 	if len(s.Figures) == 0 {
-		for id := range core.Figures() {
-			s.Figures = append(s.Figures, id)
-		}
-		sort.Strings(s.Figures)
+		s.Figures = core.FigureIDs()
 	}
 	if len(s.Workloads) == 0 {
 		s.Workloads = tracegen.Names()
@@ -70,7 +67,7 @@ func (c Cell) Key() string { return "fig" + c.Figure + "/" + c.Workload }
 
 // Cells enumerates the sweep cells in the deterministic merge order:
 // figure-major (ascending id, as campaign.RunContext iterates), then
-// workloads in spec order (the drivers' outermost loop).
+// workloads in spec order (the figure loop's outermost loop).
 func (s Spec) Cells() []Cell {
 	s = s.withDefaults()
 	figs := append([]string(nil), s.Figures...)

@@ -250,14 +250,12 @@ func (w *Worker) runShard(ctx context.Context, g *Grant) {
 	}
 }
 
-// execute runs the cell's figure driver restricted to its workload,
-// under the jobs queue's recovery and retry machinery, and returns the
-// fragment's canonical WriteJSON bytes.
+// execute runs the cell's figure restricted to its workload, under the
+// jobs queue's recovery and retry machinery, and returns the fragment's
+// canonical WriteJSON bytes. When ctx ends first the job is canceled
+// too, so a worker shutting down mid-shard stops within a repetition
+// instead of finishing a fragment nobody will report.
 func (w *Worker) execute(ctx context.Context, g *Grant, rid string) (json.RawMessage, error) {
-	driver, ok := core.Figures()[g.Cell.Figure]
-	if !ok {
-		return nil, fmt.Errorf("cluster: no driver for figure %q", g.Cell.Figure)
-	}
 	spec := jobs.Spec{Kind: "cluster-shard", RequestID: rid, Retries: w.cfg.ShardRetries}
 	id, err := w.cfg.Queue.SubmitSpec(spec, func(jctx context.Context) (any, error) {
 		if err := faultinject.Fire(jctx, faultinject.SiteClusterShard); err != nil {
@@ -268,7 +266,7 @@ func (w *Worker) execute(ctx context.Context, g *Grant, rid string) (json.RawMes
 		if w.cfg.Cache != nil {
 			opts.Experiments = w.cfg.Cache.Provider(jctx)
 		}
-		fig, err := driver(opts)
+		fig, err := core.RunFigure(jctx, g.Cell.Figure, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -283,6 +281,7 @@ func (w *Worker) execute(ctx context.Context, g *Grant, rid string) (json.RawMes
 	}
 	snap, found, err := w.cfg.Queue.Wait(ctx, id)
 	if err != nil || !found {
+		w.cfg.Queue.Cancel(id) // Wait fails only when ctx ends; a no-op for a job already gone
 		return nil, fmt.Errorf("cluster: shard job %s lost: %w", id, err)
 	}
 	if snap.State != jobs.Succeeded {

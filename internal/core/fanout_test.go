@@ -69,7 +69,7 @@ func TestStormPerEventsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 8} {
 		var got []fig9PerEvent
 		var err error
-		withProcs(procs, func() { got, err = stormPerEvents(3) })
+		withProcs(procs, func() { got, err = stormPerEvents(context.Background(), 3) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestStormMemoCoalescesAndIsBounded(t *testing.T) {
 	release := make(chan struct{})
 	const bound = 3
 	m := memo.New[uint64, []fig9PerEvent](bound, nil)
-	compute := func(seed uint64) ([]fig9PerEvent, error) {
+	compute := func(_ context.Context, seed uint64) ([]fig9PerEvent, error) {
 		computed.Add(1)
 		<-release
 		return []fig9PerEvent{{nanos: int64(seed)}}, nil
@@ -295,7 +295,7 @@ func TestStormMemoCoalescesAndIsBounded(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			var err error
-			if outs[c], err = stormCosts(m, 7, compute); err != nil {
+			if outs[c], err = stormCosts(context.Background(), m, 7, compute); err != nil {
 				t.Error(err)
 			}
 		}(c)
@@ -312,7 +312,7 @@ func TestStormMemoCoalescesAndIsBounded(t *testing.T) {
 	}
 
 	for seed := uint64(8); seed <= 12; seed++ {
-		if _, err := stormCosts(m, seed, compute); err != nil {
+		if _, err := stormCosts(context.Background(), m, seed, compute); err != nil {
 			t.Fatal(err)
 		}
 		if n := m.Len(); n > bound {
@@ -320,10 +320,10 @@ func TestStormMemoCoalescesAndIsBounded(t *testing.T) {
 		}
 	}
 	before := computed.Load()
-	if _, err := stormCosts(m, 12, compute); err != nil { // newest: still held
+	if _, err := stormCosts(context.Background(), m, 12, compute); err != nil { // newest: still held
 		t.Fatal(err)
 	}
-	if _, err := stormCosts(m, 7, compute); err != nil { // oldest: dropped, recomputed
+	if _, err := stormCosts(context.Background(), m, 7, compute); err != nil { // oldest: dropped, recomputed
 		t.Fatal(err)
 	}
 	if got := computed.Load() - before; got != 1 {
@@ -342,9 +342,9 @@ func TestStormMemoRebuildsAfterPanic(t *testing.T) {
 				t.Fatal("storm panic did not reach the caller")
 			}
 		}()
-		stormCosts(m, 7, func(uint64) ([]fig9PerEvent, error) { panic("injected") })
+		stormCosts(context.Background(), m, 7, func(context.Context, uint64) ([]fig9PerEvent, error) { panic("injected") })
 	}()
-	out, err := stormCosts(m, 7, func(seed uint64) ([]fig9PerEvent, error) {
+	out, err := stormCosts(context.Background(), m, 7, func(_ context.Context, seed uint64) ([]fig9PerEvent, error) {
 		return []fig9PerEvent{{nanos: int64(seed)}}, nil
 	})
 	if err != nil {
@@ -366,13 +366,13 @@ func TestFig9PerEventsConcurrentCallersShare(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			var err error
-			if outs[c], err = fig9PerEvents(5); err != nil {
+			if outs[c], err = stormCosts(context.Background(), fig9Memo, 5, stormPerEvents); err != nil {
 				t.Error(err)
 			}
 		}(c)
 	}
 	wg.Wait()
-	want, err := stormPerEvents(5)
+	want, err := stormPerEvents(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,5 +383,40 @@ func TestFig9PerEventsConcurrentCallersShare(t *testing.T) {
 	}
 	if !reflect.DeepEqual(outs[0], want) {
 		t.Fatalf("memoized %+v, direct %+v", outs[0], want)
+	}
+}
+
+// TestRunFigureCancelMidFigure: a context that ends while repetitions
+// are in flight — every one of them stalled inside the repetition fault
+// site — stops the figure promptly with context.Canceled, no figure and
+// no goroutine left, for a Poisson figure and for Fig. 9, whose storm
+// costs are fetched under the same context first.
+func TestRunFigureCancelMidFigure(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	for _, id := range []string{"4", "9"} {
+		if err := faultinject.Arm(faultinject.Plan{
+			faultinject.SiteRepetition: {Kind: faultinject.KindDelay, Probability: 1, DelayNanos: int64(time.Minute)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			for faultinject.Snapshot().Sites[0].Fired == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		start := time.Now()
+		f, err := RunFigure(ctx, id, tinyOpts("minife"))
+		if !errors.Is(err, context.Canceled) || f != nil {
+			t.Fatalf("fig%s: got (%v, %v), want no figure and context.Canceled", id, f, err)
+		}
+		if took := time.Since(start); took > 10*time.Second {
+			t.Fatalf("fig%s: cancellation took %s with every repetition stalled for a minute", id, took)
+		}
+		if got := settledGoroutines(base); got > base {
+			t.Fatalf("fig%s: %d goroutines after the cancelled figure, %d before", id, got, base)
+		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 
+	"repro/internal/faultmodel"
 	"repro/internal/mca"
 	"repro/internal/noise"
 	"repro/internal/report"
@@ -164,31 +166,33 @@ func compensateMTBCE(mtbceNanos int64, factor float64) int64 {
 	return out
 }
 
-// Row is one bar/point of a figure.
+// Row is one bar/point of a figure. The tags are the figure's JSON form
+// (WriteJSON): results stored by the service tier are addressed by
+// those bytes, so field order and names are part of the format.
 type Row struct {
-	Workload      string
-	System        string // Table II system, when applicable
-	Mode          string // logging mode or duration label
-	MTBCENanos    int64  // per-node MTBCE actually simulated
-	PerEventNanos int64
-	Nodes         int
+	Workload      string `json:"workload"`
+	System        string `json:"system,omitempty"` // Table II system, when applicable
+	Mode          string `json:"mode"`             // logging mode or duration label
+	MTBCENanos    int64  `json:"mtbce_ns"`         // per-node MTBCE actually simulated
+	PerEventNanos int64  `json:"per_event_ns"`
+	Nodes         int    `json:"nodes"`
 	// Reps is the number of non-saturated repetitions behind MeanPct
 	// (the sample size); SaturatedReps counts repetitions excluded
 	// because the scenario made no progress.
-	Reps          int
-	SaturatedReps int
-	MeanPct       float64
-	CI95Pct       float64
+	Reps          int     `json:"reps"`
+	SaturatedReps int     `json:"saturated_reps,omitempty"`
+	MeanPct       float64 `json:"mean_pct"`
+	CI95Pct       float64 `json:"ci95_pct"`
 	// Saturated marks a row with no usable sample at all: every
 	// repetition saturated ("no-progress" in the rendered tables).
-	Saturated bool
+	Saturated bool `json:"saturated,omitempty"`
 }
 
 // Figure is a regenerated table/figure.
 type Figure struct {
-	ID    string
-	Title string
-	Rows  []Row
+	ID    string `json:"id"`
+	Title string `json:"title"`
+	Rows  []Row  `json:"rows"`
 }
 
 // Table renders the figure data as a report table.
@@ -215,15 +219,20 @@ func (f *Figure) Table() *report.Table {
 // figure.
 type expCache struct {
 	opts Options
-	m    map[string]*Experiment
+	m    map[expKey]*Experiment
+}
+
+type expKey struct {
+	workload string
+	nodes    int
 }
 
 func newExpCache(opts Options) *expCache {
-	return &expCache{opts: opts, m: map[string]*Experiment{}}
+	return &expCache{opts: opts, m: map[expKey]*Experiment{}}
 }
 
 func (c *expCache) get(workload string, nodes int) (*Experiment, error) {
-	key := fmt.Sprintf("%s/%d", workload, nodes)
+	key := expKey{workload, nodes}
 	if e, ok := c.m[key]; ok {
 		return e, nil
 	}
@@ -292,16 +301,212 @@ func (o Options) iterationsFor(workload string, nodes int) (int, error) {
 	return iters, nil
 }
 
-// runRows runs every task's repetitions as one fan-out over all of
-// GOMAXPROCS and appends the rows to f in task order. The drivers
-// resolve their experiments while they build the task list, on their
-// own goroutine: an Options.Experiments provider is never called
-// concurrently.
-func runRows(f *Figure, opts Options, tasks []rowTask) error {
-	reps, err := runRepetitions(context.Background(), tasks, opts.Reps, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return err
+// cell is one row of a figure as its definition declares it, at the
+// paper's scale; runFigure turns it into the row that is simulated
+// (docs/MODEL.md §7).
+type cell struct {
+	// paperNodes is the node count the paper simulated the row at:
+	// runFigure picks the count to simulate and scales sc.MTBCE to keep
+	// the aggregate CE rate. Zero runs on opts.Nodes at the MTBCE as
+	// given, as Fig. 3 does.
+	paperNodes int
+	sc         Scenario // MTBCE at the paper's scale; repetition i runs at sc.Seed+i
+	// mix, when set, replaces the Poisson arrivals: compiled at the
+	// compensated MTBCE into a fresh Process per row, so a cluster cell
+	// rebuilding one workload's rows gets bit-identical schedules.
+	mix *faultmodel.Spec
+	row Row // the labels: System, Mode, PerEventNanos
+}
+
+// figureDef declares a figure: its rows for one workload, in output
+// order. Every workload gets the same rows.
+type figureDef struct {
+	id, title string
+	// repsFactor multiplies opts.Reps; zero is one.
+	repsFactor int
+	cells      func(ctx context.Context, opts Options) ([]cell, error)
+}
+
+// exascaleNodes is the size of the paper's hypothetical exascale system
+// (Table II), which Figs. 6-9 and the surface run on.
+const exascaleNodes = 16384
+
+// cell returns the common row: every node errs at mtbce, each CE costs
+// perEvent, and the CE schedule is seeded opts.Seed+1.
+func (o Options) cell(paperNodes int, system, mode string, mtbce, perEvent int64) cell {
+	return cell{
+		paperNodes: paperNodes,
+		sc:         Scenario{MTBCE: mtbce, PerEvent: noise.Fixed(perEvent), Target: noise.AllNodes, Seed: o.Seed + 1},
+		row:        Row{System: system, Mode: mode, PerEventNanos: perEvent},
 	}
+}
+
+// modeCells appends one (system, MTBCE, arrival mixture) point under
+// each of the three logging modes.
+func (o Options) modeCells(out []cell, paperNodes int, system string, mtbce int64, mix *faultmodel.Spec) []cell {
+	for _, mode := range systems.LoggingModes() {
+		c := o.cell(paperNodes, system, mode.Name, mtbce, mode.PerEventNanos)
+		c.mix = mix
+		out = append(out, c)
+	}
+	return out
+}
+
+// figureDefs is every sweep figure, in id order. Adding a figure is
+// adding an entry.
+var figureDefs = []figureDef{
+	// The single-process CE sweep: slowdown vs MTBCE(node) for the three
+	// logging overheads, with CEs confined to rank 0 (§IV-B). Single-node
+	// injection has far fewer CE opportunities per run than the all-node
+	// figures; double the repetitions to tame variance.
+	{id: "fig3", title: "single-process CEs: slowdown vs MTBCE(node)", repsFactor: 2, cells: fig3Cells},
+	// The current-system study: Cielo, Trinity and Summit at their
+	// Table II CE rates, all nodes affected (§IV-C).
+	{id: "fig4", title: "correctable error overheads on Cielo, Trinity, Summit", cells: systemCells(systems.HPC)},
+	// The exascale projections: the five hypothetical systems of
+	// Table II, all nodes affected (§IV-C).
+	{id: "fig5", title: "correctable error overheads on hypothetical exascale systems", cells: systemCells(systems.Exascale)},
+	// The software/OS-reporting stress test: extreme MTBCE values (36 s,
+	// 3.6 s, ~1 s) on an exascale-size system (§IV-D).
+	{id: "fig6", title: "software/OS reporting at extreme CE rates", cells: fig6Cells},
+	// The reporting-duration sweep: per-event overheads from 150 ns to
+	// 133 ms at MTBCE(node) = 0.2 s and 720 s on an exascale-size system
+	// (§IV-E). The 0.2 s x 133 ms point saturates (the paper omits it:
+	// "essentially unable to make any reasonable forward progress").
+	{id: "fig7", title: "per-event reporting duration sweep",
+		cells: durationGrid("exascale", []int64{200 * nsPerMs, 720 * nsPerS}, DefaultSurfaceDurations())},
+	{id: "fig8", title: "application overhead vs fault-mix composition", cells: fig8Cells},
+	{id: "fig9", title: "storm-tail sensitivity: burst intensity vs logging path", cells: fig9Cells},
+}
+
+func fig3Cells(_ context.Context, o Options) ([]cell, error) {
+	mtbces := []int64{
+		1 * nsPerMs, 10 * nsPerMs, 100 * nsPerMs, 200 * nsPerMs,
+		1 * nsPerS, 10 * nsPerS, 100 * nsPerS, 1000 * nsPerS, 10000 * nsPerS,
+	}
+	var out []cell
+	for _, mode := range systems.LoggingModes() {
+		for i, mtbce := range mtbces {
+			c := o.cell(0, "", mode.Name, mtbce, mode.PerEventNanos)
+			c.sc.Target = 0
+			c.sc.Seed = o.Seed + uint64(i)*1000 + 1
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
+// systemCells is the Fig. 4/5 grid: the Table II systems of one class x
+// logging modes, each system at its own simulated node count.
+func systemCells(class systems.Class) func(context.Context, Options) ([]cell, error) {
+	return func(_ context.Context, o Options) ([]cell, error) {
+		var out []cell
+		for _, sys := range systems.Catalog() {
+			if sys.Class == class {
+				out = o.modeCells(out, sys.SimNodes, sys.Name, sys.MTBCENanos(), nil)
+			}
+		}
+		return out, nil
+	}
+}
+
+func fig6Cells(_ context.Context, o Options) ([]cell, error) {
+	var out []cell
+	for _, mtbce := range []int64{36 * nsPerS, 3600 * nsPerMs, 1008 * nsPerMs} {
+		out = o.modeCells(out, exascaleNodes, "exascale@"+report.Nanos(mtbce), mtbce, nil)
+	}
+	return out, nil
+}
+
+// durationGrid is the Fig. 7 grid and its generalization, the overhead
+// surface: MTBCEs x per-event durations on the exascale system, rows
+// labelled "<label>@<mtbce>".
+func durationGrid(label string, mtbces, durations []int64) func(context.Context, Options) ([]cell, error) {
+	return func(_ context.Context, o Options) ([]cell, error) {
+		var out []cell
+		for _, mtbce := range mtbces {
+			for _, d := range durations {
+				out = append(out, o.cell(exascaleNodes, label+"@"+report.Nanos(mtbce), report.Nanos(d), mtbce, d))
+			}
+		}
+		return out, nil
+	}
+}
+
+// FigureIDs lists the sweep figures RunFigure regenerates, ascending:
+// the order a campaign runs them and a cluster merges them in.
+func FigureIDs() []string {
+	ids := make([]string, len(figureDefs))
+	for i, def := range figureDefs {
+		ids[i] = strings.TrimPrefix(def.id, "fig")
+	}
+	return ids
+}
+
+// RunFigure regenerates sweep figure id ("3".."9") under opts. ctx is
+// observed between repetitions: cancellation or deadline expiry
+// surfaces as ctx.Err() and no figure. With an unexpired context the
+// figure is a pure function of (id, opts) at any GOMAXPROCS.
+func RunFigure(ctx context.Context, id string, opts Options) (*Figure, error) {
+	def, err := figureByID(id)
+	if err != nil {
+		return nil, err
+	}
+	return runFigure(ctx, def, opts)
+}
+
+func figureByID(id string) (figureDef, error) {
+	for _, def := range figureDefs {
+		if def.id == "fig"+id {
+			return def, nil
+		}
+	}
+	return figureDef{}, fmt.Errorf("unknown figure %q (want 3..9)", id)
+}
+
+// runFigure is the one figure loop. It resolves every row's experiment
+// serially on the calling goroutine, workload-major in declaration
+// order — an Options.Experiments provider is never called concurrently
+// — then runs all rows x repetitions as one fan-out over GOMAXPROCS and
+// folds the outcomes in (row, seed) order.
+func runFigure(ctx context.Context, def figureDef, opts Options) (*Figure, error) {
+	opts = opts.withDefaults()
+	if def.repsFactor > 1 {
+		opts.Reps *= def.repsFactor
+	}
+	cells, err := def.cells(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	cache := newExpCache(opts)
+	tasks := make([]rowTask, 0, len(opts.Workloads)*len(cells))
+	for _, wl := range opts.Workloads {
+		for _, c := range cells {
+			nodes, comp := opts.Nodes, 1.0
+			if c.paperNodes != 0 {
+				nodes, comp = opts.nodesFor(c.paperNodes)
+			}
+			e, err := cache.get(wl, nodes)
+			if err != nil {
+				return nil, err
+			}
+			c.sc.MTBCE = compensateMTBCE(c.sc.MTBCE, comp)
+			if c.mix != nil {
+				mix := *c.mix
+				mix.MTBCENanos = c.sc.MTBCE
+				if c.sc.Arrivals, err = mix.Process(); err != nil {
+					return nil, err
+				}
+			}
+			c.row.Workload = wl
+			tasks = append(tasks, rowTask{e: e, sc: c.sc, row: c.row})
+		}
+	}
+	reps, err := runRepetitions(ctx, tasks, opts.Reps, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
+	f := &Figure{ID: def.id, Title: def.title, Rows: make([]Row, len(tasks))}
 	for i := range tasks {
 		rep, row := &reps[i], tasks[i].row
 		row.Nodes = tasks[i].e.Ranks()
@@ -313,9 +518,28 @@ func runRows(f *Figure, opts Options, tasks []rowTask) error {
 		// A partially saturated point still has a usable mean; only a fully
 		// saturated one is rendered as "no-progress".
 		row.Saturated = rep.Saturated && rep.Sample.N() == 0
-		f.Rows = append(f.Rows, row)
+		f.Rows[i] = row
 	}
-	return nil
+	return f, nil
+}
+
+// Figure3 … Figure9 and Figures are RunFigure without a context, for
+// callers that have none to pass.
+func Figure3(opts Options) (*Figure, error) { return RunFigure(context.Background(), "3", opts) }
+func Figure4(opts Options) (*Figure, error) { return RunFigure(context.Background(), "4", opts) }
+func Figure5(opts Options) (*Figure, error) { return RunFigure(context.Background(), "5", opts) }
+func Figure6(opts Options) (*Figure, error) { return RunFigure(context.Background(), "6", opts) }
+func Figure7(opts Options) (*Figure, error) { return RunFigure(context.Background(), "7", opts) }
+func Figure8(opts Options) (*Figure, error) { return RunFigure(context.Background(), "8", opts) }
+func Figure9(opts Options) (*Figure, error) { return RunFigure(context.Background(), "9", opts) }
+
+// Figures maps figure identifiers to their context-free drivers.
+func Figures() map[string]func(Options) (*Figure, error) {
+	m := make(map[string]func(Options) (*Figure, error), len(figureDefs))
+	for _, id := range FigureIDs() {
+		m[id] = func(opts Options) (*Figure, error) { return RunFigure(context.Background(), id, opts) }
+	}
+	return m
 }
 
 // Figure2 regenerates the node-level noise signatures (Fig. 2a-d plus
@@ -345,168 +569,6 @@ func Figure2(seed uint64) (map[string]*mca.Signature, *report.Table, error) {
 	return sigs, t, nil
 }
 
-// Figure3 regenerates the single-process CE sweep: slowdown vs
-// MTBCE(node) for the three logging overheads, with CEs confined to
-// rank 0 (§IV-B).
-func Figure3(opts Options) (*Figure, error) {
-	opts = opts.withDefaults()
-	f := &Figure{ID: "fig3", Title: "single-process CEs: slowdown vs MTBCE(node)"}
-	// Single-node injection has far fewer CE opportunities per run than
-	// the all-node figures; double the repetitions to tame variance.
-	opts.Reps *= 2
-	mtbces := []int64{
-		1 * nsPerMs, 10 * nsPerMs, 100 * nsPerMs, 200 * nsPerMs,
-		1 * nsPerS, 10 * nsPerS, 100 * nsPerS, 1000 * nsPerS, 10000 * nsPerS,
-	}
-	cache := newExpCache(opts)
-	var tasks []rowTask
-	for _, wl := range opts.Workloads {
-		e, err := cache.get(wl, opts.Nodes)
-		if err != nil {
-			return nil, err
-		}
-		for _, mode := range systems.LoggingModes() {
-			for i, mtbce := range mtbces {
-				sc := Scenario{
-					MTBCE:    mtbce,
-					PerEvent: noise.Fixed(mode.PerEventNanos),
-					Target:   0,
-					Seed:     opts.Seed + uint64(i)*1000 + 1,
-				}
-				row := Row{Workload: wl, Mode: mode.Name, PerEventNanos: mode.PerEventNanos}
-				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
-			}
-		}
-	}
-	return f, runRows(f, opts, tasks)
-}
-
-// Figure4 regenerates the current-system study: Cielo, Trinity and
-// Summit at their Table II CE rates, all nodes affected (§IV-C).
-func Figure4(opts Options) (*Figure, error) {
-	opts = opts.withDefaults()
-	f := &Figure{ID: "fig4", Title: "correctable error overheads on Cielo, Trinity, Summit"}
-	var rows []systems.System
-	for _, name := range []string{"cielo", "trinity", "summit"} {
-		s, err := systems.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, s)
-	}
-	return f, runSystems(f, opts, rows)
-}
-
-// Figure5 regenerates the exascale projections: the five hypothetical
-// systems of Table II, all nodes affected (§IV-C).
-func Figure5(opts Options) (*Figure, error) {
-	opts = opts.withDefaults()
-	f := &Figure{ID: "fig5", Title: "correctable error overheads on hypothetical exascale systems"}
-	return f, runSystems(f, opts, systems.ExascaleRows())
-}
-
-// runSystems shares the Fig. 4/5 loop: systems x logging modes x
-// workloads.
-func runSystems(f *Figure, opts Options, rows []systems.System) error {
-	cache := newExpCache(opts)
-	var tasks []rowTask
-	for _, wl := range opts.Workloads {
-		for _, sys := range rows {
-			nodes, comp := opts.nodesFor(sys.SimNodes)
-			e, err := cache.get(wl, nodes)
-			if err != nil {
-				return err
-			}
-			mtbce := compensateMTBCE(sys.MTBCENanos(), comp)
-			for _, mode := range systems.LoggingModes() {
-				sc := Scenario{
-					MTBCE:    mtbce,
-					PerEvent: noise.Fixed(mode.PerEventNanos),
-					Target:   noise.AllNodes,
-					Seed:     opts.Seed + 1,
-				}
-				row := Row{Workload: wl, System: sys.Name, Mode: mode.Name, PerEventNanos: mode.PerEventNanos}
-				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
-			}
-		}
-	}
-	return runRows(f, opts, tasks)
-}
-
-// Figure6 regenerates the software/OS-reporting stress test: extreme
-// MTBCE values (36 s, 3.6 s, ~1 s) on an exascale-size system (§IV-D).
-func Figure6(opts Options) (*Figure, error) {
-	opts = opts.withDefaults()
-	f := &Figure{ID: "fig6", Title: "software/OS reporting at extreme CE rates"}
-	const paperNodes = 16384
-	mtbces := []int64{36 * nsPerS, 3600 * nsPerMs, 1008 * nsPerMs}
-	cache := newExpCache(opts)
-	var tasks []rowTask
-	for _, wl := range opts.Workloads {
-		nodes, comp := opts.nodesFor(paperNodes)
-		e, err := cache.get(wl, nodes)
-		if err != nil {
-			return nil, err
-		}
-		for _, mtbce := range mtbces {
-			for _, mode := range systems.LoggingModes() {
-				sc := Scenario{
-					MTBCE:    compensateMTBCE(mtbce, comp),
-					PerEvent: noise.Fixed(mode.PerEventNanos),
-					Target:   noise.AllNodes,
-					Seed:     opts.Seed + 1,
-				}
-				row := Row{
-					Workload: wl, Mode: mode.Name,
-					System:        fmt.Sprintf("exascale@%s", report.Nanos(mtbce)),
-					PerEventNanos: mode.PerEventNanos,
-				}
-				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
-			}
-		}
-	}
-	return f, runRows(f, opts, tasks)
-}
-
-// Figure7 regenerates the reporting-duration sweep: per-event overheads
-// from 150 ns to 133 ms at MTBCE(node) = 0.2 s and 720 s on an
-// exascale-size system (§IV-E). The 0.2 s x 133 ms point saturates
-// (the paper omits it: "essentially unable to make any reasonable
-// forward progress").
-func Figure7(opts Options) (*Figure, error) {
-	opts = opts.withDefaults()
-	f := &Figure{ID: "fig7", Title: "per-event reporting duration sweep"}
-	const paperNodes = 16384
-	mtbces := []int64{200 * nsPerMs, 720 * nsPerS}
-	durations := []int64{150, 1 * nsPerUs, 10 * nsPerUs, 100 * nsPerUs, 775 * nsPerUs, 10 * nsPerMs, 133 * nsPerMs}
-	cache := newExpCache(opts)
-	var tasks []rowTask
-	for _, wl := range opts.Workloads {
-		nodes, comp := opts.nodesFor(paperNodes)
-		e, err := cache.get(wl, nodes)
-		if err != nil {
-			return nil, err
-		}
-		for _, mtbce := range mtbces {
-			for _, dur := range durations {
-				sc := Scenario{
-					MTBCE:    compensateMTBCE(mtbce, comp),
-					PerEvent: noise.Fixed(dur),
-					Target:   noise.AllNodes,
-					Seed:     opts.Seed + 1,
-				}
-				row := Row{
-					Workload: wl,
-					System:   fmt.Sprintf("exascale@%s", report.Nanos(mtbce)),
-					Mode:     report.Nanos(dur), PerEventNanos: dur,
-				}
-				tasks = append(tasks, rowTask{e: e, sc: sc, row: row})
-			}
-		}
-	}
-	return f, runRows(f, opts, tasks)
-}
-
 // Table2 renders the Table II catalog, including the MTBCE derived from
 // the CE-per-node-year column next to the stated value.
 func Table2() *report.Table {
@@ -526,17 +588,4 @@ func Table2() *report.Table {
 			fmt.Sprintf("%d", s.SimNodes))
 	}
 	return t
-}
-
-// Figures maps figure identifiers to their drivers, for cmd/cesweep.
-func Figures() map[string]func(Options) (*Figure, error) {
-	return map[string]func(Options) (*Figure, error){
-		"3": Figure3,
-		"4": Figure4,
-		"5": Figure5,
-		"6": Figure6,
-		"7": Figure7,
-		"8": Figure8,
-		"9": Figure9,
-	}
 }

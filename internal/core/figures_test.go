@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -256,6 +258,45 @@ func TestFiguresRegistry(t *testing.T) {
 		if reg[id] == nil {
 			t.Fatalf("figure %s missing from registry", id)
 		}
+	}
+}
+
+// TestFigureDefsCoverFigures pins the figure table to what the seven
+// hand-written drivers produced: the ids FigureIDs lists are sorted and
+// are exactly the keys of Figures, and each definition carries the
+// driver's figure ID and title.
+func TestFigureDefsCoverFigures(t *testing.T) {
+	want := []struct{ id, figID, title string }{
+		{"3", "fig3", "single-process CEs: slowdown vs MTBCE(node)"},
+		{"4", "fig4", "correctable error overheads on Cielo, Trinity, Summit"},
+		{"5", "fig5", "correctable error overheads on hypothetical exascale systems"},
+		{"6", "fig6", "software/OS reporting at extreme CE rates"},
+		{"7", "fig7", "per-event reporting duration sweep"},
+		{"8", "fig8", "application overhead vs fault-mix composition"},
+		{"9", "fig9", "storm-tail sensitivity: burst intensity vs logging path"},
+	}
+	ids := FigureIDs()
+	if !sort.StringsAreSorted(ids) {
+		t.Fatalf("FigureIDs() = %v, not sorted", ids)
+	}
+	reg := Figures()
+	if len(ids) != len(want) || len(reg) != len(want) {
+		t.Fatalf("FigureIDs() = %v, Figures() has %d entries, want %d of each", ids, len(reg), len(want))
+	}
+	for i, w := range want {
+		if ids[i] != w.id || reg[w.id] == nil {
+			t.Fatalf("figure %s: FigureIDs()[%d] = %q, in Figures(): %v", w.id, i, ids[i], reg[w.id] != nil)
+		}
+		def, err := figureByID(w.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.id != w.figID || def.title != w.title {
+			t.Errorf("figure %s is (%q, %q), want (%q, %q)", w.id, def.id, def.title, w.figID, w.title)
+		}
+	}
+	if _, err := RunFigure(context.Background(), "2", tinyOpts("minife")); err == nil {
+		t.Error("RunFigure ran figure 2, which is not a sweep figure")
 	}
 }
 

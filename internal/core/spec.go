@@ -205,10 +205,9 @@ func (o Options) Validate(lim Limits) error {
 		}
 		figures = []string{o.Figure}
 	}
-	drivers := Figures()
 	for i, id := range figures {
-		if _, ok := drivers[id]; !ok {
-			return fmt.Errorf("unknown figure %q (want 3..9)", id)
+		if _, err := figureByID(id); err != nil {
+			return err
 		}
 		// A repeated cell would be planned, leased and merged twice.
 		if slices.Contains(figures[:i], id) {

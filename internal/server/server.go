@@ -638,16 +638,16 @@ func (s *Server) simulateFunc(cfg core.ExperimentConfig, sc core.Scenario, req S
 // the figure driver under the request as it stands.
 type SweepRequest = core.Options
 
-// sweepDriver admits a sweep request and returns the figure driver it
-// names; shared by the HTTP handler and journal recovery.
-func (s *Server) sweepDriver(req *SweepRequest) (func(core.Options) (*core.Figure, error), error) {
+// admitSweep is the admission check of a sweep request; shared by the
+// HTTP handler and journal recovery.
+func (s *Server) admitSweep(req *SweepRequest) error {
 	if err := req.Validate(s.cfg.limits()); err != nil {
-		return nil, err
+		return err
 	}
 	if req.Figure == "" {
-		return nil, fmt.Errorf("figure is required (3..9)")
+		return fmt.Errorf("figure is required (3..9)")
 	}
-	return core.Figures()[req.Figure], nil
+	return nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -656,8 +656,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	driver, err := s.sweepDriver(&req)
-	if err != nil {
+	if err := s.admitSweep(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -666,21 +665,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.submit(w, r, "sweep", payload, s.sweepFunc(driver, req, r.Header.Get(TenantHeader), payload))
+	s.submit(w, r, "sweep", payload, s.sweepFunc(req, r.Header.Get(TenantHeader), payload))
 }
 
-// sweepFunc builds the job body for one validated sweep request.
+// sweepFunc builds the job body for one admitted sweep request.
 // Figure generation is deterministic, so the result is persisted in
 // the content-addressed store (when configured) keyed by the request
 // payload: a repeated or recovered request re-serves the stored bytes
-// verbatim instead of recomputing.
-func (s *Server) sweepFunc(driver func(core.Options) (*core.Figure, error), opts core.Options, tenantName string, payload []byte) jobs.Func {
+// verbatim instead of recomputing. The job's context reaches every
+// repetition of the figure, and baselines resolve as a simulate job's
+// do (cache, breaker, direct build).
+func (s *Server) sweepFunc(req SweepRequest, tenantName string, payload []byte) jobs.Func {
 	return func(ctx context.Context) (any, error) {
-		// Figure drivers do not take a context yet; honor cancellation
-		// at the job boundary.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		var key string
 		if s.cfg.ResultStore != nil {
 			key = simcache.ResultKey("sweep", payload)
@@ -689,7 +685,12 @@ func (s *Server) sweepFunc(driver func(core.Options) (*core.Figure, error), opts
 			}
 		}
 		start := time.Now()
-		f, err := driver(opts)
+		opts := req
+		opts.Experiments = func(cfg core.ExperimentConfig) (*core.Experiment, error) {
+			exp, _, _, err := s.baseline(ctx, cfg)
+			return exp, err
+		}
+		f, err := core.RunFigure(ctx, opts.Figure, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -820,11 +821,10 @@ func (s *Server) rebuildFunc(p jobs.PendingJob) (jobs.Func, error) {
 		if err := json.Unmarshal(p.Spec.Payload, &req); err != nil {
 			return nil, err
 		}
-		driver, err := s.sweepDriver(&req)
-		if err != nil {
+		if err := s.admitSweep(&req); err != nil {
 			return nil, err
 		}
-		return s.sweepFunc(driver, req, p.Spec.Tenant, p.Spec.Payload), nil
+		return s.sweepFunc(req, p.Spec.Tenant, p.Spec.Payload), nil
 	default:
 		return nil, fmt.Errorf("no recovery for job kind %q", p.Spec.Kind)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/noise"
 	"repro/internal/simcache"
@@ -281,7 +282,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 }
 
 func TestSweepEndToEnd(t *testing.T) {
-	ts, _, _ := newTestServer(t, jobs.Config{})
+	ts, q, cache := newTestServer(t, jobs.Config{})
 	req := SweepRequest{Figure: "4", Nodes: 16, Iterations: 2, Reps: 1, Seed: 1, Workloads: []string{"minife"}}
 	var sub submitted
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &sub); code != http.StatusAccepted {
@@ -301,6 +302,89 @@ func TestSweepEndToEnd(t *testing.T) {
 	for _, row := range fig.Rows {
 		if row.Workload != "minife" {
 			t.Fatalf("workload filter ignored: %+v", row)
+		}
+	}
+
+	// The job resolved its baseline through the shared cache, and the
+	// figure is the one a direct RunFigure computes, byte for byte.
+	if st := cache.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("sweep left cache stats %+v, want its one baseline built through the cache", st)
+	}
+	direct, err := core.RunFigure(context.Background(), req.Figure, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := direct.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := q.Get(sub.ID)
+	if got, isRaw := snap.Result.(json.RawMessage); !ok || !isRaw || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("sweep job result differs from a direct RunFigure:\n%s\nvs\n%s", snap.Result, want.Bytes())
+	}
+	// A simulate job at the sweep's (workload, nodes, iters, seed) point
+	// finds that baseline resident.
+	if code := postJSON(t, ts.URL+"/v1/simulate", simReq(), &sub); code != http.StatusAccepted {
+		t.Fatalf("simulate submit status %d", code)
+	}
+	if state, raw, errMsg = pollJob(t, ts.URL, sub.ID); state != "succeeded" {
+		t.Fatalf("simulate: %s (%s)", state, errMsg)
+	}
+	var res SimulateResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit {
+		t.Fatal("simulate after a sweep at the same point rebuilt the baseline")
+	}
+}
+
+// TestCancelRunningSweep: DELETE on a sweep whose every repetition is
+// stalled for a minute reaches canceled in well under that — the job's
+// context is observed inside the figure, not only between figures — and
+// so does a sweep that outlives the queue's job deadline.
+func TestCancelRunningSweep(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // the queue's job deadline; zero cancels over HTTP instead
+	}{{"delete", 0}, {"deadline", 200 * time.Millisecond}} {
+		name, timeout := tc.name, tc.timeout
+		if err := faultinject.Arm(faultinject.Plan{
+			faultinject.SiteRepetition: {Kind: faultinject.KindDelay, Probability: 1, DelayNanos: int64(time.Minute)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ts, _, _ := newTestServer(t, jobs.Config{Timeout: timeout})
+		var sub submitted
+		req := SweepRequest{Figure: "4", Nodes: 16, Iterations: 2, Reps: 2, Seed: 1, Workloads: []string{"minife"}}
+		if code := postJSON(t, ts.URL+"/v1/sweep", req, &sub); code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d", name, code)
+		}
+		for faultinject.Snapshot().Sites[0].Fired == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		start := time.Now()
+		if timeout == 0 {
+			del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+sub.ID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(del)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("cancel of a running sweep: status %d", resp.StatusCode)
+			}
+		}
+		state, raw, errMsg := pollJob(t, ts.URL, sub.ID)
+		if state != "canceled" || len(raw) != 0 && string(raw) != "null" {
+			t.Fatalf("%s: sweep ended %s (%s) with result %s, want canceled and no result", name, state, errMsg, raw)
+		}
+		if took := time.Since(start); took > 10*time.Second {
+			t.Fatalf("%s: a sweep stalled for a minute per repetition took %s to stop", name, took)
 		}
 	}
 }
