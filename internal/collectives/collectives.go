@@ -16,7 +16,10 @@
 //
 // Expansion rewrites a trace in place of each collective op using
 // reserved tag and request-id spaces (TagBase, ReqBase), so expanded
-// messages can never match application point-to-point traffic.
+// messages can never match application point-to-point traffic. A rank's
+// expansion is reported to a Sink, collective instance by instance, as
+// a shared canonical schedule plus the bases to add; Expand and
+// AppendRank flatten that into plain ops.
 package collectives
 
 import (
@@ -79,7 +82,8 @@ func (c Config) rabenseifnerMin() int64 {
 	return c.RabenseifnerMin
 }
 
-// expander accumulates the rewritten op list for one rank.
+// expander accumulates the ops one collective algorithm emits on one
+// rank (see buildCanonical).
 type expander struct {
 	rank int32
 	n    int32
@@ -105,8 +109,8 @@ func (e *expander) sendRecv(partner int32, sendSize, recvSize int64) {
 // and returns the new trace. The input is not modified. It returns an
 // error if the trace is structurally invalid (mismatched collective
 // sequences across ranks, tags or request ids inside the reserved
-// space). It is an Expander fed every rank in turn, each result copied
-// into a slice of exactly its length.
+// space). It is an Expander fed every rank in turn through AppendRank,
+// each result copied into a slice of exactly its length.
 func Expand(t *trace.Trace, cfg Config) (*trace.Trace, error) {
 	x, err := NewExpander(t.NumRanks(), cfg)
 	if err != nil {
@@ -124,6 +128,20 @@ func Expand(t *trace.Trace, cfg Config) (*trace.Trace, error) {
 	return out, nil
 }
 
+// Sink receives one rank's expansion, in op order.
+type Sink interface {
+	// Ops takes a run of the rank's ops between two collectives, as
+	// they are. The slice is the caller's; the sink must not keep it.
+	Ops(ops []trace.Op)
+	// Collective takes one collective instance. ops is its schedule on
+	// this rank in canonical form — tag 0, request ids from 0 — shared
+	// process-wide and immutable; the instance is ops with tag added to
+	// every message's tag and req to every request id. sched numbers the
+	// rank's distinct schedules from 0 in order of first appearance, so
+	// a sink that keeps one copy per schedule indexes them by it.
+	Collective(sched int, ops []trace.Op, tag, req int32)
+}
+
 // Expander expands the collectives of one trace a rank at a time, so
 // a caller that generates and consumes ranks one by one never holds
 // the whole trace in either form. Ranks must be fed in order from 0:
@@ -132,10 +150,13 @@ func Expand(t *trace.Trace, cfg Config) (*trace.Trace, error) {
 type Expander struct {
 	cfg  Config
 	n    int32
-	next int // the rank AppendRank must be given next
+	next int // the rank ExpandRank must be given next
 	// first is rank 0's collective ops; seq is the current rank's,
-	// reused from rank to rank.
+	// reused from rank to rank, as is scheds, the number each of the
+	// rank's distinct schedules goes by (Sink.Collective).
 	first, seq []trace.Op
+	scheds     map[schedKey]int
+	flat       flattener // AppendRank's sink
 }
 
 // NewExpander returns an Expander for a trace of the given rank count.
@@ -143,47 +164,76 @@ func NewExpander(ranks int, cfg Config) (*Expander, error) {
 	if ranks < 1 {
 		return nil, trace.ErrEmptyTrace
 	}
-	return &Expander{cfg: cfg, n: int32(ranks)}, nil
+	return &Expander{cfg: cfg, n: int32(ranks), scheds: map[schedKey]int{}}, nil
+}
+
+// flattener is the Sink that writes an expansion out as plain ops.
+type flattener struct{ out []trace.Op }
+
+func (f *flattener) Ops(ops []trace.Op) { f.out = append(f.out, ops...) }
+
+func (f *flattener) Collective(_ int, ops []trace.Op, tag, req int32) {
+	f.out = splice(f.out, ops, tag, req)
 }
 
 // AppendRank appends rank r's ops to dst with every collective
 // replaced by its point-to-point schedule, and returns the extended
-// slice. ops is not modified. It fails if r is not the next rank in
-// order, if an op uses a tag or request id inside the reserved space,
-// or if the rank's collectives disagree with rank 0's; after a failure
-// the Expander is spent.
+// slice: ExpandRank into a sink that flattens. On failure it returns
+// dst as it was given.
 func (x *Expander) AppendRank(dst []trace.Op, r int, ops []trace.Op) ([]trace.Op, error) {
+	x.flat.out = dst
+	err := x.ExpandRank(&x.flat, r, ops)
+	out := x.flat.out
+	x.flat.out = nil
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// ExpandRank reports rank r's ops to sink with every collective
+// replaced by its point-to-point schedule. ops is not modified. It
+// fails if r is not the next rank in order, if an op uses a tag or
+// request id inside the reserved space, or if the rank's collectives
+// disagree with rank 0's; after a failure the Expander is spent and
+// what the sink received is incomplete.
+func (x *Expander) ExpandRank(sink Sink, r int, ops []trace.Op) error {
 	if r != x.next {
-		return dst, fmt.Errorf("collectives: rank %d fed out of order, want rank %d", r, x.next)
+		return fmt.Errorf("collectives: rank %d fed out of order, want rank %d", r, x.next)
 	}
 	if r >= int(x.n) {
-		return dst, fmt.Errorf("collectives: rank %d fed to an expander of %d ranks", r, x.n)
+		return fmt.Errorf("collectives: rank %d fed to an expander of %d ranks", r, x.n)
 	}
 	x.next++
-	e := expander{rank: int32(r), n: x.n, out: dst, req: ReqBase}
+	clear(x.scheds)
 	seq := x.seq[:0]
+	req := ReqBase // next request id in the reserved space
+	run := 0       // ops[run:i] have not gone to the sink yet
 	for i, op := range ops {
 		if !op.Kind.IsCollective() {
 			switch op.Kind {
 			case trace.OpSend, trace.OpRecv, trace.OpIsend, trace.OpIrecv:
 				if op.Tag >= TagBase {
-					return dst, fmt.Errorf("collectives: rank %d op %d uses reserved tag %d", r, i, op.Tag)
+					return fmt.Errorf("collectives: rank %d op %d uses reserved tag %d", r, i, op.Tag)
 				}
 			}
 			switch op.Kind {
 			case trace.OpIsend, trace.OpIrecv, trace.OpWait:
 				if op.Req >= ReqBase {
-					return dst, fmt.Errorf("collectives: rank %d op %d uses reserved request id %d", r, i, op.Req)
+					return fmt.Errorf("collectives: rank %d op %d uses reserved request id %d", r, i, op.Req)
 				}
 			}
-			e.emit(op)
 			continue
 		}
-		e.tag = TagBase + int32(len(seq))
+		if run < i {
+			sink.Ops(ops[run:i])
+		}
+		run = i + 1
+		tag := TagBase + int32(len(seq))
 		seq = append(seq, op)
-		key, err := schedKeyFor(op, x.n, e.rank, x.cfg)
+		key, err := schedKeyFor(op, x.n, int32(r), x.cfg)
 		if err != nil {
-			return dst, err
+			return err
 		}
 		// The builder cannot fail; the only error is a concurrent build of
 		// the same key that panicked (memo.ErrBuildAborted).
@@ -191,24 +241,36 @@ func (x *Expander) AppendRank(dst []trace.Op, r int, ops []trace.Op) ([]trace.Op
 			return buildCanonical(key), nil
 		})
 		if err != nil {
-			return dst, fmt.Errorf("collectives: schedule for rank %d %s: %w", r, op.Kind, err)
+			return fmt.Errorf("collectives: schedule for rank %d %s: %w", r, op.Kind, err)
 		}
-		e.splice(sch)
+		if len(sch.ops) == 0 {
+			continue // a one-rank communicator: nothing to exchange
+		}
+		id, seen := x.scheds[key]
+		if !seen {
+			id = len(x.scheds)
+			x.scheds[key] = id
+		}
+		sink.Collective(id, sch.ops, tag, req)
+		req += sch.reqs
+	}
+	if run < len(ops) {
+		sink.Ops(ops[run:])
 	}
 	if r == 0 {
 		x.first = append(x.first, seq...)
 	} else if len(seq) != len(x.first) {
-		return dst, fmt.Errorf("collectives: rank %d has %d collectives, rank 0 has %d", r, len(seq), len(x.first))
+		return fmt.Errorf("collectives: rank %d has %d collectives, rank 0 has %d", r, len(seq), len(x.first))
 	} else {
 		for i := range seq {
 			if seq[i].Kind != x.first[i].Kind || seq[i].Size != x.first[i].Size || seq[i].Peer != x.first[i].Peer {
-				return dst, fmt.Errorf("collectives: rank %d collective %d (%s) disagrees with rank 0 (%s)",
+				return fmt.Errorf("collectives: rank %d collective %d (%s) disagrees with rank 0 (%s)",
 					r, i, seq[i].Kind, x.first[i].Kind)
 			}
 		}
 	}
 	x.seq = seq
-	return e.out, nil
+	return nil
 }
 
 // dissemination emits the dissemination pattern: ceil(log2 n) rounds,

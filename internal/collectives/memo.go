@@ -8,15 +8,20 @@
 // internal/memo cache: byte-bounded LRU, one build per absent key.
 //
 // Entries are stored in canonical form: tag 0 and request ids counted
-// from 0. Splicing an entry into a trace rebases tags and request ids
+// from 0. An instance is an entry with its tags and request ids rebased
 // by addition, which reproduces exactly what direct emission would have
 // produced — the algorithms use e.tag verbatim on every p2p op and
 // allocate request ids sequentially (see
-// TestMemoizedExpansionBitIdentical).
+// TestMemoizedExpansionBitIdentical). ExpandRank hands the entry and
+// the two bases to its Sink: the simulator's builder compiles the entry
+// once per rank and adds the bases when it runs (a loggopsim segment),
+// and only the flattening sink behind Expand/AppendRank copies it out
+// (splice).
 package collectives
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/memo"
 	"repro/internal/trace"
@@ -42,15 +47,15 @@ type schedule struct {
 	reqs int32
 }
 
-// schedOpBytes approximates the resident size of one memoized op.
-const schedOpBytes = 40
+// schedOpBytes is the resident size of one memoized op.
+const schedOpBytes = int64(unsafe.Sizeof(trace.Op{}))
 
 // schedEntryOverhead accounts for map and list bookkeeping per entry.
 const schedEntryOverhead = 160
 
 // DefaultScheduleCacheBytes bounds the process-wide schedule cache:
 // 32 MiB, far more than any realistic algorithm/size/rank working set
-// (a 4096-rank allreduce schedule is ~40 ops per rank).
+// (a 4096-rank allreduce schedule is ~40 ops, 1.4 KiB, per rank).
 const DefaultScheduleCacheBytes = 32 << 20
 
 // ScheduleCacheStats is a point-in-time snapshot of the memoization
@@ -143,13 +148,11 @@ func buildCanonical(key schedKey) schedule {
 	return schedule{ops: e.out, reqs: e.req}
 }
 
-// splice appends the canonical schedule to the expander's output,
-// rebasing tags by the instance tag and request ids by the expander's
-// running request counter — exactly the values direct emission would
-// have assigned.
-func (e *expander) splice(sch schedule) {
-	tag, req := e.tag, e.req
-	for _, op := range sch.ops {
+// splice appends a canonical schedule to dst with tags rebased by tag
+// and request ids by req — exactly the values direct emission at those
+// bases would have assigned.
+func splice(dst, ops []trace.Op, tag, req int32) []trace.Op {
+	for _, op := range ops {
 		switch op.Kind {
 		case trace.OpSend, trace.OpRecv, trace.OpIsend, trace.OpIrecv:
 			op.Tag += tag
@@ -158,7 +161,7 @@ func (e *expander) splice(sch schedule) {
 		case trace.OpIsend, trace.OpIrecv, trace.OpWait:
 			op.Req += req
 		}
-		e.out = append(e.out, op)
+		dst = append(dst, op)
 	}
-	e.req += sch.reqs
+	return dst
 }

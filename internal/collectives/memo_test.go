@@ -63,11 +63,10 @@ func TestMemoizedExpansionBitIdentical(t *testing.T) {
 							for _, b := range bases {
 								direct := &expander{rank: key.rank, n: key.n, tag: b.tag, req: b.req}
 								direct.runAlgo(key)
-								spliced := &expander{rank: key.rank, n: key.n, tag: b.tag, req: b.req}
-								spliced.splice(sch)
-								if !reflect.DeepEqual(spliced.out, direct.out) || spliced.req != direct.req {
+								spliced, next := splice(nil, sch.ops, b.tag, b.req), b.req+sch.reqs
+								if !reflect.DeepEqual(spliced, direct.out) || next != direct.req {
 									t.Fatalf("key %+v at tag %d req %d: splice diverges from the algorithm\nsplice (next req %d): %+v\ndirect (next req %d): %+v",
-										key, b.tag, b.req, spliced.req, spliced.out, direct.req, direct.out)
+										key, b.tag, b.req, next, spliced, direct.req, direct.out)
 								}
 							}
 						}

@@ -75,11 +75,12 @@ type Experiment struct {
 }
 
 // NewExperiment lowers the workload into a compiled program one rank
-// at a time — generate rank r's ops, expand its collectives, compile —
-// through two scratch buffers a rank long, so neither the generated nor
-// the expanded trace ever exists whole and only the program is kept.
-// It then simulates the noise-free baseline, whose run state is the
-// first one on the idle list.
+// at a time — generate rank r's ops into a scratch buffer a rank long,
+// and let the expander report them to the builder, each collective
+// instance as a reference to a schedule the builder compiles once per
+// rank — so neither the generated nor the expanded trace ever exists
+// whole and only the program is kept. It then simulates the noise-free
+// baseline, whose run state is the first one on the idle list.
 func NewExperiment(cfg ExperimentConfig) (*Experiment, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("core: need at least 2 nodes, got %d", cfg.Nodes)
@@ -105,14 +106,14 @@ func NewExperiment(cfg ExperimentConfig) (*Experiment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline simulation: %w", err)
 	}
-	var generated, expanded []trace.Op
+	var generated []trace.Op
 	for r := 0; r < ranks; r++ {
 		generated = plan.AppendRank(generated[:0], r)
-		if expanded, err = expander.AppendRank(expanded[:0], r, generated); err != nil {
-			return nil, err
-		}
-		if err := builder.AddRank(r, expanded); err != nil {
+		if err := builder.StartRank(r); err != nil {
 			return nil, fmt.Errorf("core: baseline simulation: %w", err)
+		}
+		if err := expander.ExpandRank(builder, r, generated); err != nil {
+			return nil, err
 		}
 	}
 	prog, err := builder.Program()

@@ -232,19 +232,21 @@ func TestCanonicalResolvesNetDefault(t *testing.T) {
 	}
 }
 
-// TestSizeBytesTracksProgram: the size follows the program (twice the
-// iterations, roughly twice the bytes) and includes the idle run state
-// — what a cached experiment really holds; taking the run state off
-// the idle list takes exactly its bytes off the size.
+// TestSizeBytesTracksProgram: the size follows the program — what
+// iterations add to it they add in proportion (the streams grow with
+// the iterations; the collective segments they reference do not) — and
+// includes the idle run state, what a cached experiment really holds;
+// taking the run state off the idle list takes exactly its bytes off
+// the size.
 func TestSizeBytesTracksProgram(t *testing.T) {
-	sizes := make([]int64, 0, 2)
-	for _, iters := range []int{3, 6} {
+	progs := make([]int64, 0, 3)
+	for _, iters := range []int{3, 6, 12} {
 		e, err := NewExperiment(ExperimentConfig{Workload: "minife", Nodes: 16, Iterations: iters, TraceSeed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		size := e.SizeBytes()
-		sizes = append(sizes, size)
+		progs = append(progs, e.prog.SizeBytes())
 		sim := e.acquireSim()
 		results := int64(e.Ranks()) * 4 * 8
 		if sim.SizeBytes() <= 0 || size != e.prog.SizeBytes()+results+sim.SizeBytes() {
@@ -256,7 +258,8 @@ func TestSizeBytesTracksProgram(t *testing.T) {
 		}
 		e.releaseSim(sim)
 	}
-	if sizes[0] <= 0 || sizes[1] < sizes[0]*3/2 {
-		t.Fatalf("SizeBytes %d at 3 iterations, %d at 6: want roughly double", sizes[0], sizes[1])
+	three, six := progs[1]-progs[0], progs[2]-progs[1]
+	if three <= 0 || six < three*19/10 || six > three*21/10 {
+		t.Fatalf("program bytes %v at 3, 6 and 12 iterations: 3 more add %d, 6 more add %d, want double", progs, three, six)
 	}
 }

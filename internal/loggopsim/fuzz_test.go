@@ -1,7 +1,6 @@
 package loggopsim
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/collectives"
@@ -126,23 +125,23 @@ func decodeFuzzCase(data []byte) fuzzCase {
 	return c
 }
 
-// streamedProgram lowers the case the way core.NewExperiment does: a
-// rank at a time through the expander into the builder.
-func streamedProgram(c fuzzCase) (*Program, error) {
-	x, err := collectives.NewExpander(c.tr.NumRanks(), c.coll)
+// streamedProgram lowers a trace the way core.NewExperiment does: a
+// rank at a time, the expander reporting to the builder, so every
+// collective instance becomes a reference to a per-rank segment.
+func streamedProgram(tr *trace.Trace, coll collectives.Config, cfg Config) (*Program, error) {
+	x, err := collectives.NewExpander(tr.NumRanks(), coll)
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewBuilder(c.tr.NumRanks(), c.cfg)
+	b, err := NewBuilder(tr.NumRanks(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	var buf []trace.Op
-	for r, ops := range c.tr.Ops {
-		if buf, err = x.AppendRank(buf[:0], r, ops); err != nil {
+	for r, ops := range tr.Ops {
+		if err := b.StartRank(r); err != nil {
 			return nil, err
 		}
-		if err := b.AddRank(r, buf); err != nil {
+		if err := x.ExpandRank(b, r, ops); err != nil {
 			return nil, err
 		}
 	}
@@ -152,9 +151,10 @@ func streamedProgram(c fuzzCase) (*Program, error) {
 // requireMatchesReference runs the case three ways — the reference
 // interpreter on collectives.Expand's flat trace, the engine on the
 // program compiled from that trace, and the engine on the program
-// lowered rank by rank — and requires the same per-rank finish times,
-// message, byte and event counts, termination and Profile from all.
-// Deadlocks (a wildcard receive that stole a match) must agree too.
+// lowered rank by rank into streams and segments — and requires the
+// same per-rank finish times, message, byte and event counts,
+// termination and Profile from all. Deadlocks (a wildcard receive that
+// stole a match) must agree too.
 func requireMatchesReference(t *testing.T, c fuzzCase) {
 	t.Helper()
 	if err := c.tr.Validate(); err != nil {
@@ -169,7 +169,7 @@ func requireMatchesReference(t *testing.T, c fuzzCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := streamedProgram(c)
+	streamed, err := streamedProgram(c.tr, c.coll, c.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,8 @@ func requireMatchesReference(t *testing.T, c fuzzCase) {
 	}
 }
 
-// fuzzSeeds are the inline seeds; testdata/fuzz holds the same programs
-// and whatever the fuzzer has found since.
+// fuzzSeeds are the hand-written seeds; testdata/fuzz holds inputs the
+// fuzzer grew from them.
 var fuzzSeeds = map[string]string{
 	"eager-pingpong":   "\x00\x00\x00" + "\x00\x00\x03" + "\x00\x01\x03",
 	"rendezvous-mixed": "\x02\x10\x00" + "\x00\x00\x07" + "\x00\x09\x1f" + "\x01\x02\x0e" + "\x03\x01\x40" + "\x00\x0a\x17" + "\x05\x01\x00" + "\x04\x02\x00",
@@ -234,7 +234,7 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 			flat, _ := collectives.Expand(c.tr, c.coll)
 			detour = detour || referenceRun(flat, c.cfg, c.noise).Profile.Detour > 0
 		}
-		t.Log(name, fmt.Sprint(c.tr.NumRanks(), " ranks, ", c.tr.NumOps(), " ops"))
+		t.Logf("%s: %d ranks, %d ops", name, c.tr.NumRanks(), c.tr.NumOps())
 	}
 	for _, k := range fuzzCollectives {
 		if !kinds[k] {

@@ -148,13 +148,19 @@ const (
 )
 
 type rankState struct {
-	pc         int
-	clock      int64
-	block      blockKind
-	blockReq   int32 // for blockedWait
-	blockMsg   int32 // rendezvous msg index for blockedSendCTS / blockedRecv data wait
-	slots      []slot
-	unexpected []unexp
+	// pc is the next op in the frame the rank is executing: its stream,
+	// or, while seg >= 0, segment seg of the program, entered from the
+	// stream op before ret and run with tagBase and reqBase added to its
+	// ops' tags and request ids (both zero in the stream).
+	pc, ret          int
+	seg              int32
+	tagBase, reqBase int32
+	clock            int64
+	block            blockKind
+	blockReq         int32 // for blockedWait
+	blockMsg         int32 // rendezvous msg index for blockedSendCTS / blockedRecv data wait
+	slots            []slot
+	unexpected       []unexp
 	// freeMin is a lower bound on the inactive slot indices: no slot
 	// below it is free. addSlot resumes its lowest-free scan here
 	// instead of index 0, which keeps allocation O(1) amortized while
@@ -306,7 +312,7 @@ func (s *Simulator) reset(nm noise.Model) {
 	s.msgs = s.msgs[:0]
 	for r := range s.ranks {
 		st := &s.ranks[r]
-		st.pc = 0
+		st.pc, st.ret, st.seg, st.tagBase, st.reqBase = 0, 0, -1, 0, 0
 		st.clock = 0
 		st.block = notBlocked
 		st.blockReq = 0
@@ -392,7 +398,7 @@ func (s *Simulator) Run(nm noise.Model) (*Result, error) {
 	if s.active > 0 {
 		out.Deadlocked = true
 		return &out, fmt.Errorf("loggopsim: deadlock, %d ranks blocked (first: rank %d at op %d)",
-			s.active, s.firstBlocked(), s.ranks[s.firstBlocked()].pc)
+			s.active, s.firstBlocked(), s.expandedPC(s.firstBlocked()))
 	}
 	return &out, nil
 }
@@ -418,6 +424,25 @@ func (s *Simulator) firstBlocked() int32 {
 		}
 	}
 	return 0
+}
+
+// expandedPC is where rank r stands counted in ops of its expanded
+// trace — every segment reference behind it at the segment's length —
+// which is the index a reader of the trace can look up.
+func (s *Simulator) expandedPC(r int32) int {
+	st := &s.ranks[r]
+	at, pc := 0, st.pc
+	if st.seg >= 0 {
+		at, pc = st.pc, st.ret-1
+	}
+	for _, op := range s.p.code[r][:pc] {
+		if op.kind == cSeg {
+			at += len(s.p.segs[op.arg])
+		} else {
+			at++
+		}
+	}
+	return at
 }
 
 func (s *Simulator) finishResult() {
@@ -488,66 +513,90 @@ func (s *Simulator) inject(rank int32, ready int64, p *netmodel.Params, size int
 
 // advance executes ops on rank r until it blocks or finishes. The hot
 // cases inline the noise-elided CPU extension (see extend) so the
-// common op costs a handful of integer instructions.
+// common op costs a handful of integer instructions. A segment
+// reference switches the frame to the segment and the end of a segment
+// switches it back, so a rank can block and resume anywhere in either.
 func (s *Simulator) advance(r int32) {
 	st := &s.ranks[r]
 	st.block = notBlocked
-	cops := s.p.cops[r]
-	for st.pc < len(cops) {
-		op := &cops[st.pc]
-		switch op.kind {
-		case cCalc:
-			end := st.clock + op.dur
-			if end > s.nextNoise[r] {
-				end = s.extendSlow(r, st.clock, op.dur)
-			}
-			if s.profRank != nil {
-				p := &s.profRank[r]
-				p.work += op.dur
-				p.detour += end - st.clock - op.dur
-			}
-			st.clock = end
-		case cEagerIsend:
-			s.eagerSend(r, st, op)
-			s.addSlot(st, slot{req: op.req, peer: op.peer, tag: op.tag, size: op.size, done: true, ready: st.clock, active: true})
-		case cIrecv:
-			s.postIrecv(r, op)
-		case cWaitAll:
-			if !s.doWaitAll(r) {
+	ops := s.p.code[r]
+	if st.seg >= 0 {
+		ops = s.p.segs[st.seg]
+	}
+	for {
+		for st.pc < len(ops) {
+			op := &ops[st.pc]
+			switch op.kind {
+			case cCalc:
+				end := st.clock + op.arg
+				if end > s.nextNoise[r] {
+					end = s.extendSlow(r, st.clock, op.arg)
+				}
+				if s.profRank != nil {
+					p := &s.profRank[r]
+					p.work += op.arg
+					p.detour += end - st.clock - op.arg
+				}
+				st.clock = end
+			case cEagerIsend:
+				c := &s.p.costs[op.arg]
+				s.eagerSend(r, st, op, c)
+				s.addSlot(st, slot{req: op.req + st.reqBase, peer: op.peer, tag: op.tag + st.tagBase, size: c.size, done: true, ready: st.clock, active: true})
+			case cIrecv:
+				s.postIrecv(r, op)
+			case cWaitAll:
+				if !s.doWaitAll(r) {
+					return
+				}
+			case cEagerSend:
+				s.eagerSend(r, st, op, &s.p.costs[op.arg])
+			case cRdvIsend:
+				c := &s.p.costs[op.arg]
+				s.startRdv(r, st, op, c, op.req+st.reqBase)
+				s.addSlot(st, slot{req: op.req + st.reqBase, peer: op.peer, tag: op.tag + st.tagBase, size: c.size, active: true})
+			case cRdvSend:
+				// Rendezvous blocking send: pay o, emit RTS, block until CTS.
+				idx := s.startRdv(r, st, op, &s.p.costs[op.arg], -1)
+				st.block = blockedSendCTS
+				st.blockMsg = idx
+				return
+			case cRecv:
+				if !s.startRecv(r, op) {
+					return
+				}
+			case cWait:
+				if !s.doWait(r, op.req+st.reqBase) {
+					return
+				}
+			case cSeg:
+				st.ret, st.seg, st.tagBase, st.reqBase = st.pc+1, int32(op.arg), op.tag, op.req
+				ops, st.pc = s.p.segs[op.arg], 0
+				continue
+			default:
+				// Collectives must have been expanded; treat as fatal by
+				// deadlocking this rank deliberately with a diagnostic op.
+				// (Callers run trace.Validate + collectives.Expand first;
+				// panicking here would hide the offending op index.)
+				st.block = blockedWait
+				st.blockReq = -999
 				return
 			}
-		case cEagerSend:
-			s.eagerSend(r, st, op)
-		case cRdvIsend:
-			s.startRdv(r, st, op, op.req)
-			s.addSlot(st, slot{req: op.req, peer: op.peer, tag: op.tag, size: op.size, active: true})
-		case cRdvSend:
-			// Rendezvous blocking send: pay o, emit RTS, block until CTS.
-			idx := s.startRdv(r, st, op, -1)
-			st.block = blockedSendCTS
-			st.blockMsg = idx
-			return
-		case cRecv:
-			if !s.startRecv(r, op) {
-				return
-			}
-		case cWait:
-			if !s.doWait(r, op.req) {
-				return
-			}
-		default:
-			// Collectives must have been expanded; treat as fatal by
-			// deadlocking this rank deliberately with a diagnostic op.
-			// (Callers run trace.Validate + collectives.Expand first;
-			// panicking here would hide the offending op index.)
-			st.block = blockedWait
-			st.blockReq = -999
-			return
+			st.pc++
 		}
-		st.pc++
+		if st.seg < 0 {
+			break
+		}
+		ops, st.pc, st.seg, st.tagBase, st.reqBase = s.p.code[r], st.ret, -1, 0, 0
 	}
 	st.block = finished
 	s.active--
+}
+
+// resume steps rank r past the op it was blocked in — in its stream or
+// in a segment, pc counts in either — and advances it.
+func (s *Simulator) resume(r int32) {
+	s.ranks[r].pc++
+	s.advance(r)
 }
 
 func max64(a, b int64) int64 {

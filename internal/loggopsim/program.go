@@ -2,27 +2,41 @@ package loggopsim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/netmodel"
 	"repro/internal/trace"
 )
 
-// cop is a compiled trace operation. Compile resolves everything that
-// does not depend on simulated time — the eager/rendezvous protocol
-// decision, the LogGOPS send CPU / NIC gap / transit costs (including
-// the per-pair extra latency), and the parameter set — so the replay
-// loop does only integer arithmetic: no floating-point byte-cost math,
-// no interface or function-valued calls, no protocol branches.
+// cop is a compiled trace operation, 24 bytes. Lowering resolves
+// everything that does not depend on simulated time — the
+// eager/rendezvous protocol decision, the LogGOPS send CPU / NIC gap /
+// transit costs (including the per-pair extra latency), and the
+// parameter set — so the replay loop does only integer arithmetic: no
+// floating-point byte-cost math, no interface or function-valued calls,
+// no protocol branches. A program's sends have only a handful of
+// distinct cost tuples (one per message size, protocol and latency
+// class), so a send carries an index into the program's cost table
+// instead of the tuple.
 type cop struct {
-	dur     int64 // calc duration | eager send CPU o+(s-1)O | rendezvous o
+	// arg is the calc duration, a send's index into Program.costs, a
+	// receive's posted size, or a segment reference's index into
+	// Program.segs.
+	arg  int64
+	peer int32
+	tag  int32 // segment reference: the instance's tag base
+	req  int32 // segment reference: the instance's request-id base
+	kind uint8 // cop kinds below
+}
+
+// cost is what a send of one size between one class of rank pair costs.
+type cost struct {
+	dur     int64 // eager send CPU o+(s-1)O | rendezvous o
 	size    int64 // message bytes
 	nicGap  int64 // eager send: NIC occupancy g+(s-1)G
 	transit int64 // eager send: L+(s-1)G+xl | rendezvous send: RTS flight L+xl
-	peer    int32
-	tag     int32
-	req     int32
-	kind    uint8 // cop kinds below
 }
 
 // Compiled op kinds, ordered hottest-first.
@@ -36,6 +50,7 @@ const (
 	cRdvSend
 	cRecv
 	cWait
+	cSeg // segment reference: run Program.segs[arg] with (tag, req) added
 	cBad // unexpanded collective: deliberate diagnostic deadlock
 )
 
@@ -45,19 +60,31 @@ const (
 // Simulators — one per goroutine — may run it at once; everything a run
 // mutates lives in the Simulator. The trace is not retained.
 //
+// A rank's ops are its stream, code[r]. Where the rank runs a
+// collective, the stream holds one segment reference instead of the
+// collective's point-to-point schedule: the schedule is compiled once
+// per rank into a segment, in canonical form (tag 0, request ids from
+// 0), and every instance of it is a reference carrying the tag and
+// request-id bases the run loop adds to the segment's ops as it
+// dispatches them. A program compiled from an already flat trace has no
+// segments and runs through the same loop.
+//
 // Config.ExtraLatency is consulted while runs are in flight (rendezvous
 // handshakes), so it must be safe to call from several goroutines.
 type Program struct {
 	cfg   Config
 	nodes int     // NIC timelines a run needs
 	node  []int32 // rank -> node, so the hot path never divides
-	cops  [][]cop // per rank
+	code  [][]cop // per rank: the stream
+	segs  [][]cop // compiled collective schedules, each entered from one rank's stream
+	costs []cost  // send costs, deduplicated by value
 	// Counted while lowering, so a Simulator is allocated at the size
 	// its first run reaches instead of growing into it: rdvSends is the
 	// number of rendezvous sends (a complete run registers exactly that
 	// many rdvMsgs), slots[r] the most requests rank r ever has
 	// outstanding at once (its slot table's high-water mark, and a bound
-	// on its posted-receive list).
+	// on its posted-receive list). Both count a segment once per
+	// reference to it.
 	rdvSends int
 	slots    []int32
 }
@@ -81,12 +108,43 @@ func Compile(tr *trace.Trace, cfg Config) (*Program, error) {
 
 // Builder lowers a trace into a Program one rank at a time, so a caller
 // producing ranks one by one keeps nothing but the compiled ops. Ranks
-// are added in order from 0; Program hands over the result once all
-// are in.
+// are started in order from 0 and fed through Ops and Collective (the
+// Builder is a collectives.Sink) or whole through AddRank; Program hands
+// over the result once all are in.
 type Builder struct {
 	p    *Program // nil once handed over
-	next int      // the rank AddRank must be given next
+	next int      // the rank StartRank must be given next
+	// costIndex finds a cost tuple's place in p.costs.
+	costIndex map[cost]int64
+	// The rank being lowered: its stream so far; its segments' ops end
+	// to end, with where each ends and what one run of it does to the
+	// counts (all four buffers reused from rank to rank; schedule number
+	// n is segment firstSeg+n); and its outstanding requests now and at
+	// their peak (see effect).
+	stream, segOps []cop
+	segEnds        []int
+	effects        []effect
+	firstSeg       int
+	live, peak     int64
 }
+
+// effect is what running a stretch of ops does to the two counts a
+// Program keeps. Outstanding requests follow a run's slot table: a
+// nonblocking op takes a slot, a Wait frees one (never below none), a
+// WaitAll frees all, a blocking receive holds one while it waits. From
+// live requests before the stretch there are max(live+shift, floor)
+// after it, and the peak inside it is max(live+peakShift, peakFloor) —
+// a form closed under appending an op, so a segment's effect is computed
+// once and applied per reference.
+type effect struct {
+	rdvSends             int
+	shift, floor         int64
+	peakShift, peakFloor int64
+}
+
+// never stands for minus infinity in an effect: no count of live
+// requests added to it reaches zero.
+const never = math.MinInt64 / 2
 
 // NewBuilder validates cfg and starts a Program of the given rank count.
 func NewBuilder(ranks int, cfg Config) (*Builder, error) {
@@ -112,19 +170,18 @@ func NewBuilder(ranks int, cfg Config) (*Builder, error) {
 		cfg:   cfg,
 		nodes: (ranks + rpn - 1) / rpn,
 		node:  make([]int32, ranks),
-		cops:  make([][]cop, ranks),
+		code:  make([][]cop, ranks),
 		slots: make([]int32, ranks),
 	}
 	for r := range p.node {
 		p.node[r] = int32(r / rpn)
 	}
-	return &Builder{p: p}, nil
+	return &Builder{p: p, costIndex: map[cost]int64{}}, nil
 }
 
-// AddRank lowers rank r's collective-free ops into compiled ops (see
-// cop) of exactly their number. ops is read, never kept. It fails if r
+// StartRank begins rank r, finishing the rank before it. It fails if r
 // is not the next rank in order.
-func (b *Builder) AddRank(r int, ops []trace.Op) error {
+func (b *Builder) StartRank(r int) error {
 	p := b.p
 	if p == nil {
 		return fmt.Errorf("loggopsim: rank %d added to a finished builder", r)
@@ -132,64 +189,142 @@ func (b *Builder) AddRank(r int, ops []trace.Op) error {
 	if r != b.next {
 		return fmt.Errorf("loggopsim: rank %d added out of order, want rank %d", r, b.next)
 	}
-	if r >= len(p.cops) {
-		return fmt.Errorf("loggopsim: rank %d added to a program of %d ranks", r, len(p.cops))
+	if r >= len(p.code) {
+		return fmt.Errorf("loggopsim: rank %d added to a program of %d ranks", r, len(p.code))
 	}
+	b.finishRank()
 	b.next++
-	cs := make([]cop, len(ops))
-	// live follows the rank's outstanding requests the way a run's slot
-	// table does: a nonblocking op takes a slot, a Wait frees one, a
-	// WaitAll frees all, a blocking receive holds one while it waits.
-	var live, peak int32
+	return nil
+}
+
+// finishRank moves the started rank's segments and stream, in one
+// allocation of exactly their length, and its slot count into the
+// program.
+func (b *Builder) finishRank() {
+	if b.next == 0 {
+		return
+	}
+	p, r := b.p, b.next-1
+	ops := append(append(make([]cop, 0, len(b.segOps)+len(b.stream)), b.segOps...), b.stream...)
+	lo := 0
+	for i, hi := range b.segEnds {
+		p.segs[b.firstSeg+i] = ops[lo:hi:hi]
+		lo = hi
+	}
+	p.code[r] = ops[lo:]
+	p.slots[r] = int32(b.peak)
+	if r == 0 {
+		// Every rank runs the collectives rank 0 ran, so it will have as
+		// many schedules.
+		p.segs = slices.Grow(p.segs, len(p.segs)*(len(p.code)-1))
+	}
+	b.stream, b.segOps, b.segEnds, b.effects, b.firstSeg = b.stream[:0], b.segOps[:0], b.segEnds[:0], b.effects[:0], len(p.segs)
+	b.live, b.peak = 0, 0
+}
+
+// AddRank lowers rank r's collective-free ops into compiled ops (see
+// cop) of exactly their number. ops is read, never kept. It fails if r
+// is not the next rank in order.
+func (b *Builder) AddRank(r int, ops []trace.Op) error {
+	if err := b.StartRank(r); err != nil {
+		return err
+	}
+	b.Ops(ops)
+	return nil
+}
+
+// Ops lowers a run of the started rank's collective-free ops onto the
+// end of its stream. ops is read, never kept.
+func (b *Builder) Ops(ops []trace.Op) {
+	var fx effect
+	b.stream, fx = b.lower(slices.Grow(b.stream, len(ops)), ops)
+	b.apply(fx)
+}
+
+// Collective puts one instance of a collective on the end of the
+// started rank's stream: a reference to the segment compiled from ops,
+// the schedule in canonical form, the first time the rank meets schedule
+// number sched (see collectives.Sink).
+func (b *Builder) Collective(sched int, ops []trace.Op, tag, req int32) {
+	seg := b.firstSeg + sched
+	if seg == len(b.p.segs) {
+		var fx effect
+		b.segOps, fx = b.lower(slices.Grow(b.segOps, len(ops)), ops)
+		b.segEnds, b.effects = append(b.segEnds, len(b.segOps)), append(b.effects, fx)
+		b.p.segs = append(b.p.segs, nil) // cut from the rank's allocation by finishRank
+	}
+	b.stream = append(b.stream, cop{kind: cSeg, arg: int64(seg), tag: tag, req: req})
+	b.apply(b.effects[sched])
+}
+
+// apply composes a stretch's effect onto the started rank's counts.
+func (b *Builder) apply(fx effect) {
+	b.p.rdvSends += fx.rdvSends
+	b.peak = max(b.peak, b.live+fx.peakShift, fx.peakFloor)
+	b.live = max(b.live+fx.shift, fx.floor)
+}
+
+// lower appends the compiled form of the started rank's ops to dst —
+// the one lowering, for stream and segment alike — and returns it with
+// the stretch's effect.
+func (b *Builder) lower(dst []cop, ops []trace.Op) ([]cop, effect) {
+	p, r := b.p, int32(b.next-1)
+	fx := effect{peakShift: never}
 	for i := range ops {
 		op := &ops[i]
-		c := &cs[i]
-		c.peer, c.tag, c.req, c.size = op.Peer, op.Tag, op.Req, op.Size
+		c := cop{peer: op.Peer, tag: op.Tag, req: op.Req}
 		switch op.Kind {
 		case trace.OpCalc:
-			c.kind, c.dur = cCalc, op.Dur
+			c.kind, c.arg = cCalc, op.Dur
 		case trace.OpSend, trace.OpIsend:
-			np := p.pair(int32(r), op.Peer)
-			x := p.xl(int32(r), op.Peer)
+			np := p.pair(r, op.Peer)
+			x := p.xl(r, op.Peer)
+			k := cost{size: op.Size}
 			if np.Eager(op.Size) {
-				c.dur = np.SendCPU(op.Size)
-				c.nicGap = np.NICGap(op.Size)
-				c.transit = np.Transit(op.Size) + x
+				k.dur = np.SendCPU(op.Size)
+				k.nicGap = np.NICGap(op.Size)
+				k.transit = np.Transit(op.Size) + x
 				c.kind = cEagerSend
 				if op.Kind == trace.OpIsend {
 					c.kind = cEagerIsend
 				}
 			} else {
-				c.dur = np.O
-				c.transit = np.L + x
+				k.dur = np.O
+				k.transit = np.L + x
 				c.kind = cRdvSend
 				if op.Kind == trace.OpIsend {
 					c.kind = cRdvIsend
 				}
-				p.rdvSends++
+				fx.rdvSends++
 			}
+			at, ok := b.costIndex[k]
+			if !ok {
+				at = int64(len(p.costs))
+				p.costs = append(p.costs, k)
+				b.costIndex[k] = at
+			}
+			c.arg = at
 		case trace.OpRecv:
-			c.kind = cRecv
-			peak = max(peak, live+1)
+			c.kind, c.arg = cRecv, op.Size
+			fx.peakShift, fx.peakFloor = max(fx.peakShift, fx.shift+1), max(fx.peakFloor, fx.floor+1)
 		case trace.OpIrecv:
-			c.kind = cIrecv
+			c.kind, c.arg = cIrecv, op.Size
 		case trace.OpWait:
 			c.kind = cWait
-			live = max(live-1, 0)
+			fx.shift, fx.floor = fx.shift-1, max(fx.floor-1, 0)
 		case trace.OpWaitAll:
 			c.kind = cWaitAll
-			live = 0
+			fx.shift, fx.floor = never, 0
 		default:
 			c.kind = cBad
 		}
 		if op.Kind == trace.OpIsend || op.Kind == trace.OpIrecv {
-			live++
-			peak = max(peak, live)
+			fx.shift, fx.floor = fx.shift+1, fx.floor+1
+			fx.peakShift, fx.peakFloor = max(fx.peakShift, fx.shift), max(fx.peakFloor, fx.floor)
 		}
+		dst = append(dst, c)
 	}
-	p.cops[r] = cs
-	p.slots[r] = peak
-	return nil
+	return dst, fx
 }
 
 // Program returns the finished program; the builder is spent. It fails
@@ -199,25 +334,34 @@ func (b *Builder) Program() (*Program, error) {
 	if p == nil {
 		return nil, fmt.Errorf("loggopsim: builder already finished")
 	}
-	if b.next != len(p.cops) {
-		return nil, fmt.Errorf("loggopsim: program has %d of %d ranks", b.next, len(p.cops))
+	if b.next != len(p.code) {
+		return nil, fmt.Errorf("loggopsim: program has %d of %d ranks", b.next, len(p.code))
 	}
-	b.p = nil
+	b.finishRank()
+	*b = Builder{}
 	return p, nil
 }
 
 // Ranks returns the number of ranks the program was compiled for.
-func (p *Program) Ranks() int { return len(p.cops) }
+func (p *Program) Ranks() int { return len(p.code) }
 
-// SizeBytes is the program's resident size: the compiled ops, plus a
-// slice header, a node-map entry and a slot count per rank.
+// SizeBytes is the program's resident size: the compiled ops of every
+// stream and segment and the cost table, plus a slice header, a
+// node-map entry and a slot count per rank and a slice header per
+// segment.
 func (p *Program) SizeBytes() int64 {
-	const perRank = int64(unsafe.Sizeof([]cop(nil)) + 2*unsafe.Sizeof(int32(0)))
-	size := int64(len(p.cops)) * perRank
-	for _, cs := range p.cops {
-		size += int64(len(cs)) * int64(unsafe.Sizeof(cop{}))
+	const header = int64(unsafe.Sizeof([]cop(nil)))
+	ops := 0
+	for _, cs := range p.code {
+		ops += len(cs)
 	}
-	return size
+	for _, cs := range p.segs {
+		ops += len(cs)
+	}
+	return int64(ops)*int64(unsafe.Sizeof(cop{})) +
+		int64(len(p.code))*(header+2*int64(unsafe.Sizeof(int32(0)))) +
+		int64(cap(p.segs))*header +
+		int64(cap(p.costs))*int64(unsafe.Sizeof(cost{}))
 }
 
 // pair returns the parameter set for a message between two ranks:

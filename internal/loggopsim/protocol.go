@@ -95,35 +95,35 @@ func (st *rankState) freeSlot(idx int32) {
 // eagerSend runs the eager-protocol send path shared by blocking and
 // nonblocking sends: extend the CPU by the precompiled send overhead,
 // serialize through the node NIC, and schedule the payload arrival.
-func (s *Simulator) eagerSend(r int32, st *rankState, op *cop) {
-	end := st.clock + op.dur
+func (s *Simulator) eagerSend(r int32, st *rankState, op *cop, c *cost) {
+	end := st.clock + c.dur
 	if end > s.nextNoise[r] {
-		end = s.extendSlow(r, st.clock, op.dur)
+		end = s.extendSlow(r, st.clock, c.dur)
 	}
 	if s.profRank != nil {
 		p := &s.profRank[r]
-		p.work += op.dur
-		p.detour += end - st.clock - op.dur
+		p.work += c.dur
+		p.detour += end - st.clock - c.dur
 	}
 	node := s.p.node[r]
 	inj := end
 	if s.nic[node] > inj {
 		inj = s.nic[node]
 	}
-	s.nic[node] = inj + op.nicGap
-	s.q.Push(eventq.Event{Time: inj + op.transit, Kind: evEagerArrive, Rank: op.peer, A: r, B: op.size, C: op.tag})
+	s.nic[node] = inj + c.nicGap
+	s.q.Push(eventq.Event{Time: inj + c.transit, Kind: evEagerArrive, Rank: op.peer, A: r, B: c.size, C: op.tag + st.tagBase})
 	st.clock = end
 }
 
 // startRdv pays the rendezvous send overhead, registers the message and
 // schedules its RTS arrival; srcReq is the sender's request id, -1 for
 // a blocking send.
-func (s *Simulator) startRdv(r int32, st *rankState, op *cop, srcReq int32) int32 {
-	cpuEnd := s.extend(r, st.clock, op.dur)
+func (s *Simulator) startRdv(r int32, st *rankState, op *cop, c *cost, srcReq int32) int32 {
+	cpuEnd := s.extend(r, st.clock, c.dur)
 	st.clock = cpuEnd
 	idx := int32(len(s.msgs))
-	s.msgs = append(s.msgs, rdvMsg{src: r, dst: op.peer, tag: op.tag, size: op.size, srcReq: srcReq, dstSlot: -1})
-	s.q.Push(eventq.Event{Time: cpuEnd + op.transit, Kind: evRTSArrive, Rank: op.peer, A: idx})
+	s.msgs = append(s.msgs, rdvMsg{src: r, dst: op.peer, tag: op.tag + st.tagBase, size: c.size, srcReq: srcReq, dstSlot: -1})
+	s.q.Push(eventq.Event{Time: cpuEnd + c.transit, Kind: evRTSArrive, Rank: op.peer, A: idx})
 	return idx
 }
 
@@ -169,7 +169,8 @@ func (s *Simulator) matchUnexpected(st *rankState, peer, tag int32) (unexp, bool
 // startRecv executes a blocking receive. Returns false when blocked.
 func (s *Simulator) startRecv(r int32, op *cop) bool {
 	st := &s.ranks[r]
-	if u, ok := s.matchUnexpected(st, op.peer, op.tag); ok {
+	tag := op.tag + st.tagBase
+	if u, ok := s.matchUnexpected(st, op.peer, tag); ok {
 		if u.msg < 0 {
 			// Eager payload already here: charge receive CPU and go.
 			st.clock = s.extend(r, max64(st.clock, u.arr), s.p.pair(u.src, r).RecvCPU(u.size))
@@ -187,7 +188,7 @@ func (s *Simulator) startRecv(r int32, op *cop) bool {
 		return false
 	}
 	// Nothing here yet: post and block.
-	idx := s.addSlot(st, slot{req: -1, peer: op.peer, tag: op.tag, size: op.size, isRecv: true, posted: st.clock, active: true})
+	idx := s.addSlot(st, slot{req: -1, peer: op.peer, tag: tag, size: op.arg, isRecv: true, posted: st.clock, active: true})
 	st.block = blockedRecv
 	st.blockMsg = -1
 	st.blockReq = idx // remember which slot the blocking recv owns
@@ -197,9 +198,10 @@ func (s *Simulator) startRecv(r int32, op *cop) bool {
 // postIrecv posts a nonblocking receive and tries to match immediately.
 func (s *Simulator) postIrecv(r int32, op *cop) {
 	st := &s.ranks[r]
-	if u, ok := s.matchUnexpected(st, op.peer, op.tag); ok {
+	tag, req := op.tag+st.tagBase, op.req+st.reqBase
+	if u, ok := s.matchUnexpected(st, op.peer, tag); ok {
 		if u.msg < 0 {
-			s.addSlot(st, slot{req: op.req, peer: u.src, tag: u.tag, size: u.size, isRecv: true, done: true, ready: u.arr, active: true})
+			s.addSlot(st, slot{req: req, peer: u.src, tag: u.tag, size: u.size, isRecv: true, done: true, ready: u.arr, active: true})
 			s.res.Messages++
 			s.res.BytesMoved += u.size
 			return
@@ -207,13 +209,13 @@ func (s *Simulator) postIrecv(r int32, op *cop) {
 		m := &s.msgs[u.msg]
 		// Claimed from birth: this slot is bound to the rendezvous
 		// payload it just matched and must not match other arrivals.
-		idx := s.addSlot(st, slot{req: op.req, peer: u.src, tag: u.tag, size: m.size, isRecv: true, claimed: true, posted: st.clock, active: true})
+		idx := s.addSlot(st, slot{req: req, peer: u.src, tag: u.tag, size: m.size, isRecv: true, claimed: true, posted: st.clock, active: true})
 		m.dstSlot = idx
 		cts := max64(st.clock, m.rtsATime) + s.p.pair(m.src, r).L + s.p.xl(r, m.src)
 		s.q.Push(eventq.Event{Time: cts, Kind: evCTSArrive, Rank: m.src, A: u.msg})
 		return
 	}
-	s.addSlot(st, slot{req: op.req, peer: op.peer, tag: op.tag, size: op.size, isRecv: true, posted: st.clock, active: true})
+	s.addSlot(st, slot{req: req, peer: op.peer, tag: tag, size: op.arg, isRecv: true, posted: st.clock, active: true})
 }
 
 // findSlotByReq returns the index of the active slot with the request id.
@@ -312,8 +314,7 @@ func (s *Simulator) eagerArrive(dst int32, src int32, size int64, tag int32, arr
 			st.clock = s.extend(dst, max64(st.clock, arr), s.p.pair(src, dst).RecvCPU(size))
 			s.res.Messages++
 			s.res.BytesMoved += size
-			st.pc++ // past the blocking recv
-			s.advance(dst)
+			s.resume(dst) // past the blocking recv
 			return
 		}
 	}
@@ -391,8 +392,7 @@ func (s *Simulator) ctsArrive(msgIdx int32, arr int64) {
 		inj := s.inject(m.src, cpuEnd, p, m.size)
 		s.q.Push(eventq.Event{Time: inj + p.Transit(m.size) + s.p.xl(m.src, m.dst), Kind: evDataArrive, Rank: m.dst, A: msgIdx})
 		st.clock = cpuEnd
-		st.pc++ // past the blocking send
-		s.advance(m.src)
+		s.resume(m.src) // past the blocking send
 		return
 	}
 	// Nonblocking send: NIC-only injection (see package comment).
@@ -417,8 +417,7 @@ func (s *Simulator) dataArrive(msgIdx int32, arr int64) {
 	if m.dstSlot == -2 {
 		// Blocking receive: complete it.
 		st.clock = s.extend(m.dst, max64(st.clock, arr), s.p.pair(m.src, m.dst).RecvCPU(m.size))
-		st.pc++ // past the blocking recv
-		s.advance(m.dst)
+		s.resume(m.dst) // past the blocking recv
 		return
 	}
 	sl := &st.slots[m.dstSlot]
@@ -438,13 +437,11 @@ func (s *Simulator) maybeUnblockWait(r int32, req int32) {
 			return
 		}
 		if s.doWait(r, req) {
-			st.pc++
-			s.advance(r)
+			s.resume(r)
 		}
 	case blockedWaitAll:
 		if s.doWaitAll(r) {
-			st.pc++
-			s.advance(r)
+			s.resume(r)
 		}
 	}
 }

@@ -49,9 +49,9 @@ func Cost(exp *core.Experiment) int64 {
 
 // DefaultCapBytes bounds the cache when New is given a non-positive
 // capacity: 256 MiB. Measured over the benchmark's cold configurations
-// (12-44 iterations, docs/MODEL.md §7) that is about five 512-node
-// baselines (36 MiB of program and 13 MiB of run state each, on
-// average) or about twenty-four 128-node ones (10.5 MiB each).
+// (12-44 iterations, docs/MODEL.md §7) that is about twelve 512-node
+// baselines (8 MiB of program and 13 MiB of run state each, on
+// average) or about fifty 128-node ones (4.9 MiB each).
 const DefaultCapBytes = 256 << 20
 
 // Stats is a point-in-time snapshot of cache effectiveness: the memo's
