@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint staticcheck bench bench-smoke cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke
+.PHONY: build test race lint staticcheck bench bench-smoke bench-pair cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,19 @@ bench:
 bench-smoke:
 	$(GO) run ./bench -all -smoke
 
+# Paired parent-vs-change benchmark runs (tools/benchpair.sh): BASE
+# built beside the working tree, PAIRS alternating-order pairs of
+# WORKLOADS at SEED into out/pair-N/{parent,change}, `bench -compare`
+# on each pair, then per-metric median, quartiles and pair wins.
+# Allocation metrics gate (non-zero exit beyond the bound); time
+# metrics are advisory on a shared box.
+#   make bench-pair BASE=HEAD~1 WORKLOADS="simulate_cold figure_cells" PAIRS=10 SEED=7
+BASE ?= HEAD
+PAIRS ?= 10
+SEED ?= 1
+bench-pair:
+	BASE="$(BASE)" PAIRS="$(PAIRS)" SEED="$(SEED)" $(if $(WORKLOADS),WORKLOADS="$(WORKLOADS)") tools/benchpair.sh
+
 # In-process multi-node drill (docs/CLUSTER.md): coordinator + workers,
 # bit-identity vs the sequential campaign, shard fault storm, worker
 # kill mid-lease, cancellation mid-sweep — all under the race detector.
@@ -83,13 +96,15 @@ faultmix-smoke:
 # every figure byte-identical at GOMAXPROCS 1, 2 and 8, a figure and a
 # running sweep job cancelled mid-repetition, the rank-at-a-time
 # lowering against Compile(Expand(Generate)), one compiled program run
-# by many goroutines, and the calendar queue against the reference
-# heap, under the race detector. Regenerate a golden after an
+# by many goroutines, the calendar queue against the reference heap,
+# and the two memory contracts of the pooled queue — it holds its peak
+# population, and a cached run state stops growing after its first
+# perturbed seed — under the race detector. Regenerate a golden after an
 # intentional model change:
 #   go test -run TestEngineGolden ./internal/core/ -update-engine-golden
 #   go test -run TestSurfaceGolden ./internal/core/ -update-surface-golden
 engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
+	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -11,8 +11,13 @@
 // CACM'88): the time axis is divided into power-of-two-width "days"
 // arranged in a ring of buckets, and the day under the scan cursor is
 // staged out of its bucket into a sorted agenda that serves pops in
-// O(1). Pushes for future days append to their ring bucket unsorted;
-// pushes for the current day insert into the agenda (almost always at
+// O(1). Events waiting in future days live in one pooled slab of nodes
+// and a bucket is a 4-byte index of its newest node, each node naming
+// the next: a push for a future day takes a node off the free list (or
+// grows the slab) and links it at its bucket's head, staging a day
+// frees its nodes, so the queue holds the memory of its peak
+// population however the bursts of a run move from bucket to bucket.
+// Pushes for the current day insert into the agenda (almost always at
 // its tail, since the simulator schedules forward from "now"). This
 // shape fits the LogGOPS workload, where collective phases release
 // bursts of events at identical timestamps: a plain calendar queue
@@ -27,13 +32,17 @@
 // heap as the reference and compare pop sequences against it.
 package eventq
 
-import "unsafe"
+import (
+	"math"
+	"slices"
+	"unsafe"
+)
 
 // Event is the unit of work scheduled in simulated time. Payload fields
 // are deliberately untyped integers so the queue does not allocate per
 // event; the simulator packs whatever it needs into them. The struct is
-// kept to 40 bytes — every push, pop, stage and resize copies events by
-// value, so its size is the unit cost of all queue memory traffic. A and
+// kept to 40 bytes — every push, pop and stage copies events by value,
+// so its size is the unit cost of all queue memory traffic. A and
 // C are 32-bit because the simulator stores ranks, message indices and
 // tags there, all of which fit; B stays 64-bit for byte counts.
 type Event struct {
@@ -52,55 +61,51 @@ type Event struct {
 const (
 	minBuckets   = 64
 	initLogWidth = 12 // 4.096 us — re-estimated on first resize
-	// slabPerBucket is the bucket capacity resize carves out of the
-	// ring's slab. A resize leaves under one event per bucket on average
-	// and the next fires at two, but collective phases pile same-time
-	// events into one day, so the common bucket peaks higher: at 2, 4, 8
-	// and 16 slots a bench figure_cells op allocates 12.8k, 10.9k, 9.3k
-	// and 8.4k times and 9255, 9153, 9034 and 9244 KiB (docs/MODEL.md
-	// §9) — 8 is where the bytes bottom out.
-	slabPerBucket = 8
 )
+
+// node is a pooled event waiting in a future day. next is the pool
+// index of the next older node of the same bucket (0 ends the list);
+// on the free list it is the complement of the next free index, so a
+// scan of the pool tells a free node (next < 0, Event zero) from a
+// live one.
+type node struct {
+	Event
+	next int32
+}
 
 // Queue is a min-queue of events ordered by (Time, insertion order).
 // The zero value is an empty, ready-to-use queue.
 type Queue struct {
-	// Ring of future days.
-	buckets [][]Event
-	mask    int64  // len(buckets)-1; bucket count is a power of two
-	logW    uint   // log2 of the bucket width in nanoseconds
-	curDay  int64  // absolute day (Time >> logW) staged in the agenda
-	n       int    // pending events, agenda included
-	seq     uint64 // next insertion sequence number
+	// Ring of future days: heads[day&mask] is the pool index of the
+	// bucket's newest node, 0 when the bucket is empty.
+	heads  []int32
+	pool   []node // pool[0] is never used: index 0 means "none"
+	free   int32  // newest freed node, 0 when the free list is empty
+	mask   int64  // len(heads)-1; bucket count is a power of two
+	logW   uint   // log2 of the bucket width in nanoseconds
+	curDay int64  // absolute day (Time >> logW) staged in the agenda
+	n      int    // pending events, agenda included
+	seq    uint64 // next insertion sequence number
 
 	// Agenda: curDay's events, sorted by (Time, seq). today[ti:] are
 	// pending; today[:ti] have been popped and are zeroed. Invariant:
 	// no bucket holds an event of curDay.
 	today []Event
 	ti    int
-
-	scratch []Event // resize spill buffer, zeroed after use
-	slab    int     // slots in the slab the last resize carved the ring from
 }
 
-// New returns a queue with capacity preallocated for n events.
+// New returns a queue with nodes preallocated for n waiting events.
 func New(n int) *Queue {
-	q := &Queue{}
+	q := &Queue{pool: make([]node, 1, n+1)}
 	q.init()
-	// Pre-size the ring for the hinted population so steady-state
-	// pushes do not grow bucket slabs one append at a time.
-	if per := n / len(q.buckets); per > 0 {
-		for i := range q.buckets {
-			q.buckets[i] = make([]Event, 0, per)
-		}
-	}
 	return q
 }
 
 // init builds the initial calendar ring. Called lazily so the zero
 // value stays valid.
 func (q *Queue) init() {
-	q.buckets = make([][]Event, minBuckets)
+	q.heads = make([]int32, minBuckets)
+	q.pool = append(q.pool[:0], node{})
 	q.mask = minBuckets - 1
 	q.logW = initLogWidth
 	q.curDay = 0
@@ -113,7 +118,7 @@ func (q *Queue) Len() int {
 
 // Push schedules an event. The event's seq field is assigned internally.
 func (q *Queue) Push(e Event) {
-	if q.buckets == nil {
+	if q.heads == nil {
 		q.init()
 	}
 	e.seq = q.seq
@@ -131,17 +136,32 @@ func (q *Queue) Push(e Event) {
 		// never time-travels, but the contract allows it: spill the
 		// agenda back into its bucket and restage at the new day.
 		q.unstage()
-		idx := day & q.mask
-		q.buckets[idx] = append(q.buckets[idx], e)
+		q.link(e)
 		q.stage(day)
 	default:
-		idx := day & q.mask
-		q.buckets[idx] = append(q.buckets[idx], e)
+		q.link(e)
 	}
 	q.n++
-	if q.n > 2*len(q.buckets) {
+	if q.n > 2*len(q.heads) {
 		q.resize()
 	}
+}
+
+// link puts e at the head of its day's bucket, in a node off the free
+// list or, when that is empty, one the pool grows by — the only place
+// it does.
+func (q *Queue) link(e Event) {
+	i := q.free
+	if i != 0 {
+		q.free = ^q.pool[i].next
+	} else {
+		i = int32(len(q.pool))
+		q.pool = append(q.pool, node{})
+	}
+	h := &q.heads[(e.Time>>q.logW)&q.mask]
+	nd := &q.pool[i]
+	nd.Event, nd.next = e, *h // field by field: a node literal is built on the stack and copied
+	*h = i
 }
 
 // insertToday places e into the sorted agenda. The simulator schedules
@@ -177,7 +197,7 @@ func (q *Queue) Pop() Event {
 		q.stageNext()
 	}
 	e := q.today[q.ti]
-	q.today[q.ti] = Event{} // do not retain popped payloads in the slab
+	q.today[q.ti] = Event{} // do not retain popped payloads in the agenda
 	q.ti++
 	q.n--
 	if q.ti == len(q.today) {
@@ -206,59 +226,57 @@ func (q *Queue) Peek() Event {
 // stages it. Within a calendar year, ring order is time order, so the
 // first day with a resident is the minimum; if the whole ring is at
 // least a year ahead of the cursor, jump straight to the global
-// minimum's day. The sweep consults only the bucket lengths — an empty
-// bucket is skipped without touching its slab — and scans residents
-// only for non-empty candidates.
+// minimum's day. The sweep reads only the heads, sixteen to a cache
+// line, and a non-empty bucket is staged in the same walk that tests it
+// for a resident of the day.
 func (q *Queue) stageNext() {
-	nb := len(q.buckets)
 	day := q.curDay + 1
-	for step := 0; step < nb; step, day = step+1, day+1 {
-		b := q.buckets[day&q.mask]
-		if len(b) == 0 {
-			continue
-		}
-		for j := range b {
-			if b[j].Time>>q.logW == day {
-				q.stage(day)
-				return
-			}
+	for step := 0; step < len(q.heads); step, day = step+1, day+1 {
+		if q.heads[day&q.mask] != 0 && q.stage(day) {
+			return
 		}
 	}
-	minDay := int64(0)
-	found := false
-	for i := range q.buckets {
-		b := q.buckets[i]
-		for j := range b {
-			if d := b[j].Time >> q.logW; !found || d < minDay {
-				minDay, found = d, true
-			}
+	lo, _ := q.span()
+	q.stage(lo >> q.logW)
+}
+
+// span returns the earliest and latest time waiting in the ring.
+func (q *Queue) span() (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for i := range q.pool[1:] {
+		if nd := &q.pool[i+1]; nd.next >= 0 {
+			lo, hi = min(lo, nd.Time), max(hi, nd.Time)
 		}
 	}
-	q.stage(minDay)
+	return lo, hi
 }
 
 // stage moves every event belonging to day from its ring bucket into
-// the agenda and sorts the agenda by (Time, seq). Each event is staged
-// exactly once on its way out of the queue.
-func (q *Queue) stage(day int64) {
-	idx := day & q.mask
-	b := q.buckets[idx]
+// the agenda, zeroing and freeing each node as it goes, and sorts the
+// agenda by (Time, seq); it reports whether the day had any. Each event
+// is staged exactly once on its way out of the queue. The agenda must
+// be empty.
+func (q *Queue) stage(day int64) bool {
 	t := q.today[:0]
-	w := 0
-	for j := range b {
-		if b[j].Time>>q.logW == day {
-			t = append(t, b[j])
-		} else {
-			b[w] = b[j]
-			w++
+	link := &q.heads[day&q.mask]
+	for i := *link; i != 0; i = *link {
+		nd := &q.pool[i]
+		if nd.Time>>q.logW != day {
+			link = &nd.next
+			continue
 		}
+		t = append(t, nd.Event)
+		*link = nd.next
+		nd.Event, nd.next = Event{}, ^q.free
+		q.free = i
 	}
-	for j := w; j < len(b); j++ {
-		b[j] = Event{}
+	if len(t) == 0 {
+		return false
 	}
-	q.buckets[idx] = b[:w]
-	// Insertion sort: bucket order is push order, which the simulator
-	// emits in near-ascending time, so this is close to linear.
+	// The bucket runs newest first; turned around it is push order,
+	// which the simulator emits in near-ascending time, so the insertion
+	// sort is close to linear.
+	slices.Reverse(t)
 	for i := 1; i < len(t); i++ {
 		e := t[i]
 		j := i - 1
@@ -271,16 +289,16 @@ func (q *Queue) stage(day int64) {
 	q.today = t
 	q.ti = 0
 	q.curDay = day
+	return true
 }
 
 // unstage spills the live agenda back into curDay's ring bucket and
-// zeroes the agenda slab.
+// zeroes the agenda.
 func (q *Queue) unstage() {
-	idx := q.curDay & q.mask
-	q.buckets[idx] = append(q.buckets[idx], q.today[q.ti:]...)
-	for i := range q.today {
-		q.today[i] = Event{}
+	for _, e := range q.today[q.ti:] {
+		q.link(e)
 	}
+	clear(q.today)
 	q.today = q.today[:0]
 	q.ti = 0
 }
@@ -296,98 +314,58 @@ func less(a, b *Event) bool {
 // resize rebuilds the ring for the grown population: the bucket count
 // tracks the event count and the bucket width is re-estimated from the
 // pending timestamp span, so a calendar year covers the live window
-// with O(1) expected occupancy per bucket. The ring never shrinks —
-// collective barriers drain the queue many times per run, and
-// re-growing after each would dominate the queue's cost.
+// with O(1) expected occupancy per bucket. Only the heads are new: the
+// nodes are rethreaded where they lie, in pool order, which is close to
+// push order. The ring never shrinks — collective barriers drain the
+// queue many times per run, and re-growing after each would dominate
+// the queue's cost.
 func (q *Queue) resize() {
-	events := q.scratch[:0]
-	events = append(events, q.today[q.ti:]...)
-	for i := range q.buckets {
-		events = append(events, q.buckets[i]...)
-	}
-	for i := range q.today {
-		q.today[i] = Event{}
-	}
-	q.today = q.today[:0]
-	q.ti = 0
+	q.unstage()
 	nb := minBuckets
 	for nb < q.n {
 		nb *= 2
-	}
-	lo, hi := events[0].Time, events[0].Time
-	for i := range events[1:] {
-		t := events[i+1].Time
-		if t < lo {
-			lo = t
-		}
-		if t > hi {
-			hi = t
-		}
 	}
 	// Width ~ twice the mean gap between pending events, as a power of
 	// two so bucket mapping is a shift (correct for negative times,
 	// immune to the div cost). The year nb<<logW then spans ~2x the
 	// live window.
+	lo, hi := q.span()
 	gap := (hi - lo) / int64(q.n)
 	logW := uint(0)
 	for int64(1)<<logW < gap+1 {
 		logW++
 	}
-	// One slab backs the whole ring: each bucket starts as a
-	// slabPerBucket-slot window of it (capacity-limited, so an append
-	// can never run into its neighbour), and only a bucket that outgrows
-	// its window moves to an allocation of its own, leaving the window
-	// unused for the ring's lifetime.
-	slab := make([]Event, nb*slabPerBucket)
-	q.slab = len(slab)
-	q.buckets = make([][]Event, nb)
-	for i := range q.buckets {
-		lo := i * slabPerBucket
-		q.buckets[i] = slab[lo : lo : lo+slabPerBucket]
-	}
+	q.heads = make([]int32, nb)
 	q.mask = int64(nb) - 1
 	q.logW = logW
-	for _, e := range events {
-		idx := (e.Time >> logW) & q.mask
-		q.buckets[idx] = append(q.buckets[idx], e)
+	for i := range q.pool[1:] {
+		if nd := &q.pool[i+1]; nd.next >= 0 {
+			h := &q.heads[(nd.Time>>logW)&q.mask]
+			nd.next, *h = *h, int32(i+1)
+		}
 	}
-	for i := range events {
-		events[i] = Event{}
-	}
-	q.scratch = events[:0]
 	q.stage(lo >> logW)
 }
 
 // SizeBytes is the memory the queue holds on to — capacities, not
-// lengths: the ring's bucket headers and slab, every bucket that
-// outgrew its window of the slab (the window stays allocated), the
-// agenda and the resize spill buffer.
+// lengths: the node pool, the ring's heads and the agenda.
 func (q *Queue) SizeBytes() int64 {
-	slots := q.slab + cap(q.today) + cap(q.scratch)
-	for _, b := range q.buckets {
-		if q.slab == 0 || cap(b) > slabPerBucket {
-			slots += cap(b)
-		}
-	}
-	return int64(slots)*int64(unsafe.Sizeof(Event{})) + int64(len(q.buckets))*int64(unsafe.Sizeof([]Event(nil)))
+	return int64(cap(q.pool))*int64(unsafe.Sizeof(node{})) + int64(cap(q.heads))*4 +
+		int64(cap(q.today))*int64(unsafe.Sizeof(Event{}))
 }
 
-// Reset discards all pending events but keeps the allocated ring and
-// agenda slabs, and the learned ring geometry, for the next run.
-// Discarded slots are zeroed so payloads scheduled by one simulation
-// run can never leak into — or remain reachable from — a pooled
-// simulator's next run.
+// Reset discards all pending events but keeps the allocated pool, ring
+// and agenda, and the learned ring geometry, for the next run. Every
+// node and agenda slot in use is zeroed so payloads scheduled by one
+// simulation run can never leak into — or remain reachable from — a
+// pooled simulator's next run, and the pool starts over from its first
+// node, so a run lays its events out the same way every time.
 func (q *Queue) Reset() {
-	for i := range q.buckets {
-		b := q.buckets[i]
-		for j := range b {
-			b[j] = Event{}
-		}
-		q.buckets[i] = b[:0]
-	}
-	for i := range q.today {
-		q.today[i] = Event{}
-	}
+	clear(q.heads)
+	clear(q.pool)
+	q.pool = q.pool[:min(1, len(q.pool))]
+	q.free = 0
+	clear(q.today)
 	q.today = q.today[:0]
 	q.ti = 0
 	q.n = 0

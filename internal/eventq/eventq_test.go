@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -139,5 +140,78 @@ func BenchmarkPushPop(b *testing.B) {
 		if q.Len() > 512 {
 			q.Pop()
 		}
+	}
+}
+
+// The load collective phases put on the queue, shared by
+// BenchmarkCollectiveBursts and TestQueueMemoryTracksPeakPopulation:
+// burstDays bursts of same-time events, burstSpacing ns apart — a
+// prime, so successive bursts walk the whole ring instead of a few of
+// its buckets — burstsAhead of them in flight, the oldest drained
+// before the next is released.
+const (
+	burstDays    = 4096
+	burstsAhead  = 8
+	burstSpacing = 4099
+)
+
+// releaseBursts runs one pass of that load from time start, burst(d)
+// events in the d-th burst, and returns the most events the queue held
+// at once and the time the next pass may start at. It fails tb when a
+// pop goes back in time or the pass leaves anything behind.
+func releaseBursts(tb testing.TB, q *Queue, start int64, burst func(d int) int) (peak int, end int64) {
+	now := start
+	for d := 0; d < burstDays+burstsAhead; d++ {
+		if d < burstDays {
+			at := start + int64(d)*burstSpacing
+			for i := burst(d); i > 0; i-- {
+				q.Push(Event{Time: at, A: 0xdead, B: 0xbeef, C: 0xcafe})
+			}
+		}
+		peak = max(peak, q.Len())
+		for q.Len() > 0 && q.Peek().Time <= start+int64(d-burstsAhead)*burstSpacing {
+			e := q.Pop()
+			if e.Time < now {
+				tb.Fatalf("time went backwards: %d after %d", e.Time, now)
+			}
+			now = e.Time
+		}
+	}
+	if q.Len() != 0 {
+		tb.Fatalf("pass left %d events", q.Len())
+	}
+	return peak, now + burstSpacing
+}
+
+// BenchmarkCollectiveBursts is the queue under that load with bursts of
+// R events, so every burst lands in a different bucket. One op is the
+// whole pass — on a queue that has never run ("cold": the pass pays for
+// growing it, which is what a cache miss pays) and on one Reset after a
+// pass of the same load ("warm": a repetition). Run with a fixed
+// iteration count and read the minimum.
+func BenchmarkCollectiveBursts(b *testing.B) {
+	for _, r := range []int{128, 512} {
+		burst := func(int) int { return r }
+		perEvent := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burstDays*r), "ns/event")
+		}
+		b.Run(fmt.Sprintf("cold/%d", r), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				releaseBursts(b, New(0), 0, burst)
+			}
+			perEvent(b)
+		})
+		b.Run(fmt.Sprintf("warm/%d", r), func(b *testing.B) {
+			q := New(0)
+			releaseBursts(b, q, 0, burst)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Reset()
+				releaseBursts(b, q, 0, burst)
+			}
+			perEvent(b)
+		})
 	}
 }

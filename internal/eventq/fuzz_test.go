@@ -13,7 +13,9 @@ import "testing"
 //	4    push one event at now - uint16<<byte%24 (behind the scan
 //	     cursor, reaching negative times)
 //	5    push one event at now + 1<<byte%40    (sparse far-future jump)
-//	6    pop, 7 peek                           (no-ops when empty)
+//	6    pop, 7 peek                           (no-ops when empty; a
+//	     peek is followed by the no-payload-retention check, mid-run:
+//	     nodes freed by staging are zeroed while others are live)
 //	8    reset, then the no-payload-retention check
 //
 // where now is the time of the last popped event. Pop and peek results
@@ -69,6 +71,7 @@ func runQueueProgram(t *testing.T, prog []byte) {
 				if ge, we := q.Peek(), h.Peek(); ge != we {
 					t.Fatalf("step %d: calendar peeked %+v, heap peeked %+v", step, ge, we)
 				}
+				checkNoRetention(t, q, "after peek")
 			}
 		case 8:
 			q.Reset()

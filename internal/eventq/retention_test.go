@@ -5,31 +5,38 @@ import (
 	"testing"
 )
 
-// slabEvents returns every Event slot resident in the queue's backing
-// arrays beyond the live entries: the truncated tails of the calendar
-// bucket slabs. Pooled simulators keep queues alive across runs, so
-// stale payloads here would keep dead run state reachable for the
+// slabEvents returns every Event slot the queue keeps allocated beyond
+// the live entries: the pool nodes no bucket reaches (free-listed, or
+// never handed out up to the pool's capacity) and the agenda outside
+// its pending window. Pooled simulators keep queues alive across runs,
+// so stale payloads here would keep dead run state reachable for the
 // lifetime of the pool.
 func slabEvents(q *Queue) []Event {
-	var out []Event
-	for _, b := range q.buckets {
-		full := b[:cap(b)]
-		out = append(out, full[len(b):]...)
+	pool := q.pool[:cap(q.pool)]
+	live := make([]bool, len(pool))
+	for _, h := range q.heads {
+		for i := h; i != 0; i = pool[i].next {
+			live[i] = true
+		}
 	}
-	// Popped agenda prefix, truncated agenda tail, and the resize spill
-	// buffer are all retained capacity too.
+	var out []Event
+	for i := range pool {
+		if !live[i] {
+			out = append(out, pool[i].Event)
+		}
+	}
+	// Popped agenda prefix and truncated agenda tail.
 	out = append(out, q.today[:q.ti]...)
 	out = append(out, q.today[:cap(q.today)][len(q.today):]...)
-	out = append(out, q.scratch[:cap(q.scratch)]...)
 	return out
 }
 
-// checkNoRetention requires every retained slab slot to be zeroed.
+// checkNoRetention requires every retained slot to be zeroed.
 func checkNoRetention(t *testing.T, q *Queue, when string) {
 	t.Helper()
 	for i, e := range slabEvents(q) {
 		if e != (Event{}) {
-			t.Fatalf("%s, slab slot %d retains %+v", when, i, e)
+			t.Fatalf("%s, retained slot %d holds %+v", when, i, e)
 		}
 	}
 }
@@ -50,15 +57,23 @@ func TestNoPayloadRetentionCalendar(t *testing.T) {
 	}
 	checkNoRetention(t, q, "after drain")
 
-	// Reset path: truncation must zero the retained capacity too.
+	// Half drained, past two resizes: the nodes staging freed are zeroed
+	// while their neighbours in the pool are live.
 	push(500)
+	for q.Len() > 250 {
+		q.Pop()
+	}
+	checkNoRetention(t, q, "half drained")
+
+	// Reset path: truncation must zero the retained capacity too.
+	push(250)
 	q.Reset()
 	if q.Len() != 0 {
 		t.Fatalf("reset left %d events", q.Len())
 	}
 	checkNoRetention(t, q, "after reset")
 
-	// The queue must stay usable with the same slabs after both.
+	// The queue must stay usable with the same pool after both.
 	push(100)
 	var last int64 = -1 << 62
 	for q.Len() > 0 {
@@ -70,60 +85,43 @@ func TestNoPayloadRetentionCalendar(t *testing.T) {
 	}
 }
 
-// TestResizeCarvesBucketsFromOneSlab pins the rebuilt ring's shape —
-// every bucket is a window of the slab whose capacity stops at the
-// window's end, so growing one can never write into its neighbour —
-// and that a popped or reset slab slot is zeroed like any other.
-func TestResizeCarvesBucketsFromOneSlab(t *testing.T) {
+// TestQueueMemoryTracksPeakPopulation: what the queue holds follows
+// the most events it ever held at once, not where they sat. Each of the
+// 4096 bursts of releaseBursts (64-512 events here) lands in a bucket of
+// its own, which per-bucket storage pays for with a biggest-burst slab
+// in every bucket (63 MB here, 78 after a second pass). The pool may
+// hold a = 2 nodes per event of the peak population (append's growth
+// step, never more than doubling), the ring four bytes a bucket, the
+// agenda two biggest bursts; a second pass on the warm queue, a Reset
+// and a third pass move none of it, and no freed node keeps a payload.
+func TestQueueMemoryTracksPeakPopulation(t *testing.T) {
+	const maxBurst, nodeBytes, evBytes = 512, 48, 40
+	burst := func(d int) int { return 64 + d*37%(maxBurst-63) }
 	q := New(0)
-	// Sparse timestamps: no bucket outgrows its window, so after the
-	// resizes every bucket still sits in the slab.
-	for i := 0; i < 4*minBuckets; i++ {
-		q.Push(Event{Time: int64(i) << 20, A: 0xdead, B: 0xbeef, C: 0xcafe})
+	peak, now := releaseBursts(t, q, 0, burst)
+	held := q.SizeBytes()
+	bound := int64(2*peak*nodeBytes + 4*len(q.heads) + 2*maxBurst*evBytes)
+	t.Logf("peak %d events, %d buckets: holds %d bytes, bound %d", peak, len(q.heads), held, bound)
+	if len(q.heads) < 1024 {
+		t.Fatalf("ring has %d buckets: the bursts do not spread", len(q.heads))
 	}
-	if len(q.buckets) <= minBuckets {
-		t.Fatalf("ring did not grow: %d buckets", len(q.buckets))
+	if held > bound {
+		t.Errorf("queue holds %d bytes for a peak of %d events, bound %d", held, peak, bound)
 	}
-	for i, b := range q.buckets {
-		if cap(b) != slabPerBucket {
-			t.Fatalf("bucket %d: cap %d, want the %d-slot window", i, cap(b), slabPerBucket)
-		}
+	checkNoRetention(t, q, "after the first pass")
+	_, now = releaseBursts(t, q, now, burst)
+	if got := q.SizeBytes(); got != held {
+		t.Errorf("second pass changed the held size: %d -> %d", held, got)
 	}
-	for n := q.Len() / 2; n > 0; n-- {
-		q.Pop()
-	}
-	checkNoRetention(t, q, "slab ring, half drained")
+	q.Push(Event{Time: now, A: 0xdead})
+	q.Push(Event{Time: now + 1<<40, B: 0xbeef})
 	q.Reset()
-	checkNoRetention(t, q, "slab ring, after reset")
-}
-
-// TestSizeBytesCountsCapacities: the size is what the queue holds, not
-// what is pending — the slab once per ring, an overflowed bucket's own
-// allocation on top of it — and Reset gives none of it back.
-func TestSizeBytesCountsCapacities(t *testing.T) {
-	const evBytes = 40
-	q := New(0)
-	empty := q.SizeBytes()
-	for i := 0; i < 4*minBuckets; i++ {
-		q.Push(Event{Time: int64(i) << 20})
+	checkNoRetention(t, q, "after reset")
+	if got := q.SizeBytes(); got != held {
+		t.Errorf("Reset changed the held size: %d -> %d", held, got)
 	}
-	nb := int64(len(q.buckets))
-	sparse := q.SizeBytes()
-	if min := nb * (slabPerBucket*evBytes + 24); sparse < min || sparse <= empty {
-		t.Fatalf("slab ring of %d buckets: %d bytes, want at least %d (empty %d)", nb, sparse, min, empty)
-	}
-	// Pile one future day past its window: the bucket moves to its own
-	// allocation and the size grows by at least that.
-	far := int64(3*minBuckets) << 20
-	for i := 0; i < 4*slabPerBucket; i++ {
-		q.Push(Event{Time: far})
-	}
-	piled := q.SizeBytes()
-	if piled < sparse+4*slabPerBucket*evBytes {
-		t.Fatalf("after overflowing a bucket: %d bytes, want at least %d", piled, sparse+4*slabPerBucket*evBytes)
-	}
-	q.Reset()
-	if got := q.SizeBytes(); got != piled {
-		t.Fatalf("Reset changed the held size: %d -> %d", piled, got)
+	releaseBursts(t, q, 0, burst)
+	if got := q.SizeBytes(); got != held {
+		t.Errorf("a pass after Reset changed the held size: %d -> %d", held, got)
 	}
 }

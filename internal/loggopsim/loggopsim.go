@@ -230,22 +230,26 @@ type rankProf struct {
 // of one slab, as long as the rank's high-water mark (a trace whose
 // Waits name no outstanding request can exceed it; the window's
 // capacity stops at its end, so such a rank moves to an allocation of
-// its own). The event queue is private to this program's runs: the
-// ring geometry it learns fits this program's event population and
-// nothing else's.
+// its own). The event queue starts with a node for every other slot —
+// a send and the receive it meets hold a slot each while one event
+// crosses between them, and on all 108 simulate_cold configurations
+// half the slots is exactly the most events a run ever has waiting; a
+// run that exceeds it grows the pool. The queue is private
+// to this program's runs: the ring geometry it learns fits this
+// program's event population and nothing else's.
 func (p *Program) NewSimulator() *Simulator {
 	n := p.Ranks()
+	total := 0
+	for _, k := range p.slots {
+		total += int(k)
+	}
 	s := &Simulator{
 		p:         p,
 		nic:       make([]int64, p.nodes),
 		ranks:     make([]rankState, n),
 		msgs:      make([]rdvMsg, 0, p.rdvSends),
-		q:         eventq.New(1024),
+		q:         eventq.New(total / 2),
 		nextNoise: make([]int64, n),
-	}
-	total := 0
-	for _, k := range p.slots {
-		total += int(k)
 	}
 	slots, posted := make([]slot, total), make([]postedEnt, total)
 	lo := 0
