@@ -14,11 +14,13 @@
 //	[payload]
 //
 // A writer appends to the highest-numbered segment, rotating to a new
-// file once SegmentBytes is exceeded. fsync is batched: the file is
-// synced after every SyncEvery appends (and on Sync/Close/rotation), so
-// a machine crash loses at most the unsynced tail while a process kill
-// (SIGKILL) loses nothing the write(2) calls completed — the page cache
-// survives the process.
+// file once SegmentBytes is exceeded. Append only writes; fsync is
+// batched beside the appenders: every SyncEvery appends start a
+// committer goroutine that fsyncs without the writer's lock, and
+// Sync/Close/rotation/compaction wait for it and sync the rest. A
+// machine crash loses at most the unsynced tail, 2×SyncEvery−1 records,
+// while a process kill (SIGKILL) loses nothing the write(2) calls
+// completed — the page cache survives the process.
 //
 // Replay reads segments in order and is tolerant by construction: a
 // record cut short by a segment's end is the expected shape of a crash
@@ -72,9 +74,10 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// exceeds this size; <= 0 selects 4 MiB.
 	SegmentBytes int64
-	// SyncEvery batches fsync: the segment is synced once this many
-	// appends accumulate (and always on Sync, Close and rotation).
-	// <= 0 selects 64; 1 syncs every append.
+	// SyncEvery batches fsync: once this many appends are unsynced the
+	// committer fsyncs them in the background (Sync, Close, rotation
+	// and compaction always sync), and an appender that finds
+	// 2×SyncEvery−1 unsynced waits for the disk. <= 0 selects 64.
 	SyncEvery int
 }
 
@@ -109,6 +112,9 @@ type Stats struct {
 	// DirSyncs counts directory fsyncs issued after segment creation
 	// and compaction, making those directory-entry changes durable.
 	DirSyncs uint64 `json:"dir_syncs"`
+	// SyncErrors counts failed fsyncs, each once; the error itself goes
+	// to the next Append or Sync.
+	SyncErrors uint64 `json:"sync_errors"`
 }
 
 // Writer appends records to the log. Construct with Open; methods are
@@ -116,13 +122,23 @@ type Stats struct {
 type Writer struct {
 	dir  string
 	opts Options
+	// fsync is (*os.File).Sync; the package's tests replace it to watch,
+	// stall or fail the fsyncs of segments and of the directory.
+	fsync func(*os.File) error
 
 	mu       sync.Mutex
 	f        *os.File
+	buf      []byte // one record's frame, reused under mu
 	segIndex int
 	segSize  int64
 	segCount int
-	pending  int // appends since last sync
+	pending  int // records written but not yet durable; appends-pending is the durable index
+	// committing: a committer is fsyncing w.f without mu. idle is
+	// broadcast when it ends; closing or replacing w.f waits for that.
+	committing bool
+	idle       sync.Cond
+	committer  sync.WaitGroup
+	syncErr    error // a committer's failed fsync, until an Append or Sync returns it
 	// firstIndex is the lowest segment index this writer owns — the
 	// compaction floor: CompactBefore never touches this segment or
 	// anything above it.
@@ -134,18 +150,19 @@ type Writer struct {
 	appendErr uint64
 	compacted uint64
 	dirSyncs  uint64
+	syncErrs  uint64
 }
 
 // syncDir fsyncs a directory so preceding creates, renames or removes
 // of its entries survive a crash: data fsyncs alone do not persist the
 // directory entry that names the file, and a crash between the two can
 // resurface a removed segment or drop a freshly created one.
-func syncDir(dir string) error {
+func syncDir(dir string, fsync func(*os.File) error) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
+	err = fsync(d)
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
@@ -166,7 +183,8 @@ func Open(dir string, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, opts: opts.withDefaults(), segCount: len(segs)}
+	w := &Writer{dir: dir, opts: opts.withDefaults(), fsync: (*os.File).Sync, segCount: len(segs)}
+	w.idle.L = &w.mu
 	if n := len(segs); n > 0 {
 		last := segs[n-1]
 		w.segIndex = last.index
@@ -184,8 +202,6 @@ func Open(dir string, opts Options) (*Writer, error) {
 	if err := w.rotateLocked(); err != nil {
 		return nil, err
 	}
-	// The first segment is not a rotation, it is the opening position.
-	w.rotations = 0
 	w.firstIndex = w.segIndex
 	return w, nil
 }
@@ -223,44 +239,52 @@ func segName(index int) string {
 	return fmt.Sprintf("%s%08d%s", segPrefix, index, segSuffix)
 }
 
-// rotateLocked syncs and closes the current segment and opens the next
-// one. w.mu must be held.
+// rotateLocked makes the current segment durable, opens the next one
+// and only then closes the old, so a failure at any step leaves w.f
+// open and the next Append retries the rotation. w.mu must be held.
 func (w *Writer) rotateLocked() error {
 	if w.f != nil {
 		if err := w.syncLocked(); err != nil {
 			return err
 		}
-		if err := w.f.Close(); err != nil {
-			return fmt.Errorf("journal: close segment: %w", err)
-		}
-		w.rotations++
 	}
-	w.segIndex++
-	path := filepath.Join(w.dir, segName(w.segIndex))
+	path := filepath.Join(w.dir, segName(w.segIndex+1))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: create segment: %w", err)
 	}
+	// The name is spent once the file exists: a retry after a failed
+	// directory fsync must not trip O_EXCL over the empty file left here.
+	w.segIndex++
+	w.segCount++
 	// Crash ordering: the directory entry naming the new segment must
 	// be durable before any record in it is — otherwise a crash after
 	// an acknowledged append could lose the whole segment while its
 	// predecessor's close is already on disk.
-	if err := syncDir(w.dir); err != nil {
+	if err := syncDir(w.dir, w.fsync); err != nil {
 		if cerr := f.Close(); cerr != nil {
 			err = fmt.Errorf("%v; close: %v", err, cerr)
 		}
 		return fmt.Errorf("journal: create segment: %w", err)
 	}
 	w.dirSyncs++
-	w.f = f
-	w.segSize = 0
-	w.segCount++
+	old := w.f
+	w.f, w.segSize = f, 0
+	if old == nil {
+		return nil // Open's first segment is the opening position, not a rotation
+	}
+	w.rotations++
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("journal: close segment: %w", err)
+	}
 	return nil
 }
 
 // Append frames payload with its length and CRC and writes it to the
-// current segment, rotating first when the segment is full and syncing
-// when the batch threshold is reached. ctx feeds the journal.append
+// current segment in one write(2), rotating first when the segment is
+// full. It returns once the bytes are in the page cache — in order, and
+// safe from SIGKILL — and never fsyncs them itself: the SyncEvery-th
+// unsynced record starts the committer. ctx feeds the journal.append
 // fault site; the write itself is not cancellable — a record is either
 // fully appended or not appended at all (a torn write is healed by
 // replay's tail handling).
@@ -277,36 +301,73 @@ func (w *Writer) Append(ctx context.Context, payload []byte) error {
 		w.appendErr++
 		return fmt.Errorf("journal: append: %w", err)
 	}
+	// The one place Append waits: before a rotation, and at the bound on
+	// the unsynced tail, pending >= 2×SyncEvery−1 — a slow disk stalls
+	// its appenders, it does not widen the crash window. What another
+	// appender did meanwhile is re-read below.
+	if w.segSize >= w.opts.SegmentBytes || w.pending-w.opts.SyncEvery >= w.opts.SyncEvery-1 {
+		if err := w.syncLocked(); err != nil {
+			w.appendErr++
+			return err
+		}
+	}
 	if w.segSize >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.appendErr++
 			return err
 		}
 	}
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	rec := make([]byte, 0, headerBytes+len(payload))
-	rec = append(rec, hdr[:]...)
-	rec = append(rec, payload...)
-	if _, err := w.f.Write(rec); err != nil {
+	w.buf = binary.LittleEndian.AppendUint32(w.buf[:0], uint32(len(payload)))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
+	w.buf = append(w.buf, payload...)
+	if _, err := w.f.Write(w.buf); err != nil {
 		w.appendErr++
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	w.segSize += int64(len(rec))
+	w.segSize += int64(len(w.buf))
 	w.appends++
 	w.pending++
-	if w.pending >= w.opts.SyncEvery {
-		if err := w.syncLocked(); err != nil {
-			w.appendErr++
-			return err
-		}
+	if w.pending >= w.opts.SyncEvery && !w.committing {
+		w.committing = true
+		w.committer.Add(1)
+		go w.commit(w.f)
+	}
+	// A failed background fsync is reported once, here or by Sync. This
+	// record is written: what degraded is the batch before it.
+	if err := w.syncErr; err != nil {
+		w.syncErr = nil
+		w.appendErr++
+		return err
 	}
 	return nil
 }
 
-// Sync flushes the current segment to stable storage, ending the
-// current fsync batch. ctx feeds the journal.sync fault site.
+// commit is the committer: one fsync of f, covering the n records
+// written before it begins, without w.mu, so appenders and Stats never
+// wait for the disk. It exits after its batch — an idle Writer owns no
+// goroutine. A failure leaves pending alone and is sticky.
+func (w *Writer) commit(f *os.File) {
+	defer w.committer.Done()
+	w.mu.Lock()
+	n := w.pending
+	w.mu.Unlock()
+	err := w.fsync(f)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil {
+		w.syncErr = fmt.Errorf("journal: sync: %w", err)
+		w.syncErrs++
+	} else {
+		w.pending -= n
+		w.syncs++
+	}
+	w.committing = false
+	w.idle.Broadcast()
+}
+
+// Sync returns once every record appended before the call is on stable
+// storage, ending the current fsync batch. ctx feeds the journal.sync
+// fault site.
 func (w *Writer) Sync(ctx context.Context) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -319,12 +380,25 @@ func (w *Writer) Sync(ctx context.Context) error {
 	return w.syncLocked()
 }
 
-// syncLocked fsyncs when a batch is pending. w.mu must be held.
+// syncLocked is the barrier under Sync, Close, rotation, compaction and
+// the appenders' bound: wait out the committer (releasing w.mu, which
+// must be held), report its error if it left one, else fsync the rest.
 func (w *Writer) syncLocked() error {
+	for w.committing {
+		w.idle.Wait()
+	}
+	if w.f == nil {
+		return fmt.Errorf("journal: writer closed") // by a Close that won the wait
+	}
+	if err := w.syncErr; err != nil {
+		w.syncErr = nil
+		return err
+	}
 	if w.pending == 0 {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.fsync(w.f); err != nil {
+		w.syncErrs++
 		return fmt.Errorf("journal: sync: %w", err)
 	}
 	w.pending = 0
@@ -371,7 +445,7 @@ func (w *Writer) CompactBefore() (int, error) {
 	// this fsync a crash can resurface a removed segment, and replay
 	// would double-apply history the snapshot already contains.
 	if removed > 0 {
-		if err := syncDir(w.dir); err != nil {
+		if err := syncDir(w.dir, w.fsync); err != nil {
 			return removed, fmt.Errorf("journal: compact: %w", err)
 		}
 		w.dirSyncs++
@@ -379,9 +453,10 @@ func (w *Writer) CompactBefore() (int, error) {
 	return removed, nil
 }
 
-// Close syncs and closes the current segment; the writer cannot append
-// afterwards.
+// Close syncs and closes the current segment and joins the committer;
+// the writer cannot append afterwards.
 func (w *Writer) Close() error {
+	defer w.committer.Wait() // registered first: runs after the unlock
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -411,5 +486,6 @@ func (w *Writer) Stats() Stats {
 		AppendErrors: w.appendErr,
 		Compacted:    w.compacted,
 		DirSyncs:     w.dirSyncs,
+		SyncErrors:   w.syncErrs,
 	}
 }
