@@ -134,6 +134,7 @@ func main() {
 		store       *simcache.Store
 		pendingJobs []jobs.PendingJob
 		walStats    journal.ReplayStats
+		recoverTime time.Duration
 	)
 	if *dataDir != "" {
 		walDir := filepath.Join(*dataDir, "jobs-wal")
@@ -142,10 +143,12 @@ func main() {
 		// tail must be discovered while the damaged segment is still the
 		// log's last — opening first would mint a new segment above it
 		// and make the tail look like mid-log damage.
+		t := time.Now()
 		pendingJobs, walStats, err = jobs.Recover(context.Background(), walDir)
 		if err != nil {
 			logger.Fatal(err)
 		}
+		recoverTime = time.Since(t)
 		jobWAL, err = journal.Open(walDir, journal.Options{})
 		if err != nil {
 			logger.Fatal(err)
@@ -195,12 +198,13 @@ func main() {
 		if *dataDir != "" {
 			var rst journal.ReplayStats
 			var err error
+			t := time.Now()
 			coord, rst, err = cluster.OpenCoordinator(context.Background(), ccfg, filepath.Join(*dataDir, "cluster-wal"))
 			if err != nil {
 				logger.Fatal(err)
 			}
-			logger.Printf("coordinator recovered: %d journal records (%d quarantined segments), epoch %d",
-				rst.Records, rst.Quarantined, coord.Epoch())
+			logger.Printf("coordinator recovered: %d journal records (%d bytes in %d ms, %d quarantined segments), epoch %d",
+				rst.Records, rst.Bytes, time.Since(t).Milliseconds(), rst.Quarantined, coord.Epoch())
 		} else {
 			coord = cluster.NewCoordinator(ccfg)
 		}
@@ -243,23 +247,12 @@ func main() {
 
 	// Re-enqueue journaled jobs that never reached a terminal state,
 	// under their original ids, before the listener opens — a client
-	// polling a pre-crash job id finds its job again. The acceptances
-	// re-journal through the new writer, after which the whole live set
-	// lives in the new segments and the pre-restart ones are compacted
-	// away (the WAL stays bounded by live state, not restart count).
+	// polling a pre-crash job id finds its job again.
 	if *dataDir != "" {
 		n := srv.Resubmit(pendingJobs)
-		logger.Printf("job WAL: recovered %d unfinished jobs (%d records, %d quarantined segments, torn tail=%v)",
-			n, walStats.Records, walStats.Quarantined, walStats.TornTail)
-		if err := jobWAL.Sync(context.Background()); err != nil {
-			logger.Printf("job WAL sync: %v (keeping pre-restart segments)", err)
-		} else if st := queue.Stats(); st.WALErrors > 0 {
-			logger.Printf("job WAL: %d append errors during recovery, keeping pre-restart segments", st.WALErrors)
-		} else if removed, err := jobWAL.CompactBefore(); err != nil {
-			logger.Printf("job WAL compact: %v", err)
-		} else if removed > 0 {
-			logger.Printf("job WAL: compacted %d pre-restart segments", removed)
-		}
+		logger.Printf("job WAL: recovered %d unfinished jobs (%d records, %d bytes in %d ms, %d quarantined segments, torn tail=%v)",
+			n, walStats.Records, walStats.Bytes, recoverTime.Milliseconds(), walStats.Quarantined, walStats.TornTail)
+		compactJobWAL(logger, jobWAL, queue, pendingJobs, n)
 	}
 
 	hs := &http.Server{
@@ -343,4 +336,32 @@ func main() {
 	logger.Printf("done: %d jobs (%d ok, %d failed, %d canceled, %d retries, %d panics recovered), cache hit ratio %s",
 		st.Submitted, st.Succeeded, st.Failed, st.Canceled, st.Retries, st.PanicsRecovered,
 		fmt.Sprintf("%.2f", cs.HitRatio))
+}
+
+// compactJobWAL ends a recovery: once every recovered job has been
+// re-journaled through the new writer the whole live set lives in the
+// new segments, and the pre-restart ones are dropped (the WAL stays
+// bounded by live state, not restart count). Any shortfall keeps them:
+// a sync or append error, or a job Resubmit skipped — queue full,
+// payload no longer valid — whose only record is its pre-restart
+// acceptance; the next restart recovers it again.
+func compactJobWAL(logger *log.Logger, wal *journal.Writer, queue *jobs.Queue, pending []jobs.PendingJob, resubmitted int) {
+	if err := wal.Sync(context.Background()); err != nil {
+		logger.Printf("job WAL sync: %v (keeping pre-restart segments)", err)
+	} else if st := queue.Stats(); st.WALErrors > 0 {
+		logger.Printf("job WAL: %d append errors during recovery, keeping pre-restart segments", st.WALErrors)
+	} else if resubmitted < len(pending) {
+		var missing []string
+		for _, p := range pending {
+			if _, ok := queue.Get(p.ID); !ok {
+				missing = append(missing, p.ID)
+			}
+		}
+		logger.Printf("job WAL: %d of %d recovered jobs not re-enqueued %v, keeping pre-restart segments",
+			len(pending)-resubmitted, len(pending), missing)
+	} else if removed, err := wal.CompactBefore(); err != nil {
+		logger.Printf("job WAL compact: %v", err)
+	} else if removed > 0 {
+		logger.Printf("job WAL: compacted %d pre-restart segments", removed)
+	}
 }

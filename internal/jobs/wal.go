@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -98,6 +99,12 @@ func Recover(ctx context.Context, dir string) ([]PendingJob, journal.ReplayStats
 	pending := map[string]*PendingJob{}
 	var order []string
 	st, err := journal.Replay(ctx, dir, func(payload []byte) error {
+		if id, terminal, ok := bareRecord(payload); ok {
+			if terminal {
+				delete(pending, string(id))
+			}
+			return nil
+		}
 		var rec walRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			// A record that passed its CRC but does not parse is a
@@ -134,6 +141,35 @@ func Recover(ctx context.Context, dir string) ([]PendingJob, journal.ReplayStats
 		}
 	}
 	return out, st, nil
+}
+
+// bareRecord recognises the exact bytes json.Marshal produces for a
+// walRecord holding only Op and ID — two records in three — so Recover
+// applies them without a decode: {"op":"<op>","id":"<id>"}, op one of
+// the five that carry nothing else, id printable ASCII with no quote or
+// backslash (so the quote that ends it is the one before the brace).
+// Whatever differs by a byte is declined and goes to json.Unmarshal,
+// which alone decides what parses. id is a view into b.
+func bareRecord(b []byte) (id []byte, terminal, ok bool) {
+	b, head := bytes.CutPrefix(b, []byte(`{"op":"`))
+	b, tail := bytes.CutSuffix(b, []byte(`"}`))
+	op, id, mid := bytes.Cut(b, []byte(`","id":"`))
+	if !head || !tail || !mid {
+		return nil, false, false
+	}
+	switch string(op) {
+	case opStarted, opRetried:
+	case opSucceeded, opFailed, opCanceled:
+		terminal = true
+	default:
+		return nil, false, false
+	}
+	for _, c := range id {
+		if c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return nil, false, false
+		}
+	}
+	return id, terminal, true
 }
 
 // SubmitRecovered re-enqueues a job recovered from the journal under

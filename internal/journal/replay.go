@@ -31,7 +31,14 @@ type ReplayStats struct {
 	// a crash's torn tail can later sit behind newer segments; it is a
 	// clean tail wherever it is found, never corruption.
 	TornTail bool `json:"torn_tail,omitempty"`
+	// Bytes is the size of the records delivered, framing included: the
+	// log volume a recovery actually processed.
+	Bytes int64 `json:"bytes"`
 }
+
+// poisonViews is a test hook: zero each record's bytes once fn has
+// returned, so a callback that kept its view without copying is caught.
+var poisonViews bool
 
 // Replay reads every live segment in dir in order and calls fn for each
 // valid record. A record cut short by the segment's end is a torn tail
@@ -47,6 +54,10 @@ type ReplayStats struct {
 // invents order: records are delivered exactly as appended, so the same
 // directory bytes always rebuild the same state.
 //
+// A segment is read in bulk and payload is a view into that buffer,
+// valid only until fn returns: a callback that keeps any of the bytes
+// copies them.
+//
 // fn returning an error aborts replay with that error; corruption never
 // does. ctx feeds the journal.replay fault site, fired once per
 // segment.
@@ -60,11 +71,16 @@ func Replay(ctx context.Context, dir string, fn func(payload []byte) error) (Rep
 		}
 		return st, err
 	}
+	var buf []byte // every segment's bytes in turn; grows to the largest
 	for _, seg := range segs {
 		if err := faultinject.Fire(ctx, faultinject.SiteJournalReplay); err != nil {
 			return st, fmt.Errorf("journal: replay %s: %w", seg.name, err)
 		}
-		tail, err := replaySegment(filepath.Join(dir, seg.name), &st, fn)
+		path := filepath.Join(dir, seg.name)
+		if buf, err = readSegment(path, buf); err != nil {
+			return st, fmt.Errorf("journal: replay: %w", err)
+		}
+		tail, err := replaySegment(path, buf, &st, fn)
 		if err != nil {
 			return st, err
 		}
@@ -76,29 +92,18 @@ func Replay(ctx context.Context, dir string, fn func(payload []byte) error) (Rep
 	return st, nil
 }
 
-// replaySegment reads one segment. tornTail reports a partial record at
-// the segment's end; a bad whole record quarantines the segment.
-func replaySegment(path string, st *ReplayStats, fn func([]byte) error) (tornTail bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("journal: replay: %w", err)
-	}
-	defer f.Close()
-	var valid int64 // offset just past the last whole record
-	var hdr [headerBytes]byte
-	for {
-		_, err := io.ReadFull(f, hdr[:])
-		if errors.Is(err, io.EOF) {
-			return false, nil // clean segment boundary
+// replaySegment walks the frames of one segment, whose bytes are data,
+// in place: fn gets views into data. tornTail reports a partial record
+// at the segment's end; a bad whole record quarantines the segment.
+func replaySegment(path string, data []byte, st *ReplayStats, fn func([]byte) error) (tornTail bool, err error) {
+	valid := 0 // offset just past the last whole record
+	for valid < len(data) {
+		rest := data[valid:]
+		if len(rest) < headerBytes {
+			return true, truncateTornTail(path, int64(valid))
 		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return true, truncateTornTail(path, valid)
-		}
-		if err != nil {
-			return false, fmt.Errorf("journal: replay %s: %w", path, err)
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
+		n := binary.LittleEndian.Uint32(rest[0:4])
+		want := binary.LittleEndian.Uint32(rest[4:8])
 		if n > MaxRecordBytes {
 			// An impossible length is corruption wherever it appears: it
 			// cannot be a torn append, because the header is written in
@@ -106,22 +111,45 @@ func replaySegment(path string, st *ReplayStats, fn func([]byte) error) (tornTai
 			// validated before framing.
 			return false, quarantine(path, st)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return true, truncateTornTail(path, valid)
-			}
-			return false, fmt.Errorf("journal: replay %s: %w", path, err)
+		size := headerBytes + int(n)
+		if len(rest) < size {
+			return true, truncateTornTail(path, int64(valid))
 		}
+		payload := rest[headerBytes:size:size]
 		if crc32.ChecksumIEEE(payload) != want {
 			return false, quarantine(path, st)
 		}
-		valid += headerBytes + int64(n)
+		valid += size
 		st.Records++
-		if err := fn(payload); err != nil {
+		st.Bytes += int64(size)
+		err := fn(payload)
+		if poisonViews {
+			clear(payload)
+		}
+		if err != nil {
 			return false, err
 		}
 	}
+	return false, nil // clean segment boundary
+}
+
+// readSegment reads the file at path into buf's storage, grown to fit:
+// one read(2) per segment, not two per record.
+func readSegment(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return buf, err
+	}
+	if info.Size() > int64(cap(buf)) {
+		buf = make([]byte, info.Size())
+	}
+	n, err := io.ReadFull(f, buf[:info.Size()])
+	return buf[:n], err
 }
 
 // truncateTornTail heals a crash's torn tail by cutting the segment
