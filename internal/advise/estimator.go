@@ -1,8 +1,9 @@
 package advise
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // EstimatorConfig sizes the windowed MTBCE estimator.
@@ -56,18 +57,48 @@ func (c EstimatorConfig) withDefaults() EstimatorConfig {
 // identical states produce bit-identical estimates.
 type Estimator struct {
 	cfg EstimatorConfig
+	w   []float64 // decay weight by bucket age, shared per Store (weightTable)
 
-	buckets map[int64]uint64 // bucket index -> event count (trimmed)
-	minB    int64            // smallest bucket index ever observed
-	maxB    int64            // largest bucket index ever observed
-	total   uint64           // events ever ingested (incl. trimmed)
-	firstNs int64            // min event timestamp ever observed
-	lastNs  int64            // max event timestamp ever observed
+	buckets []bucket // occupied buckets (trimmed): ascending idx up to sorted,
+	sorted  int      // then out-of-order arrivals settle has yet to sort in
+	minB    int64    // smallest bucket index ever observed
+	maxB    int64    // largest bucket index ever observed
+	total   uint64   // events ever ingested (incl. trimmed)
+	firstNs int64    // min event timestamp ever observed
+	lastNs  int64    // max event timestamp ever observed
 }
 
-// NewEstimator returns an empty estimator.
+// bucket is one occupied time bucket: its absolute index and count.
+type bucket struct {
+	idx int64
+	n   uint64
+}
+
+func byIdx(b bucket, idx int64) int { return cmp.Compare(b.idx, idx) }
+
+// weightTable returns w[age] = 2^-(age·BucketNanos/HalfLifeNanos) for
+// the ages a trimmed window holds (at most 2^16) — the expression
+// Estimate evaluates past the table, so a hit is bit-identical to a miss.
+func weightTable(cfg EstimatorConfig) []float64 {
+	cfg = cfg.withDefaults()
+	halfLives := float64(cfg.BucketNanos) / float64(cfg.HalfLifeNanos)
+	w := make([]float64, min(cfg.WindowBuckets, 1<<16))
+	for age := range w {
+		w[age] = math.Exp2(-float64(age) * halfLives)
+	}
+	return w
+}
+
+// NewEstimator returns an empty estimator with its own weight table
+// (a Store's estimators share one).
 func NewEstimator(cfg EstimatorConfig) *Estimator {
-	return &Estimator{cfg: cfg.withDefaults(), buckets: map[int64]uint64{}}
+	return newEstimator(cfg, weightTable(cfg))
+}
+
+// newEstimator returns an empty estimator reading weights from w, which
+// must be weightTable(cfg).
+func newEstimator(cfg EstimatorConfig, w []float64) *Estimator {
+	return &Estimator{cfg: cfg.withDefaults(), w: w}
 }
 
 // Add ingests one event timestamp (nanoseconds, must be positive —
@@ -91,8 +122,50 @@ func (e *Estimator) Add(tsNanos int64) {
 			e.lastNs = tsNanos
 		}
 	}
-	e.buckets[b]++
 	e.total++
+	// Streams arrive mostly in time order: bump or append at the tail.
+	// Anything else is appended unsorted. settle sorts it in once the
+	// unsorted tail outgrows the run, so a reversed batch costs a sort
+	// (O(log n) an event), not an insert (O(n)), and the slice stays
+	// within about twice the distinct buckets.
+	n := len(e.buckets)
+	switch {
+	case n > 0 && e.buckets[n-1].idx == b:
+		e.buckets[n-1].n++
+	case e.sorted == n && (n == 0 || e.buckets[n-1].idx < b):
+		e.buckets = append(e.buckets, bucket{idx: b, n: 1})
+		e.sorted++
+	default:
+		e.buckets = append(e.buckets, bucket{idx: b, n: 1})
+		if n+1-e.sorted > max(e.sorted, 64) {
+			e.settle()
+		}
+	}
+}
+
+// settle sorts the unsorted tail and merges it with the run into a new
+// run, summing equal buckets.
+func (e *Estimator) settle() {
+	if e.sorted == len(e.buckets) {
+		return
+	}
+	run, tail := e.buckets[:e.sorted], e.buckets[e.sorted:]
+	slices.SortFunc(tail, func(x, y bucket) int { return byIdx(x, y.idx) })
+	merged := make([]bucket, 0, len(e.buckets))
+	for len(run) > 0 || len(tail) > 0 {
+		var bk bucket
+		if len(tail) == 0 || (len(run) > 0 && run[0].idx <= tail[0].idx) {
+			bk, run = run[0], run[1:]
+		} else {
+			bk, tail = tail[0], tail[1:]
+		}
+		if n := len(merged); n > 0 && merged[n-1].idx == bk.idx {
+			merged[n-1].n += bk.n
+		} else {
+			merged = append(merged, bk)
+		}
+	}
+	e.buckets, e.sorted = merged, len(merged)
 }
 
 // Trim drops buckets that have fallen out of the retention window.
@@ -102,11 +175,12 @@ func (e *Estimator) Trim() {
 	if e.total == 0 {
 		return
 	}
+	e.settle()
 	cutoff := e.maxB - int64(e.cfg.WindowBuckets) + 1
-	for b := range e.buckets {
-		if b < cutoff {
-			delete(e.buckets, b)
-		}
+	if i, _ := slices.BinarySearchFunc(e.buckets, cutoff, byIdx); i > 0 {
+		// Shift down rather than reslice, so the run's capacity is reused.
+		e.buckets = e.buckets[:copy(e.buckets, e.buckets[i:])]
+		e.sorted = len(e.buckets)
 	}
 }
 
@@ -133,31 +207,31 @@ type Estimate struct {
 // is  rate = sum(w*count) / sum(w*width)  over the observation span —
 // the span being every bucket (occupied or not) between the first
 // observation (clipped to the window) and the newest bucket. MTBCE is
-// the reciprocal. All iteration is in sorted bucket order so the float
-// reduction is a fixed-order, deterministic function of the state.
+// the reciprocal. All iteration is in ascending bucket order — the
+// run's own order, once settled — so the float reduction is a
+// fixed-order, deterministic function of the state.
 func (e *Estimator) Estimate() Estimate {
 	est := Estimate{TotalEvents: e.total, FirstNanos: e.firstNs, LastNanos: e.lastNs}
 	if e.total == 0 {
 		return est
 	}
+	e.settle()
 	start := e.maxB - int64(e.cfg.WindowBuckets) + 1
 	if e.minB > start {
 		start = e.minB
 	}
-	keys := make([]int64, 0, len(e.buckets))
-	for b := range e.buckets {
-		keys = append(keys, b)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
 	halfLives := float64(e.cfg.BucketNanos) / float64(e.cfg.HalfLifeNanos)
 	weightAt := func(b int64) float64 {
+		if age := e.maxB - b; uint64(age) < uint64(len(e.w)) {
+			return e.w[age]
+		}
 		return math.Exp2(-float64(e.maxB-b) * halfLives)
 	}
 	var wEvents float64
-	for _, b := range keys {
-		est.WindowEvents += e.buckets[b]
-		wEvents += weightAt(b) * float64(e.buckets[b])
+	for _, bk := range e.buckets {
+		est.WindowEvents += bk.n
+		wEvents += weightAt(bk.idx) * float64(bk.n)
 	}
 	var wTime float64
 	for b := start; b <= e.maxB; b++ {

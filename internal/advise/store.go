@@ -55,7 +55,8 @@ type nodeState struct {
 // estimator's order-independent merges gives the service its
 // determinism and idempotent-retry discipline.
 type Store struct {
-	cfg StoreConfig
+	cfg     StoreConfig
+	weights []float64 // every estimator's decay table, built once
 
 	mu      sync.Mutex
 	tenants map[string]map[string]*nodeState
@@ -66,7 +67,8 @@ type Store struct {
 
 // NewStore returns an empty store.
 func NewStore(cfg StoreConfig) *Store {
-	return &Store{cfg: cfg.withDefaults(), tenants: map[string]map[string]*nodeState{}}
+	cfg = cfg.withDefaults()
+	return &Store{cfg: cfg, weights: weightTable(cfg.Estimator), tenants: map[string]map[string]*nodeState{}}
 }
 
 // Apply ingests one validated batch atomically. Admission is checked
@@ -123,7 +125,7 @@ func (s *Store) Apply(events []Event) error {
 		}
 		ns := nodes[ev.Node]
 		if ns == nil {
-			ns = &nodeState{est: NewEstimator(s.cfg.Estimator)}
+			ns = &nodeState{est: newEstimator(s.cfg.Estimator, s.weights)}
 			nodes[ev.Node] = ns
 			s.nodes++
 		}
