@@ -95,8 +95,8 @@ type Config struct {
 	MaxBatchEvents int
 	// CacheEntries bounds the recommendation cache; 0 selects the
 	// default (1024), negative disables caching (every recommend
-	// recomputes — bit-identical, just slower; the degraded mode the
-	// breaker-style bypass falls back to).
+	// recomputes — bit-identical, just slower, like a simulation whose
+	// baseline bypasses a failing cache).
 	CacheEntries int
 	// Defaults fills scenario parameters the recommend query omits.
 	Defaults ScenarioDefaults

@@ -9,9 +9,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 
+	"repro/internal/envelope"
 	"repro/internal/faultinject"
 )
 
@@ -42,17 +45,17 @@ func (s *Service) HandleIngest(w http.ResponseWriter, r *http.Request) {
 	events, err := decodeBatch(r.Body, s.cfg.MaxBatchEvents)
 	if err != nil {
 		s.reject()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		envelope.Error(w, http.StatusBadRequest, "", err)
 		return
 	}
 	if len(events) == 0 {
 		s.reject()
-		writeError(w, http.StatusBadRequest, "advise: empty batch")
+		envelope.Error(w, http.StatusBadRequest, "", errors.New("advise: empty batch"))
 		return
 	}
 	if err := faultinject.Fire(r.Context(), faultinject.SiteAdviseIngest); err != nil {
 		s.reject()
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		envelope.Error(w, http.StatusInternalServerError, "", err)
 		return
 	}
 	if err := s.store.Apply(events); err != nil {
@@ -66,14 +69,14 @@ func (s *Service) HandleIngest(w http.ResponseWriter, r *http.Request) {
 			// advisor (docs/ADVISOR.md).
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, status, "%v", err)
+		envelope.Error(w, status, "", err)
 		return
 	}
 	seen := map[[2]string]bool{}
 	for i := range events {
 		seen[[2]string{events[i].Tenant, events[i].Node}] = true
 	}
-	writeJSON(w, http.StatusOK, IngestResult{Accepted: len(events), Nodes: len(seen)})
+	envelope.Write(w, http.StatusOK, IngestResult{Accepted: len(events), Nodes: len(seen)})
 }
 
 // decodeBatch parses the NDJSON body strictly, one event per non-blank
@@ -85,6 +88,9 @@ func decodeBatch(body io.ReadCloser, maxEvents int) ([]Event, error) {
 	var prev Event // whose strings agentLine reuses
 	line := 0
 	for sc.Scan() {
+		if sc.Err() != nil {
+			break // the body overran its limit: report that, not the line it cut
+		}
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
@@ -113,7 +119,7 @@ func decodeBatch(body io.ReadCloser, maxEvents int) ([]Event, error) {
 		prev = ev
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("advise: read batch: %v", err)
+		return nil, fmt.Errorf("advise: read batch: %w", err)
 	}
 	return events, nil
 }
@@ -183,85 +189,88 @@ func cutNum(b *[]byte, key string, limit uint64) uint64 {
 	return v
 }
 
-// recommendParams are the recognized recommend query parameters.
-var recommendParams = map[string]bool{
-	"tenant": true, "node": true, "workload": true, "nodes": true,
-	"budget": true, "gib": true, "perevent_ns": true,
-	"checkpoint_ns": true, "restart_ns": true,
-}
-
 // HandleRecommend serves GET /v1/advise/recommend.
 //
 // Required: tenant, node. Optional scenario overrides: workload,
 // nodes, budget (pct), gib, perevent_ns, checkpoint_ns, restart_ns.
 func (s *Service) HandleRecommend(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	tenant, node, in, err := s.parseRecommend(r.URL.Query())
+	if err != nil {
+		envelope.Error(w, http.StatusBadRequest, "", err)
+		return
+	}
+	rec, outcome, err := s.Recommend(tenant, node, in)
+	switch {
+	case errors.Is(err, ErrUnknownNode):
+		envelope.Error(w, http.StatusNotFound, "", err)
+		return
+	case err != nil:
+		envelope.Error(w, http.StatusBadRequest, "", err)
+		return
+	}
+	w.Header().Set(CacheHeader, outcome)
+	envelope.Write(w, http.StatusOK, rec)
+}
+
+// recommendParams are the recommend query parameters, in the order a
+// query is checked: the node's names, then the scenario overrides.
+var recommendParams = []string{"tenant", "node",
+	"workload", "nodes", "budget", "gib", "perevent_ns", "checkpoint_ns", "restart_ns"}
+
+// parseRecommend reads a recommend query into the node it names and the
+// scenario, the service's defaults standing where the query is silent.
+// The first problem found is the error: unknown parameters, then the
+// names, then the overrides in recommendParams order.
+func (s *Service) parseRecommend(q url.Values) (tenant, node string, in Inputs, err error) {
 	var unknown []string
 	for k := range q {
-		if !recommendParams[k] {
+		if !slices.Contains(recommendParams, k) {
 			unknown = append(unknown, k)
 		}
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
-		writeError(w, http.StatusBadRequest, "advise: unknown query parameters %v", unknown)
-		return
+		return "", "", in, fmt.Errorf("advise: unknown query parameters %v", unknown)
 	}
-	tenant, node := q.Get("tenant"), q.Get("node")
-	if err := validName("tenant", tenant); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	tenant, node = q.Get("tenant"), q.Get("node")
+	if err = validName("tenant", tenant); err == nil {
+		err = validName("node", node)
 	}
-	if err := validName("node", node); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	if err != nil {
+		return "", "", in, err
 	}
-	in := Inputs{
+	in = Inputs{
 		Workload:   s.cfg.Defaults.Workload,
 		Nodes:      s.cfg.Defaults.Nodes,
 		BudgetPct:  s.cfg.Defaults.BudgetPct,
 		GiBPerNode: s.cfg.Defaults.GiBPerNode,
 	}
-	if v := q.Get("workload"); v != "" {
-		in.Workload = v
+	for _, key := range recommendParams[2:] {
+		v := q.Get(key)
+		if v == "" {
+			continue // the default stands
+		}
+		switch key {
+		case "workload":
+			in.Workload = v
+		case "nodes":
+			in.Nodes, err = strconv.Atoi(v)
+		case "budget":
+			in.BudgetPct, err = strconv.ParseFloat(v, 64)
+		case "gib":
+			in.GiBPerNode, err = strconv.ParseFloat(v, 64)
+		case "perevent_ns":
+			in.PerEventNanos, err = strconv.ParseInt(v, 10, 64)
+		case "checkpoint_ns":
+			in.CheckpointNanos, err = strconv.ParseInt(v, 10, 64)
+		case "restart_ns":
+			in.RestartNanos, err = strconv.ParseInt(v, 10, 64)
+		}
+		if err != nil {
+			return "", "", in, fmt.Errorf("advise: %s: %v", key, err)
+		}
 	}
-	var err error
-	if in.Nodes, err = intParam(q, "nodes", in.Nodes); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if in.BudgetPct, err = floatParam(q, "budget", in.BudgetPct); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if in.GiBPerNode, err = floatParam(q, "gib", in.GiBPerNode); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if in.PerEventNanos, err = int64Param(q, "perevent_ns", 0); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if in.CheckpointNanos, err = int64Param(q, "checkpoint_ns", 0); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if in.RestartNanos, err = int64Param(q, "restart_ns", 0); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	rec, outcome, err := s.Recommend(tenant, node, in)
-	switch {
-	case errors.Is(err, ErrUnknownNode):
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set(CacheHeader, outcome)
-	writeJSON(w, http.StatusOK, rec)
+	return tenant, node, in, nil
 }
 
 // ErrUnknownNode reports a recommend query for a (tenant, node) the
@@ -276,7 +285,7 @@ var ErrUnknownNode = errors.New("advise: unknown tenant/node")
 // The cached layer is a pure function of the quantized state and the
 // scenario parameters, so cache hits, misses and bypasses produce
 // byte-identical bodies — the same bit-identical degradation contract
-// the baseline cache's circuit breaker provides for simulations.
+// a simulation keeps when its baseline bypasses a failing cache.
 func (s *Service) Recommend(tenant, node string, in Inputs) (*Recommendation, string, error) {
 	est, cls, ok := s.store.Node(tenant, node)
 	if !ok {
@@ -330,64 +339,4 @@ func cacheKey(in Inputs) string {
 		in.Workload, in.Nodes, in.BudgetPct, in.GiBPerNode, in.PerEventNanos,
 		in.ObservedMTBCENanos, in.FaultKnown, in.Fault, in.FaultConfidence,
 		in.CheckpointNanos, in.RestartNanos)
-}
-
-func intParam(q map[string][]string, key string, def int) (int, error) {
-	vs := q[key]
-	if len(vs) == 0 || vs[0] == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(vs[0])
-	if err != nil {
-		return 0, fmt.Errorf("advise: %s: %v", key, err)
-	}
-	return v, nil
-}
-
-func int64Param(q map[string][]string, key string, def int64) (int64, error) {
-	vs := q[key]
-	if len(vs) == 0 || vs[0] == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(vs[0], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("advise: %s: %v", key, err)
-	}
-	return v, nil
-}
-
-func floatParam(q map[string][]string, key string, def float64) (float64, error) {
-	vs := q[key]
-	if len(vs) == 0 || vs[0] == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(vs[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("advise: %s: %v", key, err)
-	}
-	return v, nil
-}
-
-// writeJSON mirrors internal/server's encoder settings so advisor
-// responses render like every other endpoint.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // header already sent; nothing useful to do on error
-}
-
-// errorBody matches internal/server's error payload, echoing the
-// request id the middleware stamped on the response headers.
-type errorBody struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{
-		Error:     fmt.Sprintf(format, args...),
-		RequestID: w.Header().Get("X-Request-Id"),
-	})
 }

@@ -100,6 +100,27 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 	}
 }
 
+// TestOversizedIngestIs413: a batch body over the 8 MiB limit is
+// refused 413 and applies nothing, even when its lines are well formed
+// and the event cap is out of reach — the limit cuts the last line,
+// and that cut is reported as the oversized body it is, not as a bad
+// line.
+func TestOversizedIngestIs413(t *testing.T) {
+	s := NewService(Config{MaxBatchEvents: 1 << 20})
+	line := `{"tenant":"acme","node":"n1","ts_ns":1000000007,"addr":16}` + "\n"
+	body := strings.Repeat(line, maxIngestBytes/len(line)+1)
+	if maxIngestBytes%len(line) == 0 {
+		t.Fatal("the limit falls between lines; pick another line length")
+	}
+	w := ingest(t, s, body)
+	if w.Code != 413 || !strings.Contains(w.Body.String(), "request body too large") {
+		t.Fatalf("status %d: %s, want 413", w.Code, w.Body)
+	}
+	if st := s.Stats(); st.Store.Events != 0 || st.IngestRejects != 1 {
+		t.Fatalf("oversized batch: %+v", st)
+	}
+}
+
 func TestIngestLimitReturns429(t *testing.T) {
 	s := NewService(Config{Store: StoreConfig{MaxNodesPerTenant: 1}})
 	w := ingest(t, s, ndjson(t, []Event{
@@ -132,6 +153,55 @@ func TestRecommendValidation(t *testing.T) {
 		}
 		if !strings.Contains(w.Body.String(), tc.wantFrag) {
 			t.Errorf("%s: body %q does not mention %q", tc.name, w.Body, tc.wantFrag)
+		}
+	}
+}
+
+// TestRecommendRejectionsVerbatim pins every recommend rejection body
+// byte for byte — messages recorded before the query parsing was folded
+// into parseRecommend, including which problem wins when a query has
+// several.
+func TestRecommendRejectionsVerbatim(t *testing.T) {
+	s := NewService(Config{})
+	long := strings.Repeat("x", 200)
+	cases := []struct {
+		query string
+		code  int
+		msg   string
+	}{
+		{"tenant=a&node=n&bogus=1&zzz=2", 400, `advise: unknown query parameters [bogus zzz]`},
+		{"bogus=1", 400, `advise: unknown query parameters [bogus]`},
+		{"=1&tenant=a&node=n", 400, `advise: unknown query parameters []`},
+		{"node=n", 400, `advise: tenant is required`},
+		{"tenant=&node=n", 400, `advise: tenant is required`},
+		{"tenant=a", 400, `advise: node is required`},
+		{"tenant=a%20b&node=n", 400, `advise: tenant contains whitespace or quotes`},
+		{"tenant=a+b&node=n&nodes=x", 400, `advise: tenant contains whitespace or quotes`},
+		{"tenant=a&node=n%22", 400, `advise: node contains whitespace or quotes`},
+		{"tenant=" + long + "&node=n", 400, `advise: tenant longer than 64 bytes`},
+		{"tenant=a&node=" + long, 400, `advise: node longer than 64 bytes`},
+		{"tenant=a&node=n&nodes=many", 400, `advise: nodes: strconv.Atoi: parsing "many": invalid syntax`},
+		{"tenant=a&node=n&nodes=99999999999999999999", 400, `advise: nodes: strconv.Atoi: parsing "99999999999999999999": value out of range`},
+		{"tenant=a&node=n&nodes=1.5", 400, `advise: nodes: strconv.Atoi: parsing "1.5": invalid syntax`},
+		{"tenant=a&node=n&budget=lots", 400, `advise: budget: strconv.ParseFloat: parsing "lots": invalid syntax`},
+		{"tenant=a&node=n&budget=1e999", 400, `advise: budget: strconv.ParseFloat: parsing "1e999": value out of range`},
+		{"tenant=a&node=n&gib=x", 400, `advise: gib: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"tenant=a&node=n&perevent_ns=1.5", 400, `advise: perevent_ns: strconv.ParseInt: parsing "1.5": invalid syntax`},
+		{"tenant=a&node=n&checkpoint_ns=-", 400, `advise: checkpoint_ns: strconv.ParseInt: parsing "-": invalid syntax`},
+		{"tenant=a&node=n&restart_ns=99999999999999999999", 400, `advise: restart_ns: strconv.ParseInt: parsing "99999999999999999999": value out of range`},
+		{"tenant=a&node=n&restart_ns=x&nodes=y", 400, `advise: nodes: strconv.Atoi: parsing "y": invalid syntax`},
+		{"tenant=a&node=n&restart_ns=x&checkpoint_ns=y&perevent_ns=z&gib=w&budget=v", 400, `advise: budget: strconv.ParseFloat: parsing "v": invalid syntax`},
+		{"tenant=a&node=n&nodes=&budget=x", 400, `advise: budget: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"tenant=a&node=n&nodes=x&nodes=5", 400, `advise: nodes: strconv.Atoi: parsing "x": invalid syntax`},
+		{"tenant=a&node=n&nodes=5&nodes=x&gib=q", 400, `advise: gib: strconv.ParseFloat: parsing "q": invalid syntax`},
+		{"tenant=a&node=n", 404, `advise: unknown tenant/node: a/n has no ingested events`},
+		{"tenant=a&node=n&workload=nope", 404, `advise: unknown tenant/node: a/n has no ingested events`},
+	}
+	for _, tc := range cases {
+		w := recommend(t, s, tc.query)
+		msg, _ := json.Marshal(tc.msg)
+		if want := "{\n  \"error\": " + string(msg) + "\n}\n"; w.Code != tc.code || w.Body.String() != want {
+			t.Errorf("%s: %d %q, want %d %q", tc.query, w.Code, w.Body, tc.code, want)
 		}
 	}
 }

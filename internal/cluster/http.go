@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/journal"
-	"repro/internal/server"
 )
 
 // Wire types of the coordinator/worker protocol. Figures travel as the
@@ -79,71 +79,31 @@ type sweepView struct {
 	Figures map[string]json.RawMessage `json:"figures,omitempty"`
 }
 
-// apiError is the protocol error body. Code carries the sentinel as a
-// machine-readable token so the client side can reconstruct
-// errors.Is-able errors without matching message text; RequestID
-// echoes the id the server middleware stamped on the response.
-type apiError struct {
-	Error     string `json:"error"`
-	Code      string `json:"code,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
+// protocolErrors gives each protocol sentinel its wire code and HTTP
+// status. The code travels in the error body so the client side can
+// reconstruct errors.Is-able errors without matching message text.
+var protocolErrors = []struct {
+	err    error
+	code   string
+	status int
+}{
+	{ErrUnknownWorker, "unknown_worker", http.StatusNotFound},
+	{ErrUnknownSweep, "unknown_sweep", http.StatusNotFound},
+	{ErrUnknownShard, "unknown_shard", http.StatusNotFound},
+	{ErrEpochMismatch, "epoch_mismatch", http.StatusConflict},
 }
 
-// Wire codes for the protocol sentinels; codeSentinels is the client's
-// inverse map.
-const (
-	codeUnknownWorker = "unknown_worker"
-	codeUnknownSweep  = "unknown_sweep"
-	codeUnknownShard  = "unknown_shard"
-	codeEpochMismatch = "epoch_mismatch"
-)
-
-var codeSentinels = map[string]error{
-	codeUnknownWorker: ErrUnknownWorker,
-	codeUnknownSweep:  ErrUnknownSweep,
-	codeUnknownShard:  ErrUnknownShard,
-	codeEpochMismatch: ErrEpochMismatch,
-}
-
-// errCode maps an error chain onto its wire code ("" when none).
-func errCode(err error) string {
-	switch {
-	case errors.Is(err, ErrUnknownWorker):
-		return codeUnknownWorker
-	case errors.Is(err, ErrUnknownSweep):
-		return codeUnknownSweep
-	case errors.Is(err, ErrUnknownShard):
-		return codeUnknownShard
-	case errors.Is(err, ErrEpochMismatch):
-		return codeEpochMismatch
+// fail answers err: a protocol sentinel with its code and status, any
+// other error uncoded with status.
+func fail(w http.ResponseWriter, status int, err error) {
+	code := ""
+	for _, p := range protocolErrors {
+		if errors.Is(err, p.err) {
+			code, status = p.code, p.status
+			break
+		}
 	}
-	return ""
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, apiError{
-		Error:     err.Error(),
-		Code:      errCode(err),
-		RequestID: w.Header().Get(server.RequestIDHeader),
-	})
-}
-
-// errStatus maps protocol sentinels to HTTP statuses.
-func errStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrUnknownWorker), errors.Is(err, ErrUnknownSweep), errors.Is(err, ErrUnknownShard):
-		return http.StatusNotFound
-	case errors.Is(err, ErrEpochMismatch):
-		return http.StatusConflict
-	default:
-		return http.StatusBadRequest
-	}
+	envelope.Error(w, status, code, err)
 }
 
 // maxBodyBytes bounds a protocol request body. The largest legitimate
@@ -154,12 +114,7 @@ const maxBodyBytes = journal.MaxRecordBytes
 
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, err)
+		fail(w, http.StatusBadRequest, err)
 		return false
 	}
 	return true
@@ -188,7 +143,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, ttl := c.Register(req.WorkerID, req.Addr)
-	writeJSON(w, http.StatusOK, registerResponse{WorkerID: id, LeaseTTLNano: int64(ttl), Epoch: c.Epoch()})
+	envelope.Write(w, http.StatusOK, registerResponse{WorkerID: id, LeaseTTLNano: int64(ttl), Epoch: c.Epoch()})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -197,19 +152,19 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.CheckEpoch(req.Epoch); err != nil {
-		writeErr(w, errStatus(err), err)
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
 	g, err := c.Lease(req.WorkerID)
 	if err != nil {
-		writeErr(w, errStatus(err), err)
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if g == nil {
-		writeJSON(w, http.StatusOK, leaseResponse{None: true})
+		envelope.Write(w, http.StatusOK, leaseResponse{None: true})
 		return
 	}
-	writeJSON(w, http.StatusOK, leaseResponse{Grant: g})
+	envelope.Write(w, http.StatusOK, leaseResponse{Grant: g})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -218,15 +173,15 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.CheckEpoch(req.Epoch); err != nil {
-		writeErr(w, errStatus(err), err)
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
 	drop, err := c.Heartbeat(req.WorkerID, req.Held)
 	if err != nil {
-		writeErr(w, errStatus(err), err)
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, heartbeatResponse{Drop: drop})
+	envelope.Write(w, http.StatusOK, heartbeatResponse{Drop: drop})
 }
 
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -235,23 +190,23 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.CheckEpoch(req.Epoch); err != nil {
-		writeErr(w, errStatus(err), err)
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
 	var frag *core.Figure
 	if req.Error == "" {
 		f, err := core.ReadFigureJSON(bytes.NewReader(req.Figure))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			fail(w, http.StatusBadRequest, err)
 			return
 		}
 		frag = f
 	}
 	if err := c.Report(req.WorkerID, req.SweepID, req.Key, frag, req.Error); err != nil {
-		writeErr(w, errStatus(err), err)
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	envelope.Write(w, http.StatusOK, struct{}{})
 }
 
 func (c *Coordinator) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
@@ -261,16 +216,16 @@ func (c *Coordinator) handleCreateSweep(w http.ResponseWriter, r *http.Request) 
 	}
 	id, shards, err := c.CreateSweep(spec)
 	if err != nil {
-		writeErr(w, errStatus(err), err)
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, sweepCreated{ID: id, Shards: shards})
+	envelope.Write(w, http.StatusAccepted, sweepCreated{ID: id, Shards: shards})
 }
 
 func (c *Coordinator) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	res, err := c.Sweep(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, errStatus(err), err)
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
 	view := sweepView{ID: res.ID, State: res.State, Done: res.Done, Total: res.Total, Error: res.Error}
@@ -279,17 +234,17 @@ func (c *Coordinator) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 		for id, f := range res.Figures {
 			var buf bytes.Buffer
 			if err := f.WriteJSON(&buf); err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
+				fail(w, http.StatusInternalServerError, err)
 				return
 			}
 			view.Figures[id] = json.RawMessage(buf.Bytes())
 		}
 	}
-	writeJSON(w, http.StatusOK, view)
+	envelope.Write(w, http.StatusOK, view)
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.StatusSnapshot())
+	envelope.Write(w, http.StatusOK, c.StatusSnapshot())
 }
 
 // leaseTTL is shared by worker heartbeat pacing; kept here so both

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/server"
@@ -430,7 +431,7 @@ func TestCancelMidDistributedSweep(t *testing.T) {
 // coordinator's middleware and comes back on protocol responses.
 func TestRequestIDsFlowThroughCluster(t *testing.T) {
 	_, ts := startCoordinator(t, Config{})
-	ctx := server.WithRequestID(context.Background(), "sweep-rid-9")
+	ctx := envelope.WithRequestID(context.Background(), "sweep-rid-9")
 	var created sweepCreated
 	err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/sweep",
 		Spec{Figures: []string{"12"}}, &created)
@@ -450,7 +451,7 @@ func TestRequestIDsFlowThroughCluster(t *testing.T) {
 // normal-sized fragment then round-trips and completes the sweep.
 func TestOversizedReportRefused(t *testing.T) {
 	coord, ts := startCoordinator(t, Config{})
-	ctx := server.WithRequestID(context.Background(), "big-report-7")
+	ctx := envelope.WithRequestID(context.Background(), "big-report-7")
 	var reg registerResponse
 	if err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/register", registerRequest{Addr: "host1:0"}, &reg); err != nil {
 		t.Fatal(err)

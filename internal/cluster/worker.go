@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
-	"repro/internal/server"
 	"repro/internal/simcache"
 )
 
@@ -369,8 +369,8 @@ func postJSON(ctx context.Context, hc *http.Client, url string, body, out any) e
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if rid := server.RequestIDFrom(ctx); rid != "" {
-		req.Header.Set(server.RequestIDHeader, rid)
+	if rid := envelope.RequestIDFrom(ctx); rid != "" {
+		req.Header.Set(envelope.RequestIDHeader, rid)
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
@@ -385,8 +385,8 @@ func getJSON(ctx context.Context, hc *http.Client, url string, out any) error {
 	if err != nil {
 		return err
 	}
-	if rid := server.RequestIDFrom(ctx); rid != "" {
-		req.Header.Set(server.RequestIDHeader, rid)
+	if rid := envelope.RequestIDFrom(ctx); rid != "" {
+		req.Header.Set(envelope.RequestIDHeader, rid)
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
@@ -401,13 +401,15 @@ func getJSON(ctx context.Context, hc *http.Client, url string, out any) error {
 // text — so callers can errors.Is across the wire.
 func decodeResponse(resp *http.Response, out any) error {
 	if resp.StatusCode >= 300 {
-		var apiErr apiError
+		var body envelope.ErrorBody
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
-			if sentinel, ok := codeSentinels[apiErr.Code]; ok {
-				return fmt.Errorf("%w (http %d, rid %s)", sentinel, resp.StatusCode, apiErr.RequestID)
+		if json.Unmarshal(data, &body) == nil && body.Error != "" {
+			for _, p := range protocolErrors {
+				if p.code == body.Code {
+					return fmt.Errorf("%w (http %d, rid %s)", p.err, resp.StatusCode, body.RequestID)
+				}
 			}
-			return fmt.Errorf("cluster: http %d: %s (rid %s)", resp.StatusCode, apiErr.Error, apiErr.RequestID)
+			return fmt.Errorf("cluster: http %d: %s (rid %s)", resp.StatusCode, body.Error, body.RequestID)
 		}
 		return fmt.Errorf("cluster: http %d", resp.StatusCode)
 	}

@@ -2,7 +2,7 @@
 //
 // The service layers deliberately wrap every failure (%w, *JobError,
 // *BuildError, *RepetitionError), so sentinel errors such as
-// jobs.ErrQueueFull, server.ErrShed, server.ErrBreakerOpen and
+// jobs.ErrQueueFull, server.ErrShed, cluster.ErrEpochMismatch and
 // stats.ErrEmptySample only match through errors.Is. Four patterns
 // defeat that contract and are flagged:
 //

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/advise"
+	"repro/internal/envelope"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 )
@@ -99,7 +100,7 @@ func TestAdvisorEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
 	}
-	if resp.Header.Get(RequestIDHeader) == "" {
+	if resp.Header.Get(envelope.RequestIDHeader) == "" {
 		t.Fatal("ingest response missing request id: not going through the middleware")
 	}
 	var res advise.IngestResult

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -17,8 +18,8 @@ import (
 // chaosPlan arms every fault site at p=0.2 with fixed per-site seeds.
 // Each site carries a fault kind the pipeline is supposed to survive:
 // worker and repetition panics are recovered and retried, fill errors
-// degrade through the breaker, decode errors read as 400 (the client
-// resubmits), handler delays just add latency.
+// degrade to direct baseline builds, decode errors read as 400 (the
+// client resubmits), handler delays just add latency.
 func chaosPlan() faultinject.Plan {
 	return faultinject.Plan{
 		faultinject.SiteJobWorker:  {Kind: faultinject.KindPanic, Probability: 0.2, Seed: 101},
@@ -30,17 +31,13 @@ func chaosPlan() faultinject.Plan {
 }
 
 // chaosServer builds a server tuned for the chaos run: a deep retry
-// budget (p=0.2 worker panics make multi-attempt jobs routine) and a
-// twitchy breaker so fill errors visibly cycle it.
+// budget (p=0.2 worker panics make multi-attempt jobs routine).
 func chaosServer(t *testing.T) (*httptest.Server, *jobs.Queue, func()) {
 	t.Helper()
 	q := jobs.New(jobs.Config{Workers: 4, Capacity: 128, Retain: 1024})
 	s, err := New(Config{
 		Queue: q, Cache: simcache.New(0), SimWorkers: 2,
-		JobRetries:       8,
-		BreakerThreshold: 2,
-		BreakerWindow:    8,
-		BreakerCooldown:  50 * time.Millisecond,
+		JobRetries: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +110,7 @@ func sameOutcome(a, b SimulateResult) bool {
 // all complete with results bit-identical to an unfaulted pass, the
 // daemon must survive without leaking goroutines, the queue must drain
 // to empty, and /metrics must show the machinery actually engaged
-// (panics recovered, retries spent, breaker cycled).
+// (panics recovered, retries spent, baselines built past the cache).
 func TestChaosFiftyJobsBitIdentical(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	const njobs = 50
@@ -172,8 +169,12 @@ func TestChaosFiftyJobsBitIdentical(t *testing.T) {
 	if m.Jobs.Retries == 0 {
 		t.Fatal("no job retries recorded")
 	}
-	if m.Breaker == nil || m.Breaker.Transitions == 0 {
-		t.Fatalf("breaker never transitioned: %+v", m.Breaker)
+	// Every injected fill error degraded its caller to a direct build
+	// (coalesced waiters on a failed fill each bypass too).
+	for _, site := range snap.Sites {
+		if site.Site == faultinject.SiteCacheFill && m.CacheBypasses < site.Fired {
+			t.Fatalf("cache_bypasses = %d < %d injected fill errors", m.CacheBypasses, site.Fired)
+		}
 	}
 	if m.CacheBypasses == 0 {
 		t.Fatal("no cache bypasses despite injected fill errors")
@@ -206,5 +207,39 @@ func TestChaosFiftyJobsBitIdentical(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d now vs %d before chaos", n, baseGoroutines)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestChaosSweepBitIdentical arms the chaos plan's core.repetition
+// entry on a figure sweep. A sweep job runs dozens of repetitions, so
+// at p=0.2 nearly every attempt of the job meets a fault somewhere:
+// the job retry budget alone cannot finish it, and it is the in-place
+// same-seed repetition retry that does — bit-identically.
+func TestChaosSweepBitIdentical(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	ts, _ := newRobustServer(t, jobs.Config{}, func(c *Config) { c.JobRetries = 8 })
+	run := func() json.RawMessage {
+		req := SweepRequest{Figure: "4", Nodes: 16, Iterations: 2, Reps: 4, Seed: 1, Workloads: []string{"minife"}}
+		var sub submitted
+		if code := postJSON(t, ts.URL+"/v1/sweep", req, &sub); code != http.StatusAccepted {
+			t.Fatalf("submit status %d", code)
+		}
+		state, result, errMsg := pollJob(t, ts.URL, sub.ID)
+		if state != "succeeded" {
+			t.Fatalf("sweep %s (%s)", state, errMsg)
+		}
+		return result
+	}
+	want := run()
+	if err := faultinject.Arm(faultinject.Plan{
+		faultinject.SiteRepetition: chaosPlan()[faultinject.SiteRepetition],
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(); !bytes.Equal(got, want) {
+		t.Fatal("faulted sweep diverged from the unfaulted one")
+	}
+	if st := faultinject.Snapshot(); len(st.Sites) != 1 || st.Sites[0].Fired == 0 {
+		t.Fatalf("core.repetition never fired: %+v", st)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/faultmodel"
 	"repro/internal/jobs"
 	"repro/internal/noise"
@@ -101,7 +102,7 @@ func TestSimulateFaultMixValidation(t *testing.T) {
 	for _, tc := range cases {
 		req := simReq()
 		tc.mod(&req)
-		var e errorBody
+		var e envelope.ErrorBody
 		if code := postJSON(t, ts.URL+"/v1/simulate", req, &e); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (error %q)", tc.name, code, e.Error)
 		} else if !strings.Contains(e.Error, tc.wantFrag) {

@@ -142,8 +142,8 @@ func (m *Metrics) HandlerPanic() {
 	m.mu.Unlock()
 }
 
-// CacheBypass counts one simulate job that built its baseline directly
-// because the cache failed or its breaker was open.
+// CacheBypass counts one baseline built directly because the cache
+// failed.
 func (m *Metrics) CacheBypass() {
 	m.mu.Lock()
 	m.cacheBypasses++
@@ -193,11 +193,9 @@ type Snapshot struct {
 	ShedRequests uint64 `json:"shed_requests"`
 	// HandlerPanics counts panics recovered at the HTTP layer.
 	HandlerPanics uint64 `json:"handler_panics"`
-	// CacheBypasses counts simulate jobs that degraded to a direct
-	// baseline build.
+	// CacheBypasses counts baselines built directly because the cache
+	// failed.
 	CacheBypasses uint64 `json:"cache_bypasses"`
-	// Breaker reports the baseline-cache circuit breaker, when wired.
-	Breaker *BreakerStats `json:"breaker,omitempty"`
 	// Advisor reports the mitigation advisor's ingest/estimator/cache
 	// gauges, when mounted (docs/ADVISOR.md).
 	Advisor *advise.Stats `json:"advisor,omitempty"`
@@ -224,10 +222,9 @@ type Extras struct {
 	Journal *journal.Writer
 }
 
-// Snapshot captures all counters plus live queue, cache, breaker and
-// advisor gauges. q, c, b and adv may be nil (their sections stay zero
-// or absent).
-func (m *Metrics) Snapshot(q *jobs.Queue, c *simcache.Cache, b *Breaker, adv *advise.Service, x Extras) Snapshot {
+// Snapshot captures all counters plus live queue, cache and advisor
+// gauges. q, c and adv may be nil (their sections stay zero or absent).
+func (m *Metrics) Snapshot(q *jobs.Queue, c *simcache.Cache, adv *advise.Service, x Extras) Snapshot {
 	s := Snapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Requests:      map[string]uint64{},
@@ -254,10 +251,6 @@ func (m *Metrics) Snapshot(q *jobs.Queue, c *simcache.Cache, b *Breaker, adv *ad
 	}
 	if c != nil {
 		s.Cache = c.Stats()
-	}
-	if b != nil {
-		bs := b.Snapshot()
-		s.Breaker = &bs
 	}
 	if adv != nil {
 		as := adv.Stats()

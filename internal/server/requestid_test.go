@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/envelope"
 	"repro/internal/jobs"
 	"repro/internal/simcache"
 )
@@ -21,7 +22,7 @@ func TestRequestIDGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	rid := resp.Header.Get(RequestIDHeader)
+	rid := resp.Header.Get(envelope.RequestIDHeader)
 	if rid == "" || !strings.HasPrefix(rid, "r-") {
 		t.Fatalf("generated request id %q, want r-<hex>", rid)
 	}
@@ -33,13 +34,13 @@ func TestRequestIDPropagated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(RequestIDHeader, "trace-me-42")
+	req.Header.Set(envelope.RequestIDHeader, "trace-me-42")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get(RequestIDHeader); got != "trace-me-42" {
+	if got := resp.Header.Get(envelope.RequestIDHeader); got != "trace-me-42" {
 		t.Fatalf("echoed request id %q, want trace-me-42", got)
 	}
 }
@@ -50,13 +51,13 @@ func TestRequestIDOverlongReplaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(RequestIDHeader, strings.Repeat("x", maxRequestIDLen+1))
+	req.Header.Set(envelope.RequestIDHeader, strings.Repeat("x", maxRequestIDLen+1))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get(RequestIDHeader); !strings.HasPrefix(got, "r-") {
+	if got := resp.Header.Get(envelope.RequestIDHeader); !strings.HasPrefix(got, "r-") {
 		t.Fatalf("overlong inbound id kept: %q", got)
 	}
 }
@@ -68,7 +69,7 @@ func TestRequestIDInErrorBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(RequestIDHeader, "err-echo-7")
+	req.Header.Set(envelope.RequestIDHeader, "err-echo-7")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestRequestIDInErrorBody(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	var body errorBody
+	var body envelope.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRequestIDReachesJobSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(RequestIDHeader, "job-rid-1")
+	req.Header.Set(envelope.RequestIDHeader, "job-rid-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +144,8 @@ func TestExtraRoutesThroughMiddleware(t *testing.T) {
 		Queue: q, Cache: simcache.New(0),
 		Routes: map[string]http.HandlerFunc{
 			"GET /cluster/ping": func(w http.ResponseWriter, r *http.Request) {
-				seen = RequestIDFrom(r.Context())
-				writeJSON(w, http.StatusOK, map[string]any{"pong": true})
+				seen = envelope.RequestIDFrom(r.Context())
+				envelope.Write(w, http.StatusOK, map[string]any{"pong": true})
 			},
 		},
 	})
@@ -163,7 +164,7 @@ func TestExtraRoutesThroughMiddleware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(RequestIDHeader, "extra-route-rid")
+	req.Header.Set(envelope.RequestIDHeader, "extra-route-rid")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

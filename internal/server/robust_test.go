@@ -15,7 +15,7 @@ import (
 )
 
 // newRobustServer is newTestServer with a configurable server Config
-// (breaker tuning, shed watermark, retry budget).
+// (shed watermark, retry budget).
 func newRobustServer(t *testing.T, qcfg jobs.Config, mod func(*Config)) (*httptest.Server, *jobs.Queue) {
 	t.Helper()
 	if qcfg.Workers == 0 {
@@ -40,71 +40,13 @@ func newRobustServer(t *testing.T, qcfg jobs.Config, mod func(*Config)) (*httpte
 	return ts, q
 }
 
-// breakerAt builds a breaker with a deterministic clock for unit tests.
-func breakerAt(threshold, window int, cooldown time.Duration, now *time.Time) *Breaker {
-	b := NewBreaker(threshold, window, cooldown)
-	b.now = func() time.Time { return *now }
-	return b
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := breakerAt(2, 4, time.Minute, &now)
-
-	if !b.Allow() {
-		t.Fatal("closed breaker refused traffic")
-	}
-	b.Failure()
-	if s := b.Snapshot(); s.State != "closed" || s.WindowFailures != 1 {
-		t.Fatalf("after 1 failure: %+v", s)
-	}
-	b.Failure() // second failure in the window trips it
-	if s := b.Snapshot(); s.State != "open" || s.Opens != 1 {
-		t.Fatalf("after threshold: %+v", s)
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted traffic inside cooldown")
-	}
-
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("cooled-down breaker refused the half-open probe")
-	}
-	if s := b.Snapshot(); s.State != "half-open" {
-		t.Fatalf("after cooldown: %+v", s)
-	}
-	if b.Allow() {
-		t.Fatal("second caller admitted while the probe is in flight")
-	}
-	b.Failure() // probe failed: straight back to open
-	if s := b.Snapshot(); s.State != "open" || s.Opens != 2 {
-		t.Fatalf("after failed probe: %+v", s)
-	}
-
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("no second probe after another cooldown")
-	}
-	b.Success() // probe healed: closed with a clean window
-	if s := b.Snapshot(); s.State != "closed" || s.WindowFailures != 0 {
-		t.Fatalf("after healed probe: %+v", s)
-	}
-	if s := b.Snapshot(); s.Transitions != 5 {
-		t.Fatalf("transitions = %d, want 5", s.Transitions)
-	}
-}
-
 // TestCacheFailureDegradesToBypass arms persistent simcache.fill
-// errors: simulate jobs must degrade to direct baseline builds (not
-// fail), the breaker must open after the threshold, and the degraded
-// result must be bit-identical to the cache-served one.
+// errors: every simulate job must degrade to a direct baseline build
+// (not fail), each counted in cache_bypasses, and the degraded result
+// must be bit-identical to the one a healthy cache serves.
 func TestCacheFailureDegradesToBypass(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
-	ts, _ := newRobustServer(t, jobs.Config{}, func(c *Config) {
-		c.BreakerThreshold = 2
-		c.BreakerWindow = 4
-		c.BreakerCooldown = time.Hour // stays open for the whole test
-	})
+	ts, _ := newRobustServer(t, jobs.Config{}, nil)
 
 	if err := faultinject.Arm(faultinject.Plan{
 		faultinject.SiteCacheFill: {Kind: faultinject.KindError, Probability: 1},
@@ -134,9 +76,6 @@ func TestCacheFailureDegradesToBypass(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
 	}
-	if m.Breaker == nil || m.Breaker.State != "open" || m.Breaker.Opens == 0 || m.Breaker.Transitions == 0 {
-		t.Fatalf("breaker did not open: %+v", m.Breaker)
-	}
 	if m.CacheBypasses != 3 {
 		t.Fatalf("cache_bypasses = %d, want 3", m.CacheBypasses)
 	}
@@ -158,8 +97,14 @@ func TestCacheFailureDegradesToBypass(t *testing.T) {
 	if err := json.Unmarshal(result, &healthy); err != nil {
 		t.Fatal(err)
 	}
-	// Note the breaker is still open (long cooldown), so even the
-	// healthy run bypasses — what matters is the numbers agree.
+	// The cache is tried again at once: the healthy run is a miss that
+	// fills it, and no further bypass is counted.
+	if healthy.CacheBypassed || healthy.CacheHit {
+		t.Fatalf("healthy job: hit=%v bypassed=%v, want a cache miss", healthy.CacheHit, healthy.CacheBypassed)
+	}
+	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK || m.CacheBypasses != 3 {
+		t.Fatalf("after the healthy job: status %d, cache_bypasses = %d, want 3", code, m.CacheBypasses)
+	}
 	if healthy.BaselineMakespanNanos != degraded.BaselineMakespanNanos {
 		t.Fatalf("baselines differ: %d vs %d", healthy.BaselineMakespanNanos, degraded.BaselineMakespanNanos)
 	}

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/advise"
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/journal"
@@ -66,12 +67,6 @@ type Config struct {
 	// (recovered panics, injected faults). 0 selects the default (2);
 	// negative disables retries.
 	JobRetries int
-	// BreakerThreshold, BreakerWindow and BreakerCooldown configure the
-	// baseline-cache circuit breaker; zero values select NewBreaker's
-	// defaults (3 failures in the last 16 outcomes, 5s cooldown).
-	BreakerThreshold int
-	BreakerWindow    int
-	BreakerCooldown  time.Duration
 	// Advisor mounts the online mitigation advisor (docs/ADVISOR.md):
 	// POST /v1/advise/ingest and GET /v1/advise/recommend, served
 	// through the standard middleware. Ingest batches pass the same
@@ -139,7 +134,6 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	metrics *Metrics
-	breaker *Breaker
 }
 
 // New builds the handler around a queue and cache.
@@ -148,10 +142,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: queue and cache are required")
 	}
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg: cfg, mux: http.NewServeMux(), metrics: NewMetrics(),
-		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerWindow, cfg.BreakerCooldown),
-	}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), metrics: NewMetrics()}
 	s.handle("GET /healthz", s.handleHealthz)
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("GET /v1/systems", s.handleSystems)
@@ -162,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 	s.handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	if cfg.Advisor != nil {
 		s.handle("POST /v1/advise/ingest", s.handleAdviseIngest)
-		s.handle("GET /v1/advise/recommend", s.handleAdviseRecommend)
+		s.handle("GET /v1/advise/recommend", cfg.Advisor.HandleRecommend)
 	}
 	patterns := make([]string, 0, len(cfg.Routes))
 	for p := range cfg.Routes {
@@ -177,10 +168,6 @@ func New(cfg Config) (*Server, error) {
 
 // Metrics exposes the registry (cmd/cesimd logs a summary on exit).
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Breaker exposes the baseline-cache circuit breaker (for tests and
-// operational snapshots).
-func (s *Server) Breaker() *Breaker { return s.breaker }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -207,26 +194,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// RequestIDHeader carries the request id on the wire. Inbound values
-// are trusted and propagated (so a cluster worker's shard attempt and
-// the coordinator's handler logs share one id); absent, the middleware
-// generates one.
-const RequestIDHeader = "X-Request-Id"
-
-// ridKey is the context key for the request id.
-type ridKey struct{}
-
-// WithRequestID returns ctx carrying the request id.
-func WithRequestID(ctx context.Context, rid string) context.Context {
-	return context.WithValue(ctx, ridKey{}, rid)
-}
-
-// RequestIDFrom returns the request id carried by ctx, or "".
-func RequestIDFrom(ctx context.Context) string {
-	rid, _ := ctx.Value(ridKey{}).(string)
-	return rid
-}
-
 // maxRequestIDLen bounds inbound request ids so a hostile header cannot
 // bloat logs or job records.
 const maxRequestIDLen = 64
@@ -248,12 +215,12 @@ func NewRequestID() string {
 // http.Server, being rethrown by the net/http panic handler).
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		rid := r.Header.Get(RequestIDHeader)
+		rid := r.Header.Get(envelope.RequestIDHeader)
 		if rid == "" || len(rid) > maxRequestIDLen {
 			rid = NewRequestID()
 		}
-		w.Header().Set(RequestIDHeader, rid)
-		r = r.WithContext(WithRequestID(r.Context(), rid))
+		w.Header().Set(envelope.RequestIDHeader, rid)
+		r = r.WithContext(envelope.WithRequestID(r.Context(), rid))
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		func() {
@@ -262,12 +229,12 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 					s.metrics.HandlerPanic()
 					rec.status = http.StatusInternalServerError
 					if !rec.wrote {
-						writeError(rec, http.StatusInternalServerError, "internal error: %v", v)
+						envelope.Error(rec, http.StatusInternalServerError, "", fmt.Errorf("internal error: %v", v))
 					}
 				}
 			}()
 			if err := faultinject.Fire(r.Context(), faultinject.SiteHandler); err != nil {
-				writeError(rec, http.StatusInternalServerError, "%v", err)
+				envelope.Error(rec, http.StatusInternalServerError, "", err)
 				return
 			}
 			h(rec, r)
@@ -279,40 +246,28 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// writeJSON sends v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // header already sent; nothing useful to do on error
-}
-
-// errorBody is every non-2xx response payload. RequestID echoes the
-// X-Request-Id the middleware stamped, so clients can quote one token
-// when reporting a failure.
-type errorBody struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{
-		Error:     fmt.Sprintf(format, args...),
-		RequestID: w.Header().Get(RequestIDHeader),
-	})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	envelope.Write(w, http.StatusOK, map[string]any{
 		"status":   "ok",
-		"uptime_s": s.metrics.Snapshot(nil, nil, nil, nil, Extras{}).UptimeSeconds,
+		"uptime_s": s.metrics.Snapshot(nil, nil, nil, Extras{}).UptimeSeconds,
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.cfg.Queue, s.cfg.Cache, s.breaker, s.cfg.Advisor,
+	envelope.Write(w, http.StatusOK, s.metrics.Snapshot(s.cfg.Queue, s.cfg.Cache, s.cfg.Advisor,
 		Extras{Store: s.cfg.ResultStore, Tenants: s.cfg.Tenants, Journal: s.cfg.Journal}))
+}
+
+// shed answers 503 with Retry-After, and reports true, once the queue
+// depth has reached the shed watermark.
+func (s *Server) shed(w http.ResponseWriter) bool {
+	if wm := s.cfg.ShedWatermark; wm <= 0 || s.cfg.Queue.Depth() < wm {
+		return false
+	}
+	s.metrics.Shed()
+	w.Header().Set("Retry-After", "1")
+	envelope.Error(w, http.StatusServiceUnavailable, "", ErrShed)
+	return true
 }
 
 // handleAdviseIngest admits an advisor batch through the same shed
@@ -321,17 +276,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // because clients buffer NDJSON and retry losslessly (batches apply
 // atomically, so a retry cannot double-count).
 func (s *Server) handleAdviseIngest(w http.ResponseWriter, r *http.Request) {
-	if wm := s.cfg.ShedWatermark; wm > 0 && s.cfg.Queue != nil && s.cfg.Queue.Depth() >= wm {
-		s.metrics.Shed()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", ErrShed)
-		return
+	if !s.shed(w) {
+		s.cfg.Advisor.HandleIngest(w, r)
 	}
-	s.cfg.Advisor.HandleIngest(w, r)
-}
-
-func (s *Server) handleAdviseRecommend(w http.ResponseWriter, r *http.Request) {
-	s.cfg.Advisor.HandleRecommend(w, r)
 }
 
 // systemJSON is one Table II row on the wire.
@@ -379,7 +326,7 @@ func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 	for _, m := range systems.LoggingModes() {
 		modes = append(modes, modeJSON{Name: m.Name, PerEventNanos: m.PerEventNanos})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"systems": sys, "logging_modes": modes})
+	envelope.Write(w, http.StatusOK, map[string]any{"systems": sys, "logging_modes": modes})
 }
 
 // workloadJSON is one skeleton spec on the wire.
@@ -397,7 +344,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	for _, name := range tracegen.Names() {
 		spec, err := tracegen.Lookup(name)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "workload catalog: %v", err)
+			envelope.Error(w, http.StatusInternalServerError, "", fmt.Errorf("workload catalog: %v", err))
 			return
 		}
 		out = append(out, workloadJSON{
@@ -406,7 +353,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 			AllreduceEvery: spec.AllreduceEvery,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"workloads": out})
+	envelope.Write(w, http.StatusOK, map[string]any{"workloads": out})
 }
 
 // SimulateRequest is the POST /v1/simulate body: the run spec itself,
@@ -448,8 +395,8 @@ type SimulateResult struct {
 	// being built) when the job ran.
 	CacheHit bool `json:"cache_hit"`
 	// CacheBypassed reports the baseline was built directly because the
-	// cache failed or its circuit breaker was open. The result is still
-	// bit-identical: baseline construction is deterministic.
+	// cache failed. The result is still bit-identical: baseline
+	// construction is deterministic.
 	CacheBypassed bool `json:"cache_bypassed,omitempty"`
 	// BaselineNanos and ScenariosNanos decompose the job's wall time.
 	BaselineNanos  int64 `json:"baseline_wall_ns"`
@@ -477,7 +424,7 @@ const maxTenantNameLen = 64
 // has been written and ok is false.
 func (s *Server) admitTenant(w http.ResponseWriter, name string) (release func(), ok bool) {
 	if len(name) > maxTenantNameLen {
-		writeError(w, http.StatusBadRequest, "tenant name exceeds %d bytes", maxTenantNameLen)
+		envelope.Error(w, http.StatusBadRequest, "", fmt.Errorf("tenant name exceeds %d bytes", maxTenantNameLen))
 		return nil, false
 	}
 	if s.cfg.Tenants == nil {
@@ -496,17 +443,14 @@ func (s *Server) admitTenant(w http.ResponseWriter, name string) (release func()
 			after = fmt.Sprintf("%d", int((le.RetryAfter+time.Second-1)/time.Second))
 		}
 		w.Header().Set("Retry-After", after)
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		envelope.Error(w, http.StatusTooManyRequests, "", err)
 		return nil, false
 	}
 	return release, true
 }
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, payload json.RawMessage, fn jobs.Func) {
-	if wm := s.cfg.ShedWatermark; wm > 0 && s.cfg.Queue.Depth() >= wm {
-		s.metrics.Shed()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", ErrShed)
+	if s.shed(w) {
 		return
 	}
 	tenantName := r.Header.Get(TenantHeader)
@@ -516,7 +460,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, pay
 	}
 	spec := jobs.Spec{
 		Kind:      kind,
-		RequestID: RequestIDFrom(r.Context()),
+		RequestID: envelope.RequestIDFrom(r.Context()),
 		Tenant:    tenantName,
 		Retries:   s.cfg.JobRetries,
 		Payload:   payload,
@@ -526,19 +470,19 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, pay
 	case errors.Is(err, jobs.ErrQueueFull):
 		release()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full, retry later")
+		envelope.Error(w, http.StatusTooManyRequests, "", errors.New("queue full, retry later"))
 		return
 	case errors.Is(err, jobs.ErrDraining):
 		release()
-		writeError(w, http.StatusServiceUnavailable, "server shutting down")
+		envelope.Error(w, http.StatusServiceUnavailable, "", errors.New("server shutting down"))
 		return
 	case err != nil:
 		release()
-		writeError(w, http.StatusInternalServerError, "submit: %v", err)
+		envelope.Error(w, http.StatusInternalServerError, "", fmt.Errorf("submit: %v", err))
 		return
 	}
 	s.releaseOnExit(id, release)
-	writeJSON(w, http.StatusAccepted, submitted{ID: id, State: jobs.Queued, Poll: "/v1/jobs/" + id})
+	envelope.Write(w, http.StatusAccepted, submitted{ID: id, State: jobs.Queued, Poll: "/v1/jobs/" + id})
 }
 
 // releaseOnExit returns the tenant's in-flight slot when the job
@@ -553,19 +497,19 @@ func (s *Server) releaseOnExit(id string, release func()) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		envelope.Error(w, http.StatusBadRequest, "", err)
 		return
 	}
 	cfg, sc, err := req.Resolve(s.cfg.limits())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		envelope.Error(w, http.StatusBadRequest, "", err)
 		return
 	}
 	// Marshal after resolve so the journaled payload carries the
 	// defaulted fields: recovery re-resolves to the identical job.
 	payload, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		envelope.Error(w, http.StatusInternalServerError, "", err)
 		return
 	}
 	s.submit(w, r, "simulate", payload, s.simulateFunc(cfg, sc, req))
@@ -653,16 +597,16 @@ func (s *Server) admitSweep(req *SweepRequest) error {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		envelope.Error(w, http.StatusBadRequest, "", err)
 		return
 	}
 	if err := s.admitSweep(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		envelope.Error(w, http.StatusBadRequest, "", err)
 		return
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		envelope.Error(w, http.StatusInternalServerError, "", err)
 		return
 	}
 	s.submit(w, r, "sweep", payload, s.sweepFunc(req, r.Header.Get(TenantHeader), payload))
@@ -674,7 +618,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // payload: a repeated or recovered request re-serves the stored bytes
 // verbatim instead of recomputing. The job's context reaches every
 // repetition of the figure, and baselines resolve as a simulate job's
-// do (cache, breaker, direct build).
+// do (cache, then a direct build).
 func (s *Server) sweepFunc(req SweepRequest, tenantName string, payload []byte) jobs.Func {
 	return func(ctx context.Context) (any, error) {
 		var key string
@@ -726,43 +670,35 @@ func (s *Server) persistResult(ctx context.Context, tenantName, key string, b []
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	snap, ok := s.cfg.Queue.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		envelope.Error(w, http.StatusNotFound, "", fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	envelope.Write(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if s.cfg.Queue.Cancel(id) {
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "canceled": true})
+		envelope.Write(w, http.StatusOK, map[string]any{"id": id, "canceled": true})
 		return
 	}
 	if snap, ok := s.cfg.Queue.Get(id); ok {
-		writeError(w, http.StatusConflict, "job %s already %s", id, snap.State)
+		envelope.Error(w, http.StatusConflict, "", fmt.Errorf("job %s already %s", id, snap.State))
 		return
 	}
-	writeError(w, http.StatusNotFound, "unknown job %q", id)
+	envelope.Error(w, http.StatusNotFound, "", fmt.Errorf("unknown job %q", id))
 }
 
 // baseline resolves the experiment for cfg, preferring the shared
-// cache. A cache failure records on the circuit breaker and degrades
-// this job to a direct build; while the breaker is open the cache is
-// skipped outright. Both paths construct the identical experiment —
+// cache. A cache failure degrades this job to a direct build, counted
+// in cache_bypasses; both paths construct the identical experiment —
 // baseline building is deterministic — so degradation never changes
 // results, only cost. Cancellation is passed through untouched: it is
 // the caller stopping, not the cache failing.
 func (s *Server) baseline(ctx context.Context, cfg core.ExperimentConfig) (exp *core.Experiment, hit, bypassed bool, err error) {
-	if s.breaker.Allow() {
-		exp, hit, err = s.cfg.Cache.GetOrBuild(ctx, cfg)
-		if err == nil {
-			s.breaker.Success()
-			return exp, hit, false, nil
-		}
-		if ctx.Err() != nil {
-			return nil, false, false, err
-		}
-		s.breaker.Failure()
+	exp, hit, err = s.cfg.Cache.GetOrBuild(ctx, cfg)
+	if err == nil || ctx.Err() != nil {
+		return exp, hit, false, err
 	}
 	s.metrics.CacheBypass()
 	exp, err = core.NewExperiment(cfg)
@@ -842,7 +778,7 @@ func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %v", err)
+		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
 }

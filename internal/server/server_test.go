@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/noise"
@@ -412,7 +413,7 @@ func TestSimulateValidation(t *testing.T) {
 	for _, tc := range cases {
 		req := base
 		tc.mod(&req)
-		var e errorBody
+		var e envelope.ErrorBody
 		if code := postJSON(t, ts.URL+"/v1/simulate", req, &e); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (error %q)", tc.name, code, e.Error)
 		} else if e.Error == "" {
@@ -460,6 +461,35 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedSubmissionIs413: a simulate or sweep body over the
+// 1 MiB limit is refused 413 with the request id, and nothing reaches
+// the queue.
+func TestOversizedSubmissionIs413(t *testing.T) {
+	ts, q, _ := newTestServer(t, jobs.Config{})
+	body := `{"workload":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, route := range []string{"/v1/simulate", "/v1/sweep"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+route, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(envelope.RequestIDHeader, "big-body-1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e envelope.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge ||
+			e.Error != "bad request body: http: request body too large" || e.RequestID != "big-body-1" {
+			t.Errorf("%s: status %d, body %+v (%v), want 413 carrying the request id", route, resp.StatusCode, e, err)
+		}
+	}
+	if st := q.Stats(); st.Submitted != 0 {
+		t.Fatalf("%d oversized submissions reached the queue", st.Submitted)
+	}
+}
+
 func TestQueueFullReturns429(t *testing.T) {
 	ts, q, _ := newTestServer(t, jobs.Config{Workers: 1, Capacity: 1})
 	// Deterministically fill the pool: one blocking job occupies the
@@ -482,7 +512,7 @@ func TestQueueFullReturns429(t *testing.T) {
 	if _, err := q.Submit("fill", func(context.Context) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
-	var e errorBody
+	var e envelope.ErrorBody
 	if code := postJSON(t, ts.URL+"/v1/simulate", simReq(), &e); code != http.StatusTooManyRequests {
 		t.Fatalf("status %d (%q), want 429", code, e.Error)
 	}

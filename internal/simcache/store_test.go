@@ -118,8 +118,8 @@ func entryPath(t *testing.T, s *Store, key string) string {
 // backing-store entry whose payload bytes were flipped must be
 // quarantined and reported as a miss, and the recomputed result the
 // caller falls back to must be bit-identical to the original bytes —
-// the same degrade-to-recompute contract the baseline cache's breaker
-// provides.
+// the same degrade-to-recompute contract a baseline that bypasses a
+// failing cache keeps.
 func TestStoreCorruptPayloadBitIdentical(t *testing.T) {
 	opts := core.Options{Nodes: 16, Iterations: 2, Reps: 1, Seed: 1, Workloads: []string{"minife"}}
 	fig, err := core.Figure4(opts)

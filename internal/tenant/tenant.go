@@ -8,8 +8,8 @@
 // injectable so refill arithmetic is exact under test, and the zero
 // value falls back to time.Now for production. Rejections carry a
 // computed Retry-After so the HTTP layer can answer 429 with a useful
-// hint instead of a bare refusal, matching the shed/breaker discipline
-// the daemon already applies to global overload.
+// hint instead of a bare refusal, matching the shed discipline the
+// daemon already applies to global overload.
 package tenant
 
 import (
