@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"repro/internal/collectives"
@@ -173,7 +174,8 @@ type Scenario struct {
 type RunResult struct {
 	// SlowdownPct is (perturbed-baseline)/baseline*100.
 	SlowdownPct float64
-	// Perturbed is the noisy simulation result.
+	// Perturbed is the noisy simulation result, or a copy of the
+	// baseline when no CE could reach the run.
 	Perturbed *loggopsim.Result
 	// CEEvents is the number of detours charged.
 	CEEvents uint64
@@ -221,16 +223,12 @@ func (e *Experiment) releaseSim(sim *loggopsim.Simulator) {
 	}
 }
 
-// Run simulates the experiment under one CE scenario.
+// Run evaluates the experiment under one CE scenario. It decides before
+// it simulates: a scenario at load >= 1 makes no progress, and one
+// whose first CE on every rank arrives at or after the rank's
+// noise-free finish time is the baseline (docs/MODEL.md §2). Only the
+// rest take a run state off the idle list and simulate.
 func (e *Experiment) Run(sc Scenario) (*RunResult, error) {
-	sim := e.acquireSim()
-	res, err := e.runOn(sim, sc)
-	e.releaseSim(sim) // not deferred: a run state a panic interrupted is dropped
-	return res, err
-}
-
-// runOn evaluates one scenario on a run state.
-func (e *Experiment) runOn(sim *loggopsim.Simulator, sc Scenario) (*RunResult, error) {
 	ncfg := noise.Config{
 		Seed:             sc.Seed,
 		MTBCE:            sc.MTBCE,
@@ -251,7 +249,12 @@ func (e *Experiment) runOn(sim *loggopsim.Simulator, sc Scenario) (*RunResult, e
 	if err != nil {
 		return nil, err
 	}
+	if e.unreachable(nm) {
+		return e.baselineResult(), nil
+	}
+	sim := e.acquireSim()
 	res, err := sim.Run(nm)
+	e.releaseSim(sim) // not deferred: a run state a panic interrupted is dropped
 	if err != nil {
 		return nil, fmt.Errorf("core: perturbed simulation: %w", err)
 	}
@@ -263,6 +266,34 @@ func (e *Experiment) runOn(sim *loggopsim.Simulator, sc Scenario) (*RunResult, e
 		Saturated:     nm.Saturated(),
 		Profile:       res.Profile,
 	}, nil
+}
+
+// unreachable reports that no rank's first CE arrives before the rank's
+// noise-free finish time. Such a run is the baseline: while it matches
+// the baseline, every work window on rank r ends by FinishTimes[r], at
+// or before the rank's next arrival, so the engine never consults nm.
+// NextArrival starts each rank's stream exactly as Simulator.Run's
+// reset does, so a run that follows a false answer draws the same
+// numbers.
+func (e *Experiment) unreachable(nm *noise.CE) bool {
+	for r, finish := range e.baseline.FinishTimes {
+		if nm.NextArrival(int32(r)) < finish {
+			return false
+		}
+	}
+	return true
+}
+
+// baselineResult is the outcome of an unreachable run: the baseline,
+// copied so the caller owns it as it owns a simulated Result.
+func (e *Experiment) baselineResult() *RunResult {
+	res, prof := *e.baseline, *e.baseline.Profile
+	res.FinishTimes = slices.Clone(res.FinishTimes)
+	prof.PerRankWork = slices.Clone(prof.PerRankWork)
+	prof.PerRankDetour = slices.Clone(prof.PerRankDetour)
+	prof.PerRankWait = slices.Clone(prof.PerRankWait)
+	res.Profile = &prof
+	return &RunResult{SlowdownPct: stats.Slowdown(res.Makespan, res.Makespan), Perturbed: &res, Profile: &prof}
 }
 
 // RepetitionError is the typed failure of one simulation repetition:
@@ -310,22 +341,19 @@ const repAttempts = 4
 
 // runRepOnce attempts one repetition, firing the core.repetition fault
 // site and converting a panic into a *RepetitionError with the stack
-// captured. The attempt's run state goes back to the idle list unless
-// it panicked: its event queue and per-rank state may then be mid-run.
+// captured. A run state a panic interrupted is dropped by Run: its
+// event queue and per-rank state may be mid-run.
 func (e *Experiment) runRepOnce(ctx context.Context, sc Scenario) (res *RunResult, err error) {
-	sim := e.acquireSim()
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
 			err = &RepetitionError{Seed: sc.Seed, PanicValue: r, Stack: string(debug.Stack())}
-			return
 		}
-		e.releaseSim(sim)
 	}()
 	if ferr := faultinject.Fire(ctx, faultinject.SiteRepetition); ferr != nil {
 		return nil, &RepetitionError{Seed: sc.Seed, Err: ferr}
 	}
-	return e.runOn(sim, sc)
+	return e.Run(sc)
 }
 
 // runRep executes one repetition with panic recovery and bounded

@@ -15,6 +15,8 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/loggopsim"
 	"repro/internal/memo"
+	"repro/internal/noise"
+	"repro/internal/rng"
 )
 
 // withProcs runs fn at the given GOMAXPROCS and restores the setting.
@@ -219,22 +221,34 @@ func idleSims(e *Experiment) []*loggopsim.Simulator {
 	return append([]*loggopsim.Simulator(nil), e.idle...)
 }
 
+// panicOnce is an arrival process whose at-th gap draw, counted over
+// every run that shares it, panics.
+type panicOnce struct {
+	noise.Arrivals
+	at    int64
+	draws atomic.Int64
+}
+
+func (p *panicOnce) NextGap(src *rng.Source, state *uint64) int64 {
+	if p.draws.Add(1) == p.at {
+		panic("injected mid-run")
+	}
+	return p.Arrivals.NextGap(src, state)
+}
+
 // TestPanickedRunStateIsDropped: the run state a repetition panicked
 // on may be mid-run, so it never goes back on the idle list; the retry
-// runs on another.
+// runs on another. The panic comes from the first draw after every
+// rank's stream has started, inside Simulator.Run.
 func TestPanickedRunStateIsDropped(t *testing.T) {
-	t.Cleanup(faultinject.Disarm)
 	e := smallExp(t, "minife")
 	before := idleSims(e)
 	if len(before) != 1 {
 		t.Fatalf("a fresh experiment has %d idle run states, want the baseline's", len(before))
 	}
-	if err := faultinject.Arm(faultinject.Plan{
-		faultinject.SiteRepetition: {Kind: faultinject.KindPanic, Probability: 1, Count: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.RunRepeated(chaosScenario(), 3)
+	sc := chaosScenario()
+	sc.Arrivals = &panicOnce{Arrivals: noise.Poisson(sc.MTBCE), at: int64(e.Ranks()) + 1}
+	rep, err := e.RunRepeated(sc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

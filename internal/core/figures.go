@@ -546,12 +546,20 @@ func Figures() map[string]func(Options) (*Figure, error) {
 // the "all logging off" case described in prose) and returns the
 // signatures plus a summary figure of per-mode detour statistics.
 func Figure2(seed uint64) (map[string]*mca.Signature, *report.Table, error) {
+	return figure2(mca.Config{Seed: seed})
+}
+
+// figure2 is Figure2 on the node base describes; its zero fields take
+// the Blake defaults.
+func figure2(base mca.Config) (map[string]*mca.Signature, *report.Table, error) {
 	modes := []mca.Mode{mca.Native, mca.DryRun, mca.CorrectionOnly, mca.Software, mca.Firmware}
 	sigs := make(map[string]*mca.Signature, len(modes))
 	t := report.New("fig2: Blake noise signatures under EINJ CE injection",
 		"mode", "detours", "max-detour", "mean-detour", "noise", "per-event", "events")
 	for _, m := range modes {
-		sig, err := mca.Run(mca.Config{Seed: seed, Mode: m})
+		cfg := base
+		cfg.Mode = m
+		sig, err := mca.Run(cfg)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -178,7 +178,7 @@ func TestRunStateStopsGrowingAcrossSeeds(t *testing.T) {
 		sc := Scenario{MTBCE: 200e6, PerEvent: noise.Fixed(systems.SoftwareCMCI.PerEventNanos), Target: noise.AllNodes}
 		run := func(seed uint64) {
 			sc.Seed = seed
-			if _, err := e.runOn(sim, sc); err != nil {
+			if _, err := e.simulateOn(sim, sc); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -53,14 +53,14 @@ func BenchmarkPerturbedRun(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/%d/%s", wl, nodes, p.name), func(b *testing.B) {
 					sim := p.exp.acquireSim()
 					sc := Scenario{MTBCE: 200e6, PerEvent: noise.Fixed(systems.SoftwareCMCI.PerEventNanos), Target: noise.AllNodes}
-					if _, err := p.exp.runOn(sim, sc); err != nil { // grows the event queue once
+					if _, err := p.exp.simulateOn(sim, sc); err != nil { // grows the event queue once
 						b.Fatal(err)
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						sc.Seed = uint64(i) + 1
-						res, err := p.exp.runOn(sim, sc)
+						res, err := p.exp.simulateOn(sim, sc)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -168,7 +168,7 @@ func (s *Store) scan() error {
 			case strings.HasSuffix(name, ".corrupt"):
 				continue
 			}
-			tenant, payload, err := readEntry(path)
+			tenant, payload, _, err := readEntry(path)
 			if err != nil {
 				s.quarantined++
 				_ = os.Rename(path, path+".corrupt")
@@ -245,6 +245,16 @@ func (s *Store) Put(ctx context.Context, tenant, key string, payload []byte) err
 	return nil
 }
 
+// frameEntry lays out one entry file: magic, tenant, CRC, payload.
+func frameEntry(tenant string, payload []byte) []byte {
+	buf := make([]byte, 0, len(storeMagic)+2+len(tenant)+4+len(payload))
+	buf = append(buf, storeMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(tenant)))
+	buf = append(buf, tenant...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
 func (s *Store) put(ctx context.Context, tenant, key string, payload []byte) error {
 	if err := faultinject.Fire(ctx, faultinject.SiteStoreWrite); err != nil {
 		return fmt.Errorf("simcache: store write: %w", err)
@@ -268,17 +278,7 @@ func (s *Store) put(ctx context.Context, tenant, key string, payload []byte) err
 	// payload writes could leave a frame whose header describes bytes
 	// that never arrived, and the write syscall is the only boundary
 	// the kernel promises not to tear on the way to the page cache.
-	buf := make([]byte, 0, len(storeMagic)+2+len(tenant)+4+len(payload))
-	buf = append(buf, storeMagic...)
-	var tl [2]byte
-	binary.LittleEndian.PutUint16(tl[:], uint16(len(tenant)))
-	buf = append(buf, tl[:]...)
-	buf = append(buf, tenant...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, crc[:]...)
-	buf = append(buf, payload...)
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(frameEntry(tenant, payload)); err != nil {
 		return fmt.Errorf("simcache: store write: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -329,7 +329,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	path := s.path(key)
-	tenant, payload, err := readEntry(path)
+	tenant, payload, framed, err := readEntry(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -339,7 +339,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 			// from the gauges (best effort — if the header itself is
 			// gone the tenant attribution is lost, not the safety).
 			s.quarantined++
-			if info, statErr := os.Stat(path); statErr == nil && tenant != "" {
+			if info, statErr := os.Stat(path); statErr == nil && framed {
 				payloadLen := info.Size() - int64(len(storeMagic)+2+len(tenant)+4)
 				if payloadLen < 0 {
 					payloadLen = 0
@@ -359,33 +359,35 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// readEntry reads and verifies one entry file. The tenant is returned
-// even on some damage paths (best effort) so accounting can adjust.
-func readEntry(path string) (tenant string, payload []byte, err error) {
+// readEntry reads and verifies one entry file. framed reports that the
+// header parsed, so tenant names the entry's owner — the anonymous
+// tenant included — even when the payload fails its CRC and accounting
+// must take the entry back.
+func readEntry(path string) (tenant string, payload []byte, framed bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", nil, err
+		return "", nil, false, err
 	}
 	if len(data) < len(storeMagic)+2 {
-		return "", nil, fmt.Errorf("simcache: entry %s: short header", path)
+		return "", nil, false, fmt.Errorf("simcache: entry %s: short header", path)
 	}
 	if string(data[:len(storeMagic)]) != string(storeMagic) {
-		return "", nil, fmt.Errorf("simcache: entry %s: bad magic", path)
+		return "", nil, false, fmt.Errorf("simcache: entry %s: bad magic", path)
 	}
 	rest := data[len(storeMagic):]
 	tl := int(binary.LittleEndian.Uint16(rest[:2]))
 	rest = rest[2:]
 	if tl > maxTenantLen || len(rest) < tl+4 {
-		return "", nil, fmt.Errorf("simcache: entry %s: truncated", path)
+		return "", nil, false, fmt.Errorf("simcache: entry %s: truncated", path)
 	}
 	tenant = string(rest[:tl])
 	rest = rest[tl:]
 	want := binary.LittleEndian.Uint32(rest[:4])
 	payload = rest[4:]
 	if crc32.ChecksumIEEE(payload) != want {
-		return tenant, nil, fmt.Errorf("simcache: entry %s: crc mismatch", path)
+		return tenant, nil, true, fmt.Errorf("simcache: entry %s: crc mismatch", path)
 	}
-	return tenant, payload, nil
+	return tenant, payload, true, nil
 }
 
 // TenantBytes returns tenant's resident footprint, for disk quotas.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -178,6 +179,104 @@ func TestStoreCorruptPayloadBitIdentical(t *testing.T) {
 	if !ok || !bytes.Equal(got, original.Bytes()) {
 		t.Fatal("re-stored entry does not round-trip")
 	}
+}
+
+// TestStoreCorruptEntryUncountedForEveryTenant: an entry whose payload
+// fails its CRC on Get leaves the gauges for its owner, the anonymous
+// tenant (a request without X-Tenant) as much as a named one.
+func TestStoreCorruptEntryUncountedForEveryTenant(t *testing.T) {
+	for _, tenant := range []string{"", "acme"} {
+		s := openStore(t)
+		key := ResultKey("simulate", []byte("tenant="+tenant))
+		if err := s.Put(context.Background(), tenant, key, []byte("result-bytes")); err != nil {
+			t.Fatal(err)
+		}
+		path := entryPath(t, s, key)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(key); ok {
+			t.Fatalf("tenant %q: corrupt entry served", tenant)
+		}
+		st := s.Stats()
+		if st.Quarantined != 1 || st.Entries != 0 || st.SizeBytes != 0 || s.TenantBytes(tenant) != 0 {
+			t.Fatalf("tenant %q: after quarantine Entries=%d SizeBytes=%d TenantBytes=%d Quarantined=%d, want 0/0/0/1",
+				tenant, st.Entries, st.SizeBytes, s.TenantBytes(tenant), st.Quarantined)
+		}
+	}
+}
+
+// FuzzReadEntry: whatever bytes sit in a shard file, reading them and
+// scanning the store never panics. An entry readEntry accepts frames
+// back to the same bytes through put's layout and is counted by the
+// scan; one it rejects is renamed *.corrupt, bytes intact, and the
+// gauges are what they were without the file.
+//
+//	go test -run '^$' -fuzz=FuzzReadEntry -fuzztime=20s -fuzzminimizetime=0 ./internal/simcache/
+func FuzzReadEntry(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte("CESR1"))
+	f.Add([]byte("CESR1\n\x05\x00acme"))
+	f.Add([]byte("CESR1\n\xff\xff"))
+	f.Add(frameEntry("", []byte("result-bytes")))
+	f.Add(frameEntry("acme", []byte(`{"rows":[1,2,3]}`)))
+	f.Add(frameEntry("acme", nil))
+	const goodPayload = "good-payload"
+	key := strings.Repeat("ab", 32)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		write := func(key string, b []byte) string {
+			path := filepath.Join(dir, key[:2], key)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+		write(strings.Repeat("0", 64), frameEntry("t1", []byte(goodPayload)))
+		before, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := before.Stats(); st.Entries != 1 || st.SizeBytes != int64(len(goodPayload)) {
+			t.Fatalf("store without the fuzzed file: %+v", st)
+		}
+		path := write(key, data)
+		tenant, payload, _, readErr := readEntry(path)
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if readErr == nil {
+			if framed := frameEntry(tenant, payload); !bytes.Equal(framed, data) {
+				t.Fatalf("accepted entry reframes to %q, read from %q", framed, data)
+			}
+			if st.Entries != 2 || st.SizeBytes != int64(len(goodPayload)+len(payload)) || st.Quarantined != 0 {
+				t.Fatalf("accepted entry (tenant %q, %d payload bytes) scanned as %+v", tenant, len(payload), st)
+			}
+			if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("accepted entry read back as %q, %v", got, ok)
+			}
+			return
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("rejected entry (%v) still in place: %v", readErr, err)
+		}
+		if kept, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(kept, data) {
+			t.Fatalf("rejected entry not quarantined intact: %v", err)
+		}
+		if st.Entries != 1 || st.SizeBytes != int64(len(goodPayload)) || st.Quarantined != 1 {
+			t.Fatalf("rejected entry (%v) scanned as %+v", readErr, st)
+		}
+	})
 }
 
 // TestStoreShortReadQuarantined truncates an entry mid-payload (a
