@@ -80,13 +80,15 @@ advisor-smoke:
 
 # Fault-mix smoke (docs/FAULTMODEL.md): a fixed-seed run of the two
 # fault-mix figures byte-compared against the committed golden, the
-# rerun bit-identity drill, and the mixture determinism contract
-# (permuted mode order, shared-process goroutines) under the race
-# detector. Regenerate the golden after an intentional model change:
+# rerun bit-identity drill, the mixture determinism contract (permuted
+# mode order, concurrent runs sharing one Process through their own
+# CEs) and a dropped run's mixture state being collected, under the
+# race detector. Regenerate the golden after an intentional model change:
 #   go test -run TestFaultMixSmokeGolden ./internal/core/ -update-faultmix-golden
 faultmix-smoke:
 	$(GO) test -race -count=1 -run 'TestFaultMixSmokeGolden|TestFaultMixFiguresBitIdentical' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestPermutedModesBitIdentical|TestDeterministicReplay|TestProcessSharedAcrossGoroutines|TestAppendGapsMatchesNextGap' ./internal/faultmodel/
+	$(GO) test -race -count=1 -run 'TestPermutedModesBitIdentical|TestDeterministicReplay|TestProcessSharedAcrossGoroutines|TestAppendGapsMatchesNextGap|TestGeneratorMatchesProcessSchedule' ./internal/faultmodel/
+	$(GO) test -race -count=1 -run 'TestRunArrivalStateIsCollected|TestCEWithBurstyArrivals' ./internal/noise/
 	$(GO) test -race -count=1 -run 'TestClosedLoop' ./internal/advise/
 
 # Engine smoke (docs/MODEL.md "Engine internals"): the figure matrix

@@ -246,3 +246,25 @@ func TestUnreachableTakesNoRunState(t *testing.T) {
 		t.Fatal("the caller's copy of the baseline aliases the experiment's")
 	}
 }
+
+// TestAnatomyCleanRunIsUnreachable: examples/anatomy's clean run (MTBCE
+// 2^62 ns, seed 9, 64 nodes, 40 iterations) is answered from the
+// baseline on each of its workloads. A first gap past 2^63 ns used to
+// become a negative arrival time on amd64, which sent the run to the
+// simulator and charged it one CE.
+func TestAnatomyCleanRunIsUnreachable(t *testing.T) {
+	sc := Scenario{MTBCE: 1 << 62, PerEvent: noise.Fixed(1), Target: noise.AllNodes, Seed: 9}
+	for _, wl := range []string{"lammps-lj", "minife", "lulesh", "lammps-crack"} {
+		e, err := NewExperiment(ExperimentConfig{Workload: wl, Nodes: 64, Iterations: 40, TraceSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nm, err := noise.NewCE(e.ranks, noiseConfig(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.unreachable(nm) {
+			t.Errorf("%s: the clean run is simulated, not answered from the baseline", wl)
+		}
+	}
+}

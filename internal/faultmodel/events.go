@@ -1,6 +1,10 @@
 package faultmodel
 
-import "repro/internal/rng"
+import (
+	"math"
+
+	"repro/internal/rng"
+)
 
 // DRAM geometry, the one definition the Generator synthesises
 // addresses with, the advisor's classifier decomposes them with and
@@ -134,6 +138,9 @@ func (s Spec) Generator(seed, node uint64) (*Generator, error) {
 func (g *Generator) Next() Event {
 	mi, gap, newTrain := g.node.step(g.modes)
 	g.t += gap
+	if g.t < 0 { // two non-negative terms wrapped: saturate, as noise.CE does
+		g.t = math.MaxInt64
+	}
 	m := &g.modes[mi]
 	gm := &g.gens[mi]
 	// A transient fault's footprint is re-drawn at the first CE of

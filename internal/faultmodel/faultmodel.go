@@ -16,10 +16,9 @@
 //
 // A Spec describes such a mixture. It compiles into:
 //
-//   - a Process, which implements noise.Arrivals (and noise.GapBatcher,
-//     so the batched arrival fast path keeps working) and drops into
-//     the simulator unchanged: the superposition of the per-mode
-//     renewal processes, with a lognormal per-node rate multiplier;
+//   - a Process, which implements noise.Arrivals and drops into the
+//     simulator unchanged: the superposition of the per-mode renewal
+//     processes, with a lognormal per-node rate multiplier;
 //   - a Generator, which produces the same arrival schedule as Events
 //     carrying fault-footprint addresses, for the advisor's footprint
 //     classifiers and for NDJSON CE trace export;

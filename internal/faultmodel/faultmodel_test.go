@@ -2,10 +2,12 @@ package faultmodel
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/noise"
 	"repro/internal/rng"
 )
 
@@ -293,38 +295,58 @@ func TestSkewVariesNodes(t *testing.T) {
 	}
 }
 
+// TestProcessSharedAcrossGoroutines: repetitions running at once share
+// one Process through their own noise.CEs, as core's fan-out does. Each
+// must charge exactly what it charges when run alone, and none may write
+// to the shared Process.
 func TestProcessSharedAcrossGoroutines(t *testing.T) {
-	// One Process value serves concurrently running repetitions; each
-	// rep's nodes get their own handles and the schedules must match a
-	// sequential run regardless of allocation order.
 	s := testSpec()
-	want := gaps(t, s, 9, 2, 500)
+	s.SkewSigma = 1
 	p, err := s.Process()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const reps = 8
+	const reps, nodes = 8, 4
+	// run drives one repetition and returns every window's end, then
+	// its event count and stolen time.
+	run := func(seed uint64) []int64 {
+		m, err := noise.NewCE(nodes, noise.Config{Seed: seed, Arrivals: p, Duration: noise.Fixed(5000), Target: noise.AllNodes})
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		var out []int64
+		var clock [nodes]int64
+		for i := 0; i < 2000; i++ {
+			n := i % nodes
+			clock[n] = m.Extend(int32(n), clock[n]+int64(i%7)*10_000, 200_000)
+			out = append(out, clock[n])
+		}
+		return append(out, int64(m.Events()), m.Stolen())
+	}
+	want := make([][]int64, reps)
+	for r := range want {
+		want[r] = run(uint64(r))
+	}
 	got := make([][]int64, reps)
 	var wg sync.WaitGroup
-	for r := 0; r < reps; r++ {
+	for r := range got {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			src := rng.NewStream(9, 2)
-			var state uint64
-			out := make([]int64, 500)
-			for i := range out {
-				out[i] = p.NextGap(src, &state)
-			}
-			got[r] = out
+			got[r] = run(uint64(r))
 		}(r)
 	}
 	wg.Wait()
-	for r := 0; r < reps; r++ {
-		for i := range want {
-			if got[r][i] != want[i] {
-				t.Fatalf("rep %d gap %d = %d, want %d", r, i, got[r][i], want[i])
-			}
+	for r := range want {
+		if !slices.Equal(got[r], want[r]) {
+			t.Fatalf("rep %d: concurrent run diverged from the same run alone", r)
 		}
+		if n := len(want[r]); want[r][n-2] == 0 {
+			t.Fatalf("rep %d charged no CE; the comparison is vacuous", r)
+		}
+	}
+	if len(p.nodes) != 0 {
+		t.Fatalf("the runs' draws wrote %d node states into the shared Process", len(p.nodes))
 	}
 }

@@ -3,8 +3,8 @@ package faultmodel
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"repro/internal/noise"
 	"repro/internal/rng"
 )
 
@@ -102,38 +102,34 @@ func (n *mixNode) step(modes []compiledMode) (mode int, gap int64, newTrain bool
 	g := st.next - n.last
 	n.last = st.next
 	st.advance(&modes[mi], n.invSkew)
-	if g < 0 {
-		g = 0 // float paranoia; gaps are non-negative by construction
+	if !(g < 0x1p63) {
+		// Past 2^63 ns, or NaN from two infinite clocks: no further CE,
+		// not a platform-defined conversion.
+		return mi, math.MaxInt64, nt
 	}
-	return mi, int64(g), nt
+	return mi, int64(max(g, 0)), nt // float paranoia; gaps are non-negative by construction
 }
 
 // Process is the mixture's arrival process. It implements
-// noise.Arrivals and noise.GapBatcher, so it drops into noise.CE (and
-// from there into the simulator's batched fast path and cached
-// next-arrival peeking) exactly like the built-in processes. It also
-// implements noise.ComponentGapper: its components renew at different
-// time scales, and the saturation guard must be calibrated to the
-// slowest one, not the combined mean.
+// noise.Arrivals, so it drops into noise.CE (and from there into the
+// simulator's cached next-arrival peeking) exactly like the built-in
+// processes. It also implements noise.ComponentGapper: its components
+// renew at different time scales, and the saturation guard must be
+// calibrated to the slowest one, not the combined mean.
 //
-// One Process value serves every node of a simulation, and may be
-// shared by concurrently running repetitions: per-node state is keyed
-// by the caller-provided state word, and the handle table below is the
-// only shared mutable state.
+// One Process value serves every node of a simulation: a node's first
+// NextGap builds its mixNode and stores handle+1 in the caller's state
+// word, so drawing writes to the Process and one goroutine at a time
+// may draw. noise.CE and noise.SharedCE never draw from the value they
+// are configured with but from the copy ForRun hands each of them, so
+// repetitions running at once only read the shared value.
 type Process struct {
 	modes      []compiledMode
 	skewSigma  float64
 	meanGap    float64
 	maxModeGap float64
 	label      string
-
-	// mu guards the handle table. A node's first NextGap allocates its
-	// mixNode and stores handle+1 in the state word; subsequent calls
-	// on that node resolve the handle under the lock and then operate
-	// on the mixNode without it (each node is driven by exactly one
-	// goroutine — its simulation's).
-	mu    sync.Mutex
-	nodes []*mixNode
+	nodes      []*mixNode
 }
 
 // Process compiles the spec into an arrival process. The spec must
@@ -165,22 +161,25 @@ func (s Spec) Process() (*Process, error) {
 	}, nil
 }
 
+// ForRun returns a Process over the same compiled modes with an empty
+// node table: what noise.CE and noise.SharedCE draw from, one per run,
+// so a run's mixture state is its own and is collected with it.
+func (p *Process) ForRun() noise.Arrivals {
+	q := *p
+	q.nodes = nil
+	return &q
+}
+
 // node resolves (or creates) the per-node mixture state behind a state
-// word. The node key is one draw from the node's own rng stream —
-// consumed identically on the batched and unbatched paths, so both
-// yield bit-identical schedules.
+// word. The node key is one draw from the node's own rng stream, so a
+// node's schedule depends on (seed, node) alone.
 func (p *Process) node(src *rng.Source, state *uint64) *mixNode {
 	if h := *state; h != 0 {
-		p.mu.Lock()
-		n := p.nodes[h-1]
-		p.mu.Unlock()
-		return n
+		return p.nodes[h-1]
 	}
 	n := newMixNode(src.Uint64(), p.modes, p.skewSigma)
-	p.mu.Lock()
 	p.nodes = append(p.nodes, n)
 	*state = uint64(len(p.nodes))
-	p.mu.Unlock()
 	return n
 }
 
@@ -191,8 +190,9 @@ func (p *Process) NextGap(src *rng.Source, state *uint64) int64 {
 	return gap
 }
 
-// AppendGaps implements noise.GapBatcher: n gaps in one call,
-// consuming the streams exactly as n NextGap calls would.
+// AppendGaps appends n gaps, consuming the streams exactly as n NextGap
+// calls would. It is the bulk draw bench/replay.go times for
+// faultmodel.gap_ns_per_draw; the simulator draws through NextGap.
 func (p *Process) AppendGaps(dst []int64, src *rng.Source, state *uint64, n int) []int64 {
 	nd := p.node(src, state)
 	for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package noise
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -18,13 +19,14 @@ type Arrivals interface {
 	fmt.Stringer
 }
 
-// GapBatcher is implemented by arrival processes that can draw a block
-// of gaps in one call. The draws must consume the rng stream exactly as
-// the same number of successive NextGap calls would, so batched and
-// unbatched generation yield bit-identical arrival schedules. CE uses
-// this to amortize the per-arrival interface call.
-type GapBatcher interface {
-	AppendGaps(dst []int64, src *rng.Source, state *uint64, n int) []int64
+// perRun is implemented by arrival processes whose per-node state does
+// not fit in the state word and lives in the process value instead
+// (a fault-mode mixture's node table). CE and SharedCE draw from
+// ForRun's result, so each run owns that state, needs no lock to reach
+// it, and leaves it to the collector when the run is dropped. ForRun
+// must yield the gaps the process itself would.
+type perRun interface {
+	ForRun() Arrivals
 }
 
 // ComponentGapper is implemented by composite arrival processes (such
@@ -42,21 +44,27 @@ type ComponentGapper interface {
 // the given mean (MTBCE), i.e. a homogeneous Poisson process.
 type Poisson int64
 
-// NextGap draws an exponential gap.
+// NextGap draws an exponential gap. A draw at or past 2^63 ns is
+// MaxInt64 ("no further CE"): Go leaves that float conversion to the
+// platform, and amd64 turns it into MinInt64.
 func (p Poisson) NextGap(src *rng.Source, _ *uint64) int64 {
-	return int64(src.Exp(float64(p)))
-}
-
-// AppendGaps draws n exponential gaps in one call.
-func (p Poisson) AppendGaps(dst []int64, src *rng.Source, _ *uint64, n int) []int64 {
-	mean := float64(p)
-	for i := 0; i < n; i++ {
-		dst = append(dst, int64(src.Exp(mean)))
+	g := src.Exp(float64(p))
+	if g >= 0x1p63 {
+		return math.MaxInt64
 	}
-	return dst
+	return int64(g)
 }
 
 // MeanGap returns the MTBCE.
 func (p Poisson) MeanGap() float64 { return float64(p) }
 
 func (p Poisson) String() string { return fmt.Sprintf("poisson(mtbce=%dns)", int64(p)) }
+
+// after returns t+gap for a non-negative gap, saturating at MaxInt64
+// so a node whose gaps reach past 2^63 ns never sees another CE.
+func after(t, gap int64) int64 {
+	if gap > math.MaxInt64-t {
+		return math.MaxInt64
+	}
+	return t + gap
+}

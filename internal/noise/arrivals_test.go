@@ -1,16 +1,27 @@
-package noise
+package noise_test
+
+// This file is package noise_test because faultmodel imports noise.
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/faultmodel"
+	"repro/internal/noise"
 	"repro/internal/rng"
+	"repro/internal/systems"
+)
+
+const (
+	us = int64(1000)
+	ms = 1000 * us
+	s  = 1000 * ms
 )
 
 func TestPoissonMeanGap(t *testing.T) {
-	p := Poisson(5 * ms)
+	p := noise.Poisson(5 * ms)
 	if p.MeanGap() != float64(5*ms) {
 		t.Fatalf("MeanGap = %v", p.MeanGap())
 	}
@@ -162,7 +173,7 @@ func TestCEWithBurstyArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewCE(1, Config{Seed: 1, Arrivals: arr, Duration: Fixed(10 * us), Target: AllNodes})
+	m, err := noise.NewCE(1, noise.Config{Seed: 1, Arrivals: arr, Duration: noise.Fixed(10 * us), Target: noise.AllNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +194,10 @@ func TestCEWithBurstyArrivals(t *testing.T) {
 func TestConfigArrivalsOverridesMTBCE(t *testing.T) {
 	// With Arrivals set, MTBCE is ignored: load factor must come from
 	// the arrival process.
-	c := Config{
+	c := noise.Config{
 		MTBCE:    1, // absurd, would be load 1e6
-		Arrivals: Poisson(1 * s),
-		Duration: Fixed(1 * ms),
+		Arrivals: noise.Poisson(1 * s),
+		Duration: noise.Fixed(1 * ms),
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("config with arrivals rejected: %v", err)
@@ -197,7 +208,7 @@ func TestConfigArrivalsOverridesMTBCE(t *testing.T) {
 }
 
 func TestConfigBadArrivalsRejected(t *testing.T) {
-	c := Config{Arrivals: Poisson(0), Duration: Fixed(1)}
+	c := noise.Config{Arrivals: noise.Poisson(0), Duration: noise.Fixed(1)}
 	if err := c.Validate(); err == nil {
 		t.Fatal("zero-mean arrival process accepted")
 	}
@@ -226,5 +237,77 @@ func TestQuickBurstyGapsPositive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGapsPastInt64Saturate: a gap at or past 2^63 ns is MaxInt64, and
+// so is every arrival time built from one. At a mean of 2^62 ns about
+// one draw in seven is that large; a platform-defined conversion made
+// it MinInt64 on amd64, and examples/anatomy's clean run (MTBCE 2^62,
+// seed 9, 64 ranks) saw negative first arrivals on 9 ranks.
+func TestGapsPastInt64Saturate(t *testing.T) {
+	p := noise.Poisson(1 << 62)
+	src := rng.New(1)
+	saturated := 0
+	for i := 0; i < 10000; i++ {
+		g := p.NextGap(src, nil)
+		if g < 0 {
+			t.Fatalf("draw %d: gap %d", i, g)
+		}
+		if g == math.MaxInt64 {
+			saturated++
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no draw reached 2^63 ns; the test no longer exercises the clamp")
+	}
+	clean := noise.Config{Seed: 9, MTBCE: 1 << 62, Duration: noise.Fixed(1), Target: noise.AllNodes, SaturationFactor: 1000}
+	m, err := noise.NewCE(64, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := noise.NewSharedCE(64, 1, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := int32(0); r < 64; r++ {
+		if next := m.NextArrival(r); next < 0 {
+			t.Fatalf("rank %d: first arrival at %d", r, next)
+		}
+		if end := shared.Extend(r, 0, 1000); end != 1000 {
+			t.Fatalf("rank %d: SharedCE charged a CE in [0, 1000): end %d", r, end)
+		}
+	}
+}
+
+// TestRunArrivalStateIsCollected: a CE's mixture node states die with
+// the CE. 64 runs of 1 024 nodes over one field-ddr4 Process used to
+// leave every node's state in the Process's table, +26 MiB of heap.
+func TestRunArrivalStateIsCollected(t *testing.T) {
+	mix, err := systems.FaultMixByName("field-ddr4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := mix.Spec.WithMTBCE(3600 * s).Process()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 0; r < 64; r++ {
+		m, err := noise.NewCE(1024, noise.Config{Seed: uint64(r), Arrivals: p, Duration: noise.Fixed(1), Target: noise.AllNodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := int32(0); n < 1024; n++ {
+			m.NextArrival(n)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew > 1<<20 {
+		t.Fatalf("heap in use grew %d KiB over 64 dropped runs, want < 1 MiB", grew>>10)
 	}
 }

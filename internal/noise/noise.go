@@ -52,8 +52,8 @@ func (None) Extend(_ int32, start, dur int64) int64 { return start + dur }
 
 // Duration models the per-event handling time. Sample takes no rng
 // stream: durations draw no randomness, so a node's stream feeds only
-// its arrival process and CE may prefetch arrival gaps in blocks
-// without reordering a single draw.
+// its arrival process, and its arrival schedule is the same however
+// the node's detours are charged.
 type Duration interface {
 	// Sample returns the handling time of a node's count-th CE (from
 	// zero), for patterns such as "every 10th event pays the firmware
@@ -139,16 +139,19 @@ func (c Config) arrivals() Arrivals {
 	return Poisson(c.MTBCE)
 }
 
-// resolve returns the effective arrival process and the gap its
-// saturation guard is calibrated to: MeanGap truncated to ns, raised
-// to the slowest component's mean for composite processes (see
-// ComponentGapper). CE and SharedCE call it once, at construction:
-// converting Config.MTBCE to a Poisson value inside Extend would box
-// it into the Arrivals interface on every call — one heap allocation
-// per CPU-busy interval, dominating the simulator's allocation
-// profile.
+// resolve returns the run's own instance of the arrival process (see
+// perRun) and the gap its saturation guard is calibrated to: MeanGap
+// truncated to ns, raised to the slowest component's mean for
+// composite processes (see ComponentGapper). CE and SharedCE call it
+// once, at construction: converting Config.MTBCE to a Poisson value
+// inside Extend would box it into the Arrivals interface on every call
+// — one heap allocation per CPU-busy interval, dominating the
+// simulator's allocation profile.
 func (c Config) resolve() (arr Arrivals, guardGap int64) {
 	arr = c.arrivals()
+	if r, ok := arr.(perRun); ok {
+		arr = r.ForRun()
+	}
 	guardGap = int64(arr.MeanGap())
 	if cg, ok := arr.(ComponentGapper); ok {
 		// A mixture's combined mean gap is dominated by its fastest
@@ -203,12 +206,6 @@ func (c Config) LoadFactor() float64 {
 	return c.Duration.Mean() / mg
 }
 
-// gapBatch is the number of inter-arrival gaps drawn per refill when
-// the arrival process supports batching. Small enough that a run's
-// worth of prefetched gaps stays in one cache line, large enough to
-// amortize the per-gap interface call.
-const gapBatch = 16
-
 // nodeState is the lazily generated arrival stream of one node.
 type nodeState struct {
 	src      *rng.Source
@@ -216,23 +213,15 @@ type nodeState struct {
 	count    uint64 // CEs handled so far (drives EveryNth)
 	arrState uint64 // arrival-process state (e.g. remaining burst)
 	started  bool
-	// Prefetched inter-arrival gaps (batching enabled): gaps[gi:gn]
-	// are pending. Prefetching reorders nothing — the stream feeds
-	// only the arrival process.
-	gi, gn int32
-	gaps   [gapBatch]int64
 }
 
 // CE is the correctable-error detour model.
 type CE struct {
 	cfg Config
-	// arr and meanGap are the effective arrival process and its
-	// saturation guard gap (Config.resolve).
+	// arr and meanGap are the run's arrival process and its saturation
+	// guard gap (Config.resolve).
 	arr     Arrivals
 	meanGap int64
-	// batcher is non-nil when the process implements GapBatcher:
-	// arrival gaps are then drawn gapBatch at a time.
-	batcher GapBatcher
 	// nodes is indexed by node id; states are created on first use.
 	nodes []nodeState
 
@@ -256,7 +245,6 @@ func NewCE(n int, cfg Config) (*CE, error) {
 	}
 	m := &CE{cfg: cfg, nodes: make([]nodeState, n)}
 	m.arr, m.meanGap = cfg.resolve()
-	m.batcher, _ = m.arr.(GapBatcher)
 	return m, nil
 }
 
@@ -264,23 +252,12 @@ func NewCE(n int, cfg Config) (*CE, error) {
 func (m *CE) start(st *nodeState, node int32) {
 	st.src = rng.NewStream(m.cfg.Seed, uint64(node))
 	st.started = true
-	st.next = m.nextGap(st)
+	m.advance(st)
 }
 
-// nextGap draws the node's next inter-arrival gap, refilling the
-// prefetch buffer when batching is enabled. The gap sequence is
-// bit-identical either way.
-func (m *CE) nextGap(st *nodeState) int64 {
-	if m.batcher == nil {
-		return m.arr.NextGap(st.src, &st.arrState)
-	}
-	if st.gi == st.gn {
-		g := m.batcher.AppendGaps(st.gaps[:0], st.src, &st.arrState, gapBatch)
-		st.gi, st.gn = 0, int32(len(g))
-	}
-	g := st.gaps[st.gi]
-	st.gi++
-	return g
+// advance moves the node's next arrival one gap later.
+func (m *CE) advance(st *nodeState) {
+	st.next = after(st.next, m.arr.NextGap(st.src, &st.arrState))
 }
 
 // NextArrival returns the time of the node's next CE arrival, starting
@@ -321,7 +298,7 @@ func (m *CE) Extend(node int32, start, dur int64) int64 {
 	// but the first-order model matches LogGOPSim's noise injection.)
 	for st.next < start {
 		st.count++
-		st.next += m.nextGap(st)
+		m.advance(st)
 	}
 	limit := dur
 	if m.meanGap > limit {
@@ -336,7 +313,7 @@ func (m *CE) Extend(node int32, start, dur int64) int64 {
 		stolenHere += d
 		m.events++
 		m.stolen += d
-		st.next += m.nextGap(st)
+		m.advance(st)
 		if stolenHere > maxSteal {
 			m.saturated = true
 			break

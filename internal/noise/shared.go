@@ -19,8 +19,8 @@ import (
 // cheaper; use SharedCE when ranks share nodes.
 type SharedCE struct {
 	cfg Config
-	// arr and meanGap are the effective arrival process and its
-	// saturation guard gap (Config.resolve).
+	// arr and meanGap are the run's arrival process and its saturation
+	// guard gap (Config.resolve).
 	arr          Arrivals
 	meanGap      int64
 	ranksPerNode int
@@ -72,8 +72,7 @@ func (m *SharedCE) ensure(n *sharedNode, node int32, t int64) {
 		n.started = true
 	}
 	for n.horizon <= t {
-		gap := m.arr.NextGap(n.src, &n.arrState)
-		n.horizon += gap
+		n.horizon = after(n.horizon, m.arr.NextGap(n.src, &n.arrState))
 		n.times = append(n.times, n.horizon)
 		n.durs = append(n.durs, m.cfg.Duration.Sample(n.count))
 		n.count++
