@@ -112,6 +112,11 @@ engine-smoke:
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled
 # sweep in flight, and a coordinator mid-sweep with a live worker),
 # restart over the same -data-dir, and require the recovered results to
-# be bit-identical to a direct sequential computation.
+# be bit-identical to a direct sequential computation. Then restart the
+# jobs WAL and the coordinator journal at every record boundary of a
+# canned log (and mid-record, and with the restart's appends failing),
+# and check a worker minted after a coordinator restart never takes the
+# id of one from the epoch before.
 crash-smoke:
 	$(GO) test -race -count=1 -run 'TestCrashSmoke' ./cmd/cesimd/
+	$(GO) test -race -count=1 -run 'RestartAtEveryRecordBoundary|TestMintedWorkerIDsUniqueAcrossRestart' ./internal/jobs/ ./internal/cluster/

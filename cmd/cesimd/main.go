@@ -129,30 +129,9 @@ func main() {
 	// a coordinator) a sweep journal so a restart re-offers only
 	// unfinished cells. All three live under -data-dir and are absent
 	// without it.
-	var (
-		jobWAL      *journal.Writer
-		store       *simcache.Store
-		pendingJobs []jobs.PendingJob
-		walStats    journal.ReplayStats
-		recoverTime time.Duration
-	)
+	var store *simcache.Store
 	if *dataDir != "" {
-		walDir := filepath.Join(*dataDir, "jobs-wal")
 		var err error
-		// Replay strictly before opening the writer: a crash's torn
-		// tail must be discovered while the damaged segment is still the
-		// log's last — opening first would mint a new segment above it
-		// and make the tail look like mid-log damage.
-		t := time.Now()
-		pendingJobs, walStats, err = jobs.Recover(context.Background(), walDir)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		recoverTime = time.Since(t)
-		jobWAL, err = journal.Open(walDir, journal.Options{})
-		if err != nil {
-			logger.Fatal(err)
-		}
 		store, err = simcache.OpenStore(filepath.Join(*dataDir, "store"))
 		if err != nil {
 			logger.Fatal(err)
@@ -160,18 +139,6 @@ func main() {
 		ss := store.Stats()
 		logger.Printf("result store: %d entries (%d bytes), %d quarantined at scan", ss.Entries, ss.SizeBytes, ss.Quarantined)
 	}
-
-	jobsCfg := jobs.Config{
-		Workers:  *workers,
-		Capacity: *queueDepth,
-		Timeout:  *jobTimeout,
-		Retain:   *retain,
-		Log:      logger,
-	}
-	if jobWAL != nil {
-		jobsCfg.Journal = jobWAL
-	}
-	queue := jobs.New(jobsCfg)
 	cache := simcache.New(int64(*cacheMB) << 20)
 
 	var tenants *tenant.Registry
@@ -226,33 +193,53 @@ func main() {
 		})
 	}
 
-	srv, err := server.New(server.Config{
-		Queue:         queue,
-		Cache:         cache,
-		SimWorkers:    *simWorkers,
-		MaxNodes:      *maxNodes,
-		MaxReps:       *maxReps,
-		JobRetries:    *jobRetries,
-		ShedWatermark: *shedMark,
-		Advisor:       adv,
-		Routes:        routes,
-		ResultStore:   store,
-		Tenants:       tenants,
-		Journal:       jobWAL,
-		Log:           logger,
-	})
-	if err != nil {
-		logger.Fatal(err)
+	// start builds the job queue and the server over the job WAL (nil
+	// without -data-dir).
+	var (
+		queue  *jobs.Queue
+		srv    *server.Server
+		jobWAL *journal.Writer
+	)
+	start := func(wal *journal.Writer) *server.Server {
+		jobsCfg := jobs.Config{
+			Workers:  *workers,
+			Capacity: *queueDepth,
+			Timeout:  *jobTimeout,
+			Retain:   *retain,
+			Log:      logger,
+		}
+		if wal != nil {
+			jobsCfg.Journal = wal
+		}
+		queue = jobs.New(jobsCfg)
+		var err error
+		srv, err = server.New(server.Config{
+			Queue:         queue,
+			Cache:         cache,
+			SimWorkers:    *simWorkers,
+			MaxNodes:      *maxNodes,
+			MaxReps:       *maxReps,
+			JobRetries:    *jobRetries,
+			ShedWatermark: *shedMark,
+			Advisor:       adv,
+			Routes:        routes,
+			ResultStore:   store,
+			Tenants:       tenants,
+			Journal:       wal,
+			Log:           logger,
+		})
+		if err != nil {
+			logger.Fatal(err)
+		}
+		return srv
 	}
-
-	// Re-enqueue journaled jobs that never reached a terminal state,
-	// under their original ids, before the listener opens — a client
-	// polling a pre-crash job id finds its job again.
+	// With -data-dir the journaled jobs that never reached a terminal
+	// state are re-enqueued under their original ids before the listener
+	// opens — a client polling a pre-crash job id finds its job again.
 	if *dataDir != "" {
-		n := srv.Resubmit(pendingJobs)
-		logger.Printf("job WAL: recovered %d unfinished jobs (%d records, %d bytes in %d ms, %d quarantined segments, torn tail=%v)",
-			n, walStats.Records, walStats.Bytes, recoverTime.Milliseconds(), walStats.Quarantined, walStats.TornTail)
-		compactJobWAL(logger, jobWAL, queue, pendingJobs, n)
+		jobWAL, _, _ = restartJobs(context.Background(), logger, filepath.Join(*dataDir, "jobs-wal"), start)
+	} else {
+		start(nil)
 	}
 
 	hs := &http.Server{
@@ -338,30 +325,42 @@ func main() {
 		fmt.Sprintf("%.2f", cs.HitRatio))
 }
 
-// compactJobWAL ends a recovery: once every recovered job has been
-// re-journaled through the new writer the whole live set lives in the
-// new segments, and the pre-restart ones are dropped (the WAL stays
-// bounded by live state, not restart count). Any shortfall keeps them:
-// a sync or append error, or a job Resubmit skipped — queue full,
-// payload no longer valid — whose only record is its pre-restart
-// acceptance; the next restart recovers it again.
-func compactJobWAL(logger *log.Logger, wal *journal.Writer, queue *jobs.Queue, pending []jobs.PendingJob, resubmitted int) {
-	if err := wal.Sync(context.Background()); err != nil {
-		logger.Printf("job WAL sync: %v (keeping pre-restart segments)", err)
-	} else if st := queue.Stats(); st.WALErrors > 0 {
-		logger.Printf("job WAL: %d append errors during recovery, keeping pre-restart segments", st.WALErrors)
-	} else if resubmitted < len(pending) {
-		var missing []string
-		for _, p := range pending {
-			if _, ok := queue.Get(p.ID); !ok {
-				missing = append(missing, p.ID)
-			}
+// restartJobs brings the job queue up over the WAL in dir through
+// journal.Restart: replay the unfinished jobs, open the writer, have
+// start build the queue and the server over it, and re-enqueue the jobs
+// under their original ids, which re-journals their acceptances. A job
+// Resubmit skipped (and logged) — the queue was full (submission never
+// blocks, and a smaller -queue cannot hold what the crashed daemon
+// held), or its payload no longer validates — has its pre-restart
+// acceptance as its only record, so the pre-restart segments stay and
+// the next restart recovers it again. It returns the writer, the
+// recovered jobs and how many were re-enqueued.
+func restartJobs(ctx context.Context, logger *log.Logger, dir string, start func(*journal.Writer) *server.Server) (*journal.Writer, []jobs.PendingJob, int) {
+	var (
+		pending     []jobs.PendingJob
+		resubmitted int
+		took        time.Duration
+	)
+	w, st, kept, err := journal.Restart(ctx, dir, func(ctx context.Context, dir string) (st journal.ReplayStats, err error) {
+		t := time.Now()
+		pending, st, err = jobs.Recover(ctx, dir)
+		took = time.Since(t)
+		return st, err
+	}, func(w *journal.Writer) error {
+		if resubmitted = start(w).Resubmit(pending); resubmitted < len(pending) {
+			return fmt.Errorf("%d of %d recovered jobs not re-enqueued", len(pending)-resubmitted, len(pending))
 		}
-		logger.Printf("job WAL: %d of %d recovered jobs not re-enqueued %v, keeping pre-restart segments",
-			len(pending)-resubmitted, len(pending), missing)
-	} else if removed, err := wal.CompactBefore(); err != nil {
-		logger.Printf("job WAL compact: %v", err)
-	} else if removed > 0 {
-		logger.Printf("job WAL: compacted %d pre-restart segments", removed)
+		return nil
+	})
+	if err != nil {
+		logger.Fatal(err)
 	}
+	logger.Printf("job WAL: recovered %d unfinished jobs (%d records, %d bytes in %d ms, %d quarantined segments, torn tail=%v)",
+		resubmitted, st.Records, st.Bytes, took.Milliseconds(), st.Quarantined, st.TornTail)
+	if kept != nil {
+		logger.Printf("job WAL: %v, keeping pre-restart segments", kept)
+	} else if n := w.Stats().Compacted; n > 0 {
+		logger.Printf("job WAL: compacted %d pre-restart segments", n)
+	}
+	return w, pending, resubmitted
 }

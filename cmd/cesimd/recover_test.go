@@ -56,25 +56,19 @@ func crashImage(t *testing.T, walDir string) []string {
 	return ids
 }
 
-// boot is main's recovery sequence over walDir with a queue of the given
-// capacity: Recover, Open, Resubmit, compactJobWAL.
+// boot is main's recovery sequence, restartJobs, over walDir with a
+// queue of the given capacity.
 func boot(t *testing.T, walDir string, capacity int, logs *bytes.Buffer) (q *jobs.Queue, w *journal.Writer, pending []jobs.PendingJob, resubmitted int) {
 	t.Helper()
-	pending, _, err := jobs.Recover(context.Background(), walDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, err = journal.Open(walDir, journal.Options{}); err != nil {
-		t.Fatal(err)
-	}
 	logger := log.New(logs, "", 0)
-	q = jobs.New(jobs.Config{Workers: 3, Capacity: capacity, Journal: w, Log: logger})
-	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), SimWorkers: 1, Journal: w, Log: logger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resubmitted = srv.Resubmit(pending)
-	compactJobWAL(logger, w, q, pending, resubmitted)
+	w, pending, resubmitted = restartJobs(context.Background(), logger, walDir, func(w *journal.Writer) *server.Server {
+		q = jobs.New(jobs.Config{Workers: 3, Capacity: capacity, Journal: w, Log: logger})
+		srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), SimWorkers: 1, Journal: w, Log: logger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	})
 	return q, w, pending, resubmitted
 }
 

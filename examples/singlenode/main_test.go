@@ -1,0 +1,41 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update-singlenode-golden", false,
+	"rewrite testdata/golden.txt from the live example")
+
+// TestGolden pins the example's stdout: the Fig. 3-shaped table of
+// slowdowns as one node's MTBCE shrinks, per logging mode.
+// After an intentional model change:
+//
+//	go test ./examples/singlenode/ -update-singlenode-golden
+func TestGolden(t *testing.T) {
+	var got bytes.Buffer
+	cmd := exec.Command("go", "run", ".")
+	cmd.Stdout, cmd.Stderr = &got, os.Stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("go run ./examples/singlenode: %v", err)
+	}
+	path := filepath.Join("testdata", "golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("stdout moved from %s (regenerate with -update-singlenode-golden if intended):\n%s", path, got.Bytes())
+	}
+}

@@ -66,7 +66,7 @@ type Config struct {
 	// relevant state transition (sweep created, lease granted, shard
 	// done/failed, sweep failed). OpenCoordinator wires a journal.Writer
 	// here and replays it on restart; tests may supply any appender.
-	Journal jobs.Appender
+	Journal journal.Appender
 }
 
 func (c Config) withDefaults() Config {
@@ -212,8 +212,10 @@ func (c *Coordinator) Register(workerID, addr string) (string, time.Duration) {
 	now := c.cfg.Now()
 	c.expireLocked(now)
 	if workerID == "" {
+		// The epoch keeps a minted id unique across restarts: a worker of
+		// an earlier generation re-registers under the id it got then.
 		c.workerSeq++
-		workerID = fmt.Sprintf("w%d", c.workerSeq)
+		workerID = fmt.Sprintf("e%d-w%d", c.epoch, c.workerSeq)
 	}
 	w, ok := c.workers[workerID]
 	if !ok {
@@ -340,16 +342,9 @@ func (c *Coordinator) Report(workerID, sweepID, key string, fragment *core.Figur
 		return nil // idempotent duplicate, or a sweep already abandoned
 	}
 	if reportErr == "" && fragment != nil {
-		sh.fragment = fragment
-		sh.state = shardDone
-		sh.worker = ""
-		sw.done++
 		c.completedShards++
-		c.journalShardDoneLocked(sw, sh)
-		if sw.done == len(sw.shards) {
-			sw.merged = mergeSweep(sw)
+		if c.shardDoneLocked(sw, sh, fragment) {
 			c.sweepsDone++
-			c.retainLocked()
 		}
 		return nil
 	}
@@ -358,19 +353,10 @@ func (c *Coordinator) Report(workerID, sweepID, key string, fragment *core.Figur
 		return nil
 	}
 	c.failedAttempts++
-	sh.lastErr = reportErr
-	sh.worker = ""
-	c.journalLocked(coordRecord{
-		Op: copShardFailed, SweepID: sw.id, Key: key,
-		Attempts: sh.attempts, Error: reportErr,
-	})
+	c.shardFailedLocked(sw, sh, sh.attempts, reportErr)
 	if sh.attempts > c.cfg.Retry.Retries {
-		sh.state = shardFailed
-		sw.failed = true
-		sw.err = fmt.Sprintf("shard %s failed after %d attempts: %s", key, sh.attempts, reportErr)
 		c.sweepsFailed++
-		c.journalLocked(coordRecord{Op: copSweepFailed, SweepID: sw.id, Key: key, Error: sw.err})
-		c.retainLocked()
+		c.sweepFailedLocked(sw, sh, fmt.Sprintf("shard %s failed after %d attempts: %s", key, sh.attempts, reportErr))
 		return nil
 	}
 	sh.state = shardPending
@@ -387,32 +373,10 @@ func (c *Coordinator) CreateSweep(spec Spec) (string, int, error) {
 		return "", 0, fmt.Errorf("cluster: %w", err)
 	}
 	spec = spec.withDefaults()
-	cells := spec.Cells()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
 	c.sweepSeq++
-	sw := &sweep{
-		id:      fmt.Sprintf("s%d", c.sweepSeq),
-		spec:    spec,
-		created: now,
-		byKey:   map[string]*shard{},
-	}
-	for _, cell := range cells {
-		sh := &shard{
-			cell:         cell,
-			state:        shardPending,
-			pendingSince: now,
-			jitter:       rng.New(CellSeed(spec.Seed, cell.Key())),
-		}
-		sw.shards = append(sw.shards, sh)
-		sw.byKey[cell.Key()] = sh
-	}
-	c.sweeps[sw.id] = sw
-	c.sweepIDs = append(c.sweepIDs, sw.id)
-	// The spec is journaled resolved, so replay's Cells() enumeration
-	// reproduces this exact shard plan (and so the merge order).
-	c.journalLocked(coordRecord{Op: copSweepCreated, SweepID: sw.id, Spec: &spec})
+	sw := c.createSweepLocked(fmt.Sprintf("s%d", c.sweepSeq), spec, c.cfg.Now())
 	return sw.id, len(sw.shards), nil
 }
 
@@ -484,15 +448,9 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			sh.reassigned++
 			sh.worker = ""
 			if sh.attempts > c.cfg.Retry.Retries {
-				sh.state = shardFailed
-				sw.failed = true
-				sw.err = fmt.Sprintf("shard %s lost its lease on attempt %d (budget %d)",
-					sh.cell.Key(), sh.attempts, c.cfg.Retry.Retries+1)
 				c.sweepsFailed++
-				c.journalLocked(coordRecord{
-					Op: copSweepFailed, SweepID: sw.id, Key: sh.cell.Key(), Error: sw.err,
-				})
-				c.retainLocked()
+				c.sweepFailedLocked(sw, sh, fmt.Sprintf("shard %s lost its lease on attempt %d (budget %d)",
+					sh.cell.Key(), sh.attempts, c.cfg.Retry.Retries+1))
 				break
 			}
 			// Worker loss is not load: re-offer immediately, no backoff.

@@ -56,6 +56,19 @@ func fragment(cell Cell) *core.Figure {
 	}
 }
 
+// registerHolderAndHeir registers two workers and names them by the
+// placement of oneCellSpec's cell: heir is its preferred worker, which
+// may take the cell the moment a lease lapses, before StealAfter, and
+// holder is the other.
+func registerHolderAndHeir(c *Coordinator) (holder, heir string) {
+	a, _ := c.Register("", "")
+	b, _ := c.Register("", "")
+	if Place("minife", []string{a, b}) == a {
+		return b, a
+	}
+	return a, b
+}
+
 func TestLeaseGrantReportMerge(t *testing.T) {
 	clock := newFakeClock()
 	c := NewCoordinator(testConfig(clock))
@@ -94,14 +107,13 @@ func TestLeaseGrantReportMerge(t *testing.T) {
 func TestLeaseExpiryReassigns(t *testing.T) {
 	clock := newFakeClock()
 	c := NewCoordinator(testConfig(clock))
-	w1, _ := c.Register("", "")
-	w2, _ := c.Register("", "")
+	w1, w2 := registerHolderAndHeir(c)
 	id, _, err := c.CreateSweep(oneCellSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Whoever is preferred leases first; the other worker is refused
-	// while the lease is live.
+	// The holder leases first; the heir is refused while the lease is
+	// live.
 	clock.Advance(time.Second) // past StealAfter, so either worker can take it
 	g1, err := c.Lease(w1)
 	if err != nil || g1 == nil {

@@ -338,8 +338,8 @@ func TestLeaseExpiryHeartbeatRaceDoesNotDoubleLease(t *testing.T) {
 	cfg := testConfig(clock)
 	cfg.Retry.Retries = 5 // keep the budget out of the way
 	c := NewCoordinator(cfg)
-	w1, ttl := c.Register("", "")
-	w2, _ := c.Register("", "")
+	w1, w2 := registerHolderAndHeir(c)
+	ttl := cfg.LeaseTTL
 	id, _, err := c.CreateSweep(oneCellSpec())
 	if err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := c.CheckEpoch(req.Epoch); err != nil {
+	if err := c.checkEpoch(req.Epoch); err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -172,7 +172,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := c.CheckEpoch(req.Epoch); err != nil {
+	if err := c.checkEpoch(req.Epoch); err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -189,7 +189,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := c.CheckEpoch(req.Epoch); err != nil {
+	if err := c.checkEpoch(req.Epoch); err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}

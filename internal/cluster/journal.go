@@ -7,6 +7,12 @@ package cluster
 // were applied in. Replay is therefore a pure fold over the records:
 // same WAL, same recovered state (docs/DURABILITY.md).
 //
+// Each journaled transition — sweep created, shard done, shard failed,
+// sweep failed — has one implementation below, called by the live
+// method and by replay alike. It appends its own record, which during
+// replay goes nowhere: journal.Restart replays before it opens the
+// writer, so c.cfg.Journal is still nil.
+//
 // What is deliberately NOT journaled: heartbeats and lease expiries.
 // Leases are void across a restart by construction — the recovered
 // coordinator starts a new epoch and every non-done shard comes back
@@ -29,8 +35,8 @@ import (
 // Coordinator WAL record operations.
 const (
 	// copEpoch stamps a coordinator generation: one record per Open.
-	// The live epoch is max(stamped)+0 after stamping — i.e. replay
-	// computes max+1 and OpenCoordinator writes that value back.
+	// Replay computes max(stamped)+1 and OpenCoordinator writes that
+	// value back.
 	copEpoch = "epoch"
 	// copSweepCreated opens a sweep's history and carries the resolved
 	// spec; the shard plan is re-derived from it on replay (Cells() is
@@ -62,20 +68,10 @@ type coordRecord struct {
 }
 
 // journalLocked appends one record to the configured journal. c.mu must
-// be held. A WAL failure degrades durability, never the sweep: it is
-// counted (Status.JournalErrors) and the in-memory coordinator
-// proceeds.
+// be held. A failure degrades durability, never the sweep: it is counted
+// (Status.JournalErrors) and the in-memory coordinator proceeds.
 func (c *Coordinator) journalLocked(rec coordRecord) {
-	if c.cfg.Journal == nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	if err == nil {
-		err = c.cfg.Journal.Append(context.Background(), b)
-	}
-	if err != nil {
-		c.journalErrors++
-	}
+	_ = journal.Record(c.cfg.Journal, rec, &c.journalErrors) // counted; the sweep goes on
 }
 
 // journalShardDoneLocked journals a completed shard with its fragment's
@@ -97,55 +93,116 @@ func (c *Coordinator) journalShardDoneLocked(sw *sweep, sh *shard) {
 	})
 }
 
-// OpenCoordinator builds a coordinator whose state is durable in dir:
-// it replays the journal already there (rebuilding sweeps with only
-// their unfinished cells pending), opens a writer positioned after it,
-// and stamps a fresh epoch — so workers from the previous generation
-// are told to re-register instead of acting on void leases. Corrupt
-// segments are quarantined by the journal layer and surfaced in the
-// replay stats, never an error.
-//
-// The recovered state is then re-journaled through the new writer as a
-// snapshot and, once that snapshot is durably synced, the pre-restart
-// segments are compacted away. This keeps the WAL bounded by live
-// state instead of growing per restart, and means an unfinished sweep
-// survives ANY number of coordinator restarts: each generation's
-// journal is self-contained.
+// createSweepLocked plans sweep id from its resolved spec, so a replayed
+// plan (and merge order) is the one CreateSweep made, with every shard
+// pending and no backoff: a replayed lease is void, and recovery is not
+// load. A known id is left alone, and the id sequence stays above every
+// id so later sweeps cannot collide with replayed ones. c.mu must be held.
+func (c *Coordinator) createSweepLocked(id string, spec Spec, now time.Time) *sweep {
+	if sw, ok := c.sweeps[id]; ok {
+		return sw
+	}
+	sw := &sweep{id: id, spec: spec, created: now, byKey: map[string]*shard{}}
+	for _, cell := range spec.Cells() {
+		sh := &shard{
+			cell:         cell,
+			state:        shardPending,
+			pendingSince: now,
+			jitter:       rng.New(CellSeed(spec.Seed, cell.Key())),
+		}
+		sw.shards = append(sw.shards, sh)
+		sw.byKey[cell.Key()] = sh
+	}
+	c.sweeps[id] = sw
+	c.sweepIDs = append(c.sweepIDs, id)
+	var n int
+	if _, err := fmt.Sscanf(id, "s%d", &n); err == nil && n > c.sweepSeq {
+		c.sweepSeq = n
+	}
+	c.journalLocked(coordRecord{Op: copSweepCreated, SweepID: id, Spec: &sw.spec})
+	return sw
+}
+
+// shardDoneLocked closes sh with its fragment. Once the sweep's last
+// shard closes the sweep is merged and retention applies; finished
+// reports that. c.mu must be held.
+func (c *Coordinator) shardDoneLocked(sw *sweep, sh *shard, fragment *core.Figure) (finished bool) {
+	sh.fragment = fragment
+	sh.state = shardDone
+	sh.worker = ""
+	sw.done++
+	c.journalShardDoneLocked(sw, sh)
+	if sw.done < len(sw.shards) {
+		return false
+	}
+	sw.merged = mergeSweep(sw)
+	c.retainLocked()
+	return true
+}
+
+// shardFailedLocked records a failed attempt on sh: its error, and the
+// attempts it has consumed, which the retry budget is measured against.
+// c.mu must be held.
+func (c *Coordinator) shardFailedLocked(sw *sweep, sh *shard, attempts int, msg string) {
+	sh.lastErr = msg
+	sh.worker = ""
+	sh.attempts = max(sh.attempts, attempts)
+	c.journalLocked(coordRecord{
+		Op: copShardFailed, SweepID: sw.id, Key: sh.cell.Key(),
+		Attempts: sh.attempts, Error: msg,
+	})
+}
+
+// sweepFailedLocked fails sw on sh, the shard whose budget ran out (nil
+// when a replayed record names no shard of the plan), and applies
+// retention. c.mu must be held.
+func (c *Coordinator) sweepFailedLocked(sw *sweep, sh *shard, msg string) {
+	var key string
+	if sh != nil {
+		sh.state = shardFailed
+		sh.worker = ""
+		key = sh.cell.Key()
+	}
+	sw.failed = true
+	sw.err = msg
+	c.journalLocked(coordRecord{Op: copSweepFailed, SweepID: sw.id, Key: key, Error: msg})
+	c.retainLocked()
+}
+
+// OpenCoordinator builds a coordinator whose state is durable in dir,
+// through journal.Restart: it replays the journal already there
+// (rebuilding sweeps with only their unfinished cells pending), then
+// stamps a fresh epoch — so workers of the previous generation
+// re-register instead of acting on void leases — and re-journals the
+// recovered state as a snapshot through the new writer. An unfinished
+// sweep therefore survives any number of restarts. Corrupt segments are
+// quarantined and surfaced in the replay stats, never an error.
 func OpenCoordinator(ctx context.Context, cfg Config, dir string) (*Coordinator, journal.ReplayStats, error) {
+	cfg.Journal = nil // replay journals nowhere; Restart's writer takes over after it
 	c := NewCoordinator(cfg)
-	st, err := c.replay(ctx, dir)
+	var failed uint64
+	_, st, kept, err := journal.Restart(ctx, dir, c.replay, func(w *journal.Writer) error {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.cfg.Journal, c.ownJournal = w, w
+		before := c.journalErrors
+		c.journalLocked(coordRecord{Op: copEpoch, Epoch: c.epoch})
+		c.snapshotLocked()
+		if failed = c.journalErrors - before; failed > 0 {
+			return fmt.Errorf("cluster: %d snapshot records not journaled", failed)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, st, err
 	}
-	w, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		return nil, st, err
-	}
-	c.mu.Lock()
-	c.cfg.Journal = w
-	c.ownJournal = w
-	errsBefore := c.journalErrors
-	c.journalLocked(coordRecord{Op: copEpoch, Epoch: c.epoch})
-	c.snapshotLocked()
-	intact := c.journalErrors == errsBefore
-	c.mu.Unlock()
-	if err := w.Sync(ctx); err != nil {
-		// The snapshot (and epoch stamp) missing from disk only means
-		// the old segments stay authoritative and the next replay
-		// computes the same epoch number again; not fatal.
-		intact = false
+	// A snapshot left incomplete keeps the old segments authoritative (the
+	// next replay computes the same epoch again); its failed records are
+	// counted already, a failed sync or compaction is counted here.
+	if kept != nil && failed == 0 {
 		c.mu.Lock()
 		c.journalErrors++
 		c.mu.Unlock()
-	}
-	// Drop pre-restart segments only when every snapshot record landed:
-	// a partial snapshot must leave the old log as the durable copy.
-	if intact {
-		if _, err := w.CompactBefore(); err != nil {
-			c.mu.Lock()
-			c.journalErrors++
-			c.mu.Unlock()
-		}
 	}
 	return c, st, nil
 }
@@ -154,9 +211,7 @@ func OpenCoordinator(ctx context.Context, cfg Config, dir string) (*Coordinator,
 // opened writer: each sweep's creation, the surviving attempt counts
 // and last errors of its pending shards, its completed fragments, and
 // its terminal failure — in the order the original log applied them,
-// so replaying the snapshot folds to the same state. c.mu must be
-// held. A failed append is counted in journalErrors; the caller uses
-// that to decide whether compaction is safe.
+// so replaying the snapshot folds to the same state. c.mu must be held.
 func (c *Coordinator) snapshotLocked() {
 	for _, id := range c.sweepIDs {
 		sw := c.sweeps[id]
@@ -213,11 +268,11 @@ func (c *Coordinator) Epoch() uint64 {
 	return c.epoch
 }
 
-// CheckEpoch validates a worker-supplied epoch against the current
+// checkEpoch validates a worker-supplied epoch against the current
 // generation. Epoch 0 means the client predates the handshake and is
 // accepted (the lease protocol was already restart-safe without it;
 // the epoch just makes staleness explicit and prompt).
-func (c *Coordinator) CheckEpoch(e uint64) error {
+func (c *Coordinator) checkEpoch(e uint64) error {
 	if e == 0 {
 		return nil
 	}
@@ -229,120 +284,59 @@ func (c *Coordinator) CheckEpoch(e uint64) error {
 	return nil
 }
 
-// replay folds the journal in dir into the empty coordinator. Record
-// kinds unknown to this version are skipped (forward compatibility);
-// records that fail to parse are version skew, not disk damage, and
-// fail loudly.
+// replay folds the journal in dir into the empty coordinator — the
+// replay step of journal.Restart — through the same transitions the
+// live methods apply, and leaves the epoch one above the highest
+// stamped. Record kinds unknown to this version are skipped (forward
+// compatibility); records that fail to parse are version skew, not disk
+// damage, and fail loudly.
 func (c *Coordinator) replay(ctx context.Context, dir string) (journal.ReplayStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
-	var maxEpoch uint64
+	c.epoch = 0
 	st, err := journal.Replay(ctx, dir, func(payload []byte) error {
 		var rec coordRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("cluster: recover: bad record: %w", err)
 		}
+		sw := c.sweeps[rec.SweepID]
+		var sh *shard
+		if sw != nil {
+			sh = sw.byKey[rec.Key]
+		}
 		switch rec.Op {
 		case copEpoch:
-			if rec.Epoch > maxEpoch {
-				maxEpoch = rec.Epoch
-			}
+			c.epoch = max(c.epoch, rec.Epoch)
 		case copSweepCreated:
 			if rec.Spec == nil || rec.SweepID == "" {
 				return fmt.Errorf("cluster: recover: sweep_created record missing spec or id")
 			}
-			c.replaySweepLocked(rec.SweepID, *rec.Spec, now)
+			c.createSweepLocked(rec.SweepID, *rec.Spec, now)
 		case copLease:
-			if sh := c.shardLocked(rec.SweepID, rec.Key); sh != nil && sh.state == shardPending {
-				if rec.Attempts > sh.attempts {
-					sh.attempts = rec.Attempts
-				}
+			if sh != nil && sh.state == shardPending {
+				sh.attempts = max(sh.attempts, rec.Attempts)
 			}
 		case copShardDone:
-			sw := c.sweeps[rec.SweepID]
-			if sw == nil || sw.failed {
-				return nil
-			}
-			sh := sw.byKey[rec.Key]
-			if sh == nil || sh.state == shardDone {
-				return nil // idempotent duplicate
+			if sh == nil || sh.state == shardDone || sw.failed {
+				return nil // idempotent duplicate, or a sweep already abandoned
 			}
 			f, err := core.ReadFigureJSON(bytes.NewReader(rec.Figure))
 			if err != nil {
 				return fmt.Errorf("cluster: recover: shard %s fragment: %w", rec.Key, err)
 			}
-			sh.fragment = f
-			sh.state = shardDone
-			sh.worker = ""
-			sw.done++
-			if sw.done == len(sw.shards) {
-				sw.merged = mergeSweep(sw)
-			}
+			c.shardDoneLocked(sw, sh, f)
 		case copShardFailed:
-			if sh := c.shardLocked(rec.SweepID, rec.Key); sh != nil && sh.state == shardPending {
-				sh.lastErr = rec.Error
-				if rec.Attempts > sh.attempts {
-					sh.attempts = rec.Attempts
-				}
+			if sh != nil && sh.state == shardPending {
+				c.shardFailedLocked(sw, sh, rec.Attempts, rec.Error)
 			}
 		case copSweepFailed:
-			sw := c.sweeps[rec.SweepID]
-			if sw == nil || sw.terminal() {
-				return nil
-			}
-			sw.failed = true
-			sw.err = rec.Error
-			if sh := sw.byKey[rec.Key]; sh != nil {
-				sh.state = shardFailed
-				sh.worker = ""
+			if sw != nil && !sw.terminal() {
+				c.sweepFailedLocked(sw, sh, rec.Error)
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return st, err
-	}
-	c.epoch = maxEpoch + 1
-	return st, nil
-}
-
-// replaySweepLocked rebuilds a sweep from its journaled (already
-// resolved) spec: the same Cells() enumeration CreateSweep ran, so the
-// shard plan — and with it the merge order — is reconstructed exactly.
-// Every shard starts pending with no backoff: pre-crash leases are
-// void, and recovery is not load. c.mu must be held.
-func (c *Coordinator) replaySweepLocked(id string, spec Spec, now time.Time) {
-	if _, ok := c.sweeps[id]; ok {
-		return
-	}
-	sw := &sweep{id: id, spec: spec, created: now, byKey: map[string]*shard{}}
-	for _, cell := range spec.Cells() {
-		sh := &shard{
-			cell:         cell,
-			state:        shardPending,
-			pendingSince: now,
-			jitter:       rng.New(CellSeed(spec.Seed, cell.Key())),
-		}
-		sw.shards = append(sw.shards, sh)
-		sw.byKey[cell.Key()] = sh
-	}
-	c.sweeps[id] = sw
-	c.sweepIDs = append(c.sweepIDs, id)
-	// Keep the id sequence above every replayed id so post-recovery
-	// sweeps cannot collide.
-	var n int
-	if _, err := fmt.Sscanf(id, "s%d", &n); err == nil && n > c.sweepSeq {
-		c.sweepSeq = n
-	}
-}
-
-// shardLocked resolves a (sweep, key) pair, nil when either side is
-// unknown. c.mu must be held.
-func (c *Coordinator) shardLocked(sweepID, key string) *shard {
-	sw := c.sweeps[sweepID]
-	if sw == nil {
-		return nil
-	}
-	return sw.byKey[key]
+	c.epoch++
+	return st, err
 }

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/rng"
 )
 
@@ -130,7 +131,7 @@ type Config struct {
 	// Journal, when non-nil, receives a durable record for every job
 	// state transition (see wal.go). A restarted daemon replays it with
 	// Recover to re-enqueue incomplete jobs under their original ids.
-	Journal Appender
+	Journal journal.Appender
 	// Log receives operational messages (abandoned jobs, journal append
 	// failures); nil silences them.
 	Log *log.Logger

@@ -9,13 +9,6 @@ import (
 	"repro/internal/journal"
 )
 
-// Appender is the slice of journal.Writer the queue needs: append one
-// durable record. Kept as an interface so tests can observe or fail
-// appends without a real directory.
-type Appender interface {
-	Append(ctx context.Context, payload []byte) error
-}
-
 // WAL record operations. accepted opens a job's journal history;
 // started and retried narrate progress (a job with no terminal record
 // is incomplete whatever its last narration says); the three terminal
@@ -41,21 +34,11 @@ type walRecord struct {
 	Payload   json.RawMessage `json:"payload,omitempty"`
 }
 
-// journalLocked appends one record to the configured journal. Called
-// with q.mu held so the WAL's record order always matches the order
-// the state transitions were applied in — that ordering is what makes
-// replay deterministic. A WAL failure degrades durability, never the
-// job: it is counted and logged, and the in-memory queue proceeds.
+// journalLocked appends one record to the configured journal (counted
+// in walErrors and logged when it fails). q.mu must be held, so the
+// WAL's record order is the order the transitions were applied in.
 func (q *Queue) journalLocked(rec walRecord) {
-	if q.cfg.Journal == nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	if err == nil {
-		err = q.cfg.Journal.Append(context.Background(), b)
-	}
-	if err != nil {
-		q.walErrors++
+	if err := journal.Record(q.cfg.Journal, rec, &q.walErrors); err != nil {
 		q.logf("jobs: journal append failed (op=%s id=%s): %v", rec.Op, rec.ID, err)
 	}
 }
@@ -90,9 +73,10 @@ type PendingJob struct {
 }
 
 // Recover replays a queue journal directory and returns the jobs that
-// never reached a terminal state, in original acceptance order. The
-// caller re-submits each with SubmitRecovered, preserving ids (and so
-// request correlation) across the restart. Corrupt segments are
+// never reached a terminal state, in original acceptance order: the
+// replay of the queue's journal.Restart, whose re-journal re-submits
+// each with SubmitRecovered, preserving ids (and so request
+// correlation) across the restart. Corrupt segments are
 // quarantined by the journal layer and reported in the stats, never an
 // error.
 func Recover(ctx context.Context, dir string) ([]PendingJob, journal.ReplayStats, error) {

@@ -32,10 +32,9 @@
 // recovery. Both outcomes are counted so /metrics can surface them.
 //
 // The log does not grow per restart: Open reuses a trailing empty
-// segment instead of minting a new file, and after a recovery has
-// re-journaled its full live state through a new writer, CompactBefore
-// drops the pre-restart segments — their records are by then only
-// terminally-resolved history.
+// segment instead of minting a new file, and Restart, the recovery both
+// journals share, drops the pre-restart segments once the live state is
+// re-journaled: their records are by then terminally-resolved history.
 //
 // The package itself never reads a clock or draws randomness: replayed
 // state is a pure function of the bytes on disk, which is what makes
@@ -407,14 +406,12 @@ func (w *Writer) syncLocked() error {
 }
 
 // CompactBefore deletes every live segment numbered below the first
-// one this writer owns, returning how many were removed. Call it ONLY
-// after the caller has re-journaled its full live state through this
-// writer — at that point the older segments hold nothing a replay
-// needs, only terminally-resolved history, and without compaction they
-// would accumulate one (or more) per restart forever. The writer syncs
-// first so the re-journaled snapshot is durable before its
-// predecessors disappear; quarantined *.corrupt files are left behind
-// as evidence.
+// one this writer owns, returning how many were removed. Call it only
+// once the full live state is re-journaled through this writer (Restart
+// does): the older segments then hold only terminally-resolved history.
+// The writer syncs first so the re-journaled snapshot is durable before
+// its predecessors disappear; quarantined *.corrupt files are left
+// behind as evidence.
 func (w *Writer) CompactBefore() (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -469,9 +466,6 @@ func (w *Writer) Close() error {
 	w.f = nil
 	return err
 }
-
-// Dir returns the directory the writer appends into.
-func (w *Writer) Dir() string { return w.dir }
 
 // Stats snapshots the writer's counters.
 func (w *Writer) Stats() Stats {

@@ -711,11 +711,9 @@ func (s *Server) baseline(ctx context.Context, cfg core.ExperimentConfig) (exp *
 // in the journaled payload so re-runs are bit-identical. Jobs whose
 // payloads no longer validate (version skew across a deploy) are
 // skipped with a log line: recovery must bring the daemon up. The
-// daemon replays the WAL directory BEFORE opening the new writer —
-// replaying after the writer has minted a fresh segment would make a
-// crash's torn tail look like mid-log damage — and calls this once the
-// journaled queue exists, so the acceptances re-journal into the new
-// segments.
+// daemon calls this as the re-journal step of journal.Restart, once the
+// queue exists over the new writer, so the acceptances re-journal into
+// the new segments.
 func (s *Server) Resubmit(pending []jobs.PendingJob) int {
 	n := 0
 	for _, p := range pending {
