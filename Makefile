@@ -38,8 +38,8 @@ staticcheck:
 	staticcheck ./...
 
 bench:
-	$(GO) test -run=XXX -bench=BenchmarkRepeatedRuns -benchtime=300x .
-	$(GO) test -run=XXX -bench=BenchmarkColdExperiment -benchtime=5x .
+	$(GO) test -run=XXX -bench=BenchmarkRepeatedRuns -benchtime=300x ./internal/core/
+	$(GO) test -run=XXX -bench=BenchmarkColdExperiment -benchtime=5x ./internal/core/
 
 # Benchmark smoke (bench/README.md): every workload of the repository's
 # benchmark with its op list cut to a second or two and every output

@@ -1,14 +1,18 @@
-// reproduce regenerates the entire evaluation — Table II and
-// Figures 2 through 9 — into an output directory, with each result in
-// aligned-text, CSV and JSON forms plus a manifest recording scales,
-// seeds and wall times.
+// reproduce regenerates the entire evaluation — Table II, Figures 2
+// through 9 and the scale and ablation studies DESIGN.md §6 cites —
+// into an output directory, with each result in aligned-text and CSV
+// (and, for figures, JSON) forms plus a manifest recording seeds and
+// wall times.
 //
-//	reproduce -out results                  # reduced scale, ~minutes
-//	reproduce -out results -scale paper     # Table II node counts, hours
-//	reproduce -out results -only 5,7        # a subset of figures
+//	reproduce -out results                     # reduced scale: 512 nodes, 3 reps
+//	reproduce -out results -nodes 128 -reps 2  # a quicker reduced run
+//	reproduce -out results -scale paper        # Table II node counts, hours
+//	reproduce -out results -only 5,7           # a subset of figures
+//	reproduce -out results -only ablation-noise-seeds
 //
 // -scale, -nodes, -iters, -reps and -seed fill the core.Options every
-// figure runs under; its field table is in docs/SERVICE.md.
+// figure runs under (the studies read only -seed); its field table is
+// in docs/SERVICE.md.
 package main
 
 import (
@@ -27,7 +31,7 @@ func main() {
 	cfg := campaign.Config{Log: os.Stderr}
 	cfg.Options.BindFlags(fs)
 	fs.StringVar(&cfg.OutDir, "out", "results", "output directory")
-	only := fs.String("only", "", "comma-separated subset of {2,3,4,5,6,7,8,9}")
+	only := fs.String("only", "", "comma-separated subset of figure ids {2,...,9} and study names")
 	atURL := fs.String("cluster", "", "coordinator URL: run the sweep figures on a cesimd cluster")
 	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
 		fatal(err)

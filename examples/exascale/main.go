@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -22,7 +23,7 @@ func main() {
 		Seed:      1,
 		Workloads: []string{"lammps-lj", "lammps-crack", "lulesh", "minife"},
 	}
-	f, err := core.Figure5(opts)
+	f, err := core.RunFigure(context.Background(), "5", opts)
 	if err != nil {
 		log.Fatal(err)
 	}

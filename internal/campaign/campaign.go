@@ -1,7 +1,7 @@
-// Package campaign orchestrates full reproduction runs: every table
-// and figure regenerated into an output directory in aligned-text, CSV
-// and JSON forms, with a manifest recording row counts and wall times.
-// cmd/reproduce is a thin flag wrapper around this package.
+// Package campaign is the one regenerator of the paper's evaluation:
+// every table, figure and scale or ablation study written into an
+// output directory as aligned text and CSV (figures also as JSON), with
+// a manifest of row counts and wall times. cmd/reproduce wraps it.
 package campaign
 
 import (
@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,8 +34,9 @@ type Config struct {
 	OutDir string
 	// Options are passed to every figure driver.
 	Options core.Options
-	// Only restricts the run to these figure ids ("2".."9"); empty
-	// means everything. Table II is always produced (it is free).
+	// Only restricts the run to these figure ids ("2".."9") and study
+	// names; empty means everything, an unknown id fails the run before
+	// anything is written. Table II is always produced (it is free).
 	Only []string
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
@@ -42,8 +44,8 @@ type Config struct {
 	// (injectable for deterministic tests).
 	Now func() time.Time
 	// Runner executes the sweep figures ("3".."9"); nil runs the
-	// in-process drivers. Figure 2 (the MCA noise signatures) is always
-	// produced locally — it is a single cheap run, not a sweep.
+	// in-process drivers. Figure 2 and the studies always run locally:
+	// they are fixed runs, not sweeps.
 	Runner FigureRunner
 }
 
@@ -80,6 +82,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.OutDir == "" {
 		return nil, fmt.Errorf("campaign: output directory required")
 	}
+	known := append([]string{"2"}, core.FigureIDs()...)
+	for _, s := range studies {
+		known = append(known, s.name)
+	}
+	selected := map[string]bool{}
+	for _, id := range cfg.Only {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(known, id) {
+			return nil, fmt.Errorf("campaign: unknown artifact %q (want one of %s)", id, strings.Join(known, ", "))
+		}
+		selected[id] = true
+	}
+	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
 		return nil, err
 	}
@@ -92,11 +107,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if now == nil {
 		now = time.Now
 	}
-	selected := map[string]bool{}
-	for _, id := range cfg.Only {
-		selected[strings.TrimSpace(id)] = true
-	}
-	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
 	res := &Result{Manifest: report.New(
 		fmt.Sprintf("reproduction manifest (seed %d)", cfg.Options.Seed),
@@ -107,31 +117,41 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			a.Wall.Truncate(time.Millisecond).String(), strings.Join(a.Files, ","))
 		logf("campaign: %s done in %s (%d rows)", a.Name, a.Wall.Truncate(time.Millisecond), a.Rows)
 	}
+	table := func(name string, run func(context.Context, core.Options) (*report.Table, error)) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		start := now()
+		t, err := run(ctx, cfg.Options)
+		if err != nil {
+			return fmt.Errorf("campaign: %s: %w", name, err)
+		}
+		if err := WriteTable(cfg.OutDir, name, t); err != nil {
+			return err
+		}
+		add(Artifact{Name: name, Rows: len(t.Rows), Wall: now().Sub(start),
+			Files: []string{name + ".txt", name + ".csv"}})
+		return nil
+	}
 
-	start := now()
-	table2 := core.Table2()
-	if err := WriteTable(cfg.OutDir, "table2", table2); err != nil {
+	if err := table("table2", func(context.Context, core.Options) (*report.Table, error) {
+		return core.Table2(), nil
+	}); err != nil {
 		return nil, err
 	}
-	add(Artifact{Name: "table2", Rows: len(table2.Rows), Wall: now().Sub(start),
-		Files: []string{"table2.txt", "table2.csv"}})
-
 	if want("2") {
-		if err := ctx.Err(); err != nil {
+		if err := table("fig2", func(_ context.Context, o core.Options) (*report.Table, error) {
+			_, t, err := core.Figure2(o.Seed)
+			return t, err
+		}); err != nil {
 			return nil, err
 		}
-		start = now()
-		_, t, err := core.Figure2(cfg.Options.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := WriteTable(cfg.OutDir, "fig2", t); err != nil {
-			return nil, err
-		}
-		add(Artifact{Name: "fig2", Rows: len(t.Rows), Wall: now().Sub(start),
-			Files: []string{"fig2.txt", "fig2.csv"}})
 	}
 
+	figure := core.RunFigure
+	if cfg.Runner != nil {
+		figure = cfg.Runner.Figure
+	}
 	for _, id := range core.FigureIDs() {
 		if !want(id) {
 			continue
@@ -139,14 +159,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		start = now()
-		var f *core.Figure
-		var err error
-		if cfg.Runner != nil {
-			f, err = cfg.Runner.Figure(ctx, id, cfg.Options)
-		} else {
-			f, err = core.RunFigure(ctx, id, cfg.Options)
-		}
+		start := now()
+		f, err := figure(ctx, id, cfg.Options)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: figure %s: %w", id, err)
 		}
@@ -156,6 +170,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		add(Artifact{Name: name, Rows: len(f.Rows), Wall: now().Sub(start),
 			Files: []string{name + ".txt", name + ".csv", name + ".json"}})
+	}
+
+	for _, s := range studies {
+		if want(s.name) {
+			if err := table(s.name, s.run); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	mf, err := os.Create(filepath.Join(cfg.OutDir, "MANIFEST.txt"))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -47,6 +48,9 @@ func TestRunSubset(t *testing.T) {
 	if !strings.Contains(log.String(), "fig4 done") {
 		t.Fatalf("progress log missing: %q", log.String())
 	}
+	if got, want := res.Artifacts[0].Rows, len(core.Table2().Rows); got != want {
+		t.Fatalf("manifest counts %d table2 rows, the table has %d", got, want)
+	}
 }
 
 func TestRunJSONParsesBack(t *testing.T) {
@@ -74,17 +78,68 @@ func TestRunRequiresOutDir(t *testing.T) {
 	}
 }
 
+// TestRunTable2Only: an id that names no figure or study fails the run
+// before anything is written, even beside a valid one.
 func TestRunTable2Only(t *testing.T) {
+	for _, only := range [][]string{{"none-such"}, {"4", "fig5"}, {"10"}} {
+		dir := t.TempDir()
+		_, err := Run(Config{OutDir: dir, Options: tinyOptions(), Only: only})
+		bad := only[len(only)-1]
+		if err == nil || !strings.Contains(err.Error(), `"`+bad+`"`) {
+			t.Fatalf("Only %q: err = %v, want one naming %q", only, err, bad)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Fatalf("Only %q: rejected campaign wrote %v", only, entries)
+		}
+	}
+}
+
+var updateStudiesGolden = flag.Bool("update-studies-golden", false,
+	"rewrite testdata/<study>.txt from the live studies")
+
+// TestStudiesGolden runs the seven studies at seed 1 through the
+// campaign and byte-compares each rendered table with testdata, the
+// output of the benchmark harness they were moved out of. Regenerate
+// after an intentional model change with:
+//
+//	go test -run TestStudiesGolden ./internal/campaign/ -update-studies-golden
+func TestStudiesGolden(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Run(Config{OutDir: dir, Options: tinyOptions(), Only: []string{"none-such"}})
+	var names []string
+	for _, s := range studies {
+		names = append(names, s.name)
+	}
+	res, err := Run(Config{OutDir: dir, Options: core.Options{Seed: 1}, Only: names})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Artifacts) != 1 || res.Artifacts[0].Name != "table2" {
-		t.Fatalf("artifacts: %+v", res.Artifacts)
+	if len(res.Artifacts) != 1+len(names) {
+		t.Fatalf("artifacts = %+v, want table2 and the %d studies", res.Artifacts, len(names))
 	}
-	if got, want := res.Artifacts[0].Rows, len(core.Table2().Rows); got != want {
-		t.Fatalf("manifest counts %d table2 rows, the table has %d", got, want)
+	for _, name := range names {
+		got, err := os.ReadFile(filepath.Join(dir, name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join("testdata", name+".txt")
+		if *updateStudiesGolden {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from %s (rerun with -update-studies-golden if intended):\ngot:\n%s\nwant:\n%s",
+				name, golden, got, want)
+		}
 	}
 }
 
@@ -146,45 +201,56 @@ func (c *cancelAfter) Write(p []byte) (int, error) {
 }
 
 // TestCancelSiteMidSweepDiscardsPartials injects a cancellation inside
-// the repetition loop — mid-sweep, not between artifacts — and checks
-// the aborted figure leaves no partial files, the error surfaces as
-// context.Canceled, and no worker goroutines are left behind.
+// the repetition loop — mid-sweep or mid-study, not between artifacts —
+// and checks the aborted artifact leaves no partial files, the error
+// surfaces as context.Canceled, and no worker goroutines are left
+// behind.
 func TestCancelSiteMidSweepDiscardsPartials(t *testing.T) {
-	t.Cleanup(faultinject.Disarm)
-	base := runtime.NumGoroutine()
-	dir := t.TempDir()
-	// Every repetition attempt in fig4 observes context.Canceled;
-	// cancellation must stop the run, not burn the retry budget.
-	if err := faultinject.Arm(faultinject.Plan{
-		faultinject.SiteRepetition: {Kind: faultinject.KindCancel, Probability: 1, Seed: 5},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Run(Config{OutDir: dir, Options: tinyOptions(), Only: []string{"4"}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled from the injected cancel", err)
-	}
-	// The artifact before the sweep survives; the canceled figure left
-	// nothing partial on disk.
-	if _, err := os.Stat(filepath.Join(dir, "table2.txt")); err != nil {
-		t.Fatalf("pre-sweep artifact missing: %v", err)
-	}
-	for _, leftover := range []string{"fig4.txt", "fig4.csv", "fig4.json", "MANIFEST.txt"} {
-		if _, err := os.Stat(filepath.Join(dir, leftover)); err == nil {
-			t.Fatalf("canceled sweep left %s behind", leftover)
-		}
-	}
-	faultinject.Disarm()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= base+3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(20 * time.Millisecond)
+	for _, tc := range []struct {
+		only  string
+		files []string
+	}{
+		{"4", []string{"fig4.txt", "fig4.csv", "fig4.json"}},
+		{"ablation-noise-seeds", []string{"ablation-noise-seeds.txt", "ablation-noise-seeds.csv"}},
+	} {
+		t.Run(tc.only, func(t *testing.T) {
+			t.Cleanup(faultinject.Disarm)
+			base := runtime.NumGoroutine()
+			dir := t.TempDir()
+			// Every repetition attempt observes context.Canceled;
+			// cancellation must stop the run, not burn the retry budget.
+			if err := faultinject.Arm(faultinject.Plan{
+				faultinject.SiteRepetition: {Kind: faultinject.KindCancel, Probability: 1, Seed: 5},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Run(Config{OutDir: dir, Options: tinyOptions(), Only: []string{tc.only}})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled from the injected cancel", err)
+			}
+			// The artifact before the sweep survives; the canceled one
+			// left nothing partial on disk.
+			if _, err := os.Stat(filepath.Join(dir, "table2.txt")); err != nil {
+				t.Fatalf("pre-sweep artifact missing: %v", err)
+			}
+			for _, leftover := range append(tc.files, "MANIFEST.txt") {
+				if _, err := os.Stat(filepath.Join(dir, leftover)); err == nil {
+					t.Fatalf("canceled run left %s behind", leftover)
+				}
+			}
+			faultinject.Disarm()
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				runtime.GC()
+				if n := runtime.NumGoroutine(); n <= base+3 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,9 @@
-package repro_test
+package core
 
 import (
 	"testing"
 
 	"repro/internal/collectives"
-	"repro/internal/core"
 	"repro/internal/loggopsim"
 	"repro/internal/netmodel"
 	"repro/internal/noise"
@@ -12,11 +11,11 @@ import (
 )
 
 // benchNoise builds the per-repetition CE model; each repetition gets a
-// fresh model with its own seed, exactly as core.RunRepeated does.
+// fresh model with its own seed, exactly as RunRepeated does.
 func benchNoise(b *testing.B, ranks int, seed uint64) noise.Model {
 	b.Helper()
 	nm, err := noise.NewCE(ranks, noise.Config{
-		Seed: seed, MTBCE: 50 * nsMs, Duration: noise.Fixed(1 * nsMs), Target: noise.AllNodes,
+		Seed: seed, MTBCE: 50 * nsPerMs, Duration: noise.Fixed(1 * nsPerMs), Target: noise.AllNodes,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -27,7 +26,7 @@ func benchNoise(b *testing.B, ranks int, seed uint64) noise.Model {
 // BenchmarkRepeatedRuns compares the per-repetition cost of constructing
 // a fresh simulator every run (the pre-reuse behavior of Simulate)
 // against reusing one Simulator's preallocated state across runs (the
-// hot path of core.RunRepeated and the daemon's sweep jobs). Results
+// hot path of RunRepeated and the daemon's sweep jobs). Results
 // are bit-identical by construction — see TestSimulatorReuseBitIdentical
 // — so the allocs/op delta is pure overhead removed. This is a
 // measure-while-you-work benchmark; recorded numbers and performance
@@ -71,14 +70,14 @@ func BenchmarkRepeatedRuns(b *testing.B) {
 
 	// Experiment-level: the pooled path everything above core sits on.
 	b.Run("experiment-run-repeated", func(b *testing.B) {
-		exp, err := core.NewExperiment(core.ExperimentConfig{
+		exp, err := NewExperiment(ExperimentConfig{
 			Workload: "minife", Nodes: 64, Iterations: 5, TraceSeed: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		sc := core.Scenario{
-			MTBCE: 50 * nsMs, PerEvent: noise.Fixed(1 * nsMs), Target: noise.AllNodes, Seed: 1,
+		sc := Scenario{
+			MTBCE: 50 * nsPerMs, PerEvent: noise.Fixed(1 * nsPerMs), Target: noise.AllNodes, Seed: 1,
 		}
 		b.ResetTimer()
 		b.ReportAllocs()
@@ -97,19 +96,19 @@ func BenchmarkRepeatedRuns(b *testing.B) {
 // nodes). Like BenchmarkRepeatedRuns it is for measuring while working;
 // claims come from `go run ./bench`.
 func BenchmarkColdExperiment(b *testing.B) {
-	configs := []core.ExperimentConfig{
+	configs := []ExperimentConfig{
 		{Workload: "minife", Nodes: 128, Iterations: 20, TraceSeed: 1},
 		{Workload: "hpcg", Nodes: 256, Iterations: 12, TraceSeed: 1},
 		{Workload: "lulesh", Nodes: 512, Iterations: 28, TraceSeed: 1},
 		{Workload: "milc", Nodes: 512, Iterations: 36, TraceSeed: 1},
 	}
-	sc := core.Scenario{
-		MTBCE: 200 * nsMs, PerEvent: noise.Fixed(775 * 1000), Target: noise.AllNodes, Seed: 1,
+	sc := Scenario{
+		MTBCE: 200 * nsPerMs, PerEvent: noise.Fixed(775 * 1000), Target: noise.AllNodes, Seed: 1,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range configs {
-			exp, err := core.NewExperiment(cfg)
+			exp, err := NewExperiment(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,6 +12,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -44,9 +45,9 @@ func (s engineSection) bytes(t *testing.T) []byte {
 	return out
 }
 
-func figureSection(name string, driver func(Options) (*Figure, error), opts Options) engineSection {
-	return engineSection{name: name, render: func() ([]byte, error) {
-		f, err := driver(opts)
+func figureSection(id string, opts Options) engineSection {
+	return engineSection{name: "fig" + id, render: func() ([]byte, error) {
+		f, err := RunFigure(context.Background(), id, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -64,11 +65,11 @@ func figureSection(name string, driver func(Options) (*Figure, error), opts Opti
 // non-power-of-two rank count, so a divergence that renders
 // identically in a figure still fails.
 var engineSections = []engineSection{
-	figureSection("fig3", Figure3, tinyOpts("minife")),
-	figureSection("fig4", Figure4, tinyOpts("lammps-crack")),
-	figureSection("fig5", Figure5, tinyOpts("minife")),
-	figureSection("fig6", Figure6, tinyOpts("lammps-crack")),
-	figureSection("fig7", Figure7, tinyOpts("minife")),
+	figureSection("3", tinyOpts("minife")),
+	figureSection("4", tinyOpts("lammps-crack")),
+	figureSection("5", tinyOpts("minife")),
+	figureSection("6", tinyOpts("lammps-crack")),
+	figureSection("7", tinyOpts("minife")),
 	{name: "results", render: renderEngineResults},
 }
 

@@ -29,8 +29,8 @@ func withProcs(procs int, fn func()) {
 // every figure driver renders byte-identical JSON whether its rows and
 // repetitions run on one goroutine or spread over eight. Two workloads
 // cover both trace shapes, two node counts both scale-compensation
-// factors. Part of engine-smoke, so it also runs under the race
-// detector.
+// factors. No row that made progress may show a slowdown below -1 %.
+// Part of engine-smoke, so it also runs under the race detector.
 func TestFiguresBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	figs := Figures()
 	for _, id := range []string{"3", "4", "5", "6", "7", "8", "9"} {
@@ -41,9 +41,9 @@ func TestFiguresBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 				var want []byte
 				for _, procs := range []int{1, 2, 8} {
 					var got bytes.Buffer
+					var f *Figure
 					var err error
 					withProcs(procs, func() {
-						var f *Figure
 						if f, err = figs[id](opts); err == nil {
 							err = f.WriteJSON(&got)
 						}
@@ -53,6 +53,11 @@ func TestFiguresBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 					}
 					if want == nil {
 						want = got.Bytes()
+						for _, r := range f.Rows {
+							if !r.Saturated && r.MeanPct < -1 {
+								t.Fatalf("fig%s/%s/n%d: negative slowdown %+v", id, wl, nodes, r)
+							}
+						}
 					} else if !bytes.Equal(want, got.Bytes()) {
 						t.Fatalf("fig%s/%s/n%d: GOMAXPROCS=%d diverges from GOMAXPROCS=1:\n%s\nvs\n%s",
 							id, wl, nodes, procs, got.Bytes(), want)

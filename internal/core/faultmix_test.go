@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,7 +13,7 @@ var updateFaultmixGolden = flag.Bool("update-faultmix-golden", false,
 	"rewrite testdata/faultmix_smoke_golden.json from the live figures")
 
 func TestFigure8Shape(t *testing.T) {
-	f, err := Figure8(tinyOpts("minife"))
+	f, err := RunFigure(context.Background(), "8", tinyOpts("minife"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	f, err := Figure9(tinyOpts("minife"))
+	f, err := RunFigure(context.Background(), "9", tinyOpts("minife"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +81,10 @@ func TestFigure9Shape(t *testing.T) {
 // requires byte-identical JSON — the arrival mixture must not leak any
 // run-to-run state (handle tables, map iteration, shared rng).
 func TestFaultMixFiguresBitIdentical(t *testing.T) {
-	for _, fig := range []struct {
-		name string
-		run  func(Options) (*Figure, error)
-	}{
-		{"fig8", Figure8},
-		{"fig9", Figure9},
-	} {
+	for _, id := range []string{"8", "9"} {
 		var first bytes.Buffer
 		for trial := 0; trial < 2; trial++ {
-			f, err := fig.run(tinyOpts("minife"))
+			f, err := RunFigure(context.Background(), id, tinyOpts("minife"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +95,7 @@ func TestFaultMixFiguresBitIdentical(t *testing.T) {
 			if trial == 0 {
 				first = buf
 			} else if !bytes.Equal(first.Bytes(), buf.Bytes()) {
-				t.Fatalf("%s: rerun diverged:\n%s\nvs\n%s", fig.name, first.String(), buf.String())
+				t.Fatalf("fig%s: rerun diverged:\n%s\nvs\n%s", id, first.String(), buf.String())
 			}
 		}
 	}
@@ -114,8 +109,8 @@ func TestFaultMixFiguresBitIdentical(t *testing.T) {
 //	go test -run TestFaultMixSmokeGolden ./internal/core/ -update-faultmix-golden
 func TestFaultMixSmokeGolden(t *testing.T) {
 	var got bytes.Buffer
-	for _, run := range []func(Options) (*Figure, error){Figure8, Figure9} {
-		f, err := run(tinyOpts("minife"))
+	for _, id := range []string{"8", "9"} {
+		f, err := RunFigure(context.Background(), id, tinyOpts("minife"))
 		if err != nil {
 			t.Fatal(err)
 		}

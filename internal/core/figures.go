@@ -523,15 +523,9 @@ func runFigure(ctx context.Context, def figureDef, opts Options) (*Figure, error
 	return f, nil
 }
 
-// Figure3 … Figure9 and Figures are RunFigure without a context, for
-// callers that have none to pass.
-func Figure3(opts Options) (*Figure, error) { return RunFigure(context.Background(), "3", opts) }
+// Figure4 and Figures are RunFigure without a context, for callers
+// that have none to pass.
 func Figure4(opts Options) (*Figure, error) { return RunFigure(context.Background(), "4", opts) }
-func Figure5(opts Options) (*Figure, error) { return RunFigure(context.Background(), "5", opts) }
-func Figure6(opts Options) (*Figure, error) { return RunFigure(context.Background(), "6", opts) }
-func Figure7(opts Options) (*Figure, error) { return RunFigure(context.Background(), "7", opts) }
-func Figure8(opts Options) (*Figure, error) { return RunFigure(context.Background(), "8", opts) }
-func Figure9(opts Options) (*Figure, error) { return RunFigure(context.Background(), "9", opts) }
 
 // Figures maps figure identifiers to their context-free drivers.
 func Figures() map[string]func(Options) (*Figure, error) {

@@ -57,7 +57,7 @@ func TestFigure2Signatures(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	f, err := Figure3(tinyOpts("minife"))
+	f, err := RunFigure(context.Background(), "3", tinyOpts("minife"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFigure4Shape(t *testing.T) {
 func TestFigure5Shape(t *testing.T) {
 	// lammps-crack has a 4 ms grain, so it needs enough iterations for
 	// the run to be long enough to catch CEs at the x100 rate.
-	f, err := Figure5(Options{Nodes: 16, Iterations: 50, Reps: 3, Seed: 1,
+	f, err := RunFigure(context.Background(), "5", Options{Nodes: 16, Iterations: 50, Reps: 3, Seed: 1,
 		Workloads: []string{"lammps-crack", "lammps-lj"}})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	f, err := Figure6(tinyOpts("minife"))
+	f, err := RunFigure(context.Background(), "6", tinyOpts("minife"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	f, err := Figure7(tinyOpts("minife"))
+	f, err := RunFigure(context.Background(), "7", tinyOpts("minife"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func (l *Loader) loadTree(dir string) ([]*Package, error) {
 		}
 		name := d.Name()
 		if path != dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor" || name == "bench_results") {
+			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
 		p, err := l.LoadDir(path)
