@@ -128,9 +128,10 @@ type Config struct {
 	// Retain bounds the number of finished jobs kept for polling;
 	// <= 0 selects 512. The oldest finished jobs are forgotten first.
 	Retain int
-	// Journal, when non-nil, receives a durable record for every job
-	// state transition (see wal.go). A restarted daemon replays it with
-	// Recover to re-enqueue incomplete jobs under their original ids.
+	// Journal, when non-nil, receives a durable record when a job is
+	// accepted and when it finishes (see wal.go). A restarted daemon
+	// replays it with Recover to re-enqueue incomplete jobs under their
+	// original ids.
 	Journal journal.Appender
 	// Log receives operational messages (abandoned jobs, journal append
 	// failures); nil silences them.
@@ -570,7 +571,6 @@ func (q *Queue) run(j *job) {
 	j.started = time.Now()
 	j.cancel = cancel
 	q.running++
-	q.journalLocked(walRecord{Op: opStarted, ID: j.id})
 	q.mu.Unlock()
 
 	var (
@@ -587,7 +587,6 @@ func (q *Queue) run(j *job) {
 		}
 		q.mu.Lock()
 		q.retries++
-		q.journalLocked(walRecord{Op: opRetried, ID: j.id})
 		q.mu.Unlock()
 		if jitter == nil {
 			jitter = jitterStream(j.id)

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -162,6 +163,252 @@ func TestBareRecordMatchesDecoder(t *testing.T) {
 	}
 }
 
+// checkAccepted holds acceptedRecord to the decoder on one byte
+// sequence: it either declines, or the decoder parses the same bytes to
+// the same record — which must not change when the bytes it was read
+// from are overwritten, as the replay buffer is.
+func checkAccepted(t *testing.T, b []byte) (accepted bool) {
+	t.Helper()
+	view := bytes.Clone(b)
+	rec, ok := acceptedRecord(view)
+	if !ok {
+		return false
+	}
+	for i := range view {
+		view[i] = '#'
+	}
+	var want walRecord
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("acceptedRecord accepted %q, the decoder fails: %v", b, err)
+	}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("acceptedRecord read %q as %+v; the decoder reads %+v", b, rec, want)
+	}
+	return true
+}
+
+// TestAcceptedRecordMatchesDecoder is the equivalence proof of Recover's
+// acceptance shape-match, by table and by property.
+func TestAcceptedRecordMatchesDecoder(t *testing.T) {
+	// What json.Marshal writes: taken exactly when every string is plain
+	// and the retry count fits the digit bound.
+	for _, c := range []struct {
+		rec   walRecord
+		taken bool
+	}{
+		{walRecord{Op: opAccepted, ID: "j000001-0123456789ab"}, true},
+		{walRecord{Op: opAccepted, ID: ""}, true},
+		{walRecord{Op: opAccepted, ID: "j1", Kind: "simulate", RequestID: "r-0123456789ab", Retries: 2, Payload: imagePayload}, true},
+		{walRecord{Op: opAccepted, ID: "j1", Kind: "sweep", RequestID: "r-1", Tenant: "t-a", Retries: 3, Payload: json.RawMessage(`{"figure":"4","seed":2}`)}, true},
+		{walRecord{Op: opAccepted, ID: "a b~!#$%()*+,-./:;=?@[]^_`{|}", Tenant: " "}, true},
+		{walRecord{Op: opAccepted, ID: "j1", Retries: 999999999999999999}, true},
+		{walRecord{Op: opAccepted, ID: "j1", Retries: 1000000000000000000}, false},
+		{walRecord{Op: opAccepted, ID: "j1", Retries: -1}, false},
+		{walRecord{Op: opAccepted, ID: "j1", Payload: json.RawMessage(`null`)}, true},
+		{walRecord{Op: opAccepted, ID: "j1", Payload: json.RawMessage(`"x"`)}, true},
+		{walRecord{Op: opAccepted, ID: "j1", Payload: json.RawMessage(` [1, 2] `)}, true}, // Marshal compacts it
+		{walRecord{Op: opAccepted, ID: "j1", Payload: json.RawMessage(`{"a":"<&>"}`)}, true},
+		{walRecord{Op: opAccepted, ID: "<&>"}, false}, // Marshal escapes all three
+		{walRecord{Op: opAccepted, ID: "j1", Kind: `q"uote`}, false},
+		{walRecord{Op: opAccepted, ID: "j1", RequestID: `back\slash`}, false},
+		{walRecord{Op: opAccepted, ID: "j1", Tenant: "tab\t"}, false},
+		{walRecord{Op: opAccepted, ID: "é"}, false},
+		{walRecord{Op: opStarted, ID: "j1"}, false},
+		{walRecord{Op: opSucceeded, ID: "j1", Kind: "simulate"}, false},
+		{walRecord{Op: "", ID: "j1", Payload: json.RawMessage(`{}`)}, false},
+	} {
+		b, err := json.Marshal(c.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := checkAccepted(t, b); got != c.taken {
+			t.Errorf("acceptedRecord(%q) accepted = %v, want %v", b, got, c.taken)
+		}
+	}
+	// Other spellings. Some are read the decoder's way, the rest are
+	// declined: the decoder accepts some of those and fails others.
+	for _, c := range []struct {
+		s     string
+		taken bool
+	}{
+		{`{"op":"accepted","id":"<&>"}`, true},
+		{`{"op":"accepted","id":"j1","kind":""}`, true},
+		{`{"op":"accepted","id":"j1","payload":{"a":"}"}}`, true},
+		{` {"op":"accepted","id":"j1"}`, false},
+		{`{"op":"accepted","id":"j1"} `, false},
+		{`{"op":"accepted", "id":"j1"}`, false},
+		{`{"op":"accepted","id":"j1","payload": {}}`, false},
+		{`{"op":"accepted","id":"j1","payload":{} }`, false},
+		{"{\"op\":\"accepted\",\"id\":\"j1\",\"payload\":\t1\n}", false},
+		{`{"op":"accepted","id":"j1","payload":}`, false},
+		{`{"op":"accepted","id":"j1","payload":{}`, false},
+		{`{"op":"accepted","id":"j1","payload":{"a":}}`, false},
+		{`{"op":"accepted","id":"j1","payload":1,"payload":2}`, false},
+		{`{"op":"accepted","id":"j1","payload":1,"x":2}`, false},
+		{`{"op":"accepted","id":"j1","retries":0}`, false},
+		{`{"op":"accepted","id":"j1","retries":01}`, false},
+		{`{"op":"accepted","id":"j1","retries":-1}`, false},
+		{`{"op":"accepted","id":"j1","retries":1.5}`, false},
+		{`{"op":"accepted","id":"j1","retries":1e2}`, false},
+		{`{"op":"accepted","id":"j1","retries":9223372036854775808}`, false},
+		{`{"op":"accepted","id":"j1","retries":}`, false},
+		{`{"op":"accepted","id":"j1","retries":"3"}`, false},
+		{`{"op":"accepted","id":"j1","tenant":"t","kind":"k"}`, false},
+		{`{"op":"accepted","id":"j1","kind":"a","kind":"b"}`, false},
+		{`{"op":"accepted","id":"j1","id":"j2"}`, false},
+		{`{"op":"accepted","id":"j1","Kind":"k"}`, false},
+		{`{"op":"accepted","id":"j1",}`, false},
+		{`{"op":"accepted","id":"j1"}}`, false},
+		{`{"op":"accepted","id":"j1"`, false},
+		{`{"op":"accepted","id":"j1","kind":"simu`, false},
+		{`{"op":"accepted","id":"a\"b"}`, false},
+		{`{"op":"accepted","id":"\` + `u0061"}`, false}, // "a", escaped
+		{`{"id":"j1","op":"accepted"}`, false},
+		{`{"op":"Accepted","id":"j1"}`, false},
+		{`{"op":"accepted"}`, false},
+		{`{"op":"accepted","id":7}`, false},
+		{``, false},
+		{`}`, false},
+		{`{"op":"accepted","id":"`, false},
+	} {
+		if got := checkAccepted(t, []byte(c.s)); got != c.taken {
+			t.Errorf("acceptedRecord(%q) accepted = %v, want %v", c.s, got, c.taken)
+		}
+	}
+
+	// Property: marshalled records over strings drawn from every byte
+	// class, retry counts around the digit bound and payloads of every
+	// JSON kind, and the same bytes with one byte changed.
+	alphabet := []string{"a", "Z", "0", "-", " ", "~", `"`, `\`, "\n", "\x00", "\x1f", "\x7f", "é", "\xff", "<", "{", "}", ":", ","}
+	retries := []int{0, 1, 7, 10, 99, 123456789012345678, 999999999999999999, 1000000000000000000, -1}
+	payloads := []json.RawMessage{nil, json.RawMessage(`null`), json.RawMessage(`{}`), json.RawMessage(`[1,"<"]`),
+		json.RawMessage(`"x"`), json.RawMessage(`0`), json.RawMessage(`-1.5e3`), json.RawMessage(`true`), imagePayload}
+	str := func(r *rng.Source) string {
+		var s strings.Builder
+		for n := r.Intn(5); n > 0; n-- {
+			s.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		return s.String()
+	}
+	r := rng.New(31)
+	accepted := 0
+	for i := 0; i < 20000; i++ {
+		rec := walRecord{Op: opAccepted, ID: str(r)}
+		if r.Intn(16) == 0 {
+			rec.Op = allOps[r.Intn(len(allOps))]
+		}
+		if r.Intn(2) == 0 {
+			rec.Kind = str(r)
+		}
+		if r.Intn(2) == 0 {
+			rec.RequestID = str(r)
+		}
+		if r.Intn(3) == 0 {
+			rec.Tenant = str(r)
+		}
+		if r.Intn(2) == 0 {
+			rec.Retries = retries[r.Intn(len(retries))]
+		}
+		rec.Payload = payloads[r.Intn(len(payloads))]
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkAccepted(t, b) {
+			accepted++
+		}
+		b[r.Intn(len(b))] = alphabet[r.Intn(len(alphabet))][0]
+		checkAccepted(t, b)
+	}
+	if accepted < 1000 {
+		t.Fatalf("the property exercised only %d accepted records", accepted)
+	}
+}
+
+// FuzzRecoverMatchesReference appends fuzzed records through a journal
+// writer and holds Recover to referenceRecover on the log: the same jobs
+// (reflect.DeepEqual), the same ReplayStats, the same error text. The
+// input's records are separated by 0x1e, the separator of JSON text
+// sequences (RFC 7464), which no JSON text contains.
+func FuzzRecoverMatchesReference(f *testing.F) {
+	marshal := func(recs ...walRecord) []string {
+		out := make([]string, len(recs))
+		for i, rec := range recs {
+			b, err := json.Marshal(rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			out[i] = string(b)
+		}
+		return out
+	}
+	for _, recs := range [][]string{
+		// The image's shape: an acceptance closed, one left open.
+		marshal(walRecord{Op: opAccepted, ID: "j000001-0123456789ab", Kind: "simulate", RequestID: "r-0123456789ab", Retries: 2, Payload: imagePayload},
+			walRecord{Op: opSucceeded, ID: "j000001-0123456789ab"},
+			walRecord{Op: opAccepted, ID: "j000002-0123456789ab", Kind: "simulate", RequestID: "r-0123456789ac", Retries: 2, Payload: imagePayload}),
+		// A log with narration, every op and every optional field.
+		marshal(cannedJobsWAL()...),
+		// Escapes: <&> as json.Marshal writes it, and as the literal bytes.
+		marshal(walRecord{Op: opAccepted, ID: "<&>", Kind: "<&>"}, walRecord{Op: opCanceled, ID: "<&>"}),
+		{`{"op":"accepted","id":"<&>","tenant":"<"}`, `{"op":"started","id":"<&>"}`},
+		// Retry counts: zero, negative, a leading zero, past int64, the
+		// digit bound and one past it.
+		{`{"op":"accepted","id":"j1","retries":0}`},
+		{`{"op":"accepted","id":"j1","retries":-1}`},
+		{`{"op":"accepted","id":"j1","retries":01}`, `{"op":"accepted","id":"j2"}`},
+		{`{"op":"accepted","id":"j1","retries":9223372036854775808}`},
+		{`{"op":"accepted","id":"j1","retries":999999999999999999}`, `{"op":"accepted","id":"j2","retries":1000000000000000000}`},
+		// Payloads: null, padded with whitespace, invalid, empty.
+		{`{"op":"accepted","id":"j1","payload":null}`},
+		{`{"op":"accepted","id":"j1","payload": {"a":1}}`, `{"op":"accepted","id":"j2","payload":[1] }`, "{\"op\":\"accepted\",\"id\":\"j3\",\"payload\":\t\"x\"\n}"},
+		{`{"op":"accepted","id":"j0"}`, `{"op":"accepted","id":"j1","payload":{"a":}}`, `{"op":"succeeded","id":"j0"}`},
+		{`{"op":"accepted","id":"j1","payload":}`},
+		// Keys swapped, duplicated, and of another case.
+		{`{"op":"accepted","kind":"simulate","id":"j1"}`, `{"op":"accepted","id":"j2","tenant":"t","kind":"k"}`, `{"id":"j3","op":"accepted"}`},
+		{`{"op":"accepted","id":"j1","kind":"a","kind":"b"}`, `{"op":"accepted","id":"j1","id":"j2"}`, `{"op":"accepted","id":"j3","payload":1,"payload":2}`},
+		{`{"op":"accepted","id":"j1","Kind":"k","ID":"j2"}`},
+		// Truncated records.
+		{`{"op":"accepted","id":"j0"}`, `{"op":"accepted","id":"j1","kind":"simu`},
+		{`{"op":"accepted","id":"j1","payload":{"a":1}`},
+		{`{"op":"accepted","id":"j1"`, ``},
+		// Re-acceptance: after a restart, and after the terminal record.
+		{`{"op":"accepted","id":"j1","kind":"a"}`, `{"op":"accepted","id":"j1","kind":"b"}`, `{"op":"failed","id":"j1"}`, `{"op":"accepted","id":"j1","kind":"c"}`},
+	} {
+		f.Add([]byte(strings.Join(recs, "\x1e")))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs := bytes.Split(data, []byte{0x1e})
+		if len(recs) > 64 {
+			return // long logs add no shape, only time
+		}
+		dir := t.TempDir()
+		w, err := journal.Open(dir, journal.Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := w.Append(context.Background(), rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want, wantSt, wantErr := referenceRecover(dir)
+		got, gotSt, gotErr := Recover(context.Background(), dir)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, reference %v", gotErr, wantErr)
+		}
+		if gotSt != wantSt {
+			t.Fatalf("stats %+v, reference %+v", gotSt, wantSt)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Recover and the reference disagree\n got: %+v\nwant: %+v", got, want)
+		}
+	})
+}
+
 // walScript appends a random but legal job history to dir through raw
 // journal writers: accept / start / retry / finish / cancel interleaved
 // over a handful of jobs, split over `restarts`+1 writer generations,
@@ -254,11 +501,15 @@ func TestRecoverMatchesReference(t *testing.T) {
 
 // TestRecoverBadRecordFailsLoudly: a record that passed its CRC but does
 // not decode is version skew, and aborts recovery — whether it is not
-// JSON at all, JSON of the wrong type, or a near miss of the bare shape.
+// JSON at all, JSON of the wrong type, or a near miss of the bare or the
+// acceptance shape.
 func TestRecoverBadRecordFailsLoudly(t *testing.T) {
 	for _, bad := range []string{
 		"not json", `{"op":"accepted","id":"j1","retries":"x"}`, `{"op":"started","id":"j1"`, `{"op":"started","id":7}`,
 		`{"op":"started","id":"j1"}}`, "{\"op\":\"started\",\"id\":\"j\x01\"}",
+		`{"op":"accepted","id":"j1","retries":01}`, `{"op":"accepted","id":"j1","retries":9223372036854775808}`,
+		`{"op":"accepted","id":"j1","payload":{"a":}}`, `{"op":"accepted","id":"j1","payload":}`,
+		`{"op":"accepted","id":"j1","kind":"simulate"`, "{\"op\":\"accepted\",\"id\":\"j\x01\"}",
 	} {
 		dir := t.TempDir()
 		w := openJournal(t, dir)
@@ -308,25 +559,46 @@ func TestRecoverBareRecordsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestAcceptedRecordAllocatesOnlyItsCopies: an acceptance costs Recover
+// the copies it keeps — id, kind, request id and payload here — and no
+// decode.
+func TestAcceptedRecordAllocatesOnlyItsCopies(t *testing.T) {
+	b, err := json.Marshal(walRecord{Op: opAccepted, ID: "j000001-0123456789ab", Kind: "simulate",
+		RequestID: "r-0123456789ab", Retries: 2, Payload: imagePayload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := acceptedRecord(b); !ok {
+			t.Fatalf("declined %q", b)
+		}
+	}); n != 4 {
+		t.Fatalf("an image-shaped acceptance cost %.0f allocations, want 4", n)
+	}
+}
+
+// imagePayload is a 150-byte simulate request, the size of the
+// benchmark crash image's.
+var imagePayload = json.RawMessage(`{"workload":"minife","nodes":16,"iters":2,"mtbce_ns":500000000,"mode":"firmware-emca","seed":1,"reps":1,"pad":"` + strings.Repeat("x", 37) + `"}`)
+
 // imageShapedWAL writes a jobs WAL with the shape of the benchmark's
-// crash image: `finished` accepted/started/succeeded triples, then `open`
-// accepted-only jobs, every acceptance carrying a 150-byte simulate
-// payload.
-func imageShapedWAL(tb testing.TB, dir string, finished, open int) {
+// crash image: `finished` accepted/succeeded pairs — triples with a
+// started record between, as older daemons wrote them, when narrated —
+// then `open` accepted-only jobs, every acceptance carrying imagePayload.
+func imageShapedWAL(tb testing.TB, dir string, finished, open int, narrated bool) {
 	tb.Helper()
 	w, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	payload := json.RawMessage(fmt.Sprintf(`{"workload":"minife","nodes":16,"iters":2,"mtbce_ns":500000000,"mode":"firmware-emca","seed":1,"reps":1,"pad":"%s"}`, strings.Repeat("x", 37)))
-	if len(payload) != 150 {
-		tb.Fatalf("payload is %d bytes, want 150", len(payload))
-	}
 	for i := 0; i < finished+open; i++ {
 		id := fmt.Sprintf("j%06d-0123456789ab", i)
-		recs := []walRecord{{Op: opAccepted, ID: id, Kind: "simulate", RequestID: "r-0123456789ab", Payload: payload}}
+		recs := []walRecord{{Op: opAccepted, ID: id, Kind: "simulate", RequestID: "r-0123456789ab", Retries: 2, Payload: imagePayload}}
+		if i < finished && narrated {
+			recs = append(recs, walRecord{Op: opStarted, ID: id})
+		}
 		if i < finished {
-			recs = append(recs, walRecord{Op: opStarted, ID: id}, walRecord{Op: opSucceeded, ID: id})
+			recs = append(recs, walRecord{Op: opSucceeded, ID: id})
 		}
 		for _, rec := range recs {
 			b, err := json.Marshal(rec)
@@ -343,17 +615,26 @@ func imageShapedWAL(tb testing.TB, dir string, finished, open int) {
 	}
 }
 
-// BenchmarkRecover is jobs.Recover alone over the image-shaped WAL:
-// 12 064 records, 64 jobs recovered.
+// BenchmarkRecover is jobs.Recover alone over the image-shaped WAL, 64
+// jobs recovered: live is the log the queue writes, 8 064 records;
+// narrated is an older daemon's, 12 064.
 func BenchmarkRecover(b *testing.B) {
-	dir := b.TempDir()
-	imageShapedWAL(b, dir, 4000, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pending, st, err := Recover(context.Background(), dir)
-		if err != nil || len(pending) != 64 || st.Records != 3*4000+64 {
-			b.Fatalf("recover: %d pending, %+v, %v", len(pending), st, err)
-		}
+	for _, c := range []struct {
+		name     string
+		narrated bool
+		records  int
+	}{{"live", false, 2*4000 + 64}, {"narrated", true, 3*4000 + 64}} {
+		b.Run(c.name, func(b *testing.B) {
+			dir := b.TempDir()
+			imageShapedWAL(b, dir, 4000, 64, c.narrated)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pending, st, err := Recover(context.Background(), dir)
+				if err != nil || len(pending) != 64 || st.Records != c.records {
+					b.Fatalf("recover: %d pending, %+v, %v", len(pending), st, err)
+				}
+			}
+		})
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,6 +212,91 @@ func TestRecoverTwiceSameState(t *testing.T) {
 		if a[i].ID != b[i].ID {
 			t.Fatalf("replay order diverged at %d: %s vs %s", i, a[i].ID, b[i].ID)
 		}
+	}
+}
+
+// recordingAppender decodes and keeps every record appended through it.
+type recordingAppender struct {
+	mu   sync.Mutex
+	recs []walRecord
+}
+
+func (a *recordingAppender) Append(_ context.Context, b []byte) error {
+	var rec walRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.recs = append(a.recs, rec)
+	return nil
+}
+
+// TestJournalWritesAcceptedAndTerminalOnly: a journaled job costs two
+// records, its acceptance and its terminal one, in the order the queue
+// applied them — whether it succeeds after two retries, is cancelled
+// while queued, or fails.
+func TestJournalWritesAcceptedAndTerminalOnly(t *testing.T) {
+	var wal recordingAppender
+	q := New(Config{Workers: 1, Journal: &wal})
+	gate := make(chan struct{})
+	var calls atomic.Int32
+	flaky, err := q.SubmitSpec(Spec{Kind: "flaky", Retries: 2, BaseBackoff: time.Millisecond, Payload: json.RawMessage(`{"n":1}`)},
+		func(context.Context) (any, error) {
+			switch calls.Add(1) {
+			case 1:
+				<-gate
+				return nil, transientErr{}
+			case 2:
+				return nil, transientErr{}
+			}
+			return "ok", nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); q.Stats().Running == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the flaky job never started")
+		}
+	}
+	// The lone worker is busy, so this one waits in the queue.
+	queued, err := q.SubmitSpec(Spec{Kind: "queued", RequestID: "r-q"}, func(context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !q.Cancel(queued) {
+		t.Fatal("the queued job was not live")
+	}
+	doomed, err := q.SubmitSpec(Spec{Kind: "doomed", Tenant: "t"}, func(context.Context) (any, error) { return nil, errors.New("boom") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	if snap := waitTerminal(t, q, flaky); snap.State != Succeeded || snap.Attempts != 3 {
+		t.Fatalf("flaky job: %+v", snap)
+	}
+	if snap := waitTerminal(t, q, doomed); snap.State != Failed {
+		t.Fatalf("doomed job: %+v", snap)
+	}
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := []walRecord{
+		{Op: opAccepted, ID: flaky, Kind: "flaky", Retries: 2, Payload: json.RawMessage(`{"n":1}`)},
+		{Op: opAccepted, ID: queued, Kind: "queued", RequestID: "r-q"},
+		{Op: opCanceled, ID: queued},
+		{Op: opAccepted, ID: doomed, Kind: "doomed", Tenant: "t"},
+		{Op: opSucceeded, ID: flaky},
+		{Op: opFailed, ID: doomed},
+	}
+	wal.mu.Lock()
+	defer wal.mu.Unlock()
+	if !reflect.DeepEqual(wal.recs, want) {
+		t.Fatalf("journaled\n%+v\nwant\n%+v", wal.recs, want)
+	}
+	if st := q.Stats(); st.Retries != 2 || st.WALErrors != 0 {
+		t.Fatalf("queue stats: %+v", st)
 	}
 }
 

@@ -92,11 +92,11 @@ func copyDir(t *testing.T, from string) string {
 // TestQueueNotStalledByFsyncInFlight: while the journal's fsync is held
 // open, SubmitSpec, a worker's start and finish, Wait and Get all
 // complete, and a crash image taken at that moment recovers exactly the
-// one unfinished job. At the parent commit the append that reached
-// SyncEvery ran the fsync under the queue's lock, and every one of
-// these calls waited for it.
+// one unfinished job. Before the background committer, the append that
+// reached SyncEvery ran the fsync under the queue's lock, and every one
+// of these calls waited for it.
 func TestQueueNotStalledByFsyncInFlight(t *testing.T) {
-	const every = 8
+	const every = 7
 	dir := t.TempDir()
 	entered, release := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int32
@@ -109,36 +109,38 @@ func TestQueueNotStalledByFsyncInFlight(t *testing.T) {
 	})
 	q := jobs.New(jobs.Config{Workers: 1, Journal: w})
 
-	runJob(t, q, "first")  // records 1-3
-	runJob(t, q, "second") // records 4-6
-	// The third job's start is the 8th record: it hands the batch to the
-	// committer, whose fsync now stays open. The job finishes all the same.
-	third := runJob(t, q, "third")
+	runJob(t, q, "first")  // records 1-2: accepted, succeeded
+	runJob(t, q, "second") // records 3-4
+	runJob(t, q, "third")  // records 5-6
+	// The fourth job's acceptance is the 7th record: it hands the batch to
+	// the committer, whose fsync now stays open. The job starts and
+	// finishes all the same.
+	fourth := runJob(t, q, "fourth")
 	select {
 	case <-entered:
 	case <-time.After(patience):
 		t.Fatal("the committer's fsync never began")
 	}
 	got := make(chan jobs.Snapshot, 1)
-	go func() { snap, _ := q.Get(third); got <- snap }()
+	go func() { snap, _ := q.Get(fourth); got <- snap }()
 	select {
 	case snap := <-got:
 		if snap.State != jobs.Succeeded {
-			t.Fatalf("Get(third) = %+v", snap)
+			t.Fatalf("Get(fourth) = %+v", snap)
 		}
 	case <-time.After(patience):
 		t.Fatal("Get waited for the fsync")
 	}
-	runJob(t, q, "fourth") // records 10-12, still below the bound of 15
+	runJob(t, q, "fifth") // records 9-10, still below the bound of 13
 
-	// A job that is accepted and started but not finished (records 13, 14).
+	// A job that is accepted and started but not finished (record 11).
 	park, running := make(chan struct{}), make(chan struct{})
-	fifth, err := q.SubmitSpec(jobs.Spec{Kind: "parked", Payload: json.RawMessage(`"fifth"`)},
+	sixth, err := q.SubmitSpec(jobs.Spec{Kind: "parked", Payload: json.RawMessage(`"sixth"`)},
 		func(ctx context.Context) (any, error) {
 			close(running)
 			select {
 			case <-park:
-				return "fifth", nil
+				return "sixth", nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -149,27 +151,27 @@ func TestQueueNotStalledByFsyncInFlight(t *testing.T) {
 	select {
 	case <-running:
 	case <-time.After(patience):
-		t.Fatal("the fifth job never started")
+		t.Fatal("the sixth job never started")
 	}
-	if st := w.Stats(); st.Appends != 14 || st.Syncs != 0 {
+	if st := w.Stats(); st.Appends != 11 || st.Syncs != 0 {
 		t.Fatalf("journal with the fsync still in flight: %+v", st)
 	}
 
 	// SIGKILL now: nothing Append returned for is lost, fsynced or not.
 	pending, rst, err := jobs.Recover(context.Background(), copyDir(t, dir))
-	if err != nil || rst.Records != 14 || rst.TornTail || rst.Quarantined != 0 {
+	if err != nil || rst.Records != 11 || rst.TornTail || rst.Quarantined != 0 {
 		t.Fatalf("recover over the crash image: %+v, %v", rst, err)
 	}
-	if len(pending) != 1 || pending[0].ID != fifth || pending[0].Spec.Kind != "parked" || string(pending[0].Spec.Payload) != `"fifth"` {
-		t.Fatalf("pending set %+v, want only %s", pending, fifth)
+	if len(pending) != 1 || pending[0].ID != sixth || pending[0].Spec.Kind != "parked" || string(pending[0].Spec.Payload) != `"sixth"` {
+		t.Fatalf("pending set %+v, want only %s", pending, sixth)
 	}
 
 	close(release)
 	close(park)
 	ctx, cancel := context.WithTimeout(context.Background(), patience)
 	defer cancel()
-	if snap, _, err := q.Wait(ctx, fifth); err != nil || snap.State != jobs.Succeeded {
-		t.Fatalf("fifth job: %+v, %v", snap, err)
+	if snap, _, err := q.Wait(ctx, sixth); err != nil || snap.State != jobs.Succeeded {
+		t.Fatalf("sixth job: %+v, %v", snap, err)
 	}
 	if err := q.Drain(ctx); err != nil {
 		t.Fatal(err)
@@ -177,11 +179,11 @@ func TestQueueNotStalledByFsyncInFlight(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := q.Stats(); st.WALErrors != 0 || st.Succeeded != 5 {
+	if st := q.Stats(); st.WALErrors != 0 || st.Succeeded != 6 {
 		t.Fatalf("queue stats: %+v", st)
 	}
 	pending, rst, err = jobs.Recover(context.Background(), dir)
-	if err != nil || len(pending) != 0 || rst.Records != 15 {
+	if err != nil || len(pending) != 0 || rst.Records != 12 {
 		t.Fatalf("recover after a clean close: %d pending, %+v, %v", len(pending), rst, err)
 	}
 }
@@ -192,14 +194,14 @@ func TestQueueNotStalledByFsyncInFlight(t *testing.T) {
 func TestFsyncErrorReachesJobsAsOneWALError(t *testing.T) {
 	errDisk := errors.New("disk gone")
 	var calls atomic.Int32
-	w := openWAL(t, t.TempDir(), 3, func(f *os.File) error {
+	w := openWAL(t, t.TempDir(), 2, func(f *os.File) error {
 		if calls.Add(1) == 1 {
 			return errDisk
 		}
 		return f.Sync()
 	})
 	q := jobs.New(jobs.Config{Workers: 1, Journal: w})
-	runJob(t, q, "first") // its third record starts the commit that fails
+	runJob(t, q, "first") // its second record, the terminal one, starts the commit that fails
 	w.WaitCommitter()
 	if st := q.Stats(); st.WALErrors != 0 {
 		t.Fatalf("wal_errors before anyone was told: %+v", st)
@@ -217,7 +219,7 @@ func TestFsyncErrorReachesJobsAsOneWALError(t *testing.T) {
 	if st := q.Stats(); st.WALErrors != 1 || st.Succeeded != 3 {
 		t.Fatalf("queue stats: %+v", st)
 	}
-	if st := w.Stats(); st.SyncErrors != 1 || st.AppendErrors != 1 || st.Appends != 9 {
+	if st := w.Stats(); st.SyncErrors != 1 || st.AppendErrors != 1 || st.Appends != 6 {
 		t.Fatalf("journal stats: %+v", st)
 	}
 }
