@@ -106,7 +106,7 @@ faultmix-smoke:
 #   go test -run TestEngineGolden ./internal/core/ -update-engine-golden
 #   go test -run TestSurfaceGolden ./internal/core/ -update-surface-golden
 engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
+	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -94,7 +94,9 @@ func BenchmarkRepeatedRuns(b *testing.B) {
 // handful of the benchmark's simulate_cold configurations (a faces and
 // a full stencil, the cube-constrained workload, a 4D grid, 128-512
 // nodes). Like BenchmarkRepeatedRuns it is for measuring while working;
-// claims come from `go run ./bench`.
+// claims come from `go run ./bench`. state-B is the four baselines' run
+// states together, the part of an experiment's cache price the engine
+// sizes.
 func BenchmarkColdExperiment(b *testing.B) {
 	configs := []ExperimentConfig{
 		{Workload: "minife", Nodes: 128, Iterations: 20, TraceSeed: 1},
@@ -106,7 +108,9 @@ func BenchmarkColdExperiment(b *testing.B) {
 		MTBCE: 200 * nsPerMs, PerEvent: noise.Fixed(775 * 1000), Target: noise.AllNodes, Seed: 1,
 	}
 	b.ReportAllocs()
+	var state int64
 	for i := 0; i < b.N; i++ {
+		state = 0
 		for _, cfg := range configs {
 			exp, err := NewExperiment(cfg)
 			if err != nil {
@@ -115,6 +119,10 @@ func BenchmarkColdExperiment(b *testing.B) {
 			if _, err := exp.Run(sc); err != nil {
 				b.Fatal(err)
 			}
+			sim := exp.acquireSim()
+			state += sim.SizeBytes()
+			exp.releaseSim(sim)
 		}
 	}
+	b.ReportMetric(float64(state), "state-B")
 }

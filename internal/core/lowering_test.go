@@ -112,8 +112,8 @@ func allocated(fn func()) int64 {
 // the program and the baseline's run state, whose event queue is sized
 // from the program's slot counts and holds its peak population, not a
 // biggest-burst slab per bucket (PR 22) — and the rank-long generation
-// buffer and the builder's stream buffer on top: it measures 1.105 x
-// kept (1 474 KiB built for 1 334 kept) and the budget is 1.15 x. With
+// buffer and the builder's stream buffer on top: it measures 1.108 x
+// kept (1 452 KiB built for 1 310 kept) and the budget is 1.15 x. With
 // per-bucket queue storage the same build measured 1.24 x (2 951 for
 // 2 374: the buckets the first run outgrew were half a run state of
 // garbage), a whole generated trace held at any point adds 1.0 x and a

@@ -22,6 +22,7 @@ import (
 // of the workloads are collective-heavy, lammps-lj has no collective at
 // all. A measure-while-you-work benchmark: run it with a fixed
 // iteration count (-benchtime 20x -count 5) and read the minimum.
+// state-B is the run state's size after the last repetition.
 func BenchmarkPerturbedRun(b *testing.B) {
 	for _, wl := range []string{"minife", "hpcg", "lulesh", "lammps-lj"} {
 		for _, nodes := range []int{128, 512} {
@@ -68,6 +69,7 @@ func BenchmarkPerturbedRun(b *testing.B) {
 							b.Fatalf("perturbed makespan %d below the baseline's %d", res.Perturbed.Makespan, e.baseline.Makespan)
 						}
 					}
+					b.ReportMetric(float64(sim.SizeBytes()), "state-B")
 				})
 			}
 		}

@@ -198,6 +198,13 @@ var fuzzSeeds = map[string]string{
 	"everything": "\x04\x7d\x2b" + "\x06\x03\x07" + "\x00\x0b\x1e" + "\x03\x02\x33" + "\x00\x13\x0f" + "\x06\x00\x00" + "\x01\x04\x36" + "\x05\x00\x01" +
 		"\x06\x09\x05" + "\x02\x1a\x4c" + "\x04\x03\x00" + "\x07\x06\x06" + "\x00\x21\x07" + "\x06\x01\x03" + "\x03\x04\xff" + "\x06\x05\x07",
 	"noise-every-nth": "\x02\x25\x83" + "\x03\x00\xf0" + "\x06\x03\x03" + "\x00\x00\x0e" + "\x03\x01\xc8" + "\x06\x04\x01" + "\x00\x0a\x16" + "\x06\x00\x00",
+	// Four ranks: rank 1 waits for a late eager message from rank 2 while
+	// rank 0's 70 000-byte Isend to it waits in its unexpected list; rank
+	// 3's blocking rendezvous send to rank 0 lands and releases its
+	// record, rank 0 answers with an eager message, and rank 3's next
+	// rendezvous send takes the released index (TestNoRecordRetention
+	// checks it does).
+	"reuse-beside-unexpected": "\x02\x00\x00" + "\x03\x02\xff" + "\x00\x12\x03" + "\x00\x00\x0f" + "\x00\x03\x07" + "\x00\x10\x03" + "\x00\x03\x07",
 }
 
 func FuzzEngineMatchesReference(f *testing.F) {

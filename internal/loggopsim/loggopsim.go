@@ -195,15 +195,19 @@ type rankState struct {
 // fresh Simulate call with the same trace, configuration and noise
 // model.
 type Simulator struct {
-	p      *Program
-	nic    []int64 // per-node NIC-free time
-	noise  noise.Model
-	ranks  []rankState
-	msgs   []rdvMsg
-	q      *eventq.Queue
-	res    Result
-	active int      // ranks not yet finished
-	prof   *Profile // nil unless profiling
+	p     *Program
+	nic   []int64 // per-node NIC-free time
+	noise noise.Model
+	ranks []rankState
+	// msgs holds the rendezvous handshakes in flight, and freeMsgs the
+	// indices of its released records, which startRdv takes first: msgs
+	// is as long as the most handshakes a run had in flight at once.
+	msgs     []rdvMsg
+	freeMsgs []int32
+	q        *eventq.Queue
+	res      Result
+	active   int      // ranks not yet finished
+	prof     *Profile // nil unless profiling
 	// profRank accumulates the per-rank time decomposition in one
 	// cache-friendly struct per rank; finishResult materializes it
 	// into the Profile's per-rank slices and totals.
@@ -225,8 +229,10 @@ type rankProf struct {
 }
 
 // NewSimulator allocates the state for one run of the program at a
-// time, at the sizes the program counted while it was lowered: msgs
-// never grows, and each rank's slot table and posted list are windows
+// time, at the sizes the program counted while it was lowered: msgs and
+// its free list hold the program's handshakes (on every workload the
+// most a run has in flight; a run whose timing needs more grows them),
+// and each rank's slot table and posted list are windows
 // of one slab, as long as the rank's high-water mark (a trace whose
 // Waits name no outstanding request can exceed it; the window's
 // capacity stops at its end, so such a rank moves to an allocation of
@@ -247,7 +253,8 @@ func (p *Program) NewSimulator() *Simulator {
 		p:         p,
 		nic:       make([]int64, p.nodes),
 		ranks:     make([]rankState, n),
-		msgs:      make([]rdvMsg, 0, p.rdvSends),
+		msgs:      make([]rdvMsg, 0, p.handshakes),
+		freeMsgs:  make([]int32, 0, p.handshakes),
 		q:         eventq.New(total / 2),
 		nextNoise: make([]int64, n),
 	}
@@ -268,12 +275,12 @@ func (p *Program) NewSimulator() *Simulator {
 // SizeBytes is the memory the run state holds on to between runs —
 // capacities, not lengths, since reset keeps every one: the event
 // queue, the per-rank state with each rank's slot, posted and
-// unexpected tables, the rendezvous messages, and the NIC, noise and
-// profile arrays.
+// unexpected tables, the rendezvous records and their free list, and
+// the NIC, noise and profile arrays.
 func (s *Simulator) SizeBytes() int64 {
 	size := s.q.SizeBytes() +
 		int64(cap(s.ranks))*int64(unsafe.Sizeof(rankState{})) +
-		int64(cap(s.msgs))*int64(unsafe.Sizeof(rdvMsg{})) +
+		int64(cap(s.msgs))*int64(unsafe.Sizeof(rdvMsg{})) + int64(cap(s.freeMsgs))*4 +
 		int64(cap(s.nic)+cap(s.nextNoise))*8 +
 		int64(cap(s.profRank))*int64(unsafe.Sizeof(rankProf{}))
 	for r := range s.ranks {
@@ -313,7 +320,10 @@ func (s *Simulator) reset(nm noise.Model) {
 	for i := range s.nic {
 		s.nic[i] = 0
 	}
-	s.msgs = s.msgs[:0]
+	// A complete run released and zeroed every record; one cut short
+	// leaves some in flight.
+	clear(s.msgs)
+	s.msgs, s.freeMsgs = s.msgs[:0], s.freeMsgs[:0]
 	for r := range s.ranks {
 		st := &s.ranks[r]
 		st.pc, st.ret, st.seg, st.tagBase, st.reqBase = 0, 0, -1, 0, 0

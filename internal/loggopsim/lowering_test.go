@@ -99,9 +99,9 @@ func TestStreamedLoweringMatchesStaged(t *testing.T) {
 						t.Fatalf("%s/%d/%s: rank %d flattens to %d ops, staged has %d, or they differ", wl, nodes, algo, r, len(got), len(want))
 					}
 				}
-				if streamed.rdvSends != staged.rdvSends || !reflect.DeepEqual(streamed.slots, staged.slots) {
-					t.Fatalf("%s/%d/%s: streamed counts %d rendezvous sends and slots %v, staged %d and %v",
-						wl, nodes, algo, streamed.rdvSends, streamed.slots, staged.rdvSends, staged.slots)
+				if streamed.handshakes != staged.handshakes || !reflect.DeepEqual(streamed.slots, staged.slots) {
+					t.Fatalf("%s/%d/%s: streamed counts %d handshakes and slots %v, staged %d and %v",
+						wl, nodes, algo, streamed.handshakes, streamed.slots, staged.handshakes, staged.slots)
 				}
 			}
 		}

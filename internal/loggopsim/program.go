@@ -79,14 +79,15 @@ type Program struct {
 	segs  [][]cop // compiled collective schedules, each entered from one rank's stream
 	costs []cost  // send costs, deduplicated by value
 	// Counted while lowering, so a Simulator is allocated at the size
-	// its first run reaches instead of growing into it: rdvSends is the
-	// number of rendezvous sends (a complete run registers exactly that
-	// many rdvMsgs), slots[r] the most requests rank r ever has
+	// its first run reaches instead of growing into it: handshakes sums
+	// over ranks the most rendezvous sends a rank ever has outstanding at
+	// once (the rendezvous handshakes a run has in flight at its peak, on
+	// every workload), slots[r] the most requests rank r ever has
 	// outstanding at once (its slot table's high-water mark, and a bound
 	// on its posted-receive list). Both count a segment once per
 	// reference to it.
-	rdvSends int
-	slots    []int32
+	handshakes int
+	slots      []int32
 }
 
 // Compile validates cfg and lowers the trace into a Program: a Builder
@@ -119,32 +120,64 @@ type Builder struct {
 	// The rank being lowered: its stream so far; its segments' ops end
 	// to end, with where each ends and what one run of it does to the
 	// counts (all four buffers reused from rank to rank; schedule number
-	// n is segment firstSeg+n); and its outstanding requests now and at
-	// their peak (see effect).
+	// n is segment firstSeg+n); its outstanding requests and rendezvous
+	// sends, each now and at its peak (see effect); and the request ids
+	// of the rendezvous sends outstanding in its stream and in the
+	// segment being lowered, so a Wait naming one releases it.
 	stream, segOps []cop
 	segEnds        []int
 	effects        []effect
 	firstSeg       int
-	live, peak     int64
+	slots, rdv     tally
+	streamRdv      []int32
+	segRdv         []int32
 }
 
 // effect is what running a stretch of ops does to the two counts a
 // Program keeps. Outstanding requests follow a run's slot table: a
 // nonblocking op takes a slot, a Wait frees one (never below none), a
-// WaitAll frees all, a blocking receive holds one while it waits. From
-// live requests before the stretch there are max(live+shift, floor)
-// after it, and the peak inside it is max(live+peakShift, peakFloor) —
-// a form closed under appending an op, so a segment's effect is computed
-// once and applied per reference.
+// WaitAll frees all, a blocking receive holds one while it waits.
+// Outstanding rendezvous sends are the nonblocking ones a Wait naming
+// them or a WaitAll has not yet released, and a blocking one while it
+// waits for its clear-to-send.
 type effect struct {
-	rdvSends             int
+	slots, rdv count
+}
+
+// count is a stretch's effect on one count of live things: from live
+// before the stretch there are max(live+shift, floor) after it, and the
+// peak inside it is max(live+peakShift, peakFloor) — a form closed under
+// appending an op, so a segment's effect is computed once and applied
+// per reference.
+type count struct {
 	shift, floor         int64
 	peakShift, peakFloor int64
 }
 
-// never stands for minus infinity in an effect: no count of live
-// requests added to it reaches zero.
+// never stands for minus infinity in a count: no number of live things
+// added to it reaches zero.
 const never = math.MinInt64 / 2
+
+func (c *count) take() {
+	c.shift, c.floor = c.shift+1, c.floor+1
+	c.peakShift, c.peakFloor = max(c.peakShift, c.shift), max(c.peakFloor, c.floor)
+}
+
+func (c *count) hold() {
+	c.peakShift, c.peakFloor = max(c.peakShift, c.shift+1), max(c.peakFloor, c.floor+1)
+}
+
+func (c *count) release() { c.shift, c.floor = c.shift-1, max(c.floor-1, 0) }
+
+func (c *count) releaseAll() { c.shift, c.floor = never, 0 }
+
+// tally is one of the started rank's counts, now and at its peak.
+type tally struct{ live, peak int64 }
+
+func (t *tally) apply(c count) {
+	t.peak = max(t.peak, t.live+c.peakShift, c.peakFloor)
+	t.live = max(t.live+c.shift, c.floor)
+}
 
 // NewBuilder validates cfg and starts a Program of the given rank count.
 func NewBuilder(ranks int, cfg Config) (*Builder, error) {
@@ -212,14 +245,15 @@ func (b *Builder) finishRank() {
 		lo = hi
 	}
 	p.code[r] = ops[lo:]
-	p.slots[r] = int32(b.peak)
+	p.slots[r] = int32(b.slots.peak)
+	p.handshakes += int(b.rdv.peak)
 	if r == 0 {
 		// Every rank runs the collectives rank 0 ran, so it will have as
 		// many schedules.
 		p.segs = slices.Grow(p.segs, len(p.segs)*(len(p.code)-1))
 	}
 	b.stream, b.segOps, b.segEnds, b.effects, b.firstSeg = b.stream[:0], b.segOps[:0], b.segEnds[:0], b.effects[:0], len(p.segs)
-	b.live, b.peak = 0, 0
+	b.slots, b.rdv, b.streamRdv = tally{}, tally{}, b.streamRdv[:0]
 }
 
 // AddRank lowers rank r's collective-free ops into compiled ops (see
@@ -237,7 +271,7 @@ func (b *Builder) AddRank(r int, ops []trace.Op) error {
 // end of its stream. ops is read, never kept.
 func (b *Builder) Ops(ops []trace.Op) {
 	var fx effect
-	b.stream, fx = b.lower(slices.Grow(b.stream, len(ops)), ops)
+	b.stream, fx = b.lower(slices.Grow(b.stream, len(ops)), ops, &b.streamRdv)
 	b.apply(fx)
 }
 
@@ -249,7 +283,8 @@ func (b *Builder) Collective(sched int, ops []trace.Op, tag, req int32) {
 	seg := b.firstSeg + sched
 	if seg == len(b.p.segs) {
 		var fx effect
-		b.segOps, fx = b.lower(slices.Grow(b.segOps, len(ops)), ops)
+		b.segRdv = b.segRdv[:0]
+		b.segOps, fx = b.lower(slices.Grow(b.segOps, len(ops)), ops, &b.segRdv)
 		b.segEnds, b.effects = append(b.segEnds, len(b.segOps)), append(b.effects, fx)
 		b.p.segs = append(b.p.segs, nil) // cut from the rank's allocation by finishRank
 	}
@@ -259,17 +294,17 @@ func (b *Builder) Collective(sched int, ops []trace.Op, tag, req int32) {
 
 // apply composes a stretch's effect onto the started rank's counts.
 func (b *Builder) apply(fx effect) {
-	b.p.rdvSends += fx.rdvSends
-	b.peak = max(b.peak, b.live+fx.peakShift, fx.peakFloor)
-	b.live = max(b.live+fx.shift, fx.floor)
+	b.slots.apply(fx.slots)
+	b.rdv.apply(fx.rdv)
 }
 
 // lower appends the compiled form of the started rank's ops to dst —
 // the one lowering, for stream and segment alike — and returns it with
-// the stretch's effect.
-func (b *Builder) lower(dst []cop, ops []trace.Op) ([]cop, effect) {
+// the stretch's effect. rdvReqs holds the request ids of the frame's
+// outstanding nonblocking rendezvous sends, kept up to date.
+func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, effect) {
 	p, r := b.p, int32(b.next-1)
-	fx := effect{peakShift: never}
+	fx := effect{slots: count{peakShift: never}, rdv: count{peakShift: never}}
 	for i := range ops {
 		op := &ops[i]
 		c := cop{peer: op.Peer, tag: op.Tag, req: op.Req}
@@ -294,8 +329,11 @@ func (b *Builder) lower(dst []cop, ops []trace.Op) ([]cop, effect) {
 				c.kind = cRdvSend
 				if op.Kind == trace.OpIsend {
 					c.kind = cRdvIsend
+					fx.rdv.take()
+					*rdvReqs = append(*rdvReqs, op.Req)
+				} else {
+					fx.rdv.hold()
 				}
-				fx.rdvSends++
 			}
 			at, ok := b.costIndex[k]
 			if !ok {
@@ -306,21 +344,26 @@ func (b *Builder) lower(dst []cop, ops []trace.Op) ([]cop, effect) {
 			c.arg = at
 		case trace.OpRecv:
 			c.kind, c.arg = cRecv, op.Size
-			fx.peakShift, fx.peakFloor = max(fx.peakShift, fx.shift+1), max(fx.peakFloor, fx.floor+1)
+			fx.slots.hold()
 		case trace.OpIrecv:
 			c.kind, c.arg = cIrecv, op.Size
 		case trace.OpWait:
 			c.kind = cWait
-			fx.shift, fx.floor = fx.shift-1, max(fx.floor-1, 0)
+			fx.slots.release()
+			if k := slices.Index(*rdvReqs, op.Req); k >= 0 {
+				*rdvReqs = slices.Delete(*rdvReqs, k, k+1)
+				fx.rdv.release()
+			}
 		case trace.OpWaitAll:
 			c.kind = cWaitAll
-			fx.shift, fx.floor = never, 0
+			fx.slots.releaseAll()
+			fx.rdv.releaseAll()
+			*rdvReqs = (*rdvReqs)[:0]
 		default:
 			c.kind = cBad
 		}
 		if op.Kind == trace.OpIsend || op.Kind == trace.OpIrecv {
-			fx.shift, fx.floor = fx.shift+1, fx.floor+1
-			fx.peakShift, fx.peakFloor = max(fx.peakShift, fx.shift), max(fx.peakFloor, fx.floor)
+			fx.slots.take()
 		}
 		dst = append(dst, c)
 	}

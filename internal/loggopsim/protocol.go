@@ -11,29 +11,30 @@ import (
 	"repro/internal/trace"
 )
 
-// rdvMsg tracks a rendezvous message through its handshake.
+// rdvMsg tracks a rendezvous message through its handshake, from
+// startRdv, which takes it, to dataArrive, which zeroes and releases it.
 type rdvMsg struct {
-	src, dst  int32
-	tag       int32
-	size      int64
-	srcReq    int32 // sender's request id, or -1 for a blocking send
-	dstSlot   int32 // receiver's slot index once matched, or -1
-	rtsATime  int64 // RTS arrival time at receiver
-	dataATime int64 // payload arrival time at receiver
+	src, dst int32
+	tag      int32
+	size     int64
+	srcReq   int32 // sender's request id, or -1 for a blocking send
+	dstSlot  int32 // receiver's slot index once matched, or -1
+	rtsATime int64 // RTS arrival time at receiver
 }
 
-// slot is a posted receive or an outstanding send request on one rank.
+// slot is a posted receive or an outstanding send request on one rank,
+// its fields widest first so it packs into 40 bytes.
 type slot struct {
+	size    int64
+	ready   int64 // time the slot became done
+	posted  int64 // logical time the receive was posted
 	req     int32 // request id; -1 for a blocking recv
 	peer    int32 // expected source (AnySource allowed) or send peer
 	tag     int32
-	size    int64
 	isRecv  bool
-	done    bool  // data ready (recv) or buffer released (send)
-	claimed bool  // recv slot matched to an in-flight rendezvous payload
-	ready   int64 // time the slot became done
-	posted  int64 // logical time the receive was posted
-	active  bool  // still occupied
+	done    bool // data ready (recv) or buffer released (send)
+	claimed bool // recv slot matched to an in-flight rendezvous payload
+	active  bool // still occupied
 }
 
 // unexp is an arrived-but-unmatched message (eager payload or RTS).
@@ -117,12 +118,21 @@ func (s *Simulator) eagerSend(r int32, st *rankState, op *cop, c *cost) {
 
 // startRdv pays the rendezvous send overhead, registers the message and
 // schedules its RTS arrival; srcReq is the sender's request id, -1 for
-// a blocking send.
+// a blocking send. The message takes the most recently released record,
+// and a new one only when every record is in flight.
 func (s *Simulator) startRdv(r int32, st *rankState, op *cop, c *cost, srcReq int32) int32 {
 	cpuEnd := s.extend(r, st.clock, c.dur)
 	st.clock = cpuEnd
-	idx := int32(len(s.msgs))
-	s.msgs = append(s.msgs, rdvMsg{src: r, dst: op.peer, tag: op.tag + st.tagBase, size: c.size, srcReq: srcReq, dstSlot: -1})
+	m := rdvMsg{src: r, dst: op.peer, tag: op.tag + st.tagBase, size: c.size, srcReq: srcReq, dstSlot: -1}
+	var idx int32
+	if n := len(s.freeMsgs); n > 0 {
+		idx = s.freeMsgs[n-1]
+		s.freeMsgs = s.freeMsgs[:n-1]
+		s.msgs[idx] = m
+	} else {
+		idx = int32(len(s.msgs))
+		s.msgs = append(s.msgs, m)
+	}
 	s.q.Push(eventq.Event{Time: cpuEnd + c.transit, Kind: evRTSArrive, Rank: op.peer, A: idx})
 	return idx
 }
@@ -407,10 +417,13 @@ func (s *Simulator) ctsArrive(msgIdx int32, arr int64) {
 	}
 }
 
-// dataArrive delivers a rendezvous payload.
+// dataArrive delivers a rendezvous payload. It is the message's last
+// reader: the record is copied out, zeroed and released before anyone
+// resumes, so a send the resumed rank starts can take it.
 func (s *Simulator) dataArrive(msgIdx int32, arr int64) {
-	m := &s.msgs[msgIdx]
-	m.dataATime = arr
+	m := s.msgs[msgIdx]
+	s.msgs[msgIdx] = rdvMsg{}
+	s.freeMsgs = append(s.freeMsgs, msgIdx)
 	st := &s.ranks[m.dst]
 	s.res.Messages++
 	s.res.BytesMoved += m.size
