@@ -21,7 +21,7 @@ import (
 	"repro/internal/simcache"
 )
 
-// buildCesim builds the real binary, as cmd/cesweep's test does.
+// buildCesim builds the real binary, as cmd/reproduce's test does.
 func buildCesim(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "cesim")

@@ -10,11 +10,13 @@ import (
 	"testing"
 )
 
-// TestUnknownOnlyRejectedUpFront builds the real binary and requires an
-// -only id that names no figure or study to fail with one "reproduce: "
-// line naming it, exit status 1, nothing on stdout and no output
-// directory — a typo must not silently drop an artifact.
-func TestUnknownOnlyRejectedUpFront(t *testing.T) {
+// TestBadInvocationRejectedUpFront builds the real binary and requires
+// every bad invocation — a malformed spec, or an -only id that names no
+// artifact — to fail with one "reproduce: " line naming the bad value,
+// exit status 1, nothing on stdout and no output directory, before any
+// simulation starts: a typo must not silently drop an artifact, nor
+// start minutes of work the spec then fails.
+func TestBadInvocationRejectedUpFront(t *testing.T) {
 	tmp := t.TempDir()
 	bin := filepath.Join(tmp, "reproduce")
 	build := exec.Command("go", "build", "-o", bin, ".")
@@ -22,25 +24,42 @@ func TestUnknownOnlyRejectedUpFront(t *testing.T) {
 	if err := build.Run(); err != nil {
 		t.Fatalf("build reproduce: %v", err)
 	}
-	for _, id := range []string{"10", "fig5"} {
-		out := filepath.Join(tmp, "out-"+id)
-		cmd := exec.Command(bin, "-out", out, "-only", id)
+	for i, tc := range []struct {
+		args []string
+		// mention lists what the error line must contain besides the
+		// "reproduce: " prefix.
+		mention []string
+	}{
+		{[]string{"-scale", "bogus"}, []string{`"bogus"`, "reduced", "paper"}},
+		{[]string{"-workloads", "doom"}, []string{`"doom"`}},
+		{[]string{"-workloads", "minife,minife"}, []string{`"minife"`, "twice"}},
+		{[]string{"-nodes", "1"}, []string{"nodes"}},
+		{[]string{"-only", "10"}, []string{`"10"`, "surface", "ablation-noise-seeds"}},
+		{[]string{"-only", "fig5"}, []string{`"fig5"`, "surface", "ablation-noise-seeds"}},
+	} {
+		out := filepath.Join(tmp, "out", string(rune('a'+i)))
+		cmd := exec.Command(bin, append([]string{"-out", out}, tc.args...)...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("-only %s: err = %v, want exit status 1", id, err)
+			t.Fatalf("%v: err = %v, want exit status 1", tc.args, err)
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("-only %s wrote output before failing: %q", id, stdout.String())
+			t.Errorf("%v wrote output before failing: %q", tc.args, stdout.String())
 		}
-		if msg := stderr.String(); !strings.HasPrefix(msg, "reproduce: ") || strings.Count(msg, "\n") != 1 ||
-			!strings.Contains(msg, `"`+id+`"`) || !strings.Contains(msg, "ablation-noise-seeds") {
-			t.Errorf("-only %s: stderr %q is not one line naming the bad id and the accepted ones", id, msg)
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "reproduce: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stderr %q is not one reproduce: line", tc.args, msg)
+		}
+		for _, m := range tc.mention {
+			if !strings.Contains(msg, m) {
+				t.Errorf("%v: stderr %q does not mention %s", tc.args, msg, m)
+			}
 		}
 		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("-only %s: output directory exists (stat err = %v)", id, err)
+			t.Errorf("%v: output directory exists (stat err = %v)", tc.args, err)
 		}
 	}
 }

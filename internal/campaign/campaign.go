@@ -1,7 +1,8 @@
 // Package campaign is the one regenerator of the paper's evaluation:
-// every table, figure and scale or ablation study written into an
-// output directory as aligned text and CSV (figures also as JSON), with
-// a manifest of row counts and wall times. cmd/reproduce wraps it.
+// every table, figure, overhead surface and scale or ablation study
+// written into an output directory as aligned text and CSV (figures and
+// surfaces also as JSON), with a manifest of row counts and wall times.
+// cmd/reproduce wraps it.
 package campaign
 
 import (
@@ -16,10 +17,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/tracegen"
 )
 
 // FigureRunner produces one sweep figure (ids "3".."9"). The default
-// runs the in-process core driver; `cesweep -cluster` installs a
+// runs the in-process core driver; `reproduce -cluster` installs a
 // cluster.Client instead, so the sweep executes on a worker fleet
 // while the artifact-writing path below stays exactly the same — which
 // is what makes distributed output directories byte-comparable to
@@ -32,11 +34,12 @@ type FigureRunner interface {
 type Config struct {
 	// OutDir receives all artifacts; created if missing.
 	OutDir string
-	// Options are passed to every figure driver.
+	// Options are passed to every figure driver and surface.
 	Options core.Options
-	// Only restricts the run to these figure ids ("2".."9") and study
-	// names; empty means everything, an unknown id fails the run before
-	// anything is written. Table II is always produced (it is free).
+	// Only restricts the run to these figure ids ("2".."9"), "surface"
+	// and study names; empty means everything, an unknown id fails the
+	// run before anything is written. Table II is always produced (it is
+	// free).
 	Only []string
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
@@ -44,8 +47,8 @@ type Config struct {
 	// (injectable for deterministic tests).
 	Now func() time.Time
 	// Runner executes the sweep figures ("3".."9"); nil runs the
-	// in-process drivers. Figure 2 and the studies always run locally:
-	// they are fixed runs, not sweeps.
+	// in-process drivers. Figure 2, the surfaces and the studies always
+	// run locally: they are fixed runs, not sweeps.
 	Runner FigureRunner
 }
 
@@ -65,16 +68,11 @@ type Result struct {
 	Manifest *report.Table
 }
 
-// Run executes the campaign. It is RunContext with a background
-// context, kept for existing callers.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
 // RunContext executes the campaign, checking ctx between artifacts so
 // a serving layer (e.g. a future cesimd /v1/reproduce job) can cancel
 // a long reproduction; the artifacts finished before cancellation stay
-// on disk.
+// on disk. The sweep figures and studies also observe ctx between
+// repetitions; Figure 2 and a surface, once started, run to the end.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -83,6 +81,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("campaign: output directory required")
 	}
 	known := append([]string{"2"}, core.FigureIDs()...)
+	known = append(known, "surface")
 	for _, s := range studies {
 		known = append(known, s.name)
 	}
@@ -98,11 +97,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
 		return nil, err
 	}
-	logf := func(format string, args ...interface{}) {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, format+"\n", args...)
-		}
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -111,27 +105,35 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{Manifest: report.New(
 		fmt.Sprintf("reproduction manifest (seed %d)", cfg.Options.Seed),
 		"artifact", "rows", "wall-time", "files")}
-	add := func(a Artifact) {
-		res.Artifacts = append(res.Artifacts, a)
-		res.Manifest.AddRow(a.Name, fmt.Sprintf("%d", a.Rows),
-			a.Wall.Truncate(time.Millisecond).String(), strings.Join(a.Files, ","))
-		logf("campaign: %s done in %s (%d rows)", a.Name, a.Wall.Truncate(time.Millisecond), a.Rows)
-	}
-	table := func(name string, run func(context.Context, core.Options) (*report.Table, error)) error {
+	// produce runs one artifact: run computes it and writes its files
+	// into cfg.OutDir, returning its row count and file names.
+	produce := func(name string, run func() (rows int, files []string, err error)) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		start := now()
-		t, err := run(ctx, cfg.Options)
+		rows, files, err := run()
 		if err != nil {
 			return fmt.Errorf("campaign: %s: %w", name, err)
 		}
-		if err := WriteTable(cfg.OutDir, name, t); err != nil {
-			return err
+		a := Artifact{Name: name, Rows: rows, Wall: now().Sub(start), Files: files}
+		res.Artifacts = append(res.Artifacts, a)
+		wall := a.Wall.Truncate(time.Millisecond)
+		res.Manifest.AddRow(a.Name, fmt.Sprintf("%d", a.Rows), wall.String(), strings.Join(a.Files, ","))
+		if cfg.Log != nil {
+			fmt.Fprintf(cfg.Log, "campaign: %s done in %s (%d rows)\n", a.Name, wall, a.Rows)
 		}
-		add(Artifact{Name: name, Rows: len(t.Rows), Wall: now().Sub(start),
-			Files: []string{name + ".txt", name + ".csv"}})
 		return nil
+	}
+	table := func(name string, run func(context.Context, core.Options) (*report.Table, error)) error {
+		return produce(name, func() (int, []string, error) {
+			t, err := run(ctx, cfg.Options)
+			if err != nil {
+				return 0, nil, err
+			}
+			files, err := write(cfg.OutDir, name, t.WriteASCII, t.WriteCSV, nil)
+			return len(t.Rows), files, err
+		})
 	}
 
 	if err := table("table2", func(context.Context, core.Options) (*report.Table, error) {
@@ -156,20 +158,38 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if !want(id) {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		start := now()
-		f, err := figure(ctx, id, cfg.Options)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: figure %s: %w", id, err)
-		}
 		name := "fig" + id
-		if err := WriteFigure(cfg.OutDir, name, f); err != nil {
+		if err := produce(name, func() (int, []string, error) {
+			f, err := figure(ctx, id, cfg.Options)
+			if err != nil {
+				return 0, nil, err
+			}
+			t := f.Table()
+			files, err := write(cfg.OutDir, name, t.WriteASCII, t.WriteCSV, f.WriteJSON)
+			return len(f.Rows), files, err
+		}); err != nil {
 			return nil, err
 		}
-		add(Artifact{Name: name, Rows: len(f.Rows), Wall: now().Sub(start),
-			Files: []string{name + ".txt", name + ".csv", name + ".json"}})
+	}
+
+	if want("surface") {
+		workloads := cfg.Options.Workloads
+		if len(workloads) == 0 {
+			workloads = tracegen.Names()
+		}
+		for _, wl := range workloads {
+			name := "surface-" + wl
+			if err := produce(name, func() (int, []string, error) {
+				f, hm, err := core.Surface(cfg.Options, wl, nil, nil)
+				if err != nil {
+					return 0, nil, err
+				}
+				files, err := write(cfg.OutDir, name, hm.Render, f.Table().WriteCSV, f.WriteJSON)
+				return len(f.Rows), files, err
+			}); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	for _, s := range studies {
@@ -180,44 +200,42 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	mf, err := os.Create(filepath.Join(cfg.OutDir, "MANIFEST.txt"))
-	if err != nil {
-		return nil, err
-	}
-	defer mf.Close()
-	if err := res.Manifest.WriteASCII(mf); err != nil {
+	if err := writeFile(filepath.Join(cfg.OutDir, "MANIFEST.txt"), res.Manifest.WriteASCII); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// WriteTable stores a table as <name>.txt and <name>.csv in dir.
-func WriteTable(dir, name string, t *report.Table) error {
-	txt, err := os.Create(filepath.Join(dir, name+".txt"))
-	if err != nil {
-		return err
+// write stores one artifact in dir as <name>.txt and <name>.csv and,
+// when js is non-nil, <name>.json, and returns the file names.
+func write(dir, name string, txt, csv, js func(io.Writer) error) ([]string, error) {
+	forms := []struct {
+		ext   string
+		write func(io.Writer) error
+	}{{".txt", txt}, {".csv", csv}, {".json", js}}
+	var files []string
+	for _, f := range forms {
+		if f.write == nil {
+			continue
+		}
+		if err := writeFile(filepath.Join(dir, name+f.ext), f.write); err != nil {
+			return nil, err
+		}
+		files = append(files, name+f.ext)
 	}
-	defer txt.Close()
-	if err := t.WriteASCII(txt); err != nil {
-		return err
-	}
-	csv, err := os.Create(filepath.Join(dir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer csv.Close()
-	return t.WriteCSV(csv)
+	return files, nil
 }
 
-// WriteFigure stores a figure as .txt, .csv and .json in dir.
-func WriteFigure(dir, name string, f *core.Figure) error {
-	if err := WriteTable(dir, name, f.Table()); err != nil {
-		return err
-	}
-	js, err := os.Create(filepath.Join(dir, name+".json"))
+// writeFile creates path and fills it with write. A failed close is an
+// error like a failed write: the file may not hold what write produced.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer js.Close()
-	return f.WriteJSON(js)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func tinyOptions() core.Options {
 func TestRunSubset(t *testing.T) {
 	dir := t.TempDir()
 	var log bytes.Buffer
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		OutDir:  dir,
 		Options: tinyOptions(),
 		Only:    []string{"4"},
@@ -55,7 +56,7 @@ func TestRunSubset(t *testing.T) {
 
 func TestRunJSONParsesBack(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Run(Config{OutDir: dir, Options: tinyOptions(), Only: []string{"4"}}); err != nil {
+	if _, err := RunContext(context.Background(), Config{OutDir: dir, Options: tinyOptions(), Only: []string{"4"}}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(filepath.Join(dir, "fig4.json"))
@@ -72,8 +73,71 @@ func TestRunJSONParsesBack(t *testing.T) {
 	}
 }
 
+// TestSurfaceArtifact: -only surface writes one surface per selected
+// workload as text (the rendered heatmap), CSV and JSON, with one
+// manifest row each.
+func TestSurfaceArtifact(t *testing.T) {
+	dir := t.TempDir()
+	res, err := RunContext(context.Background(), Config{OutDir: dir, Options: tinyOptions(), Only: []string{"surface"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"MANIFEST.txt", "surface-minife.csv", "surface-minife.json", "surface-minife.txt", "table2.csv", "table2.txt"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("wrote %v, want %v", names, want)
+	}
+	if len(res.Artifacts) != 2 || res.Artifacts[1].Name != "surface-minife" || len(res.Manifest.Rows) != 2 {
+		t.Fatalf("artifacts %+v, %d manifest rows; want table2 and surface-minife", res.Artifacts, len(res.Manifest.Rows))
+	}
+	f, hm, err := core.Surface(tinyOptions(), "minife", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txt bytes.Buffer
+	if err := hm.Render(&txt); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "surface-minife.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, txt.Bytes()) {
+		t.Errorf("surface-minife.txt:\n%s\nwant the rendered heatmap:\n%s", got, txt.Bytes())
+	}
+	if res.Artifacts[1].Rows != len(f.Rows) {
+		t.Errorf("manifest counts %d surface rows, the surface has %d", res.Artifacts[1].Rows, len(f.Rows))
+	}
+}
+
+// TestWriteFailureFailsTheRun: an artifact that cannot be written fails
+// the campaign, and no manifest claims a complete reproduction.
+func TestWriteFailureFailsTheRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "fig4.json")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := RunContext(context.Background(), Config{OutDir: dir, Options: tinyOptions(), Only: []string{"4"}})
+	if err == nil || !strings.Contains(err.Error(), "fig4") {
+		t.Fatalf("err = %v, want the fig4 write failure", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.txt")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed campaign wrote MANIFEST.txt (stat err = %v)", err)
+	}
+}
+
 func TestRunRequiresOutDir(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := RunContext(context.Background(), Config{}); err == nil {
 		t.Fatal("missing output dir accepted")
 	}
 }
@@ -83,7 +147,7 @@ func TestRunRequiresOutDir(t *testing.T) {
 func TestRunTable2Only(t *testing.T) {
 	for _, only := range [][]string{{"none-such"}, {"4", "fig5"}, {"10"}} {
 		dir := t.TempDir()
-		_, err := Run(Config{OutDir: dir, Options: tinyOptions(), Only: only})
+		_, err := RunContext(context.Background(), Config{OutDir: dir, Options: tinyOptions(), Only: only})
 		bad := only[len(only)-1]
 		if err == nil || !strings.Contains(err.Error(), `"`+bad+`"`) {
 			t.Fatalf("Only %q: err = %v, want one naming %q", only, err, bad)
@@ -113,7 +177,7 @@ func TestStudiesGolden(t *testing.T) {
 	for _, s := range studies {
 		names = append(names, s.name)
 	}
-	res, err := Run(Config{OutDir: dir, Options: core.Options{Seed: 1}, Only: names})
+	res, err := RunContext(context.Background(), Config{OutDir: dir, Options: core.Options{Seed: 1}, Only: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +209,7 @@ func TestStudiesGolden(t *testing.T) {
 
 func TestManifestContents(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Run(Config{OutDir: dir, Options: tinyOptions(), Only: []string{"4"}})
+	res, err := RunContext(context.Background(), Config{OutDir: dir, Options: tinyOptions(), Only: []string{"4"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +288,7 @@ func TestCancelSiteMidSweepDiscardsPartials(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			_, err := Run(Config{OutDir: dir, Options: tinyOptions(), Only: []string{tc.only}})
+			_, err := RunContext(context.Background(), Config{OutDir: dir, Options: tinyOptions(), Only: []string{tc.only}})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled from the injected cancel", err)
 			}

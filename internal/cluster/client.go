@@ -11,7 +11,7 @@ import (
 )
 
 // Client submits sweeps to a coordinator and waits for the merged
-// figures. It implements campaign.FigureRunner, so `cesweep -cluster`
+// figures. It implements campaign.FigureRunner, so `reproduce -cluster`
 // swaps it in for the in-process drivers without touching the
 // artifact-writing path — which is what makes distributed output
 // byte-comparable to local output.

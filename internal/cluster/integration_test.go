@@ -144,7 +144,7 @@ func compareDirs(t *testing.T, wantDir, gotDir string) {
 func TestDistributedCampaignBitIdentical(t *testing.T) {
 	only := []string{"3", "4"} // fig3: per-index seed derivation; fig4: multi-system rows
 	seqDir := t.TempDir()
-	if _, err := campaign.Run(campaign.Config{OutDir: seqDir, Options: tinyOpts(), Only: only}); err != nil {
+	if _, err := campaign.RunContext(context.Background(), campaign.Config{OutDir: seqDir, Options: tinyOpts(), Only: only}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,7 +182,7 @@ func TestDistributedCampaignBitIdentical(t *testing.T) {
 func TestDistributedFaultMixBitIdentical(t *testing.T) {
 	only := []string{"8", "9"}
 	seqDir := t.TempDir()
-	if _, err := campaign.Run(campaign.Config{OutDir: seqDir, Options: tinyOpts(), Only: only}); err != nil {
+	if _, err := campaign.RunContext(context.Background(), campaign.Config{OutDir: seqDir, Options: tinyOpts(), Only: only}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,7 +211,7 @@ func TestDistributedSweepUnderShardFaults(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	only := []string{"4"}
 	seqDir := t.TempDir()
-	if _, err := campaign.Run(campaign.Config{OutDir: seqDir, Options: tinyOpts(), Only: only}); err != nil {
+	if _, err := campaign.RunContext(context.Background(), campaign.Config{OutDir: seqDir, Options: tinyOpts(), Only: only}); err != nil {
 		t.Fatal(err)
 	}
 

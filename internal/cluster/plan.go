@@ -2,7 +2,8 @@
 // workers: a coordinator shards the (figure x workload) sweep surface
 // into cells, leases them to registered workers with heartbeats, expiry
 // and re-assignment, and merges the reported fragments into figures
-// bit-identical to a sequential campaign.Run of the same plan and seed.
+// bit-identical to a sequential campaign.RunContext of the same plan and
+// seed.
 //
 // Determinism argument, in one paragraph: a sweep cell is one
 // core.RunFigure call restricted to a single workload. The figure loop

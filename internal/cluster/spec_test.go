@@ -53,7 +53,7 @@ func TestRepeatedCellRejected(t *testing.T) {
 
 // badSpec is one sweep spec no door may admit. fields are the JSON
 // members besides the figure selection; flags spell the same thing for
-// cesweep, nil when no flag can (the command line has no span or
+// reproduce, nil when no flag can (the command line has no span or
 // budget flags and no upper limits).
 type badSpec struct {
 	name   string
@@ -78,17 +78,18 @@ var badSpecs = []badSpec{
 }
 
 // TestBadSpecsRejectedAtEveryDoor drives one table of bad sweep specs
-// through cesweep's flags, POST /v1/sweep and POST /cluster/sweep.
+// through reproduce's flags, POST /v1/sweep and POST /cluster/sweep.
 // Each answers before any work starts: exit 1 with nothing on stdout,
 // or 400 with no job submitted and no journal record appended — not a
 // 202 whose job fails in the driver, nor a durable sweep every worker
 // burns its retry budget on.
 func TestBadSpecsRejectedAtEveryDoor(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "cesweep")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/cesweep")
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "reproduce")
+	build := exec.Command("go", "build", "-o", bin, "repro/cmd/reproduce")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
-		t.Fatalf("build cesweep: %v", err)
+		t.Fatalf("build reproduce: %v", err)
 	}
 
 	journal := &recorder{}
@@ -142,14 +143,15 @@ func TestBadSpecsRejectedAtEveryDoor(t *testing.T) {
 		t.Errorf("rejected /cluster/sweep bodies left %d sweeps and %d journal records", len(st.Sweeps), len(journal.recs))
 	}
 
-	flagCases := append([]badSpec{{"unknown figure", "", []string{"-figure", "12"}}}, badSpecs...)
+	out := filepath.Join(tmp, "out")
+	flagCases := append([]badSpec{{"unknown figure", "", []string{"-only", "12"}}}, badSpecs...)
 	for _, bad := range flagCases {
 		if bad.flags == nil {
 			continue
 		}
-		args := bad.flags
+		args := append([]string{"-out", out}, bad.flags...)
 		if bad.fields != "" {
-			args = append([]string{"-figure", "4"}, args...)
+			args = append([]string{"-only", "4"}, args...)
 		}
 		cmd := exec.Command(bin, args...)
 		var stdout, stderr bytes.Buffer
@@ -157,10 +159,13 @@ func TestBadSpecsRejectedAtEveryDoor(t *testing.T) {
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%s: cesweep %v: err = %v, want exit status 1", bad.name, args, err)
+			t.Errorf("%s: reproduce %v: err = %v, want exit status 1", bad.name, args, err)
 		}
-		if stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "cesweep: ") || strings.Count(stderr.String(), "\n") != 1 {
-			t.Errorf("%s: cesweep %v: stdout %q stderr %q, want one cesweep: line", bad.name, args, stdout.String(), stderr.String())
+		if stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "reproduce: ") || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%s: reproduce %v: stdout %q stderr %q, want one reproduce: line", bad.name, args, stdout.String(), stderr.String())
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: reproduce %v created its output directory", bad.name, args)
 		}
 	}
 }

@@ -66,6 +66,31 @@ func TestFiguresBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 			}
 		}
 	}
+	// The overhead surface runs the same loop: its rows and its heatmap,
+	// on TestSurfaceGolden's axes.
+	var want []byte
+	for _, procs := range []int{1, 2, 8} {
+		var got bytes.Buffer
+		var err error
+		withProcs(procs, func() {
+			f, hm, serr := Surface(Options{Nodes: 8, Iterations: 2, Reps: 1, Seed: 1}, "minife",
+				[]int64{200 * nsPerMs, 200 * nsPerS}, []int64{150, 775 * nsPerUs, 133 * nsPerMs})
+			if err = serr; err == nil {
+				err = f.WriteJSON(&got)
+			}
+			if err == nil {
+				err = hm.Render(&got)
+			}
+		})
+		if err != nil {
+			t.Fatalf("surface at GOMAXPROCS=%d: %v", procs, err)
+		}
+		if want == nil {
+			want = got.Bytes()
+		} else if !bytes.Equal(want, got.Bytes()) {
+			t.Fatalf("surface: GOMAXPROCS=%d diverges from GOMAXPROCS=1:\n%s\nvs\n%s", procs, got.Bytes(), want)
+		}
+	}
 }
 
 // TestStormPerEventsBitIdenticalAcrossGOMAXPROCS bypasses the memo: the

@@ -69,7 +69,7 @@ func (s Scale) MarshalText() ([]byte, error) {
 // Options is the sweep spec: which figures to regenerate and how the
 // figure drivers run them. It is the POST /v1/sweep and /cluster/sweep
 // body, the journaled payload of both, the spec a cluster cell runs
-// under and what cesweep's and reproduce's flags fill in (flags.go);
+// under and what reproduce's flags fill in (flags.go);
 // Validate (spec.go) is its one admission check. The drivers themselves
 // read neither Figure nor Figures: a driver is one figure already.
 type Options struct {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/systems"
@@ -44,15 +45,19 @@ func (s *RunSpec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Reps, "reps", 3, "repetitions (distinct CE schedules)")
 }
 
-// BindFlags registers the figure-driver flags cesweep and reproduce
-// share; each adds its own figure selection. Zero leaves a field to
-// the drivers' defaults.
+// BindFlags registers cmd/reproduce's figure-driver flags straight onto
+// the spec's fields; the command adds its own artifact selection. Zero
+// leaves a field to the drivers' defaults.
 func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.TextVar(&o.Scale, "scale", Reduced, "reduced (scale-compensated) or paper (Table II node counts)")
 	fs.IntVar(&o.Nodes, "nodes", 0, "reduced-scale node count override")
 	fs.IntVar(&o.Iterations, "iters", 0, "main-loop iterations override")
 	fs.IntVar(&o.Reps, "reps", 0, "repetitions per configuration override")
 	fs.Uint64Var(&o.Seed, "seed", 1, "base random seed")
+	fs.Func("workloads", "comma-separated workload subset (default all nine)", func(list string) error {
+		o.Workloads = strings.Split(list, ",")
+		return nil
+	})
 }
 
 // ParseFlags parses args into fs, which must be a ContinueOnError
