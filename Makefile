@@ -95,7 +95,9 @@ faultmix-smoke:
 # and raw run results byte-compared against the golden recorded from
 # the pre-rework engine paths before they were deleted, the overhead
 # surface against the golden recorded from its last hand-written driver,
-# every figure byte-identical at GOMAXPROCS 1, 2 and 8, a figure and a
+# every figure byte-identical at GOMAXPROCS 1, 2 and 8, the process-wide
+# experiment memo (one build per configuration, concurrent figures
+# coalescing onto one build, its bound), a figure and a
 # running sweep job cancelled mid-repetition, the rank-at-a-time
 # lowering against Compile(Expand(Generate)), one compiled program run
 # by many goroutines, the calendar queue against the reference heap,
@@ -106,7 +108,7 @@ faultmix-smoke:
 #   go test -run TestEngineGolden ./internal/core/ -update-engine-golden
 #   go test -run TestSurfaceGolden ./internal/core/ -update-surface-golden
 engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
+	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -71,8 +71,8 @@ type Result struct {
 // RunContext executes the campaign, checking ctx between artifacts so
 // a serving layer (e.g. a future cesimd /v1/reproduce job) can cancel
 // a long reproduction; the artifacts finished before cancellation stay
-// on disk. The sweep figures and studies also observe ctx between
-// repetitions; Figure 2 and a surface, once started, run to the end.
+// on disk. The sweep figures, surfaces and studies also observe ctx
+// between repetitions; Figure 2, once started, runs to the end.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -180,7 +180,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		for _, wl := range workloads {
 			name := "surface-" + wl
 			if err := produce(name, func() (int, []string, error) {
-				f, hm, err := core.Surface(cfg.Options, wl, nil, nil)
+				f, hm, err := core.Surface(ctx, cfg.Options, wl, nil, nil)
 				if err != nil {
 					return 0, nil, err
 				}

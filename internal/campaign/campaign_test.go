@@ -97,7 +97,7 @@ func TestSurfaceArtifact(t *testing.T) {
 	if len(res.Artifacts) != 2 || res.Artifacts[1].Name != "surface-minife" || len(res.Manifest.Rows) != 2 {
 		t.Fatalf("artifacts %+v, %d manifest rows; want table2 and surface-minife", res.Artifacts, len(res.Manifest.Rows))
 	}
-	f, hm, err := core.Surface(tinyOptions(), "minife", nil, nil)
+	f, hm, err := core.Surface(context.Background(), tinyOptions(), "minife", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +318,12 @@ func TestCancelSiteMidSweepDiscardsPartials(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelMidFigure: the campaign's context reaches inside
-// a figure. With every repetition of fig4 stalled for a minute, ending
-// the context stops the campaign within seconds and leaves nothing of
-// the figure on disk.
-func TestRunContextCancelMidFigure(t *testing.T) {
+// cancelMidRepetition runs the campaign on only with every repetition
+// stalled for a minute, ends its context once one has started, and
+// returns the output directory. The campaign must stop with
+// context.Canceled within seconds.
+func cancelMidRepetition(t *testing.T, only string) string {
+	t.Helper()
 	t.Cleanup(faultinject.Disarm)
 	if err := faultinject.Arm(faultinject.Plan{
 		faultinject.SiteRepetition: {Kind: faultinject.KindDelay, Probability: 1, DelayNanos: int64(time.Minute)},
@@ -338,17 +339,42 @@ func TestRunContextCancelMidFigure(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := RunContext(ctx, Config{OutDir: dir, Options: tinyOptions(), Only: []string{"4"}})
+	_, err := RunContext(ctx, Config{OutDir: dir, Options: tinyOptions(), Only: []string{only}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("campaign took %s to stop with every repetition stalled for a minute", took)
 	}
+	return dir
+}
+
+// TestRunContextCancelMidFigure: the campaign's context reaches inside
+// a figure. With every repetition of fig4 stalled for a minute, ending
+// the context stops the campaign within seconds and leaves nothing of
+// the figure on disk.
+func TestRunContextCancelMidFigure(t *testing.T) {
+	dir := cancelMidRepetition(t, "4")
 	for _, leftover := range []string{"fig4.txt", "fig4.csv", "fig4.json", "MANIFEST.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, leftover)); err == nil {
 			t.Fatalf("canceled campaign left %s behind", leftover)
 		}
+	}
+}
+
+// TestRunContextCancelMidSurface: the context reaches inside a surface
+// the same way, and no surface file or manifest is written.
+func TestRunContextCancelMidSurface(t *testing.T) {
+	dir := cancelMidRepetition(t, "surface")
+	left, err := filepath.Glob(filepath.Join(dir, "surface-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.txt")); err == nil {
+		left = append(left, "MANIFEST.txt")
+	}
+	if len(left) > 0 {
+		t.Fatalf("canceled campaign left %v behind", left)
 	}
 }
 

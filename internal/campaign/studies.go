@@ -40,11 +40,13 @@ var studies = []struct {
 	{"ablation-correlated-smm", ablationCorrelatedSMM},
 }
 
-// repeated builds cfg's experiment and runs reps repetitions (seeds seed,
-// seed+1, …) of CEs on every node at mean gap mtbce, each costing d.
+// repeated takes cfg's experiment from the process-wide memo, shared
+// with the figures and the other studies, and runs reps repetitions
+// (seeds seed, seed+1, …) of CEs on every node at mean gap mtbce, each
+// costing d.
 func repeated(ctx context.Context, cfg core.ExperimentConfig, mtbce int64, d noise.Duration, seed uint64, reps int) (
 	*core.Experiment, *core.Repeated, error) {
-	exp, err := core.NewExperiment(cfg)
+	exp, err := core.SharedExperiment(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -30,15 +30,18 @@ var engineGoldenPath = filepath.Join("testdata", "engine_golden.json")
 // engineSection is one JSON document of the golden file.
 // TestEngineGolden compares the whole file; the per-section tests say
 // which document moved. The whole matrix renders in well under a
-// second, so nothing is shared between them.
+// second, so nothing is shared between them. render runs the figures
+// with build as Options.Experiments: TestEngineGolden passes
+// NewExperiment, so a fresh build is held to the golden, and the
+// per-section tests nil, the process-wide memo.
 type engineSection struct {
 	name   string
-	render func() ([]byte, error)
+	render func(build func(ExperimentConfig) (*Experiment, error)) ([]byte, error)
 }
 
-func (s engineSection) bytes(t *testing.T) []byte {
+func (s engineSection) bytes(t *testing.T, build func(ExperimentConfig) (*Experiment, error)) []byte {
 	t.Helper()
-	out, err := s.render()
+	out, err := s.render(build)
 	if err != nil {
 		t.Fatalf("%s: %v", s.name, err)
 	}
@@ -46,7 +49,8 @@ func (s engineSection) bytes(t *testing.T) []byte {
 }
 
 func figureSection(id string, opts Options) engineSection {
-	return engineSection{name: "fig" + id, render: func() ([]byte, error) {
+	return engineSection{name: "fig" + id, render: func(build func(ExperimentConfig) (*Experiment, error)) ([]byte, error) {
+		opts.Experiments = build
 		f, err := RunFigure(context.Background(), id, opts)
 		if err != nil {
 			return nil, err
@@ -88,7 +92,7 @@ type engineResults struct {
 	ProfileWait      int64   `json:"profile_wait_ns"`
 }
 
-func renderEngineResults() ([]byte, error) {
+func renderEngineResults(func(ExperimentConfig) (*Experiment, error)) ([]byte, error) {
 	e, err := NewExperiment(ExperimentConfig{Workload: "lulesh", Nodes: 27, Iterations: 3, TraceSeed: 7})
 	if err != nil {
 		return nil, err
@@ -121,7 +125,7 @@ func renderEngineResults() ([]byte, error) {
 func TestEngineGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, s := range engineSections {
-		got.Write(s.bytes(t))
+		got.Write(s.bytes(t, NewExperiment))
 	}
 	if *updateEngineGolden {
 		if err := os.WriteFile(engineGoldenPath, got.Bytes(), 0o644); err != nil {
@@ -155,7 +159,7 @@ func checkEngineSection(t *testing.T, i int) {
 		}
 	}
 	s := engineSections[i]
-	if got := bytes.TrimSpace(s.bytes(t)); !bytes.Equal(got, want) {
+	if got := bytes.TrimSpace(s.bytes(t, nil)); !bytes.Equal(got, want) {
 		t.Errorf("%s diverges from the pre-rework engine golden\n--- got ---\n%s\n--- want ---\n%s", s.name, got, want)
 	}
 }
@@ -173,7 +177,7 @@ func TestEngineBitIdentical(t *testing.T) {
 func TestEngineBitIdenticalResults(t *testing.T) {
 	last := len(engineSections) - 1 // the raw-results document
 	var r engineResults
-	if err := json.Unmarshal(engineSections[last].bytes(t), &r); err != nil {
+	if err := json.Unmarshal(engineSections[last].bytes(t, nil), &r); err != nil {
 		t.Fatal(err)
 	}
 	if r.CEEvents == 0 {

@@ -30,7 +30,10 @@ func withProcs(procs int, fn func()) {
 // repetitions run on one goroutine or spread over eight. Two workloads
 // cover both trace shapes, two node counts both scale-compensation
 // factors. No row that made progress may show a slowdown below -1 %.
-// Part of engine-smoke, so it also runs under the race detector.
+// The GOMAXPROCS=1 leg builds its experiments with NewExperiment and
+// the others take them from the process-wide memo, so a fresh build is
+// compared too. Part of engine-smoke, so it also runs under the race
+// detector.
 func TestFiguresBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	figs := Figures()
 	for _, id := range []string{"3", "4", "5", "6", "7", "8", "9"} {
@@ -43,8 +46,12 @@ func TestFiguresBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 					var got bytes.Buffer
 					var f *Figure
 					var err error
+					legOpts := opts
+					if procs == 1 {
+						legOpts.Experiments = NewExperiment
+					}
 					withProcs(procs, func() {
-						if f, err = figs[id](opts); err == nil {
+						if f, err = figs[id](legOpts); err == nil {
 							err = f.WriteJSON(&got)
 						}
 					})
@@ -72,8 +79,12 @@ func TestFiguresBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		var got bytes.Buffer
 		var err error
+		opts := Options{Nodes: 8, Iterations: 2, Reps: 1, Seed: 1}
+		if procs == 1 {
+			opts.Experiments = NewExperiment
+		}
 		withProcs(procs, func() {
-			f, hm, serr := Surface(Options{Nodes: 8, Iterations: 2, Reps: 1, Seed: 1}, "minife",
+			f, hm, serr := Surface(context.Background(), opts, "minife",
 				[]int64{200 * nsPerMs, 200 * nsPerS}, []int64{150, 775 * nsPerUs, 133 * nsPerMs})
 			if err = serr; err == nil {
 				err = f.WriteJSON(&got)

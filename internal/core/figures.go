@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faultmodel"
 	"repro/internal/mca"
+	"repro/internal/memo"
 	"repro/internal/noise"
 	"repro/internal/report"
 	"repro/internal/systems"
@@ -110,10 +111,12 @@ type Options struct {
 	// Experiments optionally supplies prepared experiments to the
 	// figure drivers — e.g. a simcache-backed provider on cluster
 	// workers, so cells sharing a (workload, nodes) point reuse one
-	// resident baseline. nil builds with NewExperiment. Baseline
-	// construction is deterministic, so any correct provider returns
-	// an experiment bit-identical to NewExperiment's and results never
-	// depend on who supplied it.
+	// resident baseline. nil takes them from SharedExperiment, the
+	// process-wide memo, so the figures, surfaces and studies of one
+	// process build each baseline once. Baseline construction is
+	// deterministic, so any correct provider returns an experiment
+	// bit-identical to NewExperiment's and results never depend on who
+	// supplied it.
 	Experiments func(ExperimentConfig) (*Experiment, error) `json:"-"`
 }
 
@@ -215,8 +218,45 @@ func (f *Figure) Table() *report.Table {
 	return t
 }
 
+// DefaultExperimentCacheBytes bounds the process-wide experiment memo
+// and is simcache's default capacity: 256 MiB. Measured over the
+// benchmark's cold configurations (12-44 iterations, docs/MODEL.md §7)
+// that is about twenty-seven 512-node baselines (8.3 MiB of program
+// and 1.1 MiB of run state each, on average) or about a hundred and ten
+// 128-node ones (2.3 MiB each); the nine of a default reduced-scale
+// reproduction take 109 MiB together. The price is set at insertion,
+// with the baseline's run state idle; an entry whose repetitions ran
+// concurrently holds up to GOMAXPROCS run states, each the size of the
+// baseline's, outside the bound.
+const DefaultExperimentCacheBytes = 256 << 20
+
+// experiments is the process-wide experiment memo behind
+// SharedExperiment: an internal/memo cache keyed by the canonical
+// configuration and charged by SizeBytes. Every figure, surface and
+// study a process runs without an Options.Experiments provider builds
+// each baseline once here.
+var experiments = newExperimentMemo(DefaultExperimentCacheBytes)
+
+func newExperimentMemo(capBytes int64) *memo.Cache[ExperimentConfig, *Experiment] {
+	return memo.New[ExperimentConfig](capBytes, (*Experiment).SizeBytes)
+}
+
+// SharedExperiment returns cfg's experiment from the process-wide memo,
+// building it with NewExperiment when it is neither resident nor under
+// construction; concurrent callers for one configuration share one
+// build. ctx bounds this caller's wait on another caller's build, never
+// the build itself. Baseline construction is deterministic, so the
+// experiment is bit-identical to NewExperiment's and may be shared: it
+// is safe for concurrent repetitions.
+func SharedExperiment(ctx context.Context, cfg ExperimentConfig) (*Experiment, error) {
+	e, _, err := experiments.GetOrBuild(ctx, cfg.Canonical(), func() (*Experiment, error) {
+		return NewExperiment(cfg)
+	})
+	return e, err
+}
+
 // expCache builds each (workload, nodes) experiment at most once per
-// figure.
+// figure, from opts.Experiments or, when that is nil, SharedExperiment.
 type expCache struct {
 	opts Options
 	m    map[expKey]*Experiment
@@ -231,7 +271,7 @@ func newExpCache(opts Options) *expCache {
 	return &expCache{opts: opts, m: map[expKey]*Experiment{}}
 }
 
-func (c *expCache) get(workload string, nodes int) (*Experiment, error) {
+func (c *expCache) get(ctx context.Context, workload string, nodes int) (*Experiment, error) {
 	key := expKey{workload, nodes}
 	if e, ok := c.m[key]; ok {
 		return e, nil
@@ -240,16 +280,18 @@ func (c *expCache) get(workload string, nodes int) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := c.opts.Experiments
-	if build == nil {
-		build = NewExperiment
-	}
-	e, err := build(ExperimentConfig{
+	cfg := ExperimentConfig{
 		Workload:   workload,
 		Nodes:      nodes,
 		Iterations: iters,
 		TraceSeed:  c.opts.Seed,
-	})
+	}
+	var e *Experiment
+	if c.opts.Experiments != nil {
+		e, err = c.opts.Experiments(cfg)
+	} else {
+		e, err = SharedExperiment(ctx, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +528,7 @@ func runFigure(ctx context.Context, def figureDef, opts Options) (*Figure, error
 			if c.paperNodes != 0 {
 				nodes, comp = opts.nodesFor(c.paperNodes)
 			}
-			e, err := cache.get(wl, nodes)
+			e, err := cache.get(ctx, wl, nodes)
 			if err != nil {
 				return nil, err
 			}

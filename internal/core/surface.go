@@ -26,8 +26,9 @@ func DefaultSurfaceDurations() []int64 {
 // Surface generalizes Fig. 7 into a full (MTBCE x per-event-duration)
 // overhead grid for one workload. It returns the rows and a rendered
 // heatmap whose cells are mean slowdown percentages (negative sentinel
-// for no-progress configurations).
-func Surface(opts Options, workload string, mtbces, durations []int64) (*Figure, *report.Heatmap, error) {
+// for no-progress configurations). ctx is observed as RunFigure
+// observes it: cancellation surfaces as ctx.Err() and no surface.
+func Surface(ctx context.Context, opts Options, workload string, mtbces, durations []int64) (*Figure, *report.Heatmap, error) {
 	if len(mtbces) == 0 {
 		mtbces = DefaultSurfaceMTBCEs()
 	}
@@ -35,7 +36,7 @@ func Surface(opts Options, workload string, mtbces, durations []int64) (*Figure,
 		durations = DefaultSurfaceDurations()
 	}
 	opts.Workloads = []string{workload}
-	f, err := runFigure(context.Background(), figureDef{
+	f, err := runFigure(ctx, figureDef{
 		id:    "surface",
 		title: fmt.Sprintf("overhead surface for %s (Fig. 7 generalization)", workload),
 		cells: durationGrid("surface", mtbces, durations),

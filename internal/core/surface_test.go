@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -15,7 +16,7 @@ func TestSurfaceShape(t *testing.T) {
 	opts := Options{Nodes: 16, Iterations: 20, Reps: 2, Seed: 1}
 	mtbces := []int64{200 * nsPerMs, 200 * nsPerS}
 	durations := []int64{150, 775 * nsPerUs, 133 * nsPerMs}
-	f, hm, err := Surface(opts, "minife", mtbces, durations)
+	f, hm, err := Surface(context.Background(), opts, "minife", mtbces, durations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestSurfaceDefaults(t *testing.T) {
 }
 
 func TestSurfaceUnknownWorkload(t *testing.T) {
-	if _, _, err := Surface(Options{Nodes: 8, Iterations: 2, Reps: 1}, "bogus", nil, nil); err == nil {
+	if _, _, err := Surface(context.Background(), Options{Nodes: 8, Iterations: 2, Reps: 1}, "bogus", nil, nil); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
@@ -101,7 +102,7 @@ var updateSurfaceGolden = flag.Bool("update-surface-golden", false,
 
 func TestSurfaceGolden(t *testing.T) {
 	path := filepath.Join("testdata", "surface_golden.json")
-	f, hm, err := Surface(Options{Nodes: 8, Iterations: 2, Reps: 1, Seed: 1}, "minife",
+	f, hm, err := Surface(context.Background(), Options{Nodes: 8, Iterations: 2, Reps: 1, Seed: 1}, "minife",
 		[]int64{200 * nsPerMs, 200 * nsPerS}, []int64{150, 775 * nsPerUs, 133 * nsPerMs})
 	if err != nil {
 		t.Fatal(err)

@@ -164,7 +164,7 @@ func figureTasks(t *testing.T, id string, opts Options) ([]rowTask, int) {
 			if c.paperNodes != 0 {
 				nodes, comp = opts.nodesFor(c.paperNodes)
 			}
-			e, err := cache.get(wl, nodes)
+			e, err := cache.get(context.Background(), wl, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}

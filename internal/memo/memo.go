@@ -1,8 +1,9 @@
 // Package memo is the repository's one bounded memo: an LRU cache with
 // in-flight coalescing. The baseline cache (internal/simcache), the
 // collective-schedule memo (internal/collectives), the Fig. 9 storm
-// costs (internal/core) and the advisor's recommendation cache
-// (internal/advise) are instances of it, and share its four guarantees:
+// costs and the process-wide experiment memo (internal/core) and the
+// advisor's recommendation cache (internal/advise) are instances of
+// it, and share its four guarantees:
 //
 //   - bounded: least-recently-used entries are evicted until the summed
 //     cost fits the capacity, but the newest entry is always kept;

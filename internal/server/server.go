@@ -618,7 +618,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // payload: a repeated or recovered request re-serves the stored bytes
 // verbatim instead of recomputing. The job's context reaches every
 // repetition of the figure, and baselines resolve as a simulate job's
-// do (cache, then a direct build).
+// do (the daemon's cache, then a direct build): the job passes its own
+// Options.Experiments, so core's process-wide experiment memo is never
+// filled by the daemon and /metrics accounts for every baseline.
 func (s *Server) sweepFunc(req SweepRequest, tenantName string, payload []byte) jobs.Func {
 	return func(ctx context.Context) (any, error) {
 		var key string

@@ -48,14 +48,12 @@ func Cost(exp *core.Experiment) int64 {
 }
 
 // DefaultCapBytes bounds the cache when New is given a non-positive
-// capacity: 256 MiB. Measured over the benchmark's cold configurations
-// (12-44 iterations, docs/MODEL.md §7) that is about twenty 512-node
-// baselines (8.3 MiB of program and 4.6 MiB of run state each, on
-// average) or about eighty 128-node ones (3.2 MiB each). The price is
-// set at insertion, with the baseline's run state idle; an entry whose
-// repetitions ran concurrently holds up to GOMAXPROCS run states, each
-// that size again, outside the bound.
-const DefaultCapBytes = 256 << 20
+// capacity: core.DefaultExperimentCacheBytes, the bound of core's
+// process-wide experiment memo, whose comment gives the measured
+// baseline sizes behind it. The price is set at insertion, with the
+// baseline's run state idle; an entry whose repetitions ran
+// concurrently holds up to GOMAXPROCS run states outside the bound.
+const DefaultCapBytes = core.DefaultExperimentCacheBytes
 
 // Stats is a point-in-time snapshot of cache effectiveness: the memo's
 // counters (entries, size_bytes, cap_bytes, hits, coalesced, misses,
