@@ -72,8 +72,8 @@ cluster-smoke:
 # canned NDJSON CE stream, and require the recommendation to match the
 # committed golden byte-for-byte — plus the permuted-ingest determinism
 # and ingest-fault chaos drills. Regenerate the golden after an
-# intentional policy change with:
-#   go test -run TestAdvisorSmokeGolden ./internal/server/ -update-advisor-golden
+# intentional policy change with the one -update flag (internal/golden):
+#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
 advisor-smoke:
 	$(GO) test -race -count=1 -run 'TestAdvisorSmokeGolden|TestAdviseIngestChaos' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestRecommendDeterminismPermutedBatches|TestRecommendIndependentOfQueryHistory' ./internal/advise/
@@ -83,8 +83,9 @@ advisor-smoke:
 # rerun bit-identity drill, the mixture determinism contract (permuted
 # mode order, concurrent runs sharing one Process through their own
 # CEs) and a dropped run's mixture state being collected, under the
-# race detector. Regenerate the golden after an intentional model change:
-#   go test -run TestFaultMixSmokeGolden ./internal/core/ -update-faultmix-golden
+# race detector. Regenerate the golden after an intentional model change
+# with the one -update flag (internal/golden):
+#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
 faultmix-smoke:
 	$(GO) test -race -count=1 -run 'TestFaultMixSmokeGolden|TestFaultMixFiguresBitIdentical' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestPermutedModesBitIdentical|TestDeterministicReplay|TestProcessSharedAcrossGoroutines|TestAppendGapsMatchesNextGap|TestGeneratorMatchesProcessSchedule' ./internal/faultmodel/
@@ -104,9 +105,8 @@ faultmix-smoke:
 # and the two memory contracts of the pooled queue — it holds its peak
 # population, and a cached run state stops growing after its first
 # perturbed seed — under the race detector. Regenerate a golden after an
-# intentional model change:
-#   go test -run TestEngineGolden ./internal/core/ -update-engine-golden
-#   go test -run TestSurfaceGolden ./internal/core/ -update-surface-golden
+# intentional model change with the one -update flag (internal/golden):
+#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
 engine-smoke:
 	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 

@@ -18,24 +18,43 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mca"
 	"repro/internal/report"
 )
 
 func main() {
+	fs := flag.NewFlagSet("mcasig", flag.ContinueOnError)
 	var (
-		modeName = flag.String("mode", "native", "native, dryrun, correction-only, software or firmware")
-		duration = flag.Duration("duration", 2*time.Minute, "measurement window")
-		period   = flag.Duration("period", 10*time.Second, "EINJ injection period")
-		cores    = flag.Int("cores", 48, "cores running the selfish detector")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		detours  = flag.Bool("detours", false, "dump every detour (time_us dur_us core source)")
-		plot     = flag.Bool("plot", false, "render the detour series as an ASCII scatter plot (log y), like Fig. 2")
-		core     = flag.Int("core", -1, "restrict -detours to one core")
+		modeName = fs.String("mode", "native", "native, dryrun, correction-only, software or firmware")
+		duration = fs.Duration("duration", 2*time.Minute, "measurement window")
+		period   = fs.Duration("period", 10*time.Second, "EINJ injection period")
+		cores    = fs.Int("cores", 48, "cores running the selfish detector")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		detours  = fs.Bool("detours", false, "dump every detour (time_us dur_us core source)")
+		plot     = fs.Bool("plot", false, "render the detour series as an ASCII scatter plot (log y), like Fig. 2")
+		oneCore  = fs.Int("core", -1, "restrict -detours to one core")
 	)
-	flag.Parse()
-
+	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
+		fatal(err)
+	}
+	// mca.Config turns a zero into its default, so a zero must be
+	// refused here or the report would name a run it did not measure.
 	mode, err := mca.ParseMode(*modeName)
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case err != nil:
+		err = fmt.Errorf("-mode %q is not one of native, dryrun, correction-only, software, firmware", *modeName)
+	case *cores < 1:
+		err = fmt.Errorf("-cores must be at least 1, got %d", *cores)
+	case *duration <= 0:
+		err = fmt.Errorf("-duration must be positive, got %s", *duration)
+	case *period <= 0:
+		err = fmt.Errorf("-period must be positive, got %s", *period)
+	case *oneCore < -1 || *oneCore >= *cores:
+		err = fmt.Errorf("-core %d is not a core of -cores %d (0..%d, or -1 for all)", *oneCore, *cores, *cores-1)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -53,7 +72,7 @@ func main() {
 	if *plot {
 		var xs, ys []float64
 		for _, d := range sig.Detours {
-			if *core >= 0 && d.Core != int32(*core) {
+			if *oneCore >= 0 && d.Core != int32(*oneCore) {
 				continue
 			}
 			xs = append(xs, float64(d.Start)/1e9) // seconds
@@ -73,7 +92,7 @@ func main() {
 		defer w.Flush()
 		fmt.Fprintln(w, "# time_us dur_us core source")
 		for _, d := range sig.Detours {
-			if *core >= 0 && d.Core != int32(*core) {
+			if *oneCore >= 0 && d.Core != int32(*oneCore) {
 				continue
 			}
 			fmt.Fprintf(w, "%.3f %.3f %d %s\n",
@@ -110,6 +129,6 @@ func main() {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
+	fmt.Fprintln(os.Stderr, "mcasig:", err)
 	os.Exit(1)
 }

@@ -3,16 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
-	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-retiresim-golden", false,
-	"rewrite testdata/golden.txt from the live binary")
+	"repro/internal/golden"
+)
 
 // build compiles the real binary once per test.
 func build(t *testing.T) string {
@@ -27,10 +25,7 @@ func build(t *testing.T) string {
 }
 
 // TestGolden pins the stdout of the header examples that exercise the
-// replay: retirement verdicts over faultmodel's real footprints. After
-// an intentional model change:
-//
-//	go test ./cmd/retiresim/ -update-retiresim-golden
+// replay: retirement verdicts over faultmodel's real footprints.
 func TestGolden(t *testing.T) {
 	bin := build(t)
 	var got bytes.Buffer
@@ -42,20 +37,7 @@ func TestGolden(t *testing.T) {
 			t.Fatalf("retiresim %v: %v", args, err)
 		}
 	}
-	path := filepath.Join("testdata", "golden.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("stdout moved from %s (regenerate with -update-retiresim-golden if intended):\n%s", path, got.Bytes())
-	}
+	golden.Check(t, filepath.Join("testdata", "golden.txt"), got.Bytes())
 }
 
 // TestBadInvocationsRejectedUpFront requires malformed flags, an

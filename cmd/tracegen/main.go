@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/collectives"
+	"repro/internal/core"
 	"repro/internal/extrapolate"
 	"repro/internal/report"
 	"repro/internal/systems"
@@ -31,39 +32,50 @@ import (
 )
 
 func main() {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
-		list     = flag.Bool("list", false, "list available workloads and their skeletons")
-		workload = flag.String("workload", "", "workload to generate")
-		nodes    = flag.Int("nodes", 128, "rank count (adjusted to decomposition constraints)")
-		iters    = flag.Int("iters", 10, "main-loop iterations")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		input    = flag.String("i", "", "read a trace file instead of generating")
-		output   = flag.String("o", "", "write the trace to this file")
-		format   = flag.String("format", "binary", "output format: binary or text")
-		factor   = flag.Int("extrapolate", 0, "extrapolate the trace by this factor")
-		expand   = flag.Bool("expand", false, "expand collectives into point-to-point schedules")
-		stat     = flag.Bool("stats", false, "print trace statistics")
-		analyze  = flag.Bool("analyze", false, "print CE-sensitivity analysis (collective cadence, volumes, imbalance)")
-		faultMix = flag.String("fault-mix", "", "export a fault-mix CE event stream (advisor NDJSON) instead of a workload trace: preset name or JSON spec file")
-		ceEvents = flag.Int("ce-events", 256, "CE events to export with -fault-mix")
-		ceNodes  = flag.Int("ce-nodes", 1, "nodes to export with -fault-mix (ids 0..n-1)")
-		ceMTBCE  = flag.Duration("ce-mtbce", time.Hour, "aggregate per-node MTBCE for -fault-mix when the spec carries no mtbce_ns")
-		ceTenant = flag.String("ce-tenant", "tracegen", "tenant stamped on exported CE events (advisor ingest requires one)")
+		list     = fs.Bool("list", false, "list available workloads and their skeletons")
+		workload = fs.String("workload", "", "workload to generate")
+		nodes    = fs.Int("nodes", 128, "rank count (adjusted to decomposition constraints)")
+		iters    = fs.Int("iters", 10, "main-loop iterations")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		input    = fs.String("i", "", "read a trace file instead of generating")
+		output   = fs.String("o", "", "write the trace to this file")
+		format   = fs.String("format", "binary", "output format: binary or text")
+		factor   = fs.Int("extrapolate", 0, "extrapolate the trace by this factor")
+		expand   = fs.Bool("expand", false, "expand collectives into point-to-point schedules")
+		stat     = fs.Bool("stats", false, "print trace statistics")
+		analyze  = fs.Bool("analyze", false, "print CE-sensitivity analysis (collective cadence, volumes, imbalance)")
+		faultMix = fs.String("fault-mix", "", "export a fault-mix CE event stream (advisor NDJSON) instead of a workload trace: preset name or JSON spec file")
+		ceEvents = fs.Int("ce-events", 256, "CE events to export with -fault-mix")
+		ceNodes  = fs.Int("ce-nodes", 1, "nodes to export with -fault-mix (ids 0..n-1)")
+		ceMTBCE  = fs.Duration("ce-mtbce", time.Hour, "aggregate per-node MTBCE for -fault-mix when the spec carries no mtbce_ns")
+		ceTenant = fs.String("ce-tenant", "tracegen", "tenant stamped on exported CE events (advisor ingest requires one)")
 	)
-	flag.Parse()
+	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
+		fatal(err)
+	}
+	switch {
+	case fs.NArg() > 0:
+		fatal(fmt.Errorf("unexpected argument %q", fs.Arg(0)))
+	case *format != "binary" && *format != "text":
+		fatal(fmt.Errorf("-format %q is not binary or text", *format))
+	case *factor < 0:
+		fatal(fmt.Errorf("-extrapolate must be at least 1, or 0 to leave the trace as is; got %d", *factor))
+	}
 
 	if *faultMix != "" {
 		if *workload != "" || *input != "" || *list {
-			fatal(fmt.Errorf("tracegen: -fault-mix is a CE event export; it excludes -workload, -i and -list"))
+			fatal(fmt.Errorf("-fault-mix is a CE event export; it excludes -workload, -i and -list"))
 		}
 		if *ceEvents < 1 {
-			fatal(fmt.Errorf("tracegen: -ce-events must be at least 1, got %d", *ceEvents))
+			fatal(fmt.Errorf("-ce-events must be at least 1, got %d", *ceEvents))
 		}
 		if *ceNodes < 1 {
-			fatal(fmt.Errorf("tracegen: -ce-nodes must be at least 1, got %d", *ceNodes))
+			fatal(fmt.Errorf("-ce-nodes must be at least 1, got %d", *ceNodes))
 		}
 		if *ceMTBCE <= 0 {
-			fatal(fmt.Errorf("tracegen: -ce-mtbce must be positive, got %s", *ceMTBCE))
+			fatal(fmt.Errorf("-ce-mtbce must be positive, got %s", *ceMTBCE))
 		}
 		if err := exportFaultMix(*faultMix, *output, *ceTenant, *ceEvents, *ceNodes, int64(*ceMTBCE), *seed); err != nil {
 			fatal(err)
@@ -122,7 +134,7 @@ func main() {
 			fatal(err)
 		}
 	default:
-		fatal(fmt.Errorf("tracegen: pass -workload, -i or -list"))
+		fatal(fmt.Errorf("pass -workload, -i or -list"))
 	}
 
 	if *factor > 0 {
@@ -183,17 +195,11 @@ func main() {
 	}
 
 	if *output != "" {
-		f, err := os.Create(*output)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
+		write := trace.WriteBinary
 		if *format == "text" || strings.HasSuffix(*output, ".txt") {
-			err = trace.WriteText(f, tr)
-		} else {
-			err = trace.WriteBinary(f, tr)
+			write = trace.WriteText
 		}
-		if err != nil {
+		if err := writeFile(*output, func(w io.Writer) error { return write(w, tr) }); err != nil {
 			fatal(fmt.Errorf("writing %s: %w", *output, err))
 		}
 		fmt.Fprintf(os.Stderr, "tracegen: wrote %s (%d ranks, %d ops)\n", *output, tr.NumRanks(), tr.NumOps())
@@ -207,23 +213,13 @@ func main() {
 // ground truth.
 func exportFaultMix(arg, output, tenant string, events, nodes int, mtbceNanos int64, seed uint64) error {
 	if tenant == "" {
-		return fmt.Errorf("tracegen: -ce-tenant must not be empty")
+		return fmt.Errorf("-ce-tenant must not be empty")
 	}
 	spec, err := systems.ResolveFaultMix(arg)
 	if err != nil {
-		return fmt.Errorf("tracegen: %w", err)
+		return err
 	}
 	s := spec.WithMTBCE(mtbceNanos)
-	var w io.Writer = os.Stdout
-	if output != "" {
-		f, err := os.Create(output)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
 	type line struct {
 		Tenant    string `json:"tenant"`
 		Node      string `json:"node"`
@@ -233,36 +229,60 @@ func exportFaultMix(arg, output, tenant string, events, nodes int, mtbceNanos in
 		Syndrome  string `json:"synd"`
 	}
 	total := 0
-	for node := 0; node < nodes; node++ {
-		evs, err := s.Events(seed, uint64(node), events)
-		if err != nil {
-			return err
-		}
-		for _, e := range evs {
-			synd := e.Kind.String()
-			if e.Transient {
-				synd += "-transient"
-			}
-			if err := enc.Encode(line{
-				Tenant:    tenant,
-				Node:      fmt.Sprintf("node-%d", node),
-				TimeNanos: e.TimeNanos,
-				Addr:      e.Addr,
-				Bank:      e.Bank,
-				Syndrome:  synd,
-			}); err != nil {
+	export := func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for node := 0; node < nodes; node++ {
+			evs, err := s.Events(seed, uint64(node), events)
+			if err != nil {
 				return err
 			}
-			total++
+			for _, e := range evs {
+				synd := e.Kind.String()
+				if e.Transient {
+					synd += "-transient"
+				}
+				if err := enc.Encode(line{
+					Tenant:    tenant,
+					Node:      fmt.Sprintf("node-%d", node),
+					TimeNanos: e.TimeNanos,
+					Addr:      e.Addr,
+					Bank:      e.Bank,
+					Syndrome:  synd,
+				}); err != nil {
+					return err
+				}
+				total++
+			}
 		}
+		return nil
 	}
-	if output != "" {
-		fmt.Fprintf(os.Stderr, "tracegen: wrote %s (%d CE events, %d nodes, mix %s)\n", output, total, nodes, s)
+	if output == "" {
+		return export(os.Stdout)
 	}
+	if err := writeFile(output, export); err != nil {
+		return fmt.Errorf("writing %s: %w", output, err)
+	}
+	fmt.Fprintf(os.Stderr, "tracegen: wrote %s (%d CE events, %d nodes, mix %s)\n", output, total, nodes, s)
 	return nil
 }
 
+// writeFile creates path and fills it with write. A failed close is an
+// error like a failed write: the file may not hold what write produced.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// fatal prints err as one "tracegen: " line and exits 1. Errors from
+// internal/tracegen already carry that prefix.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
+	fmt.Fprintln(os.Stderr, "tracegen:", strings.TrimPrefix(err.Error(), "tracegen: "))
 	os.Exit(1)
 }

@@ -1,0 +1,69 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestBadInvocationsRejectedUpFront requires a value the command would
+// silently ignore or replace, a stray argument, an unreadable input and
+// an output that cannot be written to fail with exit status 1, nothing
+// on stdout and one "tracegen: " line naming the bad value.
+func TestBadInvocationsRejectedUpFront(t *testing.T) {
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "tracegen")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("build tracegen: %v", err)
+	}
+	out := filepath.Join(tmp, "out.trace")
+	type rejection struct {
+		args []string
+		want string // stderr substring
+	}
+	cases := []rejection{
+		{[]string{"-workload", "lulesh", "-format", "xml", "-o", out}, `"xml"`},
+		{[]string{"-workload", "lulesh", "-extrapolate", "-2", "-stats"}, "got -2"},
+		{[]string{"-workload", "lulesh", "extra", "-stats"}, `"extra"`},
+		{[]string{"-i", "/nonexistent", "-stats"}, "/nonexistent"},
+		{[]string{"-workload", "bogus"}, `"bogus"`},
+		{[]string{"-fault-mix", "field-ddr4", "-ce-events", "0"}, "got 0"},
+		{[]string{"-bogus"}, "-bogus"},
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Log("no /dev/full, skipping the write failure:", err)
+	} else {
+		full := filepath.Join(tmp, "full.trace")
+		if err := os.Symlink("/dev/full", full); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, rejection{[]string{"-workload", "lulesh", "-o", full}, "writing " + full})
+	}
+	for _, tc := range cases {
+		cmd := exec.Command(bin, tc.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: err = %v, want exit status 1", tc.args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v wrote output before failing: %q", tc.args, stdout.String())
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "tracegen: ") || strings.Count(msg, "\n") != 1 ||
+			strings.Count(msg, "tracegen: ") != 1 || !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: stderr %q is not one tracegen: line naming %q", tc.args, msg, tc.want)
+		}
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("rejected -format wrote %s (stat err = %v)", out, err)
+	}
+}

@@ -1,40 +1,11 @@
 package main
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"testing"
+
+	"repro/internal/golden"
 )
 
-var updateGolden = flag.Bool("update-quickstart-golden", false,
-	"rewrite testdata/golden.txt from the live example")
-
 // TestGolden pins the example's stdout: the baseline makespan and both
-// logging modes' slowdown samples. After an intentional model change:
-//
-//	go test ./examples/quickstart/ -update-quickstart-golden
-func TestGolden(t *testing.T) {
-	var got bytes.Buffer
-	cmd := exec.Command("go", "run", ".")
-	cmd.Stdout, cmd.Stderr = &got, os.Stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("go run ./examples/quickstart: %v", err)
-	}
-	path := filepath.Join("testdata", "golden.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("stdout moved from %s (regenerate with -update-quickstart-golden if intended):\n%s", path, got.Bytes())
-	}
-}
+// logging modes' slowdown samples.
+func TestGolden(t *testing.T) { golden.Stdout(t, "go", "run", ".") }

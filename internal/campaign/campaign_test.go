@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/golden"
 )
 
 func tinyOptions() core.Options {
@@ -162,15 +162,10 @@ func TestRunTable2Only(t *testing.T) {
 	}
 }
 
-var updateStudiesGolden = flag.Bool("update-studies-golden", false,
-	"rewrite testdata/<study>.txt from the live studies")
-
 // TestStudiesGolden runs the seven studies at seed 1 through the
 // campaign and byte-compares each rendered table with testdata, the
-// output of the benchmark harness they were moved out of. Regenerate
-// after an intentional model change with:
-//
-//	go test -run TestStudiesGolden ./internal/campaign/ -update-studies-golden
+// output of the benchmark harness they were moved out of. Every table
+// that moved is reported, not just the first.
 func TestStudiesGolden(t *testing.T) {
 	dir := t.TempDir()
 	var names []string
@@ -189,21 +184,7 @@ func TestStudiesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden := filepath.Join("testdata", name+".txt")
-		if *updateStudiesGolden {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from %s (rerun with -update-studies-golden if intended):\ngot:\n%s\nwant:\n%s",
-				name, golden, got, want)
-		}
+		golden.Check(t, filepath.Join("testdata", name+".txt"), got)
 	}
 }
 

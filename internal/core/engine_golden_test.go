@@ -6,24 +6,20 @@ package core
 // a one-off run showed every legacy path and the current engine all
 // reproduce it byte-for-byte. Comparing against it keeps "current
 // engine == pre-rework engine" holding with a single engine compiled
-// in. Regenerate only after an intentional model change:
-//
-//	go test -run TestEngineGolden ./internal/core/ -update-engine-golden
+// in. Regenerate only after an intentional model change, with the
+// -update command a failing check prints.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/noise"
 )
-
-var updateEngineGolden = flag.Bool("update-engine-golden", false,
-	"rewrite testdata/engine_golden.json from the live engine")
 
 var engineGoldenPath = filepath.Join("testdata", "engine_golden.json")
 
@@ -121,26 +117,14 @@ func renderEngineResults(func(ExperimentConfig) (*Experiment, error)) ([]byte, e
 
 // TestEngineGolden is the engine-smoke target (Makefile, CI): the
 // figure matrix and the raw results must match the committed golden
-// byte-for-byte.
+// byte-for-byte. TestEngineBitIdentical and TestEngineBitIdenticalResults
+// name the document that moved.
 func TestEngineGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, s := range engineSections {
 		got.Write(s.bytes(t, NewExperiment))
 	}
-	if *updateEngineGolden {
-		if err := os.WriteFile(engineGoldenPath, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", engineGoldenPath, got.Len())
-		return
-	}
-	want, err := os.ReadFile(engineGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("engine output drifted from %s; TestEngineBitIdentical and TestEngineBitIdenticalResults name the document (rerun with -update-engine-golden only if the model change is intended)", engineGoldenPath)
-	}
+	golden.Check(t, engineGoldenPath, got.Bytes())
 }
 
 // checkEngineSection compares section i against the i-th document of

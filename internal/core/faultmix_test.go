@@ -3,14 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var updateFaultmixGolden = flag.Bool("update-faultmix-golden", false,
-	"rewrite testdata/faultmix_smoke_golden.json from the live figures")
+	"repro/internal/golden"
+)
 
 func TestFigure8Shape(t *testing.T) {
 	f, err := RunFigure(context.Background(), "8", tinyOpts("minife"))
@@ -103,10 +100,7 @@ func TestFaultMixFiguresBitIdentical(t *testing.T) {
 
 // TestFaultMixSmokeGolden is the faultmix-smoke target (Makefile, CI):
 // a small fixed-seed run of both fault-mix figures must match the
-// committed golden byte-for-byte. Regenerate after an intentional model
-// change with:
-//
-//	go test -run TestFaultMixSmokeGolden ./internal/core/ -update-faultmix-golden
+// committed golden byte-for-byte.
 func TestFaultMixSmokeGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, id := range []string{"8", "9"} {
@@ -118,22 +112,5 @@ func TestFaultMixSmokeGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	goldenPath := filepath.Join("testdata", "faultmix_smoke_golden.json")
-	if *updateFaultmixGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", goldenPath, got.Len())
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("fault-mix figures drifted from golden (rerun with -update-faultmix-golden if intended):\n got: %s\nwant: %s", got.Bytes(), want)
-	}
+	golden.Check(t, filepath.Join("testdata", "faultmix_smoke_golden.json"), got.Bytes())
 }

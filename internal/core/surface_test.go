@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 func TestSurfaceShape(t *testing.T) {
@@ -94,14 +94,8 @@ func TestReadFigureJSONErrors(t *testing.T) {
 // Surface golden. testdata/surface_golden.json was recorded at the
 // last commit where Surface was its own hand-written loop, so the
 // declared-grid runner has to reproduce that loop's rows and heatmap
-// byte-for-byte. Regenerate only after an intentional model change:
-//
-//	go test -run TestSurfaceGolden ./internal/core/ -update-surface-golden
-var updateSurfaceGolden = flag.Bool("update-surface-golden", false,
-	"rewrite testdata/surface_golden.json from the live Surface driver")
-
+// byte-for-byte. Regenerate only after an intentional model change.
 func TestSurfaceGolden(t *testing.T) {
-	path := filepath.Join("testdata", "surface_golden.json")
 	f, hm, err := Surface(context.Background(), Options{Nodes: 8, Iterations: 2, Reps: 1, Seed: 1}, "minife",
 		[]int64{200 * nsPerMs, 200 * nsPerS}, []int64{150, 775 * nsPerUs, 133 * nsPerMs})
 	if err != nil {
@@ -116,18 +110,5 @@ func TestSurfaceGolden(t *testing.T) {
 	if err := enc.Encode(hm); err != nil {
 		t.Fatal(err)
 	}
-	if *updateSurfaceGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, got.Len())
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("Surface output drifted from %s (rerun with -update-surface-golden only if the model change is intended)\n--- got ---\n%s", path, got.Bytes())
-	}
+	golden.Check(t, filepath.Join("testdata", "surface_golden.json"), got.Bytes())
 }

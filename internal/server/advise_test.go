@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,11 +17,9 @@ import (
 	"repro/internal/advise"
 	"repro/internal/envelope"
 	"repro/internal/faultinject"
+	"repro/internal/golden"
 	"repro/internal/jobs"
 )
-
-var updateAdvisorGolden = flag.Bool("update-advisor-golden", false,
-	"rewrite testdata/advisor_smoke_golden.json from the live response")
 
 // newAdvisorServer mounts an advisor on a robust test server.
 func newAdvisorServer(t *testing.T, qcfg jobs.Config, mod func(*Config)) (*httptest.Server, *jobs.Queue, *advise.Service) {
@@ -296,7 +293,6 @@ func refIngest(s *advise.Service, batch string) error {
 // TestAdvisorSmokeGolden is the advisor-smoke target (Makefile, CI):
 // boot the daemon stack, ingest the canned NDJSON stream, and require
 // the recommendation to match the committed golden byte-for-byte.
-// Regenerate with: go test -run TestAdvisorSmokeGolden ./internal/server/ -update-advisor-golden
 func TestAdvisorSmokeGolden(t *testing.T) {
 	ts, _, _ := newAdvisorServer(t, jobs.Config{}, nil)
 
@@ -315,19 +311,5 @@ func TestAdvisorSmokeGolden(t *testing.T) {
 		t.Fatalf("smoke recommend: %d %s", resp.StatusCode, got)
 	}
 
-	goldenPath := filepath.Join("testdata", "advisor_smoke_golden.json")
-	if *updateAdvisorGolden {
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", goldenPath, len(got))
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("recommendation drifted from golden (rerun with -update-advisor-golden if intended):\n got: %s\nwant: %s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "advisor_smoke_golden.json"), got)
 }
