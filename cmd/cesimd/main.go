@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -49,6 +50,7 @@ import (
 
 	"repro/internal/advise"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/journal"
@@ -107,6 +109,49 @@ func main() {
 		logger.Fatal("-join requires -role worker")
 	}
 
+	// Every value below would otherwise be logged as given and then
+	// replaced by a default or ignored; only the zeros and negatives the
+	// help text documents pass.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	const maxMiB = math.MaxInt64 >> 20
+	for _, r := range []struct {
+		flag string
+		ok   bool
+		want string
+	}{
+		{"workers", *workers >= 0, "must be 0 (GOMAXPROCS) or more"},
+		{"sim-workers", *simWorkers >= 0, "must be 0 (GOMAXPROCS) or more"},
+		{"queue", *queueDepth >= 1, "must be at least 1"},
+		{"job-timeout", *jobTimeout >= 0, "must be 0 (none) or more"},
+		{"retain", *retain >= 1, "must be at least 1"},
+		{"cache-mb", *cacheMB >= 1 && int64(*cacheMB) <= maxMiB, fmt.Sprintf("must be in [1, %d]", maxMiB)},
+		{"max-nodes", *maxNodes >= 1, "must be at least 1"},
+		{"max-reps", *maxReps >= 1, "must be at least 1"},
+		{"shed-watermark", *shedMark >= 0, "must be 0 (disabled) or more"},
+		{"advise-tenants", *advTenants >= 1, "must be at least 1"},
+		{"advise-nodes-per-tenant", *advNodes >= 1, "must be at least 1"},
+		{"advise-batch", *advBatch >= 1, "must be at least 1"},
+		{"advise-cache", *advCache != 0, "must be positive, or negative to disable"},
+		{"advise-half-life", *advHalfLife > 0, "must be positive"},
+		{"tenant-rate", *tenantRate >= 0, "must be 0 (unlimited) or more"},
+		{"tenant-burst", *tenantBurst >= 0, "must be 0 (derived) or more"},
+		{"tenant-burst", *tenantBurst == 0 || *tenantRate > 0, "requires -tenant-rate"},
+		{"tenant-jobs", *tenantJobs >= 0, "must be 0 (unlimited) or more"},
+		{"tenant-disk-mb", *tenantDiskMB >= 0 && int64(*tenantDiskMB) <= maxMiB, fmt.Sprintf("must be in [0 (unlimited), %d]", maxMiB)},
+		{"lease-ttl", *leaseTTL > 0, "must be positive"},
+		{"lease-ttl", !set["lease-ttl"] || *role == "coordinator", "requires -role coordinator"},
+		{"steal-after", *stealAfter > 0, "must be positive"},
+		{"steal-after", !set["steal-after"] || *role == "coordinator", "requires -role coordinator"},
+	} {
+		if !r.ok {
+			logger.Fatalf("-%s %s %s", r.flag, flag.Lookup(r.flag).Value, r.want)
+		}
+	}
+	if flag.NArg() > 0 {
+		logger.Fatalf("unexpected argument %q", flag.Arg(0))
+	}
+
 	// Fault injection is opt-in twice over: the plan flag alone is an
 	// error so a stray -faults can't chaos a production instance.
 	if *faultsPath != "" && !*allowFaults {
@@ -139,7 +184,7 @@ func main() {
 		ss := store.Stats()
 		logger.Printf("result store: %d entries (%d bytes), %d quarantined at scan", ss.Entries, ss.SizeBytes, ss.Quarantined)
 	}
-	cache := simcache.New(int64(*cacheMB) << 20)
+	cache := core.NewExperimentCache(int64(*cacheMB) << 20)
 
 	var tenants *tenant.Registry
 	if *tenantRate > 0 || *tenantJobs > 0 || *tenantDiskMB > 0 {

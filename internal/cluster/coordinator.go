@@ -44,7 +44,7 @@ type Config struct {
 	LeaseTTL time.Duration
 	// StealAfter is how long a pending shard waits for its preferred
 	// (consistent-hash) worker before any idle worker may take it
-	// (default 2s). Placement is an affinity optimization for simcache
+	// (default 2s). Placement is an affinity optimization for baseline-cache
 	// warmth, never a correctness constraint.
 	StealAfter time.Duration
 	// WorkerTTL is how long a registered worker survives without any
@@ -238,7 +238,7 @@ type Grant struct {
 
 // Lease offers the next runnable shard to the worker, or nil when no
 // work is available. Shards prefer their consistent-hash placement
-// worker (warm simcache) and fall back to any worker after StealAfter.
+// worker (warm baseline cache) and fall back to any worker after StealAfter.
 func (c *Coordinator) Lease(workerID string) (*Grant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -102,7 +102,7 @@ func CellSeed(base uint64, key string) uint64 {
 // weight) consistent hashing over the placement key: each worker
 // scores rng.Mix64(hash(worker) ^ hash(key)) and the highest score
 // wins. Adding or removing a worker only moves the cells that scored
-// highest on it, so baseline-cache (simcache) residency stays warm on
+// highest on it, so baseline-cache residency stays warm on
 // the survivors. The placement key is the cell's workload: every
 // figure shares one prepared baseline per (workload, nodes) point, so
 // co-locating a workload's cells maximizes cache hits. Empty worker

@@ -16,7 +16,6 @@ import (
 	"repro/internal/envelope"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
-	"repro/internal/simcache"
 )
 
 // ErrRegisterFailed reports that the worker could not register with the
@@ -37,7 +36,7 @@ type WorkerConfig struct {
 	// Cache, when set, supplies warm baselines to the figure drivers
 	// via core.Options.Experiments — the point of consistent-hash
 	// placement.
-	Cache *simcache.Cache
+	Cache *core.ExperimentCache
 	// HTTPClient defaults to a client with a 30s timeout.
 	HTTPClient *http.Client
 	// PollInterval is the idle lease-poll period (default 200ms).
@@ -263,8 +262,11 @@ func (w *Worker) execute(ctx context.Context, g *Grant, rid string) (json.RawMes
 		}
 		opts := g.Spec.Options()
 		opts.Workloads = []string{g.Cell.Workload}
-		if w.cfg.Cache != nil {
-			opts.Experiments = w.cfg.Cache.Provider(jctx)
+		if c := w.cfg.Cache; c != nil {
+			opts.Experiments = func(cfg core.ExperimentConfig) (*core.Experiment, error) {
+				exp, _, err := c.GetOrBuild(jctx, cfg)
+				return exp, err
+			}
 		}
 		fig, err := core.RunFigure(jctx, g.Cell.Figure, opts)
 		if err != nil {

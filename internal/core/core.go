@@ -141,9 +141,10 @@ func (e *Experiment) Config() ExperimentConfig { return e.cfg }
 // SizeBytes is what the experiment keeps resident when it is asked: the
 // compiled program, the baseline's per-rank results (finish time and
 // the three profile components) and the run states on the idle list —
-// for an experiment nothing is running on yet, as when simcache prices
-// it, the baseline's. Run states taken later by concurrent repetitions
-// are bounded (see releaseSim) and not part of that price.
+// for an experiment nothing is running on yet, as when an
+// ExperimentCache prices it, the baseline's. Run states taken later by
+// concurrent repetitions are bounded (see releaseSim) and not part of
+// that price.
 func (e *Experiment) SizeBytes() int64 {
 	size := e.prog.SizeBytes() + int64(e.ranks)*4*8
 	e.mu.Lock()

@@ -7,17 +7,15 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/memo"
 )
 
-// withExperimentMemo replaces the process-wide experiment memo with an
-// empty one bounded to capBytes until the test ends, so the test counts
-// only its own builds.
-func withExperimentMemo(t *testing.T, capBytes int64) *memo.Cache[ExperimentConfig, *Experiment] {
+// withExperimentMemo replaces the process-wide experiment cache with
+// an empty one bounded to capBytes until the test ends, so the test
+// counts only its own builds.
+func withExperimentMemo(t *testing.T, capBytes int64) *ExperimentCache {
 	t.Helper()
 	old := experiments
-	experiments = newExperimentMemo(capBytes)
+	experiments = NewExperimentCache(capBytes)
 	t.Cleanup(func() { experiments = old })
 	return experiments
 }
@@ -109,12 +107,13 @@ func TestConcurrentFiguresCoalesce(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(release) }) }) // a failed test still ends the build
+	m.build = func(cfg ExperimentConfig) (*Experiment, error) {
+		<-release
+		return NewExperiment(cfg)
+	}
 	held := make(chan error, 1)
 	go func() {
-		_, _, err := m.GetOrBuild(context.Background(), cfg.Canonical(), func() (*Experiment, error) {
-			<-release
-			return NewExperiment(cfg)
-		})
+		_, _, err := m.GetOrBuild(context.Background(), cfg)
 		held <- err
 	}()
 	waitUntil(t, "the held build", func() bool { return m.Stats().Misses == 1 })

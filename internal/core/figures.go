@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/faultmodel"
 	"repro/internal/mca"
-	"repro/internal/memo"
 	"repro/internal/noise"
 	"repro/internal/report"
 	"repro/internal/systems"
@@ -109,10 +108,10 @@ type Options struct {
 	// Workloads restricts the workload set (default: all nine).
 	Workloads []string `json:"workloads,omitempty"`
 	// Experiments optionally supplies prepared experiments to the
-	// figure drivers — e.g. a simcache-backed provider on cluster
-	// workers, so cells sharing a (workload, nodes) point reuse one
-	// resident baseline. nil takes them from SharedExperiment, the
-	// process-wide memo, so the figures, surfaces and studies of one
+	// figure drivers — e.g. a cluster worker's own ExperimentCache, so
+	// cells sharing a (workload, nodes) point reuse one resident
+	// baseline. nil takes them from SharedExperiment, the process-wide
+	// ExperimentCache, so the figures, surfaces and studies of one
 	// process build each baseline once. Baseline construction is
 	// deterministic, so any correct provider returns an experiment
 	// bit-identical to NewExperiment's and results never depend on who
@@ -216,43 +215,6 @@ func (f *Figure) Table() *report.Table {
 			slow, report.Pct(r.CI95Pct))
 	}
 	return t
-}
-
-// DefaultExperimentCacheBytes bounds the process-wide experiment memo
-// and is simcache's default capacity: 256 MiB. Measured over the
-// benchmark's cold configurations (12-44 iterations, docs/MODEL.md §7)
-// that is about twenty-seven 512-node baselines (8.3 MiB of program
-// and 1.1 MiB of run state each, on average) or about a hundred and ten
-// 128-node ones (2.3 MiB each); the nine of a default reduced-scale
-// reproduction take 109 MiB together. The price is set at insertion,
-// with the baseline's run state idle; an entry whose repetitions ran
-// concurrently holds up to GOMAXPROCS run states, each the size of the
-// baseline's, outside the bound.
-const DefaultExperimentCacheBytes = 256 << 20
-
-// experiments is the process-wide experiment memo behind
-// SharedExperiment: an internal/memo cache keyed by the canonical
-// configuration and charged by SizeBytes. Every figure, surface and
-// study a process runs without an Options.Experiments provider builds
-// each baseline once here.
-var experiments = newExperimentMemo(DefaultExperimentCacheBytes)
-
-func newExperimentMemo(capBytes int64) *memo.Cache[ExperimentConfig, *Experiment] {
-	return memo.New[ExperimentConfig](capBytes, (*Experiment).SizeBytes)
-}
-
-// SharedExperiment returns cfg's experiment from the process-wide memo,
-// building it with NewExperiment when it is neither resident nor under
-// construction; concurrent callers for one configuration share one
-// build. ctx bounds this caller's wait on another caller's build, never
-// the build itself. Baseline construction is deterministic, so the
-// experiment is bit-identical to NewExperiment's and may be shared: it
-// is safe for concurrent repetitions.
-func SharedExperiment(ctx context.Context, cfg ExperimentConfig) (*Experiment, error) {
-	e, _, err := experiments.GetOrBuild(ctx, cfg.Canonical(), func() (*Experiment, error) {
-		return NewExperiment(cfg)
-	})
-	return e, err
 }
 
 // expCache builds each (workload, nodes) experiment at most once per

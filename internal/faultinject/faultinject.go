@@ -61,7 +61,7 @@ const (
 	// (internal/jobs worker body, inside the recover scope).
 	SiteJobWorker = "jobs.worker"
 	// SiteCacheFill fires in the baseline-cache fill path
-	// (internal/simcache), before the builder runs.
+	// (core.ExperimentCache), before the builder runs.
 	SiteCacheFill = "simcache.fill"
 	// SiteRepetition fires at the start of every simulation
 	// repetition (internal/core repeated-run loops).

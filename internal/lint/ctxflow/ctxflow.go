@@ -1,6 +1,6 @@
 // Package ctxflow enforces context discipline on the serving path.
 //
-// cesimd's request handling (server → jobs → simcache → core) promises
+// cesimd's request handling (server → jobs → core) promises
 // that cancellation propagates end-to-end: a client disconnect or a
 // drain deadline must reach the repetition loop (docs/SERVICE.md). Three
 // patterns quietly break that chain:

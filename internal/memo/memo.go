@@ -1,9 +1,9 @@
 // Package memo is the repository's one bounded memo: an LRU cache with
-// in-flight coalescing. The baseline cache (internal/simcache), the
+// in-flight coalescing. The baseline cache (core.ExperimentCache), the
 // collective-schedule memo (internal/collectives), the Fig. 9 storm
-// costs and the process-wide experiment memo (internal/core) and the
-// advisor's recommendation cache (internal/advise) are instances of
-// it, and share its four guarantees:
+// costs (internal/core) and the advisor's recommendation cache
+// (internal/advise) are instances of it, and share its four
+// guarantees:
 //
 //   - bounded: least-recently-used entries are evicted until the summed
 //     cost fits the capacity, but the newest entry is always kept;
@@ -33,7 +33,7 @@ func (abortedError) Error() string   { return "memo: build aborted by a panic" }
 func (abortedError) Retryable() bool { return true }
 
 // Stats is a point-in-time snapshot of a cache's counters, named and
-// tagged as simcache (/metrics) and collectives (the benchmark) publish
+// tagged as the baseline cache (/metrics) and collectives (the benchmark) publish
 // it. Sizes are in the cost function's unit: bytes for those two.
 type Stats struct {
 	// Entries is the number of resident entries, SizeBytes their summed

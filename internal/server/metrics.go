@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/advise"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/journal"
@@ -79,7 +80,7 @@ const (
 	// StageHTTP is wall time per HTTP request (handler only — job
 	// execution is measured by the other stages).
 	StageHTTP = "http"
-	// StageBaseline is the simcache lookup-or-build step of a
+	// StageBaseline is the baseline-cache lookup-or-build step of a
 	// simulate job: ~free on a hit, the full trace expansion plus
 	// baseline simulation on a miss.
 	StageBaseline = "baseline"
@@ -183,12 +184,12 @@ func (m *Metrics) Request(route string, status int, d time.Duration) {
 
 // Snapshot is the JSON document served on /metrics.
 type Snapshot struct {
-	UptimeSeconds float64                 `json:"uptime_s"`
-	Requests      map[string]uint64       `json:"requests"`
-	Statuses      map[string]uint64       `json:"statuses"`
-	Latency       map[string]HistSnapshot `json:"latency"`
-	Jobs          jobs.Stats              `json:"jobs"`
-	Cache         simcache.Stats          `json:"cache"`
+	UptimeSeconds float64                   `json:"uptime_s"`
+	Requests      map[string]uint64         `json:"requests"`
+	Statuses      map[string]uint64         `json:"statuses"`
+	Latency       map[string]HistSnapshot   `json:"latency"`
+	Jobs          jobs.Stats                `json:"jobs"`
+	Cache         core.ExperimentCacheStats `json:"cache"`
 	// ShedRequests counts submissions rejected by admission control.
 	ShedRequests uint64 `json:"shed_requests"`
 	// HandlerPanics counts panics recovered at the HTTP layer.
@@ -224,7 +225,7 @@ type Extras struct {
 
 // Snapshot captures all counters plus live queue, cache and advisor
 // gauges. q, c and adv may be nil (their sections stay zero or absent).
-func (m *Metrics) Snapshot(q *jobs.Queue, c *simcache.Cache, adv *advise.Service, x Extras) Snapshot {
+func (m *Metrics) Snapshot(q *jobs.Queue, c *core.ExperimentCache, adv *advise.Service, x Extras) Snapshot {
 	s := Snapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Requests:      map[string]uint64{},

@@ -1,7 +1,7 @@
 // Package server exposes the simulation pipeline as an HTTP/JSON
 // service: clients submit CE-overhead questions (one scenario or a
 // whole figure sweep), the server queues them on internal/jobs, reuses
-// noise-free baselines through internal/simcache, and serves results
+// noise-free baselines through a core.ExperimentCache, and serves results
 // and operational metrics. cmd/cesimd is the binary wrapper.
 //
 // Endpoints:
@@ -48,7 +48,7 @@ type Config struct {
 	// Queue executes jobs; required.
 	Queue *jobs.Queue
 	// Cache memoizes baselines; required.
-	Cache *simcache.Cache
+	Cache *core.ExperimentCache
 	// SimWorkers is the per-job fan-out passed to
 	// core.RunRepeatedParallelContext; <= 0 selects GOMAXPROCS.
 	SimWorkers int
@@ -619,7 +619,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // verbatim instead of recomputing. The job's context reaches every
 // repetition of the figure, and baselines resolve as a simulate job's
 // do (the daemon's cache, then a direct build): the job passes its own
-// Options.Experiments, so core's process-wide experiment memo is never
+// Options.Experiments, so core's process-wide ExperimentCache is never
 // filled by the daemon and /metrics accounts for every baseline.
 func (s *Server) sweepFunc(req SweepRequest, tenantName string, payload []byte) jobs.Func {
 	return func(ctx context.Context) (any, error) {

@@ -2,13 +2,11 @@ package simcache
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/netmodel"
 )
 
@@ -36,11 +34,6 @@ func TestKeyCanonicalization(t *testing.T) {
 
 func TestGetOrBuildHitMiss(t *testing.T) {
 	c := New(0)
-	var builds atomic.Int64
-	c.SetBuilder(func(cfg core.ExperimentConfig) (*core.Experiment, error) {
-		builds.Add(1)
-		return core.NewExperiment(cfg)
-	})
 	ctx := context.Background()
 
 	e1, hit, err := c.GetOrBuild(ctx, tinyCfg(1))
@@ -54,9 +47,6 @@ func TestGetOrBuildHitMiss(t *testing.T) {
 	if e1 != e2 {
 		t.Fatal("hit returned a different experiment")
 	}
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("builder ran %d times, want 1", n)
-	}
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 || s.HitRatio != 0.5 {
 		t.Fatalf("stats %+v", s)
@@ -66,70 +56,14 @@ func TestGetOrBuildHitMiss(t *testing.T) {
 	}
 }
 
-func TestSingleflightCoalesces(t *testing.T) {
-	c := New(0)
-	var builds atomic.Int64
-	release := make(chan struct{})
-	c.SetBuilder(func(cfg core.ExperimentConfig) (*core.Experiment, error) {
-		builds.Add(1)
-		<-release
-		return core.NewExperiment(cfg)
-	})
-
-	const waiters = 4
-	var wg sync.WaitGroup
-	errs := make([]error, waiters)
-	hits := make([]bool, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, hits[i], errs[i] = c.GetOrBuild(context.Background(), tinyCfg(1))
-		}(i)
-	}
-	// Wait until one goroutine owns the build and the rest are parked
-	// on its flight, then let the build finish.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := c.Stats()
-		if s.Misses == 1 && s.Coalesced == waiters-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("coalescing never settled: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	for i := 0; i < waiters; i++ {
-		if errs[i] != nil {
-			t.Fatalf("waiter %d: %v", i, errs[i])
-		}
-	}
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("builder ran %d times, want 1", n)
-	}
-	var hitCount int
-	for _, h := range hits {
-		if h {
-			hitCount++
-		}
-	}
-	if hitCount != waiters-1 {
-		t.Fatalf("%d waiters reported hits, want %d", hitCount, waiters-1)
-	}
-}
-
 func TestEvictionRespectsBound(t *testing.T) {
 	first, err := core.NewExperiment(tinyCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bound the cache to just over one entry so the second insert
+	// Bound the cache to half again one entry so the second insert
 	// evicts the first.
-	c := New(Cost(first) + entryOverheadBytes/2)
+	c := New(first.SizeBytes() * 3 / 2)
 	ctx := context.Background()
 	if _, _, err := c.GetOrBuild(ctx, tinyCfg(1)); err != nil {
 		t.Fatal(err)
@@ -156,7 +90,7 @@ func TestLRUOrderSurvivesTouches(t *testing.T) {
 	}
 	// Room for two entries; touching the older one should make the
 	// middle one the eviction victim.
-	c := New(2*Cost(exp) + entryOverheadBytes)
+	c := New(exp.SizeBytes() * 5 / 2)
 	ctx := context.Background()
 	for _, seed := range []uint64{1, 2} {
 		if _, _, err := c.GetOrBuild(ctx, tinyCfg(seed)); err != nil {
@@ -177,20 +111,20 @@ func TestLRUOrderSurvivesTouches(t *testing.T) {
 	}
 }
 
+// TestBuilderErrorNotCached: a failed fill — here a transient error
+// injected at the fill site — is not cached; the next lookup builds.
 func TestBuilderErrorNotCached(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	if err := faultinject.Arm(faultinject.Plan{
+		faultinject.SiteCacheFill: {Kind: faultinject.KindError, Probability: 1, Count: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	c := New(0)
-	fail := true
-	c.SetBuilder(func(cfg core.ExperimentConfig) (*core.Experiment, error) {
-		if fail {
-			return nil, errors.New("transient")
-		}
-		return core.NewExperiment(cfg)
-	})
 	ctx := context.Background()
 	if _, _, err := c.GetOrBuild(ctx, tinyCfg(1)); err == nil {
 		t.Fatal("builder error swallowed")
 	}
-	fail = false
 	if _, hit, err := c.GetOrBuild(ctx, tinyCfg(1)); err != nil || hit {
 		t.Fatalf("retry after error: hit=%v err=%v", hit, err)
 	}
@@ -219,22 +153,6 @@ func TestConcurrentMixedLookups(t *testing.T) {
 	}
 	if s.Hits+s.Coalesced+s.Misses != 8 {
 		t.Fatalf("lookup accounting off: %+v", s)
-	}
-}
-
-func TestCachedExperimentAnswersScenarios(t *testing.T) {
-	c := New(0)
-	exp, _, err := c.GetOrBuild(context.Background(), tinyCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := core.NewExperiment(tinyCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp.Baseline().Makespan != direct.Baseline().Makespan {
-		t.Fatalf("cached baseline makespan %d != direct %d",
-			exp.Baseline().Makespan, direct.Baseline().Makespan)
 	}
 }
 
