@@ -14,10 +14,11 @@ import (
 // BenchmarkPerturbedRun times one perturbed repetition — the inner loop
 // of every figure cell and /v1/simulate request — on the program
 // NewExperiment builds, whose collectives are segment references, and
-// on Compile(Expand(Generate)) of the same configuration, which has
-// none. go run ./bench cannot tell the two apart: its traced run
-// (bench/replay.go) feeds loggopsim an already expanded trace, so
-// loggopsim.run_ms only ever times flat programs. The scenario is
+// on Compile(Expand(Generate)) of the same configuration, whose
+// collectives are inline (both share repeated exchanges). go run ./bench
+// cannot tell the two apart: its traced run (bench/replay.go) feeds
+// loggopsim an already expanded trace, so loggopsim.run_ms only ever
+// times the second kind. The scenario is
 // simulate_cold's (software logging, a CE every 200 ms per node); two
 // of the workloads are collective-heavy, lammps-lj has no collective at
 // all. A measure-while-you-work benchmark: run it with a fixed

@@ -1,6 +1,7 @@
 package loggopsim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/collectives"
@@ -22,6 +23,10 @@ type fuzzCase struct {
 // algorithm.
 var fuzzSizes = [8]int64{0, 1, 8, 200, 256, 257, 9000, 70000}
 
+// An exchange's tag and first request id lie above every other
+// action's.
+const exchangeTag, exchangeReq = 1 << 20, 1 << 20
+
 var fuzzCollectives = [8]trace.OpKind{
 	trace.OpBarrier, trace.OpBcast, trace.OpReduce, trace.OpAllreduce,
 	trace.OpAllgather, trace.OpAlltoall, trace.OpGather, trace.OpScatter,
@@ -32,8 +37,13 @@ var fuzzCollectives = [8]trace.OpKind{
 // point-to-point message (the send appended to one rank, the receive to
 // another, as randomMatchedTrace does, so per-rank order follows one
 // global order and only a wildcard receive can steal a match), a calc, a
-// Wait or WaitAll on a rank with requests outstanding, or a collective
-// appended to every rank.
+// Wait or WaitAll on a rank with requests outstanding, an exchange
+// between two ranks, or a collective appended to every rank. An
+// exchange is the block a halo exchange repeats: on each of the two
+// ranks a WaitAll, then an Irecv from and an Isend to the other, then a
+// WaitAll, with the same tag and request ids every time, so an exchange
+// met twice is one the builder shares (every other action numbers its
+// tags and requests afresh).
 func decodeFuzzCase(data []byte) fuzzCase {
 	at := func(i int) int {
 		if i < len(data) {
@@ -97,7 +107,17 @@ func decodeFuzzCase(data []byte) fuzzCase {
 		case 3:
 			ops[r] = append(ops[r], trace.Calc(int64(cc)*500))
 		case 4:
-			if len(pending[r]) > 0 {
+			if a&8 != 0 {
+				dst := int32((r + 1 + b>>3%(ranks-1)) % ranks)
+				size := fuzzSizes[cc%8]
+				for _, x := range [2][2]int32{{int32(r), dst}, {dst, int32(r)}} {
+					ops[x[0]] = append(ops[x[0]], trace.WaitAll(),
+						trace.Irecv(x[1], size, exchangeTag, exchangeReq),
+						trace.Isend(x[1], size, exchangeTag, exchangeReq+1),
+						trace.WaitAll())
+					pending[x[0]] = nil
+				}
+			} else if len(pending[r]) > 0 {
 				ops[r] = append(ops[r], trace.WaitAll())
 				pending[r] = nil
 			}
@@ -127,8 +147,24 @@ func decodeFuzzCase(data []byte) fuzzCase {
 
 // streamedProgram lowers a trace the way core.NewExperiment does: a
 // rank at a time, the expander reporting to the builder, so every
-// collective instance becomes a reference to a per-rank segment.
+// collective instance and every repeated exchange becomes a reference
+// to a per-rank segment.
 func streamedProgram(tr *trace.Trace, coll collectives.Config, cfg Config) (*Program, error) {
+	return lowerByRank(tr, coll, cfg, func(b *Builder) collectives.Sink { return b })
+}
+
+// inlineSink lowers the way the builder did before it shared exchanges:
+// every run of plain ops goes onto the stream as it is.
+type inlineSink struct{ *Builder }
+
+func (s inlineSink) Ops(ops []trace.Op) { s.inline(ops) }
+
+// inlineProgram is streamedProgram with every exchange inline.
+func inlineProgram(tr *trace.Trace, coll collectives.Config, cfg Config) (*Program, error) {
+	return lowerByRank(tr, coll, cfg, func(b *Builder) collectives.Sink { return inlineSink{b} })
+}
+
+func lowerByRank(tr *trace.Trace, coll collectives.Config, cfg Config, sink func(*Builder) collectives.Sink) (*Program, error) {
 	x, err := collectives.NewExpander(tr.NumRanks(), coll)
 	if err != nil {
 		return nil, err
@@ -141,20 +177,21 @@ func streamedProgram(tr *trace.Trace, coll collectives.Config, cfg Config) (*Pro
 		if err := b.StartRank(r); err != nil {
 			return nil, err
 		}
-		if err := x.ExpandRank(b, r, ops); err != nil {
+		if err := x.ExpandRank(sink(b), r, ops); err != nil {
 			return nil, err
 		}
 	}
 	return b.Program()
 }
 
-// requireMatchesReference runs the case three ways — the reference
+// requireMatchesReference runs the case four ways — the reference
 // interpreter on collectives.Expand's flat trace, the engine on the
-// program compiled from that trace, and the engine on the program
-// lowered rank by rank into streams and segments — and requires the
-// same per-rank finish times, message, byte and event counts,
-// termination and Profile from all. Deadlocks (a wildcard receive that
-// stole a match) must agree too.
+// program compiled from that trace, on the program lowered rank by rank
+// into streams and segments, and on that lowering with every exchange
+// inline — and requires the same per-rank finish times, message, byte
+// and event counts, termination and Profile from all, and the same
+// handshake and slot counts from the three programs. Deadlocks (a
+// wildcard receive that stole a match) must agree too.
 func requireMatchesReference(t *testing.T, c fuzzCase) {
 	t.Helper()
 	if err := c.tr.Validate(); err != nil {
@@ -173,7 +210,14 @@ func requireMatchesReference(t *testing.T, c fuzzCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for label, p := range map[string]*Program{"compiled": compiled, "streamed": streamed} {
+	inline, err := inlineProgram(c.tr, c.coll, c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, p := range map[string]*Program{"compiled": compiled, "streamed": streamed, "inline": inline} {
+		if p.handshakes != inline.handshakes || !slices.Equal(p.slots, inline.slots) {
+			t.Fatalf("%s: %d handshakes and slots %v, inline %d and %v", label, p.handshakes, p.slots, inline.handshakes, inline.slots)
+		}
 		var nm noise.Model
 		if c.noise != nil {
 			if nm, err = noise.NewCE(c.tr.NumRanks(), *c.noise); err != nil {
@@ -205,6 +249,10 @@ var fuzzSeeds = map[string]string{
 	// rendezvous send takes the released index (TestNoRecordRetention
 	// checks it does).
 	"reuse-beside-unexpected": "\x02\x00\x00" + "\x03\x02\xff" + "\x00\x12\x03" + "\x00\x00\x0f" + "\x00\x03\x07" + "\x00\x10\x03" + "\x00\x03\x07",
+	// Three ranks: rank 0 and 1 repeat a rendezvous exchange between
+	// calcs, rank 1 and 2 an eager one, beside an unrelated message.
+	"repeated-exchanges": "\x01\x00\x00" + "\x0c\x00\x07" + "\x03\x00\x10" + "\x0c\x01\x02" + "\x0c\x00\x07" + "\x00\x02\x03" +
+		"\x03\x01\x20" + "\x0c\x00\x07" + "\x0c\x01\x02",
 }
 
 func FuzzEngineMatchesReference(f *testing.F) {
@@ -218,11 +266,11 @@ func FuzzEngineMatchesReference(f *testing.F) {
 
 // TestReferenceCoversTheDecoder keeps the seeds honest: together they
 // must reach both protocols, wildcards, a deadlock-free collective of
-// every kind, shared NICs, the local network, extra latency and a CE
-// process that charges detours — otherwise the fuzzer starts from
-// programs that compare nothing.
+// every kind, shared NICs, the local network, extra latency, a CE
+// process that charges detours and a program that shares an exchange —
+// otherwise the fuzzer starts from programs that compare nothing.
 func TestReferenceCoversTheDecoder(t *testing.T) {
-	var rdv, wild, detour, local, extra, shared bool
+	var rdv, wild, detour, local, extra, shared, exchange bool
 	kinds := map[trace.OpKind]bool{}
 	for name, seed := range fuzzSeeds {
 		c := decodeFuzzCase([]byte(seed))
@@ -237,6 +285,15 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 				wild = wild || (op.Kind == trace.OpRecv || op.Kind == trace.OpIrecv) && (op.Peer == trace.AnySource || op.Tag == trace.AnyTag)
 			}
 		}
+		streamed, err := streamedProgram(c.tr, c.coll, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline, err := inlineProgram(c.tr, c.coll, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exchange = exchange || len(streamed.segs) > len(inline.segs)
 		if c.noise != nil {
 			flat, _ := collectives.Expand(c.tr, c.coll)
 			detour = detour || referenceRun(flat, c.cfg, c.noise).Profile.Detour > 0
@@ -249,7 +306,7 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 		}
 	}
 	for what, ok := range map[string]bool{"rendezvous send": rdv, "wildcard receive": wild, "charged detour": detour,
-		"local network": local, "extra latency": extra, "shared NIC": shared} {
+		"local network": local, "extra latency": extra, "shared NIC": shared, "shared exchange": exchange} {
 		if !ok {
 			t.Errorf("no seed has a %s", what)
 		}

@@ -1,6 +1,7 @@
 package loggopsim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -58,11 +59,13 @@ func (p *Program) flatOps(r int) []flatOp {
 // TestStreamedLoweringMatchesStaged: a program lowered a rank at a time
 // from the expander's reports — streams, segments, cost table — is,
 // flattened, the program Compile builds from collectives.Expand's flat
-// trace: op for op, cost for cost, rendezvous and slot counts included,
-// and a flat program has no segment. core's test of the same name pins
-// NewExperiment to this lowering. Rank counts cover the two-rank
-// exchange, an odd count, uneven grid factors, and power-of-two and cube
-// sizes. Part of engine-smoke.
+// trace: op for op, cost for cost, rendezvous and slot counts included.
+// core's test of the same name pins NewExperiment to this lowering.
+// Sharing exchanges only shrinks a program: it is never larger than the
+// same lowering with every exchange inline, and smaller on every
+// workload at 128 ranks. Rank counts cover the two-rank exchange, an odd
+// count, uneven grid factors, and power-of-two and cube sizes. Part of
+// engine-smoke.
 func TestStreamedLoweringMatchesStaged(t *testing.T) {
 	cfg := Config{Net: netmodel.CrayXC40(), Profile: true}
 	algos := []collectives.AllreduceAlgo{
@@ -70,6 +73,7 @@ func TestStreamedLoweringMatchesStaged(t *testing.T) {
 		collectives.AllreduceRabenseifner, collectives.AllreduceRing,
 	}
 	segments := 0
+	at128 := map[string]bool{}
 	for _, wl := range tracegen.Names() {
 		for _, nodes := range []int{2, 3, 24, 64, 128} {
 			tr, err := tracegen.Generate(wl, tracegen.PreferredRanks(wl, nodes), 3, 5)
@@ -90,9 +94,15 @@ func TestStreamedLoweringMatchesStaged(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(staged.segs) != 0 {
-					t.Fatalf("%s/%d/%s: a flat trace compiled to %d segments", wl, nodes, algo, len(staged.segs))
+				inline, err := inlineProgram(tr, coll, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				size, was := streamed.SizeBytes(), inline.SizeBytes()
+				if size > was || nodes == 128 && size == was {
+					t.Fatalf("%s/%d/%s: sharing exchanges took the program from %d to %d bytes", wl, nodes, algo, was, size)
+				}
+				at128[wl] = at128[wl] || nodes == 128
 				segments += len(streamed.segs)
 				for r := range tr.Ops {
 					if got, want := streamed.flatOps(r), staged.flatOps(r); !reflect.DeepEqual(got, want) {
@@ -109,19 +119,23 @@ func TestStreamedLoweringMatchesStaged(t *testing.T) {
 	if segments == 0 {
 		t.Fatal("no workload lowered to a segment: the comparison was flat against flat")
 	}
+	for _, wl := range tracegen.Names() {
+		if !at128[wl] {
+			t.Errorf("%s: no program at 128 ranks to shrink", wl)
+		}
+	}
 }
 
 // TestProgramBytesPerOp: an op is 24 bytes, and a program lowered the
 // way NewExperiment lowers it costs, per op of its expanded trace, at
-// most 25 bytes on every workload and at most 16 where collectives
-// dominate — their schedules are held once per rank, not once per
-// instance.
+// most 6 bytes on every workload at 20 iterations — collective
+// schedules and repeated exchanges are held once per rank, not once per
+// instance (7.9 to 24.1 bytes with every exchange inline).
 func TestProgramBytesPerOp(t *testing.T) {
 	if size := unsafe.Sizeof(cop{}); size > 24 {
 		t.Fatalf("a compiled op is %d bytes, want at most 24", size)
 	}
 	cfg := Config{Net: netmodel.CrayXC40(), Profile: true}
-	heavy := map[string]bool{"minife": true, "milc": true, "lammps-crack": true}
 	for _, wl := range tracegen.Names() {
 		tr, err := tracegen.Generate(wl, tracegen.PreferredRanks(wl, 128), 20, 1)
 		if err != nil {
@@ -137,8 +151,8 @@ func TestProgramBytesPerOp(t *testing.T) {
 		}
 		perOp := float64(p.SizeBytes()) / float64(flat.NumOps())
 		t.Logf("%-14s %4d ranks %8d expanded ops %6d segments %2d costs %6.2f B/op", wl, p.Ranks(), flat.NumOps(), len(p.segs), len(p.costs), perOp)
-		if limit := map[bool]float64{true: 16, false: 25}[heavy[wl]]; perOp > limit {
-			t.Errorf("%s: %.2f bytes per expanded op, want at most %v", wl, perOp, limit)
+		if perOp > 6 {
+			t.Errorf("%s: %.2f bytes per expanded op, want at most 6", wl, perOp)
 		}
 	}
 }
@@ -206,5 +220,85 @@ func TestDeadlockInsideSegmentNamesExpandedOp(t *testing.T) {
 	// expanded ops 0 and 1 are the calcs, 2 to 4 the round.
 	if want := "first: rank 0 at op 4)"; !strings.HasSuffix(err.Error(), want) || flat.Ops[0][4].Kind != trace.OpWait {
 		t.Fatalf("deadlock reported as %q, want it to end %q (flat op 4 is %s)", err, want, flat.Ops[0][4].Kind)
+	}
+}
+
+// TestDeadlockInsideSharedExchangeNamesTraceOp: a rank blocked in the
+// WaitAll of the third repetition of a shared exchange — a reference to
+// a segment, not ops of its stream — is reported at the index of that
+// WaitAll in its trace. Rank 1 skips its part of the third exchange, so
+// rank 0's receive never completes. Part of engine-smoke.
+func TestDeadlockInsideSharedExchangeNamesTraceOp(t *testing.T) {
+	exchange := []trace.Op{trace.Calc(100), trace.Irecv(1, 8, 0, 0), trace.Isend(1, 8, 0, 1), trace.WaitAll()}
+	var rank0, rank1 []trace.Op
+	for i := 0; i < 3; i++ {
+		rank0 = append(rank0, exchange...)
+	}
+	for i := 0; i < 2; i++ {
+		rank1 = append(rank1, trace.Calc(100), trace.Irecv(0, 8, 0, 0), trace.Isend(0, 8, 0, 1), trace.WaitAll())
+	}
+	rank1 = append(rank1, trace.Calc(100), trace.Irecv(0, 8, 0, 0), trace.WaitAll())
+	tr := &trace.Trace{Name: "skipped-exchange", Ops: [][]trace.Op{rank0, rank1}}
+	p, err := Compile(tr, Config{Net: netmodel.CrayXC40()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := 0
+	for _, op := range p.code[0] {
+		if op.kind == cSeg {
+			refs++
+		}
+	}
+	if refs != 3 || len(p.code[0]) != 6 {
+		t.Fatalf("rank 0 compiled to %d ops, %d of them references: want three calcs and three references", len(p.code[0]), refs)
+	}
+	want := -1
+	for i, op := range rank0 {
+		if op.Kind == trace.OpWaitAll {
+			want = i // the third and last
+		}
+	}
+	_, err = p.NewSimulator().Run(nil)
+	if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("first: rank 0 at op %d)", want)) {
+		t.Fatalf("deadlock reported as %v, want it at rank 0's op %d, the third WaitAll", err, want)
+	}
+}
+
+// TestExchangeReleasingEarlierSendStaysInline: an exchange whose Wait
+// releases a rendezvous send posted before it has one rendezvous send
+// fewer outstanding on the stream than in a segment of its own when it
+// posts its own, so it stays inline and the handshake count stays what
+// the inline lowering counts; the same exchange waiting on its own
+// receive instead is shared.
+func TestExchangeReleasingEarlierSendStaysInline(t *testing.T) {
+	cfg := Config{Net: netmodel.CrayXC40()}
+	for _, c := range []struct {
+		waitOn int32
+		shared bool
+	}{{0, false}, {1, true}} {
+		var r0, r1 []trace.Op
+		for i := 0; i < 3; i++ {
+			r0 = append(r0, trace.Isend(1, 70000, 0, 0), trace.Calc(10),
+				trace.Irecv(1, 8, 1, 1), trace.Wait(c.waitOn), trace.Isend(1, 70000, 2, 2), trace.WaitAll())
+			r1 = append(r1, trace.Recv(0, 70000, 0), trace.Send(0, 8, 1), trace.Recv(0, 70000, 2))
+		}
+		tr := &trace.Trace{Name: "release", Ops: [][]trace.Op{r0, r1}}
+		p, err := Compile(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline, err := inlineProgram(tr, collectives.Config{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.handshakes != inline.handshakes || !reflect.DeepEqual(p.slots, inline.slots) {
+			t.Fatalf("Wait(%d): %d handshakes and slots %v, inline %d and %v", c.waitOn, p.handshakes, p.slots, inline.handshakes, inline.slots)
+		}
+		if shared := len(p.segs) > 0; shared != c.shared {
+			t.Fatalf("Wait(%d): %d segments, want shared=%v", c.waitOn, len(p.segs), c.shared)
+		}
+		if _, err := p.NewSimulator().Run(nil); err != nil {
+			t.Fatalf("Wait(%d): %v", c.waitOn, err)
+		}
 	}
 }

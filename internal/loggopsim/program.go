@@ -66,8 +66,10 @@ const (
 // per rank into a segment, in canonical form (tag 0, request ids from
 // 0), and every instance of it is a reference carrying the tag and
 // request-id bases the run loop adds to the segment's ops as it
-// dispatches them. A program compiled from an already flat trace has no
-// segments and runs through the same loop.
+// dispatches them. A point-to-point exchange the rank repeats op for op
+// — a halo exchange, every iteration — is compiled once per rank into
+// a segment the same way, and every repetition, the first included, is
+// a reference to it with bases 0 (see Builder.Ops).
 //
 // Config.ExtraLatency is consulted while runs are in flight (rendezvous
 // handshakes), so it must be safe to call from several goroutines.
@@ -76,7 +78,7 @@ type Program struct {
 	nodes int     // NIC timelines a run needs
 	node  []int32 // rank -> node, so the hot path never divides
 	code  [][]cop // per rank: the stream
-	segs  [][]cop // compiled collective schedules, each entered from one rank's stream
+	segs  [][]cop // compiled schedules and exchanges, each entered from one rank's stream
 	costs []cost  // send costs, deduplicated by value
 	// Counted while lowering, so a Simulator is allocated at the size
 	// its first run reaches instead of growing into it: handshakes sums
@@ -119,19 +121,33 @@ type Builder struct {
 	costIndex map[cost]int64
 	// The rank being lowered: its stream so far; its segments' ops end
 	// to end, with where each ends and what one run of it does to the
-	// counts (all four buffers reused from rank to rank; schedule number
-	// n is segment firstSeg+n); its outstanding requests and rendezvous
-	// sends, each now and at its peak (see effect); and the request ids
-	// of the rendezvous sends outstanding in its stream and in the
-	// segment being lowered, so a Wait naming one releases it.
+	// counts (segment number n is firstSeg+n in the program); the
+	// segment each of its collective schedules was compiled to; its
+	// outstanding requests and rendezvous sends, each now and at its
+	// peak (see effect); and the request ids of the rendezvous sends
+	// outstanding in its stream and in the segment being lowered, so a
+	// Wait naming one releases it. Every buffer is reused from rank to
+	// rank.
 	stream, segOps []cop
 	segEnds        []int
 	effects        []effect
+	scheds         []int
 	firstSeg       int
 	slots, rdv     tally
 	streamRdv      []int32
 	segRdv         []int32
+	// The exchanges the rank has met (see Ops): found by the hash of
+	// their ops, told apart by the ops themselves, kept end to end in
+	// exchangeOps.
+	exchangeAt  map[uint64]int
+	exchanges   []exchange
+	exchangeOps []trace.Op
 }
+
+// exchange is a point-to-point run the started rank has met: its ops,
+// exchangeOps[lo:hi]; where on the stream its first occurrence starts;
+// and the segment it was compiled to once met again, -1 before.
+type exchange struct{ lo, hi, first, seg int }
 
 // effect is what running a stretch of ops does to the two counts a
 // Program keeps. Outstanding requests follow a run's slot table: a
@@ -209,7 +225,7 @@ func NewBuilder(ranks int, cfg Config) (*Builder, error) {
 	for r := range p.node {
 		p.node[r] = int32(r / rpn)
 	}
-	return &Builder{p: p, costIndex: map[cost]int64{}}, nil
+	return &Builder{p: p, costIndex: map[cost]int64{}, exchangeAt: map[uint64]int{}}, nil
 }
 
 // StartRank begins rank r, finishing the rank before it. It fails if r
@@ -232,13 +248,28 @@ func (b *Builder) StartRank(r int) error {
 
 // finishRank moves the started rank's segments and stream, in one
 // allocation of exactly their length, and its slot count into the
-// program.
+// program. The first occurrence of every exchange met again becomes a
+// reference on the way.
 func (b *Builder) finishRank() {
 	if b.next == 0 {
 		return
 	}
 	p, r := b.p, b.next-1
-	ops := append(append(make([]cop, 0, len(b.segOps)+len(b.stream)), b.segOps...), b.stream...)
+	n := len(b.segOps) + len(b.stream)
+	for _, e := range b.exchanges {
+		if e.seg >= 0 {
+			n -= e.hi - e.lo - 1
+		}
+	}
+	ops := append(make([]cop, 0, n), b.segOps...)
+	at := 0 // b.stream[:at] is in ops
+	for _, e := range b.exchanges {
+		if e.seg >= 0 {
+			ops = append(append(ops, b.stream[at:e.first]...), cop{kind: cSeg, arg: int64(b.firstSeg + e.seg)})
+			at = e.first + e.hi - e.lo
+		}
+	}
+	ops = append(ops, b.stream[at:]...)
 	lo := 0
 	for i, hi := range b.segEnds {
 		p.segs[b.firstSeg+i] = ops[lo:hi:hi]
@@ -249,11 +280,13 @@ func (b *Builder) finishRank() {
 	p.handshakes += int(b.rdv.peak)
 	if r == 0 {
 		// Every rank runs the collectives rank 0 ran, so it will have as
-		// many schedules.
+		// many schedules, and as a rule as many exchanges.
 		p.segs = slices.Grow(p.segs, len(p.segs)*(len(p.code)-1))
 	}
-	b.stream, b.segOps, b.segEnds, b.effects, b.firstSeg = b.stream[:0], b.segOps[:0], b.segEnds[:0], b.effects[:0], len(p.segs)
+	b.stream, b.segOps, b.segEnds, b.effects, b.scheds, b.firstSeg = b.stream[:0], b.segOps[:0], b.segEnds[:0], b.effects[:0], b.scheds[:0], len(p.segs)
 	b.slots, b.rdv, b.streamRdv = tally{}, tally{}, b.streamRdv[:0]
+	clear(b.exchangeAt)
+	b.exchanges, b.exchangeOps = b.exchanges[:0], b.exchangeOps[:0]
 }
 
 // AddRank lowers rank r's collective-free ops into compiled ops (see
@@ -269,10 +302,104 @@ func (b *Builder) AddRank(r int, ops []trace.Op) error {
 
 // Ops lowers a run of the started rank's collective-free ops onto the
 // end of its stream. ops is read, never kept.
+//
+// An exchange — the ops after a calc, a WaitAll or the start of ops up
+// to and including the next WaitAll, none of them a calc — goes on
+// inline the first time the rank meets it. Met again, it is compiled
+// once into a segment, and that repetition, every later one and, when
+// the rank is finished, the first are references to the segment with
+// bases 0; an exchange met once stays inline. A segment starts with
+// nothing outstanding, so where a Wait of the exchange could release a
+// rendezvous send from before it, the exchange stays inline: there its
+// counts depend on what came before. After the WaitAll nothing is
+// outstanding either way.
 func (b *Builder) Ops(ops []trace.Op) {
+	b.stream = slices.Grow(b.stream, len(ops))
+	done, start := 0, 0 // ops[:done] are on the stream; ops[start:i] hold no calc or WaitAll
+	for i := range ops {
+		switch ops[i].Kind {
+		case trace.OpCalc:
+			start = i + 1
+		case trace.OpWaitAll:
+			if i > start { // a lone WaitAll is no longer than a reference
+				b.inline(ops[done:start])
+				done = start
+				if b.share(ops[start : i+1]) {
+					done = i + 1
+				}
+			}
+			start = i + 1
+		}
+	}
+	b.inline(ops[done:])
+}
+
+// inline lowers ops onto the end of the started rank's stream.
+func (b *Builder) inline(ops []trace.Op) {
 	var fx effect
-	b.stream, fx = b.lower(slices.Grow(b.stream, len(ops)), ops, &b.streamRdv)
+	b.stream, fx = b.lower(b.stream, ops, &b.streamRdv)
 	b.apply(fx)
+}
+
+// share puts the exchange x on the end of the started rank's stream as
+// a segment reference if the rank has met it before, and reports
+// whether it did; the first time, it records where the exchange is
+// about to be lowered. It allocates nothing once the buffers have grown
+// to the rank's exchanges: the lookup hashes the ops and compares them
+// with the recorded copy. An exchange whose hash an unequal one took
+// first stays inline.
+func (b *Builder) share(x []trace.Op) bool {
+	if !b.shareable(x) {
+		return false
+	}
+	h := hashOps(x)
+	at, ok := b.exchangeAt[h]
+	if !ok {
+		b.exchangeAt[h] = len(b.exchanges)
+		lo := len(b.exchangeOps)
+		b.exchanges = append(b.exchanges, exchange{lo: lo, hi: lo + len(x), first: len(b.stream), seg: -1})
+		b.exchangeOps = append(b.exchangeOps, x...)
+		return false
+	}
+	e := &b.exchanges[at]
+	if !slices.Equal(b.exchangeOps[e.lo:e.hi], x) {
+		return false
+	}
+	if e.seg < 0 {
+		e.seg = b.segment(x)
+	}
+	b.ref(e.seg, 0, 0)
+	b.streamRdv = b.streamRdv[:0]
+	return true
+}
+
+// shareable reports whether exchange x has the same effect on the
+// counts here on the stream as in a segment of its own: whether none of
+// its Waits names a rendezvous send outstanding on the stream.
+func (b *Builder) shareable(x []trace.Op) bool {
+	if len(b.streamRdv) == 0 {
+		return true
+	}
+	for i := range x {
+		if x[i].Kind == trace.OpWait && slices.Contains(b.streamRdv, x[i].Req) {
+			return false
+		}
+	}
+	return true
+}
+
+// hashOps hashes the ops so that equal ops hash equal. It leaves out
+// the calc duration: an exchange holds no calc.
+func hashOps(ops []trace.Op) uint64 {
+	h := uint64(len(ops))
+	for i := range ops {
+		op := &ops[i]
+		for _, w := range [3]uint64{uint64(op.Kind)<<32 | uint64(uint32(op.Peer)), uint64(uint32(op.Tag))<<32 | uint64(uint32(op.Req)), uint64(op.Size)} {
+			h = (h ^ w) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
+		}
+	}
+	return h
 }
 
 // Collective puts one instance of a collective on the end of the
@@ -280,16 +407,28 @@ func (b *Builder) Ops(ops []trace.Op) {
 // the schedule in canonical form, the first time the rank meets schedule
 // number sched (see collectives.Sink).
 func (b *Builder) Collective(sched int, ops []trace.Op, tag, req int32) {
-	seg := b.firstSeg + sched
-	if seg == len(b.p.segs) {
-		var fx effect
-		b.segRdv = b.segRdv[:0]
-		b.segOps, fx = b.lower(slices.Grow(b.segOps, len(ops)), ops, &b.segRdv)
-		b.segEnds, b.effects = append(b.segEnds, len(b.segOps)), append(b.effects, fx)
-		b.p.segs = append(b.p.segs, nil) // cut from the rank's allocation by finishRank
+	if sched == len(b.scheds) {
+		b.scheds = append(b.scheds, b.segment(ops))
 	}
-	b.stream = append(b.stream, cop{kind: cSeg, arg: int64(seg), tag: tag, req: req})
-	b.apply(b.effects[sched])
+	b.ref(b.scheds[sched], tag, req)
+}
+
+// segment compiles ops, in a frame with nothing outstanding, into the
+// started rank's next segment and returns its number in the rank.
+func (b *Builder) segment(ops []trace.Op) int {
+	var fx effect
+	b.segRdv = b.segRdv[:0]
+	b.segOps, fx = b.lower(slices.Grow(b.segOps, len(ops)), ops, &b.segRdv)
+	b.segEnds, b.effects = append(b.segEnds, len(b.segOps)), append(b.effects, fx)
+	b.p.segs = append(b.p.segs, nil) // cut from the rank's allocation by finishRank
+	return len(b.segEnds) - 1
+}
+
+// ref puts a reference to the started rank's segment seg, run with the
+// given bases, on the end of its stream.
+func (b *Builder) ref(seg int, tag, req int32) {
+	b.stream = append(b.stream, cop{kind: cSeg, arg: int64(b.firstSeg + seg), tag: tag, req: req})
+	b.apply(b.effects[seg])
 }
 
 // apply composes a stretch's effect onto the started rank's counts.
