@@ -112,7 +112,7 @@ faultmix-smoke:
 # intentional model change with the one -update flag (internal/golden):
 #   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
 engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestDeadlockInsideSharedExchangeNamesTraceOp|TestExchangeReleasingEarlierSendStaysInline|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
+	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestDeadlockInsideSharedExchangeNamesTraceOp|TestDeadlockInSegmentOfAnotherRankNamesFlatOp|TestRepetitionAllocatesConstantObjects|TestExchangeReleasingEarlierSendStaysInline|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -29,25 +29,29 @@ import (
 	"time"
 
 	"repro/internal/advise"
+	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/report"
 	"repro/internal/systems"
 )
 
 func main() {
+	fs := flag.NewFlagSet("advisor", flag.ContinueOnError)
 	var in advise.Inputs
-	flag.StringVar(&in.Workload, "workload", "lulesh", "workload whose synchronization cadence to assume")
-	flag.IntVar(&in.Nodes, "nodes", 16384, "machine size in nodes")
-	flag.Float64Var(&in.GiBPerNode, "gib", 700, "DRAM GiB per node (for the CE/GiB/year conversion)")
-	flag.Float64Var(&in.BudgetPct, "budget", 10, "acceptable slowdown in percent")
-	flag.DurationVar((*time.Duration)(&in.PerEventNanos), "perevent", 0, "explicit per-CE handling time (replaces the catalog modes)")
-	flag.DurationVar((*time.Duration)(&in.ObservedMTBCENanos), "mtbce", 0, "observed per-node MTBCE (enables the recommendation, retirement and checkpoint sections)")
+	fs.StringVar(&in.Workload, "workload", "lulesh", "workload whose synchronization cadence to assume")
+	fs.IntVar(&in.Nodes, "nodes", 16384, "machine size in nodes")
+	fs.Float64Var(&in.GiBPerNode, "gib", 700, "DRAM GiB per node (for the CE/GiB/year conversion)")
+	fs.Float64Var(&in.BudgetPct, "budget", 10, "acceptable slowdown in percent")
+	fs.DurationVar((*time.Duration)(&in.PerEventNanos), "perevent", 0, "explicit per-CE handling time (replaces the catalog modes)")
+	fs.DurationVar((*time.Duration)(&in.ObservedMTBCENanos), "mtbce", 0, "observed per-node MTBCE (enables the recommendation, retirement and checkpoint sections)")
 	var (
-		mode    = flag.String("mode", "firmware-emca", "logging mode the Table II verdicts assume (hardware-only, software-cmci, firmware-emca)")
-		fault   = flag.String("fault", "", "classified fault mode for retirement advice (cell, row, column, bank)")
-		jsonOut = flag.Bool("json", false, "emit the machine-readable recommendation (same struct as GET /v1/advise/recommend)")
+		mode    = fs.String("mode", "firmware-emca", "logging mode the Table II verdicts assume (hardware-only, software-cmci, firmware-emca)")
+		fault   = fs.String("fault", "", "classified fault mode for retirement advice (cell, row, column, bank)")
+		jsonOut = fs.Bool("json", false, "emit the machine-readable recommendation (same struct as GET /v1/advise/recommend)")
 	)
-	flag.Parse()
+	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
+		fatal(err)
+	}
 
 	if err := checkNames(&in, *mode, *fault); err != nil {
 		fatal(err)

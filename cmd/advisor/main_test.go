@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -91,5 +96,44 @@ func TestJSONOutputMatchesEngine(t *testing.T) {
 	}
 	if rec.Estimate != nil {
 		t.Fatal("offline evaluation must not fabricate a node estimate")
+	}
+}
+
+// TestBadInvocationsRejectedUpFront requires a malformed flag, a bad
+// name and a stray argument — after which the flag package would drop
+// every flag — to fail with exit status 1, nothing on stdout and one
+// "advisor: reason" line.
+func TestBadInvocationsRejectedUpFront(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "advisor")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("build advisor: %v", err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string // stderr substring
+	}{
+		{[]string{"-bogus"}, "-bogus"},
+		{[]string{"-nodes", "many"}, `"many"`},
+		{[]string{"-mode", "telepathy"}, "-mode"},
+		{[]string{"-nodes", "16", "stray"}, `unexpected argument "stray"`},
+		{[]string{"stray", "-nodes", "0"}, `unexpected argument "stray"`},
+	} {
+		cmd := exec.Command(bin, tc.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: err = %v, want exit status 1", tc.args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v wrote output before failing: %q", tc.args, stdout.String())
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "advisor: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: stderr %q is not one advisor: line naming %q", tc.args, msg, tc.want)
+		}
 	}
 }

@@ -33,9 +33,10 @@ func buildCesim(t *testing.T) string {
 	return bin
 }
 
-// TestBadSpecRejectedUpFront: every invalid spec dies with exit status
-// 1, one "cesim: ..." line and nothing on stdout — i.e. in Resolve,
-// before a trace is generated.
+// TestBadSpecRejectedUpFront: every invalid spec, and a stray argument
+// (the flag package would stop at it and drop every flag after it),
+// dies with exit status 1, one "cesim: ..." line and nothing on stdout
+// — i.e. in Resolve or before, before a trace is generated.
 func TestBadSpecRejectedUpFront(t *testing.T) {
 	bin := buildCesim(t)
 	ok := []string{"-mtbce", "1s", "-mode", "firmware-emca"}
@@ -61,6 +62,8 @@ func TestBadSpecRejectedUpFront(t *testing.T) {
 		{"negative reps", append([]string{"-reps", "-1"}, ok...), "reps"},
 		{"negative iters", append([]string{"-iters", "-1"}, ok...), "iters"},
 		{"malformed duration", []string{"-mtbce", "5", "-mode", "firmware-emca"}, "-mtbce"},
+		{"stray argument", []string{"-nodes", "8", "-iters", "2", "-reps", "1", "-mtbce", "1s", "-mode", "software-cmci", "stray-arg"}, `unexpected argument "stray-arg"`},
+		{"flag after a stray argument", []string{"-nodes", "8", "-mtbce", "1s", "-mode", "software-cmci", "x", "-nodes", "16"}, `unexpected argument "x"`},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		var stdout, stderr bytes.Buffer

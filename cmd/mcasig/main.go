@@ -42,8 +42,6 @@ func main() {
 	// refused here or the report would name a run it did not measure.
 	mode, err := mca.ParseMode(*modeName)
 	switch {
-	case fs.NArg() > 0:
-		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	case err != nil:
 		err = fmt.Errorf("-mode %q is not one of native, dryrun, correction-only, software, firmware", *modeName)
 	case *cores < 1:

@@ -76,9 +76,9 @@ func TestBadScaleRejectedUpFront(t *testing.T) {
 	}
 }
 
-// TestBadInvocationRejectedUpFront requires every other malformed spec to
-// be rejected with a line naming the bad value, before any simulation
-// starts.
+// TestBadInvocationRejectedUpFront requires every other malformed spec,
+// and a stray argument with or without flags after it, to be rejected
+// with a line naming the bad value, before any simulation starts.
 func TestBadInvocationRejectedUpFront(t *testing.T) {
 	tmp, bin := buildReproduce(t)
 	for i, tc := range []struct {
@@ -88,6 +88,8 @@ func TestBadInvocationRejectedUpFront(t *testing.T) {
 		{[]string{"-workloads", "doom"}, []string{`"doom"`}},
 		{[]string{"-workloads", "minife,minife"}, []string{`"minife"`, "twice"}},
 		{[]string{"-nodes", "1"}, []string{"nodes"}},
+		{[]string{"stray"}, []string{`unexpected argument "stray"`}},
+		{[]string{"-nodes", "16", "stray", "-iters", "2"}, []string{`unexpected argument "stray"`}},
 	} {
 		requireRejected(t, bin, filepath.Join(tmp, "out", string(rune('a'+i))), tc.args, tc.mention...)
 	}

@@ -41,8 +41,8 @@ func TestGolden(t *testing.T) {
 }
 
 // TestBadInvocationsRejectedUpFront requires malformed flags, an
-// unknown preset and an unusable spec to fail with exit status 1,
-// nothing on stdout and one "retiresim: reason" line.
+// unknown preset, an unusable spec and a stray argument to fail with
+// exit status 1, nothing on stdout and one "retiresim: reason" line.
 func TestBadInvocationsRejectedUpFront(t *testing.T) {
 	bin := build(t)
 	noModes := filepath.Join(t.TempDir(), "spec.json")
@@ -61,6 +61,8 @@ func TestBadInvocationsRejectedUpFront(t *testing.T) {
 		{[]string{"-mtbce", "0s"}, "mtbce_ns"},
 		{[]string{"-years", "0"}, "hours"},
 		{[]string{"-threshold", "-1", "-sweep=false"}, "negative policy"},
+		{[]string{"-years", "0.01", "stray"}, `unexpected argument "stray"`},
+		{[]string{"stray", "-years", "0"}, `unexpected argument "stray"`},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		var stdout, stderr bytes.Buffer

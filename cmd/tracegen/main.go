@@ -56,8 +56,6 @@ func main() {
 		fatal(err)
 	}
 	switch {
-	case fs.NArg() > 0:
-		fatal(fmt.Errorf("unexpected argument %q", fs.Arg(0)))
 	case *format != "binary" && *format != "text":
 		fatal(fmt.Errorf("-format %q is not binary or text", *format))
 	case *factor < 0:

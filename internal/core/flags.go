@@ -66,6 +66,8 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 // and exit 1, whether a flag was malformed or the spec it filled does
 // not validate. The flag package's own report (the message, then the
 // whole usage text) is silenced; -h still prints the usage and exits 0.
+// A stray argument is an error too, naming the first: the flag package
+// stops at it, so every flag after it would be silently ignored.
 func ParseFlags(fs *flag.FlagSet, args []string) error {
 	out := fs.Output()
 	fs.SetOutput(io.Discard)
@@ -75,6 +77,9 @@ func ParseFlags(fs *flag.FlagSet, args []string) error {
 		fmt.Fprintf(out, "Usage of %s:\n", fs.Name())
 		fs.PrintDefaults()
 		os.Exit(0)
+	}
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	return err
 }

@@ -207,3 +207,42 @@ func TestRunStateStopsGrowingAcrossSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestRepetitionAllocatesConstantObjects: a perturbed repetition
+// allocates a fixed handful of objects whatever the rank count — the
+// noise model and its one table of per-node streams, the Result and its
+// finish times, the Profile and its per-rank slices, the RunResult —
+// not one per node: hpcg at 128 ranks allocated 139, ranks + 11, while
+// every node's stream was an allocation of its own. Part of
+// engine-smoke.
+func TestRepetitionAllocatesConstantObjects(t *testing.T) {
+	e, err := NewExperiment(ExperimentConfig{Workload: "hpcg", Nodes: 128, Iterations: 20, TraceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Ranks() < 128 {
+		t.Fatalf("hpcg on 128 nodes runs %d ranks", e.Ranks())
+	}
+	sc := Scenario{MTBCE: 20e6, PerEvent: noise.Fixed(systems.SoftwareCMCI.PerEventNanos), Target: noise.AllNodes}
+	simulated := 0
+	run := func() {
+		sc.Seed++
+		res, err := e.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CEEvents > 0 {
+			simulated++
+		}
+	}
+	run() // the first run on a run state may grow it
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, run)
+	t.Logf("hpcg@%d: %.1f allocations per repetition, %d of %d repetitions simulated", e.Ranks(), allocs, simulated, runs+2)
+	if simulated < runs {
+		t.Fatalf("only %d of %d repetitions were simulated: the rest were answered from the baseline", simulated, runs+2)
+	}
+	if allocs > 16 {
+		t.Errorf("a repetition at %d ranks allocated %.1f objects, want at most 16", e.Ranks(), allocs)
+	}
+}

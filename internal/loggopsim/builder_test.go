@@ -2,6 +2,7 @@ package loggopsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -111,7 +112,9 @@ func requirePresized(t *testing.T, label string, p *Program) (inFlight, capacity
 // once. On random traces a rank's count is an upper bound that can be
 // far off for one trace (12 for a peak of 5: sends that landed long
 // before the WaitAll that releases them), so there the rule holds over
-// the twenty traces together.
+// the twenty traces together. On a ring every rank runs rank 0's
+// stream and exchange segment through a peer table of its own, so its
+// counts come from ops another rank compiled: they must be exact too.
 func TestFirstRunGrowsNothingTheProgramCounted(t *testing.T) {
 	cfg := Config{Net: netmodel.CrayXC40(), Profile: true}
 	for _, name := range tracegen.Names() {
@@ -143,5 +146,29 @@ func TestFirstRunGrowsNothingTheProgramCounted(t *testing.T) {
 	t.Logf("random: msgs cap %d for %d handshakes in flight at the peaks", capacity, inFlight)
 	if capacity > 2*inFlight {
 		t.Errorf("random: msgs cap %d in all, over twice the %d handshakes in flight at the peaks", capacity, inFlight)
+	}
+
+	const ranks = 6
+	ring := &trace.Trace{Name: "ring", Ops: make([][]trace.Op, ranks)}
+	for r := range ring.Ops {
+		left, right := int32((r+ranks-1)%ranks), int32((r+1)%ranks)
+		for i := 0; i < 3; i++ {
+			ring.Ops[r] = append(ring.Ops[r], trace.Calc(int64(100+r)), trace.Irecv(left, 70000, 0, 0), trace.Irecv(right, 70000, 1, 1),
+				trace.Isend(right, 70000, 0, 2), trace.Isend(left, 70000, 1, 3), trace.WaitAll())
+		}
+	}
+	p, err := Compile(ring, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.streams) != 1 || len(p.segs) != 1 || slices.Equal(p.peers[p.rank[ranks-1].peer:p.rank[ranks].peer], p.peers[:p.rank[1].peer]) {
+		t.Fatalf("ring: %d streams, %d segments, last rank's peers %v, rank 0's %v: want one of each and other peers",
+			len(p.streams), len(p.segs), p.peers[p.rank[ranks-1].peer:], p.peers[:p.rank[1].peer])
+	}
+	if p.handshakes != 2*ranks || slices.ContainsFunc(p.slots, func(n int32) bool { return n != 4 }) {
+		t.Fatalf("ring: %d handshakes and slots %v, want two rendezvous sends and four requests a rank", p.handshakes, p.slots)
+	}
+	if inFlight, capacity := requirePresized(t, "ring", p); inFlight != capacity {
+		t.Errorf("ring: msgs cap %d, %d handshakes in flight at the peak", capacity, inFlight)
 	}
 }

@@ -24,8 +24,9 @@ type fuzzCase struct {
 var fuzzSizes = [8]int64{0, 1, 8, 200, 256, 257, 9000, 70000}
 
 // An exchange's tag and first request id lie above every other
-// action's.
+// action's, and a ring's above an exchange's.
 const exchangeTag, exchangeReq = 1 << 20, 1 << 20
+const ringTag, ringReq = 1 << 21, 1 << 21
 
 var fuzzCollectives = [8]trace.OpKind{
 	trace.OpBarrier, trace.OpBcast, trace.OpReduce, trace.OpAllreduce,
@@ -38,12 +39,17 @@ var fuzzCollectives = [8]trace.OpKind{
 // another, as randomMatchedTrace does, so per-rank order follows one
 // global order and only a wildcard receive can steal a match), a calc, a
 // Wait or WaitAll on a rank with requests outstanding, an exchange
-// between two ranks, or a collective appended to every rank. An
-// exchange is the block a halo exchange repeats: on each of the two
-// ranks a WaitAll, then an Irecv from and an Isend to the other, then a
-// WaitAll, with the same tag and request ids every time, so an exchange
-// met twice is one the builder shares (every other action numbers its
-// tags and requests afresh).
+// between two ranks, a ring exchange, or a collective appended to every
+// rank. An exchange is the block a halo exchange repeats: on each of
+// the two ranks a WaitAll, then an Irecv from and an Isend to the
+// other, then a WaitAll, with the same tag and request ids every time,
+// so an exchange met twice is one the builder shares (every other
+// action numbers its tags and requests afresh). A ring exchange is the
+// same block on every rank with its two neighbours — receive from
+// both, send to both, one tag per direction — so ranks' blocks differ
+// only by peer and ranks that met their neighbours in the same order
+// share one segment; in a wildcard ring the receive from the left
+// neighbour takes AnySource.
 func decodeFuzzCase(data []byte) fuzzCase {
 	at := func(i int) int {
 		if i < len(data) {
@@ -107,7 +113,21 @@ func decodeFuzzCase(data []byte) fuzzCase {
 		case 3:
 			ops[r] = append(ops[r], trace.Calc(int64(cc)*500))
 		case 4:
-			if a&8 != 0 {
+			if a&24 == 24 {
+				from := func(r int) int32 { return int32((r + ranks - 1) % ranks) }
+				if a&32 != 0 {
+					from = func(int) int32 { return trace.AnySource }
+				}
+				size := fuzzSizes[cc%8]
+				for r := range ops {
+					left, right := int32((r+ranks-1)%ranks), int32((r+1)%ranks)
+					ops[r] = append(ops[r], trace.WaitAll(),
+						trace.Irecv(from(r), size, ringTag, ringReq), trace.Irecv(right, size, ringTag+1, ringReq+1),
+						trace.Isend(right, size, ringTag, ringReq+2), trace.Isend(left, size, ringTag+1, ringReq+3),
+						trace.WaitAll())
+					pending[r] = nil
+				}
+			} else if a&8 != 0 {
 				dst := int32((r + 1 + b>>3%(ranks-1)) % ranks)
 				size := fuzzSizes[cc%8]
 				for _, x := range [2][2]int32{{int32(r), dst}, {dst, int32(r)}} {
@@ -253,6 +273,17 @@ var fuzzSeeds = map[string]string{
 	// calcs, rank 1 and 2 an eager one, beside an unrelated message.
 	"repeated-exchanges": "\x01\x00\x00" + "\x0c\x00\x07" + "\x03\x00\x10" + "\x0c\x01\x02" + "\x0c\x00\x07" + "\x00\x02\x03" +
 		"\x03\x01\x20" + "\x0c\x00\x07" + "\x0c\x01\x02",
+	// Four ranks repeat an eager ring exchange and a rendezvous one whose
+	// receive from the left takes AnySource, under CE noise; a message
+	// from rank 0 to rank 3 first makes rank 3 meet its neighbours in
+	// another order, so it shares neither segment.
+	"rings": "\x02\x00\x11" + "\x00\x10\x03" + "\x1c\x00\x03" + "\x03\x00\x10" + "\x1c\x00\x03" + "\x3c\x00\x07" +
+		"\x03\x01\x20" + "\x3c\x00\x07",
+	// Six ranks three to a node on the local network repeat both rings:
+	// a rank's neighbour on its own node costs less than one on the next,
+	// so ranks share segments only with the rank at their place on the
+	// other node.
+	"rings-local": "\x04\x05\x00" + "\x1c\x00\x05" + "\x03\x02\x40" + "\x1c\x00\x05" + "\x3c\x00\x06" + "\x3c\x00\x06",
 }
 
 func FuzzEngineMatchesReference(f *testing.F) {
@@ -264,13 +295,33 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	})
 }
 
+// sharedSegments reports whether two ranks of p reference one segment,
+// and whether one such segment holds a wildcard receive.
+func sharedSegments(p *Program) (shared, wild bool) {
+	first := map[int32]int{} // segment -> the first rank referencing it
+	for r := 0; r < p.Ranks(); r++ {
+		for _, seg := range p.segTab[p.rank[r].seg:p.rank[r+1].seg] {
+			if f, ok := first[seg]; !ok || f == r {
+				first[seg] = r
+				continue
+			}
+			shared = true
+			wild = wild || slices.ContainsFunc(p.segs[seg], func(op cop) bool {
+				return (op.kind == cIrecv || op.kind == cRecv) && op.peer == trace.AnySource
+			})
+		}
+	}
+	return shared, wild
+}
+
 // TestReferenceCoversTheDecoder keeps the seeds honest: together they
 // must reach both protocols, wildcards, a deadlock-free collective of
 // every kind, shared NICs, the local network, extra latency, a CE
-// process that charges detours and a program that shares an exchange —
-// otherwise the fuzzer starts from programs that compare nothing.
+// process that charges detours, a program that shares an exchange and
+// one where two ranks reference one segment holding a wildcard receive
+// — otherwise the fuzzer starts from programs that compare nothing.
 func TestReferenceCoversTheDecoder(t *testing.T) {
-	var rdv, wild, detour, local, extra, shared, exchange bool
+	var rdv, wild, detour, local, extra, shared, exchange, crossRank, crossRankWild bool
 	kinds := map[trace.OpKind]bool{}
 	for name, seed := range fuzzSeeds {
 		c := decodeFuzzCase([]byte(seed))
@@ -293,7 +344,9 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exchange = exchange || len(streamed.segs) > len(inline.segs)
+		exchange = exchange || len(streamed.segTab) > len(inline.segTab)
+		cross, crossWild := sharedSegments(streamed)
+		crossRank, crossRankWild = crossRank || cross, crossRankWild || crossWild
 		if c.noise != nil {
 			flat, _ := collectives.Expand(c.tr, c.coll)
 			detour = detour || referenceRun(flat, c.cfg, c.noise).Profile.Detour > 0
@@ -306,7 +359,8 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 		}
 	}
 	for what, ok := range map[string]bool{"rendezvous send": rdv, "wildcard receive": wild, "charged detour": detour,
-		"local network": local, "extra latency": extra, "shared NIC": shared, "shared exchange": exchange} {
+		"local network": local, "extra latency": extra, "shared NIC": shared, "shared exchange": exchange,
+		"segment two ranks reference": crossRank, "wildcard receive in a segment two ranks reference": crossRankWild} {
 		if !ok {
 			t.Errorf("no seed has a %s", what)
 		}

@@ -449,9 +449,9 @@ func (s *Simulator) expandedPC(r int32) int {
 	if st.seg >= 0 {
 		at, pc = st.pc, st.ret-1
 	}
-	for _, op := range s.p.code[r][:pc] {
+	for _, op := range s.p.stream(r)[:pc] {
 		if op.kind == cSeg {
-			at += len(s.p.segs[op.arg])
+			at += len(s.p.segs[s.p.seg(r, op.arg)])
 		} else {
 			at++
 		}
@@ -533,49 +533,54 @@ func (s *Simulator) inject(rank int32, ready int64, p *netmodel.Params, size int
 func (s *Simulator) advance(r int32) {
 	st := &s.ranks[r]
 	st.block = notBlocked
-	ops := s.p.code[r]
+	p := s.p
+	rc := &p.rank[r]
+	ops := p.streams[rc.stream]
 	if st.seg >= 0 {
-		ops = s.p.segs[st.seg]
+		ops = p.segs[st.seg]
 	}
 	for {
 		for st.pc < len(ops) {
 			op := &ops[st.pc]
 			switch op.kind {
 			case cCalc:
-				end := st.clock + op.arg
+				dur := p.durs[rc.dur+int32(op.arg)]
+				end := st.clock + dur
 				if end > s.nextNoise[r] {
-					end = s.extendSlow(r, st.clock, op.arg)
+					end = s.extendSlow(r, st.clock, dur)
 				}
 				if s.profRank != nil {
-					p := &s.profRank[r]
-					p.work += op.arg
-					p.detour += end - st.clock - op.arg
+					pr := &s.profRank[r]
+					pr.work += dur
+					pr.detour += end - st.clock - dur
 				}
 				st.clock = end
 			case cEagerIsend:
-				c := &s.p.costs[op.arg]
-				s.eagerSend(r, st, op, c)
-				s.addSlot(st, slot{req: op.req + st.reqBase, peer: op.peer, tag: op.tag + st.tagBase, size: c.size, done: true, ready: st.clock, active: true})
+				c := &p.costs[op.arg]
+				peer := p.peers[rc.peer+op.peer]
+				s.eagerSend(r, st, peer, op, c)
+				s.addSlot(st, slot{req: op.req + st.reqBase, peer: peer, tag: op.tag + st.tagBase, size: c.size, done: true, ready: st.clock, active: true})
 			case cIrecv:
-				s.postIrecv(r, op)
+				s.postIrecv(r, p.source(rc, op.peer), op)
 			case cWaitAll:
 				if !s.doWaitAll(r) {
 					return
 				}
 			case cEagerSend:
-				s.eagerSend(r, st, op, &s.p.costs[op.arg])
+				s.eagerSend(r, st, p.peers[rc.peer+op.peer], op, &p.costs[op.arg])
 			case cRdvIsend:
-				c := &s.p.costs[op.arg]
-				s.startRdv(r, st, op, c, op.req+st.reqBase)
-				s.addSlot(st, slot{req: op.req + st.reqBase, peer: op.peer, tag: op.tag + st.tagBase, size: c.size, active: true})
+				c := &p.costs[op.arg]
+				peer := p.peers[rc.peer+op.peer]
+				s.startRdv(r, st, peer, op, c, op.req+st.reqBase)
+				s.addSlot(st, slot{req: op.req + st.reqBase, peer: peer, tag: op.tag + st.tagBase, size: c.size, active: true})
 			case cRdvSend:
 				// Rendezvous blocking send: pay o, emit RTS, block until CTS.
-				idx := s.startRdv(r, st, op, &s.p.costs[op.arg], -1)
+				idx := s.startRdv(r, st, p.peers[rc.peer+op.peer], op, &p.costs[op.arg], -1)
 				st.block = blockedSendCTS
 				st.blockMsg = idx
 				return
 			case cRecv:
-				if !s.startRecv(r, op) {
+				if !s.startRecv(r, p.source(rc, op.peer), op) {
 					return
 				}
 			case cWait:
@@ -583,8 +588,9 @@ func (s *Simulator) advance(r int32) {
 					return
 				}
 			case cSeg:
-				st.ret, st.seg, st.tagBase, st.reqBase = st.pc+1, int32(op.arg), op.tag, op.req
-				ops, st.pc = s.p.segs[op.arg], 0
+				seg := p.segTab[rc.seg+int32(op.arg)]
+				st.ret, st.seg, st.tagBase, st.reqBase = st.pc+1, seg, op.tag, op.req
+				ops, st.pc = p.segs[seg], 0
 				continue
 			default:
 				// Collectives must have been expanded; treat as fatal by
@@ -600,7 +606,7 @@ func (s *Simulator) advance(r int32) {
 		if st.seg < 0 {
 			break
 		}
-		ops, st.pc, st.seg, st.tagBase, st.reqBase = s.p.code[r], st.ret, -1, 0, 0
+		ops, st.pc, st.seg, st.tagBase, st.reqBase = p.streams[rc.stream], st.ret, -1, 0, 0
 	}
 	st.block = finished
 	s.active--

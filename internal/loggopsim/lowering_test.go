@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -23,19 +24,26 @@ type flatOp struct {
 	cost           cost
 }
 
-// flatOps flattens rank r's stream: every segment reference replaced by
-// the segment's ops with the reference's bases added — the tag base to
-// the ops that carry a tag, the request base to the ops that carry a
-// request id, as collectives' splice adds them when it flattens a trace.
+// flatOps flattens rank r's stream: every table index replaced by the
+// rank's entry — a calc's duration, a message's peer — and every
+// segment reference by the segment's ops with the reference's bases
+// added — the tag base to the ops that carry a tag, the request base to
+// the ops that carry a request id, as collectives' splice adds them
+// when it flattens a trace.
 func (p *Program) flatOps(r int) []flatOp {
 	var out []flatOp
+	rc := &p.rank[r]
 	emit := func(op cop, tag, req int32) {
 		f := flatOp{kind: op.kind, peer: op.peer, tag: op.tag, req: op.req, arg: op.arg}
 		switch op.kind {
+		case cCalc:
+			f.arg = p.durs[rc.dur+int32(op.arg)]
 		case cEagerSend, cEagerIsend, cRdvSend, cRdvIsend:
 			f.arg, f.cost = 0, p.costs[op.arg]
+			f.peer = p.peers[rc.peer+op.peer]
 			f.tag += tag
 		case cRecv, cIrecv:
+			f.peer = p.source(rc, op.peer)
 			f.tag += tag
 		}
 		switch op.kind {
@@ -44,16 +52,25 @@ func (p *Program) flatOps(r int) []flatOp {
 		}
 		out = append(out, f)
 	}
-	for _, op := range p.code[r] {
+	for _, op := range p.stream(int32(r)) {
 		if op.kind != cSeg {
 			emit(op, 0, 0)
 			continue
 		}
-		for _, in := range p.segs[op.arg] {
+		for _, in := range p.segs[p.seg(int32(r), op.arg)] {
 			emit(in, op.tag, op.req)
 		}
 	}
 	return out
+}
+
+// storedOps counts the ops of the program's streams and segments.
+func (p *Program) storedOps() int {
+	n := 0
+	for _, ops := range slices.Concat(p.streams, p.segs) {
+		n += len(ops)
+	}
+	return n
 }
 
 // TestStreamedLoweringMatchesStaged: a program lowered a rank at a time
@@ -61,9 +78,11 @@ func (p *Program) flatOps(r int) []flatOp {
 // flattened, the program Compile builds from collectives.Expand's flat
 // trace: op for op, cost for cost, rendezvous and slot counts included.
 // core's test of the same name pins NewExperiment to this lowering.
-// Sharing exchanges only shrinks a program: it is never larger than the
-// same lowering with every exchange inline, and smaller on every
-// workload at 128 ranks. Rank counts cover the two-rank exchange, an odd
+// Sharing exchanges only shrinks a program's ops: it never stores more
+// than the same lowering with every exchange inline, and fewer on every
+// workload at 128 ranks. Ranks share the inline lowering's streams as
+// well, so the program may outgrow it by no more than the segment-table
+// entries the exchanges add, 4 bytes each. Rank counts cover the two-rank exchange, an odd
 // count, uneven grid factors, and power-of-two and cube sizes. Part of
 // engine-smoke.
 func TestStreamedLoweringMatchesStaged(t *testing.T) {
@@ -98,12 +117,16 @@ func TestStreamedLoweringMatchesStaged(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				size, was := streamed.SizeBytes(), inline.SizeBytes()
-				if size > was || nodes == 128 && size == was {
-					t.Fatalf("%s/%d/%s: sharing exchanges took the program from %d to %d bytes", wl, nodes, algo, was, size)
+				ops, was := streamed.storedOps(), inline.storedOps()
+				if ops > was || nodes == 128 && ops == was {
+					t.Fatalf("%s/%d/%s: sharing exchanges took the program from %d to %d ops", wl, nodes, algo, was, ops)
+				}
+				entries := int64(len(streamed.segTab) - len(inline.segTab))
+				if size, was := streamed.SizeBytes(), inline.SizeBytes(); size > was+4*entries {
+					t.Fatalf("%s/%d/%s: sharing exchanges took the program from %d to %d bytes, %d segment-table entries added", wl, nodes, algo, was, size, entries)
 				}
 				at128[wl] = at128[wl] || nodes == 128
-				segments += len(streamed.segs)
+				segments += len(streamed.segTab)
 				for r := range tr.Ops {
 					if got, want := streamed.flatOps(r), staged.flatOps(r); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s/%d/%s: rank %d flattens to %d ops, staged has %d, or they differ", wl, nodes, algo, r, len(got), len(want))
@@ -128,9 +151,11 @@ func TestStreamedLoweringMatchesStaged(t *testing.T) {
 
 // TestProgramBytesPerOp: an op is 24 bytes, and a program lowered the
 // way NewExperiment lowers it costs, per op of its expanded trace, at
-// most 6 bytes on every workload at 20 iterations — collective
+// most 1 byte on every workload at 20 iterations — collective
 // schedules and repeated exchanges are held once per rank, not once per
-// instance (7.9 to 24.1 bytes with every exchange inline).
+// instance, and ranks share their streams and segments, so what is left
+// is mostly 8 bytes per calc (2.35 to 4.75 bytes with every rank's ops
+// its own, 7.9 to 24.1 with every exchange inline as well).
 func TestProgramBytesPerOp(t *testing.T) {
 	if size := unsafe.Sizeof(cop{}); size > 24 {
 		t.Fatalf("a compiled op is %d bytes, want at most 24", size)
@@ -151,8 +176,8 @@ func TestProgramBytesPerOp(t *testing.T) {
 		}
 		perOp := float64(p.SizeBytes()) / float64(flat.NumOps())
 		t.Logf("%-14s %4d ranks %8d expanded ops %6d segments %2d costs %6.2f B/op", wl, p.Ranks(), flat.NumOps(), len(p.segs), len(p.costs), perOp)
-		if perOp > 6 {
-			t.Errorf("%s: %.2f bytes per expanded op, want at most 6", wl, perOp)
+		if perOp > 1 {
+			t.Errorf("%s: %.2f bytes per expanded op, want at most 1", wl, perOp)
 		}
 	}
 }
@@ -209,8 +234,8 @@ func TestDeadlockInsideSegmentNamesExpandedOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.segs) != 2 {
-		t.Fatalf("%d segments, want the barrier once per rank", len(p.segs))
+	if len(p.segs) != 1 || len(p.segTab) != 2 {
+		t.Fatalf("%d segments in %d table entries, want the barrier once, in both ranks' tables", len(p.segs), len(p.segTab))
 	}
 	res, err := p.NewSimulator().Run(nil)
 	if err == nil || !res.Deadlocked || flatErr == nil || err.Error() != flatErr.Error() {
@@ -244,13 +269,14 @@ func TestDeadlockInsideSharedExchangeNamesTraceOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := 0
-	for _, op := range p.code[0] {
+	stream := p.stream(0)
+	for _, op := range stream {
 		if op.kind == cSeg {
 			refs++
 		}
 	}
-	if refs != 3 || len(p.code[0]) != 6 {
-		t.Fatalf("rank 0 compiled to %d ops, %d of them references: want three calcs and three references", len(p.code[0]), refs)
+	if refs != 3 || len(stream) != 6 {
+		t.Fatalf("rank 0 compiled to %d ops, %d of them references: want three calcs and three references", len(stream), refs)
 	}
 	want := -1
 	for i, op := range rank0 {
@@ -261,6 +287,68 @@ func TestDeadlockInsideSharedExchangeNamesTraceOp(t *testing.T) {
 	_, err = p.NewSimulator().Run(nil)
 	if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("first: rank 0 at op %d)", want)) {
 		t.Fatalf("deadlock reported as %v, want it at rank 0's op %d, the third WaitAll", err, want)
+	}
+}
+
+// TestDeadlockInSegmentOfAnotherRankNamesFlatOp: a rank blocked inside
+// a segment that rank 0 compiled and it only references — through its
+// own segment table, naming its own peers — is reported at the index of
+// the blocked op in its own flat trace. Four ranks in a ring run a
+// barrier and then repeat one exchange, receive from the left, send to
+// the right; rank 2 skips its send of the third exchange, so rank 3
+// hangs in that exchange's WaitAll. Ranks 0 and 1 first repeat a longer
+// exchange of their own, so the ring is segment 1 in rank 3's table and
+// segment 2 in rank 0's and the program's. Part of engine-smoke.
+func TestDeadlockInSegmentOfAnotherRankNamesFlatOp(t *testing.T) {
+	const ranks = 4
+	tr := &trace.Trace{Name: "ring", Ops: make([][]trace.Op, ranks)}
+	for r := range tr.Ops {
+		left, right := int32((r+ranks-1)%ranks), int32((r+1)%ranks)
+		tr.Ops[r] = []trace.Op{trace.Barrier()}
+		if other := int32(1 - r); r < 2 {
+			for i := 0; i < 2; i++ {
+				tr.Ops[r] = append(tr.Ops[r], trace.Calc(100), trace.Irecv(other, 8, 5, 0), trace.Irecv(other, 8, 6, 1),
+					trace.Isend(other, 8, 5, 2), trace.Isend(other, 8, 6, 3), trace.WaitAll())
+			}
+		}
+		for i := 0; i < 3; i++ {
+			tr.Ops[r] = append(tr.Ops[r], trace.Calc(100), trace.Irecv(left, 8, 0, 0))
+			if r != 2 || i < 2 {
+				tr.Ops[r] = append(tr.Ops[r], trace.Isend(right, 8, 0, 1))
+			}
+			tr.Ops[r] = append(tr.Ops[r], trace.WaitAll())
+		}
+	}
+	cfg := Config{Net: netmodel.CrayXC40()}
+	flat, err := collectives.Expand(tr, collectives.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, flatErr := Simulate(flat, cfg)
+	p, err := streamedProgram(tr, collectives.Config{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 3's last op is a reference to its segment 1, rank 0's segment 2.
+	stream := p.stream(3)
+	if last := stream[len(stream)-1]; last.kind != cSeg || last.arg != 1 || p.seg(3, 1) != p.seg(0, 2) {
+		t.Fatalf("rank 3 ends in op kind %d, arg %d, not a reference to the ring exchange rank 0 compiled", last.kind, last.arg)
+	}
+	if slices.Equal(p.peers[p.rank[3].peer:p.rank[4].peer], p.peers[:p.rank[1].peer]) {
+		t.Fatal("rank 3 has rank 0's peers")
+	}
+	want := -1
+	for i, op := range flat.Ops[3] {
+		if op.Kind == trace.OpWaitAll {
+			want = i // the third and last
+		}
+	}
+	res, err := p.NewSimulator().Run(nil)
+	if err == nil || !res.Deadlocked || flatErr == nil || err.Error() != flatErr.Error() {
+		t.Fatalf("segmented run: %v; flat run: %v", err, flatErr)
+	}
+	if !strings.HasSuffix(err.Error(), fmt.Sprintf("first: rank 3 at op %d)", want)) {
+		t.Fatalf("deadlock reported as %v, want it at rank 3's flat op %d, the third WaitAll", err, want)
 	}
 }
 

@@ -20,12 +20,17 @@ import (
 // distinct cost tuples (one per message size, protocol and latency
 // class), so a send carries an index into the program's cost table
 // instead of the tuple.
+//
+// Ops are shared between ranks, so what differs from rank to rank goes
+// through the rank's tables (see Program): a calc names its duration, a
+// message its peer and a segment reference its segment by their index
+// in the rank's table.
 type cop struct {
-	// arg is the calc duration, a send's index into Program.costs, a
-	// receive's posted size, or a segment reference's index into
-	// Program.segs.
+	// arg is a calc's index into the rank's durations, a send's index
+	// into Program.costs, a receive's posted size, or a segment
+	// reference's index into the rank's segment table.
 	arg  int64
-	peer int32
+	peer int32 // index into the rank's peers, or AnySource
 	tag  int32 // segment reference: the instance's tag base
 	req  int32 // segment reference: the instance's request-id base
 	kind uint8 // cop kinds below
@@ -50,26 +55,35 @@ const (
 	cRdvSend
 	cRecv
 	cWait
-	cSeg // segment reference: run Program.segs[arg] with (tag, req) added
-	cBad // unexpanded collective: deliberate diagnostic deadlock
+	cSeg // segment reference: run the segment the rank's table names at arg, with (tag, req) added
+	cBad // unexpanded collective, or a message to or from no rank of the program: deliberate diagnostic deadlock
 )
 
 // Program is an expanded trace compiled against one Config: the
-// per-rank compiled ops, the rank-to-node map and the network
-// parameters. It is immutable once built, so any number of
-// Simulators — one per goroutine — may run it at once; everything a run
-// mutates lives in the Simulator. The trace is not retained.
+// compiled ops, the rank-to-node map and the network parameters. It is
+// immutable once built, so any number of Simulators — one per
+// goroutine — may run it at once; everything a run mutates lives in the
+// Simulator. The trace is not retained.
 //
-// A rank's ops are its stream, code[r]. Where the rank runs a
-// collective, the stream holds one segment reference instead of the
-// collective's point-to-point schedule: the schedule is compiled once
-// per rank into a segment, in canonical form (tag 0, request ids from
-// 0), and every instance of it is a reference carrying the tag and
-// request-id bases the run loop adds to the segment's ops as it
-// dispatches them. A point-to-point exchange the rank repeats op for op
-// — a halo exchange, every iteration — is compiled once per rank into
-// a segment the same way, and every repetition, the first included, is
-// a reference to it with bases 0 (see Builder.Ops).
+// A rank's ops are its stream. Where the rank runs a collective, the
+// stream holds one segment reference instead of the collective's
+// point-to-point schedule: the schedule is compiled once per rank into
+// a segment, in canonical form (tag 0, request ids from 0), and every
+// instance of it is a reference carrying the tag and request-id bases
+// the run loop adds to the segment's ops as it dispatches them. A
+// point-to-point exchange the rank repeats op for op — a halo exchange,
+// every iteration — becomes a segment the same way, and every
+// repetition, the first included, is a reference to it with bases 0
+// (see Builder.Ops).
+//
+// The ranks of a bulk-synchronous code run the same ops with other
+// durations and other partners, so a rank keeps only three tables —
+// its calc durations in order, its peers in order of first appearance,
+// its segments in order of compilation — and an op names an entry of
+// the rank's table: a calc its duration, a message its peer, a
+// reference its segment. Streams and segments that agree op for op
+// under that numbering, whichever ranks run them, are stored once.
+// Each table is a window of one slab.
 //
 // Config.ExtraLatency is consulted while runs are in flight (rendezvous
 // handshakes), so it must be safe to call from several goroutines.
@@ -77,9 +91,16 @@ type Program struct {
 	cfg   Config
 	nodes int     // NIC timelines a run needs
 	node  []int32 // rank -> node, so the hot path never divides
-	code  [][]cop // per rank: the stream
-	segs  [][]cop // compiled schedules and exchanges, each entered from one rank's stream
-	costs []cost  // send costs, deduplicated by value
+	// streams and segs hold the compiled ops, each distinct stream and
+	// segment once; costs the send costs, deduplicated by value.
+	streams, segs [][]cop
+	costs         []cost
+	// rank[r] is rank r's stream and where its tables start in the
+	// three slabs, rank[r+1] where they end.
+	rank   []rankCode
+	durs   []int64
+	peers  []int32 // ranks, never AnySource
+	segTab []int32 // indices into segs
 	// Counted while lowering, so a Simulator is allocated at the size
 	// its first run reaches instead of growing into it: handshakes sums
 	// over ranks the most rendezvous sends a rank ever has outstanding at
@@ -90,6 +111,13 @@ type Program struct {
 	// reference to it.
 	handshakes int
 	slots      []int32
+}
+
+// rankCode locates one rank's code: its stream's index in
+// Program.streams and where its durations, peers and segment table
+// start in their slabs.
+type rankCode struct {
+	stream, dur, peer, seg int32
 }
 
 // Compile validates cfg and lowers the trace into a Program: a Builder
@@ -110,32 +138,36 @@ func Compile(tr *trace.Trace, cfg Config) (*Program, error) {
 }
 
 // Builder lowers a trace into a Program one rank at a time, so a caller
-// producing ranks one by one keeps nothing but the compiled ops. Ranks
-// are started in order from 0 and fed through Ops and Collective (the
-// Builder is a collectives.Sink) or whole through AddRank; Program hands
-// over the result once all are in.
+// producing ranks one by one keeps nothing but the compiled ops and the
+// rank's tables. Ranks are started in order from 0 and fed through Ops
+// and Collective (the Builder is a collectives.Sink) or whole through
+// AddRank; Program hands over the result once all are in.
 type Builder struct {
 	p    *Program // nil once handed over
 	next int      // the rank StartRank must be given next
-	// costIndex finds a cost tuple's place in p.costs.
-	costIndex map[cost]int64
-	// The rank being lowered: its stream so far; its segments' ops end
-	// to end, with where each ends and what one run of it does to the
-	// counts (segment number n is firstSeg+n in the program); the
-	// segment each of its collective schedules was compiled to; its
-	// outstanding requests and rendezvous sends, each now and at its
-	// peak (see effect); and the request ids of the rendezvous sends
+	// costIndex finds a cost tuple's place in p.costs; streamAt and
+	// segAt find the first of p's streams and segments with a given hash
+	// (see intern).
+	costIndex       map[cost]int64
+	streamAt, segAt map[uint64]int32
+	// peerAt[q] is one more than rank q's index in the started rank's
+	// peers, 0 while the rank has not met q.
+	peerAt []int32
+	// The rank being lowered: its stream so far; what one run of each of
+	// its segments does to the counts, by segment number in the rank;
+	// the segment number each of its collective schedules was compiled
+	// to; its outstanding requests and rendezvous sends, each now and at
+	// its peak (see effect); and the request ids of the rendezvous sends
 	// outstanding in its stream and in the segment being lowered, so a
-	// Wait naming one releases it. Every buffer is reused from rank to
-	// rank.
-	stream, segOps []cop
-	segEnds        []int
-	effects        []effect
-	scheds         []int
-	firstSeg       int
-	slots, rdv     tally
-	streamRdv      []int32
-	segRdv         []int32
+	// Wait naming one releases it. A segment and the finished stream are
+	// lowered into segOps and skel before they are looked up. Every
+	// buffer is reused from rank to rank.
+	stream, segOps, skel []cop
+	effects              []effect
+	scheds               []int
+	slots, rdv           tally
+	streamRdv            []int32
+	segRdv               []int32
 	// The exchanges the rank has met (see Ops): found by the hash of
 	// their ops, told apart by the ops themselves, kept end to end in
 	// exchangeOps.
@@ -219,13 +251,14 @@ func NewBuilder(ranks int, cfg Config) (*Builder, error) {
 		cfg:   cfg,
 		nodes: (ranks + rpn - 1) / rpn,
 		node:  make([]int32, ranks),
-		code:  make([][]cop, ranks),
+		rank:  make([]rankCode, ranks+1),
 		slots: make([]int32, ranks),
 	}
 	for r := range p.node {
 		p.node[r] = int32(r / rpn)
 	}
-	return &Builder{p: p, costIndex: map[cost]int64{}, exchangeAt: map[uint64]int{}}, nil
+	return &Builder{p: p, costIndex: map[cost]int64{}, streamAt: map[uint64]int32{}, segAt: map[uint64]int32{},
+		peerAt: make([]int32, ranks), exchangeAt: map[uint64]int{}}, nil
 }
 
 // StartRank begins rank r, finishing the rank before it. It fails if r
@@ -238,60 +271,78 @@ func (b *Builder) StartRank(r int) error {
 	if r != b.next {
 		return fmt.Errorf("loggopsim: rank %d added out of order, want rank %d", r, b.next)
 	}
-	if r >= len(p.code) {
-		return fmt.Errorf("loggopsim: rank %d added to a program of %d ranks", r, len(p.code))
+	if r >= p.Ranks() {
+		return fmt.Errorf("loggopsim: rank %d added to a program of %d ranks", r, p.Ranks())
 	}
 	b.finishRank()
 	b.next++
 	return nil
 }
 
-// finishRank moves the started rank's segments and stream, in one
-// allocation of exactly their length, and its slot count into the
-// program. The first occurrence of every exchange met again becomes a
-// reference on the way.
+// finishRank looks the started rank's stream up among the program's
+// (see intern), the first occurrence of every exchange met again
+// becoming a reference on the way, and moves its counts and where its
+// tables end into the program.
 func (b *Builder) finishRank() {
 	if b.next == 0 {
 		return
 	}
 	p, r := b.p, b.next-1
-	n := len(b.segOps) + len(b.stream)
+	skel, at := b.skel[:0], 0 // b.stream[:at] is in skel
 	for _, e := range b.exchanges {
 		if e.seg >= 0 {
-			n -= e.hi - e.lo - 1
-		}
-	}
-	ops := append(make([]cop, 0, n), b.segOps...)
-	at := 0 // b.stream[:at] is in ops
-	for _, e := range b.exchanges {
-		if e.seg >= 0 {
-			ops = append(append(ops, b.stream[at:e.first]...), cop{kind: cSeg, arg: int64(b.firstSeg + e.seg)})
+			skel = append(append(skel, b.stream[at:e.first]...), cop{kind: cSeg, arg: int64(e.seg)})
 			at = e.first + e.hi - e.lo
 		}
 	}
-	ops = append(ops, b.stream[at:]...)
-	lo := 0
-	for i, hi := range b.segEnds {
-		p.segs[b.firstSeg+i] = ops[lo:hi:hi]
-		lo = hi
-	}
-	p.code[r] = ops[lo:]
+	b.skel = append(skel, b.stream[at:]...)
+	p.rank[r].stream = intern(b.streamAt, &p.streams, b.skel)
+	p.rank[r+1] = rankCode{dur: int32(len(p.durs)), peer: int32(len(p.peers)), seg: int32(len(p.segTab))}
 	p.slots[r] = int32(b.slots.peak)
 	p.handshakes += int(b.rdv.peak)
-	if r == 0 {
-		// Every rank runs the collectives rank 0 ran, so it will have as
-		// many schedules, and as a rule as many exchanges.
-		p.segs = slices.Grow(p.segs, len(p.segs)*(len(p.code)-1))
+	for _, q := range p.peers[p.rank[r].peer:] {
+		b.peerAt[q] = 0
 	}
-	b.stream, b.segOps, b.segEnds, b.effects, b.scheds, b.firstSeg = b.stream[:0], b.segOps[:0], b.segEnds[:0], b.effects[:0], b.scheds[:0], len(p.segs)
+	if r == 0 {
+		// Every rank runs the collectives rank 0 ran and, as a rule, as
+		// many calcs, partners and exchanges.
+		n := p.Ranks()
+		p.durs, p.peers, p.segTab = presize(p.durs, n), presize(p.peers, n), presize(p.segTab, n)
+	}
+	b.stream, b.effects, b.scheds = b.stream[:0], b.effects[:0], b.scheds[:0]
 	b.slots, b.rdv, b.streamRdv = tally{}, tally{}, b.streamRdv[:0]
 	clear(b.exchangeAt)
 	b.exchanges, b.exchangeOps = b.exchanges[:0], b.exchangeOps[:0]
 }
 
+// presize returns a copy of rank 0's table s with room for n ranks'
+// tables as long, at exactly that capacity: SizeBytes counts it.
+func presize[T any](s []T, n int) []T {
+	return append(make([]T, 0, len(s)*n), s...)
+}
+
+// intern returns the index in *list of ops: of an equal entry, found
+// through at, which maps a hash to the first entry with that hash, or
+// of a copy it appends. It allocates nothing when ops are there
+// already; ops whose hash an unequal entry took first are appended
+// unshared.
+func intern(at map[uint64]int32, list *[][]cop, ops []cop) int32 {
+	h := hashCops(ops)
+	i, ok := at[h]
+	if ok && slices.Equal((*list)[i], ops) {
+		return i
+	}
+	*list = append(*list, slices.Clone(ops))
+	i = int32(len(*list) - 1)
+	if !ok {
+		at[h] = i
+	}
+	return i
+}
+
 // AddRank lowers rank r's collective-free ops into compiled ops (see
-// cop) of exactly their number. ops is read, never kept. It fails if r
-// is not the next rank in order.
+// cop). ops is read, never kept. It fails if r is not the next rank in
+// order.
 func (b *Builder) AddRank(r int, ops []trace.Op) error {
 	if err := b.StartRank(r); err != nil {
 		return err
@@ -388,16 +439,29 @@ func (b *Builder) shareable(x []trace.Op) bool {
 	return true
 }
 
+// mix folds the word w into the hash h.
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
 // hashOps hashes the ops so that equal ops hash equal. It leaves out
 // the calc duration: an exchange holds no calc.
 func hashOps(ops []trace.Op) uint64 {
 	h := uint64(len(ops))
 	for i := range ops {
 		op := &ops[i]
-		for _, w := range [3]uint64{uint64(op.Kind)<<32 | uint64(uint32(op.Peer)), uint64(uint32(op.Tag))<<32 | uint64(uint32(op.Req)), uint64(op.Size)} {
-			h = (h ^ w) * 0x9e3779b97f4a7c15
-			h ^= h >> 29
-		}
+		h = mix(mix(mix(h, uint64(op.Kind)<<32|uint64(uint32(op.Peer))), uint64(uint32(op.Tag))<<32|uint64(uint32(op.Req))), uint64(op.Size))
+	}
+	return h
+}
+
+// hashCops hashes compiled ops so that equal ops hash equal.
+func hashCops(ops []cop) uint64 {
+	h := uint64(len(ops))
+	for i := range ops {
+		op := &ops[i]
+		h = mix(mix(mix(h, uint64(op.arg)), uint64(uint32(op.peer))<<32|uint64(uint32(op.tag))), uint64(uint32(op.req))<<8|uint64(op.kind))
 	}
 	return h
 }
@@ -413,21 +477,24 @@ func (b *Builder) Collective(sched int, ops []trace.Op, tag, req int32) {
 	b.ref(b.scheds[sched], tag, req)
 }
 
-// segment compiles ops, in a frame with nothing outstanding, into the
-// started rank's next segment and returns its number in the rank.
+// segment compiles ops, in a frame with nothing outstanding, into a
+// segment of the program — the one there already if a rank compiled the
+// same ops before (see intern) — and returns its number in the started
+// rank.
 func (b *Builder) segment(ops []trace.Op) int {
 	var fx effect
 	b.segRdv = b.segRdv[:0]
-	b.segOps, fx = b.lower(slices.Grow(b.segOps, len(ops)), ops, &b.segRdv)
-	b.segEnds, b.effects = append(b.segEnds, len(b.segOps)), append(b.effects, fx)
-	b.p.segs = append(b.p.segs, nil) // cut from the rank's allocation by finishRank
-	return len(b.segEnds) - 1
+	b.segOps, fx = b.lower(b.segOps[:0], ops, &b.segRdv)
+	p := b.p
+	p.segTab = append(p.segTab, intern(b.segAt, &p.segs, b.segOps))
+	b.effects = append(b.effects, fx)
+	return len(b.effects) - 1
 }
 
 // ref puts a reference to the started rank's segment seg, run with the
 // given bases, on the end of its stream.
 func (b *Builder) ref(seg int, tag, req int32) {
-	b.stream = append(b.stream, cop{kind: cSeg, arg: int64(b.firstSeg + seg), tag: tag, req: req})
+	b.stream = append(b.stream, cop{kind: cSeg, arg: int64(seg), tag: tag, req: req})
 	b.apply(b.effects[seg])
 }
 
@@ -437,9 +504,28 @@ func (b *Builder) apply(fx effect) {
 	b.rdv.apply(fx.rdv)
 }
 
+// peer returns rank q's index in the started rank's peers, adding q on
+// its first appearance, or AnySource for AnySource where wild allows
+// it; ok is false for no rank of the program.
+func (b *Builder) peer(q int32, wild bool) (local int32, ok bool) {
+	if wild && q == trace.AnySource {
+		return q, true
+	}
+	if q < 0 || int(q) >= len(b.peerAt) {
+		return 0, false
+	}
+	if b.peerAt[q] == 0 {
+		p := b.p
+		p.peers = append(p.peers, q)
+		b.peerAt[q] = int32(len(p.peers)) - p.rank[b.next-1].peer
+	}
+	return b.peerAt[q] - 1, true
+}
+
 // lower appends the compiled form of the started rank's ops to dst —
 // the one lowering, for stream and segment alike — and returns it with
-// the stretch's effect. rdvReqs holds the request ids of the frame's
+// the stretch's effect; the rank's durations and peers grow as it meets
+// calcs and partners. rdvReqs holds the request ids of the frame's
 // outstanding nonblocking rendezvous sends, kept up to date.
 func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, effect) {
 	p, r := b.p, int32(b.next-1)
@@ -447,10 +533,16 @@ func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, eff
 	for i := range ops {
 		op := &ops[i]
 		c := cop{peer: op.Peer, tag: op.Tag, req: op.Req}
+		var ok bool
 		switch op.Kind {
 		case trace.OpCalc:
-			c.kind, c.arg = cCalc, op.Dur
+			c.kind, c.arg = cCalc, int64(len(p.durs)-int(p.rank[r].dur))
+			p.durs = append(p.durs, op.Dur)
 		case trace.OpSend, trace.OpIsend:
+			if c.peer, ok = b.peer(op.Peer, false); !ok {
+				c.kind = cBad
+				break
+			}
 			np := p.pair(r, op.Peer)
 			x := p.xl(r, op.Peer)
 			k := cost{size: op.Size}
@@ -481,11 +573,16 @@ func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, eff
 				b.costIndex[k] = at
 			}
 			c.arg = at
-		case trace.OpRecv:
-			c.kind, c.arg = cRecv, op.Size
-			fx.slots.hold()
-		case trace.OpIrecv:
+		case trace.OpRecv, trace.OpIrecv:
+			if c.peer, ok = b.peer(op.Peer, true); !ok {
+				c.kind = cBad
+				break
+			}
 			c.kind, c.arg = cIrecv, op.Size
+			if op.Kind == trace.OpRecv {
+				c.kind = cRecv
+				fx.slots.hold()
+			}
 		case trace.OpWait:
 			c.kind = cWait
 			fx.slots.release()
@@ -501,7 +598,7 @@ func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, eff
 		default:
 			c.kind = cBad
 		}
-		if op.Kind == trace.OpIsend || op.Kind == trace.OpIrecv {
+		if c.kind == cEagerIsend || c.kind == cRdvIsend || c.kind == cIrecv {
 			fx.slots.take()
 		}
 		dst = append(dst, c)
@@ -516,8 +613,8 @@ func (b *Builder) Program() (*Program, error) {
 	if p == nil {
 		return nil, fmt.Errorf("loggopsim: builder already finished")
 	}
-	if b.next != len(p.code) {
-		return nil, fmt.Errorf("loggopsim: program has %d of %d ranks", b.next, len(p.code))
+	if b.next != p.Ranks() {
+		return nil, fmt.Errorf("loggopsim: program has %d of %d ranks", b.next, p.Ranks())
 	}
 	b.finishRank()
 	*b = Builder{}
@@ -525,25 +622,42 @@ func (b *Builder) Program() (*Program, error) {
 }
 
 // Ranks returns the number of ranks the program was compiled for.
-func (p *Program) Ranks() int { return len(p.code) }
+func (p *Program) Ranks() int { return len(p.node) }
+
+// stream returns rank r's stream.
+func (p *Program) stream(r int32) []cop { return p.streams[p.rank[r].stream] }
+
+// seg returns the segment rank r's table names at i.
+func (p *Program) seg(r int32, i int64) int32 { return p.segTab[p.rank[r].seg+int32(i)] }
+
+// source returns the rank a receive names through rank code rc's
+// peers: AnySource stays itself.
+func (p *Program) source(rc *rankCode, peer int32) int32 {
+	if peer == trace.AnySource {
+		return peer
+	}
+	return p.peers[rc.peer+peer]
+}
 
 // SizeBytes is the program's resident size: the compiled ops of every
-// stream and segment and the cost table, plus a slice header, a
-// node-map entry and a slot count per rank and a slice header per
-// segment.
+// stream and segment with a slice header each, the cost table, the
+// three per-rank slabs, and a location, a node-map entry and a slot
+// count per rank.
 func (p *Program) SizeBytes() int64 {
 	const header = int64(unsafe.Sizeof([]cop(nil)))
 	ops := 0
-	for _, cs := range p.code {
+	for _, cs := range p.streams {
 		ops += len(cs)
 	}
 	for _, cs := range p.segs {
 		ops += len(cs)
 	}
 	return int64(ops)*int64(unsafe.Sizeof(cop{})) +
-		int64(len(p.code))*(header+2*int64(unsafe.Sizeof(int32(0)))) +
-		int64(cap(p.segs))*header +
-		int64(cap(p.costs))*int64(unsafe.Sizeof(cost{}))
+		int64(cap(p.streams)+cap(p.segs))*header +
+		int64(cap(p.costs))*int64(unsafe.Sizeof(cost{})) +
+		int64(cap(p.durs))*8 + int64(cap(p.peers)+cap(p.segTab))*4 +
+		int64(len(p.rank))*int64(unsafe.Sizeof(rankCode{})) +
+		int64(len(p.node)+len(p.slots))*4
 }
 
 // pair returns the parameter set for a message between two ranks:

@@ -96,7 +96,7 @@ func (st *rankState) freeSlot(idx int32) {
 // eagerSend runs the eager-protocol send path shared by blocking and
 // nonblocking sends: extend the CPU by the precompiled send overhead,
 // serialize through the node NIC, and schedule the payload arrival.
-func (s *Simulator) eagerSend(r int32, st *rankState, op *cop, c *cost) {
+func (s *Simulator) eagerSend(r int32, st *rankState, peer int32, op *cop, c *cost) {
 	end := st.clock + c.dur
 	if end > s.nextNoise[r] {
 		end = s.extendSlow(r, st.clock, c.dur)
@@ -112,18 +112,18 @@ func (s *Simulator) eagerSend(r int32, st *rankState, op *cop, c *cost) {
 		inj = s.nic[node]
 	}
 	s.nic[node] = inj + c.nicGap
-	s.q.Push(eventq.Event{Time: inj + c.transit, Kind: evEagerArrive, Rank: op.peer, A: r, B: c.size, C: op.tag + st.tagBase})
+	s.q.Push(eventq.Event{Time: inj + c.transit, Kind: evEagerArrive, Rank: peer, A: r, B: c.size, C: op.tag + st.tagBase})
 	st.clock = end
 }
 
-// startRdv pays the rendezvous send overhead, registers the message and
-// schedules its RTS arrival; srcReq is the sender's request id, -1 for
-// a blocking send. The message takes the most recently released record,
-// and a new one only when every record is in flight.
-func (s *Simulator) startRdv(r int32, st *rankState, op *cop, c *cost, srcReq int32) int32 {
+// startRdv pays the rendezvous send overhead, registers the message to
+// peer and schedules its RTS arrival; srcReq is the sender's request
+// id, -1 for a blocking send. The message takes the most recently
+// released record, and a new one only when every record is in flight.
+func (s *Simulator) startRdv(r int32, st *rankState, peer int32, op *cop, c *cost, srcReq int32) int32 {
 	cpuEnd := s.extend(r, st.clock, c.dur)
 	st.clock = cpuEnd
-	m := rdvMsg{src: r, dst: op.peer, tag: op.tag + st.tagBase, size: c.size, srcReq: srcReq, dstSlot: -1}
+	m := rdvMsg{src: r, dst: peer, tag: op.tag + st.tagBase, size: c.size, srcReq: srcReq, dstSlot: -1}
 	var idx int32
 	if n := len(s.freeMsgs); n > 0 {
 		idx = s.freeMsgs[n-1]
@@ -133,7 +133,7 @@ func (s *Simulator) startRdv(r int32, st *rankState, op *cop, c *cost, srcReq in
 		idx = int32(len(s.msgs))
 		s.msgs = append(s.msgs, m)
 	}
-	s.q.Push(eventq.Event{Time: cpuEnd + c.transit, Kind: evRTSArrive, Rank: op.peer, A: idx})
+	s.q.Push(eventq.Event{Time: cpuEnd + c.transit, Kind: evRTSArrive, Rank: peer, A: idx})
 	return idx
 }
 
@@ -176,11 +176,12 @@ func (s *Simulator) matchUnexpected(st *rankState, peer, tag int32) (unexp, bool
 	return unexp{}, false
 }
 
-// startRecv executes a blocking receive. Returns false when blocked.
-func (s *Simulator) startRecv(r int32, op *cop) bool {
+// startRecv executes a blocking receive from peer. Returns false when
+// blocked.
+func (s *Simulator) startRecv(r, peer int32, op *cop) bool {
 	st := &s.ranks[r]
 	tag := op.tag + st.tagBase
-	if u, ok := s.matchUnexpected(st, op.peer, tag); ok {
+	if u, ok := s.matchUnexpected(st, peer, tag); ok {
 		if u.msg < 0 {
 			// Eager payload already here: charge receive CPU and go.
 			st.clock = s.extend(r, max64(st.clock, u.arr), s.p.pair(u.src, r).RecvCPU(u.size))
@@ -198,18 +199,19 @@ func (s *Simulator) startRecv(r int32, op *cop) bool {
 		return false
 	}
 	// Nothing here yet: post and block.
-	idx := s.addSlot(st, slot{req: -1, peer: op.peer, tag: tag, size: op.arg, isRecv: true, posted: st.clock, active: true})
+	idx := s.addSlot(st, slot{req: -1, peer: peer, tag: tag, size: op.arg, isRecv: true, posted: st.clock, active: true})
 	st.block = blockedRecv
 	st.blockMsg = -1
 	st.blockReq = idx // remember which slot the blocking recv owns
 	return false
 }
 
-// postIrecv posts a nonblocking receive and tries to match immediately.
-func (s *Simulator) postIrecv(r int32, op *cop) {
+// postIrecv posts a nonblocking receive from peer and tries to match
+// immediately.
+func (s *Simulator) postIrecv(r, peer int32, op *cop) {
 	st := &s.ranks[r]
 	tag, req := op.tag+st.tagBase, op.req+st.reqBase
-	if u, ok := s.matchUnexpected(st, op.peer, tag); ok {
+	if u, ok := s.matchUnexpected(st, peer, tag); ok {
 		if u.msg < 0 {
 			s.addSlot(st, slot{req: req, peer: u.src, tag: u.tag, size: u.size, isRecv: true, done: true, ready: u.arr, active: true})
 			s.res.Messages++
@@ -225,7 +227,7 @@ func (s *Simulator) postIrecv(r int32, op *cop) {
 		s.q.Push(eventq.Event{Time: cts, Kind: evCTSArrive, Rank: m.src, A: u.msg})
 		return
 	}
-	s.addSlot(st, slot{req: req, peer: op.peer, tag: tag, size: op.arg, isRecv: true, posted: st.clock, active: true})
+	s.addSlot(st, slot{req: req, peer: peer, tag: tag, size: op.arg, isRecv: true, posted: st.clock, active: true})
 }
 
 // findSlotByReq returns the index of the active slot with the request id.

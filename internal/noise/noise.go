@@ -208,7 +208,7 @@ func (c Config) LoadFactor() float64 {
 
 // nodeState is the lazily generated arrival stream of one node.
 type nodeState struct {
-	src      *rng.Source
+	src      rng.Source
 	next     int64  // next CE arrival time
 	count    uint64 // CEs handled so far (drives EveryNth)
 	arrState uint64 // arrival-process state (e.g. remaining burst)
@@ -222,7 +222,8 @@ type CE struct {
 	// guard gap (Config.resolve).
 	arr     Arrivals
 	meanGap int64
-	// nodes is indexed by node id; states are created on first use.
+	// nodes is indexed by node id, or holds the one state of a single
+	// Target; states are started on first use.
 	nodes []nodeState
 
 	// Counters (not synchronized; the simulator is single-goroutine).
@@ -243,21 +244,32 @@ func NewCE(n int, cfg Config) (*CE, error) {
 	if cfg.SaturationFactor == 0 {
 		cfg.SaturationFactor = 10000
 	}
+	if cfg.Target != AllNodes {
+		n = 1
+	}
 	m := &CE{cfg: cfg, nodes: make([]nodeState, n)}
 	m.arr, m.meanGap = cfg.resolve()
 	return m, nil
 }
 
+// state returns the state of a node the model charges.
+func (m *CE) state(node int32) *nodeState {
+	if m.cfg.Target != AllNodes {
+		return &m.nodes[0]
+	}
+	return &m.nodes[node]
+}
+
 // start initializes a node's arrival stream and draws its first gap.
 func (m *CE) start(st *nodeState, node int32) {
-	st.src = rng.NewStream(m.cfg.Seed, uint64(node))
+	st.src = rng.Stream(m.cfg.Seed, uint64(node))
 	st.started = true
 	m.advance(st)
 }
 
 // advance moves the node's next arrival one gap later.
 func (m *CE) advance(st *nodeState) {
-	st.next = after(st.next, m.arr.NextGap(st.src, &st.arrState))
+	st.next = after(st.next, m.arr.NextGap(&st.src, &st.arrState))
 }
 
 // NextArrival returns the time of the node's next CE arrival, starting
@@ -269,7 +281,7 @@ func (m *CE) NextArrival(node int32) int64 {
 	if m.cfg.Target != AllNodes && node != m.cfg.Target {
 		return math.MaxInt64
 	}
-	st := &m.nodes[node]
+	st := m.state(node)
 	if !st.started {
 		m.start(st, node)
 	}
@@ -283,7 +295,7 @@ func (m *CE) Extend(node int32, start, dur int64) int64 {
 	if m.cfg.Target != AllNodes && node != m.cfg.Target {
 		return start + dur
 	}
-	st := &m.nodes[node]
+	st := m.state(node)
 	if !st.started {
 		m.start(st, node)
 	}

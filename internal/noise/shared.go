@@ -32,7 +32,7 @@ type SharedCE struct {
 }
 
 type sharedNode struct {
-	src      *rng.Source
+	src      rng.Source
 	arrState uint64
 	count    uint64
 	horizon  int64   // schedule materialized up to this time
@@ -68,11 +68,11 @@ func NewSharedCE(nodes, ranksPerNode int, cfg Config) (*SharedCE, error) {
 // ensure materializes node n's schedule up to at least time t.
 func (m *SharedCE) ensure(n *sharedNode, node int32, t int64) {
 	if !n.started {
-		n.src = rng.NewStream(m.cfg.Seed, uint64(node))
+		n.src = rng.Stream(m.cfg.Seed, uint64(node))
 		n.started = true
 	}
 	for n.horizon <= t {
-		n.horizon = after(n.horizon, m.arr.NextGap(n.src, &n.arrState))
+		n.horizon = after(n.horizon, m.arr.NextGap(&n.src, &n.arrState))
 		n.times = append(n.times, n.horizon)
 		n.durs = append(n.durs, m.cfg.Duration.Sample(n.count))
 		n.count++

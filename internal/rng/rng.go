@@ -35,13 +35,19 @@ func Mix64(x uint64) uint64 {
 }
 
 // Source is a xoshiro256** pseudo-random generator. The zero value is not
-// valid; construct with New or NewStream.
+// valid; construct with New, NewStream or Stream.
 type Source struct {
 	s [4]uint64
 }
 
 // New returns a generator deterministically derived from seed.
 func New(seed uint64) *Source {
+	src := seeded(seed)
+	return &src
+}
+
+// seeded is New by value.
+func seeded(seed uint64) Source {
 	var src Source
 	sm := seed
 	for i := range src.s {
@@ -52,7 +58,7 @@ func New(seed uint64) *Source {
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
+	return src
 }
 
 // NewStream returns a generator for an independent stream identified by
@@ -60,11 +66,18 @@ func New(seed uint64) *Source {
 // independent sequences for the same base seed; this is how per-node and
 // per-repetition generators are derived.
 func NewStream(seed, stream uint64) *Source {
+	src := Stream(seed, stream)
+	return &src
+}
+
+// Stream is NewStream by value, for a caller that holds many streams in
+// one table instead of one allocation each.
+func Stream(seed, stream uint64) Source {
 	// Mix the stream id through SplitMix64 before combining so that
 	// consecutive stream ids (0,1,2,...) do not produce correlated seeds.
 	sm := stream
 	mixed := splitMix64(&sm)
-	return New(seed ^ (mixed * 0x9e3779b97f4a7c15) ^ (stream << 1))
+	return seeded(seed ^ (mixed * 0x9e3779b97f4a7c15) ^ (stream << 1))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

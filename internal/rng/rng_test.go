@@ -48,8 +48,9 @@ func TestStreamsIndependent(t *testing.T) {
 func TestStreamDeterminism(t *testing.T) {
 	a := NewStream(99, 1234)
 	b := NewStream(99, 1234)
+	c := Stream(99, 1234) // by value, the same stream
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if x := a.Uint64(); x != b.Uint64() || x != c.Uint64() {
 			t.Fatal("identical streams diverged")
 		}
 	}
