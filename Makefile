@@ -111,8 +111,17 @@ faultmix-smoke:
 # perturbed seed — under the race detector. Regenerate a golden after an
 # intentional model change with the one -update flag (internal/golden):
 #   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
+# Its -run list names tests exactly; before the run, `go test -list`
+# (once per package) must show every name, so a renamed or deleted
+# test fails the target instead of silently dropping out of the smoke.
+ENGINE_SMOKE_RUN := TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestDeadlockInsideSharedExchangeNamesTraceOp|TestDeadlockInSegmentOfAnotherRankNamesFlatOp|TestRepetitionAllocatesConstantObjects|TestExchangeReleasingEarlierSendStaysInline|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention
+ENGINE_SMOKE_PKGS := ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestDeadlockInsideSharedExchangeNamesTraceOp|TestDeadlockInSegmentOfAnotherRankNamesFlatOp|TestRepetitionAllocatesConstantObjects|TestExchangeReleasingEarlierSendStaysInline|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention' ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
+	@listed=$$(for p in $(ENGINE_SMOKE_PKGS); do $(GO) test -list '$(ENGINE_SMOKE_RUN)' $$p || exit 1; done) || exit 1; \
+	for t in $(subst |, ,$(ENGINE_SMOKE_RUN)); do \
+		printf '%s\n' "$$listed" | grep -qx "$$t" || { echo "engine-smoke: no test named $$t in $(ENGINE_SMOKE_PKGS)"; exit 1; }; \
+	done
+	$(GO) test -race -count=1 -run '$(ENGINE_SMOKE_RUN)' $(ENGINE_SMOKE_PKGS)
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

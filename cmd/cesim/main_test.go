@@ -57,6 +57,8 @@ func TestBadSpecRejectedUpFront(t *testing.T) {
 		{"negative mtbce", []string{"-mtbce", "-1s", "-mode", "firmware-emca"}, "mtbce_ns"},
 		{"target past the last node", append([]string{"-nodes", "16", "-target", "16"}, ok...), "target 16"},
 		{"target below -1", append([]string{"-target", "-2"}, ok...), "target -2"},
+		{"target past the last rank of a cube", []string{"-workload", "lulesh", "-nodes", "128", "-iters", "2", "-reps", "1",
+			"-mtbce", "1s", "-mode", "software-cmci", "-target", "126"}, "target 126 outside [-1, 125)"},
 		{"target not a number", append([]string{"-target", "first"}, ok...), "-target"},
 		{"one node", append([]string{"-nodes", "1"}, ok...), "nodes"},
 		{"negative reps", append([]string{"-reps", "-1"}, ok...), "reps"},

@@ -206,16 +206,21 @@ func ablationCorrelatedSMM(ctx context.Context, o core.Options) (*report.Table, 
 	return t, nil
 }
 
-// meanSlowdown expands tr and simulates it under cfg noise-free, then under
-// newNoise(ce) with ce.Seed = seed0 … seed0+n-1, checking ctx between seeds.
-// It returns the noise-free makespan and the mean slowdown.
+// meanSlowdown expands and compiles tr once and runs it under cfg
+// noise-free, then under newNoise(ce) with ce.Seed = seed0 … seed0+n-1,
+// checking ctx between seeds. It returns the noise-free makespan and the
+// mean slowdown.
 func meanSlowdown(ctx context.Context, tr *trace.Trace, cfg loggopsim.Config, ce noise.Config, seed0 uint64, n int,
 	newNoise func(noise.Config) (noise.Model, error)) (int64, float64, error) {
 	ex, err := collectives.Expand(tr, collectives.Config{})
 	if err != nil {
 		return 0, 0, err
 	}
-	base, err := loggopsim.Simulate(ex, cfg)
+	sim, err := loggopsim.NewSimulator(ex, cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	base, err := sim.Run(nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -225,10 +230,11 @@ func meanSlowdown(ctx context.Context, tr *trace.Trace, cfg loggopsim.Config, ce
 			return 0, 0, err
 		}
 		ce.Seed = seed
-		if cfg.Noise, err = newNoise(ce); err != nil {
+		nm, err := newNoise(ce)
+		if err != nil {
 			return 0, 0, err
 		}
-		res, err := loggopsim.Simulate(ex, cfg)
+		res, err := sim.Run(nm)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -43,7 +43,7 @@ type AllreduceAlgo int
 // Allreduce algorithm choices.
 const (
 	// AllreduceAuto picks recursive doubling for small payloads and
-	// Rabenseifner above RabenseifnerMin bytes.
+	// Rabenseifner above rabenseifnerMin bytes.
 	AllreduceAuto AllreduceAlgo = iota
 	AllreduceRecursiveDoubling
 	AllreduceRabenseifner
@@ -69,18 +69,11 @@ func (a AllreduceAlgo) String() string {
 type Config struct {
 	// Allreduce selects the allreduce algorithm (default AllreduceAuto).
 	Allreduce AllreduceAlgo
-	// RabenseifnerMin is the payload size (bytes) above which
-	// AllreduceAuto switches from recursive doubling to Rabenseifner.
-	// Zero means the default of 16 KiB.
-	RabenseifnerMin int64
 }
 
-func (c Config) rabenseifnerMin() int64 {
-	if c.RabenseifnerMin <= 0 {
-		return 16 << 10
-	}
-	return c.RabenseifnerMin
-}
+// rabenseifnerMin is the payload size (bytes) above which AllreduceAuto
+// switches from recursive doubling to Rabenseifner.
+const rabenseifnerMin = 16 << 10
 
 // expander accumulates the ops one collective algorithm emits on one
 // rank (see buildCanonical).

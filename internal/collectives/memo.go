@@ -78,7 +78,7 @@ func ScheduleCache() ScheduleCacheStats { return schedCache.Stats() }
 // algorithm used for a payload of the given size.
 func (c Config) resolveAllreduce(size int64) AllreduceAlgo {
 	if c.Allreduce == AllreduceAuto {
-		if size <= c.rabenseifnerMin() {
+		if size <= rabenseifnerMin {
 			return AllreduceRecursiveDoubling
 		}
 		return AllreduceRabenseifner

@@ -24,7 +24,7 @@ func benchNoise(b *testing.B, ranks int, seed uint64) noise.Model {
 }
 
 // BenchmarkRepeatedRuns compares the per-repetition cost of constructing
-// a fresh simulator every run (the pre-reuse behavior of Simulate)
+// a fresh simulator every run
 // against reusing one Simulator's preallocated state across runs (the
 // hot path of RunRepeated and the daemon's sweep jobs). Results
 // are bit-identical by construction — see TestSimulatorReuseBitIdentical
@@ -46,9 +46,11 @@ func BenchmarkRepeatedRuns(b *testing.B) {
 	b.Run("fresh-simulate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := cfg
-			c.Noise = benchNoise(b, ranks, uint64(i)+1)
-			if _, err := loggopsim.Simulate(ex, c); err != nil {
+			sim, err := loggopsim.NewSimulator(ex, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.Run(benchNoise(b, ranks, uint64(i)+1)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -164,12 +164,15 @@ func (s *RunSpec) Resolve(lim Limits) (ExperimentConfig, Scenario, error) {
 		return zc, zs, fmt.Errorf("provide a positive per_event_ns or a mode name")
 	}
 
+	// The target names a node of the run, which has one rank per node
+	// and, for a cube-only workload, fewer ranks than requested nodes.
 	target := noise.AllNodes
 	if s.Target != nil {
 		target = *s.Target
 	}
-	if target < noise.AllNodes || (target >= 0 && int(target) >= s.Nodes) {
-		return zc, zs, fmt.Errorf("target %d outside [-1, %d)", target, s.Nodes)
+	ranks := tracegen.PreferredRanks(s.Workload, s.Nodes)
+	if target < noise.AllNodes || (target >= 0 && int(target) >= ranks) {
+		return zc, zs, fmt.Errorf("target %d outside [-1, %d): %s runs %d ranks on %d nodes", target, ranks, s.Workload, ranks, s.Nodes)
 	}
 
 	cfg := ExperimentConfig{

@@ -56,14 +56,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes a simulation run.
+// Config parameterizes a simulation run: one LogGOPS parameter set for
+// every message, the placement of ranks on nodes, and whether to
+// profile. The noise model is not part of it: each Run takes its own.
 type Config struct {
-	// Net is the LogGOPS parameter set for inter-node messages.
+	// Net is the LogGOPS parameter set for every message.
 	Net netmodel.Params
-	// LocalNet, when non-nil, is the parameter set for messages between
-	// ranks on the same node (shared-memory transport). Nil means all
-	// messages use Net.
-	LocalNet *netmodel.Params
 	// RanksPerNode places this many consecutive ranks on each node
 	// (rank r lives on node r/RanksPerNode). The node's NIC is shared:
 	// injections from co-located ranks serialize through one gap
@@ -71,17 +69,6 @@ type Config struct {
 	// correlated noise model (noise.SharedCE): the per-node streaming
 	// model assumes one rank per node.
 	RanksPerNode int
-	// ExtraLatency, when non-nil, adds topology-dependent latency to
-	// every message between two ranks (control and payload alike):
-	// e.g. extra global-link hops between dragonfly groups. See
-	// netmodel.DragonflyExtra.
-	ExtraLatency func(src, dst int32) int64
-	// Noise injects CPU detours; nil means no noise. The model is
-	// called with the *rank* id; node-level models derive the node.
-	Noise noise.Model
-	// MaxTime aborts the simulation when the event clock passes this
-	// horizon (ns). Zero disables the horizon.
-	MaxTime int64
 	// Profile enables per-rank time decomposition (Result.Profile):
 	// requested CPU work, detour time added by the noise model, and
 	// blocked time spent waiting for messages. Costs one extra O(ranks)
@@ -120,8 +107,6 @@ type Result struct {
 	Events uint64
 	// Deadlocked is set when ranks were blocked with no pending events.
 	Deadlocked bool
-	// TimedOut is set when the MaxTime horizon fired.
-	TimedOut bool
 	// Profile is the time decomposition; nil unless Config.Profile.
 	Profile *Profile
 }
@@ -192,7 +177,7 @@ type rankState struct {
 //
 // A Simulator is not safe for concurrent use; run one per goroutine
 // (they may all share one Program). Results are bit-identical to a
-// fresh Simulate call with the same trace, configuration and noise
+// fresh Simulator's with the same trace, configuration and noise
 // model.
 type Simulator struct {
 	p     *Program
@@ -310,9 +295,6 @@ func (s *Simulator) Ranks() int { return len(s.ranks) }
 // slice's capacity, and installs the noise model for the next run.
 func (s *Simulator) reset(nm noise.Model) {
 	if nm == nil {
-		nm = s.p.cfg.Noise
-	}
-	if nm == nil {
 		nm = noise.None{}
 	}
 	s.noise = nm
@@ -373,27 +355,20 @@ func (s *Simulator) reset(nm noise.Model) {
 	}
 }
 
-// Run replays the trace under the given noise model (nil falls back to
-// Config.Noise, then to no noise) and returns a freshly allocated
-// result. Deadlocks and horizon timeouts return a non-nil error
-// alongside the partial result. Internal state is reset and reused
-// across calls; previously returned Results are never mutated.
+// Run replays the trace under the given noise model (nil means no
+// noise) and returns a freshly allocated result. A deadlock returns a
+// non-nil error alongside the partial result. Internal state is reset
+// and reused across calls; previously returned Results are never
+// mutated.
 func (s *Simulator) Run(nm noise.Model) (*Result, error) {
 	s.reset(nm)
 	// Kick every rank at t=0.
 	for r := range s.ranks {
 		s.advance(int32(r))
 	}
-	maxTime := s.p.cfg.MaxTime
 	for s.q.Len() > 0 {
 		e := s.q.Pop()
 		s.res.Events++
-		if maxTime > 0 && e.Time > maxTime {
-			s.res.TimedOut = true
-			s.finishResult()
-			out := s.res
-			return &out, fmt.Errorf("loggopsim: horizon %dns exceeded at t=%dns", s.p.cfg.MaxTime, e.Time)
-		}
 		switch e.Kind {
 		case evEagerArrive:
 			s.eagerArrive(e.Rank, e.A, e.B, e.C, e.Time)
@@ -417,18 +392,17 @@ func (s *Simulator) Run(nm noise.Model) (*Result, error) {
 	return &out, nil
 }
 
-// Simulate runs the trace to completion and returns the result. The
-// trace must be collective-free (see collectives.Expand); a collective
-// op is reported as an error. Deadlocks and horizon timeouts return a
-// non-nil error alongside the partial result. One-shot convenience
-// wrapper; repeated-run callers should build a Simulator once and Run
-// it per seed.
+// Simulate runs the trace to completion without noise and returns the
+// result. The trace must be collective-free (see collectives.Expand); a
+// collective op is reported as an error. A deadlock returns a non-nil
+// error alongside the partial result. One-shot convenience wrapper;
+// repeated-run callers build a Simulator once and Run it per seed.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	s, err := NewSimulator(tr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.Run(cfg.Noise)
+	return s.Run(nil)
 }
 
 func (s *Simulator) firstBlocked() int32 {
@@ -515,13 +489,13 @@ func (s *Simulator) extendSlow(rank int32, start, dur int64) int64 {
 
 // inject reserves the sender's node NIC for a message of size bytes
 // that is ready at time ready, and returns the injection time.
-func (s *Simulator) inject(rank int32, ready int64, p *netmodel.Params, size int64) int64 {
+func (s *Simulator) inject(rank int32, ready int64, size int64) int64 {
 	node := s.p.node[rank]
 	inj := ready
 	if s.nic[node] > inj {
 		inj = s.nic[node]
 	}
-	s.nic[node] = inj + p.NICGap(size)
+	s.nic[node] = inj + s.p.cfg.Net.NICGap(size)
 	return inj
 }
 

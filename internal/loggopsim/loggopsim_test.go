@@ -17,7 +17,17 @@ const (
 
 func mustSim(t *testing.T, tr *trace.Trace, cfg Config) *Result {
 	t.Helper()
-	res, err := Simulate(tr, cfg)
+	return mustRun(t, tr, cfg, nil)
+}
+
+// mustRun simulates tr under cfg and the noise model nm.
+func mustRun(t *testing.T, tr *trace.Trace, cfg Config, nm noise.Model) *Result {
+	t.Helper()
+	sim, err := NewSimulator(tr, cfg)
+	if err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	res, err := sim.Run(nm)
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
@@ -263,21 +273,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestHorizonTimeout(t *testing.T) {
-	net := netmodel.CrayXC40()
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Calc(10 * s), trace.Send(1, 8, 0)},
-		{trace.Recv(0, 8, 0)},
-	}}
-	res, err := Simulate(tr, Config{Net: net, MaxTime: 1 * s})
-	if err == nil {
-		t.Fatal("horizon not enforced")
-	}
-	if !res.TimedOut {
-		t.Fatal("TimedOut flag not set")
-	}
-}
-
 func TestNICGapSerializesInjections(t *testing.T) {
 	// Two back-to-back eager sends: the second arrives at least
 	// NICGap after the first's injection.
@@ -309,7 +304,7 @@ func TestDelayPropagatesAlongDependencies(t *testing.T) {
 	}}
 	clean := mustSim(t, base, defaultCfg())
 	delay := 50 * ms
-	noisy := mustSim(t, base, Config{Net: netmodel.CrayXC40(), Noise: &delayModel{rank: 0, delay: delay}})
+	noisy := mustRun(t, base, defaultCfg(), &delayModel{rank: 0, delay: delay})
 	shift := noisy.FinishTimes[2] - clean.FinishTimes[2]
 	if shift != delay {
 		t.Fatalf("p2 shifted by %d, want full detour %d", shift, delay)
@@ -323,7 +318,7 @@ func TestDelayOnNonCriticalPathAbsorbed(t *testing.T) {
 		{trace.Calc(1 * ms), trace.Recv(0, 8, 0)},
 	}}
 	clean := mustSim(t, base, defaultCfg())
-	noisy := mustSim(t, base, Config{Net: netmodel.CrayXC40(), Noise: &delayModel{rank: 1, delay: 10 * ms}})
+	noisy := mustRun(t, base, defaultCfg(), &delayModel{rank: 1, delay: 10 * ms})
 	if noisy.Makespan != clean.Makespan {
 		t.Fatalf("slack did not absorb detour: %d vs %d", noisy.Makespan, clean.Makespan)
 	}
@@ -417,7 +412,7 @@ func TestDeterministicWithCENoise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := mustSim(t, ex, Config{Net: netmodel.CrayXC40(), Noise: nm})
+		res := mustRun(t, ex, defaultCfg(), nm)
 		return res.Makespan
 	}
 	if a, b := run(), run(); a != b {
@@ -446,7 +441,7 @@ func TestNoiseNeverSpeedsUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		noisy := mustSim(t, ex, Config{Net: netmodel.CrayXC40(), Noise: nm})
+		noisy := mustRun(t, ex, defaultCfg(), nm)
 		if noisy.Makespan < clean.Makespan {
 			t.Fatalf("seed %d: noise shortened makespan %d -> %d", seed, clean.Makespan, noisy.Makespan)
 		}
@@ -469,7 +464,7 @@ func TestSingleNodeNoiseOnlyDelaysViaDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy := mustSim(t, tr, Config{Net: netmodel.CrayXC40(), Noise: nm})
+	noisy := mustRun(t, tr, defaultCfg(), nm)
 	if noisy.FinishTimes[3] != clean.FinishTimes[3] {
 		t.Fatalf("noise on rank 0 delayed unrelated rank 3: %d vs %d",
 			noisy.FinishTimes[3], clean.FinishTimes[3])

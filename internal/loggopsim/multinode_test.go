@@ -8,18 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// fastLocal returns a shared-memory-like parameter set: 10x lower
-// latency and overheads than the inter-node network.
-func fastLocal() *netmodel.Params {
-	p := netmodel.CrayXC40()
-	p.L /= 10
-	p.O /= 10
-	p.Gap /= 10
-	p.GPerByte /= 10
-	p.OPerByte /= 10
-	return &p
-}
-
 func TestRanksPerNodeDefaultsToOne(t *testing.T) {
 	tr := &trace.Trace{Ops: [][]trace.Op{
 		{trace.Send(1, 64, 0)},
@@ -29,40 +17,6 @@ func TestRanksPerNodeDefaultsToOne(t *testing.T) {
 	b := mustSim(t, tr, Config{Net: netmodel.CrayXC40(), RanksPerNode: 1})
 	if a.Makespan != b.Makespan {
 		t.Fatalf("explicit rpn=1 changed result: %d vs %d", a.Makespan, b.Makespan)
-	}
-}
-
-func TestLocalNetSpeedsUpIntraNodeMessages(t *testing.T) {
-	// Ranks 0,1 share a node (rpn=2): their exchange should be ~10x
-	// faster with LocalNet than without.
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Send(1, 1024, 0)},
-		{trace.Recv(0, 1024, 0)},
-	}}
-	remote := mustSim(t, tr, Config{Net: netmodel.CrayXC40(), RanksPerNode: 2})
-	local := mustSim(t, tr, Config{Net: netmodel.CrayXC40(), RanksPerNode: 2, LocalNet: fastLocal()})
-	if local.Makespan >= remote.Makespan {
-		t.Fatalf("local transport not faster: %d vs %d", local.Makespan, remote.Makespan)
-	}
-	want := fastLocal().EagerLatency(1024)
-	if local.FinishTimes[1] != want {
-		t.Fatalf("local latency %d, want closed-form %d", local.FinishTimes[1], want)
-	}
-}
-
-func TestLocalNetOnlyAppliesWithinNode(t *testing.T) {
-	// Ranks 0,1 on node 0; ranks 2,3 on node 1. The 0->2 message must
-	// use the remote parameters even with LocalNet configured.
-	net := netmodel.CrayXC40()
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Send(2, 512, 0)},
-		{},
-		{trace.Recv(0, 512, 0)},
-		{},
-	}}
-	res := mustSim(t, tr, Config{Net: net, RanksPerNode: 2, LocalNet: fastLocal()})
-	if res.FinishTimes[2] != net.EagerLatency(512) {
-		t.Fatalf("inter-node latency %d, want %d", res.FinishTimes[2], net.EagerLatency(512))
 	}
 }
 
@@ -123,7 +77,7 @@ func TestSMMDetourHaltsWholeNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := mustSim(t, tr, Config{Net: netmodel.CrayXC40(), RanksPerNode: 2, Noise: nm})
+	res := mustRun(t, tr, Config{Net: netmodel.CrayXC40(), RanksPerNode: 2}, nm)
 	if res.FinishTimes[0] != res.FinishTimes[1] {
 		t.Fatalf("co-located ranks saw different detours: %v", res.FinishTimes[:2])
 	}
@@ -136,19 +90,11 @@ func TestSMMDetourHaltsWholeNode(t *testing.T) {
 }
 
 func TestMultiRankCollectiveRuns(t *testing.T) {
-	// A barrier across 4 nodes x 4 ranks with local transport: checks
-	// the full pipeline at rpn > 1.
-	res := simCollective(t, 16, trace.Barrier(), Config{
-		Net: netmodel.CrayXC40(), RanksPerNode: 4, LocalNet: fastLocal(),
-	})
+	// A barrier across 4 nodes x 4 ranks, each node's four sharing a
+	// NIC: checks the full pipeline at rpn > 1.
+	res := simCollective(t, 16, trace.Barrier(), Config{Net: netmodel.CrayXC40(), RanksPerNode: 4})
 	if res.Makespan <= 0 {
 		t.Fatal("zero makespan")
-	}
-	// The same barrier with all-remote parameters must be slower or
-	// equal (local links can only help).
-	remote := simCollective(t, 16, trace.Barrier(), Config{Net: netmodel.CrayXC40(), RanksPerNode: 4})
-	if res.Makespan > remote.Makespan {
-		t.Fatalf("local transport slowed the barrier: %d vs %d", res.Makespan, remote.Makespan)
 	}
 }
 
@@ -159,54 +105,9 @@ func TestNegativeRanksPerNodeRejected(t *testing.T) {
 	}
 }
 
-func TestBadLocalNetRejected(t *testing.T) {
-	tr := &trace.Trace{Ops: [][]trace.Op{{trace.Calc(1)}}}
-	bad := netmodel.Params{L: -5}
-	if _, err := Simulate(tr, Config{Net: netmodel.CrayXC40(), LocalNet: &bad}); err == nil {
-		t.Fatal("invalid LocalNet accepted")
-	}
-}
-
 func min64(a, b int64) int64 {
 	if a < b {
 		return a
 	}
 	return b
-}
-
-func TestExtraLatencyAppliesAcrossGroups(t *testing.T) {
-	net := netmodel.CrayXC40()
-	extra := netmodel.DragonflyExtra(2, 5*ms)
-	// Rank 0 -> 1 (same group): base latency. Rank 0 -> 2 (cross
-	// group): +5 ms.
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Send(1, 64, 0), trace.Send(2, 64, 1)},
-		{trace.Recv(0, 64, 0)},
-		{trace.Recv(0, 64, 1)},
-	}}
-	res := mustSim(t, tr, Config{Net: net, ExtraLatency: extra})
-	if res.FinishTimes[1] != net.EagerLatency(64) {
-		t.Fatalf("in-group latency %d, want %d", res.FinishTimes[1], net.EagerLatency(64))
-	}
-	// Second send: CPU 2x SendCPU, NIC gap may dominate; lower bound:
-	// arrival includes the extra hop.
-	if res.FinishTimes[2] < net.EagerLatency(64)+5*ms {
-		t.Fatalf("cross-group latency %d missing extra hop", res.FinishTimes[2])
-	}
-}
-
-func TestExtraLatencyAppliesToRendezvous(t *testing.T) {
-	net := netmodel.CrayXC40()
-	big := net.S * 2
-	extra := netmodel.DragonflyExtra(1, 2*ms) // every pair crosses groups
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Send(1, big, 0)},
-		{trace.Recv(0, big, 0)},
-	}}
-	plain := mustSim(t, tr, Config{Net: net})
-	slow := mustSim(t, tr, Config{Net: net, ExtraLatency: extra})
-	// RTS + CTS + payload each pay the hop: at least 6 ms slower.
-	if slow.Makespan < plain.Makespan+6*ms {
-		t.Fatalf("rendezvous handshake skipped extra hops: %d vs %d", slow.Makespan, plain.Makespan)
-	}
 }

@@ -68,7 +68,7 @@ func TestProfileDetourAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := mustSim(t, tr, Config{Net: netmodel.CrayXC40(), Noise: nm, Profile: true})
+	res := mustRun(t, tr, Config{Net: netmodel.CrayXC40(), Profile: true}, nm)
 	p := res.Profile
 	if p.Detour <= 0 {
 		t.Fatal("no detour time recorded under CE noise")
@@ -103,7 +103,7 @@ func TestProfileDecomposesCollectiveSlowdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := mustSim(t, ex, Config{Net: netmodel.CrayXC40(), Noise: nm, Profile: true})
+	res := mustRun(t, ex, Config{Net: netmodel.CrayXC40(), Profile: true}, nm)
 	p := res.Profile
 	if p.Detour == 0 {
 		t.Fatal("no detours charged")

@@ -6,20 +6,17 @@ import (
 	"slices"
 	"unsafe"
 
-	"repro/internal/netmodel"
 	"repro/internal/trace"
 )
 
 // cop is a compiled trace operation, 24 bytes. Lowering resolves
 // everything that does not depend on simulated time — the
-// eager/rendezvous protocol decision, the LogGOPS send CPU / NIC gap /
-// transit costs (including the per-pair extra latency), and the
-// parameter set — so the replay loop does only integer arithmetic: no
-// floating-point byte-cost math, no interface or function-valued calls,
-// no protocol branches. A program's sends have only a handful of
-// distinct cost tuples (one per message size, protocol and latency
-// class), so a send carries an index into the program's cost table
-// instead of the tuple.
+// eager/rendezvous protocol decision and the LogGOPS send CPU / NIC gap
+// / transit costs — so the replay loop does only integer arithmetic: no
+// floating-point byte-cost math, no interface calls, no protocol
+// branches. A program's sends have only a handful of distinct cost
+// tuples (one per message size and protocol), so a send carries an
+// index into the program's cost table instead of the tuple.
 //
 // Ops are shared between ranks, so what differs from rank to rank goes
 // through the rank's tables (see Program): a calc names its duration, a
@@ -36,12 +33,12 @@ type cop struct {
 	kind uint8 // cop kinds below
 }
 
-// cost is what a send of one size between one class of rank pair costs.
+// cost is what a send of one size costs.
 type cost struct {
 	dur     int64 // eager send CPU o+(s-1)O | rendezvous o
 	size    int64 // message bytes
 	nicGap  int64 // eager send: NIC occupancy g+(s-1)G
-	transit int64 // eager send: L+(s-1)G+xl | rendezvous send: RTS flight L+xl
+	transit int64 // eager send: L+(s-1)G | rendezvous send: RTS flight L
 }
 
 // Compiled op kinds, ordered hottest-first.
@@ -84,9 +81,6 @@ const (
 // reference its segment. Streams and segments that agree op for op
 // under that numbering, whichever ranks run them, are stored once.
 // Each table is a window of one slab.
-//
-// Config.ExtraLatency is consulted while runs are in flight (rendezvous
-// handshakes), so it must be safe to call from several goroutines.
 type Program struct {
 	cfg   Config
 	nodes int     // NIC timelines a run needs
@@ -234,11 +228,6 @@ func NewBuilder(ranks int, cfg Config) (*Builder, error) {
 	}
 	if err := cfg.Net.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.LocalNet != nil {
-		if err := cfg.LocalNet.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	rpn := cfg.RanksPerNode
 	if rpn == 0 {
@@ -529,6 +518,7 @@ func (b *Builder) peer(q int32, wild bool) (local int32, ok bool) {
 // outstanding nonblocking rendezvous sends, kept up to date.
 func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, effect) {
 	p, r := b.p, int32(b.next-1)
+	np := &p.cfg.Net
 	fx := effect{slots: count{peakShift: never}, rdv: count{peakShift: never}}
 	for i := range ops {
 		op := &ops[i]
@@ -543,20 +533,18 @@ func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, eff
 				c.kind = cBad
 				break
 			}
-			np := p.pair(r, op.Peer)
-			x := p.xl(r, op.Peer)
 			k := cost{size: op.Size}
 			if np.Eager(op.Size) {
 				k.dur = np.SendCPU(op.Size)
 				k.nicGap = np.NICGap(op.Size)
-				k.transit = np.Transit(op.Size) + x
+				k.transit = np.Transit(op.Size)
 				c.kind = cEagerSend
 				if op.Kind == trace.OpIsend {
 					c.kind = cEagerIsend
 				}
 			} else {
 				k.dur = np.O
-				k.transit = np.L + x
+				k.transit = np.L
 				c.kind = cRdvSend
 				if op.Kind == trace.OpIsend {
 					c.kind = cRdvIsend
@@ -658,22 +646,4 @@ func (p *Program) SizeBytes() int64 {
 		int64(cap(p.durs))*8 + int64(cap(p.peers)+cap(p.segTab))*4 +
 		int64(len(p.rank))*int64(unsafe.Sizeof(rankCode{})) +
 		int64(len(p.node)+len(p.slots))*4
-}
-
-// pair returns the parameter set for a message between two ranks:
-// LocalNet for co-located ranks when configured, Net otherwise.
-func (p *Program) pair(a, b int32) *netmodel.Params {
-	if p.cfg.LocalNet != nil && p.node[a] == p.node[b] {
-		return p.cfg.LocalNet
-	}
-	return &p.cfg.Net
-}
-
-// xl returns the configured extra latency between two ranks, zero when
-// none is configured.
-func (p *Program) xl(src, dst int32) int64 {
-	if p.cfg.ExtraLatency == nil {
-		return 0
-	}
-	return p.cfg.ExtraLatency(src, dst)
 }

@@ -7,7 +7,6 @@ package loggopsim
 
 import (
 	"repro/internal/eventq"
-	"repro/internal/netmodel"
 	"repro/internal/trace"
 )
 
@@ -184,14 +183,14 @@ func (s *Simulator) startRecv(r, peer int32, op *cop) bool {
 	if u, ok := s.matchUnexpected(st, peer, tag); ok {
 		if u.msg < 0 {
 			// Eager payload already here: charge receive CPU and go.
-			st.clock = s.extend(r, max64(st.clock, u.arr), s.p.pair(u.src, r).RecvCPU(u.size))
+			st.clock = s.extend(r, max64(st.clock, u.arr), s.p.cfg.Net.RecvCPU(u.size))
 			s.res.Messages++
 			s.res.BytesMoved += u.size
 			return true
 		}
 		// Rendezvous RTS already here: answer CTS and wait for payload.
 		m := &s.msgs[u.msg]
-		cts := max64(st.clock, m.rtsATime) + s.p.pair(m.src, r).L + s.p.xl(r, m.src)
+		cts := max64(st.clock, m.rtsATime) + s.p.cfg.Net.L
 		s.q.Push(eventq.Event{Time: cts, Kind: evCTSArrive, Rank: m.src, A: u.msg})
 		st.block = blockedRecv
 		st.blockMsg = u.msg
@@ -223,7 +222,7 @@ func (s *Simulator) postIrecv(r, peer int32, op *cop) {
 		// payload it just matched and must not match other arrivals.
 		idx := s.addSlot(st, slot{req: req, peer: u.src, tag: u.tag, size: m.size, isRecv: true, claimed: true, posted: st.clock, active: true})
 		m.dstSlot = idx
-		cts := max64(st.clock, m.rtsATime) + s.p.pair(m.src, r).L + s.p.xl(r, m.src)
+		cts := max64(st.clock, m.rtsATime) + s.p.cfg.Net.L
 		s.q.Push(eventq.Event{Time: cts, Kind: evCTSArrive, Rank: m.src, A: u.msg})
 		return
 	}
@@ -256,7 +255,7 @@ func (s *Simulator) doWait(r int32, req int32) bool {
 		return false
 	}
 	if sl.isRecv {
-		st.clock = s.extend(r, max64(st.clock, sl.ready), s.recvParams(sl, r).RecvCPU(sl.size))
+		st.clock = s.extend(r, max64(st.clock, sl.ready), s.p.cfg.Net.RecvCPU(sl.size))
 	} else {
 		s.waitUntil(r, sl.ready)
 	}
@@ -277,16 +276,6 @@ func (s *Simulator) waitUntil(r int32, till int64) {
 	st.clock = till
 }
 
-// recvParams picks the parameter set for a completed receive slot; a
-// wildcard-source slot that matched a local sender keeps Net (the
-// conservative choice, and wildcards are rare in generated traces).
-func (s *Simulator) recvParams(sl *slot, r int32) *netmodel.Params {
-	if sl.peer == trace.AnySource {
-		return &s.p.cfg.Net
-	}
-	return s.p.pair(sl.peer, r)
-}
-
 // doWaitAll completes all outstanding requests. Returns false when any
 // is still pending.
 func (s *Simulator) doWaitAll(r int32) bool {
@@ -304,7 +293,7 @@ func (s *Simulator) doWaitAll(r int32) bool {
 			continue
 		}
 		if sl.isRecv {
-			st.clock = s.extend(r, max64(st.clock, sl.ready), s.recvParams(sl, r).RecvCPU(sl.size))
+			st.clock = s.extend(r, max64(st.clock, sl.ready), s.p.cfg.Net.RecvCPU(sl.size))
 		} else {
 			s.waitUntil(r, sl.ready)
 		}
@@ -323,7 +312,7 @@ func (s *Simulator) eagerArrive(dst int32, src int32, size int64, tag int32, arr
 		sl := &st.slots[slIdx]
 		if (sl.peer == trace.AnySource || sl.peer == src) && (sl.tag == trace.AnyTag || sl.tag == tag) {
 			st.freeSlot(slIdx)
-			st.clock = s.extend(dst, max64(st.clock, arr), s.p.pair(src, dst).RecvCPU(size))
+			st.clock = s.extend(dst, max64(st.clock, arr), s.p.cfg.Net.RecvCPU(size))
 			s.res.Messages++
 			s.res.BytesMoved += size
 			s.resume(dst) // past the blocking recv
@@ -364,7 +353,7 @@ func (s *Simulator) rtsArrive(msgIdx int32, arr int64) {
 			st.freeSlot(slIdx)
 			m.dstSlot = -2
 			st.blockMsg = msgIdx
-			s.q.Push(eventq.Event{Time: max64(sl.posted, arr) + s.p.pair(m.src, m.dst).L + s.p.xl(m.dst, m.src), Kind: evCTSArrive, Rank: m.src, A: msgIdx})
+			s.q.Push(eventq.Event{Time: max64(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
 			return
 		}
 	}
@@ -385,7 +374,7 @@ func (s *Simulator) rtsArrive(msgIdx int32, arr int64) {
 			// figure outputs are unaffected.)
 			sl.claimed = true
 			st.postedRemoveAt(k)
-			s.q.Push(eventq.Event{Time: max64(sl.posted, arr) + s.p.pair(m.src, m.dst).L + s.p.xl(m.dst, m.src), Kind: evCTSArrive, Rank: m.src, A: msgIdx})
+			s.q.Push(eventq.Event{Time: max64(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
 			return
 		}
 	}
@@ -396,20 +385,20 @@ func (s *Simulator) rtsArrive(msgIdx int32, arr int64) {
 func (s *Simulator) ctsArrive(msgIdx int32, arr int64) {
 	m := &s.msgs[msgIdx]
 	st := &s.ranks[m.src]
-	p := s.p.pair(m.src, m.dst)
+	p := &s.p.cfg.Net
 	if m.srcReq < 0 {
 		// Blocking send: charge payload CPU now (sender is blocked, CPU
 		// idle since the RTS was issued).
 		cpuEnd := s.extend(m.src, max64(st.clock, arr), p.SendCPU(m.size))
-		inj := s.inject(m.src, cpuEnd, p, m.size)
-		s.q.Push(eventq.Event{Time: inj + p.Transit(m.size) + s.p.xl(m.src, m.dst), Kind: evDataArrive, Rank: m.dst, A: msgIdx})
+		inj := s.inject(m.src, cpuEnd, m.size)
+		s.q.Push(eventq.Event{Time: inj + p.Transit(m.size), Kind: evDataArrive, Rank: m.dst, A: msgIdx})
 		st.clock = cpuEnd
 		s.resume(m.src) // past the blocking send
 		return
 	}
 	// Nonblocking send: NIC-only injection (see package comment).
-	inj := s.inject(m.src, arr, p, m.size)
-	s.q.Push(eventq.Event{Time: inj + p.Transit(m.size) + s.p.xl(m.src, m.dst), Kind: evDataArrive, Rank: m.dst, A: msgIdx})
+	inj := s.inject(m.src, arr, m.size)
+	s.q.Push(eventq.Event{Time: inj + p.Transit(m.size), Kind: evDataArrive, Rank: m.dst, A: msgIdx})
 	idx := findSlotByReq(st, m.srcReq)
 	if idx >= 0 {
 		st.slots[idx].done = true
@@ -431,7 +420,7 @@ func (s *Simulator) dataArrive(msgIdx int32, arr int64) {
 	s.res.BytesMoved += m.size
 	if m.dstSlot == -2 {
 		// Blocking receive: complete it.
-		st.clock = s.extend(m.dst, max64(st.clock, arr), s.p.pair(m.src, m.dst).RecvCPU(m.size))
+		st.clock = s.extend(m.dst, max64(st.clock, arr), s.p.cfg.Net.RecvCPU(m.size))
 		s.resume(m.dst) // past the blocking recv
 		return
 	}

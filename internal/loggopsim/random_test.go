@@ -103,11 +103,7 @@ func TestRandomTracesNoiseMonotone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Simulate(tr, Config{Net: net, Noise: nm})
-			if err != nil {
-				t.Fatalf("seed %d noisy: %v", seed, err)
-			}
-			return res.Makespan
+			return mustRun(t, tr, Config{Net: net}, nm).Makespan
 		}
 		a, b := mk(), mk()
 		if a != b {

@@ -57,9 +57,6 @@ type (
 // referenceRun interprets the trace under cfg and the CE process nm.
 func referenceRun(tr *trace.Trace, cfg Config, nm *noise.Config) *Result {
 	n := tr.NumRanks()
-	if cfg.ExtraLatency == nil {
-		cfg.ExtraLatency = func(_, _ int32) int64 { return 0 }
-	}
 	s := &refSim{tr: tr, cfg: cfg, rpn: int32(max(cfg.RanksPerNode, 1)), noise: nm,
 		ranks: make([]refRank, n), nic: make([]int64, n)}
 	prof := &Profile{PerRankWork: make([]int64, n), PerRankDetour: make([]int64, n), PerRankWait: make([]int64, n)}
@@ -85,14 +82,6 @@ func referenceRun(tr *trace.Trace, cfg Config, nm *noise.Config) *Result {
 func (s *refSim) push(kind int32, msg int, time int64) {
 	i := sort.Search(len(s.events), func(i int) bool { return s.events[i].Time > time })
 	s.events = slices.Insert(s.events, i, eventq.Event{Time: time, Kind: kind, A: int32(msg)})
-}
-
-// net is the parameter set between two ranks.
-func (s *refSim) net(a, b int32) netmodel.Params {
-	if s.cfg.LocalNet != nil && a/s.rpn == b/s.rpn {
-		return *s.cfg.LocalNet
-	}
-	return s.cfg.Net
 }
 
 // perByte is LogGOPS's (s-1) per-byte charge truncated to ns; msgCPU is
@@ -126,13 +115,13 @@ func (s *refSim) busy(r int32, start, dur int64) {
 }
 
 // inject queues a payload on its sender's node NIC from time ready; it
-// lands L + (s-1)G (+ extra latency) after the NIC takes it.
+// lands L + (s-1)G after the NIC takes it.
 func (s *refSim) inject(kind int32, mi int, ready int64) int64 {
 	m := &s.msgs[mi]
-	p, node := s.net(m.src, m.dst), m.src/s.rpn
+	p, node := s.cfg.Net, m.src/s.rpn
 	inj := max(ready, s.nic[node])
 	s.nic[node] = inj + p.Gap + perByte(p.GPerByte, m.size)
-	s.push(kind, mi, inj+p.L+perByte(p.GPerByte, m.size)+s.cfg.ExtraLatency(m.src, m.dst))
+	s.push(kind, mi, inj+p.L+perByte(p.GPerByte, m.size))
 	return inj
 }
 
@@ -154,10 +143,8 @@ func (sl *refSlot) matches(m *refMsg) bool {
 func (s *refSim) complete(r int32, i int) {
 	sl, cost := s.ranks[r].slots[i], int64(0)
 	s.ranks[r].slots[i] = nil
-	if sl.recv && sl.peer == trace.AnySource { // matched on arrival, it never learnt its peer
+	if sl.recv {
 		cost = msgCPU(s.cfg.Net, sl.size)
-	} else if sl.recv {
-		cost = msgCPU(s.net(sl.peer, r), sl.size)
 	}
 	s.busy(r, sl.ready, cost)
 }
@@ -170,7 +157,7 @@ func (s *refSim) run(r int32) {
 		case trace.OpCalc:
 			s.busy(r, st.clock, op.Dur)
 		case trace.OpSend, trace.OpIsend:
-			p, mi := s.net(r, op.Peer), len(s.msgs)
+			p, mi := s.cfg.Net, len(s.msgs)
 			sl := &refSlot{req: -1, peer: op.Peer, tag: op.Tag, size: op.Size}
 			s.msgs = append(s.msgs, refMsg{src: r, dst: op.Peer, tag: op.Tag, size: op.Size, eager: op.Size <= p.S, sender: sl})
 			if op.Size <= p.S { // o + (s-1)O of CPU, then the NIC; the buffer is free at once
@@ -179,7 +166,7 @@ func (s *refSim) run(r int32) {
 				sl.done, sl.ready = true, st.clock
 			} else { // o of CPU, then an RTS that bypasses the NIC
 				s.busy(r, st.clock, p.O)
-				s.push(evRTSArrive, mi, st.clock+p.L+s.cfg.ExtraLatency(r, op.Peer))
+				s.push(evRTSArrive, mi, st.clock+p.L)
 			}
 			if op.Kind == trace.OpIsend {
 				sl.req = op.Req
@@ -197,7 +184,6 @@ func (s *refSim) run(r int32) {
 				mi := st.unexpected[i] // the earliest arrival that fits
 				st.unexpected = slices.Delete(st.unexpected, i, i+1)
 				s.match(sl, mi)
-				sl.peer = s.msgs[mi].src // known at posting, unlike a match on arrival
 			}
 			if op.Kind == trace.OpRecv && !sl.done {
 				if !sl.claimed {
@@ -235,14 +221,14 @@ func (s *refSim) match(sl *refSlot, mi int) {
 	at := max(m.arr, sl.posted)
 	if !m.eager {
 		sl.claimed = true
-		s.push(evCTSArrive, mi, at+s.net(m.src, m.dst).L+s.cfg.ExtraLatency(m.dst, m.src))
+		s.push(evCTSArrive, mi, at+s.cfg.Net.L)
 		return
 	}
 	s.res.Messages++
 	s.res.BytesMoved += m.size
 	sl.done, sl.ready = true, at
 	if sl.req < 0 {
-		s.busy(m.dst, m.arr, msgCPU(s.net(m.src, m.dst), m.size))
+		s.busy(m.dst, m.arr, msgCPU(s.cfg.Net, m.size))
 	}
 }
 
@@ -285,7 +271,7 @@ func (s *refSim) handle(kind int32, mi int, now int64) {
 	case evCTSArrive:
 		ready := now          // a nonblocking send's payload is moved by the NIC alone,
 		if m.sender.req < 0 { // a blocking one's costs its CPU o + (s-1)O first
-			s.busy(m.src, now, msgCPU(s.net(m.src, m.dst), m.size))
+			s.busy(m.src, now, msgCPU(s.cfg.Net, m.size))
 			ready = s.ranks[m.src].clock
 		}
 		s.finish(m.src, m.sender, s.inject(evDataArrive, mi, ready))
@@ -293,7 +279,7 @@ func (s *refSim) handle(kind int32, mi int, now int64) {
 		s.res.Messages++
 		s.res.BytesMoved += m.size
 		if m.slot.req < 0 {
-			s.busy(m.dst, now, msgCPU(s.net(m.src, m.dst), m.size))
+			s.busy(m.dst, now, msgCPU(s.cfg.Net, m.size))
 		}
 		s.finish(m.dst, m.slot, now)
 	}

@@ -109,8 +109,8 @@ func requireAllZero(t *testing.T, when string, s *Simulator) {
 // own message's fields only — checked on every CPU interval of runs
 // that reuse indices, one of them the fuzz seed that reuses an index
 // while another message's request waits unexpected. The audited runs
-// match the unaudited ones; a run cut short by the horizon leaves
-// records in flight, and the next run starts from zeroed ones. Part of
+// match the unaudited ones; a run cut short by a deadlock leaves a
+// record in flight, and the next run starts from zeroed ones. Part of
 // engine-smoke.
 func TestNoRecordRetention(t *testing.T) {
 	cfg := Config{Net: netmodel.CrayXC40()}
@@ -153,21 +153,15 @@ func TestNoRecordRetention(t *testing.T) {
 	}
 
 	// Cut short: records stay in flight until the next run's reset.
-	tr := randomMatchedTrace(rnd, 6, 40)
-	full, err := Simulate(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := cfg
-	cut.MaxTime = full.Makespan / 2
-	p, err := Compile(tr, cut)
+	tr := withUnmatchedRendezvous(randomMatchedTrace(rnd, 6, 40), cfg.Net)
+	p, err := Compile(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := p.NewSimulator()
 	first, err := s.Run(nil)
-	if err == nil || !first.TimedOut {
-		t.Fatalf("expected a horizon timeout, got %v", err)
+	if err == nil || !first.Deadlocked {
+		t.Fatalf("expected a deadlock, got %v", err)
 	}
 	if len(s.freeMsgs) == len(s.msgs) {
 		t.Fatal("the cut run left no record in flight")
@@ -175,8 +169,8 @@ func TestNoRecordRetention(t *testing.T) {
 	s.reset(nil)
 	requireAllZero(t, "after the cut run's reset", s)
 	again, err := s.Run(nil)
-	if err == nil || !again.TimedOut {
-		t.Fatalf("expected a horizon timeout again, got %v", err)
+	if err == nil || !again.Deadlocked {
+		t.Fatalf("expected a deadlock again, got %v", err)
 	}
 	requireIdentical(t, "cut run repeated", first, again)
 }

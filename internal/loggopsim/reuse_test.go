@@ -3,12 +3,13 @@ package loggopsim
 // Golden bit-identity tests for simulator-state reuse: a Simulator
 // constructed once and Run many times — in shuffled seed order, with
 // repeated seeds, interleaved with noise-free runs — must reproduce
-// fresh Simulate results event for event. This is the hard constraint
+// a fresh Simulator's results event for event. This is the hard constraint
 // that lets the repeated-run hot path (core.RunRepeated, the daemon's
 // sweep jobs) reuse preallocated state.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,7 +34,7 @@ func expandWorkload(t *testing.T, workload string, ranks, iters int) *trace.Trac
 	return ex
 }
 
-// ceModel builds a fresh CE noise model; both the fresh-Simulate and
+// ceModel builds a fresh CE noise model; both the fresh-Simulator and
 // the reused-Simulator paths get their own instance per seed, as the
 // repetition loops in core do.
 func ceModel(t *testing.T, ranks int, seed uint64) noise.Model {
@@ -78,8 +79,8 @@ func requireIdentical(t *testing.T, label string, fresh, reused *Result) {
 	if fresh.BytesMoved != reused.BytesMoved {
 		t.Fatalf("%s: bytes %d != %d", label, reused.BytesMoved, fresh.BytesMoved)
 	}
-	if fresh.Deadlocked != reused.Deadlocked || fresh.TimedOut != reused.TimedOut {
-		t.Fatalf("%s: termination flags diverged", label)
+	if fresh.Deadlocked != reused.Deadlocked {
+		t.Fatalf("%s: termination flag diverged", label)
 	}
 	if (fresh.Profile == nil) != (reused.Profile == nil) {
 		t.Fatalf("%s: profile presence diverged", label)
@@ -130,12 +131,7 @@ func TestSimulatorReuseBitIdentical(t *testing.T) {
 			}
 			requireIdentical(t, wl.name+"/clean", freshClean, reusedClean)
 			for _, seed := range seeds {
-				ncfg := cfg
-				ncfg.Noise = ceModel(t, ranks, seed)
-				fresh, err := Simulate(ex, ncfg)
-				if err != nil {
-					t.Fatalf("%s seed %d: fresh run: %v", wl.name, seed, err)
-				}
+				fresh := mustRun(t, ex, cfg, ceModel(t, ranks, seed))
 				reused, err := sim.Run(ceModel(t, ranks, seed))
 				if err != nil {
 					t.Fatalf("%s seed %d: reused run: %v", wl.name, seed, err)
@@ -157,33 +153,45 @@ func TestSimulatorReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSimulatorRunErrorStateRecovers checks that a horizon-aborted run
-// leaves the simulator reusable: the next Run starts from clean state.
-func TestSimulatorRunErrorStateRecovers(t *testing.T) {
-	ex := expandWorkload(t, "minife", 8, 2)
-	full, err := Simulate(ex, Config{Net: netmodel.CrayXC40()})
-	if err != nil {
-		t.Fatalf("full run: %v", err)
+// withUnmatchedRendezvous returns a copy of tr whose rank 0 ends with a
+// rendezvous Isend to rank 1 that no rank receives, and its Wait: the
+// run deadlocks there with the handshake's record in flight.
+func withUnmatchedRendezvous(tr *trace.Trace, net netmodel.Params) *trace.Trace {
+	out := &trace.Trace{Name: tr.Name, Ops: slices.Clone(tr.Ops)}
+	var tag, req int32
+	for _, ops := range tr.Ops {
+		for _, op := range ops {
+			tag, req = max(tag, op.Tag+1), max(req, op.Req+1)
+		}
 	}
-	cfg := Config{Net: netmodel.CrayXC40(), MaxTime: full.Makespan / 2}
+	out.Ops[0] = append(slices.Clone(tr.Ops[0]), trace.Isend(1, net.S+1, tag, req), trace.Wait(req))
+	return out
+}
+
+// TestSimulatorRunErrorStateRecovers checks that a run cut short by a
+// deadlock leaves the simulator reusable: the next Run starts from clean
+// state.
+func TestSimulatorRunErrorStateRecovers(t *testing.T) {
+	cfg := Config{Net: netmodel.CrayXC40()}
+	ex := withUnmatchedRendezvous(expandWorkload(t, "minife", 8, 2), cfg.Net)
 	sim, err := NewSimulator(ex, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := sim.Run(nil)
-	if err == nil || !res.TimedOut {
-		t.Fatalf("expected horizon timeout, got err=%v res=%+v", err, res)
+	if err == nil || !res.Deadlocked {
+		t.Fatalf("expected a deadlock, got err=%v res=%+v", err, res)
 	}
 	res2, err := sim.Run(nil)
-	if err == nil || !res2.TimedOut {
-		t.Fatalf("second run after timeout: err=%v", err)
+	if err == nil || !res2.Deadlocked {
+		t.Fatalf("second run after the deadlock: err=%v", err)
 	}
-	requireIdentical(t, "timeout-repeat", res, res2)
+	requireIdentical(t, "deadlock-repeat", res, res2)
 }
 
 // TestProgramSharedAcrossGoroutines: one compiled Program run by many
 // goroutines at once, each on its own Simulator, reproduces the
-// sequential fresh-Simulate results field for field — finish times and
+// sequential fresh-Simulator results field for field — finish times and
 // per-rank profile included. Run under -race this is also the proof
 // that a run writes nothing the Program owns.
 func TestProgramSharedAcrossGoroutines(t *testing.T) {
@@ -193,12 +201,7 @@ func TestProgramSharedAcrossGoroutines(t *testing.T) {
 	const goroutines, runsEach = 8, 3
 	want := make([]*Result, goroutines*runsEach)
 	for i := range want {
-		ncfg := cfg
-		ncfg.Noise = ceModel(t, ranks, uint64(i+1))
-		var err error
-		if want[i], err = Simulate(ex, ncfg); err != nil {
-			t.Fatalf("seed %d: %v", i+1, err)
-		}
+		want[i] = mustRun(t, ex, cfg, ceModel(t, ranks, uint64(i+1)))
 	}
 
 	prog, err := Compile(ex, cfg)

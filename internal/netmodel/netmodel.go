@@ -51,19 +51,6 @@ func CrayXC40() Params {
 	}
 }
 
-// InfiniBandEDR returns parameters representative of an EDR InfiniBand
-// fabric; provided for sensitivity studies.
-func InfiniBandEDR() Params {
-	return Params{
-		L:        1000,
-		O:        900,
-		Gap:      1100,
-		GPerByte: 0.09,
-		OPerByte: 0.05,
-		S:        16384,
-	}
-}
-
 // Validate reports an error when a parameter is out of range.
 func (p Params) Validate() error {
 	if p.L < 0 || p.O < 0 || p.Gap < 0 {
@@ -127,22 +114,4 @@ func (p Params) EagerLatency(size int64) int64 {
 // between two idle ranks. Used only for simulator validation.
 func (p Params) PingPong(size int64) int64 {
 	return 2 * p.EagerLatency(size)
-}
-
-// DragonflyExtra returns a topology latency function for a two-level
-// dragonfly-like fabric: ranks within a group of the given size
-// communicate at the base latency; messages crossing groups pay one
-// extra global-link hop. Pass the result to the simulator's
-// ExtraLatency hook.
-func DragonflyExtra(groupSize int, globalHopNanos int64) func(src, dst int32) int64 {
-	if groupSize < 1 {
-		groupSize = 1
-	}
-	gs := int32(groupSize)
-	return func(src, dst int32) int64 {
-		if src/gs == dst/gs {
-			return 0
-		}
-		return globalHopNanos
-	}
 }

@@ -34,11 +34,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row built from formatted values.
-func (t *Table) AddRowf(format string, args ...interface{}) {
-	t.AddRow(strings.Fields(fmt.Sprintf(format, args...))...)
-}
-
 // WriteASCII renders the table with aligned columns.
 func (t *Table) WriteASCII(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

@@ -408,6 +408,10 @@ func TestSimulateValidation(t *testing.T) {
 		{"both costs", func(r *SimulateRequest) { r.Mode = "firmware-emca" }},
 		{"unknown mode", func(r *SimulateRequest) { r.PerEventNanos = 0; r.Mode = "nonesuch" }},
 		{"bad target", func(r *SimulateRequest) { tgt := int32(99); r.Target = &tgt }},
+		{"target past the last rank of a cube", func(r *SimulateRequest) {
+			tgt := int32(127)
+			r.Workload, r.Nodes, r.Target = "lulesh", 128, &tgt
+		}},
 		{"negative reps", func(r *SimulateRequest) { r.Reps = -1 }},
 	}
 	for _, tc := range cases {

@@ -18,10 +18,10 @@ import (
 func Key(cfg core.ExperimentConfig) string {
 	cfg = cfg.Canonical()
 	h := sha256.New()
-	fmt.Fprintf(h, "w=%s|n=%d|i=%d|s=%d|net=%d,%d,%d,%g,%g,%d|coll=%d,%d",
+	fmt.Fprintf(h, "w=%s|n=%d|i=%d|s=%d|net=%d,%d,%d,%g,%g,%d|coll=%d",
 		cfg.Workload, cfg.Nodes, cfg.Iterations, cfg.TraceSeed,
 		cfg.Net.L, cfg.Net.O, cfg.Net.Gap, cfg.Net.GPerByte, cfg.Net.OPerByte, cfg.Net.S,
-		cfg.Collectives.Allreduce, cfg.Collectives.RabenseifnerMin)
+		cfg.Collectives.Allreduce)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

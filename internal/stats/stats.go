@@ -1,5 +1,5 @@
 // Package stats provides the summary statistics used by the experiment
-// drivers: means, confidence intervals, percentiles and histograms over
+// drivers: means, confidence intervals, percentiles and slowdowns over
 // repeated simulation results.
 package stats
 
@@ -96,10 +96,9 @@ func (s *Sample) CI95() float64 {
 var ErrEmptySample = fmt.Errorf("stats: empty sample")
 
 // Quantile returns the p-th percentile (0 <= p <= 100) by linear
-// interpolation. Unlike Percentile it never panics: an empty sample
-// returns ErrEmptySample and an out-of-range p returns an error, so
-// report and serving paths can surface a clean failure for
-// all-saturated results instead of a panic.
+// interpolation. It never panics: an empty sample returns
+// ErrEmptySample and an out-of-range p returns an error, so report and
+// serving paths can surface a clean failure for all-saturated results.
 func (s *Sample) Quantile(p float64) (float64, error) {
 	if len(s.xs) == 0 {
 		return 0, ErrEmptySample
@@ -122,18 +121,6 @@ func (s *Sample) Quantile(p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) by linear
-// interpolation. It panics on an empty sample or out-of-range p;
-// callers that can legitimately see empty samples (fully saturated
-// sweeps) should use Quantile.
-func (s *Sample) Percentile(p float64) float64 {
-	v, err := s.Quantile(p)
-	if err != nil {
-		panic(err.Error())
-	}
-	return v
-}
-
 // Summary is a one-line description of a sample.
 type Summary struct {
 	N      int
@@ -150,56 +137,6 @@ func (s *Sample) Summarize() Summary {
 		N: s.N(), Mean: s.Mean(), StdDev: s.StdDev(),
 		CI95: s.CI95(), Min: s.Min(), Max: s.Max(),
 	}
-}
-
-// Histogram bins observations into equal-width buckets over [lo, hi).
-// Out-of-range values clamp to the first/last bucket; NaN observations
-// are counted in NaNs and excluded from the buckets (the float-to-int
-// conversion of NaN is unspecified and used to land them in bucket 0,
-// silently skewing the low end).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Total counts the bucketed (non-NaN) observations.
-	Total int
-	// NaNs counts observations rejected as NaN.
-	NaNs    int
-	width   float64
-	samples int
-}
-
-// NewHistogram creates a histogram with the given bounds and bucket
-// count. It panics when hi <= lo or buckets < 1.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if hi <= lo {
-		panic("stats: histogram hi <= lo")
-	}
-	if buckets < 1 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets), width: (hi - lo) / float64(buckets)}
-}
-
-// Add records an observation. NaN is tallied separately (see NaNs).
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		h.NaNs++
-		return
-	}
-	i := int((x - h.Lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.Total++
-}
-
-// BucketBounds returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (float64, float64) {
-	return h.Lo + float64(i)*h.width, h.Lo + float64(i+1)*h.width
 }
 
 // Slowdown converts a perturbed and baseline makespan to the percentage
