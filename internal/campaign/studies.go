@@ -180,7 +180,8 @@ func ablationExtrapolation(ctx context.Context, o core.Options) (*report.Table, 
 }
 
 // ablationCorrelatedSMM compares an SMI halting all 4 ranks of a node at
-// once (noise.SharedCE) with independent per-rank detours at the same rate.
+// once (noise.CE with RanksPerNode 4) with independent per-rank detours
+// at the same rate.
 func ablationCorrelatedSMM(ctx context.Context, o core.Options) (*report.Table, error) {
 	const ranks, perNode = 64, 4
 	tr, err := tracegen.Generate("minife", ranks, 15, o.Seed)
@@ -190,7 +191,7 @@ func ablationCorrelatedSMM(ctx context.Context, o core.Options) (*report.Table, 
 	cfg := loggopsim.Config{Net: netmodel.CrayXC40(), RanksPerNode: perNode}
 	ce := noise.Config{MTBCE: 2 * nsS, Duration: noise.Fixed(50 * nsMs), Target: noise.AllNodes}
 	_, corr, err := meanSlowdown(ctx, tr, cfg, ce, o.Seed, 4,
-		func(c noise.Config) (noise.Model, error) { return noise.NewSharedCE(ranks/perNode, perNode, c) })
+		func(c noise.Config) (noise.Model, error) { c.RanksPerNode = perNode; return noise.NewCE(ranks, c) })
 	if err != nil {
 		return nil, err
 	}

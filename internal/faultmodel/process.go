@@ -120,9 +120,9 @@ func (n *mixNode) step(modes []compiledMode) (mode int, gap int64, newTrain bool
 // One Process value serves every node of a simulation: a node's first
 // NextGap builds its mixNode and stores handle+1 in the caller's state
 // word, so drawing writes to the Process and one goroutine at a time
-// may draw. noise.CE and noise.SharedCE never draw from the value they
-// are configured with but from the copy ForRun hands each of them, so
-// repetitions running at once only read the shared value.
+// may draw. noise.CE never draws from the value it is configured with
+// but from the copy ForRun hands each CE, so repetitions running at
+// once only read the shared value.
 type Process struct {
 	modes      []compiledMode
 	skewSigma  float64
@@ -162,8 +162,8 @@ func (s Spec) Process() (*Process, error) {
 }
 
 // ForRun returns a Process over the same compiled modes with an empty
-// node table: what noise.CE and noise.SharedCE draw from, one per run,
-// so a run's mixture state is its own and is collected with it.
+// node table: what noise.CE draws from, one per run, so a run's
+// mixture state is its own and is collected with it.
 func (p *Process) ForRun() noise.Arrivals {
 	q := *p
 	q.nodes = nil

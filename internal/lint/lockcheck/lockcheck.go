@@ -19,11 +19,11 @@
 //     channel, select without default, sync.WaitGroup.Wait,
 //     time.Sleep, (*os.File).Sync and net/http calls — the shape of
 //     the critical-section stall the WAL batching design must opt
-//     into explicitly (//ceslint:allow with a reason);
-//   - lock-containing values copied: parameters, results and plain
-//     assignments that pass a sync.Mutex/RWMutex by value (the
-//     constructor-smuggling variant go vet's copylocks misses when the
-//     lock is buried in a nested struct is covered the same way).
+//     into explicitly (//ceslint:allow with a reason).
+//
+// Locks copied by value are go vet's copylocks check, which make lint
+// and CI pin: it follows a lock through nested structs into
+// parameters, results and assignments.
 //
 // The interpreter is intentionally conservative: states from branches
 // are merged by intersection (a lock is "held" after a branch only if
@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
 	Doc: "enforce mutex discipline in the service tier: unlock on every " +
 		"return path, no double lock, no RLock/Unlock mixing, no blocking " +
-		"calls under a lock, no locks copied by value",
+		"calls under a lock",
 	Run: run,
 }
 
@@ -126,12 +126,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
 					c := &checker{pass: pass, fn: fn.Name.Name}
-					c.checkSignature(fn.Type)
 					c.walkBody(fn.Body)
 				}
 			case *ast.FuncLit:
 				c := &checker{pass: pass, fn: "func literal"}
-				c.checkSignature(fn.Type)
 				c.walkBody(fn.Body)
 			}
 			return true
@@ -179,7 +177,6 @@ func (c *checker) walkStmt(stmt ast.Stmt, st *state) bool {
 		for _, e := range s.Rhs {
 			c.scanExpr(e, st)
 		}
-		c.checkLockCopy(s)
 		return false
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
@@ -592,79 +589,4 @@ func (c *checker) isChanType(e ast.Expr) bool {
 	}
 	_, isChan := tv.Type.Underlying().(*types.Chan)
 	return isChan
-}
-
-// checkSignature reports parameters and results that pass a
-// sync.Mutex/RWMutex by value.
-func (c *checker) checkSignature(ft *ast.FuncType) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := c.pass.TypesInfo.Types[field.Type]
-			if !ok || tv.Type == nil {
-				continue
-			}
-			if containsLock(tv.Type, nil) {
-				c.pass.Reportf(field.Pos(), "%s passes a sync.Mutex/RWMutex by value; pass a pointer so the lock is shared, not copied", what)
-			}
-		}
-	}
-	check(ft.Params, "parameter")
-	check(ft.Results, "result")
-}
-
-// checkLockCopy reports assignments that copy a lock-containing value.
-func (c *checker) checkLockCopy(s *ast.AssignStmt) {
-	for _, rhs := range s.Rhs {
-		switch rhs.(type) {
-		case *ast.StarExpr, *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-		default:
-			continue // composite literals, calls, &x: not a copy of a live lock
-		}
-		if _, isIdent := rhs.(*ast.Ident); isIdent {
-			// Plain `x := y` of a zero-value local is common and mostly
-			// benign; only deref and field/index copies are confidently
-			// copies of a shared lock.
-			continue
-		}
-		tv, ok := c.pass.TypesInfo.Types[rhs]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		if containsLock(tv.Type, nil) {
-			c.pass.Reportf(rhs.Pos(), "assignment copies a value containing a sync.Mutex/RWMutex; copy a pointer instead")
-		}
-	}
-}
-
-// containsLock reports whether t holds a sync.Mutex or sync.RWMutex by
-// value (directly, in a struct field, or in an array element).
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.(type) {
-	case *types.Named:
-		if obj := u.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			if obj.Name() == "Mutex" || obj.Name() == "RWMutex" {
-				return true
-			}
-		}
-		return containsLock(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
 }

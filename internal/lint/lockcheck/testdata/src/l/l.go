@@ -199,37 +199,6 @@ func blockingAfterUnlockOK(b *box) {
 	time.Sleep(time.Millisecond)
 }
 
-// --- locks copied by value ---
-
-type holder struct {
-	mu sync.Mutex
-	v  int
-}
-
-type nested struct{ h holder }
-
-func passByValue(h holder) int { // want "parameter passes a sync.Mutex/RWMutex by value"
-	return h.v
-}
-
-func nestedByValue(n nested) int { // want "parameter passes a sync.Mutex/RWMutex by value"
-	return n.h.v
-}
-
-func returnByValue(p *holder) holder { // want "result passes a sync.Mutex/RWMutex by value"
-	return *p
-}
-
-func derefCopy(p *holder) {
-	h := *p // want "assignment copies a value containing a sync.Mutex/RWMutex"
-	_ = h
-}
-
-func pointerOK(p *holder) int {
-	q := p
-	return q.v
-}
-
 // --- suppression ---
 
 func suppressedSend(b *box) {

@@ -34,7 +34,9 @@ var fuzzCollectives = [8]trace.OpKind{
 }
 
 // decodeFuzzCase reads three header bytes — rank count, placement and
-// network, CE process — and then up to 64 three-byte actions: a
+// network, CE process (bit 8 of the placement byte places its ranks on
+// nodes as the engine does, so a node's ranks share one detour
+// schedule) — and then up to 64 three-byte actions: a
 // point-to-point message (the send appended to one rank, the receive to
 // another, as randomMatchedTrace does, so per-rank order follows one
 // global order and only a wildcard receive can steal a match), a calc, a
@@ -60,7 +62,8 @@ func decodeFuzzCase(data []byte) fuzzCase {
 	ranks := 2 + at(0)%5
 	c := fuzzCase{tr: &trace.Trace{Name: "fuzz", Ops: make([][]trace.Op, ranks)}}
 	// Bits 4 and 8 of byte 1 once switched on a local network and extra
-	// latency; they are read as nothing so the corpus keeps its traces.
+	// latency; bit 4 is read as nothing and bit 8 only by the CE process,
+	// so the corpus keeps its traces.
 	c.cfg = Config{Net: netmodel.CrayXC40(), Profile: true, RanksPerNode: 1 + at(1)%3}
 	if at(1)&16 != 0 {
 		c.cfg.Net.S = 256
@@ -73,6 +76,9 @@ func decodeFuzzCase(data []byte) fuzzCase {
 		}
 		c.noise = &noise.Config{Seed: uint64(b), Arrivals: noise.Poisson(int64(1+b%8) * 20000),
 			Duration: dur, Target: noise.AllNodes}
+		if at(1)&8 != 0 {
+			c.noise.RanksPerNode = c.cfg.RanksPerNode
+		}
 	}
 	ops := c.tr.Ops
 	reqs := make([]int32, ranks)      // next request id per rank
@@ -206,8 +212,9 @@ func lowerByRank(tr *trace.Trace, coll collectives.Config, cfg Config, sink func
 // inline — and requires the same per-rank finish times, message, byte
 // and event counts, termination and Profile from all, and the same
 // handshake and slot counts from the three programs. Deadlocks (a
-// wildcard receive that stole a match) must agree too.
-func requireMatchesReference(t *testing.T, c fuzzCase) {
+// wildcard receive that stole a match) must agree too. It returns the
+// reference's result.
+func requireMatchesReference(t *testing.T, c fuzzCase) *Result {
 	t.Helper()
 	if err := c.tr.Validate(); err != nil {
 		t.Fatalf("decoder produced an invalid trace: %v", err)
@@ -245,6 +252,7 @@ func requireMatchesReference(t *testing.T, c fuzzCase) {
 		}
 		requireIdentical(t, label+" engine vs reference", want, got)
 	}
+	return want
 }
 
 // fuzzSeeds are the hand-written seeds; testdata/fuzz holds inputs the
@@ -314,7 +322,7 @@ func sharedSegments(p *Program) (shared, wild bool) {
 // holding a wildcard receive — otherwise the fuzzer starts from programs
 // that compare nothing.
 func TestReferenceCoversTheDecoder(t *testing.T) {
-	var rdv, wild, detour, shared, exchange, crossRank, crossRankWild bool
+	var rdv, wild, detour, sharedDetour, shared, exchange, crossRank, crossRankWild bool
 	kinds := map[trace.OpKind]bool{}
 	for name, seed := range fuzzSeeds {
 		c := decodeFuzzCase([]byte(seed))
@@ -340,7 +348,9 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 		crossRank, crossRankWild = crossRank || cross, crossRankWild || crossWild
 		if c.noise != nil {
 			flat, _ := collectives.Expand(c.tr, c.coll)
-			detour = detour || referenceRun(flat, c.cfg, c.noise).Profile.Detour > 0
+			charged := referenceRun(flat, c.cfg, c.noise).Profile.Detour > 0
+			detour = detour || charged
+			sharedDetour = sharedDetour || charged && c.noise.RanksPerNode > 1
 		}
 		t.Logf("%s: %d ranks, %d ops", name, c.tr.NumRanks(), c.tr.NumOps())
 	}
@@ -350,6 +360,7 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 		}
 	}
 	for what, ok := range map[string]bool{"rendezvous send": rdv, "wildcard receive": wild, "charged detour": detour,
+		"detour charged from a schedule a node's ranks share": sharedDetour,
 		"shared NIC": shared, "shared exchange": exchange,
 		"segment two ranks reference": crossRank, "wildcard receive in a segment two ranks reference": crossRankWild} {
 		if !ok {

@@ -65,9 +65,9 @@ type Config struct {
 	// RanksPerNode places this many consecutive ranks on each node
 	// (rank r lives on node r/RanksPerNode). The node's NIC is shared:
 	// injections from co-located ranks serialize through one gap
-	// timeline. Zero means 1. With more than one rank per node use a
-	// correlated noise model (noise.SharedCE): the per-node streaming
-	// model assumes one rank per node.
+	// timeline. Zero means 1. With more than one rank per node give
+	// the noise model the same placement (noise.Config.RanksPerNode),
+	// so a node's ranks share one detour schedule.
 	RanksPerNode int
 	// Profile enables per-rank time decomposition (Result.Profile):
 	// requested CPU work, detour time added by the noise model, and
@@ -198,13 +198,12 @@ type Simulator struct {
 	// into the Profile's per-rank slices and totals.
 	profRank []rankProf
 
-	// peek and nextNoise elide noise.Model.Extend calls: when the
-	// model can report its next arrival time (noise.ArrivalPeeker),
-	// work intervals ending at or before it — at realistic MTBCEs,
-	// nearly all of them — complete with two compares instead of an
-	// interface call and a stream walk. nextNoise[r] is MaxInt64 for
-	// noise-free runs and MinInt64 (always call) for opaque models.
-	peek      noise.ArrivalPeeker
+	// nextNoise elides noise.Model.Extend calls: nextNoise[r] caches
+	// the model's NextArrival for rank r, so work intervals ending at or
+	// before it — at realistic MTBCEs, nearly all of them — complete
+	// with two compares instead of an interface call and a stream walk.
+	// It is MaxInt64 for noise-free runs and MinInt64 (always call) for
+	// models that cannot tell.
 	nextNoise []int64
 }
 
@@ -321,22 +320,8 @@ func (s *Simulator) reset(nm noise.Model) {
 	}
 	s.res = Result{}
 	s.active = len(s.ranks)
-	switch m := nm.(type) {
-	case noise.None:
-		s.peek = nil
-		for r := range s.nextNoise {
-			s.nextNoise[r] = maxInt64
-		}
-	case noise.ArrivalPeeker:
-		s.peek = m
-		for r := range s.nextNoise {
-			s.nextNoise[r] = m.NextArrival(int32(r))
-		}
-	default:
-		s.peek = nil
-		for r := range s.nextNoise {
-			s.nextNoise[r] = minInt64
-		}
+	for r := range s.nextNoise {
+		s.nextNoise[r] = nm.NextArrival(int32(r))
 	}
 	if s.p.cfg.Profile {
 		// Fresh profile per run: callers retain Result.Profile.
@@ -481,9 +466,7 @@ func (s *Simulator) extend(rank int32, start, dur int64) int64 {
 // arrival stream, and the cached next-arrival time is refreshed.
 func (s *Simulator) extendSlow(rank int32, start, dur int64) int64 {
 	end := s.noise.Extend(rank, start, dur)
-	if s.peek != nil {
-		s.nextNoise[rank] = s.peek.NextArrival(rank)
-	}
+	s.nextNoise[rank] = s.noise.NextArrival(rank)
 	return end
 }
 
@@ -599,8 +582,3 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
-
-const (
-	maxInt64 = int64(^uint64(0) >> 1)
-	minInt64 = -maxInt64 - 1
-)

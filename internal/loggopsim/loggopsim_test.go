@@ -1,6 +1,7 @@
 package loggopsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/collectives"
@@ -51,6 +52,9 @@ func (d *delayModel) Extend(node int32, start, dur int64) int64 {
 	}
 	return start + dur
 }
+
+// NextArrival returns math.MinInt64: consult the model on every interval.
+func (d *delayModel) NextArrival(int32) int64 { return math.MinInt64 }
 
 func TestEmptyTrace(t *testing.T) {
 	if _, err := Simulate(&trace.Trace{}, defaultCfg()); err == nil {

@@ -63,7 +63,7 @@ func TestRendezvousUsesSharedNIC(t *testing.T) {
 
 func TestSMMDetourHaltsWholeNode(t *testing.T) {
 	// Two independent rank pairs; ranks 0,1 share node 0. CE noise
-	// targeted at node 0 with a SharedCE model must delay rank 1's work
+	// targeted at node 0, two ranks to a node, must delay rank 1's work
 	// even though only "rank 0's" errors occur — SMM halts the node.
 	tr := &trace.Trace{Ops: [][]trace.Op{
 		{trace.Calc(100 * ms)},
@@ -71,8 +71,8 @@ func TestSMMDetourHaltsWholeNode(t *testing.T) {
 		{trace.Calc(100 * ms)},
 		{trace.Calc(100 * ms)},
 	}}
-	nm, err := noise.NewSharedCE(2, 2, noise.Config{
-		Seed: 3, MTBCE: 10 * ms, Duration: noise.Fixed(7 * ms), Target: 0,
+	nm, err := noise.NewCE(4, noise.Config{
+		Seed: 3, MTBCE: 10 * ms, Duration: noise.Fixed(7 * ms), Target: 0, RanksPerNode: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

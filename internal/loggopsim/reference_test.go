@@ -38,14 +38,14 @@ type (
 		slots        []*refSlot // by slot index; nil is free
 		unexpected   []int      // arrived, unmatched messages, in arrival order
 		src          *rng.Source
-		next         int64  // its CE stream's next arrival,
+		next         int64  // its node's CE stream's next arrival,
 		count, arrs  uint64 // arrivals so far and process state
 	}
 	refSim struct {
 		tr     *trace.Trace
 		cfg    Config
 		rpn    int32
-		noise  *noise.Config // nil: none; else Seed, Arrivals and Duration, on every rank
+		noise  *noise.Config // nil: none; else Seed, Arrivals, Duration and RanksPerNode, on every rank
 		ranks  []refRank
 		nic    []int64        // per node: when the NIC can inject next
 		events []eventq.Event // sorted by (Time, push order); A is the message
@@ -98,7 +98,7 @@ func (s *refSim) busy(r int32, start, dur int64) {
 	end := start + dur
 	if nm := s.noise; nm != nil {
 		if st.src == nil {
-			st.src = rng.NewStream(nm.Seed, uint64(r))
+			st.src = rng.NewStream(nm.Seed, uint64(r/int32(max(nm.RanksPerNode, 1))))
 			st.next = nm.Arrivals.NextGap(st.src, &st.arrs)
 		}
 		for ; st.next < end; st.count++ {

@@ -1,6 +1,7 @@
 package loggopsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -48,6 +49,10 @@ func (a *auditor) Extend(_ int32, start, dur int64) int64 {
 	a.audit("mid-run")
 	return start + dur
 }
+
+// NextArrival returns math.MinInt64, so the audit runs on every CPU
+// interval.
+func (a *auditor) NextArrival(int32) int64 { return math.MinInt64 }
 
 func (a *auditor) audit(when string) {
 	a.t.Helper()

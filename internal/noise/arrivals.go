@@ -21,10 +21,10 @@ type Arrivals interface {
 
 // perRun is implemented by arrival processes whose per-node state does
 // not fit in the state word and lives in the process value instead
-// (a fault-mode mixture's node table). CE and SharedCE draw from
-// ForRun's result, so each run owns that state, needs no lock to reach
-// it, and leaves it to the collector when the run is dropped. ForRun
-// must yield the gaps the process itself would.
+// (a fault-mode mixture's node table). CE draws from ForRun's result,
+// so each run owns that state, needs no lock to reach it, and leaves it
+// to the collector when the run is dropped. ForRun must yield the gaps
+// the process itself would.
 type perRun interface {
 	ForRun() Arrivals
 }

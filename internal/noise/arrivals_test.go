@@ -266,7 +266,8 @@ func TestGapsPastInt64Saturate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := noise.NewSharedCE(64, 1, clean)
+	clean.RanksPerNode = 4
+	shared, err := noise.NewCE(64, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestGapsPastInt64Saturate(t *testing.T) {
 			t.Fatalf("rank %d: first arrival at %d", r, next)
 		}
 		if end := shared.Extend(r, 0, 1000); end != 1000 {
-			t.Fatalf("rank %d: SharedCE charged a CE in [0, 1000): end %d", r, end)
+			t.Fatalf("rank %d: a CE shared four ranks to a node charged a CE in [0, 1000): end %d", r, end)
 		}
 	}
 }

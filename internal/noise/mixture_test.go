@@ -40,8 +40,9 @@ func (s *scriptedMix) MaxComponentMeanGap() float64 { return s.maxComp }
 // the combined mean misreads the train as saturation.
 func mixGaps() []int64 { return []int64{100000, 10, 10, 10, 10, 10} }
 
-// detourModel is what CE and SharedCE share; both must calibrate the
-// saturation guard the same way.
+// detourModel is what the test reads of a CE: one rank to a node or a
+// node's ranks sharing one schedule must calibrate the saturation guard
+// the same way.
 type detourModel interface {
 	Model
 	Events() uint64
@@ -54,7 +55,7 @@ func TestMixtureBurstNotSaturation(t *testing.T) {
 		build func(Config) (detourModel, error)
 	}{
 		{"CE", func(cfg Config) (detourModel, error) { return NewCE(1, cfg) }},
-		{"SharedCE", func(cfg Config) (detourModel, error) { return NewSharedCE(1, 1, cfg) }},
+		{"SharedCE", func(cfg Config) (detourModel, error) { cfg.RanksPerNode = 2; return NewCE(2, cfg) }},
 	}
 	for _, mk := range models {
 		t.Run(mk.name, func(t *testing.T) {

@@ -30,18 +30,15 @@ import (
 
 // Model is the interface the simulator uses to account for detours.
 // Extend returns the completion time of CPU work of length dur starting
-// at start on the given node.
+// at start on the given rank. NextArrival reports the time of the
+// rank's next detour arrival: callers may skip Extend for any work
+// interval ending at or before it (no arrival lands in it, so Extend
+// would be an expensive no-op), but must re-query after every Extend
+// call on that rank, which may advance the schedule. A model that
+// cannot tell returns math.MinInt64 and is consulted on every interval.
 type Model interface {
-	Extend(node int32, start, dur int64) int64
-}
-
-// ArrivalPeeker is implemented by models that can report the next
-// detour arrival time on a node. Callers may skip Extend for any work
-// interval ending at or before the reported time (no arrival lands in
-// it, so Extend would be an expensive no-op), but must re-query after
-// every Extend call on that node, which may advance the schedule.
-type ArrivalPeeker interface {
-	NextArrival(node int32) int64
+	Extend(rank int32, start, dur int64) int64
+	NextArrival(rank int32) int64
 }
 
 // None is the noise-free model.
@@ -49,6 +46,9 @@ type None struct{}
 
 // Extend returns start+dur: no detours.
 func (None) Extend(_ int32, start, dur int64) int64 { return start + dur }
+
+// NextArrival returns math.MaxInt64: no detour ever arrives.
+func (None) NextArrival(int32) int64 { return math.MaxInt64 }
 
 // Duration models the per-event handling time. Sample takes no rng
 // stream: durations draw no randomness, so a node's stream feeds only
@@ -124,6 +124,11 @@ type Config struct {
 	Duration Duration
 	// Target selects the node experiencing CEs, or AllNodes.
 	Target int32
+	// RanksPerNode places this many consecutive ranks on each node
+	// (rank r lives on node r/RanksPerNode). Firmware-first logging
+	// halts every core of a node (§III-B), so a node's ranks see one
+	// detour schedule: each draws from its node's stream. Zero means 1.
+	RanksPerNode int
 	// SaturationFactor bounds the detour time charged against a single
 	// work interval, as a multiple of max(work, MTBCE). When exceeded
 	// the node is marked saturated and further charging on that
@@ -142,11 +147,10 @@ func (c Config) arrivals() Arrivals {
 // resolve returns the run's own instance of the arrival process (see
 // perRun) and the gap its saturation guard is calibrated to: MeanGap
 // truncated to ns, raised to the slowest component's mean for
-// composite processes (see ComponentGapper). CE and SharedCE call it
-// once, at construction: converting Config.MTBCE to a Poisson value
-// inside Extend would box it into the Arrivals interface on every call
-// — one heap allocation per CPU-busy interval, dominating the
-// simulator's allocation profile.
+// composite processes (see ComponentGapper). NewCE calls it once:
+// converting Config.MTBCE to a Poisson value inside Extend would box it
+// into the Arrivals interface on every call — one heap allocation per
+// CPU-busy interval, dominating the simulator's allocation profile.
 func (c Config) resolve() (arr Arrivals, guardGap int64) {
 	arr = c.arrivals()
 	if r, ok := arr.(perRun); ok {
@@ -189,6 +193,9 @@ func (c Config) Validate() error {
 	if c.Target < AllNodes {
 		return fmt.Errorf("noise: bad target node %d", c.Target)
 	}
+	if c.RanksPerNode < 0 {
+		return fmt.Errorf("noise: ranks per node must be >= 0, got %d", c.RanksPerNode)
+	}
 	return nil
 }
 
@@ -206,105 +213,123 @@ func (c Config) LoadFactor() float64 {
 	return c.Duration.Mean() / mg
 }
 
-// nodeState is the lazily generated arrival stream of one node.
-type nodeState struct {
+// rankState is the lazily generated arrival stream of one rank: its
+// node's schedule, walked at the rank's own pace.
+type rankState struct {
 	src      rng.Source
 	next     int64  // next CE arrival time
-	count    uint64 // CEs handled so far (drives EveryNth)
+	count    uint64 // CEs of the node handled so far (drives EveryNth)
 	arrState uint64 // arrival-process state (e.g. remaining burst)
 	started  bool
 }
 
-// CE is the correctable-error detour model.
+// CE is the correctable-error detour model. A node's ranks draw from
+// the node's stream, rng.Stream(Seed, node), and durations draw no
+// randomness, so every rank of a node walks the same (arrival,
+// duration) schedule by itself; each charges the detours that land in
+// its own busy windows.
 type CE struct {
 	cfg Config
 	// arr and meanGap are the run's arrival process and its saturation
 	// guard gap (Config.resolve).
 	arr     Arrivals
 	meanGap int64
-	// nodes is indexed by node id, or holds the one state of a single
-	// Target; states are started on first use.
-	nodes []nodeState
+	// rpn is the resolved RanksPerNode; first is the first rank
+	// charged: 0 for AllNodes, rpn*Target otherwise.
+	rpn, first int32
+	// ranks is indexed by rank-first: every rank for AllNodes, the rpn
+	// ranks of a single Target otherwise; states are started on first
+	// use.
+	ranks []rankState
 
 	// Counters (not synchronized; the simulator is single-goroutine).
+	// With several ranks per node one CE is charged by each co-located
+	// rank whose busy window covers it: events counts charges.
 	events    uint64 // detours charged
 	stolen    int64  // total detour time charged, ns
 	saturated bool
 }
 
-// NewCE builds a detour model for n nodes. It returns an error for
-// invalid configurations.
+// NewCE builds a detour model for n ranks, Config.RanksPerNode to a
+// node. It returns an error for invalid configurations.
 func NewCE(n int, cfg Config) (*CE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Target != AllNodes && int(cfg.Target) >= n {
-		return nil, fmt.Errorf("noise: target node %d outside [0,%d)", cfg.Target, n)
+	rpn := max(cfg.RanksPerNode, 1)
+	if nodes := (n + rpn - 1) / rpn; cfg.Target != AllNodes && int(cfg.Target) >= nodes {
+		return nil, fmt.Errorf("noise: target node %d outside [0,%d)", cfg.Target, nodes)
 	}
 	if cfg.SaturationFactor == 0 {
 		cfg.SaturationFactor = 10000
 	}
+	m := &CE{cfg: cfg, rpn: int32(rpn)}
 	if cfg.Target != AllNodes {
-		n = 1
+		m.first, n = int32(rpn)*cfg.Target, rpn
 	}
-	m := &CE{cfg: cfg, nodes: make([]nodeState, n)}
+	m.ranks = make([]rankState, n)
 	m.arr, m.meanGap = cfg.resolve()
 	return m, nil
 }
 
-// state returns the state of a node the model charges.
-func (m *CE) state(node int32) *nodeState {
+// state returns the state of a rank the model charges, or nil for a
+// rank outside the Target node.
+func (m *CE) state(rank int32) *rankState {
 	if m.cfg.Target != AllNodes {
-		return &m.nodes[0]
+		if i := rank - m.first; i >= 0 && i < m.rpn {
+			return &m.ranks[i]
+		}
+		return nil
 	}
-	return &m.nodes[node]
+	return &m.ranks[rank]
 }
 
-// start initializes a node's arrival stream and draws its first gap.
-func (m *CE) start(st *nodeState, node int32) {
-	st.src = rng.Stream(m.cfg.Seed, uint64(node))
+// start initializes a rank's arrival stream, its node's, and draws its
+// first gap.
+func (m *CE) start(st *rankState, rank int32) {
+	st.src = rng.Stream(m.cfg.Seed, uint64(rank/m.rpn))
 	st.started = true
 	m.advance(st)
 }
 
-// advance moves the node's next arrival one gap later.
-func (m *CE) advance(st *nodeState) {
+// advance moves the rank's next arrival one gap later.
+func (m *CE) advance(st *rankState) {
 	st.next = after(st.next, m.arr.NextGap(&st.src, &st.arrState))
 }
 
-// NextArrival returns the time of the node's next CE arrival, starting
-// the node's stream on first use. The simulator caches this to skip
+// NextArrival returns the time of the rank's next CE arrival, starting
+// the rank's stream on first use. The simulator caches this to skip
 // Extend entirely for work intervals that no arrival can reach — the
 // overwhelmingly common case at realistic MTBCEs — and must refresh
-// the cache after every Extend call on the node.
-func (m *CE) NextArrival(node int32) int64 {
-	if m.cfg.Target != AllNodes && node != m.cfg.Target {
+// the cache after every Extend call on the rank.
+func (m *CE) NextArrival(rank int32) int64 {
+	st := m.state(rank)
+	if st == nil {
 		return math.MaxInt64
 	}
-	st := m.state(node)
 	if !st.started {
-		m.start(st, node)
+		m.start(st, rank)
 	}
 	return st.next
 }
 
-// Extend implements Model. The rank's CPU timeline must be queried with
-// non-decreasing start times per node, which the simulator guarantees
+// Extend implements Model. Each rank's CPU timeline must be queried
+// with non-decreasing start times, which the simulator guarantees
 // (each rank's CPU-busy intervals are scheduled in order).
-func (m *CE) Extend(node int32, start, dur int64) int64 {
-	if m.cfg.Target != AllNodes && node != m.cfg.Target {
+func (m *CE) Extend(rank int32, start, dur int64) int64 {
+	st := m.state(rank)
+	if st == nil {
 		return start + dur
 	}
-	st := m.state(node)
 	if !st.started {
-		m.start(st, node)
+		m.start(st, rank)
 	}
 	end := start + dur
 	if st.next >= end {
 		// No arrival can land in this window; don't touch the stream.
 		return end
 	}
-	// CEs that arrived while the node was idle are skipped without
+	// CEs that arrived while the rank was idle are skipped without
 	// charge: the handling happened while the application had nothing
 	// to do. (Handling durations comparable to the idle gap blur this,
 	// but the first-order model matches LogGOPSim's noise injection.)

@@ -17,6 +17,9 @@ func TestNoneIsIdentity(t *testing.T) {
 	if got := m.Extend(3, 100, 50); got != 150 {
 		t.Fatalf("None.Extend = %d, want 150", got)
 	}
+	if got := m.NextArrival(3); got != math.MaxInt64 {
+		t.Fatalf("None.NextArrival = %d, want MaxInt64", got)
+	}
 }
 
 func TestFixedDuration(t *testing.T) {
@@ -65,6 +68,7 @@ func TestConfigValidate(t *testing.T) {
 		{MTBCE: -5, Duration: Fixed(1), Target: AllNodes},
 		{MTBCE: s, Duration: nil, Target: AllNodes},
 		{MTBCE: s, Duration: Fixed(1), Target: -7},
+		{MTBCE: s, Duration: Fixed(1), Target: AllNodes, RanksPerNode: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
