@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint staticcheck bench bench-smoke bench-pair cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke
+.PHONY: build test race lint staticcheck bench bench-smoke bench-pair cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke engine-atsize
 
 build:
 	$(GO) build ./...
@@ -105,16 +105,17 @@ faultmix-smoke:
 # running sweep job cancelled mid-repetition, the rank-at-a-time
 # lowering against Compile(Expand(Generate)), a deadlock and the
 # handshake count inside shared exchanges, one compiled program run
-# by many goroutines, the calendar queue against the reference heap,
-# and the two memory contracts of the pooled queue — it holds its peak
-# population, and a cached run state stops growing after its first
-# perturbed seed — under the race detector. Regenerate a golden after an
+# by many goroutines, the ladder queue against the reference heap and
+# the calendar queue it replaced (randomized and on the engine's three
+# load shapes), and the two memory contracts of the pooled queue — it
+# holds its peak population, and a cached run state stops growing after
+# its first perturbed seed — under the race detector. Regenerate a golden after an
 # intentional model change with the one -update flag (internal/golden):
 #   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
 # Its -run list names tests exactly; before the run, `go test -list`
 # (once per package) must show every name, so a renamed or deleted
 # test fails the target instead of silently dropping out of the smoke.
-ENGINE_SMOKE_RUN := TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestDeadlockInsideSharedExchangeNamesTraceOp|TestDeadlockInSegmentOfAnotherRankNamesFlatOp|TestRepetitionAllocatesConstantObjects|TestExchangeReleasingEarlierSendStaysInline|TestProgramSharedAcrossGoroutines|TestCalendarMatchesHeap|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention|TestReferenceAtSize
+ENGINE_SMOKE_RUN := TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestDeadlockInsideSharedExchangeNamesTraceOp|TestDeadlockInSegmentOfAnotherRankNamesFlatOp|TestRepetitionAllocatesConstantObjects|TestExchangeReleasingEarlierSendStaysInline|TestProgramSharedAcrossGoroutines|TestQueueMatchesReferences|TestLoadShapesMatchReferences|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention|TestReferenceAtSize
 ENGINE_SMOKE_PKGS := ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 engine-smoke:
 	@listed=$$(for p in $(ENGINE_SMOKE_PKGS); do $(GO) test -list '$(ENGINE_SMOKE_RUN)' $$p || exit 1; done) || exit 1; \
@@ -122,6 +123,18 @@ engine-smoke:
 		printf '%s\n' "$$listed" | grep -qx "$$t" || { echo "engine-smoke: no test named $$t in $(ENGINE_SMOKE_PKGS)"; exit 1; }; \
 	done
 	$(GO) test -race -count=1 -run '$(ENGINE_SMOKE_RUN)' $(ENGINE_SMOKE_PKGS)
+
+# Engine at size (docs/MODEL.md "Engine internals"): the engine against
+# the reference interpreter on the nine workloads at 2 048 ranks, where
+# the event queue's geometry and the posted lists differ from the 128
+# ranks TestReferenceAtSize covers in engine-smoke. About 30 s without
+# the race detector, so a benchmark run once: it fails on the first
+# difference from the reference. A benchmark that matches nothing
+# would pass silently, so `go test -list` must show it first.
+engine-atsize:
+	@$(GO) test -list '^BenchmarkReferenceAtSize$$' ./internal/loggopsim/ | grep -qx BenchmarkReferenceAtSize || \
+		{ echo "engine-atsize: no BenchmarkReferenceAtSize in ./internal/loggopsim/"; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkReferenceAtSize$$' -benchtime 1x ./internal/loggopsim/
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -170,8 +170,8 @@ func TestColdAllocationBudget(t *testing.T) {
 // calendar bucket it did, by 100-180 % over sixteen seeds at 512 nodes,
 // as the perturbed collective bursts landed in different buckets each
 // time (PR 22). After the first perturbed run sixteen further seeds may
-// move SizeBytes by 2 % (an unexpected-message list or the agenda
-// finding a new high), and a warm perturbed run allocates its Result
+// move SizeBytes by 2 % (an unexpected-message list or the event
+// queue's bottom finding a new high), and a warm perturbed run allocates its Result
 // and Profile (four int64 per rank) and its noise model (a stream per
 // rank) and nothing for the queue: 256 bytes a rank and 8 KiB, against
 // 123-125 KB measured at 512 ranks and 2.0-3.9 MB before. Part of

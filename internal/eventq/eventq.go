@@ -2,38 +2,57 @@
 // discrete-event simulator.
 //
 // The queue orders events by timestamp (int64 nanoseconds of simulated
-// time) with a monotonically increasing sequence number as a tie-breaker,
-// so that events scheduled at the same instant are delivered in FIFO
-// order. Deterministic tie-breaking is essential: the simulator must
-// produce bit-identical schedules for a given seed.
+// time), breaking ties by insertion order, so that events scheduled at
+// the same instant are delivered in FIFO order. Deterministic
+// tie-breaking is essential: the simulator must produce bit-identical
+// schedules for a given seed.
 //
-// The implementation is a two-level calendar queue (after Brown,
-// CACM'88): the time axis is divided into power-of-two-width "days"
-// arranged in a ring of buckets, and the day under the scan cursor is
-// staged out of its bucket into a sorted agenda that serves pops in
-// O(1). Events waiting in future days live in one pooled slab of nodes
-// and a bucket is a 4-byte index of its newest node, each node naming
-// the next: a push for a future day takes a node off the free list (or
-// grows the slab) and links it at its bucket's head, staging a day
-// frees its nodes, so the queue holds the memory of its peak
-// population however the bursts of a run move from bucket to bucket.
-// Pushes for the current day insert into the agenda (almost always at
-// its tail, since the simulator schedules forward from "now"). This
-// shape fits the LogGOPS workload, where collective phases release
-// bursts of events at identical timestamps: a plain calendar queue
-// rescans the whole burst on every pop, while the agenda sorts each
-// burst once. Ring geometry (bucket count and width) is re-estimated
-// from the live population whenever the queue grows past the ring's
-// capacity; it never shrinks mid-run, because barrier-induced drains
-// would otherwise thrash resizes, and a sparse ring only costs the
-// sweep an occasional skipped-ahead cursor jump. Because the pop order
-// is the strict total order (Time, seq), the schedule a simulation
-// observes is bit-identical to a binary heap's; the tests keep a 4-ary
-// heap as the reference and compare pop sequences against it.
+// The implementation is a ladder queue (Tang, Goh & Thng, ACM TOMACS
+// 2005), the remedy for the geometry of Brown's calendar queue
+// (CACM'88), whose one bucket width is learned from the whole pending
+// population. Events sit in three tiers:
+//
+//   - the top, an unsorted list of every event at or after topStart;
+//   - the ladder, rungs of buckets: when the ladder runs dry the top
+//     becomes its first rung, and a bucket holding more than thres
+//     events spawns a finer rung instead of being sorted. Each rung's
+//     bucket width is the smallest power of two above the span of the
+//     events it was built from divided by their count, and its buckets
+//     cover exactly that span, so a rung holds about one event per
+//     bucket wherever its events cluster and no bucket holds an event of
+//     a later lap;
+//   - the bottom, a sorted slice that serves pops in O(1): one bucket's
+//     events at a time, sorted once on the way in. A burst scheduled
+//     inside the bucket being served lands here too; once more than
+//     thres such events wait, the bottom spills into a new finest rung.
+//
+// A push lands in the first tier whose range holds its time: the top,
+// else the coarsest rung whose scan cursor it has not passed, else the
+// bottom (almost always at its tail, since the simulator schedules
+// forward from "now"). An event is relinked when the top becomes a rung
+// and when its bucket is too crowded to sort; a spawned rung is at
+// least thres/4 times finer than the span it came from, so a pop costs
+// a few list steps whatever the spread of pending times. That spread is
+// what the LogGOPS workload has: µs-spaced message bursts beside events
+// a compute phase (ms) ahead, a mixture no single width fits.
+//
+// Waiting events live in one pool, as a 32-byte Event and a 16-byte
+// link (time and next index) in two parallel slices, so a bucket walk
+// reads 16 bytes an event; the top and each bucket is a 4-byte index of
+// its first event. A push takes an index off the free list (or grows
+// the pool) and sorting a bucket into the bottom frees its indices, so
+// the queue holds the memory of its peak population. In every list an
+// event comes before the older events of its time, so a list turned
+// around and stably sorted by time is in exact (Time, insertion) order:
+// no event carries a sequence number. The schedule a simulation observes
+// is therefore bit-identical to a binary heap's; the tests keep a 4-ary
+// heap and the calendar queue this one replaced as references and
+// compare pop sequences against both.
 package eventq
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 )
@@ -41,74 +60,99 @@ import (
 // Event is the unit of work scheduled in simulated time. Payload fields
 // are deliberately untyped integers so the queue does not allocate per
 // event; the simulator packs whatever it needs into them. The struct is
-// kept to 40 bytes — every push, pop and stage copies events by value,
-// so its size is the unit cost of all queue memory traffic. A and
-// C are 32-bit because the simulator stores ranks, message indices and
-// tags there, all of which fit; B stays 64-bit for byte counts.
+// kept to 32 bytes, half a cache line — every push, stage and pop
+// copies events by value, so its size is the unit cost of all queue
+// memory traffic. A and C are 32-bit because the simulator stores
+// ranks, message indices and tags there, all of which fit; B stays
+// 64-bit for byte counts.
 type Event struct {
 	Time int64 // simulated time in nanoseconds
 	B    int64 // payload (e.g. message size)
-	seq  uint64
 	Kind int32 // event discriminator, owned by the caller
 	Rank int32 // primary rank the event applies to
 	A    int32 // payload (e.g. peer rank, matched message index)
 	C    int32 // payload (e.g. tag)
 }
 
-// Calendar geometry defaults. The ring starts at minBuckets buckets of
-// 2^initLogWidth ns and re-estimates both from the live population when
-// it grows.
-const (
-	minBuckets   = 64
-	initLogWidth = 12 // 4.096 us — re-estimated on first resize
-)
+// thres is the most events a bucket may hold and still be sorted into
+// the bottom; a fuller bucket whose events do not all share one time
+// spawns a finer rung.
+const thres = 32
 
-// node is a pooled event waiting in a future day. next is the pool
-// index of the next older node of the same bucket (0 ends the list);
-// on the free list it is the complement of the next free index, so a
-// scan of the pool tells a free node (next < 0, Event zero) from a
-// live one.
-type node struct {
-	Event
+// link is what the ladder's list walks read of a pooled waiting event:
+// its time and the pool index of the next older event of the same list
+// (0 ends it). On the free list next is the complement of the next free
+// index. Links sit apart from the events' payloads, so walking a bucket
+// stays in a few cache lines.
+type link struct {
+	time int64
 	next int32
+}
+
+// rung is one level of the ladder: len(heads) buckets of 2^logW ns from
+// start, the last one open-ended, each a list head (0 when empty); heads
+// is the window of the queue's heads at off. Buckets before cur have
+// been taken: their times, below curStart, belong to finer rungs or the
+// bottom.
+type rung struct {
+	heads    []int32
+	off      int
+	start    int64
+	curStart int64
+	logW     uint
+	cur      int
+	n        int // events waiting in the rung
 }
 
 // Queue is a min-queue of events ordered by (Time, insertion order).
 // The zero value is an empty, ready-to-use queue.
+//
+// No event carries a sequence number. In every list — the top and each
+// bucket — an event comes before every older event of its time: a push
+// links at a head, and a spawn relinks a list from its tail. So a list
+// turned around has each time's events in insertion order, and a
+// stable sort by time puts it in (Time, insertion) order.
 type Queue struct {
-	// Ring of future days: heads[day&mask] is the pool index of the
-	// bucket's newest node, 0 when the bucket is empty.
-	heads  []int32
-	pool   []node // pool[0] is never used: index 0 means "none"
-	free   int32  // newest freed node, 0 when the free list is empty
-	mask   int64  // len(heads)-1; bucket count is a power of two
-	logW   uint   // log2 of the bucket width in nanoseconds
-	curDay int64  // absolute day (Time >> logW) staged in the agenda
-	n      int    // pending events, agenda included
-	seq    uint64 // next insertion sequence number
+	// The pool: links[i] and events[i] are waiting event i, or a free
+	// one (Event zero). Index 0 is never used: it means "none".
+	links  []link
+	events []Event
+	free   int32 // newest freed index, 0 when the free list is empty
+	n      int   // pending events, all tiers
 
-	// Agenda: curDay's events, sorted by (Time, seq). today[ti:] are
-	// pending; today[:ti] have been popped and are zeroed. Invariant:
-	// no bucket holds an event of curDay.
-	today []Event
-	ti    int
+	// Top: nTop events at or after topStart, unsorted, in a list from
+	// top; topLo and topHi are their earliest and latest times.
+	top          int32
+	nTop         int
+	topStart     int64
+	topLo, topHi int64
+
+	// Ladder: rungs[:depth] are in use, each finer than the one before
+	// and covering a taken bucket of it. Their bucket heads are windows
+	// of heads, stacked in rung order: len(heads) is the sum of the
+	// windows in use, and everything past it is zero.
+	rungs []rung
+	depth int
+	heads []int32
+
+	// Bottom: the earliest events, sorted by (Time, insertion order).
+	// bottom[bi:] are pending; bottom[:bi] have been popped and are
+	// zeroed. Every pending event of the other tiers comes after all of
+	// them.
+	bottom []Event
+	bi     int
+
+	// taken is the list the ladder took last — the top, a bucket or
+	// the spilled bottom — as pool indices in list order.
+	taken []int32
 }
 
-// New returns a queue with nodes preallocated for n waiting events.
+// New returns a queue with room preallocated for n waiting events, and
+// bucket heads for twice as many: the first rung takes at most one head
+// per waiting event, and on every workload measured the finer ones
+// together took fewer.
 func New(n int) *Queue {
-	q := &Queue{pool: make([]node, 1, n+1)}
-	q.init()
-	return q
-}
-
-// init builds the initial calendar ring. Called lazily so the zero
-// value stays valid.
-func (q *Queue) init() {
-	q.heads = make([]int32, minBuckets)
-	q.pool = append(q.pool[:0], node{})
-	q.mask = minBuckets - 1
-	q.logW = initLogWidth
-	q.curDay = 0
+	return &Queue{links: make([]link, 1, n+1), events: make([]Event, 1, n+1), heads: make([]int32, 0, 2*(n+1))}
 }
 
 // Len reports the number of pending events.
@@ -116,75 +160,111 @@ func (q *Queue) Len() int {
 	return q.n
 }
 
-// Push schedules an event. The event's seq field is assigned internally.
+// Push schedules an event.
 func (q *Queue) Push(e Event) {
-	if q.heads == nil {
-		q.init()
-	}
-	e.seq = q.seq
-	q.seq++
-	day := e.Time >> q.logW
-	switch {
-	case q.n == 0:
-		q.curDay = day
-		q.today = append(q.today[:0], e)
-		q.ti = 0
-	case day == q.curDay:
-		q.insertToday(e)
-	case day < q.curDay:
-		// An event scheduled behind the scan cursor. The simulator
-		// never time-travels, but the contract allows it: spill the
-		// agenda back into its bucket and restage at the new day.
-		q.unstage()
-		q.link(e)
-		q.stage(day)
-	default:
-		q.link(e)
+	if q.n == 0 {
+		// Empty: every tier is, so the top may take any time.
+		q.depth, q.heads = 0, q.heads[:0]
+		q.topStart = math.MinInt64
 	}
 	q.n++
-	if q.n > 2*len(q.heads) {
-		q.resize()
-	}
+	q.place(e)
 }
 
-// link puts e at the head of its day's bucket, in a node off the free
+// place puts e into the first tier whose range holds its time.
+func (q *Queue) place(e Event) {
+	t := e.Time
+	if t >= q.topStart {
+		if q.nTop == 0 {
+			q.topLo, q.topHi = t, t
+		} else {
+			q.topLo, q.topHi = min(q.topLo, t), max(q.topHi, t)
+		}
+		q.nTop++
+		q.prepend(&e, &q.top)
+		return
+	}
+	for i := 0; i < q.depth; i++ {
+		r := &q.rungs[i]
+		if t >= r.curStart {
+			r.n++
+			q.prepend(&e, &r.heads[r.bucket(t)])
+			return
+		}
+	}
+	q.insertBottom(e)
+}
+
+// bucket returns the index of the bucket of r that time t, not before
+// r.start, falls in.
+func (r *rung) bucket(t int64) int {
+	return int(min(uint64(t-r.start)>>r.logW, uint64(len(r.heads)-1)))
+}
+
+// prepend puts e at the head of the list *h, at an index off the free
 // list or, when that is empty, one the pool grows by — the only place
 // it does.
-func (q *Queue) link(e Event) {
+func (q *Queue) prepend(e *Event, h *int32) {
 	i := q.free
 	if i != 0 {
-		q.free = ^q.pool[i].next
+		q.free = ^q.links[i].next
 	} else {
-		i = int32(len(q.pool))
-		q.pool = append(q.pool, node{})
+		if len(q.links) == 0 {
+			q.links, q.events = append(q.links, link{}), append(q.events, Event{})
+		}
+		i = int32(len(q.links))
+		q.links, q.events = append(q.links, link{}), append(q.events, Event{})
 	}
-	h := &q.heads[(e.Time>>q.logW)&q.mask]
-	nd := &q.pool[i]
-	nd.Event, nd.next = e, *h // field by field: a node literal is built on the stack and copied
+	q.links[i] = link{e.Time, *h}
+	q.events[i] = *e
 	*h = i
 }
 
-// insertToday places e into the sorted agenda. The simulator schedules
-// forward from the current time, so the common case is an append.
-func (q *Queue) insertToday(e Event) {
-	t := q.today
-	if len(t) == q.ti || !less(&e, &t[len(t)-1]) {
-		q.today = append(t, e)
+// insertBottom places e, the newest event, into the sorted bottom:
+// after every event of its time or earlier. The simulator schedules
+// forward from the current time, so the common case is an append. A
+// burst scheduled inside the bucket being served lands here too; once
+// more than thres events of more than one time are pending, the bottom
+// spills into a new finest rung instead of taking sorted inserts.
+func (q *Queue) insertBottom(e Event) {
+	t := q.bottom
+	if len(t) == q.bi || e.Time >= t[len(t)-1].Time {
+		q.bottom = append(t, e)
 		return
 	}
-	lo, hi := q.ti, len(t)
+	if len(t)-q.bi > thres && t[q.bi].Time != t[len(t)-1].Time {
+		q.spill()
+		q.place(e)
+		return
+	}
+	lo, hi := q.bi, len(t)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if less(&e, &t[mid]) {
+		if e.Time < t[mid].Time {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	t = append(t, Event{})
-	copy(t[lo+1:], t[lo:])
-	t[lo] = e
-	q.today = t
+	q.bottom = slices.Insert(t, lo, e)
+}
+
+// spill moves the bottom's pending events, of more than one time, into
+// the pool and from there into a new finest rung, leaving the bottom
+// empty.
+func (q *Queue) spill() {
+	p := q.bottom[q.bi:]
+	lo, hi := p[0].Time, p[len(p)-1].Time
+	s := q.taken[:0]
+	for j := len(p) - 1; j >= 0; j-- { // list order: newest first among equal times
+		var h int32
+		q.prepend(&p[j], &h)
+		s = append(s, h)
+	}
+	q.taken = s
+	clear(q.bottom)
+	q.bottom, q.bi = q.bottom[:0], 0
+	q.spawn(lo, hi)
 }
 
 // Pop removes and returns the earliest event. It panics on an empty
@@ -193,182 +273,171 @@ func (q *Queue) Pop() Event {
 	if q.n == 0 {
 		panic("eventq: Pop on empty queue")
 	}
-	if q.ti == len(q.today) {
-		q.stageNext()
+	if q.bi == len(q.bottom) {
+		q.refill()
 	}
-	e := q.today[q.ti]
-	q.today[q.ti] = Event{} // do not retain popped payloads in the agenda
-	q.ti++
+	e := q.bottom[q.bi]
+	q.bottom[q.bi] = Event{} // do not retain popped payloads in the bottom
+	q.bi++
 	q.n--
-	if q.ti == len(q.today) {
-		q.today = q.today[:0]
-		q.ti = 0
+	if q.bi == len(q.bottom) {
+		q.bottom = q.bottom[:0]
+		q.bi = 0
 	}
-	e.seq = 0
 	return e
 }
 
-// Peek returns the earliest event without removing it. Like Pop it
-// panics on an empty queue.
-func (q *Queue) Peek() Event {
-	if q.n == 0 {
-		panic("eventq: Peek on empty queue")
-	}
-	if q.ti == len(q.today) {
-		q.stageNext()
-	}
-	e := q.today[q.ti]
-	e.seq = 0
-	return e
-}
-
-// stageNext advances the cursor to the next day with pending events and
-// stages it. Within a calendar year, ring order is time order, so the
-// first day with a resident is the minimum; if the whole ring is at
-// least a year ahead of the cursor, jump straight to the global
-// minimum's day. The sweep reads only the heads, sixteen to a cache
-// line, and a non-empty bucket is staged in the same walk that tests it
-// for a resident of the day.
-func (q *Queue) stageNext() {
-	day := q.curDay + 1
-	for step := 0; step < len(q.heads); step, day = step+1, day+1 {
-		if q.heads[day&q.mask] != 0 && q.stage(day) {
-			return
+// refill moves the earliest bucket of the ladder into the empty bottom,
+// turning the top into the first rung when the ladder is empty and
+// spawning a finer rung from every crowded bucket on the way.
+func (q *Queue) refill() {
+	for {
+		var head int32
+		if q.depth == 0 {
+			head = q.top
+			q.top, q.nTop = 0, 0
+			q.topStart = q.topHi
+			if q.topHi < math.MaxInt64 {
+				q.topStart++
+			}
+		} else {
+			r := &q.rungs[q.depth-1]
+			if r.n == 0 {
+				q.depth--
+				q.heads = q.heads[:r.off]
+				continue
+			}
+			for r.heads[r.cur] == 0 {
+				r.cur++
+			}
+			head = r.heads[r.cur]
+			r.heads[r.cur] = 0
+			r.cur++
+			if r.cur == len(r.heads) {
+				r.curStart = math.MaxInt64
+			} else {
+				r.curStart = r.start + int64(uint64(r.cur)<<r.logW)
+			}
 		}
-	}
-	lo, _ := q.span()
-	q.stage(lo >> q.logW)
-}
-
-// span returns the earliest and latest time waiting in the ring.
-func (q *Queue) span() (lo, hi int64) {
-	lo, hi = math.MaxInt64, math.MinInt64
-	for i := range q.pool[1:] {
-		if nd := &q.pool[i+1]; nd.next >= 0 {
-			lo, hi = min(lo, nd.Time), max(hi, nd.Time)
+		s := q.taken[:0]
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for i := head; i != 0; i = q.links[i].next {
+			s = append(s, i)
+			lo, hi = min(lo, q.links[i].time), max(hi, q.links[i].time)
 		}
-	}
-	return lo, hi
-}
-
-// stage moves every event belonging to day from its ring bucket into
-// the agenda, zeroing and freeing each node as it goes, and sorts the
-// agenda by (Time, seq); it reports whether the day had any. Each event
-// is staged exactly once on its way out of the queue. The agenda must
-// be empty.
-func (q *Queue) stage(day int64) bool {
-	t := q.today[:0]
-	link := &q.heads[day&q.mask]
-	for i := *link; i != 0; i = *link {
-		nd := &q.pool[i]
-		if nd.Time>>q.logW != day {
-			link = &nd.next
+		q.taken = s
+		if q.depth > 0 {
+			q.rungs[q.depth-1].n -= len(s)
+		}
+		if lo != hi && (q.depth == 0 || len(s) > thres) {
+			q.spawn(lo, hi)
 			continue
 		}
-		t = append(t, nd.Event)
-		*link = nd.next
-		nd.Event, nd.next = Event{}, ^q.free
+		q.stage(lo == hi)
+		return
+	}
+}
+
+// spawn makes the taken list, timed lo..hi with lo < hi, a new finest
+// rung: buckets of the smallest power of two above (hi-lo)/k for k
+// events, from lo, as many as cover hi. It links the list in from its
+// tail, so in each bucket an event still comes before the older events
+// of its time.
+func (q *Queue) spawn(lo, hi int64) {
+	s := q.taken
+	span := uint64(hi - lo)
+	logW := uint(bits.Len64(span / uint64(len(s))))
+	nb := int(span>>logW) + 1
+	off := len(q.heads)
+	if free := cap(q.heads) - off; nb > free && nb <= 2*free && free >= 2 {
+		// Buckets twice as wide rather than grown heads, so a reused
+		// queue stops growing whatever the next run's spread. Still at
+		// least two buckets, since nb > 2.
+		logW++
+		nb = int(span>>logW) + 1
+	}
+	if nb > cap(q.heads)-off {
+		q.heads = slices.Grow(q.heads, nb)
+		for i := range q.rungs[:q.depth] {
+			r := &q.rungs[i]
+			r.heads = q.heads[r.off : r.off+len(r.heads)]
+		}
+	}
+	// Everything past len(q.heads) is zero: a rung leaves the ladder
+	// only when empty.
+	q.heads = q.heads[:off+nb]
+	if q.depth == len(q.rungs) {
+		q.rungs = append(q.rungs, rung{})
+	}
+	r := &q.rungs[q.depth]
+	q.depth++
+	r.heads, r.off = q.heads[off:], off
+	r.start, r.curStart, r.logW, r.cur, r.n = lo, lo, logW, 0, len(s)
+	for j := len(s) - 1; j >= 0; j-- {
+		i := s[j]
+		l := &q.links[i]
+		h := &r.heads[r.bucket(l.time)]
+		l.next, *h = *h, i
+	}
+}
+
+// stage moves the taken list's events into the empty bottom in (Time,
+// insertion) order, zeroing and freeing each as it goes; same says they
+// share one time. Each event is staged exactly once on its way out of
+// the queue.
+func (q *Queue) stage(same bool) {
+	s := q.taken
+	slices.Reverse(s) // each time's events in insertion order
+	if !same {
+		// A stable insertion sort by time: at most thres events.
+		for i := 1; i < len(s); i++ {
+			x := s[i]
+			t := q.links[x].time
+			j := i - 1
+			for j >= 0 && t < q.links[s[j]].time {
+				s[j+1] = s[j]
+				j--
+			}
+			s[j+1] = x
+		}
+	}
+	b := slices.Grow(q.bottom[:0], len(s))
+	for _, i := range s {
+		b = append(b, q.events[i])
+		q.events[i] = Event{}
+		q.links[i].next = ^q.free
 		q.free = i
 	}
-	if len(t) == 0 {
-		return false
-	}
-	// The bucket runs newest first; turned around it is push order,
-	// which the simulator emits in near-ascending time, so the insertion
-	// sort is close to linear.
-	slices.Reverse(t)
-	for i := 1; i < len(t); i++ {
-		e := t[i]
-		j := i - 1
-		for j >= 0 && less(&e, &t[j]) {
-			t[j+1] = t[j]
-			j--
-		}
-		t[j+1] = e
-	}
-	q.today = t
-	q.ti = 0
-	q.curDay = day
-	return true
-}
-
-// unstage spills the live agenda back into curDay's ring bucket and
-// zeroes the agenda.
-func (q *Queue) unstage() {
-	for _, e := range q.today[q.ti:] {
-		q.link(e)
-	}
-	clear(q.today)
-	q.today = q.today[:0]
-	q.ti = 0
-}
-
-// less orders events by (Time, seq): FIFO among same-time events.
-func less(a, b *Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.seq < b.seq
-}
-
-// resize rebuilds the ring for the grown population: the bucket count
-// tracks the event count and the bucket width is re-estimated from the
-// pending timestamp span, so a calendar year covers the live window
-// with O(1) expected occupancy per bucket. Only the heads are new: the
-// nodes are rethreaded where they lie, in pool order, which is close to
-// push order. The ring never shrinks — collective barriers drain the
-// queue many times per run, and re-growing after each would dominate
-// the queue's cost.
-func (q *Queue) resize() {
-	q.unstage()
-	nb := minBuckets
-	for nb < q.n {
-		nb *= 2
-	}
-	// Width ~ twice the mean gap between pending events, as a power of
-	// two so bucket mapping is a shift (correct for negative times,
-	// immune to the div cost). The year nb<<logW then spans ~2x the
-	// live window.
-	lo, hi := q.span()
-	gap := (hi - lo) / int64(q.n)
-	logW := uint(0)
-	for int64(1)<<logW < gap+1 {
-		logW++
-	}
-	q.heads = make([]int32, nb)
-	q.mask = int64(nb) - 1
-	q.logW = logW
-	for i := range q.pool[1:] {
-		if nd := &q.pool[i+1]; nd.next >= 0 {
-			h := &q.heads[(nd.Time>>logW)&q.mask]
-			nd.next, *h = *h, int32(i+1)
-		}
-	}
-	q.stage(lo >> logW)
+	q.bottom = b
+	q.bi = 0
 }
 
 // SizeBytes is the memory the queue holds on to — capacities, not
-// lengths: the node pool, the ring's heads and the agenda.
+// lengths: the pool's links and events, the rungs and their bucket
+// heads, the bottom and the taken list.
 func (q *Queue) SizeBytes() int64 {
-	return int64(cap(q.pool))*int64(unsafe.Sizeof(node{})) + int64(cap(q.heads))*4 +
-		int64(cap(q.today))*int64(unsafe.Sizeof(Event{}))
+	return int64(cap(q.links))*int64(unsafe.Sizeof(link{})) +
+		int64(cap(q.events)+cap(q.bottom))*int64(unsafe.Sizeof(Event{})) +
+		int64(cap(q.heads)+cap(q.taken))*4 +
+		int64(cap(q.rungs))*int64(unsafe.Sizeof(rung{}))
 }
 
-// Reset discards all pending events but keeps the allocated pool, ring
-// and agenda, and the learned ring geometry, for the next run. Every
-// node and agenda slot in use is zeroed so payloads scheduled by one
-// simulation run can never leak into — or remain reachable from — a
-// pooled simulator's next run, and the pool starts over from its first
-// node, so a run lays its events out the same way every time.
+// Reset discards all pending events but keeps the allocated pool, rungs
+// and bottom for the next run. Every event slot in use is zeroed so
+// payloads scheduled by one simulation run can never leak into — or
+// remain reachable from — a pooled simulator's next run, and the pool
+// starts over from its first index, so a run lays its events out the
+// same way every time.
 func (q *Queue) Reset() {
 	clear(q.heads)
-	clear(q.pool)
-	q.pool = q.pool[:min(1, len(q.pool))]
+	q.depth, q.heads = 0, q.heads[:0]
+	clear(q.links)
+	clear(q.events)
+	q.links, q.events = q.links[:min(1, len(q.links))], q.events[:min(1, len(q.events))]
 	q.free = 0
-	clear(q.today)
-	q.today = q.today[:0]
-	q.ti = 0
+	q.top, q.nTop = 0, 0
+	clear(q.bottom)
+	q.bottom = q.bottom[:0]
+	q.bi = 0
 	q.n = 0
-	q.seq = 0
-	q.curDay = 0
 }

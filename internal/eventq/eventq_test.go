@@ -40,18 +40,6 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	q := New(4)
-	q.Push(Event{Time: 10})
-	q.Push(Event{Time: 5})
-	if q.Peek().Time != 5 {
-		t.Fatalf("peek = %d, want 5", q.Peek().Time)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("peek changed length to %d", q.Len())
-	}
-}
-
 func TestReset(t *testing.T) {
 	q := New(0)
 	q.Push(Event{Time: 1})
@@ -146,9 +134,9 @@ func BenchmarkPushPop(b *testing.B) {
 // The load collective phases put on the queue, shared by
 // BenchmarkCollectiveBursts and TestQueueMemoryTracksPeakPopulation:
 // burstDays bursts of same-time events, burstSpacing ns apart — a
-// prime, so successive bursts walk the whole ring instead of a few of
-// its buckets — burstsAhead of them in flight, the oldest drained
-// before the next is released.
+// prime, so successive bursts land in different buckets of any
+// power-of-two width — burstsAhead of them in flight, the oldest
+// drained before the next is released.
 const (
 	burstDays    = 4096
 	burstsAhead  = 8
@@ -157,8 +145,9 @@ const (
 
 // releaseBursts runs one pass of that load from time start, burst(d)
 // events in the d-th burst, and returns the most events the queue held
-// at once and the time the next pass may start at. It fails tb when a
-// pop goes back in time or the pass leaves anything behind.
+// at once and the time the next pass may start at. It drains the
+// oldest burst by its count and fails tb when a pop is not from it or
+// the pass leaves anything behind.
 func releaseBursts(tb testing.TB, q *Queue, start int64, burst func(d int) int) (peak int, end int64) {
 	now := start
 	for d := 0; d < burstDays+burstsAhead; d++ {
@@ -169,10 +158,14 @@ func releaseBursts(tb testing.TB, q *Queue, start int64, burst func(d int) int) 
 			}
 		}
 		peak = max(peak, q.Len())
-		for q.Len() > 0 && q.Peek().Time <= start+int64(d-burstsAhead)*burstSpacing {
+		if d < burstsAhead {
+			continue
+		}
+		at := start + int64(d-burstsAhead)*burstSpacing
+		for i := burst(d - burstsAhead); i > 0; i-- {
 			e := q.Pop()
-			if e.Time < now {
-				tb.Fatalf("time went backwards: %d after %d", e.Time, now)
+			if e.Time != at {
+				tb.Fatalf("burst %d: popped an event at %d, want %d", d-burstsAhead, e.Time, at)
 			}
 			now = e.Time
 		}

@@ -1,21 +1,35 @@
 package eventq
 
-// refHeap is the reference the differential tests and the fuzz target
-// compare the calendar queue against: the 4-ary implicit heap the
+// refHeap is a reference the differential tests and the fuzz target
+// compare the ladder queue against: the 4-ary implicit heap the
 // simulator ran on before the calendar queue, kept test-only. It honors
 // the same (Time, seq) contract, so identical push sequences must
 // produce identical pop sequences.
 type refHeap struct {
-	heap []Event
+	heap []seqEvent
 	seq  uint64
+}
+
+// seqEvent is an event with its insertion sequence number, which the
+// references keep beside the payload.
+type seqEvent struct {
+	Event
+	seq uint64
+}
+
+// less orders events by (Time, seq): FIFO among same-time events.
+func less(a, b *seqEvent) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	return a.seq < b.seq
 }
 
 func (h *refHeap) Len() int { return len(h.heap) }
 
 func (h *refHeap) Push(e Event) {
-	e.seq = h.seq
+	h.heap = append(h.heap, seqEvent{e, h.seq})
 	h.seq++
-	h.heap = append(h.heap, e)
 	h.up(len(h.heap) - 1)
 }
 
@@ -28,14 +42,7 @@ func (h *refHeap) Pop() Event {
 	if last > 0 {
 		h.down(0)
 	}
-	top.seq = 0
-	return top
-}
-
-func (h *refHeap) Peek() Event {
-	e := h.heap[0]
-	e.seq = 0
-	return e
+	return top.Event
 }
 
 func (h *refHeap) Reset() {

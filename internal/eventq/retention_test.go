@@ -3,31 +3,38 @@ package eventq
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // slabEvents returns every Event slot the queue keeps allocated beyond
-// the live entries: the pool nodes no bucket reaches (free-listed, or
-// never handed out up to the pool's capacity) and the agenda outside
-// its pending window. Pooled simulators keep queues alive across runs,
-// so stale payloads here would keep dead run state reachable for the
-// lifetime of the pool.
+// the live entries: the pool's events that neither the top nor a rung
+// in use reaches (free-listed, or never handed out up to the pool's
+// capacity) and the bottom outside its pending window. Pooled simulators keep queues alive
+// across runs, so stale payloads here would keep dead run state
+// reachable for the lifetime of the pool.
 func slabEvents(q *Queue) []Event {
-	pool := q.pool[:cap(q.pool)]
-	live := make([]bool, len(pool))
-	for _, h := range q.heads {
-		for i := h; i != 0; i = pool[i].next {
+	links, events := q.links[:cap(q.links)], q.events[:cap(q.events)]
+	live := make([]bool, len(events))
+	walk := func(h int32) {
+		for i := h; i != 0; i = links[i].next {
 			live[i] = true
 		}
 	}
-	var out []Event
-	for i := range pool {
-		if !live[i] {
-			out = append(out, pool[i].Event)
+	walk(q.top)
+	for _, r := range q.rungs[:q.depth] {
+		for _, h := range r.heads {
+			walk(h)
 		}
 	}
-	// Popped agenda prefix and truncated agenda tail.
-	out = append(out, q.today[:q.ti]...)
-	out = append(out, q.today[:cap(q.today)][len(q.today):]...)
+	var out []Event
+	for i := range events {
+		if !live[i] {
+			out = append(out, events[i])
+		}
+	}
+	// Popped bottom prefix and truncated bottom tail.
+	out = append(out, q.bottom[:q.bi]...)
+	out = append(out, q.bottom[:cap(q.bottom)][len(q.bottom):]...)
 	return out
 }
 
@@ -41,7 +48,7 @@ func checkNoRetention(t *testing.T, q *Queue, when string) {
 	}
 }
 
-func TestNoPayloadRetentionCalendar(t *testing.T) {
+func TestNoPayloadRetention(t *testing.T) {
 	q := New(0)
 	r := rand.New(rand.NewSource(7))
 	push := func(n int) {
@@ -57,11 +64,14 @@ func TestNoPayloadRetentionCalendar(t *testing.T) {
 	}
 	checkNoRetention(t, q, "after drain")
 
-	// Half drained, past two resizes: the nodes staging freed are zeroed
+	// Half drained, rungs spawned: the nodes staging freed are zeroed
 	// while their neighbours in the pool are live.
 	push(500)
 	for q.Len() > 250 {
 		q.Pop()
+	}
+	if q.depth == 0 {
+		t.Fatal("half drained with no rung in use: the check reaches no live node")
 	}
 	checkNoRetention(t, q, "half drained")
 
@@ -90,20 +100,25 @@ func TestNoPayloadRetentionCalendar(t *testing.T) {
 // 4096 bursts of releaseBursts (64-512 events here) lands in a bucket of
 // its own, which per-bucket storage pays for with a biggest-burst slab
 // in every bucket (63 MB here, 78 after a second pass). The pool may
-// hold a = 2 nodes per event of the peak population (append's growth
-// step, never more than doubling), the ring four bytes a bucket, the
-// agenda two biggest bursts; a second pass on the warm queue, a Reset
-// and a third pass move none of it, and no freed node keeps a payload.
+// hold 2 slots per event of the peak population (append's growth step,
+// never more than doubling), each a 16-byte link and a 32-byte event,
+// and the list the ladder took last — the whole top at most — 2 indices per
+// event; the rungs four bytes a bucket, and a rung has at most one
+// bucket per event it was built from, so no more than the peak
+// population per rung; the bottom two biggest bursts. A second pass on
+// the warm queue, a Reset and a third pass move none of it, and no
+// freed slot keeps a payload.
 func TestQueueMemoryTracksPeakPopulation(t *testing.T) {
-	const maxBurst, nodeBytes, evBytes = 512, 48, 40
+	const maxBurst, slotBytes, evBytes = 512, 16 + 32, 32
+	rungBytes := int(unsafe.Sizeof(rung{}))
 	burst := func(d int) int { return 64 + d*37%(maxBurst-63) }
 	q := New(0)
 	peak, now := releaseBursts(t, q, 0, burst)
 	held := q.SizeBytes()
-	bound := int64(2*peak*nodeBytes + 4*len(q.heads) + 2*maxBurst*evBytes)
-	t.Logf("peak %d events, %d buckets: holds %d bytes, bound %d", peak, len(q.heads), held, bound)
-	if len(q.heads) < 1024 {
-		t.Fatalf("ring has %d buckets: the bursts do not spread", len(q.heads))
+	bound := int64(2*peak*(slotBytes+4) + len(q.rungs)*(2*4*peak+rungBytes) + 2*maxBurst*evBytes)
+	t.Logf("peak %d events, %d rungs, %d bucket heads: holds %d bytes, bound %d", peak, len(q.rungs), cap(q.heads), held, bound)
+	if cap(q.heads) < 1024 {
+		t.Fatalf("the rungs hold %d bucket heads: the bursts do not spread", cap(q.heads))
 	}
 	if held > bound {
 		t.Errorf("queue holds %d bytes for a peak of %d events, bound %d", held, peak, bound)

@@ -30,19 +30,10 @@ func TestReferenceAtSize(t *testing.T) {
 		}
 		arrivals = append(arrivals, p)
 	}
-	detour := func(wl string, ranks, iters int, cfg Config, nm noise.Config) int64 {
-		t.Helper()
-		tr, err := tracegen.Generate(wl, tracegen.PreferredRanks(wl, ranks), iters, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return requireMatchesReference(t, fuzzCase{tr: tr, cfg: cfg, noise: &nm}).Profile.Detour
-	}
 	charged := make([]int64, len(arrivals))
 	for _, wl := range tracegen.Names() {
 		for i, arr := range arrivals {
-			d := detour(wl, 128, 4, Config{Net: netmodel.CrayXC40(), Profile: true},
-				noise.Config{Seed: 1, Arrivals: arr, Duration: noise.Fixed(775 * us), Target: noise.AllNodes})
+			d := detourAtSize(t, wl, 128, arr)
 			if i == 0 && d == 0 {
 				t.Errorf("%s under %v charged no detour", wl, arr)
 			}
@@ -54,8 +45,48 @@ func TestReferenceAtSize(t *testing.T) {
 			t.Errorf("%v charged no detour on any workload", arrivals[i])
 		}
 	}
-	if detour("minife", 64, 15, Config{Net: netmodel.CrayXC40(), RanksPerNode: 4, Profile: true},
+	if detour(t, "minife", 64, 15, Config{Net: netmodel.CrayXC40(), RanksPerNode: 4, Profile: true},
 		noise.Config{Seed: 1, Arrivals: noise.Poisson(2000 * ms), Duration: noise.Fixed(50 * ms), Target: noise.AllNodes, RanksPerNode: 4}) == 0 {
 		t.Error("minife four ranks to a node charged no detour")
 	}
+}
+
+// BenchmarkReferenceAtSize is TestReferenceAtSize's Poisson row at
+// 2 048 ranks (lulesh at 1 728, a cube): the nine workloads, 4
+// iterations, CEs on every node, each engine program against the
+// reference interpreter, failing on the first difference. The event
+// queue's geometry and the posted lists take different shapes at this
+// size than at 128 ranks. It takes about 46 s, too long for the raced
+// engine smoke, so it is a benchmark run once, as make engine-atsize
+// does:
+//
+//	go test -run '^$' -bench ReferenceAtSize -benchtime 1x ./internal/loggopsim/
+func BenchmarkReferenceAtSize(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, wl := range tracegen.Names() {
+			if detourAtSize(b, wl, 2048, noise.Poisson(20*ms)) == 0 {
+				b.Errorf("%s at 2048 ranks charged no detour", wl)
+			}
+		}
+	}
+}
+
+// detourAtSize holds the engine to the reference on workload wl at
+// (about) ranks ranks and 4 iterations, under 775 µs CEs on every node
+// from arrivals, and returns the detour charged.
+func detourAtSize(tb testing.TB, wl string, ranks int, arrivals noise.Arrivals) int64 {
+	tb.Helper()
+	return detour(tb, wl, ranks, 4, Config{Net: netmodel.CrayXC40(), Profile: true},
+		noise.Config{Seed: 1, Arrivals: arrivals, Duration: noise.Fixed(775 * us), Target: noise.AllNodes})
+}
+
+// detour holds the engine to the reference on workload wl at (about)
+// ranks ranks and iters iterations and returns the detour charged.
+func detour(tb testing.TB, wl string, ranks, iters int, cfg Config, nm noise.Config) int64 {
+	tb.Helper()
+	tr, err := tracegen.Generate(wl, tracegen.PreferredRanks(wl, ranks), iters, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return requireMatchesReference(tb, fuzzCase{tr: tr, cfg: cfg, noise: &nm}).Profile.Detour
 }

@@ -214,7 +214,7 @@ func lowerByRank(tr *trace.Trace, coll collectives.Config, cfg Config, sink func
 // handshake and slot counts from the three programs. Deadlocks (a
 // wildcard receive that stole a match) must agree too. It returns the
 // reference's result.
-func requireMatchesReference(t *testing.T, c fuzzCase) *Result {
+func requireMatchesReference(t testing.TB, c fuzzCase) *Result {
 	t.Helper()
 	if err := c.tr.Validate(); err != nil {
 		t.Fatalf("decoder produced an invalid trace: %v", err)

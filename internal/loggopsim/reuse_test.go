@@ -62,7 +62,7 @@ func int64sEqual(a, b []int64) bool {
 
 // requireIdentical fails unless two results match on every observable
 // field, including the per-rank profile decomposition.
-func requireIdentical(t *testing.T, label string, fresh, reused *Result) {
+func requireIdentical(t testing.TB, label string, fresh, reused *Result) {
 	t.Helper()
 	if fresh.Makespan != reused.Makespan {
 		t.Fatalf("%s: makespan %d != %d", label, reused.Makespan, fresh.Makespan)
