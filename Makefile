@@ -1,6 +1,18 @@
 GO ?= go
 
-.PHONY: build test race lint staticcheck bench bench-smoke bench-pair cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke engine-atsize
+.PHONY: build test race lint staticcheck bench bench-smoke bench-pair cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke engine-atsize chaos-smoke
+
+# smoke runs the tests named exactly in $(1) (|-separated) from the
+# packages $(2) under the race detector. Before the run, `go test -list`
+# (once per package) must show every name, so a renamed or deleted test
+# fails the target instead of silently dropping out of the smoke.
+define smoke
+@listed=$$(for p in $(2); do $(GO) test -list '^($(1))$$' $$p || exit 1; done) || exit 1; \
+for t in $(subst |, ,$(1)); do \
+	printf '%s\n' "$$listed" | grep -qx "$$t" || { echo "$@: no test named $$t in $(2)"; exit 1; }; \
+done
+$(GO) test -race -count=1 -run '^($(1))$$' $(2)
+endef
 
 build:
 	$(GO) build ./...
@@ -69,7 +81,13 @@ bench-pair:
 # bit-identity vs the sequential campaign, shard fault storm, worker
 # kill mid-lease, cancellation mid-sweep — all under the race detector.
 cluster-smoke:
-	$(GO) test -race -count=1 -run 'TestDistributed|TestWorkerKillMidLease|TestCancelMidDistributedSweep|TestRequestIDsFlowThroughCluster' ./internal/cluster/
+	$(call smoke,TestDistributedCampaignBitIdentical|TestDistributedFaultMixBitIdentical|TestDistributedSweepUnderShardFaults|TestWorkerKillMidLeaseReassigned|TestCancelMidDistributedSweep|TestRequestIDsFlowThroughCluster,./internal/cluster/)
+
+# Chaos smoke (docs/FAULTS.md): a fixed-seed fault plan over 50
+# simulate jobs, a figure sweep and the baseline-cache fill, every
+# result bit-identical to the fault-free run.
+chaos-smoke:
+	$(call smoke,TestInjectedFillFaults|TestSharedPathFillFaults|TestInjectedCancelStopsRun|TestChaosFiftyJobsBitIdentical|TestChaosSweepBitIdentical|TestAdviseIngestChaos,./internal/core/ ./internal/server/)
 
 # Advisor smoke (docs/ADVISOR.md): boot the daemon stack, ingest the
 # canned NDJSON CE stream, and require the recommendation to match the
@@ -78,8 +96,8 @@ cluster-smoke:
 # intentional policy change with the one -update flag (internal/golden):
 #   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
 advisor-smoke:
-	$(GO) test -race -count=1 -run 'TestAdvisorSmokeGolden|TestAdviseIngestChaos' ./internal/server/
-	$(GO) test -race -count=1 -run 'TestRecommendDeterminismPermutedBatches|TestRecommendIndependentOfQueryHistory' ./internal/advise/
+	$(call smoke,TestAdvisorSmokeGolden|TestAdviseIngestChaos,./internal/server/)
+	$(call smoke,TestRecommendDeterminismPermutedBatches|TestRecommendIndependentOfQueryHistory,./internal/advise/)
 
 # Fault-mix smoke (docs/FAULTMODEL.md): a fixed-seed run of the two
 # fault-mix figures byte-compared against the committed golden, the
@@ -90,10 +108,10 @@ advisor-smoke:
 # with the one -update flag (internal/golden):
 #   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
 faultmix-smoke:
-	$(GO) test -race -count=1 -run 'TestFaultMixSmokeGolden|TestFaultMixFiguresBitIdentical' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestPermutedModesBitIdentical|TestDeterministicReplay|TestProcessSharedAcrossGoroutines|TestAppendGapsMatchesNextGap|TestGeneratorMatchesProcessSchedule' ./internal/faultmodel/
-	$(GO) test -race -count=1 -run 'TestRunArrivalStateIsCollected|TestCEWithBurstyArrivals' ./internal/noise/
-	$(GO) test -race -count=1 -run 'TestClosedLoop' ./internal/advise/
+	$(call smoke,TestFaultMixSmokeGolden|TestFaultMixFiguresBitIdentical,./internal/core/)
+	$(call smoke,TestPermutedModesBitIdentical|TestDeterministicReplay|TestProcessSharedAcrossGoroutines|TestAppendGapsMatchesNextGap|TestGeneratorMatchesProcessSchedule,./internal/faultmodel/)
+	$(call smoke,TestRunArrivalStateIsCollected|TestCEWithBurstyArrivals,./internal/noise/)
+	$(call smoke,TestClosedLoopClassification|TestClosedLoopTransientDegradesToBank,./internal/advise/)
 
 # Engine smoke (docs/MODEL.md "Engine internals"): the figure matrix
 # and raw run results byte-compared against the golden recorded from
@@ -112,17 +130,9 @@ faultmix-smoke:
 # its first perturbed seed — under the race detector. Regenerate a golden after an
 # intentional model change with the one -update flag (internal/golden):
 #   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
-# Its -run list names tests exactly; before the run, `go test -list`
-# (once per package) must show every name, so a renamed or deleted
-# test fails the target instead of silently dropping out of the smoke.
 ENGINE_SMOKE_RUN := TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestDeadlockInsideSharedExchangeNamesTraceOp|TestDeadlockInSegmentOfAnotherRankNamesFlatOp|TestRepetitionAllocatesConstantObjects|TestExchangeReleasingEarlierSendStaysInline|TestProgramSharedAcrossGoroutines|TestQueueMatchesReferences|TestLoadShapesMatchReferences|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention|TestReferenceAtSize
-ENGINE_SMOKE_PKGS := ./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/
 engine-smoke:
-	@listed=$$(for p in $(ENGINE_SMOKE_PKGS); do $(GO) test -list '$(ENGINE_SMOKE_RUN)' $$p || exit 1; done) || exit 1; \
-	for t in $(subst |, ,$(ENGINE_SMOKE_RUN)); do \
-		printf '%s\n' "$$listed" | grep -qx "$$t" || { echo "engine-smoke: no test named $$t in $(ENGINE_SMOKE_PKGS)"; exit 1; }; \
-	done
-	$(GO) test -race -count=1 -run '$(ENGINE_SMOKE_RUN)' $(ENGINE_SMOKE_PKGS)
+	$(call smoke,$(ENGINE_SMOKE_RUN),./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/)
 
 # Engine at size (docs/MODEL.md "Engine internals"): the engine against
 # the reference interpreter on the nine workloads at 2 048 ranks, where
@@ -146,5 +156,5 @@ engine-atsize:
 # and check a worker minted after a coordinator restart never takes the
 # id of one from the epoch before.
 crash-smoke:
-	$(GO) test -race -count=1 -run 'TestCrashSmoke' ./cmd/cesimd/
-	$(GO) test -race -count=1 -run 'RestartAtEveryRecordBoundary|TestMintedWorkerIDsUniqueAcrossRestart' ./internal/jobs/ ./internal/cluster/
+	$(call smoke,TestCrashSmokeStandalone|TestCrashSmokeCoordinator,./cmd/cesimd/)
+	$(call smoke,TestJobsRestartAtEveryRecordBoundary|TestCoordinatorRestartAtEveryRecordBoundary|TestMintedWorkerIDsUniqueAcrossRestart,./internal/jobs/ ./internal/cluster/)

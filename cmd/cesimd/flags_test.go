@@ -43,9 +43,7 @@ func TestBadInvocationsRejectedUpFront(t *testing.T) {
 		{[]string{"-tenant-jobs", "-1"}, "-tenant-jobs -1"},
 		{[]string{"-tenant-disk-mb", "-1"}, "-tenant-disk-mb -1"},
 		{[]string{"-lease-ttl", "1ms"}, "-lease-ttl 1ms requires -role coordinator"},
-		{[]string{"-steal-after", "1s", "-role", "worker", "-join", "http://" + addr}, "-steal-after 1s requires -role coordinator"},
 		{[]string{"-role", "coordinator", "-lease-ttl", "0s"}, "-lease-ttl 0s"},
-		{[]string{"-role", "coordinator", "-steal-after", "-1s"}, "-steal-after -1s"},
 	} {
 		// A daemon that accepted the invocation would serve until the
 		// deadline kills it, which fails the exit-status check.
@@ -78,6 +76,6 @@ func TestDocumentedZerosBoot(t *testing.T) {
 		"-workers", "0", "-sim-workers", "0", "-job-timeout", "0", "-job-retries", "-1",
 		"-shed-watermark", "0", "-advise-cache", "-1",
 		"-tenant-rate", "0", "-tenant-burst", "0", "-tenant-jobs", "0", "-tenant-disk-mb", "0",
-		"-role", "coordinator", "-lease-ttl", "1s", "-steal-after", "1s")
+		"-role", "coordinator", "-lease-ttl", "1s")
 	waitHealthy(t, "http://"+addr)
 }

@@ -88,10 +88,9 @@ func main() {
 		tenantJobs   = flag.Int("tenant-jobs", 0, "per-tenant in-flight job cap (0 = unlimited)")
 		tenantDiskMB = flag.Int("tenant-disk-mb", 0, "per-tenant result-store footprint cap in MiB (0 = unlimited)")
 
-		role       = flag.String("role", "standalone", "cluster role: standalone, coordinator, or worker")
-		join       = flag.String("join", "", "coordinator URL to join (requires -role worker)")
-		leaseTTL   = flag.Duration("lease-ttl", 10*time.Second, "coordinator: shard lease TTL (heartbeat deadline)")
-		stealAfter = flag.Duration("steal-after", 2*time.Second, "coordinator: how long a shard waits for its preferred worker")
+		role     = flag.String("role", "standalone", "cluster role: standalone, coordinator, or worker")
+		join     = flag.String("join", "", "coordinator URL to join (requires -role worker)")
+		leaseTTL = flag.Duration("lease-ttl", 10*time.Second, "coordinator: shard lease TTL (heartbeat deadline)")
 	)
 	flag.Parse()
 
@@ -141,8 +140,6 @@ func main() {
 		{"tenant-disk-mb", *tenantDiskMB >= 0 && int64(*tenantDiskMB) <= maxMiB, fmt.Sprintf("must be in [0 (unlimited), %d]", maxMiB)},
 		{"lease-ttl", *leaseTTL > 0, "must be positive"},
 		{"lease-ttl", !set["lease-ttl"] || *role == "coordinator", "requires -role coordinator"},
-		{"steal-after", *stealAfter > 0, "must be positive"},
-		{"steal-after", !set["steal-after"] || *role == "coordinator", "requires -role coordinator"},
 	} {
 		if !r.ok {
 			logger.Fatalf("-%s %s %s", r.flag, flag.Lookup(r.flag).Value, r.want)
@@ -203,10 +200,7 @@ func main() {
 	var routes map[string]http.HandlerFunc
 	var coord *cluster.Coordinator
 	if *role == "coordinator" {
-		ccfg := cluster.Config{
-			LeaseTTL:   *leaseTTL,
-			StealAfter: *stealAfter,
-		}
+		ccfg := cluster.Config{LeaseTTL: *leaseTTL}
 		if *dataDir != "" {
 			var rst journal.ReplayStats
 			var err error
@@ -297,8 +291,7 @@ func main() {
 	defer stop()
 
 	// A worker joins the coordinator and pulls shard leases alongside
-	// its local API; both share the queue and baseline cache, so
-	// consistent-hash placement delivers warm cache hits.
+	// its local API; both share the queue and baseline cache.
 	var workerDone chan struct{}
 	if *role == "worker" {
 		cw, err := cluster.NewWorker(cluster.WorkerConfig{

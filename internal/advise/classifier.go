@@ -71,9 +71,9 @@ type Classification struct {
 	// Kind is the inferred faultmodel.FaultKind; only meaningful when
 	// Known is set.
 	Kind faultmodel.FaultKind
-	// Known is false while the sample count is below MinSamples — the
-	// policy layer then treats the node's fault mode as unclassified
-	// and recommends conservatively.
+	// Known is false while the sample count is below
+	// DefaultMinSamples — the policy layer then treats the node's fault
+	// mode as unclassified and recommends conservatively.
 	Known bool
 	// Confidence in (0, 1]: grows with sample count, discounted when
 	// the footprint is not sharply of one mode (mixed fault
@@ -98,11 +98,8 @@ const DefaultMinSamples = 8
 // shows >1 row and >1 column), so it degrades toward bank — the
 // conservative verdict, since bank-scale footprints are the ones page
 // retirement cannot contain — with reduced confidence.
-func (f *Footprint) Classify(minSamples int) Classification {
-	if minSamples <= 0 {
-		minSamples = DefaultMinSamples
-	}
-	if f.samples < uint64(minSamples) {
+func (f *Footprint) Classify() Classification {
+	if f.samples < DefaultMinSamples {
 		return Classification{}
 	}
 	base := float64(f.samples) / float64(f.samples+DefaultMinSamples)

@@ -56,7 +56,7 @@ func TestClassifierRoundTrip(t *testing.T) {
 			for _, a := range stream {
 				fp.Add(a, 0)
 			}
-			c := fp.Classify(0)
+			c := fp.Classify()
 			if !c.Known {
 				t.Fatalf("%v trial %d: %d samples not classified", kind, trial, n)
 			}
@@ -78,7 +78,7 @@ func TestClassifierLowSampleAmbiguity(t *testing.T) {
 		for _, a := range stream {
 			fp.Add(a, 0)
 		}
-		if c := fp.Classify(0); c.Known {
+		if c := fp.Classify(); c.Known {
 			t.Fatalf("%v: %d samples classified as %v; below the floor the verdict must stay unknown",
 				kind, DefaultMinSamples-1, c.Kind)
 		}
@@ -98,7 +98,7 @@ func TestClassifierMixedFaults(t *testing.T) {
 		fp.Add(rowStream[i], 0)
 		fp.Add(colStream[i], 0)
 	}
-	c := fp.Classify(0)
+	c := fp.Classify()
 	if !c.Known {
 		t.Fatal("80 samples must classify")
 	}
@@ -117,7 +117,7 @@ func TestClassifierConfidenceGrowsWithSamples(t *testing.T) {
 	for i := 0; i < 50*DefaultMinSamples; i++ {
 		many.Add(0xdead000, 0)
 	}
-	cf, cm := few.Classify(0), many.Classify(0)
+	cf, cm := few.Classify(), many.Classify()
 	if cf.Kind != faultmodel.FaultCell || cm.Kind != faultmodel.FaultCell {
 		t.Fatalf("cell streams classified %v / %v", cf.Kind, cm.Kind)
 	}
@@ -146,14 +146,14 @@ func TestFootprintOrderIndependence(t *testing.T) {
 	for _, o := range obss {
 		ref.Add(o.addr, o.bank)
 	}
-	want := ref.Classify(0)
+	want := ref.Classify()
 	for trial := 0; trial < 20; trial++ {
 		perm := rnd.Perm(len(obss))
 		var fp Footprint
 		for _, pi := range perm {
 			fp.Add(obss[pi].addr, obss[pi].bank)
 		}
-		if got := fp.Classify(0); got != want {
+		if got := fp.Classify(); got != want {
 			t.Fatalf("trial %d: permuted insertion changed classification: %+v vs %+v", trial, got, want)
 		}
 	}

@@ -24,9 +24,6 @@ type StoreConfig struct {
 	MaxTenants int
 	// MaxNodesPerTenant bounds tracked nodes per tenant (default 4096).
 	MaxNodesPerTenant int
-	// MinSamples is the classification floor (default
-	// DefaultMinSamples).
-	MinSamples int
 }
 
 func (c StoreConfig) withDefaults() StoreConfig {
@@ -36,9 +33,6 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	}
 	if c.MaxNodesPerTenant <= 0 {
 		c.MaxNodesPerTenant = 4096
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = DefaultMinSamples
 	}
 	return c
 }
@@ -149,7 +143,7 @@ func (s *Store) Node(tenant, node string) (Estimate, Classification, bool) {
 	if ns == nil {
 		return Estimate{}, Classification{}, false
 	}
-	return ns.est.Estimate(), ns.fp.Classify(s.cfg.MinSamples), true
+	return ns.est.Estimate(), ns.fp.Classify(), true
 }
 
 // StoreStats is the store's gauge snapshot.

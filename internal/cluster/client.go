@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
@@ -18,17 +17,8 @@ import (
 type Client struct {
 	// Base is the coordinator's base URL (required).
 	Base string
-	// HTTPClient defaults to a client with a 30s timeout.
-	HTTPClient *http.Client
 	// Poll is the sweep poll period (default 100ms).
 	Poll time.Duration
-}
-
-func (c *Client) hc() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return &http.Client{Timeout: 30 * time.Second}
 }
 
 func (c *Client) poll() time.Duration {
@@ -41,7 +31,7 @@ func (c *Client) poll() time.Duration {
 // Submit creates a sweep and returns its id.
 func (c *Client) Submit(ctx context.Context, spec Spec) (string, error) {
 	var created sweepCreated
-	if err := postJSON(ctx, c.hc(), c.Base+"/cluster/sweep", spec, &created); err != nil {
+	if err := postJSON(ctx, c.Base+"/cluster/sweep", spec, &created); err != nil {
 		return "", err
 	}
 	return created.ID, nil
@@ -53,7 +43,7 @@ func (c *Client) Submit(ctx context.Context, spec Spec) (string, error) {
 func (c *Client) Wait(ctx context.Context, sweepID string) (map[string]*core.Figure, error) {
 	for {
 		var view sweepView
-		if err := getJSON(ctx, c.hc(), c.Base+"/cluster/sweep/"+sweepID, &view); err != nil {
+		if err := getJSON(ctx, c.Base+"/cluster/sweep/"+sweepID, &view); err != nil {
 			return nil, err
 		}
 		switch view.State {
@@ -105,6 +95,6 @@ func (c *Client) Figure(ctx context.Context, id string, opts core.Options) (*cor
 // Status fetches the coordinator's merged-metrics view.
 func (c *Client) Status(ctx context.Context) (Status, error) {
 	var st Status
-	err := getJSON(ctx, c.hc(), c.Base+"/cluster/status", &st)
+	err := getJSON(ctx, c.Base+"/cluster/status", &st)
 	return st, err
 }

@@ -42,23 +42,6 @@ type Config struct {
 	// LeaseTTL is how long a granted shard stays leased without a
 	// heartbeat before it is re-assigned (default 10s).
 	LeaseTTL time.Duration
-	// StealAfter is how long a pending shard waits for its preferred
-	// (consistent-hash) worker before any idle worker may take it
-	// (default 2s). Placement is an affinity optimization for baseline-cache
-	// warmth, never a correctness constraint.
-	StealAfter time.Duration
-	// WorkerTTL is how long a registered worker survives without any
-	// traffic before it is dropped from placement (default 30s).
-	WorkerTTL time.Duration
-	// Retry is the per-shard retry policy, reusing the jobs backoff
-	// discipline: Retries extra attempts (default 3) after the first,
-	// exponential backoff with per-cell deterministic jitter between
-	// re-offers. Lease expiries consume the same budget — an attempt
-	// that vanished is still an attempt.
-	Retry jobs.Spec
-	// RetainSweeps bounds how many terminal sweeps are kept for
-	// polling (default 16); the oldest are forgotten first.
-	RetainSweeps int
 	// Now supplies timestamps; nil uses time.Now (injectable for
 	// deterministic tests).
 	Now func() time.Time
@@ -73,23 +56,26 @@ func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 10 * time.Second
 	}
-	if c.StealAfter <= 0 {
-		c.StealAfter = 2 * time.Second
-	}
-	if c.WorkerTTL <= 0 {
-		c.WorkerTTL = 30 * time.Second
-	}
-	if c.Retry.Retries == 0 {
-		c.Retry.Retries = 3
-	}
-	if c.RetainSweeps <= 0 {
-		c.RetainSweeps = 16
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	return c
 }
+
+const (
+	// workerTTL is how long a registered worker survives without any
+	// traffic before it is dropped.
+	workerTTL = 30 * time.Second
+	// retryBudget is how many attempts a shard gets after its first.
+	// A failed attempt is re-offered after the jobs backoff
+	// (jobs.Spec.Backoff's defaults, jittered per cell). Lease expiries
+	// consume the same budget — an attempt that vanished is still an
+	// attempt.
+	retryBudget = 3
+	// retainSweeps bounds how many terminal sweeps are kept for
+	// polling; the oldest are forgotten first.
+	retainSweeps = 16
+)
 
 // shardState is a shard's lifecycle position.
 type shardState string
@@ -109,10 +95,9 @@ type shard struct {
 	// attempts counts lease grants (1-based once granted).
 	attempts int
 	// worker holds the current lease, "" when not leased.
-	worker       string
-	leaseExpiry  time.Time
-	pendingSince time.Time
-	notBefore    time.Time
+	worker      string
+	leaseExpiry time.Time
+	notBefore   time.Time
 	// jitter is the deterministic backoff stream derived from the cell
 	// seed (CellSeed), so re-offer timing is reproducible per plan.
 	jitter *rng.Source
@@ -236,9 +221,10 @@ type Grant struct {
 	Spec    Spec   `json:"spec"`
 }
 
-// Lease offers the next runnable shard to the worker, or nil when no
-// work is available. Shards prefer their consistent-hash placement
-// worker (warm baseline cache) and fall back to any worker after StealAfter.
+// Lease grants the first pending shard whose retry backoff has passed
+// — in sweep creation order, then plan order — to the asking worker,
+// or returns nil when no work is available. Which worker runs a cell
+// never matters: its rows are a pure function of the spec.
 func (c *Coordinator) Lease(workerID string) (*Grant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,7 +235,6 @@ func (c *Coordinator) Lease(workerID string) (*Grant, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownWorker, workerID)
 	}
 	w.lastSeen = now
-	alive := c.aliveLocked(now)
 	for _, id := range c.sweepIDs {
 		sw := c.sweeps[id]
 		if sw.terminal() {
@@ -257,10 +242,6 @@ func (c *Coordinator) Lease(workerID string) (*Grant, error) {
 		}
 		for _, sh := range sw.shards {
 			if sh.state != shardPending || now.Before(sh.notBefore) {
-				continue
-			}
-			preferred := Place(sh.cell.Workload, alive)
-			if preferred != workerID && preferred != "" && now.Sub(sh.pendingSince) < c.cfg.StealAfter {
 				continue
 			}
 			sh.state = shardLeased
@@ -354,14 +335,13 @@ func (c *Coordinator) Report(workerID, sweepID, key string, fragment *core.Figur
 	}
 	c.failedAttempts++
 	c.shardFailedLocked(sw, sh, sh.attempts, reportErr)
-	if sh.attempts > c.cfg.Retry.Retries {
+	if sh.attempts > retryBudget {
 		c.sweepsFailed++
 		c.sweepFailedLocked(sw, sh, fmt.Sprintf("shard %s failed after %d attempts: %s", key, sh.attempts, reportErr))
 		return nil
 	}
 	sh.state = shardPending
-	sh.pendingSince = now
-	sh.notBefore = now.Add(c.cfg.Retry.Backoff(sh.attempts-1, sh.jitter))
+	sh.notBefore = now.Add(jobs.Spec{}.Backoff(sh.attempts-1, sh.jitter))
 	return nil
 }
 
@@ -431,7 +411,7 @@ func (c *Coordinator) Sweep(id string) (SweepResult, error) {
 // budget) and drops workers that went silent. c.mu must be held.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.cfg.WorkerTTL {
+		if now.Sub(w.lastSeen) > workerTTL {
 			delete(c.workers, id)
 		}
 	}
@@ -447,34 +427,20 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			c.reassignments++
 			sh.reassigned++
 			sh.worker = ""
-			if sh.attempts > c.cfg.Retry.Retries {
+			if sh.attempts > retryBudget {
 				c.sweepsFailed++
 				c.sweepFailedLocked(sw, sh, fmt.Sprintf("shard %s lost its lease on attempt %d (budget %d)",
-					sh.cell.Key(), sh.attempts, c.cfg.Retry.Retries+1))
+					sh.cell.Key(), sh.attempts, retryBudget+1))
 				break
 			}
 			// Worker loss is not load: re-offer immediately, no backoff.
 			sh.state = shardPending
-			sh.pendingSince = now
 			sh.notBefore = now
 		}
 	}
 }
 
-// aliveLocked returns the sorted ids of workers seen within WorkerTTL.
-// c.mu must be held.
-func (c *Coordinator) aliveLocked(now time.Time) []string {
-	ids := make([]string, 0, len(c.workers))
-	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.cfg.WorkerTTL {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// retainLocked forgets the oldest terminal sweeps beyond RetainSweeps.
+// retainLocked forgets the oldest terminal sweeps beyond retainSweeps.
 // c.mu must be held.
 func (c *Coordinator) retainLocked() {
 	terminal := 0
@@ -483,12 +449,12 @@ func (c *Coordinator) retainLocked() {
 			terminal++
 		}
 	}
-	if terminal <= c.cfg.RetainSweeps {
+	if terminal <= retainSweeps {
 		return
 	}
 	kept := c.sweepIDs[:0]
 	for _, id := range c.sweepIDs {
-		if terminal > c.cfg.RetainSweeps && c.sweeps[id].terminal() {
+		if terminal > retainSweeps && c.sweeps[id].terminal() {
 			delete(c.sweeps, id)
 			terminal--
 			continue
@@ -582,7 +548,13 @@ func (c *Coordinator) StatusSnapshot() Status {
 			})
 		}
 	}
-	for _, id := range c.aliveLocked(now) {
+	// expireLocked has dropped the silent workers; list the rest by id.
+	ids := make([]string, 0, len(c.workers))
+	for id := range c.workers {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
 		w := c.workers[id]
 		st.Workers = append(st.Workers, WorkerStatus{
 			ID: w.id, Addr: w.addr,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/jobs"
 )
 
 // fakeClock drives coordinator time deterministically.
@@ -33,13 +32,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 func testConfig(clock *fakeClock) Config {
-	return Config{
-		LeaseTTL:   100 * time.Millisecond,
-		StealAfter: 10 * time.Millisecond,
-		WorkerTTL:  time.Hour,
-		Retry:      jobs.Spec{Retries: 1, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		Now:        clock.Now,
-	}
+	return Config{LeaseTTL: 100 * time.Millisecond, Now: clock.Now}
 }
 
 // oneCellSpec is the smallest possible plan: one figure, one workload.
@@ -56,17 +49,12 @@ func fragment(cell Cell) *core.Figure {
 	}
 }
 
-// registerHolderAndHeir registers two workers and names them by the
-// placement of oneCellSpec's cell: heir is its preferred worker, which
-// may take the cell the moment a lease lapses, before StealAfter, and
-// holder is the other.
+// registerHolderAndHeir registers two workers: holder takes
+// oneCellSpec's cell first, and heir takes it when the lease lapses.
 func registerHolderAndHeir(c *Coordinator) (holder, heir string) {
-	a, _ := c.Register("", "")
-	b, _ := c.Register("", "")
-	if Place("minife", []string{a, b}) == a {
-		return b, a
-	}
-	return a, b
+	holder, _ = c.Register("", "")
+	heir, _ = c.Register("", "")
+	return holder, heir
 }
 
 func TestLeaseGrantReportMerge(t *testing.T) {
@@ -114,7 +102,6 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	}
 	// The holder leases first; the heir is refused while the lease is
 	// live.
-	clock.Advance(time.Second) // past StealAfter, so either worker can take it
 	g1, err := c.Lease(w1)
 	if err != nil || g1 == nil {
 		t.Fatalf("w1 lease: %v %+v", err, g1)
@@ -157,8 +144,7 @@ func TestRetryBudgetExhaustionFailsSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(time.Second)
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; attempt <= retryBudget; attempt++ {
 		g, err := c.Lease(w1)
 		if err != nil || g == nil {
 			t.Fatalf("attempt %d lease: %v %+v", attempt, err, g)
@@ -190,7 +176,6 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(time.Second)
 	g, err := c.Lease(w1)
 	if err != nil || g == nil {
 		t.Fatalf("lease: %v %+v", err, g)
@@ -217,46 +202,54 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	}
 }
 
-func TestPlacementPreferenceAndSteal(t *testing.T) {
+// TestLeaseGrantsFirstReadyShard pins the one lease rule: whichever
+// registered worker asks gets the first pending shard whose backoff has
+// passed, in sweep creation order and then plan order.
+func TestLeaseGrantsFirstReadyShard(t *testing.T) {
 	clock := newFakeClock()
 	c := NewCoordinator(testConfig(clock))
 	w1, _ := c.Register("", "")
 	w2, _ := c.Register("", "")
-	if _, _, err := c.CreateSweep(oneCellSpec()); err != nil {
+	s1, _, err := c.CreateSweep(Spec{Figures: []string{"4"}, Workloads: []string{"minife", "hpcg"}, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	preferred := Place("minife", []string{w1, w2})
-	other := w1
-	if other == preferred {
-		other = w2
-	}
-	// Before StealAfter the non-preferred worker is refused...
-	if g, err := c.Lease(other); err != nil || g != nil {
-		t.Fatalf("non-preferred worker got early grant: %v %+v", err, g)
-	}
-	// ...but the preferred worker is served at once.
-	g, err := c.Lease(preferred)
-	if err != nil || g == nil {
-		t.Fatalf("preferred worker refused: %v %+v", err, g)
-	}
-}
-
-func TestStealAfterUnblocksOrphanedCells(t *testing.T) {
-	clock := newFakeClock()
-	c := NewCoordinator(testConfig(clock))
-	w1, _ := c.Register("", "")
-	w2, _ := c.Register("", "")
-	if _, _, err := c.CreateSweep(oneCellSpec()); err != nil {
+	s2, _, err := c.CreateSweep(oneCellSpec())
+	if err != nil {
 		t.Fatal(err)
 	}
-	preferred := Place("minife", []string{w1, w2})
-	other := w1
-	if other == preferred {
-		other = w2
+	lease := func(w string) *Grant {
+		t.Helper()
+		g, err := c.Lease(w)
+		if err != nil || g == nil {
+			t.Fatalf("lease for %s: %v %+v", w, err, g)
+		}
+		return g
 	}
-	clock.Advance(testConfig(clock).StealAfter + time.Millisecond)
-	if g, err := c.Lease(other); err != nil || g == nil {
-		t.Fatalf("steal after wait refused: %v %+v", err, g)
+	// The later-registered worker asks first and still gets the first
+	// cell of the first sweep.
+	first := lease(w2)
+	if first.SweepID != s1 || first.Key != "fig4/minife" {
+		t.Fatalf("first grant %s %s, want %s fig4/minife", first.SweepID, first.Key, s1)
+	}
+	// A failed attempt backs its shard off: the next cell in plan
+	// order, then the next sweep's, are granted past it.
+	if err := c.Report(w2, s1, first.Key, nil, "injected failure"); err != nil {
+		t.Fatal(err)
+	}
+	if g := lease(w1); g.SweepID != s1 || g.Key != "fig4/hpcg" {
+		t.Fatalf("second grant %s %s, want %s fig4/hpcg", g.SweepID, g.Key, s1)
+	}
+	if g := lease(w1); g.SweepID != s2 || g.Key != "fig4/minife" {
+		t.Fatalf("third grant %s %s, want %s fig4/minife", g.SweepID, g.Key, s2)
+	}
+	if g, err := c.Lease(w2); err != nil || g != nil {
+		t.Fatalf("shard in backoff granted: %v %+v", err, g)
+	}
+	// Once its backoff passes, the failed shard goes to whoever asks.
+	clock.Advance(time.Second)
+	if g := lease(w1); g.SweepID != s1 || g.Key != first.Key {
+		t.Fatalf("retry grant %s %s, want %s %s", g.SweepID, g.Key, s1, first.Key)
 	}
 }
 
@@ -294,11 +287,9 @@ func TestCreateSweepValidates(t *testing.T) {
 
 func TestSilentWorkerDropsFromPlacement(t *testing.T) {
 	clock := newFakeClock()
-	cfg := testConfig(clock)
-	cfg.WorkerTTL = 50 * time.Millisecond
-	c := NewCoordinator(cfg)
+	c := NewCoordinator(testConfig(clock))
 	w1, _ := c.Register("", "")
-	clock.Advance(100 * time.Millisecond) // w1 goes silent past WorkerTTL
+	clock.Advance(workerTTL + time.Millisecond) // w1 goes silent past workerTTL
 	w2, _ := c.Register("", "")
 	st := c.StatusSnapshot()
 	if len(st.Workers) != 1 || st.Workers[0].ID != w2 {

@@ -65,7 +65,6 @@ func TestCoordinatorRecoverResumesSweep(t *testing.T) {
 	if err != nil || shards != 2 {
 		t.Fatalf("create: %v (%d shards)", err, shards)
 	}
-	clock.Advance(time.Second) // past StealAfter
 	g1, err := c1.Lease(w1)
 	if err != nil || g1 == nil {
 		t.Fatalf("lease 1: %v %+v", err, g1)
@@ -101,7 +100,6 @@ func TestCoordinatorRecoverResumesSweep(t *testing.T) {
 	// Only the unfinished cell is re-offered — and with its pre-crash
 	// attempt count intact (the grant record's job).
 	w2, _ := c2.Register("", "")
-	clock.Advance(time.Second)
 	rg, err := c2.Lease(w2)
 	if err != nil || rg == nil || rg.Key != g2.Key {
 		t.Fatalf("recovered lease: %v %+v (want key %s)", err, rg, g2.Key)
@@ -151,7 +149,6 @@ func TestCoordinatorSurvivesTornTailDoubleRestart(t *testing.T) {
 	if err != nil || shards != 2 {
 		t.Fatalf("create: %v (%d shards)", err, shards)
 	}
-	clock.Advance(time.Second)
 	g1, err := c1.Lease(w1)
 	if err != nil || g1 == nil {
 		t.Fatalf("lease: %v %+v", err, g1)
@@ -207,7 +204,6 @@ func TestCoordinatorSurvivesTornTailDoubleRestart(t *testing.T) {
 	// Finish on the third generation; the merge must still match the
 	// sequential driver bit-for-bit.
 	w3, _ := c3.Register("", "")
-	clock.Advance(time.Second)
 	g3, err := c3.Lease(w3)
 	if err != nil || g3 == nil {
 		t.Fatalf("lease on third generation: %v %+v", err, g3)
@@ -281,7 +277,6 @@ func TestRecoverSameWALSameState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(time.Second)
 	g1, err := c1.Lease(w1)
 	if err != nil || g1 == nil {
 		t.Fatal("lease 1 refused")
@@ -304,7 +299,6 @@ func TestRecoverSameWALSameState(t *testing.T) {
 			t.Fatalf("recovered sweep in %s: %+v, %v", walDir, res, err)
 		}
 		w, _ := c.Register("", "")
-		clock.Advance(time.Second)
 		g, err := c.Lease(w)
 		if err != nil || g == nil {
 			t.Fatalf("recovered lease in %s: %v", walDir, err)
@@ -336,7 +330,6 @@ func TestRecoverSameWALSameState(t *testing.T) {
 func TestLeaseExpiryHeartbeatRaceDoesNotDoubleLease(t *testing.T) {
 	clock := newFakeClock()
 	cfg := testConfig(clock)
-	cfg.Retry.Retries = 5 // keep the budget out of the way
 	c := NewCoordinator(cfg)
 	w1, w2 := registerHolderAndHeir(c)
 	ttl := cfg.LeaseTTL
@@ -344,7 +337,6 @@ func TestLeaseExpiryHeartbeatRaceDoesNotDoubleLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(time.Second) // past StealAfter
 	g, err := c.Lease(w1)
 	if err != nil || g == nil {
 		t.Fatalf("lease: %v %+v", err, g)
@@ -382,8 +374,6 @@ func TestLeaseExpiryHeartbeatRaceDoesNotDoubleLease(t *testing.T) {
 	// w1's heartbeats must not have extended w2's clock either: w2's
 	// lease still expires on its own schedule.
 	clock.Advance(ttl)
-	c.StatusSnapshot() // processes the expiry (pendingSince resets here)
-	clock.Advance(cfg.StealAfter + time.Millisecond)
 	g3, err := c.Lease(w1)
 	if err != nil || g3 == nil {
 		t.Fatalf("lease after w2 expiry: %v %+v", err, g3)
@@ -408,30 +398,30 @@ func TestEpochMismatchOverWire(t *testing.T) {
 	ctx := context.Background()
 
 	var reg registerResponse
-	if err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/register", registerRequest{}, &reg); err != nil {
+	if err := postJSON(ctx, ts.URL+"/cluster/register", registerRequest{}, &reg); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Epoch != 1 {
 		t.Fatalf("register epoch = %d, want 1", reg.Epoch)
 	}
 	var lr leaseResponse
-	err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/lease",
+	err := postJSON(ctx, ts.URL+"/cluster/lease",
 		leaseRequest{WorkerID: reg.WorkerID, Epoch: 7}, &lr)
 	if !errors.Is(err, ErrEpochMismatch) {
 		t.Fatalf("stale lease: %v, want ErrEpochMismatch", err)
 	}
-	err = postJSON(ctx, ts.Client(), ts.URL+"/cluster/heartbeat",
+	err = postJSON(ctx, ts.URL+"/cluster/heartbeat",
 		heartbeatRequest{WorkerID: reg.WorkerID, Epoch: 7}, &heartbeatResponse{})
 	if !errors.Is(err, ErrEpochMismatch) {
 		t.Fatalf("stale heartbeat: %v, want ErrEpochMismatch", err)
 	}
-	err = postJSON(ctx, ts.Client(), ts.URL+"/cluster/report",
+	err = postJSON(ctx, ts.URL+"/cluster/report",
 		reportRequest{WorkerID: reg.WorkerID, Epoch: 7, SweepID: "s1", Key: "k", Error: "x"}, &struct{}{})
 	if !errors.Is(err, ErrEpochMismatch) {
 		t.Fatalf("stale report: %v, want ErrEpochMismatch", err)
 	}
 	// Epoch 0 = legacy client: accepted.
-	if err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/lease",
+	if err := postJSON(ctx, ts.URL+"/cluster/lease",
 		leaseRequest{WorkerID: reg.WorkerID}, &lr); err != nil || !lr.None {
 		t.Fatalf("legacy lease: %v %+v", err, lr)
 	}
@@ -449,7 +439,7 @@ func TestWorkerRejoinsAfterCoordinatorRestart(t *testing.T) {
 	ctx := context.Background()
 
 	newStack := func() (*Coordinator, http.Handler) {
-		coord, _, err := OpenCoordinator(ctx, Config{StealAfter: 50 * time.Millisecond}, dir)
+		coord, _, err := OpenCoordinator(ctx, Config{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -548,7 +538,6 @@ func TestCoordinatorJournalFaultDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(time.Second)
 	g, err := c.Lease(w1)
 	if err != nil || g == nil {
 		t.Fatalf("lease under journal faults: %v %+v", err, g)

@@ -148,7 +148,7 @@ func TestDistributedCampaignBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, ts := startCoordinator(t, Config{StealAfter: 100 * time.Millisecond})
+	coord, ts := startCoordinator(t, Config{})
 	startWorker(t, ts.URL)
 	startWorker(t, ts.URL)
 
@@ -186,7 +186,7 @@ func TestDistributedFaultMixBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := startCoordinator(t, Config{StealAfter: 100 * time.Millisecond})
+	_, ts := startCoordinator(t, Config{})
 	startWorker(t, ts.URL)
 	startWorker(t, ts.URL)
 
@@ -215,7 +215,7 @@ func TestDistributedSweepUnderShardFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := startCoordinator(t, Config{StealAfter: 50 * time.Millisecond})
+	_, ts := startCoordinator(t, Config{})
 	startWorker(t, ts.URL)
 	startWorker(t, ts.URL)
 
@@ -261,10 +261,7 @@ func TestWorkerKillMidLeaseReassigned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, ts := startCoordinator(t, Config{
-		LeaseTTL:   300 * time.Millisecond,
-		StealAfter: 50 * time.Millisecond,
-	})
+	coord, ts := startCoordinator(t, Config{LeaseTTL: 300 * time.Millisecond})
 
 	// The first shard attempt anywhere stalls for 1s — far past the
 	// lease TTL once heartbeats stop.
@@ -361,7 +358,7 @@ func TestCancelMidDistributedSweep(t *testing.T) {
 	// torn down before the goroutine accounting at the end.
 	coordQ := jobs.New(jobs.Config{Workers: 1})
 	s, err := server.New(server.Config{Queue: coordQ, Cache: simcache.New(0),
-		Routes: NewCoordinator(Config{StealAfter: 50 * time.Millisecond}).Routes()})
+		Routes: NewCoordinator(Config{}).Routes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +430,7 @@ func TestRequestIDsFlowThroughCluster(t *testing.T) {
 	_, ts := startCoordinator(t, Config{})
 	ctx := envelope.WithRequestID(context.Background(), "sweep-rid-9")
 	var created sweepCreated
-	err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/sweep",
+	err := postJSON(ctx, ts.URL+"/cluster/sweep",
 		Spec{Figures: []string{"12"}}, &created)
 	if err == nil {
 		t.Fatal("invalid sweep accepted")
@@ -453,7 +450,7 @@ func TestOversizedReportRefused(t *testing.T) {
 	coord, ts := startCoordinator(t, Config{})
 	ctx := envelope.WithRequestID(context.Background(), "big-report-7")
 	var reg registerResponse
-	if err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/register", registerRequest{Addr: "host1:0"}, &reg); err != nil {
+	if err := postJSON(ctx, ts.URL+"/cluster/register", registerRequest{Addr: "host1:0"}, &reg); err != nil {
 		t.Fatal(err)
 	}
 	id, _, err := coord.CreateSweep(oneCellSpec())
@@ -461,7 +458,7 @@ func TestOversizedReportRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lease leaseResponse
-	if err := postJSON(ctx, ts.Client(), ts.URL+"/cluster/lease", leaseRequest{WorkerID: reg.WorkerID, Epoch: reg.Epoch}, &lease); err != nil || lease.Grant == nil {
+	if err := postJSON(ctx, ts.URL+"/cluster/lease", leaseRequest{WorkerID: reg.WorkerID, Epoch: reg.Epoch}, &lease); err != nil || lease.Grant == nil {
 		t.Fatalf("lease: %v, %+v", err, lease)
 	}
 	report := func(frag *core.Figure) error {
@@ -469,7 +466,7 @@ func TestOversizedReportRefused(t *testing.T) {
 		if err := frag.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return postJSON(ctx, ts.Client(), ts.URL+"/cluster/report", reportRequest{
+		return postJSON(ctx, ts.URL+"/cluster/report", reportRequest{
 			WorkerID: reg.WorkerID, Epoch: reg.Epoch, SweepID: id, Key: lease.Grant.Key,
 			Figure: buf.Bytes(),
 		}, nil)

@@ -105,10 +105,9 @@ func (c *Coordinator) createSweepLocked(id string, spec Spec, now time.Time) *sw
 	sw := &sweep{id: id, spec: spec, created: now, byKey: map[string]*shard{}}
 	for _, cell := range spec.Cells() {
 		sh := &shard{
-			cell:         cell,
-			state:        shardPending,
-			pendingSince: now,
-			jitter:       rng.New(CellSeed(spec.Seed, cell.Key())),
+			cell:   cell,
+			state:  shardPending,
+			jitter: rng.New(CellSeed(spec.Seed, cell.Key())),
 		}
 		sw.shards = append(sw.shards, sh)
 		sw.byKey[cell.Key()] = sh

@@ -15,9 +15,9 @@
 // fragments in the plan's deterministic cell order, which is the
 // sequential iteration order. The per-cell seed derived here
 // (splitmix64 over the cell key, via internal/rng) drives only
-// scheduling-side randomness — retry backoff jitter — and placement
-// scores, never the simulation; Options.Seed travels to workers
-// unchanged. See docs/CLUSTER.md.
+// scheduling-side randomness — retry backoff jitter — never the
+// simulation; Options.Seed travels to workers unchanged. See
+// docs/CLUSTER.md.
 package cluster
 
 import (
@@ -96,27 +96,4 @@ func hash64(s string) uint64 {
 // bit-identity with the sequential run.
 func CellSeed(base uint64, key string) uint64 {
 	return rng.Mix64(base ^ hash64(key))
-}
-
-// Place picks the worker a cell prefers via rendezvous (highest random
-// weight) consistent hashing over the placement key: each worker
-// scores rng.Mix64(hash(worker) ^ hash(key)) and the highest score
-// wins. Adding or removing a worker only moves the cells that scored
-// highest on it, so baseline-cache residency stays warm on
-// the survivors. The placement key is the cell's workload: every
-// figure shares one prepared baseline per (workload, nodes) point, so
-// co-locating a workload's cells maximizes cache hits. Empty worker
-// list returns "".
-func Place(key string, workers []string) string {
-	kh := hash64(key)
-	best, bestScore := "", uint64(0)
-	for _, w := range workers {
-		score := rng.Mix64(hash64(w) ^ kh)
-		// Tie-break on the lexically smaller id so the choice is a pure
-		// function of the inputs.
-		if best == "" || score > bestScore || (score == bestScore && w < best) {
-			best, bestScore = w, score
-		}
-	}
-	return best
 }

@@ -53,40 +53,6 @@ func TestCellSeedStableAndDistinct(t *testing.T) {
 	}
 }
 
-func TestPlaceConsistency(t *testing.T) {
-	workers := []string{"w1", "w2", "w3", "w4"}
-	keys := tracegen.Names()
-
-	if got := Place("minife", nil); got != "" {
-		t.Fatalf("empty worker list placed on %q", got)
-	}
-	// Stable: same inputs, same placement, regardless of list order.
-	for _, k := range keys {
-		a := Place(k, workers)
-		b := Place(k, []string{"w4", "w3", "w2", "w1"})
-		if a != b {
-			t.Fatalf("placement of %q depends on list order: %q vs %q", k, a, b)
-		}
-	}
-	// Rendezvous property: removing one worker only moves the keys that
-	// were placed on it.
-	for _, gone := range workers {
-		var rest []string
-		for _, w := range workers {
-			if w != gone {
-				rest = append(rest, w)
-			}
-		}
-		for _, k := range keys {
-			before := Place(k, workers)
-			after := Place(k, rest)
-			if before != gone && after != before {
-				t.Fatalf("removing %s moved %q from %s to %s", gone, k, before, after)
-			}
-		}
-	}
-}
-
 // TestSpecValidate: the coordinator's admission is the shared sweep
 // spec check under the service's default limits.
 func TestSpecValidate(t *testing.T) {

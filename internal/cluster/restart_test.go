@@ -162,14 +162,16 @@ func cannedCoordinatorJournal(t *testing.T) (string, []byte, []coordRecord, []in
 	if _, _, err := c.CreateSweep(oneCellSpec()); err != nil {
 		t.Fatal(err)
 	}
-	report(lease(), "boom 1")
-	clock.Advance(time.Second) // past the backoff
-	report(lease(), "boom 2")  // the budget is spent: the sweep fails
+	for attempt := 0; attempt <= retryBudget; attempt++ {
+		// The last attempt spends the budget: the sweep fails.
+		report(lease(), fmt.Sprintf("boom %d", attempt+1))
+		clock.Advance(time.Second) // past the backoff
+	}
 	if _, _, err := c.CreateSweep(Spec{Figures: []string{"4"}, Workloads: []string{"minife", "hpcg"}, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	report(lease(), "")
-	report(lease(), "boom 3")
+	report(lease(), "boom again")
 	clock.Advance(time.Second)
 	lease()
 	if err := c.Close(); err != nil {

@@ -33,20 +33,22 @@ type WorkerConfig struct {
 	// queue buys the same panic recovery, retry accounting and metrics
 	// the single-node pipeline has.
 	Queue *jobs.Queue
-	// Cache, when set, supplies warm baselines to the figure drivers
-	// via core.Options.Experiments — the point of consistent-hash
-	// placement.
+	// Cache, when set, supplies baselines to the figure drivers via
+	// core.Options.Experiments, shared with the worker's local API and
+	// across the cells it runs.
 	Cache *core.ExperimentCache
-	// HTTPClient defaults to a client with a 30s timeout.
-	HTTPClient *http.Client
 	// PollInterval is the idle lease-poll period (default 200ms).
 	PollInterval time.Duration
-	// ShardRetries is the local jobs.Spec retry budget per leased
-	// shard (default 2); coordinator-level retries sit on top.
-	ShardRetries int
 	// Log, when set, receives lease lifecycle lines.
 	Log *log.Logger
 }
+
+// shardJobRetries is the local jobs.Spec retry budget per leased
+// shard; the coordinator's retryBudget sits on top.
+const shardJobRetries = 2
+
+// httpClient carries every worker and Client request to a coordinator.
+var httpClient = &http.Client{Timeout: 30 * time.Second}
 
 func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 	if c.Coordinator == "" {
@@ -55,14 +57,8 @@ func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 	if c.Queue == nil {
 		return c, fmt.Errorf("cluster: worker needs a jobs queue")
 	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 30 * time.Second}
-	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 200 * time.Millisecond
-	}
-	if c.ShardRetries <= 0 {
-		c.ShardRetries = 2
 	}
 	return c, nil
 }
@@ -255,7 +251,7 @@ func (w *Worker) runShard(ctx context.Context, g *Grant) {
 // too, so a worker shutting down mid-shard stops within a repetition
 // instead of finishing a fragment nobody will report.
 func (w *Worker) execute(ctx context.Context, g *Grant, rid string) (json.RawMessage, error) {
-	spec := jobs.Spec{Kind: "cluster-shard", RequestID: rid, Retries: w.cfg.ShardRetries}
+	spec := jobs.Spec{Kind: "cluster-shard", RequestID: rid, Retries: shardJobRetries}
 	id, err := w.cfg.Queue.SubmitSpec(spec, func(jctx context.Context) (any, error) {
 		if err := faultinject.Fire(jctx, faultinject.SiteClusterShard); err != nil {
 			return nil, err
@@ -357,11 +353,11 @@ func (w *Worker) logf(format string, args ...any) {
 // response, mapping protocol error bodies back to sentinel errors and
 // tagging traffic with a request id so coordinator logs line up.
 func (w *Worker) post(ctx context.Context, path string, body, out any) error {
-	return postJSON(ctx, w.cfg.HTTPClient, w.cfg.Coordinator+path, body, out)
+	return postJSON(ctx, w.cfg.Coordinator+path, body, out)
 }
 
 // postJSON is the shared client-side call: used by Worker and Client.
-func postJSON(ctx context.Context, hc *http.Client, url string, body, out any) error {
+func postJSON(ctx context.Context, url string, body, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -374,7 +370,7 @@ func postJSON(ctx context.Context, hc *http.Client, url string, body, out any) e
 	if rid := envelope.RequestIDFrom(ctx); rid != "" {
 		req.Header.Set(envelope.RequestIDHeader, rid)
 	}
-	resp, err := hc.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -382,7 +378,7 @@ func postJSON(ctx context.Context, hc *http.Client, url string, body, out any) e
 	return decodeResponse(resp, out)
 }
 
-func getJSON(ctx context.Context, hc *http.Client, url string, out any) error {
+func getJSON(ctx context.Context, url string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -390,7 +386,7 @@ func getJSON(ctx context.Context, hc *http.Client, url string, out any) error {
 	if rid := envelope.RequestIDFrom(ctx); rid != "" {
 		req.Header.Set(envelope.RequestIDHeader, rid)
 	}
-	resp, err := hc.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -69,8 +69,8 @@ type Experiment struct {
 	// idle holds run states of prog between repetitions, so a
 	// repetition pays for its event queue and per-rank state only the
 	// first time a goroutine needs one more than are idle. The list is
-	// per Program on purpose: a run state's event queue keeps the ring
-	// geometry it learned, which fits this program's events only.
+	// per Program on purpose: a run state and its queue's pool are
+	// presized from this program's counts, which fit its runs only.
 	mu   sync.Mutex
 	idle []*loggopsim.Simulator
 }

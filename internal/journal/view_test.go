@@ -74,8 +74,7 @@ func TestRecoveredJobsOwnTheirBytes(t *testing.T) {
 func TestRecoveredCoordinatorOwnsItsBytes(t *testing.T) {
 	ctx := context.Background()
 	now := time.Unix(1700000000, 0)
-	cfg := cluster.Config{StealAfter: time.Millisecond, WorkerTTL: time.Hour,
-		Now: func() time.Time { now = now.Add(time.Second); return now }}
+	cfg := cluster.Config{Now: func() time.Time { now = now.Add(time.Second); return now }}
 	opts := core.Options{Nodes: 16, Iterations: 2, Reps: 1, Seed: 1, Workloads: []string{"minife", "hpcg"}, Figures: []string{"4"}}
 	// runCell leases the next cell and reports its fragment.
 	runCell := func(c *cluster.Coordinator) {

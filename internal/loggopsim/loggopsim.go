@@ -224,9 +224,9 @@ type rankProf struct {
 // a send and the receive it meets hold a slot each while one event
 // crosses between them, and on all 108 simulate_cold configurations
 // half the slots is exactly the most events a run ever has waiting; a
-// run that exceeds it grows the pool. The queue is private
-// to this program's runs: the ring geometry it learns fits this
-// program's event population and nothing else's.
+// run that exceeds it grows the pool. The run state is private to
+// this program's runs: it and its queue's pool are presized from this
+// program's counts, which fit no other program's.
 func (p *Program) NewSimulator() *Simulator {
 	n := p.Ranks()
 	total := 0

@@ -27,9 +27,8 @@ func splitMix64(state *uint64) uint64 {
 // Mix64 is the SplitMix64 finalizer applied to x: a cheap, high-quality
 // 64-bit mixing function. It is the module's canonical way to hash
 // small integer keys into well-distributed 64-bit values — the cluster
-// layer derives per-cell seeds and rendezvous placement scores from it —
-// so every layer that needs "a deterministic number from a key" agrees
-// on one construction.
+// layer derives its per-cell seeds from it — so every layer that needs
+// "a deterministic number from a key" agrees on one construction.
 func Mix64(x uint64) uint64 {
 	return splitMix64(&x)
 }

@@ -81,8 +81,8 @@ func sweepReq() SweepRequest {
 func TestTenantRateLimit429(t *testing.T) {
 	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	reg := tenant.New(tenant.Config{
-		Overrides: map[string]tenant.Limits{"acme": {RatePerSec: 0.001, Burst: 1}},
-		Now:       func() time.Time { return clock },
+		Defaults: tenant.Limits{RatePerSec: 0.001, Burst: 1},
+		Now:      func() time.Time { return clock },
 	})
 	_, ts, _ := newDurableServer(t, t.TempDir(), reg, nil)
 
@@ -100,7 +100,7 @@ func TestTenantRateLimit429(t *testing.T) {
 	if !strings.Contains(string(body), "rate limited") {
 		t.Fatalf("429 body: %s", body)
 	}
-	// Other tenants are unaffected.
+	// Other tenants are unaffected: each has its own bucket.
 	if code, _, body := postTenant(t, ts.URL+"/v1/sweep", "other", sweepReq()); code != http.StatusAccepted {
 		t.Fatalf("other tenant: %d %s", code, body)
 	}
@@ -125,9 +125,7 @@ func TestTenantRateLimit429(t *testing.T) {
 }
 
 func TestTenantJobQuota429(t *testing.T) {
-	reg := tenant.New(tenant.Config{
-		Overrides: map[string]tenant.Limits{"capped": {MaxJobs: 1}},
-	})
+	reg := tenant.New(tenant.Config{Defaults: tenant.Limits{MaxJobs: 1}})
 	// A single worker held busy keeps the first job in flight.
 	q := jobs.New(jobs.Config{Workers: 1})
 	block := make(chan struct{})

@@ -55,8 +55,6 @@ type Config struct {
 	// MaxNodes bounds requested node counts (default 16384, the
 	// paper's largest simulated system).
 	MaxNodes int
-	// MaxIters bounds requested iteration counts (default 4096).
-	MaxIters int
 	// MaxReps bounds requested repetitions (default 64).
 	MaxReps int
 	// ShedWatermark sheds new submissions with 503 + Retry-After once
@@ -105,9 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = def.MaxNodes
 	}
-	if c.MaxIters <= 0 {
-		c.MaxIters = def.MaxIters
-	}
 	if c.MaxReps <= 0 {
 		c.MaxReps = def.MaxReps
 	}
@@ -120,9 +115,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// limits is what every run and sweep spec is admitted against.
+// limits is what every run and sweep spec is admitted against: the
+// configured node and repetition bounds, and the default iteration
+// bound.
 func (c Config) limits() core.Limits {
-	return core.Limits{MaxNodes: c.MaxNodes, MaxIters: c.MaxIters, MaxReps: c.MaxReps}
+	return core.Limits{MaxNodes: c.MaxNodes, MaxIters: core.DefaultLimits().MaxIters, MaxReps: c.MaxReps}
 }
 
 // ErrShed reports a submission rejected by admission control because

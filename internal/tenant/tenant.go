@@ -1,8 +1,8 @@
 // Package tenant enforces per-tenant service quotas for cesimd: a
 // token-bucket request rate, an in-flight job cap, and a result-store
 // disk budget. Tenants are named by the X-Tenant request header (the
-// empty name is the shared default tenant); limits come from a default
-// plus per-tenant overrides.
+// empty name is the shared default tenant); every tenant gets the same
+// limits, each with its own bucket and counters.
 //
 // The package deliberately owns no clock of its own: Config.Now is
 // injectable so refill arithmetic is exact under test, and the zero
@@ -72,10 +72,8 @@ type Stats struct {
 
 // Config builds a Registry.
 type Config struct {
-	// Defaults applies to every tenant without an override.
+	// Defaults applies to every tenant.
 	Defaults Limits
-	// Overrides maps tenant names to their specific limits.
-	Overrides map[string]Limits
 	// Now supplies the clock; nil selects time.Now.
 	Now func() time.Time
 }
@@ -93,11 +91,10 @@ type state struct {
 
 // Registry tracks every tenant seen so far. Construct with New.
 type Registry struct {
-	mu        sync.Mutex
-	defaults  Limits
-	overrides map[string]Limits
-	states    map[string]*state
-	now       func() time.Time
+	mu     sync.Mutex
+	limits Limits
+	states map[string]*state
+	now    func() time.Time
 }
 
 // New builds a Registry.
@@ -106,31 +103,18 @@ func New(cfg Config) *Registry {
 	if now == nil {
 		now = time.Now
 	}
-	ov := make(map[string]Limits, len(cfg.Overrides))
-	for k, v := range cfg.Overrides {
-		ov[k] = v
-	}
 	return &Registry{
-		defaults:  cfg.Defaults,
-		overrides: ov,
-		states:    map[string]*state{},
-		now:       now,
+		limits: cfg.Defaults,
+		states: map[string]*state{},
+		now:    now,
 	}
-}
-
-// limitsFor resolves a tenant's limits.
-func (r *Registry) limitsFor(tenant string) Limits {
-	if l, ok := r.overrides[tenant]; ok {
-		return l
-	}
-	return r.defaults
 }
 
 // stateFor returns (creating if needed) a tenant's state. r.mu held.
-func (r *Registry) stateFor(tenant string, l Limits) *state {
+func (r *Registry) stateFor(tenant string) *state {
 	s, ok := r.states[tenant]
 	if !ok {
-		s = &state{tokens: float64(burst(l)), last: r.now()}
+		s = &state{tokens: float64(burst(r.limits)), last: r.now()}
 		r.states[tenant] = s
 	}
 	return s
@@ -170,8 +154,8 @@ func refill(s *state, l Limits, now time.Time) {
 func (r *Registry) Admit(tenant string) (release func(), err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l := r.limitsFor(tenant)
-	s := r.stateFor(tenant, l)
+	l := r.limits
+	s := r.stateFor(tenant)
 	now := r.now()
 	refill(s, l, now)
 
@@ -211,11 +195,10 @@ func (r *Registry) Admit(tenant string) (release func(), err error) {
 func (r *Registry) DiskAllowed(tenant string, usedBytes, addBytes int64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	l := r.limitsFor(tenant)
-	if l.DiskBytes <= 0 || usedBytes+addBytes <= l.DiskBytes {
+	if l := r.limits.DiskBytes; l <= 0 || usedBytes+addBytes <= l {
 		return true
 	}
-	r.stateFor(tenant, l).diskSkips++
+	r.stateFor(tenant).diskSkips++
 	return false
 }
 
@@ -232,8 +215,7 @@ func (r *Registry) StatsAll() []Stats {
 	out := make([]Stats, 0, len(names))
 	for _, name := range names {
 		s := r.states[name]
-		l := r.limitsFor(name)
-		refill(s, l, r.now())
+		refill(s, r.limits, r.now())
 		out = append(out, Stats{
 			Tenant:      name,
 			InFlight:    s.inFlight,
