@@ -28,10 +28,12 @@ race:
 	$(GO) test -race -timeout 10m $$($(GO) list ./... | grep -v '^repro/bench$$')
 	$(GO) test -race -timeout 10m ./bench
 
-# Lint pipeline (docs/LINT.md): vet with the lock-copy and atomic
-# misuse analyzers called out explicitly (so a vet default change can
-# never silently drop them), then full vet, then staticcheck when
-# installed, then the repo's own ceslint suite.
+# Lint pipeline (docs/LINT.md), the one definition CI runs: vet with
+# the lock-copy and atomic misuse analyzers called out explicitly (so a
+# vet default change can never silently drop them), then full vet, then
+# staticcheck when installed, then the repo's own ceslint suite, then
+# the one-golden-flag check: internal/golden holds the only -update
+# flag, and no test file defines its own.
 lint:
 	$(GO) vet -copylocks -atomic ./...
 	$(GO) vet ./...
@@ -41,6 +43,10 @@ lint:
 		echo "lint: staticcheck not installed, skipping (CI runs the pinned version)"; \
 	fi
 	$(GO) run ./cmd/ceslint ./...
+	@if grep -rnE --include='*_test.go' 'flag\.Bool(Var)?\([^)]*"update' .; then \
+		echo "check and rewrite goldens with golden.Check and its one -update flag (internal/golden)" >&2; \
+		exit 1; \
+	fi
 
 # staticcheck is version-pinned and run in CI (.github/workflows/ci.yml);
 # locally it is optional because the toolchain-only sandbox cannot

@@ -14,6 +14,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -272,8 +273,7 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	if err := write(f); err != nil {
-		f.Close()
-		return err
+		return errors.Join(err, f.Close())
 	}
 	return f.Close()
 }

@@ -7,6 +7,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -234,8 +235,7 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	if err := write(f); err != nil {
-		f.Close()
-		return err
+		return errors.Join(err, f.Close())
 	}
 	return f.Close()
 }

@@ -17,7 +17,7 @@
 //	delay  — the touched operation stalls for DelayNanos
 //	cancel — the touched operation observes context.Canceled
 //
-// Determinism: each site draws from its own splitmix64 stream seeded
+// Determinism: each site draws from its own SplitMix64 stream seeded
 // by SiteConfig.Seed (mixed with the site name), so a fixed plan
 // yields a fixed per-site fire/no-fire sequence. Concurrent callers of
 // the same site consume the stream in arrival order; the *schedule* of
@@ -32,11 +32,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Kind is a fault class.
@@ -227,29 +230,18 @@ func (p Panic) String() string { return "faultinject: injected panic at " + p.Si
 type siteState struct {
 	cfg SiteConfig
 
-	mu    sync.Mutex
-	rng   uint64
-	evals uint64
-	fired uint64
+	mu     sync.Mutex
+	stream uint64
+	evals  uint64
+	fired  uint64
 }
 
-// splitmix64 advances the state and returns the next value.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// hashString folds a string into a seed (FNV-1a 64).
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// siteSeed mixes the site name into a plan seed (FNV-1a 64), so sites
+// armed with the same seed draw decorrelated streams.
+func siteSeed(seed uint64, site string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(site))
+	return seed ^ h.Sum64()
 }
 
 // roll reports whether the site fires this evaluation.
@@ -261,7 +253,7 @@ func (s *siteState) roll() bool {
 		return false
 	}
 	// 53-bit uniform in [0, 1).
-	u := float64(splitmix64(&s.rng)>>11) / float64(1<<53)
+	u := float64(rng.SplitMix64(&s.stream)>>11) / float64(1<<53)
 	if u >= s.cfg.Probability {
 		return false
 	}
@@ -283,10 +275,8 @@ func NewInjector(p Plan) (*Injector, error) {
 	inj := &Injector{sites: map[string]*siteState{}}
 	for site, cfg := range p {
 		inj.sites[site] = &siteState{
-			cfg: cfg,
-			// Mixing the site name into the seed decorrelates sites
-			// armed with the same seed.
-			rng: cfg.Seed ^ hashString(site),
+			cfg:    cfg,
+			stream: siteSeed(cfg.Seed, site),
 		}
 	}
 	return inj, nil

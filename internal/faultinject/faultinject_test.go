@@ -242,3 +242,28 @@ func TestLoadPlan(t *testing.T) {
 		t.Fatal("unknown field accepted")
 	}
 }
+
+// TestFiringSchedulePinned pins one seeded site's stream: the state
+// the site name and seed mix into, and the fire/no-fire pattern of its
+// first 64 rolls at p = 0.5 (bit i set when roll i fired). Any change
+// to the site hash or the generator moves every chaos drill's
+// schedule, so it must show here first.
+func TestFiringSchedulePinned(t *testing.T) {
+	cfg := SiteConfig{Kind: KindError, Probability: 0.5, Seed: 42}
+	inj, err := NewInjector(Plan{SiteJobWorker: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := inj.sites[SiteJobWorker].stream, uint64(0x4573318be1bb9bb9); got != want {
+		t.Fatalf("site stream seeded at %#016x, want %#016x", got, want)
+	}
+	var mask uint64
+	for i, fired := range fireSeq(t, cfg, SiteJobWorker, 64) {
+		if fired {
+			mask |= 1 << i
+		}
+	}
+	if want := uint64(0xc50e16dc62b10eec); mask != want {
+		t.Fatalf("first 64 rolls %#016x, want %#016x", mask, want)
+	}
+}

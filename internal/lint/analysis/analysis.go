@@ -17,8 +17,8 @@ import (
 
 // Analyzer describes one ceslint check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //ceslint:allow directives. Must be a single lower-case word.
+	// Name identifies the analyzer in diagnostics and in -only. Must
+	// be a single lower-case word.
 	Name string
 	// Doc is the one-paragraph description shown by `ceslint -help`.
 	Doc string

@@ -8,12 +8,8 @@
 // diagnostic. Fixtures are type-checked against the standard library
 // only, with the directory base name as the package import path — so a
 // fixture directory named "det" can be registered in an analyzer's
-// scope map to exercise scope-dependent rules.
-//
-// Diagnostics pass through the real runner, so //ceslint:allow
-// suppression, malformed-directive and unused-directive behaviour is
-// testable with the same golden mechanism (the runner's own findings
-// carry the analyzer name "ceslint").
+// scope map to exercise scope-dependent rules. Diagnostics pass
+// through the real runner.
 package analysistest
 
 import (

@@ -1,27 +1,19 @@
-// Package atomicfield forbids mixing sync/atomic and plain access on
-// one struct field.
+// Package atomicfield requires the typed atomics.
 //
 // A counter read with atomic.LoadUint64 in one place and `s.n++` in
 // another is a data race the race detector only catches when both
 // paths run in one test; the mistake survives review because each site
-// looks correct in isolation. atomicfield closes the gap module-wide:
-// any struct field whose address is passed to a sync/atomic function
-// anywhere in its package must be accessed through sync/atomic
-// everywhere — a plain read, write, increment or compound assignment
-// of that field is reported.
-//
-// The typed wrappers (atomic.Uint64, atomic.Pointer, ...) make this
-// mistake unrepresentable — their inner state is unexported — and are
-// the recommended fix; the analyzer exists for the legacy
-// address-taking style, which is the style a hurried bugfix reaches
-// for. The server/metrics, jobs and journal.Stats counters are the
-// motivating surface: all currently mutex-guarded or typed-atomic,
-// and this check keeps any future atomic migration honest.
+// looks correct in isolation. The typed wrappers (atomic.Uint64,
+// atomic.Pointer, ...) make it unrepresentable — their inner state is
+// unexported — so atomicfield reports every use of a package-level
+// sync/atomic function (AddUint64, LoadInt32, CompareAndSwapPointer,
+// ...), the address-taking API through which a field can be accessed
+// both atomically and plainly. Methods of the typed wrappers are not
+// reported.
 package atomicfield
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/lint/analysis"
@@ -30,112 +22,27 @@ import (
 // Analyzer is the atomicfield check.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicfield",
-	Doc: "a struct field accessed through sync/atomic anywhere must never " +
-		"be read or written plainly elsewhere (module-wide)",
+	Doc: "use the typed sync/atomic wrappers: the package-level " +
+		"address-taking functions are reported (module-wide)",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	// Pass 1: collect fields whose address feeds a sync/atomic call,
-	// remembering the exact &x.f selector nodes so pass 2 can skip
-	// them.
-	atomicFields := map[types.Object]bool{}
-	atomicUses := map[*ast.SelectorExpr]bool{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pass, call) {
+			id, ok := n.(*ast.Ident)
+			if !ok {
 				return true
 			}
-			for _, arg := range call.Args {
-				sel := addrOfField(arg)
-				if sel == nil {
-					continue
-				}
-				if obj := fieldObject(pass, sel); obj != nil {
-					atomicFields[obj] = true
-					atomicUses[sel] = true
-				}
-			}
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
-		return nil, nil
-	}
-
-	// Pass 2: report every other selector access to those fields.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || atomicUses[sel] {
+			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
 				return true
 			}
-			obj := fieldObject(pass, sel)
-			if obj == nil || !atomicFields[obj] {
-				return true
-			}
-			pass.Reportf(sel.Pos(),
-				"field %s is accessed through sync/atomic elsewhere in this package; this plain access races with those atomics — use sync/atomic (or the typed atomic wrappers) here too",
-				sel.Sel.Name)
+			pass.Reportf(id.Pos(),
+				"atomic.%s takes a field's address, so the field can still be read or written plainly elsewhere; use the typed atomic wrappers (atomic.Uint64, atomic.Pointer, ...)",
+				fn.Name())
 			return true
 		})
 	}
 	return nil, nil
-}
-
-// isAtomicCall reports whether the call targets a sync/atomic
-// package-level function (AddUint64, LoadInt32, CompareAndSwap..., the
-// address-taking API).
-func isAtomicCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || obj.Pkg() == nil {
-		return false
-	}
-	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false // typed-wrapper methods are safe by construction
-	}
-	return obj.Pkg().Path() == "sync/atomic"
-}
-
-// addrOfField unwraps &x.f (with any parens) to the field selector.
-func addrOfField(arg ast.Expr) *ast.SelectorExpr {
-	for {
-		if p, ok := arg.(*ast.ParenExpr); ok {
-			arg = p.X
-			continue
-		}
-		break
-	}
-	u, ok := arg.(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return nil
-	}
-	inner := u.X
-	for {
-		if p, ok := inner.(*ast.ParenExpr); ok {
-			inner = p.X
-			continue
-		}
-		break
-	}
-	sel, ok := inner.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return sel
-}
-
-// fieldObject resolves a selector to a struct-field object, or nil
-// when the selector is a method, package member or non-field.
-func fieldObject(pass *analysis.Pass, sel *ast.SelectorExpr) types.Object {
-	s, ok := pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	return s.Obj()
 }

@@ -1,27 +1,24 @@
-// Package ctxflow enforces context discipline on the serving path.
+// Package ctxflow enforces context discipline module-wide.
 //
 // cesimd's request handling (server → jobs → core) promises
 // that cancellation propagates end-to-end: a client disconnect or a
-// drain deadline must reach the repetition loop (docs/SERVICE.md). Three
+// drain deadline must reach the repetition loop (docs/SERVICE.md). Two
 // patterns quietly break that chain:
 //
 //   - a context.Context parameter that is not the first parameter, which
-//     hides it from reviewers and from this very analyzer's other rules;
+//     hides it from reviewers and from this very analyzer's other rule;
 //   - calling context.Background()/context.TODO() inside a function that
 //     already has a ctx in lexical scope, which detaches all downstream
-//     work from the caller's cancellation;
-//   - comparing cancellation errors with == instead of
-//     errors.Is(err, context.Canceled): every layer here wraps errors
-//     (%w, JobError, BuildError, RepetitionError), so identity
-//     comparison silently stops matching.
+//     work from the caller's cancellation.
 //
 // Functions with no ctx parameter may create a fresh context — that is
 // how detached lifetimes (job execution, main) are built on purpose.
+// Comparing context.Canceled or context.DeadlineExceeded by identity is
+// senterr's sentinel rule.
 package ctxflow
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/lint/analysis"
@@ -30,31 +27,12 @@ import (
 // Analyzer is the ctxflow check.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "require ctx-first signatures, forbid context.Background/TODO where a " +
-		"ctx is in scope, and require errors.Is for cancellation errors",
+	Doc: "require ctx-first signatures and forbid context.Background/TODO " +
+		"where a ctx is in scope",
 	Run: run,
 }
 
-// Packages scopes the check to the request path. Tests may add fixture
-// paths.
-var Packages = map[string]bool{
-	"repro/internal/server":     true,
-	"repro/internal/jobs":       true,
-	"repro/internal/simcache":   true,
-	"repro/internal/core":       true,
-	"repro/internal/campaign":   true,
-	"repro/internal/cluster":    true,
-	"repro/internal/advise":     true,
-	"repro/internal/faultmodel": true,
-	"repro/internal/journal":    true,
-	"repro/internal/tenant":     true,
-	"repro/internal/memo":       true,
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !Packages[pass.Pkg.Path()] {
-		return nil, nil
-	}
 	for _, f := range pass.Files {
 		checkFile(pass, f)
 	}
@@ -66,38 +44,29 @@ func checkFile(pass *analysis.Pass, f *ast.File) {
 	// function that binds a context.Context parameter.
 	ctxDepth := 0
 	var visit func(n ast.Node) bool
+	enter := func(ft *ast.FuncType, body *ast.BlockStmt) {
+		checkSignature(pass, ft)
+		has := bindsCtx(pass, ft)
+		if has {
+			ctxDepth++
+		}
+		if body != nil {
+			ast.Inspect(body, visit)
+		}
+		if has {
+			ctxDepth--
+		}
+	}
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
-			checkSignature(pass, n.Type)
-			has := bindsCtx(pass, n.Type)
-			if has {
-				ctxDepth++
-			}
-			if n.Body != nil {
-				ast.Inspect(n.Body, visit)
-			}
-			if has {
-				ctxDepth--
-			}
+			enter(n.Type, n.Body)
 			return false
 		case *ast.FuncLit:
-			checkSignature(pass, n.Type)
-			has := bindsCtx(pass, n.Type)
-			if has {
-				ctxDepth++
-			}
-			ast.Inspect(n.Body, visit)
-			if has {
-				ctxDepth--
-			}
+			enter(n.Type, n.Body)
 			return false
 		case *ast.CallExpr:
 			checkCall(pass, n, ctxDepth > 0)
-		case *ast.BinaryExpr:
-			checkComparison(pass, n)
-		case *ast.SwitchStmt:
-			checkSwitch(pass, n)
 		}
 		return true
 	}
@@ -169,56 +138,4 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, ctxInScope bool) {
 			"context.%s() detaches this call chain from the caller's cancellation; propagate the ctx parameter instead",
 			fn.Name())
 	}
-}
-
-// checkComparison flags == / != against context.Canceled or
-// context.DeadlineExceeded.
-func checkComparison(pass *analysis.Pass, bin *ast.BinaryExpr) {
-	if bin.Op != token.EQL && bin.Op != token.NEQ {
-		return
-	}
-	for _, side := range []ast.Expr{bin.X, bin.Y} {
-		if name := ctxSentinel(pass, side); name != "" {
-			pass.Reportf(bin.Pos(),
-				"cancellation errors are wrapped on this path; use errors.Is(err, context.%s) instead of %s",
-				name, bin.Op)
-		}
-	}
-}
-
-// checkSwitch flags `switch err { case context.Canceled: ... }`.
-func checkSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
-	if sw.Tag == nil {
-		return
-	}
-	for _, stmt := range sw.Body.List {
-		cc, ok := stmt.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
-			if name := ctxSentinel(pass, e); name != "" {
-				pass.Reportf(e.Pos(),
-					"switching on context.%s compares by identity; use errors.Is so wrapped cancellation still matches",
-					name)
-			}
-		}
-	}
-}
-
-// ctxSentinel returns "Canceled"/"DeadlineExceeded" when e refers to
-// that context package variable.
-func ctxSentinel(pass *analysis.Pass, e ast.Expr) string {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	obj := pass.TypesInfo.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "context" {
-		return ""
-	}
-	if obj.Name() == "Canceled" || obj.Name() == "DeadlineExceeded" {
-		return obj.Name()
-	}
-	return ""
 }

@@ -9,7 +9,5 @@ import (
 )
 
 func TestCtxFlow(t *testing.T) {
-	ctxflow.Packages["c"] = true
-	defer delete(ctxflow.Packages, "c")
 	analysistest.Run(t, filepath.Join("testdata", "src", "c"), ctxflow.Analyzer)
 }

@@ -1,11 +1,7 @@
-// Package c is a ctxflow fixture (registered in ctxflow.Packages):
-// request-path context discipline.
+// Package c is a ctxflow fixture: context discipline.
 package c
 
-import (
-	"context"
-	"errors"
-)
+import "context"
 
 func ctxSecond(name string, ctx context.Context) error { // want "context.Context must be the first parameter"
 	_ = name
@@ -52,29 +48,4 @@ func freshRootOK() context.Context {
 	// No ctx parameter in scope: building a detached lifetime on
 	// purpose (main, job execution) is allowed.
 	return context.Background()
-}
-
-func identityCompare(err error) bool {
-	if err == context.Canceled { // want "errors.Is"
-		return true
-	}
-	return err != context.DeadlineExceeded // want "errors.Is"
-}
-
-func switchIdentity(err error) string {
-	switch err {
-	case context.Canceled: // want "errors.Is"
-		return "canceled"
-	case nil:
-		return ""
-	}
-	return "other"
-}
-
-func errorsIsOK(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func suppressed(ctx context.Context) context.Context {
-	return context.Background() //ceslint:allow ctxflow fixture proves the suppression path
 }

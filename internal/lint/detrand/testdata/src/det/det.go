@@ -38,12 +38,3 @@ func constOK() time.Duration {
 	// are banned.
 	return 5 * time.Millisecond
 }
-
-func suppressed() int {
-	return mrand.Int() //ceslint:allow detrand fixture proves the suppression path
-}
-
-func suppressedAbove() int {
-	//ceslint:allow detrand stacked directive on the line above
-	return mrand.Int()
-}

@@ -5,7 +5,8 @@
 // precise ordering of write(2), fsync and rename — an ordering a
 // reviewer can silently lose in any refactor, which is exactly how the
 // Ramulator re-evaluation papers describe simulators drifting from
-// their claimed contracts. durio makes the ordering machine-checked:
+// their claimed contracts. durio makes the ordering machine-checked in
+// every package of the module:
 //
 //   - a temp-write→rename publish (os.CreateTemp/os.Create followed by
 //     os.Rename in one function) must Sync the file before the rename,
@@ -44,13 +45,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// Packages scopes the check to the two packages that own durable
-// bytes. Tests may add fixture paths.
-var Packages = map[string]bool{
-	"repro/internal/journal":  true,
-	"repro/internal/simcache": true,
-}
-
 // JournalPackages additionally enforces the no-clobber rename rule
 // (renames only to *.corrupt): segment files are live history and a
 // rename over one destroys committed records.
@@ -59,33 +53,23 @@ var JournalPackages = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !Packages[pass.Pkg.Path()] {
-		return nil, nil
-	}
 	journalRules := JournalPackages[pass.Pkg.Path()]
+	// Function literals are checked through their enclosing
+	// declaration: the write/rename/sync calls of one publish sequence
+	// can straddle a closure (cleanup defers), so the unit of analysis
+	// is the outermost declaration.
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkFunc(pass, fn.Body, journalRules)
-				}
-				return true
-			case *ast.FuncLit:
-				// Literals are checked through their enclosing function:
-				// the write/rename/sync calls of one publish sequence can
-				// straddle a closure (cleanup defers), so the unit of
-				// analysis is the outermost declaration.
-				return true
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
+				checkFunc(pass, fn.Body, journalRules)
 			}
-			return true
-		})
+		}
 	}
 	return nil, nil
 }
 
-// fileVars records how each *os.File variable in a function was
-// opened, keyed by the variable object.
+// funcFacts records one function's renames, syncs, write-capable
+// opens and per-file writes.
 type funcFacts struct {
 	renames    []*ast.CallExpr // os.Rename calls in source order
 	fileSyncs  []token.Pos     // (*os.File).Sync calls
@@ -252,9 +236,6 @@ func checkCloses(pass *analysis.Pass, body *ast.BlockStmt, facts *funcFacts) {
 			}
 			// Do not descend into deferred closures: their closes are
 			// cleanup for paths that already returned an error.
-			if _, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				return false
-			}
 			return false
 		case *ast.ExprStmt:
 			if call, ok := x.X.(*ast.CallExpr); ok {

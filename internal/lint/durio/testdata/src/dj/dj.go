@@ -1,6 +1,6 @@
-// Package dj is the journal-rules durio fixture (registered in both
-// durio.Packages and durio.JournalPackages): inside the journal, the
-// only legal rename is quarantine to *.corrupt.
+// Package dj is the journal-rules durio fixture (registered in
+// durio.JournalPackages): inside the journal, the only legal rename is
+// quarantine to *.corrupt.
 package dj
 
 import (

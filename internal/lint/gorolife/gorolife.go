@@ -4,7 +4,7 @@
 // graceful-drain test to find it: the daemon's SIGTERM path waits on
 // WaitGroups and contexts, and any goroutine tied to neither outlives
 // the drain (or blocks it forever). gorolife requires the body of
-// every go statement in the service tier to reference at least one
+// every go statement in the module to reference at least one
 // lifecycle mechanism:
 //
 //   - a context.Context value (checked in a loop, passed to a blocking
@@ -40,28 +40,7 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// Packages scopes the check to the packages that spawn goroutines in
-// production: the service tier, the parallel engine driver and the
-// daemon binary. Tests may add fixture paths.
-var Packages = map[string]bool{
-	"repro/internal/jobs":        true,
-	"repro/internal/cluster":     true,
-	"repro/internal/journal":     true,
-	"repro/internal/simcache":    true,
-	"repro/internal/tenant":      true,
-	"repro/internal/advise":      true,
-	"repro/internal/server":      true,
-	"repro/internal/collectives": true,
-	"repro/internal/core":        true,
-	"repro/internal/faultinject": true,
-	"repro/internal/memo":        true,
-	"repro/cmd/cesimd":           true,
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !Packages[pass.Pkg.Path()] {
-		return nil, nil
-	}
 	// Index top-level function and method declarations by object so
 	// `go q.worker()` resolves to its body.
 	decls := map[types.Object]*ast.FuncDecl{}

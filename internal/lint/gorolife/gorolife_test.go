@@ -9,13 +9,5 @@ import (
 )
 
 func TestGorolife(t *testing.T) {
-	gorolife.Packages["g"] = true
-	defer delete(gorolife.Packages, "g")
 	analysistest.Run(t, filepath.Join("testdata", "src", "g"), gorolife.Analyzer)
-}
-
-func TestOutOfScopePackageIgnored(t *testing.T) {
-	if gorolife.Packages["g"] {
-		t.Fatal("fixture path leaked into gorolife scope map")
-	}
 }

@@ -176,14 +176,3 @@ func closureSleepOK(fs []func()) {
 		f()
 	}
 }
-
-// --- suppression -----------------------------------------------------
-
-func suppressed() {
-	//ceslint:allow gorolife fixture proves the suppression path
-	go func() {
-		for {
-			_ = probe()
-		}
-	}()
-}

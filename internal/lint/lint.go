@@ -2,7 +2,7 @@
 // and safety checks that mechanically enforce the simulator's
 // bit-identity invariants (docs/LINT.md). cmd/ceslint is the CLI; the
 // analyzers live in the subpackages and the execution machinery in
-// analysis, load, directive and runner.
+// analysis, load and runner.
 package lint
 
 import (

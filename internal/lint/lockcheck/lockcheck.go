@@ -1,12 +1,13 @@
-// Package lockcheck enforces the service tier's mutex discipline.
+// Package lockcheck enforces mutex discipline module-wide.
 //
 // The durable service tier (jobs, cluster, journal, simcache, tenant,
 // advise, server, collectives) is heavily concurrent, and its
 // correctness contracts were until now enforced only by tests and
 // review — PR 8's review alone found a same-key double-count race in
 // simcache.Store.put that a static pass would have flagged. lockcheck
-// walks every function with a small path-sensitive interpreter that
-// tracks which sync.Mutex/RWMutex values are held and reports:
+// walks every function in the module with a small path-sensitive
+// interpreter that tracks which sync.Mutex/RWMutex values are held and
+// reports:
 //
 //   - a return (or explicit panic) reached while a lock acquired in the
 //     same function is still held and no defer releases it — the
@@ -18,8 +19,7 @@
 //     send/receive (outside a select with a default), ranging over a
 //     channel, select without default, sync.WaitGroup.Wait,
 //     time.Sleep, (*os.File).Sync and net/http calls — the shape of
-//     the critical-section stall the WAL batching design must opt
-//     into explicitly (//ceslint:allow with a reason).
+//     a critical-section stall.
 //
 // Locks copied by value are go vet's copylocks check, which make lint
 // and CI pin: it follows a lock through nested structs into
@@ -45,26 +45,10 @@ import (
 // Analyzer is the lockcheck check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc: "enforce mutex discipline in the service tier: unlock on every " +
+	Doc: "enforce mutex discipline module-wide: unlock on every " +
 		"return path, no double lock, no RLock/Unlock mixing, no blocking " +
 		"calls under a lock",
 	Run: run,
-}
-
-// Packages scopes the check to the concurrent service tier. Engine
-// packages are lock-free by design and stay out so the check can be
-// strict where it matters. Tests may add fixture paths.
-var Packages = map[string]bool{
-	"repro/internal/jobs":        true,
-	"repro/internal/cluster":     true,
-	"repro/internal/journal":     true,
-	"repro/internal/simcache":    true,
-	"repro/internal/tenant":      true,
-	"repro/internal/advise":      true,
-	"repro/internal/server":      true,
-	"repro/internal/collectives": true,
-	"repro/internal/faultinject": true,
-	"repro/internal/memo":        true,
 }
 
 // lockKind distinguishes how a mutex is held.
@@ -117,9 +101,6 @@ type checker struct {
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !Packages[pass.Pkg.Path()] {
-		return nil, nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {

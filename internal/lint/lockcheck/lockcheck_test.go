@@ -9,13 +9,5 @@ import (
 )
 
 func TestLockCheck(t *testing.T) {
-	lockcheck.Packages["l"] = true
-	defer delete(lockcheck.Packages, "l")
 	analysistest.Run(t, filepath.Join("testdata", "src", "l"), lockcheck.Analyzer)
-}
-
-func TestOutOfScopePackageIgnored(t *testing.T) {
-	if lockcheck.Packages["l"] {
-		t.Fatal("fixture path leaked into lockcheck.Packages")
-	}
 }

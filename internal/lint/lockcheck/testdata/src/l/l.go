@@ -1,7 +1,7 @@
-// Package l is a lockcheck fixture (registered in lockcheck.Packages):
-// broken mutex discipline must be flagged; the repo's real idioms —
-// defer unlock, branch-balanced unlock, *Locked helpers, select with
-// default under a lock — must not.
+// Package l is a lockcheck fixture: broken mutex discipline must be
+// flagged; the repo's real idioms — defer unlock, branch-balanced
+// unlock, *Locked helpers, select with default under a lock — must
+// not.
 package l
 
 import (
@@ -197,12 +197,4 @@ func blockingAfterUnlockOK(b *box) {
 	b.mu.Unlock()
 	b.ch <- b.n
 	time.Sleep(time.Millisecond)
-}
-
-// --- suppression ---
-
-func suppressedSend(b *box) {
-	b.mu.Lock()
-	b.ch <- 1 //ceslint:allow lockcheck fixture proves the suppression path
-	b.mu.Unlock()
 }

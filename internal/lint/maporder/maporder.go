@@ -72,7 +72,7 @@ var fmtEmitFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !inScope(pass.Pkg.Path()) {
+	if !Packages[pass.Pkg.Path()] {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
@@ -94,10 +94,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		ast.Inspect(f, visit)
 	}
 	return nil, nil
-}
-
-func inScope(path string) bool {
-	return Packages[path]
 }
 
 func checkRange(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node) {

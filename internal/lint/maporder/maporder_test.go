@@ -15,11 +15,8 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestOutOfScopePackageIgnored(t *testing.T) {
-	// The same fixture without scope registration must produce no
-	// diagnostics — except the now-unused suppression directive, which
-	// would itself be reported; that is covered by the runner tests, so
-	// here the fixture is simply not run out of scope. This test pins
-	// the scope gate instead.
+	// Registration in TestMapOrder must not outlive that test: the
+	// scope map is the rule's only gate.
 	if maporder.Packages["m"] {
 		t.Fatal("fixture path leaked into maporder.Packages")
 	}

@@ -107,11 +107,3 @@ func rangeSliceOK(in []float64) float64 {
 	}
 	return total
 }
-
-func suppressed(in map[string]int) []int {
-	var out []int
-	for _, v := range in {
-		out = append(out, v) //ceslint:allow maporder fixture proves the suppression path
-	}
-	return out
-}

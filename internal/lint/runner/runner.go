@@ -1,8 +1,6 @@
 // Package runner executes ceslint analyzers over loaded packages and
-// applies the //ceslint:allow suppression policy: every diagnostic is
-// matched against the directives in its file; surviving diagnostics,
-// malformed directives and directives that suppressed nothing are
-// returned sorted by position.
+// returns every finding sorted by position. There is no suppression
+// comment: a false positive is fixed in the analyzer or in the code.
 package runner
 
 import (
@@ -11,14 +9,12 @@ import (
 	"sort"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/directive"
 	"repro/internal/lint/load"
 )
 
 // Diagnostic is one printable finding.
 type Diagnostic struct {
-	// Analyzer names the check that fired ("ceslint" for directive
-	// hygiene findings produced by the runner itself).
+	// Analyzer names the check that fired.
 	Analyzer string
 	// Position is the resolved file position.
 	Position token.Position
@@ -31,21 +27,25 @@ func (d Diagnostic) String() string {
 }
 
 // Run executes every analyzer on every package and returns the
-// diagnostics that survive suppression, plus directive-hygiene
-// findings. An analyzer returning an error aborts the run.
+// diagnostics. An analyzer returning an error aborts the run.
 func Run(fset *token.FileSet, pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
-	known := map[string]bool{}
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := runPackage(fset, pkg, analyzers, known)
-		if err != nil {
-			return nil, err
+		for _, a := range analyzers {
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Report: func(d analysis.Diagnostic) {
+					out = append(out, Diagnostic{Analyzer: a.Name, Position: fset.Position(d.Pos), Message: d.Message})
+				},
+			}
+			if _, err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
+			}
 		}
-		out = append(out, diags...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -60,76 +60,5 @@ func Run(fset *token.FileSet, pkgs []*load.Package, analyzers []*analysis.Analyz
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return out, nil
-}
-
-func runPackage(fset *token.FileSet, pkg *load.Package, analyzers []*analysis.Analyzer, known map[string]bool) ([]Diagnostic, error) {
-	type fileDirs struct {
-		ds  []*directive.Directive
-		idx *directive.Index
-	}
-	dirs := map[string]*fileDirs{} // by filename
-	var out []Diagnostic
-	for _, f := range pkg.Files {
-		ds, bad := directive.Collect(f)
-		name := fset.Position(f.Pos()).Filename
-		dirs[name] = &fileDirs{ds: ds, idx: directive.NewIndex(fset, ds)}
-		for _, m := range bad {
-			out = append(out, Diagnostic{
-				Analyzer: "ceslint",
-				Position: fset.Position(m.Pos),
-				Message:  m.Message,
-			})
-		}
-		for _, d := range ds {
-			if !known[d.Analyzer] {
-				out = append(out, Diagnostic{
-					Analyzer: "ceslint",
-					Position: fset.Position(d.Pos),
-					Message:  fmt.Sprintf("suppression names unknown analyzer %q", d.Analyzer),
-				})
-				d.Used = true // don't double-report it as unused below
-			}
-		}
-	}
-
-	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-		}
-		var raw []analysis.Diagnostic
-		pass.Report = func(d analysis.Diagnostic) { raw = append(raw, d) }
-		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
-		}
-		for _, d := range raw {
-			pos := fset.Position(d.Pos)
-			if fd := dirs[pos.Filename]; fd != nil {
-				if dir := fd.idx.Match(pos.Line, a.Name); dir != nil {
-					dir.Used = true
-					continue
-				}
-			}
-			out = append(out, Diagnostic{Analyzer: a.Name, Position: pos, Message: d.Message})
-		}
-	}
-
-	// A suppression that silenced nothing is dead weight that hides
-	// future regressions; report it so it gets removed.
-	for _, fd := range dirs {
-		for _, d := range fd.ds {
-			if !d.Used {
-				out = append(out, Diagnostic{
-					Analyzer: "ceslint",
-					Position: fset.Position(d.Pos),
-					Message:  fmt.Sprintf("unused suppression for %s (nothing on this or the next line triggers it)", d.Analyzer),
-				})
-			}
-		}
-	}
 	return out, nil
 }

@@ -6,12 +6,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 
-	"repro/internal/lint"
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/atomicfield"
 	"repro/internal/lint/load"
 	"repro/internal/lint/runner"
 	"repro/internal/lint/senterr"
@@ -46,151 +43,6 @@ func messages(diags []runner.Diagnostic) []string {
 		out = append(out, d.Analyzer+": "+d.Message)
 	}
 	return out
-}
-
-func TestSuppressionConsumesDiagnostic(t *testing.T) {
-	diags := check(t, `package p
-
-import "errors"
-
-var ErrX = errors.New("x")
-
-func f(err error) bool {
-	return err == ErrX //ceslint:allow senterr unit test exercises suppression
-}
-`, senterr.Analyzer)
-	if len(diags) != 0 {
-		t.Fatalf("suppressed diagnostic leaked: %v", messages(diags))
-	}
-}
-
-func TestUnusedSuppressionReported(t *testing.T) {
-	diags := check(t, `package p
-
-//ceslint:allow senterr nothing here triggers senterr
-func f() {}
-`, senterr.Analyzer)
-	if len(diags) != 1 || diags[0].Analyzer != "ceslint" ||
-		!strings.Contains(diags[0].Message, "unused suppression") {
-		t.Fatalf("diags = %v", messages(diags))
-	}
-}
-
-func TestUnknownAnalyzerInDirectiveReported(t *testing.T) {
-	diags := check(t, `package p
-
-//ceslint:allow nosuchcheck misspelled analyzer names must not silently pass
-func f() {}
-`, senterr.Analyzer)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, `unknown analyzer "nosuchcheck"`) {
-		t.Fatalf("diags = %v", messages(diags))
-	}
-}
-
-func TestMalformedDirectiveReported(t *testing.T) {
-	diags := check(t, `package p
-
-//ceslint:allow senterr
-func f() {}
-`, senterr.Analyzer)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "reason is mandatory") {
-		t.Fatalf("diags = %v", messages(diags))
-	}
-}
-
-func TestSuppressionForOneAnalyzerDoesNotHideAnother(t *testing.T) {
-	// The directive names maporder, so the senterr finding on the same
-	// line must survive, and the maporder directive (running senterr
-	// only here, so "unknown") is flagged too.
-	diags := check(t, `package p
-
-import "errors"
-
-var ErrX = errors.New("x")
-
-func f(err error) bool {
-	return err == ErrX //ceslint:allow nosuch wrong analyzer name
-}
-`, senterr.Analyzer)
-	var sawSenterr, sawUnknown bool
-	for _, d := range diags {
-		if d.Analyzer == "senterr" && strings.Contains(d.Message, "errors.Is") {
-			sawSenterr = true
-		}
-		if strings.Contains(d.Message, "unknown analyzer") {
-			sawUnknown = true
-		}
-	}
-	if !sawSenterr || !sawUnknown {
-		t.Fatalf("diags = %v", messages(diags))
-	}
-}
-
-// TestNewAnalyzerNamesKnownToDirectives pins the directive hygiene
-// contract for the concurrency-and-durability analyzers: a suppression
-// naming lockcheck, durio, gorolife or atomicfield is a known name
-// (never "unknown analyzer"), and when nothing fires it is reported as
-// unused like any other.
-func TestNewAnalyzerNamesKnownToDirectives(t *testing.T) {
-	diags := check(t, `package p
-
-//ceslint:allow lockcheck nothing here holds a lock
-func a() {}
-
-//ceslint:allow durio nothing here renames a file
-func b() {}
-
-//ceslint:allow gorolife nothing here spawns a goroutine
-func c() {}
-
-//ceslint:allow atomicfield nothing here touches an atomic field
-func d() {}
-`, lint.All()...)
-	if len(diags) != 4 {
-		t.Fatalf("got %d diagnostics, want 4 unused suppressions: %v", len(diags), messages(diags))
-	}
-	for _, d := range diags {
-		if d.Analyzer != "ceslint" || !strings.Contains(d.Message, "unused suppression") {
-			t.Fatalf("diags = %v", messages(diags))
-		}
-		if strings.Contains(d.Message, "unknown analyzer") {
-			t.Fatalf("new analyzer name treated as unknown: %v", messages(diags))
-		}
-	}
-}
-
-// TestNewAnalyzerMalformedReasonReported pins the mandatory-reason
-// rule for the new names.
-func TestNewAnalyzerMalformedReasonReported(t *testing.T) {
-	diags := check(t, `package p
-
-//ceslint:allow lockcheck
-func f() {}
-`, lint.All()...)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "reason is mandatory") {
-		t.Fatalf("diags = %v", messages(diags))
-	}
-}
-
-// TestAtomicFieldSuppressionConsumed exercises end-to-end suppression
-// of a new analyzer through the runner (atomicfield is module-wide, so
-// the scratch package is in scope without touching any scope map).
-func TestAtomicFieldSuppressionConsumed(t *testing.T) {
-	diags := check(t, `package p
-
-import "sync/atomic"
-
-type c struct{ n uint64 }
-
-func (x *c) inc() { atomic.AddUint64(&x.n, 1) }
-
-func (x *c) read() uint64 {
-	return x.n //ceslint:allow atomicfield unit test exercises suppression
-}
-`, atomicfield.Analyzer)
-	if len(diags) != 0 {
-		t.Fatalf("suppressed atomicfield diagnostic leaked: %v", messages(diags))
-	}
 }
 
 func TestDiagnosticsSortedByPosition(t *testing.T) {

@@ -16,7 +16,8 @@
 //
 // A sentinel here is any package-level variable of error type whose
 // name starts with Err/err — the universal Go naming convention this
-// repo follows.
+// repo follows — plus context.Canceled and context.DeadlineExceeded,
+// which every layer wraps (%w, JobError, BuildError, RepetitionError).
 package senterr
 
 import (
@@ -66,7 +67,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // sentinelName returns a display name when e refers to a package-level
-// error variable following the Err naming convention.
+// error variable following the Err naming convention, or to one of the
+// context package's two cancellation errors.
 func sentinelName(pass *analysis.Pass, e ast.Expr) string {
 	var id *ast.Ident
 	switch x := e.(type) {
@@ -80,6 +82,9 @@ func sentinelName(pass *analysis.Pass, e ast.Expr) string {
 	obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
 	if !ok || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
 		return ""
+	}
+	if obj.Pkg().Path() == "context" && (obj.Name() == "Canceled" || obj.Name() == "DeadlineExceeded") {
+		return "context." + obj.Name()
 	}
 	if !strings.HasPrefix(obj.Name(), "Err") && !strings.HasPrefix(obj.Name(), "err") {
 		return ""

@@ -3,6 +3,7 @@
 package s
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -71,6 +72,29 @@ func useReplacementOK() error {
 	return ErrNew
 }
 
-func suppressed(err error) bool {
-	return err == ErrQueueFull //ceslint:allow senterr fixture proves the suppression path
+// context.Canceled and context.DeadlineExceeded are sentinels too.
+
+func ctxIdentityCompare(err error) bool {
+	if err == context.Canceled { // want "sentinel context.Canceled compared with =="
+		return true
+	}
+	return err != context.DeadlineExceeded // want "sentinel context.DeadlineExceeded compared with !="
+}
+
+func ctxSwitchIdentity(err error) string {
+	switch err {
+	case context.Canceled: // want "sentinel context.Canceled in a value switch"
+		return "canceled"
+	case nil:
+		return ""
+	}
+	return "other"
+}
+
+func ctxWrapWrongVerb(id string) error {
+	return fmt.Errorf("job %s: %v", id, context.Canceled) // want "sentinel context.Canceled formatted with %v"
+}
+
+func ctxErrorsIsOK(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -212,8 +212,9 @@ func lowerByRank(tr *trace.Trace, coll collectives.Config, cfg Config, sink func
 // inline — and requires the same per-rank finish times, message, byte
 // and event counts, termination and Profile from all, and the same
 // handshake and slot counts from the three programs. Deadlocks (a
-// wildcard receive that stole a match) must agree too. It returns the
-// reference's result.
+// wildcard receive that stole a match) must agree too, and a run that
+// finishes must conserve time exactly (requireTimeConserved). It
+// returns the reference's result.
 func requireMatchesReference(t testing.TB, c fuzzCase) *Result {
 	t.Helper()
 	if err := c.tr.Validate(); err != nil {
@@ -224,6 +225,7 @@ func requireMatchesReference(t testing.TB, c fuzzCase) *Result {
 		t.Fatal(err)
 	}
 	want := referenceRun(flat, c.cfg, c.noise)
+	requireTimeConserved(t, "reference", want)
 	compiled, err := Compile(flat, c.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +255,24 @@ func requireMatchesReference(t testing.TB, c fuzzCase) *Result {
 		requireIdentical(t, label+" engine vs reference", want, got)
 	}
 	return want
+}
+
+// requireTimeConserved requires, for a run that finished and kept a
+// Profile, that each rank's work, detour and wait add up to its finish
+// time to the nanosecond: a rank is always computing, detoured or
+// blocked, so a charge counted twice or not at all shows here.
+func requireTimeConserved(t testing.TB, label string, res *Result) {
+	t.Helper()
+	p := res.Profile
+	if res.Deadlocked || p == nil {
+		return
+	}
+	for r, finish := range res.FinishTimes {
+		if sum := p.PerRankWork[r] + p.PerRankDetour[r] + p.PerRankWait[r]; sum != finish {
+			t.Fatalf("%s: rank %d work %d + detour %d + wait %d = %d, finish time %d",
+				label, r, p.PerRankWork[r], p.PerRankDetour[r], p.PerRankWait[r], sum, finish)
+		}
+	}
 }
 
 // fuzzSeeds are the hand-written seeds; testdata/fuzz holds inputs the

@@ -14,9 +14,10 @@ import (
 	"math/bits"
 )
 
-// splitMix64 advances a SplitMix64 state and returns the next output.
-// It is used only for seeding.
-func splitMix64(state *uint64) uint64 {
+// SplitMix64 advances a SplitMix64 state and returns the next output.
+// The simulator uses it only for seeding; faultinject draws its
+// per-site fire/no-fire streams from it directly.
+func SplitMix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -30,7 +31,7 @@ func splitMix64(state *uint64) uint64 {
 // layer derives its per-cell seeds from it — so every layer that needs
 // "a deterministic number from a key" agrees on one construction.
 func Mix64(x uint64) uint64 {
-	return splitMix64(&x)
+	return SplitMix64(&x)
 }
 
 // Source is a xoshiro256** pseudo-random generator. The zero value is not
@@ -50,7 +51,7 @@ func seeded(seed uint64) Source {
 	var src Source
 	sm := seed
 	for i := range src.s {
-		src.s[i] = splitMix64(&sm)
+		src.s[i] = SplitMix64(&sm)
 	}
 	// The all-zero state is invalid for xoshiro; SplitMix64 cannot emit
 	// four zeros in a row, but guard anyway so the invariant is local.
@@ -75,7 +76,7 @@ func Stream(seed, stream uint64) Source {
 	// Mix the stream id through SplitMix64 before combining so that
 	// consecutive stream ids (0,1,2,...) do not produce correlated seeds.
 	sm := stream
-	mixed := splitMix64(&sm)
+	mixed := SplitMix64(&sm)
 	return seeded(seed ^ (mixed * 0x9e3779b97f4a7c15) ^ (stream << 1))
 }
 
