@@ -15,7 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -113,13 +114,13 @@ func main() {
 		t.AddRow("ce-events", fmt.Sprintf("%d", events))
 	}
 	bySource := sig.MaxDetoursBySource()
-	srcs := make([]string, 0, len(bySource))
+	srcs := make([]mca.Source, 0, len(bySource))
 	for src := range bySource {
 		srcs = append(srcs, src)
 	}
-	sort.Strings(srcs)
+	slices.SortFunc(srcs, func(a, b mca.Source) int { return strings.Compare(a.String(), b.String()) })
 	for _, src := range srcs {
-		t.AddRow("max["+src+"]", report.Nanos(bySource[src]))
+		t.AddRow("max["+src.String()+"]", report.Nanos(bySource[src]))
 	}
 	if err := t.WriteASCII(os.Stdout); err != nil {
 		fatal(err)

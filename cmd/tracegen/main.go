@@ -14,7 +14,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -198,7 +197,7 @@ func main() {
 		if *format == "text" || strings.HasSuffix(*output, ".txt") {
 			write = trace.WriteText
 		}
-		if err := writeFile(*output, func(w io.Writer) error { return write(w, tr) }); err != nil {
+		if err := report.WriteFile(*output, func(w io.Writer) error { return write(w, tr) }); err != nil {
 			fatal(fmt.Errorf("writing %s: %w", *output, err))
 		}
 		fmt.Fprintf(os.Stderr, "tracegen: wrote %s (%d ranks, %d ops)\n", *output, tr.NumRanks(), tr.NumOps())
@@ -258,24 +257,11 @@ func exportFaultMix(arg, output, tenant string, events, nodes int, mtbceNanos in
 	if output == "" {
 		return export(os.Stdout)
 	}
-	if err := writeFile(output, export); err != nil {
+	if err := report.WriteFile(output, export); err != nil {
 		return fmt.Errorf("writing %s: %w", output, err)
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: wrote %s (%d CE events, %d nodes, mix %s)\n", output, total, nodes, s)
 	return nil
-}
-
-// writeFile creates path and fills it with write. A failed close is an
-// error like a failed write: the file may not hold what write produced.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		return errors.Join(err, f.Close())
-	}
-	return f.Close()
 }
 
 // fatal prints err as one "tracegen: " line and exits 1. Errors from

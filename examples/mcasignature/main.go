@@ -33,7 +33,7 @@ func main() {
 		if d.Dur < 1_000_000 {
 			continue
 		}
-		t.AddRow(report.Nanos(d.Start), report.Nanos(d.Dur), d.Source)
+		t.AddRow(report.Nanos(d.Start), report.Nanos(d.Dur), d.Source.String())
 	}
 	if err := t.WriteASCII(os.Stdout); err != nil {
 		log.Fatal(err)

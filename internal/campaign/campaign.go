@@ -7,7 +7,6 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -201,7 +200,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	if err := writeFile(filepath.Join(cfg.OutDir, "MANIFEST.txt"), res.Manifest.WriteASCII); err != nil {
+	if err := report.WriteFile(filepath.Join(cfg.OutDir, "MANIFEST.txt"), res.Manifest.WriteASCII); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -219,23 +218,10 @@ func write(dir, name string, txt, csv, js func(io.Writer) error) ([]string, erro
 		if f.write == nil {
 			continue
 		}
-		if err := writeFile(filepath.Join(dir, name+f.ext), f.write); err != nil {
+		if err := report.WriteFile(filepath.Join(dir, name+f.ext), f.write); err != nil {
 			return nil, err
 		}
 		files = append(files, name+f.ext)
 	}
 	return files, nil
-}
-
-// writeFile creates path and fills it with write. A failed close is an
-// error like a failed write: the file may not hold what write produced.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		return errors.Join(err, f.Close())
-	}
-	return f.Close()
 }

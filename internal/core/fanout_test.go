@@ -320,7 +320,7 @@ func TestIdleRunStatesBounded(t *testing.T) {
 		if n := len(idleSims(e)); n != 2 {
 			t.Errorf("%d idle run states after releasing 5 at GOMAXPROCS=2, want 2", n)
 		}
-		if _, err := e.RunRepeatedParallel(chaosScenario(), 16, 8); err != nil {
+		if _, err := e.RunRepeatedParallelContext(context.Background(), chaosScenario(), 16, 8); err != nil {
 			t.Error(err)
 		}
 		if n := len(idleSims(e)); n > 2 {

@@ -26,10 +26,10 @@ func findRows(f *Figure, match func(Row) bool) []Row {
 	return out
 }
 
-// TestFigure2Signatures runs Fig. 2 on 4 of the Blake node's
-// 48 cores: the full node's five retained signatures are over 3.5 GiB
-// resident. The full-scale Fig. 2 is examples/mcasignature's stdout
-// golden, byte for byte.
+// TestFigure2Signatures runs Fig. 2 on 4 of the Blake node's 48 cores.
+// The full-scale Fig. 2 is examples/mcasignature's stdout golden, byte
+// for byte; a second full-scale run here would add ~20 s to every
+// go test ./... .
 func TestFigure2Signatures(t *testing.T) {
 	sigs, table, err := figure2(mca.Config{Seed: 1, Cores: 4})
 	if err != nil {

@@ -105,18 +105,13 @@ func runRepetitions(ctx context.Context, tasks []rowTask, reps, workers int) ([]
 	return out, nil
 }
 
-// RunRepeatedParallel is RunRepeated with repetitions fanned out over
-// worker goroutines sharing the experiment's compiled program; results
-// are accumulated in seed order, making the sample identical to the
-// sequential version. workers <= 0 selects GOMAXPROCS.
-func (e *Experiment) RunRepeatedParallel(sc Scenario, reps, workers int) (*Repeated, error) {
-	return e.RunRepeatedParallelContext(context.Background(), sc, reps, workers)
-}
-
-// RunRepeatedParallelContext is RunRepeatedParallel honoring a context:
-// cancellation or deadline expiry is observed between repetitions and
-// surfaces as ctx.Err(). With an unexpired context the result is
-// bit-identical to RunRepeated.
+// RunRepeatedParallelContext is RunRepeated with repetitions fanned out
+// over worker goroutines sharing the experiment's compiled program;
+// results are accumulated in seed order, making the sample identical to
+// the sequential version. workers <= 0 selects GOMAXPROCS. Cancellation
+// or deadline expiry is observed between repetitions and surfaces as
+// ctx.Err(). With an unexpired context the result is bit-identical to
+// RunRepeated.
 func (e *Experiment) RunRepeatedParallelContext(ctx context.Context, sc Scenario, reps, workers int) (*Repeated, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

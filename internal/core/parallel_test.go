@@ -20,7 +20,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := e.RunRepeatedParallel(sc, 6, 4)
+	par, err := e.RunRepeatedParallelContext(context.Background(), sc, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelSingleWorkerDelegates(t *testing.T) {
 	e := smallExp(t, "minife")
 	sc := Scenario{MTBCE: 50 * nsPerMs, PerEvent: noise.Fixed(nsPerMs), Target: noise.AllNodes, Seed: 3}
-	a, err := e.RunRepeatedParallel(sc, 3, 1)
+	a, err := e.RunRepeatedParallelContext(context.Background(), sc, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestParallelSingleWorkerDelegates(t *testing.T) {
 func TestParallelSaturationShortCircuits(t *testing.T) {
 	e := smallExp(t, "minife")
 	sc := Scenario{MTBCE: 10 * nsPerMs, PerEvent: noise.Fixed(133 * nsPerMs), Target: noise.AllNodes, Seed: 1}
-	rep, err := e.RunRepeatedParallel(sc, 4, 2)
+	rep, err := e.RunRepeatedParallelContext(context.Background(), sc, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestParallelSaturationShortCircuits(t *testing.T) {
 
 func TestParallelBadReps(t *testing.T) {
 	e := smallExp(t, "minife")
-	if _, err := e.RunRepeatedParallel(Scenario{MTBCE: nsPerS, PerEvent: noise.Fixed(1)}, 0, 2); err == nil {
+	if _, err := e.RunRepeatedParallelContext(context.Background(), Scenario{MTBCE: nsPerS, PerEvent: noise.Fixed(1)}, 0, 2); err == nil {
 		t.Fatal("0 reps accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestParallelBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got, err := e.RunRepeatedParallel(sc, reps, workers)
+		got, err := e.RunRepeatedParallelContext(context.Background(), sc, reps, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -105,7 +105,7 @@ func TestParallelErrorSurfaces(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		rep, err := e.RunRepeatedParallel(sc, 8, 4)
+		rep, err := e.RunRepeatedParallelContext(context.Background(), sc, 8, 4)
 		done <- result{rep, err}
 	}()
 	select {
@@ -145,7 +145,7 @@ func TestParallelContextCanceled(t *testing.T) {
 func TestParallelDefaultWorkers(t *testing.T) {
 	e := smallExp(t, "minife")
 	sc := Scenario{MTBCE: 100 * nsPerMs, PerEvent: noise.Fixed(nsPerMs), Target: noise.AllNodes, Seed: 5}
-	rep, err := e.RunRepeatedParallel(sc, 3, 0) // workers = GOMAXPROCS
+	rep, err := e.RunRepeatedParallelContext(context.Background(), sc, 3, 0) // workers = GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestRepetitionPanicRetriedBitIdentical(t *testing.T) {
 	if err := faultinject.Arm(panicBudget); err != nil {
 		t.Fatal(err)
 	}
-	gotPar, err := e.RunRepeatedParallel(sc, reps, 4)
+	gotPar, err := e.RunRepeatedParallelContext(context.Background(), sc, reps, 4)
 	if err != nil {
 		t.Fatalf("faulted parallel run failed: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestRepetitionErrorRetried(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.RunRepeatedParallel(sc, 6, 3)
+	got, err := e.RunRepeatedParallelContext(context.Background(), sc, 6, 3)
 	if err != nil {
 		t.Fatalf("faulted run failed: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestSaturatedRepsAccountingWithRetries(t *testing.T) {
 	const reps = 8
 	for name, run := range map[string]func() (*Repeated, error){
 		"sequential": func() (*Repeated, error) { return e.RunRepeated(satSc, reps) },
-		"parallel":   func() (*Repeated, error) { return e.RunRepeatedParallel(satSc, reps, 4) },
+		"parallel":   func() (*Repeated, error) { return e.RunRepeatedParallelContext(context.Background(), satSc, reps, 4) },
 	} {
 		if err := faultinject.Arm(errBudget); err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestSaturatedRepsAccountingWithRetries(t *testing.T) {
 	if err := faultinject.Arm(errBudget); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.RunRepeatedParallel(chaosScenario(), reps, 4)
+	rep, err := e.RunRepeatedParallelContext(context.Background(), chaosScenario(), reps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package core
 // the reported statistics. Invariant: Sample.N() + SaturatedReps == Reps.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestRunRepeatedParallelMixedSaturationParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		par, err := e.RunRepeatedParallel(mixedSatScenario(), reps, workers)
+		par, err := e.RunRepeatedParallelContext(context.Background(), mixedSatScenario(), reps, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -90,18 +90,18 @@ func (s Spec) StormPerEventNanos(seed uint64, mode mca.Mode) (int64, error) {
 			// A CMCI lands on one core; polls replace interrupts
 			// during a storm. Both interrupt whichever core the
 			// application rank shares.
-			if d.Source == "cmci" || d.Source == "cmci-poll" {
+			if d.Source == mca.CMCI || d.Source == mca.CMCIPoll {
 				total += d.Dur
 			}
 		case mca.Firmware:
 			// SMIs halt every core; count one core's view so the
 			// cost is per-CE per-core, comparable to the software
 			// path.
-			if d.Core == 0 && (d.Source == "smi" || d.Source == "decode") {
+			if d.Core == 0 && (d.Source == mca.SMI || d.Source == mca.Decode) {
 				total += d.Dur
 			}
 		case mca.CorrectionOnly:
-			if d.Source == "correction" {
+			if d.Source == mca.Correction {
 				total += d.Dur
 			}
 		default:

@@ -2,7 +2,8 @@
 // drained by a fixed worker pool, with per-job deadlines, cooperative
 // cancellation and a graceful drain for SIGTERM handling. Simulation
 // requests accepted by internal/server become jobs here; the heavy
-// lifting inside a job fans out further via core.RunRepeatedParallel.
+// lifting inside a job fans out further via
+// core.RunRepeatedParallelContext.
 //
 // The pool is self-healing: a panicking job body is recovered and
 // converted into a typed *JobError with the goroutine stack captured
@@ -142,10 +143,6 @@ type Config struct {
 var (
 	// ErrQueueFull reports a bounded queue at capacity. Callers (the
 	// HTTP layer) match it with errors.Is to answer 429.
-	//
-	// The deprecated ErrFull alias was removed after its one-release
-	// grace period; senterr.DeprecatedAliases still maps it so any
-	// reintroduction is flagged by the lint suite.
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrDraining reports a queue that stopped accepting work.
 	ErrDraining = errors.New("jobs: queue draining")

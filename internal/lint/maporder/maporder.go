@@ -8,9 +8,10 @@
 // not associative; emitted rows and hashed bytes change order per
 // process). The fix is the sorted-keys idiom used by
 // campaign.RunContext: collect the keys, sort, then range the sorted
-// slice. A loop that does exactly that — only collects the range keys
-// into a slice that is sorted later in the same block — is recognized
-// and not flagged.
+// slice. A loop whose only order-sensitive work is appending to one
+// slice that a later statement of an enclosing block sorts — keys, or
+// values as faultinject.Snapshot collects them — is recognized and not
+// flagged.
 package maporder
 
 import (
@@ -108,7 +109,7 @@ func checkRange(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node) {
 	if len(sinks) == 0 {
 		return
 	}
-	if onlySortedKeyCollection(pass, rs, sinks, stack) {
+	if onlySortedCollection(pass, rs, sinks, stack) {
 		return
 	}
 	for _, s := range sinks {
@@ -122,20 +123,16 @@ type sink struct {
 	pos  token.Pos
 	what string
 	// appendTo is the outer slice object for append sinks (nil
-	// otherwise); appendsOnlyKey records whether every appended value
-	// is exactly the range key — together they drive the sorted-keys
-	// exemption.
-	appendTo       types.Object
-	appendsOnlyKey bool
+	// otherwise); it drives the sorted-collection exemption.
+	appendTo types.Object
 }
 
 func collectSinks(pass *analysis.Pass, rs *ast.RangeStmt) []sink {
 	var sinks []sink
-	keyObj := rangeVarObj(pass, rs.Key)
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			sinks = append(sinks, assignSinks(pass, rs, n, keyObj)...)
+			sinks = append(sinks, assignSinks(pass, rs, n)...)
 		case *ast.CallExpr:
 			if s, ok := callSink(pass, n); ok {
 				sinks = append(sinks, s)
@@ -146,20 +143,9 @@ func collectSinks(pass *analysis.Pass, rs *ast.RangeStmt) []sink {
 	return sinks
 }
 
-func rangeVarObj(pass *analysis.Pass, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj := pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Uses[id]
-}
-
 // assignSinks finds appends to outer slices and float accumulation
 // into outer variables.
-func assignSinks(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt, keyObj types.Object) []sink {
+func assignSinks(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt) []sink {
 	var sinks []sink
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
@@ -181,10 +167,9 @@ func assignSinks(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt, key
 					continue
 				}
 				sinks = append(sinks, sink{
-					pos:            as.Pos(),
-					what:           "appends to outer slice " + exprString(lhs),
-					appendTo:       obj,
-					appendsOnlyKey: appendsOnlyKey(pass, call, keyObj),
+					pos:      as.Pos(),
+					what:     "appends to outer slice " + exprString(lhs),
+					appendTo: obj,
 				})
 				continue
 			}
@@ -237,13 +222,14 @@ func callSink(pass *analysis.Pass, call *ast.CallExpr) (sink, bool) {
 	return sink{}, false
 }
 
-// onlySortedKeyCollection reports whether every sink is an append of
-// exactly the range key into one outer slice that a later statement in
-// an enclosing block sorts — the canonical deterministic idiom.
-func onlySortedKeyCollection(pass *analysis.Pass, rs *ast.RangeStmt, sinks []sink, stack []ast.Node) bool {
+// onlySortedCollection reports whether every sink is an append into
+// one outer slice that a later statement in an enclosing block sorts —
+// the canonical deterministic idiom, whether the loop collects keys or
+// values.
+func onlySortedCollection(pass *analysis.Pass, rs *ast.RangeStmt, sinks []sink, stack []ast.Node) bool {
 	var target types.Object
 	for _, s := range sinks {
-		if s.appendTo == nil || !s.appendsOnlyKey {
+		if s.appendTo == nil {
 			return false
 		}
 		if target == nil {
@@ -358,28 +344,6 @@ func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
 	obj := pass.TypesInfo.Uses[id]
 	b, ok := obj.(*types.Builtin)
 	return ok && b.Name() == "append"
-}
-
-// appendsOnlyKey reports whether every appended element is exactly the
-// range key identifier.
-func appendsOnlyKey(pass *analysis.Pass, call *ast.CallExpr, keyObj types.Object) bool {
-	if keyObj == nil || len(call.Args) < 2 {
-		return false
-	}
-	for _, arg := range call.Args[1:] {
-		id, ok := arg.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		obj := pass.TypesInfo.Uses[id]
-		if obj == nil {
-			obj = pass.TypesInfo.Defs[id]
-		}
-		if obj != keyObj {
-			return false
-		}
-	}
-	return true
 }
 
 func mentionsObj(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {

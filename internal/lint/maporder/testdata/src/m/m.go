@@ -44,6 +44,32 @@ func sortedViaSlices(in map[int]string) []int {
 	return keys
 }
 
+type siteStats struct {
+	Site  string
+	Fired int
+}
+
+type snapshot struct{ Sites []siteStats }
+
+func sortedValuesIdiom(in map[string]int) snapshot {
+	// Values appended in map order, then sorted: faultinject.Snapshot.
+	var st snapshot
+	for site, fired := range in {
+		st.Sites = append(st.Sites, siteStats{Site: site, Fired: fired})
+	}
+	sort.Slice(st.Sites, func(i, j int) bool { return st.Sites[i].Site < st.Sites[j].Site })
+	return st
+}
+
+func valuesSortedElsewhere(in map[string]int) ([]int, []int) {
+	var vals, other []int
+	for _, v := range in {
+		vals = append(vals, v) // want "appends to outer slice vals"
+	}
+	sort.Ints(other)
+	return vals, other
+}
+
 func floatAccumulate(in map[string]float64) float64 {
 	var total float64
 	for _, v := range in {

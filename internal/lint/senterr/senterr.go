@@ -3,7 +3,7 @@
 // The service layers deliberately wrap every failure (%w, *JobError,
 // *BuildError, *RepetitionError), so sentinel errors such as
 // jobs.ErrQueueFull, server.ErrShed, cluster.ErrEpochMismatch and
-// stats.ErrEmptySample only match through errors.Is. Four patterns
+// stats.ErrEmptySample only match through errors.Is. Three patterns
 // defeat that contract and are flagged:
 //
 //   - comparing a sentinel with == or != (or a case clause in a value
@@ -11,8 +11,7 @@
 //   - matching on error text (err.Error() compared or fed to strings
 //     predicates), which breaks on any reworded message;
 //   - passing a sentinel to fmt.Errorf under a verb other than %w,
-//     which erases the chain errors.Is needs;
-//   - referencing a deprecated sentinel alias (DeprecatedAliases).
+//     which erases the chain errors.Is needs.
 //
 // A sentinel here is any package-level variable of error type whose
 // name starts with Err/err — the universal Go naming convention this
@@ -37,15 +36,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// DeprecatedAliases maps "pkgpath.Name" of retired sentinel aliases to
-// the replacement to suggest. Entries outlive the alias itself:
-// jobs.ErrFull has been deleted from the codebase, and its entry stays
-// so any reintroduction (or a stale branch referencing it) is flagged
-// immediately. Tests may add fixture entries.
-var DeprecatedAliases = map[string]string{
-	"repro/internal/jobs.ErrFull": "jobs.ErrQueueFull",
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -57,8 +47,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			case *ast.CallExpr:
 				checkStringMatch(pass, n)
 				checkWrapVerb(pass, n)
-			case *ast.Ident:
-				checkDeprecated(pass, n)
 			}
 			return true
 		})
@@ -248,16 +236,4 @@ func scanVerbs(format string) ([]byte, bool) {
 		}
 	}
 	return verbs, true
-}
-
-// checkDeprecated flags uses of retired sentinel aliases.
-func checkDeprecated(pass *analysis.Pass, id *ast.Ident) {
-	obj := pass.TypesInfo.Uses[id]
-	if obj == nil || obj.Pkg() == nil {
-		return
-	}
-	key := obj.Pkg().Path() + "." + obj.Name()
-	if repl, ok := DeprecatedAliases[key]; ok {
-		pass.Reportf(id.Pos(), "deprecated sentinel alias %s; use %s (the alias is slated for removal)", obj.Name(), repl)
-	}
 }

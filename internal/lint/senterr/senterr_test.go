@@ -9,7 +9,5 @@ import (
 )
 
 func TestSentErr(t *testing.T) {
-	senterr.DeprecatedAliases["s.ErrOld"] = "s.ErrNew"
-	defer delete(senterr.DeprecatedAliases, "s.ErrOld")
 	analysistest.Run(t, filepath.Join("testdata", "src", "s"), senterr.Analyzer)
 }

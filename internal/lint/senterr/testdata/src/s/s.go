@@ -13,8 +13,6 @@ import (
 var (
 	ErrQueueFull = errors.New("queue full")
 	errInternal  = errors.New("internal")
-	ErrOld       = errors.New("old") // deprecated alias registered by the test
-	ErrNew       = errors.New("new")
 )
 
 func eqCompare(err error) bool {
@@ -62,14 +60,6 @@ func wrapRightVerbOK(id string) error {
 
 func errorsIsOK(err error) bool {
 	return errors.Is(err, ErrQueueFull) || errors.Is(err, errInternal)
-}
-
-func useDeprecated() error {
-	return ErrOld // want "deprecated sentinel alias ErrOld"
-}
-
-func useReplacementOK() error {
-	return ErrNew
 }
 
 // context.Canceled and context.DeadlineExceeded are sentinels too.

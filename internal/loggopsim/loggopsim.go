@@ -342,17 +342,24 @@ func (s *Simulator) reset(nm noise.Model) {
 
 // Run replays the trace under the given noise model (nil means no
 // noise) and returns a freshly allocated result. A deadlock returns a
-// non-nil error alongside the partial result. Internal state is reset
-// and reused across calls; previously returned Results are never
-// mutated.
+// non-nil error alongside the partial result. An event popped earlier
+// than the one before it is an error too: the engine never schedules
+// into the past, so only a queue that breaks time order can do that.
+// Internal state is reset and reused across calls; previously returned
+// Results are never mutated.
 func (s *Simulator) Run(nm noise.Model) (*Result, error) {
 	s.reset(nm)
 	// Kick every rank at t=0.
 	for r := range s.ranks {
 		s.advance(int32(r))
 	}
+	var last int64
 	for s.q.Len() > 0 {
 		e := s.q.Pop()
+		if e.Time < last {
+			return nil, fmt.Errorf("loggopsim: event queue popped t=%d after t=%d", e.Time, last)
+		}
+		last = e.Time
 		s.res.Events++
 		switch e.Kind {
 		case evEagerArrive:

@@ -51,7 +51,7 @@ const (
 	// Software: OS decodes and logs each CE from a CMCI handler.
 	Software
 	// Firmware: EMCA firmware-first; each CE raises an SMI on all
-	// cores, every FirmwareThreshold-th CE pays the firmware decode.
+	// cores, every tenth CE pays the firmware decode.
 	Firmware
 )
 
@@ -82,6 +82,24 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("mca: unknown mode %q", s)
 }
 
+// The node's calibration to the paper's Blake measurements, in ns. The
+// Fig. 2 goldens pin these values.
+const (
+	threshold         = 150              // selfish detour threshold
+	tickPeriod        = int64(1e6)       // OS timer tick, CONFIG_HZ=1000
+	tickCost          = 1500             // ~1.5 us timer tick handler
+	schedPeriod       = 4 * int64(1e6)   // scheduler housekeeping period
+	schedCost         = 4000             // ~4 us scheduler housekeeping
+	dryRunCost        = 3000             // ~3 us of sysfs EINJ configuration writes
+	correctionCost    = 150              // pure ECC correction latency, the paper's hardware cost
+	cmciCost          = 700 * int64(1e3) // ~700 us OS decode+log in the CMCI handler (Fig. 2c)
+	smiCost           = 7 * int64(1e6)   // ~7 ms SMI broadcast halt, all cores (Fig. 2d)
+	decodeCost        = 500 * int64(1e6) // ~500 ms firmware decode+log, all cores (Fig. 2d)
+	firmwareThreshold = 10               // firmware decodes and logs every Nth CE
+	pollInterval      = int64(1e9)       // CMCI polling cadence during a storm
+	pollCost          = cmciCost         // a poll decodes like a CMCI handler
+)
+
 // Config describes the measurement scenario. Zero fields take the Blake
 // defaults (see Defaults).
 type Config struct {
@@ -90,8 +108,7 @@ type Config struct {
 	Cores    int   // cores running selfish (Blake: 48 of 96)
 	Duration int64 // measured window, ns
 
-	InjectPeriod      int64 // time between EINJ injections (paper: 10 s)
-	FirmwareThreshold int   // firmware logs every Nth CE (paper: 10)
+	InjectPeriod int64 // time between EINJ injections (paper: 10 s)
 
 	// BurstLen injects this many CEs back to back (BurstSpacing apart)
 	// at each injection point instead of a single error, emulating the
@@ -101,36 +118,13 @@ type Config struct {
 
 	// StormThreshold enables the Linux CMCI storm mitigation in
 	// Software mode: after this many CMCIs within one second the
-	// kernel disables the interrupt and falls back to polling every
-	// PollInterval (PollCost per poll) until the storm subsides.
-	// Zero disables storm handling (every CE raises a CMCI).
+	// kernel disables the interrupt and falls back to polling once a
+	// second until the storm subsides. Zero disables storm handling
+	// (every CE raises a CMCI).
 	StormThreshold int
-	PollInterval   int64 // polling cadence during a storm
-	PollCost       int64 // handler cost per poll
-
-	Threshold int64 // selfish detour threshold (paper: 150 ns)
-	// SampleLoopNs models the selfish sampling loop explicitly: the
-	// benchmark reads the TSC every SampleLoopNs; a steal is observed
-	// as the gap between consecutive reads minus the loop cost, so
-	// observed durations carry up to one loop iteration of
-	// quantization and detours are timestamped on the sample grid.
-	// Zero uses the idealized detector (exact steal intervals).
-	SampleLoopNs int64
-
-	// Component costs; zero means the Blake-calibrated default.
-	TickPeriod     int64 // OS timer tick period
-	TickCost       int64 // timer tick handler cost
-	SchedPeriod    int64 // scheduler housekeeping period
-	SchedCost      int64 // scheduler housekeeping cost
-	DryRunCost     int64 // sysfs configuration writes
-	CorrectionCost int64 // pure ECC correction latency
-	CMCICost       int64 // OS decode+log in the CMCI handler
-	SMICost        int64 // SMI broadcast halt, all cores
-	DecodeCost     int64 // firmware decode+log, all cores
 }
 
-// Defaults fills zero fields with values calibrated to the paper's Blake
-// measurements.
+// Defaults fills zero fields with the Blake measurement's values.
 func (c Config) Defaults() Config {
 	def := func(v *int64, d int64) {
 		if *v == 0 {
@@ -142,25 +136,10 @@ func (c Config) Defaults() Config {
 	}
 	def(&c.Duration, 120*int64(1e9)) // 2 minutes
 	def(&c.InjectPeriod, 10*int64(1e9))
-	if c.FirmwareThreshold == 0 {
-		c.FirmwareThreshold = 10
-	}
-	def(&c.Threshold, 150)
-	def(&c.TickPeriod, int64(1e6)) // CONFIG_HZ=1000
-	def(&c.TickCost, 1500)         // ~1.5 us
-	def(&c.SchedPeriod, 4*int64(1e6))
-	def(&c.SchedCost, 4000)            // ~4 us
-	def(&c.DryRunCost, 3000)           // ~3 us of sysfs writes
-	def(&c.CorrectionCost, 150)        // 150 ns, the paper's hardware cost
-	def(&c.CMCICost, 700*int64(1e3))   // ~700 us (Fig. 2c)
-	def(&c.SMICost, 7*int64(1e6))      // ~7 ms (Fig. 2d)
-	def(&c.DecodeCost, 500*int64(1e6)) // ~500 ms (Fig. 2d)
 	if c.BurstLen == 0 {
 		c.BurstLen = 1
 	}
 	def(&c.BurstSpacing, int64(1e6)) // 1 ms between CEs in a burst
-	def(&c.PollInterval, int64(1e9)) // poll once per second in a storm
-	def(&c.PollCost, c.CMCICost)     // decoding work is the same
 	return c
 }
 
@@ -184,12 +163,38 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Detour is one detected interruption of the application.
+// Source names what took a core from the application.
+type Source uint8
+
+// Sources, one per kind of steal the node model produces.
+const (
+	Tick       Source = iota // OS timer tick
+	Sched                    // scheduler housekeeping
+	EINJConfig               // the injector's sysfs writes
+	Correction               // in-hardware ECC correction
+	CMCI                     // OS decode+log in the CMCI handler
+	CMCIPoll                 // a poll standing in for CMCIs during a storm
+	SMI                      // SMM entry, all cores halted
+	Decode                   // firmware decode+log in SMM, all cores halted
+)
+
+var sourceNames = [...]string{"tick", "sched", "einj-config", "correction", "cmci", "cmci-poll", "smi", "decode"}
+
+// String returns the source's label in cmd/mcasig's output.
+func (s Source) String() string {
+	if int(s) < len(sourceNames) {
+		return sourceNames[s]
+	}
+	return fmt.Sprintf("source(%d)", int(s))
+}
+
+// Detour is one detected interruption of the application, or before
+// detection one raw steal.
 type Detour struct {
 	Start  int64 // ns since measurement start
 	Dur    int64 // ns
 	Core   int32
-	Source string // "tick", "sched", "einj-config", "correction", "cmci", "smi", "decode"
+	Source Source
 }
 
 // Signature is the result of one measurement run.
@@ -247,11 +252,11 @@ func (s *Signature) CoreDetours(core int32) []Detour {
 	return out
 }
 
-// MaxDetoursBySource returns, per source label, the maximum single
-// detour duration — the quantity the paper reads off Fig. 2 ("the
-// tallest bars ... represent the cost of decoding and logging").
-func (s *Signature) MaxDetoursBySource() map[string]int64 {
-	out := map[string]int64{}
+// MaxDetoursBySource returns, per source, the maximum single detour
+// duration — the quantity the paper reads off Fig. 2 ("the tallest bars
+// ... represent the cost of decoding and logging").
+func (s *Signature) MaxDetoursBySource() map[Source]int64 {
+	out := map[Source]int64{}
 	for _, d := range s.Detours {
 		if d.Dur > out[d.Source] {
 			out[d.Source] = d.Dur
@@ -260,23 +265,22 @@ func (s *Signature) MaxDetoursBySource() map[string]int64 {
 	return out
 }
 
-// steal is an internal raw interruption before detection.
-type steal struct {
-	start, dur int64
-	core       int32
-	source     string
-}
-
 // Run simulates the node and returns the detected noise signature.
 func Run(cfg Config) (*Signature, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return detect(cfg, steals(cfg)), nil
+}
+
+// steals returns the raw steals of every core over the window, in the
+// order the node model draws them.
+func steals(cfg Config) []Detour {
 	src := rng.New(cfg.Seed)
 	// Preallocate: background ticks dominate the count.
-	est := int(int64(cfg.Cores)*(cfg.Duration/cfg.TickPeriod+cfg.Duration/cfg.SchedPeriod)) + 1024
-	steals := make([]steal, 0, est)
+	est := int(int64(cfg.Cores)*(cfg.Duration/tickPeriod+cfg.Duration/schedPeriod)) + 1024
+	out := make([]Detour, 0, est)
 
 	jitter := func(base int64, frac float64) int64 {
 		span := float64(base) * frac
@@ -285,13 +289,13 @@ func Run(cfg Config) (*Signature, error) {
 
 	// Background OS noise on every core.
 	for core := int32(0); core < int32(cfg.Cores); core++ {
-		phase := int64(src.Float64() * float64(cfg.TickPeriod))
-		for t := phase; t < cfg.Duration; t += cfg.TickPeriod {
-			steals = append(steals, steal{start: t, dur: jitter(cfg.TickCost, 0.3), core: core, source: "tick"})
+		phase := int64(src.Float64() * float64(tickPeriod))
+		for t := phase; t < cfg.Duration; t += tickPeriod {
+			out = append(out, Detour{Start: t, Dur: jitter(tickCost, 0.3), Core: core, Source: Tick})
 		}
-		phase = int64(src.Float64() * float64(cfg.SchedPeriod))
-		for t := phase; t < cfg.Duration; t += cfg.SchedPeriod {
-			steals = append(steals, steal{start: t, dur: jitter(cfg.SchedCost, 0.4), core: core, source: "sched"})
+		phase = int64(src.Float64() * float64(schedPeriod))
+		for t := phase; t < cfg.Duration; t += schedPeriod {
+			out = append(out, Detour{Start: t, Dur: jitter(schedCost, 0.4), Core: core, Source: Sched})
 		}
 	}
 
@@ -304,17 +308,17 @@ func Run(cfg Config) (*Signature, error) {
 		for t := cfg.InjectPeriod; t < cfg.Duration; t += cfg.InjectPeriod {
 			// The injector utility runs on core 0 and configures EINJ
 			// through sysfs in every non-native mode.
-			steals = append(steals, steal{start: t, dur: jitter(cfg.DryRunCost, 0.3), core: 0, source: "einj-config"})
+			out = append(out, Detour{Start: t, Dur: jitter(dryRunCost, 0.3), Core: 0, Source: EINJConfig})
 			if cfg.Mode == DryRun {
 				continue
 			}
-			trigger := t + cfg.DryRunCost
+			trigger := t + dryRunCost
 			switch cfg.Mode {
 			case CorrectionOnly:
 				// ECC correction stalls the accessing core only,
 				// beneath the detector threshold at default settings.
 				for b := 0; b < cfg.BurstLen; b++ {
-					steals = append(steals, steal{start: trigger + int64(b)*cfg.BurstSpacing, dur: cfg.CorrectionCost, core: 0, source: "correction"})
+					out = append(out, Detour{Start: trigger + int64(b)*cfg.BurstSpacing, Dur: correctionCost, Core: 0, Source: Correction})
 				}
 			case Software:
 				// CMCI delivered to one core; the handler decodes and
@@ -329,7 +333,7 @@ func Run(cfg Config) (*Signature, error) {
 						continue
 					}
 					core := int32(injection % cfg.Cores)
-					steals = append(steals, steal{start: at, dur: jitter(cfg.CMCICost, 0.1), core: core, source: "cmci"})
+					out = append(out, Detour{Start: at, Dur: jitter(cmciCost, 0.1), Core: core, Source: CMCI})
 					if cfg.StormThreshold > 0 {
 						cmciTimes = append(cmciTimes, at)
 						recent := 0
@@ -342,14 +346,14 @@ func Run(cfg Config) (*Signature, error) {
 							// Mask CMCI until the burst is over plus a
 							// quiet second, and poll through the storm.
 							stormUntil = trigger + int64(cfg.BurstLen)*cfg.BurstSpacing + int64(1e9)
-							pollStart = at + cfg.PollInterval
+							pollStart = at + pollInterval
 						}
 					}
 					injection++
 				}
 				if pollStart >= 0 {
-					for at := pollStart; at < stormUntil && at < cfg.Duration; at += cfg.PollInterval {
-						steals = append(steals, steal{start: at, dur: jitter(cfg.PollCost, 0.1), core: 0, source: "cmci-poll"})
+					for at := pollStart; at < stormUntil && at < cfg.Duration; at += pollInterval {
+						out = append(out, Detour{Start: at, Dur: jitter(pollCost, 0.1), Core: 0, Source: CMCIPoll})
 					}
 				}
 				continue
@@ -358,16 +362,16 @@ func Run(cfg Config) (*Signature, error) {
 				// every CE in a burst raises its own SMI.
 				for b := 0; b < cfg.BurstLen; b++ {
 					at := trigger + int64(b)*cfg.BurstSpacing
-					smi := jitter(cfg.SMICost, 0.05)
+					smi := jitter(smiCost, 0.05)
 					for core := int32(0); core < int32(cfg.Cores); core++ {
-						steals = append(steals, steal{start: at, dur: smi, core: core, source: "smi"})
+						out = append(out, Detour{Start: at, Dur: smi, Core: core, Source: SMI})
 					}
 					// Every Nth CE the firmware decodes and logs, still
 					// in SMM: all cores remain halted.
-					if (injection+1)%cfg.FirmwareThreshold == 0 {
-						dec := jitter(cfg.DecodeCost, 0.05)
+					if (injection+1)%firmwareThreshold == 0 {
+						dec := jitter(decodeCost, 0.05)
 						for core := int32(0); core < int32(cfg.Cores); core++ {
-							steals = append(steals, steal{start: at + smi, dur: dec, core: core, source: "decode"})
+							out = append(out, Detour{Start: at + smi, Dur: dec, Core: core, Source: Decode})
 						}
 					}
 					injection++
@@ -378,61 +382,52 @@ func Run(cfg Config) (*Signature, error) {
 		}
 	}
 
-	return detect(cfg, steals), nil
+	return out
 }
 
 // detect runs the selfish-style detector: per core, coalesce overlapping
 // steals and report every resulting detour whose duration is at least
-// the threshold. Both sorts are unstable and their tie order reaches the
-// output (equal-length steals keep the first one's source; sampled
-// starts collide on the grid), so the figure goldens pin it.
-func detect(cfg Config, steals []steal) *Signature {
-	slices.SortFunc(steals, func(a, b steal) int {
-		if c := cmp.Compare(a.core, b.core); c != 0 {
+// the threshold. It coalesces in place: each detour consumes at least
+// one steal, so every write lands at or before the read position, and
+// the detours are a prefix of the steals' array. Both sorts are unstable
+// and their tie order reaches the output (equal-length steals keep the
+// first one's source), so the figure goldens pin it.
+func detect(cfg Config, steals []Detour) *Signature {
+	slices.SortFunc(steals, func(a, b Detour) int {
+		if c := cmp.Compare(a.Core, b.Core); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.start, b.start)
+		return cmp.Compare(a.Start, b.Start)
 	})
-	sig := &Signature{Mode: cfg.Mode, Cores: cfg.Cores, Window: cfg.Duration}
-	i := 0
-	for i < len(steals) {
+	n := 0
+	for i := 0; i < len(steals); {
 		cur := steals[i]
-		end := cur.start + cur.dur
-		src := cur.source
-		maxDur := cur.dur
+		end := cur.Start + cur.Dur
+		src := cur.Source
+		maxDur := cur.Dur
 		j := i + 1
-		for j < len(steals) && steals[j].core == cur.core && steals[j].start <= end {
-			if steals[j].start+steals[j].dur > end {
-				end = steals[j].start + steals[j].dur
+		for ; j < len(steals) && steals[j].Core == cur.Core && steals[j].Start <= end; j++ {
+			end = max(end, steals[j].Start+steals[j].Dur)
+			if steals[j].Dur > maxDur {
+				maxDur = steals[j].Dur
+				src = steals[j].Source
 			}
-			if steals[j].dur > maxDur {
-				maxDur = steals[j].dur
-				src = steals[j].source
-			}
-			j++
 		}
-		if dur := end - cur.start; dur >= cfg.Threshold {
-			start := cur.start
-			if cfg.SampleLoopNs > 0 {
-				// Sampled detection: the gap is measured between the
-				// last read before the steal and the first read after
-				// it, inflating the duration by one loop iteration and
-				// snapping the start to the sample grid.
-				start -= start % cfg.SampleLoopNs
-				dur += cfg.SampleLoopNs
-			}
-			sig.Detours = append(sig.Detours, Detour{Start: start, Dur: dur, Core: cur.core, Source: src})
+		if dur := end - cur.Start; dur >= threshold {
+			steals[n] = Detour{Start: cur.Start, Dur: dur, Core: cur.Core, Source: src}
+			n++
 		}
 		i = j
 	}
+	detours := steals[:n:n]
 	// Present in time order across cores, as selfish traces are plotted.
-	slices.SortFunc(sig.Detours, func(a, b Detour) int {
+	slices.SortFunc(detours, func(a, b Detour) int {
 		if c := cmp.Compare(a.Start, b.Start); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Core, b.Core)
 	})
-	return sig
+	return &Signature{Mode: cfg.Mode, Cores: cfg.Cores, Window: cfg.Duration, Detours: detours}
 }
 
 // PerEventCost estimates the per-CE handling cost implied by a
@@ -444,7 +439,7 @@ func (s *Signature) PerEventCost() (mean float64, events int) {
 	var total int64
 	for _, d := range s.Detours {
 		switch d.Source {
-		case "correction", "cmci", "smi", "decode":
+		case Correction, CMCI, SMI, Decode:
 			total += d.Dur
 			events++
 		}
@@ -460,10 +455,10 @@ func (s *Signature) PerEventCost() (mean float64, events int) {
 				continue
 			}
 			switch d.Source {
-			case "smi", "decode":
+			case SMI, Decode:
 				// Adjacent SMI+decode steals coalesce into a single
-				// detour labelled "decode"; each such detour still
-				// corresponds to exactly one CE.
+				// Decode detour; each such detour still corresponds to
+				// exactly one CE.
 				coreTotal += d.Dur
 				ces++
 			}

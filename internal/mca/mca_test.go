@@ -92,7 +92,7 @@ func TestCorrectionOnlyInvisible(t *testing.T) {
 	// signature must look like native + einj-config only.
 	sig := run(t, Config{Seed: 3, Mode: CorrectionOnly, Cores: 8})
 	for _, d := range sig.Detours {
-		if d.Source == "correction" && d.Dur > 1*us {
+		if d.Source == Correction && d.Dur > 1*us {
 			t.Fatalf("correction-only produced a %dns detour", d.Dur)
 		}
 	}
@@ -107,14 +107,14 @@ func TestSoftwareSignature(t *testing.T) {
 	cfg := Config{Seed: 4, Mode: Software, Duration: 120 * s, Cores: 8}
 	sig := run(t, cfg)
 	maxBy := sig.MaxDetoursBySource()
-	cmci := maxBy["cmci"]
+	cmci := maxBy[CMCI]
 	if cmci < 500*us || cmci > 900*us {
 		t.Fatalf("CMCI detour %dns, want ~700us", cmci)
 	}
 	// One CMCI detour per injection: 11 injections in 120s at 10s.
 	count := 0
 	for _, d := range sig.Detours {
-		if d.Source == "cmci" {
+		if d.Source == CMCI {
 			count++
 		}
 	}
@@ -129,16 +129,16 @@ func TestFirmwareSignature(t *testing.T) {
 	cfg := Config{Seed: 5, Mode: Firmware, Duration: 210 * s, Cores: 8}
 	sig := run(t, cfg)
 	maxBy := sig.MaxDetoursBySource()
-	if smi := maxBy["smi"]; smi < 5*ms || smi > 9*ms {
+	if smi := maxBy[SMI]; smi < 5*ms || smi > 9*ms {
 		t.Fatalf("SMI detour %dns, want ~7ms", smi)
 	}
-	if dec := maxBy["decode"]; dec < 400*ms || dec > 600*ms {
+	if dec := maxBy[Decode]; dec < 400*ms || dec > 600*ms {
 		t.Fatalf("decode detour %dns, want ~500ms", dec)
 	}
 	// 20 injections in 210 s; decodes at injection 10 and 20.
 	decodes := 0
 	for _, d := range sig.Detours {
-		if d.Source == "decode" && d.Core == 0 {
+		if d.Source == Decode && d.Core == 0 {
 			decodes++
 		}
 	}
@@ -154,7 +154,7 @@ func TestSMIHaltsAllCores(t *testing.T) {
 	// cores.
 	cores := map[int32]bool{}
 	for _, d := range sig.Detours {
-		if d.Source == "smi" {
+		if d.Source == SMI {
 			cores[d.Core] = true
 		}
 	}
@@ -168,7 +168,7 @@ func TestCMCIHitsOneCore(t *testing.T) {
 	sig := run(t, cfg)
 	cores := map[int32]bool{}
 	for _, d := range sig.Detours {
-		if d.Source == "cmci" {
+		if d.Source == CMCI {
 			cores[d.Core] = true
 		}
 	}

@@ -3,7 +3,7 @@ package mca
 import "testing"
 
 // countSource tallies detours by source label.
-func countSource(sig *Signature, source string) int {
+func countSource(sig *Signature, source Source) int {
 	n := 0
 	for _, d := range sig.Detours {
 		if d.Source == source {
@@ -20,7 +20,7 @@ func TestBurstInjection(t *testing.T) {
 		BurstLen: 5, BurstSpacing: 10 * ms,
 	}
 	sig := run(t, cfg)
-	if got := countSource(sig, "cmci"); got != 5 {
+	if got := countSource(sig, CMCI); got != 5 {
 		t.Fatalf("burst of 5 produced %d CMCI detours", got)
 	}
 }
@@ -46,11 +46,11 @@ func TestStormThrottlesCMCI(t *testing.T) {
 	throttled.StormThreshold = 5
 	sig := run(t, throttled)
 
-	cmci := countSource(sig, "cmci")
+	cmci := countSource(sig, CMCI)
 	if cmci > 5 {
 		t.Fatalf("storm allowed %d CMCIs, threshold 5", cmci)
 	}
-	if countSource(sig, "cmci-poll") == 0 {
+	if countSource(sig, CMCIPoll) == 0 {
 		t.Fatal("no poll detours during the storm")
 	}
 	// The whole point: throttling caps the stolen time.
@@ -72,7 +72,7 @@ func TestStormRecoversBetweenInjections(t *testing.T) {
 	// CMCIs from both bursts: up to 4 each.
 	first, second := 0, 0
 	for _, d := range sig.Detours {
-		if d.Source != "cmci" {
+		if d.Source != CMCI {
 			continue
 		}
 		if d.Start < 15*s {
@@ -96,10 +96,10 @@ func TestNoStormBelowThreshold(t *testing.T) {
 		BurstLen: 3, BurstSpacing: 50 * ms, StormThreshold: 10,
 	}
 	sig := run(t, cfg)
-	if countSource(sig, "cmci") != 3 {
-		t.Fatalf("cmci count %d, want 3", countSource(sig, "cmci"))
+	if countSource(sig, CMCI) != 3 {
+		t.Fatalf("cmci count %d, want 3", countSource(sig, CMCI))
 	}
-	if countSource(sig, "cmci-poll") != 0 {
+	if countSource(sig, CMCIPoll) != 0 {
 		t.Fatal("polls without a storm")
 	}
 }
@@ -117,51 +117,11 @@ func TestBurstFirmwareUnaffectedByStormConfig(t *testing.T) {
 	// absorbed into the decode detour when the threshold fires.
 	smi := 0
 	for _, d := range sig.CoreDetours(0) {
-		if d.Source == "smi" || d.Source == "decode" {
+		if d.Source == SMI || d.Source == Decode {
 			smi++
 		}
 	}
 	if smi != 5 {
 		t.Fatalf("firmware burst produced %d SMI/decode detours on core 0, want 5", smi)
-	}
-}
-
-func TestSampledDetectorQuantizes(t *testing.T) {
-	base := Config{Seed: 6, Mode: Software, Cores: 2, Duration: 15 * s}
-	ideal := run(t, base)
-	sampled := base
-	sampled.SampleLoopNs = 100
-	sig := run(t, sampled)
-	if len(sig.Detours) != len(ideal.Detours) {
-		t.Fatalf("sampling changed detour count: %d vs %d", len(sig.Detours), len(ideal.Detours))
-	}
-	for i := range sig.Detours {
-		d, want := sig.Detours[i], ideal.Detours[i]
-		if d.Dur != want.Dur+100 {
-			t.Fatalf("detour %d: sampled dur %d, want ideal+loop %d", i, d.Dur, want.Dur+100)
-		}
-		if d.Start%100 != 0 {
-			t.Fatalf("detour %d start %d not on the sample grid", i, d.Start)
-		}
-		if want.Start-d.Start >= 100 || d.Start > want.Start {
-			t.Fatalf("detour %d start %d too far from ideal %d", i, d.Start, want.Start)
-		}
-	}
-}
-
-func TestSampledDetectorNearThreshold(t *testing.T) {
-	// A steal just below the threshold stays invisible regardless of
-	// sampling (threshold applies to the true steal, quantization only
-	// inflates the report).
-	cfg := Config{
-		Seed: 7, Mode: CorrectionOnly, Cores: 1, Duration: 15 * s,
-		CorrectionCost: 149, SampleLoopNs: 50,
-		TickPeriod: 1 << 40, SchedPeriod: 1 << 40, // silence background
-	}
-	sig := run(t, cfg)
-	for _, d := range sig.Detours {
-		if d.Source == "correction" {
-			t.Fatalf("sub-threshold correction steal reported: %+v", d)
-		}
 	}
 }

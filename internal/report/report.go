@@ -1,12 +1,15 @@
 // Package report renders experiment results as aligned ASCII tables and
 // CSV, the two output forms of the benchmark harness (one row/series per
-// paper table or figure element).
+// paper table or figure element). WriteFile puts any rendering in a
+// file.
 package report
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -141,4 +144,17 @@ func Bar(value, max float64, width int) string {
 		n = 1
 	}
 	return strings.Repeat("#", n)
+}
+
+// WriteFile creates path and fills it with write. A failed close is an
+// error like a failed write: the file may not hold what write produced.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	return f.Close()
 }

@@ -2,6 +2,10 @@ package report
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -119,5 +123,28 @@ func TestBar(t *testing.T) {
 	}
 	if got := Bar(5, 0, 10); got != "" {
 		t.Fatalf("zero max bar = %q", got)
+	}
+}
+
+func TestWriteFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.txt")
+	tb := New("demo", "a")
+	tb.AddRow("1")
+	if err := WriteFile(path, tb.WriteASCII); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := tb.WriteASCII(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file holds %q (%v), want %q", got, err, want.Bytes())
+	}
+	boom := errors.New("boom")
+	if err := WriteFile(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want %v", err, boom)
+	}
+	if err := WriteFile(filepath.Join(path, "not-a-dir"), tb.WriteASCII); err == nil {
+		t.Fatal("create under a regular file succeeded")
 	}
 }
