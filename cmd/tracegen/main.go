@@ -150,26 +150,28 @@ func main() {
 		}
 	}
 
+	var r *traceanalysis.Report
+	if *stat || *analyze {
+		var err error
+		if r, err = traceanalysis.Analyze(tr); err != nil {
+			fatal(err)
+		}
+	}
 	if *stat {
-		s := tr.ComputeStats()
 		t := report.New(fmt.Sprintf("trace %s", tr.Name), "metric", "value")
-		t.AddRow("ranks", fmt.Sprintf("%d", s.Ranks))
-		t.AddRow("ops", fmt.Sprintf("%d", s.Ops))
-		t.AddRow("sends", fmt.Sprintf("%d", s.Sends))
-		t.AddRow("recvs", fmt.Sprintf("%d", s.Recvs))
-		t.AddRow("collectives", fmt.Sprintf("%d", s.Collectives))
-		t.AddRow("compute-total", report.Nanos(s.CalcNanos))
-		t.AddRow("send-bytes", fmt.Sprintf("%d", s.Bytes))
+		t.AddRow("ranks", fmt.Sprintf("%d", r.Ranks))
+		t.AddRow("ops", fmt.Sprintf("%d", r.Ops))
+		t.AddRow("sends", fmt.Sprintf("%d", r.Sends))
+		t.AddRow("recvs", fmt.Sprintf("%d", r.Recvs))
+		t.AddRow("collectives", fmt.Sprintf("%d", r.Collectives))
+		t.AddRow("compute-total", report.Nanos(r.ComputeNanos))
+		t.AddRow("send-bytes", fmt.Sprintf("%d", r.SendBytes))
 		if err := t.WriteASCII(os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
 
 	if *analyze {
-		r, err := traceanalysis.Analyze(tr)
-		if err != nil {
-			fatal(err)
-		}
 		t := report.New(fmt.Sprintf("analysis of %s", tr.Name), "metric", "value")
 		t.AddRow("ranks", fmt.Sprintf("%d", r.Ranks))
 		t.AddRow("ops", fmt.Sprintf("%d", r.Ops))

@@ -98,17 +98,16 @@ type Config struct {
 	// recomputes — bit-identical, just slower, like a simulation whose
 	// baseline bypasses a failing cache).
 	CacheEntries int
-	// Defaults fills scenario parameters the recommend query omits.
-	Defaults ScenarioDefaults
 }
 
-// ScenarioDefaults are the recommend endpoint's fallback scenario.
-type ScenarioDefaults struct {
-	Workload   string  `json:"workload"`
-	Nodes      int     `json:"nodes"`
-	BudgetPct  float64 `json:"budget_pct"`
-	GiBPerNode float64 `json:"gib_per_node"`
-}
+// The recommend endpoint's scenario where the query names none: the
+// defaults of cmd/advisor's flags.
+const (
+	defaultWorkload   = "lulesh"
+	defaultNodes      = 16384
+	defaultBudgetPct  = 10
+	defaultGiBPerNode = 700
+)
 
 func (c Config) withDefaults() Config {
 	c.Store = c.Store.withDefaults()
@@ -117,18 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
-	}
-	if c.Defaults.Workload == "" {
-		c.Defaults.Workload = "lulesh"
-	}
-	if c.Defaults.Nodes <= 0 {
-		c.Defaults.Nodes = 16384
-	}
-	if c.Defaults.BudgetPct <= 0 {
-		c.Defaults.BudgetPct = 10
-	}
-	if c.Defaults.GiBPerNode <= 0 {
-		c.Defaults.GiBPerNode = 700
 	}
 	return c
 }

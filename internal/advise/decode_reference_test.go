@@ -36,7 +36,7 @@ func referenceDecodeBatch(body io.ReadCloser, maxEvents int) ([]Event, error) {
 			return nil, fmt.Errorf("advise: line %d: %v", line, err)
 		}
 		if dec.InputOffset() != int64(len(raw)) {
-			return nil, fmt.Errorf("advise: line %d: trailing data after event", line)
+			return nil, fmt.Errorf("advise: line %d: trailing data after JSON value", line)
 		}
 		if err := ev.Validate(); err != nil {
 			return nil, fmt.Errorf("advise: line %d: %v", line, err)

@@ -3,7 +3,6 @@ package advise
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -80,7 +79,7 @@ func (s *Service) HandleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBatch parses the NDJSON body strictly, one event per non-blank
-// line: agentLine's shape directly, any other line by encoding/json.
+// line: agentLine's shape directly, any other line by envelope.Decode.
 func decodeBatch(body io.ReadCloser, maxEvents int) ([]Event, error) {
 	sc := bufio.NewScanner(http.MaxBytesReader(nil, body, maxIngestBytes))
 	sc.Buffer(nil, 64*1024) // grows from 4 KiB only as far as a line needs
@@ -102,13 +101,8 @@ func decodeBatch(body io.ReadCloser, maxEvents int) ([]Event, error) {
 		ev, ok := agentLine(raw, prev)
 		if !ok {
 			var slow Event // its own variable: Decode makes it escape
-			dec := json.NewDecoder(bytes.NewReader(raw))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&slow); err != nil {
+			if err := envelope.Decode(bytes.NewReader(raw), &slow); err != nil {
 				return nil, fmt.Errorf("advise: line %d: %v", line, err)
-			}
-			if dec.InputOffset() != int64(len(raw)) {
-				return nil, fmt.Errorf("advise: line %d: trailing data after event", line)
 			}
 			ev = slow
 		}
@@ -240,10 +234,10 @@ func (s *Service) parseRecommend(q url.Values) (tenant, node string, in Inputs, 
 		return "", "", in, err
 	}
 	in = Inputs{
-		Workload:   s.cfg.Defaults.Workload,
-		Nodes:      s.cfg.Defaults.Nodes,
-		BudgetPct:  s.cfg.Defaults.BudgetPct,
-		GiBPerNode: s.cfg.Defaults.GiBPerNode,
+		Workload:   defaultWorkload,
+		Nodes:      defaultNodes,
+		BudgetPct:  defaultBudgetPct,
+		GiBPerNode: defaultGiBPerNode,
 	}
 	for _, key := range recommendParams[2:] {
 		v := q.Get(key)

@@ -79,8 +79,8 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 		{"oversized", good + "\n" + good + "\n" + good + "\n", "exceeds 2 events"},
 		// A line is one event: the decoder used to stop after the first
 		// value, ingesting the first with 200 and dropping the rest.
-		{"trailing garbage", good + "\n" + good + ` garbage`, "line 2: trailing data after event"},
-		{"two events on a line", good + `{"tenant":"acme","node":"n2","ts_ns":1,"addr":16}`, "line 1: trailing data after event"},
+		{"trailing garbage", good + "\n" + good + ` garbage`, "line 2: trailing data after JSON value"},
+		{"two events on a line", good + `{"tenant":"acme","node":"n2","ts_ns":1,"addr":16}`, "line 1: trailing data after JSON value"},
 	}
 	for _, tc := range cases {
 		w := ingest(t, s, tc.body)

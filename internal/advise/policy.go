@@ -14,14 +14,14 @@ import (
 
 // Policy knobs with paper-grounded defaults.
 const (
-	// DefaultCEtoDUERatio is the paper's §I observation that
-	// correctable error rates run ~20x higher than uncorrectable
-	// ones; it converts an MTBCE estimate into a DUE-class node MTBF
-	// for the checkpoint-interval retune.
-	DefaultCEtoDUERatio = 20
-	// DefaultRetirePageBudget mirrors retire.Policy's kernel default:
-	// at most 64 pages may be taken offline per node.
-	DefaultRetirePageBudget = 64
+	// CEtoDUERatio is the paper's §I observation that correctable
+	// error rates run ~20x higher than uncorrectable ones; it converts
+	// an MTBCE estimate into a DUE-class node MTBF for the
+	// checkpoint-interval retune.
+	CEtoDUERatio = 20
+	// RetirePageBudget mirrors retire.Policy's kernel default: at most
+	// 64 pages may be taken offline per node.
+	RetirePageBudget = 64
 	// DefaultRetireThreshold is the suggested CEs-on-page trigger: a
 	// few repeats confirm a persistent fault without retiring pages
 	// for one-off transients.
@@ -69,12 +69,6 @@ type Inputs struct {
 	// zero selects the defaults above.
 	CheckpointNanos int64
 	RestartNanos    int64
-	// CEtoDUERatio converts MTBCE to DUE-class MTBF; zero selects the
-	// default.
-	CEtoDUERatio float64
-	// RetirePageBudget is the per-node page-offlining budget; zero
-	// selects the default.
-	RetirePageBudget int
 }
 
 // Validate reports errors in the scenario parameters.
@@ -98,7 +92,7 @@ func (in Inputs) Validate() error {
 		in.CheckpointNanos < 0 || in.RestartNanos < 0 {
 		return fmt.Errorf("advise: negative time parameter")
 	}
-	if in.CEtoDUERatio < 0 || in.RetirePageBudget < 0 || in.FaultConfidence < 0 {
+	if in.FaultConfidence < 0 {
 		return fmt.Errorf("advise: negative policy parameter")
 	}
 	return nil
@@ -110,12 +104,6 @@ func (in Inputs) withDefaults() Inputs {
 	}
 	if in.RestartNanos == 0 {
 		in.RestartNanos = DefaultRestartNanos
-	}
-	if in.CEtoDUERatio == 0 {
-		in.CEtoDUERatio = DefaultCEtoDUERatio
-	}
-	if in.RetirePageBudget == 0 {
-		in.RetirePageBudget = DefaultRetirePageBudget
 	}
 	return in
 }
@@ -306,7 +294,7 @@ func pickMode(modes []ModeAssessment) string {
 
 // retirement builds the page-offlining verdict.
 func retirement(in Inputs) *RetirementAdvice {
-	adv := &RetirementAdvice{PageBudget: in.RetirePageBudget}
+	adv := &RetirementAdvice{PageBudget: RetirePageBudget}
 	if !in.FaultKnown {
 		adv.Reason = "fault mode unclassified: not enough CE samples to distinguish " +
 			"a concentrated fault from a scattered one; keep logging before retiring pages"
@@ -316,14 +304,14 @@ func retirement(in Inputs) *RetirementAdvice {
 	adv.FaultKind = in.Fault.String()
 	adv.Confidence = in.FaultConfidence
 	adv.FootprintPages = fp
-	if fp <= in.RetirePageBudget {
+	if fp <= RetirePageBudget {
 		adv.Worth = true
 		adv.SuggestedThreshold = DefaultRetireThreshold
 		adv.Reason = fmt.Sprintf("%s fault fits in %d of %d budget pages; retirement silences it",
-			in.Fault, fp, in.RetirePageBudget)
+			in.Fault, fp, RetirePageBudget)
 	} else {
 		adv.Reason = fmt.Sprintf("%s fault spans %d pages, beyond the %d-page budget; retirement cannot contain it",
-			in.Fault, fp, in.RetirePageBudget)
+			in.Fault, fp, RetirePageBudget)
 	}
 	return adv
 }
@@ -331,7 +319,7 @@ func retirement(in Inputs) *RetirementAdvice {
 // checkpoint retunes the Daly interval from the DUE rate implied by the
 // observed MTBCE.
 func checkpoint(in Inputs) *CheckpointAdvice {
-	nodeMTBF := int64(float64(in.ObservedMTBCENanos) * in.CEtoDUERatio)
+	nodeMTBF := int64(float64(in.ObservedMTBCENanos) * CEtoDUERatio)
 	if nodeMTBF <= 0 {
 		return nil
 	}

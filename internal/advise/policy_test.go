@@ -114,7 +114,7 @@ func TestAdviseRetirementVerdicts(t *testing.T) {
 	}
 	if rec.Retirement.Worth {
 		t.Fatalf("bank fault (%d pages) cannot fit the %d-page budget: %+v",
-			faultmodel.FaultBank.FootprintPages(), DefaultRetirePageBudget, rec.Retirement)
+			faultmodel.FaultBank.FootprintPages(), RetirePageBudget, rec.Retirement)
 	}
 
 	in.FaultKnown = false
@@ -138,8 +138,8 @@ func TestAdviseCheckpointRetune(t *testing.T) {
 	if c == nil {
 		t.Fatal("observation given but no checkpoint advice")
 	}
-	if c.NodeMTBFNanos != int64(DefaultCEtoDUERatio)*3600e9 {
-		t.Fatalf("NodeMTBF = %d, want MTBCE x %d", c.NodeMTBFNanos, DefaultCEtoDUERatio)
+	if c.NodeMTBFNanos != int64(CEtoDUERatio)*3600e9 {
+		t.Fatalf("NodeMTBF = %d, want MTBCE x %d", c.NodeMTBFNanos, CEtoDUERatio)
 	}
 	if c.SystemMTBFNanos <= 0 || c.SystemMTBFNanos >= c.NodeMTBFNanos {
 		t.Fatalf("system MTBF must shrink with machine size: %+v", c)

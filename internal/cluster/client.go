@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jobs"
 )
 
 // Client submits sweeps to a coordinator and waits for the merged
@@ -60,7 +61,7 @@ func (c *Client) Wait(ctx context.Context, sweepID string) (map[string]*core.Fig
 		case "failed":
 			return nil, fmt.Errorf("%w: sweep %s: %s", ErrSweepFailed, sweepID, view.Error)
 		}
-		if !sleep(ctx, c.poll()) {
+		if !jobs.Sleep(ctx, c.poll()) {
 			return nil, ctx.Err()
 		}
 	}

@@ -113,7 +113,7 @@ func fail(w http.ResponseWriter, status int, err error) {
 const maxBodyBytes = journal.MaxRecordBytes
 
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+	if err := envelope.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return false
 	}

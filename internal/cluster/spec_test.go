@@ -75,6 +75,7 @@ var badSpecs = []badSpec{
 	{"unknown scale", `"scale":"huge"`, []string{"-scale", "huge"}},
 	{"unknown workload", `"workloads":["doom"]`, []string{"-workloads", "doom"}},
 	{"repeated workload", `"workloads":["minife","minife"]`, []string{"-workloads", "minife,minife"}},
+	{"misspelled field", `"workload":["minife"]`, nil},
 }
 
 // TestBadSpecsRejectedAtEveryDoor drives one table of bad sweep specs
@@ -122,6 +123,7 @@ func TestBadSpecsRejectedAtEveryDoor(t *testing.T) {
 		"figure 2":        {`{"figure":"2"}`, `{"figure":"2"}`},
 		"both selectors":  {`{"figure":"4","figures":["5"]}`, `{"figure":"4","figures":["5"]}`},
 		"repeated figure": {`{"figures":["4","4"]}`, `{"figures":["4","4"]}`},
+		"trailing data":   {`{"figure":"4"} {}`, `{"figures":["4"]} x`},
 	}
 	for _, bad := range badSpecs {
 		bodies[bad.name] = [2]string{

@@ -143,13 +143,13 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			w.logf("lease error: %v", err)
-			if !sleep(ctx, w.cfg.PollInterval) {
+			if !jobs.Sleep(ctx, w.cfg.PollInterval) {
 				return ctx.Err()
 			}
 			continue
 		}
 		if grant == nil {
-			if !sleep(ctx, w.cfg.PollInterval) {
+			if !jobs.Sleep(ctx, w.cfg.PollInterval) {
 				return ctx.Err()
 			}
 			continue
@@ -180,7 +180,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return fmt.Errorf("%w: %v", ErrRegisterFailed, err)
 		}
 		w.logf("register: %v (retrying)", err)
-		if !sleep(ctx, w.cfg.PollInterval) {
+		if !jobs.Sleep(ctx, w.cfg.PollInterval) {
 			return fmt.Errorf("%w: %v", ErrRegisterFailed, ctx.Err())
 		}
 	}
@@ -305,7 +305,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		if interval <= 0 {
 			interval = time.Second
 		}
-		if !sleep(ctx, interval) {
+		if !jobs.Sleep(ctx, interval) {
 			return
 		}
 		w.mu.Lock()
@@ -415,17 +415,4 @@ func decodeResponse(resp *http.Response, out any) error {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// sleep waits d or until ctx cancels; it reports whether the full wait
-// elapsed.
-func sleep(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

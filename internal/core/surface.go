@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/envelope"
 	"repro/internal/report"
 )
 
@@ -75,11 +76,11 @@ func (f *Figure) WriteJSON(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// ReadFigureJSON parses a figure written by WriteJSON, for tooling that
-// post-processes results.
+// ReadFigureJSON parses a figure written by WriteJSON (a worker's
+// report, a journaled fragment) with envelope.Decode.
 func ReadFigureJSON(r io.Reader) (*Figure, error) {
 	var f Figure
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
+	if err := envelope.Decode(r, &f); err != nil {
 		return nil, err
 	}
 	return &f, nil

@@ -2,15 +2,54 @@
 // internal/server's /v1 routes, internal/advise's /v1/advise routes and
 // internal/cluster's /cluster protocol: one writer, one error body and
 // the request id that ties a response to the daemon's log lines. It is
-// a leaf, so every surface can import it.
+// also the one reader of JSON from outside the process: request bodies,
+// advisor NDJSON lines, worker reports, fault-mix spec files and fault
+// plans all go through Decode. It is a leaf, so every surface can
+// import it.
 package envelope
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 )
+
+// Decode reads exactly one JSON value from r into v. A field v has no
+// place for is an error, and so is anything but whitespace after the
+// value: a second document or a stray brace is a mangled input, not
+// something to ignore. Errors from encoding/json are returned as they
+// are, so errors.As finds *json.SyntaxError and *json.UnmarshalTypeError;
+// trailing data is a *TrailingDataError; a failed read of r (an
+// *http.MaxBytesError, say) is returned unchanged.
+func Decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	_, err := dec.Token()
+	if errors.Is(err, io.EOF) {
+		return nil
+	}
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
+		var syntax *json.SyntaxError // declared here: errors.As moves it to the heap
+		if !errors.As(err, &syntax) {
+			return err // a failed read
+		}
+	}
+	return &TrailingDataError{Offset: end}
+}
+
+// TrailingDataError reports input after the one JSON value Decode read.
+type TrailingDataError struct {
+	// Offset is the input offset where the value ended.
+	Offset int64
+}
+
+func (e *TrailingDataError) Error() string { return "trailing data after JSON value" }
 
 // RequestIDHeader carries the request id on the wire. Inbound values
 // are trusted and propagated (so a cluster worker's shard attempt and

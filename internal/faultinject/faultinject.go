@@ -29,7 +29,6 @@ package faultinject
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -39,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/envelope"
 	"repro/internal/rng"
 )
 
@@ -178,9 +178,7 @@ func LoadPlan(path string) (Plan, error) {
 		return nil, fmt.Errorf("faultinject: read plan: %w", err)
 	}
 	var p Plan
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
+	if err := envelope.Decode(bytes.NewReader(data), &p); err != nil {
 		return nil, fmt.Errorf("faultinject: parse plan %s: %w", path, err)
 	}
 	if err := p.Validate(); err != nil {

@@ -241,6 +241,13 @@ func TestLoadPlan(t *testing.T) {
 	if _, err := LoadPlan(unknown); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	trailing := filepath.Join(dir, "trailing.json")
+	if err := os.WriteFile(trailing, []byte(body+"\n}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPlan(trailing); err == nil {
+		t.Fatal("plan followed by trailing data accepted")
+	}
 }
 
 // TestFiringSchedulePinned pins one seeded site's stream: the state

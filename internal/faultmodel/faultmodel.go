@@ -38,10 +38,13 @@ package faultmodel
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/envelope"
 )
 
 // Mode is one fault mode of a mixture.
@@ -262,21 +265,15 @@ func (s Spec) compile() ([]compiledMode, []kindedMode, error) {
 	return out, modes, nil
 }
 
-// ParseSpec decodes and validates a JSON mixture spec. Unknown fields
-// are rejected, and syntax or type errors are reported with the line
-// and column of the offending byte, so a typo in a hand-written file
-// fails with one precise location.
+// ParseSpec decodes (with envelope.Decode: one document, no unknown
+// fields, nothing after it) and validates a JSON mixture spec. Syntax,
+// type and trailing-data errors are reported with the line and column
+// of the offending byte, so a typo in a hand-written file fails with
+// one precise location.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := envelope.Decode(bytes.NewReader(data), &s); err != nil {
 		return Spec{}, specError(data, err)
-	}
-	// A spec file is one JSON document; trailing garbage is a mangled
-	// file, not a second spec.
-	if dec.More() {
-		return Spec{}, fmt.Errorf("faultmodel: %s: trailing data after spec document", lineCol(data, dec.InputOffset()))
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -287,30 +284,25 @@ func ParseSpec(data []byte) (Spec, error) {
 // specError attaches line:column positions to the decode errors that
 // carry a byte offset.
 func specError(data []byte, err error) error {
-	switch e := err.(type) {
-	case *json.SyntaxError:
-		return fmt.Errorf("faultmodel: %s: %v", lineCol(data, e.Offset), err)
-	case *json.UnmarshalTypeError:
-		return fmt.Errorf("faultmodel: %s: %v", lineCol(data, e.Offset), err)
+	var syntax *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	var trailing *envelope.TrailingDataError
+	switch {
+	case errors.As(err, &syntax):
+		return fmt.Errorf("faultmodel: %s: %w", lineCol(data, syntax.Offset), err)
+	case errors.As(err, &typ):
+		return fmt.Errorf("faultmodel: %s: %w", lineCol(data, typ.Offset), err)
+	case errors.As(err, &trailing):
+		return fmt.Errorf("faultmodel: %s: %w", lineCol(data, trailing.Offset), err)
 	}
-	return fmt.Errorf("faultmodel: %v", err)
+	return fmt.Errorf("faultmodel: %w", err)
 }
 
 // lineCol converts a byte offset into a 1-based line:column label.
 func lineCol(data []byte, off int64) string {
-	if off > int64(len(data)) {
-		off = int64(len(data))
-	}
-	line, col := 1, 1
-	for _, b := range data[:off] {
-		if b == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return fmt.Sprintf("line %d:%d", line, col)
+	before := data[:min(off, int64(len(data)))]
+	col := len(before) - bytes.LastIndexByte(before, '\n')
+	return fmt.Sprintf("line %d:%d", bytes.Count(before, []byte{'\n'})+1, col)
 }
 
 // String renders the canonical composition, used in error messages and

@@ -111,6 +111,8 @@ var parseSpecErrorCases = []struct {
 	{"syntax", "{\n  \"modes\": [,]\n}", "line 2:14"},
 	{"type", "{\n\"modes\": [{\"kind\": 3}]\n}", "line 2:21"},
 	{"trailing", `{"modes":[{"kind":"cell","weight":1}]} {}`, "trailing data"},
+	{"stray-brace", `{"modes":[{"kind":"cell","weight":1}]}}`, "line 1:39: trailing data"},
+	{"stray-bracket", "{\"modes\":[{\"kind\":\"cell\",\"weight\":1}]}\n]", "line 1:39: trailing data"},
 	{"invalid", `{"modes":[]}`, "no modes"},
 }
 

@@ -588,7 +588,7 @@ func (q *Queue) run(j *job) {
 		if jitter == nil {
 			jitter = jitterStream(j.id)
 		}
-		if !sleepCtx(ctx, j.spec.Backoff(attempt, jitter)) {
+		if !Sleep(ctx, j.spec.Backoff(attempt, jitter)) {
 			// Canceled or timed out while backing off; the last
 			// failure stands but the job finishes as canceled below.
 			break
@@ -639,8 +639,9 @@ func (q *Queue) attempt(ctx context.Context, j *job) (res any, err error) {
 	return j.fn(ctx)
 }
 
-// sleepCtx sleeps for d, returning false if ctx expires first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
+// Sleep waits d or until ctx is done; it reports whether the full wait
+// elapsed.
+func Sleep(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

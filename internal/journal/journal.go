@@ -152,11 +152,13 @@ type Writer struct {
 	syncErrs  uint64
 }
 
-// syncDir fsyncs a directory so preceding creates, renames or removes
-// of its entries survive a crash: data fsyncs alone do not persist the
-// directory entry that names the file, and a crash between the two can
-// resurface a removed segment or drop a freshly created one.
-func syncDir(dir string, fsync func(*os.File) error) error {
+// SyncDir fsyncs a directory with fsync so preceding creates, renames
+// or removes of its entries survive a crash: data fsyncs alone do not
+// persist the directory entry that names the file, and a crash between
+// the two can resurface a removed segment or drop a freshly created
+// one. The journal passes its fault-injectable seam; other callers
+// pass (*os.File).Sync.
+func SyncDir(dir string, fsync func(*os.File) error) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -260,7 +262,7 @@ func (w *Writer) rotateLocked() error {
 	// be durable before any record in it is — otherwise a crash after
 	// an acknowledged append could lose the whole segment while its
 	// predecessor's close is already on disk.
-	if err := syncDir(w.dir, w.fsync); err != nil {
+	if err := SyncDir(w.dir, w.fsync); err != nil {
 		if cerr := f.Close(); cerr != nil {
 			err = fmt.Errorf("%v; close: %v", err, cerr)
 		}
@@ -442,7 +444,7 @@ func (w *Writer) CompactBefore() (int, error) {
 	// this fsync a crash can resurface a removed segment, and replay
 	// would double-apply history the snapshot already contains.
 	if removed > 0 {
-		if err := syncDir(w.dir, w.fsync); err != nil {
+		if err := SyncDir(w.dir, w.fsync); err != nil {
 			return removed, fmt.Errorf("journal: compact: %w", err)
 		}
 		w.dirSyncs++

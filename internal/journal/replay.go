@@ -171,6 +171,6 @@ func truncateTornTail(path string, valid int64) error {
 func quarantine(path string, st *ReplayStats) error {
 	st.Quarantined++
 	_ = os.Rename(path, path+".corrupt")
-	_ = syncDir(filepath.Dir(path), (*os.File).Sync)
+	_ = SyncDir(filepath.Dir(path), (*os.File).Sync)
 	return nil
 }

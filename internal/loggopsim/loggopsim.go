@@ -582,10 +582,3 @@ func (s *Simulator) resume(r int32) {
 	s.ranks[r].pc++
 	s.advance(r)
 }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

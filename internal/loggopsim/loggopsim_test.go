@@ -179,7 +179,7 @@ func TestIsendIrecvWait(t *testing.T) {
 	// Receiver: irecv free, calc 10us, then wait charges RecvCPU after
 	// both calc end and arrival.
 	arr := net.SendCPU(size) + net.Transit(size)
-	start := max64(10*us, arr)
+	start := max(10*us, arr)
 	want := start + net.RecvCPU(size)
 	if res.FinishTimes[1] != want {
 		t.Fatalf("irecv+wait finish %d, want %d", res.FinishTimes[1], want)
@@ -290,9 +290,9 @@ func TestNICGapSerializesInjections(t *testing.T) {
 	// First injection at SendCPU; second CPU done at 2*SendCPU but NIC
 	// free only at SendCPU+NICGap.
 	firstInj := net.SendCPU(size)
-	secondInj := max64(2*net.SendCPU(size), firstInj+net.NICGap(size))
+	secondInj := max(2*net.SendCPU(size), firstInj+net.NICGap(size))
 	wantArr := secondInj + net.Transit(size)
-	want := max64(net.SendCPU(size)+net.Transit(size)+net.RecvCPU(size), wantArr) + net.RecvCPU(size)
+	want := max(net.SendCPU(size)+net.Transit(size)+net.RecvCPU(size), wantArr) + net.RecvCPU(size)
 	if res.FinishTimes[1] != want {
 		t.Fatalf("receiver finish %d, want %d (NIC gap not enforced?)", res.FinishTimes[1], want)
 	}

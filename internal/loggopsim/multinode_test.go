@@ -38,7 +38,7 @@ func TestSharedNICSerializesCoLocatedSenders(t *testing.T) {
 	if separate.FinishTimes[2] != separate.FinishTimes[3] {
 		t.Fatalf("separate NICs skewed receivers: %v", separate.FinishTimes)
 	}
-	slower := max64(shared.FinishTimes[2], shared.FinishTimes[3])
+	slower := max(shared.FinishTimes[2], shared.FinishTimes[3])
 	faster := min64(shared.FinishTimes[2], shared.FinishTimes[3])
 	if slower-faster != net.NICGap(size) {
 		t.Fatalf("shared NIC skew = %d, want one gap %d", slower-faster, net.NICGap(size))

@@ -183,14 +183,14 @@ func (s *Simulator) startRecv(r, peer int32, op *cop) bool {
 	if u, ok := s.matchUnexpected(st, peer, tag); ok {
 		if u.msg < 0 {
 			// Eager payload already here: charge receive CPU and go.
-			st.clock = s.extend(r, max64(st.clock, u.arr), s.p.cfg.Net.RecvCPU(u.size))
+			st.clock = s.extend(r, max(st.clock, u.arr), s.p.cfg.Net.RecvCPU(u.size))
 			s.res.Messages++
 			s.res.BytesMoved += u.size
 			return true
 		}
 		// Rendezvous RTS already here: answer CTS and wait for payload.
 		m := &s.msgs[u.msg]
-		cts := max64(st.clock, m.rtsATime) + s.p.cfg.Net.L
+		cts := max(st.clock, m.rtsATime) + s.p.cfg.Net.L
 		s.q.Push(eventq.Event{Time: cts, Kind: evCTSArrive, Rank: m.src, A: u.msg})
 		st.block = blockedRecv
 		st.blockMsg = u.msg
@@ -222,7 +222,7 @@ func (s *Simulator) postIrecv(r, peer int32, op *cop) {
 		// payload it just matched and must not match other arrivals.
 		idx := s.addSlot(st, slot{req: req, peer: u.src, tag: u.tag, size: m.size, isRecv: true, claimed: true, posted: st.clock, active: true})
 		m.dstSlot = idx
-		cts := max64(st.clock, m.rtsATime) + s.p.cfg.Net.L
+		cts := max(st.clock, m.rtsATime) + s.p.cfg.Net.L
 		s.q.Push(eventq.Event{Time: cts, Kind: evCTSArrive, Rank: m.src, A: u.msg})
 		return
 	}
@@ -255,7 +255,7 @@ func (s *Simulator) doWait(r int32, req int32) bool {
 		return false
 	}
 	if sl.isRecv {
-		st.clock = s.extend(r, max64(st.clock, sl.ready), s.p.cfg.Net.RecvCPU(sl.size))
+		st.clock = s.extend(r, max(st.clock, sl.ready), s.p.cfg.Net.RecvCPU(sl.size))
 	} else {
 		s.waitUntil(r, sl.ready)
 	}
@@ -293,7 +293,7 @@ func (s *Simulator) doWaitAll(r int32) bool {
 			continue
 		}
 		if sl.isRecv {
-			st.clock = s.extend(r, max64(st.clock, sl.ready), s.p.cfg.Net.RecvCPU(sl.size))
+			st.clock = s.extend(r, max(st.clock, sl.ready), s.p.cfg.Net.RecvCPU(sl.size))
 		} else {
 			s.waitUntil(r, sl.ready)
 		}
@@ -312,7 +312,7 @@ func (s *Simulator) eagerArrive(dst int32, src int32, size int64, tag int32, arr
 		sl := &st.slots[slIdx]
 		if (sl.peer == trace.AnySource || sl.peer == src) && (sl.tag == trace.AnyTag || sl.tag == tag) {
 			st.freeSlot(slIdx)
-			st.clock = s.extend(dst, max64(st.clock, arr), s.p.cfg.Net.RecvCPU(size))
+			st.clock = s.extend(dst, max(st.clock, arr), s.p.cfg.Net.RecvCPU(size))
 			s.res.Messages++
 			s.res.BytesMoved += size
 			s.resume(dst) // past the blocking recv
@@ -327,7 +327,7 @@ func (s *Simulator) eagerArrive(dst int32, src int32, size int64, tag int32, arr
 			(pe.tag == trace.AnyTag || pe.tag == tag) {
 			sl := &st.slots[pe.idx]
 			sl.done = true
-			sl.ready = max64(arr, sl.posted)
+			sl.ready = max(arr, sl.posted)
 			sl.size = size
 			st.pending--
 			st.postedRemoveAt(k)
@@ -353,7 +353,7 @@ func (s *Simulator) rtsArrive(msgIdx int32, arr int64) {
 			st.freeSlot(slIdx)
 			m.dstSlot = -2
 			st.blockMsg = msgIdx
-			s.q.Push(eventq.Event{Time: max64(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
+			s.q.Push(eventq.Event{Time: max(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
 			return
 		}
 	}
@@ -374,7 +374,7 @@ func (s *Simulator) rtsArrive(msgIdx int32, arr int64) {
 			// figure outputs are unaffected.)
 			sl.claimed = true
 			st.postedRemoveAt(k)
-			s.q.Push(eventq.Event{Time: max64(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
+			s.q.Push(eventq.Event{Time: max(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
 			return
 		}
 	}
@@ -389,7 +389,7 @@ func (s *Simulator) ctsArrive(msgIdx int32, arr int64) {
 	if m.srcReq < 0 {
 		// Blocking send: charge payload CPU now (sender is blocked, CPU
 		// idle since the RTS was issued).
-		cpuEnd := s.extend(m.src, max64(st.clock, arr), p.SendCPU(m.size))
+		cpuEnd := s.extend(m.src, max(st.clock, arr), p.SendCPU(m.size))
 		inj := s.inject(m.src, cpuEnd, m.size)
 		s.q.Push(eventq.Event{Time: inj + p.Transit(m.size), Kind: evDataArrive, Rank: m.dst, A: msgIdx})
 		st.clock = cpuEnd
@@ -420,7 +420,7 @@ func (s *Simulator) dataArrive(msgIdx int32, arr int64) {
 	s.res.BytesMoved += m.size
 	if m.dstSlot == -2 {
 		// Blocking receive: complete it.
-		st.clock = s.extend(m.dst, max64(st.clock, arr), s.p.cfg.Net.RecvCPU(m.size))
+		st.clock = s.extend(m.dst, max(st.clock, arr), s.p.cfg.Net.RecvCPU(m.size))
 		s.resume(m.dst) // past the blocking recv
 		return
 	}

@@ -766,15 +766,13 @@ func (s *Server) rebuildFunc(p jobs.PendingJob) (jobs.Func, error) {
 // maxBodyBytes bounds request bodies; simulation requests are tiny.
 const maxBodyBytes = 1 << 20
 
-// decodeBody parses a JSON request body strictly, firing the
-// server.decode fault site first.
+// decodeBody parses a JSON request body with envelope.Decode, firing
+// the server.decode fault site first.
 func decodeBody(r *http.Request, v any) error {
 	if err := faultinject.Fire(r.Context(), faultinject.SiteDecode); err != nil {
 		return fmt.Errorf("bad request body: %v", err)
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := envelope.Decode(http.MaxBytesReader(nil, r.Body, maxBodyBytes), v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil

@@ -37,6 +37,7 @@ import (
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 )
 
 // ResultKey extends Key's sha256 content addressing from experiment
@@ -106,21 +107,6 @@ type Store struct {
 	dirSyncs    uint64
 }
 
-// syncDir fsyncs a directory so a preceding rename of one of its
-// entries survives a crash: the file's own fsync persists the bytes,
-// but only a directory fsync persists the name now pointing at them.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // OpenStore creates dir if needed and runs the startup integrity scan:
 // every entry is CRC-verified, corrupt or truncated entries are
 // quarantined (never fatal), stray temp files from interrupted writes
@@ -174,7 +160,7 @@ func (s *Store) scan() error {
 				_ = os.Rename(path, path+".corrupt")
 				// Best effort, like the rename: when it lands, a crash
 				// cannot resurrect the corrupt name for the next scan.
-				if syncDir(shardDir) == nil {
+				if journal.SyncDir(shardDir, (*os.File).Sync) == nil {
 					s.dirSyncs++
 				}
 				continue
@@ -311,7 +297,7 @@ func (s *Store) put(ctx context.Context, tenant, key string, payload []byte) err
 	// cache and a crash can silently un-publish an acknowledged Put.
 	// Issued inside the critical section so the dirSyncs gauge moves
 	// with the rename it covers.
-	if err := syncDir(shardDir); err != nil {
+	if err := journal.SyncDir(shardDir, (*os.File).Sync); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("simcache: store write: %w", err)
 	}
@@ -349,7 +335,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 			_ = os.Rename(path, path+".corrupt")
 			// Best effort: a read-only filesystem still misses safely,
 			// but when the fsync lands the quarantine survives a crash.
-			if syncDir(filepath.Dir(path)) == nil {
+			if journal.SyncDir(filepath.Dir(path), (*os.File).Sync) == nil {
 				s.dirSyncs++
 			}
 		}

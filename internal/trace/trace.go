@@ -178,41 +178,6 @@ func (t *Trace) NumOps() int {
 	return n
 }
 
-// Stats summarizes a trace's contents.
-type Stats struct {
-	Ranks       int
-	Ops         int
-	Sends       int   // blocking + nonblocking sends
-	Recvs       int   // blocking + nonblocking receives
-	Collectives int   // collective ops across all ranks
-	CalcNanos   int64 // total computation time across all ranks
-	Bytes       int64 // total bytes posted by sends
-}
-
-// ComputeStats scans the trace and returns summary counts.
-func (t *Trace) ComputeStats() Stats {
-	s := Stats{Ranks: t.NumRanks()}
-	for _, ops := range t.Ops {
-		s.Ops += len(ops)
-		for _, op := range ops {
-			switch op.Kind {
-			case OpCalc:
-				s.CalcNanos += op.Dur
-			case OpSend, OpIsend:
-				s.Sends++
-				s.Bytes += op.Size
-			case OpRecv, OpIrecv:
-				s.Recvs++
-			default:
-				if op.Kind.IsCollective() {
-					s.Collectives++
-				}
-			}
-		}
-	}
-	return s
-}
-
 // Validation errors.
 var (
 	ErrEmptyTrace = errors.New("trace: no ranks")

@@ -125,29 +125,6 @@ func TestValidateRootOutOfRange(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	tr := twoRankPingPong()
-	s := tr.ComputeStats()
-	if s.Ranks != 2 {
-		t.Fatalf("Ranks = %d", s.Ranks)
-	}
-	if s.Ops != 8 {
-		t.Fatalf("Ops = %d, want 8", s.Ops)
-	}
-	if s.Sends != 2 || s.Recvs != 2 {
-		t.Fatalf("Sends/Recvs = %d/%d, want 2/2", s.Sends, s.Recvs)
-	}
-	if s.Collectives != 2 {
-		t.Fatalf("Collectives = %d, want 2", s.Collectives)
-	}
-	if s.CalcNanos != 150 {
-		t.Fatalf("CalcNanos = %d, want 150", s.CalcNanos)
-	}
-	if s.Bytes != 2048 {
-		t.Fatalf("Bytes = %d, want 2048", s.Bytes)
-	}
-}
-
 func TestClone(t *testing.T) {
 	tr := twoRankPingPong()
 	cp := tr.Clone()

@@ -19,6 +19,14 @@ type Report struct {
 	Ranks int
 	Ops   int
 
+	// Sends (blocking and nonblocking), Recvs (likewise) and
+	// Collectives count those ops across all ranks.
+	Sends, Recvs, Collectives int
+	// ComputeNanos is the total compute time across all ranks.
+	ComputeNanos int64
+	// SendBytes is the total bytes posted by sends.
+	SendBytes int64
+
 	// ComputeNanosMean is the mean total compute time per rank.
 	ComputeNanosMean float64
 	// ComputeImbalancePct is (max-min)/mean of per-rank compute time,
@@ -59,8 +67,6 @@ func Analyze(t *trace.Trace) (*Report, error) {
 	r := &Report{Ranks: n}
 	minCompute := math.Inf(1)
 	maxCompute := math.Inf(-1)
-	var totalCompute, totalBytes float64
-	var totalMsgs int
 	for rank, ops := range t.Ops {
 		r.Ops += len(ops)
 		var compute int64
@@ -70,18 +76,21 @@ func Analyze(t *trace.Trace) (*Report, error) {
 			case op.Kind == trace.OpCalc:
 				compute += op.Dur
 			case op.Kind == trace.OpSend || op.Kind == trace.OpIsend:
-				totalMsgs++
-				totalBytes += float64(op.Size)
+				r.Sends++
+				r.SendBytes += op.Size
 				if op.Size > r.MaxMessageBytes {
 					r.MaxMessageBytes = op.Size
 				}
 				r.SizeClasses[sizeClass(op.Size)]++
+			case op.Kind == trace.OpRecv || op.Kind == trace.OpIrecv:
+				r.Recvs++
 			case op.Kind.IsCollective():
 				colls++
 			}
 		}
+		r.ComputeNanos += compute
+		r.Collectives += colls
 		c := float64(compute)
-		totalCompute += c
 		if c < minCompute {
 			minCompute = c
 		}
@@ -95,14 +104,14 @@ func Analyze(t *trace.Trace) (*Report, error) {
 			}
 		}
 	}
-	r.ComputeNanosMean = totalCompute / float64(n)
+	r.ComputeNanosMean = float64(r.ComputeNanos) / float64(n)
 	if r.ComputeNanosMean > 0 {
 		r.ComputeImbalancePct = 100 * (maxCompute - minCompute) / r.ComputeNanosMean
 	}
-	r.MessagesPerRank = float64(totalMsgs) / float64(n)
-	r.BytesPerRank = totalBytes / float64(n)
-	if totalMsgs > 0 {
-		r.MeanMessageBytes = totalBytes / float64(totalMsgs)
+	r.MessagesPerRank = float64(r.Sends) / float64(n)
+	r.BytesPerRank = float64(r.SendBytes) / float64(n)
+	if r.Sends > 0 {
+		r.MeanMessageBytes = float64(r.SendBytes) / float64(r.Sends)
 	}
 	return r, nil
 }

@@ -47,6 +47,28 @@ func TestBasicCounts(t *testing.T) {
 	}
 }
 
+// TestTotals: the exact totals tracegen -stats prints, on a ping-pong
+// with one collective per rank.
+func TestTotals(t *testing.T) {
+	tr := &trace.Trace{Ops: [][]trace.Op{
+		{trace.Calc(100), trace.Send(1, 1024, 7), trace.Recv(1, 1024, 8), trace.Allreduce(8)},
+		{trace.Calc(50), trace.Recv(0, 1024, 7), trace.Send(0, 1024, 8), trace.Allreduce(8)},
+	}}
+	r, err := Analyze(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Ranks != 2 || r.Ops != 8 {
+		t.Fatalf("ranks/ops = %d/%d, want 2/8", r.Ranks, r.Ops)
+	}
+	if r.Sends != 2 || r.Recvs != 2 || r.Collectives != 2 {
+		t.Fatalf("sends/recvs/collectives = %d/%d/%d, want 2/2/2", r.Sends, r.Recvs, r.Collectives)
+	}
+	if r.ComputeNanos != 150 || r.SendBytes != 2048 {
+		t.Fatalf("compute/send bytes = %d/%d, want 150/2048", r.ComputeNanos, r.SendBytes)
+	}
+}
+
 func TestImbalance(t *testing.T) {
 	tr := &trace.Trace{Ops: [][]trace.Op{
 		{trace.Calc(100)},
