@@ -1,5 +1,6 @@
-// tracegen generates, inspects, extrapolates and converts workload
-// traces.
+// tracegen generates, inspects, extrapolates and expands workload
+// traces. Trace files, read with -i and written with -o, are in the one
+// text format of internal/trace (trace.WriteText, trace.ReadText).
 //
 // Examples:
 //
@@ -7,8 +8,7 @@
 //	tracegen -workload lulesh -nodes 125 -iters 10 -o lulesh.trace
 //	tracegen -i lulesh.trace -stats
 //	tracegen -i lulesh.trace -extrapolate 128 -o lulesh-16000.trace
-//	tracegen -workload hpcg -nodes 64 -format text -o hpcg.txt
-//	tracegen -i hpcg.txt -expand -stats
+//	tracegen -i lulesh.trace -expand -stats -analyze
 //	tracegen -fault-mix field-ddr4 -ce-events 512 -o ces.ndjson
 package main
 
@@ -39,9 +39,8 @@ func main() {
 		nodes    = fs.Int("nodes", 128, "rank count (adjusted to decomposition constraints)")
 		iters    = fs.Int("iters", 10, "main-loop iterations")
 		seed     = fs.Uint64("seed", 1, "random seed")
-		input    = fs.String("i", "", "read a trace file instead of generating")
-		output   = fs.String("o", "", "write the trace to this file")
-		format   = fs.String("format", "binary", "output format: binary or text")
+		input    = fs.String("i", "", "read a text trace file instead of generating")
+		output   = fs.String("o", "", "write the trace to this file as text")
 		factor   = fs.Int("extrapolate", 0, "extrapolate the trace by this factor")
 		expand   = fs.Bool("expand", false, "expand collectives into point-to-point schedules")
 		stat     = fs.Bool("stats", false, "print trace statistics")
@@ -56,10 +55,12 @@ func main() {
 		fatal(err)
 	}
 	switch {
-	case *format != "binary" && *format != "text":
-		fatal(fmt.Errorf("-format %q is not binary or text", *format))
 	case *factor < 0:
 		fatal(fmt.Errorf("-extrapolate must be at least 1, or 0 to leave the trace as is; got %d", *factor))
+	case *input != "" && *workload != "":
+		fatal(fmt.Errorf("-i reads a trace and -workload generates one; pass one of them"))
+	case *list && (*input != "" || *workload != ""):
+		fatal(fmt.Errorf("-list prints the workload table; it excludes -i and -workload"))
 	}
 
 	if *faultMix != "" {
@@ -116,12 +117,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if strings.HasSuffix(*input, ".txt") {
-			tr, err = trace.ReadText(f)
-		} else {
-			tr, err = trace.ReadBinary(f)
-		}
-		if err != nil {
+		if tr, err = trace.ReadText(f); err != nil {
 			fatal(fmt.Errorf("reading %s: %w", *input, err))
 		}
 	case *workload != "":
@@ -195,11 +191,7 @@ func main() {
 	}
 
 	if *output != "" {
-		write := trace.WriteBinary
-		if *format == "text" || strings.HasSuffix(*output, ".txt") {
-			write = trace.WriteText
-		}
-		if err := report.WriteFile(*output, func(w io.Writer) error { return write(w, tr) }); err != nil {
+		if err := report.WriteFile(*output, func(w io.Writer) error { return trace.WriteText(w, tr) }); err != nil {
 			fatal(fmt.Errorf("writing %s: %w", *output, err))
 		}
 		fmt.Fprintf(os.Stderr, "tracegen: wrote %s (%d ranks, %d ops)\n", *output, tr.NumRanks(), tr.NumOps())

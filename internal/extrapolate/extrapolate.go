@@ -65,21 +65,3 @@ func Extrapolate(t *trace.Trace, factor int) (*trace.Trace, error) {
 	}
 	return out, nil
 }
-
-// Factor returns the extrapolation factor needed to reach at least
-// target ranks from a base of p, and the resulting rank count. It
-// mirrors the paper's power-of-two extrapolation (125 traced LULESH
-// ranks -> 16,000 simulated = 125 * 128).
-func Factor(p, target int) (factor, ranks int, err error) {
-	if p <= 0 {
-		return 0, 0, fmt.Errorf("extrapolate: base rank count must be positive, got %d", p)
-	}
-	if target <= 0 {
-		return 0, 0, fmt.Errorf("extrapolate: target must be positive, got %d", target)
-	}
-	factor = 1
-	for p*factor < target {
-		factor *= 2
-	}
-	return factor, p * factor, nil
-}

@@ -168,33 +168,6 @@ func TestExtrapolationPreservesGroupMakespanWithoutCollectives(t *testing.T) {
 	}
 }
 
-func TestFactorHelper(t *testing.T) {
-	cases := []struct {
-		p, target    int
-		factor, want int
-	}{
-		{125, 16000, 128, 16000},
-		{128, 16384, 128, 16384},
-		{128, 128, 1, 128},
-		{64, 100, 2, 128},
-	}
-	for _, c := range cases {
-		f, ranks, err := Factor(c.p, c.target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f != c.factor || ranks != c.want {
-			t.Fatalf("Factor(%d,%d) = (%d,%d), want (%d,%d)", c.p, c.target, f, ranks, c.factor, c.want)
-		}
-	}
-	if _, _, err := Factor(0, 10); err == nil {
-		t.Fatal("p=0 accepted")
-	}
-	if _, _, err := Factor(10, 0); err == nil {
-		t.Fatal("target=0 accepted")
-	}
-}
-
 // Property: extrapolation preserves per-rank op counts and keeps traces
 // valid for any workload and small factor.
 func TestQuickExtrapolationValid(t *testing.T) {

@@ -559,8 +559,11 @@ func (s *Simulator) advance(r int32) {
 			default:
 				// Collectives must have been expanded; treat as fatal by
 				// deadlocking this rank deliberately with a diagnostic op.
-				// (Callers run trace.Validate + collectives.Expand first;
-				// panicking here would hide the offending op index.)
+				// (Callers run collectives.Expand first, on valid traces:
+				// generated ones are valid by construction, as the tracegen,
+				// extrapolate and collectives tests check, and trace.ReadText
+				// validates what it reads. Panicking here would hide the
+				// offending op index.)
 				st.block = blockedWait
 				st.blockReq = -999
 				return

@@ -2,390 +2,217 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
-// Binary codec
+// Text format
 //
-// Layout: magic "CETR", version byte, then varint-encoded fields. All
-// integers use unsigned varints; signed fields (Peer, Tag, which may be
-// the -1 wildcards) use zig-zag varints. The format is self-describing
-// enough for round-tripping but deliberately simple: traces are large,
-// and decoding speed matters more than extensibility.
-
-var binaryMagic = [4]byte{'C', 'E', 'T', 'R'}
-
-const binaryVersion = 1
-
-// ErrBadMagic is returned when decoding data that is not a binary trace.
-var ErrBadMagic = errors.New("trace: bad magic, not a binary trace")
-
-// WriteBinary encodes the trace to w in the compact binary format.
-func WriteBinary(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(binaryVersion); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(t.Ops))); err != nil {
-		return err
-	}
-	for _, ops := range t.Ops {
-		if err := putUvarint(uint64(len(ops))); err != nil {
-			return err
-		}
-		for _, op := range ops {
-			if err := bw.WriteByte(byte(op.Kind)); err != nil {
-				return err
-			}
-			if err := putVarint(int64(op.Peer)); err != nil {
-				return err
-			}
-			if err := putVarint(int64(op.Tag)); err != nil {
-				return err
-			}
-			if err := putVarint(int64(op.Req)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(op.Size)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(op.Dur)); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes a binary trace from r.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != binaryMagic {
-		return nil, ErrBadMagic
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != binaryVersion {
-		return nil, fmt.Errorf("trace: unsupported binary version %d", ver)
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nameLen > 1<<20 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return nil, err
-	}
-	nRanks, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nRanks > 1<<26 {
-		return nil, fmt.Errorf("trace: implausible rank count %d", nRanks)
-	}
-	initialRanks := nRanks
-	if initialRanks > 1<<12 {
-		// Same incremental-growth defense as per-rank ops: every rank
-		// costs at least one input byte, so hostile headers hit EOF
-		// before large allocations.
-		initialRanks = 1 << 12
-	}
-	t := &Trace{Name: string(nameBuf), Ops: make([][]Op, initialRanks)}
-	for rank := 0; uint64(rank) < nRanks; rank++ {
-		if rank == len(t.Ops) {
-			t.Ops = append(t.Ops, nil)
-		}
-		nOps, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if nOps == 0 {
-			continue
-		}
-		if nOps > 1<<40 {
-			return nil, fmt.Errorf("trace: implausible op count %d", nOps)
-		}
-		// Grow incrementally rather than trusting the declared count:
-		// every op consumes at least six input bytes, so a hostile
-		// header cannot force a huge allocation before hitting EOF.
-		initial := nOps
-		if initial > 1<<16 {
-			initial = 1 << 16
-		}
-		ops := make([]Op, initial, initial)
-		for i := 0; uint64(i) < nOps; i++ {
-			if i == len(ops) {
-				ops = append(ops, Op{})
-			}
-			kind, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			if OpKind(kind) >= numOpKinds {
-				return nil, fmt.Errorf("trace: rank %d op %d: unknown kind %d", rank, i, kind)
-			}
-			peer, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			tag, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			req, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			size, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			dur, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			ops[i] = Op{
-				Kind: OpKind(kind),
-				Peer: int32(peer),
-				Tag:  int32(tag),
-				Req:  int32(req),
-				Size: int64(size),
-				Dur:  int64(dur),
-			}
-		}
-		t.Ops[rank] = ops
-	}
-	return t, nil
-}
-
-// Text codec
-//
-// A human-readable, line-oriented format in the spirit of LogGOPSim's
-// GOAL schedules:
+// The one trace file format: line-oriented, in the spirit of
+// LogGOPSim's GOAL schedules.
 //
 //	trace <name>
 //	ranks <n>
-//	rank <r>
+//	rank 0
 //	  calc <ns>
 //	  send <peer> <bytes> <tag>
 //	  isend <peer> <bytes> <tag> <req>
-//	  irecv <peer> <bytes> <tag> <req>
 //	  wait <req>
-//	  waitall
-//	  barrier
-//	  allreduce <bytes>
 //	  bcast <root> <bytes>
 //	  ...
+//	rank 1
+//	  ...
+//	rank <n-1>
+//	  ...
 //
-// Blank lines and '#' comments are ignored.
+// Each op is its mnemonic (OpKind.String) followed by the operands
+// grammar lists for its kind. ReadText accepts exactly what WriteText
+// writes, apart from blank lines, '#' comments and indentation.
+
+// operand is one integer field of Op as the text format spells it.
+type operand uint8
+
+const (
+	peer operand = iota // Op.Peer: the p2p peer or the collective root
+	size                // Op.Size
+	tag                 // Op.Tag
+	req                 // Op.Req
+	dur                 // Op.Dur
+)
+
+var operandNames = [...]string{peer: "peer", size: "size", tag: "tag", req: "req", dur: "duration"}
+
+// field returns o's field in op. Exactly one of the two is non-nil.
+func (o operand) field(op *Op) (*int32, *int64) {
+	switch o {
+	case peer:
+		return &op.Peer, nil
+	case tag:
+		return &op.Tag, nil
+	case req:
+		return &op.Req, nil
+	case size:
+		return nil, &op.Size
+	}
+	return nil, &op.Dur
+}
+
+// grammar lists, for each kind, the operands written after its
+// mnemonic, in order. It is the text format's one definition of an op
+// line: WriteText and ReadText both read it.
+var grammar = [numOpKinds][]operand{
+	OpCalc:      {dur},
+	OpSend:      {peer, size, tag},
+	OpRecv:      {peer, size, tag},
+	OpIsend:     {peer, size, tag, req},
+	OpIrecv:     {peer, size, tag, req},
+	OpWait:      {req},
+	OpWaitAll:   nil,
+	OpBarrier:   nil,
+	OpBcast:     {peer, size},
+	OpReduce:    {peer, size},
+	OpAllreduce: {size},
+	OpAllgather: {size},
+	OpAlltoall:  {size},
+	OpGather:    {peer, size},
+	OpScatter:   {peer, size},
+}
+
+var kindByName = func() map[string]OpKind {
+	m := make(map[string]OpKind, numOpKinds)
+	for k := OpKind(0); k < numOpKinds; k++ {
+		m[k.String()] = k
+	}
+	return m
+}()
 
 // WriteText encodes the trace to w in the text format.
 func WriteText(w io.Writer, t *Trace) error {
+	if strings.ContainsFunc(t.Name, unicode.IsSpace) {
+		return fmt.Errorf("trace: cannot encode name %q: it contains white space", t.Name)
+	}
+	// bw keeps the first write error, and Flush returns it.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	fmt.Fprintf(bw, "trace %s\n", t.Name)
-	fmt.Fprintf(bw, "ranks %d\n", len(t.Ops))
+	fmt.Fprintf(bw, "trace %s\nranks %d\n", t.Name, len(t.Ops))
+	var line []byte
 	for r, ops := range t.Ops {
 		fmt.Fprintf(bw, "rank %d\n", r)
 		for _, op := range ops {
-			switch op.Kind {
-			case OpCalc:
-				fmt.Fprintf(bw, "calc %d\n", op.Dur)
-			case OpSend, OpRecv:
-				fmt.Fprintf(bw, "%s %d %d %d\n", op.Kind, op.Peer, op.Size, op.Tag)
-			case OpIsend, OpIrecv:
-				fmt.Fprintf(bw, "%s %d %d %d %d\n", op.Kind, op.Peer, op.Size, op.Tag, op.Req)
-			case OpWait:
-				fmt.Fprintf(bw, "wait %d\n", op.Req)
-			case OpWaitAll:
-				fmt.Fprintf(bw, "waitall\n")
-			case OpBarrier:
-				fmt.Fprintf(bw, "barrier\n")
-			case OpAllreduce, OpAllgather, OpAlltoall:
-				fmt.Fprintf(bw, "%s %d\n", op.Kind, op.Size)
-			case OpBcast, OpReduce, OpGather, OpScatter:
-				fmt.Fprintf(bw, "%s %d %d\n", op.Kind, op.Peer, op.Size)
-			default:
+			if op.Kind >= numOpKinds {
 				return fmt.Errorf("trace: cannot encode kind %d", op.Kind)
 			}
+			line = append(line[:0], kindNames[op.Kind]...)
+			for _, o := range grammar[op.Kind] {
+				var v int64
+				if v32, v64 := o.field(&op); v32 != nil {
+					v = int64(*v32)
+				} else {
+					v = *v64
+				}
+				line = strconv.AppendInt(append(line, ' '), v, 10)
+			}
+			bw.Write(append(line, '\n'))
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadText decodes a text trace from r.
+// ReadText decodes a text trace from r. It accepts at most one trace
+// line with at most one name, then exactly one ranks line, then the
+// headers rank 0 … rank n-1 in order, each op with exactly its operands
+// (peer, tag and req as 32-bit values), and returns the trace only if
+// Validate accepts it. Ranks are allocated as their headers are read,
+// so memory grows with the input, not with the declared count.
 func ReadText(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	t := &Trace{}
-	cur := -1
+	named := false
+	n := 0 // the declared rank count; 0 until the ranks line
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		f := strings.Fields(sc.Text())
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		word := fields[0]
-		argInt := func(i int) (int64, error) {
-			if i >= len(fields) {
-				return 0, fmt.Errorf("trace: line %d: %s missing argument %d", lineNo, word, i)
-			}
-			v, err := strconv.ParseInt(fields[i], 10, 64)
-			if err != nil {
-				return 0, fmt.Errorf("trace: line %d: bad integer %q", lineNo, fields[i])
-			}
-			return v, nil
-		}
-		switch word {
+		switch f[0] {
 		case "trace":
-			if len(fields) > 1 {
-				t.Name = fields[1]
+			if named || n > 0 || len(f) > 2 {
+				return nil, lineErr(lineNo, "want at most one trace line, before ranks, with at most one name")
 			}
-			continue
+			named = true
+			if len(f) == 2 {
+				t.Name = f[1]
+			}
 		case "ranks":
-			n, err := argInt(1)
-			if err != nil {
-				return nil, err
+			if n > 0 || len(f) != 2 {
+				return nil, lineErr(lineNo, "want exactly one ranks line with one count")
 			}
-			if n <= 0 || n > 1<<26 {
-				return nil, fmt.Errorf("trace: line %d: implausible rank count %d", lineNo, n)
+			v, err := strconv.ParseInt(f[1], 10, 32)
+			if err != nil || v <= 0 {
+				return nil, lineErr(lineNo, "bad rank count %q", f[1])
 			}
-			t.Ops = make([][]Op, n)
-			continue
+			n = int(v)
 		case "rank":
-			n, err := argInt(1)
-			if err != nil {
-				return nil, err
+			if n == 0 {
+				return nil, lineErr(lineNo, "rank before ranks header")
 			}
-			if t.Ops == nil {
-				return nil, fmt.Errorf("trace: line %d: rank before ranks header", lineNo)
+			if len(f) != 2 || f[1] != strconv.Itoa(len(t.Ops)) || len(t.Ops) == n {
+				return nil, lineErr(lineNo, "want rank headers 0 to %d in order, got %q", n-1, strings.Join(f, " "))
 			}
-			if n < 0 || n >= int64(len(t.Ops)) {
-				return nil, fmt.Errorf("trace: line %d: rank %d out of range", lineNo, n)
-			}
-			cur = int(n)
-			continue
-		}
-		if cur < 0 {
-			return nil, fmt.Errorf("trace: line %d: op before rank header", lineNo)
-		}
-		var op Op
-		var err error
-		switch word {
-		case "calc":
-			op.Kind = OpCalc
-			op.Dur, err = argInt(1)
-		case "send", "recv":
-			if word == "send" {
-				op.Kind = OpSend
-			} else {
-				op.Kind = OpRecv
-			}
-			var peer, size, tag int64
-			if peer, err = argInt(1); err == nil {
-				if size, err = argInt(2); err == nil {
-					tag, err = argInt(3)
-				}
-			}
-			op.Peer, op.Size, op.Tag = int32(peer), size, int32(tag)
-		case "isend", "irecv":
-			if word == "isend" {
-				op.Kind = OpIsend
-			} else {
-				op.Kind = OpIrecv
-			}
-			var peer, size, tag, req int64
-			if peer, err = argInt(1); err == nil {
-				if size, err = argInt(2); err == nil {
-					if tag, err = argInt(3); err == nil {
-						req, err = argInt(4)
-					}
-				}
-			}
-			op.Peer, op.Size, op.Tag, op.Req = int32(peer), size, int32(tag), int32(req)
-		case "wait":
-			op.Kind = OpWait
-			var req int64
-			req, err = argInt(1)
-			op.Req = int32(req)
-		case "waitall":
-			op.Kind = OpWaitAll
-		case "barrier":
-			op.Kind = OpBarrier
-		case "allreduce", "allgather", "alltoall":
-			switch word {
-			case "allreduce":
-				op.Kind = OpAllreduce
-			case "allgather":
-				op.Kind = OpAllgather
-			default:
-				op.Kind = OpAlltoall
-			}
-			op.Size, err = argInt(1)
-		case "bcast", "reduce", "gather", "scatter":
-			switch word {
-			case "bcast":
-				op.Kind = OpBcast
-			case "reduce":
-				op.Kind = OpReduce
-			case "gather":
-				op.Kind = OpGather
-			default:
-				op.Kind = OpScatter
-			}
-			var root int64
-			if root, err = argInt(1); err == nil {
-				op.Size, err = argInt(2)
-			}
-			op.Peer = int32(root)
+			t.Ops = append(t.Ops, nil)
 		default:
-			return nil, fmt.Errorf("trace: line %d: unknown op %q", lineNo, word)
+			kind, ok := kindByName[f[0]]
+			if !ok {
+				return nil, lineErr(lineNo, "unknown op %q", f[0])
+			}
+			if len(t.Ops) == 0 {
+				return nil, lineErr(lineNo, "op before rank header")
+			}
+			operands := grammar[kind]
+			if len(f)-1 != len(operands) {
+				return nil, lineErr(lineNo, "%s takes %d operands, got %d", kind, len(operands), len(f)-1)
+			}
+			op := Op{Kind: kind}
+			for i, o := range operands {
+				v32, v64 := o.field(&op)
+				bits := 64
+				if v32 != nil {
+					bits = 32
+				}
+				v, err := strconv.ParseInt(f[i+1], 10, bits)
+				if err != nil {
+					return nil, lineErr(lineNo, "bad %s %q for %s", operandNames[o], f[i+1], kind)
+				}
+				if v32 != nil {
+					*v32 = int32(v)
+				} else {
+					*v64 = v
+				}
+			}
+			last := len(t.Ops) - 1
+			t.Ops[last] = append(t.Ops[last], op)
 		}
-		if err != nil {
-			return nil, err
-		}
-		t.Ops[cur] = append(t.Ops[cur], op)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: line %d: %w", lineNo+1, err)
 	}
-	if t.Ops == nil {
+	if n == 0 {
 		return nil, ErrEmptyTrace
 	}
+	if len(t.Ops) != n {
+		return nil, fmt.Errorf("trace: ranks declares %d ranks, found %d rank headers", n, len(t.Ops))
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+func lineErr(lineNo int, format string, a ...any) error {
+	return fmt.Errorf("trace: line %d: %s", lineNo, fmt.Sprintf(format, a...))
 }

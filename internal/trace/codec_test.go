@@ -2,25 +2,35 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // randomTrace builds a structurally valid random trace for round-trip
-// property tests.
+// property tests: every rank runs the same collective sequence, with
+// random point-to-point and compute ops between its collectives.
 func randomTrace(r *rand.Rand, maxRanks, maxOps int) *Trace {
 	n := 1 + r.Intn(maxRanks)
 	t := &Trace{Name: "rand", Ops: make([][]Op, n)}
+	var colls []Op
+	for i := r.Intn(maxOps/4 + 1); i > 0; i-- {
+		if r.Intn(2) == 0 {
+			colls = append(colls, Bcast(int32(r.Intn(n)), int64(r.Intn(4096))))
+		} else {
+			colls = append(colls, Allreduce(int64(r.Intn(4096))))
+		}
+	}
 	for rank := 0; rank < n; rank++ {
 		nOps := r.Intn(maxOps)
 		var ops []Op
 		req := int32(0)
 		var outstanding []int32
+		next := 0 // index of the next collective this rank joins
 		for i := 0; i < nOps; i++ {
-			switch r.Intn(8) {
+			switch r.Intn(7) {
 			case 0:
 				ops = append(ops, Calc(int64(r.Intn(1e6))))
 			case 1:
@@ -52,82 +62,18 @@ func randomTrace(r *rand.Rand, maxRanks, maxOps int) *Trace {
 				ops = append(ops, WaitAll())
 				outstanding = nil
 			case 6:
-				ops = append(ops, Bcast(int32(r.Intn(n)), int64(r.Intn(4096))))
-			case 7:
-				ops = append(ops, Allreduce(int64(r.Intn(4096))))
+				if next < len(colls) {
+					ops = append(ops, colls[next])
+					next++
+				}
 			}
 		}
 		if len(outstanding) > 0 {
 			ops = append(ops, WaitAll())
 		}
-		t.Ops[rank] = ops
+		t.Ops[rank] = append(ops, colls[next:]...)
 	}
 	return t
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := twoRankPingPong()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatalf("binary round trip mismatch:\n got %+v\nwant %+v", got, tr)
-	}
-}
-
-func TestBinaryRoundTripRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 50; i++ {
-		tr := randomTrace(r, 8, 40)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, tr) {
-			t.Fatalf("iteration %d: round trip mismatch", i)
-		}
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	_, err := ReadBinary(strings.NewReader("NOPE not a trace"))
-	if err != ErrBadMagic {
-		t.Fatalf("got %v, want ErrBadMagic", err)
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	tr := twoRankPingPong()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, cut := range []int{1, 5, len(data) / 2, len(data) - 1} {
-		if _, err := ReadBinary(bytes.NewReader(data[:cut])); err == nil {
-			t.Fatalf("truncation at %d not detected", cut)
-		}
-	}
-}
-
-func TestBinaryUnknownKind(t *testing.T) {
-	tr := &Trace{Ops: [][]Op{{{Kind: OpKind(99)}}}}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("unknown kind not rejected on decode")
-	}
 }
 
 func TestTextRoundTrip(t *testing.T) {
@@ -200,53 +146,46 @@ func TestTextEmpty(t *testing.T) {
 	}
 }
 
-// Property: binary round trip preserves arbitrary single ops with
-// wildcard-capable fields.
-func TestQuickBinaryOpRoundTrip(t *testing.T) {
-	f := func(peer, tag, req int32, size, dur uint32, kindSel uint8) bool {
-		kind := OpKind(kindSel % uint8(numOpKinds))
-		tr := &Trace{Ops: [][]Op{{{
-			Kind: kind, Peer: peer, Tag: tag, Req: req,
-			Size: int64(size), Dur: int64(dur),
-		}}}}
+func TestTextRoundTripRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 50; i++ {
+		tr := randomTrace(r, 8, 40)
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("iteration %d: randomTrace built an invalid trace: %v", i, err)
+		}
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			return false
+		if err := WriteText(&buf, tr); err != nil {
+			t.Fatal(err)
 		}
-		got, err := ReadBinary(&buf)
+		got, err := ReadText(&buf)
 		if err != nil {
-			return false
+			t.Fatalf("iteration %d: %v", i, err)
 		}
-		return reflect.DeepEqual(got, tr)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatalf("iteration %d: round trip mismatch", i)
+		}
 	}
 }
 
-func BenchmarkBinaryEncode(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	tr := randomTrace(r, 16, 200)
+func BenchmarkWriteText(b *testing.B) {
+	tr := randomTrace(rand.New(rand.NewSource(1)), 16, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
+		if err := WriteText(io.Discard, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBinaryDecode(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	tr := randomTrace(r, 16, 200)
+func BenchmarkReadText(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
+	if err := WriteText(&buf, randomTrace(rand.New(rand.NewSource(1)), 16, 200)); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+		if _, err := ReadText(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzReadText must never panic on arbitrary input, and every trace it
-// accepts must re-encode and re-parse to the same rank/op counts.
+// accepts must be valid and survive WriteText exactly: the written text
+// reads back as an equal trace, and writing that trace again gives the
+// same bytes.
 func FuzzReadText(f *testing.F) {
 	f.Add("trace demo\nranks 2\nrank 0\ncalc 100\nsend 1 8 0\nrank 1\nrecv 0 8 0\n")
 	f.Add("ranks 1\nrank 0\nallreduce 64\nbarrier\nwaitall\n")
@@ -15,49 +18,37 @@ func FuzzReadText(f *testing.F) {
 	f.Add("ranks 2\nrank 0\nisend 1 8 0 1\nwait 1\nrank 1\nirecv 0 8 0 2\nwait 2\n")
 	f.Add("garbage\n")
 	f.Add("")
+	f.Add("ranks 2\nrank 0\nsend 4294967297 8 0\nrank 1\nrecv 0 8 0\n")
+	f.Add("ranks 2\nrank 0\ncalc 5\nranks 1\nrank 0\ncalc 1\n")
+	f.Add("ranks 1\nrank 0\ncalc 100 junk extra\n")
+	f.Add("ranks 4194304\n")
+	f.Add("ranks 2\nrank 0\nsend 7 8 0\nrank 1\n")
+	f.Add("trace a\n# c\nranks 2\n  rank 0\n  calc +007\nrank 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ReadText(strings.NewReader(input))
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteText(&buf, tr); err != nil {
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted an invalid trace: %v", err)
+		}
+		var first bytes.Buffer
+		if err := WriteText(&first, tr); err != nil {
 			t.Fatalf("accepted trace failed to encode: %v", err)
 		}
-		back, err := ReadText(&buf)
+		back, err := ReadText(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded trace failed to parse: %v", err)
 		}
-		if back.NumRanks() != tr.NumRanks() || back.NumOps() != tr.NumOps() {
-			t.Fatalf("round trip changed shape: %d/%d -> %d/%d",
-				tr.NumRanks(), tr.NumOps(), back.NumRanks(), back.NumOps())
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", back, tr)
 		}
-	})
-}
-
-// FuzzReadBinary must never panic or over-allocate on arbitrary bytes.
-func FuzzReadBinary(f *testing.F) {
-	tr := &Trace{Name: "seed", Ops: [][]Op{
-		{Calc(10), Send(1, 64, 1)},
-		{Recv(0, 64, 1), Allreduce(8)},
-	}}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("CETR"))
-	f.Add([]byte("CETR\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
+		var second bytes.Buffer
+		if err := WriteText(&second, back); err != nil {
+			t.Fatalf("re-read trace failed to encode: %v", err)
 		}
-		// Accepted traces must round trip.
-		var out bytes.Buffer
-		if err := WriteBinary(&out, tr); err != nil {
-			t.Fatalf("accepted trace failed to encode: %v", err)
+		if !bytes.Equal(second.Bytes(), first.Bytes()) {
+			t.Fatalf("writer output is not a fixed point:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
 		}
 	})
 }
