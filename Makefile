@@ -100,7 +100,7 @@ chaos-smoke:
 # committed golden byte-for-byte — plus the permuted-ingest determinism
 # and ingest-fault chaos drills. Regenerate the golden after an
 # intentional policy change with the one -update flag (internal/golden):
-#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
+#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server ./docs -run Golden -update
 advisor-smoke:
 	$(call smoke,TestAdvisorSmokeGolden|TestAdviseIngestChaos,./internal/server/)
 	$(call smoke,TestRecommendDeterminismPermutedBatches|TestRecommendIndependentOfQueryHistory,./internal/advise/)
@@ -112,7 +112,7 @@ advisor-smoke:
 # CEs) and a dropped run's mixture state being collected, under the
 # race detector. Regenerate the golden after an intentional model change
 # with the one -update flag (internal/golden):
-#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
+#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server ./docs -run Golden -update
 faultmix-smoke:
 	$(call smoke,TestFaultMixSmokeGolden|TestFaultMixFiguresBitIdentical,./internal/core/)
 	$(call smoke,TestPermutedModesBitIdentical|TestDeterministicReplay|TestProcessSharedAcrossGoroutines|TestAppendGapsMatchesNextGap|TestGeneratorMatchesProcessSchedule,./internal/faultmodel/)
@@ -135,7 +135,7 @@ faultmix-smoke:
 # holds its peak population, and a cached run state stops growing after
 # its first perturbed seed — under the race detector. Regenerate a golden after an
 # intentional model change with the one -update flag (internal/golden):
-#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update
+#   go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server ./docs -run Golden -update
 ENGINE_SMOKE_RUN := TestEngineGolden|TestSurfaceGolden|TestFiguresBitIdenticalAcrossGOMAXPROCS|TestRunFigureCancelMidFigure|TestDefaultProviderBuildsEachConfigOnce|TestConcurrentFiguresCoalesce|TestExperimentMemoBounded|TestCancelRunningSweep|TestStreamedLoweringMatchesStaged|TestDeadlockInsideSharedExchangeNamesTraceOp|TestDeadlockInSegmentOfAnotherRankNamesFlatOp|TestRepetitionAllocatesConstantObjects|TestExchangeReleasingEarlierSendStaysInline|TestProgramSharedAcrossGoroutines|TestQueueMatchesReferences|TestLoadShapesMatchReferences|TestQueueMemoryTracksPeakPopulation|TestRunStateStopsGrowingAcrossSeeds|TestFirstRunGrowsNothingTheProgramCounted|TestNoRecordRetention|TestReferenceAtSize
 engine-smoke:
 	$(call smoke,$(ENGINE_SMOKE_RUN),./internal/core/ ./internal/server/ ./internal/loggopsim/ ./internal/eventq/)
@@ -156,11 +156,12 @@ engine-atsize:
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled
 # sweep in flight, and a coordinator mid-sweep with a live worker),
 # restart over the same -data-dir, and require the recovered results to
-# be bit-identical to a direct sequential computation. Then restart the
-# jobs WAL and the coordinator journal at every record boundary of a
-# canned log (and mid-record, and with the restart's appends failing),
-# and check a worker minted after a coordinator restart never takes the
-# id of one from the epoch before.
+# be bit-identical to a direct sequential computation. Require a
+# worker's job WAL, crashed with a leased shard in flight, to compact
+# on every restart. Then restart the jobs WAL and the coordinator
+# journal at every record boundary of a canned log (and mid-record, and
+# with the restart's appends failing), and check a worker minted after
+# a coordinator restart never takes the id of one from the epoch before.
 crash-smoke:
-	$(call smoke,TestCrashSmokeStandalone|TestCrashSmokeCoordinator,./cmd/cesimd/)
+	$(call smoke,TestCrashSmokeStandalone|TestCrashSmokeCoordinator|TestWorkerCrashMidShardRestartsCompact,./cmd/cesimd/)
 	$(call smoke,TestJobsRestartAtEveryRecordBoundary|TestCoordinatorRestartAtEveryRecordBoundary|TestMintedWorkerIDsUniqueAcrossRestart,./internal/jobs/ ./internal/cluster/)

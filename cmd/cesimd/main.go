@@ -60,41 +60,33 @@ import (
 )
 
 func main() {
+	fs := flag.NewFlagSet("cesimd", flag.ContinueOnError)
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "job worker pool size (0 = GOMAXPROCS)")
-		simWorkers   = flag.Int("sim-workers", 0, "per-job simulation fan-out (0 = GOMAXPROCS)")
-		queueDepth   = flag.Int("queue", 64, "bounded queue capacity (submissions beyond it get 429)")
-		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "per-job deadline (0 = none)")
-		retain       = flag.Int("retain", 512, "finished jobs kept for polling")
-		cacheMB      = flag.Int("cache-mb", 256, "baseline cache bound in MiB")
-		maxNodes     = flag.Int("max-nodes", 16384, "largest accepted node count")
-		maxReps      = flag.Int("max-reps", 64, "largest accepted repetition count")
-		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "shutdown grace for in-flight jobs")
-		jobRetries   = flag.Int("job-retries", 2, "per-job retry budget for retryable failures (negative = none)")
-		shedMark     = flag.Int("shed-watermark", 0, "queue depth at which new submissions get 503 (0 = disabled)")
-		faultsPath   = flag.String("faults", "", "fault-injection plan (JSON); requires -allow-fault-injection")
-		allowFaults  = flag.Bool("allow-fault-injection", false, "permit -faults (chaos drills; never in production)")
-		advisor      = flag.Bool("advisor", true, "mount the mitigation advisor (/v1/advise, docs/ADVISOR.md)")
-		advTenants   = flag.Int("advise-tenants", 1024, "advisor: max distinct tenants tracked")
-		advNodes     = flag.Int("advise-nodes-per-tenant", 4096, "advisor: max tracked nodes per tenant")
-		advBatch     = flag.Int("advise-batch", 10000, "advisor: max events per ingest batch")
-		advCache     = flag.Int("advise-cache", 1024, "advisor: recommendation cache entries (negative = disabled)")
-		advHalfLife  = flag.Duration("advise-half-life", 4*time.Hour, "advisor: estimator decay half-life")
+		addr         = fs.String("addr", ":8080", "listen address")
+		workers      = fs.Int("workers", 0, "job worker pool size (0 = GOMAXPROCS)")
+		queueDepth   = fs.Int("queue", 64, "bounded queue capacity (submissions beyond it get 429)")
+		jobTimeout   = fs.Duration("job-timeout", 15*time.Minute, "per-job deadline (0 = none)")
+		cacheMB      = fs.Int("cache-mb", 256, "baseline cache bound in MiB")
+		maxNodes     = fs.Int("max-nodes", 16384, "largest accepted node count")
+		maxReps      = fs.Int("max-reps", 64, "largest accepted repetition count")
+		drainTimeout = fs.Duration("drain-timeout", 2*time.Minute, "shutdown grace for in-flight jobs")
+		shedMark     = fs.Int("shed-watermark", 0, "queue depth at which new submissions get 503 (0 = disabled)")
+		faultsPath   = fs.String("faults", "", "fault-injection plan (JSON); requires -allow-fault-injection")
+		allowFaults  = fs.Bool("allow-fault-injection", false, "permit -faults (chaos drills; never in production)")
 
-		dataDir      = flag.String("data-dir", "", "durable state directory (job WAL, result store, coordinator journal; empty = in-memory only, docs/DURABILITY.md)")
-		tenantRate   = flag.Float64("tenant-rate", 0, "per-tenant sustained submissions/sec (0 = unlimited)")
-		tenantBurst  = flag.Int("tenant-burst", 0, "per-tenant submission burst (0 = derived from -tenant-rate)")
-		tenantJobs   = flag.Int("tenant-jobs", 0, "per-tenant in-flight job cap (0 = unlimited)")
-		tenantDiskMB = flag.Int("tenant-disk-mb", 0, "per-tenant result-store footprint cap in MiB (0 = unlimited)")
+		dataDir      = fs.String("data-dir", "", "durable state directory (job WAL, result store, coordinator journal; empty = in-memory only, docs/DURABILITY.md)")
+		tenantRate   = fs.Float64("tenant-rate", 0, "per-tenant sustained submissions/sec (0 = unlimited)")
+		tenantBurst  = fs.Int("tenant-burst", 0, "per-tenant submission burst (0 = derived from -tenant-rate)")
+		tenantJobs   = fs.Int("tenant-jobs", 0, "per-tenant in-flight job cap (0 = unlimited)")
+		tenantDiskMB = fs.Int("tenant-disk-mb", 0, "per-tenant result-store footprint cap in MiB (0 = unlimited)")
 
-		role     = flag.String("role", "standalone", "cluster role: standalone, coordinator, or worker")
-		join     = flag.String("join", "", "coordinator URL to join (requires -role worker)")
-		leaseTTL = flag.Duration("lease-ttl", 10*time.Second, "coordinator: shard lease TTL (heartbeat deadline)")
+		role = fs.String("role", "standalone", "cluster role: standalone, coordinator, or worker")
+		join = fs.String("join", "", "coordinator URL to join (requires -role worker)")
 	)
-	flag.Parse()
-
 	logger := log.New(os.Stderr, "cesimd: ", log.LstdFlags)
+	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
+		logger.Fatal(err)
+	}
 
 	switch *role {
 	case "", "standalone", "coordinator", "worker":
@@ -111,8 +103,6 @@ func main() {
 	// Every value below would otherwise be logged as given and then
 	// replaced by a default or ignored; only the zeros and negatives the
 	// help text documents pass.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	const maxMiB = math.MaxInt64 >> 20
 	for _, r := range []struct {
 		flag string
@@ -120,33 +110,21 @@ func main() {
 		want string
 	}{
 		{"workers", *workers >= 0, "must be 0 (GOMAXPROCS) or more"},
-		{"sim-workers", *simWorkers >= 0, "must be 0 (GOMAXPROCS) or more"},
 		{"queue", *queueDepth >= 1, "must be at least 1"},
 		{"job-timeout", *jobTimeout >= 0, "must be 0 (none) or more"},
-		{"retain", *retain >= 1, "must be at least 1"},
 		{"cache-mb", *cacheMB >= 1 && int64(*cacheMB) <= maxMiB, fmt.Sprintf("must be in [1, %d]", maxMiB)},
 		{"max-nodes", *maxNodes >= 1, "must be at least 1"},
 		{"max-reps", *maxReps >= 1, "must be at least 1"},
 		{"shed-watermark", *shedMark >= 0, "must be 0 (disabled) or more"},
-		{"advise-tenants", *advTenants >= 1, "must be at least 1"},
-		{"advise-nodes-per-tenant", *advNodes >= 1, "must be at least 1"},
-		{"advise-batch", *advBatch >= 1, "must be at least 1"},
-		{"advise-cache", *advCache != 0, "must be positive, or negative to disable"},
-		{"advise-half-life", *advHalfLife > 0, "must be positive"},
 		{"tenant-rate", *tenantRate >= 0, "must be 0 (unlimited) or more"},
 		{"tenant-burst", *tenantBurst >= 0, "must be 0 (derived) or more"},
 		{"tenant-burst", *tenantBurst == 0 || *tenantRate > 0, "requires -tenant-rate"},
 		{"tenant-jobs", *tenantJobs >= 0, "must be 0 (unlimited) or more"},
 		{"tenant-disk-mb", *tenantDiskMB >= 0 && int64(*tenantDiskMB) <= maxMiB, fmt.Sprintf("must be in [0 (unlimited), %d]", maxMiB)},
-		{"lease-ttl", *leaseTTL > 0, "must be positive"},
-		{"lease-ttl", !set["lease-ttl"] || *role == "coordinator", "requires -role coordinator"},
 	} {
 		if !r.ok {
-			logger.Fatalf("-%s %s %s", r.flag, flag.Lookup(r.flag).Value, r.want)
+			logger.Fatalf("-%s %s %s", r.flag, fs.Lookup(r.flag).Value, r.want)
 		}
-	}
-	if flag.NArg() > 0 {
-		logger.Fatalf("unexpected argument %q", flag.Arg(0))
 	}
 
 	// Fault injection is opt-in twice over: the plan flag alone is an
@@ -200,37 +178,26 @@ func main() {
 	var routes map[string]http.HandlerFunc
 	var coord *cluster.Coordinator
 	if *role == "coordinator" {
-		ccfg := cluster.Config{LeaseTTL: *leaseTTL}
 		if *dataDir != "" {
 			var rst journal.ReplayStats
 			var err error
 			t := time.Now()
-			coord, rst, err = cluster.OpenCoordinator(context.Background(), ccfg, filepath.Join(*dataDir, "cluster-wal"))
+			coord, rst, err = cluster.OpenCoordinator(context.Background(), cluster.Config{}, filepath.Join(*dataDir, "cluster-wal"))
 			if err != nil {
 				logger.Fatal(err)
 			}
 			logger.Printf("coordinator recovered: %d journal records (%d bytes in %d ms, %d quarantined segments), epoch %d",
 				rst.Records, rst.Bytes, time.Since(t).Milliseconds(), rst.Quarantined, coord.Epoch())
 		} else {
-			coord = cluster.NewCoordinator(ccfg)
+			coord = cluster.NewCoordinator(cluster.Config{})
 		}
 		routes = coord.Routes()
 	}
 
-	// The advisor is on by default: it holds only bounded in-memory
-	// state and costs nothing until the first ingest.
-	var adv *advise.Service
-	if *advisor {
-		adv = advise.NewService(advise.Config{
-			Store: advise.StoreConfig{
-				Estimator:         advise.EstimatorConfig{HalfLifeNanos: advHalfLife.Nanoseconds()},
-				MaxTenants:        *advTenants,
-				MaxNodesPerTenant: *advNodes,
-			},
-			MaxBatchEvents: *advBatch,
-			CacheEntries:   *advCache,
-		})
-	}
+	// The advisor is always mounted, at its package defaults: it holds
+	// only bounded in-memory state and costs nothing until the first
+	// ingest.
+	adv := advise.NewService(advise.Config{})
 
 	// start builds the job queue and the server over the job WAL (nil
 	// without -data-dir).
@@ -244,7 +211,6 @@ func main() {
 			Workers:  *workers,
 			Capacity: *queueDepth,
 			Timeout:  *jobTimeout,
-			Retain:   *retain,
 			Log:      logger,
 		}
 		if wal != nil {
@@ -255,10 +221,8 @@ func main() {
 		srv, err = server.New(server.Config{
 			Queue:         queue,
 			Cache:         cache,
-			SimWorkers:    *simWorkers,
 			MaxNodes:      *maxNodes,
 			MaxReps:       *maxReps,
-			JobRetries:    *jobRetries,
 			ShedWatermark: *shedMark,
 			Advisor:       adv,
 			Routes:        routes,

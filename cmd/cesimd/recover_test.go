@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"log"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/journal"
 	"repro/internal/server"
@@ -63,7 +66,7 @@ func boot(t *testing.T, walDir string, capacity int, logs *bytes.Buffer) (q *job
 	logger := log.New(logs, "", 0)
 	w, pending, resubmitted = restartJobs(context.Background(), logger, walDir, func(w *journal.Writer) *server.Server {
 		q = jobs.New(jobs.Config{Workers: 3, Capacity: capacity, Journal: w, Log: logger})
-		srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), SimWorkers: 1, Journal: w, Log: logger})
+		srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Journal: w, Log: logger})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,5 +177,76 @@ func TestPartialResubmitKeepsPreRestartSegments(t *testing.T) {
 				t.Fatalf("%d segments after a full resubmit, want 1", len(segs))
 			}
 		})
+	}
+}
+
+// TestWorkerCrashMidShardRestartsCompact: a cluster worker SIGKILLed
+// while a leased shard runs in its job queue must not leave the job WAL
+// holding a job no restart can rebuild (the shard is the coordinator's
+// to re-offer). Every restart after the crash compacts the pre-restart
+// segments.
+func TestWorkerCrashMidShardRestartsCompact(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	// The shard job stalls at its fault site until the crash cancels it.
+	if err := faultinject.Arm(faultinject.Plan{
+		faultinject.SiteClusterShard: {Kind: faultinject.KindDelay, Probability: 1, DelayNanos: int64(time.Minute)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	coord := cluster.NewCoordinator(cluster.Config{})
+	cq := jobs.New(jobs.Config{Workers: 1})
+	cs, err := server.New(server.Config{Queue: cq, Cache: simcache.New(0), Routes: coord.Routes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(cs)
+	defer ts.Close()
+	defer cq.Drain(context.Background())
+	if _, _, err := coord.CreateSweep(cluster.Spec{Figures: []string{"4"}, Workloads: []string{"minife"}, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	walDir := filepath.Join(t.TempDir(), "jobs-wal")
+	w, err := journal.Open(walDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := jobs.New(jobs.Config{Workers: 1, Journal: w})
+	cw, err := cluster.NewWorker(cluster.WorkerConfig{Coordinator: ts.URL, Addr: "worker-1", Queue: q, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- cw.Run(ctx) }()
+	for deadline := time.Now().Add(10 * time.Second); q.Stats().Running == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never started a shard job")
+		}
+	}
+	if err := w.Close(); err != nil { // the crash: nothing after it reaches the log
+		t.Fatal(err)
+	}
+	cancel()
+	<-done
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 1; i <= 3; i++ {
+		var logs bytes.Buffer
+		q, w, pending, _ := boot(t, walDir, 64, &logs)
+		if err := q.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(pending) != 0 || bytes.Contains(logs.Bytes(), []byte("keeping pre-restart segments")) {
+			t.Fatalf("restart %d recovered %d jobs and kept its segments:\n%s", i, len(pending), logs.String())
+		}
+		if segs := segmentFiles(t, walDir); len(segs) != 1 {
+			t.Fatalf("restart %d left %d segments, want 1\n%s", i, len(segs), logs.String())
+		}
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 		years     = fs.Float64("years", 1, "simulated span in years")
 		mtbce     = fs.Duration("mtbce", time.Duration(knee.MTBCENanos()), "per-node mean time between CEs before retirement (default "+defaultSystem+"); a spec file's own mtbce_ns wins")
 		threshold = fs.Int("threshold", 3, "CEs on a page before retirement (0 disables)")
-		maxPages  = fs.Int("maxpages", 64, "page retirement budget")
+		maxPages  = fs.Int("maxpages", retire.DefaultMaxPages, "page retirement budget")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		sweep     = fs.Bool("sweep", false, "sweep retirement thresholds instead of one run")
 		faultMix  = fs.String("fault-mix", "field-ddr4", "fault-mix preset name or JSON spec file")

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,19 +55,36 @@ func main() {
 	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
 		fatal(err)
 	}
-	switch {
-	case *factor < 0:
+	if *factor < 0 {
 		fatal(fmt.Errorf("-extrapolate must be at least 1, or 0 to leave the trace as is; got %d", *factor))
-	case *input != "" && *workload != "":
-		fatal(fmt.Errorf("-i reads a trace and -workload generates one; pass one of them"))
-	case *list && (*input != "" || *workload != ""):
-		fatal(fmt.Errorf("-list prints the workload table; it excludes -i and -workload"))
+	}
+	// The first mode that is on runs. Any flag set on the command line
+	// that it does not read is refused, the other modes' own included.
+	for _, mode := range []struct {
+		on    bool
+		reads []string // the mode's own flag first
+	}{
+		{*faultMix != "", []string{"fault-mix", "ce-events", "ce-nodes", "ce-mtbce", "ce-tenant", "seed", "o"}},
+		{*list, []string{"list"}},
+		{*input != "", []string{"i", "extrapolate", "expand", "stats", "analyze", "o"}},
+		{*workload != "", []string{"workload", "nodes", "iters", "seed", "extrapolate", "expand", "stats", "analyze", "o"}},
+	} {
+		if !mode.on {
+			continue
+		}
+		var unread []string
+		fs.Visit(func(f *flag.Flag) {
+			if !slices.Contains(mode.reads, f.Name) {
+				unread = append(unread, "-"+f.Name)
+			}
+		})
+		if len(unread) > 0 {
+			fatal(fmt.Errorf("-%s does not read %s", mode.reads[0], strings.Join(unread, ", ")))
+		}
+		break
 	}
 
 	if *faultMix != "" {
-		if *workload != "" || *input != "" || *list {
-			fatal(fmt.Errorf("-fault-mix is a CE event export; it excludes -workload, -i and -list"))
-		}
 		if *ceEvents < 1 {
 			fatal(fmt.Errorf("-ce-events must be at least 1, got %d", *ceEvents))
 		}

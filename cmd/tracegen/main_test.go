@@ -34,6 +34,10 @@ func TestBadInvocationsRejectedUpFront(t *testing.T) {
 	if err := os.WriteFile(invalid, []byte("ranks 2\nrank 0\nsend 7 8 0\nrank 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	small := filepath.Join(tmp, "small.trace")
+	if msg, err := exec.Command(bin, "-workload", "lulesh", "-nodes", "8", "-iters", "1", "-o", small).CombinedOutput(); err != nil {
+		t.Fatalf("writing %s: %v\n%s", small, err, msg)
+	}
 	type rejection struct {
 		args []string
 		want string // stderr substring
@@ -42,14 +46,18 @@ func TestBadInvocationsRejectedUpFront(t *testing.T) {
 		{[]string{"-workload", "lulesh", "-format", "text", "-o", out}, "flag provided but not defined: -format"},
 		{[]string{"-i", old, "-stats"}, "line 1: unknown op"},
 		{[]string{"-i", invalid, "-o", out}, "peer 7 out of range"},
-		{[]string{"-i", old, "-workload", "lulesh", "-stats"}, "pass one of them"},
-		{[]string{"-list", "-workload", "bogus"}, "excludes -i and -workload"},
-		{[]string{"-list", "-i", old}, "excludes -i and -workload"},
+		{[]string{"-i", old, "-workload", "lulesh", "-stats"}, "-i does not read -workload"},
+		{[]string{"-list", "-workload", "bogus"}, "-list does not read -workload"},
+		{[]string{"-list", "-i", old}, "-list does not read -i"},
 		{[]string{"-workload", "lulesh", "-extrapolate", "-2", "-stats"}, "got -2"},
 		{[]string{"-workload", "lulesh", "extra", "-stats"}, `"extra"`},
 		{[]string{"-i", "/nonexistent", "-stats"}, "/nonexistent"},
 		{[]string{"-workload", "bogus"}, `"bogus"`},
 		{[]string{"-fault-mix", "field-ddr4", "-ce-events", "0"}, "got 0"},
+		// A flag the selected mode does not read.
+		{[]string{"-fault-mix", "field-ddr4", "-ce-events", "2", "-stats", "-expand", "-extrapolate", "4"}, "-fault-mix does not read -expand, -extrapolate, -stats"},
+		{[]string{"-i", small, "-nodes", "4096", "-iters", "99", "-seed", "5", "-stats"}, "-i does not read -iters, -nodes, -seed"},
+		{[]string{"-workload", "lulesh", "-ce-events", "7", "-ce-tenant", "x", "-stats"}, "-workload does not read -ce-events, -ce-tenant"},
 		{[]string{"-bogus"}, "-bogus"},
 	}
 	if _, err := os.Stat("/dev/full"); err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/due"
 	"repro/internal/faultmodel"
 	"repro/internal/predict"
+	"repro/internal/retire"
 	"repro/internal/systems"
 	"repro/internal/tracegen"
 )
@@ -19,9 +20,6 @@ const (
 	// an MTBCE estimate into a DUE-class node MTBF for the
 	// checkpoint-interval retune.
 	CEtoDUERatio = 20
-	// RetirePageBudget mirrors retire.Policy's kernel default: at most
-	// 64 pages may be taken offline per node.
-	RetirePageBudget = 64
 	// DefaultRetireThreshold is the suggested CEs-on-page trigger: a
 	// few repeats confirm a persistent fault without retiring pages
 	// for one-off transients.
@@ -294,7 +292,7 @@ func pickMode(modes []ModeAssessment) string {
 
 // retirement builds the page-offlining verdict.
 func retirement(in Inputs) *RetirementAdvice {
-	adv := &RetirementAdvice{PageBudget: RetirePageBudget}
+	adv := &RetirementAdvice{PageBudget: retire.DefaultMaxPages}
 	if !in.FaultKnown {
 		adv.Reason = "fault mode unclassified: not enough CE samples to distinguish " +
 			"a concentrated fault from a scattered one; keep logging before retiring pages"
@@ -304,14 +302,14 @@ func retirement(in Inputs) *RetirementAdvice {
 	adv.FaultKind = in.Fault.String()
 	adv.Confidence = in.FaultConfidence
 	adv.FootprintPages = fp
-	if fp <= RetirePageBudget {
+	if fp <= retire.DefaultMaxPages {
 		adv.Worth = true
 		adv.SuggestedThreshold = DefaultRetireThreshold
 		adv.Reason = fmt.Sprintf("%s fault fits in %d of %d budget pages; retirement silences it",
-			in.Fault, fp, RetirePageBudget)
+			in.Fault, fp, retire.DefaultMaxPages)
 	} else {
 		adv.Reason = fmt.Sprintf("%s fault spans %d pages, beyond the %d-page budget; retirement cannot contain it",
-			in.Fault, fp, RetirePageBudget)
+			in.Fault, fp, retire.DefaultMaxPages)
 	}
 	return adv
 }

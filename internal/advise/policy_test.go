@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faultmodel"
+	"repro/internal/retire"
 )
 
 func baseInputs() Inputs {
@@ -114,7 +115,7 @@ func TestAdviseRetirementVerdicts(t *testing.T) {
 	}
 	if rec.Retirement.Worth {
 		t.Fatalf("bank fault (%d pages) cannot fit the %d-page budget: %+v",
-			faultmodel.FaultBank.FootprintPages(), RetirePageBudget, rec.Retirement)
+			faultmodel.FaultBank.FootprintPages(), retire.DefaultMaxPages, rec.Retirement)
 	}
 
 	in.FaultKnown = false

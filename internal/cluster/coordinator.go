@@ -68,7 +68,7 @@ const (
 	workerTTL = 30 * time.Second
 	// retryBudget is how many attempts a shard gets after its first.
 	// A failed attempt is re-offered after the jobs backoff
-	// (jobs.Spec.Backoff's defaults, jittered per cell). Lease expiries
+	// (jobs.Backoff, jittered per cell). Lease expiries
 	// consume the same budget — an attempt that vanished is still an
 	// attempt.
 	retryBudget = 3
@@ -341,7 +341,7 @@ func (c *Coordinator) Report(workerID, sweepID, key string, fragment *core.Figur
 		return nil
 	}
 	sh.state = shardPending
-	sh.notBefore = now.Add(jobs.Spec{}.Backoff(sh.attempts-1, sh.jitter))
+	sh.notBefore = now.Add(jobs.Backoff(sh.attempts-1, sh.jitter))
 	return nil
 }
 

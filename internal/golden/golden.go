@@ -15,7 +15,7 @@ import (
 // command regenerates every golden file in the repository. Only the
 // packages it names import this one, so only their test binaries
 // accept -update; a package that starts checking a golden joins it.
-const command = "go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server -run Golden -update"
+const command = "go test ./examples/... ./cmd/retiresim ./internal/core ./internal/campaign ./internal/server ./docs -run Golden -update"
 
 var update = flag.Bool("update", false, "rewrite golden files from the live output instead of comparing")
 

@@ -129,10 +129,10 @@ type Config struct {
 	// Retain bounds the number of finished jobs kept for polling;
 	// <= 0 selects 512. The oldest finished jobs are forgotten first.
 	Retain int
-	// Journal, when non-nil, receives a durable record when a job is
-	// accepted and when it finishes (see wal.go). A restarted daemon
-	// replays it with Recover to re-enqueue incomplete jobs under their
-	// original ids.
+	// Journal, when non-nil, receives a durable record when a job with
+	// a Payload is accepted and when it finishes (see wal.go). A
+	// restarted daemon replays it with Recover to re-enqueue incomplete
+	// jobs under their original ids.
 	Journal journal.Appender
 	// Log receives operational messages (abandoned jobs, journal append
 	// failures); nil silences them.
@@ -197,47 +197,35 @@ type Spec struct {
 	// Retries is how many times a retryable failure is re-run after
 	// the first attempt; 0 disables retry.
 	Retries int
-	// BaseBackoff is the backoff before the first retry (default
-	// 10ms); each further retry doubles it.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (default 2s).
-	MaxBackoff time.Duration
 	// Payload is the replayable request behind the job's Func, stored
 	// verbatim in the journal's accepted record. Funcs are closures and
 	// cannot be persisted; recovery rebuilds them from Kind + Payload.
-	// Jobs submitted without a payload run normally but cannot be
-	// recovered after a crash.
+	// Jobs submitted without a payload run normally but are not
+	// journaled: nothing could rebuild them after a crash, and an
+	// unfinished one would keep every restart from compacting.
 	Payload json.RawMessage
 }
 
+const (
+	baseBackoff = 10 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
+
 // Backoff returns the jittered exponential backoff before retry
 // attempt (0-based): uniformly drawn from [d/2, d] where d doubles
-// from BaseBackoff up to MaxBackoff. The jitter decorrelates retry
+// from baseBackoff up to maxBackoff. The jitter decorrelates retry
 // storms; jr is a per-job stream seeded from the job id (see
 // jitterStream), so sleep lengths are reproducible given the id —
 // regression note for detrand: this used to draw from the global
 // math/rand/v2 state, the one unseeded entropy source in the module.
 // Exported so other retry loops (the cluster coordinator's shard
 // re-offers) share the same backoff discipline.
-func (s Spec) Backoff(attempt int, jr *rng.Source) time.Duration {
-	base, max := s.BaseBackoff, s.MaxBackoff
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
+func Backoff(attempt int, jr *rng.Source) time.Duration {
+	d := baseBackoff
+	for i := 0; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
+	half := min(d, maxBackoff) / 2
 	return half + time.Duration(jr.Intn(int(half)+1))
 }
 
@@ -356,7 +344,7 @@ func (q *Queue) submit(id string, spec Spec, fn Func, recovered bool) (string, e
 		if recovered {
 			q.recovered++
 		}
-		q.journalLocked(walRecord{
+		q.journalLocked(j, walRecord{
 			Op:        opAccepted,
 			ID:        j.id,
 			Kind:      spec.Kind,
@@ -588,7 +576,7 @@ func (q *Queue) run(j *job) {
 		if jitter == nil {
 			jitter = jitterStream(j.id)
 		}
-		if !Sleep(ctx, j.spec.Backoff(attempt, jitter)) {
+		if !Sleep(ctx, Backoff(attempt, jitter)) {
 			// Canceled or timed out while backing off; the last
 			// failure stands but the job finishes as canceled below.
 			break
@@ -676,7 +664,7 @@ func (q *Queue) finishLocked(j *job, s State, err error) {
 	case Canceled:
 		q.canceled++
 	}
-	q.journalLocked(walRecord{Op: terminalOp(s), ID: j.id})
+	q.journalLocked(j, walRecord{Op: terminalOp(s), ID: j.id})
 	q.finished = append(q.finished, j.id)
 	for len(q.finished) > q.cfg.Retain {
 		delete(q.jobs, q.finished[0])

@@ -43,7 +43,7 @@ func referenceRecover(dir string) ([]PendingJob, journal.ReplayStats, error) {
 	}
 	var out []PendingJob
 	for _, id := range order {
-		if p, ok := pending[id]; ok {
+		if p, ok := pending[id]; ok && len(p.Spec.Payload) > 0 {
 			out = append(out, *p)
 		}
 	}

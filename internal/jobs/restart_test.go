@@ -16,9 +16,9 @@ import (
 // cannedJobsWAL is a job history with every op: five acceptances (with
 // and without payload, tenant, request id, retry budget), started and
 // retried narration, one job closed by each terminal op, and two jobs
-// still open at the end. The queue no longer writes narration, so this
-// is a log an older daemon left behind; the restart re-journals it
-// without.
+// still open at the end. The queue no longer writes narration or
+// payload-less acceptances, so this is a log an older daemon left
+// behind; the restart re-journals it without them.
 func cannedJobsWAL() []walRecord {
 	sim := json.RawMessage(`{"workload":"minife","nodes":16,"iters":2,"seed":1,"reps":1}`)
 	sweep := json.RawMessage(`{"figure":"4","nodes":16,"seed":2}`)
@@ -39,8 +39,8 @@ func cannedJobsWAL() []walRecord {
 	}
 }
 
-// foldJobs is the direct fold of a record prefix: the jobs accepted and
-// not closed, in acceptance order, with their specs.
+// foldJobs is the direct fold of a record prefix: the jobs accepted
+// with a payload and not closed, in acceptance order, with their specs.
 func foldJobs(recs []walRecord) []PendingJob {
 	open := map[string]Spec{}
 	var order []string
@@ -57,7 +57,7 @@ func foldJobs(recs []walRecord) []PendingJob {
 	}
 	var out []PendingJob
 	for _, id := range order {
-		if s, ok := open[id]; ok {
+		if s, ok := open[id]; ok && len(s.Payload) > 0 {
 			out = append(out, PendingJob{ID: id, Spec: s})
 		}
 	}

@@ -19,7 +19,7 @@ func TestPanicRecoveredAndRetried(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Drain(context.Background())
 	var calls atomic.Int32
-	id, err := q.SubmitSpec(Spec{Kind: "flaky", Retries: 3, BaseBackoff: time.Millisecond}, func(context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "flaky", Retries: 3}, func(context.Context) (any, error) {
 		if calls.Add(1) < 3 {
 			panic("injected-ish")
 		}
@@ -44,7 +44,7 @@ func TestPanicRecoveredAndRetried(t *testing.T) {
 func TestPanicExhaustsRetryBudget(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Drain(context.Background())
-	id, err := q.SubmitSpec(Spec{Kind: "doomed", Retries: 1, BaseBackoff: time.Millisecond}, func(context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "doomed", Retries: 1}, func(context.Context) (any, error) {
 		panic("always")
 	})
 	if err != nil {
@@ -77,7 +77,7 @@ func TestRetryableErrorRetried(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Drain(context.Background())
 	var calls atomic.Int32
-	id, err := q.SubmitSpec(Spec{Kind: "flaky", Retries: 5, BaseBackoff: time.Millisecond}, func(context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "flaky", Retries: 5}, func(context.Context) (any, error) {
 		if calls.Add(1) < 4 {
 			return nil, transientErr{}
 		}
@@ -99,7 +99,7 @@ func TestPlainErrorNotRetried(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Drain(context.Background())
 	var calls atomic.Int32
-	id, err := q.SubmitSpec(Spec{Kind: "hard", Retries: 5, BaseBackoff: time.Millisecond}, func(context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "hard", Retries: 5}, func(context.Context) (any, error) {
 		calls.Add(1)
 		return nil, errors.New("deterministic failure")
 	})
@@ -124,7 +124,7 @@ func TestCancelRacesPanickingWorker(t *testing.T) {
 	defer q.Drain(context.Background())
 	started := make(chan struct{})
 	var once atomic.Bool
-	id, err := q.SubmitSpec(Spec{Kind: "panicky", Retries: 1000, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 5 * time.Millisecond}, func(context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "panicky", Retries: 1000}, func(context.Context) (any, error) {
 		if once.CompareAndSwap(false, true) {
 			close(started)
 		}
@@ -199,18 +199,15 @@ func TestCancelQueuedThenWorkerArrives(t *testing.T) {
 }
 
 func TestBackoffBoundedAndJittered(t *testing.T) {
-	s := Spec{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
 	jr := jitterStream("job-backoff-test")
 	for attempt := 0; attempt < 10; attempt++ {
-		d := s.Backoff(attempt, jr)
-		if d <= 0 || d > s.MaxBackoff {
-			t.Fatalf("attempt %d: backoff %v outside (0, %v]", attempt, d, s.MaxBackoff)
+		d := Backoff(attempt, jr)
+		if d <= 0 || d > maxBackoff {
+			t.Fatalf("attempt %d: backoff %v outside (0, %v]", attempt, d, maxBackoff)
 		}
 	}
-	// Defaults apply when the spec leaves the knobs zero.
-	d := Spec{}.Backoff(0, jr)
-	if d < 5*time.Millisecond || d > 10*time.Millisecond {
-		t.Fatalf("default first backoff %v outside [5ms, 10ms]", d)
+	if d := Backoff(0, jr); d < baseBackoff/2 || d > baseBackoff {
+		t.Fatalf("first backoff %v outside [%v, %v]", d, baseBackoff/2, baseBackoff)
 	}
 }
 
@@ -219,12 +216,11 @@ func TestBackoffDeterministicPerJobID(t *testing.T) {
 	// the global math/rand/v2 state; it now derives from the job id, so
 	// the same id must replay the same sleep schedule and distinct ids
 	// must decorrelate.
-	s := Spec{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
 	a1, a2 := jitterStream("job-a"), jitterStream("job-a")
 	b := jitterStream("job-b")
 	same, diff := true, false
 	for attempt := 0; attempt < 8; attempt++ {
-		d1, d2, d3 := s.Backoff(attempt, a1), s.Backoff(attempt, a2), s.Backoff(attempt, b)
+		d1, d2, d3 := Backoff(attempt, a1), Backoff(attempt, a2), Backoff(attempt, b)
 		if d1 != d2 {
 			same = false
 		}

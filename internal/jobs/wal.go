@@ -35,10 +35,16 @@ type walRecord struct {
 	Payload   json.RawMessage `json:"payload,omitempty"`
 }
 
-// journalLocked appends one record to the configured journal (counted
-// in walErrors and logged when it fails). q.mu must be held, so the
-// WAL's record order is the order the transitions were applied in.
-func (q *Queue) journalLocked(rec walRecord) {
+// journalLocked appends one of j's records to the configured journal
+// (counted in walErrors and logged when it fails). q.mu must be held,
+// so the WAL's record order is the order the transitions were applied
+// in. A job without a payload is not journaled: no restart could
+// rebuild it, and its acceptance would keep every restart from
+// compacting.
+func (q *Queue) journalLocked(j *job, rec walRecord) {
+	if len(j.spec.Payload) == 0 {
+		return
+	}
 	if err := journal.Record(q.cfg.Journal, rec, &q.walErrors); err != nil {
 		q.logf("jobs: journal append failed (op=%s id=%s): %v", rec.Op, rec.ID, err)
 	}
@@ -73,11 +79,11 @@ type PendingJob struct {
 	Spec Spec
 }
 
-// Recover replays a queue journal directory and returns the jobs that
-// never reached a terminal state, in original acceptance order: the
-// replay of the queue's journal.Restart, whose re-journal re-submits
-// each with SubmitRecovered, preserving ids (and so request
-// correlation) across the restart. Corrupt segments are
+// Recover replays a queue journal directory and returns the jobs with
+// a payload that never reached a terminal state, in original
+// acceptance order: the replay of the queue's journal.Restart, whose
+// re-journal re-submits each with SubmitRecovered, preserving ids (and
+// so request correlation) across the restart. Corrupt segments are
 // quarantined by the journal layer and reported in the stats, never an
 // error.
 func Recover(ctx context.Context, dir string) ([]PendingJob, journal.ReplayStats, error) {
@@ -124,7 +130,9 @@ func Recover(ctx context.Context, dir string) ([]PendingJob, journal.ReplayStats
 	}
 	var out []PendingJob
 	for _, id := range order {
-		if spec, ok := pending[id]; ok {
+		// An acceptance without a payload names a job nothing can
+		// rebuild; older queues journaled cluster shards so.
+		if spec, ok := pending[id]; ok && len(spec.Payload) > 0 {
 			out = append(out, PendingJob{ID: id, Spec: spec})
 		}
 	}

@@ -235,13 +235,14 @@ func (a *recordingAppender) Append(_ context.Context, b []byte) error {
 // TestJournalWritesAcceptedAndTerminalOnly: a journaled job costs two
 // records, its acceptance and its terminal one, in the order the queue
 // applied them — whether it succeeds after two retries, is cancelled
-// while queued, or fails.
+// while queued, or fails. A job without a payload, which no restart
+// could rebuild, costs none.
 func TestJournalWritesAcceptedAndTerminalOnly(t *testing.T) {
 	var wal recordingAppender
 	q := New(Config{Workers: 1, Journal: &wal})
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	flaky, err := q.SubmitSpec(Spec{Kind: "flaky", Retries: 2, BaseBackoff: time.Millisecond, Payload: json.RawMessage(`{"n":1}`)},
+	flaky, err := q.SubmitSpec(Spec{Kind: "flaky", Retries: 2, Payload: json.RawMessage(`{"n":1}`)},
 		func(context.Context) (any, error) {
 			switch calls.Add(1) {
 			case 1:
@@ -261,14 +262,18 @@ func TestJournalWritesAcceptedAndTerminalOnly(t *testing.T) {
 		}
 	}
 	// The lone worker is busy, so this one waits in the queue.
-	queued, err := q.SubmitSpec(Spec{Kind: "queued", RequestID: "r-q"}, func(context.Context) (any, error) { return nil, nil })
+	queued, err := q.SubmitSpec(Spec{Kind: "queued", RequestID: "r-q", Payload: json.RawMessage(`{"n":2}`)}, func(context.Context) (any, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !q.Cancel(queued) {
 		t.Fatal("the queued job was not live")
 	}
-	doomed, err := q.SubmitSpec(Spec{Kind: "doomed", Tenant: "t"}, func(context.Context) (any, error) { return nil, errors.New("boom") })
+	doomed, err := q.SubmitSpec(Spec{Kind: "doomed", Tenant: "t", Payload: json.RawMessage(`{"n":3}`)}, func(context.Context) (any, error) { return nil, errors.New("boom") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	unjournaled, err := q.SubmitSpec(Spec{Kind: "cluster-shard", RequestID: "r-s"}, func(context.Context) (any, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,14 +284,17 @@ func TestJournalWritesAcceptedAndTerminalOnly(t *testing.T) {
 	if snap := waitTerminal(t, q, doomed); snap.State != Failed {
 		t.Fatalf("doomed job: %+v", snap)
 	}
+	if snap := waitTerminal(t, q, unjournaled); snap.State != Succeeded {
+		t.Fatalf("payload-less job: %+v", snap)
+	}
 	if err := q.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := []walRecord{
 		{Op: opAccepted, ID: flaky, Kind: "flaky", Retries: 2, Payload: json.RawMessage(`{"n":1}`)},
-		{Op: opAccepted, ID: queued, Kind: "queued", RequestID: "r-q"},
+		{Op: opAccepted, ID: queued, Kind: "queued", RequestID: "r-q", Payload: json.RawMessage(`{"n":2}`)},
 		{Op: opCanceled, ID: queued},
-		{Op: opAccepted, ID: doomed, Kind: "doomed", Tenant: "t"},
+		{Op: opAccepted, ID: doomed, Kind: "doomed", Tenant: "t", Payload: json.RawMessage(`{"n":3}`)},
 		{Op: opSucceeded, ID: flaky},
 		{Op: opFailed, ID: doomed},
 	}
@@ -316,7 +324,7 @@ func TestJournalFailureDegradesNotFails(t *testing.T) {
 		Journal: failingAppender{},
 		Log:     log.New(&buf, "", 0),
 	})
-	id, err := q.Submit("k", func(ctx context.Context) (any, error) { return "ok", nil })
+	id, err := q.SubmitSpec(Spec{Kind: "k", Payload: json.RawMessage(`{}`)}, func(ctx context.Context) (any, error) { return "ok", nil })
 	if err != nil {
 		t.Fatalf("submit failed on journal error: %v", err)
 	}

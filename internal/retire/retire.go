@@ -31,6 +31,10 @@ import (
 	"repro/internal/faultmodel"
 )
 
+// DefaultMaxPages is the kernel's page-retirement budget: at most 64
+// pages may be taken offline per node.
+const DefaultMaxPages = 64
+
 // Policy is the OS page-retirement policy.
 type Policy struct {
 	// Threshold is the number of logged CEs on a page before it is
@@ -38,7 +42,7 @@ type Policy struct {
 	Threshold int
 	// MaxPages bounds the number of retired pages (the kernel keeps a
 	// budget so a flaky column cannot eat the whole node). Zero means
-	// a default of 64 pages.
+	// DefaultMaxPages.
 	MaxPages int
 }
 
@@ -133,7 +137,7 @@ func Simulate(cfg Config) (*Result, error) {
 	}
 	maxPages := cfg.Policy.MaxPages
 	if maxPages == 0 {
-		maxPages = 64
+		maxPages = DefaultMaxPages
 	}
 
 	res := &Result{}

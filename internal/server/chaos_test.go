@@ -36,7 +36,7 @@ func chaosServer(t *testing.T) (*httptest.Server, *jobs.Queue, func()) {
 	t.Helper()
 	q := jobs.New(jobs.Config{Workers: 4, Capacity: 128, Retain: 1024})
 	s, err := New(Config{
-		Queue: q, Cache: simcache.New(0), SimWorkers: 2,
+		Queue: q, Cache: simcache.New(0),
 		JobRetries: 8,
 	})
 	if err != nil {

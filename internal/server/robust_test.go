@@ -22,7 +22,7 @@ func newRobustServer(t *testing.T, qcfg jobs.Config, mod func(*Config)) (*httpte
 		qcfg.Workers = 2
 	}
 	q := jobs.New(qcfg)
-	cfg := Config{Queue: q, Cache: simcache.New(0), SimWorkers: 2}
+	cfg := Config{Queue: q, Cache: simcache.New(0)}
 	if mod != nil {
 		mod(&cfg)
 	}

@@ -49,9 +49,6 @@ type Config struct {
 	Queue *jobs.Queue
 	// Cache memoizes baselines; required.
 	Cache *core.ExperimentCache
-	// SimWorkers is the per-job fan-out passed to
-	// core.RunRepeatedParallelContext; <= 0 selects GOMAXPROCS.
-	SimWorkers int
 	// MaxNodes bounds requested node counts (default 16384, the
 	// paper's largest simulated system).
 	MaxNodes int
@@ -525,7 +522,7 @@ func (s *Server) simulateFunc(cfg core.ExperimentConfig, sc core.Scenario, req S
 		s.metrics.Observe(StageBaseline, baselineWall)
 
 		scStart := time.Now()
-		rep, err := exp.RunRepeatedParallelContext(ctx, sc, req.Reps, s.cfg.SimWorkers)
+		rep, err := exp.RunRepeatedParallelContext(ctx, sc, req.Reps, 0) // GOMAXPROCS wide, as a sweep job
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func newTestServer(t *testing.T, qcfg jobs.Config) (*httptest.Server, *jobs.Queu
 	}
 	q := jobs.New(qcfg)
 	c := simcache.New(0)
-	s, err := New(Config{Queue: q, Cache: c, SimWorkers: 2})
+	s, err := New(Config{Queue: q, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
