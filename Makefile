@@ -157,11 +157,12 @@ engine-atsize:
 # sweep in flight, and a coordinator mid-sweep with a live worker),
 # restart over the same -data-dir, and require the recovered results to
 # be bit-identical to a direct sequential computation. Require a
-# worker's job WAL, crashed with a leased shard in flight, to compact
-# on every restart. Then restart the jobs WAL and the coordinator
+# worker's job WAL, crashed with a leased shard in flight, and a job WAL
+# holding a job whose payload no longer validates, to compact on every
+# restart. Then restart the jobs WAL and the coordinator
 # journal at every record boundary of a canned log (and mid-record, and
 # with the restart's appends failing), and check a worker minted after
 # a coordinator restart never takes the id of one from the epoch before.
 crash-smoke:
-	$(call smoke,TestCrashSmokeStandalone|TestCrashSmokeCoordinator|TestWorkerCrashMidShardRestartsCompact,./cmd/cesimd/)
+	$(call smoke,TestCrashSmokeStandalone|TestCrashSmokeCoordinator|TestWorkerCrashMidShardRestartsCompact|TestUnrebuildableJobFailsAndRestartCompacts,./cmd/cesimd/)
 	$(call smoke,TestJobsRestartAtEveryRecordBoundary|TestCoordinatorRestartAtEveryRecordBoundary|TestMintedWorkerIDsUniqueAcrossRestart,./internal/jobs/ ./internal/cluster/)

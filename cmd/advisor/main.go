@@ -38,10 +38,10 @@ import (
 func main() {
 	fs := flag.NewFlagSet("advisor", flag.ContinueOnError)
 	var in advise.Inputs
-	fs.StringVar(&in.Workload, "workload", "lulesh", "workload whose synchronization cadence to assume")
-	fs.IntVar(&in.Nodes, "nodes", 16384, "machine size in nodes")
-	fs.Float64Var(&in.GiBPerNode, "gib", 700, "DRAM GiB per node (for the CE/GiB/year conversion)")
-	fs.Float64Var(&in.BudgetPct, "budget", 10, "acceptable slowdown in percent")
+	fs.StringVar(&in.Workload, "workload", advise.DefaultWorkload, "workload whose synchronization cadence to assume")
+	fs.IntVar(&in.Nodes, "nodes", advise.DefaultNodes, "machine size in nodes")
+	fs.Float64Var(&in.GiBPerNode, "gib", advise.DefaultGiBPerNode, "DRAM GiB per node (for the CE/GiB/year conversion)")
+	fs.Float64Var(&in.BudgetPct, "budget", advise.DefaultBudgetPct, "acceptable slowdown in percent")
 	fs.DurationVar((*time.Duration)(&in.PerEventNanos), "perevent", 0, "explicit per-CE handling time (replaces the catalog modes)")
 	fs.DurationVar((*time.Duration)(&in.ObservedMTBCENanos), "mtbce", 0, "observed per-node MTBCE (enables the recommendation, retirement and checkpoint sections)")
 	var (

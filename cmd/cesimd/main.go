@@ -331,12 +331,11 @@ func main() {
 // journal.Restart: replay the unfinished jobs, open the writer, have
 // start build the queue and the server over it, and re-enqueue the jobs
 // under their original ids, which re-journals their acceptances. A job
-// Resubmit skipped (and logged) — the queue was full (submission never
-// blocks, and a smaller -queue cannot hold what the crashed daemon
-// held), or its payload no longer validates — has its pre-restart
-// acceptance as its only record, so the pre-restart segments stay and
-// the next restart recovers it again. It returns the writer, the
-// recovered jobs and how many were re-enqueued.
+// Resubmit skipped (and logged) because the queue was full (submission
+// never blocks, and a smaller -queue cannot hold what the crashed daemon
+// held) has its pre-restart acceptance as its only record, so the
+// pre-restart segments stay and the next restart recovers it again. It
+// returns the writer, the recovered jobs and how many were re-enqueued.
 func restartJobs(ctx context.Context, logger *log.Logger, dir string, start func(*journal.Writer) *server.Server) (*journal.Writer, []jobs.PendingJob, int) {
 	var (
 		pending     []jobs.PendingJob

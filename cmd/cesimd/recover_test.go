@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -212,7 +214,7 @@ func TestWorkerCrashMidShardRestartsCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := jobs.New(jobs.Config{Workers: 1, Journal: w})
-	cw, err := cluster.NewWorker(cluster.WorkerConfig{Coordinator: ts.URL, Addr: "worker-1", Queue: q, PollInterval: time.Millisecond})
+	cw, err := cluster.NewWorker(cluster.WorkerConfig{Coordinator: ts.URL, Addr: "worker-1", Queue: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,5 +250,74 @@ func TestWorkerCrashMidShardRestartsCompact(t *testing.T) {
 		if segs := segmentFiles(t, walDir); len(segs) != 1 {
 			t.Fatalf("restart %d left %d segments, want 1\n%s", i, len(segs), logs.String())
 		}
+	}
+}
+
+// TestUnrebuildableJobFailsAndRestartCompacts: a recovered job whose
+// payload no longer validates must not keep the pre-restart segments
+// for good. The restart re-enqueues it as a job that fails with the
+// reason and journals the failure, so it compacts; the next restart
+// recovers nothing, and a client polling the id reads why it failed.
+func TestUnrebuildableJobFailsAndRestartCompacts(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "jobs-wal")
+	w, err := journal.Open(walDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := jobs.New(jobs.Config{Workers: 1, Journal: w})
+	block := make(chan struct{})
+	id, err := q.SubmitSpec(jobs.Spec{Kind: "simulate", Payload: json.RawMessage(`{"workload":"bogus","nodes":16}`)},
+		func(ctx context.Context) (any, error) { <-block; return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil { // the crash: the job never finishes in the log
+		t.Fatal(err)
+	}
+	close(block)
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	q, w, pending, n := boot(t, walDir, 64, &logs)
+	if len(pending) != 1 || n != 1 {
+		t.Fatalf("first restart recovered %d jobs and re-enqueued %d, want 1 and 1\n%s", len(pending), n, logs.String())
+	}
+	if _, _, err := q.Wait(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
+	var snap jobs.Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs/%s: %d %s", id, rec.Code, rec.Body.String())
+	}
+	if snap.State != jobs.Failed || !strings.Contains(snap.Error, "unknown workload") {
+		t.Fatalf("GET /v1/jobs/%s: %s (%s), want failed with the reason", id, snap.State, snap.Error)
+	}
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segmentFiles(t, walDir); len(segs) != 1 || bytes.Contains(logs.Bytes(), []byte("keeping pre-restart segments")) {
+		t.Fatalf("first restart left %d segments, want 1 and compacted\n%s", len(segs), logs.String())
+	}
+
+	q, w, pending, _ = boot(t, walDir, 64, &logs)
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 0 {
+		t.Fatalf("second restart recovered %d jobs, want none\n%s", len(pending), logs.String())
 	}
 }

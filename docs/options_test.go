@@ -1,6 +1,7 @@
 // Package docs holds the tests that keep this directory's documents in
 // step with the code: OPTIONS.md is the committed census of every
-// setting, and SERVICE.md's flag table must name exactly cesimd's flags.
+// setting, SERVICE.md's flag table must name exactly cesimd's flags, and
+// its Metrics section every section of /metrics.
 package docs
 
 import (
@@ -9,6 +10,7 @@ import (
 	"go/constant"
 	"go/types"
 	"os"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -19,6 +21,7 @@ import (
 
 	"repro/internal/golden"
 	"repro/internal/lint/load"
+	"repro/internal/server"
 )
 
 // configSuffixes name the settable struct families: every exported
@@ -394,5 +397,27 @@ func TestServiceFlagTableMatchesCensus(t *testing.T) {
 	}
 	for name := range documented {
 		t.Errorf("SERVICE.md's flag table lists %s, which cesimd does not register", name)
+	}
+}
+
+// TestServiceMetricsSectionNamesEverySection: SERVICE.md's Metrics
+// section names, in backquotes, every top-level key of the /metrics
+// document.
+func TestServiceMetricsSectionNamesEverySection(t *testing.T) {
+	text, err := os.ReadFile("SERVICE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(text), "\n## Metrics\n")
+	if !ok {
+		t.Fatal("SERVICE.md has no Metrics section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	snap := reflect.TypeOf(server.Snapshot{})
+	for i := 0; i < snap.NumField(); i++ {
+		key, _, _ := strings.Cut(snap.Field(i).Tag.Get("json"), ",")
+		if !strings.Contains(section, "`"+key+"`") {
+			t.Errorf("SERVICE.md's Metrics section does not name /metrics' %q", key)
+		}
 	}
 }

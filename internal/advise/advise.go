@@ -100,13 +100,13 @@ type Config struct {
 	CacheEntries int
 }
 
-// The recommend endpoint's scenario where the query names none: the
-// defaults of cmd/advisor's flags.
+// The default advisory scenario: what the recommend endpoint assumes
+// where the query names none, and cmd/advisor's flag defaults.
 const (
-	defaultWorkload   = "lulesh"
-	defaultNodes      = 16384
-	defaultBudgetPct  = 10
-	defaultGiBPerNode = 700
+	DefaultWorkload   = "lulesh"
+	DefaultNodes      = 16384
+	DefaultBudgetPct  = 10
+	DefaultGiBPerNode = 700
 )
 
 func (c Config) withDefaults() Config {
@@ -192,5 +192,3 @@ func (s *Service) Stats() Stats {
 	}
 	return st
 }
-
-func (s *Service) reject() { s.rejects.Add(1) }

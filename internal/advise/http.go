@@ -43,22 +43,22 @@ type IngestResult struct {
 func (s *Service) HandleIngest(w http.ResponseWriter, r *http.Request) {
 	events, err := decodeBatch(r.Body, s.cfg.MaxBatchEvents)
 	if err != nil {
-		s.reject()
+		s.rejects.Add(1)
 		envelope.Error(w, http.StatusBadRequest, "", err)
 		return
 	}
 	if len(events) == 0 {
-		s.reject()
+		s.rejects.Add(1)
 		envelope.Error(w, http.StatusBadRequest, "", errors.New("advise: empty batch"))
 		return
 	}
 	if err := faultinject.Fire(r.Context(), faultinject.SiteAdviseIngest); err != nil {
-		s.reject()
+		s.rejects.Add(1)
 		envelope.Error(w, http.StatusInternalServerError, "", err)
 		return
 	}
 	if err := s.store.Apply(events); err != nil {
-		s.reject()
+		s.rejects.Add(1)
 		status := http.StatusInternalServerError
 		if errors.Is(err, ErrTenantLimit) || errors.Is(err, ErrNodeLimit) {
 			status = http.StatusTooManyRequests
@@ -234,10 +234,10 @@ func (s *Service) parseRecommend(q url.Values) (tenant, node string, in Inputs, 
 		return "", "", in, err
 	}
 	in = Inputs{
-		Workload:   defaultWorkload,
-		Nodes:      defaultNodes,
-		BudgetPct:  defaultBudgetPct,
-		GiBPerNode: defaultGiBPerNode,
+		Workload:   DefaultWorkload,
+		Nodes:      DefaultNodes,
+		BudgetPct:  DefaultBudgetPct,
+		GiBPerNode: DefaultGiBPerNode,
 	}
 	for _, key := range recommendParams[2:] {
 		v := q.Get(key)

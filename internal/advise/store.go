@@ -53,10 +53,8 @@ type Store struct {
 	weights []float64 // every estimator's decay table, built once
 
 	mu      sync.Mutex
+	st      StoreStats // all but Tenants, which Stats counts
 	tenants map[string]map[string]*nodeState
-	nodes   int
-	events  uint64
-	batches uint64
 }
 
 // NewStore returns an empty store.
@@ -121,7 +119,7 @@ func (s *Store) Apply(events []Event) error {
 		if ns == nil {
 			ns = &nodeState{est: newEstimator(s.cfg.Estimator, s.weights)}
 			nodes[ev.Node] = ns
-			s.nodes++
+			s.st.Nodes++
 		}
 		ns.est.Add(ev.TimeNanos)
 		ns.fp.Add(ev.Addr, ev.Bank)
@@ -130,8 +128,8 @@ func (s *Store) Apply(events []Event) error {
 	for ns := range touched {
 		ns.est.Trim()
 	}
-	s.events += uint64(len(events))
-	s.batches++
+	s.st.Events += uint64(len(events))
+	s.st.Batches++
 	return nil
 }
 
@@ -158,5 +156,7 @@ type StoreStats struct {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return StoreStats{Tenants: len(s.tenants), Nodes: s.nodes, Events: s.events, Batches: s.batches}
+	st := s.st
+	st.Tenants = len(s.tenants)
+	return st
 }

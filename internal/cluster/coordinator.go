@@ -165,15 +165,7 @@ type Coordinator struct {
 	epoch uint64
 	// ownJournal is the writer OpenCoordinator created (Close closes it).
 	ownJournal *journal.Writer
-
-	// counters for /cluster/status.
-	grants          uint64
-	reassignments   uint64
-	failedAttempts  uint64
-	completedShards uint64
-	sweepsDone      uint64
-	sweepsFailed    uint64
-	journalErrors   uint64
+	st         Counters
 }
 
 // NewCoordinator builds an empty coordinator.
@@ -248,7 +240,7 @@ func (c *Coordinator) Lease(workerID string) (*Grant, error) {
 			sh.worker = workerID
 			sh.attempts++
 			sh.leaseExpiry = now.Add(c.cfg.LeaseTTL)
-			c.grants++
+			c.st.Grants++
 			// The grant record's job is the attempt count: a lease never
 			// survives a restart, but the retry budget it consumed must.
 			c.journalLocked(coordRecord{
@@ -323,9 +315,9 @@ func (c *Coordinator) Report(workerID, sweepID, key string, fragment *core.Figur
 		return nil // idempotent duplicate, or a sweep already abandoned
 	}
 	if reportErr == "" && fragment != nil {
-		c.completedShards++
+		c.st.CompletedShards++
 		if c.shardDoneLocked(sw, sh, fragment) {
-			c.sweepsDone++
+			c.st.SweepsDone++
 		}
 		return nil
 	}
@@ -333,10 +325,10 @@ func (c *Coordinator) Report(workerID, sweepID, key string, fragment *core.Figur
 	if sh.state != shardLeased || sh.worker != workerID {
 		return nil
 	}
-	c.failedAttempts++
+	c.st.FailedAttempts++
 	c.shardFailedLocked(sw, sh, sh.attempts, reportErr)
 	if sh.attempts > retryBudget {
-		c.sweepsFailed++
+		c.st.SweepsFailed++
 		c.sweepFailedLocked(sw, sh, fmt.Sprintf("shard %s failed after %d attempts: %s", key, sh.attempts, reportErr))
 		return nil
 	}
@@ -424,11 +416,11 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			if sh.state != shardLeased || now.Before(sh.leaseExpiry) {
 				continue
 			}
-			c.reassignments++
+			c.st.Reassignments++
 			sh.reassigned++
 			sh.worker = ""
 			if sh.attempts > retryBudget {
-				c.sweepsFailed++
+				c.st.SweepsFailed++
 				c.sweepFailedLocked(sw, sh, fmt.Sprintf("shard %s lost its lease on attempt %d (budget %d)",
 					sh.cell.Key(), sh.attempts, retryBudget+1))
 				break
@@ -499,7 +491,12 @@ type Status struct {
 	Workers []WorkerStatus `json:"workers"`
 	Leases  []LeaseStatus  `json:"leases"`
 	Sweeps  []SweepStatus  `json:"sweeps"`
-	// Counters since construction.
+	Counters
+}
+
+// Counters are the coordinator's counters since construction, the tail
+// of its Status.
+type Counters struct {
 	Grants          uint64 `json:"grants"`
 	Reassignments   uint64 `json:"reassignments"`
 	FailedAttempts  uint64 `json:"failed_attempts"`
@@ -518,16 +515,7 @@ func (c *Coordinator) StatusSnapshot() Status {
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
 	c.expireLocked(now)
-	st := Status{
-		Epoch:           c.epoch,
-		Grants:          c.grants,
-		Reassignments:   c.reassignments,
-		FailedAttempts:  c.failedAttempts,
-		CompletedShards: c.completedShards,
-		SweepsDone:      c.sweepsDone,
-		SweepsFailed:    c.sweepsFailed,
-		JournalErrors:   c.journalErrors,
-	}
+	st := Status{Epoch: c.epoch, Counters: c.st}
 	leasesByWorker := map[string]int{}
 	for _, id := range c.sweepIDs {
 		sw := c.sweeps[id]

@@ -73,14 +73,14 @@ func startWorker(t *testing.T, url string) *workerHandle {
 	t.Helper()
 	q := jobs.New(jobs.Config{Workers: 2})
 	w, err := NewWorker(WorkerConfig{
-		Coordinator:  url,
-		Queue:        q,
-		Cache:        simcache.New(0),
-		PollInterval: 10 * time.Millisecond,
+		Coordinator: url,
+		Queue:       q,
+		Cache:       simcache.New(0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.poll = 10 * time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &workerHandle{worker: w, queue: q, cancel: cancel, done: make(chan struct{})}
 	go func() {

@@ -71,7 +71,7 @@ type coordRecord struct {
 // be held. A failure degrades durability, never the sweep: it is counted
 // (Status.JournalErrors) and the in-memory coordinator proceeds.
 func (c *Coordinator) journalLocked(rec coordRecord) {
-	_ = journal.Record(c.cfg.Journal, rec, &c.journalErrors) // counted; the sweep goes on
+	_ = journal.Record(c.cfg.Journal, rec, &c.st.JournalErrors) // counted; the sweep goes on
 }
 
 // journalShardDoneLocked journals a completed shard with its fragment's
@@ -84,7 +84,7 @@ func (c *Coordinator) journalShardDoneLocked(sw *sweep, sh *shard) {
 	}
 	var buf bytes.Buffer
 	if err := sh.fragment.WriteJSON(&buf); err != nil {
-		c.journalErrors++
+		c.st.JournalErrors++
 		return
 	}
 	c.journalLocked(coordRecord{
@@ -184,10 +184,10 @@ func OpenCoordinator(ctx context.Context, cfg Config, dir string) (*Coordinator,
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.cfg.Journal, c.ownJournal = w, w
-		before := c.journalErrors
+		before := c.st.JournalErrors
 		c.journalLocked(coordRecord{Op: copEpoch, Epoch: c.epoch})
 		c.snapshotLocked()
-		if failed = c.journalErrors - before; failed > 0 {
+		if failed = c.st.JournalErrors - before; failed > 0 {
 			return fmt.Errorf("cluster: %d snapshot records not journaled", failed)
 		}
 		return nil
@@ -200,7 +200,7 @@ func OpenCoordinator(ctx context.Context, cfg Config, dir string) (*Coordinator,
 	// counted already, a failed sync or compaction is counted here.
 	if kept != nil && failed == 0 {
 		c.mu.Lock()
-		c.journalErrors++
+		c.st.JournalErrors++
 		c.mu.Unlock()
 	}
 	return c, st, nil

@@ -37,58 +37,47 @@ type WorkerConfig struct {
 	// core.Options.Experiments, shared with the worker's local API and
 	// across the cells it runs.
 	Cache *core.ExperimentCache
-	// PollInterval is the idle lease-poll period (default 200ms).
-	PollInterval time.Duration
 	// Log, when set, receives lease lifecycle lines.
 	Log *log.Logger
 }
 
-// shardJobRetries is the local jobs.Spec retry budget per leased
-// shard; the coordinator's retryBudget sits on top.
-const shardJobRetries = 2
+const (
+	// shardJobRetries is the local jobs.Spec retry budget per leased
+	// shard; the coordinator's retryBudget sits on top.
+	shardJobRetries = 2
+	// pollInterval is the idle lease-poll period, and the pause between
+	// failed registrations.
+	pollInterval = 200 * time.Millisecond
+)
 
 // httpClient carries every worker and Client request to a coordinator.
 var httpClient = &http.Client{Timeout: 30 * time.Second}
-
-func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
-	if c.Coordinator == "" {
-		return c, fmt.Errorf("cluster: worker needs a coordinator URL")
-	}
-	if c.Queue == nil {
-		return c, fmt.Errorf("cluster: worker needs a jobs queue")
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 200 * time.Millisecond
-	}
-	return c, nil
-}
 
 // Worker polls a coordinator for shard leases, runs each shard through
 // its local jobs queue, and reports fragments back. Construct with
 // NewWorker and drive with Run.
 type Worker struct {
-	cfg WorkerConfig
+	cfg  WorkerConfig
+	poll time.Duration // pollInterval; the package's tests shorten it
 
 	mu    sync.Mutex
 	id    string
 	ttl   time.Duration
-	epoch uint64     // coordinator generation from the last register
-	held  []ShardRef // in-flight leases (at most one today)
-	seq   int        // request-id counter
-
-	// counters, read via Stats.
-	shardsDone   uint64
-	shardsFailed uint64
-	leasesLost   uint64
+	epoch uint64      // coordinator generation from the last register
+	held  []ShardRef  // in-flight leases (at most one today)
+	seq   int         // request-id counter
+	st    WorkerStats // all but ID, which Stats fills in
 }
 
 // NewWorker validates the config and returns an unstarted worker.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.Coordinator == "" {
+		return nil, fmt.Errorf("cluster: worker needs a coordinator URL")
 	}
-	return &Worker{cfg: cfg}, nil
+	if cfg.Queue == nil {
+		return nil, fmt.Errorf("cluster: worker needs a jobs queue")
+	}
+	return &Worker{cfg: cfg, poll: pollInterval}, nil
 }
 
 // WorkerStats counts one worker's shard activity.
@@ -103,7 +92,9 @@ type WorkerStats struct {
 func (w *Worker) Stats() WorkerStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return WorkerStats{ID: w.id, ShardsDone: w.shardsDone, ShardsFailed: w.shardsFailed, LeasesLost: w.leasesLost}
+	st := w.st
+	st.ID = w.id
+	return st
 }
 
 // Run registers with the coordinator and processes leases until ctx is
@@ -143,13 +134,13 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			w.logf("lease error: %v", err)
-			if !jobs.Sleep(ctx, w.cfg.PollInterval) {
+			if !jobs.Sleep(ctx, w.poll) {
 				return ctx.Err()
 			}
 			continue
 		}
 		if grant == nil {
-			if !jobs.Sleep(ctx, w.cfg.PollInterval) {
+			if !jobs.Sleep(ctx, w.poll) {
 				return ctx.Err()
 			}
 			continue
@@ -180,7 +171,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return fmt.Errorf("%w: %v", ErrRegisterFailed, err)
 		}
 		w.logf("register: %v (retrying)", err)
-		if !jobs.Sleep(ctx, w.cfg.PollInterval) {
+		if !jobs.Sleep(ctx, w.poll) {
 			return fmt.Errorf("%w: %v", ErrRegisterFailed, ctx.Err())
 		}
 	}
@@ -218,11 +209,11 @@ func (w *Worker) runShard(ctx context.Context, g *Grant) {
 	rep := reportRequest{SweepID: g.SweepID, Key: g.Key}
 	if err != nil {
 		rep.Error = err.Error()
-		w.bump(&w.shardsFailed)
+		w.bump(&w.st.ShardsFailed)
 		w.logf("shard %s failed: %v", g.Key, err)
 	} else {
 		rep.Figure = fragment
-		w.bump(&w.shardsDone)
+		w.bump(&w.st.ShardsDone)
 	}
 	w.mu.Lock()
 	rep.WorkerID, rep.Epoch = w.id, w.epoch
@@ -240,7 +231,7 @@ func (w *Worker) runShard(ctx context.Context, g *Grant) {
 		}
 	}
 	if err != nil {
-		w.bump(&w.leasesLost)
+		w.bump(&w.st.LeasesLost)
 		w.logf("report %s: %v", g.Key, err)
 	}
 }
@@ -320,7 +311,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			continue
 		}
 		if len(resp.Drop) > 0 {
-			w.bump(&w.leasesLost)
+			w.bump(&w.st.LeasesLost)
 		}
 	}
 }

@@ -266,21 +266,10 @@ type Queue struct {
 	seq  atomic.Uint64
 
 	mu       sync.Mutex
+	st       Stats // all but Depth, which Stats fills in
 	jobs     map[string]*job
 	finished []string // ids in completion order, for retention
 	draining bool
-	running  int
-
-	submitted uint64
-	rejected  uint64
-	succeeded uint64
-	failed    uint64
-	canceled  uint64
-	panics    uint64
-	retries   uint64
-	abandoned uint64
-	recovered uint64
-	walErrors uint64
 }
 
 // New builds the queue and starts its workers.
@@ -297,6 +286,7 @@ func New(cfg Config) *Queue {
 	q := &Queue{
 		cfg:  cfg,
 		work: make(chan *job, cfg.Capacity),
+		st:   Stats{Capacity: cfg.Capacity, Workers: cfg.Workers},
 		jobs: map[string]*job{},
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -333,16 +323,16 @@ func (q *Queue) submit(id string, spec Spec, fn Func, recovered bool) (string, e
 	}
 	q.mu.Lock()
 	if q.draining {
-		q.rejected++
+		q.st.Rejected++
 		q.mu.Unlock()
 		return "", ErrDraining
 	}
 	select {
 	case q.work <- j:
 		q.jobs[j.id] = j
-		q.submitted++
+		q.st.Submitted++
 		if recovered {
-			q.recovered++
+			q.st.Recovered++
 		}
 		q.journalLocked(j, walRecord{
 			Op:        opAccepted,
@@ -356,7 +346,7 @@ func (q *Queue) submit(id string, spec Spec, fn Func, recovered bool) (string, e
 		q.mu.Unlock()
 		return j.id, nil
 	default:
-		q.rejected++
+		q.st.Rejected++
 		q.mu.Unlock()
 		return "", ErrQueueFull
 	}
@@ -461,22 +451,9 @@ func (q *Queue) Depth() int { return len(q.work) }
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Stats{
-		Depth:           len(q.work),
-		Capacity:        q.cfg.Capacity,
-		Workers:         q.cfg.Workers,
-		Running:         q.running,
-		Submitted:       q.submitted,
-		Rejected:        q.rejected,
-		Succeeded:       q.succeeded,
-		Failed:          q.failed,
-		Canceled:        q.canceled,
-		PanicsRecovered: q.panics,
-		Retries:         q.retries,
-		Abandoned:       q.abandoned,
-		Recovered:       q.recovered,
-		WALErrors:       q.walErrors,
-	}
+	st := q.st
+	st.Depth = len(q.work)
+	return st
 }
 
 // Drain stops accepting submissions, lets queued and running jobs
@@ -519,7 +496,7 @@ func (q *Queue) noteAbandoned() {
 			continue
 		}
 		j.abandoned = true
-		q.abandoned++
+		q.st.Abandoned++
 		q.logf("jobs: abandoning queued job id=%s kind=%s request_id=%s (drain deadline expired)",
 			j.id, j.spec.Kind, j.spec.RequestID)
 	}
@@ -555,7 +532,7 @@ func (q *Queue) run(j *job) {
 	j.state = Running
 	j.started = time.Now()
 	j.cancel = cancel
-	q.running++
+	q.st.Running++
 	q.mu.Unlock()
 
 	var (
@@ -571,7 +548,7 @@ func (q *Queue) run(j *job) {
 			break
 		}
 		q.mu.Lock()
-		q.retries++
+		q.st.Retries++
 		q.mu.Unlock()
 		if jitter == nil {
 			jitter = jitterStream(j.id)
@@ -584,7 +561,7 @@ func (q *Queue) run(j *job) {
 	}
 
 	q.mu.Lock()
-	q.running--
+	q.st.Running--
 	j.cancel = nil
 	j.attempts = attempts
 	switch {
@@ -615,7 +592,7 @@ func (q *Queue) attempt(ctx context.Context, j *job) (res any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			q.mu.Lock()
-			q.panics++
+			q.st.PanicsRecovered++
 			q.mu.Unlock()
 			res = nil
 			err = &JobError{PanicValue: r, Stack: string(debug.Stack())}
@@ -658,11 +635,11 @@ func (q *Queue) finishLocked(j *job, s State, err error) {
 	}
 	switch s {
 	case Succeeded:
-		q.succeeded++
+		q.st.Succeeded++
 	case Failed:
-		q.failed++
+		q.st.Failed++
 	case Canceled:
-		q.canceled++
+		q.st.Canceled++
 	}
 	q.journalLocked(j, walRecord{Op: terminalOp(s), ID: j.id})
 	q.finished = append(q.finished, j.id)

@@ -36,7 +36,7 @@ type walRecord struct {
 }
 
 // journalLocked appends one of j's records to the configured journal
-// (counted in walErrors and logged when it fails). q.mu must be held,
+// (counted in Stats.WALErrors and logged when it fails). q.mu must be held,
 // so the WAL's record order is the order the transitions were applied
 // in. A job without a payload is not journaled: no restart could
 // rebuild it, and its acceptance would keep every restart from
@@ -45,7 +45,7 @@ func (q *Queue) journalLocked(j *job, rec walRecord) {
 	if len(j.spec.Payload) == 0 {
 		return
 	}
-	if err := journal.Record(q.cfg.Journal, rec, &q.walErrors); err != nil {
+	if err := journal.Record(q.cfg.Journal, rec, &q.st.WALErrors); err != nil {
 		q.logf("jobs: journal append failed (op=%s id=%s): %v", rec.Op, rec.ID, err)
 	}
 }

@@ -179,7 +179,7 @@ func stillBlocked[T any](t *testing.T, ch <-chan T, what string) {
 func unsynced(w *Writer) (pending int, durable uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.pending, w.appends - uint64(w.pending)
+	return w.pending, w.st.Appends - uint64(w.pending)
 }
 
 // appendN appends records r-<from> … r-<from+n-1>.
@@ -546,7 +546,7 @@ func TestOperationOrderUnderConcurrency(t *testing.T) {
 		if w.pending > 2*every-1 {
 			t.Errorf("unsynced tail %d exceeds the bound %d", w.pending, 2*every-1)
 		}
-		durable := w.appends - uint64(w.pending)
+		durable := w.st.Appends - uint64(w.pending)
 		if durable < lastDurable {
 			t.Errorf("durable index went back from %d to %d", lastDurable, durable)
 		}

@@ -126,12 +126,11 @@ type Writer struct {
 	fsync func(*os.File) error
 
 	mu       sync.Mutex
+	st       Stats // SegmentBytes, the current segment's size, is what rotation reads
 	f        *os.File
 	buf      []byte // one record's frame, reused under mu
 	segIndex int
-	segSize  int64
-	segCount int
-	pending  int // records written but not yet durable; appends-pending is the durable index
+	pending  int // records written but not yet durable; Appends-pending is the durable index
 	// committing: a committer is fsyncing w.f without mu. idle is
 	// broadcast when it ends; closing or replacing w.f waits for that.
 	committing bool
@@ -142,14 +141,6 @@ type Writer struct {
 	// compaction floor: CompactBefore never touches this segment or
 	// anything above it.
 	firstIndex int
-
-	appends   uint64
-	syncs     uint64
-	rotations uint64
-	appendErr uint64
-	compacted uint64
-	dirSyncs  uint64
-	syncErrs  uint64
 }
 
 // SyncDir fsyncs a directory with fsync so preceding creates, renames
@@ -184,7 +175,7 @@ func Open(dir string, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, opts: opts.withDefaults(), fsync: (*os.File).Sync, segCount: len(segs)}
+	w := &Writer{dir: dir, opts: opts.withDefaults(), fsync: (*os.File).Sync, st: Stats{Segments: len(segs)}}
 	w.idle.L = &w.mu
 	if n := len(segs); n > 0 {
 		last := segs[n-1]
@@ -257,7 +248,7 @@ func (w *Writer) rotateLocked() error {
 	// The name is spent once the file exists: a retry after a failed
 	// directory fsync must not trip O_EXCL over the empty file left here.
 	w.segIndex++
-	w.segCount++
+	w.st.Segments++
 	// Crash ordering: the directory entry naming the new segment must
 	// be durable before any record in it is — otherwise a crash after
 	// an acknowledged append could lose the whole segment while its
@@ -268,13 +259,13 @@ func (w *Writer) rotateLocked() error {
 		}
 		return fmt.Errorf("journal: create segment: %w", err)
 	}
-	w.dirSyncs++
+	w.st.DirSyncs++
 	old := w.f
-	w.f, w.segSize = f, 0
+	w.f, w.st.SegmentBytes = f, 0
 	if old == nil {
 		return nil // Open's first segment is the opening position, not a rotation
 	}
-	w.rotations++
+	w.st.Rotations++
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("journal: close segment: %w", err)
 	}
@@ -299,22 +290,22 @@ func (w *Writer) Append(ctx context.Context, payload []byte) error {
 		return fmt.Errorf("journal: writer closed")
 	}
 	if err := faultinject.Fire(ctx, faultinject.SiteJournalAppend); err != nil {
-		w.appendErr++
+		w.st.AppendErrors++
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	// The one place Append waits: before a rotation, and at the bound on
 	// the unsynced tail, pending >= 2×SyncEvery−1 — a slow disk stalls
 	// its appenders, it does not widen the crash window. What another
 	// appender did meanwhile is re-read below.
-	if w.segSize >= w.opts.SegmentBytes || w.pending-w.opts.SyncEvery >= w.opts.SyncEvery-1 {
+	if w.st.SegmentBytes >= w.opts.SegmentBytes || w.pending-w.opts.SyncEvery >= w.opts.SyncEvery-1 {
 		if err := w.syncLocked(); err != nil {
-			w.appendErr++
+			w.st.AppendErrors++
 			return err
 		}
 	}
-	if w.segSize >= w.opts.SegmentBytes {
+	if w.st.SegmentBytes >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
-			w.appendErr++
+			w.st.AppendErrors++
 			return err
 		}
 	}
@@ -322,11 +313,11 @@ func (w *Writer) Append(ctx context.Context, payload []byte) error {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
 	w.buf = append(w.buf, payload...)
 	if _, err := w.f.Write(w.buf); err != nil {
-		w.appendErr++
+		w.st.AppendErrors++
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	w.segSize += int64(len(w.buf))
-	w.appends++
+	w.st.SegmentBytes += int64(len(w.buf))
+	w.st.Appends++
 	w.pending++
 	if w.pending >= w.opts.SyncEvery && !w.committing {
 		w.committing = true
@@ -337,7 +328,7 @@ func (w *Writer) Append(ctx context.Context, payload []byte) error {
 	// record is written: what degraded is the batch before it.
 	if err := w.syncErr; err != nil {
 		w.syncErr = nil
-		w.appendErr++
+		w.st.AppendErrors++
 		return err
 	}
 	return nil
@@ -357,10 +348,10 @@ func (w *Writer) commit(f *os.File) {
 	defer w.mu.Unlock()
 	if err != nil {
 		w.syncErr = fmt.Errorf("journal: sync: %w", err)
-		w.syncErrs++
+		w.st.SyncErrors++
 	} else {
 		w.pending -= n
-		w.syncs++
+		w.st.Syncs++
 	}
 	w.committing = false
 	w.idle.Broadcast()
@@ -399,11 +390,11 @@ func (w *Writer) syncLocked() error {
 		return nil
 	}
 	if err := w.fsync(w.f); err != nil {
-		w.syncErrs++
+		w.st.SyncErrors++
 		return fmt.Errorf("journal: sync: %w", err)
 	}
 	w.pending = 0
-	w.syncs++
+	w.st.Syncs++
 	return nil
 }
 
@@ -436,8 +427,8 @@ func (w *Writer) CompactBefore() (int, error) {
 			return removed, fmt.Errorf("journal: compact: %w", err)
 		}
 		removed++
-		w.segCount--
-		w.compacted++
+		w.st.Segments--
+		w.st.Compacted++
 	}
 	// Crash ordering: the removals must reach the directory before the
 	// caller forgets the re-journaled state is self-contained — without
@@ -447,7 +438,7 @@ func (w *Writer) CompactBefore() (int, error) {
 		if err := SyncDir(w.dir, w.fsync); err != nil {
 			return removed, fmt.Errorf("journal: compact: %w", err)
 		}
-		w.dirSyncs++
+		w.st.DirSyncs++
 	}
 	return removed, nil
 }
@@ -473,15 +464,5 @@ func (w *Writer) Close() error {
 func (w *Writer) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Stats{
-		Segments:     w.segCount,
-		SegmentBytes: w.segSize,
-		Appends:      w.appends,
-		Syncs:        w.syncs,
-		Rotations:    w.rotations,
-		AppendErrors: w.appendErr,
-		Compacted:    w.compacted,
-		DirSyncs:     w.dirSyncs,
-		SyncErrors:   w.syncErrs,
-	}
+	return w.st
 }

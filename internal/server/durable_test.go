@@ -268,8 +268,9 @@ func TestServerRecoverReenqueues(t *testing.T) {
 	}
 }
 
-// TestRecoverSkipsUnknownKind: version skew must skip, not crash.
-func TestRecoverSkipsUnknownKind(t *testing.T) {
+// TestRecoverFailsUnknownKind: version skew must fail the job, not
+// crash the daemon or leave the job unfinished in the log.
+func TestRecoverFailsUnknownKind(t *testing.T) {
 	walDir := t.TempDir()
 	w, err := journal.Open(walDir, journal.Options{SyncEvery: 1})
 	if err != nil {
@@ -278,16 +279,25 @@ func TestRecoverSkipsUnknownKind(t *testing.T) {
 	q1 := jobs.New(jobs.Config{Workers: 1, Journal: w})
 	block := make(chan struct{})
 	defer close(block)
-	if _, err := q1.SubmitSpec(jobs.Spec{Kind: "no-such-kind", Payload: json.RawMessage(`{}`)},
-		func(ctx context.Context) (any, error) { <-block; return nil, nil }); err != nil {
+	id, err := q1.SubmitSpec(jobs.Spec{Kind: "no-such-kind", Retries: 2, Payload: json.RawMessage(`{}`)},
+		func(ctx context.Context) (any, error) { <-block; return nil, nil })
+	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, n, _ := restart(t, walDir); n != 0 {
-		t.Fatalf("recovered %d jobs from an unknown kind", n)
+	q2, n, _ := restart(t, walDir)
+	if n != 1 {
+		t.Fatalf("re-enqueued %d jobs of an unknown kind, want 1", n)
+	}
+	snap, ok, err := q2.Wait(context.Background(), id)
+	if !ok || err != nil {
+		t.Fatalf("recovered job %s lost: ok=%v err=%v", id, ok, err)
+	}
+	if snap.State != jobs.Failed || snap.Attempts != 1 || !strings.Contains(snap.Error, `no recovery for job kind "no-such-kind"`) {
+		t.Fatalf("recovered job: %s after %d attempts (%s), want failed once with the reason", snap.State, snap.Attempts, snap.Error)
 	}
 }
 

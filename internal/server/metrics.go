@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sync"
+	"maps"
 	"time"
 
 	"repro/internal/advise"
@@ -18,7 +18,7 @@ import (
 // sweeps (minutes); the implicit last bucket is +Inf.
 var histBoundsMs = []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
 
-// hist is a fixed-bucket latency histogram. Guarded by Metrics.mu.
+// hist is a fixed-bucket latency histogram. Guarded by Server.mu.
 type hist struct {
 	counts []uint64 // len(histBoundsMs)+1; last is +Inf
 	n      uint64
@@ -90,77 +90,33 @@ const (
 	StageJob = "job"
 )
 
-// Metrics aggregates the daemon's counters and histograms; all methods
-// are safe for concurrent use. Queue and cache gauges are read live at
-// snapshot time rather than duplicated here.
-type Metrics struct {
-	start time.Time
-
-	mu       sync.Mutex
-	requests map[string]uint64 // by route pattern
-	statuses map[string]uint64 // by status class ("2xx", ...)
-	stages   map[string]*hist
-
-	shedRequests     uint64
-	handlerPanics    uint64
-	cacheBypasses    uint64
-	tenantRejections uint64
-}
-
-// NewMetrics returns an empty metrics registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:    time.Now(),
-		requests: map[string]uint64{},
-		statuses: map[string]uint64{},
-		stages:   map[string]*hist{},
-	}
-}
-
-// Observe records one latency sample for a stage.
-func (m *Metrics) Observe(stage string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.stages[stage]
+// observeLocked records one latency sample for a stage. s.mu must be
+// held.
+func (s *Server) observeLocked(stage string, d time.Duration) {
+	h, ok := s.stages[stage]
 	if !ok {
 		h = newHist()
-		m.stages[stage] = h
+		s.stages[stage] = h
 	}
 	h.observe(d)
 }
 
-// Shed counts one submission rejected by admission control.
-func (m *Metrics) Shed() {
-	m.mu.Lock()
-	m.shedRequests++
-	m.mu.Unlock()
+// observe records one latency sample for a stage.
+func (s *Server) observe(stage string, d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.observeLocked(stage, d)
 }
 
-// HandlerPanic counts one panic recovered by the handler middleware.
-func (m *Metrics) HandlerPanic() {
-	m.mu.Lock()
-	m.handlerPanics++
-	m.mu.Unlock()
+// count adds one to c, a counter of s.st.
+func (s *Server) count(c *uint64) {
+	s.mu.Lock()
+	*c++
+	s.mu.Unlock()
 }
 
-// CacheBypass counts one baseline built directly because the cache
-// failed.
-func (m *Metrics) CacheBypass() {
-	m.mu.Lock()
-	m.cacheBypasses++
-	m.mu.Unlock()
-}
-
-// TenantReject counts one submission refused by per-tenant limits
-// (rate or job quota; answered 429 with Retry-After).
-func (m *Metrics) TenantReject() {
-	m.mu.Lock()
-	m.tenantRejections++
-	m.mu.Unlock()
-}
-
-// Request records one served HTTP request.
-func (m *Metrics) Request(route string, status int, d time.Duration) {
+// request records one served HTTP request.
+func (s *Server) request(route string, status int, d time.Duration) {
 	class := "2xx"
 	switch {
 	case status >= 500:
@@ -170,16 +126,11 @@ func (m *Metrics) Request(route string, status int, d time.Duration) {
 	case status >= 300:
 		class = "3xx"
 	}
-	m.mu.Lock()
-	m.requests[route]++
-	m.statuses[class]++
-	h, ok := m.stages[StageHTTP]
-	if !ok {
-		h = newHist()
-		m.stages[StageHTTP] = h
-	}
-	h.observe(d)
-	m.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.st.Requests[route]++
+	s.st.Statuses[class]++
+	s.observeLocked(StageHTTP, d)
 }
 
 // Snapshot is the JSON document served on /metrics.
@@ -215,62 +166,38 @@ type Snapshot struct {
 	Faults *faultinject.Stats `json:"faults,omitempty"`
 }
 
-// Extras carries the durable-tier gauges read live at snapshot time;
-// any field may be nil.
-type Extras struct {
-	Store   *simcache.Store
-	Tenants *tenant.Registry
-	Journal *journal.Writer
-}
-
-// Snapshot captures all counters plus live queue, cache and advisor
-// gauges. q, c and adv may be nil (their sections stay zero or absent).
-func (m *Metrics) Snapshot(q *jobs.Queue, c *core.ExperimentCache, adv *advise.Service, x Extras) Snapshot {
-	s := Snapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		Requests:      map[string]uint64{},
-		Statuses:      map[string]uint64{},
-		Latency:       map[string]HistSnapshot{},
+// snapshot captures all counters plus the live gauges of the queue, the
+// cache and every optional section configured.
+func (s *Server) snapshot() Snapshot {
+	s.mu.Lock()
+	st := s.st
+	st.Requests, st.Statuses = maps.Clone(s.st.Requests), maps.Clone(s.st.Statuses)
+	st.Latency = make(map[string]HistSnapshot, len(s.stages))
+	for k, h := range s.stages {
+		st.Latency[k] = h.snapshot()
 	}
-	m.mu.Lock()
-	for k, v := range m.requests {
-		s.Requests[k] = v
-	}
-	for k, v := range m.statuses {
-		s.Statuses[k] = v
-	}
-	for k, h := range m.stages {
-		s.Latency[k] = h.snapshot()
-	}
-	s.ShedRequests = m.shedRequests
-	s.HandlerPanics = m.handlerPanics
-	s.CacheBypasses = m.cacheBypasses
-	s.TenantRejections = m.tenantRejections
-	m.mu.Unlock()
-	if q != nil {
-		s.Jobs = q.Stats()
-	}
-	if c != nil {
-		s.Cache = c.Stats()
-	}
-	if adv != nil {
+	s.mu.Unlock()
+	st.UptimeSeconds = time.Since(s.start).Seconds()
+	st.Jobs = s.cfg.Queue.Stats()
+	st.Cache = s.cfg.Cache.Stats()
+	if adv := s.cfg.Advisor; adv != nil {
 		as := adv.Stats()
-		s.Advisor = &as
+		st.Advisor = &as
 	}
-	if x.Store != nil {
-		ss := x.Store.Stats()
-		s.Store = &ss
+	if store := s.cfg.ResultStore; store != nil {
+		ss := store.Stats()
+		st.Store = &ss
 	}
-	if x.Tenants != nil {
-		s.Tenants = x.Tenants.StatsAll()
+	if s.cfg.Tenants != nil {
+		st.Tenants = s.cfg.Tenants.StatsAll()
 	}
-	if x.Journal != nil {
-		js := x.Journal.Stats()
-		s.Journal = &js
+	if wal := s.cfg.Journal; wal != nil {
+		js := wal.Stats()
+		st.Journal = &js
 	}
 	if faultinject.Armed() {
 		fs := faultinject.Snapshot()
-		s.Faults = &fs
+		st.Faults = &fs
 	}
-	return s
+	return st
 }

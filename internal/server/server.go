@@ -28,6 +28,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/advise"
@@ -125,9 +126,13 @@ var ErrShed = errors.New("server: overloaded, submission shed")
 
 // Server is the HTTP handler. Construct with New.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	metrics *Metrics
+	cfg   Config
+	mux   *http.ServeMux
+	start time.Time
+
+	mu     sync.Mutex
+	st     Snapshot // the request and status counts and the counters; snapshot adds the rest
+	stages map[string]*hist
 }
 
 // New builds the handler around a queue and cache.
@@ -136,7 +141,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: queue and cache are required")
 	}
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), metrics: NewMetrics()}
+	s := &Server{
+		cfg: cfg, mux: http.NewServeMux(), start: time.Now(),
+		st:     Snapshot{Requests: map[string]uint64{}, Statuses: map[string]uint64{}},
+		stages: map[string]*hist{},
+	}
 	s.handle("GET /healthz", s.handleHealthz)
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("GET /v1/systems", s.handleSystems)
@@ -159,9 +168,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Metrics exposes the registry (cmd/cesimd logs a summary on exit).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -220,7 +226,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 		func() {
 			defer func() {
 				if v := recover(); v != nil {
-					s.metrics.HandlerPanic()
+					s.count(&s.st.HandlerPanics)
 					rec.status = http.StatusInternalServerError
 					if !rec.wrote {
 						envelope.Error(rec, http.StatusInternalServerError, "", fmt.Errorf("internal error: %v", v))
@@ -236,20 +242,19 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 		if rec.status >= 400 && s.cfg.Log != nil {
 			s.cfg.Log.Printf("%s -> %d rid=%s", pattern, rec.status, rid)
 		}
-		s.metrics.Request(pattern, rec.status, time.Since(start))
+		s.request(pattern, rec.status, time.Since(start))
 	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	envelope.Write(w, http.StatusOK, map[string]any{
 		"status":   "ok",
-		"uptime_s": s.metrics.Snapshot(nil, nil, nil, Extras{}).UptimeSeconds,
+		"uptime_s": time.Since(s.start).Seconds(),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	envelope.Write(w, http.StatusOK, s.metrics.Snapshot(s.cfg.Queue, s.cfg.Cache, s.cfg.Advisor,
-		Extras{Store: s.cfg.ResultStore, Tenants: s.cfg.Tenants, Journal: s.cfg.Journal}))
+	envelope.Write(w, http.StatusOK, s.snapshot())
 }
 
 // shed answers 503 with Retry-After, and reports true, once the queue
@@ -258,7 +263,7 @@ func (s *Server) shed(w http.ResponseWriter) bool {
 	if wm := s.cfg.ShedWatermark; wm <= 0 || s.cfg.Queue.Depth() < wm {
 		return false
 	}
-	s.metrics.Shed()
+	s.count(&s.st.ShedRequests)
 	w.Header().Set("Retry-After", "1")
 	envelope.Error(w, http.StatusServiceUnavailable, "", ErrShed)
 	return true
@@ -426,7 +431,7 @@ func (s *Server) admitTenant(w http.ResponseWriter, name string) (release func()
 	}
 	release, err := s.cfg.Tenants.Admit(name)
 	if err != nil {
-		s.metrics.TenantReject()
+		s.count(&s.st.TenantRejections)
 		// Retry-After mirrors the shed 503 and queue-full 429: always
 		// present on a 429 so clients back off uniformly. The token
 		// bucket computes a real horizon; the job cap cannot (the
@@ -519,7 +524,7 @@ func (s *Server) simulateFunc(cfg core.ExperimentConfig, sc core.Scenario, req S
 			return nil, err
 		}
 		baselineWall := time.Since(jobStart)
-		s.metrics.Observe(StageBaseline, baselineWall)
+		s.observe(StageBaseline, baselineWall)
 
 		scStart := time.Now()
 		rep, err := exp.RunRepeatedParallelContext(ctx, sc, req.Reps, 0) // GOMAXPROCS wide, as a sweep job
@@ -527,8 +532,8 @@ func (s *Server) simulateFunc(cfg core.ExperimentConfig, sc core.Scenario, req S
 			return nil, err
 		}
 		scenariosWall := time.Since(scStart)
-		s.metrics.Observe(StageScenarios, scenariosWall)
-		s.metrics.Observe(StageJob, time.Since(jobStart))
+		s.observe(StageScenarios, scenariosWall)
+		s.observe(StageJob, time.Since(jobStart))
 
 		mixLabel := ""
 		if sc.Arrivals != nil {
@@ -634,7 +639,7 @@ func (s *Server) sweepFunc(req SweepRequest, tenantName string, payload []byte) 
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.Observe(StageJob, time.Since(start))
+		s.observe(StageJob, time.Since(start))
 		var buf bytes.Buffer
 		if err := f.WriteJSON(&buf); err != nil {
 			return nil, err
@@ -696,7 +701,7 @@ func (s *Server) baseline(ctx context.Context, cfg core.ExperimentConfig) (exp *
 	if err == nil || ctx.Err() != nil {
 		return exp, hit, false, err
 	}
-	s.metrics.CacheBypass()
+	s.count(&s.st.CacheBypasses)
 	exp, err = core.NewExperiment(cfg)
 	return exp, false, true, err
 }
@@ -704,21 +709,24 @@ func (s *Server) baseline(ctx context.Context, cfg core.ExperimentConfig) (exp *
 // Resubmit re-enqueues jobs already recovered from a WAL (jobs.Recover)
 // under their original ids and returns how many were accepted — clients
 // polling a pre-crash job id find their job again, and seeds ride along
-// in the journaled payload so re-runs are bit-identical. Jobs whose
-// payloads no longer validate (version skew across a deploy) are
-// skipped with a log line: recovery must bring the daemon up. The
-// daemon calls this as the re-journal step of journal.Restart, once the
-// queue exists over the new writer, so the acceptances re-journal into
-// the new segments.
+// in the journaled payload so re-runs are bit-identical. A job whose
+// payload no longer validates (version skew across a deploy) is
+// re-enqueued too, with a body that fails with the reason, never
+// retried: its failure is journaled, so the restart can compact, and a
+// client polling the id learns why. The daemon calls this as the
+// re-journal step of journal.Restart, once the queue exists over the
+// new writer, so the acceptances re-journal into the new segments.
 func (s *Server) Resubmit(pending []jobs.PendingJob) int {
 	n := 0
 	for _, p := range pending {
 		fn, err := s.rebuildFunc(p)
 		if err != nil {
 			if s.cfg.Log != nil {
-				s.cfg.Log.Printf("recover: skipping job %s (kind=%s): %v", p.ID, p.Spec.Kind, err)
+				s.cfg.Log.Printf("recover: job %s (kind=%s) cannot be rebuilt, failing it: %v", p.ID, p.Spec.Kind, err)
 			}
-			continue
+			// %v: whatever the cause's chain says, this is not retryable.
+			failure := fmt.Errorf("recover: job cannot be rebuilt: %v", err)
+			fn = func(context.Context) (any, error) { return nil, failure }
 		}
 		if _, err := s.cfg.Queue.SubmitRecovered(p, fn); err != nil {
 			if s.cfg.Log != nil {

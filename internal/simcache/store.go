@@ -95,16 +95,8 @@ type Store struct {
 	dir string
 
 	mu      sync.Mutex
-	entries int
-	size    int64
+	st      StoreStats // all but Tenants, which Stats lists from tenants
 	tenants map[string]*TenantUsage
-
-	puts        uint64
-	hits        uint64
-	misses      uint64
-	writeErrors uint64
-	quarantined uint64
-	dirSyncs    uint64
 }
 
 // OpenStore creates dir if needed and runs the startup integrity scan:
@@ -156,12 +148,12 @@ func (s *Store) scan() error {
 			}
 			tenant, payload, _, err := readEntry(path)
 			if err != nil {
-				s.quarantined++
+				s.st.Quarantined++
 				_ = os.Rename(path, path+".corrupt")
 				// Best effort, like the rename: when it lands, a crash
 				// cannot resurrect the corrupt name for the next scan.
 				if journal.SyncDir(shardDir, (*os.File).Sync) == nil {
-					s.dirSyncs++
+					s.st.DirSyncs++
 				}
 				continue
 			}
@@ -174,8 +166,8 @@ func (s *Store) scan() error {
 // account adjusts the global and per-tenant gauges. s.mu must be held
 // (or the store not yet published).
 func (s *Store) account(tenant string, deltaBytes int64, deltaEntries int) {
-	s.entries += deltaEntries
-	s.size += deltaBytes
+	s.st.Entries += deltaEntries
+	s.st.SizeBytes += deltaBytes
 	u, ok := s.tenants[tenant]
 	if !ok {
 		u = &TenantUsage{Tenant: tenant}
@@ -224,10 +216,10 @@ func (s *Store) Put(ctx context.Context, tenant, key string, payload []byte) err
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		s.writeErrors++
+		s.st.WriteErrors++
 		return err
 	}
-	s.puts++
+	s.st.Puts++
 	return nil
 }
 
@@ -295,13 +287,13 @@ func (s *Store) put(ctx context.Context, tenant, key string, payload []byte) err
 	// Crash ordering: entry bytes → file fsync → rename → shard-dir
 	// fsync. Without the last step the rename lives only in the page
 	// cache and a crash can silently un-publish an acknowledged Put.
-	// Issued inside the critical section so the dirSyncs gauge moves
+	// Issued inside the critical section so the DirSyncs counter moves
 	// with the rename it covers.
 	if err := journal.SyncDir(shardDir, (*os.File).Sync); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("simcache: store write: %w", err)
 	}
-	s.dirSyncs++
+	s.st.DirSyncs++
 	s.mu.Unlock()
 	return nil
 }
@@ -319,12 +311,12 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		s.misses++
+		s.st.Misses++
 		if !os.IsNotExist(err) {
 			// Present but damaged: quarantine it and drop its footprint
 			// from the gauges (best effort — if the header itself is
 			// gone the tenant attribution is lost, not the safety).
-			s.quarantined++
+			s.st.Quarantined++
 			if info, statErr := os.Stat(path); statErr == nil && framed {
 				payloadLen := info.Size() - int64(len(storeMagic)+2+len(tenant)+4)
 				if payloadLen < 0 {
@@ -336,12 +328,12 @@ func (s *Store) Get(key string) ([]byte, bool) {
 			// Best effort: a read-only filesystem still misses safely,
 			// but when the fsync lands the quarantine survives a crash.
 			if journal.SyncDir(filepath.Dir(path), (*os.File).Sync) == nil {
-				s.dirSyncs++
+				s.st.DirSyncs++
 			}
 		}
 		return nil, false
 	}
-	s.hits++
+	s.st.Hits++
 	return payload, true
 }
 
@@ -390,12 +382,7 @@ func (s *Store) TenantBytes(tenant string) int64 {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{
-		Entries: s.entries, SizeBytes: s.size,
-		Puts: s.puts, Hits: s.hits, Misses: s.misses,
-		WriteErrors: s.writeErrors, Quarantined: s.quarantined,
-		DirSyncs: s.dirSyncs,
-	}
+	st := s.st
 	names := make([]string, 0, len(s.tenants))
 	for name := range s.tenants {
 		names = append(names, name)

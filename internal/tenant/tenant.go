@@ -78,15 +78,11 @@ type Config struct {
 	Now func() time.Time
 }
 
-// state is one tenant's live bucket and counters.
+// state is one tenant's live bucket and counters: its snapshot, and
+// the time the bucket was last refilled.
 type state struct {
-	tokens      float64
-	last        time.Time
-	inFlight    int
-	admitted    uint64
-	rateLimited uint64
-	jobLimited  uint64
-	diskSkips   uint64
+	Stats
+	last time.Time
 }
 
 // Registry tracks every tenant seen so far. Construct with New.
@@ -114,7 +110,7 @@ func New(cfg Config) *Registry {
 func (r *Registry) stateFor(tenant string) *state {
 	s, ok := r.states[tenant]
 	if !ok {
-		s = &state{tokens: float64(burst(r.limits)), last: r.now()}
+		s = &state{Stats: Stats{Tenant: tenant, Tokens: float64(burst(r.limits))}, last: r.now()}
 		r.states[tenant] = s
 	}
 	return s
@@ -138,9 +134,9 @@ func refill(s *state, l Limits, now time.Time) {
 	}
 	dt := now.Sub(s.last).Seconds()
 	if dt > 0 {
-		s.tokens += dt * l.RatePerSec
-		if max := float64(burst(l)); s.tokens > max {
-			s.tokens = max
+		s.Tokens += dt * l.RatePerSec
+		if max := float64(burst(l)); s.Tokens > max {
+			s.Tokens = max
 		}
 	}
 	s.last = now
@@ -159,30 +155,30 @@ func (r *Registry) Admit(tenant string) (release func(), err error) {
 	now := r.now()
 	refill(s, l, now)
 
-	if l.RatePerSec > 0 && s.tokens < 1 {
-		s.rateLimited++
-		wait := time.Duration((1 - s.tokens) / l.RatePerSec * float64(time.Second))
+	if l.RatePerSec > 0 && s.Tokens < 1 {
+		s.RateLimited++
+		wait := time.Duration((1 - s.Tokens) / l.RatePerSec * float64(time.Second))
 		if wait < time.Second {
 			wait = time.Second // floor: Retry-After is whole seconds on the wire
 		}
 		return nil, &LimitError{Tenant: tenant, RetryAfter: wait, cause: ErrRateLimited}
 	}
-	if l.MaxJobs > 0 && s.inFlight >= l.MaxJobs {
-		s.jobLimited++
+	if l.MaxJobs > 0 && s.InFlight >= l.MaxJobs {
+		s.JobLimited++
 		return nil, &LimitError{Tenant: tenant, cause: ErrJobQuota}
 	}
 	if l.RatePerSec > 0 {
-		s.tokens--
+		s.Tokens--
 	}
-	s.inFlight++
-	s.admitted++
+	s.InFlight++
+	s.Admitted++
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			if s.inFlight > 0 {
-				s.inFlight--
+			if s.InFlight > 0 {
+				s.InFlight--
 			}
 		})
 	}, nil
@@ -198,7 +194,7 @@ func (r *Registry) DiskAllowed(tenant string, usedBytes, addBytes int64) bool {
 	if l := r.limits.DiskBytes; l <= 0 || usedBytes+addBytes <= l {
 		return true
 	}
-	r.stateFor(tenant).diskSkips++
+	r.stateFor(tenant).DiskSkips++
 	return false
 }
 
@@ -216,15 +212,7 @@ func (r *Registry) StatsAll() []Stats {
 	for _, name := range names {
 		s := r.states[name]
 		refill(s, r.limits, r.now())
-		out = append(out, Stats{
-			Tenant:      name,
-			InFlight:    s.inFlight,
-			Admitted:    s.admitted,
-			RateLimited: s.rateLimited,
-			JobLimited:  s.jobLimited,
-			DiskSkips:   s.diskSkips,
-			Tokens:      s.tokens,
-		})
+		out = append(out, s.Stats)
 	}
 	return out
 }
