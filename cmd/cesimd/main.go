@@ -189,7 +189,7 @@ func main() {
 			logger.Printf("coordinator recovered: %d journal records (%d bytes in %d ms, %d quarantined segments), epoch %d",
 				rst.Records, rst.Bytes, time.Since(t).Milliseconds(), rst.Quarantined, coord.Epoch())
 		} else {
-			coord = cluster.NewCoordinator(cluster.Config{})
+			coord = cluster.NewCoordinator()
 		}
 		routes = coord.Routes()
 	}

@@ -195,7 +195,7 @@ func TestWorkerCrashMidShardRestartsCompact(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	coord := cluster.NewCoordinator(cluster.Config{})
+	coord := cluster.NewCoordinator()
 	cq := jobs.New(jobs.Config{Workers: 1})
 	cs, err := server.New(server.Config{Queue: cq, Cache: simcache.New(0), Routes: coord.Routes()})
 	if err != nil {

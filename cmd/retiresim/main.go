@@ -98,7 +98,7 @@ func main() {
 	t.AddRow("memory-lost", fmt.Sprintf("%dKiB", res.BytesRetired>>10))
 	t.AddRow("mtbce-logged", report.Nanos(res.LoggedMTBCENanos(cfg.Hours)))
 	if res.Truncated {
-		t.AddRow("warning", "event stream truncated (MaxCEs)")
+		t.AddRow("warning", "event stream truncated at 2^22 CEs")
 	}
 	if err := t.WriteASCII(os.Stdout); err != nil {
 		fatal(err)

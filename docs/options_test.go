@@ -60,6 +60,17 @@ type census struct {
 	flags  map[string][]option // by command, cmd/<name>
 	fields map[string][]option // by struct type, "jobs.Config"
 	maps   []option
+
+	pkgs   []*load.Package          // the module's packages, non-test files only
+	module string                   // the module path, "repro"
+	vars   map[*types.Var]*fieldRow // every census field by its object
+}
+
+// fieldRow is a census field as TestEverySettingIsSetOutsideTests
+// reads it.
+type fieldRow struct {
+	key    string // "jobs.Config.Retain"
+	tagged bool   // it has a json tag
 }
 
 // takeCensus type-checks the module once for every test that reads it.
@@ -72,7 +83,8 @@ var takeCensus = sync.OnceValues(func() (*census, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &census{flags: map[string][]option{}, fields: map[string][]option{}}
+	c := &census{flags: map[string][]option{}, fields: map[string][]option{},
+		pkgs: pkgs, module: l.ModulePath(), vars: map[*types.Var]*fieldRow{}}
 	cmdPrefix := l.ModulePath() + "/cmd/"
 
 	// Every function body of the module by its object, so a command's
@@ -171,6 +183,8 @@ var takeCensus = sync.OnceValues(func() (*census, error) {
 				for i := 0; i < st.NumFields(); i++ {
 					if f := st.Field(i); f.Exported() {
 						fields = append(fields, option{name: f.Name(), typ: types.TypeString(f.Type(), qual)})
+						_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+						c.vars[f] = &fieldRow{key: p.Types.Name() + "." + name + "." + f.Name(), tagged: tagged}
 					}
 				}
 				c.fields[p.Types.Name()+"."+name] = fields

@@ -6,15 +6,16 @@ import (
 	"slices"
 )
 
-// EstimatorConfig sizes the windowed MTBCE estimator.
+const (
+	// bucketNanos is the time-bucket width events are quantized into.
+	bucketNanos = int64(60e9)
+	// windowBuckets is how many trailing buckets are retained (one
+	// day); older counts fall out of the estimate entirely.
+	windowBuckets = 1440
+)
+
+// EstimatorConfig tunes the windowed MTBCE estimator.
 type EstimatorConfig struct {
-	// BucketNanos is the time-bucket width events are quantized into.
-	// Default 60s.
-	BucketNanos int64
-	// WindowBuckets is how many trailing buckets are retained; older
-	// counts fall out of the estimate entirely. Default 1440 (one day
-	// at the default bucket width).
-	WindowBuckets int
 	// HalfLifeNanos is the exponential-decay half-life applied when
 	// the windowed counts are turned into a rate: an event half a
 	// half-life old counts sqrt(1/2) as much as a fresh one. Default
@@ -23,12 +24,6 @@ type EstimatorConfig struct {
 }
 
 func (c EstimatorConfig) withDefaults() EstimatorConfig {
-	if c.BucketNanos <= 0 {
-		c.BucketNanos = 60 * 1e9
-	}
-	if c.WindowBuckets <= 0 {
-		c.WindowBuckets = 1440
-	}
 	if c.HalfLifeNanos <= 0 {
 		c.HalfLifeNanos = 4 * 3600 * 1e9
 	}
@@ -44,11 +39,11 @@ func (c EstimatorConfig) withDefaults() EstimatorConfig {
 // order yields the same state. The state is therefore a commutative
 // monoid over integer event counts:
 //
-//   - events are quantized into absolute time buckets (ts / BucketNanos),
+//   - events are quantized into absolute time buckets (ts / bucketNanos),
 //     so a bucket's identity does not depend on what arrived before it;
 //   - per-bucket counts, the total count, and the min/max timestamps
 //     are all commutative, associative aggregates;
-//   - trimming drops buckets older than maxBucket-WindowBuckets+1, a
+//   - trimming drops buckets older than maxBucket-windowBuckets+1, a
 //     cutoff derived from the (commutative) max — applying trims in any
 //     interleaving converges to the same retained set.
 //
@@ -76,23 +71,17 @@ type bucket struct {
 
 func byIdx(b bucket, idx int64) int { return cmp.Compare(b.idx, idx) }
 
-// weightTable returns w[age] = 2^-(age·BucketNanos/HalfLifeNanos) for
-// the ages a trimmed window holds (at most 2^16) — the expression
-// Estimate evaluates past the table, so a hit is bit-identical to a miss.
+// weightTable returns w[age] = 2^-(age·bucketNanos/HalfLifeNanos) for
+// the ages a trimmed window holds — the expression Estimate evaluates
+// past the table, so a hit is bit-identical to a miss.
 func weightTable(cfg EstimatorConfig) []float64 {
 	cfg = cfg.withDefaults()
-	halfLives := float64(cfg.BucketNanos) / float64(cfg.HalfLifeNanos)
-	w := make([]float64, min(cfg.WindowBuckets, 1<<16))
+	halfLives := float64(bucketNanos) / float64(cfg.HalfLifeNanos)
+	w := make([]float64, windowBuckets)
 	for age := range w {
 		w[age] = math.Exp2(-float64(age) * halfLives)
 	}
 	return w
-}
-
-// NewEstimator returns an empty estimator with its own weight table
-// (a Store's estimators share one).
-func NewEstimator(cfg EstimatorConfig) *Estimator {
-	return newEstimator(cfg, weightTable(cfg))
 }
 
 // newEstimator returns an empty estimator reading weights from w, which
@@ -104,7 +93,7 @@ func newEstimator(cfg EstimatorConfig, w []float64) *Estimator {
 // Add ingests one event timestamp (nanoseconds, must be positive —
 // validated at the HTTP layer). Call Trim after a batch of Adds.
 func (e *Estimator) Add(tsNanos int64) {
-	b := tsNanos / e.cfg.BucketNanos
+	b := tsNanos / bucketNanos
 	if e.total == 0 {
 		e.minB, e.maxB = b, b
 		e.firstNs, e.lastNs = tsNanos, tsNanos
@@ -176,7 +165,7 @@ func (e *Estimator) Trim() {
 		return
 	}
 	e.settle()
-	cutoff := e.maxB - int64(e.cfg.WindowBuckets) + 1
+	cutoff := e.maxB - windowBuckets + 1
 	if i, _ := slices.BinarySearchFunc(e.buckets, cutoff, byIdx); i > 0 {
 		// Shift down rather than reslice, so the run's capacity is reused.
 		e.buckets = e.buckets[:copy(e.buckets, e.buckets[i:])]
@@ -216,12 +205,12 @@ func (e *Estimator) Estimate() Estimate {
 		return est
 	}
 	e.settle()
-	start := e.maxB - int64(e.cfg.WindowBuckets) + 1
+	start := e.maxB - windowBuckets + 1
 	if e.minB > start {
 		start = e.minB
 	}
 
-	halfLives := float64(e.cfg.BucketNanos) / float64(e.cfg.HalfLifeNanos)
+	halfLives := float64(bucketNanos) / float64(e.cfg.HalfLifeNanos)
 	weightAt := func(b int64) float64 {
 		if age := e.maxB - b; uint64(age) < uint64(len(e.w)) {
 			return e.w[age]
@@ -235,7 +224,7 @@ func (e *Estimator) Estimate() Estimate {
 	}
 	var wTime float64
 	for b := start; b <= e.maxB; b++ {
-		wTime += weightAt(b) * float64(e.cfg.BucketNanos)
+		wTime += weightAt(b) * float64(bucketNanos)
 	}
 	if wEvents <= 0 || wTime <= 0 {
 		return est

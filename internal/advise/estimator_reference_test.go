@@ -28,7 +28,7 @@ func newRefEstimator(cfg EstimatorConfig) *refEstimator {
 }
 
 func (e *refEstimator) Add(tsNanos int64) {
-	b := tsNanos / e.cfg.BucketNanos
+	b := tsNanos / bucketNanos
 	if e.total == 0 {
 		e.minB, e.maxB = b, b
 		e.firstNs, e.lastNs = tsNanos, tsNanos
@@ -54,7 +54,7 @@ func (e *refEstimator) Trim() {
 	if e.total == 0 {
 		return
 	}
-	cutoff := e.maxB - int64(e.cfg.WindowBuckets) + 1
+	cutoff := e.maxB - windowBuckets + 1
 	for b := range e.buckets {
 		if b < cutoff {
 			delete(e.buckets, b)
@@ -67,7 +67,7 @@ func (e *refEstimator) Estimate() Estimate {
 	if e.total == 0 {
 		return est
 	}
-	start := e.maxB - int64(e.cfg.WindowBuckets) + 1
+	start := e.maxB - windowBuckets + 1
 	if e.minB > start {
 		start = e.minB
 	}
@@ -77,7 +77,7 @@ func (e *refEstimator) Estimate() Estimate {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
-	halfLives := float64(e.cfg.BucketNanos) / float64(e.cfg.HalfLifeNanos)
+	halfLives := float64(bucketNanos) / float64(e.cfg.HalfLifeNanos)
 	weightAt := func(b int64) float64 {
 		return math.Exp2(-float64(e.maxB-b) * halfLives)
 	}
@@ -88,7 +88,7 @@ func (e *refEstimator) Estimate() Estimate {
 	}
 	var wTime float64
 	for b := start; b <= e.maxB; b++ {
-		wTime += weightAt(b) * float64(e.cfg.BucketNanos)
+		wTime += weightAt(b) * float64(bucketNanos)
 	}
 	if wEvents <= 0 || wTime <= 0 {
 		return est
@@ -103,19 +103,13 @@ func (e *refEstimator) Estimate() Estimate {
 // reversed, shuffled, bursts into one bucket, spans beyond the window —
 // with Trim interleaved anywhere (and Estimate called with and without a
 // Trim before it) give an Estimate equal by == to the map-based
-// reference's, for windows of 1, 10 and 1440 buckets and a half-life of
+// reference's, for half-lives of 4 h (the default), 1 h, 10 min and
 // 1e18 ns.
 func TestEstimatorMatchesReference(t *testing.T) {
-	configs := []EstimatorConfig{
-		{}, // the defaults: 60 s buckets, 1440 of them, 4 h half-life
-		{BucketNanos: 60e9, WindowBuckets: 1, HalfLifeNanos: 3600e9},
-		{BucketNanos: 60e9, WindowBuckets: 10, HalfLifeNanos: 600e9},
-		{BucketNanos: 60e9, WindowBuckets: 1440, HalfLifeNanos: 1e18},
-		{BucketNanos: 1e9, WindowBuckets: 10, HalfLifeNanos: 1e18},
-	}
+	configs := []EstimatorConfig{{}, {HalfLifeNanos: 3600e9}, {HalfLifeNanos: 600e9}, {HalfLifeNanos: 1e18}}
 	rnd := rand.New(rand.NewSource(25))
+	const width = bucketNanos * windowBuckets
 	for ci, cfg := range configs {
-		width := cfg.withDefaults().BucketNanos * int64(cfg.withDefaults().WindowBuckets)
 		for trial := 0; trial < 60; trial++ {
 			ts := make([]int64, 1+rnd.Intn(400))
 			base := int64(1 + rnd.Int63n(1e18))
@@ -129,7 +123,7 @@ func TestEstimatorMatchesReference(t *testing.T) {
 			case 1:
 				sort.Slice(ts, func(i, j int) bool { return ts[i] > ts[j] })
 			}
-			e, ref := NewEstimator(cfg), newRefEstimator(cfg)
+			e, ref := testEstimator(cfg), newRefEstimator(cfg)
 			check := func(when string) {
 				t.Helper()
 				if got, want := e.Estimate(), ref.Estimate(); got != want {
@@ -158,7 +152,7 @@ func TestEstimatorMatchesReference(t *testing.T) {
 
 // TestEstimateDoesNotAllocate: the run is walked in place.
 func TestEstimateDoesNotAllocate(t *testing.T) {
-	e := NewEstimator(EstimatorConfig{})
+	e := testEstimator(EstimatorConfig{})
 	for b := int64(1); b <= 3000; b++ {
 		e.Add(agentEpoch + b*60e9)
 	}

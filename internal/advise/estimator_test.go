@@ -6,8 +6,14 @@ import (
 	"testing"
 )
 
+// testEstimator returns an empty estimator with its own weight table
+// (a Store's estimators share one).
+func testEstimator(cfg EstimatorConfig) *Estimator {
+	return newEstimator(cfg, weightTable(cfg))
+}
+
 func TestEstimatorEmpty(t *testing.T) {
-	e := NewEstimator(EstimatorConfig{})
+	e := testEstimator(EstimatorConfig{})
 	est := e.Estimate()
 	if est.TotalEvents != 0 || est.MTBCENanos != 0 || est.CEPerYear != 0 {
 		t.Fatalf("empty estimator produced %+v", est)
@@ -15,8 +21,7 @@ func TestEstimatorEmpty(t *testing.T) {
 }
 
 func TestEstimatorSingleEvent(t *testing.T) {
-	cfg := EstimatorConfig{BucketNanos: 60e9}
-	e := NewEstimator(cfg)
+	e := testEstimator(EstimatorConfig{})
 	e.Add(90e9)
 	est := e.Estimate()
 	if est.TotalEvents != 1 || est.WindowEvents != 1 {
@@ -34,8 +39,7 @@ func TestEstimatorSingleEvent(t *testing.T) {
 func TestEstimatorUniformRate(t *testing.T) {
 	// Events every 10s for an hour with decay effectively off: the MLE
 	// must recover MTBCE ~ 10s.
-	cfg := EstimatorConfig{BucketNanos: 60e9, HalfLifeNanos: 1e18}
-	e := NewEstimator(cfg)
+	e := testEstimator(EstimatorConfig{HalfLifeNanos: 1e18})
 	for ts := int64(10e9); ts <= 3600e9; ts += 10e9 {
 		e.Add(ts)
 	}
@@ -54,9 +58,9 @@ func TestEstimatorUniformRate(t *testing.T) {
 func TestEstimatorDecayFavorsRecent(t *testing.T) {
 	// Same 200 events; one stream had its burst long ago, the other just
 	// now. Decay must weight the recent burst harder: lower MTBCE.
-	cfg := EstimatorConfig{BucketNanos: 60e9, WindowBuckets: 1440, HalfLifeNanos: 3600e9}
-	old := NewEstimator(cfg)
-	recent := NewEstimator(cfg)
+	cfg := EstimatorConfig{HalfLifeNanos: 3600e9}
+	old := testEstimator(cfg)
+	recent := testEstimator(cfg)
 	base := int64(1e15)
 	span := int64(12) * 3600e9 // 12h observed in both streams
 	for i := int64(0); i < 200; i++ {
@@ -74,10 +78,9 @@ func TestEstimatorDecayFavorsRecent(t *testing.T) {
 }
 
 func TestEstimatorTrimDropsOldBuckets(t *testing.T) {
-	cfg := EstimatorConfig{BucketNanos: 60e9, WindowBuckets: 10}
-	e := NewEstimator(cfg)
-	e.Add(60e9)       // bucket 1
-	e.Add(100 * 60e9) // bucket 100; cutoff becomes 91
+	e := testEstimator(EstimatorConfig{})
+	e.Add(60e9)                        // bucket 1
+	e.Add((windowBuckets + 90) * 60e9) // cutoff becomes bucket 91
 	e.Trim()
 	est := e.Estimate()
 	if est.TotalEvents != 2 {
@@ -86,15 +89,14 @@ func TestEstimatorTrimDropsOldBuckets(t *testing.T) {
 	if est.WindowEvents != 1 {
 		t.Fatalf("WindowEvents = %d, want 1 after trim", est.WindowEvents)
 	}
-	if est.FirstNanos != 60e9 || est.LastNanos != 100*60e9 {
+	if est.FirstNanos != 60e9 || est.LastNanos != (windowBuckets+90)*60e9 {
 		t.Fatalf("bounds survive trim: %+v", est)
 	}
 }
 
 func TestEstimatorTrimIdempotent(t *testing.T) {
-	cfg := EstimatorConfig{BucketNanos: 60e9, WindowBuckets: 5}
-	a, b := NewEstimator(cfg), NewEstimator(cfg)
-	for _, ts := range []int64{60e9, 120e9, 400 * 60e9, 401 * 60e9} {
+	a, b := testEstimator(EstimatorConfig{}), testEstimator(EstimatorConfig{})
+	for _, ts := range []int64{60e9, 120e9, (windowBuckets + 400) * 60e9, (windowBuckets + 401) * 60e9} {
 		a.Add(ts)
 		b.Add(ts)
 	}
@@ -111,13 +113,13 @@ func TestEstimatorTrimIdempotent(t *testing.T) {
 // same multiset of timestamps, inserted in any order with trims
 // interleaved anywhere, must yield a bit-identical estimate.
 func TestEstimatorOrderIndependence(t *testing.T) {
-	cfg := EstimatorConfig{BucketNanos: 60e9, WindowBuckets: 100, HalfLifeNanos: 3600e9}
+	cfg := EstimatorConfig{HalfLifeNanos: 3600e9}
 	rnd := rand.New(rand.NewSource(7))
 	ts := make([]int64, 500)
 	for i := range ts {
-		ts[i] = 1 + rnd.Int63n(200*60e9) // spans beyond the window to exercise trim
+		ts[i] = 1 + rnd.Int63n(2*windowBuckets*60e9) // spans beyond the window to exercise trim
 	}
-	ref := NewEstimator(cfg)
+	ref := testEstimator(cfg)
 	for _, v := range ts {
 		ref.Add(v)
 	}
@@ -126,7 +128,7 @@ func TestEstimatorOrderIndependence(t *testing.T) {
 
 	for trial := 0; trial < 20; trial++ {
 		perm := rnd.Perm(len(ts))
-		e := NewEstimator(cfg)
+		e := testEstimator(cfg)
 		for i, pi := range perm {
 			e.Add(ts[pi])
 			if i%17 == 0 {

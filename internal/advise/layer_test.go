@@ -225,7 +225,7 @@ func BenchmarkRecommend(b *testing.B) {
 
 // BenchmarkEstimate is Estimate over a full 1440-bucket window.
 func BenchmarkEstimate(b *testing.B) {
-	e := NewEstimator(EstimatorConfig{})
+	e := testEstimator(EstimatorConfig{})
 	for ts := int64(1); ts <= 1440; ts++ {
 		e.Add(agentEpoch + ts*60e9)
 	}

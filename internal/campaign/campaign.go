@@ -43,9 +43,6 @@ type Config struct {
 	Only []string
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
-	// Now supplies timestamps for the manifest; nil uses time.Now
-	// (injectable for deterministic tests).
-	Now func() time.Time
 	// Runner executes the sweep figures ("3".."9"); nil runs the
 	// in-process drivers. Figure 2, the surfaces and the studies always
 	// run locally: they are fixed runs, not sweeps.
@@ -97,10 +94,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
 		return nil, err
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 
 	res := &Result{Manifest: report.New(
 		fmt.Sprintf("reproduction manifest (seed %d)", cfg.Options.Seed),
@@ -111,12 +104,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		start := now()
+		start := time.Now()
 		rows, files, err := run()
 		if err != nil {
 			return fmt.Errorf("campaign: %s: %w", name, err)
 		}
-		a := Artifact{Name: name, Rows: rows, Wall: now().Sub(start), Files: files}
+		a := Artifact{Name: name, Rows: rows, Wall: time.Since(start), Files: files}
 		res.Artifacts = append(res.Artifacts, a)
 		wall := a.Wall.Truncate(time.Millisecond)
 		res.Manifest.AddRow(a.Name, fmt.Sprintf("%d", a.Rows), wall.String(), strings.Join(a.Files, ","))

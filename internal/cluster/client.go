@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -18,16 +19,12 @@ import (
 type Client struct {
 	// Base is the coordinator's base URL (required).
 	Base string
-	// Poll is the sweep poll period (default 100ms).
-	Poll time.Duration
+	// poll is the sweep poll period; 0 polls every clientPoll.
+	poll time.Duration
 }
 
-func (c *Client) poll() time.Duration {
-	if c.Poll > 0 {
-		return c.Poll
-	}
-	return 100 * time.Millisecond
-}
+// clientPoll is how often Wait polls a sweep.
+const clientPoll = 100 * time.Millisecond
 
 // Submit creates a sweep and returns its id.
 func (c *Client) Submit(ctx context.Context, spec Spec) (string, error) {
@@ -61,7 +58,7 @@ func (c *Client) Wait(ctx context.Context, sweepID string) (map[string]*core.Fig
 		case "failed":
 			return nil, fmt.Errorf("%w: sweep %s: %s", ErrSweepFailed, sweepID, view.Error)
 		}
-		if !jobs.Sleep(ctx, c.poll()) {
+		if !jobs.Sleep(ctx, cmp.Or(c.poll, clientPoll)) {
 			return nil, ctx.Err()
 		}
 	}

@@ -37,32 +37,14 @@ var (
 	ErrEpochMismatch = errors.New("cluster: epoch mismatch")
 )
 
-// Config tunes the coordinator.
-type Config struct {
-	// LeaseTTL is how long a granted shard stays leased without a
-	// heartbeat before it is re-assigned (default 10s).
-	LeaseTTL time.Duration
-	// Now supplies timestamps; nil uses time.Now (injectable for
-	// deterministic tests).
-	Now func() time.Time
-	// Journal, when set, receives one durable record per recovery-
-	// relevant state transition (sweep created, lease granted, shard
-	// done/failed, sweep failed). OpenCoordinator wires a journal.Writer
-	// here and replays it on restart; tests may supply any appender.
-	Journal journal.Appender
-}
-
-func (c Config) withDefaults() Config {
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 10 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
+// Config is OpenCoordinator's parameter. It has no fields: the lease
+// TTL is a constant and the clock is time.Now.
+type Config struct{}
 
 const (
+	// leaseTTL is how long a granted shard stays leased without a
+	// heartbeat before it is re-assigned.
+	leaseTTL = 10 * time.Second
 	// workerTTL is how long a registered worker survives without any
 	// traffic before it is dropped.
 	workerTTL = 30 * time.Second
@@ -151,7 +133,11 @@ type workerInfo struct {
 // Coordinator shards sweeps across registered workers. All methods are
 // safe for concurrent use; construct with NewCoordinator.
 type Coordinator struct {
-	cfg Config
+	now func() time.Time
+	// wal, when set, receives one durable record per recovery-relevant
+	// state transition (sweep created, lease granted, shard done/failed,
+	// sweep failed). OpenCoordinator wires a journal.Writer here.
+	wal journal.Appender
 
 	mu        sync.Mutex
 	workers   map[string]*workerInfo
@@ -168,10 +154,12 @@ type Coordinator struct {
 	st         Counters
 }
 
-// NewCoordinator builds an empty coordinator.
-func NewCoordinator(cfg Config) *Coordinator {
+// NewCoordinator builds an empty in-memory coordinator.
+func NewCoordinator() *Coordinator { return newCoordinator(time.Now) }
+
+func newCoordinator(now func() time.Time) *Coordinator {
 	return &Coordinator{
-		cfg:     cfg.withDefaults(),
+		now:     now,
 		workers: map[string]*workerInfo{},
 		sweeps:  map[string]*sweep{},
 		epoch:   1,
@@ -186,7 +174,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 func (c *Coordinator) Register(workerID, addr string) (string, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
+	now := c.now()
 	c.expireLocked(now)
 	if workerID == "" {
 		// The epoch keeps a minted id unique across restarts: a worker of
@@ -201,7 +189,7 @@ func (c *Coordinator) Register(workerID, addr string) (string, time.Duration) {
 	}
 	w.addr = addr
 	w.lastSeen = now
-	return workerID, c.cfg.LeaseTTL
+	return workerID, leaseTTL
 }
 
 // Grant is one leased shard handed to a worker: the cell to run and
@@ -220,7 +208,7 @@ type Grant struct {
 func (c *Coordinator) Lease(workerID string) (*Grant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
+	now := c.now()
 	c.expireLocked(now)
 	w, ok := c.workers[workerID]
 	if !ok {
@@ -239,7 +227,7 @@ func (c *Coordinator) Lease(workerID string) (*Grant, error) {
 			sh.state = shardLeased
 			sh.worker = workerID
 			sh.attempts++
-			sh.leaseExpiry = now.Add(c.cfg.LeaseTTL)
+			sh.leaseExpiry = now.Add(leaseTTL)
 			c.st.Grants++
 			// The grant record's job is the attempt count: a lease never
 			// survives a restart, but the retry budget it consumed must.
@@ -265,7 +253,7 @@ type ShardRef struct {
 func (c *Coordinator) Heartbeat(workerID string, held []ShardRef) ([]ShardRef, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
+	now := c.now()
 	c.expireLocked(now)
 	w, ok := c.workers[workerID]
 	if !ok {
@@ -284,7 +272,7 @@ func (c *Coordinator) Heartbeat(workerID string, held []ShardRef) ([]ShardRef, e
 			drop = append(drop, ref)
 			continue
 		}
-		sh.leaseExpiry = now.Add(c.cfg.LeaseTTL)
+		sh.leaseExpiry = now.Add(leaseTTL)
 	}
 	return drop, nil
 }
@@ -298,7 +286,7 @@ func (c *Coordinator) Heartbeat(workerID string, held []ShardRef) ([]ShardRef, e
 func (c *Coordinator) Report(workerID, sweepID, key string, fragment *core.Figure, reportErr string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
+	now := c.now()
 	c.expireLocked(now)
 	if w, ok := c.workers[workerID]; ok {
 		w.lastSeen = now
@@ -348,7 +336,7 @@ func (c *Coordinator) CreateSweep(spec Spec) (string, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepSeq++
-	sw := c.createSweepLocked(fmt.Sprintf("s%d", c.sweepSeq), spec, c.cfg.Now())
+	sw := c.createSweepLocked(fmt.Sprintf("s%d", c.sweepSeq), spec, c.now())
 	return sw.id, len(sw.shards), nil
 }
 
@@ -385,7 +373,7 @@ type SweepResult struct {
 func (c *Coordinator) Sweep(id string) (SweepResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked(c.cfg.Now())
+	c.expireLocked(c.now())
 	sw, ok := c.sweeps[id]
 	if !ok {
 		return SweepResult{}, fmt.Errorf("%w: %q", ErrUnknownSweep, id)
@@ -513,7 +501,7 @@ type Counters struct {
 func (c *Coordinator) StatusSnapshot() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
+	now := c.now()
 	c.expireLocked(now)
 	st := Status{Epoch: c.epoch, Counters: c.st}
 	leasesByWorker := map[string]int{}
@@ -530,7 +518,7 @@ func (c *Coordinator) StatusSnapshot() Status {
 			leasesByWorker[sh.worker]++
 			st.Leases = append(st.Leases, LeaseStatus{
 				SweepID: sw.id, Key: sh.cell.Key(), Worker: sh.worker,
-				AgeMs:    float64(now.Sub(sh.leaseExpiry.Add(-c.cfg.LeaseTTL))) / float64(time.Millisecond),
+				AgeMs:    float64(now.Sub(sh.leaseExpiry.Add(-leaseTTL))) / float64(time.Millisecond),
 				ExpireMs: float64(sh.leaseExpiry.Sub(now)) / float64(time.Millisecond),
 				Attempts: sh.attempts,
 			})

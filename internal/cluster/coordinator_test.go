@@ -31,10 +31,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func testConfig(clock *fakeClock) Config {
-	return Config{LeaseTTL: 100 * time.Millisecond, Now: clock.Now}
-}
-
 // oneCellSpec is the smallest possible plan: one figure, one workload.
 func oneCellSpec() Spec {
 	return Spec{Figures: []string{"4"}, Workloads: []string{"minife"}, Seed: 1}
@@ -59,9 +55,9 @@ func registerHolderAndHeir(c *Coordinator) (holder, heir string) {
 
 func TestLeaseGrantReportMerge(t *testing.T) {
 	clock := newFakeClock()
-	c := NewCoordinator(testConfig(clock))
+	c := newCoordinator(clock.Now)
 	w1, ttl := c.Register("", "host1:0")
-	if w1 == "" || ttl != 100*time.Millisecond {
+	if w1 == "" || ttl != leaseTTL {
 		t.Fatalf("register: id %q ttl %v", w1, ttl)
 	}
 	id, shards, err := c.CreateSweep(oneCellSpec())
@@ -94,7 +90,7 @@ func TestLeaseGrantReportMerge(t *testing.T) {
 
 func TestLeaseExpiryReassigns(t *testing.T) {
 	clock := newFakeClock()
-	c := NewCoordinator(testConfig(clock))
+	c := newCoordinator(clock.Now)
 	w1, w2 := registerHolderAndHeir(c)
 	id, _, err := c.CreateSweep(oneCellSpec())
 	if err != nil {
@@ -111,7 +107,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	}
 	// The lease lapses; the shard is re-offered immediately (no
 	// backoff: worker loss is not load).
-	clock.Advance(150 * time.Millisecond)
+	clock.Advance(leaseTTL * 3 / 2)
 	g2, err := c.Lease(w2)
 	if err != nil || g2 == nil || g2.Key != g1.Key {
 		t.Fatalf("reassigned lease: %v %+v", err, g2)
@@ -138,7 +134,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 
 func TestRetryBudgetExhaustionFailsSweep(t *testing.T) {
 	clock := newFakeClock()
-	c := NewCoordinator(testConfig(clock))
+	c := newCoordinator(clock.Now)
 	w1, _ := c.Register("", "")
 	id, _, err := c.CreateSweep(oneCellSpec())
 	if err != nil {
@@ -169,7 +165,7 @@ func TestRetryBudgetExhaustionFailsSweep(t *testing.T) {
 
 func TestHeartbeatExtendsLease(t *testing.T) {
 	clock := newFakeClock()
-	c := NewCoordinator(testConfig(clock))
+	c := newCoordinator(clock.Now)
 	w1, _ := c.Register("", "")
 	w2, _ := c.Register("", "")
 	id, _, err := c.CreateSweep(oneCellSpec())
@@ -180,9 +176,10 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	if err != nil || g == nil {
 		t.Fatalf("lease: %v %+v", err, g)
 	}
-	// Three 80ms heartbeats carry the lease far past its original TTL.
+	// Three heartbeats 0.8 TTL apart carry the lease far past its
+	// original TTL.
 	for i := 0; i < 3; i++ {
-		clock.Advance(80 * time.Millisecond)
+		clock.Advance(leaseTTL * 8 / 10)
 		drop, err := c.Heartbeat(w1, []ShardRef{{SweepID: id, Key: g.Key}})
 		if err != nil || len(drop) != 0 {
 			t.Fatalf("heartbeat %d: %v drop=%v", i, err, drop)
@@ -195,7 +192,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 		t.Fatalf("reassignments = %d, want 0", st.Reassignments)
 	}
 	// Once heartbeats stop, the next one after expiry is told to drop.
-	clock.Advance(150 * time.Millisecond)
+	clock.Advance(leaseTTL * 3 / 2)
 	drop, err := c.Heartbeat(w1, []ShardRef{{SweepID: id, Key: g.Key}})
 	if err != nil || len(drop) != 1 {
 		t.Fatalf("post-expiry heartbeat: %v drop=%v", err, drop)
@@ -207,7 +204,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 // passed, in sweep creation order and then plan order.
 func TestLeaseGrantsFirstReadyShard(t *testing.T) {
 	clock := newFakeClock()
-	c := NewCoordinator(testConfig(clock))
+	c := newCoordinator(clock.Now)
 	w1, _ := c.Register("", "")
 	w2, _ := c.Register("", "")
 	s1, _, err := c.CreateSweep(Spec{Figures: []string{"4"}, Workloads: []string{"minife", "hpcg"}, Seed: 1})
@@ -255,7 +252,7 @@ func TestLeaseGrantsFirstReadyShard(t *testing.T) {
 
 func TestSentinelErrors(t *testing.T) {
 	clock := newFakeClock()
-	c := NewCoordinator(testConfig(clock))
+	c := newCoordinator(clock.Now)
 	if _, err := c.Lease("ghost"); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("lease from ghost: %v", err)
 	}
@@ -279,7 +276,7 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 func TestCreateSweepValidates(t *testing.T) {
-	c := NewCoordinator(testConfig(newFakeClock()))
+	c := newCoordinator(newFakeClock().Now)
 	if _, _, err := c.CreateSweep(Spec{Figures: []string{"2"}}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
@@ -287,7 +284,7 @@ func TestCreateSweepValidates(t *testing.T) {
 
 func TestSilentWorkerDropsFromPlacement(t *testing.T) {
 	clock := newFakeClock()
-	c := NewCoordinator(testConfig(clock))
+	c := newCoordinator(clock.Now)
 	w1, _ := c.Register("", "")
 	clock.Advance(workerTTL + time.Millisecond) // w1 goes silent past workerTTL
 	w2, _ := c.Register("", "")

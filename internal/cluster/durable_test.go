@@ -52,7 +52,7 @@ func TestCoordinatorRecoverResumesSweep(t *testing.T) {
 	clock := newFakeClock()
 	ctx := context.Background()
 
-	c1, st, err := OpenCoordinator(ctx, testConfig(clock), dir)
+	c1, st, err := openCoordinator(ctx, clock.Now, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCoordinatorRecoverResumesSweep(t *testing.T) {
 	// SIGKILL: the coordinator is dropped without Close. The journal's
 	// write(2) calls completed, so the page cache has every record.
 
-	c2, st2, err := OpenCoordinator(ctx, testConfig(clock), dir)
+	c2, st2, err := openCoordinator(ctx, clock.Now, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCoordinatorSurvivesTornTailDoubleRestart(t *testing.T) {
 	clock := newFakeClock()
 	ctx := context.Background()
 
-	c1, _, err := OpenCoordinator(ctx, testConfig(clock), dir)
+	c1, _, err := openCoordinator(ctx, clock.Now, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCoordinatorSurvivesTornTailDoubleRestart(t *testing.T) {
 	f.Close()
 
 	// First restart: the torn segment is still the final one.
-	c2, st2, err := OpenCoordinator(ctx, testConfig(clock), dir)
+	c2, st2, err := openCoordinator(ctx, clock.Now, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCoordinatorSurvivesTornTailDoubleRestart(t *testing.T) {
 	}
 	// Second SIGKILL (no Close), second restart: recovery appended new
 	// segments above the previously-torn one.
-	c3, st3, err := OpenCoordinator(ctx, testConfig(clock), dir)
+	c3, st3, err := openCoordinator(ctx, clock.Now, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRecoverSameWALSameState(t *testing.T) {
 	clock := newFakeClock()
 	ctx := context.Background()
 
-	c1, _, err := OpenCoordinator(ctx, testConfig(clock), dir)
+	c1, _, err := openCoordinator(ctx, clock.Now, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRecoverSameWALSameState(t *testing.T) {
 	copyDir(t, dir, dir2)
 
 	finish := func(walDir string) (uint64, []byte) {
-		c, _, err := OpenCoordinator(ctx, testConfig(clock), walDir)
+		c, _, err := openCoordinator(ctx, clock.Now, walDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,10 +329,9 @@ func TestRecoverSameWALSameState(t *testing.T) {
 // holder — never two live leases for one shard.
 func TestLeaseExpiryHeartbeatRaceDoesNotDoubleLease(t *testing.T) {
 	clock := newFakeClock()
-	cfg := testConfig(clock)
-	c := NewCoordinator(cfg)
+	c := newCoordinator(clock.Now)
 	w1, w2 := registerHolderAndHeir(c)
-	ttl := cfg.LeaseTTL
+	ttl := leaseTTL
 	id, _, err := c.CreateSweep(oneCellSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +387,7 @@ func TestLeaseExpiryHeartbeatRaceDoesNotDoubleLease(t *testing.T) {
 // back to ErrEpochMismatch client-side), epoch 0 stays accepted for
 // pre-handshake clients.
 func TestEpochMismatchOverWire(t *testing.T) {
-	c := NewCoordinator(testConfig(newFakeClock()))
+	c := newCoordinator(newFakeClock().Now)
 	mux := http.NewServeMux()
 	for pattern, h := range c.Routes() {
 		mux.HandleFunc(pattern, h)
@@ -498,7 +497,7 @@ func TestWorkerRejoinsAfterCoordinatorRestart(t *testing.T) {
 
 	// The worker re-registers into epoch 2 on its own and finishes the
 	// remaining cell against coordinator B.
-	figures, err := (&Client{Base: ts.URL, Poll: 10 * time.Millisecond}).Wait(ctx, sweepID)
+	figures, err := (&Client{Base: ts.URL, poll: 10 * time.Millisecond}).Wait(ctx, sweepID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +521,7 @@ func TestCoordinatorJournalFaultDegrades(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	clock := newFakeClock()
 	ctx := context.Background()
-	c, _, err := OpenCoordinator(ctx, testConfig(clock), t.TempDir())
+	c, _, err := openCoordinator(ctx, clock.Now, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

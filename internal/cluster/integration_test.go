@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,9 +42,9 @@ func fig4Spec(opts core.Options) Spec {
 
 // startCoordinator serves a coordinator through the full server stack
 // (middleware, metrics, request ids), as cesimd -role coordinator does.
-func startCoordinator(t *testing.T, cfg Config) (*Coordinator, *httptest.Server) {
+func startCoordinator(t *testing.T, now func() time.Time) (*Coordinator, *httptest.Server) {
 	t.Helper()
-	coord := NewCoordinator(cfg)
+	coord := newCoordinator(now)
 	q := jobs.New(jobs.Config{Workers: 1})
 	s, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Routes: coord.Routes()})
 	if err != nil {
@@ -148,7 +149,7 @@ func TestDistributedCampaignBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, ts := startCoordinator(t, Config{})
+	coord, ts := startCoordinator(t, time.Now)
 	startWorker(t, ts.URL)
 	startWorker(t, ts.URL)
 
@@ -157,7 +158,7 @@ func TestDistributedCampaignBitIdentical(t *testing.T) {
 	defer cancel()
 	_, err := campaign.RunContext(ctx, campaign.Config{
 		OutDir: distDir, Options: tinyOpts(), Only: only,
-		Runner: &Client{Base: ts.URL, Poll: 10 * time.Millisecond},
+		Runner: &Client{Base: ts.URL, poll: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestDistributedFaultMixBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := startCoordinator(t, Config{})
+	_, ts := startCoordinator(t, time.Now)
 	startWorker(t, ts.URL)
 	startWorker(t, ts.URL)
 
@@ -195,7 +196,7 @@ func TestDistributedFaultMixBitIdentical(t *testing.T) {
 	defer cancel()
 	_, err := campaign.RunContext(ctx, campaign.Config{
 		OutDir: distDir, Options: tinyOpts(), Only: only,
-		Runner: &Client{Base: ts.URL, Poll: 10 * time.Millisecond},
+		Runner: &Client{Base: ts.URL, poll: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +216,7 @@ func TestDistributedSweepUnderShardFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := startCoordinator(t, Config{})
+	_, ts := startCoordinator(t, time.Now)
 	startWorker(t, ts.URL)
 	startWorker(t, ts.URL)
 
@@ -229,7 +230,7 @@ func TestDistributedSweepUnderShardFaults(t *testing.T) {
 	defer cancel()
 	_, err := campaign.RunContext(ctx, campaign.Config{
 		OutDir: distDir, Options: tinyOpts(), Only: only,
-		Runner: &Client{Base: ts.URL, Poll: 10 * time.Millisecond},
+		Runner: &Client{Base: ts.URL, poll: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,10 +262,13 @@ func TestWorkerKillMidLeaseReassigned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, ts := startCoordinator(t, Config{LeaseTTL: 300 * time.Millisecond})
+	// The coordinator's clock jumps a lease TTL once the victim is
+	// dead, so its lease lapses without the test waiting the TTL out.
+	var skew atomic.Int64
+	coord, ts := startCoordinator(t, func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
 
-	// The first shard attempt anywhere stalls for 1s — far past the
-	// lease TTL once heartbeats stop.
+	// The first shard attempt anywhere stalls for 1s, so the victim
+	// dies holding its lease.
 	if err := faultinject.Arm(faultinject.Plan{
 		faultinject.SiteClusterShard: {Kind: faultinject.KindDelay, Probability: 1, Count: 1,
 			DelayNanos: int64(time.Second), Seed: 1},
@@ -291,13 +295,14 @@ func TestWorkerKillMidLeaseReassigned(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	victim.stop()
+	skew.Store(int64(leaseTTL))
 
 	survivor := startWorker(t, ts.URL)
 	defer survivor.stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	figures, err := (&Client{Base: ts.URL, Poll: 10 * time.Millisecond}).Wait(ctx, sweepID)
+	figures, err := (&Client{Base: ts.URL, poll: 10 * time.Millisecond}).Wait(ctx, sweepID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +328,7 @@ func TestWorkerKillMidLeaseReassigned(t *testing.T) {
 // so draining the queue afterwards takes a repetition, not a figure.
 func TestWorkerShutdownMidShardStopsTheJob(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
-	coord, ts := startCoordinator(t, Config{})
+	coord, ts := startCoordinator(t, time.Now)
 	if err := faultinject.Arm(faultinject.Plan{
 		faultinject.SiteRepetition: {Kind: faultinject.KindDelay, Probability: 1, DelayNanos: int64(time.Minute)},
 	}); err != nil {
@@ -358,7 +363,7 @@ func TestCancelMidDistributedSweep(t *testing.T) {
 	// torn down before the goroutine accounting at the end.
 	coordQ := jobs.New(jobs.Config{Workers: 1})
 	s, err := server.New(server.Config{Queue: coordQ, Cache: simcache.New(0),
-		Routes: NewCoordinator(Config{}).Routes()})
+		Routes: NewCoordinator().Routes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +388,7 @@ func TestCancelMidDistributedSweep(t *testing.T) {
 	}()
 	_, runErr := campaign.RunContext(ctx, campaign.Config{
 		OutDir: dir, Options: tinyOpts(), Only: []string{"4"},
-		Runner: &Client{Base: ts.URL, Poll: 10 * time.Millisecond},
+		Runner: &Client{Base: ts.URL, poll: 10 * time.Millisecond},
 	})
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", runErr)
@@ -427,7 +432,7 @@ func TestCancelMidDistributedSweep(t *testing.T) {
 // end: a request id attached to the client context reaches the
 // coordinator's middleware and comes back on protocol responses.
 func TestRequestIDsFlowThroughCluster(t *testing.T) {
-	_, ts := startCoordinator(t, Config{})
+	_, ts := startCoordinator(t, time.Now)
 	ctx := envelope.WithRequestID(context.Background(), "sweep-rid-9")
 	var created sweepCreated
 	err := postJSON(ctx, ts.URL+"/cluster/sweep",
@@ -447,7 +452,7 @@ func TestRequestIDsFlowThroughCluster(t *testing.T) {
 // id, and changes nothing — the shard stays leased to its worker, whose
 // normal-sized fragment then round-trips and completes the sweep.
 func TestOversizedReportRefused(t *testing.T) {
-	coord, ts := startCoordinator(t, Config{})
+	coord, ts := startCoordinator(t, time.Now)
 	ctx := envelope.WithRequestID(context.Background(), "big-report-7")
 	var reg registerResponse
 	if err := postJSON(ctx, ts.URL+"/cluster/register", registerRequest{Addr: "host1:0"}, &reg); err != nil {

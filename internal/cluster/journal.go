@@ -11,7 +11,7 @@ package cluster
 // sweep failed — has one implementation below, called by the live
 // method and by replay alike. It appends its own record, which during
 // replay goes nowhere: journal.Restart replays before it opens the
-// writer, so c.cfg.Journal is still nil.
+// writer, so c.wal is still nil.
 //
 // What is deliberately NOT journaled: heartbeats and lease expiries.
 // Leases are void across a restart by construction — the recovered
@@ -71,7 +71,7 @@ type coordRecord struct {
 // be held. A failure degrades durability, never the sweep: it is counted
 // (Status.JournalErrors) and the in-memory coordinator proceeds.
 func (c *Coordinator) journalLocked(rec coordRecord) {
-	_ = journal.Record(c.cfg.Journal, rec, &c.st.JournalErrors) // counted; the sweep goes on
+	_ = journal.Record(c.wal, rec, &c.st.JournalErrors) // counted; the sweep goes on
 }
 
 // journalShardDoneLocked journals a completed shard with its fragment's
@@ -79,7 +79,7 @@ func (c *Coordinator) journalLocked(rec coordRecord) {
 // WriteJSON/ReadFigureJSON round-trip bit-exactly — the same invariant
 // the wire protocol relies on.
 func (c *Coordinator) journalShardDoneLocked(sw *sweep, sh *shard) {
-	if c.cfg.Journal == nil {
+	if c.wal == nil {
 		return
 	}
 	var buf bytes.Buffer
@@ -176,14 +176,18 @@ func (c *Coordinator) sweepFailedLocked(sw *sweep, sh *shard, msg string) {
 // recovered state as a snapshot through the new writer. An unfinished
 // sweep therefore survives any number of restarts. Corrupt segments are
 // quarantined and surfaced in the replay stats, never an error.
-func OpenCoordinator(ctx context.Context, cfg Config, dir string) (*Coordinator, journal.ReplayStats, error) {
-	cfg.Journal = nil // replay journals nowhere; Restart's writer takes over after it
-	c := NewCoordinator(cfg)
+func OpenCoordinator(ctx context.Context, _ Config, dir string) (*Coordinator, journal.ReplayStats, error) {
+	return openCoordinator(ctx, time.Now, dir)
+}
+
+// openCoordinator is OpenCoordinator on the given clock.
+func openCoordinator(ctx context.Context, now func() time.Time, dir string) (*Coordinator, journal.ReplayStats, error) {
+	c := newCoordinator(now) // replay journals nowhere; Restart's writer takes over after it
 	var failed uint64
 	_, st, kept, err := journal.Restart(ctx, dir, c.replay, func(w *journal.Writer) error {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.cfg.Journal, c.ownJournal = w, w
+		c.wal, c.ownJournal = w, w
 		before := c.st.JournalErrors
 		c.journalLocked(coordRecord{Op: copEpoch, Epoch: c.epoch})
 		c.snapshotLocked()
@@ -251,7 +255,7 @@ func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	w := c.ownJournal
 	c.ownJournal = nil
-	c.cfg.Journal = nil
+	c.wal = nil
 	c.mu.Unlock()
 	if w == nil {
 		return nil
@@ -292,7 +296,7 @@ func (c *Coordinator) checkEpoch(e uint64) error {
 func (c *Coordinator) replay(ctx context.Context, dir string) (journal.ReplayStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
+	now := c.now()
 	c.epoch = 0
 	st, err := journal.Replay(ctx, dir, func(payload []byte) error {
 		var rec coordRecord

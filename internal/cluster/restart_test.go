@@ -136,7 +136,7 @@ func cannedCoordinatorJournal(t *testing.T) (string, []byte, []coordRecord, []in
 	t.Helper()
 	dir := t.TempDir()
 	clock := newFakeClock()
-	c, _, err := OpenCoordinator(context.Background(), testConfig(clock), dir)
+	c, _, err := openCoordinator(context.Background(), clock.Now, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestCoordinatorRestartAtEveryRecordBoundary(t *testing.T) {
 	seg, data, recs, ends := cannedCoordinatorJournal(t)
 	restart := func(dir string) *Coordinator {
 		t.Helper()
-		c, _, err := OpenCoordinator(context.Background(), testConfig(newFakeClock()), dir)
+		c, _, err := openCoordinator(context.Background(), newFakeClock().Now, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestMintedWorkerIDsUniqueAcrossRestart(t *testing.T) {
 		t.Run(fmt.Sprintf("old worker first=%v", oldFirst), func(t *testing.T) {
 			dir := t.TempDir()
 			clock := newFakeClock()
-			c1, _, err := OpenCoordinator(context.Background(), testConfig(clock), dir)
+			c1, _, err := openCoordinator(context.Background(), clock.Now, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +319,7 @@ func TestMintedWorkerIDsUniqueAcrossRestart(t *testing.T) {
 			if err := c1.Close(); err != nil {
 				t.Fatal(err)
 			}
-			c2, _, err := OpenCoordinator(context.Background(), testConfig(clock), dir)
+			c2, _, err := openCoordinator(context.Background(), clock.Now, dir)
 			if err != nil {
 				t.Fatal(err)
 			}

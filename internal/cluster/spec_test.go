@@ -38,9 +38,8 @@ func TestRepeatedCellRejected(t *testing.T) {
 		"workload": {Figures: []string{"4"}, Workloads: []string{"minife", "minife"}},
 	} {
 		journal := &recorder{}
-		cfg := testConfig(newFakeClock())
-		cfg.Journal = journal
-		c := NewCoordinator(cfg)
+		c := newCoordinator(newFakeClock().Now)
+		c.wal = journal
 		id, shards, err := c.CreateSweep(spec)
 		if err == nil {
 			t.Errorf("repeated %s: accepted as sweep %s with %d shards for one cell", name, id, shards)
@@ -94,7 +93,8 @@ func TestBadSpecsRejectedAtEveryDoor(t *testing.T) {
 	}
 
 	journal := &recorder{}
-	coord := NewCoordinator(Config{Journal: journal})
+	coord := NewCoordinator()
+	coord.wal = journal
 	q := jobs.New(jobs.Config{Workers: 1})
 	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Routes: coord.Routes()})
 	if err != nil {

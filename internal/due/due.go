@@ -32,9 +32,6 @@ type Config struct {
 	Checkpoint int64
 	// Restart is the time to restore after a failure (R), ns.
 	Restart int64
-	// Interval is the checkpoint interval (tau), ns. Zero selects
-	// Daly's optimum.
-	Interval int64
 }
 
 // Validate reports configuration errors.
@@ -45,7 +42,7 @@ func (c Config) Validate() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("due: nodes must be >= 1, got %d", c.Nodes)
 	}
-	if c.Checkpoint < 0 || c.Restart < 0 || c.Interval < 0 {
+	if c.Checkpoint < 0 || c.Restart < 0 {
 		return fmt.Errorf("due: negative time parameter: %+v", c)
 	}
 	return nil
@@ -89,33 +86,29 @@ func DalyInterval(checkpoint int64, systemMTBF float64) int64 {
 	return int64(tau)
 }
 
-// interval returns the effective checkpoint interval.
-func (c Config) interval() int64 {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return DalyInterval(c.Checkpoint, c.SystemMTBF())
-}
-
 // ExpectedOverheadPct returns the percentage runtime inflation from
 // checkpointing, failures and rework under Daly's exponential model:
 //
 //	T(W) = M e^{R/M} (e^{(tau+delta)/M} - 1) W / tau
 //
-// so overhead% = 100 (T/W - 1).
+// so overhead% = 100 (T/W - 1), at Daly's interval.
 func (c Config) ExpectedOverheadPct() (float64, error) {
+	return c.overheadPct(DalyInterval(c.Checkpoint, c.SystemMTBF()))
+}
+
+// overheadPct is ExpectedOverheadPct at checkpoint interval tau.
+func (c Config) overheadPct(interval int64) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
 	m := c.SystemMTBF()
-	tau := float64(c.interval())
+	tau := float64(interval)
 	delta := float64(c.Checkpoint)
 	r := float64(c.Restart)
 	if tau <= 0 {
-		// Free checkpoints (delta == 0, no explicit interval) drive
-		// Daly's optimum to zero: continuous checkpointing, where the
-		// tau -> 0 limit of the model leaves restarts as the only
-		// overhead.
+		// Free checkpoints (delta == 0) drive Daly's optimum to zero:
+		// continuous checkpointing, where the tau -> 0 limit of the
+		// model leaves restarts as the only overhead.
 		return 100 * (math.Exp(r/m) - 1), nil
 	}
 	perWork := m * math.Exp(r/m) * (math.Exp((tau+delta)/m) - 1) / tau
@@ -135,8 +128,14 @@ type SimResult struct {
 }
 
 // Simulate runs the checkpoint/restart loop for work nanoseconds of
-// useful computation under exponential system failures.
+// useful computation under exponential system failures, checkpointing
+// at Daly's interval.
 func Simulate(c Config, work int64, seed uint64) (*SimResult, error) {
+	return c.simulate(DalyInterval(c.Checkpoint, c.SystemMTBF()), work, seed)
+}
+
+// simulate is Simulate checkpointing every tau.
+func (c Config) simulate(tau, work int64, seed uint64) (*SimResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -145,16 +144,15 @@ func Simulate(c Config, work int64, seed uint64) (*SimResult, error) {
 	}
 	src := rng.New(seed)
 	m := c.SystemMTBF()
-	tau := c.interval()
 	res := &SimResult{}
 	var wall int64
 	var done int64 // completed, checkpointed work
 	nextFailure := int64(src.Exp(m))
 	if tau <= 0 {
-		// Free checkpoints (Checkpoint == 0 with no explicit Interval)
-		// make continuous checkpointing optimal: a failure loses no
-		// work, only the restart. Without this branch the segmented
-		// loop below would make zero progress per iteration.
+		// Free checkpoints (Checkpoint == 0) make continuous
+		// checkpointing optimal: a failure loses no work, only the
+		// restart. Without this branch the segmented loop below would
+		// make zero progress per iteration.
 		for done < work {
 			if wall+(work-done) <= nextFailure {
 				wall += work - done

@@ -18,7 +18,6 @@ func TestValidate(t *testing.T) {
 		{NodeMTBF: 1, Nodes: 0},
 		{NodeMTBF: 1, Nodes: 1, Checkpoint: -1},
 		{NodeMTBF: 1, Nodes: 1, Restart: -1},
-		{NodeMTBF: 1, Nodes: 1, Interval: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -66,16 +65,12 @@ func TestDalyClampsExpensiveCheckpoints(t *testing.T) {
 
 func TestOptimalIntervalBeatsNeighbors(t *testing.T) {
 	base := Config{NodeMTBF: 10000 * hour, Nodes: 1000, Checkpoint: 30 * sec, Restart: 60 * sec}
-	opt := base
-	opt.Interval = 0 // Daly optimum
-	optPct, err := opt.ExpectedOverheadPct()
+	optPct, err := base.ExpectedOverheadPct() // at Daly's optimum
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, factor := range []float64{0.25, 0.5, 2, 4} {
-		alt := base
-		alt.Interval = int64(float64(DalyInterval(base.Checkpoint, base.SystemMTBF())) * factor)
-		altPct, err := alt.ExpectedOverheadPct()
+		altPct, err := base.overheadPct(int64(float64(DalyInterval(base.Checkpoint, base.SystemMTBF())) * factor))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +141,8 @@ func TestSimulateCountsEvents(t *testing.T) {
 
 func TestSimulateFailureFree(t *testing.T) {
 	// Enormous MTBF: overhead is checkpoints only, tau/(tau+delta).
-	c := Config{NodeMTBF: 1 << 62, Nodes: 1, Checkpoint: 10 * sec, Interval: 100 * sec}
-	res, err := Simulate(c, 1000*sec, 1)
+	c := Config{NodeMTBF: 1 << 62, Nodes: 1, Checkpoint: 10 * sec}
+	res, err := c.simulate(100*sec, 1000*sec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +159,7 @@ func TestSimulateFailureFree(t *testing.T) {
 	}
 }
 
-// A zero checkpoint cost with no explicit interval drives Daly's
+// A zero checkpoint cost drives Daly's
 // optimum to zero; this used to spin forever in Simulate's segmented
 // loop. The config is one TestQuickSimulateSane actually drew.
 func TestSimulateZeroCheckpointTerminates(t *testing.T) {

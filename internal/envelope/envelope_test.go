@@ -28,7 +28,7 @@ func TestOneEnvelopeOnEveryRouteFamily(t *testing.T) {
 	s, err := server.New(server.Config{
 		Queue: q, Cache: simcache.New(0),
 		Advisor: advise.NewService(advise.Config{}),
-		Routes:  cluster.NewCoordinator(cluster.Config{}).Routes(),
+		Routes:  cluster.NewCoordinator().Routes(),
 	})
 	if err != nil {
 		t.Fatal(err)

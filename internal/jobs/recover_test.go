@@ -325,6 +325,46 @@ func TestAcceptedRecordMatchesDecoder(t *testing.T) {
 	}
 }
 
+// segmentedWAL appends records through journal writers, reopening the
+// writer before an append once its segment has reached segment bytes:
+// the log spans several segments, cut where a writer rotating at that
+// size would cut it.
+type segmentedWAL struct {
+	t       testing.TB
+	dir     string
+	segment int64
+	w       *journal.Writer
+}
+
+func (s *segmentedWAL) append(rec []byte) {
+	s.t.Helper()
+	if s.w != nil && s.w.Stats().SegmentBytes >= s.segment {
+		s.close()
+	}
+	if s.w == nil {
+		w, err := journal.Open(s.dir, journal.Options{})
+		if err != nil {
+			s.t.Fatal(err)
+		}
+		s.w = w
+	}
+	if err := s.w.Append(context.Background(), rec); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// close closes the current writer, if any.
+func (s *segmentedWAL) close() {
+	s.t.Helper()
+	if s.w == nil {
+		return
+	}
+	if err := s.w.Close(); err != nil {
+		s.t.Fatal(err)
+	}
+	s.w = nil
+}
+
 // FuzzRecoverMatchesReference appends fuzzed records through a journal
 // writer and holds Recover to referenceRecover on the log: the same jobs
 // (reflect.DeepEqual), the same ReplayStats, the same error text. The
@@ -383,18 +423,11 @@ func FuzzRecoverMatchesReference(f *testing.F) {
 			return // long logs add no shape, only time
 		}
 		dir := t.TempDir()
-		w, err := journal.Open(dir, journal.Options{SegmentBytes: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := &segmentedWAL{t: t, dir: dir, segment: 256}
 		for _, rec := range recs {
-			if err := w.Append(context.Background(), rec); err != nil {
-				t.Fatal(err)
-			}
+			w.append(rec)
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		w.close()
 		want, wantSt, wantErr := referenceRecover(dir)
 		got, gotSt, gotErr := Recover(context.Background(), dir)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -419,18 +452,13 @@ func walScript(t *testing.T, dir string, r *rng.Source, steps, restarts int) {
 	var open []walRecord // acceptances without a terminal record yet
 	next := 0
 	for gen := 0; gen <= restarts; gen++ {
-		w, err := journal.Open(dir, journal.Options{SegmentBytes: 2048})
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := &segmentedWAL{t: t, dir: dir, segment: 2048}
 		add := func(rec walRecord) {
 			b, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Append(context.Background(), b); err != nil {
-				t.Fatal(err)
-			}
+			w.append(b)
 		}
 		for _, rec := range open {
 			add(rec)
@@ -464,9 +492,7 @@ func walScript(t *testing.T, dir string, r *rng.Source, steps, restarts int) {
 				open = append(open[:i], open[i+1:]...)
 			}
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		w.close()
 	}
 }
 

@@ -377,7 +377,8 @@ func TestFsyncErrorIsStickyAndCountedOnce(t *testing.T) {
 func TestWaitingAppendersRotateOnce(t *testing.T) {
 	d := &disk{dir: t.TempDir()}
 	entered, release := holdFirstFsync(d)
-	w := openOn(t, d, Options{SegmentBytes: 20, SyncEvery: 2}) // 13-byte records: full after two
+	w := openOn(t, d, Options{SyncEvery: 2})
+	w.rotateAt = 20 // 13-byte records: full after two
 	mustAppendN(t, w, 0, 2)
 	await(t, entered, "the committer's fsync to begin")
 	first, second := make(chan error, 1), make(chan error, 1)
@@ -408,7 +409,8 @@ func TestCloseWhileAppenderWaits(t *testing.T) {
 		t.Run(fmt.Sprintf("closeFirst=%v", closeFirst), func(t *testing.T) {
 			d := &disk{dir: t.TempDir()}
 			entered, release := holdFirstFsync(d)
-			w := openOn(t, d, Options{SegmentBytes: 20, SyncEvery: 2})
+			w := openOn(t, d, Options{SyncEvery: 2})
+			w.rotateAt = 20
 			mustAppendN(t, w, 0, 2)
 			await(t, entered, "the committer's fsync to begin")
 			appended, closed := make(chan error, 1), make(chan error, 1)
@@ -537,7 +539,7 @@ func TestOperationOrderUnderConcurrency(t *testing.T) {
 		every     = 8
 	)
 	d := &disk{dir: t.TempDir()}
-	opts := Options{SegmentBytes: 2048, SyncEvery: every}
+	opts := Options{SyncEvery: every}
 
 	var lastDurable uint64 // guarded by the writer's mu, like what it is compared with
 	observe := func(w *Writer) {
@@ -554,6 +556,7 @@ func TestOperationOrderUnderConcurrency(t *testing.T) {
 	}
 	generation := func(gen int, midway func(w *Writer)) {
 		w := openOn(t, d, opts)
+		w.rotateAt = 2048
 		lastDurable = 0
 		half := make(chan struct{})
 		var wg sync.WaitGroup
@@ -622,7 +625,8 @@ func TestOperationOrderUnderConcurrency(t *testing.T) {
 func TestFailedRotationIsRetried(t *testing.T) {
 	rec := func(i int) []byte { return []byte(fmt.Sprintf("record-%03d-%s", i, bytes.Repeat([]byte{'.'}, 32))) }
 	run := func(t *testing.T, d *disk, breakDir, mendDir func()) {
-		w := openOn(t, d, Options{SegmentBytes: 64, SyncEvery: 2})
+		w := openOn(t, d, Options{SyncEvery: 2})
+		w.rotateAt = 64
 		var want [][]byte
 		add := func(i int) error {
 			err := w.Append(context.Background(), rec(i))
@@ -722,13 +726,14 @@ func successful(events []diskEvent) []diskEvent {
 func TestSegmentBytesUnchanged(t *testing.T) {
 	const parentSHA256 = "46fa1f2607fe1698cd54db9530900af8458813dfd63ca5bb88fd177d53673e95"
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 4096, SyncEvery: 8}
-	w, err := Open(dir, opts)
+	const segment = 4096
+	opts := Options{SyncEvery: 8}
+	w, err := OpenSized(dir, opts, segment)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// want mirrors the layout rule: a new segment per Open, and one
-	// whenever the current segment has reached SegmentBytes.
+	// whenever the current segment has reached the rotation size.
 	want := [][]byte{nil}
 	for i := 0; i < 300; i++ {
 		switch i {
@@ -740,7 +745,7 @@ func TestSegmentBytesUnchanged(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if w, err = Open(dir, opts); err != nil {
+			if w, err = OpenSized(dir, opts, segment); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, nil)
@@ -749,7 +754,7 @@ func TestSegmentBytesUnchanged(t *testing.T) {
 		if err := w.Append(context.Background(), payload); err != nil {
 			t.Fatal(err)
 		}
-		if int64(len(want[len(want)-1])) >= opts.SegmentBytes {
+		if int64(len(want[len(want)-1])) >= segment {
 			want = append(want, nil)
 		}
 		cur := &want[len(want)-1]

@@ -7,6 +7,17 @@ import "os"
 // queue over a real writer; call it before the first Append.
 func (w *Writer) SetFsync(fn func(*os.File) error) { w.fsync = fn }
 
+// OpenSized is Open with a writer that rotates once a segment reaches
+// segment bytes instead of 4 MiB, so tests see rotations without
+// writing megabytes.
+func OpenSized(dir string, opts Options, segment int64) (*Writer, error) {
+	w, err := Open(dir, opts)
+	if w != nil {
+		w.rotateAt = segment
+	}
+	return w, err
+}
+
 // WaitCommitter returns once no background fsync is running or being
 // accounted.
 func (w *Writer) WaitCommitter() { w.committer.Wait() }

@@ -14,7 +14,7 @@
 //	[payload]
 //
 // A writer appends to the highest-numbered segment, rotating to a new
-// file once SegmentBytes is exceeded. Append only writes; fsync is
+// file once the current one reaches 4 MiB. Append only writes; fsync is
 // batched beside the appenders: every SyncEvery appends start a
 // committer goroutine that fsyncs without the writer's lock, and
 // Sync/Close/rotation/compaction wait for it and sync the rest. A
@@ -68,11 +68,11 @@ const headerBytes = 8
 // request — a flipped bit in the length must not ask for gigabytes.
 const MaxRecordBytes = 16 << 20
 
+// segmentBytes is the size at which a writer starts a new segment.
+const segmentBytes = 4 << 20
+
 // Options tunes a Writer.
 type Options struct {
-	// SegmentBytes rotates to a new segment file once the current one
-	// exceeds this size; <= 0 selects 4 MiB.
-	SegmentBytes int64
 	// SyncEvery batches fsync: once this many appends are unsynced the
 	// committer fsyncs them in the background (Sync, Close, rotation
 	// and compaction always sync), and an appender that finds
@@ -81,9 +81,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 64
 	}
@@ -119,8 +116,9 @@ type Stats struct {
 // Writer appends records to the log. Construct with Open; methods are
 // safe for concurrent use.
 type Writer struct {
-	dir  string
-	opts Options
+	dir      string
+	opts     Options
+	rotateAt int64 // segmentBytes; the package's tests lower it
 	// fsync is (*os.File).Sync; the package's tests replace it to watch,
 	// stall or fail the fsyncs of segments and of the directory.
 	fsync func(*os.File) error
@@ -175,7 +173,7 @@ func Open(dir string, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, opts: opts.withDefaults(), fsync: (*os.File).Sync, st: Stats{Segments: len(segs)}}
+	w := &Writer{dir: dir, opts: opts.withDefaults(), rotateAt: segmentBytes, fsync: (*os.File).Sync, st: Stats{Segments: len(segs)}}
 	w.idle.L = &w.mu
 	if n := len(segs); n > 0 {
 		last := segs[n-1]
@@ -297,13 +295,13 @@ func (w *Writer) Append(ctx context.Context, payload []byte) error {
 	// the unsynced tail, pending >= 2×SyncEvery−1 — a slow disk stalls
 	// its appenders, it does not widen the crash window. What another
 	// appender did meanwhile is re-read below.
-	if w.st.SegmentBytes >= w.opts.SegmentBytes || w.pending-w.opts.SyncEvery >= w.opts.SyncEvery-1 {
+	if w.st.SegmentBytes >= w.rotateAt || w.pending-w.opts.SyncEvery >= w.opts.SyncEvery-1 {
 		if err := w.syncLocked(); err != nil {
 			w.st.AppendErrors++
 			return err
 		}
 	}
-	if w.st.SegmentBytes >= w.opts.SegmentBytes {
+	if w.st.SegmentBytes >= w.rotateAt {
 		if err := w.rotateLocked(); err != nil {
 			w.st.AppendErrors++
 			return err

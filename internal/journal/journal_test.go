@@ -58,7 +58,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestSegmentRotationAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 64, SyncEvery: 1})
+	w, err := OpenSized(dir, Options{SyncEvery: 1}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSegmentRotationAndReopen(t *testing.T) {
 
 	// A reopened writer appends into a fresh, higher-numbered segment;
 	// old records replay before new ones.
-	w2, err := Open(dir, Options{SegmentBytes: 64, SyncEvery: 1})
+	w2, err := OpenSized(dir, Options{SyncEvery: 1}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSegmentRotationAndReopen(t *testing.T) {
 
 func TestReplayDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 128})
+	w, err := OpenSized(dir, Options{}, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestCompactBefore(t *testing.T) {
 // continue with the next segment instead of failing.
 func TestCorruptSegmentQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 1}) // every append rotates
+	w, err := OpenSized(dir, Options{}, 1) // every append rotates
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestCorruptSegmentQuarantined(t *testing.T) {
 // MaxRecordBytes; replay must quarantine, never allocate it.
 func TestImpossibleLengthQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 1})
+	w, err := OpenSized(dir, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,14 +487,14 @@ func TestInjectedReplayFaultSurfaces(t *testing.T) {
 // CompactBefore's removal adds a third.
 func TestDirSyncsCounted(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 1})
+	w, err := OpenSized(dir, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := w.Stats(); st.DirSyncs != 1 {
 		t.Fatalf("dir syncs after open: %+v", st)
 	}
-	// SegmentBytes=1 forces a rotation on the second append.
+	// A 1-byte segment forces a rotation on the second append.
 	for i := 0; i < 2; i++ {
 		if err := w.Append(context.Background(), []byte("r")); err != nil {
 			t.Fatal(err)

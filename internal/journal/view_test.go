@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -24,7 +23,7 @@ import (
 // included, are copies.
 func TestRecoveredJobsOwnTheirBytes(t *testing.T) {
 	dir := t.TempDir()
-	w, err := journal.Open(dir, journal.Options{SegmentBytes: 512})
+	w, err := journal.OpenSized(dir, journal.Options{}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +72,6 @@ func TestRecoveredJobsOwnTheirBytes(t *testing.T) {
 // whether or not the replayed bytes outlive the callback.
 func TestRecoveredCoordinatorOwnsItsBytes(t *testing.T) {
 	ctx := context.Background()
-	now := time.Unix(1700000000, 0)
-	cfg := cluster.Config{Now: func() time.Time { now = now.Add(time.Second); return now }}
 	opts := core.Options{Nodes: 16, Iterations: 2, Reps: 1, Seed: 1, Workloads: []string{"minife", "hpcg"}, Figures: []string{"4"}}
 	// runCell leases the next cell and reports its fragment.
 	runCell := func(c *cluster.Coordinator) {
@@ -99,7 +96,7 @@ func TestRecoveredCoordinatorOwnsItsBytes(t *testing.T) {
 	recoverAndFinish := func(poison bool) []byte {
 		t.Helper()
 		dir := t.TempDir()
-		c1, _, err := cluster.OpenCoordinator(ctx, cfg, dir)
+		c1, _, err := cluster.OpenCoordinator(ctx, cluster.Config{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +109,7 @@ func TestRecoveredCoordinatorOwnsItsBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		journal.SetPoisonViews(poison)
-		c2, st, err := cluster.OpenCoordinator(ctx, cfg, dir)
+		c2, st, err := cluster.OpenCoordinator(ctx, cluster.Config{}, dir)
 		journal.SetPoisonViews(false)
 		if err != nil {
 			t.Fatal(err)

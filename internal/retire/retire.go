@@ -57,10 +57,10 @@ type Config struct {
 	Spec faultmodel.Spec
 	// Policy is the retirement policy.
 	Policy Policy
-	// MaxCEs bounds the generated event count (guards against
-	// pathological configurations). Zero means 2^22.
-	MaxCEs int
 }
+
+// maxCEs bounds the generated event count against pathological configs.
+const maxCEs = 1 << 22
 
 // maxHours keeps the span in int64 nanoseconds.
 const maxHours = math.MaxInt64 / 3600e9
@@ -92,7 +92,7 @@ type Result struct {
 	PagesRetired int
 	// BytesRetired is PagesRetired * faultmodel.PageBytes.
 	BytesRetired int64
-	// Truncated is set when MaxCEs clipped the event stream.
+	// Truncated is set when the 2^22-CE guard clipped the event stream.
 	Truncated bool
 }
 
@@ -124,16 +124,16 @@ type pageID struct {
 
 // Simulate replays the node's CE stream, in time order, against the
 // retirement policy.
-func Simulate(cfg Config) (*Result, error) {
+func Simulate(cfg Config) (*Result, error) { return simulate(cfg, maxCEs) }
+
+// simulate is Simulate stopping after limit CEs.
+func simulate(cfg Config, limit int) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	gen, err := cfg.Spec.Generator(cfg.Seed, 0)
 	if err != nil {
 		return nil, fmt.Errorf("retire: %w", err)
-	}
-	if cfg.MaxCEs == 0 {
-		cfg.MaxCEs = 1 << 22
 	}
 	maxPages := cfg.Policy.MaxPages
 	if maxPages == 0 {
@@ -145,7 +145,7 @@ func Simulate(cfg Config) (*Result, error) {
 	retired := map[pageID]bool{}
 	span := int64(cfg.Hours * 3600e9)
 	for ev := gen.Next(); ev.TimeNanos < span; ev = gen.Next() {
-		if res.CEsGenerated >= cfg.MaxCEs {
+		if res.CEsGenerated >= limit {
 			res.Truncated = true
 			break
 		}

@@ -245,13 +245,15 @@ func TestLoggedMTBCE(t *testing.T) {
 func TestTruncationGuard(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Spec.MTBCENanos = 1e6 // ~3e10 CEs in the year
-	cfg.MaxCEs = 10000
-	res := mustSim(t, cfg)
+	res, err := simulate(cfg, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Truncated {
 		t.Fatal("pathological config not truncated")
 	}
 	if res.CEsGenerated != 10000 {
-		t.Fatalf("generated %d, want MaxCEs", res.CEsGenerated)
+		t.Fatalf("generated %d, want the limit", res.CEsGenerated)
 	}
 	if res := mustSim(t, baseCfg()); res.Truncated {
 		t.Fatalf("a year at one CE per hour truncated: %+v", res)
@@ -267,7 +269,6 @@ func TestQuickInvariants(t *testing.T) {
 			Hours:  24 * 30,
 			Spec:   mixes[int(mixRaw)%len(mixes)],
 			Policy: Policy{Threshold: int(thrRaw % 8), MaxPages: int(budgetRaw%100) + 1},
-			MaxCEs: 1 << 16,
 		}
 		cfg.Spec.MTBCENanos = (int64(rateRaw%40) + 1) * 60e9
 		res, err := Simulate(cfg)

@@ -79,11 +79,7 @@ func sweepReq() SweepRequest {
 }
 
 func TestTenantRateLimit429(t *testing.T) {
-	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	reg := tenant.New(tenant.Config{
-		Defaults: tenant.Limits{RatePerSec: 0.001, Burst: 1},
-		Now:      func() time.Time { return clock },
-	})
+	reg := tenant.New(tenant.Config{Defaults: tenant.Limits{RatePerSec: 0.001, Burst: 1}})
 	_, ts, _ := newDurableServer(t, t.TempDir(), reg, nil)
 
 	code, _, body := postTenant(t, ts.URL+"/v1/sweep", "acme", sweepReq())

@@ -60,8 +60,7 @@ type Config struct {
 	// queue's own capacity bound still applies, answered with 429).
 	ShedWatermark int
 	// JobRetries is the per-job retry budget for retryable failures
-	// (recovered panics, injected faults). 0 selects the default (2);
-	// negative disables retries.
+	// (recovered panics, injected faults). <= 0 selects the default (2).
 	JobRetries int
 	// Advisor mounts the online mitigation advisor (docs/ADVISOR.md):
 	// POST /v1/advise/ingest and GET /v1/advise/recommend, served
@@ -104,11 +103,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxReps <= 0 {
 		c.MaxReps = def.MaxReps
 	}
-	switch {
-	case c.JobRetries == 0:
+	if c.JobRetries <= 0 {
 		c.JobRetries = 2
-	case c.JobRetries < 0:
-		c.JobRetries = 0
 	}
 	return c
 }

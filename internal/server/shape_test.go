@@ -144,7 +144,7 @@ func TestMetricsShapeGolden(t *testing.T) {
 	}
 	getBody(t, ts.URL+"/v1/advise/recommend?tenant=acme&node=n0")
 
-	coord := cluster.NewCoordinator(cluster.Config{})
+	coord := cluster.NewCoordinator()
 	cq := jobs.New(jobs.Config{Workers: 1})
 	defer cq.Drain(context.Background())
 	cs, err := New(Config{Queue: cq, Cache: simcache.New(0), Routes: coord.Routes()})

@@ -4,9 +4,8 @@
 // empty name is the shared default tenant); every tenant gets the same
 // limits, each with its own bucket and counters.
 //
-// The package deliberately owns no clock of its own: Config.Now is
-// injectable so refill arithmetic is exact under test, and the zero
-// value falls back to time.Now for production. Rejections carry a
+// The registry reads time.Now through an unexported field, so the
+// package's tests make refill arithmetic exact. Rejections carry a
 // computed Retry-After so the HTTP layer can answer 429 with a useful
 // hint instead of a bare refusal, matching the shed discipline the
 // daemon already applies to global overload.
@@ -74,8 +73,6 @@ type Stats struct {
 type Config struct {
 	// Defaults applies to every tenant.
 	Defaults Limits
-	// Now supplies the clock; nil selects time.Now.
-	Now func() time.Time
 }
 
 // state is one tenant's live bucket and counters: its snapshot, and
@@ -95,14 +92,10 @@ type Registry struct {
 
 // New builds a Registry.
 func New(cfg Config) *Registry {
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	return &Registry{
 		limits: cfg.Defaults,
 		states: map[string]*state{},
-		now:    now,
+		now:    time.Now,
 	}
 }
 

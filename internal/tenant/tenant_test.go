@@ -16,12 +16,16 @@ func newClock() *clock {
 	return &clock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
 
+// newOnClock is New reading the clock now instead of time.Now.
+func newOnClock(cfg Config, now func() time.Time) *Registry {
+	r := New(cfg)
+	r.now = now
+	return r
+}
+
 func TestRateLimitAndRefill(t *testing.T) {
 	c := newClock()
-	r := New(Config{
-		Defaults: Limits{RatePerSec: 1, Burst: 2},
-		Now:      c.now,
-	})
+	r := newOnClock(Config{Defaults: Limits{RatePerSec: 1, Burst: 2}}, c.now)
 	// Burst of 2 admits twice, then rejects with a Retry-After.
 	for i := 0; i < 2; i++ {
 		rel, err := r.Admit("acme")
@@ -52,7 +56,7 @@ func TestRateLimitAndRefill(t *testing.T) {
 }
 
 func TestJobQuotaReleasedOnCompletion(t *testing.T) {
-	r := New(Config{Defaults: Limits{MaxJobs: 1}, Now: newClock().now})
+	r := newOnClock(Config{Defaults: Limits{MaxJobs: 1}}, newClock().now)
 	rel, err := r.Admit("t")
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +77,7 @@ func TestJobQuotaReleasedOnCompletion(t *testing.T) {
 }
 
 func TestUnlimitedDefault(t *testing.T) {
-	r := New(Config{Now: newClock().now})
+	r := newOnClock(Config{}, newClock().now)
 	for i := 0; i < 100; i++ {
 		rel, err := r.Admit("")
 		if err != nil {
@@ -84,7 +88,7 @@ func TestUnlimitedDefault(t *testing.T) {
 }
 
 func TestDiskQuota(t *testing.T) {
-	r := New(Config{Defaults: Limits{DiskBytes: 100}, Now: newClock().now})
+	r := newOnClock(Config{Defaults: Limits{DiskBytes: 100}}, newClock().now)
 	if !r.DiskAllowed("t", 50, 50) {
 		t.Fatal("exact fit refused")
 	}
@@ -100,7 +104,7 @@ func TestDiskQuota(t *testing.T) {
 }
 
 func TestStatsSortedByTenant(t *testing.T) {
-	r := New(Config{Now: newClock().now})
+	r := newOnClock(Config{}, newClock().now)
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		rel, err := r.Admit(name)
 		if err != nil {
