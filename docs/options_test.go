@@ -1,7 +1,10 @@
 // Package docs holds the tests that keep this directory's documents in
 // step with the code: OPTIONS.md is the committed census of every
-// setting, SERVICE.md's flag table must name exactly cesimd's flags, and
-// its Metrics section every section of /metrics.
+// setting, SERVICE.md's flag table must name exactly cesimd's flags and
+// its Metrics section every section of /metrics, and FAULTS.md's Sites
+// table every fault-injection site. Beside them, two guards hold the
+// code to what runs: every setting is set, and every export reached,
+// by code other than tests.
 package docs
 
 import (
@@ -23,6 +26,9 @@ import (
 	"repro/internal/lint/load"
 	"repro/internal/server"
 )
+
+// module is the module path, as this directory's imports spell it.
+const module = "repro"
 
 // configSuffixes name the settable struct families: every exported
 // struct type whose name ends in one of them is counted, field by
@@ -61,16 +67,16 @@ type census struct {
 	fields map[string][]option // by struct type, "jobs.Config"
 	maps   []option
 
-	pkgs   []*load.Package          // the module's packages, non-test files only
-	module string                   // the module path, "repro"
-	vars   map[*types.Var]*fieldRow // every census field by its object
+	pkgs []*load.Package          // the module's packages, non-test files only
+	vars map[*types.Var]*fieldRow // every exported field of an exported struct by its object
 }
 
-// fieldRow is a census field as TestEverySettingIsSetOutsideTests
+// fieldRow is a struct field as TestEverySettingIsSetOutsideTests
 // reads it.
 type fieldRow struct {
 	key    string // "jobs.Config.Retain"
 	tagged bool   // it has a json tag
+	census bool   // its type is a census type (configSuffixes)
 }
 
 // takeCensus type-checks the module once for every test that reads it.
@@ -84,8 +90,8 @@ var takeCensus = sync.OnceValues(func() (*census, error) {
 		return nil, err
 	}
 	c := &census{flags: map[string][]option{}, fields: map[string][]option{},
-		pkgs: pkgs, module: l.ModulePath(), vars: map[*types.Var]*fieldRow{}}
-	cmdPrefix := l.ModulePath() + "/cmd/"
+		pkgs: pkgs, vars: map[*types.Var]*fieldRow{}}
+	cmdPrefix := module + "/cmd/"
 
 	// Every function body of the module by its object, so a command's
 	// flags include those registered in the functions it reaches
@@ -160,7 +166,7 @@ var takeCensus = sync.OnceValues(func() (*census, error) {
 		return nil, fmt.Errorf("%s registers flags that no command reaches", fn.FullName())
 	}
 
-	lintPrefix := l.ModulePath() + "/internal/lint/"
+	lintPrefix := module + "/internal/lint/"
 	for _, p := range pkgs {
 		if p.Types.Name() == "main" {
 			continue
@@ -176,18 +182,23 @@ var takeCensus = sync.OnceValues(func() (*census, error) {
 			switch obj := scope.Lookup(name).(type) {
 			case *types.TypeName:
 				st, ok := obj.Type().Underlying().(*types.Struct)
-				if !ok || !obj.Exported() || obj.IsAlias() || !hasConfigSuffix(name) {
+				if !ok || !obj.Exported() || obj.IsAlias() {
 					continue
 				}
+				census := hasConfigSuffix(name)
 				var fields []option
 				for i := 0; i < st.NumFields(); i++ {
 					if f := st.Field(i); f.Exported() {
-						fields = append(fields, option{name: f.Name(), typ: types.TypeString(f.Type(), qual)})
+						if census {
+							fields = append(fields, option{name: f.Name(), typ: types.TypeString(f.Type(), qual)})
+						}
 						_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
-						c.vars[f] = &fieldRow{key: p.Types.Name() + "." + name + "." + f.Name(), tagged: tagged}
+						c.vars[f] = &fieldRow{key: p.Types.Name() + "." + name + "." + f.Name(), tagged: tagged, census: census}
 					}
 				}
-				c.fields[p.Types.Name()+"."+name] = fields
+				if census {
+					c.fields[p.Types.Name()+"."+name] = fields
+				}
 			case *types.Var:
 				if _, ok := obj.Type().Underlying().(*types.Map); ok && obj.Exported() && strings.HasPrefix(p.Path, lintPrefix) {
 					c.maps = append(c.maps, option{

@@ -34,19 +34,23 @@ var setOnlyByBench = []string{
 	"advise.StoreConfig.MaxNodesPerTenant",
 	"jobs.Config.Retain",
 	"journal.Options.SyncEvery",
+	"noise.Config.SaturationFactor",
 	"server.Config.JobRetries",
 }
 
-// setters maps each census field to the import paths of the packages
-// whose non-test files set it from outside the field's own package: as
-// a composite-literal key (or position), as the target of an
-// assignment or ++/--, or by passing its address to a call, explicitly
-// (&cfg.F) or as the receiver of a pointer method (cfg.F.BindFlags(fs)).
+// setters maps each field of c.vars to the import paths of the
+// packages whose non-test files set it: as a composite-literal key (or
+// position), as the target of an assignment or ++/--, or by passing its
+// address to a call, explicitly (&cfg.F) or as the receiver of a
+// pointer method (cfg.F.BindFlags(fs)).
 func (c *census) setters() map[*types.Var]map[string]bool {
 	out := map[*types.Var]map[string]bool{}
 	for _, p := range c.pkgs {
+		if isTestSupport(p.Path) {
+			continue
+		}
 		set := func(v *types.Var) {
-			if _, ok := c.vars[v]; !ok || v.Pkg() == p.Types {
+			if _, ok := c.vars[v]; !ok {
 				return
 			}
 			if out[v] == nil {
@@ -121,14 +125,23 @@ func (c *census) setters() map[*types.Var]map[string]bool {
 // count), is decoded from outside input (a json tag), or is listed
 // above with its reason. A setting only tests turn is a configuration
 // that neither the benchmark nor any golden exercises: make it a
-// constant, or an unexported field the package's own tests set.
+// constant, or an unexported field the package's own tests set. Every
+// other exported field of an exported struct is set by some non-test
+// code, its own package's included, or has a json tag: a field only
+// tests set is state production never holds.
 func TestEverySettingIsSetOutsideTests(t *testing.T) {
 	c, err := takeCensus()
 	if err != nil {
 		t.Fatal(err)
 	}
 	setters := c.setters()
-	bench := c.module + "/bench"
+	for v, pkgs := range setters {
+		if !c.vars[v].census {
+			continue
+		}
+		delete(pkgs, v.Pkg().Path())
+	}
+	bench := module + "/bench"
 	byKey := map[string]*types.Var{}
 	for v, row := range c.vars {
 		byKey[row.key] = v
@@ -155,6 +168,10 @@ func TestEverySettingIsSetOutsideTests(t *testing.T) {
 	for v, row := range c.vars {
 		typ := row.key[:strings.LastIndex(row.key, ".")]
 		switch {
+		case !row.census:
+			if !row.tagged && len(setters[v]) == 0 && !isTestSupport(v.Pkg().Path()) {
+				unset = append(unset, row.key)
+			}
 		case row.tagged, onlyBench[row.key]:
 		case setOnlyInOwnPackage[row.key] != "", setOnlyInOwnPackage[typ] != "":
 		case len(setters[v]) == 1 && setters[v][bench]:

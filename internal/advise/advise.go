@@ -128,9 +128,8 @@ type Service struct {
 
 	// cache holds policy evaluations by cacheKey: an internal/memo LRU
 	// of CacheEntries entries at unit cost, nil when caching is
-	// disabled. Its hit counter is the advisor's.
+	// disabled. Its counters are the advisor's hits and misses.
 	cache    *memo.Cache[string, *Recommendation]
-	misses   atomic.Uint64
 	bypasses atomic.Uint64
 	rejects  atomic.Uint64
 }
@@ -145,31 +144,14 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// Store exposes the estimator state (tests and cluster tooling).
-func (s *Service) Store() *Store { return s.store }
-
-// cacheGet looks up a cached policy evaluation and reports the lookup's
-// outcome, counting it: "hit" (the only one with a non-nil result),
-// "miss", or "bypass" when caching is disabled.
-func (s *Service) cacheGet(key string) (*Recommendation, string) {
-	if s.cache == nil {
-		s.bypasses.Add(1)
-		return nil, "bypass"
-	}
-	if rec, ok := s.cache.Get(key); ok {
-		return rec, "hit"
-	}
-	s.misses.Add(1)
-	return nil, "miss"
-}
-
 // Stats is the advisor's /metrics section.
 type Stats struct {
 	Store StoreStats `json:"store"`
 	// CacheEntries is the live recommendation-cache size.
 	CacheEntries int `json:"cache_entries"`
 	// RecommendHits/Misses/Bypasses count recommendation-cache
-	// outcomes; bypasses are recomputations with caching disabled.
+	// outcomes; a hit includes waiting on a concurrent evaluation of the
+	// same key, and bypasses are recomputations with caching disabled.
 	RecommendHits     uint64 `json:"recommend_hits"`
 	RecommendMisses   uint64 `json:"recommend_misses"`
 	RecommendBypasses uint64 `json:"recommend_bypasses"`
@@ -182,13 +164,12 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	st := Stats{
 		Store:             s.store.Stats(),
-		RecommendMisses:   s.misses.Load(),
 		RecommendBypasses: s.bypasses.Load(),
 		IngestRejects:     s.rejects.Load(),
 	}
 	if s.cache != nil {
 		c := s.cache.Stats()
-		st.CacheEntries, st.RecommendHits = c.Entries, c.Hits
+		st.CacheEntries, st.RecommendHits, st.RecommendMisses = c.Entries, c.Hits+c.Coalesced, c.Misses
 	}
 	return st
 }

@@ -63,9 +63,6 @@ func (f *Footprint) Add(addr uint64, bank int) {
 	f.banks.add(uint64(bank))
 }
 
-// Samples returns how many observations the footprint aggregates.
-func (f *Footprint) Samples() uint64 { return f.samples }
-
 // Classification is the classifier's verdict.
 type Classification struct {
 	// Kind is the inferred faultmodel.FaultKind; only meaningful when

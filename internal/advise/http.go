@@ -3,6 +3,7 @@ package advise
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -295,16 +296,24 @@ func (s *Service) Recommend(tenant, node string, in Inputs) (*Recommendation, st
 	// exact value is reported in estimate.fault_confidence below.
 	in.FaultConfidence = math.Round(cls.Confidence*1000) / 1000
 
-	key := cacheKey(in)
-	rec, outcome := s.cacheGet(key)
-	if rec == nil {
-		var err error
-		if rec, err = Advise(in); err != nil {
-			return nil, "", err
+	var rec *Recommendation
+	var err error
+	outcome := "bypass"
+	if s.cache == nil {
+		s.bypasses.Add(1)
+		rec, err = Advise(in)
+	} else {
+		var hit bool
+		rec, hit, err = s.cache.GetOrBuild(context.Background(), cacheKey(in), func() (*Recommendation, error) {
+			return Advise(in)
+		})
+		outcome = "miss"
+		if hit {
+			outcome = "hit"
 		}
-		if s.cache != nil {
-			s.cache.Add(key, rec)
-		}
+	}
+	if err != nil {
+		return nil, "", err
 	}
 
 	// Shallow-copy the cached evaluation before attaching the exact,

@@ -89,10 +89,3 @@ func (c *Client) Figure(ctx context.Context, id string, opts core.Options) (*cor
 	}
 	return f, nil
 }
-
-// Status fetches the coordinator's merged-metrics view.
-func (c *Client) Status(ctx context.Context) (Status, error) {
-	var st Status
-	err := getJSON(ctx, c.Base+"/cluster/status", &st)
-	return st, err
-}

@@ -47,12 +47,6 @@ func NewExperimentCache(capBytes int64) *ExperimentCache {
 	return &ExperimentCache{m: memo.New[ExperimentConfig](capBytes, (*Experiment).SizeBytes)}
 }
 
-// Get returns the resident experiment for cfg without building, and
-// whether it was present.
-func (c *ExperimentCache) Get(cfg ExperimentConfig) (*Experiment, bool) {
-	return c.m.Get(cfg.Canonical())
-}
-
 // GetOrBuild returns the experiment for cfg, building and inserting
 // the baseline on a miss. hit reports whether the baseline was already
 // resident or under construction by another goroutine; err is the

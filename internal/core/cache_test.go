@@ -202,7 +202,7 @@ func TestInjectedFillFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err := c.GetOrBuild(context.Background(), tinyCfg(1))
-	if !faultinject.IsInjected(err) {
+	if fe := (*faultinject.Error)(nil); !errors.As(err, &fe) {
 		t.Fatalf("first fill: %v", err)
 	}
 	if builds.Load() != 0 {

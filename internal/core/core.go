@@ -61,7 +61,6 @@ func (c ExperimentConfig) Canonical() ExperimentConfig {
 // repetition — sequential loops, fan-out workers, successive daemon
 // jobs hitting the same cached Experiment — runs concurrently.
 type Experiment struct {
-	cfg      ExperimentConfig
 	prog     *loggopsim.Program
 	baseline *loggopsim.Result
 	ranks    int
@@ -126,7 +125,7 @@ func NewExperiment(cfg ExperimentConfig) (*Experiment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline simulation: %w", err)
 	}
-	return &Experiment{cfg: cfg, prog: prog, baseline: base, ranks: ranks, idle: []*loggopsim.Simulator{sim}}, nil
+	return &Experiment{prog: prog, baseline: base, ranks: ranks, idle: []*loggopsim.Simulator{sim}}, nil
 }
 
 // Ranks returns the actual rank count after decomposition adjustment.
@@ -134,9 +133,6 @@ func (e *Experiment) Ranks() int { return e.ranks }
 
 // Baseline returns the noise-free simulation result.
 func (e *Experiment) Baseline() *loggopsim.Result { return e.baseline }
-
-// Config returns the experiment configuration.
-func (e *Experiment) Config() ExperimentConfig { return e.cfg }
 
 // SizeBytes is what the experiment keeps resident when it is asked: the
 // compiled program, the baseline's per-rank results (finish time and
@@ -231,12 +227,11 @@ func (e *Experiment) releaseSim(sim *loggopsim.Simulator) {
 // rest take a run state off the idle list and simulate.
 func (e *Experiment) Run(sc Scenario) (*RunResult, error) {
 	ncfg := noise.Config{
-		Seed:             sc.Seed,
-		MTBCE:            sc.MTBCE,
-		Arrivals:         sc.Arrivals,
-		Duration:         sc.PerEvent,
-		Target:           sc.Target,
-		SaturationFactor: 1000,
+		Seed:     sc.Seed,
+		MTBCE:    sc.MTBCE,
+		Arrivals: sc.Arrivals,
+		Duration: sc.PerEvent,
+		Target:   sc.Target,
 	}
 	if err := ncfg.Validate(); err != nil {
 		return nil, err

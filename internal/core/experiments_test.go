@@ -177,7 +177,8 @@ func TestConcurrentFiguresCoalesce(t *testing.T) {
 // recently used, and keeps the newest even when it alone exceeds the
 // bound. Each entry is charged what the experiment reports holding.
 func TestExperimentMemoBounded(t *testing.T) {
-	one, err := NewExperiment(ExperimentConfig{Workload: "minife", Nodes: 16, Iterations: 2, TraceSeed: 1})
+	cfg := ExperimentConfig{Workload: "minife", Nodes: 16, Iterations: 2, TraceSeed: 1}
+	one, err := NewExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestExperimentMemoBounded(t *testing.T) {
 		}
 	}
 	m := withExperimentMemo(t, DefaultExperimentCacheBytes)
-	e, err := SharedExperiment(context.Background(), one.Config())
+	e, err := SharedExperiment(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

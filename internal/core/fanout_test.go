@@ -370,7 +370,7 @@ func TestStormMemoCoalescesAndIsBounded(t *testing.T) {
 		if _, err := stormCosts(context.Background(), m, seed, compute); err != nil {
 			t.Fatal(err)
 		}
-		if n := m.Len(); n > bound {
+		if n := m.Stats().Entries; n > bound {
 			t.Fatalf("memo holds %d seeds, bound %d", n, bound)
 		}
 	}

@@ -49,7 +49,7 @@ func BenchmarkPerturbedRun(b *testing.B) {
 				exp  *Experiment
 			}{
 				{"segmented", e},
-				{"flat", &Experiment{cfg: cfg, prog: flat, baseline: e.baseline, ranks: e.ranks}},
+				{"flat", &Experiment{prog: flat, baseline: e.baseline, ranks: e.ranks}},
 			}
 			for _, p := range programs {
 				b.Run(fmt.Sprintf("%s/%d/%s", wl, nodes, p.name), func(b *testing.B) {

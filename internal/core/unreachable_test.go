@@ -16,12 +16,11 @@ import (
 // noiseConfig is the CE model configuration Run builds for a scenario.
 func noiseConfig(sc Scenario) noise.Config {
 	return noise.Config{
-		Seed:             sc.Seed,
-		MTBCE:            sc.MTBCE,
-		Arrivals:         sc.Arrivals,
-		Duration:         sc.PerEvent,
-		Target:           sc.Target,
-		SaturationFactor: 1000,
+		Seed:     sc.Seed,
+		MTBCE:    sc.MTBCE,
+		Arrivals: sc.Arrivals,
+		Duration: sc.PerEvent,
+		Target:   sc.Target,
 	}
 }
 

@@ -29,7 +29,6 @@ package faultinject
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -224,14 +223,14 @@ type Panic struct {
 
 func (p Panic) String() string { return "faultinject: injected panic at " + p.Site }
 
-// siteState is one armed site's private stream and counters.
+// siteState is one armed site's private stream and its counters, kept
+// as the Stats row Snapshot copies and counted in place under mu.
 type siteState struct {
 	cfg SiteConfig
 
 	mu     sync.Mutex
 	stream uint64
-	evals  uint64
-	fired  uint64
+	st     SiteStats
 }
 
 // siteSeed mixes the site name into a plan seed (FNV-1a 64), so sites
@@ -246,8 +245,8 @@ func siteSeed(seed uint64, site string) uint64 {
 func (s *siteState) roll() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.evals++
-	if s.cfg.Count > 0 && s.fired >= s.cfg.Count {
+	s.st.Evals++
+	if s.cfg.Count > 0 && s.st.Fired >= s.cfg.Count {
 		return false
 	}
 	// 53-bit uniform in [0, 1).
@@ -255,7 +254,7 @@ func (s *siteState) roll() bool {
 	if u >= s.cfg.Probability {
 		return false
 	}
-	s.fired++
+	s.st.Fired++
 	return true
 }
 
@@ -275,6 +274,7 @@ func NewInjector(p Plan) (*Injector, error) {
 		inj.sites[site] = &siteState{
 			cfg:    cfg,
 			stream: siteSeed(cfg.Seed, site),
+			st:     SiteStats{Site: site, Kind: cfg.Kind, P: cfg.Probability},
 		}
 	}
 	return inj, nil
@@ -364,20 +364,11 @@ func Snapshot() Stats {
 		return Stats{}
 	}
 	st := Stats{Armed: true}
-	for site, s := range inj.sites {
+	for _, s := range inj.sites {
 		s.mu.Lock()
-		st.Sites = append(st.Sites, SiteStats{
-			Site: site, Kind: s.cfg.Kind, P: s.cfg.Probability,
-			Evals: s.evals, Fired: s.fired,
-		})
+		st.Sites = append(st.Sites, s.st)
 		s.mu.Unlock()
 	}
 	sort.Slice(st.Sites, func(i, j int) bool { return st.Sites[i].Site < st.Sites[j].Site })
 	return st
-}
-
-// IsInjected reports whether err originates from an injected fault.
-func IsInjected(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
 }

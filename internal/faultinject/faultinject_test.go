@@ -109,9 +109,6 @@ func TestErrorKindIsRetryable(t *testing.T) {
 	if !errors.As(ferr, &fe) || fe.Site != SiteJobWorker || !fe.Retryable() {
 		t.Fatalf("injected error %v (%T)", ferr, ferr)
 	}
-	if !IsInjected(ferr) {
-		t.Fatal("IsInjected missed an injected error")
-	}
 	if errors.Is(ferr, context.Canceled) {
 		t.Fatal("error kind should not read as cancellation")
 	}

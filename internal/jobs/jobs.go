@@ -296,16 +296,9 @@ func New(cfg Config) *Queue {
 	return q
 }
 
-// Submit enqueues fn with no retry budget and returns the new job's
-// id. It never blocks: a full queue returns ErrQueueFull, a draining
-// queue ErrDraining.
-func (q *Queue) Submit(kind string, fn Func) (string, error) {
-	return q.SubmitSpec(Spec{Kind: kind}, fn)
-}
-
 // SubmitSpec enqueues fn under the given spec (kind label and retry
-// policy). It never blocks: a full queue returns ErrQueueFull, a
-// draining queue ErrDraining.
+// policy) and returns the new job's id. It never blocks: a full queue
+// returns ErrQueueFull, a draining queue ErrDraining.
 func (q *Queue) SubmitSpec(spec Spec, fn Func) (string, error) {
 	return q.submit(q.newID(), spec, fn, false)
 }

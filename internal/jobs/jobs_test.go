@@ -30,7 +30,7 @@ func waitTerminal(t *testing.T, q *Queue, id string) Snapshot {
 func TestSubmitRunsToSuccess(t *testing.T) {
 	q := New(Config{Workers: 2})
 	defer q.Drain(context.Background())
-	id, err := q.Submit("test", func(context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "test"}, func(context.Context) (any, error) {
 		return 42, nil
 	})
 	if err != nil {
@@ -51,7 +51,7 @@ func TestSubmitRunsToSuccess(t *testing.T) {
 func TestFailureSurfaces(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Drain(context.Background())
-	id, err := q.Submit("test", func(context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "test"}, func(context.Context) (any, error) {
 		return nil, errors.New("boom")
 	})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestQueueFullRejects(t *testing.T) {
 	wait := func(context.Context) (any, error) { <-block; return nil, nil }
 	// First job occupies the worker, second fills the queue; the
 	// worker may not have picked the first up yet, so allow one retry.
-	if _, err := q.Submit("a", wait); err != nil {
+	if _, err := q.SubmitSpec(Spec{Kind: "a"}, wait); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -80,10 +80,10 @@ func TestQueueFullRejects(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := q.Submit("b", wait); err != nil {
+	if _, err := q.SubmitSpec(Spec{Kind: "b"}, wait); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit("c", wait); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.SubmitSpec(Spec{Kind: "c"}, wait); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull submit: %v", err)
 	}
 	if st := q.Stats(); st.Rejected != 1 {
@@ -95,7 +95,7 @@ func TestQueueFullRejects(t *testing.T) {
 func TestTimeoutCancelsJob(t *testing.T) {
 	q := New(Config{Workers: 1, Timeout: 20 * time.Millisecond})
 	defer q.Drain(context.Background())
-	id, err := q.Submit("slow", func(ctx context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "slow"}, func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -112,7 +112,7 @@ func TestCancelRunningJob(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Drain(context.Background())
 	started := make(chan struct{})
-	id, err := q.Submit("slow", func(ctx context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "slow"}, func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -137,7 +137,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	q := New(Config{Workers: 1, Capacity: 4})
 	defer q.Drain(context.Background())
 	block := make(chan struct{})
-	if _, err := q.Submit("blocker", func(context.Context) (any, error) {
+	if _, err := q.SubmitSpec(Spec{Kind: "blocker"}, func(context.Context) (any, error) {
 		<-block
 		return nil, nil
 	}); err != nil {
@@ -151,7 +151,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	ran := false
-	id, err := q.Submit("victim", func(context.Context) (any, error) {
+	id, err := q.SubmitSpec(Spec{Kind: "victim"}, func(context.Context) (any, error) {
 		ran = true
 		return nil, nil
 	})
@@ -180,7 +180,7 @@ func TestDrainFinishesQueuedWork(t *testing.T) {
 	done := 0
 	ids := make([]string, 0, 8)
 	for i := 0; i < 8; i++ {
-		id, err := q.Submit("work", func(context.Context) (any, error) {
+		id, err := q.SubmitSpec(Spec{Kind: "work"}, func(context.Context) (any, error) {
 			time.Sleep(time.Millisecond)
 			mu.Lock()
 			done++
@@ -200,7 +200,7 @@ func TestDrainFinishesQueuedWork(t *testing.T) {
 	if done != 8 {
 		t.Fatalf("drain lost work: %d/8 done", done)
 	}
-	if _, err := q.Submit("late", func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
+	if _, err := q.SubmitSpec(Spec{Kind: "late"}, func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit: %v", err)
 	}
 	for _, id := range ids {
@@ -214,7 +214,7 @@ func TestDrainHonorsContext(t *testing.T) {
 	q := New(Config{Workers: 1})
 	block := make(chan struct{})
 	defer close(block)
-	if _, err := q.Submit("stuck", func(context.Context) (any, error) {
+	if _, err := q.SubmitSpec(Spec{Kind: "stuck"}, func(context.Context) (any, error) {
 		<-block
 		return nil, nil
 	}); err != nil {
@@ -231,7 +231,7 @@ func TestRetentionForgetsOldest(t *testing.T) {
 	q := New(Config{Workers: 1, Capacity: 16, Retain: 2})
 	ids := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
-		id, err := q.Submit("w", func(context.Context) (any, error) { return nil, nil })
+		id, err := q.SubmitSpec(Spec{Kind: "w"}, func(context.Context) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 8; k++ {
-				id, err := q.Submit("w", func(context.Context) (any, error) { return "ok", nil })
+				id, err := q.SubmitSpec(Spec{Kind: "w"}, func(context.Context) (any, error) { return "ok", nil })
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return

@@ -64,7 +64,7 @@ func TestPanicExhaustsRetryBudget(t *testing.T) {
 		t.Fatalf("attempts %d, want 2", s.Attempts)
 	}
 	// The worker survived the panics: the queue still runs work.
-	id2, err := q.Submit("after", func(context.Context) (any, error) { return 1, nil })
+	id2, err := q.SubmitSpec(Spec{Kind: "after"}, func(context.Context) (any, error) { return 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCancelQueuedThenWorkerArrives(t *testing.T) {
 	q := New(Config{Workers: 1, Capacity: 4})
 	defer q.Drain(context.Background())
 	block := make(chan struct{})
-	if _, err := q.Submit("blocker", func(context.Context) (any, error) {
+	if _, err := q.SubmitSpec(Spec{Kind: "blocker"}, func(context.Context) (any, error) {
 		<-block
 		return nil, nil
 	}); err != nil {

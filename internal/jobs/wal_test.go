@@ -356,7 +356,7 @@ func TestDrainAbandonmentLogged(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	// First job occupies the lone worker; the rest stay queued.
-	if _, err := q.Submit("busy", func(ctx context.Context) (any, error) { <-block; return nil, nil }); err != nil {
+	if _, err := q.SubmitSpec(Spec{Kind: "busy"}, func(ctx context.Context) (any, error) { <-block; return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -435,7 +436,7 @@ func TestInjectedAppendFaultCounted(t *testing.T) {
 	}
 	if err := w.Append(context.Background(), []byte("faulted")); err == nil {
 		t.Fatal("armed append did not fail")
-	} else if !faultinject.IsInjected(err) {
+	} else if fe := (*faultinject.Error)(nil); !errors.As(err, &fe) {
 		t.Fatalf("append error is not the injected fault: %v", err)
 	}
 	if err := w.Append(context.Background(), []byte("healed")); err != nil {
@@ -475,7 +476,7 @@ func TestInjectedReplayFaultSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Replay(context.Background(), dir, func([]byte) error { return nil })
-	if err == nil || !faultinject.IsInjected(err) {
+	if fe := (*faultinject.Error)(nil); !errors.As(err, &fe) {
 		t.Fatalf("armed replay returned %v, want injected fault", err)
 	}
 }

@@ -75,12 +75,6 @@ func Module(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleRoot returns the absolute module root directory.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // findModuleRoot walks up from dir to the nearest go.mod.
 func findModuleRoot(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)

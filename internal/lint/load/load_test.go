@@ -104,10 +104,11 @@ func TestModuleRootDiscoveryFromSubdir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.ModuleRoot() != root {
-		t.Fatalf("root = %s, want %s", l.ModuleRoot(), root)
+	pkgs, err := l.Patterns([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if l.ModulePath() != "tmpmod" {
-		t.Fatalf("module path = %s", l.ModulePath())
+	if len(pkgs) != 1 || pkgs[0].Path != "tmpmod/a" || pkgs[0].Dir != filepath.Join(root, "a") {
+		t.Fatalf("./... from the root found by a/ = %+v, want only tmpmod/a in %s", pkgs, root)
 	}
 }

@@ -150,7 +150,8 @@ func decodeFuzzCase(data []byte) fuzzCase {
 			}
 		default:
 			op := trace.Op{Kind: fuzzCollectives[b%8], Size: fuzzSizes[cc%8]}
-			if op.Kind.IsRooted() {
+			switch op.Kind {
+			case trace.OpBcast, trace.OpReduce, trace.OpGather, trace.OpScatter:
 				op.Peer = int32(b >> 3 % ranks)
 			}
 			for r := range ops {

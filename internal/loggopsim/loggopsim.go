@@ -287,9 +287,6 @@ func NewSimulator(tr *trace.Trace, cfg Config) (*Simulator, error) {
 	return p.NewSimulator(), nil
 }
 
-// Ranks returns the number of ranks the simulator was built for.
-func (s *Simulator) Ranks() int { return len(s.ranks) }
-
 // reset restores the preallocated state to time zero, keeping every
 // slice's capacity, and installs the noise model for the next run.
 func (s *Simulator) reset(nm noise.Model) {

@@ -118,8 +118,8 @@ func TestSimulatorReuseBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: new simulator: %v", wl.name, err)
 			}
-			if sim.Ranks() != ranks {
-				t.Fatalf("%s: simulator ranks %d, want %d", wl.name, sim.Ranks(), ranks)
+			if len(sim.ranks) != ranks {
+				t.Fatalf("%s: simulator ranks %d, want %d", wl.name, len(sim.ranks), ranks)
 			}
 			freshClean, err := Simulate(ex, cfg)
 			if err != nil {

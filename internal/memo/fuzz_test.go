@@ -54,13 +54,9 @@ func (r *refLRU) get(key uint8) (uint32, bool) {
 	return r.items[0].val, true
 }
 
+// add inserts an absent key as the most recently used entry.
 func (r *refLRU) add(key uint8, val uint32) {
-	if i := r.find(key); i >= 0 {
-		r.touch(i)
-		r.items[0].val, r.items[0].cost = val, fuzzCost(val)
-	} else {
-		r.items = append([]refItem{{key, val, fuzzCost(val)}}, r.items...)
-	}
+	r.items = append([]refItem{{key, val, fuzzCost(val)}}, r.items...)
 	for r.size() > r.cap && len(r.items) > 1 {
 		r.items = r.items[:len(r.items)-1]
 		r.stats.Evictions++
@@ -77,14 +73,9 @@ func (r *refLRU) size() (n int64) {
 // FuzzCacheMatchesModel drives the cache and the slice-based reference
 // with the same byte program and requires them to agree after every
 // step on contents, recency order, size and every counter. A program
-// is a sequence of ops, one byte selecting the op (mod 4) and the key
-// (bits 2-4, eight keys), a second byte the value's cost:
-//
-//	0  Get
-//	1  Add
-//	2  GetOrBuild with a builder that succeeds
-//	3  GetOrBuild with a builder that fails (nothing may be inserted)
-//
+// is a sequence of GetOrBuild calls, one byte selecting the builder
+// (bit 0: one that succeeds, or one that fails and must insert nothing)
+// and the key (bits 2-4, eight keys), a second byte the value's cost,
 // against the small capacity fuzzCap (see fuzzCost). Coalescing is not
 // reachable from one goroutine: its counter must stay zero here and
 // TestCache covers it.
@@ -97,48 +88,32 @@ func runCacheProgram(t *testing.T, prog []byte) {
 	errBuild := errors.New("injected build failure")
 	var serial uint32
 	for step := 0; len(prog) >= 2; step++ {
-		op, key := prog[0]%4, prog[0]>>2&7
+		fail, key := prog[0]&1 == 1, prog[0]>>2&7
 		serial++
 		val := serial<<3 | uint32(prog[1]&7)
 		prog = prog[2:]
-		switch op {
-		case 0:
-			got, ok := c.Get(key)
-			want, wantOK := ref.get(key)
-			if got != want || ok != wantOK {
-				t.Fatalf("step %d: Get(%d) = %d, %v; model %d, %v", step, key, got, ok, want, wantOK)
+		got, hit, err := c.GetOrBuild(ctx, key, func() (uint32, error) {
+			if fail {
+				return val, errBuild
 			}
-		case 1:
-			c.Add(key, val)
-			ref.add(key, val)
-		case 2, 3:
-			fail := op == 3
-			got, hit, err := c.GetOrBuild(ctx, key, func() (uint32, error) {
-				if fail {
-					return val, errBuild
-				}
-				return val, nil
-			})
-			want, wantHit := ref.get(key)
-			if !wantHit {
-				ref.stats.Misses++
-				want = val
-				if !fail {
-					ref.add(key, val)
-				}
+			return val, nil
+		})
+		want, wantHit := ref.get(key)
+		if !wantHit {
+			ref.stats.Misses++
+			want = val
+			if !fail {
+				ref.add(key, val)
 			}
-			if wantErr := fail && !wantHit; got != want || hit != wantHit || (err != nil) != wantErr {
-				t.Fatalf("step %d: GetOrBuild(%d, fail=%v) = %d, %v, %v; model %d, %v", step, key, fail, got, hit, err, want, wantHit)
-			}
+		}
+		if wantErr := fail && !wantHit; got != want || hit != wantHit || (err != nil) != wantErr {
+			t.Fatalf("step %d: GetOrBuild(%d, fail=%v) = %d, %v, %v; model %d, %v", step, key, fail, got, hit, err, want, wantHit)
 		}
 
-		want := ref.stats
-		want.Entries, want.SizeBytes, want.CapBytes = len(ref.items), ref.size(), fuzzCap
-		if st := c.Stats(); st != want {
-			t.Fatalf("step %d: stats %+v, model %+v", step, st, want)
-		}
-		if n := c.Len(); n != len(ref.items) {
-			t.Fatalf("step %d: Len %d, model %d", step, n, len(ref.items))
+		wantSt := ref.stats
+		wantSt.Entries, wantSt.SizeBytes, wantSt.CapBytes = len(ref.items), ref.size(), fuzzCap
+		if st := c.Stats(); st != wantSt {
+			t.Fatalf("step %d: stats %+v, model %+v", step, st, wantSt)
 		}
 		i := 0
 		for el := c.ll.Front(); el != nil; el, i = el.Next(), i+1 {

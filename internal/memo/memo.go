@@ -91,41 +91,13 @@ func New[K comparable, V any](capacity int64, cost func(V) int64) *Cache[K, V] {
 	}
 }
 
-// Get returns the resident value for key without building, and whether
-// it was present. A present key counts as a hit and becomes the most
-// recently used; an absent one counts nothing.
-func (c *Cache[K, V]) Get(key K) (v V, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return v, false
-	}
-	c.ll.MoveToFront(el)
-	c.st.Hits++
-	return el.Value.(*entry[K, V]).val, true
-}
-
-// Add inserts v under key as the most recently used entry, replacing
-// any resident value, and evicts from the old end until the bound holds.
-func (c *Cache[K, V]) Add(key K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addLocked(key, v)
-}
-
-// addLocked is Add with c.mu held.
-func (c *Cache[K, V]) addLocked(key K, v V) {
+// insertLocked inserts v, which a flight just built for the absent key,
+// as the most recently used entry, and evicts from the old end until
+// the bound holds. c.mu is held.
+func (c *Cache[K, V]) insertLocked(key K, v V) {
 	cost := c.cost(v)
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry[K, V])
-		c.st.SizeBytes += cost - e.cost
-		e.val, e.cost = v, cost
-		c.ll.MoveToFront(el)
-	} else {
-		c.entries[key] = c.ll.PushFront(&entry[K, V]{key: key, val: v, cost: cost})
-		c.st.SizeBytes += cost
-	}
+	c.entries[key] = c.ll.PushFront(&entry[K, V]{key: key, val: v, cost: cost})
+	c.st.SizeBytes += cost
 	for c.st.SizeBytes > c.st.CapBytes && c.ll.Len() > 1 {
 		back := c.ll.Back()
 		ev := back.Value.(*entry[K, V])
@@ -176,20 +148,13 @@ func (c *Cache[K, V]) GetOrBuild(ctx context.Context, key K, build func() (V, er
 		c.mu.Lock()
 		delete(c.flights, key)
 		if f.err == nil {
-			c.addLocked(key, f.val)
+			c.insertLocked(key, f.val)
 		}
 		c.mu.Unlock()
 		close(f.done)
 	}()
 	f.val, f.err = build()
 	return f.val, false, f.err
-}
-
-// Len returns the number of resident entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats returns a snapshot of the cache counters.

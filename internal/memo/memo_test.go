@@ -35,8 +35,28 @@ func parked[K comparable, V any](c *Cache[K, V], n uint64) {
 	}
 }
 
-func build(v string) func() (string, error) {
-	return func() (string, error) { return v, nil }
+func build[V any](v V) func() (V, error) {
+	return func() (V, error) { return v, nil }
+}
+
+// fill builds each key of kvs in turn, alternating key and value.
+func fill[V any](t *testing.T, c *Cache[string, V], kvs ...any) {
+	t.Helper()
+	for i := 0; i < len(kvs); i += 2 {
+		if _, hit, err := c.GetOrBuild(context.Background(), kvs[i].(string), build(kvs[i+1].(V))); hit || err != nil {
+			t.Fatalf("building %v: hit=%v err=%v", kvs[i], hit, err)
+		}
+	}
+}
+
+// touch looks up a resident key, which makes it the most recently used.
+func touch[V any](t *testing.T, c *Cache[string, V], key string) V {
+	t.Helper()
+	v, hit, err := c.GetOrBuild(context.Background(), key, nil) // a hit never calls the builder
+	if !hit || err != nil {
+		t.Fatalf("touching %s: hit=%v err=%v", key, hit, err)
+	}
+	return v
 }
 
 // TestCache is the one suite for the one type: every guarantee the four
@@ -49,9 +69,6 @@ func TestCache(t *testing.T) {
 	}{
 		{"miss builds, hit does not", func(t *testing.T) {
 			c := New[string](100, bytesCost)
-			if _, ok := c.Get("k"); ok {
-				t.Fatal("Get found a key never added")
-			}
 			v, hit, err := c.GetOrBuild(bg, "k", build("abc"))
 			if v != "abc" || hit || err != nil {
 				t.Fatalf("first lookup = %q, %v, %v; want a build", v, hit, err)
@@ -63,10 +80,7 @@ func TestCache(t *testing.T) {
 			if v != "abc" || !hit || err != nil {
 				t.Fatalf("second lookup = %q, %v, %v; want a hit", v, hit, err)
 			}
-			if v, ok := c.Get("k"); !ok || v != "abc" {
-				t.Fatalf("Get = %q, %v", v, ok)
-			}
-			want := Stats{Entries: 1, SizeBytes: 3, CapBytes: 100, Hits: 2, Misses: 1}
+			want := Stats{Entries: 1, SizeBytes: 3, CapBytes: 100, Hits: 1, Misses: 1}
 			if st := c.Stats(); st != want {
 				t.Fatalf("stats = %+v, want %+v", st, want)
 			}
@@ -115,42 +129,36 @@ func TestCache(t *testing.T) {
 		}},
 		{"eviction keeps the newest even when it alone exceeds the bound", func(t *testing.T) {
 			c := New[string](10, bytesCost)
-			c.Add("a", "1234")
-			c.Add("b", "1234")
-			c.Add("c", "1234") // 12 > 10: a goes
+			fill(t, c, "a", "1234", "b", "1234", "c", "1234") // 12 > 10: a goes
 			if got := order(c); !slices.Equal(got, []string{"c", "b"}) {
-				t.Fatalf("after three adds: %v", got)
+				t.Fatalf("after three builds: %v", got)
 			}
-			if _, _, err := c.GetOrBuild(bg, "huge", build("0123456789abcdef")); err != nil {
-				t.Fatal(err)
-			}
-			want := Stats{Entries: 1, SizeBytes: 16, CapBytes: 10, Misses: 1, Evictions: 3}
+			fill(t, c, "huge", "0123456789abcdef")
+			want := Stats{Entries: 1, SizeBytes: 16, CapBytes: 10, Misses: 4, Evictions: 3}
 			if st := c.Stats(); st != want || !slices.Equal(order(c), []string{"huge"}) {
 				t.Fatalf("stats = %+v (order %v), want %+v", st, order(c), want)
 			}
-			c.Add("d", "1") // the oversized entry is now the oldest: it goes
+			fill(t, c, "d", "1") // the oversized entry is now the oldest: it goes
 			if st := c.Stats(); st.Entries != 1 || st.SizeBytes != 1 || st.Evictions != 4 {
 				t.Fatalf("after a small add: %+v", st)
 			}
 		}},
 		{"LRU order survives touches", func(t *testing.T) {
 			c := New[string, int](3, nil)
-			for i, k := range []string{"a", "b", "c"} {
-				c.Add(k, i)
+			fill(t, c, "a", 0, "b", 1, "c", 2)
+			for _, k := range []string{"a", "b", "c"} {
+				touch(t, c, k)
 			}
-			c.Get("a")
-			c.GetOrBuild(bg, "b", nil) // a hit never calls the builder
-			c.Add("c", 9)              // replacing touches too
 			if got := order(c); !slices.Equal(got, []string{"c", "b", "a"}) {
 				t.Fatalf("after touching a, b, c: %v", got)
 			}
-			c.Get("a")
-			c.Add("d", 3) // b is now the least recently used
+			touch(t, c, "a")
+			fill(t, c, "d", 3) // b is now the least recently used
 			if got := order(c); !slices.Equal(got, []string{"d", "a", "c"}) {
-				t.Fatalf("after adding d: %v", got)
+				t.Fatalf("after building d: %v", got)
 			}
-			if v, _ := c.Get("c"); v != 9 || c.Len() != 3 {
-				t.Fatalf("replaced value = %d, len %d", v, c.Len())
+			if v := touch(t, c, "c"); v != 2 || c.Stats().Entries != 3 {
+				t.Fatalf("c = %d, %d entries", v, c.Stats().Entries)
 			}
 		}},
 		{"error is not cached", func(t *testing.T) {
@@ -159,7 +167,7 @@ func TestCache(t *testing.T) {
 			if _, hit, err := c.GetOrBuild(bg, "k", func() (string, error) { return "junk", boom }); hit || !errors.Is(err, boom) {
 				t.Fatalf("failing build: hit=%v err=%v", hit, err)
 			}
-			if c.Len() != 0 {
+			if c.Stats().Entries != 0 {
 				t.Fatal("a failed build was inserted")
 			}
 			v, hit, err := c.GetOrBuild(bg, "k", build("ok"))
@@ -192,8 +200,8 @@ func TestCache(t *testing.T) {
 			}
 			close(gate)
 			<-builderDone
-			if v, ok := c.Get("k"); !ok || v != "late" {
-				t.Fatalf("abandoned build not inserted: %q, %v", v, ok)
+			if v := touch(t, c, "k"); v != "late" {
+				t.Fatalf("abandoned build inserted %q", v)
 			}
 		}},
 		{"panic completes and clears the flight", func(t *testing.T) {
@@ -223,8 +231,8 @@ func TestCache(t *testing.T) {
 			c.mu.Lock()
 			flights := len(c.flights)
 			c.mu.Unlock()
-			if flights != 0 || c.Len() != 0 {
-				t.Fatalf("%d flights and %d entries left behind by the panic", flights, c.Len())
+			if entries := c.Stats().Entries; flights != 0 || entries != 0 {
+				t.Fatalf("%d flights and %d entries left behind by the panic", flights, entries)
 			}
 			v, hit, err := c.GetOrBuild(bg, "k", build("healed"))
 			if v != "healed" || hit || err != nil {
@@ -248,8 +256,8 @@ func TestHitDoesNotAllocate(t *testing.T) {
 	}
 	c := New[key](1<<20, func(v []int64) int64 { return int64(len(v)) * 8 })
 	k := key{kind: 3, n: 64, rank: 5, size: 4096}
-	c.Add(k, make([]int64, 40))
 	ctx := context.Background()
+	c.GetOrBuild(ctx, k, build(make([]int64, 40)))
 	allocs := testing.AllocsPerRun(1000, func() {
 		v, hit, err := c.GetOrBuild(ctx, k, func() ([]int64, error) { return make([]int64, k.n), nil })
 		if !hit || err != nil || len(v) != 40 {

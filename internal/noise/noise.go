@@ -132,7 +132,7 @@ type Config struct {
 	// SaturationFactor bounds the detour time charged against a single
 	// work interval, as a multiple of max(work, MTBCE). When exceeded
 	// the node is marked saturated and further charging on that
-	// interval stops. Zero means the default of 10,000.
+	// interval stops. Zero means the default of 1,000.
 	SaturationFactor int64
 }
 
@@ -261,7 +261,7 @@ func NewCE(n int, cfg Config) (*CE, error) {
 		return nil, fmt.Errorf("noise: target node %d outside [0,%d)", cfg.Target, nodes)
 	}
 	if cfg.SaturationFactor == 0 {
-		cfg.SaturationFactor = 10000
+		cfg.SaturationFactor = 1000
 	}
 	m := &CE{cfg: cfg, rpn: int32(rpn)}
 	if cfg.Target != AllNodes {

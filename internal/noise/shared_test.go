@@ -58,7 +58,7 @@ func newSharedReference(nodes, ranksPerNode int, cfg Config) (*sharedReference, 
 		return nil, fmt.Errorf("noise: target node %d outside [0,%d)", cfg.Target, nodes)
 	}
 	if cfg.SaturationFactor == 0 {
-		cfg.SaturationFactor = 10000
+		cfg.SaturationFactor = 1000
 	}
 	m := &sharedReference{cfg: cfg, ranksPerNode: ranksPerNode, nodes: make([]sharedNode, nodes)}
 	m.arr, m.meanGap = cfg.resolve()

@@ -126,7 +126,7 @@ func TestTenantJobQuota429(t *testing.T) {
 	q := jobs.New(jobs.Config{Workers: 1})
 	block := make(chan struct{})
 	defer close(block)
-	if _, err := q.Submit("hold", func(ctx context.Context) (any, error) { <-block; return nil, nil }); err != nil {
+	if _, err := q.SubmitSpec(jobs.Spec{Kind: "hold"}, func(ctx context.Context) (any, error) { <-block; return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	_, ts, _ := newDurableServer(t, t.TempDir(), reg, q)

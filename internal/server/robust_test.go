@@ -134,10 +134,10 @@ func TestShedWatermark(t *testing.T) {
 		}
 		return nil, ctx.Err()
 	}
-	if _, err := q.Submit("block", block); err != nil {
+	if _, err := q.SubmitSpec(jobs.Spec{Kind: "block"}, block); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit("block", block); err != nil {
+	if _, err := q.SubmitSpec(jobs.Spec{Kind: "block"}, block); err != nil {
 		t.Fatal(err)
 	}
 	waitFor := time.Now().Add(5 * time.Second)

@@ -500,7 +500,7 @@ func TestQueueFullReturns429(t *testing.T) {
 	// only worker, a second fills the capacity-1 queue.
 	block := make(chan struct{})
 	defer close(block)
-	if _, err := q.Submit("block", func(context.Context) (any, error) {
+	if _, err := q.SubmitSpec(jobs.Spec{Kind: "block"}, func(context.Context) (any, error) {
 		<-block
 		return nil, nil
 	}); err != nil {
@@ -513,7 +513,7 @@ func TestQueueFullReturns429(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := q.Submit("fill", func(context.Context) (any, error) { return nil, nil }); err != nil {
+	if _, err := q.SubmitSpec(jobs.Spec{Kind: "fill"}, func(context.Context) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var e envelope.ErrorBody

@@ -75,11 +75,11 @@ func TestEvictionRespectsBound(t *testing.T) {
 	if s.Entries != 1 || s.Evictions != 1 {
 		t.Fatalf("stats after eviction: %+v", s)
 	}
-	if _, ok := c.Get(tinyCfg(1)); ok {
-		t.Fatal("evicted entry still resident")
+	if _, hit, err := c.GetOrBuild(ctx, tinyCfg(2)); err != nil || !hit {
+		t.Fatalf("most recent entry evicted: hit=%v err=%v", hit, err)
 	}
-	if _, ok := c.Get(tinyCfg(2)); !ok {
-		t.Fatal("most recent entry evicted")
+	if _, hit, err := c.GetOrBuild(ctx, tinyCfg(1)); err != nil || hit {
+		t.Fatalf("evicted entry still resident: hit=%v err=%v", hit, err)
 	}
 }
 
@@ -97,17 +97,17 @@ func TestLRUOrderSurvivesTouches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := c.Get(tinyCfg(1)); !ok { // touch 1: order is now [1, 2]
-		t.Fatal("entry 1 missing before touch test")
+	if _, hit, err := c.GetOrBuild(ctx, tinyCfg(1)); err != nil || !hit { // touch 1: order is now [1, 2]
+		t.Fatalf("entry 1 missing before touch test: hit=%v err=%v", hit, err)
 	}
 	if _, _, err := c.GetOrBuild(ctx, tinyCfg(3)); err != nil { // evicts 2
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(tinyCfg(2)); ok {
-		t.Fatal("least recently used entry survived")
+	if _, hit, err := c.GetOrBuild(ctx, tinyCfg(1)); err != nil || !hit {
+		t.Fatalf("recently touched entry evicted: hit=%v err=%v", hit, err)
 	}
-	if _, ok := c.Get(tinyCfg(1)); !ok {
-		t.Fatal("recently touched entry evicted")
+	if _, hit, err := c.GetOrBuild(ctx, tinyCfg(2)); err != nil || hit {
+		t.Fatalf("least recently used entry survived: hit=%v err=%v", hit, err)
 	}
 }
 

@@ -115,9 +115,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // scan walks the store once at open, verifying and accounting every
 // entry. Damage is quarantined and counted; only an unreadable
 // directory is an error.

@@ -108,7 +108,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 // entryPath digs out the single entry file under the store root.
 func entryPath(t *testing.T, s *Store, key string) string {
 	t.Helper()
-	p := filepath.Join(s.Dir(), key[:2], key)
+	p := filepath.Join(s.dir, key[:2], key)
 	if _, err := os.Stat(p); err != nil {
 		t.Fatalf("entry file missing: %v", err)
 	}

@@ -23,7 +23,7 @@ func TestQuantileEmptySample(t *testing.T) {
 
 func TestQuantileOutOfRange(t *testing.T) {
 	var s Sample
-	s.AddAll(1, 2, 3)
+	addAll(&s, 1, 2, 3)
 	for _, p := range []float64{-0.001, 100.001, math.NaN()} {
 		if _, err := s.Quantile(p); err == nil {
 			t.Errorf("p=%v accepted", p)

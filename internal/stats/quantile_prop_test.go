@@ -72,7 +72,7 @@ func TestQuantileMatchesReference(t *testing.T) {
 			}
 		}
 		var s Sample
-		s.AddAll(xs...)
+		addAll(&s, xs...)
 		for _, p := range ps {
 			got, err := s.Quantile(p)
 			if err != nil {
@@ -114,11 +114,11 @@ func TestQuantileOrderInvariant(t *testing.T) {
 		xs[i] = rng.NormFloat64()
 	}
 	var a Sample
-	a.AddAll(xs...)
+	addAll(&a, xs...)
 	for trial := 0; trial < 10; trial++ {
 		rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 		var b Sample
-		b.AddAll(xs...)
+		addAll(&b, xs...)
 		for _, p := range []float64{0, 12.5, 50, 87.5, 100} {
 			qa, _ := a.Quantile(p)
 			qb, _ := b.Quantile(p)
@@ -133,7 +133,7 @@ func TestQuantileOrderInvariant(t *testing.T) {
 // observation order (which Values exposes) must survive.
 func TestQuantileDoesNotMutateSample(t *testing.T) {
 	var s Sample
-	s.AddAll(3, 1, 2)
+	addAll(&s, 3, 1, 2)
 	if _, err := s.Quantile(50); err != nil {
 		t.Fatal(err)
 	}

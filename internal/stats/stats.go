@@ -17,9 +17,6 @@ type Sample struct {
 // Add appends an observation.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
-// AddAll appends many observations.
-func (s *Sample) AddAll(xs ...float64) { s.xs = append(s.xs, xs...) }
-
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 

@@ -8,6 +8,13 @@ import (
 
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// addAll adds each of xs to s through Add.
+func addAll(s *Sample, xs ...float64) {
+	for _, x := range xs {
+		s.Add(x)
+	}
+}
+
 func TestEmptySample(t *testing.T) {
 	var s Sample
 	if s.N() != 0 || s.Mean() != 0 || s.Var() != 0 || s.CI95() != 0 {
@@ -20,7 +27,7 @@ func TestEmptySample(t *testing.T) {
 
 func TestMoments(t *testing.T) {
 	var s Sample
-	s.AddAll(2, 4, 4, 4, 5, 5, 7, 9)
+	addAll(&s, 2, 4, 4, 4, 5, 5, 7, 9)
 	if s.Mean() != 5 {
 		t.Fatalf("mean = %v, want 5", s.Mean())
 	}
@@ -48,7 +55,7 @@ func TestCI95ShrinksWithN(t *testing.T) {
 
 func TestQuantileInterpolates(t *testing.T) {
 	var s Sample
-	s.AddAll(1, 2, 3, 4, 5)
+	addAll(&s, 1, 2, 3, 4, 5)
 	cases := map[float64]float64{0: 1, 25: 2, 50: 3, 75: 4, 90: 4.6, 100: 5}
 	for p, want := range cases {
 		if got, err := s.Quantile(p); err != nil || !almostEq(got, want, 1e-12) {
@@ -64,7 +71,7 @@ func TestQuantileInterpolates(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	var s Sample
-	s.AddAll(1, 2, 3)
+	addAll(&s, 1, 2, 3)
 	sum := s.Summarize()
 	if sum.N != 3 || sum.Mean != 2 || sum.Min != 1 || sum.Max != 3 {
 		t.Fatalf("summary wrong: %+v", sum)

@@ -85,15 +85,6 @@ func (k OpKind) IsCollective() bool {
 	return false
 }
 
-// IsRooted reports whether the collective has a distinguished root rank.
-func (k OpKind) IsRooted() bool {
-	switch k {
-	case OpBcast, OpReduce, OpGather, OpScatter:
-		return true
-	}
-	return false
-}
-
 // Op is a single trace operation. The meaning of the fields depends on
 // Kind; unused fields are zero.
 type Op struct {

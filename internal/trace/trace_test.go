@@ -163,14 +163,3 @@ func TestIsCollective(t *testing.T) {
 		}
 	}
 }
-
-func TestIsRooted(t *testing.T) {
-	for _, k := range []OpKind{OpBcast, OpReduce, OpGather, OpScatter} {
-		if !k.IsRooted() {
-			t.Fatalf("%s not marked rooted", k)
-		}
-	}
-	if OpAllreduce.IsRooted() || OpBarrier.IsRooted() {
-		t.Fatal("non-rooted collective marked rooted")
-	}
-}
