@@ -1,17 +1,30 @@
 GO ?= go
 
-.PHONY: build test race lint staticcheck bench bench-smoke bench-pair cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke engine-atsize chaos-smoke
+.PHONY: build test race lint staticcheck bench bench-core-smoke bench-smoke bench-pair fuzz cluster-smoke advisor-smoke crash-smoke faultmix-smoke engine-smoke engine-atsize chaos-smoke
 
-# smoke runs the tests named exactly in $(1) (|-separated) from the
-# packages $(2) under the race detector. Before the run, `go test -list`
-# (once per package) must show every name, so a renamed or deleted test
-# fails the target instead of silently dropping out of the smoke.
-define smoke
+# listed fails unless `go test -list` (once per package) shows every
+# test or benchmark named exactly in $(1) (|-separated) in the packages
+# $(2): `-run` and `-bench` patterns that match nothing pass silently,
+# so a renamed or deleted name would drop out of its target unseen.
+define listed
 @listed=$$(for p in $(2); do $(GO) test -list '^($(1))$$' $$p || exit 1; done) || exit 1; \
 for t in $(subst |, ,$(1)); do \
-	printf '%s\n' "$$listed" | grep -qx "$$t" || { echo "$@: no test named $$t in $(2)"; exit 1; }; \
+	printf '%s\n' "$$listed" | grep -qx "$$t" || { echo "$@: nothing named $$t in $(2)"; exit 1; }; \
 done
+endef
+
+# smoke runs the tests named exactly in $(1) (|-separated) from the
+# packages $(2) under the race detector, once `listed` has found them.
+define smoke
+$(call listed,$(1),$(2))
 $(GO) test -race -count=1 -run '^($(1))$$' $(2)
+endef
+
+# benchmarks runs the benchmarks named exactly in $(1) (|-separated) of
+# the package $(2) for -benchtime $(3), once `listed` has found them.
+define benchmarks
+$(call listed,$(1),$(2))
+$(GO) test -run '^$$' -bench '^($(1))$$' -benchtime $(3) $(2)
 endef
 
 build:
@@ -59,8 +72,26 @@ staticcheck:
 	staticcheck ./...
 
 bench:
-	$(GO) test -run=XXX -bench=BenchmarkRepeatedRuns -benchtime=300x ./internal/core/
-	$(GO) test -run=XXX -bench=BenchmarkColdExperiment -benchtime=5x ./internal/core/
+	$(call benchmarks,BenchmarkRepeatedRuns,./internal/core/,300x)
+	$(call benchmarks,BenchmarkColdExperiment,./internal/core/,5x)
+
+# The same two benchmarks once each: the repeated-run reuse and the cold
+# experiment build still run. A CI step.
+bench-core-smoke:
+	$(call benchmarks,BenchmarkRepeatedRuns|BenchmarkColdExperiment,./internal/core/,1x)
+
+# Fuzz every Fuzz* target of the module for 20 s each, as CI does:
+# `go test -list` finds them, so a new target is fuzzed without a CI
+# edit. -fuzzminimizetime=0: by default the engine spends up to 60 s
+# shrinking each new interesting input, which would eat the budget.
+fuzz:
+	@targets=$$($(GO) test -list '^Fuzz' ./...) || exit 1; \
+	targets=$$(printf '%s\n' "$$targets" | awk '/^Fuzz/ { n[++k] = $$1; next } /^ok / { for (i = 1; i <= k; i++) print $$2 " " n[i]; k = 0 }'); \
+	[ -n "$$targets" ] || { echo "fuzz: no Fuzz target found"; exit 1; }; \
+	printf '%s\n' "$$targets" | while read -r pkg target; do \
+		echo "fuzz: $$target ($$pkg, 20s)"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 20s -fuzzminimizetime=0 $$pkg || exit 1; \
+	done
 
 # Benchmark smoke (bench/README.md): every workload of the repository's
 # benchmark with its op list cut to a second or two and every output
@@ -145,12 +176,9 @@ engine-smoke:
 # the event queue's geometry and the posted lists differ from the 128
 # ranks TestReferenceAtSize covers in engine-smoke. About 30 s without
 # the race detector, so a benchmark run once: it fails on the first
-# difference from the reference. A benchmark that matches nothing
-# would pass silently, so `go test -list` must show it first.
+# difference from the reference.
 engine-atsize:
-	@$(GO) test -list '^BenchmarkReferenceAtSize$$' ./internal/loggopsim/ | grep -qx BenchmarkReferenceAtSize || \
-		{ echo "engine-atsize: no BenchmarkReferenceAtSize in ./internal/loggopsim/"; exit 1; }
-	$(GO) test -run '^$$' -bench 'BenchmarkReferenceAtSize$$' -benchtime 1x ./internal/loggopsim/
+	$(call benchmarks,BenchmarkReferenceAtSize,./internal/loggopsim/,1x)
 
 # Kill-and-restart acceptance (docs/DURABILITY.md): build the real
 # cesimd binary, SIGKILL it mid-campaign (standalone with a journaled

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advise"
 	"repro/internal/jobs"
 	"repro/internal/report"
 	"repro/internal/server"
@@ -91,7 +92,7 @@ func TestBadSpecRejectedUpFront(t *testing.T) {
 func TestCLIMatchesHTTP(t *testing.T) {
 	bin := buildCesim(t)
 	q := jobs.New(jobs.Config{Workers: 1})
-	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0)})
+	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advise"
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
@@ -68,7 +69,7 @@ func boot(t *testing.T, walDir string, capacity int, logs *bytes.Buffer) (q *job
 	logger := log.New(logs, "", 0)
 	w, pending, resubmitted = restartJobs(context.Background(), logger, walDir, func(w *journal.Writer) *server.Server {
 		q = jobs.New(jobs.Config{Workers: 3, Capacity: capacity, Journal: w, Log: logger})
-		srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Journal: w, Log: logger})
+		srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}), Journal: w, Log: logger})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestWorkerCrashMidShardRestartsCompact(t *testing.T) {
 	}
 	coord := cluster.NewCoordinator()
 	cq := jobs.New(jobs.Config{Workers: 1})
-	cs, err := server.New(server.Config{Queue: cq, Cache: simcache.New(0), Routes: coord.Routes()})
+	cs, err := server.New(server.Config{Queue: cq, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}), Routes: coord.Routes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestWorkerCrashMidShardRestartsCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := jobs.New(jobs.Config{Workers: 1, Journal: w})
-	cw, err := cluster.NewWorker(cluster.WorkerConfig{Coordinator: ts.URL, Addr: "worker-1", Queue: q})
+	cw, err := cluster.NewWorker(cluster.WorkerConfig{Coordinator: ts.URL, Addr: "worker-1", Queue: q, Cache: simcache.New(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestUnrebuildableJobFailsAndRestartCompacts(t *testing.T) {
 	if _, _, err := q.Wait(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0)})
+	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}

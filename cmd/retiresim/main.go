@@ -48,6 +48,14 @@ func main() {
 	if err := core.ParseFlags(fs, os.Args[1:]); err != nil {
 		fatal(err)
 	}
+	// The sweep sets the threshold itself, so it refuses one given.
+	if *sweep {
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "threshold" {
+				fatal(fmt.Errorf("-sweep does not read -threshold"))
+			}
+		})
+	}
 	spec, err := systems.ResolveFaultMix(*faultMix)
 	if err != nil {
 		fatal(err)

@@ -41,7 +41,8 @@ func TestGolden(t *testing.T) {
 }
 
 // TestBadInvocationsRejectedUpFront requires malformed flags, an
-// unknown preset, an unusable spec and a stray argument to fail with
+// unknown preset, an unusable spec, a -threshold the sweep would ignore
+// and a stray argument to fail with
 // exit status 1, nothing on stdout and one "retiresim: reason" line.
 func TestBadInvocationsRejectedUpFront(t *testing.T) {
 	bin := build(t)
@@ -61,6 +62,7 @@ func TestBadInvocationsRejectedUpFront(t *testing.T) {
 		{[]string{"-mtbce", "0s"}, "mtbce_ns"},
 		{[]string{"-years", "0"}, "hours"},
 		{[]string{"-threshold", "-1", "-sweep=false"}, "negative policy"},
+		{[]string{"-sweep", "-threshold", "7"}, "-sweep does not read -threshold"},
 		{[]string{"-years", "0.01", "stray"}, `unexpected argument "stray"`},
 		{[]string{"stray", "-years", "0"}, `unexpected argument "stray"`},
 	} {

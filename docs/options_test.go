@@ -3,8 +3,9 @@
 // setting, SERVICE.md's flag table must name exactly cesimd's flags and
 // its Metrics section every section of /metrics, and FAULTS.md's Sites
 // table every fault-injection site. Beside them, two guards hold the
-// code to what runs: every setting is set, and every export reached,
-// by code other than tests.
+// code to what runs: every setting is set, and every function and
+// export reached, by code that a command's or an example's main
+// reaches.
 package docs
 
 import (
@@ -69,6 +70,11 @@ type census struct {
 
 	pkgs []*load.Package          // the module's packages, non-test files only
 	vars map[*types.Var]*fieldRow // every exported field of an exported struct by its object
+
+	decls     map[types.Object]decl     // every package-level declaration by the objects it declares
+	inits     map[*types.Package][]decl // each package's init functions and var specs
+	fromMains *reachSet                 // what the commands' and examples' mains reach
+	withBench *reachSet                 // the same, and what bench/'s main reaches
 }
 
 // fieldRow is a struct field as TestEverySettingIsSetOutsideTests
@@ -91,81 +97,58 @@ var takeCensus = sync.OnceValues(func() (*census, error) {
 	}
 	c := &census{flags: map[string][]option{}, fields: map[string][]option{},
 		pkgs: pkgs, vars: map[*types.Var]*fieldRow{}}
-	cmdPrefix := module + "/cmd/"
+	c.indexDecls()
 
-	// Every function body of the module by its object, so a command's
-	// flags include those registered in the functions it reaches
-	// (core's BindFlags methods). A body outside cmd/ that registers a
-	// flag must be reached by some command, or its flags go uncounted.
-	type body struct {
-		pkg  *load.Package
-		node ast.Node
-	}
-	funcs := map[*types.Func]body{}
-	binders := map[*types.Func]bool{}
+	// A command's flags are those registered anywhere its main reaches
+	// (core's BindFlags methods among them). A declaration outside the
+	// mains that registers a flag must be reached by some command, or its
+	// flags go uncounted.
+	var mains []*load.Package
+	var bench *load.Package
+	byCmd := map[ast.Node]bool{}
 	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn := p.Info.Defs[fd.Name].(*types.Func)
-				funcs[fn] = body{p, fd.Body}
-				if p.Types.Name() != "main" && len(registrations(p, fd.Body)) > 0 {
-					binders[fn] = true
-				}
-			}
-		}
-	}
-	for _, p := range pkgs {
-		cmd, ok := strings.CutPrefix(p.Path, cmdPrefix)
-		if !ok {
-			continue
-		}
-		reached := map[*types.Func]bool{}
-		var todo []body
-		for _, f := range p.Files {
-			todo = append(todo, body{p, f})
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					reached[p.Info.Defs[fd.Name].(*types.Func)] = true
-				}
-			}
-		}
-		byName := map[string]option{}
-		for len(todo) > 0 {
-			b := todo[len(todo)-1]
-			todo = todo[:len(todo)-1]
-			for _, o := range registrations(b.pkg, b.node) {
-				if _, dup := byName[o.name]; dup {
-					return nil, fmt.Errorf("%s: flag %s registered twice", cmd, o.name)
-				}
-				byName[o.name] = o
-			}
-			ast.Inspect(b.node, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if fn, ok := b.pkg.Info.Uses[id].(*types.Func); ok {
-						fn = fn.Origin()
-						if next, ok := funcs[fn]; ok && !reached[fn] {
-							reached[fn] = true
-							delete(binders, fn)
-							todo = append(todo, next)
-						}
+		switch {
+		case p.Path == module+"/bench":
+			bench = p
+		case p.Types.Name() != "main":
+		case strings.HasPrefix(p.Path, module+"/examples/"):
+			mains = append(mains, p)
+		case strings.HasPrefix(p.Path, module+"/cmd/"):
+			mains = append(mains, p)
+			cmd := strings.TrimPrefix(p.Path, module+"/cmd/")
+			byName := map[string]option{}
+			for _, d := range c.reach(p).decls {
+				for _, o := range registrations(d.pkg, d.node) {
+					if _, dup := byName[o.name]; dup {
+						return nil, fmt.Errorf("%s: flag %s registered twice", cmd, o.name)
 					}
+					byName[o.name] = o
 				}
-				return true
-			})
+				byCmd[d.node] = true
+			}
+			for _, o := range byName {
+				c.flags[cmd] = append(c.flags[cmd], o)
+			}
+			sortOptions(c.flags[cmd])
 		}
-		for _, o := range byName {
-			c.flags[cmd] = append(c.flags[cmd], o)
+	}
+	unreached := func(d decl) bool {
+		return d.pkg.Types.Name() != "main" && !isTestSupport(d.pkg.Path) && !byCmd[d.node] && len(registrations(d.pkg, d.node)) > 0
+	}
+	for obj, d := range c.decls {
+		if unreached(d) {
+			return nil, fmt.Errorf("%s registers flags that no command reaches", objKey(obj))
 		}
-		sortOptions(c.flags[cmd])
 	}
-	for fn := range binders {
-		return nil, fmt.Errorf("%s registers flags that no command reaches", fn.FullName())
+	for p, ds := range c.inits {
+		for _, d := range ds {
+			if unreached(d) {
+				return nil, fmt.Errorf("an init of %s registers flags that no command reaches", p.Path())
+			}
+		}
 	}
-
+	c.fromMains = c.reach(mains...)
+	c.withBench = c.reach(append(mains, bench)...)
 	lintPrefix := module + "/internal/lint/"
 	for _, p := range pkgs {
 		if p.Types.Name() == "main" {

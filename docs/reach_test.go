@@ -2,20 +2,24 @@ package docs
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/lint/load"
 )
 
-// reachedOnlyByBench lists the exports that, outside tests, only bench/
-// references. Like setOnlyByBench they wait on a benchmark-only change
-// to go, and each must still be referenced by bench/.
+// reachedOnlyByBench lists what, outside tests, only bench/'s main
+// reaches. Like setOnlyByBench they wait on a benchmark-only change to
+// go, and bench/ must still reach each.
 var reachedOnlyByBench = []string{
 	"core.Figure4",
 	"core.Figures",
 	"faultmodel.(*Process).AppendGaps",
+	"simcache.Cache",
 	"simcache.Key",
 	"simcache.New",
 	"simcache.Stats",
@@ -24,22 +28,21 @@ var reachedOnlyByBench = []string{
 	"rng.(*Source).Perm",
 }
 
-// reachedOnlyByTests lists the exports only tests reference, with the
-// reason each is kept.
+// reachedOnlyByTests lists what no main reaches, with the reason each
+// is kept.
 var reachedOnlyByTests = map[string]string{
-	"due.Simulate":             "the Monte Carlo reference the closed-form DUE model is tested against",
-	"netmodel.Params.PingPong": "a closed-form oracle the engine's message costs are tested against",
-	"faultinject.Disarm":       "the cleanup a test registers after arming a plan",
-	"trace.Barrier":            "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Reduce":             "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Allgather":          "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Alltoall":           "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Gather":             "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Scatter":            "a collective constructor; there is one per OpKind, as ReadText's grammar has",
+	"netmodel.Params.EagerLatency": "the closed-form one-way latency the engine's message costs are tested against",
+	"faultinject.Disarm":           "the cleanup a test registers after arming a plan",
+	"trace.Barrier":                "a collective constructor; there is one per OpKind, as ReadText's grammar has",
+	"trace.Reduce":                 "a collective constructor; there is one per OpKind, as ReadText's grammar has",
+	"trace.Allgather":              "a collective constructor; there is one per OpKind, as ReadText's grammar has",
+	"trace.Alltoall":               "a collective constructor; there is one per OpKind, as ReadText's grammar has",
+	"trace.Gather":                 "a collective constructor; there is one per OpKind, as ReadText's grammar has",
+	"trace.Scatter":                "a collective constructor; there is one per OpKind, as ReadText's grammar has",
 }
 
 // testSupport names the packages under internal/ that exist for tests:
-// their exports are not checked, and their references do not count.
+// nothing in them is checked.
 var testSupport = []string{"/internal/golden", "/internal/lint/analysistest"}
 
 // dynamicMethods are the methods the standard library calls on a value
@@ -47,10 +50,157 @@ var testSupport = []string{"/internal/golden", "/internal/lint/analysistest"}
 // encoding/json, and errors' walk down a chain.
 var dynamicMethods = []string{"Error", "Unwrap", "String", "MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText"}
 
-// exportKey names an exported object as the lists above do: "pkg.Name",
+// decl is a declaration a walk can reach: a function or method, or a
+// package-level type, var or const spec.
+type decl struct {
+	pkg  *load.Package
+	node ast.Node
+}
+
+// reachSet is what a walk from some main packages reaches.
+type reachSet struct {
+	objs  map[types.Object]bool // every object named or called in reached code
+	decls []decl                // every reached declaration, in walk order
+}
+
+// indexDecls records every declaration of the module by the objects it
+// declares, and each package's init functions and package-level var
+// specs, whose initializers run when a binary links the package.
+func (c *census) indexDecls() {
+	c.decls = map[types.Object]decl{}
+	c.inits = map[*types.Package][]decl{}
+	for _, p := range c.pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						c.inits[p.Types] = append(c.inits[p.Types], decl{p, d})
+					} else {
+						c.decls[p.Info.Defs[d.Name]] = decl{p, d}
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							c.decls[p.Info.Defs[s.Name]] = decl{p, s}
+						case *ast.ValueSpec:
+							for _, name := range s.Names {
+								if obj := p.Info.Defs[name]; obj != nil {
+									c.decls[obj] = decl{p, s}
+								}
+							}
+							if d.Tok == token.VAR {
+								c.inits[p.Types] = append(c.inits[p.Types], decl{p, s})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// reach walks the module's non-test code from the main and init
+// functions of mains and the package-level initializers of every
+// package they import. It follows every reference out of each reached
+// declaration. A method is also reached where reached code converts a
+// value of its receiver type to an interface whose method set holds it,
+// to an interface that reached code asserts (x.(I), a type switch case,
+// errors.As into an I) and that the value implements, or to any
+// interface if the standard library calls it (dynamicMethods).
+func (c *census) reach(mains ...*load.Package) *reachSet {
+	r := &reachSet{objs: map[types.Object]bool{}}
+	var todo []decl
+	mark := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if !r.objs[obj] {
+			r.objs[obj] = true
+			if d, ok := c.decls[obj]; ok {
+				todo = append(todo, d)
+			}
+		}
+	}
+	linked := map[*types.Package]bool{}
+	var link func(p *types.Package)
+	link = func(p *types.Package) {
+		if linked[p] {
+			return
+		}
+		linked[p] = true
+		for _, q := range p.Imports() {
+			link(q)
+		}
+		todo = append(todo, c.inits[p]...)
+	}
+	for _, p := range mains {
+		link(p.Types)
+		mark(p.Types.Scope().Lookup("main"))
+	}
+
+	type conversion struct{ from, to types.Type }
+	convs := map[string]conversion{}
+	var asserted []*types.Interface
+	walked := map[ast.Node]bool{}
+	for len(todo) > 0 {
+		for len(todo) > 0 {
+			d := todo[len(todo)-1]
+			todo = todo[:len(todo)-1]
+			if walked[d.node] {
+				continue
+			}
+			walked[d.node] = true
+			r.decls = append(r.decls, d)
+			ast.Inspect(d.node, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := d.pkg.Info.Uses[id]; obj != nil {
+						mark(obj)
+					}
+				}
+				return true
+			})
+			conversions(d.pkg.Info, d.node, func(from, to types.Type) {
+				if from != nil && to != nil && !types.IsInterface(from) && types.IsInterface(to) {
+					convs[types.TypeString(from, nil)+"\x00"+types.TypeString(to, nil)] = conversion{from, to}
+				}
+			}, func(t types.Type) {
+				if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+					asserted = append(asserted, iface)
+				}
+			})
+		}
+		// Methods reached through the conversions seen so far; their
+		// bodies may convert and assert more, so repeat until nothing
+		// new is reached.
+		for _, cv := range convs {
+			called := slices.Clone(dynamicMethods)
+			for _, iface := range append([]*types.Interface{cv.to.Underlying().(*types.Interface)}, asserted...) {
+				if types.Implements(cv.from, iface) {
+					for i := 0; i < iface.NumMethods(); i++ {
+						called = append(called, iface.Method(i).Name())
+					}
+				}
+			}
+			mset := types.NewMethodSet(cv.from)
+			for i := 0; i < mset.Len(); i++ {
+				if m := mset.At(i).Obj(); slices.Contains(called, m.Name()) {
+					mark(m)
+				}
+			}
+		}
+	}
+	return r
+}
+
+// objKey names an object as the lists above do: "pkg.Name",
 // "pkg.Type.Method" for a value receiver, "pkg.(*Type).Method" for a
 // pointer receiver.
-func exportKey(obj types.Object) string {
+func objKey(obj types.Object) string {
 	prefix := obj.Pkg().Name() + "."
 	sig, ok := obj.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -62,36 +212,23 @@ func exportKey(obj types.Object) string {
 	return prefix + sig.Recv().Type().(*types.Named).Obj().Name() + "." + obj.Name()
 }
 
-// exports returns every exported func, method, type, var and const of
-// the checked packages: those under internal/ but the test support.
-func (c *census) exports() map[types.Object]string {
+// checkedObjects returns what the reach guard checks in the packages
+// under internal/ but the test support: every function and method but
+// init, exported or not, and every exported type, var and const.
+func (c *census) checkedObjects() map[types.Object]string {
 	out := map[types.Object]string{}
-	for _, p := range c.pkgs {
-		if !checked(p.Path) {
+	for obj, d := range c.decls {
+		if !checked(d.pkg.Path) {
 			continue
 		}
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			if obj.Exported() {
-				out[obj] = exportKey(obj)
-			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named := tn.Type().(*types.Named)
-			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					out[m] = exportKey(m)
-				}
-			}
+		if _, fn := d.node.(*ast.FuncDecl); fn || obj.Exported() {
+			out[obj] = objKey(obj)
 		}
 	}
 	return out
 }
 
-// checked reports whether the package at path has its exports checked.
+// checked reports whether the package at path is checked.
 func checked(path string) bool {
 	return strings.HasPrefix(path, module+"/internal/") && !isTestSupport(path)
 }
@@ -105,77 +242,12 @@ func isTestSupport(path string) bool {
 	return false
 }
 
-// referrers maps each object the module's non-test code reaches to the
-// import paths of the packages that reach it. An object is reached
-// where an identifier names it. A method is also reached where a value
-// of its receiver type is converted to an interface whose method set
-// holds it, to an interface that some code asserts (x.(I), a type
-// switch case, errors.As into an I) and that the value implements, or
-// to any interface if the standard library calls it (dynamicMethods).
-func (c *census) referrers() map[types.Object]map[string]bool {
-	out := map[types.Object]map[string]bool{}
-	reach := func(obj types.Object, path string) {
-		switch o := obj.(type) {
-		case *types.Func:
-			obj = o.Origin()
-		case *types.Var:
-			obj = o.Origin()
-		}
-		if out[obj] == nil {
-			out[obj] = map[string]bool{}
-		}
-		out[obj][path] = true
-	}
-	type conversion struct {
-		from, to types.Type
-		path     string
-	}
-	var convs []conversion
-	var asserted []*types.Interface
-	for _, p := range c.pkgs {
-		if isTestSupport(p.Path) {
-			continue
-		}
-		for _, obj := range p.Info.Uses {
-			reach(obj, p.Path)
-		}
-		for _, f := range p.Files {
-			conversions(p.Info, f, func(from, to types.Type) {
-				if from != nil && to != nil && !types.IsInterface(from) && types.IsInterface(to) {
-					convs = append(convs, conversion{from, to, p.Path})
-				}
-			}, func(t types.Type) {
-				if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
-					asserted = append(asserted, iface)
-				}
-			})
-		}
-	}
-	for _, cv := range convs {
-		called := slices.Clone(dynamicMethods)
-		for _, iface := range append([]*types.Interface{cv.to.Underlying().(*types.Interface)}, asserted...) {
-			if types.Implements(cv.from, iface) {
-				for i := 0; i < iface.NumMethods(); i++ {
-					called = append(called, iface.Method(i).Name())
-				}
-			}
-		}
-		mset := types.NewMethodSet(cv.from)
-		for i := 0; i < mset.Len(); i++ {
-			if m := mset.At(i).Obj(); slices.Contains(called, m.Name()) {
-				reach(m, cv.path)
-			}
-		}
-	}
-	return out
-}
-
-// conversions calls convert for every place in f where a value is
+// conversions calls convert for every place in node where a value is
 // implicitly or explicitly converted to another type (call arguments,
 // conversions, assignments, declarations, returns, composite-literal
 // elements, channel sends), and assert for every type a value is
 // asserted to (x.(T), a type switch case, the target of errors.As).
-func conversions(info *types.Info, f *ast.File, convert func(from, to types.Type), assert func(types.Type)) {
+func conversions(info *types.Info, node ast.Node, convert func(from, to types.Type), assert func(types.Type)) {
 	var stack []ast.Node
 	tuple := func(values []ast.Expr, to func(i int) types.Type) {
 		if len(values) == 1 {
@@ -190,7 +262,7 @@ func conversions(info *types.Info, f *ast.File, convert func(from, to types.Type
 			convert(info.TypeOf(v), to(i))
 		}
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(node, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return true
@@ -288,22 +360,20 @@ func conversions(info *types.Info, f *ast.File, convert func(from, to types.Type
 	})
 }
 
-// TestEveryExportIsReachedOutsideTests: every exported func, method,
-// type, var and const under internal/ is reached by non-test code of
-// the module (its own package counts), or is listed above with its
-// reason. An export only tests reach is API that neither a command,
-// the benchmark nor any golden runs: delete it, and test the entry
-// point production code calls instead.
+// TestEveryExportIsReachedOutsideTests: every function and method,
+// exported or not, and every exported type, var and const under
+// internal/ is reached from the main of a command or an example, or is
+// listed above with its reason. Code only tests reach is code that
+// neither a command, the benchmark nor any golden runs: delete it, or
+// move it into the test files that use it.
 func TestEveryExportIsReachedOutsideTests(t *testing.T) {
 	c, err := takeCensus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exports := c.exports()
-	reached := c.referrers()
-	bench := module + "/bench"
+	objs := c.checkedObjects()
 	byKey := map[string]types.Object{}
-	for obj, key := range exports {
+	for obj, key := range objs {
 		byKey[key] = obj
 	}
 	onlyBench := map[string]bool{}
@@ -312,32 +382,32 @@ func TestEveryExportIsReachedOutsideTests(t *testing.T) {
 		obj, ok := byKey[key]
 		switch {
 		case !ok:
-			t.Errorf("reachedOnlyByBench lists %s, which is not an export", key)
-		case !reached[obj][bench]:
+			t.Errorf("reachedOnlyByBench lists %s, which is not checked", key)
+		case !c.withBench.objs[obj]:
 			t.Errorf("reachedOnlyByBench lists %s, which bench/ no longer reaches", key)
-		case len(reached[obj]) > 1:
-			t.Errorf("reachedOnlyByBench lists %s, which code outside bench/ reaches too", key)
+		case c.fromMains.objs[obj]:
+			t.Errorf("reachedOnlyByBench lists %s, which a main outside bench/ reaches too", key)
 		}
 	}
 	for key := range reachedOnlyByTests {
 		if obj, ok := byKey[key]; !ok {
-			t.Errorf("reachedOnlyByTests lists %s, which is not an export", key)
-		} else if len(reached[obj]) > 0 {
-			t.Errorf("reachedOnlyByTests lists %s, which non-test code reaches", key)
+			t.Errorf("reachedOnlyByTests lists %s, which is not checked", key)
+		} else if c.withBench.objs[obj] {
+			t.Errorf("reachedOnlyByTests lists %s, which a main reaches", key)
 		}
 	}
 	var unreached []string
-	for obj, key := range exports {
+	for obj, key := range objs {
 		switch {
-		case onlyBench[key], reachedOnlyByTests[key] != "":
-		case len(reached[obj]) == 1 && reached[obj][bench]:
+		case onlyBench[key], reachedOnlyByTests[key] != "", c.fromMains.objs[obj]:
+		case c.withBench.objs[obj]:
 			t.Errorf("%s is reached outside tests only by bench/; add it to reachedOnlyByBench", key)
-		case len(reached[obj]) == 0:
+		default:
 			unreached = append(unreached, key)
 		}
 	}
 	sort.Strings(unreached)
 	for _, key := range unreached {
-		t.Errorf("%s is reached only by tests: delete it, or unexport it if its package needs it", key)
+		t.Errorf("%s is reached only by tests: delete it, or move it into the tests that use it", key)
 	}
 }

@@ -39,16 +39,14 @@ var setOnlyByBench = []string{
 }
 
 // setters maps each field of c.vars to the import paths of the
-// packages whose non-test files set it: as a composite-literal key (or
-// position), as the target of an assignment or ++/--, or by passing its
-// address to a call, explicitly (&cfg.F) or as the receiver of a
+// packages whose declarations in r set it: as a composite-literal key
+// (or position), as the target of an assignment or ++/--, or by passing
+// its address to a call, explicitly (&cfg.F) or as the receiver of a
 // pointer method (cfg.F.BindFlags(fs)).
-func (c *census) setters() map[*types.Var]map[string]bool {
+func (c *census) setters(r *reachSet) map[*types.Var]map[string]bool {
 	out := map[*types.Var]map[string]bool{}
-	for _, p := range c.pkgs {
-		if isTestSupport(p.Path) {
-			continue
-		}
+	for _, d := range r.decls {
+		p := d.pkg
 		set := func(v *types.Var) {
 			if _, ok := c.vars[v]; !ok {
 				return
@@ -72,76 +70,77 @@ func (c *census) setters() map[*types.Var]map[string]bool {
 				setChain(e.X)
 			}
 		}
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					st, ok := p.Info.TypeOf(n).Underlying().(*types.Struct)
-					if !ok {
-						return true
-					}
-					for i, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							if v, ok := p.Info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-								set(v)
-							}
-						} else {
-							set(st.Field(i))
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				st, ok := p.Info.TypeOf(n).Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if v, ok := p.Info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							set(v)
 						}
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						setChain(lhs)
-					}
-				case *ast.IncDecStmt:
-					setChain(n.X)
-				case *ast.CallExpr:
-					for _, arg := range n.Args {
-						if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-							setChain(u.X)
-						}
-					}
-					fun, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if sel := p.Info.Selections[fun]; sel != nil && sel.Kind() == types.MethodVal {
-						_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
-						_, ptrOperand := p.Info.TypeOf(fun.X).Underlying().(*types.Pointer)
-						if ptrRecv && !ptrOperand {
-							setChain(fun.X)
-						}
+					} else {
+						set(st.Field(i))
 					}
 				}
-				return true
-			})
-		}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					setChain(lhs)
+				}
+			case *ast.IncDecStmt:
+				setChain(n.X)
+			case *ast.CallExpr:
+				for _, arg := range n.Args {
+					if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
+						setChain(u.X)
+					}
+				}
+				fun, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if sel := p.Info.Selections[fun]; sel != nil && sel.Kind() == types.MethodVal {
+					_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+					_, ptrOperand := p.Info.TypeOf(fun.X).Underlying().(*types.Pointer)
+					if ptrRecv && !ptrOperand {
+						setChain(fun.X)
+					}
+				}
+			}
+			return true
+		})
 	}
 	return out
 }
 
-// TestEverySettingIsSetOutsideTests: every census field is set by some
-// non-test code outside its own package (bench/, cmd/ and examples/
-// count), is decoded from outside input (a json tag), or is listed
-// above with its reason. A setting only tests turn is a configuration
-// that neither the benchmark nor any golden exercises: make it a
-// constant, or an unexported field the package's own tests set. Every
-// other exported field of an exported struct is set by some non-test
-// code, its own package's included, or has a json tag: a field only
-// tests set is state production never holds.
+// TestEverySettingIsSetOutsideTests: every census field is set outside
+// its own package by code a main of a command or an example reaches, is
+// decoded from outside input (a json tag), or is listed above with its
+// reason. A setting only tests turn is a configuration that neither the
+// benchmark nor any golden exercises: make it a constant, or an
+// unexported field the package's own tests set. Every other exported
+// field of an exported struct is set by code a main reaches, its own
+// package's included, or has a json tag: a field only tests set is state
+// production never holds.
 func TestEverySettingIsSetOutsideTests(t *testing.T) {
 	c, err := takeCensus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	setters := c.setters()
-	for v, pkgs := range setters {
-		if !c.vars[v].census {
-			continue
+	fromMains, withBench := c.setters(c.fromMains), c.setters(c.withBench)
+	for _, setters := range []map[*types.Var]map[string]bool{fromMains, withBench} {
+		for v, pkgs := range setters {
+			if c.vars[v].census {
+				delete(pkgs, v.Pkg().Path())
+			}
+			if len(pkgs) == 0 {
+				delete(setters, v)
+			}
 		}
-		delete(pkgs, v.Pkg().Path())
 	}
-	bench := module + "/bench"
 	byKey := map[string]*types.Var{}
 	for v, row := range c.vars {
 		byKey[row.key] = v
@@ -152,11 +151,11 @@ func TestEverySettingIsSetOutsideTests(t *testing.T) {
 		v, ok := byKey[key]
 		switch {
 		case !ok:
-			t.Errorf("setOnlyByBench lists %s, which is not a census field", key)
-		case !setters[v][bench]:
+			t.Errorf("setOnlyByBench lists %s, which is not a field of an exported struct", key)
+		case withBench[v] == nil:
 			t.Errorf("setOnlyByBench lists %s, which bench/ no longer sets", key)
-		case len(setters[v]) > 1:
-			t.Errorf("setOnlyByBench lists %s, which code outside bench/ sets too", key)
+		case fromMains[v] != nil:
+			t.Errorf("setOnlyByBench lists %s, which a main outside bench/ sets too", key)
 		}
 	}
 	for key := range setOnlyInOwnPackage {
@@ -168,15 +167,11 @@ func TestEverySettingIsSetOutsideTests(t *testing.T) {
 	for v, row := range c.vars {
 		typ := row.key[:strings.LastIndex(row.key, ".")]
 		switch {
-		case !row.census:
-			if !row.tagged && len(setters[v]) == 0 && !isTestSupport(v.Pkg().Path()) {
-				unset = append(unset, row.key)
-			}
-		case row.tagged, onlyBench[row.key]:
-		case setOnlyInOwnPackage[row.key] != "", setOnlyInOwnPackage[typ] != "":
-		case len(setters[v]) == 1 && setters[v][bench]:
-			t.Errorf("%s is set outside its package only by bench/; add it to setOnlyByBench", row.key)
-		case len(setters[v]) == 0:
+		case row.tagged, onlyBench[row.key], fromMains[v] != nil, isTestSupport(v.Pkg().Path()):
+		case row.census && (setOnlyInOwnPackage[row.key] != "" || setOnlyInOwnPackage[typ] != ""):
+		case withBench[v] != nil:
+			t.Errorf("%s is set outside tests only by code bench/ reaches; add it to setOnlyByBench", row.key)
+		default:
 			unset = append(unset, row.key)
 		}
 	}

@@ -77,6 +77,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.OutDir == "" {
 		return nil, fmt.Errorf("campaign: output directory required")
 	}
+	if cfg.Log == nil {
+		cfg.Log = io.Discard
+	}
 	known := append([]string{"2"}, core.FigureIDs()...)
 	known = append(known, "surface")
 	for _, s := range studies {
@@ -113,9 +116,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.Artifacts = append(res.Artifacts, a)
 		wall := a.Wall.Truncate(time.Millisecond)
 		res.Manifest.AddRow(a.Name, fmt.Sprintf("%d", a.Rows), wall.String(), strings.Join(a.Files, ","))
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "campaign: %s done in %s (%d rows)\n", a.Name, wall, a.Rows)
-		}
+		fmt.Fprintf(cfg.Log, "campaign: %s done in %s (%d rows)\n", a.Name, wall, a.Rows)
 		return nil
 	}
 	table := func(name string, run func(context.Context, core.Options) (*report.Table, error)) error {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advise"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
@@ -443,7 +444,7 @@ func TestWorkerRejoinsAfterCoordinatorRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := jobs.New(jobs.Config{Workers: 1})
-		s, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Routes: coord.Routes()})
+		s, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}), Routes: coord.Routes()})
 		if err != nil {
 			t.Fatal(err)
 		}

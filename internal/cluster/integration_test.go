@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advise"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/envelope"
@@ -46,7 +47,7 @@ func startCoordinator(t *testing.T, now func() time.Time) (*Coordinator, *httpte
 	t.Helper()
 	coord := newCoordinator(now)
 	q := jobs.New(jobs.Config{Workers: 1})
-	s, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Routes: coord.Routes()})
+	s, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}), Routes: coord.Routes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestCancelMidDistributedSweep(t *testing.T) {
 	// Built inline (not via startCoordinator) so the whole fleet can be
 	// torn down before the goroutine accounting at the end.
 	coordQ := jobs.New(jobs.Config{Workers: 1})
-	s, err := server.New(server.Config{Queue: coordQ, Cache: simcache.New(0),
+	s, err := server.New(server.Config{Queue: coordQ, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}),
 		Routes: NewCoordinator().Routes()})
 	if err != nil {
 		t.Fatal(err)
@@ -502,3 +503,20 @@ func errorContains(err error, sub string) bool {
 }
 
 var _ campaign.FigureRunner = (*Client)(nil)
+
+// TestNewWorkerRequiresQueueAndCache: a worker runs every shard through
+// its queue over its baseline cache, so NewWorker refuses a config
+// without either.
+func TestNewWorkerRequiresQueueAndCache(t *testing.T) {
+	q := jobs.New(jobs.Config{Workers: 1})
+	t.Cleanup(func() { _ = q.Drain(context.Background()) })
+	for _, cfg := range []WorkerConfig{
+		{Coordinator: "http://coordinator", Cache: simcache.New(0)},
+		{Coordinator: "http://coordinator", Queue: q},
+		{Queue: q, Cache: simcache.New(0)},
+	} {
+		if _, err := NewWorker(cfg); err == nil {
+			t.Errorf("NewWorker(%+v): no error", cfg)
+		}
+	}
+}

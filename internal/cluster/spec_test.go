@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/advise"
 	"repro/internal/jobs"
 	"repro/internal/server"
 	"repro/internal/simcache"
@@ -96,7 +97,7 @@ func TestBadSpecsRejectedAtEveryDoor(t *testing.T) {
 	coord := NewCoordinator()
 	coord.wal = journal
 	q := jobs.New(jobs.Config{Workers: 1})
-	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Routes: coord.Routes()})
+	srv, err := server.New(server.Config{Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}), Routes: coord.Routes()})
 	if err != nil {
 		t.Fatal(err)
 	}

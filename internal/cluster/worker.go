@@ -33,11 +33,11 @@ type WorkerConfig struct {
 	// queue buys the same panic recovery, retry accounting and metrics
 	// the single-node pipeline has.
 	Queue *jobs.Queue
-	// Cache, when set, supplies baselines to the figure drivers via
+	// Cache supplies baselines to the figure drivers via
 	// core.Options.Experiments, shared with the worker's local API and
-	// across the cells it runs.
+	// across the cells it runs; required.
 	Cache *core.ExperimentCache
-	// Log, when set, receives lease lifecycle lines.
+	// Log receives lease lifecycle lines; nil discards them.
 	Log *log.Logger
 }
 
@@ -74,8 +74,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("cluster: worker needs a coordinator URL")
 	}
-	if cfg.Queue == nil {
-		return nil, fmt.Errorf("cluster: worker needs a jobs queue")
+	if cfg.Queue == nil || cfg.Cache == nil {
+		return nil, fmt.Errorf("cluster: worker needs a jobs queue and a baseline cache")
+	}
+	if cfg.Log == nil {
+		cfg.Log = log.New(io.Discard, "", 0)
 	}
 	return &Worker{cfg: cfg, poll: pollInterval}, nil
 }
@@ -249,11 +252,9 @@ func (w *Worker) execute(ctx context.Context, g *Grant, rid string) (json.RawMes
 		}
 		opts := g.Spec.Options()
 		opts.Workloads = []string{g.Cell.Workload}
-		if c := w.cfg.Cache; c != nil {
-			opts.Experiments = func(cfg core.ExperimentConfig) (*core.Experiment, error) {
-				exp, _, err := c.GetOrBuild(jctx, cfg)
-				return exp, err
-			}
+		opts.Experiments = func(cfg core.ExperimentConfig) (*core.Experiment, error) {
+			exp, _, err := w.cfg.Cache.GetOrBuild(jctx, cfg)
+			return exp, err
 		}
 		fig, err := core.RunFigure(jctx, g.Cell.Figure, opts)
 		if err != nil {
@@ -335,9 +336,7 @@ func (w *Worker) bump(counter *uint64) {
 }
 
 func (w *Worker) logf(format string, args ...any) {
-	if w.cfg.Log != nil {
-		w.cfg.Log.Printf("worker: "+format, args...)
-	}
+	w.cfg.Log.Printf("worker: "+format, args...)
 }
 
 // post sends one JSON request to the coordinator and decodes the

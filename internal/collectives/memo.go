@@ -58,10 +58,6 @@ const schedEntryOverhead = 160
 // (a 4096-rank allreduce schedule is ~40 ops, 1.4 KiB, per rank).
 const DefaultScheduleCacheBytes = 32 << 20
 
-// ScheduleCacheStats is a point-in-time snapshot of the memoization
-// cache's effectiveness; sizes are bytes as charged by scheduleCost.
-type ScheduleCacheStats = memo.Stats
-
 // scheduleCost is the estimated resident size of one memoized schedule.
 func scheduleCost(sch schedule) int64 {
 	return int64(len(sch.ops))*schedOpBytes + schedEntryOverhead
@@ -71,8 +67,8 @@ func scheduleCost(sch schedule) int64 {
 var schedCache = memo.New[schedKey](DefaultScheduleCacheBytes, scheduleCost)
 
 // ScheduleCache returns a snapshot of the process-wide schedule cache
-// counters.
-func ScheduleCache() ScheduleCacheStats { return schedCache.Stats() }
+// counters; sizes are bytes as charged by scheduleCost.
+func ScheduleCache() memo.Stats { return schedCache.Stats() }
 
 // resolveAllreduce maps the configured algorithm choice to the concrete
 // algorithm used for a payload of the given size.

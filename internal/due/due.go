@@ -6,18 +6,15 @@
 //
 // The package provides the standard first-order machinery — Young's and
 // Daly's optimal checkpoint intervals and Daly's exponential-model
-// expected completion time — plus a Monte Carlo simulator that
-// validates the closed forms and covers the regimes where they break
-// (checkpoint interval comparable to the MTBF). Together with package
-// predict this lets a deployment compare its CE-logging overhead
-// against its DUE/restart overhead on equal footing.
+// expected completion time; its tests hold the closed forms to a Monte
+// Carlo checkpoint/restart simulator. Together with package predict
+// this lets a deployment compare its CE-logging overhead against its
+// DUE/restart overhead on equal footing.
 package due
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/rng"
 )
 
 // Config describes a checkpointing deployment.
@@ -113,87 +110,4 @@ func (c Config) overheadPct(interval int64) (float64, error) {
 	}
 	perWork := m * math.Exp(r/m) * (math.Exp((tau+delta)/m) - 1) / tau
 	return 100 * (perWork - 1), nil
-}
-
-// SimResult is a Monte Carlo outcome.
-type SimResult struct {
-	// OverheadPct is the measured runtime inflation.
-	OverheadPct float64
-	// Failures counts the DUEs encountered.
-	Failures int
-	// Checkpoints counts completed checkpoint writes.
-	Checkpoints int
-	// WallNanos is the total simulated wall-clock time.
-	WallNanos int64
-}
-
-// Simulate runs the checkpoint/restart loop for work nanoseconds of
-// useful computation under exponential system failures, checkpointing
-// at Daly's interval.
-func Simulate(c Config, work int64, seed uint64) (*SimResult, error) {
-	return c.simulate(DalyInterval(c.Checkpoint, c.SystemMTBF()), work, seed)
-}
-
-// simulate is Simulate checkpointing every tau.
-func (c Config) simulate(tau, work int64, seed uint64) (*SimResult, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if work <= 0 {
-		return nil, fmt.Errorf("due: work must be positive, got %d", work)
-	}
-	src := rng.New(seed)
-	m := c.SystemMTBF()
-	res := &SimResult{}
-	var wall int64
-	var done int64 // completed, checkpointed work
-	nextFailure := int64(src.Exp(m))
-	if tau <= 0 {
-		// Free checkpoints (Checkpoint == 0) make continuous
-		// checkpointing optimal: a failure loses no work, only the
-		// restart. Without this branch the segmented loop below would
-		// make zero progress per iteration.
-		for done < work {
-			if wall+(work-done) <= nextFailure {
-				wall += work - done
-				done = work
-				break
-			}
-			done += nextFailure - wall
-			res.Failures++
-			wall = nextFailure + c.Restart
-			nextFailure = wall + int64(src.Exp(m))
-		}
-		res.WallNanos = wall
-		res.OverheadPct = 100 * (float64(wall) - float64(work)) / float64(work)
-		return res, nil
-	}
-	for done < work {
-		segment := tau
-		if remaining := work - done; remaining < segment {
-			segment = remaining
-		}
-		// Attempt segment + checkpoint; a failure anywhere in it loses
-		// the whole attempt back to the last checkpoint.
-		attempt := segment + c.Checkpoint
-		if remaining := work - done; remaining <= tau {
-			// Final stretch needs no checkpoint after it.
-			attempt = segment
-		}
-		if wall+attempt <= nextFailure {
-			wall += attempt
-			done += segment
-			if attempt != segment {
-				res.Checkpoints++
-			}
-			continue
-		}
-		// Failure mid-attempt: burn time to the failure, restart.
-		res.Failures++
-		wall = nextFailure + c.Restart
-		nextFailure = wall + int64(src.Exp(m))
-	}
-	res.WallNanos = wall
-	res.OverheadPct = 100 * (float64(wall) - float64(work)) / float64(work)
-	return res, nil
 }

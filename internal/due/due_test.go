@@ -107,7 +107,7 @@ func TestMonteCarloMatchesClosedForm(t *testing.T) {
 	total := 0.0
 	const seeds = 5
 	for seed := uint64(1); seed <= seeds; seed++ {
-		res, err := Simulate(c, 200*hour, seed)
+		res, err := simulateDaly(c, 200*hour, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestMonteCarloMatchesClosedForm(t *testing.T) {
 
 func TestSimulateCountsEvents(t *testing.T) {
 	c := Config{NodeMTBF: 1000 * hour, Nodes: 10000, Checkpoint: 30 * sec, Restart: 60 * sec}
-	res, err := Simulate(c, 20*hour, 3)
+	res, err := simulateDaly(c, 20*hour, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestSimulateFailureFree(t *testing.T) {
 }
 
 // A zero checkpoint cost drives Daly's
-// optimum to zero; this used to spin forever in Simulate's segmented
+// optimum to zero; this used to spin forever in the simulator's segmented
 // loop. The config is one TestQuickSimulateSane actually drew.
 func TestSimulateZeroCheckpointTerminates(t *testing.T) {
 	c := Config{NodeMTBF: 46460 * hour, Nodes: 2604, Checkpoint: 0, Restart: 60 * sec}
-	res, err := Simulate(c, hour, 3)
+	res, err := simulateDaly(c, hour, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,21 +188,21 @@ func TestSimulateZeroCheckpointTerminates(t *testing.T) {
 
 func TestSimulateBadArgs(t *testing.T) {
 	c := Config{NodeMTBF: hour, Nodes: 1}
-	if _, err := Simulate(c, 0, 1); err == nil {
+	if _, err := simulateDaly(c, 0, 1); err == nil {
 		t.Fatal("zero work accepted")
 	}
-	if _, err := Simulate(Config{}, hour, 1); err == nil {
+	if _, err := simulateDaly(Config{}, hour, 1); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestSimulateDeterministic(t *testing.T) {
 	c := Config{NodeMTBF: 5000 * hour, Nodes: 8192, Checkpoint: 30 * sec, Restart: 60 * sec}
-	a, err := Simulate(c, 10*hour, 7)
+	a, err := simulateDaly(c, 10*hour, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(c, 10*hour, 7)
+	b, err := simulateDaly(c, 10*hour, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestQuickSimulateSane(t *testing.T) {
 			Checkpoint: int64(ckptRaw%120) * sec,
 			Restart:    60 * sec,
 		}
-		res, err := Simulate(c, hour, seed)
+		res, err := simulateDaly(c, hour, seed)
 		if err != nil {
 			return false
 		}

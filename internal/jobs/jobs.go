@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log"
 	"runtime"
 	"runtime/debug"
@@ -283,6 +284,9 @@ func New(cfg Config) *Queue {
 	if cfg.Retain <= 0 {
 		cfg.Retain = 512
 	}
+	if cfg.Log == nil {
+		cfg.Log = log.New(io.Discard, "", 0)
+	}
 	q := &Queue{
 		cfg:  cfg,
 		work: make(chan *job, cfg.Capacity),
@@ -490,7 +494,7 @@ func (q *Queue) noteAbandoned() {
 		}
 		j.abandoned = true
 		q.st.Abandoned++
-		q.logf("jobs: abandoning queued job id=%s kind=%s request_id=%s (drain deadline expired)",
+		q.cfg.Log.Printf("jobs: abandoning queued job id=%s kind=%s request_id=%s (drain deadline expired)",
 			j.id, j.spec.Kind, j.spec.RequestID)
 	}
 }

@@ -46,14 +46,7 @@ func (q *Queue) journalLocked(j *job, rec walRecord) {
 		return
 	}
 	if err := journal.Record(q.cfg.Journal, rec, &q.st.WALErrors); err != nil {
-		q.logf("jobs: journal append failed (op=%s id=%s): %v", rec.Op, rec.ID, err)
-	}
-}
-
-// logf writes to the configured logger, if any.
-func (q *Queue) logf(format string, args ...any) {
-	if q.cfg.Log != nil {
-		q.cfg.Log.Printf(format, args...)
+		q.cfg.Log.Printf("jobs: journal append failed (op=%s id=%s): %v", rec.Op, rec.ID, err)
 	}
 }
 

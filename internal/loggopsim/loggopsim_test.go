@@ -91,7 +91,7 @@ func TestPingPongClosedForm(t *testing.T) {
 			{trace.Recv(0, size, 0), trace.Send(0, size, 1)},
 		}}
 		res := mustSim(t, tr, Config{Net: net})
-		want := net.PingPong(size)
+		want := 2 * net.EagerLatency(size)
 		if res.Makespan != want {
 			t.Fatalf("size %d: ping-pong makespan %d, want closed-form %d", size, res.Makespan, want)
 		}

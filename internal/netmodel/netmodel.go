@@ -104,14 +104,8 @@ func (p Params) Transit(size int64) int64 {
 func (p Params) Eager(size int64) bool { return size <= p.S }
 
 // EagerLatency returns the closed-form one-way latency of an eager
-// message between two otherwise idle ranks: o + L + (s-1)G + o.
-// Used only for simulator validation.
+// message between two otherwise idle ranks: o + L + (s-1)G + o. An
+// eager ping-pong takes twice it. Used only for simulator validation.
 func (p Params) EagerLatency(size int64) int64 {
 	return p.SendCPU(size) + p.Transit(size) + p.RecvCPU(size)
-}
-
-// PingPong returns the closed-form round-trip time of an eager ping-pong
-// between two idle ranks. Used only for simulator validation.
-func (p Params) PingPong(size int64) int64 {
-	return 2 * p.EagerLatency(size)
 }

@@ -66,15 +66,6 @@ func TestEagerThreshold(t *testing.T) {
 	}
 }
 
-func TestPingPongIsTwiceOneWay(t *testing.T) {
-	p := CrayXC40()
-	for _, size := range []int64{0, 8, 1024} {
-		if p.PingPong(size) != 2*p.EagerLatency(size) {
-			t.Fatalf("PingPong(%d) != 2*EagerLatency", size)
-		}
-	}
-}
-
 // Property: all cost functions are monotone non-decreasing in size and
 // non-negative for valid parameter sets.
 func TestQuickMonotone(t *testing.T) {

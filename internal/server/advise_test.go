@@ -19,6 +19,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/golden"
 	"repro/internal/jobs"
+	"repro/internal/simcache"
 )
 
 // newAdvisorServer mounts an advisor on a robust test server.
@@ -74,17 +75,26 @@ func getRaw(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, data
 }
 
-// TestAdvisorRoutesRequireMount: without Config.Advisor the endpoints
-// must not exist.
-func TestAdvisorRoutesRequireMount(t *testing.T) {
-	ts, _, _ := newTestServer(t, jobs.Config{})
-	resp, _ := postNDJSON(t, ts.URL+"/v1/advise/ingest", advBatch("acme", 1, 1, 1))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unmounted ingest: status %d, want 404", resp.StatusCode)
+// TestNewRequiresQueueCacheAndAdvisor: the daemon always mounts the
+// advisor, so New refuses a config without one, as it refuses one
+// without a queue or a cache.
+func TestNewRequiresQueueCacheAndAdvisor(t *testing.T) {
+	q := jobs.New(jobs.Config{Workers: 1})
+	t.Cleanup(func() { _ = q.Drain(context.Background()) })
+	full := Config{Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{})}
+	for name, drop := range map[string]func(*Config){
+		"queue":   func(c *Config) { c.Queue = nil },
+		"cache":   func(c *Config) { c.Cache = nil },
+		"advisor": func(c *Config) { c.Advisor = nil },
+	} {
+		cfg := full
+		drop(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New without a %s: no error", name)
+		}
 	}
-	resp, _ = getRaw(t, ts.URL+"/v1/advise/recommend?tenant=a&node=n")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unmounted recommend: status %d, want 404", resp.StatusCode)
+	if _, err := New(full); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -129,9 +139,6 @@ func TestAdvisorEndToEnd(t *testing.T) {
 	var m Snapshot
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
-	}
-	if m.Advisor == nil {
-		t.Fatal("metrics missing advisor section")
 	}
 	if m.Advisor.Store.Events != 40 || m.Advisor.Store.Nodes != 2 || m.Advisor.RecommendMisses != 1 {
 		t.Fatalf("advisor metrics: %+v", m.Advisor)
@@ -227,9 +234,6 @@ func TestAdviseIngestChaos(t *testing.T) {
 	var m Snapshot
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
-	}
-	if m.Advisor == nil {
-		t.Fatal("metrics missing advisor section")
 	}
 	if want := uint64(accepted * 12); m.Advisor.Store.Events != want {
 		t.Fatalf("store events = %d, want %d (12 per accepted batch): partial batch applied",

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advise"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/simcache"
@@ -36,7 +37,7 @@ func chaosServer(t *testing.T) (*httptest.Server, *jobs.Queue, func()) {
 	t.Helper()
 	q := jobs.New(jobs.Config{Workers: 4, Capacity: 128, Retain: 1024})
 	s, err := New(Config{
-		Queue: q, Cache: simcache.New(0),
+		Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}),
 		JobRetries: 8,
 	})
 	if err != nil {

@@ -32,7 +32,7 @@ func newDurableServer(t *testing.T, storeDir string, reg *tenant.Registry, q *jo
 		q = jobs.New(jobs.Config{Workers: 2})
 	}
 	s, err := New(Config{
-		Queue: q, Cache: simcache.New(0),
+		Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}),
 		ResultStore: store, Tenants: reg,
 	})
 	if err != nil {

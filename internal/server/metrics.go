@@ -149,8 +149,8 @@ type Snapshot struct {
 	// failed.
 	CacheBypasses uint64 `json:"cache_bypasses"`
 	// Advisor reports the mitigation advisor's ingest/estimator/cache
-	// gauges, when mounted (docs/ADVISOR.md).
-	Advisor *advise.Stats `json:"advisor,omitempty"`
+	// gauges (docs/ADVISOR.md).
+	Advisor advise.Stats `json:"advisor"`
 	// TenantRejections counts submissions refused by per-tenant limits.
 	TenantRejections uint64 `json:"tenant_rejections"`
 	// Store reports the durable result store, when configured
@@ -180,10 +180,7 @@ func (s *Server) snapshot() Snapshot {
 	st.UptimeSeconds = time.Since(s.start).Seconds()
 	st.Jobs = s.cfg.Queue.Stats()
 	st.Cache = s.cfg.Cache.Stats()
-	if adv := s.cfg.Advisor; adv != nil {
-		as := adv.Stats()
-		st.Advisor = &as
-	}
+	st.Advisor = s.cfg.Advisor.Stats()
 	if store := s.cfg.ResultStore; store != nil {
 		ss := store.Stats()
 		st.Store = &ss

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advise"
 	"repro/internal/envelope"
 	"repro/internal/jobs"
 	"repro/internal/simcache"
@@ -141,7 +142,7 @@ func TestExtraRoutesThroughMiddleware(t *testing.T) {
 	q := jobs.New(jobs.Config{Workers: 1})
 	var seen string
 	s, err := New(Config{
-		Queue: q, Cache: simcache.New(0),
+		Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}),
 		Routes: map[string]http.HandlerFunc{
 			"GET /cluster/ping": func(w http.ResponseWriter, r *http.Request) {
 				seen = envelope.RequestIDFrom(r.Context())

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advise"
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/simcache"
@@ -22,7 +23,7 @@ func newRobustServer(t *testing.T, qcfg jobs.Config, mod func(*Config)) (*httpte
 		qcfg.Workers = 2
 	}
 	q := jobs.New(qcfg)
-	cfg := Config{Queue: q, Cache: simcache.New(0)}
+	cfg := Config{Queue: q, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{})}
 	if mod != nil {
 		mod(&cfg)
 	}

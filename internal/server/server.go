@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -66,7 +67,7 @@ type Config struct {
 	// POST /v1/advise/ingest and GET /v1/advise/recommend, served
 	// through the standard middleware. Ingest batches pass the same
 	// shed watermark as job submissions — one overload signal governs
-	// the whole daemon. Nil leaves the endpoints unregistered.
+	// the whole daemon. Required.
 	Advisor *advise.Service
 	// Routes adds extra endpoints — the cluster coordinator's
 	// register/lease/report API — registered through the same
@@ -106,6 +107,9 @@ func (c Config) withDefaults() Config {
 	if c.JobRetries <= 0 {
 		c.JobRetries = 2
 	}
+	if c.Log == nil {
+		c.Log = log.New(io.Discard, "", 0)
+	}
 	return c
 }
 
@@ -131,10 +135,10 @@ type Server struct {
 	stages map[string]*hist
 }
 
-// New builds the handler around a queue and cache.
+// New builds the handler around a queue, a baseline cache and an advisor.
 func New(cfg Config) (*Server, error) {
-	if cfg.Queue == nil || cfg.Cache == nil {
-		return nil, fmt.Errorf("server: queue and cache are required")
+	if cfg.Queue == nil || cfg.Cache == nil || cfg.Advisor == nil {
+		return nil, fmt.Errorf("server: queue, cache and advisor are required")
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -150,10 +154,8 @@ func New(cfg Config) (*Server, error) {
 	s.handle("POST /v1/sweep", s.handleSweep)
 	s.handle("GET /v1/jobs/{id}", s.handleJobGet)
 	s.handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	if cfg.Advisor != nil {
-		s.handle("POST /v1/advise/ingest", s.handleAdviseIngest)
-		s.handle("GET /v1/advise/recommend", cfg.Advisor.HandleRecommend)
-	}
+	s.handle("POST /v1/advise/ingest", s.handleAdviseIngest)
+	s.handle("GET /v1/advise/recommend", cfg.Advisor.HandleRecommend)
 	patterns := make([]string, 0, len(cfg.Routes))
 	for p := range cfg.Routes {
 		patterns = append(patterns, p)
@@ -235,7 +237,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 			}
 			h(rec, r)
 		}()
-		if rec.status >= 400 && s.cfg.Log != nil {
+		if rec.status >= 400 {
 			s.cfg.Log.Printf("%s -> %d rid=%s", pattern, rec.status, rid)
 		}
 		s.request(pattern, rec.status, time.Since(start))
@@ -654,12 +656,10 @@ func (s *Server) persistResult(ctx context.Context, tenantName, key string, b []
 	}
 	if s.cfg.Tenants != nil &&
 		!s.cfg.Tenants.DiskAllowed(tenantName, s.cfg.ResultStore.TenantBytes(tenantName), int64(len(b))) {
-		if s.cfg.Log != nil {
-			s.cfg.Log.Printf("store: disk quota exceeded for tenant %q, result not persisted", tenantName)
-		}
+		s.cfg.Log.Printf("store: disk quota exceeded for tenant %q, result not persisted", tenantName)
 		return
 	}
-	if err := s.cfg.ResultStore.Put(ctx, tenantName, key, b); err != nil && s.cfg.Log != nil {
+	if err := s.cfg.ResultStore.Put(ctx, tenantName, key, b); err != nil {
 		s.cfg.Log.Printf("store: persist %s failed: %v", key, err)
 	}
 }
@@ -717,17 +717,13 @@ func (s *Server) Resubmit(pending []jobs.PendingJob) int {
 	for _, p := range pending {
 		fn, err := s.rebuildFunc(p)
 		if err != nil {
-			if s.cfg.Log != nil {
-				s.cfg.Log.Printf("recover: job %s (kind=%s) cannot be rebuilt, failing it: %v", p.ID, p.Spec.Kind, err)
-			}
+			s.cfg.Log.Printf("recover: job %s (kind=%s) cannot be rebuilt, failing it: %v", p.ID, p.Spec.Kind, err)
 			// %v: whatever the cause's chain says, this is not retryable.
 			failure := fmt.Errorf("recover: job cannot be rebuilt: %v", err)
 			fn = func(context.Context) (any, error) { return nil, failure }
 		}
 		if _, err := s.cfg.Queue.SubmitRecovered(p, fn); err != nil {
-			if s.cfg.Log != nil {
-				s.cfg.Log.Printf("recover: re-enqueue %s: %v", p.ID, err)
-			}
+			s.cfg.Log.Printf("recover: re-enqueue %s: %v", p.ID, err)
 			continue
 		}
 		n++

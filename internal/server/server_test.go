@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advise"
 	"repro/internal/core"
 	"repro/internal/envelope"
 	"repro/internal/faultinject"
@@ -28,7 +29,7 @@ func newTestServer(t *testing.T, qcfg jobs.Config) (*httptest.Server, *jobs.Queu
 	}
 	q := jobs.New(qcfg)
 	c := simcache.New(0)
-	s, err := New(Config{Queue: q, Cache: c})
+	s, err := New(Config{Queue: q, Cache: c, Advisor: advise.NewService(advise.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func TestMetricsShapeGolden(t *testing.T) {
 	coord := cluster.NewCoordinator()
 	cq := jobs.New(jobs.Config{Workers: 1})
 	defer cq.Drain(context.Background())
-	cs, err := New(Config{Queue: cq, Cache: simcache.New(0), Routes: coord.Routes()})
+	cs, err := New(Config{Queue: cq, Cache: simcache.New(0), Advisor: advise.NewService(advise.Config{}), Routes: coord.Routes()})
 	if err != nil {
 		t.Fatal(err)
 	}
