@@ -33,12 +33,6 @@ var reachedOnlyByBench = []string{
 var reachedOnlyByTests = map[string]string{
 	"netmodel.Params.EagerLatency": "the closed-form one-way latency the engine's message costs are tested against",
 	"faultinject.Disarm":           "the cleanup a test registers after arming a plan",
-	"trace.Barrier":                "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Reduce":                 "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Allgather":              "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Alltoall":               "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Gather":                 "a collective constructor; there is one per OpKind, as ReadText's grammar has",
-	"trace.Scatter":                "a collective constructor; there is one per OpKind, as ReadText's grammar has",
 }
 
 // testSupport names the packages under internal/ that exist for tests:

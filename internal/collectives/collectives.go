@@ -4,15 +4,12 @@
 // LogGOPSim dissolves collectives into their constituent messages so that
 // the simulator reproduces the exact dependency structure of each
 // algorithm — which is what makes local detours (correctable-error
-// handling) propagate realistically. This package implements the standard
-// algorithm zoo:
+// handling) propagate realistically. This package implements the two
+// collectives the workloads issue:
 //
-//   - broadcast / reduce / gather / scatter: binomial trees
-//   - barrier: dissemination
+//   - broadcast: binomial tree
 //   - allreduce: recursive doubling, Rabenseifner (reduce-scatter +
 //     allgather), or ring; selectable for ablation studies
-//   - allgather: Bruck (dissemination)
-//   - alltoall: Bruck
 //
 // Expansion rewrites a trace in place of each collective op using
 // reserved tag and request-id spaces (TagBase, ReqBase), so expanded
@@ -266,30 +263,6 @@ func (x *Expander) ExpandRank(sink Sink, r int, ops []trace.Op) error {
 	return nil
 }
 
-// dissemination emits the dissemination pattern: ceil(log2 n) rounds,
-// in round k exchanging with ranks at distance 2^k. size is the payload
-// per message (0 for barrier).
-func (e *expander) dissemination(size int64) {
-	n := e.n
-	if n == 1 {
-		return
-	}
-	for dist := int32(1); dist < n; dist *= 2 {
-		to := (e.rank + dist) % n
-		from := (e.rank - dist + n) % n
-		if to == from {
-			// n == 2: single partner exchange.
-			e.sendRecv(to, size, size)
-			continue
-		}
-		req := e.req
-		e.req++
-		e.emit(trace.Irecv(from, size, e.tag, req))
-		e.emit(trace.Send(to, size, e.tag))
-		e.emit(trace.Wait(req))
-	}
-}
-
 // binomialBcast emits the binomial-tree broadcast rooted at root.
 func (e *expander) binomialBcast(root int32, size int64) {
 	n := e.n
@@ -319,33 +292,6 @@ func (e *expander) binomialBcast(root int32, size int64) {
 			e.emit(trace.Send(dst, size, e.tag))
 		}
 		mask >>= 1
-	}
-}
-
-// binomialReduce emits the binomial-tree reduction rooted at root.
-// Children send partial results to parents; the pattern is the mirror of
-// binomialBcast.
-func (e *expander) binomialReduce(root int32, size int64) {
-	n := e.n
-	if n == 1 {
-		return
-	}
-	vrank := (e.rank - root + n) % n
-	mask := int32(1)
-	for mask < n {
-		if vrank&mask == 0 {
-			vsrc := vrank | mask
-			if vsrc < n {
-				src := (vsrc + root) % n
-				e.emit(trace.Recv(src, size, e.tag))
-			}
-		} else {
-			vdst := vrank &^ mask
-			dst := (vdst + root) % n
-			e.emit(trace.Send(dst, size, e.tag))
-			break
-		}
-		mask <<= 1
 	}
 }
 
@@ -493,136 +439,4 @@ func (e *expander) ringAllreduce(size int64) {
 		e.emit(trace.Send(right, chunk, e.tag))
 		e.emit(trace.Wait(req))
 	}
-}
-
-// bruckAllgather emits the Bruck allgather: ceil(log2 n) rounds; round k
-// exchanges min(2^k, n-2^k) blocks with ranks at distance 2^k.
-func (e *expander) bruckAllgather(size int64) {
-	n := e.n
-	if n == 1 {
-		return
-	}
-	for dist := int32(1); dist < n; dist *= 2 {
-		blocks := dist
-		if n-dist < blocks {
-			blocks = n - dist
-		}
-		payload := size * int64(blocks)
-		to := (e.rank - dist + n) % n
-		from := (e.rank + dist) % n
-		if to == from {
-			e.sendRecv(to, payload, payload)
-			continue
-		}
-		req := e.req
-		e.req++
-		e.emit(trace.Irecv(from, payload, e.tag, req))
-		e.emit(trace.Send(to, payload, e.tag))
-		e.emit(trace.Wait(req))
-	}
-}
-
-// bruckAlltoall emits the Bruck alltoall: ceil(log2 n) rounds, each
-// moving about half the local data to a rank at distance 2^k.
-func (e *expander) bruckAlltoall(size int64) {
-	n := e.n
-	if n == 1 {
-		return
-	}
-	for dist := int32(1); dist < n; dist *= 2 {
-		// Count blocks whose index has the dist bit set: that is the
-		// amount relocated this round.
-		blocks := int64(0)
-		for b := int32(1); b < n; b++ {
-			if b&dist != 0 {
-				blocks++
-			}
-		}
-		payload := size * blocks
-		to := (e.rank + dist) % n
-		from := (e.rank - dist + n) % n
-		if to == from {
-			e.sendRecv(to, payload, payload)
-			continue
-		}
-		req := e.req
-		e.req++
-		e.emit(trace.Irecv(from, payload, e.tag, req))
-		e.emit(trace.Send(to, payload, e.tag))
-		e.emit(trace.Wait(req))
-	}
-}
-
-// binomialGather emits a binomial-tree gather to root. Message sizes are
-// proportional to the sender's subtree size.
-func (e *expander) binomialGather(root int32, size int64) {
-	n := e.n
-	if n == 1 {
-		return
-	}
-	vrank := (e.rank - root + n) % n
-	mask := int32(1)
-	for mask < n {
-		if vrank&mask == 0 {
-			vsrc := vrank | mask
-			if vsrc < n {
-				sub := subtreeSize(vsrc, mask, n)
-				src := (vsrc + root) % n
-				e.emit(trace.Recv(src, size*int64(sub), e.tag))
-			}
-		} else {
-			vdst := vrank &^ mask
-			sub := subtreeSize(vrank, mask, n)
-			dst := (vdst + root) % n
-			e.emit(trace.Send(dst, size*int64(sub), e.tag))
-			break
-		}
-		mask <<= 1
-	}
-}
-
-// binomialScatter emits a binomial-tree scatter from root: the mirror of
-// gather, with parents sending subtree-sized blocks to children.
-func (e *expander) binomialScatter(root int32, size int64) {
-	n := e.n
-	if n == 1 {
-		return
-	}
-	vrank := (e.rank - root + n) % n
-	mask := int32(1)
-	recvMask := int32(0)
-	for mask < n {
-		if vrank&mask != 0 {
-			recvMask = mask
-			break
-		}
-		mask <<= 1
-	}
-	if recvMask != 0 {
-		vsrc := vrank &^ recvMask
-		sub := subtreeSize(vrank, recvMask, n)
-		src := (vsrc + root) % n
-		e.emit(trace.Recv(src, size*int64(sub), e.tag))
-	} else {
-		recvMask = mask // == first power of two >= n for root
-	}
-	for m := recvMask >> 1; m > 0; m >>= 1 {
-		vdst := vrank | m
-		if vdst < n && vdst != vrank {
-			sub := subtreeSize(vdst, m, n)
-			dst := (vdst + root) % n
-			e.emit(trace.Send(dst, size*int64(sub), e.tag))
-		}
-	}
-}
-
-// subtreeSize returns the number of ranks in the binomial subtree rooted
-// at virtual rank vroot whose incoming edge used the given mask: the
-// subtree spans [vroot, min(vroot+mask, n)).
-func subtreeSize(vroot, mask, n int32) int32 {
-	end := vroot + mask
-	if end > n {
-		end = n
-	}
-	return end - vroot
 }

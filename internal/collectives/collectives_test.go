@@ -42,17 +42,6 @@ func expandAndRun(t *testing.T, n int, op trace.Op, cfg Config) ([]knowledge, []
 	return know, stats
 }
 
-func TestBarrierFullDependency(t *testing.T) {
-	for _, n := range rankCounts {
-		know, _ := expandAndRun(t, n, trace.Barrier(), Config{})
-		for r, k := range know {
-			if !k.full(int32(n)) {
-				t.Fatalf("n=%d: rank %d barrier completion does not depend on all ranks", n, r)
-			}
-		}
-	}
-}
-
 func TestBcastReachesAll(t *testing.T) {
 	for _, n := range rankCounts {
 		for _, root := range []int32{0, int32(n / 2), int32(n - 1)} {
@@ -63,45 +52,6 @@ func TestBcastReachesAll(t *testing.T) {
 			for r, k := range know {
 				if !k.has(root) {
 					t.Fatalf("n=%d root=%d: rank %d never received the broadcast", n, root, r)
-				}
-			}
-		}
-	}
-}
-
-func TestReduceGathersAll(t *testing.T) {
-	for _, n := range rankCounts {
-		for _, root := range []int32{0, int32(n - 1)} {
-			if root >= int32(n) {
-				continue
-			}
-			know, _ := expandAndRun(t, n, trace.Reduce(root, 64), Config{})
-			if !know[root].full(int32(n)) {
-				t.Fatalf("n=%d root=%d: reduce root missing contributions", n, root)
-			}
-		}
-	}
-}
-
-func TestGatherGathersAll(t *testing.T) {
-	for _, n := range rankCounts {
-		know, _ := expandAndRun(t, n, trace.Gather(0, 8), Config{})
-		if !know[0].full(int32(n)) {
-			t.Fatalf("n=%d: gather root missing contributions", n)
-		}
-	}
-}
-
-func TestScatterReachesAll(t *testing.T) {
-	for _, n := range rankCounts {
-		for _, root := range []int32{0, int32(n - 1)} {
-			if root >= int32(n) {
-				continue
-			}
-			know, _ := expandAndRun(t, n, trace.Scatter(root, 8), Config{})
-			for r, k := range know {
-				if !k.has(root) {
-					t.Fatalf("n=%d root=%d: rank %d never received its scatter block", n, root, r)
 				}
 			}
 		}
@@ -153,35 +103,12 @@ func TestAllreduceAutoSwitches(t *testing.T) {
 	}
 }
 
-func TestAllgatherReachesAll(t *testing.T) {
-	for _, n := range rankCounts {
-		know, _ := expandAndRun(t, n, trace.Allgather(256), Config{})
-		for r, k := range know {
-			if !k.full(int32(n)) {
-				t.Fatalf("n=%d: rank %d allgather incomplete", n, r)
-			}
-		}
-	}
-}
-
-func TestAlltoallReachesAll(t *testing.T) {
-	for _, n := range rankCounts {
-		know, _ := expandAndRun(t, n, trace.Alltoall(64), Config{})
-		for r, k := range know {
-			if !k.full(int32(n)) {
-				t.Fatalf("n=%d: rank %d alltoall incomplete", n, r)
-			}
-		}
-	}
-}
-
 func TestBytesConservation(t *testing.T) {
 	// Total bytes sent must equal total bytes received for every
 	// expansion (nothing is dropped, nothing received twice).
 	ops := []trace.Op{
-		trace.Barrier(), trace.Bcast(0, 512), trace.Reduce(0, 512),
-		trace.Allreduce(2048), trace.Allgather(128), trace.Alltoall(32),
-		trace.Gather(0, 16), trace.Scatter(0, 16),
+		trace.Bcast(0, 512), trace.Bcast(1, 512),
+		trace.Allreduce(2048), trace.Allreduce(1 << 20),
 	}
 	for _, op := range ops {
 		for _, n := range []int{2, 5, 8, 17} {
@@ -200,9 +127,7 @@ func TestBytesConservation(t *testing.T) {
 
 func TestSingleRankCollectivesAreEmpty(t *testing.T) {
 	ops := []trace.Op{
-		trace.Barrier(), trace.Bcast(0, 512), trace.Reduce(0, 512),
-		trace.Allreduce(2048), trace.Allgather(128), trace.Alltoall(32),
-		trace.Gather(0, 16), trace.Scatter(0, 16),
+		trace.Bcast(0, 512), trace.Allreduce(2048), trace.Allreduce(1 << 20),
 	}
 	for _, op := range ops {
 		ex, err := Expand(uniformTrace(1, op), Config{})
@@ -217,8 +142,8 @@ func TestSingleRankCollectivesAreEmpty(t *testing.T) {
 
 func TestExpandPreservesP2PAndCalc(t *testing.T) {
 	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Calc(100), trace.Send(1, 64, 5), trace.Barrier(), trace.Recv(1, 64, 6)},
-		{trace.Recv(0, 64, 5), trace.Barrier(), trace.Calc(50), trace.Send(0, 64, 6)},
+		{trace.Calc(100), trace.Send(1, 64, 5), trace.Allreduce(8), trace.Recv(1, 64, 6)},
+		{trace.Recv(0, 64, 5), trace.Allreduce(8), trace.Calc(50), trace.Send(0, 64, 6)},
 	}}
 	ex, err := Expand(tr, Config{})
 	if err != nil {
@@ -234,9 +159,9 @@ func TestExpandPreservesP2PAndCalc(t *testing.T) {
 }
 
 func TestExpandDistinctTagsPerInstance(t *testing.T) {
-	tr := uniformTrace(4, trace.Barrier())
+	tr := uniformTrace(4, trace.Allreduce(8))
 	for r := range tr.Ops {
-		tr.Ops[r] = append(tr.Ops[r], trace.Barrier())
+		tr.Ops[r] = append(tr.Ops[r], trace.Allreduce(8))
 	}
 	ex, err := Expand(tr, Config{})
 	if err != nil {
@@ -249,7 +174,7 @@ func TestExpandDistinctTagsPerInstance(t *testing.T) {
 		}
 	}
 	if len(tags) != 2 {
-		t.Fatalf("two barriers produced %d distinct tags, want 2", len(tags))
+		t.Fatalf("two allreduces produced %d distinct tags, want 2", len(tags))
 	}
 }
 
@@ -275,7 +200,7 @@ func TestExpandRejectsReservedReq(t *testing.T) {
 
 func TestExpandRejectsMismatchedCollectives(t *testing.T) {
 	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Barrier()},
+		{trace.Bcast(0, 8)},
 		{trace.Allreduce(8)},
 	}}
 	if _, err := Expand(tr, Config{}); err == nil {
@@ -317,60 +242,15 @@ func TestBcastMessageCount(t *testing.T) {
 	}
 }
 
-func TestBarrierRoundCount(t *testing.T) {
-	// Dissemination barrier: each rank sends exactly ceil(log2 n)
-	// messages.
-	for _, n := range rankCounts {
-		if n == 1 {
-			continue
-		}
-		ex, err := Expand(uniformTrace(n, trace.Barrier()), Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds := 0
-		for v := 1; v < n; v *= 2 {
-			rounds++
-		}
-		for r, ops := range ex.Ops {
-			sends := 0
-			for _, op := range ops {
-				if op.Kind == trace.OpSend || op.Kind == trace.OpIsend {
-					sends++
-				}
-			}
-			if sends != rounds {
-				t.Fatalf("n=%d rank=%d: %d sends, want %d", n, r, sends, rounds)
-			}
-		}
-	}
-}
-
 // Property: expansion of any single collective at any rank count yields a
 // valid, deadlock-free trace with conserved bytes.
 func TestQuickExpansionSound(t *testing.T) {
-	f := func(nRaw uint8, kindSel uint8, rootRaw uint8, sizeRaw uint16, algoSel uint8) bool {
+	f := func(nRaw uint8, bcast bool, rootRaw uint8, sizeRaw uint16, algoSel uint8) bool {
 		n := 2 + int(nRaw%40)
 		size := int64(sizeRaw) + 1
-		root := int32(int(rootRaw) % n)
-		var op trace.Op
-		switch kindSel % 8 {
-		case 0:
-			op = trace.Barrier()
-		case 1:
-			op = trace.Bcast(root, size)
-		case 2:
-			op = trace.Reduce(root, size)
-		case 3:
-			op = trace.Allreduce(size)
-		case 4:
-			op = trace.Allgather(size)
-		case 5:
-			op = trace.Alltoall(size)
-		case 6:
-			op = trace.Gather(root, size)
-		case 7:
-			op = trace.Scatter(root, size)
+		op := trace.Allreduce(size)
+		if bcast {
+			op = trace.Bcast(int32(int(rootRaw)%n), size)
 		}
 		cfg := Config{Allreduce: AllreduceAlgo(algoSel % 4)}
 		ex, err := Expand(uniformTrace(n, op), cfg)

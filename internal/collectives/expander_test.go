@@ -30,13 +30,13 @@ func TestExpanderRejections(t *testing.T) {
 		},
 		{
 			"collective count",
-			[][]trace.Op{{trace.Barrier()}, {trace.Barrier()}, {trace.Barrier(), trace.Barrier()}},
+			[][]trace.Op{{trace.Allreduce(8)}, {trace.Allreduce(8)}, {trace.Allreduce(8), trace.Allreduce(8)}},
 			"collectives: rank 2 has 2 collectives, rank 0 has 1",
 		},
 		{
 			"collective kind",
-			[][]trace.Op{{trace.Barrier()}, {trace.Allreduce(8)}},
-			"collectives: rank 1 collective 0 (allreduce) disagrees with rank 0 (barrier)",
+			[][]trace.Op{{trace.Bcast(0, 8)}, {trace.Allreduce(8)}},
+			"collectives: rank 1 collective 0 (allreduce) disagrees with rank 0 (bcast)",
 		},
 		{
 			"collective size",
@@ -74,7 +74,7 @@ func TestExpanderRejections(t *testing.T) {
 // Ranks go in from 0, one at a time, no further than the count the
 // expander was made for.
 func TestExpanderRefusesRanksOutOfOrder(t *testing.T) {
-	ops := []trace.Op{trace.Barrier()}
+	ops := []trace.Op{trace.Allreduce(8)}
 	feed := func(ranks int, order ...int) error {
 		t.Helper()
 		x, err := NewExpander(ranks, Config{})

@@ -87,7 +87,7 @@ func (c Config) resolveAllreduce(size int64) AllreduceAlgo {
 func schedKeyFor(op trace.Op, n, rank int32, cfg Config) (schedKey, error) {
 	key := schedKey{kind: op.Kind, n: n, rank: rank, size: op.Size}
 	switch op.Kind {
-	case trace.OpBcast, trace.OpReduce, trace.OpGather, trace.OpScatter:
+	case trace.OpBcast:
 		key.root = op.Peer
 	case trace.OpAllreduce:
 		key.algo = cfg.resolveAllreduce(op.Size)
@@ -96,9 +96,6 @@ func schedKeyFor(op trace.Op, n, rank int32, cfg Config) (schedKey, error) {
 		default:
 			return schedKey{}, fmt.Errorf("collectives: unknown allreduce algorithm %d", cfg.Allreduce)
 		}
-	case trace.OpBarrier:
-		key.size = 0 // dissemination barrier carries no payload
-	case trace.OpAllgather, trace.OpAlltoall:
 	default:
 		return schedKey{}, fmt.Errorf("collectives: unhandled collective %s", op.Kind)
 	}
@@ -110,12 +107,8 @@ func schedKeyFor(op trace.Op, n, rank int32, cfg Config) (schedKey, error) {
 // buildCanonical runs it on a zero-based one.
 func (e *expander) runAlgo(key schedKey) {
 	switch key.kind {
-	case trace.OpBarrier:
-		e.dissemination(0)
 	case trace.OpBcast:
 		e.binomialBcast(key.root, key.size)
-	case trace.OpReduce:
-		e.binomialReduce(key.root, key.size)
 	case trace.OpAllreduce:
 		switch key.algo {
 		case AllreduceRecursiveDoubling:
@@ -125,14 +118,6 @@ func (e *expander) runAlgo(key schedKey) {
 		case AllreduceRing:
 			e.ringAllreduce(key.size)
 		}
-	case trace.OpAllgather:
-		e.bruckAllgather(key.size)
-	case trace.OpAlltoall:
-		e.bruckAlltoall(key.size)
-	case trace.OpGather:
-		e.binomialGather(key.root, key.size)
-	case trace.OpScatter:
-		e.binomialScatter(key.root, key.size)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"repro/internal/trace"
 )
 
-// collectiveMix builds a trace exercising every collective kind, with
+// collectiveMix builds a trace exercising both collective kinds, with
 // application p2p ops interleaved so tag/req rebasing is checked against
 // surrounding traffic.
 func collectiveMix(n int, size int64) *trace.Trace {
@@ -21,14 +21,10 @@ func collectiveMix(n int, size int64) *trace.Trace {
 	for r := 0; r < n; r++ {
 		tr.Ops[r] = []trace.Op{
 			{Kind: trace.OpCalc, Dur: 1000},
-			{Kind: trace.OpBarrier},
 			{Kind: trace.OpAllreduce, Size: size},
 			{Kind: trace.OpBcast, Peer: 0, Size: size},
-			{Kind: trace.OpReduce, Peer: int32(n / 2), Size: size},
-			{Kind: trace.OpAllgather, Size: size},
-			{Kind: trace.OpAlltoall, Size: size},
-			{Kind: trace.OpGather, Peer: 0, Size: size},
-			{Kind: trace.OpScatter, Peer: int32(n - 1), Size: size},
+			{Kind: trace.OpBcast, Peer: int32(n / 2), Size: size},
+			{Kind: trace.OpBcast, Peer: int32(n - 1), Size: size},
 			{Kind: trace.OpAllreduce, Size: size}, // repeat: exercises a cache hit
 			{Kind: trace.OpCalc, Dur: 500},
 		}
@@ -96,16 +92,16 @@ func TestScheduleCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := ScheduleCache()
-	// nine collectives per rank, the last a repeat of the second
-	if cold.Misses != 8*8 || cold.Hits != 8 || cold.Entries != 8*8 {
-		t.Fatalf("first expansion: stats = %+v, want 64 misses / 8 hits / 64 entries", cold)
+	// five collectives per rank, the last a repeat of the first
+	if cold.Misses != 8*4 || cold.Hits != 8 || cold.Entries != 8*4 {
+		t.Fatalf("first expansion: stats = %+v, want 32 misses / 8 hits / 32 entries", cold)
 	}
 	second, err := Expand(tr, Config{Allreduce: AllreduceRing})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := ScheduleCache()
-	if warm.Misses != cold.Misses || warm.Hits != cold.Hits+8*9 {
+	if warm.Misses != cold.Misses || warm.Hits != cold.Hits+8*5 {
 		t.Fatalf("second expansion rebuilt schedules: stats = %+v after %+v", warm, cold)
 	}
 	if !reflect.DeepEqual(first, second) {
@@ -149,7 +145,7 @@ func TestScheduleCacheEviction(t *testing.T) {
 // builder once; everyone gets the same schedule.
 func TestScheduleCacheCoalescing(t *testing.T) {
 	c := memo.New[schedKey](DefaultScheduleCacheBytes, scheduleCost)
-	key := schedKey{kind: trace.OpAlltoall, n: 32, rank: 5, size: 4096}
+	key := schedKey{kind: trace.OpAllreduce, algo: AllreduceRing, n: 32, rank: 5, size: 4096}
 	var builds atomic.Int64
 	gate := make(chan struct{})
 	build := func() (schedule, error) {

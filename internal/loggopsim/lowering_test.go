@@ -218,11 +218,11 @@ func TestSizeBytesCoversWhatBuildingKeeps(t *testing.T) {
 // the middle of a collective is reported at the index of the op in its
 // expanded trace, not at an offset into a segment nobody can look up.
 // Rank 1 waits for a message nobody sends, so rank 0 hangs in the
-// barrier's first receive.
+// allreduce's first receive.
 func TestDeadlockInsideSegmentNamesExpandedOp(t *testing.T) {
 	tr := &trace.Trace{Name: "stray-recv", Ops: [][]trace.Op{
-		{trace.Calc(100), trace.Calc(100), trace.Barrier(), trace.Calc(100), trace.Barrier()},
-		{trace.Calc(100), trace.Recv(0, 8, 7), trace.Barrier(), trace.Calc(100), trace.Barrier()},
+		{trace.Calc(100), trace.Calc(100), trace.Allreduce(8), trace.Calc(100), trace.Allreduce(8)},
+		{trace.Calc(100), trace.Recv(0, 8, 7), trace.Allreduce(8), trace.Calc(100), trace.Allreduce(8)},
 	}}
 	cfg := Config{Net: netmodel.CrayXC40()}
 	flat, err := collectives.Expand(tr, collectives.Config{})
@@ -235,13 +235,13 @@ func TestDeadlockInsideSegmentNamesExpandedOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(p.segs) != 1 || len(p.segTab) != 2 {
-		t.Fatalf("%d segments in %d table entries, want the barrier once, in both ranks' tables", len(p.segs), len(p.segTab))
+		t.Fatalf("%d segments in %d table entries, want the allreduce once, in both ranks' tables", len(p.segs), len(p.segTab))
 	}
 	res, err := p.NewSimulator().Run(nil)
 	if err == nil || !res.Deadlocked || flatErr == nil || err.Error() != flatErr.Error() {
 		t.Fatalf("segmented run: %v; flat run: %v", err, flatErr)
 	}
-	// Rank 0 is in the Wait of the barrier's Irecv/Send/Wait round:
+	// Rank 0 is in the Wait of the allreduce's Irecv/Send/Wait round:
 	// expanded ops 0 and 1 are the calcs, 2 to 4 the round.
 	if want := "first: rank 0 at op 4)"; !strings.HasSuffix(err.Error(), want) || flat.Ops[0][4].Kind != trace.OpWait {
 		t.Fatalf("deadlock reported as %q, want it to end %q (flat op 4 is %s)", err, want, flat.Ops[0][4].Kind)
@@ -293,9 +293,10 @@ func TestDeadlockInsideSharedExchangeNamesTraceOp(t *testing.T) {
 // TestDeadlockInSegmentOfAnotherRankNamesFlatOp: a rank blocked inside
 // a segment that rank 0 compiled and it only references — through its
 // own segment table, naming its own peers — is reported at the index of
-// the blocked op in its own flat trace. Four ranks in a ring run a
-// barrier and then repeat one exchange, receive from the left, send to
-// the right; rank 2 skips its send of the third exchange, so rank 3
+// the blocked op in its own flat trace. Four ranks in a ring run a ring
+// allreduce, which meets the left neighbour first and the right one
+// second on every rank, and then repeat one exchange, receive from the
+// left, send to the right; rank 2 skips its send of the third exchange, so rank 3
 // hangs in that exchange's WaitAll. Ranks 0 and 1 first repeat a longer
 // exchange of their own, so the ring is segment 1 in rank 3's table and
 // segment 2 in rank 0's and the program's. Part of engine-smoke.
@@ -304,7 +305,7 @@ func TestDeadlockInSegmentOfAnotherRankNamesFlatOp(t *testing.T) {
 	tr := &trace.Trace{Name: "ring", Ops: make([][]trace.Op, ranks)}
 	for r := range tr.Ops {
 		left, right := int32((r+ranks-1)%ranks), int32((r+1)%ranks)
-		tr.Ops[r] = []trace.Op{trace.Barrier()}
+		tr.Ops[r] = []trace.Op{trace.Allreduce(8)}
 		if other := int32(1 - r); r < 2 {
 			for i := 0; i < 2; i++ {
 				tr.Ops[r] = append(tr.Ops[r], trace.Calc(100), trace.Irecv(other, 8, 5, 0), trace.Irecv(other, 8, 6, 1),
@@ -319,13 +320,13 @@ func TestDeadlockInSegmentOfAnotherRankNamesFlatOp(t *testing.T) {
 			tr.Ops[r] = append(tr.Ops[r], trace.WaitAll())
 		}
 	}
-	cfg := Config{Net: netmodel.CrayXC40()}
-	flat, err := collectives.Expand(tr, collectives.Config{})
+	cfg, ring := Config{Net: netmodel.CrayXC40()}, collectives.Config{Allreduce: collectives.AllreduceRing}
+	flat, err := collectives.Expand(tr, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, flatErr := Simulate(flat, cfg)
-	p, err := streamedProgram(tr, collectives.Config{}, cfg)
+	p, err := streamedProgram(tr, ring, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,9 +90,9 @@ func TestSMMDetourHaltsWholeNode(t *testing.T) {
 }
 
 func TestMultiRankCollectiveRuns(t *testing.T) {
-	// A barrier across 4 nodes x 4 ranks, each node's four sharing a
+	// An allreduce across 4 nodes x 4 ranks, each node's four sharing a
 	// NIC: checks the full pipeline at rpn > 1.
-	res := simCollective(t, 16, trace.Barrier(), Config{Net: netmodel.CrayXC40(), RanksPerNode: 4})
+	res := simCollective(t, 16, trace.Allreduce(64), Config{Net: netmodel.CrayXC40(), RanksPerNode: 4})
 	if res.Makespan <= 0 {
 		t.Fatal("zero makespan")
 	}

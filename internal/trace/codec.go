@@ -71,14 +71,8 @@ var grammar = [numOpKinds][]operand{
 	OpIrecv:     {peer, size, tag, req},
 	OpWait:      {req},
 	OpWaitAll:   nil,
-	OpBarrier:   nil,
 	OpBcast:     {peer, size},
-	OpReduce:    {peer, size},
 	OpAllreduce: {size},
-	OpAllgather: {size},
-	OpAlltoall:  {size},
-	OpGather:    {peer, size},
-	OpScatter:   {peer, size},
 }
 
 var kindByName = func() map[string]OpKind {

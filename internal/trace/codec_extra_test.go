@@ -80,6 +80,26 @@ func TestTextRefusesOutsideTheGrammar(t *testing.T) {
 	}
 }
 
+// TestTextRefusesCollectivesNoWorkloadIssues: the format speaks bcast
+// and allreduce only, so a line that names another collective, spelled
+// with the operands such a kind would take, is an unknown op at its
+// line.
+func TestTextRefusesCollectivesNoWorkloadIssues(t *testing.T) {
+	for _, line := range []string{"barrier", "reduce 0 8", "allgather 8", "alltoall 8", "gather 0 8", "scatter 1 8"} {
+		mnemonic := strings.Fields(line)[0]
+		t.Run(mnemonic, func(t *testing.T) {
+			in := "ranks 2\nrank 0\ncalc 5\n" + line + "\nrank 1\n" + line + "\n"
+			tr, err := ReadText(strings.NewReader(in))
+			if err == nil {
+				t.Fatalf("accepted %q as %+v", in, tr)
+			}
+			if want := `line 4: unknown op "` + mnemonic + `"`; !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not say %q", err, want)
+			}
+		})
+	}
+}
+
 // TestTextRanksLineAllocatesNothingUpFront: ranks are allocated as
 // their headers are read, so a short file cannot make the reader
 // allocate for the count its ranks line declares.

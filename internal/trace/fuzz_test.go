@@ -13,7 +13,7 @@ import (
 // same bytes.
 func FuzzReadText(f *testing.F) {
 	f.Add("trace demo\nranks 2\nrank 0\ncalc 100\nsend 1 8 0\nrank 1\nrecv 0 8 0\n")
-	f.Add("ranks 1\nrank 0\nallreduce 64\nbarrier\nwaitall\n")
+	f.Add("ranks 1\nrank 0\nallreduce 64\nbcast 0 8\nwaitall\n")
 	f.Add("# comment\nranks 3\nrank 2\nbcast 0 8\n")
 	f.Add("ranks 2\nrank 0\nisend 1 8 0 1\nwait 1\nrank 1\nirecv 0 8 0 2\nwait 2\n")
 	f.Add("garbage\n")

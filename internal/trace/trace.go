@@ -33,14 +33,8 @@ const (
 	OpIrecv                 // nonblocking receive, completes at Wait(Req)
 	OpWait                  // wait for request Req
 	OpWaitAll               // wait for all outstanding requests
-	OpBarrier
-	OpBcast  // root = Peer
-	OpReduce // root = Peer
+	OpBcast                 // broadcast from root = Peer
 	OpAllreduce
-	OpAllgather
-	OpAlltoall
-	OpGather  // root = Peer
-	OpScatter // root = Peer
 	numOpKinds
 )
 
@@ -58,14 +52,8 @@ var kindNames = [...]string{
 	OpIrecv:     "irecv",
 	OpWait:      "wait",
 	OpWaitAll:   "waitall",
-	OpBarrier:   "barrier",
 	OpBcast:     "bcast",
-	OpReduce:    "reduce",
 	OpAllreduce: "allreduce",
-	OpAllgather: "allgather",
-	OpAlltoall:  "alltoall",
-	OpGather:    "gather",
-	OpScatter:   "scatter",
 }
 
 // String returns the lower-case mnemonic used in the text codec.
@@ -78,11 +66,7 @@ func (k OpKind) String() string {
 
 // IsCollective reports whether the kind is a collective operation.
 func (k OpKind) IsCollective() bool {
-	switch k {
-	case OpBarrier, OpBcast, OpReduce, OpAllreduce, OpAllgather, OpAlltoall, OpGather, OpScatter:
-		return true
-	}
-	return false
+	return k == OpBcast || k == OpAllreduce
 }
 
 // Op is a single trace operation. The meaning of the fields depends on
@@ -125,29 +109,11 @@ func Wait(req int32) Op { return Op{Kind: OpWait, Req: req} }
 // WaitAll returns a wait op for all outstanding requests on the rank.
 func WaitAll() Op { return Op{Kind: OpWaitAll} }
 
-// Barrier returns a barrier op.
-func Barrier() Op { return Op{Kind: OpBarrier} }
-
 // Allreduce returns an allreduce op contributing size bytes per rank.
 func Allreduce(size int64) Op { return Op{Kind: OpAllreduce, Size: size} }
 
 // Bcast returns a broadcast op rooted at root.
 func Bcast(root int32, size int64) Op { return Op{Kind: OpBcast, Peer: root, Size: size} }
-
-// Reduce returns a reduce op rooted at root.
-func Reduce(root int32, size int64) Op { return Op{Kind: OpReduce, Peer: root, Size: size} }
-
-// Allgather returns an allgather op contributing size bytes per rank.
-func Allgather(size int64) Op { return Op{Kind: OpAllgather, Size: size} }
-
-// Alltoall returns an alltoall op exchanging size bytes per pair.
-func Alltoall(size int64) Op { return Op{Kind: OpAlltoall, Size: size} }
-
-// Gather returns a gather op rooted at root.
-func Gather(root int32, size int64) Op { return Op{Kind: OpGather, Peer: root, Size: size} }
-
-// Scatter returns a scatter op rooted at root.
-func Scatter(root int32, size int64) Op { return Op{Kind: OpScatter, Peer: root, Size: size} }
 
 // Trace holds the per-rank operation sequences of one application run.
 type Trace struct {
@@ -201,7 +167,7 @@ func (t *Trace) Validate() error {
 				return fmt.Errorf("trace: rank %d op %d (%s): negative duration %d", r, i, op.Kind, op.Dur)
 			}
 			switch op.Kind {
-			case OpCalc, OpBarrier, OpAllreduce, OpAllgather, OpAlltoall, OpWaitAll:
+			case OpCalc, OpAllreduce, OpWaitAll:
 				// No peer to validate.
 			case OpSend, OpIsend:
 				if op.Peer < 0 || op.Peer >= n {
@@ -214,7 +180,7 @@ func (t *Trace) Validate() error {
 				if op.Peer != AnySource && (op.Peer < 0 || op.Peer >= n) {
 					return fmt.Errorf("trace: rank %d op %d (%s): peer %d out of range", r, i, op.Kind, op.Peer)
 				}
-			case OpBcast, OpReduce, OpGather, OpScatter:
+			case OpBcast:
 				if op.Peer < 0 || op.Peer >= n {
 					return fmt.Errorf("trace: rank %d op %d (%s): root %d out of range", r, i, op.Kind, op.Peer)
 				}

@@ -93,7 +93,7 @@ func TestValidateWaitAllClears(t *testing.T) {
 
 func TestValidateCollectiveMismatch(t *testing.T) {
 	tr := &Trace{Ops: [][]Op{
-		{Barrier()},
+		{Bcast(0, 8)},
 		{Allreduce(8)},
 	}}
 	if err := tr.Validate(); err == nil {
@@ -103,8 +103,8 @@ func TestValidateCollectiveMismatch(t *testing.T) {
 
 func TestValidateCollectiveCountMismatch(t *testing.T) {
 	tr := &Trace{Ops: [][]Op{
-		{Barrier(), Barrier()},
-		{Barrier()},
+		{Allreduce(8), Allreduce(8)},
+		{Allreduce(8)},
 	}}
 	if err := tr.Validate(); err == nil {
 		t.Fatal("mismatched collective count accepted")
@@ -139,7 +139,7 @@ func TestClone(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	cases := map[OpKind]string{
-		OpCalc: "calc", OpSend: "send", OpAllreduce: "allreduce", OpScatter: "scatter",
+		OpCalc: "calc", OpSend: "send", OpBcast: "bcast", OpAllreduce: "allreduce",
 	}
 	for k, want := range cases {
 		if k.String() != want {
@@ -152,7 +152,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestIsCollective(t *testing.T) {
-	for _, k := range []OpKind{OpBarrier, OpBcast, OpReduce, OpAllreduce, OpAllgather, OpAlltoall, OpGather, OpScatter} {
+	for _, k := range []OpKind{OpBcast, OpAllreduce} {
 		if !k.IsCollective() {
 			t.Fatalf("%s not marked collective", k)
 		}
