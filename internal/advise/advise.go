@@ -24,7 +24,7 @@
 // order yields byte-identical recommend responses. The cache cannot
 // break this because policy evaluation is a pure function of the
 // quantized state and cached entries are exactly that function's
-// value; a disabled or bypassed cache recomputes the identical bytes.
+// value; a miss computes the identical bytes a hit returns.
 package advise
 
 import (
@@ -93,10 +93,8 @@ type Config struct {
 	Store StoreConfig
 	// MaxBatchEvents bounds one ingest batch (default 10000).
 	MaxBatchEvents int
-	// CacheEntries bounds the recommendation cache; 0 selects the
-	// default (1024), negative disables caching (every recommend
-	// recomputes — bit-identical, just slower, like a simulation whose
-	// baseline bypasses a failing cache).
+	// CacheEntries bounds the recommendation cache; 0 or less selects
+	// the default (1024).
 	CacheEntries int
 }
 
@@ -114,7 +112,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchEvents <= 0 {
 		c.MaxBatchEvents = 10000
 	}
-	if c.CacheEntries == 0 {
+	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
 	}
 	return c
@@ -127,21 +125,17 @@ type Service struct {
 	store *Store
 
 	// cache holds policy evaluations by cacheKey: an internal/memo LRU
-	// of CacheEntries entries at unit cost, nil when caching is
-	// disabled. Its counters are the advisor's hits and misses.
-	cache    *memo.Cache[string, *Recommendation]
-	bypasses atomic.Uint64
-	rejects  atomic.Uint64
+	// of CacheEntries entries at unit cost. Its counters are the
+	// advisor's hits and misses.
+	cache   *memo.Cache[string, *Recommendation]
+	rejects atomic.Uint64
 }
 
 // NewService builds the advisor.
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := &Service{cfg: cfg, store: NewStore(cfg.Store)}
-	if cfg.CacheEntries > 0 {
-		s.cache = memo.New[string, *Recommendation](int64(cfg.CacheEntries), nil)
-	}
-	return s
+	return &Service{cfg: cfg, store: NewStore(cfg.Store),
+		cache: memo.New[string, *Recommendation](int64(cfg.CacheEntries), nil)}
 }
 
 // Stats is the advisor's /metrics section.
@@ -149,12 +143,10 @@ type Stats struct {
 	Store StoreStats `json:"store"`
 	// CacheEntries is the live recommendation-cache size.
 	CacheEntries int `json:"cache_entries"`
-	// RecommendHits/Misses/Bypasses count recommendation-cache
-	// outcomes; a hit includes waiting on a concurrent evaluation of the
-	// same key, and bypasses are recomputations with caching disabled.
-	RecommendHits     uint64 `json:"recommend_hits"`
-	RecommendMisses   uint64 `json:"recommend_misses"`
-	RecommendBypasses uint64 `json:"recommend_bypasses"`
+	// RecommendHits/Misses count recommendation-cache outcomes; a hit
+	// includes waiting on a concurrent evaluation of the same key.
+	RecommendHits   uint64 `json:"recommend_hits"`
+	RecommendMisses uint64 `json:"recommend_misses"`
 	// IngestRejects counts batches rejected by validation, limits or
 	// injected faults.
 	IngestRejects uint64 `json:"ingest_rejects"`
@@ -162,14 +154,12 @@ type Stats struct {
 
 // Stats snapshots the advisor counters.
 func (s *Service) Stats() Stats {
-	st := Stats{
-		Store:             s.store.Stats(),
-		RecommendBypasses: s.bypasses.Load(),
-		IngestRejects:     s.rejects.Load(),
+	c := s.cache.Stats()
+	return Stats{
+		Store:           s.store.Stats(),
+		CacheEntries:    c.Entries,
+		RecommendHits:   c.Hits + c.Coalesced,
+		RecommendMisses: c.Misses,
+		IngestRejects:   s.rejects.Load(),
 	}
-	if s.cache != nil {
-		c := s.cache.Stats()
-		st.CacheEntries, st.RecommendHits, st.RecommendMisses = c.Entries, c.Hits+c.Coalesced, c.Misses
-	}
-	return st
 }

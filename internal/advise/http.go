@@ -22,8 +22,8 @@ import (
 // 8 MiB holds well over the event cap).
 const maxIngestBytes = 8 << 20
 
-// CacheHeader reports how a recommend response was produced: "hit",
-// "miss" or "bypass". It is a header, not a body field, so response
+// CacheHeader reports how a recommend response was produced: "hit" or
+// "miss". It is a header, not a body field, so response
 // bodies stay a pure function of estimator state (the determinism
 // contract compares bodies byte-for-byte).
 const CacheHeader = "X-Advise-Cache"
@@ -275,12 +275,11 @@ var ErrUnknownNode = errors.New("advise: unknown tenant/node")
 // Recommend answers a policy query for one tracked node: look up the
 // node's estimator state, quantize it, evaluate (or fetch) the cached
 // policy answer, and attach the exact estimate. The returned outcome
-// is "hit", "miss" or "bypass".
+// is "hit" or "miss".
 //
 // The cached layer is a pure function of the quantized state and the
-// scenario parameters, so cache hits, misses and bypasses produce
-// byte-identical bodies — the same bit-identical degradation contract
-// a simulation keeps when its baseline bypasses a failing cache.
+// scenario parameters, so a hit and a miss produce byte-identical
+// bodies: the cache holds exactly what Advise computes.
 func (s *Service) Recommend(tenant, node string, in Inputs) (*Recommendation, string, error) {
 	est, cls, ok := s.store.Node(tenant, node)
 	if !ok {
@@ -296,24 +295,15 @@ func (s *Service) Recommend(tenant, node string, in Inputs) (*Recommendation, st
 	// exact value is reported in estimate.fault_confidence below.
 	in.FaultConfidence = math.Round(cls.Confidence*1000) / 1000
 
-	var rec *Recommendation
-	var err error
-	outcome := "bypass"
-	if s.cache == nil {
-		s.bypasses.Add(1)
-		rec, err = Advise(in)
-	} else {
-		var hit bool
-		rec, hit, err = s.cache.GetOrBuild(context.Background(), cacheKey(in), func() (*Recommendation, error) {
-			return Advise(in)
-		})
-		outcome = "miss"
-		if hit {
-			outcome = "hit"
-		}
-	}
+	rec, hit, err := s.cache.GetOrBuild(context.Background(), cacheKey(in), func() (*Recommendation, error) {
+		return Advise(in)
+	})
 	if err != nil {
 		return nil, "", err
+	}
+	outcome := "miss"
+	if hit {
+		outcome = "hit"
 	}
 
 	// Shallow-copy the cached evaluation before attaching the exact,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -218,16 +220,46 @@ func seedStream(t *testing.T, s *Service) {
 	}
 }
 
-func TestRecommendCacheOutcomes(t *testing.T) {
-	cached := NewService(Config{})
-	uncached := NewService(Config{CacheEntries: -1})
-	seedStream(t, cached)
-	seedStream(t, uncached)
+// requireAdvised requires the recommend body w answered for query to
+// be what Advise, the pure function the cache memoizes, computes from
+// s's state of the queried node, apart from the estimate Recommend
+// attaches.
+func requireAdvised(t *testing.T, s *Service, query string, w *httptest.ResponseRecorder) {
+	t.Helper()
+	q, err := url.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant, node, in, err := s.parseRecommend(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, cls, _ := s.store.Node(tenant, node)
+	in.ObservedMTBCENanos = QuantizeMTBCE(est.MTBCENanos)
+	in.FaultKnown, in.Fault = cls.Known, cls.Kind
+	in.FaultConfidence = math.Round(cls.Confidence*1000) / 1000
+	rec, err := Advise(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(rec)
+	var body Recommendation
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Estimate == nil {
+		t.Fatalf("%s: body without an estimate (%v): %s", query, err, w.Body)
+	}
+	body.Estimate = nil
+	if got, _ := json.Marshal(&body); !bytes.Equal(got, want) {
+		t.Fatalf("%s: body is not Advise's answer:\n got %s\nwant %s", query, got, want)
+	}
+}
 
-	w1 := recommend(t, cached, "tenant=acme&node=n1")
-	w2 := recommend(t, cached, "tenant=acme&node=n1")
-	w3 := recommend(t, uncached, "tenant=acme&node=n1")
-	for i, w := range []*httptest.ResponseRecorder{w1, w2, w3} {
+func TestRecommendCacheOutcomes(t *testing.T) {
+	s := NewService(Config{})
+	seedStream(t, s)
+
+	w1 := recommend(t, s, "tenant=acme&node=n1")
+	w2 := recommend(t, s, "tenant=acme&node=n1")
+	for i, w := range []*httptest.ResponseRecorder{w1, w2} {
 		if w.Code != 200 {
 			t.Fatalf("request %d: status %d: %s", i+1, w.Code, w.Body)
 		}
@@ -238,22 +270,12 @@ func TestRecommendCacheOutcomes(t *testing.T) {
 	if h := w2.Header().Get(CacheHeader); h != "hit" {
 		t.Fatalf("second lookup: %s = %q, want hit", CacheHeader, h)
 	}
-	if h := w3.Header().Get(CacheHeader); h != "bypass" {
-		t.Fatalf("uncached lookup: %s = %q, want bypass", CacheHeader, h)
-	}
-	// Bit-identical degradation: hit, miss and bypass bodies all match.
 	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
 		t.Fatal("hit body differs from miss body")
 	}
-	if !bytes.Equal(w1.Body.Bytes(), w3.Body.Bytes()) {
-		t.Fatalf("bypass body differs from cached body:\n%s\nvs\n%s", w1.Body, w3.Body)
-	}
-	st := cached.Stats()
-	if st.RecommendMisses != 1 || st.RecommendHits != 1 || st.CacheEntries != 1 {
-		t.Fatalf("cached stats: %+v", st)
-	}
-	if st := uncached.Stats(); st.RecommendBypasses != 1 || st.CacheEntries != 0 {
-		t.Fatalf("uncached stats: %+v", st)
+	requireAdvised(t, s, "tenant=acme&node=n1", w1)
+	if st := s.Stats(); st.RecommendMisses != 1 || st.RecommendHits != 1 || st.CacheEntries != 1 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -333,10 +355,13 @@ func TestRecommendDeterminismPermutedBatches(t *testing.T) {
 		}
 	}
 	want := responses(ref)
+	for _, q := range queries {
+		requireAdvised(t, ref, q, recommend(t, ref, q))
+	}
 
 	for trial := 0; trial < 5; trial++ {
 		perm := rnd.Perm(len(batches))
-		s := NewService(Config{CacheEntries: trial % 2 * -1}) // alternate cache on/off
+		s := NewService(Config{})
 		for _, bi := range perm {
 			batch := append([]Event(nil), batches[bi]...)
 			rnd.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
