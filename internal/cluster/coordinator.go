@@ -96,14 +96,13 @@ type shard struct {
 
 // sweep is one distributed campaign sweep.
 type sweep struct {
-	id      string
-	spec    Spec // defaults resolved
-	created time.Time
-	shards  []*shard // plan (merge) order
-	byKey   map[string]*shard
-	done    int
-	failed  bool
-	err     string
+	id     string
+	spec   Spec     // defaults resolved
+	shards []*shard // plan (merge) order
+	byKey  map[string]*shard
+	done   int
+	failed bool
+	err    string
 	// merged holds the per-figure merged results once every shard is
 	// done.
 	merged map[string]*core.Figure
@@ -124,10 +123,9 @@ func (s *sweep) state() string {
 
 // worker is one registered cesimd worker.
 type workerInfo struct {
-	id         string
-	addr       string
-	registered time.Time
-	lastSeen   time.Time
+	id       string
+	addr     string
+	lastSeen time.Time
 }
 
 // Coordinator shards sweeps across registered workers. All methods are
@@ -184,7 +182,7 @@ func (c *Coordinator) Register(workerID, addr string) (string, time.Duration) {
 	}
 	w, ok := c.workers[workerID]
 	if !ok {
-		w = &workerInfo{id: workerID, registered: now}
+		w = &workerInfo{id: workerID}
 		c.workers[workerID] = w
 	}
 	w.addr = addr
@@ -336,7 +334,7 @@ func (c *Coordinator) CreateSweep(spec Spec) (string, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepSeq++
-	sw := c.createSweepLocked(fmt.Sprintf("s%d", c.sweepSeq), spec, c.now())
+	sw := c.createSweepLocked(fmt.Sprintf("s%d", c.sweepSeq), spec)
 	return sw.id, len(sw.shards), nil
 }
 

@@ -385,8 +385,8 @@ func TestLeaseExpiryHeartbeatRaceDoesNotDoubleLease(t *testing.T) {
 
 // TestEpochMismatchOverWire drives the handshake at the protocol
 // level: stale epochs are refused with the epoch_mismatch code (mapped
-// back to ErrEpochMismatch client-side), epoch 0 stays accepted for
-// pre-handshake clients.
+// back to ErrEpochMismatch client-side), and so is a request with no
+// epoch (0): every Worker echoes the one registration returned.
 func TestEpochMismatchOverWire(t *testing.T) {
 	c := newCoordinator(newFakeClock().Now)
 	mux := http.NewServeMux()
@@ -420,10 +420,13 @@ func TestEpochMismatchOverWire(t *testing.T) {
 	if !errors.Is(err, ErrEpochMismatch) {
 		t.Fatalf("stale report: %v, want ErrEpochMismatch", err)
 	}
-	// Epoch 0 = legacy client: accepted.
+	err = postJSON(ctx, ts.URL+"/cluster/lease", leaseRequest{WorkerID: reg.WorkerID}, &lr)
+	if !errors.Is(err, ErrEpochMismatch) {
+		t.Fatalf("lease without an epoch: %v, want ErrEpochMismatch", err)
+	}
 	if err := postJSON(ctx, ts.URL+"/cluster/lease",
-		leaseRequest{WorkerID: reg.WorkerID}, &lr); err != nil || !lr.None {
-		t.Fatalf("legacy lease: %v %+v", err, lr)
+		leaseRequest{WorkerID: reg.WorkerID, Epoch: reg.Epoch}, &lr); err != nil || !lr.None {
+		t.Fatalf("lease at the registered epoch: %v %+v", err, lr)
 	}
 }
 

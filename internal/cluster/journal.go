@@ -98,11 +98,11 @@ func (c *Coordinator) journalShardDoneLocked(sw *sweep, sh *shard) {
 // pending and no backoff: a replayed lease is void, and recovery is not
 // load. A known id is left alone, and the id sequence stays above every
 // id so later sweeps cannot collide with replayed ones. c.mu must be held.
-func (c *Coordinator) createSweepLocked(id string, spec Spec, now time.Time) *sweep {
+func (c *Coordinator) createSweepLocked(id string, spec Spec) *sweep {
 	if sw, ok := c.sweeps[id]; ok {
 		return sw
 	}
-	sw := &sweep{id: id, spec: spec, created: now, byKey: map[string]*shard{}}
+	sw := &sweep{id: id, spec: spec, byKey: map[string]*shard{}}
 	for _, cell := range spec.Cells() {
 		sh := &shard{
 			cell:   cell,
@@ -272,13 +272,10 @@ func (c *Coordinator) Epoch() uint64 {
 }
 
 // checkEpoch validates a worker-supplied epoch against the current
-// generation. Epoch 0 means the client predates the handshake and is
-// accepted (the lease protocol was already restart-safe without it;
-// the epoch just makes staleness explicit and prompt).
+// generation. Every Worker registers before it leases and echoes the
+// epoch registration returned, which is at least 1, so an absent epoch
+// (0) is a mismatch like any other.
 func (c *Coordinator) checkEpoch(e uint64) error {
-	if e == 0 {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e != c.epoch {
@@ -296,7 +293,6 @@ func (c *Coordinator) checkEpoch(e uint64) error {
 func (c *Coordinator) replay(ctx context.Context, dir string) (journal.ReplayStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
 	c.epoch = 0
 	st, err := journal.Replay(ctx, dir, func(payload []byte) error {
 		var rec coordRecord
@@ -315,7 +311,7 @@ func (c *Coordinator) replay(ctx context.Context, dir string) (journal.ReplaySta
 			if rec.Spec == nil || rec.SweepID == "" {
 				return fmt.Errorf("cluster: recover: sweep_created record missing spec or id")
 			}
-			c.createSweepLocked(rec.SweepID, *rec.Spec, now)
+			c.createSweepLocked(rec.SweepID, *rec.Spec)
 		case copLease:
 			if sh != nil && sh.state == shardPending {
 				sh.attempts = max(sh.attempts, rec.Attempts)
