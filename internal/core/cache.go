@@ -98,6 +98,9 @@ func (e *BuildError) Error() string {
 // Retryable marks the failed fill eligible for retry by the job layer.
 func (e *BuildError) Retryable() bool { return true }
 
+// PanicStack returns the stack captured at recovery.
+func (e *BuildError) PanicStack() string { return e.Stack }
+
 // ExperimentCacheStats is a point-in-time snapshot of cache
 // effectiveness: the memo's counters (entries, size_bytes, cap_bytes,
 // hits, coalesced, misses, evictions; a miss is a lookup that built the

@@ -315,6 +315,10 @@ func (e *RepetitionError) Error() string {
 
 func (e *RepetitionError) Unwrap() error { return e.Err }
 
+// PanicStack returns the stack captured at panic recovery, empty for
+// an injected fault.
+func (e *RepetitionError) PanicStack() string { return e.Stack }
+
 // Retryable marks the repetition eligible for a bounded same-seed
 // re-run — unless the underlying cause is cancellation, which must
 // stop the run, not restart it.

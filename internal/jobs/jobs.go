@@ -77,7 +77,8 @@ type Snapshot struct {
 	// Attempts is how many times the job body ran (1 + retries used).
 	Attempts int `json:"attempts,omitempty"`
 	// Stack is the captured goroutine stack when the job failed
-	// terminally on a recovered panic.
+	// terminally on a recovered panic, its own or one the job body
+	// recovered and returned.
 	Stack string `json:"stack,omitempty"`
 }
 
@@ -165,6 +166,12 @@ func retryable(err error) bool {
 	return errors.As(err, &r) && r.Retryable()
 }
 
+// panicStack is implemented by errors that recovered a panic: a job
+// that fails on one keeps the stack its recovery captured (Snapshot.
+// Stack), whether the job body panicked (*JobError) or recovered a
+// panic of its own (core.RepetitionError, core.BuildError).
+type panicStack interface{ PanicStack() string }
+
 // JobError is the typed failure produced when a job attempt panics:
 // the panic value plus the captured goroutine stack. It is retryable —
 // a panic from an injected or transient fault deserves the same
@@ -183,6 +190,9 @@ func (e *JobError) Error() string {
 
 // Retryable marks recovered panics eligible for the retry budget.
 func (e *JobError) Retryable() bool { return true }
+
+// PanicStack returns the stack captured at recovery.
+func (e *JobError) PanicStack() string { return e.Stack }
 
 // Spec describes a submission: its kind label and retry policy.
 type Spec struct {
@@ -573,9 +583,9 @@ func (q *Queue) run(j *job) {
 		// it was retrying for the record.
 		q.finishLocked(j, Canceled, fmt.Errorf("%v (while retrying: %w)", ctx.Err(), err))
 	default:
-		var je *JobError
-		if errors.As(err, &je) {
-			j.stack = je.Stack
+		var ps panicStack
+		if errors.As(err, &ps) {
+			j.stack = ps.PanicStack()
 		}
 		q.finishLocked(j, Failed, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -250,5 +251,32 @@ func TestWorkerPanicRetriedByJobSpec(t *testing.T) {
 	}
 	if m.Jobs.PanicsRecovered != 2 || m.Jobs.Retries != 2 {
 		t.Fatalf("panics=%d retries=%d, want 2/2", m.Jobs.PanicsRecovered, m.Jobs.Retries)
+	}
+}
+
+// TestRepetitionPanicKeepsItsStack: a simulate job whose every
+// repetition panics fails with the stack its recovery captured, not
+// only the panic's message.
+func TestRepetitionPanicKeepsItsStack(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	if err := faultinject.Arm(faultinject.Plan{
+		faultinject.SiteRepetition: {Kind: faultinject.KindPanic, Probability: 1, Seed: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts, _, _ := newTestServer(t, jobs.Config{})
+	var sub submitted
+	if code := postJSON(t, ts.URL+"/v1/simulate", simReq(), &sub); code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	if state, _, errMsg := pollJob(t, ts.URL, sub.ID); state != "failed" || !strings.Contains(errMsg, "panicked") {
+		t.Fatalf("job ended %s (%s), want failed on the repetition's panic", state, errMsg)
+	}
+	var snap jobs.Snapshot
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+sub.ID, &snap); code != http.StatusOK {
+		t.Fatalf("get status %d", code)
+	}
+	if !strings.Contains(snap.Stack, "runRepOnce") {
+		t.Fatalf("failed job's stack does not reach the repetition: %q", snap.Stack)
 	}
 }
