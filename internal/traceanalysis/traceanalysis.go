@@ -2,9 +2,10 @@
 // that determine its sensitivity to correctable-error detours: the
 // collective cadence (the paper's §IV-C explanation for cross-workload
 // variance, citing Ferreira et al. [19]), communication volumes, and
-// compute imbalance. The derived synchronization interval plugs
-// directly into package predict, so the analytic model can be driven by
-// real traces rather than workload skeletons.
+// compute imbalance. tracegen -stats and -analyze print it for a
+// generated or a read trace; the analytic model (package predict) takes
+// its synchronization interval from the workload skeleton instead
+// (predict.SyncInterval).
 package traceanalysis
 
 import (
