@@ -34,11 +34,10 @@ const exchangeTag, exchangeReq = 1 << 20, 1 << 20
 const ringTag, ringReq = 1 << 21, 1 << 21
 
 // fuzzCollectives picks a collective by the low three bits of an
-// action's second byte. The slots once held eight kinds; each now holds
-// the kind that takes the operands its old one did — a rooted slot a
-// Bcast, any other an Allreduce — so every input of the corpus still
-// decodes to its program op for op, a collective of another kind
-// standing where a removed one stood.
+// action's second byte. Slots 1, 2, 6 and 7 are rooted and hold a
+// Bcast, the rest an Allreduce: the corpus was written when eight
+// kinds filled the slots, so each input keeps every op where it stood,
+// a rooted collective wherever one was.
 var fuzzCollectives = [8]trace.OpKind{
 	trace.OpAllreduce, trace.OpBcast, trace.OpBcast, trace.OpAllreduce,
 	trace.OpAllreduce, trace.OpAllreduce, trace.OpBcast, trace.OpBcast,
@@ -346,10 +345,16 @@ func sharedSegments(p *Program) (shared, wild bool) {
 	return shared, wild
 }
 
+// decoderFeatures are the features of the decoder the seeds must reach
+// between them, as reaches names them.
+var decoderFeatures = []string{"rendezvous send", "wildcard receive", "charged detour",
+	"detour charged from a schedule a node's ranks share", "shared NIC", "shared exchange",
+	"segment two ranks reference", "wildcard receive in a segment two ranks reference"}
+
 // reaches names what case c reaches of the decoder's features, res
 // being its reference run: each op kind it holds, the count of ops its
-// expansion holds ("1447 ops"), and the features
-// TestReferenceCoversTheDecoder asks of the seeds.
+// expansion holds ("1447 ops"), whether it deadlocks and each of
+// decoderFeatures.
 func reaches(t testing.TB, c fuzzCase, res *Result) map[string]bool {
 	t.Helper()
 	got := map[string]bool{"shared NIC": c.cfg.RanksPerNode > 1, "deadlock": res.Deadlocked}
@@ -406,9 +411,7 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 			t.Errorf("no seed has a %s", k)
 		}
 	}
-	for _, what := range []string{"rendezvous send", "wildcard receive", "charged detour",
-		"detour charged from a schedule a node's ranks share", "shared NIC", "shared exchange",
-		"segment two ranks reference", "wildcard receive in a segment two ranks reference"} {
+	for _, what := range decoderFeatures {
 		if !reached[what] {
 			t.Errorf("no seed has a %s", what)
 		}
@@ -419,9 +422,7 @@ func TestReferenceCoversTheDecoder(t *testing.T) {
 // what its name says it decodes to, so that a change to the decoder
 // that moves one shows here.
 func TestCorpusMeansWhatItsNamesSay(t *testing.T) {
-	every := []string{"1447 ops", "rendezvous send", "wildcard receive", "charged detour",
-		"detour charged from a schedule a node's ranks share", "shared NIC", "shared exchange",
-		"segment two ranks reference", "wildcard receive in a segment two ranks reference"}
+	every := append([]string{"1447 ops"}, decoderFeatures...)
 	for k := trace.OpCalc; k <= trace.OpAllreduce; k++ {
 		every = append(every, k.String())
 	}
