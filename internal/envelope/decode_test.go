@@ -115,6 +115,7 @@ func TestDecode(t *testing.T) {
 		{`{"name":"a"}]`, new(*TrailingDataError)},
 		{`{"name":"a"} "`, new(*TrailingDataError)},
 		{`{"name":"a"} 1`, new(*TrailingDataError)},
+		{`{"name":"a"} 1e400`, new(*TrailingDataError)},
 		{`{"name":"a",}`, new(*json.SyntaxError)},
 		{`{"count":"3"}`, new(*json.UnmarshalTypeError)},
 		{``, nil},

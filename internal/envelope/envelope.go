@@ -30,6 +30,9 @@ func Decode(r io.Reader, v any) error {
 		return err
 	}
 	end := dec.InputOffset()
+	// A trailing number is read as a json.Number: as a float64 one
+	// that overflows (1e400) would be an *UnmarshalTypeError.
+	dec.UseNumber()
 	_, err := dec.Token()
 	if errors.Is(err, io.EOF) {
 		return nil
