@@ -51,7 +51,7 @@ func repeated(ctx context.Context, cfg core.ExperimentConfig, mtbce int64, d noi
 		return nil, nil, err
 	}
 	sc := core.Scenario{MTBCE: mtbce, PerEvent: d, Target: noise.AllNodes, Seed: seed}
-	rep, err := exp.RunRepeatedParallelContext(ctx, sc, reps, 0)
+	rep, err := exp.RunRepeatedContext(ctx, sc, reps)
 	return exp, rep, err
 }
 

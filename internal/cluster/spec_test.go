@@ -12,9 +12,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/advise"
+	"repro/internal/envelope"
 	"repro/internal/jobs"
 	"repro/internal/server"
 	"repro/internal/simcache"
@@ -206,5 +209,68 @@ func TestSweepCreatedRecordsCompat(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("no sweep_created fixture")
+	}
+}
+
+// TestWorkerRefusesGrantWithUnknownSpecField: a coordinator's answers
+// are JSON from outside, read as strictly as a request body. A lease
+// grant whose spec carries a field this build does not know is an
+// error the worker logs and polls past; it is never run without the
+// field.
+func TestWorkerRefusesGrantWithUnknownSpecField(t *testing.T) {
+	coord := newCoordinator(newFakeClock().Now)
+	if _, _, err := coord.CreateSweep(fig4Spec(tinyOpts())); err != nil {
+		t.Fatal(err)
+	}
+	id, _ := coord.Register("", "")
+	g, err := coord.Lease(id)
+	if err != nil || g == nil {
+		t.Fatalf("lease: %v %v", g, err)
+	}
+	var grant map[string]any
+	raw, _ := json.Marshal(g)
+	if err := json.Unmarshal(raw, &grant); err != nil {
+		t.Fatal(err)
+	}
+	grant["spec"].(map[string]any)["bogus"] = 1
+
+	var mu sync.Mutex
+	leases, reports := 0, 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch r.URL.Path {
+		case "/cluster/register":
+			envelope.Write(w, http.StatusOK, registerResponse{WorkerID: "w1", LeaseTTLNano: int64(leaseTTL), Epoch: 1})
+		case "/cluster/lease":
+			leases++
+			envelope.Write(w, http.StatusOK, map[string]any{"grant": grant})
+		case "/cluster/report":
+			reports++
+			envelope.Write(w, http.StatusOK, struct{}{})
+		default:
+			envelope.Write(w, http.StatusOK, heartbeatResponse{})
+		}
+	}))
+	defer ts.Close()
+	wk := startWorker(t, ts.URL)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		n := leases
+		mu.Unlock()
+		if n >= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker asked for %d leases in 10 s", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	wk.stop()
+	mu.Lock()
+	defer mu.Unlock()
+	if st := wk.queue.Stats(); st.Submitted != 0 || reports != 0 {
+		t.Fatalf("the worker ran %d shard jobs and reported %d times on a grant it cannot read whole", st.Submitted, reports)
 	}
 }

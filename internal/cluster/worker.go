@@ -386,7 +386,9 @@ func getJSON(ctx context.Context, url string, out any) error {
 
 // decodeResponse maps non-2xx protocol bodies back onto the package
 // sentinels — via the machine-readable code field, never the message
-// text — so callers can errors.Is across the wire.
+// text — so callers can errors.Is across the wire. A 2xx body is read
+// through envelope.Decode: a field this build does not know is an
+// error, not something to run without. Error bodies stay lenient.
 func decodeResponse(resp *http.Response, out any) error {
 	if resp.StatusCode >= 300 {
 		var body envelope.ErrorBody
@@ -404,5 +406,5 @@ func decodeResponse(resp *http.Response, out any) error {
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return envelope.Decode(resp.Body, out)
 }

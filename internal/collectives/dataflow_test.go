@@ -73,13 +73,7 @@ type postSlot struct {
 }
 
 func match(want *postSlot, m message) bool {
-	if want.peer != trace.AnySource && want.peer != m.from {
-		return false
-	}
-	if want.tag != trace.AnyTag && want.tag != m.tag {
-		return false
-	}
-	return true
+	return want.peer == m.from && want.tag == m.tag
 }
 
 // runDataFlow executes the expanded trace with eager message semantics

@@ -359,7 +359,7 @@ func BenchmarkServeScenario(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := exp.RunRepeatedParallelContext(context.Background(), sc, 3, 0); err != nil {
+		if _, err := exp.RunRepeatedContext(context.Background(), sc, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

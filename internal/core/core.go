@@ -413,9 +413,7 @@ func (r *Repeated) add(o repOutcome) {
 	r.Sample.Add(o.slowdownPct)
 }
 
-// RunRepeated runs the scenario reps times with seeds sc.Seed,
-// sc.Seed+1, ... on the calling goroutine and collects the slowdown
-// sample. See Repeated for the saturation semantics.
+// RunRepeated is RunRepeatedContext without a context.
 func (e *Experiment) RunRepeated(sc Scenario, reps int) (*Repeated, error) {
-	return e.RunRepeatedParallelContext(context.Background(), sc, reps, 1)
+	return e.RunRepeatedContext(context.Background(), sc, reps)
 }

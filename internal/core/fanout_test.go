@@ -244,7 +244,7 @@ func TestRunRepeatedParallelMoreWorkersThanReps(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	got, err := e.RunRepeatedParallelContext(context.Background(), sc, 2, 64)
+	got, err := repeatedOn(context.Background(), e, sc, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestIdleRunStatesBounded(t *testing.T) {
 		if n := len(idleSims(e)); n != 2 {
 			t.Errorf("%d idle run states after releasing 5 at GOMAXPROCS=2, want 2", n)
 		}
-		if _, err := e.RunRepeatedParallelContext(context.Background(), chaosScenario(), 16, 8); err != nil {
+		if _, err := repeatedOn(context.Background(), e, chaosScenario(), 16, 8); err != nil {
 			t.Error(err)
 		}
 		if n := len(idleSims(e)); n > 2 {

@@ -105,18 +105,14 @@ func runRepetitions(ctx context.Context, tasks []rowTask, reps, workers int) ([]
 	return out, nil
 }
 
-// RunRepeatedParallelContext is RunRepeated with repetitions fanned out
-// over worker goroutines sharing the experiment's compiled program;
-// results are accumulated in seed order, making the sample identical to
-// the sequential version. workers <= 0 selects GOMAXPROCS. Cancellation
-// or deadline expiry is observed between repetitions and surfaces as
-// ctx.Err(). With an unexpired context the result is bit-identical to
-// RunRepeated.
-func (e *Experiment) RunRepeatedParallelContext(ctx context.Context, sc Scenario, reps, workers int) (*Repeated, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out, err := runRepetitions(ctx, []rowTask{{e: e, sc: sc}}, reps, workers)
+// RunRepeatedContext runs the scenario reps times with seeds sc.Seed,
+// sc.Seed+1, ... fanned out over GOMAXPROCS goroutines sharing the
+// experiment's compiled program, and collects the slowdown sample in
+// seed order, so it is bit-identical at any GOMAXPROCS. Cancellation or
+// deadline expiry is observed between repetitions and surfaces as
+// ctx.Err(). See Repeated for the saturation semantics.
+func (e *Experiment) RunRepeatedContext(ctx context.Context, sc Scenario, reps int) (*Repeated, error) {
+	out, err := runRepetitions(ctx, []rowTask{{e: e, sc: sc}}, reps, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}

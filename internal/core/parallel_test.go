@@ -11,16 +11,25 @@ import (
 	"repro/internal/noise"
 )
 
+// repeatedOn is RunRepeatedContext on a pinned number of workers.
+func repeatedOn(ctx context.Context, e *Experiment, sc Scenario, reps, workers int) (*Repeated, error) {
+	out, err := runRepetitions(ctx, []rowTask{{e: e, sc: sc}}, reps, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &out[0], nil
+}
+
 func TestParallelMatchesSequential(t *testing.T) {
 	e := smallExp(t, "minife")
 	sc := Scenario{
 		MTBCE: 20 * nsPerMs, PerEvent: noise.Fixed(500 * nsPerUs), Target: noise.AllNodes, Seed: 7,
 	}
-	seq, err := e.RunRepeated(sc, 6)
+	seq, err := repeatedOn(context.Background(), e, sc, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := e.RunRepeatedParallelContext(context.Background(), sc, 6, 4)
+	par, err := repeatedOn(context.Background(), e, sc, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +44,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelSingleWorkerDelegates(t *testing.T) {
 	e := smallExp(t, "minife")
 	sc := Scenario{MTBCE: 50 * nsPerMs, PerEvent: noise.Fixed(nsPerMs), Target: noise.AllNodes, Seed: 3}
-	a, err := e.RunRepeatedParallelContext(context.Background(), sc, 3, 1)
+	a, err := repeatedOn(context.Background(), e, sc, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +53,14 @@ func TestParallelSingleWorkerDelegates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.Sample.Values(), b.Sample.Values()) {
-		t.Fatal("single-worker parallel diverged from sequential")
+		t.Fatal("RunRepeated diverged from a single worker")
 	}
 }
 
 func TestParallelSaturationShortCircuits(t *testing.T) {
 	e := smallExp(t, "minife")
 	sc := Scenario{MTBCE: 10 * nsPerMs, PerEvent: noise.Fixed(133 * nsPerMs), Target: noise.AllNodes, Seed: 1}
-	rep, err := e.RunRepeatedParallelContext(context.Background(), sc, 4, 2)
+	rep, err := repeatedOn(context.Background(), e, sc, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +71,7 @@ func TestParallelSaturationShortCircuits(t *testing.T) {
 
 func TestParallelBadReps(t *testing.T) {
 	e := smallExp(t, "minife")
-	if _, err := e.RunRepeatedParallelContext(context.Background(), Scenario{MTBCE: nsPerS, PerEvent: noise.Fixed(1)}, 0, 2); err == nil {
+	if _, err := repeatedOn(context.Background(), e, Scenario{MTBCE: nsPerS, PerEvent: noise.Fixed(1)}, 0, 2); err == nil {
 		t.Fatal("0 reps accepted")
 	}
 }
@@ -78,7 +87,7 @@ func TestParallelBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got, err := e.RunRepeatedParallelContext(context.Background(), sc, reps, workers)
+		got, err := repeatedOn(context.Background(), e, sc, reps, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -105,7 +114,7 @@ func TestParallelErrorSurfaces(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		rep, err := e.RunRepeatedParallelContext(context.Background(), sc, 8, 4)
+		rep, err := repeatedOn(context.Background(), e, sc, 8, 4)
 		done <- result{rep, err}
 	}()
 	select {
@@ -124,16 +133,16 @@ func TestParallelContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		if _, err := e.RunRepeatedParallelContext(ctx, sc, 6, workers); !errors.Is(err, context.Canceled) {
+		if _, err := repeatedOn(ctx, e, sc, 6, workers); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}
 	// An unexpired context must not change results.
-	rep, err := e.RunRepeatedParallelContext(context.Background(), sc, 3, 2)
+	rep, err := repeatedOn(context.Background(), e, sc, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := e.RunRepeated(sc, 3)
+	seq, err := repeatedOn(context.Background(), e, sc, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +154,7 @@ func TestParallelContextCanceled(t *testing.T) {
 func TestParallelDefaultWorkers(t *testing.T) {
 	e := smallExp(t, "minife")
 	sc := Scenario{MTBCE: 100 * nsPerMs, PerEvent: noise.Fixed(nsPerMs), Target: noise.AllNodes, Seed: 5}
-	rep, err := e.RunRepeatedParallelContext(context.Background(), sc, 3, 0) // workers = GOMAXPROCS
+	rep, err := e.RunRepeatedContext(context.Background(), sc, 3) // workers = GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestRepetitionPanicRetriedBitIdentical(t *testing.T) {
 	if err := faultinject.Arm(panicBudget); err != nil {
 		t.Fatal(err)
 	}
-	gotPar, err := e.RunRepeatedParallelContext(context.Background(), sc, reps, 4)
+	gotPar, err := repeatedOn(context.Background(), e, sc, reps, 4)
 	if err != nil {
 		t.Fatalf("faulted parallel run failed: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestRepetitionErrorRetried(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.RunRepeatedParallelContext(context.Background(), sc, 6, 3)
+	got, err := repeatedOn(context.Background(), e, sc, 6, 3)
 	if err != nil {
 		t.Fatalf("faulted run failed: %v", err)
 	}
@@ -152,8 +152,8 @@ func TestSaturatedRepsAccountingWithRetries(t *testing.T) {
 	}
 	const reps = 8
 	for name, run := range map[string]func() (*Repeated, error){
-		"sequential": func() (*Repeated, error) { return e.RunRepeated(satSc, reps) },
-		"parallel":   func() (*Repeated, error) { return e.RunRepeatedParallelContext(context.Background(), satSc, reps, 4) },
+		"sequential": func() (*Repeated, error) { return repeatedOn(context.Background(), e, satSc, reps, 1) },
+		"parallel":   func() (*Repeated, error) { return repeatedOn(context.Background(), e, satSc, reps, 4) },
 	} {
 		if err := faultinject.Arm(errBudget); err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestSaturatedRepsAccountingWithRetries(t *testing.T) {
 	if err := faultinject.Arm(errBudget); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.RunRepeatedParallelContext(context.Background(), chaosScenario(), reps, 4)
+	rep, err := repeatedOn(context.Background(), e, chaosScenario(), reps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,12 +94,12 @@ func TestRunRepeatedAllSaturatedAnalytic(t *testing.T) {
 func TestRunRepeatedParallelMixedSaturationParity(t *testing.T) {
 	e := smallExp(t, "minife")
 	const reps = 6
-	seq, err := e.RunRepeated(mixedSatScenario(), reps)
+	seq, err := repeatedOn(context.Background(), e, mixedSatScenario(), reps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		par, err := e.RunRepeatedParallelContext(context.Background(), mixedSatScenario(), reps, workers)
+		par, err := repeatedOn(context.Background(), e, mixedSatScenario(), reps, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -49,12 +49,8 @@ func Extrapolate(t *trace.Trace, factor int) (*trace.Trace, error) {
 			dst := make([]trace.Op, len(src))
 			for i, op := range src {
 				switch op.Kind {
-				case trace.OpSend, trace.OpIsend:
+				case trace.OpSend, trace.OpIsend, trace.OpRecv, trace.OpIrecv:
 					op.Peer += base
-				case trace.OpRecv, trace.OpIrecv:
-					if op.Peer != trace.AnySource {
-						op.Peer += base
-					}
 				}
 				// Collective roots are global ranks; keep them as
 				// traced so every group agrees on a single root.

@@ -72,9 +72,6 @@ func TestP2PStaysInGroup(t *testing.T) {
 		for _, op := range ops {
 			switch op.Kind {
 			case trace.OpSend, trace.OpIsend, trace.OpRecv, trace.OpIrecv:
-				if op.Peer == trace.AnySource {
-					continue
-				}
 				if op.Peer/int32(p) != group {
 					t.Fatalf("rank %d (group %d) talks to rank %d outside its group", r, group, op.Peer)
 				}

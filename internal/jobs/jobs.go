@@ -3,7 +3,7 @@
 // cancellation and a graceful drain for SIGTERM handling. Simulation
 // requests accepted by internal/server become jobs here; the heavy
 // lifting inside a job fans out further via
-// core.RunRepeatedParallelContext.
+// core.RunRepeatedContext.
 //
 // The pool is self-healing: a panicking job body is recovered and
 // converted into a typed *JobError with the goroutine stack captured

@@ -49,7 +49,8 @@ var fuzzCollectives = [8]trace.OpKind{
 // schedule) — and then up to 64 three-byte actions: a
 // point-to-point message (the send appended to one rank, the receive to
 // another, as randomMatchedTrace does, so per-rank order follows one
-// global order and only a wildcard receive can steal a match), a calc, a
+// global order; a message that reuses its pair's previous tag leaves
+// two receives one message can meet, and arrival order picks), a calc, a
 // Wait or WaitAll on a rank with requests outstanding, an exchange
 // between two ranks, a ring exchange, or a collective appended to every
 // rank. An exchange is the block a halo exchange repeats: on each of
@@ -60,8 +61,8 @@ var fuzzCollectives = [8]trace.OpKind{
 // same block on every rank with its two neighbours — receive from
 // both, send to both, one tag per direction — so ranks' blocks differ
 // only by peer and ranks that met their neighbours in the same order
-// share one segment; in a wildcard ring the receive from the left
-// neighbour takes AnySource.
+// share one segment; in a one-tag ring both directions take one tag, so
+// on two ranks both receives name the one neighbour and that tag.
 func decodeFuzzCase(data []byte) fuzzCase {
 	at := func(i int) int {
 		if i < len(data) {
@@ -93,6 +94,7 @@ func decodeFuzzCase(data []byte) fuzzCase {
 	ops := c.tr.Ops
 	reqs := make([]int32, ranks)      // next request id per rank
 	pending := make([][]int32, ranks) // outstanding request ids per rank
+	last := map[[2]int]int32{}        // the tag of each (sender, receiver) pair's latest message
 	for i, tag := 3, int32(0); i+2 < len(data) && i < 3+3*64; i, tag = i+3, tag+1 {
 		a, b, cc := int(data[i]), int(data[i+1]), int(data[i+2])
 		r := b % ranks
@@ -100,41 +102,41 @@ func decodeFuzzCase(data []byte) fuzzCase {
 		case 0, 1, 2:
 			dst := (r + 1 + b>>3%(ranks-1)) % ranks
 			size := fuzzSizes[cc%8]
+			// Bits 32 and 64 once made the receive a wildcard; now
+			// either reuses the pair's previous tag.
+			t := tag
+			if prev, ok := last[[2]int{r, dst}]; ok && cc&96 != 0 {
+				t = prev
+			}
+			last[[2]int{r, dst}] = t
 			if cc&8 != 0 {
-				ops[r] = append(ops[r], trace.Isend(int32(dst), size, tag, reqs[r]))
+				ops[r] = append(ops[r], trace.Isend(int32(dst), size, t, reqs[r]))
 				pending[r] = append(pending[r], reqs[r])
 				reqs[r]++
 			} else {
-				ops[r] = append(ops[r], trace.Send(int32(dst), size, tag))
-			}
-			from, want := int32(r), tag
-			if cc&32 != 0 {
-				from = trace.AnySource
-			}
-			if cc&64 != 0 {
-				want = trace.AnyTag
+				ops[r] = append(ops[r], trace.Send(int32(dst), size, t))
 			}
 			if cc&16 != 0 {
-				ops[dst] = append(ops[dst], trace.Irecv(from, size, want, reqs[dst]))
+				ops[dst] = append(ops[dst], trace.Irecv(int32(r), size, t, reqs[dst]))
 				pending[dst] = append(pending[dst], reqs[dst])
 				reqs[dst]++
 			} else {
-				ops[dst] = append(ops[dst], trace.Recv(from, size, want))
+				ops[dst] = append(ops[dst], trace.Recv(int32(r), size, t))
 			}
 		case 3:
 			ops[r] = append(ops[r], trace.Calc(int64(cc)*500))
 		case 4:
 			if a&24 == 24 {
-				from := func(r int) int32 { return int32((r + ranks - 1) % ranks) }
+				back := int32(ringTag + 1) // the tag of the messages sent left
 				if a&32 != 0 {
-					from = func(int) int32 { return trace.AnySource }
+					back = ringTag
 				}
 				size := fuzzSizes[cc%8]
 				for r := range ops {
 					left, right := int32((r+ranks-1)%ranks), int32((r+1)%ranks)
 					ops[r] = append(ops[r], trace.WaitAll(),
-						trace.Irecv(from(r), size, ringTag, ringReq), trace.Irecv(right, size, ringTag+1, ringReq+1),
-						trace.Isend(right, size, ringTag, ringReq+2), trace.Isend(left, size, ringTag+1, ringReq+3),
+						trace.Irecv(left, size, ringTag, ringReq), trace.Irecv(right, size, back, ringReq+1),
+						trace.Isend(right, size, ringTag, ringReq+2), trace.Isend(left, size, back, ringReq+3),
 						trace.WaitAll())
 					pending[r] = nil
 				}
@@ -221,10 +223,9 @@ func lowerByRank(tr *trace.Trace, coll collectives.Config, cfg Config, sink func
 // into streams and segments, and on that lowering with every exchange
 // inline — and requires the same per-rank finish times, message, byte
 // and event counts, termination and Profile from all, and the same
-// handshake and slot counts from the three programs. Deadlocks (a
-// wildcard receive that stole a match) must agree too, and a run that
-// finishes must conserve time exactly (requireTimeConserved). It
-// returns the reference's result.
+// handshake and slot counts from the three programs. Deadlocks must
+// agree too, and a run that finishes must conserve time exactly
+// (requireTimeConserved). It returns the reference's result.
 func requireMatchesReference(t testing.TB, c fuzzCase) *Result {
 	t.Helper()
 	if err := c.tr.Validate(); err != nil {
@@ -290,7 +291,6 @@ func requireTimeConserved(t testing.TB, label string, res *Result) {
 var fuzzSeeds = map[string]string{
 	"eager-pingpong":   "\x00\x00\x00" + "\x00\x00\x03" + "\x00\x01\x03",
 	"rendezvous-mixed": "\x02\x10\x00" + "\x00\x00\x07" + "\x00\x09\x1f" + "\x01\x02\x0e" + "\x03\x01\x40" + "\x00\x0a\x17" + "\x05\x01\x00" + "\x04\x02\x00",
-	"wildcards":        "\x01\x00\x00" + "\x00\x00\x33" + "\x00\x08\x53" + "\x00\x01\x72" + "\x03\x00\x10" + "\x00\x02\x2b",
 	"collectives":      "\x03\x00\x00" + "\x06\x00\x00" + "\x06\x03\x02" + "\x07\x0b\x03" + "\x06\x03\x07" + "\x06\x05\x03" + "\x07\x04\x02" + "\x06\x16\x04" + "\x06\x0f\x03" + "\x06\x02\x06",
 	"everything": "\x04\x7d\x2b" + "\x06\x03\x07" + "\x00\x0b\x1e" + "\x03\x02\x33" + "\x00\x13\x0f" + "\x06\x00\x00" + "\x01\x04\x36" + "\x05\x00\x01" +
 		"\x06\x09\x05" + "\x02\x1a\x4c" + "\x04\x03\x00" + "\x07\x06\x06" + "\x00\x21\x07" + "\x06\x01\x03" + "\x03\x04\xff" + "\x06\x05\x07",
@@ -302,12 +302,21 @@ var fuzzSeeds = map[string]string{
 	// rendezvous send takes the released index (TestNoRecordRetention
 	// checks it does).
 	"reuse-beside-unexpected": "\x02\x00\x00" + "\x03\x02\xff" + "\x00\x12\x03" + "\x00\x00\x0f" + "\x00\x03\x07" + "\x00\x10\x03" + "\x00\x03\x07",
+	// Two ranks, rank 0 sending twice on each of two tags. Rank 1 posts
+	// an Irecv, then blocks in a Recv for the same source and tag: the
+	// eager message meets the Irecv, posted first, and the rendezvous
+	// one the Recv. Then it posts an Irecv, frees an Isend's slot with
+	// a Wait and posts an Irecv for the same source and tag into the
+	// freed slot: the first message meets the earlier post, not the
+	// lower slot.
+	"reused-tags": "\x00\x00\x00" + "\x00\x00\x12" + "\x03\x00\xff" + "\x00\x00\x26" + "\x00\x01\x0a" + "\x00\x00\x12" +
+		"\x05\x01\x01" + "\x00\x00\x36",
 	// Three ranks: rank 0 and 1 repeat a rendezvous exchange between
 	// calcs, rank 1 and 2 an eager one, beside an unrelated message.
 	"repeated-exchanges": "\x01\x00\x00" + "\x0c\x00\x07" + "\x03\x00\x10" + "\x0c\x01\x02" + "\x0c\x00\x07" + "\x00\x02\x03" +
 		"\x03\x01\x20" + "\x0c\x00\x07" + "\x0c\x01\x02",
-	// Four ranks repeat an eager ring exchange and a rendezvous one whose
-	// receive from the left takes AnySource, under CE noise; a message
+	// Four ranks repeat an eager ring exchange and a rendezvous one-tag
+	// ring, under CE noise; a message
 	// from rank 0 to rank 3 first makes rank 3 meet its neighbours in
 	// another order, so it shares neither segment.
 	"rings": "\x02\x00\x11" + "\x00\x10\x03" + "\x1c\x00\x03" + "\x03\x00\x10" + "\x1c\x00\x03" + "\x3c\x00\x07" +
@@ -326,30 +335,53 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	})
 }
 
-// sharedSegments reports whether two ranks of p reference one segment,
-// and whether one such segment holds a wildcard receive.
-func sharedSegments(p *Program) (shared, wild bool) {
+// sharedSegment reports whether two ranks of p reference one segment.
+func sharedSegment(p *Program) bool {
 	first := map[int32]int{} // segment -> the first rank referencing it
 	for r := 0; r < p.Ranks(); r++ {
 		for _, seg := range p.segTab[p.rank[r].seg:p.rank[r+1].seg] {
-			if f, ok := first[seg]; !ok || f == r {
-				first[seg] = r
-				continue
+			if f, ok := first[seg]; ok && f != r {
+				return true
 			}
-			shared = true
-			wild = wild || slices.ContainsFunc(p.segs[seg], func(op cop) bool {
-				return (op.kind == cIrecv || op.kind == cRecv) && op.peer == trace.AnySource
-			})
+			first[seg] = r
 		}
 	}
-	return shared, wild
+	return false
+}
+
+// twoOpenReceivesMatch reports whether a rank of tr posts a receive
+// while an Irecv naming the same source and tag is still open, so that
+// one message can meet either and post order decides.
+func twoOpenReceivesMatch(tr *trace.Trace) bool {
+	type key struct{ peer, tag int32 }
+	for _, ops := range tr.Ops {
+		open := map[int32]key{} // request id -> what its Irecv names
+		for _, op := range ops {
+			switch op.Kind {
+			case trace.OpRecv, trace.OpIrecv:
+				for _, k := range open {
+					if k == (key{op.Peer, op.Tag}) {
+						return true
+					}
+				}
+				if op.Kind == trace.OpIrecv {
+					open[op.Req] = key{op.Peer, op.Tag}
+				}
+			case trace.OpWait:
+				delete(open, op.Req)
+			case trace.OpWaitAll:
+				clear(open)
+			}
+		}
+	}
+	return false
 }
 
 // decoderFeatures are the features of the decoder the seeds must reach
 // between them, as reaches names them.
-var decoderFeatures = []string{"rendezvous send", "wildcard receive", "charged detour",
+var decoderFeatures = []string{"rendezvous send", "two open receives one message can meet", "charged detour",
 	"detour charged from a schedule a node's ranks share", "shared NIC", "shared exchange",
-	"segment two ranks reference", "wildcard receive in a segment two ranks reference"}
+	"segment two ranks reference"}
 
 // reaches names what case c reaches of the decoder's features, res
 // being its reference run: each op kind it holds, the count of ops its
@@ -363,9 +395,6 @@ func reaches(t testing.TB, c fuzzCase, res *Result) map[string]bool {
 			got[op.Kind.String()] = true
 			if (op.Kind == trace.OpSend || op.Kind == trace.OpIsend) && op.Size > c.cfg.Net.S {
 				got["rendezvous send"] = true
-			}
-			if (op.Kind == trace.OpRecv || op.Kind == trace.OpIrecv) && (op.Peer == trace.AnySource || op.Tag == trace.AnyTag) {
-				got["wildcard receive"] = true
 			}
 		}
 	}
@@ -383,7 +412,8 @@ func reaches(t testing.TB, c fuzzCase, res *Result) map[string]bool {
 		t.Fatal(err)
 	}
 	got["shared exchange"] = len(streamed.segTab) > len(inline.segTab)
-	got["segment two ranks reference"], got["wildcard receive in a segment two ranks reference"] = sharedSegments(streamed)
+	got["segment two ranks reference"] = sharedSegment(streamed)
+	got["two open receives one message can meet"] = twoOpenReceivesMatch(c.tr)
 	if c.noise != nil && res.Profile.Detour > 0 {
 		got["charged detour"] = true
 		got["detour charged from a schedule a node's ranks share"] = c.noise.RanksPerNode > 1
@@ -392,11 +422,11 @@ func reaches(t testing.TB, c fuzzCase, res *Result) map[string]bool {
 }
 
 // TestReferenceCoversTheDecoder keeps the seeds honest: together they
-// must reach both protocols, wildcards, a deadlock-free collective of
-// every kind, shared NICs, a CE process that charges detours, a program
-// that shares an exchange and one where two ranks reference one segment
-// holding a wildcard receive — otherwise the fuzzer starts from programs
-// that compare nothing.
+// must reach both protocols, two open receives one message can meet, a
+// deadlock-free collective of every kind, shared NICs, a CE process
+// that charges detours, a program that shares an exchange and one where
+// two ranks reference one segment — otherwise the fuzzer starts from
+// programs that compare nothing.
 func TestReferenceCoversTheDecoder(t *testing.T) {
 	reached := map[string]bool{}
 	for name, seed := range fuzzSeeds {
@@ -427,8 +457,9 @@ func TestCorpusMeansWhatItsNamesSay(t *testing.T) {
 		every = append(every, k.String())
 	}
 	for name, want := range map[string][]string{
-		"found-every-feature-1447-ops":       every,
-		"found-wildcard-deadlock-shared-nic": {"deadlock", "wildcard receive", "shared NIC"},
+		"found-every-feature-1447-ops": every,
+		"found-node-shared-detours-431-ops": {"431 ops", "shared NIC",
+			"detour charged from a schedule a node's ranks share", "segment two ranks reference"},
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzEngineMatchesReference", name))
 		if err != nil {

@@ -31,7 +31,8 @@
 //     NIC only (no retroactive CPU charge at CTS time);
 //   - receive-side per-byte CPU (O) is charged when the receive or wait
 //     completes rather than being pipelined with arrival;
-//   - message matching is (source, tag) with wildcards in post order;
+//   - a message meets the earliest-posted receive that names its exact
+//     source and tag, a blocking receive being posted like any other;
 //     same-peer non-overtaking across different sizes is not enforced.
 //
 // CPU detours are injected through a noise.Model: every CPU-busy
@@ -123,12 +124,11 @@ const (
 type blockKind uint8
 
 const (
-	notBlocked      blockKind = iota
-	blockedRecv               // blocking receive posted, waiting for match/data
-	blockedSendCTS            // blocking rendezvous send, waiting for CTS
-	blockedSendDone           // blocking rendezvous send, payload injection done at wake
-	blockedWait               // waiting on one request
-	blockedWaitAll            // waiting on all outstanding requests
+	notBlocked     blockKind = iota
+	blockedRecv              // blocking receive posted, waiting for match/data
+	blockedSendCTS           // blocking rendezvous send, waiting for CTS
+	blockedWait              // waiting on one request
+	blockedWaitAll           // waiting on all outstanding requests
 	finished
 )
 
@@ -143,24 +143,21 @@ type rankState struct {
 	clock            int64
 	block            blockKind
 	blockReq         int32 // for blockedWait
-	blockMsg         int32 // rendezvous msg index for blockedSendCTS / blockedRecv data wait
 	slots            []slot
 	unexpected       []unexp
 	// freeMin is a lower bound on the inactive slot indices: no slot
 	// below it is free. addSlot resumes its lowest-free scan here
-	// instead of index 0, which keeps allocation O(1) amortized while
-	// preserving the lowest-index-first assignment the matching order
-	// depends on.
+	// instead of index 0, which keeps allocation O(1) amortized.
 	freeMin int32
 	// pending counts slots that are active and not done — the number
 	// of outstanding requests a WaitAll must wait for. Maintained at
 	// every done/active transition so doWaitAll's readiness check
 	// (which runs on every completion event while blocked) is O(1).
 	pending int32
-	// posted lists the matchable posted irecvs — active, not done, not
-	// claimed, req >= 0 — in ascending slot-index order, so arrival
-	// matching scans only receive candidates in the exact order the
-	// full slot scan used to visit them. Each entry carries the match
+	// posted lists the matchable posted receives — active, not done,
+	// not claimed, blocking ones included — in post order: addSlot
+	// appends them and a match removes one, so an arrival meets the
+	// first entry with its source and tag. Each entry carries the match
 	// key (peer, tag) so the scan stays inside this contiguous list
 	// instead of dereferencing the slot table per probe.
 	posted []postedEnt
@@ -308,7 +305,6 @@ func (s *Simulator) reset(nm noise.Model) {
 		st.clock = 0
 		st.block = notBlocked
 		st.blockReq = 0
-		st.blockMsg = -1
 		st.slots = st.slots[:0]
 		st.unexpected = st.unexpected[:0]
 		st.freeMin = 0
@@ -522,7 +518,7 @@ func (s *Simulator) advance(r int32) {
 				s.eagerSend(r, st, peer, op, c)
 				s.addSlot(st, slot{req: op.req + st.reqBase, peer: peer, tag: op.tag + st.tagBase, size: c.size, done: true, ready: st.clock, active: true})
 			case cIrecv:
-				s.postIrecv(r, p.source(rc, op.peer), op)
+				s.postIrecv(r, p.peers[rc.peer+op.peer], op)
 			case cWaitAll:
 				if !s.doWaitAll(r) {
 					return
@@ -536,12 +532,11 @@ func (s *Simulator) advance(r int32) {
 				s.addSlot(st, slot{req: op.req + st.reqBase, peer: peer, tag: op.tag + st.tagBase, size: c.size, active: true})
 			case cRdvSend:
 				// Rendezvous blocking send: pay o, emit RTS, block until CTS.
-				idx := s.startRdv(r, st, p.peers[rc.peer+op.peer], op, &p.costs[op.arg], -1)
+				s.startRdv(r, st, p.peers[rc.peer+op.peer], op, &p.costs[op.arg], -1)
 				st.block = blockedSendCTS
-				st.blockMsg = idx
 				return
 			case cRecv:
-				if !s.startRecv(r, p.source(rc, op.peer), op) {
+				if !s.startRecv(r, p.peers[rc.peer+op.peer], op) {
 					return
 				}
 			case cWait:

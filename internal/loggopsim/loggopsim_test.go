@@ -143,18 +143,6 @@ func TestUnexpectedMessage(t *testing.T) {
 	}
 }
 
-func TestWildcardRecv(t *testing.T) {
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Send(2, 8, 42)},
-		{trace.Send(2, 8, 43)},
-		{trace.Recv(trace.AnySource, 8, trace.AnyTag), trace.Recv(trace.AnySource, 8, trace.AnyTag)},
-	}}
-	res := mustSim(t, tr, defaultCfg())
-	if res.Messages != 2 {
-		t.Fatalf("wildcard recv matched %d messages, want 2", res.Messages)
-	}
-}
-
 func TestTagSelective(t *testing.T) {
 	// Receiver wants tag 2 first even though tag 1 arrives first.
 	net := netmodel.CrayXC40()

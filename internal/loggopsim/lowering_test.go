@@ -43,7 +43,7 @@ func (p *Program) flatOps(r int) []flatOp {
 			f.peer = p.peers[rc.peer+op.peer]
 			f.tag += tag
 		case cRecv, cIrecv:
-			f.peer = p.source(rc, op.peer)
+			f.peer = p.peers[rc.peer+op.peer]
 			f.tag += tag
 		}
 		switch op.kind {

@@ -27,7 +27,7 @@ type cop struct {
 	// into Program.costs, a receive's posted size, or a segment
 	// reference's index into the rank's segment table.
 	arg  int64
-	peer int32 // index into the rank's peers, or AnySource
+	peer int32 // index into the rank's peers
 	tag  int32 // segment reference: the instance's tag base
 	req  int32 // segment reference: the instance's request-id base
 	kind uint8 // cop kinds below
@@ -93,7 +93,7 @@ type Program struct {
 	// three slabs, rank[r+1] where they end.
 	rank   []rankCode
 	durs   []int64
-	peers  []int32 // ranks, never AnySource
+	peers  []int32 // ranks
 	segTab []int32 // indices into segs
 	// Counted while lowering, so a Simulator is allocated at the size
 	// its first run reaches instead of growing into it: handshakes sums
@@ -494,12 +494,8 @@ func (b *Builder) apply(fx effect) {
 }
 
 // peer returns rank q's index in the started rank's peers, adding q on
-// its first appearance, or AnySource for AnySource where wild allows
-// it; ok is false for no rank of the program.
-func (b *Builder) peer(q int32, wild bool) (local int32, ok bool) {
-	if wild && q == trace.AnySource {
-		return q, true
-	}
+// its first appearance; ok is false for no rank of the program.
+func (b *Builder) peer(q int32) (local int32, ok bool) {
 	if q < 0 || int(q) >= len(b.peerAt) {
 		return 0, false
 	}
@@ -529,7 +525,7 @@ func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, eff
 			c.kind, c.arg = cCalc, int64(len(p.durs)-int(p.rank[r].dur))
 			p.durs = append(p.durs, op.Dur)
 		case trace.OpSend, trace.OpIsend:
-			if c.peer, ok = b.peer(op.Peer, false); !ok {
+			if c.peer, ok = b.peer(op.Peer); !ok {
 				c.kind = cBad
 				break
 			}
@@ -562,7 +558,7 @@ func (b *Builder) lower(dst []cop, ops []trace.Op, rdvReqs *[]int32) ([]cop, eff
 			}
 			c.arg = at
 		case trace.OpRecv, trace.OpIrecv:
-			if c.peer, ok = b.peer(op.Peer, true); !ok {
+			if c.peer, ok = b.peer(op.Peer); !ok {
 				c.kind = cBad
 				break
 			}
@@ -617,15 +613,6 @@ func (p *Program) stream(r int32) []cop { return p.streams[p.rank[r].stream] }
 
 // seg returns the segment rank r's table names at i.
 func (p *Program) seg(r int32, i int64) int32 { return p.segTab[p.rank[r].seg+int32(i)] }
-
-// source returns the rank a receive names through rank code rc's
-// peers: AnySource stays itself.
-func (p *Program) source(rc *rankCode, peer int32) int32 {
-	if peer == trace.AnySource {
-		return peer
-	}
-	return p.peers[rc.peer+peer]
-}
 
 // SizeBytes is the program's resident size: the compiled ops of every
 // stream and segment with a slice header each, the cost table, the

@@ -5,10 +5,7 @@ package loggopsim
 // handlers the run loop (loggopsim.go) dispatches events to. Everything
 // here mutates a Simulator and only reads its Program.
 
-import (
-	"repro/internal/eventq"
-	"repro/internal/trace"
-)
+import "repro/internal/eventq"
 
 // rdvMsg tracks a rendezvous message through its handshake, from
 // startRdv, which takes it, to dataArrive, which zeroes and releases it.
@@ -28,7 +25,7 @@ type slot struct {
 	ready   int64 // time the slot became done
 	posted  int64 // logical time the receive was posted
 	req     int32 // request id; -1 for a blocking recv
-	peer    int32 // expected source (AnySource allowed) or send peer
+	peer    int32 // expected source or send peer
 	tag     int32
 	isRecv  bool
 	done    bool // data ready (recv) or buffer released (send)
@@ -50,28 +47,6 @@ type postedEnt struct {
 	idx  int32
 	peer int32
 	tag  int32
-}
-
-// postedInsert adds a posted receive to the sorted matchable-irecv list.
-func (st *rankState) postedInsert(e postedEnt) {
-	p := st.posted
-	if len(p) == 0 || e.idx > p[len(p)-1].idx {
-		st.posted = append(p, e)
-		return
-	}
-	lo, hi := 0, len(p)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p[mid].idx < e.idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	p = append(p, postedEnt{})
-	copy(p[lo+1:], p[lo:])
-	p[lo] = e
-	st.posted = p
 }
 
 // postedRemoveAt removes the list entry at position k.
@@ -119,7 +94,7 @@ func (s *Simulator) eagerSend(r int32, st *rankState, peer int32, op *cop, c *co
 // peer and schedules its RTS arrival; srcReq is the sender's request
 // id, -1 for a blocking send. The message takes the most recently
 // released record, and a new one only when every record is in flight.
-func (s *Simulator) startRdv(r int32, st *rankState, peer int32, op *cop, c *cost, srcReq int32) int32 {
+func (s *Simulator) startRdv(r int32, st *rankState, peer int32, op *cop, c *cost, srcReq int32) {
 	cpuEnd := s.extend(r, st.clock, c.dur)
 	st.clock = cpuEnd
 	m := rdvMsg{src: r, dst: peer, tag: op.tag + st.tagBase, size: c.size, srcReq: srcReq, dstSlot: -1}
@@ -133,9 +108,11 @@ func (s *Simulator) startRdv(r int32, st *rankState, peer int32, op *cop, c *cos
 		s.msgs = append(s.msgs, m)
 	}
 	s.q.Push(eventq.Event{Time: cpuEnd + c.transit, Kind: evRTSArrive, Rank: peer, A: idx})
-	return idx
 }
 
+// addSlot takes a slot for a request or a blocking receive. A receive
+// that no arrival has claimed yet goes on the end of the posted list,
+// which is therefore in post order.
 func (s *Simulator) addSlot(st *rankState, sl slot) int32 {
 	// Reuse the lowest-index inactive slot if available to bound
 	// growth; freeMin makes the scan resume where free slots can
@@ -155,19 +132,19 @@ func (s *Simulator) addSlot(st *rankState, sl slot) int32 {
 	st.freeMin = idx + 1
 	if !sl.done {
 		st.pending++
-		if sl.isRecv && !sl.claimed && sl.req >= 0 {
-			st.postedInsert(postedEnt{idx: idx, peer: sl.peer, tag: sl.tag})
+		if sl.isRecv && !sl.claimed {
+			st.posted = append(st.posted, postedEnt{idx: idx, peer: sl.peer, tag: sl.tag})
 		}
 	}
 	return idx
 }
 
-// matchUnexpected finds the earliest-arrived unexpected message matching
-// (peer, tag) and removes it.
+// matchUnexpected finds the earliest-arrived unexpected message from
+// peer with tag and removes it.
 func (s *Simulator) matchUnexpected(st *rankState, peer, tag int32) (unexp, bool) {
 	for i := range st.unexpected {
 		u := st.unexpected[i]
-		if (peer == trace.AnySource || peer == u.src) && (tag == trace.AnyTag || tag == u.tag) {
+		if u.src == peer && u.tag == tag {
 			st.unexpected = append(st.unexpected[:i], st.unexpected[i+1:]...)
 			return u, true
 		}
@@ -193,15 +170,12 @@ func (s *Simulator) startRecv(r, peer int32, op *cop) bool {
 		cts := max(st.clock, m.rtsATime) + s.p.cfg.Net.L
 		s.q.Push(eventq.Event{Time: cts, Kind: evCTSArrive, Rank: m.src, A: u.msg})
 		st.block = blockedRecv
-		st.blockMsg = u.msg
 		m.dstSlot = -2 // blocking receive, no slot
 		return false
 	}
-	// Nothing here yet: post and block.
-	idx := s.addSlot(st, slot{req: -1, peer: peer, tag: tag, size: op.arg, isRecv: true, posted: st.clock, active: true})
+	// Nothing here yet: post like an Irecv and block.
+	s.addSlot(st, slot{req: -1, peer: peer, tag: tag, size: op.arg, isRecv: true, posted: st.clock, active: true})
 	st.block = blockedRecv
-	st.blockMsg = -1
-	st.blockReq = idx // remember which slot the blocking recv owns
 	return false
 }
 
@@ -303,80 +277,62 @@ func (s *Simulator) doWaitAll(r int32) bool {
 	return true
 }
 
-// eagerArrive delivers an eager payload at dst.
+// eagerArrive delivers an eager payload at dst to the earliest-posted
+// receive that names its source and tag, or files it as unexpected.
 func (s *Simulator) eagerArrive(dst int32, src int32, size int64, tag int32, arr int64) {
 	st := &s.ranks[dst]
-	// A blocked receive waiting for a match?
-	if st.block == blockedRecv && st.blockMsg == -1 {
-		slIdx := st.blockReq
-		sl := &st.slots[slIdx]
-		if (sl.peer == trace.AnySource || sl.peer == src) && (sl.tag == trace.AnyTag || sl.tag == tag) {
-			st.freeSlot(slIdx)
+	for k, pe := range st.posted {
+		if pe.peer != src || pe.tag != tag {
+			continue
+		}
+		st.postedRemoveAt(k)
+		s.res.Messages++
+		s.res.BytesMoved += size
+		sl := &st.slots[pe.idx]
+		if sl.req < 0 {
+			// The blocking receive the rank is in: complete it.
+			st.freeSlot(pe.idx)
 			st.clock = s.extend(dst, max(st.clock, arr), s.p.cfg.Net.RecvCPU(size))
-			s.res.Messages++
-			s.res.BytesMoved += size
 			s.resume(dst) // past the blocking recv
 			return
 		}
-	}
-	// A posted irecv? st.posted holds exactly the matchable candidates
-	// in ascending slot order — the order the full slot scan visited.
-	for k := 0; k < len(st.posted); k++ {
-		pe := &st.posted[k]
-		if (pe.peer == trace.AnySource || pe.peer == src) &&
-			(pe.tag == trace.AnyTag || pe.tag == tag) {
-			sl := &st.slots[pe.idx]
-			sl.done = true
-			sl.ready = max(arr, sl.posted)
-			sl.size = size
-			st.pending--
-			st.postedRemoveAt(k)
-			s.res.Messages++
-			s.res.BytesMoved += size
-			s.maybeUnblockWait(dst, sl.req)
-			return
-		}
+		sl.done = true
+		sl.ready = max(arr, sl.posted)
+		sl.size = size
+		st.pending--
+		s.maybeUnblockWait(dst, sl.req)
+		return
 	}
 	st.unexpected = append(st.unexpected, unexp{src: src, tag: tag, msg: -1, size: size, arr: arr})
 }
 
-// rtsArrive processes a rendezvous request at the destination.
+// rtsArrive processes a rendezvous request at the destination: the
+// earliest-posted receive that names its source and tag answers it
+// with a CTS, or it waits as unexpected.
 func (s *Simulator) rtsArrive(msgIdx int32, arr int64) {
 	m := &s.msgs[msgIdx]
 	m.rtsATime = arr
 	st := &s.ranks[m.dst]
-	// Blocking receive waiting?
-	if st.block == blockedRecv && st.blockMsg == -1 {
-		slIdx := st.blockReq
-		sl := &st.slots[slIdx]
-		if (sl.peer == trace.AnySource || sl.peer == m.src) && (sl.tag == trace.AnyTag || sl.tag == m.tag) {
-			st.freeSlot(slIdx)
+	for k, pe := range st.posted {
+		if pe.peer != m.src || pe.tag != m.tag {
+			continue
+		}
+		st.postedRemoveAt(k)
+		sl := &st.slots[pe.idx]
+		s.q.Push(eventq.Event{Time: max(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
+		if sl.req < 0 {
+			// The blocking receive the rank is in: it waits for the
+			// payload without a slot.
+			st.freeSlot(pe.idx)
 			m.dstSlot = -2
-			st.blockMsg = msgIdx
-			s.q.Push(eventq.Event{Time: max(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
 			return
 		}
-	}
-	// Posted irecv?
-	for k := 0; k < len(st.posted); k++ {
-		pe := &st.posted[k]
-		if (pe.peer == trace.AnySource || pe.peer == m.src) &&
-			(pe.tag == trace.AnyTag || pe.tag == m.tag) {
-			i := pe.idx
-			sl := &st.slots[i]
-			m.dstSlot = i
-			sl.size = m.size
-			// Claim the slot: it now belongs to this rendezvous payload
-			// and must not match further arrivals. (The pre-overhaul
-			// scan left it matchable until the payload landed, letting a
-			// same-(source,tag) eager message hijack an RTS-matched
-			// request; expanded traces use unique per-instance tags, so
-			// figure outputs are unaffected.)
-			sl.claimed = true
-			st.postedRemoveAt(k)
-			s.q.Push(eventq.Event{Time: max(sl.posted, arr) + s.p.cfg.Net.L, Kind: evCTSArrive, Rank: m.src, A: msgIdx})
-			return
-		}
+		// Claim the slot: it now belongs to this rendezvous payload
+		// and matches no further arrival.
+		m.dstSlot = pe.idx
+		sl.size = m.size
+		sl.claimed = true
+		return
 	}
 	st.unexpected = append(st.unexpected, unexp{src: m.src, tag: m.tag, msg: msgIdx, size: m.size, arr: arr})
 }

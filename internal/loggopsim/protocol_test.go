@@ -7,47 +7,46 @@ import (
 	"repro/internal/trace"
 )
 
-func TestWildcardMatchesRendezvous(t *testing.T) {
-	net := netmodel.CrayXC40()
-	big := net.S * 2
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Send(1, big, 7)},
-		{trace.Recv(trace.AnySource, big, trace.AnyTag)},
-	}}
-	res := mustSim(t, tr, Config{Net: net})
-	if res.Messages != 1 {
-		t.Fatalf("wildcard did not match rendezvous: %d messages", res.Messages)
+// requireMatchesInPostOrder runs a two-rank micro-trace twice: as
+// given, where rank 0 sends twice with one tag and rank 1 posts two
+// receives that both name it, and with the second message and the
+// second-posted receive on a tag of their own, which leaves one
+// matching that MPI allows. Both runs must finish at the same times:
+// the first message meets the receive posted first.
+func requireMatchesInPostOrder(t *testing.T, build func(second int32) [][]trace.Op) {
+	t.Helper()
+	same := mustSim(t, &trace.Trace{Ops: build(0)}, defaultCfg())
+	distinct := mustSim(t, &trace.Trace{Ops: build(1)}, defaultCfg())
+	for r := range distinct.FinishTimes {
+		if same.FinishTimes[r] != distinct.FinishTimes[r] {
+			t.Fatalf("rank %d finishes at %d ns with one tag, %d ns with a tag per message",
+				r, same.FinishTimes[r], distinct.FinishTimes[r])
+		}
 	}
 }
 
-func TestWildcardIrecvMatchesRendezvousRTS(t *testing.T) {
-	net := netmodel.CrayXC40()
-	big := net.S * 2
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Calc(10 * ms), trace.Send(1, big, 7)},
-		{trace.Irecv(trace.AnySource, big, trace.AnyTag, 1), trace.Wait(1)},
-	}}
-	res := mustSim(t, tr, Config{Net: net})
-	if res.Messages != 1 {
-		t.Fatalf("posted wildcard irecv did not match RTS: %d messages", res.Messages)
-	}
-	if res.FinishTimes[1] < 10*ms {
-		t.Fatal("receiver finished before the sender even started")
-	}
+// TestBlockingRecvPostedLikeAnIrecv: a blocking Recv is posted behind
+// the Irecv before it, so the first message meets the Irecv even
+// though the rank is blocked in the Recv when it lands.
+func TestBlockingRecvPostedLikeAnIrecv(t *testing.T) {
+	requireMatchesInPostOrder(t, func(second int32) [][]trace.Op {
+		return [][]trace.Op{
+			{trace.Send(1, 8, 0), trace.Calc(1 * ms), trace.Send(1, 4000, second)},
+			{trace.Irecv(0, 8, 0, 0), trace.Recv(0, 4000, second), trace.Wait(0)},
+		}
+	})
 }
 
-func TestSourceSpecificTagWildcard(t *testing.T) {
-	// Recv(src=0, AnyTag) must match whatever tag rank 0 used, and not
-	// a message from rank 2.
-	tr := &trace.Trace{Ops: [][]trace.Op{
-		{trace.Send(1, 8, 42)},
-		{trace.Recv(0, 8, trace.AnyTag), trace.Recv(2, 8, trace.AnyTag)},
-		{trace.Send(1, 8, 43)},
-	}}
-	res := mustSim(t, tr, defaultCfg())
-	if res.Messages != 2 {
-		t.Fatalf("source-specific wildcard recvs matched %d", res.Messages)
-	}
+// TestIrecvInFreedSlotMatchesAfterEarlierPost: an Irecv posted into
+// the slot a Wait freed is still behind the Irecv posted before that
+// Wait; slot indices do not order matching.
+func TestIrecvInFreedSlotMatchesAfterEarlierPost(t *testing.T) {
+	requireMatchesInPostOrder(t, func(second int32) [][]trace.Op {
+		return [][]trace.Op{
+			{trace.Recv(1, 8, 9), trace.Send(1, 8, 0), trace.Calc(1 * ms), trace.Send(1, 4000, second)},
+			{trace.Isend(0, 8, 9, 0), trace.Irecv(0, 8, 0, 1), trace.Wait(0), trace.Irecv(0, 4000, second, 2), trace.WaitAll()},
+		}
+	})
 }
 
 func TestMixedEagerAndRendezvousSamePair(t *testing.T) {

@@ -4,7 +4,8 @@ package loggopsim
 // docs/MODEL.md §1–2 that FuzzEngineMatchesReference holds the engine to. It
 // walks *trace.Trace ops directly — no Program, compiled op, cost table or
 // segment — keeps its events in one sorted slice, spells the o/g/G/O/L/S
-// arithmetic out, scans slots in ascending index and draws one gap at a time.
+// arithmetic out, matches a message to the earliest-posted receive that
+// names its source and tag, and draws one gap at a time.
 
 import (
 	"slices"
@@ -31,15 +32,16 @@ type (
 		recv, done, claimed bool // claimed: bound to a rendezvous payload still in flight
 	}
 	refRank struct {
-		pc           int
-		clock        int64
-		recv, waitOn *refSlot   // the blocking receive it is posted in; the request its Wait is blocked on
-		waitAll      bool       // blocked in a WaitAll
-		slots        []*refSlot // by slot index; nil is free
-		unexpected   []int      // arrived, unmatched messages, in arrival order
-		src          *rng.Source
-		next         int64  // its node's CE stream's next arrival,
-		count, arrs  uint64 // arrivals so far and process state
+		pc          int
+		clock       int64
+		waitOn      *refSlot   // the request its Wait is blocked on
+		waitAll     bool       // blocked in a WaitAll
+		slots       []*refSlot // requests, by slot index; nil is free
+		open        []*refSlot // posted, unmatched receives, blocking ones too, in post order
+		unexpected  []int      // arrived, unmatched messages, in arrival order
+		src         *rng.Source
+		next        int64  // its node's CE stream's next arrival,
+		count, arrs uint64 // arrivals so far and process state
 	}
 	refSim struct {
 		tr     *trace.Trace
@@ -134,9 +136,7 @@ func (st *refRank) addSlot(sl *refSlot) {
 	}
 }
 
-func (sl *refSlot) matches(m *refMsg) bool {
-	return (sl.peer == trace.AnySource || sl.peer == m.src) && (sl.tag == trace.AnyTag || sl.tag == m.tag)
-}
+func (sl *refSlot) matches(m *refMsg) bool { return sl.peer == m.src && sl.tag == m.tag }
 
 // complete frees done request i at a Wait or WaitAll: a send costs only
 // the wait for its buffer, a receive its o + (s-1)O besides.
@@ -184,11 +184,10 @@ func (s *refSim) run(r int32) {
 				mi := st.unexpected[i] // the earliest arrival that fits
 				st.unexpected = slices.Delete(st.unexpected, i, i+1)
 				s.match(sl, mi)
+			} else {
+				st.open = append(st.open, sl)
 			}
 			if op.Kind == trace.OpRecv && !sl.done {
-				if !sl.claimed {
-					st.recv = sl
-				}
 				return // a blocking receive waits for its match, or for the payload
 			}
 		case trace.OpWait:
@@ -252,22 +251,19 @@ func (s *refSim) handle(kind int32, mi int, now int64) {
 	m := &s.msgs[mi]
 	switch kind {
 	case evEagerArrive, evRTSArrive:
-		// The blocking receive first, then the posted Irecvs by slot index.
+		// The earliest-posted open receive that names its source and tag.
 		m.arr = now
 		st := &s.ranks[m.dst]
-		for _, sl := range append([]*refSlot{st.recv}, st.slots...) {
-			if sl == nil || !sl.recv || sl.done || sl.claimed || !sl.matches(m) {
-				continue
-			}
-			if s.match(sl, mi); sl == st.recv {
-				st.recv = nil
-			}
-			if sl.done {
-				s.finish(m.dst, sl, sl.ready)
-			}
+		i := slices.IndexFunc(st.open, func(sl *refSlot) bool { return sl.matches(m) })
+		if i < 0 {
+			st.unexpected = append(st.unexpected, mi)
 			return
 		}
-		st.unexpected = append(st.unexpected, mi)
+		sl := st.open[i]
+		st.open = slices.Delete(st.open, i, i+1)
+		if s.match(sl, mi); sl.done {
+			s.finish(m.dst, sl, sl.ready)
+		}
 	case evCTSArrive:
 		ready := now          // a nonblocking send's payload is moved by the NIC alone,
 		if m.sender.req < 0 { // a blocking one's costs its CPU o + (s-1)O first

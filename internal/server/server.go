@@ -525,7 +525,7 @@ func (s *Server) simulateFunc(cfg core.ExperimentConfig, sc core.Scenario, req S
 		s.observe(StageBaseline, baselineWall)
 
 		scStart := time.Now()
-		rep, err := exp.RunRepeatedParallelContext(ctx, sc, req.Reps, 0) // GOMAXPROCS wide, as a sweep job
+		rep, err := exp.RunRepeatedContext(ctx, sc, req.Reps)
 		if err != nil {
 			return nil, err
 		}

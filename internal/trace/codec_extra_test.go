@@ -2,35 +2,10 @@ package trace
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 )
-
-func TestTextRoundTripWildcards(t *testing.T) {
-	tr := &Trace{
-		Name: "wild",
-		Ops: [][]Op{
-			{Send(1, 8, 0)},
-			{Recv(AnySource, 8, AnyTag), Irecv(AnySource, 16, AnyTag, 3), Wait(3)},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteText(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "recv -1 8 -1") {
-		t.Fatalf("wildcards not encoded as -1:\n%s", buf.String())
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatalf("wildcard round trip mismatch: %+v", got)
-	}
-}
 
 func TestTextLargeValues(t *testing.T) {
 	tr := &Trace{Ops: [][]Op{
@@ -95,6 +70,33 @@ func TestTextRefusesCollectivesNoWorkloadIssues(t *testing.T) {
 			}
 			if want := `line 4: unknown op "` + mnemonic + `"`; !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %q does not say %q", err, want)
+			}
+		})
+	}
+}
+
+// TestTextRefusesWildcardsAndSelfReceives: a receive names one rank
+// other than its own and a tag >= 0, as a send does, so a wildcard
+// line from an older trace file (-1 for MPI_ANY_SOURCE or MPI_ANY_TAG)
+// is refused, naming the rank and op, instead of being read as an
+// exact match.
+func TestTextRefusesWildcardsAndSelfReceives(t *testing.T) {
+	cases := []struct{ line, want string }{
+		{"recv -1 8 0", "rank 1 op 1 (recv): peer -1 out of range [0,2)"},
+		{"recv 0 8 -1", "rank 1 op 1 (recv): negative tag -1"},
+		{"recv 1 8 0", "rank 1 op 1 (recv): peer is the rank itself"},
+		{"irecv -1 8 0 0\nwait 0", "rank 1 op 1 (irecv): peer -1 out of range [0,2)"},
+		{"irecv 0 8 -1 0\nwait 0", "rank 1 op 1 (irecv): negative tag -1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.line, func(t *testing.T) {
+			in := "ranks 2\nrank 0\nsend 1 8 0\nrank 1\ncalc 5\n" + tc.line + "\n"
+			tr, err := ReadText(strings.NewReader(in))
+			if err == nil {
+				t.Fatalf("accepted %q as %+v", in, tr)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
 			}
 		})
 	}

@@ -42,7 +42,13 @@ func randomTrace(r *rand.Rand, maxRanks, maxOps int) *Trace {
 					ops = append(ops, Send(peer, int64(r.Intn(1<<20)), int32(r.Intn(100))))
 				}
 			case 2:
-				ops = append(ops, Recv(AnySource, int64(r.Intn(1<<20)), AnyTag))
+				if n > 1 {
+					peer := int32(r.Intn(n))
+					if peer == int32(rank) {
+						peer = (peer + 1) % int32(n)
+					}
+					ops = append(ops, Recv(peer, int64(r.Intn(1<<20)), int32(r.Intn(100))))
+				}
 			case 3:
 				if n > 1 {
 					peer := int32(r.Intn(n))

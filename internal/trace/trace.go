@@ -38,12 +38,6 @@ const (
 	numOpKinds
 )
 
-// AnySource is the wildcard receive source (MPI_ANY_SOURCE).
-const AnySource int32 = -1
-
-// AnyTag is the wildcard receive tag (MPI_ANY_TAG).
-const AnyTag int32 = -1
-
 var kindNames = [...]string{
 	OpCalc:      "calc",
 	OpSend:      "send",
@@ -73,8 +67,8 @@ func (k OpKind) IsCollective() bool {
 // Kind; unused fields are zero.
 type Op struct {
 	Kind OpKind
-	Peer int32 // p2p peer, or collective root, or AnySource for wildcard recv
-	Tag  int32 // message tag, or AnyTag
+	Peer int32 // p2p peer, or collective root
+	Tag  int32 // message tag (p2p)
 	Req  int32 // request id for Isend/Irecv/Wait (unique per rank between waits)
 	Size int64 // message bytes (p2p) or per-rank contribution (collective)
 	Dur  int64 // computation nanoseconds (OpCalc only)
@@ -142,7 +136,9 @@ var (
 
 // Validate checks structural invariants:
 //   - at least one rank;
-//   - p2p peers and collective roots are valid ranks (or AnySource for recvs);
+//   - p2p peers and collective roots are valid ranks, a p2p peer is not
+//     the rank itself, and p2p tags are non-negative (a receive names
+//     its exact source and tag: there are no wildcards);
 //   - nonblocking requests are waited on exactly once and not reused while
 //     outstanding;
 //   - every rank participates in the same sequence of collectives;
@@ -169,16 +165,15 @@ func (t *Trace) Validate() error {
 			switch op.Kind {
 			case OpCalc, OpAllreduce, OpWaitAll:
 				// No peer to validate.
-			case OpSend, OpIsend:
+			case OpSend, OpIsend, OpRecv, OpIrecv:
 				if op.Peer < 0 || op.Peer >= n {
 					return fmt.Errorf("trace: rank %d op %d (%s): peer %d out of range [0,%d)", r, i, op.Kind, op.Peer, n)
 				}
 				if op.Peer == int32(r) {
-					return fmt.Errorf("trace: rank %d op %d (%s): self-send", r, i, op.Kind)
+					return fmt.Errorf("trace: rank %d op %d (%s): peer is the rank itself", r, i, op.Kind)
 				}
-			case OpRecv, OpIrecv:
-				if op.Peer != AnySource && (op.Peer < 0 || op.Peer >= n) {
-					return fmt.Errorf("trace: rank %d op %d (%s): peer %d out of range", r, i, op.Kind, op.Peer)
+				if op.Tag < 0 {
+					return fmt.Errorf("trace: rank %d op %d (%s): negative tag %d", r, i, op.Kind, op.Tag)
 				}
 			case OpBcast:
 				if op.Peer < 0 || op.Peer >= n {

@@ -44,16 +44,6 @@ func TestValidateSelfSend(t *testing.T) {
 	}
 }
 
-func TestValidateWildcardRecvOK(t *testing.T) {
-	tr := &Trace{Ops: [][]Op{
-		{Send(1, 8, 0)},
-		{Recv(AnySource, 8, AnyTag)},
-	}}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("wildcard recv rejected: %v", err)
-	}
-}
-
 func TestValidateUnknownWait(t *testing.T) {
 	tr := &Trace{Ops: [][]Op{{Wait(3)}}}
 	if err := tr.Validate(); err == nil {

@@ -17,7 +17,11 @@
 # median is worse than the parent's by more than the metric's bound in
 # BENCHMARK.json, or when a run failed its own checks. Time metrics are
 # printed the same way but are advisory: on a shared 2-vCPU box their
-# spread is wider than most changes.
+# spread is wider than most changes. A time metric whose parent runs
+# spread wider than its bound (interquartile range > bound x median)
+# cannot show a regression of that size either way, so it is marked
+# "unresolved" rather than read as unchanged — unless every change run
+# reads better than every parent run.
 #
 # Each run leaves $OUT/pair-N/{parent,change}/<workload>.json and .log,
 # each pair $OUT/pair-N/compare.txt. Nothing under bench/ is touched;
@@ -111,6 +115,7 @@ function summarize(w, m, side, out,    n, i, j, t, a) {
 	for (i = 1; i <= pairs; i++) if ((w, m, side, i) in v) a[n++] = v[w, m, side, i]
 	for (i = 1; i < n; i++) { t = a[i]; for (j = i - 1; j >= 0 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
 	out["med"] = quantile(a, n, 0.5); out["q1"] = quantile(a, n, 0.25); out["q3"] = quantile(a, n, 0.75)
+	out["min"] = a[0]; out["max"] = a[n - 1]
 }
 # BENCHMARK.json, end_to_end block: name, better and bound of each metric.
 FILENAME == "BENCHMARK.json" {
@@ -142,6 +147,8 @@ END {
 			worse = (m in higher) ? -diff : diff
 			note = (m in gate) ? "gate ok" : "advisory"
 			if ((m in gate) && worse > bound[m]) { note = "GATE FAILED (bound " bound[m] * 100 " %)"; bad = 1 }
+			beats = (m in higher) ? c["min"] > p["max"] : c["max"] < p["min"]
+			if (!(m in gate) && p["q3"] - p["q1"] > bound[m] * p["med"] && !beats) note = "unresolved (parent spread > bound " bound[m] * 100 " %)"
 			printf "  %-17s %10.5g [%.5g–%.5g] -> %10.5g [%.5g–%.5g]  %+7.1f %%  %2d/%d  %s\n", m, p["med"], p["q1"], p["q3"], c["med"], c["q1"], c["q3"], diff * 100, wins, pairs, note
 		}
 	}
